@@ -14,10 +14,17 @@ import hashlib
 import math
 import struct
 
+import numpy as np
+
 from ..errors import ConfigurationError, CorruptionError
 
 _HEADER = struct.Struct("<4sIIQ")
 _MAGIC = b"BLM1"
+#: Most keys one vectorized build step hashes at a time. A step's
+#: scratch arrays hold ``hash_count`` 8-byte probes per key, so this
+#: bounds a build's transient memory whatever the run's size (about
+#: 110 KiB per array at 7 probes); larger batches measured no faster.
+BATCH_KEYS = 2048
 
 
 def _hash_pair(key: bytes) -> tuple[int, int]:
@@ -67,6 +74,38 @@ class BloomFilter:
             bit = (h1 + i * h2) % self._bits
             self._array[bit >> 3] |= 1 << (bit & 7)
         self._added += 1
+
+    def add_many(self, keys: list[bytes]) -> None:
+        """Insert many keys; same bits as calling :meth:`add` on each.
+
+        The probes of a batch are computed in numpy. ``h1 + i * h2``
+        can pass 2**64, where fixed-width integers would wrap and
+        Python's do not, so both hashes are reduced modulo the bit
+        count first: the count fits 32 bits (see the header), hence
+        every intermediate stays far below the wrap and the residues —
+        the bits set — are the ones :meth:`add` computes.
+        """
+        bits = np.uint64(self._bits)
+        steps = np.arange(self._hashes, dtype=np.uint64)
+        array = np.frombuffer(self._array, dtype=np.uint8)
+        blake2b = hashlib.blake2b
+        for start in range(0, len(keys), BATCH_KEYS):
+            digests = b"".join(
+                [
+                    blake2b(key, digest_size=16).digest()
+                    for key in keys[start : start + BATCH_KEYS]
+                ]
+            )
+            pairs = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
+            first = pairs[:, 0] % bits
+            stride = (pairs[:, 1] | np.uint64(1)) % bits
+            probes = ((first[:, None] + steps * stride[:, None]) % bits).ravel()
+            np.bitwise_or.at(
+                array,
+                probes >> np.uint64(3),
+                (1 << (probes & np.uint64(7))).astype(np.uint8),
+            )
+        self._added += len(keys)
 
     def might_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""

@@ -19,6 +19,7 @@ writes underneath.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from typing import Callable, Iterator
 
 from ..core import model
@@ -39,12 +40,11 @@ from ..core.schedulers import (
 from ..errors import ConfigurationError, CorruptionError
 from ..obs import events as obs_events
 from .blockcache import BlockCache
-from .iterators import reconciling_iterator
 from .manifest import Manifest
-from .options import StoreOptions, TOMBSTONE
+from .options import StoreOptions
 from .quarantine import QuarantineEntry, QuarantineSet
 from .ratelimiter import RateLimiter, SyncPolicy
-from .sstable import SSTableReader, SSTableWriter
+from .sstable import DataBlock, SSTableReader, SSTableWriter
 
 #: Upper key bound recorded when a run is quarantined before its meta
 #: block could be read — wide enough that any plausible key is covered.
@@ -75,24 +75,47 @@ def build_scheduler(options: StoreOptions) -> MergeScheduler:
     return GreedyScheduler()
 
 
-class _CountingSource:
-    """Wraps a run iterator, counting consumed input bytes."""
+class _BlockCursor:
+    """One merge input: the run's current decoded block and a position
+    in it. ``key`` is the head — the next key this input offers — and
+    None once the run is exhausted."""
 
-    def __init__(self, items: Iterator[tuple[bytes, bytes | None]]) -> None:
-        self._items = items
-        self.consumed = 0
+    __slots__ = ("_reader", "_next_block", "block", "pos", "key")
 
-    def __iter__(self):
-        return self
+    def __init__(self, reader: SSTableReader) -> None:
+        self._reader = reader
+        self._next_block = 0
+        self.block: DataBlock | None = None
+        self.pos = 0
+        self.key: bytes | None = None
 
-    def __next__(self):
-        key, value = next(self._items)
-        self.consumed += len(key) + (0 if value is TOMBSTONE else len(value))
-        return key, value
+    def load(self) -> None:
+        """Step to the run's next block (or to exhaustion)."""
+        if self._next_block < self._reader.block_count:
+            self.block = self._reader.read_data_block(self._next_block)
+            self._next_block += 1
+            self.pos = 0
+            self.key = self.block.keys[0]
+        else:
+            self.block = None
+            self.key = None
 
 
 class MergeJob:
     """An in-flight merge: incremental reconciliation into a new run.
+
+    A k-way merge over block cursors, newest input first. Each round
+    picks the input with the smallest head (the newest on a tie, whose
+    entry shadows the others' — :func:`reconciling_iterator`'s rule) and
+    drains it up to the smallest head among the rest, block after block
+    without looking at the others again. What a round moves is a range
+    of one decoded block, never a record: the range goes to the writer
+    as encoded bytes, and a block that is consumed whole — and holds no
+    tombstone this merge must drop — is offered to the writer for a
+    verbatim copy (:meth:`SSTableWriter.add_block` decides from the
+    block's format version, codec id and size). Input progress is the
+    encoded size of the ranges moved or stepped over, so it ends at the
+    inputs' logical bytes; a chunk boundary may cut a range anywhere.
 
     The job *owns* its input readers — the compaction manager opens it
     dedicated ones rather than sharing the store's query readers,
@@ -116,14 +139,7 @@ class MergeJob:
         self.descriptor = descriptor
         self._readers = readers
         self.claimed = False
-        # reconciling_iterator wants newest-first; inputs are oldest-first
-        sources = [
-            _CountingSource(reader.items()) for reader in reversed(readers)
-        ]
-        self._sources = sources
-        self._stream = reconciling_iterator(
-            sources, keep_tombstones=not drop_tombstones
-        )
+        self._drop_tombstones = drop_tombstones
         self._writer = SSTableWriter(
             output_path,
             block_bytes=options.block_bytes,
@@ -136,30 +152,124 @@ class MergeJob:
             filter_kind=options.filter_kind,
         )
         self._output_path = output_path
-        # Progress is tracked against *logical* input bytes because the
-        # per-source consumed counters see decompressed entries; for
-        # uncompressed (and all version-1) runs this equals data_bytes.
+        #: Inputs not yet exhausted, newest first so that position
+        #: breaks ties. Opened by the first advance(): the constructor
+        #: runs under the store lock and must not read blocks.
+        self._cursors: list[_BlockCursor] | None = None
+        # Progress is tracked against *logical* input bytes because a
+        # cursor sees decoded blocks; for uncompressed (and all
+        # version-1) runs this equals data_bytes, CRC trailers aside.
         self._total_input = sum(r.logical_bytes for r in readers)
+        self._consumed = 0
+        #: Input blocks by how they reached the output (or were shadowed
+        #: away): appended verbatim vs. decoded and re-packed.
+        self.blocks_copied = 0
+        self.blocks_rewritten = 0
         self.finished = False
         self.stats = None
 
-    def _consumed(self) -> int:
-        return sum(source.consumed for source in self._sources)
+    def _leave_block(self, cursor: _BlockCursor, copied: bool = False) -> None:
+        """Count the block a cursor is done with and load its next."""
+        if copied:
+            self.blocks_copied += 1
+        else:
+            self.blocks_rewritten += 1
+        cursor.load()
+        if cursor.key is None:
+            self._cursors.remove(cursor)
+
+    def _pick(self) -> tuple[_BlockCursor, bytes | None]:
+        """The input to drain next, and the key to stop before.
+
+        The first is the cursor with the smallest head — the newest on a
+        tie, whose entry shadows the others', which are stepped over
+        here. The second is the smallest head among the rest (None when
+        nothing else is left): below it the chosen input is alone.
+        """
+        cursors = self._cursors
+        best = cursors[0]
+        for cursor in cursors[1:]:
+            if cursor.key < best.key:
+                best = cursor
+        limit = None
+        for cursor in list(cursors):
+            if cursor is best:
+                continue
+            if cursor.key == best.key:
+                ends, pos = cursor.block.ends, cursor.pos
+                self._consumed += ends[pos] - (ends[pos - 1] if pos else 0)
+                if pos + 1 == len(ends):
+                    self._leave_block(cursor)
+                    if cursor.key is None:
+                        continue
+                else:
+                    cursor.pos = pos + 1
+                    cursor.key = cursor.block.keys[pos + 1]
+            if limit is None or cursor.key < limit:
+                limit = cursor.key
+        return best, limit
+
+    def _drain(
+        self, best: _BlockCursor, limit: bytes | None, target: int
+    ) -> None:
+        """Move ``best``'s entries below ``limit`` to the output, block
+        after block, stopping with the entry that brings consumed input
+        to ``target``."""
+        writer = self._writer
+        drop = self._drop_tombstones
+        while True:
+            block = best.block
+            keys, ends = block.keys, block.ends
+            lo = best.pos
+            if limit is None or keys[-1] < limit:
+                hi = len(keys)
+            else:
+                hi = bisect_left(keys, limit, lo)
+            start = ends[lo - 1] if lo else 0
+            budget = target - self._consumed
+            if ends[hi - 1] - start > budget:
+                hi = bisect_left(ends, start + budget, lo, hi) + 1
+            self._consumed += ends[hi - 1] - start
+            copied = False
+            if lo == 0 and hi == len(keys) and not (drop and block.tombstones):
+                copied = writer.add_block(block)
+            else:
+                if drop:
+                    for position in block.tombstones:
+                        if lo <= position < hi:
+                            writer.add_entries(block, lo, position)
+                            lo = position + 1
+                writer.add_entries(block, lo, hi)
+            if hi < len(keys):
+                best.pos = hi
+                best.key = keys[hi]
+                return
+            self._leave_block(best, copied)
+            if (
+                best.key is None
+                or (limit is not None and best.key >= limit)
+                or self._consumed >= target
+            ):
+                return
 
     def advance(self, chunk_bytes: int) -> bool:
         """Process roughly ``chunk_bytes`` of input; True when complete."""
         if self.finished:
             return True
-        target = self._consumed() + chunk_bytes
-        for key, value in self._stream:
-            self._writer.add(key, value)
-            if self._consumed() >= target:
-                break
-        else:
+        if self._cursors is None:
+            cursors = [_BlockCursor(r) for r in reversed(self._readers)]
+            for cursor in cursors:
+                cursor.load()
+            self._cursors = [c for c in cursors if c.key is not None]
+        target = self._consumed + chunk_bytes
+        while self._cursors and self._consumed < target:
+            best, limit = self._pick()
+            self._drain(best, limit, target)
+        if not self._cursors:
             self.stats = self._writer.finish()
             self.finished = True
         self.descriptor.remaining_input_bytes = max(
-            0.0, self._total_input - self._consumed()
+            0.0, self._total_input - self._consumed
         )
         return self.finished
 
@@ -524,8 +634,7 @@ class CompactionManager:
     ) -> None:
         """Write a sealed memtable out as a new level-0 run (inline)."""
         run_id, writer = self.begin_flush(entry_hint)
-        for key, value in items:
-            writer.add(key, value)
+        writer.add_many(items)
         self.publish_flush(run_id, writer.finish())
 
     # -- merging ---------------------------------------------------------
@@ -554,7 +663,7 @@ class CompactionManager:
         # reads use them. No block cache — a merge's single sequential
         # pass would only churn it.
         readers = [
-            SSTableReader(self._readers[c.uid].path)
+            SSTableReader(self._readers[c.uid].path, sequential=True)
             for c in descriptor.inputs
         ]
         oldest_live = min(
@@ -642,6 +751,17 @@ class CompactionManager:
                 labels={"level": level},
                 help="Merge input bytes consumed, by target level.",
             ).inc(job.total_input_bytes)
+            for path, blocks in (
+                ("copied", job.blocks_copied),
+                ("rewritten", job.blocks_rewritten),
+            ):
+                self._obs.registry.counter(
+                    "engine_merge_blocks_total",
+                    labels={"path": path},
+                    help="Merge input blocks consumed, by how they "
+                    "reached the output: stored bytes appended verbatim "
+                    "vs. decoded and re-packed.",
+                ).inc(blocks)
             self._obs.tracer.emit(
                 obs_events.MERGE_END,
                 merge_uid=descriptor.uid,

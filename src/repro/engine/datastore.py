@@ -937,8 +937,7 @@ class LSMStore:
         try:
             if kind == "flush":
                 _, memtable, run_id, writer = task
-                for key, value in memtable.items():
-                    writer.add(key, value)
+                writer.add_many(memtable.items())
                 stats = writer.finish()
                 with self._lock:
                     self._compaction.publish_flush(run_id, stats)
@@ -1298,10 +1297,15 @@ class LSMStore:
                         [self._active] + list(reversed(self._sealed))
                     )
                 ]
+                # A run whose key bounds miss [lo, hi) is left out
+                # before it gets an iterator: reader.items() would read
+                # and decode a block just to yield nothing.
                 sources += [
                     self._tagged_items(run_id, element, lo, hi)
                     for run_id, element in self._compaction.read_plan()
                     if not isinstance(element, QuarantineEntry)
+                    and (hi is None or element.min_key < hi)
+                    and (lo is None or element.max_key >= lo)
                 ]
                 try:
                     results = []
@@ -1448,8 +1452,7 @@ class LSMStore:
                 for key in sorted(set(fetched) | local_keys)
             ]
         try:
-            for key, value in entries:
-                writer.add(key, value)
+            writer.add_many(entries)
             stats = writer.finish()
         except Exception:
             writer.abandon()

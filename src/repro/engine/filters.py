@@ -39,6 +39,9 @@ class PointFilter(Protocol):
     def add(self, key: bytes) -> None:
         """Insert a key."""
 
+    def add_many(self, keys: list[bytes]) -> None:
+        """Insert keys in order; same result as :meth:`add` on each."""
+
     def might_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""
 
@@ -150,6 +153,11 @@ class CuckooFilter:
             if self._try_insert(bucket, fingerprint):
                 return
         self._stash.append(fingerprint)
+
+    def add_many(self, keys: list[bytes]) -> None:
+        """Insert keys in order (displacement depends on that order)."""
+        for key in keys:
+            self.add(key)
 
     def might_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""

@@ -39,17 +39,21 @@ import json
 import os
 import struct
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import ConfigurationError, CorruptionError
 from .blockcodec import NONE_CODEC_ID, codec_by_id, get_codec
+from .bloom import BATCH_KEYS as _FILTER_BATCH_KEYS
 from .filters import build_filter, load_filter
 from .options import TOMBSTONE
 from .ratelimiter import RateLimiter, SyncPolicy
 from .wal import fsync_file
 
 _LEN = struct.Struct("<I")
+#: Every data-block entry starts with its key and value lengths.
+_ENTRY_HEADER = struct.Struct("<II")
 _INDEX_ENTRY = struct.Struct("<QI")
 _FOOTER = struct.Struct("<QIQIQI8s")
 _MAGIC_V1 = b"LSMRUN01"
@@ -61,6 +65,14 @@ _BLOCK_HEADER = struct.Struct("<BI")
 
 #: What new runs are written as (readers accept every older version).
 CURRENT_FORMAT_VERSION = 2
+
+#: File buffer of a run that is written, or read front to back by a
+#: merge: one system call per 256 KiB instead of one per 8 KiB. Each
+#: call releases the interpreter lock, and a maintenance thread that
+#: gives it up beside a busy foreground thread waits up to a switch
+#: interval (5 ms) to get it back — with the default buffer those waits,
+#: not the merge's own work, were most of a merge's wall time.
+SEQUENTIAL_IO_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -98,8 +110,86 @@ def _check_crc(blob: bytes, context: str) -> bytes:
     return payload
 
 
+class DataBlock(NamedTuple):
+    """One data block as a merge or a scrub reads it: keys walked,
+    values left in place.
+
+    ``stored`` is the block exactly as the file holds it, CRC trailer
+    included — what a verbatim copy appends. ``codec_id`` is the id in
+    its header, None for a version-1 block (which has no header).
+    ``payload`` is the decoded entry bytes: entry ``i`` occupies
+    ``payload[ends[i - 1]:ends[i]]`` (from 0 for the first), and
+    ``tombstones`` holds the positions of the deleted keys.
+    """
+
+    stored: bytes
+    codec_id: int | None
+    payload: bytes
+    keys: list[bytes]
+    ends: list[int]
+    tombstones: list[int]
+
+
+def _walk_block(
+    payload: bytes, stop_at: bytes | None = None
+) -> tuple[list[bytes], list[int], list[int]]:
+    """Keys-first walk of a block's entry payload; slices no value.
+
+    Returns ``(keys, ends, tombstones)`` as :class:`DataBlock` holds
+    them. With ``stop_at`` the walk ends at the first key that is not
+    below it — a point lookup needs nothing beyond that entry.
+    """
+    keys: list[bytes] = []
+    ends: list[int] = []
+    tombstones: list[int] = []
+    unpack = _ENTRY_HEADER.unpack_from
+    size = len(payload)
+    pos = 0
+    while pos < size:
+        if pos + 8 > size:
+            raise CorruptionError("data block entry header truncated")
+        key_len, val_len = unpack(payload, pos)
+        end = pos + 8 + key_len
+        # A declared length that overruns the payload is corruption;
+        # Python slicing would silently hand back the short remainder.
+        if end > size:
+            raise CorruptionError("data block entry key truncated")
+        key = payload[pos + 8 : end]
+        if val_len == _TOMBSTONE_LEN:
+            tombstones.append(len(keys))
+        else:
+            end += val_len
+            if end > size:
+                raise CorruptionError("data block entry value truncated")
+        keys.append(key)
+        ends.append(end)
+        if stop_at is not None and key >= stop_at:
+            break
+        pos = end
+    return keys, ends, tombstones
+
+
+def _decode_block(payload: bytes) -> list[tuple[bytes, bytes | None]]:
+    keys, ends, tombstones = _walk_block(payload)
+    entries = [
+        (key, payload[start + 8 + len(key) : end])
+        for key, start, end in zip(keys, [0, *ends], ends)
+    ]
+    for position in tombstones:
+        entries[position] = (keys[position], TOMBSTONE)
+    return entries
+
+
 class SSTableWriter:
-    """Streams sorted key/value (or tombstone) entries into a run file."""
+    """Streams sorted key/value (or tombstone) entries into a run file.
+
+    Entries arrive one at a time (:meth:`add`), as an iterable
+    (:meth:`add_many`, what a memtable flush feeds), or block-wise from
+    a merge's inputs: :meth:`add_entries` moves a range of a decoded
+    block's entries as encoded bytes, and :meth:`add_block` appends a
+    whole input block verbatim when that is what this writer would have
+    produced anyway.
+    """
 
     def __init__(
         self,
@@ -134,14 +224,19 @@ class SSTableWriter:
         self._format_version = format_version
         self._codec = get_codec(block_codec)
         self._filter_kind = filter_kind
-        self._file = open(path, "wb")
+        self._filter = build_filter(
+            filter_kind, max(expected_keys, 1024), bloom_bits_per_key
+        )
+        # Every argument is validated by now: a rejected configuration
+        # must not leave an open handle or an empty run file behind.
+        self._file = open(path, "wb", buffering=SEQUENTIAL_IO_BYTES)
         if fault_plan is not None:
             self._file = fault_plan.wrap(self._file, "sstable")
         self._rate = rate_limiter or RateLimiter(0)
         self._sync = sync_policy or SyncPolicy(0)
-        self._filter = build_filter(
-            filter_kind, max(expected_keys, 1024), bloom_bits_per_key
-        )
+        #: Keys written but not yet in the filter; handed over in
+        #: batches so the filter can build them vectorized.
+        self._filter_keys: list[bytes] = []
         self._block = bytearray()
         self._block_first_key: bytes | None = None
         self._index: list[tuple[bytes, int, int]] = []
@@ -151,7 +246,6 @@ class SSTableWriter:
         self._logical_bytes = 0
         self._last_key: bytes | None = None
         self._min_key: bytes | None = None
-        self._max_key: bytes | None = None
         self._finished = False
         self._published = False
 
@@ -185,33 +279,128 @@ class SSTableWriter:
             (self._block_first_key, start, len(record) + _CRC_LEN)
         )
         self._block.clear()
-        self._block_first_key = None
+        self._feed_filter(_FILTER_BATCH_KEYS)
+
+    def _feed_filter(self, at_least: int) -> None:
+        """Hand the pending keys to the filter once ``at_least`` wait."""
+        if len(self._filter_keys) >= at_least:
+            self._filter.add_many(self._filter_keys)
+            self._filter_keys.clear()
+
+    def _begin(self, first_key: bytes) -> None:
+        """Checks ahead of an append whose smallest key is given."""
+        if self._finished:
+            raise ConfigurationError("writer already finished")
+        if self._last_key is None:
+            self._min_key = first_key
+        elif first_key <= self._last_key:
+            raise ConfigurationError(
+                f"keys out of order: {first_key!r} after {self._last_key!r}"
+            )
 
     def add(self, key: bytes, value: bytes | None) -> None:
         """Append one entry; keys must arrive in strictly ascending order."""
+        self.add_many(((key, value),))
+
+    def add_many(
+        self, items: Iterable[tuple[bytes, bytes | None]]
+    ) -> None:
+        """Append entries in strictly ascending key order."""
         if self._finished:
             raise ConfigurationError("writer already finished")
-        if self._last_key is not None and key <= self._last_key:
-            raise ConfigurationError(
-                f"keys out of order: {key!r} after {self._last_key!r}"
+        block = self._block
+        block_bytes = self._block_bytes
+        pack = _ENTRY_HEADER.pack
+        note_key = self._filter_keys.append
+        last_key = self._last_key
+        for key, value in items:
+            if last_key is None or key <= last_key:
+                self._begin(key)
+            last_key = self._last_key = key
+            if not block:
+                self._block_first_key = key
+            if value is TOMBSTONE:
+                block += pack(len(key), _TOMBSTONE_LEN) + key
+                self._tombstones += 1
+            else:
+                block += pack(len(key), len(value)) + key + value
+            note_key(key)
+            self._entries += 1
+            if len(block) >= block_bytes:
+                self._flush_block()
+
+    def add_entries(self, source: DataBlock, lo: int, hi: int) -> None:
+        """Append entries ``lo:hi`` of a decoded input block.
+
+        The entry encoding is the same in every format version, so the
+        range moves as encoded bytes — one slice per output block it
+        touches — and closes output blocks exactly where :meth:`add`
+        would have.
+        """
+        if lo >= hi:
+            return
+        keys, ends, payload = source.keys, source.ends, source.payload
+        self._begin(keys[lo])
+        self._last_key = keys[hi - 1]
+        self._filter_keys += keys[lo:hi]
+        self._entries += hi - lo
+        if source.tombstones:
+            self._tombstones += sum(
+                lo <= position < hi for position in source.tombstones
             )
-        self._last_key = key
-        if self._min_key is None:
-            self._min_key = key
-        self._max_key = key
-        if self._block_first_key is None:
-            self._block_first_key = key
-        if value is TOMBSTONE:
-            self._block += _LEN.pack(len(key)) + _LEN.pack(_TOMBSTONE_LEN) + key
-            self._tombstones += 1
-        else:
-            self._block += (
-                _LEN.pack(len(key)) + _LEN.pack(len(value)) + key + value
-            )
-        self._filter.add(key)
-        self._entries += 1
-        if len(self._block) >= self._block_bytes:
+        block = self._block
+        start = ends[lo - 1] if lo else 0
+        while lo < hi:
+            if not block:
+                self._block_first_key = keys[lo]
+            # The entry whose end fills the output block closes it.
+            room = self._block_bytes - len(block)
+            closing = bisect_left(ends, start + room, lo, hi)
+            if closing == hi:
+                block += payload[start : ends[hi - 1]]
+                break
+            block += payload[start : ends[closing]]
+            start = ends[closing]
+            lo = closing + 1
             self._flush_block()
+
+    def add_block(self, source: DataBlock) -> bool:
+        """Append a whole decoded input block; True if copied verbatim.
+
+        The stored bytes go out untouched — no recompression, no new
+        CRC — when they are what this writer would emit for these
+        entries anyway: a current-format block under this writer's
+        codec id that closed because it filled, at this writer's block
+        size. Anything else is re-packed through :meth:`add_entries`:
+        version-1 blocks (no header), blocks under another codec id
+        (including raw fallbacks under a compressing writer, which
+        deserve another attempt), and short blocks — a run's tail, or a
+        block closed early ahead of an earlier copy — so that they can
+        coalesce with their neighbours instead of persisting through
+        every later merge.
+        """
+        keys, ends = source.keys, source.ends
+        if (
+            self._format_version != CURRENT_FORMAT_VERSION
+            or source.codec_id != self._codec.codec_id
+            or ends[-1] < self._block_bytes
+            or (len(ends) > 1 and ends[-2] >= self._block_bytes)
+        ):
+            self.add_entries(source, 0, len(keys))
+            return False
+        self._begin(keys[0])
+        # Close the partial output block first: the copy must start on
+        # a block boundary of its own.
+        self._flush_block()
+        self._index.append((keys[0], self._offset, len(source.stored)))
+        self._write_raw(source.stored)
+        self._logical_bytes += len(source.payload)
+        self._last_key = keys[-1]
+        self._entries += len(keys)
+        self._tombstones += len(source.tombstones)
+        self._filter_keys += keys
+        self._feed_filter(_FILTER_BATCH_KEYS)
+        return True
 
     def finish(self) -> RunStats:
         """Flush everything, write the footer, fsync, and close."""
@@ -219,6 +408,7 @@ class SSTableWriter:
             raise ConfigurationError("writer already finished")
         self._finished = True
         self._flush_block()
+        self._feed_filter(1)
         data_bytes = self._offset
         if self._format_version == 1:
             # Version-absent runs carry no logical-size record, so
@@ -243,7 +433,7 @@ class SSTableWriter:
             "tombstones": self._tombstones,
             "data_bytes": data_bytes,
             "min_key": (self._min_key or b"").hex(),
-            "max_key": (self._max_key or b"").hex(),
+            "max_key": (self._last_key or b"").hex(),
         }
         if self._format_version >= 2:
             # Version-1 files are recognizable by the *absence* of these
@@ -278,7 +468,7 @@ class SSTableWriter:
             data_bytes=data_bytes,
             file_bytes=os.path.getsize(self._path),
             min_key=self._min_key or b"",
-            max_key=self._max_key or b"",
+            max_key=self._last_key or b"",
             logical_bytes=self._logical_bytes,
             codec=self._codec.name,
             filter_kind=self._filter_kind,
@@ -297,31 +487,6 @@ class SSTableWriter:
             self._file.close()
         if os.path.exists(self._path):
             os.remove(self._path)
-
-
-def _decode_block(payload: bytes) -> list[tuple[bytes, bytes | None]]:
-    entries = []
-    pos = 0
-    while pos < len(payload):
-        if pos + 8 > len(payload):
-            raise CorruptionError("data block entry header truncated")
-        key_len = _LEN.unpack_from(payload, pos)[0]
-        val_len = _LEN.unpack_from(payload, pos + 4)[0]
-        pos += 8
-        # A declared length that overruns the payload is corruption;
-        # Python slicing would silently hand back the short remainder.
-        if pos + key_len > len(payload):
-            raise CorruptionError("data block entry key truncated")
-        key = payload[pos : pos + key_len]
-        pos += key_len
-        if val_len == _TOMBSTONE_LEN:
-            entries.append((key, TOMBSTONE))
-        else:
-            if pos + val_len > len(payload):
-                raise CorruptionError("data block entry value truncated")
-            entries.append((key, payload[pos : pos + val_len]))
-            pos += val_len
-    return entries
 
 
 def _decode_stored_block(
@@ -364,15 +529,23 @@ class SSTableReader:
     blocks are served from and populated into the shared cache (the
     engine's buffer-cache analogue of the paper's Section 3.1 setup);
     index/filter/meta blocks are always held in memory per reader.
+    ``sequential`` says the caller will walk the run front to back (a
+    merge's dedicated reader): the file is then read in
+    :data:`SEQUENTIAL_IO_BYTES` units, which a point lookup must not
+    pay for one block.
     """
 
-    def __init__(self, path: str, block_cache=None) -> None:
+    def __init__(
+        self, path: str, block_cache=None, sequential: bool = False
+    ) -> None:
         self._path = path
         self._cache = block_cache
         self._generation = (
             block_cache.register_reader() if block_cache is not None else 0
         )
-        self._file = open(path, "rb")
+        self._file = open(
+            path, "rb", buffering=SEQUENTIAL_IO_BYTES if sequential else -1
+        )
         size = os.path.getsize(path)
         if size < _FOOTER.size:
             raise CorruptionError(f"{path}: file smaller than footer")
@@ -530,21 +703,32 @@ class SSTableReader:
         _, offset, length = self._index[block_idx]
         return offset, length
 
-    def verify_block(self, block_idx: int) -> list[bytes]:
-        """Checksum-verify and decode one data block; returns its keys in
-        file order (the scrubber's raw material for order and bounds
-        checks). Always reads from disk (never the cache), so it observes
-        at-rest rot; raises :class:`CorruptionError` with the file path,
-        offset, and length on a bad block."""
+    def read_data_block(self, block_idx: int) -> DataBlock:
+        """Read, checksum-verify and walk one data block, off the cache.
+
+        The one block read a merge and the scrubber share: always from
+        disk, so it observes at-rest rot, and it raises
+        :class:`CorruptionError` naming the file path, offset and
+        length. Only the keys are materialized; values stay in the
+        payload until somebody moves them.
+        """
         if self._closed:
             raise ConfigurationError("reader is closed")
         _, offset, length = self._index[block_idx]
         context = (
             f"{self._path}: data block at offset {offset} ({length} bytes)"
         )
-        record = _check_crc(self._read_at(offset, length), context)
+        stored = self._read_at(offset, length)
+        record = _check_crc(stored, context)
         payload = _decode_stored_block(record, self._format_version, context)
-        return [key for key, _value in _decode_block(payload)]
+        codec_id = record[0] if self._format_version >= 2 else None
+        return DataBlock(stored, codec_id, payload, *_walk_block(payload))
+
+    def verify_block(self, block_idx: int) -> list[bytes]:
+        """Checksum-verify and decode one data block; returns its keys in
+        file order (the scrubber's raw material for order and bounds
+        checks). See :meth:`read_data_block` for what it raises."""
+        return self.read_data_block(block_idx).keys
 
     def _block_for(self, key: bytes) -> int:
         lo, hi = 0, len(self._index) - 1
@@ -581,12 +765,14 @@ class SSTableReader:
             return False, None
         _, offset, length = self._index[block_idx]
         payload = self._read_block(offset, length)
-        for entry_key, value in _decode_block(payload):
-            if entry_key == key:
-                return True, value
-            if entry_key > key:
-                break
-        return False, None
+        keys, ends, tombstones = _walk_block(payload, stop_at=key)
+        if not keys or keys[-1] != key:
+            return False, None
+        last = len(keys) - 1
+        if tombstones and tombstones[-1] == last:
+            return True, TOMBSTONE
+        start = ends[last - 1] if last else 0
+        return True, payload[start + 8 + len(key) : ends[last]]
 
     def items(
         self, lo: bytes | None = None, hi: bytes | None = None

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import BloomFilter
+from repro.engine.bloom import BATCH_KEYS
 from repro.errors import ConfigurationError, CorruptionError
 
 
@@ -88,7 +89,48 @@ class TestValidation:
             BloomFilter(expected_keys=10, bits_per_key=0)
 
 
+class TestBulkBuild:
+    """``add_many`` is the vectorized build; ``add`` is its reference."""
+
+    @pytest.mark.parametrize("count", [0, 1, 7, BATCH_KEYS, BATCH_KEYS + 1, 20_000])
+    @pytest.mark.parametrize("bits_per_key", [1, 10, 16])
+    def test_add_many_blob_equals_per_key_blob(self, count, bits_per_key):
+        keys = [f"key-{i:09d}".encode() for i in range(count)]
+        one_by_one = BloomFilter(count, bits_per_key)
+        for key in keys:
+            one_by_one.add(key)
+        bulk = BloomFilter(count, bits_per_key)
+        bulk.add_many(keys)
+        assert bulk.to_bytes() == one_by_one.to_bytes()
+        assert bulk.added == count
+
+    def test_add_many_continues_a_partly_built_filter(self):
+        keys = [f"key-{i:05d}".encode() for i in range(500)]
+        reference = BloomFilter(500)
+        for key in keys:
+            reference.add(key)
+        mixed = BloomFilter(500)
+        mixed.add_many(keys[:200])
+        mixed.add(keys[200])
+        mixed.add_many(keys[201:])
+        assert mixed.to_bytes() == reference.to_bytes()
+
+
 class TestPropertyBased:
+    @given(
+        st.lists(st.binary(min_size=1, max_size=32), max_size=200),
+        st.integers(1, 24),
+        st.integers(0, 400),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_add_many_matches_add(self, key_list, bits_per_key, expected):
+        one_by_one = BloomFilter(expected, bits_per_key)
+        for key in key_list:
+            one_by_one.add(key)
+        bulk = BloomFilter(expected, bits_per_key)
+        bulk.add_many(key_list)
+        assert bulk.to_bytes() == one_by_one.to_bytes()
+
     @given(st.lists(st.binary(min_size=1, max_size=32), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)
     def test_never_false_negative(self, key_list):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import RateLimiter, SSTableReader, SSTableWriter, SyncPolicy, TOMBSTONE
-from repro.engine.sstable import _decode_block
+from repro.engine.sstable import _decode_block, _walk_block
 from repro.errors import ConfigurationError, CorruptionError
 
 _LEN = struct.Struct("<I")
@@ -116,6 +116,40 @@ class TestWriterDiscipline:
         with pytest.raises(ConfigurationError):
             writer.add(b"a", b"2")
         writer.abandon()
+
+    @pytest.mark.parametrize(
+        "bad", [{"filter_kind": "nope"}, {"block_codec": "lz4"}]
+    )
+    def test_rejected_configuration_leaves_no_file(self, tmp_path, bad):
+        """Regression: the output file used to be opened before the
+        filter kind was validated, so a bad kind left an open handle and
+        an orphan 0-byte run behind."""
+        with pytest.raises(ConfigurationError):
+            SSTableWriter(str(tmp_path / "bad.run"), **bad)
+        assert os.listdir(tmp_path) == []
+
+    def test_add_many_writes_what_add_writes(self, tmp_path):
+        entries = [
+            (f"k{i:05d}".encode(), TOMBSTONE if i % 7 == 0 else b"v" * (i % 90))
+            for i in range(400)
+        ]
+        write_run(tmp_path / "one.run", entries, block_bytes=256)
+        writer = SSTableWriter(str(tmp_path / "many.run"), block_bytes=256)
+        writer.add_many(iter(entries[:150]))
+        writer.add_many(entries[150:])
+        writer.finish()
+        assert (tmp_path / "many.run").read_bytes() == (
+            tmp_path / "one.run"
+        ).read_bytes()
+
+    def test_add_many_rejects_out_of_order_and_finished(self, tmp_path):
+        writer = SSTableWriter(str(tmp_path / "m.run"))
+        with pytest.raises(ConfigurationError):
+            writer.add_many([(b"b", b"1"), (b"a", b"2")])
+        writer.add_many([(b"c", b"3")])
+        writer.finish()
+        with pytest.raises(ConfigurationError):
+            writer.add_many([(b"d", b"4")])
 
     def test_double_finish_rejected(self, tmp_path):
         writer = SSTableWriter(str(tmp_path / "i.run"))
@@ -237,6 +271,20 @@ class TestCorruptionDetection:
         with pytest.raises(ConfigurationError):
             reader.get(b"a")
         reader.close()  # idempotent
+
+    def test_block_walk_stops_at_the_first_key_not_below_the_target(self):
+        payload = b"".join(
+            _LEN.pack(1) + _LEN.pack(2) + key + b"vv"
+            for key in (b"a", b"c", b"e")
+        )
+        assert _walk_block(payload)[0] == [b"a", b"c", b"e"]
+        assert _walk_block(payload, stop_at=b"c")[0] == [b"a", b"c"]
+        assert _walk_block(payload, stop_at=b"b")[0] == [b"a", b"c"]
+        # The walk really ends there: a torn last entry is never reached.
+        torn = payload[:-1]
+        assert _walk_block(torn, stop_at=b"b")[0] == [b"a", b"c"]
+        with pytest.raises(CorruptionError):
+            _walk_block(torn)
 
     def test_decode_block_rejects_truncated_key(self):
         """Regression: a declared key length past the payload end used
