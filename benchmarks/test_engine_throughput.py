@@ -32,9 +32,7 @@ def _fill(store, count=N_WRITES):
 
 def test_engine_put_throughput(benchmark, tmp_path, capsys):
     with LSMStore.open(str(tmp_path / "db"), OPTIONS) as store:
-        result = benchmark.pedantic(
-            _fill, args=(store,), rounds=1, iterations=1
-        )
+        benchmark.pedantic(_fill, args=(store,), rounds=1, iterations=1)
         stats = store.stats()
         text = "\n".join(
             [

@@ -9,10 +9,7 @@ orders of magnitude larger: bounding processing latency alone is not
 enough.
 """
 
-import numpy as np
-
 from repro.harness import ExperimentSpec, format_latency_profile, two_phase
-from repro.harness import testing_phase as measure_max
 
 from _common import SCALE, banner, run_once, series_block, show
 

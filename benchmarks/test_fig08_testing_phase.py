@@ -10,7 +10,7 @@ from repro.harness import ExperimentSpec
 from repro.harness import testing_phase as measure_max
 from repro.metrics import stall_windows
 
-from _common import SCALE, WARMUP, banner, run_once, series_block, show, table_block
+from _common import SCALE, banner, run_once, series_block, show, table_block
 
 SCHEDULERS = ("single", "fair", "greedy")
 

@@ -11,8 +11,6 @@ Prose numbers reproduced in shape: the paper measured 17,008 records/s
 naively versus 8,863 records/s with the fix (a 1.92x inflation).
 """
 
-import numpy as np
-
 from repro.harness import ExperimentSpec, running_phase
 from repro.harness import testing_phase as measure_max
 

@@ -199,7 +199,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 metrics_port=args.metrics_port,
                 memory_arbiter=arbiter,
                 memory_interval=args.memory_rebalance_interval,
-                wire=args.wire,
             )
             async with server:
                 host, port = server.address
@@ -251,7 +250,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         seed=args.seed,
         distribution=getattr(args, "distribution", "uniform"),
         theta=getattr(args, "theta", 0.99),
-        client_options={"wire": args.wire},
     )
 
     async def run():
@@ -341,7 +339,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
             memory_budget=memory_budget,
             memory_rebalance_interval=args.memory_rebalance_interval,
             repair_interval=args.repair_interval,
-            wire=args.wire,
         )
         async with cluster:
             host, port = cluster.address
@@ -760,22 +757,11 @@ def _memory_budget_bytes(args: argparse.Namespace) -> int | None:
     return int(args.memory_budget * 2**20)
 
 
-def _add_wire_arg(
-    parser: argparse.ArgumentParser, default: str = "binary"
-) -> None:
-    parser.add_argument(
-        "--wire", choices=("binary", "json"), default=default,
-        help="wire encoding for hot verbs (default: %(default)s); "
-             "servers in binary mode still accept legacy JSON clients",
-    )
-
-
 def _add_loadgen_args(
     parser: argparse.ArgumentParser, default_distribution: str = "uniform"
 ) -> None:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7379)
-    _add_wire_arg(parser)
     parser.add_argument(
         "--mode", choices=("closed", "open", "two-phase"),
         default="two-phase",
@@ -970,7 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="expose Prometheus text metrics over HTTP on this port "
              "(0 picks a free port; default: disabled)",
     )
-    _add_wire_arg(serve_cmd)
     _add_admission_args(serve_cmd)
     _add_engine_args(serve_cmd)
     _add_memory_args(serve_cmd)
@@ -1016,7 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
              "rebuild from a follower (default: 0, disabled; needs "
              "--replicas >= 1 to have anything to rebuild from)",
     )
-    _add_wire_arg(cluster_serve_cmd)
     _add_admission_args(cluster_serve_cmd)
     _add_engine_args(cluster_serve_cmd)
     _add_memory_args(cluster_serve_cmd)

@@ -1,4 +1,4 @@
-"""The cluster front-end: one framed-JSON endpoint over N shard servers.
+"""The cluster front-end: one framed endpoint over N shard servers.
 
 :class:`ClusterRouter` speaks the same wire protocol as a single
 :class:`~repro.server.KVServer` (clients cannot tell the difference) and
@@ -56,7 +56,7 @@ from ..obs import (
     relabel_snapshot,
 )
 from ..obs import events as obs_events
-from ..server import protocol
+from ..server import binproto, protocol
 from ..server.admission import REJECT
 from ..server.client import KVClient
 from ..server.service import FramedServer, KVServer
@@ -190,7 +190,7 @@ def _stats_from_wire(engine: dict) -> StoreStats:
 
 
 class ClusterRouter(FramedServer):
-    """Route the framed-JSON protocol across per-shard KV backends."""
+    """Route the framed KV protocol across per-shard KV backends."""
 
     def __init__(
         self,
@@ -210,7 +210,6 @@ class ClusterRouter(FramedServer):
         obs: Observability | None = None,
         memory_fn: Callable[[], object] | None = None,
         memory_interval: float = 1.0,
-        wire: str = "binary",
     ) -> None:
         if not backends:
             raise ConfigurationError("a cluster needs at least one backend")
@@ -222,7 +221,7 @@ class ClusterRouter(FramedServer):
             raise ConfigurationError(
                 "replica_backends must list one follower set per shard"
             )
-        super().__init__(host, port, metrics_port=metrics_port, wire=wire)
+        super().__init__(host, port, metrics_port=metrics_port)
         # A caller may share its bundle (LocalCluster hands the memory
         # arbiter the same one) so arbiter events surface through the
         # router's EVENTS verb alongside its own.
@@ -244,11 +243,6 @@ class ClusterRouter(FramedServer):
         options = dict(
             DEFAULT_SHARD_CLIENT_OPTIONS, **(shard_client_options or {})
         )
-        # Shard hops default to the router's own wire: a binary router
-        # keeps keys as raw bytes end to end instead of re-base64ing at
-        # every hop. Callers can still pin shard connections to JSON via
-        # shard_client_options.
-        options.setdefault("wire", wire)
         self._clients = []
         for index, (backend_host, backend_port) in enumerate(
             self._backends
@@ -552,16 +546,17 @@ class ClusterRouter(FramedServer):
         responses that outlive the shard client's retry budget surface
         to the caller as a ``STALLED`` rejection.
 
-        The response's latency ``breakdown`` is the backend's (engine
-        and I/O legs measured where they happened) with the *cluster*
-        admission wait folded into its ``admission`` leg; ``total`` and
-        ``queue`` are recomputed by this tier's dispatch, so they
-        reflect the router — the outermost tier a client talks to.
+        The request's latency ``breakdown`` at this tier carries the
+        *cluster* admission wait as its ``admission`` leg; the engine
+        and I/O legs are recorded where they happen, in each shard's own
+        histograms, and ``total``/``queue`` are filled in by this tier's
+        dispatch, so they reflect the router — the outermost tier a
+        client talks to.
         """
         admission_wait = 0.0
         nbytes = sum(nbytes_by_shard.values())
 
-        def rejection(response: dict) -> dict:
+        def with_legs(response: dict) -> dict:
             response["breakdown"] = {
                 "admission": admission_wait, "engine": 0.0, "io": 0.0,
             }
@@ -582,7 +577,7 @@ class ClusterRouter(FramedServer):
                 nbytes=nbytes,
                 shards=sorted(nbytes_by_shard),
             )
-            return rejection(protocol.error_response(
+            return with_legs(protocol.error_response(
                 protocol.CODE_STALLED,
                 decision.reason or "write rejected by cluster admission",
                 retry_after=decision.retry_after,
@@ -608,7 +603,7 @@ class ClusterRouter(FramedServer):
             self.metrics.shard_down_rejections += 1
             for shard in nbytes_by_shard:
                 self.metrics.record_rejected(shard)
-            return rejection(protocol.error_response(
+            return with_legs(protocol.error_response(
                 protocol.CODE_SHARD_DOWN,
                 str(error),
                 retry_after=error.retry_after,
@@ -616,13 +611,13 @@ class ClusterRouter(FramedServer):
         except RequestFailedError as error:
             for shard in nbytes_by_shard:
                 self.metrics.record_rejected(shard)
-            return rejection(protocol.error_response(
+            return with_legs(protocol.error_response(
                 error.code, str(error), retry_after=error.retry_after
             ))
         except ServerError as error:
             for shard in nbytes_by_shard:
                 self.metrics.record_rejected(shard)
-            return rejection(protocol.error_response(
+            return with_legs(protocol.error_response(
                 protocol.CODE_STALLED,
                 f"shard retries exhausted: {error}",
                 retry_after=self._admission.stall_pause or 0.05,
@@ -633,13 +628,7 @@ class ClusterRouter(FramedServer):
         # admission, traffic on healthy shards keeps paying the shared
         # budget that drains a stalled sibling's backlog.
         await self._pump()
-        breakdown = response.setdefault(
-            "breakdown", {"engine": 0.0, "io": 0.0}
-        )
-        breakdown["admission"] = (
-            breakdown.get("admission", 0.0) + admission_wait
-        )
-        return response
+        return with_legs(response)
 
     # -- verbs ------------------------------------------------------------
 
@@ -746,25 +735,12 @@ class ClusterRouter(FramedServer):
                 except ServerError:
                     continue  # next follower, else the leader
                 return (
-                    [
-                        (
-                            protocol.b64decode(key),
-                            protocol.b64decode(value),
-                        )
-                        for key, value in response.get("items", [])
-                    ],
+                    protocol.decode_items(response),
                     bool(response.get("replica_read", False)),
                     int(response.get("staleness_bytes", 0)),
                 )
         response = await self._shard_request(shard, request)
-        return (
-            [
-                (protocol.b64decode(key), protocol.b64decode(value))
-                for key, value in response.get("items", [])
-            ],
-            False,
-            0,
-        )
+        return protocol.decode_items(response), False, 0
 
     async def _op_scan(self, message: dict) -> dict:
         lo, hi, limit = protocol.scan_bounds(message)
@@ -802,10 +778,7 @@ class ClusterRouter(FramedServer):
             if limit is not None and len(items) >= limit:
                 break
         return protocol.ok_response(
-            items=[
-                [protocol.b64encode(key), protocol.b64encode(value)]
-                for key, value in items
-            ],
+            items=protocol.encode_items(items),
             degraded=bool(missing),
             missing_shards=missing,
             replica_read=replica_read,
@@ -998,6 +971,7 @@ class LocalCluster:
         repair_interval: float = 0.0,
         wire: str = "binary",
     ) -> None:
+        binproto.require_binary(wire)
         if replicas < 0:
             raise ConfigurationError("replicas cannot be negative")
         if repair_interval < 0:
@@ -1050,7 +1024,6 @@ class LocalCluster:
         self._replication_timeout = replication_timeout
         self._memory_rebalance_interval = memory_rebalance_interval
         self._repair_interval = repair_interval
-        self._wire = wire
         self.backends: list[KVServer] = []
         self.replica_stores: list[list] = []
         self.replica_servers: list[list] = []
@@ -1155,7 +1128,6 @@ class LocalCluster:
                     else None
                 ),
                 memory_interval=self._memory_rebalance_interval,
-                wire=self._wire,
             )
             return await self.router.start()
         except BaseException:

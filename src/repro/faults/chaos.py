@@ -50,6 +50,7 @@ from ..errors import (
     RetriesExhaustedError,
     ServerError,
 )
+from ..metrics.percentiles import percentile
 from ..server import protocol
 from ..server.client import KVClient
 
@@ -484,16 +485,6 @@ async def run_corruption_chaos(
     return report
 
 
-def _percentile(samples: list[float], pct: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(
-        len(ordered) - 1, max(0, round(pct / 100 * (len(ordered) - 1)))
-    )
-    return ordered[index]
-
-
 async def run_chaos(
     directory: str,
     num_shards: int = 3,
@@ -687,5 +678,5 @@ async def run_chaos(
             report.shard_epochs = cluster.router.epochs
         finally:
             await client.aclose()
-    report.surviving_p99 = _percentile(survivors, 99.0)
+    report.surviving_p99 = percentile(survivors, 99.0) if survivors else 0.0
     return report

@@ -1,4 +1,4 @@
-"""A frame-aware faulty TCP proxy for the framed-JSON protocol.
+"""A frame-aware faulty TCP proxy for length-prefixed frames.
 
 :class:`FaultyProxy` sits between a :class:`~repro.server.KVClient` and
 a real server and misbehaves on a per-connection *script*: each accepted

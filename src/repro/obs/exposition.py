@@ -3,7 +3,7 @@
 Renders a :meth:`~repro.obs.registry.MetricsRegistry.snapshot` — or any
 merged snapshot — to the plain-text scrape format, and serves it over a
 deliberately tiny HTTP/1.0 responder that lives alongside the framed
-JSON protocol. No third-party client library: the format is a dozen
+KV protocol. No third-party client library: the format is a dozen
 rules, and owning them lets :func:`lint_exposition` enforce the same
 rules in CI so the endpoint cannot silently bit-rot.
 """

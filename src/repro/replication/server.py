@@ -6,8 +6,8 @@ plays one of two roles:
 * **leader** — accepts client writes, runs them through the normal
   admission pipeline, then (under ``quorum``/``all`` ack policies)
   holds the acknowledgement until the :class:`WalShipper` reports
-  enough follower acks for the write's WAL position. The wait is the
-  ``replication`` leg of the response breakdown.
+  enough follower acks for the write's WAL position. The wait is
+  recorded as the ``replication`` leg of ``server_request_seconds``.
 * **follower** — rejects client writes with ``NOT_LEADER``, applies
   ``REPLICATE`` frames through a :class:`ReplicaApplier`, and serves
   reads; its ``SCAN`` responses carry the replica's applied cursor and
@@ -294,10 +294,7 @@ class ReplicatedKVServer(KVServer):
             lambda: list(self._store.scan(lo, hi_exclusive))
         )
         response = self._ack_response(status)
-        response["items"] = [
-            [protocol.b64encode(key), protocol.b64encode(value)]
-            for key, value in items
-        ]
+        response["items"] = protocol.encode_items(items)
         return response
 
     def _ack_response(self, status: dict) -> dict:

@@ -1,8 +1,8 @@
 """A stall-aware network KV service over :mod:`repro.engine`.
 
 The serving tier the paper's write-interaction taxonomy matters for in
-production: an asyncio TCP front-end (:class:`KVServer`) speaking a
-length-prefixed JSON protocol, a pooled retrying client
+production: an asyncio TCP front-end (:class:`KVServer`) speaking
+length-prefixed binary frames, a pooled retrying client
 (:class:`KVClient`), an admission controller mapping engine
 backpressure onto the paper's stop / limit / gradual interaction modes,
 and a closed/open-loop load generator implementing the two-phase

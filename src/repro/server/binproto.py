@@ -1,23 +1,10 @@
-"""The binary wire encoding for the network KV service.
+"""The wire of the network KV service: the one module that knows bytes.
 
-JSON framing (:mod:`repro.server.protocol`) spends most of a hot
-request's CPU on base64 and ``json.dumps``. This module carries the
-same verbs in a length-prefixed binary encoding: raw key/value bytes,
-one opcode byte, no text anywhere on PUT/GET/DEL/BATCH. Everything
-else (SCAN, STATS, replication, errors) rides inside an embedded JSON
-envelope, so the slow verbs keep full fidelity without a parallel
-schema.
-
-Negotiation: a client that wants the binary wire sends one magic byte
-(:data:`MAGIC`) immediately after connecting, before its first frame.
-JSON frames always start with the high byte of a 4-byte big-endian
-length prefix, and lengths are capped at 16 MiB — so that first byte is
-at most ``0x01`` and can never be mistaken for the magic. A server that
-does not read a magic byte first serves the connection as legacy JSON;
-old clients keep working unmodified.
-
-Frames reuse the JSON wire's shape — 4-byte big-endian payload length,
-then the payload — but the payload is::
+A client opens a connection by sending one preamble byte
+(:data:`MAGIC`) — a protocol-version check: a server closes any
+connection that starts with anything else. After it, both directions
+exchange *frames*: a 4-byte big-endian payload length, then the
+payload::
 
     request  := opcode:u8 body
     response := status:u8 body
@@ -33,7 +20,12 @@ then the payload — but the payload is::
     ST_MISS  (0x02)  empty           (GET miss)
     ST_JSON  (0x03)  utf-8 JSON object (everything else, incl. errors)
 
-All integers are big-endian, matching the frame length prefix.
+All integers are big-endian. The hot verbs carry raw key/value bytes —
+no text anywhere on PUT/GET/DEL/BATCH; everything else (SCAN, STATS,
+replication, errors) rides the embedded JSON envelope, so the slow
+verbs keep full fidelity without a parallel schema. The message dicts
+on either side of this codec are described in
+:mod:`repro.server.protocol`.
 """
 
 from __future__ import annotations
@@ -42,15 +34,16 @@ import json
 import struct
 from asyncio import IncompleteReadError, StreamReader, StreamWriter
 
-from ..errors import ProtocolError
+from ..errors import ConfigurationError, ProtocolError
 from . import protocol
 
-#: The negotiation byte a binary-wire client sends before its first
-#: frame. Any value >= 0x02 is unambiguous against a JSON length prefix
-#: (frames are capped at 16 MiB, so a JSON frame's first byte is 0x00
-#: or 0x01).
+#: The preamble byte a client sends before its first frame.
 MAGIC = 0xB1
 MAGIC_BYTE = bytes([MAGIC])
+
+#: Frames larger than this are rejected before allocation (DoS guard and
+#: sanity check; a 16 MiB batch is far beyond any sane request here).
+MAX_FRAME_BYTES = 16 * 2**20
 
 _U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
@@ -70,50 +63,25 @@ ST_JSON = 0x03
 _KIND_PUT = 1
 _KIND_DEL = 2
 
-#: Key marking a decoded message as binary-wire so the dispatch layer
-#: answers with raw bytes instead of base64.
-WIRE_KEY = "_wire_binary"
 
+def require_binary(wire: str) -> None:
+    """Reject any ``wire=`` other than the one wire there is.
 
-def _as_bytes(field) -> bytes:
-    """Accept raw bytes (binary-origin) or base64 text (JSON-origin).
-
-    The cluster router forwards whatever message shape its own client
-    sent, so a binary shard connection must encode both.
+    ``KVClient``, ``KVServer`` and ``LocalCluster`` keep the keyword
+    only because the frozen benchmark (``bench/``) passes
+    ``wire="binary"`` to them; nothing selects on it.
     """
-    if isinstance(field, (bytes, bytearray)):
-        return bytes(field)
-    if isinstance(field, str):
-        return protocol.b64decode(field)
-    raise ProtocolError(f"expected a bytes or base64 field, got {field!r}")
-
-
-def _iter_ops(raw) -> list[tuple[int, bytes, bytes]]:
-    """Normalize BATCH ops from either wire shape into (kind, key, value)."""
-    if not isinstance(raw, list) or not raw:
-        raise ProtocolError("BATCH needs a non-empty ops list")
-    ops = []
-    for entry in raw:
-        if isinstance(entry, tuple) and len(entry) == 2:
-            key, value = entry
-            if value is None:
-                ops.append((_KIND_DEL, _as_bytes(key), b""))
-            else:
-                ops.append((_KIND_PUT, _as_bytes(key), _as_bytes(value)))
-        elif isinstance(entry, list) and entry and entry[0] == "put":
-            ops.append((_KIND_PUT, _as_bytes(entry[1]), _as_bytes(entry[2])))
-        elif isinstance(entry, list) and entry and entry[0] == "del":
-            ops.append((_KIND_DEL, _as_bytes(entry[1]), b""))
-        else:
-            raise ProtocolError(f"malformed batch entry {entry!r}")
-    return ops
+    if wire != "binary":
+        raise ConfigurationError(
+            f"unknown wire {wire!r}: the binary wire is the only one"
+        )
 
 
 # -- requests ------------------------------------------------------------
 
 
 def encode_request(message: dict) -> bytes:
-    """Encode one request message into a binary frame payload.
+    """Encode one request message into a frame payload.
 
     Hot verbs get the compact opcode forms; every other verb is wrapped
     as an OP_JSON envelope (the message must then be JSON-serializable,
@@ -121,8 +89,8 @@ def encode_request(message: dict) -> bytes:
     """
     verb = message.get("op")
     if verb == "PUT":
-        key = _as_bytes(message["key"])
-        value = _as_bytes(message["value"])
+        key = protocol.request_key(message)
+        value = protocol.request_value(message)
         return b"".join(
             (
                 _U8.pack(OP_PUT),
@@ -133,28 +101,35 @@ def encode_request(message: dict) -> bytes:
             )
         )
     if verb == "GET" or verb == "DEL":
-        key = _as_bytes(message["key"])
+        key = protocol.request_key(message)
         opcode = OP_GET if verb == "GET" else OP_DEL
         return _U8.pack(opcode) + _U32.pack(len(key)) + key
     if verb == "BATCH":
-        parts = [_U8.pack(OP_BATCH)]
-        ops = _iter_ops(message.get("ops"))
-        parts.append(_U32.pack(len(ops)))
-        for kind, key, value in ops:
-            parts.append(_U8.pack(kind))
+        ops = protocol.batch_ops(message)
+        parts = [_U8.pack(OP_BATCH), _U32.pack(len(ops))]
+        for key, value in ops:
+            parts.append(_U8.pack(_KIND_DEL if value is None else _KIND_PUT))
             parts.append(_U32.pack(len(key)))
             parts.append(key)
-            if kind == _KIND_PUT:
+            if value is not None:
                 parts.append(_U32.pack(len(value)))
                 parts.append(value)
         return b"".join(parts)
-    clean = {
-        field: value
-        for field, value in message.items()
-        if not field.startswith("_")
-    }
-    payload = json.dumps(clean, separators=(",", ":")).encode("utf-8")
-    return _U8.pack(OP_JSON) + payload
+    return _U8.pack(OP_JSON) + _encode_envelope(message)
+
+
+def _encode_envelope(message: dict) -> bytes:
+    return json.dumps(message, separators=(",", ":")).encode("utf-8")
+
+
+def _decode_envelope(payload: bytes) -> dict:
+    try:
+        message = json.loads(payload[1:].decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as error:
+        raise ProtocolError(f"JSON envelope is not JSON: {error}") from error
+    if not isinstance(message, dict):
+        raise ProtocolError("JSON envelope must be an object")
+    return message
 
 
 class _Cursor:
@@ -169,7 +144,7 @@ class _Cursor:
     def take(self, count: int) -> bytes:
         end = self.pos + count
         if end > len(self.data):
-            raise ProtocolError("binary frame truncated mid-field")
+            raise ProtocolError("frame truncated mid-field")
         piece = self.data[self.pos : end]
         self.pos = end
         return piece
@@ -184,43 +159,32 @@ class _Cursor:
         if self.pos != len(self.data):
             raise ProtocolError(
                 f"{len(self.data) - self.pos} trailing bytes after the "
-                "binary request body"
+                "frame body"
             )
 
 
 def decode_request(payload: bytes) -> dict:
-    """Decode one binary request payload into a message dict.
+    """Decode one request payload into a message dict.
 
     Hot-verb messages carry raw ``bytes`` keys/values (and BATCH ops as
-    ``(key, value-or-None)`` tuples) — the shapes protocol.py's request
-    accessors also understand — plus a :data:`WIRE_KEY` marker so the
-    server responds in kind.
+    ``(key, value-or-None)`` tuples): exactly what protocol.py's request
+    builders produce, so ``decode_request(encode_request(m)) == m``.
     """
     if not payload:
-        raise ProtocolError("empty binary request")
+        raise ProtocolError("empty request")
     opcode = payload[0]
-    cursor = _Cursor(payload, 1)
     if opcode == OP_JSON:
-        try:
-            message = json.loads(payload[1:].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise ProtocolError(
-                f"binary JSON envelope is not JSON: {error}"
-            ) from error
-        if not isinstance(message, dict):
-            raise ProtocolError("binary JSON envelope must be an object")
-        message[WIRE_KEY] = True
-        return message
+        return _decode_envelope(payload)
+    cursor = _Cursor(payload, 1)
     if opcode == OP_PUT:
         key = cursor.take(cursor.u32())
         value = cursor.take(cursor.u32())
         cursor.done()
-        return {"op": "PUT", "key": key, "value": value, WIRE_KEY: True}
+        return {"op": "PUT", "key": key, "value": value}
     if opcode in (OP_GET, OP_DEL):
         key = cursor.take(cursor.u32())
         cursor.done()
-        verb = "GET" if opcode == OP_GET else "DEL"
-        return {"op": verb, "key": key, WIRE_KEY: True}
+        return {"op": "GET" if opcode == OP_GET else "DEL", "key": key}
     if opcode == OP_BATCH:
         count = cursor.u32()
         ops: list[tuple[bytes, bytes | None]] = []
@@ -234,20 +198,20 @@ def decode_request(payload: bytes) -> dict:
             else:
                 raise ProtocolError(f"unknown batch op kind {kind}")
         cursor.done()
-        return {"op": "BATCH", "ops": ops, WIRE_KEY: True}
-    raise ProtocolError(f"unknown binary opcode {opcode:#04x}")
+        return {"op": "BATCH", "ops": ops}
+    raise ProtocolError(f"unknown opcode {opcode:#04x}")
 
 
 # -- responses -----------------------------------------------------------
 
 
 def encode_response(response: dict) -> bytes:
-    """Encode one response dict into a binary frame payload.
+    """Encode one response dict into a frame payload.
 
-    GET responses whose value is raw bytes (or a ``found``-keyed miss)
-    take the compact forms; plain write acks collapse to ST_OK; every
-    other shape — errors included — travels as an ST_JSON envelope so
-    no field is ever dropped.
+    A GET answer (``value`` raw bytes, or ``None`` for a miss) takes the
+    compact forms; plain write acks collapse to ST_OK; every other
+    shape — errors included — travels as an ST_JSON envelope so no
+    field is ever dropped.
     """
     if response.get("ok") is True:
         if "value" in response:
@@ -262,16 +226,13 @@ def encode_response(response: dict) -> bytes:
                 )
         elif all(field == "ok" for field in response):
             return _U8.pack(ST_OK)
-    payload = json.dumps(
-        protocol.jsonify(response), separators=(",", ":")
-    ).encode("utf-8")
-    return _U8.pack(ST_JSON) + payload
+    return _U8.pack(ST_JSON) + _encode_envelope(response)
 
 
 def decode_response(payload: bytes) -> dict:
-    """Decode one binary response payload into a client-facing dict."""
+    """Decode one response payload into a client-facing dict."""
     if not payload:
-        raise ProtocolError("empty binary response")
+        raise ProtocolError("empty response")
     status = payload[0]
     if status == ST_OK:
         return {"ok": True}
@@ -283,27 +244,19 @@ def decode_response(payload: bytes) -> dict:
         cursor.done()
         return {"ok": True, "value": value}
     if status == ST_JSON:
-        try:
-            message = json.loads(payload[1:].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise ProtocolError(
-                f"binary JSON envelope is not JSON: {error}"
-            ) from error
-        if not isinstance(message, dict):
-            raise ProtocolError("binary JSON envelope must be an object")
-        return message
-    raise ProtocolError(f"unknown binary response status {status:#04x}")
+        return _decode_envelope(payload)
+    raise ProtocolError(f"unknown response status {status:#04x}")
 
 
 # -- framing -------------------------------------------------------------
 
 
 def encode_frame(payload: bytes) -> bytes:
-    """Length-prefix one binary payload (same framing as the JSON wire)."""
-    if len(payload) > protocol.MAX_FRAME_BYTES:
+    """Length-prefix one payload."""
+    if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
-            f"{protocol.MAX_FRAME_BYTES}-byte limit"
+            f"{MAX_FRAME_BYTES}-byte limit"
         )
     return _LENGTH.pack(len(payload)) + payload
 
@@ -317,7 +270,7 @@ async def read_frame(reader: StreamReader) -> bytes | None:
             return None
         raise ProtocolError("connection closed mid-frame") from error
     (length,) = _LENGTH.unpack(header)
-    if length > protocol.MAX_FRAME_BYTES:
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"declared payload of {length} bytes too large")
     try:
         return await reader.readexactly(length)
@@ -326,12 +279,12 @@ async def read_frame(reader: StreamReader) -> bytes | None:
 
 
 async def write_request(writer: StreamWriter, message: dict) -> None:
-    """Frame and send one request on a binary connection."""
+    """Frame and send one request."""
     writer.write(encode_frame(encode_request(message)))
     await writer.drain()
 
 
 async def write_response(writer: StreamWriter, response: dict) -> None:
-    """Frame and send one response on a binary connection."""
+    """Frame and send one response."""
     writer.write(encode_frame(encode_response(response)))
     await writer.drain()

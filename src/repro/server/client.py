@@ -66,8 +66,23 @@ class _Connection:
         self.writer = writer
         self.broken = False
 
+    async def exchange(self, message: dict) -> dict:
+        """Send one request and read its response."""
+        await binproto.write_request(self.writer, message)
+        payload = await binproto.read_frame(self.reader)
+        if payload is None:
+            # Clean EOF mid-request: the connection is dead and must
+            # not go back into the pool looking healthy.
+            raise ProtocolError("server closed the connection mid-request")
+        return binproto.decode_response(payload)
+
     async def close(self) -> None:
-        self.writer.close()
+        if self.broken:
+            # close() would first flush what a timed-out send left in
+            # the buffer — forever, against a peer that stopped reading.
+            self.writer.transport.abort()
+        else:
+            self.writer.close()
         try:
             await self.writer.wait_closed()
         except Exception:  # noqa: BLE001 — already tearing down
@@ -90,12 +105,11 @@ class KVClient:
         sleep=None,
         jitter: bool = True,
         jitter_seed: int | None = None,
-        wire: str = "json",
+        wire: str = "binary",
     ) -> None:
+        binproto.require_binary(wire)
         if pool_size < 1:
             raise ConfigurationError("pool needs at least one connection")
-        if wire not in ("binary", "json"):
-            raise ConfigurationError(f"unknown wire mode {wire!r}")
         if timeout <= 0:
             raise ConfigurationError("timeout must be positive")
         if max_retries < 0:
@@ -111,11 +125,6 @@ class KVClient:
         self._backoff_multiplier = backoff_multiplier
         self._backoff_max = backoff_max
         self._sleep = sleep if sleep is not None else asyncio.sleep
-        # "binary" announces the magic byte on every new connection and
-        # speaks the opcode wire (raw keys/values, no base64/JSON on the
-        # hot verbs); "json" (the default) is the legacy framing every
-        # server version understands.
-        self._wire_binary = wire == "binary"
         self._jitter = jitter
         self._jitter_rng = random.Random(jitter_seed)
         self._idle: asyncio.Queue[_Connection] = asyncio.Queue()
@@ -156,10 +165,9 @@ class KVClient:
             except BaseException:
                 self._open_count -= 1
                 raise
-            if self._wire_binary:
-                # Negotiate once per connection; the byte rides ahead of
-                # the first frame (no extra round trip).
-                writer.write(binproto.MAGIC_BYTE)
+            # The preamble rides ahead of the first frame (no extra
+            # round trip).
+            writer.write(binproto.MAGIC_BYTE)
             return _Connection(reader, writer)
         return await self._idle.get()
 
@@ -196,37 +204,16 @@ class KVClient:
     async def _round_trip(self, message: dict) -> dict:
         connection = await self._acquire()
         try:
-            if self._wire_binary:
-                await binproto.write_request(connection.writer, message)
-                payload = await asyncio.wait_for(
-                    binproto.read_frame(connection.reader), self._timeout
-                )
-                response = (
-                    None if payload is None
-                    else binproto.decode_response(payload)
-                )
-            else:
-                # Forwarded messages (the cluster router re-sends what
-                # its own connection decoded) may carry binary-shaped
-                # fields; restore the JSON wire forms first.
-                await protocol.write_message(
-                    connection.writer, protocol.jsonify_request(message)
-                )
-                response = await asyncio.wait_for(
-                    protocol.read_message(connection.reader), self._timeout
-                )
-            if response is None:
-                # Clean EOF mid-request: the connection is dead and must
-                # not go back into the pool looking healthy.
-                raise ProtocolError(
-                    "server closed the connection mid-request"
-                )
+            # One deadline over send *and* receive: a peer that accepted
+            # and stopped reading blocks drain(), not just the read.
+            return await asyncio.wait_for(
+                connection.exchange(message), self._timeout
+            )
         except BaseException:
             connection.broken = True
             raise
         finally:
             await self._release(connection)
-        return response
 
     async def request(self, message: dict) -> dict:
         """Send one request, retrying transient failures with backoff."""
@@ -273,41 +260,20 @@ class KVClient:
 
     async def put(self, key: bytes, value: bytes) -> None:
         """Insert or update one key."""
-        if self._wire_binary:
-            # Raw bytes straight into the opcode encoder — the whole
-            # point of the binary wire is skipping base64 + json here.
-            await self.request({"op": "PUT", "key": key, "value": value})
-            return
         await self.request(protocol.put_request(key, value))
 
     async def get(self, key: bytes) -> bytes | None:
         """Point lookup; None when absent."""
-        if self._wire_binary:
-            response = await self.request({"op": "GET", "key": key})
-        else:
-            response = await self.request(protocol.get_request(key))
-        value = response.get("value")
-        if value is None or isinstance(value, bytes):
-            return value
-        return protocol.b64decode(value)
+        response = await self.request(protocol.get_request(key))
+        return response.get("value")
 
     async def delete(self, key: bytes) -> None:
         """Delete one key."""
-        if self._wire_binary:
-            await self.request({"op": "DEL", "key": key})
-            return
         await self.request(protocol.delete_request(key))
 
     async def batch(self, ops: list[tuple[bytes, bytes | None]]) -> int:
         """Atomically apply a list of (key, value-or-None) operations."""
-        if self._wire_binary:
-            message = {
-                "op": "BATCH",
-                "ops": [tuple(op) for op in ops],
-            }
-            response = await self.request(message)
-        else:
-            response = await self.request(protocol.batch_request(ops))
+        response = await self.request(protocol.batch_request(ops))
         return int(response.get("count", len(ops)))
 
     async def scan(
@@ -318,10 +284,7 @@ class KVClient:
     ) -> list[tuple[bytes, bytes]]:
         """Ordered range scan over ``[lo, hi)``."""
         response = await self.request(protocol.scan_request(lo, hi, limit))
-        return [
-            (protocol.b64decode(key), protocol.b64decode(value))
-            for key, value in response.get("items", [])
-        ]
+        return protocol.decode_items(response)
 
     async def scan_detailed(
         self,
@@ -344,10 +307,7 @@ class KVClient:
         """
         response = await self.request(protocol.scan_request(lo, hi, limit))
         return {
-            "items": [
-                (protocol.b64decode(key), protocol.b64decode(value))
-                for key, value in response.get("items", [])
-            ],
+            "items": protocol.decode_items(response),
             "degraded": bool(response.get("degraded", False)),
             "missing_shards": [
                 int(shard) for shard in response.get("missing_shards", [])
@@ -456,8 +416,5 @@ class KVClient:
             protocol.fetch_range_request(epoch, lo, hi)
         )
         ack = self._replica_ack(response)
-        ack["items"] = [
-            (protocol.b64decode(key), protocol.b64decode(value))
-            for key, value in response.get("items", [])
-        ]
+        ack["items"] = protocol.decode_items(response)
         return ack

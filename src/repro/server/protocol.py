@@ -1,19 +1,23 @@
-"""The wire protocol for the network KV service.
+"""Verbs, codes, and payload shapes of the network KV service.
 
-Every message — request or response — is one *frame*: a 4-byte
-big-endian payload length followed by a UTF-8 JSON object. Binary keys
-and values travel base64-encoded inside the JSON. The verb set mirrors
-the storage engine's public API plus service plumbing::
+What a request or response *means*; :mod:`repro.server.binproto` owns
+how it travels. Every message is a dict with an ``op`` verb. The four
+hot verbs carry raw ``bytes`` — in process and on the wire alike::
 
-    PUT   {"op": "PUT", "key": b64, "value": b64}
-    GET   {"op": "GET", "key": b64}
-    DEL   {"op": "DEL", "key": b64}
-    BATCH {"op": "BATCH", "ops": [["put", b64, b64], ["del", b64]]}
+    PUT   {"op": "PUT", "key": bytes, "value": bytes}
+    GET   {"op": "GET", "key": bytes}
+    DEL   {"op": "DEL", "key": bytes}
+    BATCH {"op": "BATCH", "ops": [(key, value), (key, None), ...]}
+
+Every other verb is a JSON-safe object (it rides the wire's JSON
+envelope), so binary fields inside *those* payloads are base64 text::
+
     SCAN  {"op": "SCAN", "lo": b64|null, "hi": b64|null, "limit": int|null}
     STATS {"op": "STATS"}
     PING  {"op": "PING"}
     METRICS {"op": "METRICS"}
     EVENTS  {"op": "EVENTS", "since": int, "limit": int|null}
+    REPLICATE / PROMOTE / FETCH_RANGE   (see the builders below)
 
 ``METRICS`` returns the server's structured metrics-registry snapshot
 (:mod:`repro.obs`) — structured rather than pre-rendered text so a
@@ -21,28 +25,20 @@ cluster router can merge per-shard histograms bucket-by-bucket before
 anything computes a percentile. ``EVENTS`` pages through the lifecycle
 event ring with a ``since`` sequence-number cursor.
 
-Responses carry ``{"ok": true, ...}`` on success or
-``{"ok": false, "code": ..., "error": ..., "retry_after": ...}`` on
-failure. The ``STALLED`` code is the serving-layer face of the paper's
-write-stall taxonomy: the admission controller rejected (stop mode) or
-timed out (gradual mode) a write, and ``retry_after`` tells the client
-how long to back off before retrying.
+Responses carry ``{"ok": true, ...}`` on success (a GET's ``value`` is
+raw ``bytes`` or ``None``) or ``{"ok": false, "code": ..., "error":
+..., "retry_after": ...}`` on failure. The ``STALLED`` code is the
+serving-layer face of the paper's write-stall taxonomy: the admission
+controller rejected (stop mode) or timed out (gradual mode) a write,
+and ``retry_after`` tells the client how long to back off before
+retrying.
 """
 
 from __future__ import annotations
 
 import base64
-import json
-import struct
-from asyncio import IncompleteReadError, StreamReader, StreamWriter
 
 from ..errors import ProtocolError
-
-#: Frames larger than this are rejected before allocation (DoS guard and
-#: sanity check; a 16 MiB batch is far beyond any sane request here).
-MAX_FRAME_BYTES = 16 * 2**20
-
-_LENGTH = struct.Struct(">I")
 
 #: Every verb the service understands.
 VERBS = frozenset(
@@ -75,167 +71,49 @@ CODE_DATA_CORRUPT = "DATA_CORRUPT"
 
 
 def b64encode(raw: bytes) -> str:
-    """Binary-to-wire encoding for keys and values."""
+    """Binary-to-text encoding for bytes inside a JSON payload."""
     return base64.b64encode(raw).decode("ascii")
 
 
 def b64decode(text: str) -> bytes:
-    """Wire-to-binary decoding; raises :class:`ProtocolError` on junk."""
+    """Text-to-binary decoding; raises :class:`ProtocolError` on junk."""
     try:
         return base64.b64decode(text.encode("ascii"), validate=True)
     except (ValueError, AttributeError) as error:
         raise ProtocolError(f"invalid base64 field: {error}") from error
 
 
-def jsonify(obj):
-    """Recursively convert raw ``bytes`` fields to base64 text.
-
-    Responses that crossed a binary shard connection (a GET value, say)
-    carry raw bytes; before such a dict can be written to a JSON
-    connection — or embedded in a binary JSON envelope — every bytes
-    leaf must take the base64 form the JSON wire documents.
-    """
-    if isinstance(obj, (bytes, bytearray)):
-        return b64encode(bytes(obj))
-    if isinstance(obj, dict):
-        return {field: jsonify(value) for field, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(value) for value in obj]
-    return obj
+def encode_items(items) -> list[list[str]]:
+    """``(key, value)`` pairs as the ``items`` field of a SCAN or
+    FETCH_RANGE response."""
+    return [[b64encode(key), b64encode(value)] for key, value in items]
 
 
-def jsonify_request(message: dict) -> dict:
-    """Rewrite a binary-shaped request into the JSON wire shape.
-
-    The cluster router forwards whatever message its own connection
-    decoded; when a binary-origin request (raw bytes key/value, BATCH
-    ops as tuples) must travel on to a JSON-wire backend, this restores
-    the documented base64/list forms. JSON-shaped fields pass through
-    untouched.
-    """
-    out = {
-        field: value
-        for field, value in message.items()
-        if not field.startswith("_")
-    }
-    for field in ("key", "value"):
-        if isinstance(out.get(field), (bytes, bytearray)):
-            out[field] = b64encode(bytes(out[field]))
-    ops = out.get("ops")
-    if out.get("op") == "BATCH" and isinstance(ops, list):
-        encoded = []
-        for entry in ops:
-            if isinstance(entry, tuple) and len(entry) == 2:
-                key, value = entry
-                key = b64encode(bytes(key))
-                if value is None:
-                    encoded.append(["del", key])
-                else:
-                    encoded.append(["put", key, b64encode(bytes(value))])
-            else:
-                encoded.append(entry)
-        out["ops"] = encoded
-    return out
-
-
-# -- framing -------------------------------------------------------------
-
-
-def encode_frame(message: dict) -> bytes:
-    """Serialize one message into a length-prefixed frame."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    return _LENGTH.pack(len(payload)) + payload
-
-
-def decode_frame(frame: bytes) -> dict:
-    """Parse one complete frame back into a message (tests/tools)."""
-    if len(frame) < _LENGTH.size:
-        raise ProtocolError("frame shorter than its length prefix")
-    (length,) = _LENGTH.unpack_from(frame)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"declared payload of {length} bytes too large")
-    payload = frame[_LENGTH.size : _LENGTH.size + length]
-    if len(payload) < length:
-        raise ProtocolError("truncated frame")
-    trailing = len(frame) - _LENGTH.size - length
-    if trailing:
-        # Silently dropping extra bytes would desynchronize a stream
-        # parser built on this — surface the framing bug instead.
-        raise ProtocolError(
-            f"{trailing} trailing bytes after the declared payload"
-        )
-    return _parse_payload(payload)
-
-
-def _parse_payload(payload: bytes) -> dict:
-    try:
-        message = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
-        raise ProtocolError(f"frame payload is not JSON: {error}") from error
-    if not isinstance(message, dict):
-        raise ProtocolError("frame payload must be a JSON object")
-    return message
-
-
-async def read_message(
-    reader: StreamReader, first: bytes = b""
-) -> dict | None:
-    """Read one framed message; ``None`` on clean EOF.
-
-    ``first`` carries bytes already consumed from the stream (the
-    server peeks one byte to negotiate the wire encoding); they count
-    as the start of this frame's length prefix.
-    """
-    try:
-        header = first + await reader.readexactly(_LENGTH.size - len(first))
-    except IncompleteReadError as error:
-        if not error.partial and not first:
-            return None  # clean EOF between frames
-        raise ProtocolError("connection closed mid-frame") from error
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"declared payload of {length} bytes too large")
-    try:
-        payload = await reader.readexactly(length)
-    except IncompleteReadError as error:
-        raise ProtocolError("connection closed mid-frame") from error
-    return _parse_payload(payload)
-
-
-async def write_message(writer: StreamWriter, message: dict) -> None:
-    """Frame and send one message."""
-    writer.write(encode_frame(message))
-    await writer.drain()
+def decode_items(response: dict) -> list[tuple[bytes, bytes]]:
+    """The ``(key, value)`` pairs of a response's ``items`` field."""
+    return [
+        (b64decode(key), b64decode(value))
+        for key, value in response.get("items", [])
+    ]
 
 
 # -- request builders ----------------------------------------------------
 
 
 def put_request(key: bytes, value: bytes) -> dict:
-    return {"op": "PUT", "key": b64encode(key), "value": b64encode(value)}
+    return {"op": "PUT", "key": key, "value": value}
 
 
 def get_request(key: bytes) -> dict:
-    return {"op": "GET", "key": b64encode(key)}
+    return {"op": "GET", "key": key}
 
 
 def delete_request(key: bytes) -> dict:
-    return {"op": "DEL", "key": b64encode(key)}
+    return {"op": "DEL", "key": key}
 
 
 def batch_request(ops: list[tuple[bytes, bytes | None]]) -> dict:
-    encoded = []
-    for key, value in ops:
-        if value is None:
-            encoded.append(["del", b64encode(key)])
-        else:
-            encoded.append(["put", b64encode(key), b64encode(value)])
-    return {"op": "BATCH", "ops": encoded}
+    return {"op": "BATCH", "ops": [tuple(op) for op in ops]}
 
 
 def scan_request(
@@ -469,67 +347,38 @@ def request_verb(message: dict) -> str:
     return verb.upper()
 
 
-def request_key(message: dict) -> bytes:
-    """Extract the (required) key field of a request.
+def _raw(field, what: str) -> bytes:
+    if not isinstance(field, (bytes, bytearray)):
+        raise ProtocolError(f"{what} must be raw bytes, got {field!r}")
+    return bytes(field)
 
-    Binary-wire requests carry raw bytes; JSON requests carry base64.
-    """
-    key = message.get("key")
-    if isinstance(key, (bytes, bytearray)):
-        return bytes(key)
-    if not isinstance(key, str):
-        raise ProtocolError("request is missing its key")
-    return b64decode(key)
+
+def request_key(message: dict) -> bytes:
+    """Extract the (required) raw-bytes key field of a hot-verb request."""
+    return _raw(message.get("key"), "request key")
 
 
 def request_value(message: dict) -> bytes:
-    """Extract the (required) value field of a request.
-
-    Binary-wire requests carry raw bytes; JSON requests carry base64.
-    """
-    value = message.get("value")
-    if isinstance(value, (bytes, bytearray)):
-        return bytes(value)
-    if not isinstance(value, str):
-        raise ProtocolError("request is missing its value")
-    return b64decode(value)
+    """Extract the (required) raw-bytes value field of a PUT request."""
+    return _raw(message.get("value"), "request value")
 
 
 def batch_ops(message: dict) -> list[tuple[bytes, bytes | None]]:
-    """Decode a BATCH request's operation list.
-
-    Accepts the JSON shape (``["put", b64, b64]`` / ``["del", b64]``
-    lists) and the binary decoder's already-raw tuples
-    (``(key_bytes, value_bytes | None)``).
-    """
+    """Validate a BATCH request's ``(key, value-or-None)`` operation list."""
     raw = message.get("ops")
     if not isinstance(raw, list) or not raw:
         raise ProtocolError("BATCH needs a non-empty ops list")
     ops: list[tuple[bytes, bytes | None]] = []
     for entry in raw:
-        if (
-            isinstance(entry, tuple)
-            and len(entry) == 2
-            and isinstance(entry[0], (bytes, bytearray))
-            and (
-                entry[1] is None
-                or isinstance(entry[1], (bytes, bytearray))
-            )
-        ):
-            key, value = entry
-            ops.append(
-                (bytes(key), None if value is None else bytes(value))
-            )
-            continue
-        if not isinstance(entry, list) or not entry:
-            raise ProtocolError("malformed batch entry")
-        kind = entry[0]
-        if kind == "put" and len(entry) == 3:
-            ops.append((b64decode(entry[1]), b64decode(entry[2])))
-        elif kind == "del" and len(entry) == 2:
-            ops.append((b64decode(entry[1]), None))
-        else:
+        if not isinstance(entry, tuple) or len(entry) != 2:
             raise ProtocolError(f"malformed batch entry {entry!r}")
+        key, value = entry
+        ops.append(
+            (
+                _raw(key, "batch key"),
+                None if value is None else _raw(value, "batch value"),
+            )
+        )
     return ops
 
 

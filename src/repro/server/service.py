@@ -1,7 +1,8 @@
 """The asyncio TCP key-value service over :class:`~repro.engine.LSMStore`.
 
-One :class:`KVServer` owns a listening socket and serves the framed JSON
-protocol (:mod:`repro.server.protocol`) from a store the caller opened.
+One :class:`KVServer` owns a listening socket and serves the verbs of
+:mod:`repro.server.protocol`, framed by :mod:`repro.server.binproto`,
+from a store the caller opened.
 Engine calls run in worker threads (``asyncio.to_thread``) so a write
 blocked inside the engine's stall gate never freezes the event loop, and
 every write first passes the admission controller
@@ -44,10 +45,6 @@ from .admission import REJECT, AdmissionController
 #: Default bound on how long one admitted write may be absorbed/delayed.
 DEFAULT_WRITE_DEADLINE = 5.0
 
-#: Request-private key carrying the frame-receipt timestamp from dispatch
-#: to the latency accounting (never serialized back to the client).
-_RECEIVED_AT = "_received_at"
-
 
 @dataclass
 class ServerMetrics:
@@ -79,7 +76,7 @@ class _WriteOutcome:
 
 
 class FramedServer:
-    """Connection machinery shared by every framed-JSON TCP front-end.
+    """Connection machinery shared by every framed TCP front-end.
 
     Owns the listening socket, the per-connection read loop, and verb
     dispatch to ``_op_<verb>`` coroutine methods. Subclasses —
@@ -97,16 +94,10 @@ class FramedServer:
         host: str = "127.0.0.1",
         port: int = 0,
         metrics_port: int | None = None,
-        wire: str = "binary",
         engine_threads: int = 16,
     ) -> None:
-        if wire not in ("binary", "json"):
-            raise ConfigurationError(f"unknown wire mode {wire!r}")
         if engine_threads < 1:
             raise ConfigurationError("engine_threads must be at least 1")
-        # "binary" accepts the per-connection magic-byte negotiation
-        # (JSON clients keep working); "json" is strict legacy framing.
-        self._accept_binary = wire == "binary"
         self._host = host
         self._port = port
         self._server: asyncio.AbstractServer | None = None
@@ -254,23 +245,7 @@ class FramedServer:
         if task is not None:
             self._handlers.add(task)
         try:
-            # Wire negotiation: a binary client announces itself with
-            # one magic byte before its first frame; a JSON frame's
-            # first byte is the high byte of a <=16 MiB length prefix,
-            # so the two can never be confused. The peeked byte is
-            # handed back to the JSON reader as frame prefix.
-            try:
-                first = await reader.readexactly(1)
-            except asyncio.IncompleteReadError:
-                first = b""
-            if (
-                first
-                and first[0] == binproto.MAGIC
-                and self._accept_binary
-            ):
-                await self._serve_binary(reader, writer)
-            elif first:
-                await self._serve_json(reader, writer, first)
+            await self._serve_frames(reader, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -282,32 +257,20 @@ class FramedServer:
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
 
-    async def _serve_json(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
-    ) -> None:
-        while True:
-            try:
-                message = await protocol.read_message(reader, first)
-            except ProtocolError:
-                self.metrics.protocol_errors += 1
-                break  # framing is lost; drop the connection
-            first = b""
-            if message is None:
-                break
-            response = await self._dispatch(message)
-            # A response that crossed a binary backend connection (a
-            # router forwarding to binary-wire shards) may carry raw
-            # bytes; rewrite them to the JSON wire's base64 form.
-            await protocol.write_message(writer, protocol.jsonify(response))
-
-    async def _serve_binary(
+    async def _serve_frames(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        # The preamble is a version check: anything else (a legacy JSON
+        # client, a port scanner) is closed before a byte is dispatched.
+        try:
+            preamble = await reader.readexactly(1)
+        except asyncio.IncompleteReadError:
+            return  # connected and left without sending anything
+        if preamble != binproto.MAGIC_BYTE:
+            self.metrics.protocol_errors += 1
+            return
         while True:
             try:
                 payload = await binproto.read_frame(reader)
@@ -316,17 +279,13 @@ class FramedServer:
                 message = binproto.decode_request(payload)
             except ProtocolError:
                 self.metrics.protocol_errors += 1
-                break
+                break  # framing is lost; drop the connection
             response = await self._dispatch(message)
-            # The per-request latency breakdown was already recorded
-            # into the server histograms; hot binary responses do not
-            # re-ship it (that is half the point of the binary wire).
-            response.pop("breakdown", None)
             await binproto.write_response(writer, response)
 
     async def _dispatch(self, message: dict) -> dict:
         self.metrics.requests_total += 1
-        message[_RECEIVED_AT] = self._clock()
+        received_at = self._clock()
         verb = "?"
         try:
             verb = protocol.request_verb(message)
@@ -355,24 +314,26 @@ class FramedServer:
             return protocol.error_response(
                 protocol.CODE_INTERNAL, f"{type(error).__name__}: {error}"
             )
-        self._finalize_breakdown(verb, message, response)
+        self._finalize_breakdown(verb, received_at, response)
         return response
 
     def _finalize_breakdown(
-        self, verb: str, message: dict, response: dict
+        self, verb: str, received_at: float, response: dict
     ) -> None:
-        """Complete and record a response's latency breakdown.
+        """Complete and record a request's latency breakdown.
 
-        Handlers attach the legs they can measure (admission wait, engine
-        time, I/O time); this fills in ``total`` (frame receipt to
-        response ready) and ``queue`` (total minus every attributed leg:
-        event-loop scheduling, thread-pool handoff, serialization), then
-        aggregates each leg into the tier's per-op histograms.
+        Handlers hand over the legs they can measure (admission wait,
+        engine time, I/O time) under the response's ``breakdown`` key;
+        this takes it off the response (it never travels), fills in
+        ``total`` (frame receipt to response ready) and ``queue`` (total
+        minus every attributed leg: event-loop scheduling, thread-pool
+        handoff, serialization), then aggregates each leg into the
+        tier's per-op histograms.
         """
-        breakdown = response.get("breakdown")
+        breakdown = response.pop("breakdown", None)
         if breakdown is None:
             return
-        total = self._clock() - message[_RECEIVED_AT]
+        total = self._clock() - received_at
         breakdown["total"] = total
         breakdown["queue"] = max(
             0.0,
@@ -434,9 +395,10 @@ class KVServer(FramedServer):
         memory_interval: float = 1.0,
         wire: str = "binary",
     ) -> None:
+        binproto.require_binary(wire)
         if write_deadline <= 0:
             raise ConfigurationError("write_deadline must be positive")
-        super().__init__(host, port, metrics_port=metrics_port, wire=wire)
+        super().__init__(host, port, metrics_port=metrics_port)
         self._store = store
         self._admission = admission or AdmissionController()
         self._write_deadline = write_deadline
@@ -463,10 +425,10 @@ class KVServer(FramedServer):
         """Run one write through admission, delays, and stall absorption.
 
         ``apply`` must return a :class:`~repro.engine.WriteTiming`; the
-        response carries a ``breakdown`` with the admission wait this
-        pipeline accumulated (delays, absorb pauses) and the engine/I-O
-        legs from the timing (``engine`` excludes the WAL leg reported
-        as ``io``; ``stall`` is informational, already inside engine).
+        response hands dispatch a ``breakdown`` with the admission wait
+        this pipeline accumulated (delays, absorb pauses) and the
+        engine/I-O legs from the timing (``engine`` excludes the WAL leg
+        reported as ``io``).
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self._write_deadline
@@ -557,7 +519,6 @@ class KVServer(FramedServer):
                         0.0, timing.engine_seconds - timing.io_seconds
                     ),
                     "io": timing.io_seconds,
-                    "stall": timing.stall_seconds,
                 }
             )
 
@@ -600,14 +561,8 @@ class KVServer(FramedServer):
         value, engine_seconds = await self._in_thread(
             self._timed_read, lambda: self._store.get(key)
         )
-        if message.get(binproto.WIRE_KEY):
-            # Binary connection: ship the value raw, no base64.
-            wire_value = value
-        else:
-            wire_value = None if value is None else protocol.b64encode(value)
         return protocol.ok_response(
-            value=wire_value,
-            breakdown={"engine": engine_seconds},
+            value=value, breakdown={"engine": engine_seconds}
         )
 
     async def _op_scan(self, message: dict) -> dict:
@@ -617,10 +572,7 @@ class KVServer(FramedServer):
             self._timed_read, lambda: list(self._store.scan(lo, hi, limit))
         )
         return protocol.ok_response(
-            items=[
-                [protocol.b64encode(key), protocol.b64encode(value)]
-                for key, value in items
-            ],
+            items=protocol.encode_items(items),
             breakdown={"engine": engine_seconds},
         )
 
@@ -705,12 +657,9 @@ async def serve(
     port: int = 0,
     ready: asyncio.Event | None = None,
     metrics_port: int | None = None,
-    wire: str = "binary",
 ) -> None:
     """Convenience runner: start a server and serve until cancelled."""
-    server = KVServer(
-        store, admission, host, port, metrics_port=metrics_port, wire=wire
-    )
+    server = KVServer(store, admission, host, port, metrics_port=metrics_port)
     await server.start()
     if ready is not None:
         ready.set()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import TOMBSTONE
 from repro.errors import ProtocolError
-from repro.server import protocol
+from repro.server import binproto, protocol
 
 
 def test_replicate_and_promote_are_known_verbs():
@@ -29,7 +29,7 @@ def test_replicate_request_round_trip():
         ops=[(b"k", b"v"), (b"dead", TOMBSTONE)],
     )
     # survives framing like any other message
-    decoded = protocol.decode_frame(protocol.encode_frame(message))
+    decoded = binproto.decode_request(binproto.encode_request(message))
     payload = protocol.replicate_payload(decoded)
     assert payload["epoch"] == 3
     assert payload["probe"] is False
@@ -59,7 +59,7 @@ def test_replicate_empty_ops_is_legal():
 def test_replicate_probe_round_trip():
     message = protocol.replicate_probe_request(epoch=7)
     payload = protocol.replicate_payload(
-        protocol.decode_frame(protocol.encode_frame(message))
+        binproto.decode_request(binproto.encode_request(message))
     )
     assert payload["probe"] is True
     assert payload["epoch"] == 7
@@ -69,7 +69,7 @@ def test_promote_request_round_trip():
     message = protocol.promote_request(
         epoch=2, peers=[("127.0.0.1", 9001), ("127.0.0.1", 9002)]
     )
-    decoded = protocol.decode_frame(protocol.encode_frame(message))
+    decoded = binproto.decode_request(binproto.encode_request(message))
     epoch, peers = protocol.promote_payload(decoded)
     assert epoch == 2
     assert peers == [("127.0.0.1", 9001), ("127.0.0.1", 9002)]

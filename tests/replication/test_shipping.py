@@ -71,11 +71,16 @@ def test_leader_ships_and_quorum_acks(tmp_path):
                             assert detail["replica_read"] is True
                             assert detail["staleness_bytes"] == 0
                             assert detail["applied_offset"] > 0
-                        # the write breakdown carries the quorum wait
-                        response = await client.request(
-                            protocol.put_request(b"last", b"w")
-                        )
-                        assert "replication" in response["breakdown"]
+                        # every leader write recorded its quorum wait
+                        snapshot = await client.metrics()
+                        (leg,) = [
+                            entry
+                            for entry in snapshot["histograms"]
+                            if entry["name"] == "server_request_seconds"
+                            and entry["labels"]
+                            == {"op": "put", "component": "replication"}
+                        ]
+                        assert leg["count"] == 25
         finally:
             leader_store.close()
             follower_store.close()

@@ -12,19 +12,21 @@ import asyncio
 
 from repro.errors import ConfigurationError
 from repro.faults import run_chaos
-from repro.faults.chaos import ChaosReport, _percentile
+from repro.faults.chaos import ChaosReport
 
 import pytest
 
 
-class TestPercentile:
-    def test_empty_is_zero(self):
-        assert _percentile([], 99.0) == 0.0
-
-    def test_picks_the_right_rank(self):
-        samples = [float(value) for value in range(1, 101)]
-        assert _percentile(samples, 50.0) == pytest.approx(50.0, abs=1)
-        assert _percentile(samples, 99.0) == pytest.approx(99.0, abs=1)
+def test_empty_survivor_set_reports_zero_p99(tmp_path):
+    # One shard, and it is the one killed: no write lands on a surviving
+    # range, so there is no sample to take a percentile of.
+    report = asyncio.run(
+        run_chaos(
+            str(tmp_path), num_shards=1, ops=40, kill_shard=0, seed=1,
+            cooldown=0.05, op_interval=0.001,
+        )
+    )
+    assert report.surviving_p99 == 0.0
 
 
 class TestReportVerdict:

@@ -267,6 +267,20 @@ class TestServeAndLoadgenParsers:
                 ["serve", "/tmp/db", "--admission", "panic"]
             )
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["serve", "/tmp/db"],
+            ["cluster-serve", "/tmp/db"],
+            ["loadgen"],
+            ["cluster-loadgen"],
+        ],
+    )
+    def test_there_is_no_wire_flag(self, command):
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--wire", "binary"])
+
     def test_loadgen_defaults(self):
         args = build_parser().parse_args(["loadgen"])
         assert args.mode == "two-phase"

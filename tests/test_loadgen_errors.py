@@ -16,7 +16,7 @@ from repro.errors import (
     RequestFailedError,
     RetriesExhaustedError,
 )
-from repro.server import classify_error, protocol
+from repro.server import binproto, classify_error, protocol
 from repro.server.loadgen import LoadResult, closed_loop
 
 
@@ -143,21 +143,23 @@ class EveryOtherPutStalls:
 
     async def _handle(self, reader, writer) -> None:
         try:
+            assert await reader.readexactly(1) == binproto.MAGIC_BYTE
             while True:
-                message = await protocol.read_message(reader)
-                if message is None:
+                payload = await binproto.read_frame(reader)
+                if payload is None:
                     break
+                message = binproto.decode_request(payload)
                 if message.get("op") == "PUT":
                     self._puts += 1
                     if self._puts % 2 == 0:
-                        await protocol.write_message(
+                        await binproto.write_response(
                             writer,
                             protocol.error_response(
                                 protocol.CODE_STALLED, "stalled"
                             ),
                         )
                         continue
-                await protocol.write_message(
+                await binproto.write_response(
                     writer, protocol.ok_response()
                 )
         except (ConnectionResetError, BrokenPipeError):

@@ -10,7 +10,7 @@ the latency tail (coordinated omission).
 
 import asyncio
 
-from repro.server import protocol
+from repro.server import binproto, protocol
 from repro.server.loadgen import open_loop
 
 
@@ -36,14 +36,16 @@ class SlowFirstPutServer:
 
     async def _handle(self, reader, writer) -> None:
         try:
+            assert await reader.readexactly(1) == binproto.MAGIC_BYTE
             while True:
-                message = await protocol.read_message(reader)
-                if message is None:
+                payload = await binproto.read_frame(reader)
+                if payload is None:
                     break
+                message = binproto.decode_request(payload)
                 if message.get("op") == "PUT" and not self._delayed:
                     self._delayed = True
                     await asyncio.sleep(self._first_put_delay)
-                await protocol.write_message(
+                await binproto.write_response(
                     writer, protocol.ok_response()
                 )
         except (ConnectionResetError, BrokenPipeError):

@@ -149,7 +149,7 @@ def test_open_loop_exposes_stall_pipeline_through_prometheus(tmp_path):
     assert "flush_start" in kinds and "flush_end" in kinds
 
 
-def test_breakdown_travels_with_every_write_response(tmp_path):
+def test_every_write_records_its_breakdown_legs(tmp_path):
     async def scenario():
         with LSMStore.open(str(tmp_path / "db"), StoreOptions()) as store:
             server = KVServer(store)
@@ -160,21 +160,24 @@ def test_breakdown_travels_with_every_write_response(tmp_path):
                     response = await client.request(
                         protocol.put_request(b"k", b"v" * 64)
                     )
-                return response
+                    return response, await client.metrics()
             finally:
                 await server.aclose()
 
-    response = asyncio.run(scenario())
-    breakdown = response["breakdown"]
+    response, snapshot = asyncio.run(scenario())
+    # The legs are the server's bookkeeping; the ack itself is bare.
+    assert response == {"ok": True}
+    legs = {}
     for leg in ("total", "queue", "admission", "engine", "io"):
-        assert leg in breakdown
-        assert breakdown[leg] >= 0.0
+        (series,) = _histograms(
+            snapshot, "server_request_seconds", op="put", component=leg
+        )
+        assert series["count"] == 1
+        assert series["sum"] >= 0.0
+        legs[leg] = series["sum"]
     # total covers the attributed legs; queue is the remainder.
-    attributed = (
-        breakdown["admission"] + breakdown["engine"] + breakdown["io"]
-    )
-    assert breakdown["total"] >= attributed - 1e-9
-    assert breakdown["queue"] >= 0.0
+    attributed = legs["admission"] + legs["engine"] + legs["io"]
+    assert legs["total"] >= attributed - 1e-9
 
 
 def test_cluster_rollup_merges_histograms_bucket_by_bucket(tmp_path):

@@ -1,81 +1,170 @@
-"""Binary wire tests: codecs, negotiation, and cross-wire serving."""
+"""Wire tests: golden frames, codec properties, framing, and serving."""
 
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.router import LocalCluster
 from repro.engine import LSMStore, StoreOptions
-from repro.errors import ProtocolError, RetriesExhaustedError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.server import binproto, protocol
 from repro.server.client import KVClient
 from repro.server.service import KVServer
 
+# -- golden frames --------------------------------------------------------
 
-# -- JSON framing regression (trailing bytes) -----------------------------
+#: Frames captured from the commit before the JSON wire was retired
+#: (``encode_frame(encode_request(...))`` there): the hot verbs must
+#: stay byte-identical, and bench/'s ``server.binproto.bytes_per_put``
+#: is read off the PUT and ST_OK frames.
+GOLDEN_REQUESTS = [
+    (
+        {"op": "PUT", "key": b"\x00k", "value": b"\xffval"},
+        "0000000f0100000002006b00000004ff76616c",
+    ),
+    ({"op": "GET", "key": b"key"}, "0000000802000000036b6579"),
+    ({"op": "DEL", "key": b""}, "000000050300000000"),
+    (
+        {"op": "BATCH", "ops": [(b"a", b"1"), (b"b", None), (b"", b"")]},
+        "0000001f0400000003010000000161000000013102000000016201"
+        "0000000000000000",
+    ),
+    ({"op": "PING"}, "0000000e007b226f70223a2250494e47227d"),
+    (
+        protocol.scan_request(b"a", None, 3),
+        "0000002e007b226f70223a225343414e222c226c6f223a2259513d3d222c"
+        "226869223a6e756c6c2c226c696d6974223a337d",
+    ),
+]
+
+GOLDEN_RESPONSES = [
+    ({"ok": True}, "0000000100"),
+    ({"ok": True, "value": b"\x00v"}, "0000000701000000020076"),
+    ({"ok": True, "value": None}, "0000000102"),
+    (
+        {"ok": True, "count": 3},
+        "00000016037b226f6b223a747275652c22636f756e74223a337d",
+    ),
+    (
+        protocol.error_response(protocol.CODE_STALLED, "busy", 0.25),
+        "00000040037b226f6b223a66616c73652c22636f6465223a225354414c4c4544"
+        "222c226572726f72223a2262757379222c2272657472795f6166746572223a30"
+        "2e32357d",
+    ),
+]
 
 
-def test_json_frame_trailing_bytes_rejected():
-    frame = protocol.encode_frame({"op": "PING"})
-    with pytest.raises(ProtocolError, match="trailing"):
-        protocol.decode_frame(frame + b"x")
+@pytest.mark.parametrize(("message", "frame"), GOLDEN_REQUESTS)
+def test_request_frames_are_byte_identical(message, frame):
+    encoded = binproto.encode_frame(binproto.encode_request(message))
+    assert encoded.hex() == frame
+    assert binproto.decode_request(encoded[4:]) == message
 
 
-# -- request codec --------------------------------------------------------
+@pytest.mark.parametrize(("response", "frame"), GOLDEN_RESPONSES)
+def test_response_frames_are_byte_identical(response, frame):
+    encoded = binproto.encode_frame(binproto.encode_response(response))
+    assert encoded.hex() == frame
+    assert binproto.decode_response(encoded[4:]) == response
 
 
-def test_magic_is_unambiguous_against_json_length_prefix():
-    # A JSON frame's first byte is the high byte of a length capped at
-    # 16 MiB, so it can never equal the magic.
-    assert binproto.MAGIC > (protocol.MAX_FRAME_BYTES >> 24)
+def test_builders_produce_the_shape_the_codec_carries():
+    for message in (
+        protocol.put_request(b"k", b"v"),
+        protocol.get_request(b"k"),
+        protocol.delete_request(b"k"),
+        protocol.batch_request([(b"a", b"1"), [b"b", None]]),
+    ):
+        decoded = binproto.decode_request(binproto.encode_request(message))
+        assert decoded == message
 
 
-def test_put_request_round_trip():
-    message = {"op": "PUT", "key": b"\x00k", "value": b"\xffv"}
-    decoded = binproto.decode_request(binproto.encode_request(message))
-    assert decoded.pop(binproto.WIRE_KEY) is True
-    assert decoded == message
+# -- codec properties -----------------------------------------------------
+
+_blob = st.binary(max_size=48)
+_json_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**53), 2**53)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12)
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+_envelope = st.dictionaries(st.text(max_size=8), _json_value, max_size=5)
+_hot_request = st.one_of(
+    st.builds(protocol.put_request, _blob, _blob),
+    st.builds(protocol.get_request, _blob),
+    st.builds(protocol.delete_request, _blob),
+    st.builds(
+        protocol.batch_request,
+        st.lists(st.tuples(_blob, st.none() | _blob), min_size=1, max_size=6),
+    ),
+)
+_slow_verbs = sorted(protocol.VERBS - {"PUT", "GET", "DEL", "BATCH"})
+_slow_request = st.builds(
+    lambda verb, fields: {**fields, "op": verb},
+    st.sampled_from(_slow_verbs),
+    _envelope,
+)
+_response = st.one_of(
+    st.just({"ok": True}),
+    st.builds(lambda value: {"ok": True, "value": value}, st.none() | _blob),
+    # Anything else — extra fields, errors — rides the envelope whole.
+    st.builds(lambda fields: {**fields, "ok": False}, _envelope),
+    st.builds(
+        lambda fields: {"ok": True, "count": 1, **fields, "value": "text"},
+        _envelope,
+    ),
+)
 
 
-def test_get_and_del_round_trip():
-    for verb in ("GET", "DEL"):
-        decoded = binproto.decode_request(
-            binproto.encode_request({"op": verb, "key": b"k"})
-        )
-        assert decoded["op"] == verb
-        assert decoded["key"] == b"k"
+def _assert_every_strict_prefix_is_a_protocol_error(decode, payload):
+    for cut in range(len(payload)):
+        with pytest.raises(ProtocolError):
+            decode(payload[:cut])
 
 
-def test_batch_round_trip_preserves_order_and_tombstones():
-    ops = [(b"a", b"1"), (b"b", None), (b"c", b"3")]
-    decoded = binproto.decode_request(
-        binproto.encode_request({"op": "BATCH", "ops": ops})
+@settings(max_examples=150, deadline=None)
+@given(_hot_request | _slow_request)
+def test_request_codec_round_trips_and_rejects_every_truncation(message):
+    payload = binproto.encode_request(message)
+    assert binproto.decode_request(payload) == message
+    _assert_every_strict_prefix_is_a_protocol_error(
+        binproto.decode_request, payload
     )
-    assert decoded["op"] == "BATCH"
-    assert decoded["ops"] == ops
 
 
-def test_base64_fields_also_encode():
-    # The router forwards JSON-origin messages (base64 text fields) to
-    # binary shard connections; both shapes must encode identically.
-    raw = binproto.encode_request({"op": "PUT", "key": b"k", "value": b"v"})
-    b64 = binproto.encode_request(
-        {
-            "op": "PUT",
-            "key": protocol.b64encode(b"k"),
-            "value": protocol.b64encode(b"v"),
-        }
+@settings(max_examples=150, deadline=None)
+@given(_response)
+def test_response_codec_round_trips_and_rejects_every_truncation(response):
+    payload = binproto.encode_response(response)
+    assert binproto.decode_response(payload) == response
+    _assert_every_strict_prefix_is_a_protocol_error(
+        binproto.decode_response, payload
     )
-    assert raw == b64
 
 
 def test_other_verbs_ride_the_json_envelope():
     payload = binproto.encode_request({"op": "STATS"})
     assert payload[0] == binproto.OP_JSON
-    decoded = binproto.decode_request(payload)
-    assert decoded["op"] == "STATS"
-    assert decoded[binproto.WIRE_KEY] is True
+    assert binproto.decode_request(payload) == {"op": "STATS"}
+
+
+def test_encoding_a_hot_verb_with_text_fields_is_a_protocol_error():
+    with pytest.raises(ProtocolError):
+        binproto.encode_request({"op": "PUT", "key": "aw==", "value": b"v"})
+    with pytest.raises(ProtocolError):
+        binproto.encode_request({"op": "BATCH", "ops": [["put", "a", "b"]]})
 
 
 def test_trailing_bytes_rejected():
@@ -84,27 +173,19 @@ def test_trailing_bytes_rejected():
         binproto.decode_request(payload + b"x")
 
 
-def test_truncated_body_rejected():
-    payload = binproto.encode_request({"op": "PUT", "key": b"k", "value": b"v"})
-    with pytest.raises(ProtocolError):
-        binproto.decode_request(payload[:-1])
-
-
-def test_unknown_opcode_rejected():
+def test_unknown_opcode_and_status_rejected():
     with pytest.raises(ProtocolError):
         binproto.decode_request(b"\x7f")
+    with pytest.raises(ProtocolError):
+        binproto.decode_response(b"\x7f")
 
 
-# -- response codec -------------------------------------------------------
-
-
-def test_response_forms():
-    assert binproto.encode_response({"ok": True}) == bytes([binproto.ST_OK])
-    assert binproto.decode_response(bytes([binproto.ST_OK])) == {"ok": True}
-    miss = binproto.encode_response({"ok": True, "value": None})
-    assert binproto.decode_response(miss) == {"ok": True, "value": None}
-    hit = binproto.encode_response({"ok": True, "value": b"\x00v"})
-    assert binproto.decode_response(hit) == {"ok": True, "value": b"\x00v"}
+def test_envelope_must_be_a_json_object():
+    for body in (b"\xff\xfe\x00\x01", b"[]", b"{"):
+        with pytest.raises(ProtocolError):
+            binproto.decode_request(bytes([binproto.OP_JSON]) + body)
+        with pytest.raises(ProtocolError):
+            binproto.decode_response(bytes([binproto.ST_JSON]) + body)
 
 
 def test_error_response_keeps_every_field():
@@ -114,60 +195,92 @@ def test_error_response_keeps_every_field():
     assert binproto.decode_response(payload) == error
 
 
-def test_oversized_binary_frame_rejected():
+# -- framing --------------------------------------------------------------
+
+
+def _feed(chunks: list[bytes]) -> asyncio.StreamReader:
+    reader = asyncio.StreamReader()
+    for chunk in chunks:
+        reader.feed_data(chunk)
+    reader.feed_eof()
+    return reader
+
+
+def test_frame_length_prefix_is_big_endian_u32():
+    frame = binproto.encode_frame(b"payload")
+    assert struct.unpack(">I", frame[:4]) == (len(frame) - 4,)
+
+
+def test_oversized_frame_rejected_on_encode():
     with pytest.raises(ProtocolError):
-        binproto.encode_frame(b"x" * (protocol.MAX_FRAME_BYTES + 1))
+        binproto.encode_frame(b"x" * (binproto.MAX_FRAME_BYTES + 1))
 
 
-# -- negotiation and cross-wire serving -----------------------------------
+def test_read_frame_round_trip_and_clean_eof():
+    async def scenario():
+        frame = binproto.encode_frame(b"\x00{}")
+        reader = _feed([frame, frame])
+        return [await binproto.read_frame(reader) for _ in range(3)]
+
+    # The third read is a clean EOF between frames.
+    assert asyncio.run(scenario()) == [b"\x00{}", b"\x00{}", None]
 
 
-def _run(coroutine):
-    return asyncio.run(coroutine)
+def test_read_frame_mid_frame_eof_is_protocol_error():
+    async def scenario(cut):
+        await binproto.read_frame(_feed([binproto.encode_frame(b"abc")[:cut]]))
+
+    for cut in (2, 6):  # inside the length prefix, inside the payload
+        with pytest.raises(ProtocolError):
+            asyncio.run(scenario(cut))
 
 
-async def _with_server(tmp_path, wire, scenario):
+def test_read_frame_rejects_giant_declared_length():
+    async def scenario():
+        header = struct.pack(">I", binproto.MAX_FRAME_BYTES + 1)
+        await binproto.read_frame(_feed([header]))
+
+    with pytest.raises(ProtocolError):
+        asyncio.run(scenario())
+
+
+# -- serving --------------------------------------------------------------
+
+
+async def _with_server(tmp_path, scenario):
     with LSMStore.open(str(tmp_path), StoreOptions()) as store:
-        server = KVServer(store, host="127.0.0.1", port=0, wire=wire)
-        async with server:
-            await scenario(server.address)
+        async with KVServer(store, host="127.0.0.1", port=0) as server:
+            return await scenario(server)
 
 
-def test_binary_server_accepts_both_wires(tmp_path):
-    async def scenario(address):
-        host, port = address
-        for wire in ("binary", "json"):
-            client = KVClient(host, port, wire=wire)
-            try:
-                key = b"k-" + wire.encode()
-                await client.put(key, b"v")
-                assert await client.get(key) == b"v"
-                assert await client.get(b"absent") is None
-                await client.batch([(b"b", b"x"), (key, None)])
-                assert await client.get(key) is None
-                await client.delete(b"b")
-            finally:
-                await client.aclose()
-
-    _run(_with_server(tmp_path, "binary", scenario))
+def test_wire_keyword_is_a_checked_constant(tmp_path):
+    with pytest.raises(ConfigurationError):
+        KVClient("127.0.0.1", 1, wire="json")
+    with pytest.raises(ConfigurationError):
+        LocalCluster(str(tmp_path / "cluster"), wire="json")
+    with LSMStore.open(str(tmp_path / "db"), StoreOptions()) as store:
+        with pytest.raises(ConfigurationError):
+            KVServer(store, wire="json")
+        KVServer(store, wire="binary")
 
 
-def test_json_only_server_still_serves_json(tmp_path):
-    async def scenario(address):
-        client = KVClient(*address, wire="json")
-        try:
+def test_client_drives_every_hot_verb(tmp_path):
+    async def scenario(server):
+        async with KVClient(*server.address) as client:
             await client.put(b"k", b"v")
             assert await client.get(b"k") == b"v"
-        finally:
-            await client.aclose()
+            assert await client.get(b"absent") is None
+            assert await client.batch([(b"b", b"x"), (b"k", None)]) == 2
+            assert await client.get(b"k") is None
+            await client.delete(b"b")
+            assert await client.get(b"b") is None
 
-    _run(_with_server(tmp_path, "json", scenario))
+    asyncio.run(_with_server(tmp_path, scenario))
 
 
-def test_raw_magic_negotiation(tmp_path):
-    # Hand-rolled client: magic byte, then binary frames on the socket.
-    async def scenario(address):
-        reader, writer = await asyncio.open_connection(*address)
+def test_hand_rolled_client_preamble_then_frames(tmp_path):
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(*server.address)
         try:
             writer.write(binproto.MAGIC_BYTE)
             await binproto.write_request(
@@ -184,34 +297,68 @@ def test_raw_magic_negotiation(tmp_path):
             writer.close()
             await writer.wait_closed()
 
-    _run(_with_server(tmp_path, "binary", scenario))
+    asyncio.run(_with_server(tmp_path, scenario))
 
 
-def test_binary_client_against_json_server_fails_cleanly(tmp_path):
-    # A json-only server reads the magic as a length-prefix byte and
-    # drops the connection; the client must surface an error, not hang.
-    async def scenario(address):
-        client = KVClient(*address, wire="binary", max_retries=1, timeout=2.0)
+def test_wrong_protocol_peer_is_closed_undispatched_and_counted_once(tmp_path):
+    # A legacy framed-JSON client: its first byte is the high byte of a
+    # length prefix, never the preamble.
+    legacy = b'{"op":"PING"}'
+    legacy_frame = struct.pack(">I", len(legacy)) + legacy
+
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(*server.address)
         try:
-            with pytest.raises((ProtocolError, RetriesExhaustedError)):
-                await client.put(b"k", b"v")
+            writer.write(legacy_frame * 3)
+            await writer.drain()
+            answer = await asyncio.wait_for(reader.read(), 5.0)
         finally:
-            await client.aclose()
+            writer.close()
+            await writer.wait_closed()
+        return answer, server.metrics.snapshot()
 
-    _run(_with_server(tmp_path, "json", scenario))
+    answer, metrics = asyncio.run(_with_server(tmp_path, scenario))
+    assert answer == b""  # closed without a reply
+    assert metrics["requests_total"] == 0
+    assert metrics["protocol_errors"] == 1
 
 
-def test_binary_stats_and_scan_envelopes(tmp_path):
-    async def scenario(address):
-        client = KVClient(*address, wire="binary")
+def test_hot_verb_smuggled_in_the_envelope_is_a_bad_request(tmp_path):
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection(*server.address)
+
+        async def exchange(payload: bytes) -> dict:
+            writer.write(binproto.encode_frame(payload))
+            await writer.drain()
+            return binproto.decode_response(await binproto.read_frame(reader))
+
         try:
+            writer.write(binproto.MAGIC_BYTE)
+            smuggled = await exchange(
+                b'\x00{"op":"PUT","key":"aw==","value":"dg=="}'
+            )
+            # ... and the connection is still good for a real request.
+            proper = await exchange(
+                binproto.encode_request(protocol.put_request(b"k", b"v"))
+            )
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        return smuggled, proper, server.metrics.snapshot()
+
+    smuggled, proper, metrics = asyncio.run(_with_server(tmp_path, scenario))
+    assert smuggled["ok"] is False
+    assert smuggled["code"] == protocol.CODE_BAD_REQUEST
+    assert proper == {"ok": True}
+    assert metrics["writes_admitted"] == 1
+
+
+def test_stats_and_scan_envelopes(tmp_path):
+    async def scenario(server):
+        async with KVClient(*server.address) as client:
             await client.put(b"a", b"1")
             await client.put(b"b", b"2")
-            stats = await client.stats()
-            assert stats
-            items = await client.scan()
-            assert (b"a", b"1") in items and (b"b", b"2") in items
-        finally:
-            await client.aclose()
+            assert await client.stats()
+            assert await client.scan() == [(b"a", b"1"), (b"b", b"2")]
 
-    _run(_with_server(tmp_path, "binary", scenario))
+    asyncio.run(_with_server(tmp_path, scenario))

@@ -10,6 +10,7 @@ backoff schedules.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.errors import (
     RequestFailedError,
     RetriesExhaustedError,
 )
-from repro.server import protocol
+from repro.server import binproto, protocol
 from repro.server.client import KVClient
 
 #: Scripted actions: respond with a message, read on silently (the
@@ -49,14 +50,15 @@ class ScriptedServer:
 
     async def _handle(self, reader, writer) -> None:
         try:
+            assert await reader.readexactly(1) == binproto.MAGIC_BYTE
             while True:
-                message = await protocol.read_message(reader)
-                if message is None:
+                payload = await binproto.read_frame(reader)
+                if payload is None:
                     break
-                self.requests.append(message)
+                self.requests.append(binproto.decode_request(payload))
                 action = self.script.pop(0) if self.script else (RESPOND, protocol.ok_response())
                 if action[0] == RESPOND:
-                    await protocol.write_message(writer, action[1])
+                    await binproto.write_response(writer, action[1])
                 elif action[0] == HANG:
                     continue  # no response; the client must time out
                 elif action[0] == CLOSE:
@@ -105,6 +107,7 @@ def test_backoff_delay_doubles_up_to_the_cap():
 
 def test_client_validates_configuration():
     for bad in (
+        dict(wire="json"),
         dict(pool_size=0),
         dict(timeout=0),
         dict(max_retries=-1),
@@ -261,3 +264,44 @@ def test_all_timeouts_exhaust_the_retry_budget():
 
     with pytest.raises(RetriesExhaustedError):
         run_with_server(script, scenario, timeout=0.1, max_retries=1)
+
+
+def test_timeout_covers_the_send_against_a_peer_that_never_reads():
+    # The peer accepts and then never reads: a multi-MiB value fills
+    # both socket buffers and drain() blocks. The deadline has to cover
+    # the send, or the call hangs forever instead of burning its budget.
+    timeout, max_retries = 0.2, 1
+
+    async def main():
+        accepted = []
+        release = asyncio.Event()
+
+        async def never_read(reader, writer):
+            accepted.append(writer)
+            await release.wait()
+            writer.close()
+
+        server = await asyncio.start_server(never_read, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        client = KVClient(
+            host, port, pool_size=1, timeout=timeout,
+            max_retries=max_retries, backoff_base=0.001, jitter=False,
+        )
+        started = time.monotonic()
+        try:
+            with pytest.raises(RetriesExhaustedError):
+                await asyncio.wait_for(
+                    client.put(b"k", b"v" * (8 * 2**20)), 10.0
+                )
+            elapsed = time.monotonic() - started
+            await asyncio.wait_for(client.aclose(), 5.0)
+        finally:
+            release.set()
+            server.close()
+            await server.wait_closed()
+        return client.telemetry, elapsed, len(accepted)
+
+    telemetry, elapsed, connections = asyncio.run(main())
+    assert telemetry.timeouts == max_retries + 1
+    assert connections == max_retries + 1  # each expiry poisoned its connection
+    assert elapsed < (max_retries + 1) * timeout + 2.0

@@ -1,9 +1,6 @@
-"""Wire-protocol tests: framing, codecs, builders, and accessors."""
+"""Protocol tests: payload codecs, request builders, and accessors."""
 
 from __future__ import annotations
-
-import asyncio
-import struct
 
 import pytest
 
@@ -11,98 +8,13 @@ from repro.errors import ProtocolError
 from repro.server import protocol
 
 
-# -- framing --------------------------------------------------------------
-
-
-def test_frame_round_trip():
-    message = {"op": "PUT", "key": "aGk=", "value": "dGhlcmU="}
-    assert protocol.decode_frame(protocol.encode_frame(message)) == message
-
-
-def test_frame_length_prefix_is_big_endian_u32():
-    frame = protocol.encode_frame({"op": "PING"})
-    (length,) = struct.unpack(">I", frame[:4])
-    assert length == len(frame) - 4
-
-
-def test_oversized_frame_rejected_on_encode():
-    message = {"blob": "x" * (protocol.MAX_FRAME_BYTES + 1)}
-    with pytest.raises(ProtocolError):
-        protocol.encode_frame(message)
-
-
-def test_oversized_declared_length_rejected_on_decode():
-    frame = struct.pack(">I", protocol.MAX_FRAME_BYTES + 1) + b"{}"
-    with pytest.raises(ProtocolError):
-        protocol.decode_frame(frame)
-
-
-def test_truncated_frame_rejected():
-    frame = protocol.encode_frame({"op": "PING"})
-    with pytest.raises(ProtocolError):
-        protocol.decode_frame(frame[:-1])
-
-
-def test_non_json_payload_rejected():
-    frame = struct.pack(">I", 4) + b"\xff\xfe\x00\x01"
-    with pytest.raises(ProtocolError):
-        protocol.decode_frame(frame)
-
-
-def test_non_object_payload_rejected():
-    frame = struct.pack(">I", 2) + b"[]"
-    with pytest.raises(ProtocolError):
-        protocol.decode_frame(frame)
+# -- payload codecs ------------------------------------------------------
 
 
 def test_b64_round_trip_and_junk():
     assert protocol.b64decode(protocol.b64encode(b"\x00\xffkey")) == b"\x00\xffkey"
     with pytest.raises(ProtocolError):
         protocol.b64decode("not base64!!")
-
-
-# -- async stream framing -------------------------------------------------
-
-
-def _feed(chunks: list[bytes]) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    for chunk in chunks:
-        reader.feed_data(chunk)
-    reader.feed_eof()
-    return reader
-
-
-def test_read_message_round_trip_and_clean_eof():
-    async def scenario():
-        frame = protocol.encode_frame({"op": "PING"})
-        reader = _feed([frame, frame])
-        first = await protocol.read_message(reader)
-        second = await protocol.read_message(reader)
-        third = await protocol.read_message(reader)
-        return first, second, third
-
-    first, second, third = asyncio.run(scenario())
-    assert first == {"op": "PING"}
-    assert second == {"op": "PING"}
-    assert third is None  # clean EOF between frames
-
-
-def test_read_message_mid_frame_eof_is_protocol_error():
-    async def scenario():
-        reader = _feed([protocol.encode_frame({"op": "PING"})[:-2]])
-        await protocol.read_message(reader)
-
-    with pytest.raises(ProtocolError):
-        asyncio.run(scenario())
-
-
-def test_read_message_rejects_giant_declared_length():
-    async def scenario():
-        reader = _feed([struct.pack(">I", protocol.MAX_FRAME_BYTES + 1)])
-        await protocol.read_message(reader)
-
-    with pytest.raises(ProtocolError):
-        asyncio.run(scenario())
 
 
 # -- builders and accessors ----------------------------------------------
@@ -137,17 +49,37 @@ def test_request_verb_is_case_insensitive_and_validated():
         protocol.request_verb({})
 
 
-def test_missing_key_and_value_rejected():
+def test_missing_or_non_bytes_key_and_value_rejected():
     with pytest.raises(ProtocolError):
         protocol.request_key({"op": "GET"})
     with pytest.raises(ProtocolError):
-        protocol.request_value({"op": "PUT", "key": "aw=="})
+        protocol.request_key({"op": "GET", "key": "aw=="})
+    with pytest.raises(ProtocolError):
+        protocol.request_value({"op": "PUT", "key": b"k"})
+    with pytest.raises(ProtocolError):
+        protocol.request_value({"op": "PUT", "key": b"k", "value": "dg=="})
 
 
 def test_malformed_batch_entries_rejected():
-    for ops in ([], [["put", "aw=="]], [["del", "aw==", "dg=="]], [[]], ["x"]):
+    for ops in (
+        [],
+        [(b"k",)],
+        [(b"k", b"v", b"x")],
+        [["put", "aw==", "dg=="]],
+        [("aw==", b"v")],
+        [(b"k", "dg==")],
+        [()],
+        ["x"],
+    ):
         with pytest.raises(ProtocolError):
             protocol.batch_ops({"op": "BATCH", "ops": ops})
+
+
+def test_items_round_trip():
+    items = [(b"\x00a", b"1"), (b"b", b"")]
+    response = protocol.ok_response(items=protocol.encode_items(items))
+    assert protocol.decode_items(response) == items
+    assert protocol.decode_items(protocol.ok_response()) == []
 
 
 def test_scan_limit_must_be_non_negative_int():
