@@ -18,7 +18,9 @@ Run with the repo sources on the path::
 
     PYTHONPATH=src python benchmarks/bench_writepath.py --quick
 
-Emits ``BENCH_9.json`` (override with ``--output``). Each corner runs
+Prints the result; ``--output PATH`` also writes it as JSON (the
+committed ``BENCH_9.json`` is never the default target, so a local run
+cannot overwrite it by accident). Each corner runs
 ``--repeats`` times and keeps its best run (standard best-of-N to damp
 scheduler noise on shared machines). Exits non-zero if any client
 errored, if the group-commit corner never synced a group or lost a
@@ -111,7 +113,10 @@ def main(argv: list[str] | None = None) -> int:
         help="payload size",
     )
     parser.add_argument("--keyspace", type=int, default=4_096)
-    parser.add_argument("--output", default="BENCH_9.json")
+    parser.add_argument(
+        "--output", default=None,
+        help="also write the result to this JSON file",
+    )
     parser.add_argument(
         "--repeats", type=int, default=2,
         help="runs per corner; the best one is reported",
@@ -166,12 +171,13 @@ def main(argv: list[str] | None = None) -> int:
         "corners": [per_op, grouped],
         "speedup_group_commit_over_fsync_per_op": round(speedup, 3),
     }
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
     print(
-        f"speedup (group commit / fsync per op): {speedup:.2f}x "
-        f"-> {args.output}"
+        f"speedup (group commit / fsync per op): {speedup:.2f}x"
+        + (f" -> {args.output}" if args.output else "")
     )
 
     failed = []

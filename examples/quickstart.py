@@ -2,7 +2,7 @@
 """Quickstart: the embeddable LSM storage engine.
 
 Opens a store, writes a YCSB-style workload through the real engine
-(skip-list memtable -> WAL -> sorted runs -> policy-driven compaction),
+(WAL -> memtable -> sorted runs -> policy-driven compaction),
 reads it back, and prints the tree's shape — then reopens the store to
 demonstrate crash-free recovery from the manifest and WAL.
 

@@ -1,11 +1,11 @@
 """A real, embeddable LSM key-value storage engine.
 
 Built from scratch on the substrates the paper's testbed assumes:
-skip-list memory components, immutable sorted-run files with Bloom
-filters and block indexes, a CRC-framed write-ahead log, a crash-safe
-manifest, reconciling merge iterators, an I/O rate limiter with periodic
-forces, and a compaction driver that executes the *same* merge policies
-and schedulers as the simulator.
+hash-map memory components with a sorted key index, immutable sorted-run
+files with Bloom filters and block indexes, a CRC-framed write-ahead
+log, a crash-safe manifest, reconciling merge iterators, an I/O rate
+limiter with periodic forces, and a compaction driver that executes the
+*same* merge policies and schedulers as the simulator.
 """
 
 from .blockcache import BlockCache

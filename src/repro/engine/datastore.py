@@ -1,6 +1,6 @@
 """The public storage engine API: an embeddable LSM key-value store.
 
-:class:`LSMStore` composes the substrates — skip-list memtables, WAL,
+:class:`LSMStore` composes the substrates — memtables, WAL,
 manifest, sorted runs, and the policy/scheduler-driven compaction manager
 — into the store a downstream application uses::
 
@@ -207,6 +207,14 @@ class LSMStore:
             "engine_stall_seconds_total",
             help="Time writers spent blocked in the headroom gate.",
         )
+        self._m_flush_stalls = self._obs.registry.counter(
+            "engine_flush_stalls_total",
+            help="Rotations that found no free memory component.",
+        )
+        self._m_flush_stall_seconds = self._obs.registry.counter(
+            "engine_flush_stall_seconds_total",
+            help="Time writers spent waiting for a memtable to flush.",
+        )
         attach_tracer = getattr(
             self._options.fault_plan, "attach_tracer", None
         )
@@ -251,9 +259,8 @@ class LSMStore:
             ),
             obs=self._obs,
         )
-        self._active = MemTable(seed=0)
+        self._active = MemTable()
         self._sealed: list[MemTable] = []
-        self._memtable_seed = 1
         # Live memory knobs: the arbiter retargets these at runtime via
         # set_memory_budget(); options.memtable_bytes is only the seed.
         self._memtable_target = self._options.memtable_bytes
@@ -763,23 +770,35 @@ class LSMStore:
             # No free memory component: a flush stall. Push maintenance
             # forward until one drains (flush stalls are rare when flushes
             # get I/O priority; with num_memtables=1 they are the norm).
-            if self._workers:
-                self._work_available.notify_all()
-                limit = max(1, self._options.num_memtables - 1)
-                while len(self._sealed) >= limit:
-                    if self._closed:
-                        raise ClosedError(
-                            "store closed while a rotation was stalled"
-                        )
-                    self._work_available.wait(timeout=0.05)
-            else:
-                while self._sealed:
-                    self._advance_maintenance(blocking=True)
+            # Counted apart from the component-constraint stalls of
+            # _wait_for_headroom, and timed on this branch only.
+            started = self._obs.clock()
+            try:
+                if self._workers:
+                    self._work_available.notify_all()
+                    limit = max(1, self._options.num_memtables - 1)
+                    while len(self._sealed) >= limit:
+                        if self._closed:
+                            raise ClosedError(
+                                "store closed while a rotation was stalled"
+                            )
+                        self._work_available.wait(timeout=0.05)
+                else:
+                    while self._sealed:
+                        self._advance_maintenance(blocking=True)
+            finally:
+                elapsed = self._obs.clock() - started
+                self._m_flush_stalls.inc()
+                self._m_flush_stall_seconds.inc(elapsed)
+                self._obs.tracer.emit(
+                    obs_events.FLUSH_STALL,
+                    seconds=elapsed,
+                    sealed_queue=len(self._sealed),
+                )
         sealed_bytes = self._active.approximate_bytes
         self._active.seal()
         self._sealed.append(self._active)
-        self._active = MemTable(seed=self._memtable_seed)
-        self._memtable_seed += 1
+        self._active = MemTable()
         self._ingested_bytes += sealed_bytes
         self._m_rotations.inc()
         self._obs.tracer.emit(
@@ -823,8 +842,7 @@ class LSMStore:
         self._ingested_bytes += self._active.approximate_bytes
         self._active.seal()
         self._sealed.append(self._active)
-        self._active = MemTable(seed=self._memtable_seed)
-        self._memtable_seed += 1
+        self._active = MemTable()
 
     def _flush_all_memtables(self) -> None:
         if len(self._active) > 0:

@@ -1,52 +1,53 @@
-"""The memory component: a skip list keyed by raw bytes.
+"""The memory component: a hash map for point access plus a sorted key
+index kept in fixed-size chunks.
 
-A real skip list, not a ``dict`` sorted on flush: writes must be cheap,
-iteration must be ordered for range scans over the live memtable, and the
-structure must support ordered iteration *while* concurrent readers hold
-iterators (append-only towers, no node removal — deletes insert
-tombstones). Node levels are drawn from a deterministic per-memtable
-generator so tests are reproducible.
+Point reads and overwrites touch only the ``dict``. A key seen for the
+first time is also filed in the index: a list of sorted chunks of at
+most :data:`CHUNK_KEYS` keys, found by bisecting the chunks' largest
+keys and filled by ``insort`` — so no put, and no scan start, does work
+proportional to the table's size. Nothing is ever removed (deletes
+store tombstones), and the index holds keys only; values live in the
+map, so an overwrite never touches it.
+
+Every mutation, and every iteration over a table that can still change,
+runs under the store lock; a sealed table is immutable and may be
+iterated without it (see docs/engine-concurrency.md).
 """
 
 from __future__ import annotations
 
-import random
+from bisect import bisect_left, insort
 from typing import Iterator
 
 from ..errors import ConfigurationError
 from .options import TOMBSTONE
 
-_MAX_LEVEL = 16
-_P = 0.25
-
 #: Overhead charged per entry on top of key/value payload, approximating
-#: node and tower bookkeeping (keeps memtable_bytes meaningful).
+#: per-entry bookkeeping (keeps memtable_bytes meaningful).
 ENTRY_OVERHEAD = 48
 
+#: Most keys one index chunk holds before it splits in two: small enough
+#: that an ``insort`` moves a few KiB of pointers at worst, large enough
+#: that the list of chunks stays short.
+CHUNK_KEYS = 512
 
-class _Node:
-    __slots__ = ("key", "value", "next")
-
-    def __init__(self, key: bytes | None, value, level: int) -> None:
-        self.key = key
-        self.value = value
-        self.next: list[_Node | None] = [None] * level
+_ABSENT = object()
 
 
 class MemTable:
     """An ordered in-memory write buffer with tombstone support."""
 
-    def __init__(self, seed: int = 0) -> None:
-        self._head = _Node(None, None, _MAX_LEVEL)
-        self._level = 1
-        self._rng = random.Random(seed)
-        self._count = 0
+    def __init__(self) -> None:
+        self._values: dict[bytes, bytes | None] = {}
+        #: The sorted key index, and each chunk's largest key.
+        self._chunks: list[list[bytes]] = []
+        self._maxes: list[bytes] = []
         self._tombstones = 0
         self._bytes = 0
         self._sealed = False
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._values)
 
     @property
     def approximate_bytes(self) -> int:
@@ -67,88 +68,94 @@ class MemTable:
         """Make the memtable immutable (called at rotation)."""
         self._sealed = True
 
-    def _random_level(self) -> int:
-        level = 1
-        while level < _MAX_LEVEL and self._rng.random() < _P:
-            level += 1
-        return level
-
-    def _find_predecessors(self, key: bytes) -> list[_Node]:
-        update = [self._head] * _MAX_LEVEL
-        node = self._head
-        for level in range(self._level - 1, -1, -1):
-            while node.next[level] is not None and node.next[level].key < key:
-                node = node.next[level]
-            update[level] = node
-        return update
-
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or update a key."""
-        self._insert(key, value)
+        if not isinstance(value, bytes):
+            raise ConfigurationError("values must be bytes (or a delete)")
+        old = self._store(key, value)
+        if old is _ABSENT:
+            self._bytes += len(key) + len(value) + ENTRY_OVERHEAD
+        elif old is TOMBSTONE:
+            self._tombstones -= 1
+            self._bytes += len(value)
+        else:
+            self._bytes += len(value) - len(old)
 
     def delete(self, key: bytes) -> None:
         """Record a deletion (anti-matter entry)."""
-        self._insert(key, TOMBSTONE)
+        old = self._store(key, TOMBSTONE)
+        if old is _ABSENT:
+            self._tombstones += 1
+            self._bytes += len(key) + ENTRY_OVERHEAD
+        elif old is not TOMBSTONE:
+            self._tombstones += 1
+            self._bytes -= len(old)
 
-    def _insert(self, key: bytes, value) -> None:
+    def _store(self, key: bytes, value):
+        """Set ``key`` and return what it held (``_ABSENT`` if new)."""
         if self._sealed:
             raise ConfigurationError("cannot write to a sealed memtable")
         if not isinstance(key, bytes) or not key:
             raise ConfigurationError("keys must be non-empty bytes")
-        if value is not TOMBSTONE and not isinstance(value, bytes):
-            raise ConfigurationError("values must be bytes (or a delete)")
-        update = self._find_predecessors(key)
-        candidate = update[0].next[0]
-        if candidate is not None and candidate.key == key:
-            old_value = candidate.value
-            if old_value is TOMBSTONE and value is not TOMBSTONE:
-                self._tombstones -= 1
-            elif old_value is not TOMBSTONE and value is TOMBSTONE:
-                self._tombstones += 1
-            self._bytes += (0 if value is TOMBSTONE else len(value)) - (
-                0 if old_value is TOMBSTONE else len(old_value)
-            )
-            candidate.value = value
-            return
-        level = self._random_level()
-        if level > self._level:
-            self._level = level
-        node = _Node(key, value, level)
-        for i in range(level):
-            node.next[i] = update[i].next[i]
-            update[i].next[i] = node
-        self._count += 1
-        if value is TOMBSTONE:
-            self._tombstones += 1
-        self._bytes += (
-            len(key) + (0 if value is TOMBSTONE else len(value)) + ENTRY_OVERHEAD
-        )
+        values = self._values
+        old = values.get(key, _ABSENT)
+        values[key] = value
+        if old is _ABSENT:
+            self._index_key(key)
+        return old
+
+    def _index_key(self, key: bytes) -> None:
+        maxes = self._maxes
+        at = bisect_left(maxes, key)
+        if at == len(maxes):
+            # Above every indexed key (always, for ascending loads):
+            # extend the last chunk.
+            if not maxes:
+                self._chunks.append([key])
+                maxes.append(key)
+                return
+            at -= 1
+            chunk = self._chunks[at]
+            chunk.append(key)
+            maxes[at] = key
+        else:
+            chunk = self._chunks[at]
+            insort(chunk, key)
+        if len(chunk) > CHUNK_KEYS:
+            half = len(chunk) // 2
+            self._chunks.insert(at + 1, chunk[half:])
+            maxes.insert(at + 1, maxes[at])
+            del chunk[half:]
+            maxes[at] = chunk[-1]
 
     def get(self, key: bytes) -> tuple[bool, bytes | None]:
         """Return ``(found, value)``; a found tombstone yields
         ``(True, None)`` so callers can distinguish "deleted here" from
         "not present in this component"."""
-        node = self._head
-        for level in range(self._level - 1, -1, -1):
-            while node.next[level] is not None and node.next[level].key < key:
-                node = node.next[level]
-        node = node.next[0]
-        if node is not None and node.key == key:
-            return True, node.value
-        return False, None
+        value = self._values.get(key, _ABSENT)
+        if value is _ABSENT:
+            return False, None
+        return True, value
 
     def items(
         self, lo: bytes | None = None, hi: bytes | None = None
     ) -> Iterator[tuple[bytes, bytes | None]]:
         """Ordered iteration over ``[lo, hi)``; tombstones included."""
-        node = self._head
+        chunks = self._chunks
+        values = self._values
+        first = start = 0
         if lo is not None:
-            for level in range(self._level - 1, -1, -1):
-                while node.next[level] is not None and node.next[level].key < lo:
-                    node = node.next[level]
-        node = node.next[0]
-        while node is not None:
-            if hi is not None and node.key >= hi:
+            first = bisect_left(self._maxes, lo)
+            if first == len(chunks):
                 return
-            yield node.key, node.value
-            node = node.next[0]
+            start = bisect_left(chunks[first], lo)
+        for at in range(first, len(chunks)):
+            chunk = chunks[at]
+            stop = len(chunk)
+            if hi is not None and chunk[-1] >= hi:
+                stop = bisect_left(chunk, hi, start)
+            for key in chunk[start:stop]:
+                yield key, values[key]
+            if stop < len(chunk):
+                return
+            start = 0

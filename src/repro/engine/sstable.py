@@ -39,7 +39,7 @@ import json
 import os
 import struct
 import zlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -130,21 +130,46 @@ class DataBlock(NamedTuple):
     tombstones: list[int]
 
 
+class BlockSpan(NamedTuple):
+    """Consecutive data blocks of one run, as a merge copies them.
+
+    ``stored`` is the blocks exactly as the file holds them, back to
+    back, CRC trailers included: block ``i`` begins with
+    ``first_keys[i]``, sits ``offsets[i] - offsets[0]`` bytes in and is
+    ``lengths[i]`` long. ``keys`` are the keys of all of them in order,
+    ``tombstones`` counts the deleted ones, and ``logical_bytes`` is
+    the size of the decoded entries.
+    """
+
+    stored: bytes
+    first_keys: list[bytes]
+    offsets: list[int]
+    lengths: list[int]
+    keys: list[bytes]
+    tombstones: int
+    logical_bytes: int
+
+
 def _walk_block(
-    payload: bytes, stop_at: bytes | None = None
+    payload: bytes,
+    stop_at: bytes | None = None,
+    pos: int = 0,
+    size: int | None = None,
 ) -> tuple[list[bytes], list[int], list[int]]:
     """Keys-first walk of a block's entry payload; slices no value.
 
     Returns ``(keys, ends, tombstones)`` as :class:`DataBlock` holds
     them. With ``stop_at`` the walk ends at the first key that is not
-    below it — a point lookup needs nothing beyond that entry.
+    below it — a point lookup needs nothing beyond that entry. ``pos``
+    and ``size`` bound the walk to a window of ``payload`` (a raw block
+    inside a larger read); ``ends`` are then offsets into ``payload``.
     """
     keys: list[bytes] = []
     ends: list[int] = []
     tombstones: list[int] = []
     unpack = _ENTRY_HEADER.unpack_from
-    size = len(payload)
-    pos = 0
+    if size is None:
+        size = len(payload)
     while pos < size:
         if pos + 8 > size:
             raise CorruptionError("data block entry header truncated")
@@ -180,15 +205,29 @@ def _decode_block(payload: bytes) -> list[tuple[bytes, bytes | None]]:
     return entries
 
 
+def _closed_when_full(
+    ends: list[int], block_bytes: int, origin: int = 0
+) -> bool:
+    """Whether a block whose entries end at ``ends`` (counted from
+    ``origin``) is what a writer at ``block_bytes`` makes of them:
+    closed by the entry that filled it, not earlier (a short tail) and
+    not later (a larger block size).
+    """
+    return ends[-1] - origin >= block_bytes and (
+        len(ends) == 1 or ends[-2] - origin < block_bytes
+    )
+
+
 class SSTableWriter:
     """Streams sorted key/value (or tombstone) entries into a run file.
 
     Entries arrive one at a time (:meth:`add`), as an iterable
     (:meth:`add_many`, what a memtable flush feeds), or block-wise from
     a merge's inputs: :meth:`add_entries` moves a range of a decoded
-    block's entries as encoded bytes, and :meth:`add_block` appends a
-    whole input block verbatim when that is what this writer would have
-    produced anyway.
+    block's entries as encoded bytes, and :meth:`add_span` appends
+    whole input blocks verbatim when they are what this writer would
+    have produced anyway (:meth:`add_block` is its one-block case, for
+    a block the merge holds decoded).
     """
 
     def __init__(
@@ -364,6 +403,12 @@ class SSTableWriter:
             lo = closing + 1
             self._flush_block()
 
+    @property
+    def copy_rule(self) -> tuple[int, int]:
+        """``(codec id, block size)`` a stored block must have been
+        written under for this writer to append it verbatim."""
+        return self._codec.codec_id, self._block_bytes
+
     def add_block(self, source: DataBlock) -> bool:
         """Append a whole decoded input block; True if copied verbatim.
 
@@ -379,28 +424,51 @@ class SSTableWriter:
         coalesce with their neighbours instead of persisting through
         every later merge.
         """
-        keys, ends = source.keys, source.ends
+        keys = source.keys
         if (
             self._format_version != CURRENT_FORMAT_VERSION
             or source.codec_id != self._codec.codec_id
-            or ends[-1] < self._block_bytes
-            or (len(ends) > 1 and ends[-2] >= self._block_bytes)
+            or not _closed_when_full(source.ends, self._block_bytes)
         ):
             self.add_entries(source, 0, len(keys))
             return False
-        self._begin(keys[0])
+        self.add_span(
+            BlockSpan(
+                source.stored,
+                keys[:1],
+                [0],
+                [len(source.stored)],
+                keys,
+                len(source.tombstones),
+                len(source.payload),
+            )
+        )
+        return True
+
+    def add_span(self, span: BlockSpan) -> None:
+        """Append consecutive input blocks verbatim: one write, one
+        debit of the rate limiter, their index entries moved over.
+
+        The caller vouches that every block passes :meth:`add_block`'s
+        test (:meth:`SSTableReader.read_span` selects by it).
+        """
+        self._begin(span.keys[0])
         # Close the partial output block first: the copy must start on
         # a block boundary of its own.
         self._flush_block()
-        self._index.append((keys[0], self._offset, len(source.stored)))
-        self._write_raw(source.stored)
-        self._logical_bytes += len(source.payload)
-        self._last_key = keys[-1]
-        self._entries += len(keys)
-        self._tombstones += len(source.tombstones)
-        self._filter_keys += keys
+        shift = self._offset - span.offsets[0]
+        self._index += zip(
+            span.first_keys,
+            [offset + shift for offset in span.offsets],
+            span.lengths,
+        )
+        self._write_raw(span.stored)
+        self._logical_bytes += span.logical_bytes
+        self._last_key = span.keys[-1]
+        self._entries += len(span.keys)
+        self._tombstones += span.tombstones
+        self._filter_keys += span.keys
         self._feed_filter(_FILTER_BATCH_KEYS)
-        return True
 
     def finish(self) -> RunStats:
         """Flush everything, write the footer, fsync, and close."""
@@ -570,16 +638,21 @@ class SSTableReader:
             self._read_at(index_off, index_len),
             f"{path}: index block at offset {index_off} ({index_len} bytes)",
         )
-        self._index: list[tuple[bytes, int, int]] = []
+        #: The block index, one list per column: a lookup bisects the
+        #: first keys, a span read bisects the offsets.
+        self._first_keys: list[bytes] = []
+        self._offsets: list[int] = []
+        self._lengths: list[int] = []
         pos = 0
         while pos < len(index_payload):
             key_len = _LEN.unpack_from(index_payload, pos)[0]
             pos += 4
-            first_key = index_payload[pos : pos + key_len]
+            self._first_keys.append(index_payload[pos : pos + key_len])
             pos += key_len
             offset, length = _INDEX_ENTRY.unpack_from(index_payload, pos)
             pos += _INDEX_ENTRY.size
-            self._index.append((first_key, offset, length))
+            self._offsets.append(offset)
+            self._lengths.append(length)
         self._filter = load_filter(
             _check_crc(
                 self._read_at(filter_off, filter_len),
@@ -695,13 +768,23 @@ class SSTableReader:
     @property
     def block_count(self) -> int:
         """Number of data blocks (the scrub cursor's per-run extent)."""
-        return len(self._index)
+        return len(self._offsets)
 
     def block_span(self, block_idx: int) -> tuple[int, int]:
         """``(offset, length)`` of one data block — what a scrubber bills
         against the maintenance rate limiter before verifying it."""
-        _, offset, length = self._index[block_idx]
-        return offset, length
+        return self._offsets[block_idx], self._lengths[block_idx]
+
+    def _open_block(self, stored: bytes, block_idx: int) -> DataBlock:
+        """Checksum-verify and walk one data block's stored bytes."""
+        context = (
+            f"{self._path}: data block at offset {self._offsets[block_idx]} "
+            f"({self._lengths[block_idx]} bytes)"
+        )
+        record = _check_crc(stored, context)
+        payload = _decode_stored_block(record, self._format_version, context)
+        codec_id = record[0] if self._format_version >= 2 else None
+        return DataBlock(stored, codec_id, payload, *_walk_block(payload))
 
     def read_data_block(self, block_idx: int) -> DataBlock:
         """Read, checksum-verify and walk one data block, off the cache.
@@ -714,15 +797,121 @@ class SSTableReader:
         """
         if self._closed:
             raise ConfigurationError("reader is closed")
-        _, offset, length = self._index[block_idx]
-        context = (
-            f"{self._path}: data block at offset {offset} ({length} bytes)"
+        stored = self._read_at(
+            self._offsets[block_idx], self._lengths[block_idx]
         )
-        stored = self._read_at(offset, length)
-        record = _check_crc(stored, context)
-        payload = _decode_stored_block(record, self._format_version, context)
-        codec_id = record[0] if self._format_version >= 2 else None
-        return DataBlock(stored, codec_id, payload, *_walk_block(payload))
+        return self._open_block(stored, block_idx)
+
+    def whole_blocks_below(self, key: bytes | None, first: int) -> int:
+        """One past the last block from ``first`` on whose keys are all
+        below ``key`` (None = unbounded); ``first`` if there is none.
+
+        Decided on the index alone: a block ends below ``key`` when its
+        successor begins below it, the last block when the run does.
+        """
+        if key is None or self._max_key < key:
+            return len(self._first_keys)
+        return max(first, bisect_left(self._first_keys, key, first) - 1)
+
+    def read_span(
+        self,
+        first: int,
+        stop: int,
+        budget: int,
+        copy_rule: tuple[int, int],
+        keep_tombstones: bool,
+    ) -> tuple[BlockSpan | None, DataBlock | None]:
+        """Read blocks ``first`` to ``stop - 1`` in one piece and keep
+        those a writer under ``copy_rule`` may append verbatim.
+
+        One read covers as many of the blocks as fit
+        :data:`SEQUENTIAL_IO_BYTES` and ``budget``, never fewer than
+        one; each is checksum-verified where it lies and its keys are
+        walked. Returns the leading blocks that pass
+        :meth:`SSTableWriter.add_block`'s test, hold ``budget`` decoded
+        bytes at most between them and — unless ``keep_tombstones`` —
+        no deletion, as a span (None if the very first fails); and the
+        block that failed, read and decoded (None if the read just
+        ended). A damaged block raises as :meth:`read_data_block` does.
+        """
+        if self._closed:
+            raise ConfigurationError("reader is closed")
+        if self._format_version != CURRENT_FORMAT_VERSION:
+            return None, None
+        codec_id, block_bytes = copy_rule
+        offsets, lengths = self._offsets, self._lengths
+        base = offsets[first]
+        reach = base + min(budget, SEQUENTIAL_IO_BYTES)
+        last = bisect_right(offsets, reach, first + 1, stop)
+        if last - 1 > first and offsets[last - 1] + lengths[last - 1] > reach:
+            last -= 1
+        blob = self._read_at(
+            base, offsets[last - 1] + lengths[last - 1] - base
+        )
+        view = memoryview(blob)
+        crc32 = zlib.crc32
+        stored_crc = _LEN.unpack_from
+        unpack_header = _BLOCK_HEADER.unpack_from
+        keys: list[bytes] = []
+        tombstones = 0
+        logical = 0
+        stopper = None
+        for index in range(first, last):
+            start = offsets[index] - base
+            body_end = start + lengths[index] - _CRC_LEN
+            if (
+                body_end - start >= _BLOCK_HEADER.size
+                and crc32(view[start:body_end]) == stored_crc(blob, body_end)[0]
+                and blob[start] == codec_id
+            ):
+                try:
+                    if codec_id == NONE_CODEC_ID:
+                        # Stored raw: walk the entries where they lie.
+                        payload = blob
+                        origin = start + _BLOCK_HEADER.size
+                        if unpack_header(blob, start)[1] != body_end - origin:
+                            raise CorruptionError("block length mismatch")
+                        end = body_end
+                    else:
+                        payload = _decode_stored_block(
+                            blob[start:body_end], self._format_version, ""
+                        )
+                        origin = 0
+                        end = len(payload)
+                    block_keys, ends, dead = _walk_block(
+                        payload, None, origin, end
+                    )
+                except CorruptionError:
+                    ends = None
+                if (
+                    ends
+                    and _closed_when_full(ends, block_bytes, origin)
+                    and logical + end - origin <= budget
+                    and (keep_tombstones or not dead)
+                ):
+                    keys += block_keys
+                    tombstones += len(dead)
+                    logical += end - origin
+                    continue
+            # Not one to copy, or damaged: open it the usual way, which
+            # raises naming the block if it is the latter.
+            stopper = self._open_block(
+                blob[start : body_end + _CRC_LEN], index
+            )
+            last = index
+            break
+        if last == first:
+            return None, stopper
+        span = BlockSpan(
+            blob[: offsets[last - 1] + lengths[last - 1] - base],
+            self._first_keys[first:last],
+            offsets[first:last],
+            lengths[first:last],
+            keys,
+            tombstones,
+            logical,
+        )
+        return span, stopper
 
     def verify_block(self, block_idx: int) -> list[bytes]:
         """Checksum-verify and decode one data block; returns its keys in
@@ -731,16 +920,7 @@ class SSTableReader:
         return self.read_data_block(block_idx).keys
 
     def _block_for(self, key: bytes) -> int:
-        lo, hi = 0, len(self._index) - 1
-        result = -1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if self._index[mid][0] <= key:
-                result = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return result
+        return bisect_right(self._first_keys, key) - 1
 
     def might_contain(self, key: bytes) -> bool:
         """Key-bounds then point-filter check (False = definitely absent).
@@ -750,7 +930,7 @@ class SSTableReader:
         store whose runs partition the keyspace by age or range, most
         runs are dismissed without touching the filter at all.
         """
-        if not self._index or key < self._min_key or key > self._max_key:
+        if not self._offsets or key < self._min_key or key > self._max_key:
             return False
         return self._filter.might_contain(key)
 
@@ -763,8 +943,9 @@ class SSTableReader:
         block_idx = self._block_for(key)
         if block_idx < 0:
             return False, None
-        _, offset, length = self._index[block_idx]
-        payload = self._read_block(offset, length)
+        payload = self._read_block(
+            self._offsets[block_idx], self._lengths[block_idx]
+        )
         keys, ends, tombstones = _walk_block(payload, stop_at=key)
         if not keys or keys[-1] != key:
             return False, None
@@ -781,11 +962,12 @@ class SSTableReader:
         if self._closed:
             raise ConfigurationError("reader is closed")
         start = 0
-        if lo is not None and self._index:
+        if lo is not None:
             start = max(self._block_for(lo), 0)
-        for block_idx in range(start, len(self._index)):
-            _, offset, length = self._index[block_idx]
-            payload = self._read_block(offset, length)
+        for block_idx in range(start, len(self._offsets)):
+            payload = self._read_block(
+                self._offsets[block_idx], self._lengths[block_idx]
+            )
             for key, value in _decode_block(payload):
                 if lo is not None and key < lo:
                     continue

@@ -23,6 +23,7 @@ _FRAME_HEADER = struct.Struct("<II")  # payload length, crc32
 _OP = struct.Struct("<BII")  # opcode, key length, value length
 _OP_PUT = 1
 _OP_DELETE = 2
+_FRAME_HEADER_ROOM = bytes(_FRAME_HEADER.size)
 
 
 @dataclass(frozen=True)
@@ -180,20 +181,29 @@ class WriteAheadLog:
         return self._generation
 
     @staticmethod
-    def encode_frame(batch: list[tuple[bytes, bytes | None]]) -> bytes:
-        """Encode one commit batch as a self-delimiting CRC frame."""
+    def encode_frame(batch: list[tuple[bytes, bytes | None]]) -> bytearray:
+        """Encode one commit batch as a self-delimiting CRC frame.
+
+        The frame is assembled by one ``join`` — behind room for the
+        header, which is filled in once the payload's CRC is known — so
+        a record's bytes are copied once on their way to the log.
+        """
         if not batch:
             raise ConfigurationError("empty commit batch")
-        payload = bytearray()
+        pack = _OP.pack
+        parts = [_FRAME_HEADER_ROOM]
         for key, value in batch:
             if value is TOMBSTONE:
-                payload += _OP.pack(_OP_DELETE, len(key), 0) + key
+                parts += (pack(_OP_DELETE, len(key), 0), key)
             else:
-                payload += _OP.pack(_OP_PUT, len(key), len(value)) + key + value
-        header = _FRAME_HEADER.pack(
-            len(payload), zlib.crc32(bytes(payload)) & 0xFFFFFFFF
+                parts += (pack(_OP_PUT, len(key), len(value)), key, value)
+        frame = bytearray().join(parts)
+        with memoryview(frame) as view:
+            crc = zlib.crc32(view[_FRAME_HEADER.size :])
+        _FRAME_HEADER.pack_into(
+            frame, 0, len(frame) - _FRAME_HEADER.size, crc
         )
-        return header + bytes(payload)
+        return frame
 
     def _check_usable(self) -> None:
         if self._failed:

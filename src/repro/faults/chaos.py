@@ -51,6 +51,7 @@ from ..errors import (
     ServerError,
 )
 from ..metrics.percentiles import percentile
+from ..obs.events import CORRUPTION_QUARANTINE
 from ..server import protocol
 from ..server.client import KVClient
 
@@ -377,6 +378,16 @@ async def run_corruption_chaos(
                 engine.flush()
             return _flip_run_byte(engine.directory, rng)
 
+        def quarantines() -> list:
+            # From the tracer, not from the live registry: a follower
+            # repair can lift a quarantine within milliseconds, between
+            # two looks at ``quarantined_entries()``.
+            return [
+                event
+                for event in engine.obs.tracer.events()
+                if event.kind == CORRUPTION_QUARANTINE
+            ]
+
         async def audit_get(key: bytes) -> None:
             report.reads_total += 1
             try:
@@ -429,24 +440,25 @@ async def run_corruption_chaos(
             # file first), inject again and force a synchronous scrub
             # pass — bounded, seeded retries.
             for _attempt in range(3):
-                if engine.quarantined_entries():
+                if quarantines():
                     break
                 status = await asyncio.to_thread(engine.scrub_pass)
-                if status["findings"] or engine.quarantined_entries():
+                if status["findings"] or quarantines():
                     break
                 name = await asyncio.to_thread(inject)
                 if name is not None:
                     report.injections += 1
                     report.corrupted_files.append(name)
                     corrupted_at = time.monotonic()
-            quarantined = engine.quarantined_entries()
-            report.quarantined_seen = max(
-                report.quarantined_seen, len(quarantined)
+            quarantined = quarantines()
+            report.quarantined_seen = len(
+                {event.fields["run_id"] for event in quarantined}
             )
             if quarantined:
                 report.detected = True
-                sources = {entry.source for entry in quarantined}
-                for source in sorted(sources):
+                for source in sorted(
+                    {event.fields["source"] for event in quarantined}
+                ):
                     if source not in report.detection_sources:
                         report.detection_sources.append(source)
 

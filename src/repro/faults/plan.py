@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError, FaultInjectedError
 

@@ -21,6 +21,7 @@ from .events import (
     EVENT_KINDS,
     FAULT,
     FLUSH_END,
+    FLUSH_STALL,
     FLUSH_START,
     MEMORY_REBALANCE,
     MEMTABLE_ROTATE,
@@ -82,6 +83,7 @@ __all__ = [
     "EVENT_KINDS",
     "FAULT",
     "FLUSH_END",
+    "FLUSH_STALL",
     "FLUSH_START",
     "MEMORY_REBALANCE",
     "MEMTABLE_ROTATE",

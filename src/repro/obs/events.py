@@ -32,6 +32,7 @@ MERGE_START = "merge_start"
 MERGE_END = "merge_end"
 STALL_ENTER = "stall_enter"
 STALL_EXIT = "stall_exit"
+FLUSH_STALL = "flush_stall"
 ADMISSION = "admission"
 BREAKER = "breaker"
 FAULT = "fault"
@@ -52,6 +53,7 @@ EVENT_KINDS = frozenset(
         MERGE_END,
         STALL_ENTER,
         STALL_EXIT,
+        FLUSH_STALL,
         ADMISSION,
         BREAKER,
         FAULT,

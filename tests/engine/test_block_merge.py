@@ -6,6 +6,7 @@ whatever :class:`MergeJob` writes must be, entry for entry, what the
 iterator yields over the same inputs.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -20,6 +21,7 @@ from repro.engine import (
     SSTableReader,
     SSTableWriter,
     StoreOptions,
+    sstable,
 )
 from repro.engine.compaction import MergeJob
 from repro.engine.iterators import reconciling_iterator
@@ -262,8 +264,9 @@ class TestPassThrough:
         assert read_back(job.stats.path) == expected
         assert job.stats.entry_count == len(expected)
 
+    @pytest.mark.parametrize("damaged", [1, 3, 4])
     def test_corrupt_block_fails_the_copy_and_the_merge_is_abandoned(
-        self, tmp_path
+        self, tmp_path, damaged
     ):
         directory = str(tmp_path)
         options = StoreOptions(
@@ -273,16 +276,18 @@ class TestPassThrough:
         manager = CompactionManager(directory, options, manifest)
         for index in range(3):
             items = [
-                (key(index * 1000 + i), VALUE) for i in range(3 * PER_BLOCK)
+                (key(index * 1000 + i), VALUE) for i in range(5 * PER_BLOCK)
             ]
             manager.register_flush(iter(items), len(items))
         inputs = sorted(r.filename for r in manifest.live_runs())
         job = manager.claim_merge()
-        # Flip a byte inside the second block of the middle input: the
-        # first run's blocks are copied before the rot is reached.
+        # Flip a byte inside one block of the middle input. Its first
+        # block is decoded on its own; blocks 1 to 4 move as one span,
+        # so the rot sits at the span's start, middle or end — and the
+        # error must name that block, not the span.
         victim = os.path.join(directory, inputs[1])
         reader = SSTableReader(victim)
-        offset, length = reader.block_span(1)
+        offset, length = reader.block_span(damaged)
         reader.close()
         with open(victim, "r+b") as handle:
             handle.seek(offset + length // 2)
@@ -295,7 +300,8 @@ class TestPassThrough:
         assert victim in message
         assert f"offset {offset}" in message
         assert f"({length} bytes)" in message
-        assert job.blocks_copied >= 3
+        # The first run went out whole before the rot was reached.
+        assert job.blocks_copied >= 5
 
         manager.fail_merge(job)
         assert not os.path.exists(job.output_path)
@@ -303,6 +309,190 @@ class TestPassThrough:
         assert sorted(r.filename for r in manifest.live_runs()) == inputs
         manager.close()
         manifest.close()
+
+
+def block_reads(monkeypatch):
+    """Record which blocks a merge decodes one by one (vs. in a span)."""
+    reads = []
+    original = SSTableReader.read_data_block
+
+    def recording(self, block_idx):
+        reads.append((os.path.basename(self.path), block_idx))
+        return original(self, block_idx)
+
+    monkeypatch.setattr(SSTableReader, "read_data_block", recording)
+    return reads
+
+
+class TestSpans:
+    """Runs of whole blocks move as spans; what ends a span takes the
+    block-wise path, and the output is the same either way."""
+
+    def test_disjoint_inputs_move_as_spans(self, tmp_path, monkeypatch):
+        paths = disjoint_runs(tmp_path, blocks_per_run=6)
+        reads = block_reads(monkeypatch)
+        job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
+        stats = run_job(job)
+        assert (job.blocks_copied, job.blocks_rewritten) == (18, 0)
+        # Only each input's head block was decoded on its own.
+        assert sorted(reads) == [
+            ("in0.run", 0), ("in1.run", 0), ("in2.run", 0)
+        ]
+        assert read_back(stats.path) == reference(paths, True)
+
+    def test_the_other_inputs_head_ends_a_span(self, tmp_path, monkeypatch):
+        old = tmp_path / "old.run"
+        new = tmp_path / "new.run"
+        write_run(old, [(key(i), VALUE) for i in range(6 * PER_BLOCK)])
+        # One newer entry inside the old run's fifth block: blocks 0-3
+        # lie wholly below it, block 4 straddles it, block 5 is alone
+        # again once the newer run is exhausted.
+        inside = 4 * PER_BLOCK + 3
+        write_run(new, [(key(inside), b"newer")])
+        reads = block_reads(monkeypatch)
+        job = make_job([old, new], tmp_path / "out.run", OPTIONS, True)
+        stats = run_job(job)
+        assert (job.blocks_copied, job.blocks_rewritten) == (5, 2)
+        assert ("old.run", 4) in reads
+        assert not {("old.run", index) for index in (1, 2, 3)} & set(reads)
+        assert read_back(stats.path) == reference([old, new], True)
+        assert dict(read_back(stats.path))[key(inside)] == b"newer"
+
+    def test_the_read_size_cap_ends_a_span_not_the_copy(
+        self, tmp_path, monkeypatch
+    ):
+        paths = disjoint_runs(tmp_path, blocks_per_run=6)
+        whole = make_job(paths, tmp_path / "whole.run", OPTIONS, True)
+        run_job(whole)
+        # Room for two stored blocks per read.
+        monkeypatch.setattr(sstable, "SEQUENTIAL_IO_BYTES", 9000)
+        spans = []
+        original = SSTableWriter.add_span
+
+        def recording(self, span):
+            spans.append(len(span.lengths))
+            return original(self, span)
+
+        monkeypatch.setattr(SSTableWriter, "add_span", recording)
+        capped = make_job(paths, tmp_path / "capped.run", OPTIONS, True)
+        run_job(capped)
+        assert max(spans) == 2
+        assert (capped.blocks_copied, capped.blocks_rewritten) == (18, 0)
+        assert file_bytes(tmp_path / "capped.run") == file_bytes(
+            tmp_path / "whole.run"
+        )
+
+    def test_a_block_larger_than_the_cap_still_moves(
+        self, tmp_path, monkeypatch
+    ):
+        paths = disjoint_runs(tmp_path)
+        monkeypatch.setattr(sstable, "SEQUENTIAL_IO_BYTES", 100)
+        job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
+        stats = run_job(job)
+        assert (job.blocks_copied, job.blocks_rewritten) == (9, 0)
+        assert read_back(stats.path) == reference(paths, True)
+
+    def test_an_ineligible_block_mid_run_is_read_once(
+        self, tmp_path, monkeypatch
+    ):
+        # The middle run's third block holds a tombstone this merge
+        # drops: the span ends there, the block is re-packed from the
+        # bytes the span read already held, and a new span resumes.
+        entries = [(key(1000 + i), VALUE) for i in range(6 * PER_BLOCK)]
+        entries[2 * PER_BLOCK + 5] = (entries[2 * PER_BLOCK + 5][0], None)
+        paths = disjoint_runs(tmp_path, blocks_per_run=6, runs=1)
+        deleted = tmp_path / "deleted.run"
+        write_run(deleted, entries)
+        paths.append(deleted)
+        reads = block_reads(monkeypatch)
+        job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
+        stats = run_job(job)
+        assert (job.blocks_copied, job.blocks_rewritten) == (11, 1)
+        assert sorted(reads) == [("deleted.run", 0), ("in0.run", 0)]
+        assert stats.tombstone_count == 0
+        assert read_back(stats.path) == reference(paths, True)
+
+
+def file_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def fixed_store_files(directory):
+    """Three fixed flushes and their 3-way merge through a store with
+    inline maintenance; SHA-256 of every run file as it appears, and
+    the merge's block counters."""
+    options = StoreOptions(
+        memtable_bytes=1 << 20,
+        policy="tiering",
+        size_ratio=3,
+        levels=3,
+        background_maintenance=False,
+    )
+    digests = {}
+
+    def note_new_runs(store):
+        for record in store.live_runs():
+            if record.filename not in digests:
+                path = os.path.join(str(directory), record.filename)
+                digests[record.filename] = hashlib.sha256(
+                    file_bytes(path)
+                ).hexdigest()
+
+    with LSMStore.open(str(directory), options) as store:
+        # Oldest: a long stretch to itself, then overlap with the next.
+        for index in range(0, 600):
+            store.put(key(index), b"a%04d" % index + VALUE)
+        store.flush()
+        note_new_runs(store)
+        # Inserted out of order; overwrites, deletes, short values.
+        for index in reversed(range(400, 1000)):
+            if index % 97 == 0:
+                store.delete(key(index))
+            else:
+                store.put(key(index), b"b%04d" % index + VALUE[: index % 300])
+        store.flush()
+        note_new_runs(store)
+        # Newest: disjoint from both but for two stray overwrites.
+        for index in range(1000, 1400):
+            store.put(key(index), b"c%04d" % index + VALUE)
+        store.put(key(5), b"stray")
+        store.delete(key(700))
+        store.flush()
+        note_new_runs(store)
+        store.maintenance()
+        assert store.stats().merges_completed == 1
+        note_new_runs(store)
+        counts = {
+            counter["labels"]["path"]: counter["value"]
+            for counter in store.obs.registry.snapshot()["counters"]
+            if counter["name"] == "engine_merge_blocks_total"
+        }
+    return digests, counts
+
+
+class TestSameFilesAsBefore:
+    """Batching and spans change how the bytes move, not which bytes:
+    the digests and block counts below were produced by this function
+    at commit 48bbd93 (one record per memtable node, one block per
+    merge call)."""
+
+    DIGESTS = {
+        "00000001.run": "cfefef469db40117ebc89f95807122187192a7e6478f9e3c"
+        "511bd8f2f8efffb9",
+        "00000002.run": "b46535374750109d11b954e43fff7b891b384ddbf90c5cf9"
+        "9e8c6a384cf576ab",
+        "00000003.run": "95640914a4d4b330ecd83e824536322258617dff3d4e6130"
+        "97f919db700930d5",
+        "00000004.run": "eb16553021d33e738d16ca59ee9107867ef1e5872424f8f2"
+        "edef03193cad79b2",
+    }
+    COUNTS = {"copied": 67, "rewritten": 35}
+
+    def test_flush_and_merge_outputs_are_byte_identical(self, tmp_path):
+        digests, counts = fixed_store_files(tmp_path / "store")
+        assert digests == self.DIGESTS
+        assert counts == self.COUNTS
 
 
 class TestStoreWiring:
@@ -362,8 +552,11 @@ class TestStoreWiring:
 # -- the property --------------------------------------------------------
 
 _VALUES = st.one_of(
-    st.none(),
-    st.binary(max_size=40),
+    # One entry in eight is a tombstone: common enough to sit in most
+    # runs, rare enough to leave stretches of blocks without one.
+    st.integers(0, 7).flatmap(
+        lambda n: st.binary(max_size=40) if n else st.none()
+    ),
     # Long and compressible: makes zlib blocks that really shrink and
     # blocks that fill on one or two entries.
     st.integers(1, 4).map(lambda n: b"compressible " * (8 * n)),
@@ -371,20 +564,34 @@ _VALUES = st.one_of(
 
 
 @st.composite
-def _run_spec(draw):
+def _run_spec(draw, block_bytes, block_codec):
     """One input run: contents plus how it was written.
 
     Keys come from a window of a small key space, so runs both overlap
     (duplicates across runs) and leave stretches to themselves (whole
-    blocks below every other input's head).
+    blocks below every other input's head). Half the runs are written
+    the way the merge writes (``block_bytes``, ``block_codec``), so
+    that those stretches are copied, several blocks to a span; the
+    rest are legacy files or differ in codec or block size.
     """
     lo = draw(st.integers(0, 120))
     width = draw(st.integers(1, 80))
-    indices = draw(
-        st.sets(st.integers(lo, lo + width), min_size=1, max_size=60)
-    )
+    if draw(st.booleans()):
+        # Every key of the window: enough entries for a run of blocks.
+        indices = range(lo, lo + width + 1)
+    else:
+        indices = draw(
+            st.sets(st.integers(lo, lo + width), min_size=1, max_size=60)
+        )
     contents = [(key(i), draw(_VALUES)) for i in sorted(indices)]
-    legacy = draw(st.booleans())
+    written = draw(st.sampled_from(["alike", "alike", "legacy", "other"]))
+    if written == "alike":
+        return {
+            "entries": contents,
+            "block_codec": block_codec,
+            "block_bytes": block_bytes,
+        }
+    legacy = written == "legacy"
     return {
         "entries": contents,
         "format_version": 1 if legacy else 2,
@@ -394,26 +601,36 @@ def _run_spec(draw):
     }
 
 
+@st.composite
+def _merge_case(draw):
+    """The output's block size and codec, and one to four input runs."""
+    block_bytes = draw(st.sampled_from([128, 256]))
+    block_codec = draw(st.sampled_from(["none", "zlib"]))
+    runs = draw(
+        st.lists(_run_spec(block_bytes, block_codec), min_size=1, max_size=4)
+    )
+    return block_bytes, block_codec, runs
+
+
 class TestMatchesTheReference:
     @given(
-        runs=st.lists(_run_spec(), min_size=1, max_size=4),
+        case=_merge_case(),
         drop_tombstones=st.booleans(),
         chunk_bytes=st.integers(1, 5000),
-        block_bytes=st.sampled_from([128, 256]),
-        block_codec=st.sampled_from(["none", "zlib"]),
         filter_kind=st.sampled_from(["bloom", "cuckoo"]),
+        io_bytes=st.sampled_from([64, 600, 1 << 18]),
     )
     @settings(max_examples=150, deadline=None)
     def test_merge_output_equals_the_reconciling_iterator(
         self,
         tmp_path_factory,
-        runs,
+        case,
         drop_tombstones,
         chunk_bytes,
-        block_bytes,
-        block_codec,
         filter_kind,
+        io_bytes,
     ):
+        block_bytes, block_codec, runs = case
         directory = tmp_path_factory.mktemp("merge")
         paths = []
         for index, spec in enumerate(runs):
@@ -427,8 +644,32 @@ class TestMatchesTheReference:
             block_codec=block_codec,
             filter_kind=filter_kind,
         )
-        job = make_job(paths, directory / "out.run", options, drop_tombstones)
-        stats = run_job(job, chunk_bytes)
+        # ``io_bytes`` caps a span's read: one block, a few, or no cap.
+        configured = sstable.SEQUENTIAL_IO_BYTES
+        sstable.SEQUENTIAL_IO_BYTES = io_bytes
+        try:
+            job = make_job(
+                paths, directory / "out.run", options, drop_tombstones
+            )
+            stats = run_job(job, chunk_bytes)
+        finally:
+            sstable.SEQUENTIAL_IO_BYTES = configured
+        # A span is only a faster way to make the copies the block-wise
+        # path makes: with span reads switched off, the same file.
+        read_span = SSTableReader.read_span
+        SSTableReader.read_span = lambda self, *args: (None, None)
+        try:
+            blockwise = make_job(
+                paths, directory / "blockwise.run", options, drop_tombstones
+            )
+            run_job(blockwise, chunk_bytes)
+        finally:
+            SSTableReader.read_span = read_span
+        assert file_bytes(stats.path) == file_bytes(blockwise.stats.path)
+        assert (job.blocks_copied, job.blocks_rewritten) == (
+            blockwise.blocks_copied,
+            blockwise.blocks_rewritten,
+        )
         input_blocks = 0
         for path in paths:
             reader = SSTableReader(str(path))

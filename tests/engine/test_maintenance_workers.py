@@ -9,8 +9,11 @@ provide the synchronization barriers.
 
 import os
 import threading
+import time
 
-from repro.engine import LSMStore, MergeJob, StoreOptions
+import pytest
+
+from repro.engine import LSMStore, MergeJob, SSTableWriter, StoreOptions
 from repro.obs import events as obs_events
 
 WORKERS = StoreOptions(
@@ -227,3 +230,60 @@ class TestObservability:
         ]
         assert {e.fields["worker"] for e in starts} == {0, 1, 2}
         assert {e.fields["worker"] for e in stops} == {0, 1, 2}
+
+    def test_waiting_for_a_free_memtable_is_counted_as_a_flush_stall(
+        self, tmp_path, monkeypatch
+    ):
+        finish = SSTableWriter.finish
+
+        def slow_finish(writer):
+            time.sleep(0.05)
+            return finish(writer)
+
+        monkeypatch.setattr(SSTableWriter, "finish", slow_finish)
+        with LSMStore.open(str(tmp_path / "db"), WORKERS) as store:
+            # Four memtables' worth, written faster than one flush ends:
+            # a rotation finds the only spare memtable still sealed.
+            for i in range(600):
+                store.put(f"user{i:06d}".encode(), b"v" * 64)
+            counters = {
+                series["name"]: series["value"]
+                for series in store.obs.registry.snapshot()["counters"]
+                if not series["labels"]
+            }
+            stalls = [
+                event
+                for event in store.obs.tracer.events()
+                if event.kind == obs_events.FLUSH_STALL
+            ]
+            stats = store.stats()
+        assert counters["engine_flush_stalls_total"] == len(stalls) >= 1
+        waited = sum(event.fields["seconds"] for event in stalls)
+        assert waited > 0
+        assert counters["engine_flush_stall_seconds_total"] == (
+            pytest.approx(waited)
+        )
+        # Not a component-constraint stall: those counters stay put.
+        assert stats.write_stalls == 0
+        assert stats.stall_seconds_total == 0.0
+        assert counters["engine_write_stalls_total"] == 0
+
+    def test_inline_maintenance_never_flush_stalls(self, tmp_path):
+        options = StoreOptions(
+            memtable_bytes=16 * 1024, background_maintenance=False
+        )
+        with LSMStore.open(str(tmp_path / "db"), options) as store:
+            for i in range(600):
+                store.put(f"user{i:06d}".encode(), b"v" * 64)
+            snapshot = store.obs.registry.snapshot()["counters"]
+            kinds = {event.kind for event in store.obs.tracer.events()}
+        assert obs_events.MEMTABLE_ROTATE in kinds
+        assert {
+            series["name"]: series["value"]
+            for series in snapshot
+            if series["name"].startswith("engine_flush_stall")
+        } == {
+            "engine_flush_stalls_total": 0,
+            "engine_flush_stall_seconds_total": 0,
+        }
+        assert obs_events.FLUSH_STALL not in kinds

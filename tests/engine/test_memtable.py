@@ -1,13 +1,29 @@
-"""Tests for the skip-list memtable."""
+"""Tests for the memtable: a hash map plus a chunked sorted key index."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import MemTable, TOMBSTONE
+from repro.engine import MemTable, TOMBSTONE, memtable
+from repro.engine.memtable import ENTRY_OVERHEAD
 from repro.errors import ConfigurationError
 
-keys = st.binary(min_size=1, max_size=24)
+# A small alphabet and short keys: overwrites, deletes of live keys and
+# range bounds that hit stored keys all happen often.
+keys = st.binary(min_size=1, max_size=3).map(
+    lambda raw: bytes(b"abcd"[byte % 4] for byte in raw)
+)
 values = st.binary(min_size=0, max_size=64)
+bounds = st.one_of(st.none(), keys)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), keys, values),
+        st.tuples(st.just("delete"), keys),
+        st.tuples(st.just("get"), keys),
+        st.tuples(st.just("items"), bounds, bounds),
+    ),
+    min_size=1,
+    max_size=200,
+)
 
 
 class TestBasicOperations:
@@ -103,24 +119,70 @@ class TestAccounting:
         assert table.approximate_bytes < large
 
 
-class TestPropertyBased:
-    @given(st.lists(st.tuples(keys, values), min_size=1, max_size=300))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_dict_semantics(self, operations):
-        table = MemTable(seed=42)
-        reference: dict[bytes, bytes] = {}
-        for key, value in operations:
-            table.put(key, value)
-            reference[key] = value
-        for key, value in reference.items():
-            assert table.get(key) == (True, value)
-        assert [k for k, _ in table.items()] == sorted(reference)
+class TestAgainstAModel:
+    """Every observable of the table against a ``dict`` and ``sorted``."""
 
-    @given(st.lists(keys, min_size=1, max_size=100))
-    @settings(max_examples=30, deadline=None)
-    def test_iteration_strictly_sorted(self, key_list):
-        table = MemTable(seed=1)
-        for key in key_list:
-            table.put(key, b"v")
-        emitted = [k for k, _ in table.items()]
-        assert all(a < b for a, b in zip(emitted, emitted[1:]))
+    @given(operations, st.sampled_from([2, 3, 8, 512]))
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_operations_match_dict_and_sorted(
+        self, ops, chunk_keys
+    ):
+        # Small chunks make a few dozen keys split the index many times.
+        configured = memtable.CHUNK_KEYS
+        memtable.CHUNK_KEYS = chunk_keys
+        try:
+            self._run(ops)
+        finally:
+            memtable.CHUNK_KEYS = configured
+
+    @staticmethod
+    def _run(ops):
+        table = MemTable()
+        model: dict[bytes, bytes | None] = {}
+
+        def expected_items(lo, hi):
+            return [
+                (key, model[key])
+                for key in sorted(model)
+                if (lo is None or key >= lo) and (hi is None or key < hi)
+            ]
+
+        for op in ops:
+            if op[0] == "put":
+                table.put(op[1], op[2])
+                model[op[1]] = op[2]
+            elif op[0] == "delete":
+                table.delete(op[1])
+                model[op[1]] = TOMBSTONE
+            elif op[0] == "get":
+                found, value = table.get(op[1])
+                assert found == (op[1] in model)
+                assert value == model.get(op[1])
+            else:
+                assert list(table.items(op[1], op[2])) == expected_items(
+                    op[1], op[2]
+                )
+            assert len(table) == len(model)
+            assert table.tombstone_count == sum(
+                value is TOMBSTONE for value in model.values()
+            )
+            assert table.approximate_bytes == sum(
+                len(key) + len(value or b"") + ENTRY_OVERHEAD
+                for key, value in model.items()
+            )
+        assert list(table.items()) == expected_items(None, None)
+
+    def test_ascending_and_descending_loads_split_chunks(self, monkeypatch):
+        monkeypatch.setattr(memtable, "CHUNK_KEYS", 4)
+        for order in (range(100), reversed(range(100))):
+            table = MemTable()
+            for index in order:
+                table.put(b"k%03d" % index, b"v")
+            assert [key for key, _ in table.items()] == [
+                b"k%03d" % index for index in range(100)
+            ]
+            assert [key for key, _ in table.items(b"k010", b"k013")] == [
+                b"k010", b"k011", b"k012"
+            ]
+            assert list(table.items(b"k100")) == []
+            assert list(table.items(None, b"k000")) == []

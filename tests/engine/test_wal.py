@@ -238,3 +238,57 @@ class TestScanWal:
         scan = scan_wal(path)
         assert scan.state == "torn"
         assert scan.frames == 2
+
+
+class TestFrameBytes:
+    """The frame format is fixed: these are the bytes ``encode_frame``
+    produced before it was rebuilt around a single join (captured from
+    commit 48bbd93), so logs written by either side replay on the other."""
+
+    GOLDEN = {
+        "puts": (
+            [(b"alpha", b"one"), (b"beta", b""), (b"gamma", bytes(range(7)))],
+            "33000000a175740d010500000003000000616c7068616f6e65010400000000"
+            "0000006265746101050000000700000067616d6d6100010203040506",
+        ),
+        "deletes": (
+            [(b"alpha", TOMBSTONE), (b"\x00\xff", TOMBSTONE)],
+            "19000000db3f9b7d020500000000000000616c706861020200000000000000"
+            "00ff",
+        ),
+        "mixed": (
+            [
+                (b"k1", b"v1"),
+                (b"k2", TOMBSTONE),
+                (b"k3", b"\x00" * 5),
+                (b"k1", TOMBSTONE),
+            ],
+            "330000008cc83a2a0102000000020000006b3176310202000000000000006b"
+            "320102000000050000006b3300000000000202000000000000006b31",
+        ),
+        "single": (
+            [(b"key-0000000005", b"x" * 20)],
+            "2b000000e7c2552f010e000000140000006b65792d30303030303030303035"
+            "7878787878787878787878787878787878787878",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_frames_match_the_recorded_bytes(self, name):
+        batch, expected = self.GOLDEN[name]
+        assert WriteAheadLog.encode_frame(batch) == bytes.fromhex(expected)
+
+    def test_a_group_is_its_frames_back_to_back(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        log = WriteAheadLog(path)
+        batches = [self.GOLDEN[name][0] for name in sorted(self.GOLDEN)]
+        spans = log.append_group(batches)
+        log.close()
+        with open(path, "rb") as handle:
+            written = handle.read()
+        assert written == b"".join(
+            bytes.fromhex(self.GOLDEN[name][1]) for name in sorted(self.GOLDEN)
+        )
+        assert [written[o : o + n] for o, n in spans] == [
+            bytes.fromhex(self.GOLDEN[name][1]) for name in sorted(self.GOLDEN)
+        ]
