@@ -36,6 +36,7 @@ import asyncio
 import heapq
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -772,11 +773,7 @@ class ClusterRouter(FramedServer):
             # labelled, instead of failing every range read because one
             # hash slice is dark.
             self.metrics.degraded_scans += 1
-        items: list[tuple[bytes, bytes]] = []
-        for item in heapq.merge(*per_shard, key=itemgetter(0)):
-            items.append(item)
-            if limit is not None and len(items) >= limit:
-                break
+        items = list(islice(heapq.merge(*per_shard, key=itemgetter(0)), limit))
         return protocol.ok_response(
             items=protocol.encode_items(items),
             degraded=bool(missing),

@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import os
 import threading
+from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -267,12 +268,7 @@ class ShardedStore:
         restores the global order.
         """
         sources = [store.scan(lo, hi, limit) for store in self._stores]
-        results: list[tuple[bytes, bytes]] = []
-        for item in heapq.merge(*sources, key=itemgetter(0)):
-            results.append(item)
-            if limit is not None and len(results) >= limit:
-                break
-        return iter(results)
+        return islice(heapq.merge(*sources, key=itemgetter(0)), limit)
 
     # -- shared-budget maintenance ---------------------------------------
 

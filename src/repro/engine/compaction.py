@@ -40,6 +40,7 @@ from ..core.schedulers import (
 from ..errors import ConfigurationError, CorruptionError
 from ..obs import events as obs_events
 from .blockcache import BlockCache
+from .iterators import pick_head
 from .manifest import Manifest
 from .options import StoreOptions
 from .quarantine import QuarantineEntry, QuarantineSet
@@ -107,7 +108,8 @@ class MergeJob:
 
     A k-way merge over block cursors, newest input first. Each round
     picks the input with the smallest head (the newest on a tie, whose
-    entry shadows the others' — :func:`reconciling_iterator`'s rule) and
+    entry shadows the others' — :func:`reconciling_iterator`'s rule,
+    stated once in :func:`~repro.engine.iterators.pick_head`) and
     drains it up to the smallest head among the rest, block after block
     without looking at the others again. What a round moves is a range
     of one decoded block, never a record: the range goes to the writer
@@ -221,36 +223,16 @@ class MergeJob:
         cursor.next_block = first
         return stopper
 
-    def _pick(self) -> tuple[_BlockCursor, bytes | None]:
-        """The input to drain next, and the key to stop before.
-
-        The first is the cursor with the smallest head — the newest on a
-        tie, whose entry shadows the others', which are stepped over
-        here. The second is the smallest head among the rest (None when
-        nothing else is left): below it the chosen input is alone.
-        """
-        cursors = self._cursors
-        best = cursors[0]
-        for cursor in cursors[1:]:
-            if cursor.key < best.key:
-                best = cursor
-        limit = None
-        for cursor in list(cursors):
-            if cursor is best:
-                continue
-            if cursor.key == best.key:
-                ends, pos = cursor.block.ends, cursor.pos
-                self._consumed += ends[pos] - (ends[pos - 1] if pos else 0)
-                if pos + 1 == len(ends):
-                    self._leave_block(cursor)
-                    if cursor.key is None:
-                        continue
-                else:
-                    cursor.pos = pos + 1
-                    cursor.key = cursor.block.keys[pos + 1]
-            if limit is None or cursor.key < limit:
-                limit = cursor.key
-        return best, limit
+    def _step_over(self, cursor: _BlockCursor) -> None:
+        """Move an input past its head, a copy of a key that a newer
+        input shadows; the entry counts as consumed."""
+        ends, pos = cursor.block.ends, cursor.pos
+        self._consumed += ends[pos] - (ends[pos - 1] if pos else 0)
+        if pos + 1 == len(ends):
+            self._leave_block(cursor)
+        else:
+            cursor.pos = pos + 1
+            cursor.key = cursor.block.keys[pos + 1]
 
     def _drain(
         self, best: _BlockCursor, limit: bytes | None, target: int
@@ -307,7 +289,7 @@ class MergeJob:
             self._cursors = [c for c in cursors if c.key is not None]
         target = self._consumed + chunk_bytes
         while self._cursors and self._consumed < target:
-            best, limit = self._pick()
+            best, limit = pick_head(self._cursors, self._step_over)
             self._drain(best, limit, target)
         if not self._cursors:
             self.stats = self._writer.finish()
@@ -385,11 +367,14 @@ class CompactionManager:
         self._jobs: dict[int, MergeJob] = {}
         self._merge_count = 0
         self._quarantine = QuarantineSet(directory)
+        #: read_plan()'s answer, kept until the run set next changes.
+        self._read_plan: tuple | None = None
         self._recover_components()
 
     # -- bootstrap/recovery --------------------------------------------
 
     def _recover_components(self) -> None:
+        self._run_set_changed()
         records = self._manifest.live_runs()
         # A merge or repair that retired a run also retired its
         # quarantine; drop registry entries the manifest no longer backs.
@@ -450,44 +435,44 @@ class CompactionManager:
         )
         return TreeSnapshot(ordered)
 
-    def readers_newest_first(self) -> list[SSTableReader]:
-        """Readable run readers ordered newest data first (query order).
+    def _run_set_changed(self) -> None:
+        """The one invalidation of everything derived from the run set.
 
-        Quarantined runs are excluded — callers that must *fail* rather
-        than silently skip them use :meth:`read_plan`, which keeps the
-        quarantine markers in probe position.
+        Whatever adds, retires or swaps a component or its reader, or
+        changes the quarantine set, calls this first (under the store
+        lock, as all of them run): recovery, :meth:`quarantine_run`,
+        :meth:`publish_flush`, :meth:`_finish_job`,
+        :meth:`publish_repair`, :meth:`drop_run`.
         """
-        records = sorted(
-            self._components.values(),
-            key=lambda c: c.handle.sequence,
-            reverse=True,
-        )
-        return [
-            self._readers[c.uid]
-            for c in records
-            if c.uid not in self._quarantine
-        ]
+        self._read_plan = None
 
     def read_plan(
         self,
-    ) -> list[tuple[int, SSTableReader | QuarantineEntry]]:
+    ) -> tuple[tuple[int, SSTableReader | QuarantineEntry], ...]:
         """Probe plan, newest data first: ``(run_id, element)`` where the
         element is a live reader — or the :class:`QuarantineEntry`
         fencing that run off, held *in probe position* so a point lookup
         knows exactly when its answer would have depended on the corrupt
-        run (newer sources can still answer soundly)."""
-        ordered = sorted(
-            self._components.values(),
-            key=lambda c: c.handle.sequence,
-            reverse=True,
-        )
-        plan: list[tuple[int, SSTableReader | QuarantineEntry]] = []
-        for component in ordered:
-            entry = self._quarantine.get(component.uid)
-            if entry is not None:
-                plan.append((component.uid, entry))
-            else:
-                plan.append((component.uid, self._readers[component.uid]))
+        run (newer sources can still answer soundly).
+
+        Built once per change of the run set and shared by every get
+        and scan until the next — hence a tuple.
+        """
+        plan = self._read_plan
+        if plan is None:
+            ordered = sorted(
+                self._components.values(),
+                key=lambda c: c.handle.sequence,
+                reverse=True,
+            )
+            plan = self._read_plan = tuple(
+                (
+                    component.uid,
+                    self._quarantine.get(component.uid)
+                    or self._readers[component.uid],
+                )
+                for component in ordered
+            )
         return plan
 
     @property
@@ -538,6 +523,7 @@ class CompactionManager:
             reason=reason,
             source=source,
         )
+        self._run_set_changed()
         self._quarantine.add(entry)
         for job in list(self._jobs.values()):
             if not job.claimed and any(
@@ -663,6 +649,7 @@ class CompactionManager:
             run_id, 0, os.path.basename(stats.path)
         )
         reader = SSTableReader(stats.path, block_cache=self._block_cache)
+        self._run_set_changed()
         self._readers[run_id] = reader
         self._components[run_id] = Component(
             uid=run_id,
@@ -756,6 +743,7 @@ class CompactionManager:
         records = self._manifest.replace_runs(
             removed_ids, added, sequence=data_sequence
         )
+        self._run_set_changed()
         for run_id in removed_ids:
             reader = self._readers.pop(run_id)
             reader.close()
@@ -935,6 +923,7 @@ class CompactionManager:
         records = self._manifest.replace_runs(
             [run_id], added, sequence=component.handle.sequence
         )
+        self._run_set_changed()
         old_reader = self._readers.pop(run_id, None)
         if old_reader is not None:
             old_reader.close()
@@ -971,6 +960,7 @@ class CompactionManager:
         if component is None or self._in_flight(run_id):
             return False
         self._manifest.replace_runs([run_id], [])
+        self._run_set_changed()
         reader = self._readers.pop(run_id, None)
         if reader is not None:
             reader.close()

@@ -44,27 +44,20 @@ from ..obs import Observability
 from ..obs import events as obs_events
 from ..scrub import Scrubber
 from .compaction import CompactionManager
-from .iterators import reconcile_get, reconciling_iterator
+from .iterators import (
+    EntryCursor,
+    ReaderCorruption,
+    RunCursor,
+    merge_scan,
+    reconcile_get,
+    reconciling_iterator,
+)
 from .manifest import Manifest
 from .memtable import MemTable
 from .options import StoreOptions, TOMBSTONE
 from .quarantine import QuarantineEntry
 from .ratelimiter import RateLimiter
 from .wal import WriteAheadLog
-
-
-class _ReaderCorruption(Exception):
-    """Internal tag: which run's reader raised mid-probe.
-
-    Never escapes the store — it exists so get/scan can tell *which* run
-    failed its checksum (the probe generators know, their consumers
-    don't) before deciding to retry, quarantine, or re-serve.
-    """
-
-    def __init__(self, run_id: int, error: CorruptionError) -> None:
-        super().__init__(str(error))
-        self.run_id = run_id
-        self.error = error
 
 
 @dataclass(frozen=True)
@@ -214,6 +207,19 @@ class LSMStore:
         self._m_flush_stall_seconds = self._obs.registry.counter(
             "engine_flush_stall_seconds_total",
             help="Time writers spent waiting for a memtable to flush.",
+        )
+        # Per-scan read amplification: blocks / rows is what a scan
+        # paid in block lookups for each row it returned.
+        self._m_scans = self._obs.registry.counter(
+            "engine_scans_total", help="Range scans served."
+        )
+        self._m_scan_rows = self._obs.registry.counter(
+            "engine_scan_rows_total", help="Rows returned by range scans."
+        )
+        self._m_scan_blocks = self._obs.registry.counter(
+            "engine_scan_blocks_total",
+            help="Data-block lookups (cache hits and misses) made by "
+            "range scans.",
         )
         attach_tracer = getattr(
             self._options.fault_plan, "attach_tracer", None
@@ -1214,7 +1220,7 @@ class LSMStore:
         re-read once — transient errors pass the second time — and a
         second failure quarantines the run before the error surfaces.
         """
-        last_failure: _ReaderCorruption | None = None
+        last_failure: ReaderCorruption | None = None
         for _attempt in range(2):
             with self._lock:
                 self._check_open()
@@ -1224,7 +1230,7 @@ class LSMStore:
                     found, value = reconcile_get(
                         self._probe(key, memtables, plan)
                     )
-                except _ReaderCorruption as failure:
+                except ReaderCorruption as failure:
                     last_failure = failure
                     continue
                 return value if found else None
@@ -1266,14 +1272,7 @@ class LSMStore:
                 try:
                     yield element.get(key)
                 except CorruptionError as error:
-                    raise _ReaderCorruption(run_id, error) from error
-
-    @staticmethod
-    def _tagged_items(run_id, reader, lo, hi):
-        try:
-            yield from reader.items(lo, hi)
-        except CorruptionError as error:
-            raise _ReaderCorruption(run_id, error) from error
+                    raise ReaderCorruption(run_id, error) from error
 
     def scan(
         self,
@@ -1281,11 +1280,14 @@ class LSMStore:
         hi: bytes | None = None,
         limit: int | None = None,
     ) -> Iterator[tuple[bytes, bytes]]:
-        """Ordered range scan over ``[lo, hi)``.
+        """Ordered range scan over ``[lo, hi)``, at most ``limit`` rows.
 
         Materializes the result under the store lock (snapshot-consistent
         and safe against concurrent flushes) — callers wanting streaming
-        iteration over huge ranges should scan in key-range pages.
+        iteration over huge ranges should scan in key-range pages. The
+        merge (:func:`~repro.engine.iterators.merge_scan`) looks up a
+        data block only when a row of the result, or a stale copy of
+        one, lies in it.
 
         Corruption containment: a range overlapping any quarantined
         run's bounds fails fast with
@@ -1293,10 +1295,14 @@ class LSMStore:
         result is a claim that no deleted key reappears and no stale
         value shadows a newer one, and a skipped run voids that claim
         for the whole overlap. Ranges provably outside the quarantined
-        bounds keep serving. Fresh checksum failures follow the same
-        retry-once-then-quarantine discipline as :meth:`get`.
+        bounds keep serving. Fresh checksum failures — in a block the
+        scan reads; one it never needs is the scrubber's to find —
+        follow the same retry-once-then-quarantine discipline as
+        :meth:`get`.
         """
-        last_failure: _ReaderCorruption | None = None
+        if limit is not None and limit < 0:
+            raise ConfigurationError("scan limit cannot be negative")
+        last_failure: ReaderCorruption | None = None
         for _attempt in range(2):
             with self._lock:
                 self._check_open()
@@ -1309,31 +1315,31 @@ class LSMStore:
                         min_key=entry.min_key,
                         max_key=entry.max_key,
                     )
-                sources = [
-                    memtable.items(lo, hi)
-                    for memtable in (
-                        [self._active] + list(reversed(self._sealed))
-                    )
-                ]
-                # A run whose key bounds miss [lo, hi) is left out
-                # before it gets an iterator: reader.items() would read
-                # and decode a block just to yield nothing.
-                sources += [
-                    self._tagged_items(run_id, element, lo, hi)
-                    for run_id, element in self._compaction.read_plan()
-                    if not isinstance(element, QuarantineEntry)
-                    and (hi is None or element.min_key < hi)
-                    and (lo is None or element.max_key >= lo)
-                ]
+                if limit == 0:
+                    return iter(())
                 try:
-                    results = []
-                    for key, value in reconciling_iterator(sources):
-                        results.append((key, value))
-                        if limit is not None and len(results) >= limit:
-                            break
-                except _ReaderCorruption as failure:
+                    cursors = [
+                        EntryCursor(memtable.items(lo, hi))
+                        for memtable in (
+                            [self._active] + list(reversed(self._sealed))
+                        )
+                    ]
+                    # A run whose key bounds miss [lo, hi) gets no
+                    # cursor (a quarantined one cannot overlap here).
+                    cursors += [
+                        RunCursor(run_id, element, lo, hi)
+                        for run_id, element in self._compaction.read_plan()
+                        if not isinstance(element, QuarantineEntry)
+                        and (hi is None or element.min_key < hi)
+                        and (lo is None or element.max_key >= lo)
+                    ]
+                    results = merge_scan(cursors, limit)
+                except ReaderCorruption as failure:
                     last_failure = failure
                     continue
+                self._m_scans.inc()
+                self._m_scan_rows.inc(len(results))
+                self._m_scan_blocks.inc(sum(c.blocks for c in cursors))
             return iter(results)
         with self._lock:
             self._check_open()

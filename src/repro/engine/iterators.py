@@ -6,14 +6,23 @@ tombstone (anti-matter) hides every older version of its key. The
 :func:`reconciling_iterator` takes per-component ordered iterators,
 *newest first*, and yields each live key's winning entry exactly once via
 a heap with recency tie-breaking — the standard priority-queue scan the
-paper describes for range queries.
+paper describes for range queries. It is the reference: repair and
+reset paths, the integrity checker and the tests' oracle use it.
+
+The store's :meth:`~repro.engine.LSMStore.scan` applies the same rule
+block-wise (:func:`merge_scan`): a k-way merge over cursors that know
+their head key before they read a block, so a scan looks up only the
+blocks that hold a row it returns. The head-selection rule itself
+(:func:`pick_head`) is shared with the compaction merge.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator
+from bisect import bisect_left
+from typing import Callable, Iterable, Iterator
 
+from ..errors import CorruptionError
 from .options import TOMBSTONE
 
 #: Item layout on the heap: (key, recency_rank, value, source_iterator).
@@ -66,3 +75,213 @@ def reconcile_get(
                 return False, None
             return True, value
     return False, None
+
+
+def pick_head(cursors: list, step_over: Callable[[object], None]):
+    """One round of a k-way merge over ``cursors``, newest first: the
+    cursor to drain next, and the key to stop before.
+
+    A cursor offers its head as ``key`` (never None in the list). The
+    first result is the cursor with the smallest head — the newest on a
+    tie, whose entry shadows the others'; those are moved past their
+    stale copy by ``step_over``, which also takes a cursor it exhausts
+    (``key`` None) out of ``cursors``. The second is the smallest head
+    among the rest (None when nothing else is left): below it the
+    chosen cursor is alone.
+    """
+    best = cursors[0]
+    for cursor in cursors[1:]:
+        if cursor.key < best.key:
+            best = cursor
+    bound = None
+    for cursor in list(cursors):
+        if cursor is best:
+            continue
+        if cursor.key == best.key:
+            step_over(cursor)
+            if cursor.key is None:
+                continue
+        if bound is None or cursor.key < bound:
+            bound = cursor.key
+    return best, bound
+
+
+class ReaderCorruption(Exception):
+    """Internal tag: which run's reader raised mid-read.
+
+    Never escapes the store — it exists so get/scan can tell *which* run
+    failed its checksum (the probe and the scan cursors know, their
+    consumers don't) before deciding to retry, quarantine, or re-serve.
+    """
+
+    def __init__(self, run_id: int, error: CorruptionError) -> None:
+        super().__init__(str(error))
+        self.run_id = run_id
+        self.error = error
+
+
+class EntryCursor:
+    """A memtable in a scan: a cursor over its (already lazy, already
+    bounded) ``items(lo, hi)`` stream, one entry pulled ahead."""
+
+    __slots__ = ("_items", "_value", "key")
+
+    #: Block lookups made; a memtable has no blocks.
+    blocks = 0
+
+    def __init__(self, items: Iterator[tuple[bytes, bytes | None]]) -> None:
+        self._items = items
+        self.step()
+
+    def step(self) -> None:
+        """Move past the head."""
+        self.key, self._value = next(self._items, (None, None))
+
+    def drain(
+        self, bound: bytes | None, rows: list, limit: int | None
+    ) -> None:
+        """Append the live entries below ``bound`` to ``rows``, stopping
+        on the row that brings it to ``limit``."""
+        while self.key is not None and (bound is None or self.key < bound):
+            if self._value is not TOMBSTONE:
+                rows.append((self.key, self._value))
+                if len(rows) == limit:
+                    return
+            self.step()
+
+
+class RunCursor:
+    """A sorted run in a scan: a block cursor whose head is usually
+    known before any block is read.
+
+    The index gives every block's first key, so a cursor that stands at
+    the start of a block — a run that begins at or above ``lo``, a
+    ``lo`` that is exactly a block's first key, any block reached by
+    finishing the one before — has its head with nothing read. The
+    block is looked up (:meth:`SSTableReader.walk_block`: through the
+    cache, once per scan) only when the merge drains the cursor or must
+    move it past a stale copy of a key. Only a ``lo`` that falls inside
+    a block forces a read up front: which key follows ``lo`` there is
+    not in the index.
+    """
+
+    __slots__ = (
+        "run_id", "_reader", "_stop", "_next", "_payload", "_keys",
+        "_ends", "_dead", "_pos", "key", "blocks",
+    )
+
+    def __init__(
+        self, run_id: int, reader, lo: bytes | None, hi: bytes | None
+    ) -> None:
+        self.run_id = run_id
+        self._reader = reader
+        self._stop = hi
+        #: Block lookups made — the scan's read amplification.
+        self.blocks = 0
+        self._next = reader.seek_block(lo)
+        self._index_head()
+        if lo is not None and self.key is not None and self.key < lo:
+            self._load()
+            self._pos = bisect_left(self._keys, lo)
+            self._block_head()
+
+    def _offer(self, key: bytes) -> None:
+        """Make ``key`` the head, unless the scan ends before it."""
+        self.key = key if self._stop is None or key < self._stop else None
+
+    def _index_head(self) -> None:
+        """Stand at the start of the next block: its first key is the
+        head, and the block stays unread."""
+        self._keys = None
+        if self._next < self._reader.block_count:
+            self._offer(self._reader.first_key(self._next))
+        else:
+            self.key = None
+
+    def _block_head(self) -> None:
+        """Take the head from the loaded block at ``_pos``, or from the
+        index when the block is used up."""
+        if self._pos < len(self._keys):
+            self._offer(self._keys[self._pos])
+        else:
+            self._index_head()
+
+    def _load(self) -> None:
+        try:
+            self._payload, self._keys, self._ends, self._dead = (
+                self._reader.walk_block(self._next)
+            )
+        except CorruptionError as error:
+            raise ReaderCorruption(self.run_id, error) from error
+        self._next += 1
+        self._pos = 0
+        self.blocks += 1
+
+    def step(self) -> None:
+        """Move past the head (a stale copy of a key a newer source
+        holds); reads the head's block if it is still unread."""
+        if self._keys is None:
+            self._load()
+        self._pos += 1
+        self._block_head()
+
+    def drain(
+        self, bound: bytes | None, rows: list, limit: int | None
+    ) -> None:
+        """Append the live entries below ``bound`` to ``rows``, block
+        after block, stopping on the row that brings it to ``limit`` —
+        without a look at what follows that row."""
+        stop = self._stop
+        if bound is None or (stop is not None and stop < bound):
+            bound = stop
+        while True:
+            if self._keys is None:
+                self._load()
+            keys, ends, payload, dead = (
+                self._keys, self._ends, self._payload, self._dead
+            )
+            at = self._pos
+            if bound is None or keys[-1] < bound:
+                end = len(keys)
+            else:
+                end = bisect_left(keys, bound, at)
+            start = ends[at - 1] if at else 0
+            for index in range(at, end):
+                key = keys[index]
+                entry_end = ends[index]
+                if index not in dead:
+                    value = payload[start + 8 + len(key) : entry_end]
+                    rows.append((key, value))
+                    if len(rows) == limit:
+                        return
+                start = entry_end
+            self._pos = end
+            self._block_head()
+            if self._keys is not None or self.key is None:
+                return  # stopped inside the block, or the run is done
+            if bound is not None and self.key >= bound:
+                return
+
+
+def merge_scan(cursors: list, limit: int | None) -> list[tuple[bytes, bytes]]:
+    """Reconcile scan cursors, newest first, into at most ``limit`` rows.
+
+    :func:`reconciling_iterator`'s answer — newest version of each key,
+    deleted keys elided — computed a round at a time: the cursor with
+    the smallest head drains up to the smallest other head, so a source
+    is touched only while it holds the next row.
+    """
+    rows: list[tuple[bytes, bytes]] = []
+    cursors = [cursor for cursor in cursors if cursor.key is not None]
+
+    def step_over(cursor) -> None:
+        cursor.step()
+        if cursor.key is None:
+            cursors.remove(cursor)
+
+    while cursors and len(rows) != limit:
+        best, bound = pick_head(cursors, step_over)
+        best.drain(bound, rows, limit)
+        if best.key is None:
+            cursors.remove(best)
+    return rows

@@ -922,6 +922,34 @@ class SSTableReader:
     def _block_for(self, key: bytes) -> int:
         return bisect_right(self._first_keys, key) - 1
 
+    def seek_block(self, key: bytes | None) -> int:
+        """The block an ordered read from ``key`` on starts in: the one
+        whose first key is the last at or below it, block 0 for a key
+        below the run (or None)."""
+        return 0 if key is None else max(self._block_for(key), 0)
+
+    def first_key(self, block_idx: int) -> bytes:
+        """A data block's first key, from the index: what a scan learns
+        about a block without reading it."""
+        return self._first_keys[block_idx]
+
+    def walk_block(
+        self, block_idx: int
+    ) -> tuple[bytes, list[bytes], list[int], list[int]]:
+        """One data block as a query reads it: ``(payload, keys, ends,
+        tombstones)``, laid out as in :class:`DataBlock`.
+
+        The query-side twin of :meth:`read_data_block`: through the
+        block cache (one lookup, hit or miss), checksum-verified when
+        it does come from disk, keys walked and no value sliced.
+        """
+        if self._closed:
+            raise ConfigurationError("reader is closed")
+        payload = self._read_block(
+            self._offsets[block_idx], self._lengths[block_idx]
+        )
+        return (payload, *_walk_block(payload))
+
     def might_contain(self, key: bytes) -> bool:
         """Key-bounds then point-filter check (False = definitely absent).
 
@@ -935,13 +963,18 @@ class SSTableReader:
         return self._filter.might_contain(key)
 
     def get(self, key: bytes) -> tuple[bool, bytes | None]:
-        """Point lookup: ``(found, value)``; found tombstone = (True, None)."""
+        """Point lookup: ``(found, value)``; found tombstone = (True, None).
+
+        Reads the one block that could hold ``key`` unless the key lies
+        outside the run's bounds. The point filter is not consulted: a
+        caller that wants to skip the block read for an absent key asks
+        :meth:`might_contain` first (the store's probe does), so the
+        key is hashed once per run, not twice.
+        """
         if self._closed:
             raise ConfigurationError("reader is closed")
-        if not self.might_contain(key):
-            return False, None
         block_idx = self._block_for(key)
-        if block_idx < 0:
+        if block_idx < 0 or key > self._max_key:
             return False, None
         payload = self._read_block(
             self._offsets[block_idx], self._lengths[block_idx]
@@ -961,10 +994,7 @@ class SSTableReader:
         """Ordered iteration over ``[lo, hi)``, tombstones included."""
         if self._closed:
             raise ConfigurationError("reader is closed")
-        start = 0
-        if lo is not None:
-            start = max(self._block_for(lo), 0)
-        for block_idx in range(start, len(self._offsets)):
+        for block_idx in range(self.seek_block(lo), len(self._offsets)):
             payload = self._read_block(
                 self._offsets[block_idx], self._lengths[block_idx]
             )

@@ -529,13 +529,15 @@ class TestStoreWiring:
                     store.put(key(index), b"x")
                 store.flush()
             opened = []
-            original = SSTableReader.items
+            original = SSTableReader.walk_block
 
-            def counting(self, lo=None, hi=None):
+            def counting(self, block_idx):
                 opened.append(self.min_key)
-                return original(self, lo, hi)
+                return original(self, block_idx)
 
-            monkeypatch.setattr(SSTableReader, "items", counting)
+            # Every block a scan uses comes through walk_block; 50
+            # small entries make one block per run.
+            monkeypatch.setattr(SSTableReader, "walk_block", counting)
             assert [k for k, _ in store.scan(key(1010), key(1013))] == [
                 key(1010), key(1011), key(1012)
             ]

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.engine import LSMStore, StoreOptions
+from repro.engine.quarantine import QuarantineEntry
 from repro.errors import DataCorruptError
 
 OPTIONS = StoreOptions(
@@ -195,6 +196,60 @@ class TestApplyReset:
         with _build(directory, [b"a", b"b", b"c"]) as store:
             store.apply_reset([(b"b", b"kept")])
             assert list(store.scan()) == [(b"b", b"kept")]
+
+
+class TestReadPlanCache:
+    """``CompactionManager.read_plan()`` is built once per change of the
+    run set; quarantine, repair and drop each have to invalidate it."""
+
+    @staticmethod
+    def _current_plan(store):
+        """The cached plan, after checking it against one built anew."""
+        manager = store._compaction
+        cached = manager.read_plan()
+        manager._run_set_changed()
+        assert manager.read_plan() == cached
+        return cached
+
+    def test_plan_follows_quarantine_repair_drop_and_reopen(self, tmp_path):
+        directory = str(tmp_path / "db")
+        with LSMStore.open(directory, OPTIONS) as store:
+            store.put(b"key", b"old")
+            store.flush()
+            store.put(b"key", b"new")
+            store.flush()
+            older, newer = sorted(
+                store.live_runs(), key=lambda record: record.sequence
+            )
+            plan = self._current_plan(store)
+            assert [run_id for run_id, _ in plan] == [
+                newer.run_id, older.run_id
+            ]
+
+            assert store.quarantine_run(newer.run_id, "test")
+            plan = self._current_plan(store)
+            assert isinstance(plan[0][1], QuarantineEntry)
+            assert not isinstance(plan[1][1], QuarantineEntry)
+
+            assert store.repair_run(newer.run_id, [(b"key", b"repaired")])
+            plan = self._current_plan(store)
+            assert [run_id for run_id, _ in plan][1] == older.run_id
+            assert plan[0][0] != newer.run_id
+            assert not isinstance(plan[0][1], QuarantineEntry)
+            assert store.get(b"key") == b"repaired"
+
+            assert store.quarantine_run(older.run_id, "test")
+            assert isinstance(
+                self._current_plan(store)[1][1], QuarantineEntry
+            )
+            store.apply_reset([(b"key", b"reset")])  # drops the fenced run
+            assert older.run_id not in [
+                run_id for run_id, _ in self._current_plan(store)
+            ]
+            assert store.get(b"key") == b"reset"
+        with LSMStore.open(directory, OPTIONS) as store:
+            assert self._current_plan(store)
+            assert store.get(b"key") == b"reset"
 
 
 class TestScrubPacing:

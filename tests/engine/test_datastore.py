@@ -5,7 +5,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import LSMStore, StoreOptions
+from repro.engine import LSMStore, SSTableReader, StoreOptions
 from repro.errors import ClosedError, ConfigurationError
 
 SMALL = StoreOptions(
@@ -93,6 +93,80 @@ class TestReadAcrossComponents:
         store.maintenance()
         keys = [k for k, _ in store.scan()]
         assert keys == sorted(set(keys))
+
+
+def block_lookups(store):
+    signals = store.memory_signals()
+    return signals.cache_hits + signals.cache_misses
+
+
+class TestPointLookupProbes:
+    def test_a_get_asks_each_probed_run_once(self, tmp_path, monkeypatch):
+        """Regression: the probe asked ``might_contain`` and then
+        ``SSTableReader.get`` asked again — two hashes of the key per
+        run. Now: one filter probe per run the key's bounds reach, one
+        ``get`` (one block lookup) per run whose filter says maybe."""
+        options = SMALL.with_(size_ratio=10, memtable_bytes=1 << 20)
+        calls = {"might_contain": 0, "filter": 0, "get": 0}
+        probe = SSTableReader.might_contain
+        lookup = SSTableReader.get
+
+        def counted_probe(self, key):
+            calls["might_contain"] += 1
+            return probe(self, key)
+
+        def counted_lookup(self, key):
+            calls["get"] += 1
+            return lookup(self, key)
+
+        class CountingFilter:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def might_contain(self, key):
+                calls["filter"] += 1
+                return self.inner.might_contain(key)
+
+        with LSMStore.open(str(tmp_path / "db"), options) as store:
+            for generation in range(3):  # three runs over the same keys
+                for i in range(100):
+                    store.put(b"user%04d" % i, b"%d" % generation)
+                store.flush()
+            assert store.stats().disk_components == 3
+            for _run_id, reader in store._compaction.read_plan():
+                reader._filter = CountingFilter(reader._filter)
+            monkeypatch.setattr(SSTableReader, "might_contain", counted_probe)
+            monkeypatch.setattr(SSTableReader, "get", counted_lookup)
+            before = block_lookups(store)
+            # In the newest run: probed once, found, done.
+            assert store.get(b"user0042") == b"2"
+            assert calls == {"might_contain": 1, "filter": 1, "get": 1}
+            assert block_lookups(store) - before == 1
+            # Inside every run's bounds, in none: each filter asked once
+            # (a false positive would add a get; at most one per run).
+            calls.update(might_contain=0, filter=0, get=0)
+            assert store.get(b"user0042x") is None
+            assert calls["might_contain"] == calls["filter"] == 3
+            assert calls["get"] <= 3
+            # Outside the bounds: no filter, no block.
+            calls.update(might_contain=0, filter=0, get=0)
+            assert store.get(b"zzz") is None
+            assert calls == {"might_contain": 3, "filter": 0, "get": 0}
+
+    def test_reader_get_alone_still_answers_without_the_filter(self, store):
+        """``SSTableReader.get`` no longer consults the filter itself:
+        absent keys inside the bounds cost it a block, keys outside
+        them nothing."""
+        for i in range(0, 100, 2):
+            store.put(b"user%04d" % i, b"v")
+        store.flush()
+        [(_run_id, reader)] = store._compaction.read_plan()
+        before = block_lookups(store)
+        assert reader.get(b"user0010") == (True, b"v")
+        assert reader.get(b"user0011") == (False, None)
+        assert reader.get(b"a") == (False, None)
+        assert reader.get(b"z") == (False, None)
+        assert block_lookups(store) - before == 2
 
 
 class TestCompactionBehaviour:

@@ -72,6 +72,17 @@ class EngineMatchesDict(RuleBasedStateMachine):
     def scan_agrees(self):
         assert dict(self.store.scan()) == self.model
 
+    @invariant()
+    def cached_read_plan_is_current(self):
+        """The probe plan is built once per run-set change; whatever
+        the last rule did to the tree, the cached plan must equal one
+        built from scratch."""
+        manager = self.store._compaction
+        cached = manager.read_plan()
+        assert manager.read_plan() is cached  # built once, then kept
+        manager._run_set_changed()
+        assert manager.read_plan() == cached
+
     def teardown(self):
         self.store.close()
         shutil.rmtree(self.directory, ignore_errors=True)

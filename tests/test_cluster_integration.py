@@ -15,8 +15,11 @@ write latency, and the cold shards must see zero rejections.
 
 import asyncio
 
+import pytest
+
 from repro.cluster import LocalCluster, build_cluster_admission
 from repro.engine import LSMStore, StoreOptions
+from repro.errors import ConfigurationError
 from repro.server.client import KVClient
 from repro.server.loadgen import _operation_stream, closed_loop
 
@@ -120,6 +123,38 @@ def test_scatter_gather_scan_matches_single_engine(tmp_path):
                     == bounded
                 )
                 assert await client.scan(limit=33) == limited
+
+    asyncio.run(scenario())
+
+
+def test_scan_limit_zero_through_the_router_and_the_sharded_store(tmp_path):
+    """Regression: ``limit=0`` used to come back with one row from the
+    router's merge (and one per shard underneath it)."""
+    records = [(b"key-%06d" % i, b"v" * 40) for i in range(300)]
+
+    def block_lookups(sharded):
+        signals = [engine.memory_signals() for engine in sharded.engines()]
+        return sum(s.cache_hits + s.cache_misses for s in signals)
+
+    async def scenario():
+        async with LocalCluster(
+            str(tmp_path), SHARDS, FUNCTIONAL_OPTIONS
+        ) as cluster:
+            host, port = cluster.address
+            async with KVClient(host, port) as client:
+                await client.batch(records)
+                for engine in cluster.store.engines():
+                    engine.flush()
+                before = block_lookups(cluster.store)
+                assert await client.scan(limit=0) == []
+                assert await client.scan(lo=records[7][0], limit=0) == []
+                # In process, under the router: the same answer.
+                assert list(cluster.store.scan(limit=0)) == []
+                assert block_lookups(cluster.store) == before
+                assert await client.scan(limit=2) == records[:2]
+                assert list(cluster.store.scan(limit=2)) == records[:2]
+                with pytest.raises(ConfigurationError):
+                    cluster.store.scan(limit=-1)
 
     asyncio.run(scenario())
 

@@ -96,6 +96,36 @@ def test_all_verbs_round_trip_over_tcp(tmp_path):
     asyncio.run(scenario())
 
 
+def _block_lookups(store):
+    signals = store.memory_signals()
+    return signals.cache_hits + signals.cache_misses
+
+
+def test_scan_limit_zero_over_tcp_returns_nothing_and_reads_no_block(tmp_path):
+    """Regression: ``limit=0`` used to come back with one row (the
+    limit was checked after the append)."""
+
+    async def scenario():
+        store = LSMStore.open(str(tmp_path), FUNCTIONAL_OPTIONS)
+        try:
+            for index in range(200):
+                store.put(b"key-%04d" % index, b"v" * 40)
+            store.flush()
+            async with KVServer(store) as server:
+                host, port = server.address
+                async with KVClient(host, port) as client:
+                    before = _block_lookups(store)
+                    assert await client.scan(limit=0) == []
+                    assert await client.scan(lo=b"key-0007", limit=0) == []
+                    assert _block_lookups(store) == before
+                    assert len(await client.scan(limit=1)) == 1
+                    assert _block_lookups(store) > before
+        finally:
+            store.close()
+
+    asyncio.run(scenario())
+
+
 def test_data_served_over_tcp_survives_reopen(tmp_path):
     async def write_phase():
         store = LSMStore.open(str(tmp_path), FUNCTIONAL_OPTIONS)
