@@ -44,6 +44,7 @@ import time
 
 from repro.engine import LSMStore, StoreOptions
 from repro.memory import MemoryArbiter, MemoryBudget
+from repro.metrics.percentiles import percentile
 
 WRITE_HEAVY_FRACTION = 0.875
 READ_HEAVY_FRACTION = 0.125
@@ -62,11 +63,6 @@ def build_options(args: argparse.Namespace) -> StoreOptions:
         levels=6,
         background_maintenance=False,
     )
-
-
-def percentile(samples: list[float], fraction: float) -> float:
-    ordered = sorted(samples)
-    return ordered[int(fraction * (len(ordered) - 1))]
 
 
 class Config:
@@ -185,8 +181,8 @@ def run_phase(
             "phase": phase,
             "ops": len(ops),
             "measured_ops": len(samples),
-            "p50_us": round(percentile(samples, 0.50) * 1e6, 1),
-            "p99_us": round(percentile(samples, 0.99) * 1e6, 1),
+            "p50_us": round(percentile(samples, 50.0) * 1e6, 1),
+            "p99_us": round(percentile(samples, 99.0) * 1e6, 1),
             "mean_us": round(sum(samples) / len(samples) * 1e6, 1),
         }
         if config.arbiter is not None:

@@ -32,14 +32,7 @@ import tempfile
 import time
 
 from repro.engine import LSMStore, StoreOptions
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, round(q / 100.0 * (len(ordered) - 1)))
-    return ordered[rank]
+from repro.metrics.percentiles import percentile
 
 
 def build_options(scrubbing: bool, args: argparse.Namespace) -> StoreOptions:
@@ -117,8 +110,8 @@ def run_mode(scrubbing: bool, args: argparse.Namespace) -> dict:
                 "reads": reads,
                 "elapsed_seconds": round(elapsed, 4),
                 "reads_per_s": round(reads / elapsed, 1),
-                "p50_ms": round(_percentile(latencies, 50.0) * 1e3, 4),
-                "p99_ms": round(_percentile(latencies, 99.0) * 1e3, 4),
+                "p50_ms": round(percentile(latencies, 50.0) * 1e3, 4),
+                "p99_ms": round(percentile(latencies, 99.0) * 1e3, 4),
                 "max_ms": round(max(latencies) * 1e3, 4),
                 "scrub_passes": scrub_after["passes_completed"]
                 - scrub_before["passes_completed"],

@@ -154,20 +154,14 @@ def _admission_from(args: argparse.Namespace):
     return build_admission(args.admission, **_admission_params(args))
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+def _store_options_from(args: argparse.Namespace):
+    """The engine options the ``_add_engine_args`` flags describe."""
+    from .engine import StoreOptions
 
-    from .engine import LSMStore, StoreOptions
-    from .memory import MemoryArbiter, MemoryBudget
-    from .server import KVServer
-
-    _check_port(args.port)
-    memory_budget = _memory_budget_bytes(args)
-    options = StoreOptions(
+    return StoreOptions(
         memtable_bytes=int(args.memtable_mib * 2**20),
         policy=args.engine_policy,
         block_codec=args.block_codec,
-        filter_kind=args.filter_kind,
         stall_mode=args.stall_mode,
         background_maintenance=(
             args.background or args.maintenance_threads > 1
@@ -178,6 +172,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sync_writes=args.sync_writes,
         group_commit=args.group_commit,
     )
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from .engine import LSMStore
+    from .memory import MemoryArbiter, MemoryBudget
+    from .server import KVServer
+
+    _check_port(args.port)
+    memory_budget = _memory_budget_bytes(args)
+    options = _store_options_from(args)
 
     async def run() -> None:
         with LSMStore.open(args.directory, options) as store:
@@ -293,7 +299,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .cluster import LocalCluster, build_cluster_admission
-    from .engine import StoreOptions
 
     _check_port(args.port)
     if args.shards < 1:
@@ -301,21 +306,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
             f"--shards must be at least 1, got {args.shards}"
         )
     memory_budget = _memory_budget_bytes(args)
-    options = StoreOptions(
-        memtable_bytes=int(args.memtable_mib * 2**20),
-        policy=args.engine_policy,
-        block_codec=args.block_codec,
-        filter_kind=args.filter_kind,
-        stall_mode=args.stall_mode,
-        background_maintenance=(
-            args.background or args.maintenance_threads > 1
-        ),
-        maintenance_threads=args.maintenance_threads,
-        scrub_interval=args.scrub_interval,
-        scrub_rate_bytes_per_s=int(args.scrub_rate_mib * 2**20),
-        sync_writes=args.sync_writes,
-        group_commit=args.group_commit,
-    )
+    options = _store_options_from(args)
     admission = build_cluster_admission(
         args.scope, args.admission, args.shards, **_admission_params(args)
     )
@@ -675,17 +666,11 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default="tiering", help="engine merge policy (default: tiering)",
     )
     from .engine.blockcodec import available_codecs
-    from .engine.filters import available_filters
     parser.add_argument(
         "--block-codec", choices=available_codecs(), default="none",
         help="per-block compression for new sorted runs (default: "
              "none); existing runs keep reading and merges rewrite "
              "them under the new codec",
-    )
-    parser.add_argument(
-        "--filter-kind", choices=available_filters(), default="bloom",
-        help="point-filter implementation for new runs (default: "
-             "bloom; cuckoo supports deletion)",
     )
     parser.add_argument(
         "--stall-mode", choices=("block", "reject"), default="reject",

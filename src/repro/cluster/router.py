@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-import time
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
@@ -58,7 +57,7 @@ from ..obs import (
 )
 from ..obs import events as obs_events
 from ..server import binproto, protocol
-from ..server.admission import REJECT
+from ..server.admission import ADMIT, REJECT, AdmissionDecision
 from ..server.client import KVClient
 from ..server.service import FramedServer, KVServer
 from .admission import ClusterAdmission, build_cluster_admission
@@ -66,9 +65,6 @@ from .breaker import OPEN, CircuitBreaker
 from .ring import HashRing
 from .sharded import ShardedStore
 from .stats import aggregate_stats
-
-#: How stale a polled stats snapshot may be before a fresh STATS poll.
-DEFAULT_STATS_MAX_AGE = 0.05
 
 #: Default per-shard client tuning: patient enough to absorb transient
 #: backend stalls, fast enough that retries stay cheaper than the stall.
@@ -156,54 +152,19 @@ class ClusterMetrics:
         }
 
 
-#: Stand-in snapshot for a shard that has never answered a stats poll:
-#: healthy-looking, so admission does not backpressure the survivors.
-_NEUTRAL_STATS = StoreStats(
-    memtable_entries=0,
-    memtable_bytes=0,
-    sealed_memtables=0,
-    num_memtables=2,
-    disk_components=0,
-    components_per_level={},
-    quarantined_runs=0,
-    merges_completed=0,
-    write_stalls=0,
-    stall_seconds_total=0.0,
-    wal_bytes=0,
-    write_stalled=False,
-    write_headroom=1.0,
-    throttle_sleep_seconds=0.0,
-    block_cache_hit_rate=0.0,
-    block_cache_used_bytes=0,
-)
-
-
-def _stats_from_wire(engine: dict) -> StoreStats:
-    """Rebuild a :class:`StoreStats` from a backend STATS response."""
-    fields_dict = dict(engine)
-    fields_dict["components_per_level"] = {
-        int(level): count
-        for level, count in fields_dict.get(
-            "components_per_level", {}
-        ).items()
-    }
-    return StoreStats(**fields_dict)
-
-
 class ClusterRouter(FramedServer):
     """Route the framed KV protocol across per-shard KV backends."""
 
     def __init__(
         self,
         backends: Sequence[tuple[str, int]],
+        stats_fn: Callable[[], Sequence[StoreStats]],
         ring: HashRing | None = None,
         admission: ClusterAdmission | None = None,
-        stats_fn: Callable[[], Sequence[StoreStats]] | None = None,
         maintenance_fn: Callable[[], object] | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
         shard_client_options: dict | None = None,
-        stats_max_age: float = DEFAULT_STATS_MAX_AGE,
         breaker_options: dict | None = None,
         metrics_port: int | None = None,
         replica_backends: Sequence[Sequence[tuple[str, int]]] | None = None,
@@ -214,8 +175,6 @@ class ClusterRouter(FramedServer):
     ) -> None:
         if not backends:
             raise ConfigurationError("a cluster needs at least one backend")
-        if stats_max_age < 0:
-            raise ConfigurationError("stats_max_age cannot be negative")
         if replica_backends is not None and len(replica_backends) != len(
             backends
         ):
@@ -287,9 +246,6 @@ class ClusterRouter(FramedServer):
         self._epochs = [0 for _ in self._backends]
         self.promotions = 0
         self._promotion_tasks: dict[int, asyncio.Task] = {}
-        self._stats_max_age = stats_max_age
-        self._stats_cache: list[StoreStats] | None = None
-        self._stats_stamp = 0.0
         self.metrics = ClusterMetrics()
 
     @property
@@ -433,43 +389,9 @@ class ClusterRouter(FramedServer):
 
     # -- cluster state ----------------------------------------------------
 
-    async def _snapshots(self, force: bool = False) -> list[StoreStats]:
-        """Per-shard engine snapshots, direct or polled with a TTL."""
-        if self._stats_fn is not None:
-            return list(await asyncio.to_thread(self._stats_fn))
-        now = time.monotonic()
-        if (
-            not force
-            and self._stats_cache is not None
-            and now - self._stats_stamp <= self._stats_max_age
-        ):
-            return self._stats_cache
-        responses = await asyncio.gather(
-            *(
-                self._shard_request(shard, protocol.stats_request())
-                for shard in range(len(self._clients))
-            ),
-            return_exceptions=True,
-        )
-        snapshots: list[StoreStats] = []
-        for shard, response in enumerate(responses):
-            if isinstance(response, BaseException):
-                if not isinstance(response, ServerError):
-                    raise response
-                # A dead shard must not take stats (and with them every
-                # admission decision) down: fall back to its last known
-                # snapshot, or a neutral one before any poll succeeded.
-                if self._stats_cache is not None:
-                    snapshots.append(self._stats_cache[shard])
-                else:
-                    snapshots.append(_NEUTRAL_STATS)
-            else:
-                snapshots.append(
-                    _stats_from_wire(response.get("engine", {}))
-                )
-        self._stats_cache = snapshots
-        self._stats_stamp = now
-        return self._stats_cache
+    async def _snapshots(self) -> list[StoreStats]:
+        """Per-shard engine snapshots, read in process off the loop."""
+        return list(await asyncio.to_thread(self._stats_fn))
 
     async def _pump(self) -> None:
         """Advance the cluster's shared-budget maintenance, if wired."""
@@ -563,8 +485,14 @@ class ClusterRouter(FramedServer):
             }
             return response
 
-        snapshots = await self._snapshots()
-        decision = self._admission.decide_many(nbytes_by_shard, snapshots)
+        if self._admission.base_mode == "none":
+            # It admits whatever the shards report, so they are not
+            # asked: a snapshot is an executor hop on every write.
+            decision = AdmissionDecision(ADMIT)
+        else:
+            decision = self._admission.decide_many(
+                nbytes_by_shard, await self._snapshots()
+            )
         if decision.action == REJECT:
             # Shedding load must not starve the maintenance that would
             # clear the stall: pump the shared budget before bouncing.
@@ -910,7 +838,7 @@ class ClusterRouter(FramedServer):
         return merge_events(streams, limit)
 
     async def _op_stats(self, message: dict) -> dict:
-        snapshots = await self._snapshots(force=True)
+        snapshots = await self._snapshots()
         cluster = aggregate_stats(snapshots)
         router_view = self.metrics.snapshot()
         router_view["shard_health"] = self.shard_health()
@@ -939,9 +867,9 @@ class LocalCluster:
     The deployment shape behind ``python -m repro cluster-serve``, the
     hot-shard example, and the integration tests: every shard engine is
     served by an in-process :class:`KVServer` on an ephemeral port, and
-    the router gets *direct* stats/maintenance hooks into the sharded
-    store (fresh snapshots, deterministic pumping) instead of polling
-    its own backends over TCP.
+    the router reads shard stats and pumps maintenance through *direct*
+    hooks into the sharded store (fresh snapshots, deterministic
+    pumping) — the only way a router gets them.
     """
 
     def __init__(
@@ -1105,7 +1033,14 @@ class LocalCluster:
                 ring=self.store.ring,
                 admission=self._admission,
                 stats_fn=self.store.stats_list,
-                maintenance_fn=self.store.pump,
+                # Shards with maintenance workers make their own
+                # progress; pumping them is an executor hop per write
+                # into a no-op.
+                maintenance_fn=(
+                    None
+                    if self.store.options.background_maintenance
+                    else self.store.pump
+                ),
                 host=self._host,
                 port=self._port,
                 shard_client_options=self._shard_client_options,

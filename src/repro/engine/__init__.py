@@ -13,7 +13,6 @@ from .blockcodec import BlockCodec, available_codecs, get_codec, register_codec
 from .bloom import BloomFilter
 from .compaction import CompactionManager, MergeJob, build_policy, build_scheduler
 from .filters import (
-    CuckooFilter,
     FilterSpec,
     PointFilter,
     available_filters,
@@ -38,7 +37,6 @@ __all__ = [
     "BlockCodec",
     "BloomFilter",
     "CURRENT_FORMAT_VERSION",
-    "CuckooFilter",
     "FilterSpec",
     "PointFilter",
     "CompactionManager",

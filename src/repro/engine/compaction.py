@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from typing import Callable, Iterator
+from typing import Iterator, NamedTuple
 
 from ..core import model
 from ..core.components import Component, MergeDescriptor, TreeSnapshot, UidAllocator
@@ -41,7 +41,7 @@ from ..errors import ConfigurationError, CorruptionError
 from ..obs import events as obs_events
 from .blockcache import BlockCache
 from .iterators import pick_head
-from .manifest import Manifest
+from .manifest import Manifest, RunRecord
 from .options import StoreOptions
 from .quarantine import QuarantineEntry, QuarantineSet
 from .ratelimiter import RateLimiter, SyncPolicy
@@ -50,6 +50,16 @@ from .sstable import DataBlock, SSTableReader, SSTableWriter
 #: Upper key bound recorded when a run is quarantined before its meta
 #: block could be read — wide enough that any plausible key is covered.
 _UNBOUNDED_MAX_KEY = b"\xff" * 256
+
+#: Point-filter sizing for every run the engine writes: 10 bits per key
+#: is the paper's testbed setting (Section 3.1), ~1% false positives.
+BLOOM_BITS_PER_KEY = 10
+
+#: Flush and merge writers force their file to disk every 16 MB, the
+#: paper's second I/O optimization (Section 3.1; RocksDB's
+#: ``bytes_per_sync``): it keeps the OS write queue short, so a large
+#: merge cannot stall foreground I/O behind one giant final fsync.
+BYTES_PER_SYNC = 16 * 2**20
 
 
 def build_policy(options: StoreOptions) -> MergePolicy:
@@ -74,6 +84,28 @@ def build_scheduler(options: StoreOptions) -> MergeScheduler:
     if options.scheduler == "fair":
         return FairScheduler()
     return GreedyScheduler()
+
+
+def _open_writer(
+    path: str,
+    options: StoreOptions,
+    rate_limiter: RateLimiter,
+    expected_keys: int,
+) -> SSTableWriter:
+    """The writer of every run the engine produces — flush, merge
+    output or repair — configured from the store's options in one
+    place."""
+    return SSTableWriter(
+        path,
+        block_bytes=options.block_bytes,
+        bloom_bits_per_key=BLOOM_BITS_PER_KEY,
+        expected_keys=expected_keys,
+        rate_limiter=rate_limiter,
+        sync_policy=SyncPolicy(BYTES_PER_SYNC),
+        fault_plan=options.fault_plan,
+        block_codec=options.block_codec,
+        filter_kind=options.filter_kind,
+    )
 
 
 class _BlockCursor:
@@ -146,16 +178,11 @@ class MergeJob:
         self._readers = readers
         self.claimed = False
         self._drop_tombstones = drop_tombstones
-        self._writer = SSTableWriter(
+        self._writer = _open_writer(
             output_path,
-            block_bytes=options.block_bytes,
-            bloom_bits_per_key=options.bloom_bits_per_key,
-            expected_keys=sum(r.entry_count for r in readers),
-            rate_limiter=rate_limiter,
-            sync_policy=SyncPolicy(options.bytes_per_sync),
-            fault_plan=options.fault_plan,
-            block_codec=options.block_codec,
-            filter_kind=options.filter_kind,
+            options,
+            rate_limiter,
+            sum(r.entry_count for r in readers),
         )
         self._output_path = output_path
         #: Inputs not yet exhausted, newest first so that position
@@ -321,6 +348,20 @@ class MergeJob:
         return self._total_input
 
 
+class _RunSetView(NamedTuple):
+    """Everything read off the live run set between two edits: built
+    once, by the first read after
+    :meth:`CompactionManager._run_set_changed`, and shared by every
+    caller until the next."""
+
+    snapshot: TreeSnapshot
+    levels: dict[int, int]
+    write_stalled: bool
+    write_headroom: float
+    scrub_targets: list[tuple[int, str]]
+    read_plan: tuple[tuple[int, SSTableReader | QuarantineEntry], ...]
+
+
 class CompactionManager:
     """Owns the live run set and drives flushes and merges."""
 
@@ -335,7 +376,6 @@ class CompactionManager:
         directory: str,
         options: StoreOptions,
         manifest: Manifest,
-        clock: Callable[[], float] | None = None,
         obs=None,
     ) -> None:
         self._directory = directory
@@ -367,39 +407,68 @@ class CompactionManager:
         self._jobs: dict[int, MergeJob] = {}
         self._merge_count = 0
         self._quarantine = QuarantineSet(directory)
-        #: read_plan()'s answer, kept until the run set next changes.
-        self._read_plan: tuple | None = None
-        self._recover_components()
-
-    # -- bootstrap/recovery --------------------------------------------
-
-    def _recover_components(self) -> None:
-        self._run_set_changed()
-        records = self._manifest.live_runs()
+        #: What is derived from the run set; None until the next read.
+        self._view: _RunSetView | None = None
+        records = manifest.live_runs()
         # A merge or repair that retired a run also retired its
         # quarantine; drop registry entries the manifest no longer backs.
         self._quarantine.retain({record.run_id for record in records})
-        live_files = set()
+        self._apply_edit([], [], recovered=records)
+        # Orphaned run files are crash leftovers from unfinished merges.
+        live_files = {record.filename for record in records}
+        for name in os.listdir(directory):
+            if name.endswith(".run") and name not in live_files:
+                os.remove(os.path.join(directory, name))
+
+    # -- the run set and what is derived from it -------------------------
+
+    def _apply_edit(
+        self,
+        removed_run_ids: list[int],
+        added: list[tuple[int, int, str]],
+        sequence: int | None = None,
+        recovered: list[RunRecord] | None = None,
+    ) -> None:
+        """The one place the live run set changes (store lock held).
+
+        ``added`` lists ``(run_id, level, filename)``, all stamped
+        ``sequence`` (None: a fresh stamp, a flush). The order is what
+        makes a crash between any two steps recoverable (docs/engine.md,
+        "Run-set edits"): the manifest first, outputs before removals,
+        so a crash leaves superseded runs beside their replacement and
+        never missing data; then the new readers (a failure raises with
+        memory untouched); then the in-memory swap, lifting a retired
+        run's quarantine; then the retired files, which the manifest no
+        longer names (a crash leaves orphans for recovery to sweep);
+        last the one invalidation, and the policy sees the new tree.
+
+        Recovery passes the manifest's own records as ``recovered``:
+        already durable, so nothing is logged or scheduled, and a run
+        that cannot be opened is kept, quarantined, rather than
+        refusing to start.
+        """
+        if recovered is None:
+            records = self._manifest.replace_runs(
+                removed_run_ids, added, sequence=sequence
+            )
+        else:
+            records = recovered
+        opened = []
         for record in records:
             path = os.path.join(self._directory, record.filename)
-            live_files.add(record.filename)
             try:
                 reader = SSTableReader(path, block_cache=self._block_cache)
+                size, entries = reader.data_bytes, reader.entry_count
             except (CorruptionError, OSError) as error:
-                # The run cannot even be opened (bad footer, index, or
-                # meta block), but its data may still be recoverable
-                # from a replica: keep it in the tree as a quarantined,
-                # readerless component instead of refusing to start.
-                # Without a meta block its key bounds are unknown, so
+                if recovered is None:
+                    raise
+                # Bad footer, index or meta block — but a replica may
+                # still hold the data: keep the run as a quarantined,
+                # readerless component. Its key bounds are unknown, so
                 # the quarantine fences the whole keyspace.
+                reader = None
                 size = os.path.getsize(path) if os.path.exists(path) else 0
-                self._components[record.run_id] = Component(
-                    uid=record.run_id,
-                    level=record.level,
-                    size_bytes=float(size),
-                    entry_count=0.0,
-                    handle=record,
-                )
+                entries = 0
                 if record.run_id not in self._quarantine:
                     self._quarantine.add(
                         QuarantineEntry(
@@ -412,39 +481,71 @@ class CompactionManager:
                             source="read",
                         )
                     )
-                continue
-            self._readers[record.run_id] = reader
-            self._components[record.run_id] = Component(
+            component = Component(
                 uid=record.run_id,
                 level=record.level,
-                size_bytes=float(reader.data_bytes),
-                entry_count=float(reader.entry_count),
+                size_bytes=float(size),
+                entry_count=float(entries),
                 handle=record,
             )
-        # Orphaned run files are crash leftovers from unfinished merges.
-        for name in os.listdir(self._directory):
-            if name.endswith(".run") and name not in live_files:
-                os.remove(os.path.join(self._directory, name))
+            opened.append((component, reader))
+        for component, reader in opened:
+            self._components[component.uid] = component
+            if reader is not None:
+                self._readers[component.uid] = reader
+        for run_id in removed_run_ids:
+            component = self._components.pop(run_id)
+            reader = self._readers.pop(run_id, None)
+            if reader is not None:
+                reader.close()
+            self._quarantine.remove(run_id)
+            path = os.path.join(self._directory, component.handle.filename)
+            if os.path.exists(path):
+                os.remove(path)
+        self._run_set_changed()
+        if recovered is None:
+            self._schedule_merges()
 
-    # -- views -----------------------------------------------------------
+    def _run_set_changed(self) -> None:
+        """The one invalidation of everything derived: called by
+        :meth:`_apply_edit` for the run set and :meth:`quarantine_run`
+        for the quarantine set; the next read rebuilds."""
+        self._view = None
+
+    def _rebuild_view(self) -> _RunSetView:
+        components = self._components.values()
+        snapshot = TreeSnapshot(
+            sorted(components, key=lambda c: (c.level, c.handle.sequence))
+        )
+        newest_first = sorted(
+            components, key=lambda c: c.handle.sequence, reverse=True
+        )
+        self._view = view = _RunSetView(
+            snapshot=snapshot,
+            levels={
+                level: snapshot.count_at(level) for level in snapshot.levels()
+            },
+            write_stalled=self._constraint.is_violated(snapshot),
+            write_headroom=self._constraint.headroom(snapshot),
+            scrub_targets=sorted(
+                (uid, reader.path)
+                for uid, reader in self._readers.items()
+                if uid not in self._quarantine
+            ),
+            read_plan=tuple(
+                (
+                    component.uid,
+                    self._quarantine.get(component.uid)
+                    or self._readers[component.uid],
+                )
+                for component in newest_first
+            ),
+        )
+        return view
 
     def snapshot(self) -> TreeSnapshot:
         """Core-typed view of the live runs, oldest-first per level."""
-        ordered = sorted(
-            self._components.values(), key=lambda c: (c.level, c.handle.sequence)
-        )
-        return TreeSnapshot(ordered)
-
-    def _run_set_changed(self) -> None:
-        """The one invalidation of everything derived from the run set.
-
-        Whatever adds, retires or swaps a component or its reader, or
-        changes the quarantine set, calls this first (under the store
-        lock, as all of them run): recovery, :meth:`quarantine_run`,
-        :meth:`publish_flush`, :meth:`_finish_job`,
-        :meth:`publish_repair`, :meth:`drop_run`.
-        """
-        self._read_plan = None
+        return (self._view or self._rebuild_view()).snapshot
 
     def read_plan(
         self,
@@ -455,39 +556,36 @@ class CompactionManager:
         knows exactly when its answer would have depended on the corrupt
         run (newer sources can still answer soundly).
 
-        Built once per change of the run set and shared by every get
-        and scan until the next — hence a tuple.
+        Shared by every get and scan until the run set next changes —
+        hence a tuple.
         """
-        plan = self._read_plan
-        if plan is None:
-            ordered = sorted(
-                self._components.values(),
-                key=lambda c: c.handle.sequence,
-                reverse=True,
-            )
-            plan = self._read_plan = tuple(
-                (
-                    component.uid,
-                    self._quarantine.get(component.uid)
-                    or self._readers[component.uid],
-                )
-                for component in ordered
-            )
-        return plan
+        return (self._view or self._rebuild_view()).read_plan
+
+    def scrub_targets(self) -> list[tuple[int, str]]:
+        """``(run_id, path)`` of every readable live run, stable order —
+        the work list one scrub pass walks."""
+        return (self._view or self._rebuild_view()).scrub_targets
+
+    def levels(self) -> dict[int, int]:
+        """Component count per level."""
+        return (self._view or self._rebuild_view()).levels
+
+    def is_write_stalled(self) -> bool:
+        """True when the component constraint forbids new flushes."""
+        return (self._view or self._rebuild_view()).write_stalled
+
+    def write_headroom(self) -> float:
+        """Remaining component budget as a fraction (0 = stalled).
+
+        Graceful write-slowdown controls (the serving tier's ``gradual``
+        admission mode) key their delays off this signal, bLSM-style.
+        """
+        return (self._view or self._rebuild_view()).write_headroom
 
     @property
     def quarantine(self) -> QuarantineSet:
         """The persisted quarantine registry (query under the store lock)."""
         return self._quarantine
-
-    def scrub_targets(self) -> list[tuple[int, str]]:
-        """``(run_id, path)`` of every readable live run, stable order —
-        the work list one scrub pass walks."""
-        return sorted(
-            (uid, reader.path)
-            for uid, reader in self._readers.items()
-            if uid not in self._quarantine
-        )
 
     def _in_flight(self, run_id: int) -> bool:
         return any(
@@ -523,8 +621,8 @@ class CompactionManager:
             reason=reason,
             source=source,
         )
-        self._run_set_changed()
         self._quarantine.add(entry)
+        self._run_set_changed()
         for job in list(self._jobs.values()):
             if not job.claimed and any(
                 c.uid == run_id for c in job.descriptor.inputs
@@ -553,60 +651,31 @@ class CompactionManager:
         """The shared read cache over all live runs."""
         return self._block_cache
 
-    def levels(self) -> dict[int, int]:
-        """Component count per level."""
-        result: dict[int, int] = {}
-        for component in self._components.values():
-            result[component.level] = result.get(component.level, 0) + 1
-        return result
+    # -- writing runs ----------------------------------------------------
 
-    def is_write_stalled(self) -> bool:
-        """True when the component constraint forbids new flushes."""
-        return self._constraint.is_violated(self.snapshot())
-
-    @property
-    def constraint_limit(self) -> int:
-        """The global component-count budget writes are gated on."""
-        return self._constraint.limit
-
-    def write_headroom(self) -> float:
-        """Remaining component budget as a fraction (0 = stalled).
-
-        Graceful write-slowdown controls (the serving tier's ``gradual``
-        admission mode) key their delays off this signal, bLSM-style.
-        """
-        return self._constraint.headroom(self.snapshot())
-
-    # -- flush -----------------------------------------------------------
-
-    def begin_flush(self, entry_hint: int) -> tuple[int, SSTableWriter]:
-        """Allocate a run id and open its writer (call under the store lock).
-
-        First half of the claim/publish protocol: the returned writer's
-        I/O runs off-lock on a maintenance worker, which feeds it the
-        sealed memtable and hands the finished stats to
-        :meth:`publish_flush` back under the lock. The run id is not
-        durable until publish, so an abandoned writer leaves nothing but
-        an orphan file that recovery sweeps.
-        """
+    def _begin_run(self, expected_keys: int) -> tuple[int, SSTableWriter]:
+        """Allocate a run id and open its writer. The id is not durable
+        until an edit adds the run, so an abandoned writer leaves
+        nothing but an orphan file that recovery sweeps."""
         run_id = self._manifest.allocate_run_id()
-        filename = f"{run_id:08d}.run"
-        if self._obs is not None:
-            self._obs.tracer.emit(
-                obs_events.FLUSH_START, run_id=run_id, entries=entry_hint
-            )
-        writer = SSTableWriter(
-            os.path.join(self._directory, filename),
-            block_bytes=self._options.block_bytes,
-            bloom_bits_per_key=self._options.bloom_bits_per_key,
-            expected_keys=entry_hint,
-            rate_limiter=self._rate_limiter,
-            sync_policy=SyncPolicy(self._options.bytes_per_sync),
-            fault_plan=self._options.fault_plan,
-            block_codec=self._options.block_codec,
-            filter_kind=self._options.filter_kind,
+        return run_id, _open_writer(
+            os.path.join(self._directory, f"{run_id:08d}.run"),
+            self._options,
+            self._rate_limiter,
+            expected_keys,
         )
-        return run_id, writer
+
+    def _written(
+        self, run_id: int, level: int, stats
+    ) -> list[tuple[int, int, str]]:
+        """A finished writer's run as an edit's ``added`` — nothing,
+        and the file deleted, when the run came out empty."""
+        if stats.entry_count == 0:
+            if os.path.exists(stats.path):
+                os.remove(stats.path)
+            return []
+        self._note_run_written(stats)
+        return [(run_id, level, os.path.basename(stats.path))]
 
     def _note_run_written(self, stats) -> None:
         """Block-format metrics for any newly published run: how many
@@ -633,6 +702,23 @@ class CompactionManager:
             help="Point filters built for published runs, by kind.",
         ).inc()
 
+    # -- flush -----------------------------------------------------------
+
+    def begin_flush(self, entry_hint: int) -> tuple[int, SSTableWriter]:
+        """Allocate a run id and open its writer (call under the store lock).
+
+        First half of the claim/publish protocol: the returned writer's
+        I/O runs off-lock on a maintenance worker, which feeds it the
+        sealed memtable and hands the finished stats to
+        :meth:`publish_flush` back under the lock.
+        """
+        run_id, writer = self._begin_run(entry_hint)
+        if self._obs is not None:
+            self._obs.tracer.emit(
+                obs_events.FLUSH_START, run_id=run_id, entries=entry_hint
+            )
+        return run_id, writer
+
     def publish_flush(self, run_id: int, stats) -> None:
         """Install a finished flush's run (call under the store lock)."""
         self._note_run_written(stats)
@@ -645,20 +731,7 @@ class CompactionManager:
                 bytes=stats.data_bytes,
                 entries=stats.entry_count,
             )
-        record = self._manifest.add_run(
-            run_id, 0, os.path.basename(stats.path)
-        )
-        reader = SSTableReader(stats.path, block_cache=self._block_cache)
-        self._run_set_changed()
-        self._readers[run_id] = reader
-        self._components[run_id] = Component(
-            uid=run_id,
-            level=0,
-            size_bytes=float(reader.data_bytes),
-            entry_count=float(reader.entry_count),
-            handle=record,
-        )
-        self._schedule_merges()
+        self._apply_edit([], [(run_id, 0, os.path.basename(stats.path))])
 
     def register_flush(
         self, items: Iterator[tuple[bytes, bytes | None]], entry_hint: int
@@ -728,49 +801,11 @@ class CompactionManager:
 
     def _finish_job(self, job: MergeJob) -> None:
         descriptor = job.descriptor
-        removed_ids = [c.uid for c in descriptor.inputs]
         stats = job.stats
         job.close_readers()
-        added = []
-        if stats.entry_count > 0:
-            added.append(
-                (job.output_run_id, descriptor.target_level,
-                 os.path.basename(stats.path))
-            )
-        data_sequence = max(
-            c.handle.sequence for c in descriptor.inputs
-        )
-        records = self._manifest.replace_runs(
-            removed_ids, added, sequence=data_sequence
-        )
-        self._run_set_changed()
-        for run_id in removed_ids:
-            reader = self._readers.pop(run_id)
-            reader.close()
-            os.remove(reader.path)
-            del self._components[run_id]
-            # A run quarantined while this merge was already in flight:
-            # the merge read every one of its blocks with checksums
-            # intact, so the output supersedes it soundly.
-            self._quarantine.remove(run_id)
-        if records:
-            record = records[0]
-            reader = SSTableReader(stats.path, block_cache=self._block_cache)
-            self._readers[record.run_id] = reader
-            self._components[record.run_id] = Component(
-                uid=record.run_id,
-                level=record.level,
-                size_bytes=float(reader.data_bytes),
-                entry_count=float(reader.entry_count),
-                handle=record,
-            )
-        elif os.path.exists(stats.path):
-            os.remove(stats.path)  # merge produced nothing live
         descriptor.release_inputs()
         del self._jobs[descriptor.uid]
         self._merge_count += 1
-        if stats.entry_count > 0:
-            self._note_run_written(stats)
         if self._obs is not None:
             level = str(descriptor.target_level)
             self._obs.registry.counter(
@@ -801,15 +836,16 @@ class CompactionManager:
                 input_bytes=job.total_input_bytes,
                 output_bytes=stats.data_bytes,
             )
-        self._schedule_merges()
+        # The output's data is only as new as its newest input.
+        self._apply_edit(
+            [c.uid for c in descriptor.inputs],
+            self._written(job.output_run_id, descriptor.target_level, stats),
+            sequence=max(c.handle.sequence for c in descriptor.inputs),
+        )
 
     def has_work(self) -> bool:
         """True when merges are pending."""
         return bool(self._jobs)
-
-    def has_unclaimed_work(self) -> bool:
-        """True when a merge is pending that no worker has claimed."""
-        return any(not job.claimed for job in self._jobs.values())
 
     @property
     def merge_jobs_in_flight(self) -> int:
@@ -887,19 +923,7 @@ class CompactionManager:
             or self._in_flight(run_id)
         ):
             return None
-        new_run_id = self._manifest.allocate_run_id()
-        writer = SSTableWriter(
-            os.path.join(self._directory, f"{new_run_id:08d}.run"),
-            block_bytes=self._options.block_bytes,
-            bloom_bits_per_key=self._options.bloom_bits_per_key,
-            expected_keys=int(component.entry_count) or 1024,
-            rate_limiter=self._rate_limiter,
-            sync_policy=SyncPolicy(self._options.bytes_per_sync),
-            fault_plan=self._options.fault_plan,
-            block_codec=self._options.block_codec,
-            filter_kind=self._options.filter_kind,
-        )
-        return new_run_id, writer
+        return self._begin_run(int(component.entry_count) or 1024)
 
     def publish_repair(self, run_id: int, new_run_id: int, stats) -> bool:
         """Swap a rebuilt run in for a quarantined one (under the lock).
@@ -914,38 +938,11 @@ class CompactionManager:
         component = self._components.get(run_id)
         if component is None or run_id not in self._quarantine:
             return False
-        added = []
-        if stats.entry_count > 0:
-            self._note_run_written(stats)
-            added.append(
-                (new_run_id, component.level, os.path.basename(stats.path))
-            )
-        records = self._manifest.replace_runs(
-            [run_id], added, sequence=component.handle.sequence
+        self._apply_edit(
+            [run_id],
+            self._written(new_run_id, component.level, stats),
+            sequence=component.handle.sequence,
         )
-        self._run_set_changed()
-        old_reader = self._readers.pop(run_id, None)
-        if old_reader is not None:
-            old_reader.close()
-        old_path = os.path.join(self._directory, component.handle.filename)
-        if os.path.exists(old_path):
-            os.remove(old_path)
-        del self._components[run_id]
-        if records:
-            record = records[0]
-            reader = SSTableReader(stats.path, block_cache=self._block_cache)
-            self._readers[record.run_id] = reader
-            self._components[record.run_id] = Component(
-                uid=record.run_id,
-                level=record.level,
-                size_bytes=float(reader.data_bytes),
-                entry_count=float(reader.entry_count),
-                handle=record,
-            )
-        elif os.path.exists(stats.path):
-            os.remove(stats.path)
-        self._quarantine.remove(run_id)
-        self._schedule_merges()
         return True
 
     def drop_run(self, run_id: int) -> bool:
@@ -956,19 +953,9 @@ class CompactionManager:
         every run, so nothing the dropped run contained (or shadowed)
         can resurface. Refuses while an in-flight merge reads the run.
         """
-        component = self._components.get(run_id)
-        if component is None or self._in_flight(run_id):
+        if run_id not in self._components or self._in_flight(run_id):
             return False
-        self._manifest.replace_runs([run_id], [])
-        self._run_set_changed()
-        reader = self._readers.pop(run_id, None)
-        if reader is not None:
-            reader.close()
-        path = os.path.join(self._directory, component.handle.filename)
-        if os.path.exists(path):
-            os.remove(path)
-        del self._components[run_id]
-        self._quarantine.remove(run_id)
+        self._apply_edit([run_id], [])
         return True
 
     def step(self) -> bool:

@@ -59,6 +59,13 @@ from .quarantine import QuarantineEntry
 from .ratelimiter import RateLimiter
 from .wal import WriteAheadLog
 
+#: Caps on one commit group, so a giant group can neither starve the
+#: queue nor balloon the window a failed fsync rolls back: 1 MiB is
+#: RocksDB's ``max_write_batch_group_size_bytes`` default, and the batch
+#: count bounds the leader's apply loop under the store lock.
+GROUP_COMMIT_MAX_BYTES = 1 * 2**20
+GROUP_COMMIT_MAX_OPS = 1024
+
 
 @dataclass(frozen=True)
 class StoreStats:
@@ -450,26 +457,19 @@ class LSMStore:
 
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or update a key."""
-        self._write(key, value)
+        self._write([(key, value)])
 
     def delete(self, key: bytes) -> None:
         """Delete a key (adds an anti-matter entry)."""
-        self._write(key, TOMBSTONE)
+        self._write([(key, TOMBSTONE)])
 
     def write_batch(self, batch: list[tuple[bytes, bytes | None]]) -> None:
         """Atomically log and apply a batch of puts/deletes."""
         if not batch:
             raise ConfigurationError("empty batch")
-        if self._options.group_commit:
-            self._commit_grouped(batch)
-            return
-        with self._lock:
-            self._check_open()
-            self._wait_for_headroom()
-            self._apply_locked(batch)
+        self._write(batch)
 
-    def _write(self, key: bytes, value) -> None:
-        batch = [(key, value)]
+    def _write(self, batch: list[tuple[bytes, bytes | None]]) -> None:
         if self._options.group_commit:
             self._commit_grouped(batch)
             return
@@ -554,17 +554,14 @@ class LSMStore:
         """Drain one group off the queue head (gc condition held).
 
         Always takes at least the leader's own entry; stops at the
-        configured byte/batch caps so one giant group can't starve the
-        queue or balloon the rollback window.
+        byte/batch caps.
         """
-        options = self._options
         group = [self._gc_queue.popleft()]
         total = group[0].nbytes
         while (
             self._gc_queue
-            and len(group) < options.group_commit_max_ops
-            and total + self._gc_queue[0].nbytes
-            <= options.group_commit_max_bytes
+            and len(group) < GROUP_COMMIT_MAX_OPS
+            and total + self._gc_queue[0].nbytes <= GROUP_COMMIT_MAX_BYTES
         ):
             entry = self._gc_queue.popleft()
             group.append(entry)
@@ -801,17 +798,7 @@ class LSMStore:
                     seconds=elapsed,
                     sealed_queue=len(self._sealed),
                 )
-        sealed_bytes = self._active.approximate_bytes
-        self._active.seal()
-        self._sealed.append(self._active)
-        self._active = MemTable()
-        self._ingested_bytes += sealed_bytes
-        self._m_rotations.inc()
-        self._obs.tracer.emit(
-            obs_events.MEMTABLE_ROTATE,
-            bytes=sealed_bytes,
-            sealed_queue=len(self._sealed),
-        )
+        self._seal_active()
         self._work_available.notify_all()
         if not self._options.background_maintenance:
             self._advance_maintenance(blocking=False)
@@ -845,10 +832,19 @@ class LSMStore:
                 listener.on_truncate(self._wal.generation)
 
     def _seal_active(self) -> None:
-        self._ingested_bytes += self._active.approximate_bytes
+        """Rotate — because the memtable filled, or a flush, checkpoint
+        or close asked."""
+        sealed_bytes = self._active.approximate_bytes
         self._active.seal()
         self._sealed.append(self._active)
         self._active = MemTable()
+        self._ingested_bytes += sealed_bytes
+        self._m_rotations.inc()
+        self._obs.tracer.emit(
+            obs_events.MEMTABLE_ROTATE,
+            bytes=sealed_bytes,
+            sealed_queue=len(self._sealed),
+        )
 
     def _flush_all_memtables(self) -> None:
         if len(self._active) > 0:
@@ -1206,6 +1202,38 @@ class LSMStore:
 
     # -- reads -----------------------------------------------------------
 
+    def _sources(self):
+        """Where reads look, newest data first (store lock held): the
+        memtables, then the probe plan — ``(run_id, reader)``, or the
+        :class:`QuarantineEntry` fencing a run, in probe position."""
+        memtables = [self._active] + list(reversed(self._sealed))
+        return memtables, self._compaction.read_plan()
+
+    def _run_sources(self, lo=None, hi=None, skip=None) -> list:
+        """``items(lo, hi)`` of every memtable and readable run, newest
+        first (store lock held), leaving out run ``skip``."""
+        memtables, plan = self._sources()
+        return [memtable.items(lo, hi) for memtable in memtables] + [
+            element.items(lo, hi)
+            for run_id, element in plan
+            if run_id != skip and not isinstance(element, QuarantineEntry)
+        ]
+
+    def _read_failed(
+        self, failure: ReaderCorruption, previous: ReaderCorruption | None
+    ) -> ReaderCorruption | None:
+        """A fresh checksum failure on the read path (store lock held);
+        the caller reads again, handing the result back as ``previous``.
+        A first failure is only re-read — transient errors pass the
+        second time. A second in a row quarantines the run: the next
+        read fails fast if it still depends on it, and answers from the
+        healthy remainder if the damage lay elsewhere or a concurrent
+        merge retired the run."""
+        if previous is None:
+            return failure
+        self._quarantine_locked(failure.run_id, str(failure.error), "read")
+        return None
+
     def get(self, key: bytes) -> bytes | None:
         """Point lookup; None when absent (or deleted).
 
@@ -1216,42 +1244,20 @@ class LSMStore:
         at all. When the probe would depend on the quarantined run, the
         lookup fails fast with :class:`~repro.errors.DataCorruptError`
         rather than silently skipping the run (which could resurrect a
-        deleted key or serve a stale value). A fresh checksum failure is
-        re-read once — transient errors pass the second time — and a
-        second failure quarantines the run before the error surfaces.
+        deleted key or serve a stale value). Fresh checksum failures go
+        through :meth:`_read_failed`.
         """
-        last_failure: ReaderCorruption | None = None
-        for _attempt in range(2):
+        failure = None
+        while True:
             with self._lock:
                 self._check_open()
-                memtables = [self._active] + list(reversed(self._sealed))
-                plan = self._compaction.read_plan()
                 try:
                     found, value = reconcile_get(
-                        self._probe(key, memtables, plan)
+                        self._probe(key, *self._sources())
                     )
-                except ReaderCorruption as failure:
-                    last_failure = failure
-                    continue
-                return value if found else None
-        # Two consecutive failed probes: the damage is persistent.
-        with self._lock:
-            self._check_open()
-            self._quarantine_locked(
-                last_failure.run_id, str(last_failure.error), "read"
-            )
-            entry = self._compaction.quarantine.get(last_failure.run_id)
-            if entry is not None and entry.covers(key):
-                raise DataCorruptError(
-                    f"run {entry.run_id} is corrupt and its bounds cover "
-                    f"the requested key",
-                    run_id=entry.run_id,
-                    min_key=entry.min_key,
-                    max_key=entry.max_key,
-                ) from last_failure.error
-        # The failing run was retired (or moved) under a concurrent
-        # merge between probes — answer from the healthy remainder.
-        return self.get(key)
+                    return value if found else None
+                except ReaderCorruption as error:
+                    failure = self._read_failed(error, failure)
 
     @staticmethod
     def _probe(key, memtables, plan):
@@ -1296,14 +1302,13 @@ class LSMStore:
         value shadows a newer one, and a skipped run voids that claim
         for the whole overlap. Ranges provably outside the quarantined
         bounds keep serving. Fresh checksum failures — in a block the
-        scan reads; one it never needs is the scrubber's to find —
-        follow the same retry-once-then-quarantine discipline as
-        :meth:`get`.
+        scan reads; one it never needs is the scrubber's to find — go
+        through :meth:`_read_failed`, as :meth:`get`'s do.
         """
         if limit is not None and limit < 0:
             raise ConfigurationError("scan limit cannot be negative")
-        last_failure: ReaderCorruption | None = None
-        for _attempt in range(2):
+        failure = None
+        while True:
             with self._lock:
                 self._check_open()
                 entry = self._compaction.quarantine.overlapping(lo, hi)
@@ -1317,38 +1322,29 @@ class LSMStore:
                     )
                 if limit == 0:
                     return iter(())
+                memtables, plan = self._sources()
                 try:
                     cursors = [
                         EntryCursor(memtable.items(lo, hi))
-                        for memtable in (
-                            [self._active] + list(reversed(self._sealed))
-                        )
+                        for memtable in memtables
                     ]
                     # A run whose key bounds miss [lo, hi) gets no
                     # cursor (a quarantined one cannot overlap here).
                     cursors += [
                         RunCursor(run_id, element, lo, hi)
-                        for run_id, element in self._compaction.read_plan()
+                        for run_id, element in plan
                         if not isinstance(element, QuarantineEntry)
                         and (hi is None or element.min_key < hi)
                         and (lo is None or element.max_key >= lo)
                     ]
                     results = merge_scan(cursors, limit)
-                except ReaderCorruption as failure:
-                    last_failure = failure
+                except ReaderCorruption as error:
+                    failure = self._read_failed(error, failure)
                     continue
                 self._m_scans.inc()
                 self._m_scan_rows.inc(len(results))
                 self._m_scan_blocks.inc(sum(c.blocks for c in cursors))
-            return iter(results)
-        with self._lock:
-            self._check_open()
-            self._quarantine_locked(
-                last_failure.run_id, str(last_failure.error), "read"
-            )
-        # Re-dispatch: fails fast if the now-quarantined run overlaps
-        # the range, serves normally if the damage lay outside it.
-        return self.scan(lo, hi, limit)
+                return iter(results)
 
     def multi_get(self, keys: list[bytes]) -> dict[bytes, bytes | None]:
         """Batched point lookups."""
@@ -1456,21 +1452,13 @@ class LSMStore:
             fetched = {
                 key: value for key, value in items if entry.covers(key)
             }
-            sources = [
-                memtable.items(lo, hi)
-                for memtable in [self._active] + list(reversed(self._sealed))
-            ]
-            sources += [
-                element.items(lo, hi)
-                for other_id, element in self._compaction.read_plan()
-                if other_id != run_id
-                and not isinstance(element, QuarantineEntry)
-            ]
-            local_keys = set()
-            for key, _value in reconciling_iterator(
-                sources, keep_tombstones=True
-            ):
-                local_keys.add(key)
+            local_keys = {
+                key
+                for key, _value in reconciling_iterator(
+                    self._run_sources(lo, hi, skip=run_id),
+                    keep_tombstones=True,
+                )
+            }
             entries = [
                 (key, fetched[key] if key in fetched else TOMBSTONE)
                 for key in sorted(set(fetched) | local_keys)
@@ -1517,18 +1505,9 @@ class LSMStore:
         with self._lock:
             self._check_open()
             snapshot_keys = {key for key, _value in ops}
-            sources = [
-                memtable.items()
-                for memtable in [self._active] + list(reversed(self._sealed))
-            ]
-            sources += [
-                element.items()
-                for _run_id, element in self._compaction.read_plan()
-                if not isinstance(element, QuarantineEntry)
-            ]
             batch: list[tuple[bytes, bytes | None]] = [
                 (key, TOMBSTONE)
-                for key, _value in reconciling_iterator(sources)
+                for key, _value in reconciling_iterator(self._run_sources())
                 if key not in snapshot_keys
             ]
             batch.extend(ops)
@@ -1598,44 +1577,38 @@ class LSMStore:
         background thread also hold for each pump. No interleaving can
         produce a snapshot mixing pre- and post-merge values — e.g.
         ``wal_bytes`` from before a checkpoint with ``components_per_level``
-        from after.
+        from after. Keep every mutable-state read inside the locked
+        region: hoisting one out is exactly that torn-snapshot bug.
+        What depends on the run set (levels, stall bit, headroom) is
+        read off the compaction manager's cached view, not recomputed.
         """
+        compaction = self._compaction
         with self._lock:
-            return self._stats_locked()
-
-    def _stats_locked(self) -> StoreStats:
-        """Assemble :class:`StoreStats` with the store lock already held.
-
-        Keep every mutable-state read inside this method: hoisting one
-        outside the caller's locked region is exactly the torn-snapshot
-        bug the atomicity contract above rules out.
-        """
-        components_per_level = self._compaction.levels()
-        return StoreStats(
-            memtable_entries=len(self._active),
-            # Sealed memtables awaiting flush are still live write
-            # memory: reporting only the (freshly empty) active one
-            # would zero the figure right after every rotation and fool
-            # any controller keying off memory occupancy.
-            memtable_bytes=self._active.approximate_bytes
-            + sum(m.approximate_bytes for m in self._sealed),
-            sealed_memtables=len(self._sealed),
-            num_memtables=self._options.num_memtables,
-            disk_components=self._compaction.component_count,
-            components_per_level=components_per_level,
-            quarantined_runs=len(self._compaction.quarantine),
-            merges_completed=self._compaction.merges_completed,
-            write_stalls=self._stall_count,
-            stall_seconds_total=self._stall_seconds,
-            wal_bytes=self._wal.size_bytes,
-            write_stalled=self._compaction.is_write_stalled(),
-            write_headroom=self._compaction.write_headroom(),
-            throttle_sleep_seconds=(
-                self._compaction.rate_limiter.total_sleep_seconds
-            ),
-            block_cache_hit_rate=self._compaction.block_cache.hit_rate(),
-            block_cache_used_bytes=self._compaction.block_cache.used_bytes,
-        )
+            return StoreStats(
+                memtable_entries=len(self._active),
+                # Sealed memtables awaiting flush are still live write
+                # memory: reporting only the (freshly empty) active one
+                # would zero the figure right after every rotation and
+                # fool any controller keying off memory occupancy.
+                memtable_bytes=self._active.approximate_bytes
+                + sum(m.approximate_bytes for m in self._sealed),
+                sealed_memtables=len(self._sealed),
+                num_memtables=self._options.num_memtables,
+                disk_components=compaction.component_count,
+                components_per_level=compaction.levels(),
+                quarantined_runs=len(compaction.quarantine),
+                merges_completed=compaction.merges_completed,
+                write_stalls=self._stall_count,
+                stall_seconds_total=self._stall_seconds,
+                wal_bytes=self._wal.size_bytes,
+                write_stalled=compaction.is_write_stalled(),
+                write_headroom=compaction.write_headroom(),
+                throttle_sleep_seconds=(
+                    compaction.rate_limiter.total_sleep_seconds
+                ),
+                block_cache_hit_rate=compaction.block_cache.hit_rate(),
+                block_cache_used_bytes=compaction.block_cache.used_bytes,
+            )
 
     @property
     def obs(self):
@@ -1723,11 +1696,6 @@ class LSMStore:
         """Instantaneous backpressure bit: is the write gate closed now?"""
         with self._lock:
             return self._compaction.is_write_stalled()
-
-    def write_headroom(self) -> float:
-        """Remaining component budget as a fraction (0.0 = stalled)."""
-        with self._lock:
-            return self._compaction.write_headroom()
 
     @property
     def options(self) -> StoreOptions:

@@ -1,9 +1,10 @@
 """Configuration for the real storage engine (:mod:`repro.engine`).
 
-The engine mirrors the paper's testbed settings: 4 KB pages, Bloom filters
-at a 1% false-positive target, two memory components, an I/O rate limiter
-for flush/merge writes, and periodic forces every 16 MB. Policies and
-schedulers are named with the same strings as the simulation harness.
+The engine mirrors the paper's testbed settings: 4 KB pages, two memory
+components and an I/O rate limiter for flush/merge writes (its Bloom
+filter sizing and 16 MB periodic forces are constants beside the run
+writer, :mod:`repro.engine.compaction`). Policies and schedulers are
+named with the same strings as the simulation harness.
 """
 
 from __future__ import annotations
@@ -44,14 +45,10 @@ class StoreOptions:
         Per-block compression codec for new sorted runs (``none`` /
         ``zlib``; see :mod:`repro.engine.blockcodec`). Existing runs
         keep their recorded codec; merges rewrite them under this one.
-    bloom_bits_per_key:
-        Bloom filter sizing; 10 bits/key gives the paper's ~1% FPR.
     filter_kind:
-        Point-filter implementation for new runs (``bloom`` /
-        ``cuckoo``; see :mod:`repro.engine.filters`). Readers dispatch
-        on the serialized filter's magic, so mixed trees are fine.
-    bytes_per_sync:
-        Force data to disk every this many written bytes (paper: 16 MB).
+        Point-filter implementation for new runs, one of
+        :func:`repro.engine.filters.available_filters` (``bloom``).
+        Readers dispatch on the serialized filter's magic.
     merge_chunk_bytes:
         Merge input bytes processed per scheduler consultation (0 =
         the compaction manager's 1 MB default). Smaller chunks make
@@ -108,11 +105,6 @@ class StoreOptions:
         replication cursors and ack policies are unchanged. Most useful
         with ``sync_writes=True``, where it amortises the per-commit
         fsync across every writer parked during the previous sync.
-    group_commit_max_bytes:
-        Cap on the encoded payload bytes one commit group may gather
-        before the leader stops draining the queue.
-    group_commit_max_ops:
-        Cap on the number of batches one commit group may gather.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` (duck-typed on a
         ``wrap(file, site)`` method) injected into the WAL, manifest,
@@ -136,9 +128,7 @@ class StoreOptions:
     levels: int = 4
     block_bytes: int = 4096
     block_codec: str = "none"
-    bloom_bits_per_key: int = 10
     filter_kind: str = "bloom"
-    bytes_per_sync: int = 16 * 2**20
     merge_chunk_bytes: int = 0
     maintenance_chunks_per_rotation: int = 0
     rate_limit_bytes_per_s: int = 0
@@ -150,8 +140,6 @@ class StoreOptions:
     scrub_rate_bytes_per_s: int = 0
     sync_writes: bool = False
     group_commit: bool = False
-    group_commit_max_bytes: int = 1 * 2**20
-    group_commit_max_ops: int = 1024
     fault_plan: object | None = None
     obs: object | None = None
 
@@ -188,15 +176,11 @@ class StoreOptions:
                 f"unknown block codec {self.block_codec!r}; available: "
                 f"{', '.join(blockcodec.available_codecs())}"
             )
-        if self.bloom_bits_per_key < 1:
-            raise ConfigurationError("bloom filter needs at least 1 bit/key")
         if self.filter_kind not in filters.available_filters():
             raise ConfigurationError(
                 f"unknown filter kind {self.filter_kind!r}; available: "
                 f"{', '.join(filters.available_filters())}"
             )
-        if self.bytes_per_sync < self.block_bytes:
-            raise ConfigurationError("bytes_per_sync must cover a block")
         if self.merge_chunk_bytes < 0:
             raise ConfigurationError("merge chunk size cannot be negative")
         if self.maintenance_chunks_per_rotation < 0:
@@ -212,14 +196,6 @@ class StoreOptions:
         if self.maintenance_threads < 1:
             raise ConfigurationError(
                 "need at least one maintenance worker"
-            )
-        if self.group_commit_max_bytes < 1:
-            raise ConfigurationError(
-                "group commit byte cap must be positive"
-            )
-        if self.group_commit_max_ops < 1:
-            raise ConfigurationError(
-                "group commit must admit at least one batch"
             )
         if self.scrub_interval < 0:
             raise ConfigurationError("scrub interval cannot be negative")

@@ -138,13 +138,6 @@ class QuarantineSet:
     def get(self, run_id: int) -> QuarantineEntry | None:
         return self._entries.get(run_id)
 
-    def covering(self, key: bytes) -> QuarantineEntry | None:
-        """The first quarantined run whose bounds contain ``key``."""
-        for entry in self._entries.values():
-            if entry.covers(key):
-                return entry
-        return None
-
     def overlapping(
         self, lo: bytes | None, hi: bytes | None
     ) -> QuarantineEntry | None:

@@ -16,8 +16,8 @@ File layout::
 * The **index block** maps each data block's first key to its (offset,
   stored length), enabling a single-block read per point lookup.
 * The **filter block** is a serialized point filter
-  (:mod:`repro.engine.filters`): Bloom by default, cuckoo optionally;
-  the blob's magic prefix says which, so version-1 files (always Bloom)
+  (:mod:`repro.engine.filters`; Bloom is the registered kind): the
+  blob's magic prefix says which, so version-1 files (always Bloom)
   load through the same path.
 * The **meta block** is JSON: entry/tombstone counts, key bounds, the
   physical data byte count (what merge accounting bills against the I/O

@@ -598,7 +598,6 @@ def _run_spec(draw, block_bytes, block_codec):
         "entries": contents,
         "format_version": 1 if legacy else 2,
         "block_codec": "none" if legacy else draw(st.sampled_from(["none", "zlib"])),
-        "filter_kind": "bloom" if legacy else draw(st.sampled_from(["bloom", "cuckoo"])),
         "block_bytes": draw(st.sampled_from([128, 256])),
     }
 
@@ -619,7 +618,6 @@ class TestMatchesTheReference:
         case=_merge_case(),
         drop_tombstones=st.booleans(),
         chunk_bytes=st.integers(1, 5000),
-        filter_kind=st.sampled_from(["bloom", "cuckoo"]),
         io_bytes=st.sampled_from([64, 600, 1 << 18]),
     )
     @settings(max_examples=150, deadline=None)
@@ -629,7 +627,6 @@ class TestMatchesTheReference:
         case,
         drop_tombstones,
         chunk_bytes,
-        filter_kind,
         io_bytes,
     ):
         block_bytes, block_codec, runs = case
@@ -642,9 +639,7 @@ class TestMatchesTheReference:
             paths.append(path)
         expected = reference(paths, drop_tombstones)
         options = StoreOptions(
-            block_bytes=block_bytes,
-            block_codec=block_codec,
-            filter_kind=filter_kind,
+            block_bytes=block_bytes, block_codec=block_codec
         )
         # ``io_bytes`` caps a span's read: one block, a few, or no cap.
         configured = sstable.SEQUENTIAL_IO_BYTES
@@ -687,7 +682,7 @@ class TestMatchesTheReference:
             tombstones = sum(1 for _, value in expected if value is None)
             assert reader.tombstone_count == tombstones
             assert reader.format_version == 2
-            assert reader.filter_kind == filter_kind
+            assert reader.filter_kind == "bloom"
             if expected:
                 assert reader.min_key == expected[0][0]
                 assert reader.max_key == expected[-1][0]

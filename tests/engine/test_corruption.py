@@ -198,18 +198,44 @@ class TestApplyReset:
             assert list(store.scan()) == [(b"b", b"kept")]
 
 
+def current_derived(manager):
+    """What a ``CompactionManager`` derives from its run set, as cached —
+    after checking that a second read builds nothing (equal values; the
+    very same snapshot and plan) and that all of it equals what a forced
+    ``_run_set_changed()`` rebuilds from scratch."""
+
+    def read():
+        return {
+            "snapshot": [c.uid for c in manager.snapshot().components],
+            "levels": manager.levels(),
+            "component_count": manager.component_count,
+            "write_stalled": manager.is_write_stalled(),
+            "write_headroom": manager.write_headroom(),
+            "scrub_targets": manager.scrub_targets(),
+            "read_plan": manager.read_plan(),
+        }
+
+    cached = read()
+    snapshot, plan = manager.snapshot(), manager.read_plan()
+    assert read() == cached
+    assert manager.snapshot() is snapshot
+    assert manager.read_plan() is plan
+    assert cached["component_count"] == len(cached["snapshot"]) == len(plan)
+    manager._run_set_changed()
+    assert read() == cached
+    return cached
+
+
 class TestReadPlanCache:
-    """``CompactionManager.read_plan()`` is built once per change of the
-    run set; quarantine, repair and drop each have to invalidate it."""
+    """Everything ``CompactionManager`` derives from the run set is
+    built once per change of it; quarantine, repair and drop each have
+    to invalidate it."""
 
     @staticmethod
     def _current_plan(store):
-        """The cached plan, after checking it against one built anew."""
-        manager = store._compaction
-        cached = manager.read_plan()
-        manager._run_set_changed()
-        assert manager.read_plan() == cached
-        return cached
+        """The cached plan, after checking it (and every other derived
+        value) against one built anew."""
+        return current_derived(store._compaction)["read_plan"]
 
     def test_plan_follows_quarantine_repair_drop_and_reopen(self, tmp_path):
         directory = str(tmp_path / "db")

