@@ -389,14 +389,17 @@ class ClusterRouter(FramedServer):
 
     # -- cluster state ----------------------------------------------------
 
-    async def _snapshots(self) -> list[StoreStats]:
-        """Per-shard engine snapshots, read in process off the loop."""
-        return list(await asyncio.to_thread(self._stats_fn))
+    def _snapshots(self) -> list[StoreStats]:
+        """Per-shard engine snapshots, read in process: each is one
+        bounded hold of a shard's store lock, so it is taken right here
+        on the loop thread, as a shard server's own admission does."""
+        return list(self._stats_fn())
 
     async def _pump(self) -> None:
-        """Advance the cluster's shared-budget maintenance, if wired."""
+        """Advance the cluster's shared-budget maintenance, if wired —
+        flushes and merge chunks on the caller, so on a pool thread."""
         if self._maintenance_fn is not None:
-            await asyncio.to_thread(self._maintenance_fn)
+            await self._in_thread(self._maintenance_fn)
 
     # -- shard health -----------------------------------------------------
 
@@ -487,11 +490,11 @@ class ClusterRouter(FramedServer):
 
         if self._admission.base_mode == "none":
             # It admits whatever the shards report, so they are not
-            # asked: a snapshot is an executor hop on every write.
+            # asked: a snapshot takes every shard's store lock.
             decision = AdmissionDecision(ADMIT)
         else:
             decision = self._admission.decide_many(
-                nbytes_by_shard, await self._snapshots()
+                nbytes_by_shard, self._snapshots()
             )
         if decision.action == REJECT:
             # Shedding load must not starve the maintenance that would
@@ -838,8 +841,7 @@ class ClusterRouter(FramedServer):
         return merge_events(streams, limit)
 
     async def _op_stats(self, message: dict) -> dict:
-        snapshots = await self._snapshots()
-        cluster = aggregate_stats(snapshots)
+        cluster = aggregate_stats(self._snapshots())
         router_view = self.metrics.snapshot()
         router_view["shard_health"] = self.shard_health()
         router_view["breaker_trips"] = sum(

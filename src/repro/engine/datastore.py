@@ -53,7 +53,7 @@ from .iterators import (
     reconciling_iterator,
 )
 from .manifest import Manifest
-from .memtable import MemTable
+from .memtable import MemTable, payload_bytes
 from .options import StoreOptions, TOMBSTONE
 from .quarantine import QuarantineEntry
 from .ratelimiter import RateLimiter
@@ -178,10 +178,7 @@ class _CommitEntry:
 
     def __init__(self, batch: list[tuple[bytes, bytes | None]]) -> None:
         self.batch = batch
-        self.nbytes = sum(
-            len(key) + (0 if value is TOMBSTONE else len(value))
-            for key, value in batch
-        )
+        self.nbytes = payload_bytes(batch)
         self.done = False
         self.result: tuple[int, int, int] | None = None
         self.error: BaseException | None = None
@@ -635,31 +632,63 @@ class LSMStore:
 
     # -- timed writes (serving-tier latency breakdown) -------------------
 
-    def timed_put(self, key: bytes, value: bytes) -> WriteTiming:
-        """``put`` that reports where its time went."""
-        return self._write_timed([(key, value)])
+    def timed_put(
+        self, key: bytes, value: bytes, wait: bool = True
+    ) -> WriteTiming | None:
+        """``put`` that reports where its time went.
 
-    def timed_delete(self, key: bytes) -> WriteTiming:
+        With ``wait=False`` the write commits only if that takes no more
+        than a log append and a memtable insert, and otherwise returns
+        None having changed nothing (see :meth:`_write_timed`); the
+        same holds for :meth:`timed_delete` and
+        :meth:`timed_write_batch`.
+        """
+        return self._write_timed([(key, value)], wait)
+
+    def timed_delete(
+        self, key: bytes, wait: bool = True
+    ) -> WriteTiming | None:
         """``delete`` that reports where its time went."""
-        return self._write_timed([(key, TOMBSTONE)])
+        return self._write_timed([(key, TOMBSTONE)], wait)
 
     def timed_write_batch(
-        self, batch: list[tuple[bytes, bytes | None]]
-    ) -> WriteTiming:
+        self, batch: list[tuple[bytes, bytes | None]], wait: bool = True
+    ) -> WriteTiming | None:
         """``write_batch`` that reports where its time went."""
         if not batch:
             raise ConfigurationError("empty batch")
-        return self._write_timed(batch)
+        return self._write_timed(batch, wait)
 
     def _write_timed(
-        self, batch: list[tuple[bytes, bytes | None]]
-    ) -> WriteTiming:
+        self, batch: list[tuple[bytes, bytes | None]], wait: bool = True
+    ) -> WriteTiming | None:
         """The instrumented twin of :meth:`_write`/:meth:`write_batch`.
 
         A separate path so the plain write methods stay free of clock
         reads (the embedded hot path); the serving tier calls this one
         to attach an engine/I-O/stall breakdown to each response.
+
+        ``wait=False`` is for a caller that must not park — an event
+        loop's thread. Every reason to wait is checked *before* the WAL
+        append, under a lock taken without blocking, so None means the
+        log and the memtable are untouched and the caller can repeat
+        the call with ``wait=True`` from a thread that may park. When
+        nothing would wait, the write runs through the code below
+        unchanged (the store lock is re-entrant).
         """
+        if not wait:
+            options = self._options
+            if options.sync_writes or options.group_commit:
+                return None  # an fsync is a wait
+            if not self._lock.acquire(blocking=False):
+                return None
+            try:
+                self._check_open()
+                if self._would_wait_locked(batch):
+                    return None
+                return self._write_timed(batch)
+            finally:
+                self._lock.release()
         clock = self._obs.clock
         if self._options.group_commit:
             started = clock()
@@ -706,6 +735,27 @@ class LSMStore:
                 wal_offset=offset,
                 wal_end=offset + length,
             )
+
+    def _would_wait_locked(
+        self, batch: list[tuple[bytes, bytes | None]]
+    ) -> bool:
+        """Would committing ``batch`` now do more than log and insert?
+
+        Store lock held. True when the stall gate is closed
+        (:meth:`_wait_for_headroom` would park or raise), or when the
+        batch could fill the active memtable while :meth:`_maybe_rotate`
+        could not get by with a bare seal: the sealed queue is full (a
+        flush stall), or there are no workers and rotation flushes on
+        the caller.
+        """
+        if self._compaction.is_write_stalled():
+            return True
+        if (
+            self._options.background_maintenance
+            and len(self._sealed) < self._options.num_memtables - 1
+        ):
+            return False
+        return self._active.bytes_at_most_after(batch) >= self._memtable_target
 
     def _wait_for_headroom(self) -> None:
         """The write-stall gate: the paper's stop interaction mode.

@@ -34,6 +34,14 @@ CHUNK_KEYS = 512
 _ABSENT = object()
 
 
+def payload_bytes(batch: list[tuple[bytes, bytes | None]]) -> int:
+    """Raw key plus value bytes of a batch (a delete carries no value)."""
+    return sum(
+        len(key) + (0 if value is TOMBSTONE else len(value))
+        for key, value in batch
+    )
+
+
 class MemTable:
     """An ordered in-memory write buffer with tombstone support."""
 
@@ -53,6 +61,14 @@ class MemTable:
     def approximate_bytes(self) -> int:
         """Payload plus bookkeeping overhead currently buffered."""
         return self._bytes
+
+    def bytes_at_most_after(
+        self, batch: list[tuple[bytes, bytes | None]]
+    ) -> int:
+        """An upper bound on :attr:`approximate_bytes` once ``batch`` is
+        applied: every key charged as new, nothing credited for the
+        value an overwrite replaces."""
+        return self._bytes + ENTRY_OVERHEAD * len(batch) + payload_bytes(batch)
 
     @property
     def tombstone_count(self) -> int:

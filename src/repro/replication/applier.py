@@ -21,7 +21,8 @@ of the leader's:
   mismatches (the leader truncated its WAL past the follower's cursor).
 
 All methods are thread-safe and blocking (they call into the LSM
-store); the serving layer runs them via ``asyncio.to_thread``.
+store); the serving layer runs :meth:`ReplicaApplier.apply_frame` on
+its worker pool, since a shipped write can park like any other.
 """
 
 from __future__ import annotations

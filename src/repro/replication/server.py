@@ -168,7 +168,7 @@ class ReplicatedKVServer(KVServer):
 
     # -- the leader write path -------------------------------------------
 
-    async def _admitted_write(self, nbytes: int, apply) -> dict:
+    async def _admitted_write(self, op: str, nbytes: int, apply) -> dict:
         if self._role != "leader":
             return protocol.error_response(
                 protocol.CODE_NOT_LEADER,
@@ -176,12 +176,15 @@ class ReplicatedKVServer(KVServer):
             )
         captured: list = []
 
-        def apply_and_capture():
-            timing = apply()
-            captured.append(timing)
+        def apply_and_capture(wait: bool = True):
+            timing = apply(wait=wait)
+            if timing is not None:
+                captured.append(timing)
             return timing
 
-        response = await super()._admitted_write(nbytes, apply_and_capture)
+        response = await super()._admitted_write(
+            op, nbytes, apply_and_capture
+        )
         if not response.get("ok") or not captured:
             return response
         breakdown = response.setdefault("breakdown", {})
@@ -229,7 +232,9 @@ class ReplicatedKVServer(KVServer):
                     f"replica is the leader at epoch {self._epoch}",
                 )
         try:
-            status = await asyncio.to_thread(
+            # A shipped frame is a write like any other: it can meet a
+            # closed stall gate or a flush-stalled rotation.
+            status = await self._in_thread(
                 self._applier.apply_frame, payload
             )
         except StaleEpochError as error:
@@ -290,7 +295,7 @@ class ReplicatedKVServer(KVServer):
                 self._epoch = epoch
         status = self._applier.status()
         hi_exclusive = hi + b"\x00"  # wire bounds are inclusive
-        items = await asyncio.to_thread(
+        items = await self._in_thread(
             lambda: list(self._store.scan(lo, hi_exclusive))
         )
         response = self._ack_response(status)
@@ -342,7 +347,7 @@ class ReplicatedKVServer(KVServer):
         """
         if self._role != "leader" or self._shipper is None:
             return 0
-        entries = await asyncio.to_thread(self._store.quarantined_entries)
+        entries = self._store.quarantined_entries()
         if not entries:
             return 0
         repaired = 0
@@ -365,7 +370,7 @@ class ReplicatedKVServer(KVServer):
         shipper = self._shipper
         if shipper is None:
             return False
-        position = await asyncio.to_thread(self._store.wal_position)
+        position = self._store.wal_position()
         cursors = shipper.acked_cursors()
         # Most-caught-up follower first; unknown cursors last.
         order = sorted(
@@ -389,7 +394,7 @@ class ReplicatedKVServer(KVServer):
                 continue
             if (fetched["generation"], fetched["applied"]) < position:
                 continue  # behind our committed state: unsafe to use
-            repaired = await asyncio.to_thread(
+            repaired = await self._in_thread(
                 self._store.repair_run, entry.run_id, fetched["items"]
             )
             if repaired:

@@ -3,10 +3,14 @@
 One :class:`KVServer` owns a listening socket and serves the verbs of
 :mod:`repro.server.protocol`, framed by :mod:`repro.server.binproto`,
 from a store the caller opened.
-Engine calls run in worker threads (``asyncio.to_thread``) so a write
-blocked inside the engine's stall gate never freezes the event loop, and
-every write first passes the admission controller
-(:mod:`repro.server.admission`):
+An engine call runs on the event loop's own thread unless it would wait:
+a GET, a bounded SCAN, and a write that only logs and inserts cost no
+hand-off, while a write the engine says would park (a closed stall gate,
+a flush-stalled rotation, an fsync, a contended store lock), an
+unbounded SCAN and the inline maintenance pump go to the server's one
+worker pool — so a stalled write never freezes the loop or the reads on
+it (``docs/server.md``, "Threading model"). Every write first passes the
+admission controller (:mod:`repro.server.admission`):
 
 * ``admit`` — the write proceeds immediately;
 * ``delay`` — the service sleeps the prescribed pause first (graceful
@@ -28,6 +32,7 @@ import contextlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from ..engine.datastore import LSMStore
 from ..errors import (
@@ -44,6 +49,11 @@ from .admission import REJECT, AdmissionController
 
 #: Default bound on how long one admitted write may be absorbed/delayed.
 DEFAULT_WRITE_DEADLINE = 5.0
+
+#: Largest ``limit`` a SCAN may carry and still run on the loop thread:
+#: every other request waits out an inline scan, and a page of this many
+#: rows costs about what a few point reads do.
+INLINE_SCAN_ROWS = 256
 
 
 @dataclass
@@ -108,10 +118,12 @@ class FramedServer:
         self._exposition: PrometheusEndpoint | None = None
         self._tickers: list[tuple[object, float]] = []
         self._ticker_tasks: list[asyncio.Task] = []
-        # Engine calls are I/O-bound (fsync waits, stall-gate sleeps,
-        # disk reads), so the pool is sized past the CPU count — with
-        # asyncio's default ~cpu+4 threads a group-commit leader's fsync
-        # could only ever cover a handful of parked writers.
+        # Only calls that wait come here (stall-gate and flush-stall
+        # parks, fsyncs, unbounded scans, maintenance pumps), so the pool
+        # is sized past the CPU count: it bounds how many writers can
+        # park at once, and with it how many a group-commit leader's
+        # fsync can cover. Threads start on first use; a server whose
+        # calls never wait never starts one.
         self._engine_threads = engine_threads
         self._executor: ThreadPoolExecutor | None = None
 
@@ -132,7 +144,7 @@ class FramedServer:
         self._tickers.append((fn, interval))
 
     async def _in_thread(self, fn, *args):
-        """Run a blocking engine call on the server's own worker pool."""
+        """Run a call that may wait on the server's own worker pool."""
         if self._executor is None:
             raise ConfigurationError("server is not started")
         return await asyncio.get_running_loop().run_in_executor(
@@ -418,17 +430,30 @@ class KVServer(FramedServer):
         # their own progress, so the stall hook would only burn a
         # thread-pool hop per rejection.
         self._pump_maintenance = not store.options.background_maintenance
+        self._engine_calls = {
+            (op, where): self.obs.registry.counter(
+                "server_engine_calls_total",
+                labels={"op": op, "where": where},
+                help="Engine calls by where they ran: on the event "
+                "loop's thread, or on a pool thread because they waited.",
+            )
+            for op in ("put", "del", "batch", "get", "scan")
+            for where in ("loop", "thread")
+        }
 
     # -- the admission + write pipeline ----------------------------------
 
-    async def _admitted_write(self, nbytes: int, apply) -> dict:
+    async def _admitted_write(self, op: str, nbytes: int, apply) -> dict:
         """Run one write through admission, delays, and stall absorption.
 
-        ``apply`` must return a :class:`~repro.engine.WriteTiming`; the
-        response hands dispatch a ``breakdown`` with the admission wait
-        this pipeline accumulated (delays, absorb pauses) and the
-        engine/I-O legs from the timing (``engine`` excludes the WAL leg
-        reported as ``io``).
+        ``apply`` is one of the store's ``timed_*`` writes with its data
+        bound: ``apply(wait=False)`` is tried here, on the loop thread,
+        and only when the engine answers None — the write would wait —
+        is ``apply()`` sent to the pool to do the waiting. Either way it
+        returns a :class:`~repro.engine.WriteTiming`; the response hands
+        dispatch a ``breakdown`` with the admission wait this pipeline
+        accumulated (delays, absorb pauses) and the engine/I-O legs from
+        the timing (``engine`` excludes the WAL leg reported as ``io``).
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self._write_deadline
@@ -471,7 +496,12 @@ class KVServer(FramedServer):
                     await self._in_thread(self._store.advance_maintenance)
                 await asyncio.sleep(decision.delay_seconds)
             try:
-                timing = await self._in_thread(apply)
+                timing = apply(wait=False)
+                if timing is None:
+                    self._engine_calls[op, "thread"].inc()
+                    timing = await self._in_thread(apply)
+                else:
+                    self._engine_calls[op, "loop"].inc()
             except WriteStalledError as error:
                 # Rejected writes make no maintenance progress in inline
                 # mode, so the serving layer pumps merges forward — the
@@ -528,13 +558,15 @@ class KVServer(FramedServer):
         key = protocol.request_key(message)
         value = protocol.request_value(message)
         return await self._admitted_write(
-            len(key) + len(value), lambda: self._store.timed_put(key, value)
+            "put",
+            len(key) + len(value),
+            partial(self._store.timed_put, key, value),
         )
 
     async def _op_del(self, message: dict) -> dict:
         key = protocol.request_key(message)
         return await self._admitted_write(
-            len(key), lambda: self._store.timed_delete(key)
+            "del", len(key), partial(self._store.timed_delete, key)
         )
 
     async def _op_batch(self, message: dict) -> dict:
@@ -544,33 +576,40 @@ class KVServer(FramedServer):
             for key, value in ops
         )
         response = await self._admitted_write(
-            nbytes, lambda: self._store.timed_write_batch(ops)
+            "batch", nbytes, partial(self._store.timed_write_batch, ops)
         )
         if response.get("ok"):
             response["count"] = len(ops)
         return response
 
-    def _timed_read(self, operation):
-        started = self._clock()
-        result = operation()
-        return result, self._clock() - started
-
     async def _op_get(self, message: dict) -> dict:
         key = protocol.request_key(message)
         self.metrics.reads_total += 1
-        value, engine_seconds = await self._in_thread(
-            self._timed_read, lambda: self._store.get(key)
-        )
+        # On the loop thread even when the block must come from disk:
+        # the store holds its lock across block reads, so a pool thread
+        # would overlap nothing and only add the hand-off.
+        self._engine_calls["get", "loop"].inc()
+        started = self._clock()
+        value = self._store.get(key)
         return protocol.ok_response(
-            value=value, breakdown={"engine": engine_seconds}
+            value=value, breakdown={"engine": self._clock() - started}
         )
 
     async def _op_scan(self, message: dict) -> dict:
         lo, hi, limit = protocol.scan_bounds(message)
         self.metrics.reads_total += 1
-        items, engine_seconds = await self._in_thread(
-            self._timed_read, lambda: list(self._store.scan(lo, hi, limit))
-        )
+
+        def scan():
+            started = self._clock()
+            items = list(self._store.scan(lo, hi, limit))
+            return items, self._clock() - started
+
+        if limit is not None and limit <= INLINE_SCAN_ROWS:
+            self._engine_calls["scan", "loop"].inc()
+            items, engine_seconds = scan()
+        else:
+            self._engine_calls["scan", "thread"].inc()
+            items, engine_seconds = await self._in_thread(scan)
         return protocol.ok_response(
             items=protocol.encode_items(items),
             breakdown={"engine": engine_seconds},
@@ -628,15 +667,11 @@ class KVServer(FramedServer):
 
     async def metrics_snapshot(self) -> dict:
         """Structured metrics for METRICS and the scrape endpoint."""
-        return await self._in_thread(self._sync_registry)
-
-    def _stats_with_corruption(self) -> tuple:
-        return self._store.stats(), self._store.corruption_status()
+        return self._sync_registry()
 
     async def _op_stats(self, message: dict) -> dict:
-        stats, corruption = await self._in_thread(
-            self._stats_with_corruption
-        )
+        stats = self._store.stats()
+        corruption = self._store.corruption_status()
         engine = asdict(stats)
         engine["components_per_level"] = {
             str(level): count
