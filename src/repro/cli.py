@@ -174,9 +174,36 @@ def _store_options_from(args: argparse.Namespace):
     )
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+def _serve_until_interrupted(run, args: argparse.Namespace) -> int:
+    """``asyncio.run(run())`` until Ctrl-C or SIGTERM; exit code.
 
+    SIGTERM — what ``kill`` and every process manager send — takes the
+    Ctrl-C path: the serving task is cancelled at an ``await``, its
+    ``async with`` blocks close servers and stores, exit 0. Only a
+    clean close records the log position that lets replicas resume at
+    the next start instead of resyncing from scratch.
+    """
+    import asyncio
+    import signal
+
+    async def main() -> None:
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
+        await run()
+
+    try:
+        asyncio.run(main())
+    except (KeyboardInterrupt, asyncio.CancelledError):
+        print("shutting down")
+    except OSError as error:
+        print(f"error: cannot serve on {args.host}:{args.port}: {error}",
+              file=sys.stderr)
+        return 2
+    return 0
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
     from .engine import LSMStore
     from .memory import MemoryArbiter, MemoryBudget
     from .server import KVServer
@@ -223,15 +250,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     print(f"metrics on http://{mhost}:{mport}/metrics")
                 await server.serve_forever()
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("shutting down")
-    except OSError as error:
-        print(f"error: cannot serve on {args.host}:{args.port}: {error}",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _serve_until_interrupted(run, args)
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -296,8 +315,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from .cluster import LocalCluster, build_cluster_admission
 
     _check_port(args.port)
@@ -356,15 +373,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
                 print(f"metrics on http://{mhost}:{mport}/metrics")
             await cluster.serve_forever()
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("shutting down")
-    except OSError as error:
-        print(f"error: cannot serve on {args.host}:{args.port}: {error}",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _serve_until_interrupted(run, args)
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:

@@ -306,13 +306,14 @@ class ClusterRouter(FramedServer):
         """Promote the most-caught-up follower to shard leader.
 
         Every follower is probed for its replication cursor; the one
-        with the highest ``(epoch, generation, applied)`` — i.e. the
-        most acked writes — wins, which is exactly what makes the
-        zero-lost-acked guarantee hold under ``quorum``: any acked
-        write reached a majority, and the majority's maximum cursor
-        contains it. The survivors are handed to the new leader to
-        re-attach, the router's shard client is swapped, and the
-        breaker is reset so traffic flows immediately.
+        with the highest ``(epoch, applied)`` — followers of one leader
+        count LSNs of the same log, so that is the most acked writes —
+        wins, which is exactly what makes the zero-lost-acked guarantee
+        hold under ``quorum``: any acked write reached a majority, and
+        the majority's maximum cursor contains it. The survivors are
+        handed to the new leader to re-attach, the router's shard
+        client is swapped, and the breaker is reset so traffic flows
+        immediately.
         """
         followers = self._replica_clients[shard]
         statuses = await asyncio.gather(
@@ -320,12 +321,7 @@ class ClusterRouter(FramedServer):
             return_exceptions=True,
         )
         candidates = [
-            (
-                status["epoch"],
-                status["generation"],
-                status["applied"],
-                index,
-            )
+            (status["epoch"], status["applied"], index)
             for index, status in enumerate(statuses)
             if not isinstance(status, BaseException)
         ]
@@ -333,7 +329,7 @@ class ClusterRouter(FramedServer):
             # No follower answered either; leave the breaker cooling
             # down — a later open transition retries the promotion.
             return
-        _epoch, _generation, _applied, winner = max(candidates)
+        _epoch, _applied, winner = max(candidates)
         epoch = self._epochs[shard] + 1
         peers = [
             address

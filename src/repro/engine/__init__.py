@@ -21,9 +21,15 @@ from .filters import (
     register_filter,
 )
 from .integrity import IntegrityReport, verify_store
-from .datastore import LSMStore, MemorySignals, StoreStats, WriteTiming
+from .datastore import (
+    LSMStore,
+    MemorySignals,
+    StoreStats,
+    WalPosition,
+    WriteTiming,
+)
 from .iterators import reconcile_get, reconciling_iterator
-from .manifest import Manifest, RunRecord
+from .manifest import LogPosition, Manifest, RunRecord
 from .memtable import MemTable
 from .options import StoreOptions, TOMBSTONE
 from .quarantine import QuarantineEntry, QuarantineSet
@@ -43,6 +49,7 @@ __all__ = [
     "IntegrityReport",
     "IndexedStore",
     "LSMStore",
+    "LogPosition",
     "Manifest",
     "MemorySignals",
     "MemTable",
@@ -58,6 +65,7 @@ __all__ = [
     "StoreStats",
     "SyncPolicy",
     "TOMBSTONE",
+    "WalPosition",
     "WalScan",
     "WriteAheadLog",
     "WriteTiming",

@@ -31,7 +31,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ..errors import (
     ClosedError,
@@ -52,7 +52,7 @@ from .iterators import (
     reconcile_get,
     reconciling_iterator,
 )
-from .manifest import Manifest
+from .manifest import LogPosition, Manifest
 from .memtable import MemTable, payload_bytes
 from .options import StoreOptions, TOMBSTONE
 from .quarantine import QuarantineEntry
@@ -151,27 +151,48 @@ class WriteTiming:
     (0.0 unless the write stalled). Produced only by the ``timed_*``
     write variants — the plain paths never read a clock.
 
-    ``wal_offset``/``wal_end`` are the byte span the write's commit
-    frame occupies in WAL generation ``wal_generation`` (-1 when
-    unknown); a replicated server waits for follower acks to reach
-    ``wal_end`` before acknowledging under quorum/all ack policies.
+    ``wal_offset``/``wal_end`` are the LSNs the write's commit frame
+    starts and ends at (see :class:`WalPosition`; -1 when unknown); a
+    replicated server waits for follower acks to reach ``wal_end``
+    before acknowledging under quorum/all ack policies.
     """
 
     engine_seconds: float
     io_seconds: float
     stall_seconds: float
-    wal_generation: int = -1
     wal_offset: int = -1
     wal_end: int = -1
+
+
+class WalPosition(NamedTuple):
+    """Where a store's log stands, in log-sequence numbers.
+
+    An LSN counts every byte the log has ever held within one
+    ``lineage``: ``wal_base`` is the LSN of the log file's first byte (a
+    checkpoint truncates the file and moves the base up by what it
+    held), ``lsn`` the LSN just past its last. A lineage survives a
+    clean close and reopen; after a crash, or once a follower has been
+    promoted, the store starts a fresh random one, so two positions
+    compare only when their lineages are equal.
+    """
+
+    lineage: int
+    lsn: int
+    wal_base: int
+
+
+def _new_lineage() -> int:
+    # 53 random bits: still an exact integer in any JSON reader.
+    return int.from_bytes(os.urandom(8), "big") >> 11
 
 
 class _CommitEntry:
     """One writer's parked commit batch in the group-commit queue.
 
     The parked writer waits until a leader marks it ``done``, then reads
-    either ``result`` — its batch's ``(generation, offset, length)`` WAL
-    span — or ``error``. ``nbytes`` is the batch's raw key+value size,
-    used to honour the group byte cap without encoding frames twice.
+    either ``result`` — its frame's ``(lsn, length)`` — or ``error``.
+    ``nbytes`` is the batch's raw key+value size, used to honour the
+    group byte cap without encoding frames twice.
     """
 
     __slots__ = ("batch", "nbytes", "done", "result", "error")
@@ -180,7 +201,7 @@ class _CommitEntry:
         self.batch = batch
         self.nbytes = payload_bytes(batch)
         self.done = False
-        self.result: tuple[int, int, int] | None = None
+        self.result: tuple[int, int] | None = None
         self.error: BaseException | None = None
 
 
@@ -307,7 +328,18 @@ class LSMStore:
             "engine_group_commit_syncs_total",
             help="Group-commit fsyncs (one per group, not per batch).",
         )
-        self._replay_wal()
+        # A position read back proves a clean close and nothing since
+        # (take_position voids it before the log can take an append) —
+        # unless replay stopped short of the file's end, in which case
+        # the LSNs it vouches for are not all there.
+        position = self._manifest.take_position()
+        if self._replay_wal() != self._wal.size_bytes:
+            position = None
+        if position is None:
+            position = LogPosition(lineage=_new_lineage(), wal_base=0)
+        self._lineage = position.lineage
+        self._wal_base = position.wal_base
+        self._upstream = position.upstream
         self._workers: list[threading.Thread] = []
         if self._options.background_maintenance:
             for index in range(self._options.maintenance_threads):
@@ -355,8 +387,14 @@ class LSMStore:
                 self._gc_cond.wait(timeout=0.05)
         with self._lock:
             self._flush_all_memtables()
+            # The last flush's own checkpoint may have been vetoed or
+            # skipped; without this one the next open replays — and
+            # later flushes again — data that is already in runs.
+            self._wal_checkpoint()
             self._compaction.drain()
-            self._manifest.compact()
+            self._manifest.compact(
+                LogPosition(self._lineage, self._wal_base, self._upstream)
+            )
             self._compaction.close()
             self._wal.close()
             self._manifest.close()
@@ -367,7 +405,9 @@ class LSMStore:
         Unlike :meth:`close`, no memtable is flushed, the WAL is not
         truncated, and the manifest is not compacted — the directory is
         left exactly as the last completed I/O left it, which is the
-        state a real crash would recover from. Used by the
+        state a real crash would recover from (and, no log position
+        having been recorded, the next open starts a new lineage). Used
+        by the
         fault-injection harness (:mod:`repro.faults.crashsim`); the
         store is unusable afterwards.
         """
@@ -395,60 +435,95 @@ class LSMStore:
 
     # -- recovery --------------------------------------------------------
 
-    def _replay_wal(self) -> None:
-        for key, value in WriteAheadLog.replay(self._wal.path):
-            if value is TOMBSTONE:
-                self._active.delete(key)
-            else:
-                self._active.put(key, value)
+    def _replay_wal(self) -> int:
+        """Re-apply the log's intact frames; returns where they end."""
+        end = 0
+        for _start, end, ops in WriteAheadLog.stream_frames(self._wal.path):
+            for key, value in ops:
+                if value is TOMBSTONE:
+                    self._active.delete(key)
+                else:
+                    self._active.put(key, value)
+        return end
 
     # -- replication hooks -----------------------------------------------
 
     def set_commit_listener(self, listener) -> None:
         """Register (or clear) the replication hook observing WAL commits.
 
-        The listener is duck-typed with three methods, all called with
+        The listener is duck-typed with two methods, both called with
         the store lock held (so they must not re-enter the store):
 
-        - ``on_commit(generation, offset, length, batch)`` — after every
-          WAL append, in commit order.
-        - ``may_truncate(generation, size_bytes) -> bool`` — asked before
-          a WAL checkpoint; returning False defers the truncation (e.g.
-          a follower's shipping cursor still points into the log).
-        - ``on_truncate(generation)`` — after a truncation, with the new
-          generation; all cursors into older generations are now void.
+        - ``on_commit(lsn, length, batch)`` — after every WAL append, in
+          commit order; the frame occupies ``[lsn, lsn + length)``.
+        - ``may_truncate(lsn) -> bool`` — asked before a WAL checkpoint
+          at ``lsn``; returning False defers the truncation (e.g. a
+          follower has not acknowledged the whole log yet). True means
+          the truncation happens, there and then: ``lsn`` is the new
+          ``wal_base``, and nothing else about positions changes.
         """
         with self._lock:
             self._commit_listener = listener
 
-    def _notify_commit(
-        self, offset: int, length: int, batch
-    ) -> None:
+    def _notify_commit(self, lsn: int, length: int, batch) -> None:
         listener = self._commit_listener
         if listener is not None:
-            listener.on_commit(self._wal.generation, offset, length, batch)
+            listener.on_commit(lsn, length, batch)
 
     @property
     def wal_path(self) -> str:
-        """The WAL's backing file (replication streams frames from it)."""
+        """The WAL's backing file (replication ships spans read from it:
+        LSN ``n`` is at byte ``n - wal_base``)."""
         return self._wal.path
 
-    def wal_position(self) -> tuple[int, int]:
-        """Current ``(generation, size_bytes)`` of the WAL — the high-water
-        mark a fully caught-up follower's cursor would sit at."""
-        with self._lock:
-            return self._wal.generation, self._wal.size_bytes
+    def _lsn_locked(self) -> int:
+        return self._wal_base + self._wal.size_bytes
 
-    def replication_snapshot(
-        self,
-    ) -> tuple[list[tuple[bytes, bytes]], int, int]:
-        """Atomic ``(items, wal_generation, wal_offset)`` for replica
-        resync: a follower that applies ``items`` as a fresh state and
-        sets its cursor to the returned position is exactly caught up."""
+    def wal_position(self) -> WalPosition:
+        """The log's current :class:`WalPosition`; its ``lsn`` is where
+        a fully caught-up follower's cursor sits."""
+        with self._lock:
+            return WalPosition(
+                lineage=self._lineage,
+                lsn=self._lsn_locked(),
+                wal_base=self._wal_base,
+            )
+
+    def replication_snapshot(self) -> tuple[list[tuple[bytes, bytes]], int]:
+        """Atomic ``(items, lsn)`` for replica resync: a follower that
+        applies ``items`` as a fresh state and sets its cursor to
+        ``lsn`` (in this store's lineage) is exactly caught up."""
         with self._lock:
             self._check_open()
             items = list(self.scan())
-            return items, self._wal.generation, self._wal.size_bytes
+            return items, self._lsn_locked()
+
+    @property
+    def upstream(self) -> tuple[int, int, int] | None:
+        """A follower's replication cursor, ``(leader lineage, applied
+        lsn, epoch)``; None for a store that follows nobody."""
+        return self._upstream
+
+    def set_upstream(self, cursor: tuple[int, int, int] | None) -> None:
+        """Record how far this store has applied a leader's log.
+
+        Held in memory and written out only by a clean :meth:`close`,
+        once every write it covers is in runs; the replica applier calls
+        this as it acknowledges, after the writes themselves.
+        """
+        with self._lock:
+            self._upstream = cursor
+
+    def reset_lineage(self) -> None:
+        """Start a fresh lineage and forget the upstream cursor.
+
+        For a follower taking over as leader: from here on its log is
+        no leader's prefix, and anyone holding a cursor into either
+        history must be resynchronised rather than resumed.
+        """
+        with self._lock:
+            self._lineage = _new_lineage()
+            self._upstream = None
 
     # -- writes ----------------------------------------------------------
 
@@ -477,29 +552,27 @@ class LSMStore:
 
     def _apply_locked(
         self, batch: list[tuple[bytes, bytes | None]]
-    ) -> tuple[int, int, int]:
+    ) -> None:
         """Append, apply, and announce one batch (store lock held).
 
         The classic per-writer commit: WAL append (fsyncing per
         ``sync_writes``), memtable apply, replication notify, rotation
-        check. Returns the batch's ``(generation, offset, length)``.
+        check.
         """
         offset, length = self._wal.append(batch)
-        generation = self._wal.generation
         for key, value in batch:
             if value is TOMBSTONE:
                 self._active.delete(key)
             else:
                 self._active.put(key, value)
-        self._notify_commit(offset, length, batch)
+        self._notify_commit(self._wal_base + offset, length, batch)
         self._maybe_rotate()
-        return generation, offset, length
 
     # -- group commit ----------------------------------------------------
 
     def _commit_grouped(
         self, batch: list[tuple[bytes, bytes | None]]
-    ) -> tuple[int, int, int]:
+    ) -> tuple[int, int]:
         """Commit ``batch`` through the group-commit queue.
 
         Admission (open check + headroom gate) happens under the store
@@ -513,7 +586,7 @@ class LSMStore:
 
     def _gc_park(
         self, batch: list[tuple[bytes, bytes | None]]
-    ) -> tuple[int, int, int]:
+    ) -> tuple[int, int]:
         """Park a batch in the commit queue; lead if first in line.
 
         Every parked writer waits until its entry is marked done — by
@@ -577,7 +650,9 @@ class LSMStore:
         try:
             with self._lock:
                 self._check_open()
-                generation = self._wal.generation
+                # Fixed until the group is applied: no checkpoint runs
+                # while _wal_syncs_in_flight is non-zero.
+                base = self._wal_base
                 spans = self._wal.append_group(
                     [entry.batch for entry in group]
                 )
@@ -619,9 +694,9 @@ class LSMStore:
                             self._active.put(key, value)
                     if listener is not None:
                         listener.on_commit(
-                            generation, offset, length, entry.batch
+                            base + offset, length, entry.batch
                         )
-                    entry.result = (generation, offset, length)
+                    entry.result = (base + offset, length)
                 self._m_gc_batches.inc(len(group))
                 if synced:
                     self._m_gc_syncs.inc()
@@ -700,15 +775,14 @@ class LSMStore:
             # The park covers queueing + the group's append and fsync;
             # that whole wait is this write's commit I/O.
             io_started = clock()
-            generation, offset, length = self._gc_park(batch)
+            lsn, length = self._gc_park(batch)
             finished = clock()
             return WriteTiming(
                 engine_seconds=finished - started,
                 io_seconds=finished - io_started,
                 stall_seconds=stall_seconds,
-                wal_generation=generation,
-                wal_offset=offset,
-                wal_end=offset + length,
+                wal_offset=lsn,
+                wal_end=lsn + length,
             )
         with self._lock:
             self._check_open()
@@ -716,24 +790,23 @@ class LSMStore:
             stall_before = self._stall_seconds
             self._wait_for_headroom()
             stall_seconds = self._stall_seconds - stall_before
-            generation = self._wal.generation
             io_started = clock()
             offset, length = self._wal.append(batch)
             io_seconds = clock() - io_started
+            lsn = self._wal_base + offset
             for key, value in batch:
                 if value is TOMBSTONE:
                     self._active.delete(key)
                 else:
                     self._active.put(key, value)
-            self._notify_commit(offset, length, batch)
+            self._notify_commit(lsn, length, batch)
             self._maybe_rotate()
             return WriteTiming(
                 engine_seconds=clock() - started,
                 io_seconds=io_seconds,
                 stall_seconds=stall_seconds,
-                wal_generation=generation,
-                wal_offset=offset,
-                wal_end=offset + length,
+                wal_offset=lsn,
+                wal_end=lsn + length,
             )
 
     def _would_wait_locked(
@@ -863,23 +936,25 @@ class LSMStore:
     def _wal_checkpoint(self) -> None:
         # Every memtable that was sealed before this flush is durable in
         # runs once the sealed queue is empty; the WAL can then restart.
-        # A replication listener may veto the truncation while follower
-        # shipping cursors still point into the log — the checkpoint is
-        # simply retried at the next flush.
+        # A replication listener may veto the truncation while a
+        # follower has yet to acknowledge part of the log — the
+        # checkpoint is simply retried at the next flush, or by close().
         # A group whose frames are appended but whose fsync/apply is
         # still in flight lives only in the WAL tail — truncating now
         # would discard it, so the checkpoint waits for the next flush.
-        if self._wal_syncs_in_flight:
+        if (
+            self._wal_syncs_in_flight
+            or self._sealed
+            or len(self._active)
+            or not self._wal.size_bytes
+        ):
             return
-        if not self._sealed and len(self._active) == 0:
-            listener = self._commit_listener
-            if listener is not None and not listener.may_truncate(
-                self._wal.generation, self._wal.size_bytes
-            ):
-                return
-            self._wal.truncate()
-            if listener is not None:
-                listener.on_truncate(self._wal.generation)
+        lsn = self._lsn_locked()
+        listener = self._commit_listener
+        if listener is not None and not listener.may_truncate(lsn):
+            return
+        self._wal.truncate()
+        self._wal_base = lsn
 
     def _seal_active(self) -> None:
         """Rotate — because the memtable filled, or a flush, checkpoint

@@ -6,6 +6,12 @@ replays the edits; compaction of the manifest itself happens by writing a
 fresh snapshot file and atomically renaming it over the old one. Run
 files not referenced by the recovered version are orphans from a crash
 mid-merge and are deleted on open.
+
+One more record kind, ``position``, says where the write-ahead log
+stood (:class:`LogPosition`). It is only ever the *last* line of the
+snapshot a clean ``close()`` writes, and the next open voids it —
+durably, before the log takes an append — so a position that is read
+back proves the store was closed cleanly and not written since.
 """
 
 from __future__ import annotations
@@ -28,6 +34,30 @@ class RunRecord:
     sequence: int  # age stamp: larger = newer data
 
 
+@dataclass(frozen=True)
+class LogPosition:
+    """A cleanly closed store's place in log-sequence space.
+
+    ``lineage`` names one unbroken history of the store's log and
+    ``wal_base`` is the LSN of the log file's first byte, so ``wal_base
+    + file size`` is the LSN the store closed at. ``upstream`` is a
+    follower's replication cursor — ``(leader lineage, applied lsn,
+    epoch)`` — or None for a store that follows nobody.
+    """
+
+    lineage: int
+    wal_base: int
+    upstream: tuple[int, int, int] | None = None
+
+    def to_edit(self) -> dict:
+        return {
+            "op": "position",
+            "lineage": self.lineage,
+            "wal_base": self.wal_base,
+            "upstream": None if self.upstream is None else list(self.upstream),
+        }
+
+
 class Manifest:
     """Versioned, crash-safe component bookkeeping."""
 
@@ -36,6 +66,7 @@ class Manifest:
         self._path = os.path.join(directory, "MANIFEST")
         self._fault_plan = fault_plan
         self._runs: dict[int, RunRecord] = {}
+        self._position: LogPosition | None = None
         self._next_run_id = 1
         self._next_sequence = 1
         self._file = None
@@ -94,6 +125,21 @@ class Manifest:
                     filename=old.filename,
                     sequence=old.sequence,
                 )
+        elif kind == "position":
+            upstream = edit.get("upstream")
+            self._position = (
+                None
+                if edit.get("lineage") is None
+                else LogPosition(
+                    lineage=int(edit["lineage"]),
+                    wal_base=int(edit["wal_base"]),
+                    upstream=(
+                        None
+                        if upstream is None
+                        else tuple(int(field) for field in upstream)
+                    ),
+                )
+            )
         else:
             raise CorruptionError(
                 f"manifest line {line_no}: unknown edit {kind!r}"
@@ -108,6 +154,19 @@ class Manifest:
     def live_runs(self) -> list[RunRecord]:
         """All live runs, oldest (smallest sequence) first."""
         return sorted(self._runs.values(), key=lambda r: r.sequence)
+
+    def take_position(self) -> LogPosition | None:
+        """The position the last clean close recorded, voided as read.
+
+        Called once per open, before the log takes an append: from here
+        on the record on disk would be a lie, so it is overwritten (one
+        fsynced line) and only the next clean close writes another. A
+        crash, or a ``crash()``, therefore leaves none behind.
+        """
+        position, self._position = self._position, None
+        if position is not None:
+            self._append({"op": "position", "lineage": None})
+        return position
 
     def allocate_run_id(self) -> int:
         """Reserve the next run id (not durable until ``add_run``)."""
@@ -174,24 +233,29 @@ class Manifest:
             self._append({"op": "remove", "run_id": run_id})
         return records
 
-    def compact(self) -> None:
-        """Rewrite the manifest as a minimal snapshot (atomic rename)."""
+    def compact(self, position: LogPosition | None = None) -> None:
+        """Rewrite the manifest as a minimal snapshot (atomic rename).
+
+        ``position`` — given only by a clean close, once everything
+        before it in the log is in fsynced runs — becomes the
+        snapshot's last line (see :meth:`take_position`).
+        """
         fresh_path = self._path + ".new"
+        edits = [
+            {
+                "op": "add",
+                "run_id": record.run_id,
+                "level": record.level,
+                "filename": record.filename,
+                "sequence": record.sequence,
+            }
+            for record in self.live_runs()
+        ]
+        if position is not None:
+            edits.append(position.to_edit())
         with open(fresh_path, "w", encoding="utf-8") as fresh:
-            for record in self.live_runs():
-                fresh.write(
-                    json.dumps(
-                        {
-                            "op": "add",
-                            "run_id": record.run_id,
-                            "level": record.level,
-                            "filename": record.filename,
-                            "sequence": record.sequence,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            for edit in edits:
+                fresh.write(json.dumps(edit, sort_keys=True) + "\n")
             fresh.flush()
             os.fsync(fresh.fileno())
         self._file.close()

@@ -101,7 +101,7 @@ class StoreOptions:
         leader drains the commit queue, appends every parked batch as
         consecutive frames, and issues a *single* fsync for the group
         (the RocksDB/LevelDB group-commit discipline). Each batch keeps
-        its own frame and ``(generation, offset, length)``, so
+        its own frame and its own ``[lsn, lsn + length)``, so
         replication cursors and ack policies are unchanged. Most useful
         with ``sync_writes=True``, where it amortises the per-commit
         fsync across every writer parked during the previous sync.

@@ -10,13 +10,14 @@ is simply a separate file, and fsync behaviour is the caller's choice
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from ..errors import ConfigurationError, WalFailedError
+from ..errors import ConfigurationError, CorruptionError, WalFailedError
 from .options import TOMBSTONE
 
 _FRAME_HEADER = struct.Struct("<II")  # payload length, crc32
@@ -57,9 +58,10 @@ def _walk_frames(log, position: int, total: int):
     exactly one terminator ``(state, pos, pos, None)`` where ``state``
     is ``"clean"`` (every byte parsed), ``"torn"`` (partial or damaged
     *final* frame — normal crash residue), or ``"corrupt"`` (a CRC or
-    decode failure with more log after it). Both :func:`scan_wal` and
-    :meth:`WriteAheadLog.stream_frames` consume this walker, so a frame
-    classifies identically everywhere.
+    decode failure with more log after it). :func:`scan_wal`,
+    :meth:`WriteAheadLog.stream_frames` and
+    :meth:`WriteAheadLog.decode_span` all consume this walker, so a
+    frame classifies identically in a file and in a shipped span.
     """
     while True:
         header = log.read(_FRAME_HEADER.size)
@@ -151,7 +153,6 @@ class WriteAheadLog:
         self._path = path
         self._sync = sync
         self._fault_plan = fault_plan
-        self._generation = 0
         self._failed = False
         existed = os.path.exists(path)
         self._file = self._wrap(open(path, "ab"))
@@ -173,12 +174,6 @@ class WriteAheadLog:
     def size_bytes(self) -> int:
         """Current log size."""
         return self._bytes
-
-    @property
-    def generation(self) -> int:
-        """Truncation epoch: byte offsets are only comparable within one
-        generation, and every :meth:`truncate` starts a new one."""
-        return self._generation
 
     @staticmethod
     def encode_frame(batch: list[tuple[bytes, bytes | None]]) -> bytearray:
@@ -306,13 +301,16 @@ class WriteAheadLog:
         self._failed = True
 
     def truncate(self) -> None:
-        """Discard the log (all buffered state reached durable runs)."""
+        """Discard the log (all buffered state reached durable runs).
+
+        Offsets restart at 0; a caller that hands out positions across
+        truncations keeps its own base (``LSMStore``'s ``wal_base``).
+        """
         self._file.close()
         self._file = open(self._path, "wb")
         self._file.close()
         self._file = self._wrap(open(self._path, "ab"))
         self._bytes = 0
-        self._generation += 1
         fsync_dir(os.path.dirname(self._path))
 
     def close(self) -> None:
@@ -344,6 +342,82 @@ class WriteAheadLog:
                 if kind != "frame":
                     return  # clean end, torn tail, or corrupt frame
                 yield start, end, ops
+
+    @staticmethod
+    def read_span(path: str, offset: int, limit: int) -> tuple[bytes, int]:
+        """The raw bytes of the whole frames at ``offset``, for shipping.
+
+        Returns ``(span, frames)``: the longest run of complete,
+        CRC-valid frames starting at byte ``offset`` that fits in
+        ``limit`` bytes — but never less than one frame, so a frame
+        larger than ``limit`` still travels, alone. Only headers are
+        walked and payloads checksummed; no operation is decoded, the
+        receiver does that (:meth:`decode_span`). An empty span means
+        the bytes at ``offset`` are not (yet) a whole valid frame.
+        """
+        header_size = _FRAME_HEADER.size
+        with open(path, "rb") as log:
+            log.seek(offset)
+            data = log.read(max(limit, header_size))
+            end = frames = 0
+            while end + header_size <= len(data):
+                length, crc = _FRAME_HEADER.unpack_from(data, end)
+                frame_end = end + header_size + length
+                if frame_end > len(data):
+                    if frames:
+                        break  # the next read starts here
+                    data += log.read(frame_end - len(data))
+                    if frame_end > len(data):
+                        break  # torn
+                with memoryview(data) as view:
+                    if zlib.crc32(view[end + header_size : frame_end]) != crc:
+                        break
+                end = frame_end
+                frames += 1
+        return data[:end], frames
+
+    @staticmethod
+    def decode_span(span: bytes) -> list[list[tuple[bytes, bytes | None]]]:
+        """The commit batches of a span of frames, one list per frame.
+
+        All or nothing: a span that is not whole, CRC-valid, decodable
+        frames from its first byte to its last raises
+        :class:`~repro.errors.CorruptionError`, so a receiver never
+        applies the readable prefix of a damaged message.
+        """
+        batches = []
+        for kind, start, _end, ops in _walk_frames(
+            io.BytesIO(span), 0, len(span)
+        ):
+            if kind == "frame":
+                batches.append(ops)
+            elif kind != "clean":
+                raise CorruptionError(
+                    f"span of {len(span)} bytes has a {kind} frame at "
+                    f"byte {start}"
+                )
+        return batches
+
+    @staticmethod
+    def chunk_frames(
+        ops: Iterable[tuple[bytes, bytes | None]], limit: int
+    ) -> Iterator[bytearray]:
+        """Encode ``ops`` as consecutive frames of at most ``limit``
+        bytes each (one operation larger than that gets its own frame):
+        how a snapshot of any size travels in bounded messages."""
+        batch: list[tuple[bytes, bytes | None]] = []
+        size = _FRAME_HEADER.size
+        for key, value in ops:
+            op_size = _OP.size + len(key)
+            if value is not TOMBSTONE:
+                op_size += len(value)
+            if batch and size + op_size > limit:
+                yield WriteAheadLog.encode_frame(batch)
+                batch, size = [], _FRAME_HEADER.size
+            batch.append((key, value))
+            size += op_size
+        if batch:
+            yield WriteAheadLog.encode_frame(batch)
 
     @staticmethod
     def replay_from(

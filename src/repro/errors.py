@@ -139,15 +139,16 @@ class ReplicationError(ServerError):
 
 
 class ReplicaGapError(ReplicationError):
-    """A shipped frame does not start at the follower's applied cursor.
+    """A shipped span does not continue the follower's applied cursor.
 
-    ``expected`` is the ``(generation, offset)`` the follower can accept
-    next; the shipper rewinds to it (or falls back to a reset snapshot
-    when the generations no longer line up).
+    ``expected`` is the ``(lineage, lsn)`` the follower can accept next
+    (lineage None when it follows nobody yet); the shipper asks for it
+    with a status probe and resumes there, or falls back to a reset
+    snapshot when its log does not hold that position.
     """
 
     def __init__(
-        self, message: str, expected: tuple[int, int] = (0, 0)
+        self, message: str, expected: tuple[int | None, int] = (None, 0)
     ) -> None:
         super().__init__(message)
         self.expected = expected

@@ -1,24 +1,33 @@
-"""Follower-side apply: replay shipped WAL frames into a local store.
+"""Follower-side apply: replay shipped WAL spans into a local store.
 
 The applier is the correctness core of log shipping. The shipper may
-re-send frames after a reconnect, restart from an arbitrary cursor, or
+re-send spans after a reconnect, restart from an arbitrary cursor, or
 fall back to a full snapshot; the applier's contract is that whatever
 arrives, the follower's ``scan()`` output stays a prefix-consistent copy
-of the leader's:
+of the leader's. Its cursor is ``(lineage, applied)``: how many bytes of
+which leader log it has applied (``repro.engine.datastore.WalPosition``).
 
-* **duplicates** (frame ends at or before the applied cursor) are
+* a span is walked by the log's own frame walker *before* anything is
+  applied — CRC first, then decode — and one bad frame rejects the whole
+  message with :class:`~repro.errors.CorruptionError`;
+* **duplicates** (span ends at or before the applied cursor) are
   acknowledged without re-applying — last-writer-wins makes replay
   idempotent only if ordering is preserved, so skipping is mandatory,
   not an optimisation;
-* **gaps** (frame starts past the applied cursor) are rejected with
-  :class:`~repro.errors.ReplicaGapError` carrying the expected cursor,
-  never papered over;
+* **gaps** (span of another lineage, or not starting at the applied
+  cursor) are rejected with :class:`~repro.errors.ReplicaGapError`
+  carrying the expected cursor, never papered over;
 * **stale epochs** are rejected with
   :class:`~repro.errors.StaleEpochError` — the fencing that stops a
   deposed leader from diverging a follower after a promotion;
-* **reset frames** replace the entire local state with a leader
-  snapshot and re-base the cursor, the recovery path for generation
-  mismatches (the leader truncated its WAL past the follower's cursor).
+* **reset chunks** are staged until the final one arrives, then replace
+  the entire local state with the leader snapshot they add up to and
+  re-base the cursor — the recovery path whenever the leader cannot
+  prove its log continues this follower's cursor.
+
+The cursor is mirrored into the store (``LSMStore.set_upstream``) after
+every acknowledged advance, which is what lets a clean close persist it
+and a restarted follower resume instead of resetting.
 
 All methods are thread-safe and blocking (they call into the LSM
 store); the serving layer runs :meth:`ReplicaApplier.apply_frame` on
@@ -29,22 +38,27 @@ from __future__ import annotations
 
 import threading
 
+from ..engine.wal import WriteAheadLog
 from ..errors import ReplicaGapError, StaleEpochError
 
 
 class ReplicaApplier:
-    """Applies shipped frames to a follower's :class:`LSMStore`."""
+    """Applies shipped spans to a follower's :class:`LSMStore`."""
 
     def __init__(self, store) -> None:
         self._store = store
         self._lock = threading.Lock()
-        self._epoch = 0
-        self._generation = 0
-        self._applied = 0
-        #: Highest leader-WAL end offset this follower has *seen* (frame
-        #: metadata, even if the frame was a duplicate). ``ship_tail -
+        # Where the store's last applier — before a clean restart, or in
+        # a server this one replaces — left off; nothing for a new one.
+        self._lineage, self._applied, self._epoch = store.upstream or (
+            None, 0, 0
+        )
+        #: Highest leader-log LSN this follower has *seen* (span
+        #: metadata, even if the span was a duplicate). ``ship_tail -
         #: applied`` is the follower's own lower bound on its staleness.
-        self._ship_tail = 0
+        self._ship_tail = self._applied
+        #: Chunks of a reset not yet complete: ``(identity, ops)``.
+        self._staged: tuple[tuple[int, int, int], list] | None = None
         self._frames_applied = 0
         self._frames_skipped = 0
         self._resets = 0
@@ -57,7 +71,7 @@ class ReplicaApplier:
         with self._lock:
             return {
                 "epoch": self._epoch,
-                "generation": self._generation,
+                "lineage": self._lineage,
                 "applied": self._applied,
                 "ship_tail": self._ship_tail,
                 "frames_applied": self._frames_applied,
@@ -74,11 +88,12 @@ class ReplicaApplier:
         """The follower's local store (promotion hands it to a leader)."""
         return self._store
 
-    def prime(self, epoch: int, generation: int, applied: int) -> None:
-        """Set the cursor directly (bootstrap from an out-of-band copy)."""
+    def prime(self, epoch: int, lineage: int | None, applied: int) -> None:
+        """Set the reported cursor directly, without touching the store:
+        a leader answers probes with its own log's position."""
         with self._lock:
             self._epoch = epoch
-            self._generation = generation
+            self._lineage = lineage
             self._applied = applied
             self._ship_tail = max(self._ship_tail, applied)
 
@@ -101,59 +116,75 @@ class ReplicaApplier:
                     f"frame epoch {epoch} < replica epoch {self._epoch}"
                 )
             else:
+                # Before the epoch is adopted or a stage touched: a
+                # damaged message changes nothing.
+                batches = WriteAheadLog.decode_span(frame["span"])
                 self._epoch = epoch
-                self._apply_locked(frame)
+                if frame["reset"]:
+                    self._stage_reset_locked(frame, batches)
+                else:
+                    self._apply_span_locked(frame, batches)
         return self.status()
 
-    def _apply_locked(self, frame: dict) -> None:
-        generation = frame["generation"]
-        start, end = frame["start"], frame["end"]
-        if frame["reset"]:
-            self._reset_locked(frame["ops"], generation, end)
-            return
-        if generation != self._generation:
-            # Offsets from another generation are incomparable; only a
-            # fresh generation starting at byte 0 (the leader truncated
-            # after this follower acked everything) lines up.
-            if generation > self._generation and start == 0:
-                self._generation = generation
-                self._applied = 0
-                self._ship_tail = 0
-            elif generation < self._generation:
-                self._frames_skipped += 1  # stale duplicate, pre-rebase
-                return
-            else:
-                raise ReplicaGapError(
-                    f"frame generation {generation} does not continue "
-                    f"cursor ({self._generation}, {self._applied})",
-                    expected=(self._generation, self._applied),
-                )
+    def _apply_span_locked(self, frame: dict, batches: list) -> None:
+        # Log frames between a reset's chunks mean its sender gave up.
+        self._staged = None
+        start = frame["start"]
+        end = start + len(frame["span"])
+        if frame["lineage"] != self._lineage:
+            raise ReplicaGapError(
+                f"span of lineage {frame['lineage']} does not continue "
+                f"cursor ({self._lineage}, {self._applied})",
+                expected=(self._lineage, self._applied),
+            )
         self._ship_tail = max(self._ship_tail, end)
         if end <= self._applied:
-            self._frames_skipped += 1  # duplicate after a reconnect
+            self._frames_skipped += len(batches)  # duplicate after a reconnect
             return
         if start != self._applied:
             raise ReplicaGapError(
-                f"frame starts at {start}, expected {self._applied}",
-                expected=(self._generation, self._applied),
+                f"span starts at {start}, expected {self._applied}",
+                expected=(self._lineage, self._applied),
             )
-        if frame["ops"]:
-            self._store.write_batch(frame["ops"])
-        self._applied = end
-        self._frames_applied += 1
+        for ops in batches:
+            self._store.write_batch(ops)
+        self._frames_applied += len(batches)
+        self._advance_locked(frame["lineage"], end)
 
-    def _reset_locked(self, ops, generation: int, end: int) -> None:
-        """Replace the local state with a leader snapshot atomically.
+    def _stage_reset_locked(self, frame: dict, batches: list) -> None:
+        """Stage one chunk of a snapshot; apply it all at the final one.
 
         Delegated to :meth:`LSMStore.apply_reset` rather than a local
         scan-and-diff: the store computes the deletions from its
         *readable* state (a plain ``scan`` would fail fast on a
         quarantined run) and drops every quarantined run afterwards —
         sound because the snapshot supersedes the whole store, so a
-        reset is also the follower's corruption-repair path.
+        reset is also the follower's corruption-repair path. Nothing is
+        visible to reads until then: a chunk that does not continue the
+        staged reset (no ``first`` chunk seen, another snapshot's
+        identity) drops the stage instead of applying part of one.
         """
-        self._store.apply_reset(list(ops))
-        self._generation = generation
-        self._applied = end
-        self._ship_tail = end
+        identity = (frame["epoch"], frame["lineage"], frame["start"])
+        if frame["first"]:
+            self._staged = (identity, [])
+        elif self._staged is None or self._staged[0] != identity:
+            self._staged = None
+            raise ReplicaGapError(
+                f"reset chunk {identity} does not continue a staged reset",
+                expected=(self._lineage, self._applied),
+            )
+        ops = self._staged[1]
+        for batch in batches:
+            ops += batch
+        if not frame["final"]:
+            return
+        self._staged = None
+        self._store.apply_reset(ops)
+        self._ship_tail = frame["start"]
         self._resets += 1
+        self._advance_locked(frame["lineage"], frame["start"])
+
+    def _advance_locked(self, lineage: int, applied: int) -> None:
+        self._lineage = lineage
+        self._applied = applied
+        self._store.set_upstream((lineage, applied, self._epoch))

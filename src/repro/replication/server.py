@@ -9,15 +9,15 @@ plays one of two roles:
   enough follower acks for the write's WAL position. The wait is
   recorded as the ``replication`` leg of ``server_request_seconds``.
 * **follower** — rejects client writes with ``NOT_LEADER``, applies
-  ``REPLICATE`` frames through a :class:`ReplicaApplier`, and serves
+  ``REPLICATE`` spans through a :class:`ReplicaApplier`, and serves
   reads; its ``SCAN`` responses carry the replica's applied cursor and
   a staleness lower bound for the router's ``read_from_replica`` mode.
 
-``PROMOTE`` flips a follower to leader at a new epoch, re-attaching any
-surviving peers with a reset-snapshot resync. A deposed leader that
-receives a higher-epoch ``REPLICATE`` steps down to follower — together
-with the applier's epoch check this is the fencing that keeps exactly
-one writable head per shard.
+``PROMOTE`` flips a follower to leader at a new epoch and a fresh log
+lineage, so any surviving peers are re-attached with a reset-snapshot
+resync. A deposed leader that receives a higher-epoch ``REPLICATE``
+steps down to follower — together with the applier's epoch check this
+is the fencing that keeps exactly one writable head per shard.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import asyncio
 from ..engine.datastore import LSMStore
 from ..errors import (
     ConfigurationError,
+    CorruptionError,
     ReplicaGapError,
     RequestFailedError,
     RetriesExhaustedError,
@@ -92,7 +93,8 @@ class ReplicatedKVServer(KVServer):
             follower_factory or _default_follower_factory
         )
         self._applier = ReplicaApplier(store)
-        self._applier.prime(epoch, *store.wal_position())
+        if role == "leader":
+            self._prime_with_own_position()
         self._shipper: WalShipper | None = None
         self._repair_interval = repair_interval
         self._repair_task: asyncio.Task | None = None
@@ -117,19 +119,32 @@ class ReplicatedKVServer(KVServer):
 
     # -- role changes ----------------------------------------------------
 
+    def _prime_with_own_position(self) -> None:
+        # A leader has no upstream; what it reports to a probe or in a
+        # PROMOTE ack is where its own log stands.
+        position = self._store.wal_position()
+        self._applier.prime(self._epoch, position.lineage, position.lsn)
+
     async def become_leader(self, epoch: int, peer_clients=None) -> None:
         """Take leadership at ``epoch``, shipping to ``peer_clients``.
 
         Used both at cluster boot (the initial leader) and by the
         ``PROMOTE`` verb mid-failover. Peers start with an unknown
-        cursor, so the shipper's first frame to each is a reset
-        snapshot — correct regardless of how far behind they are.
+        cursor, so the shipper first asks each where it stands: one
+        whose cursor lies in this store's lineage and log resumes from
+        it, any other gets a reset snapshot — correct regardless of how
+        far behind it is. A store that has been following someone is no
+        longer that log's prefix once it takes writes of its own, so it
+        leads under a fresh lineage: every peer of a promoted follower
+        is reset.
         """
         if self._shipper is not None:
             await self._shipper.stop()
+        if self._role != "leader" or self._store.upstream is not None:
+            self._store.reset_lineage()
         self._epoch = epoch
         self._role = "leader"
-        self._applier.prime(epoch, *self._store.wal_position())
+        self._prime_with_own_position()
         self._shipper = WalShipper(
             self._store,
             list(peer_clients or []),
@@ -199,7 +214,7 @@ class ReplicatedKVServer(KVServer):
             return response
         started = self._clock()
         committed = await shipper.wait_committed(
-            timing.wal_generation, timing.wal_end, self._replication_timeout
+            timing.wal_end, self._replication_timeout
         )
         waited = breakdown["replication"] = self._clock() - started
         if not committed:
@@ -244,6 +259,11 @@ class ReplicatedKVServer(KVServer):
         except ReplicaGapError as error:
             return protocol.error_response(
                 protocol.CODE_REPLICA_GAP, str(error)
+            )
+        except CorruptionError as error:
+            # The span arrived damaged; none of it was applied.
+            return protocol.error_response(
+                protocol.CODE_BAD_REQUEST, str(error)
             )
         except WriteStalledError as error:
             return protocol.error_response(
@@ -305,7 +325,7 @@ class ReplicatedKVServer(KVServer):
     def _ack_response(self, status: dict) -> dict:
         return protocol.ok_response(
             epoch=status["epoch"],
-            generation=status["generation"],
+            lineage=status["lineage"],
             applied=status["applied"],
             ship_tail=status["ship_tail"],
             role=self._role,
@@ -361,11 +381,9 @@ class ReplicatedKVServer(KVServer):
 
         Staleness safety: the leader captures its own WAL position *P*
         first, then only accepts a fetched snapshot whose ack cursor is
-        ``>= P`` — the follower provably holds every write the leader
-        has committed, so substituting its view of the key range cannot
-        roll back acknowledged data. (A *higher* generation also
-        qualifies: WAL truncation is gated on every follower acking the
-        whole previous generation.)
+        in the leader's lineage and ``>= P`` — the follower provably
+        holds every write the leader has committed, so substituting its
+        view of the key range cannot roll back acknowledged data.
         """
         shipper = self._shipper
         if shipper is None:
@@ -375,7 +393,7 @@ class ReplicatedKVServer(KVServer):
         # Most-caught-up follower first; unknown cursors last.
         order = sorted(
             range(len(cursors)),
-            key=lambda index: cursors[index] or (-1, -1),
+            key=lambda index: (cursors[index] is not None, cursors[index]),
             reverse=True,
         )
         for index in order:
@@ -392,7 +410,10 @@ class ReplicatedKVServer(KVServer):
                 asyncio.TimeoutError,
             ):
                 continue
-            if (fetched["generation"], fetched["applied"]) < position:
+            if (
+                fetched["lineage"] != position.lineage
+                or fetched["applied"] < position.lsn
+            ):
                 continue  # behind our committed state: unsafe to use
             repaired = await self._in_thread(
                 self._store.repair_run, entry.run_id, fetched["items"]

@@ -1,27 +1,33 @@
-"""Leader-side WAL shipping: stream committed frames to followers.
+"""Leader-side WAL shipping: stream the committed log to followers.
 
 The shipper registers as the leader store's commit listener, so it
 learns of every WAL append in commit order without buffering a byte:
-ship tasks read frames straight back out of the WAL file
-(:meth:`WriteAheadLog.stream_frames`), which works because the listener
-also *gates WAL truncation* — the log can only restart once every
-follower has acknowledged all of it, so a shipping cursor never dangles.
+ship tasks read spans of whole frames straight back out of the WAL file
+(:meth:`WriteAheadLog.read_span`) and send them as they lie there, which
+works because the listener also *gates WAL truncation* — the log is
+only cut once every follower has acknowledged all of it, so a shipping
+cursor never dangles. Positions are LSNs in the store's lineage
+(``repro.engine.datastore.WalPosition``); a truncation does not disturb
+them.
 
-One asyncio task per follower ships frames strictly in order over the
+One asyncio task per follower ships spans strictly in order over the
 framed protocol's ``REPLICATE`` verb and keeps three pieces of state:
 
-* ``cursor`` — the next ``(generation, offset)`` to ship, or ``None``
-  when the follower needs a full reset snapshot (bootstrap, or a gap
-  that cannot be replayed);
-* ``acked`` — the follower's last acknowledged cursor, which drives the
+* ``cursor`` — the next LSN to ship, or ``None`` when it is not known
+  where the follower stands (start-up, a gap, a damaged follower): the
+  task then *asks* — a status probe — and resumes from the follower's
+  own cursor if that lies in this lineage and inside the log, and only
+  otherwise ships a reset snapshot, in bounded chunks;
+* ``acked`` — the follower's last acknowledged LSN, which drives the
   ``replication_applied_offset`` / ``replication_lag_bytes`` gauges and
   the quorum accounting behind :meth:`wait_committed`;
 * ``stalled`` — whether the follower is currently unreachable; entering
-  a stall emits one ``ship_stall`` event and the task keeps retrying,
-  so lag drains (and the gauge returns to zero) as soon as the follower
-  answers again.
+  a stall emits one ``ship_stall`` event and the task keeps retrying
+  with a capped exponential back-off, so lag drains (and the gauge
+  returns to zero) once the follower answers again. Nothing is read or
+  scanned for a follower that does not answer the probe.
 
-Fencing: every frame carries the leader's epoch. A follower that has
+Fencing: every span carries the leader's epoch. A follower that has
 seen a newer epoch answers ``STALE_EPOCH``, and the deposed shipper
 stops permanently rather than diverging the group.
 """
@@ -42,8 +48,15 @@ from ..obs import events as obs_events
 from ..server import protocol
 from .policy import acks_required, validate_ack_policy
 
-#: How many frames one WAL read may pull before yielding to the loop.
-_MAX_FRAMES_PER_READ = 64
+#: The most log one REPLICATE carries, and the size of a reset's chunks
+#: (a single frame larger than this still travels, alone): what bounds
+#: both a follower's apply and a message, far below the wire's frame cap.
+_SPAN_BYTES = 1 << 20
+
+#: A stalled follower is retried after this long, doubling per failed
+#: attempt up to the cap; the first answer resets it.
+_STALL_RETRY_SECONDS = 0.05
+_STALL_RETRY_CAP_SECONDS = 1.0
 
 
 class WalShipper:
@@ -56,24 +69,22 @@ class WalShipper:
         ack_policy: str = "leader_only",
         epoch: int = 0,
         idle_interval: float = 0.05,
-        stall_retry_interval: float = 0.05,
     ) -> None:
         self._store = store
         self._followers = list(followers)
         self._ack_policy = validate_ack_policy(ack_policy)
         self._epoch = epoch
         self._idle_interval = idle_interval
-        self._stall_retry_interval = stall_retry_interval
         self._obs = store.obs
         self._lock = threading.Lock()
-        self._tail: tuple[int, int] = (0, 0)
-        self._cursors: list[tuple[int, int] | None] = [
-            None for _ in self._followers
-        ]
-        self._acked: list[tuple[int, int] | None] = [
-            None for _ in self._followers
-        ]
-        self._stalled = [False for _ in self._followers]
+        # The store's WalPosition, kept current by the listener calls.
+        self._lineage = 0
+        self._wal_base = 0
+        self._tail = 0
+        self._cursors: list[int | None] = [None for _ in self._followers]
+        self._acked: list[int | None] = [None for _ in self._followers]
+        #: Consecutive failed attempts per follower (0 = not stalled).
+        self._stalls = [0 for _ in self._followers]
         self._fenced = False
         self._stopped = False
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -93,7 +104,7 @@ class WalShipper:
             registry.gauge(
                 "replication_applied_offset",
                 labels={"follower": str(index)},
-                help="This follower's acked byte offset in the leader WAL.",
+                help="This follower's acked LSN in the leader WAL.",
             )
             for index in range(len(self._followers))
         ]
@@ -105,6 +116,20 @@ class WalShipper:
             "replication_resets_total",
             help="Full snapshot resyncs shipped to followers.",
         )
+        self._m_resumes = registry.counter(
+            "replication_resumes_total",
+            help="Followers re-attached at their own cursor, without "
+            "a reset.",
+        )
+        self._m_bytes = {
+            kind: registry.counter(
+                "replication_bytes_shipped_total",
+                labels={"kind": kind},
+                help="Span bytes acknowledged by followers: log frames, "
+                "or reset snapshot chunks.",
+            )
+            for kind in ("log", "reset")
+        }
         self._m_stalls = registry.counter(
             "replication_ship_stalls_total",
             help="Times a follower became unreachable mid-ship.",
@@ -130,21 +155,20 @@ class WalShipper:
         return self._fenced
 
     def status(self) -> dict:
-        """Shipping state for STATS: tail, per-follower cursors, lag."""
+        """Shipping state for STATS: position, per-follower acks, lag."""
         with self._lock:
-            tail = self._tail
             return {
                 "epoch": self._epoch,
                 "ack_policy": self._ack_policy,
-                "tail_generation": tail[0],
-                "tail_offset": tail[1],
+                "lineage": self._lineage,
+                "lsn": self._tail,
+                "wal_base": self._wal_base,
                 "fenced": self._fenced,
                 "followers": [
                     {
-                        "acked_generation": acked[0] if acked else None,
-                        "acked_offset": acked[1] if acked else None,
+                        "acked_offset": acked,
                         "lag_bytes": self._lag_locked(index),
-                        "stalled": self._stalled[index],
+                        "stalled": self._stalls[index] > 0,
                     }
                     for index, acked in enumerate(self._acked)
                 ],
@@ -154,8 +178,8 @@ class WalShipper:
         """The pooled client for follower ``index`` (repair path)."""
         return self._followers[index]
 
-    def acked_cursors(self) -> list:
-        """Per-follower acked ``(generation, applied)`` cursors (or None).
+    def acked_cursors(self) -> list[int | None]:
+        """Per-follower acked LSNs (None before a follower's first ack).
 
         The repair ticker ranks followers by this to fetch a quarantined
         run's key range from the most caught-up copy first.
@@ -164,43 +188,36 @@ class WalShipper:
             return list(self._acked)
 
     def _lag_locked(self, index: int) -> int:
-        generation, tail_offset = self._tail
         acked = self._acked[index]
-        if acked is None or acked[0] != generation:
-            return tail_offset
-        return max(0, tail_offset - acked[1])
+        if acked is None:
+            # Not attached yet: everything the log still holds.
+            return self._tail - self._wal_base
+        return max(0, self._tail - acked)
 
     def _refresh_lag_locked(self, index: int) -> None:
         self._m_lag[index].set(float(self._lag_locked(index)))
 
     # -- the commit-listener face (called under the store lock) ----------
 
-    def on_commit(self, generation, offset, length, batch) -> None:
+    def on_commit(self, lsn, length, batch) -> None:
         with self._lock:
-            self._tail = (generation, offset + length)
+            self._tail = lsn + length
             for index in range(len(self._followers)):
                 self._refresh_lag_locked(index)
         self._wake_ship_tasks()
 
-    def may_truncate(self, generation, size_bytes) -> bool:
-        # Truncation voids byte offsets, so it must wait until every
-        # cursor has drained — otherwise a lagging follower's position
-        # would point into a log that no longer exists.
+    def may_truncate(self, lsn) -> bool:
+        # The file is cut only once every follower has acknowledged all
+        # of it — otherwise a lagging follower's cursor would point at
+        # bytes that no longer exist. A cursor sits at its follower's
+        # ack, so granting also means no ship task is reading the file,
+        # or will before the next commit: the new base is safe to use
+        # from here on.
         with self._lock:
-            return all(
-                acked == (generation, size_bytes) for acked in self._acked
-            )
-
-    def on_truncate(self, generation) -> None:
-        # Only reachable when every follower acked the whole previous
-        # generation, so rebasing every cursor to the new log's start is
-        # exact, not an approximation.
-        with self._lock:
-            self._tail = (generation, 0)
-            for index in range(len(self._followers)):
-                self._cursors[index] = (generation, 0)
-                self._acked[index] = (generation, 0)
-                self._refresh_lag_locked(index)
+            granted = all(acked == lsn for acked in self._acked)
+            if granted:
+                self._wal_base = lsn
+            return granted
 
     def _wake_ship_tasks(self) -> None:
         loop, wake = self._loop, self._wake
@@ -216,9 +233,14 @@ class WalShipper:
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         self._ack_cond = asyncio.Condition()
-        with self._lock:
-            self._tail = self._store.wal_position()
+        # Listener first, so no commit goes unseen; one that lands
+        # before the position is read has already moved the tail there.
         self._store.set_commit_listener(self)
+        position = self._store.wal_position()
+        with self._lock:
+            self._lineage = position.lineage
+            self._wal_base = position.wal_base
+            self._tail = max(self._tail, position.lsn)
         self._tasks = [
             asyncio.create_task(
                 self._ship_loop(index), name=f"wal-ship-{index}"
@@ -243,26 +265,19 @@ class WalShipper:
 
     # -- quorum accounting -----------------------------------------------
 
-    def _ack_count(self, generation: int, end: int) -> int:
+    def _ack_count(self, end: int) -> int:
+        # A reset snapshot carries the leader's state as of the LSN the
+        # follower then acks, so one comparison covers both paths.
         with self._lock:
-            count = 0
-            for acked in self._acked:
-                if acked is None:
-                    continue
-                # A newer generation implies the whole older one was
-                # acked (truncation is gated on exactly that), and a
-                # reset snapshot carries the leader's current state.
-                if acked[0] > generation or (
-                    acked[0] == generation and acked[1] >= end
-                ):
-                    count += 1
-            return count
+            return sum(
+                1
+                for acked in self._acked
+                if acked is not None and acked >= end
+            )
 
-    async def wait_committed(
-        self, generation: int, end: int, timeout: float
-    ) -> bool:
+    async def wait_committed(self, end: int, timeout: float) -> bool:
         """Wait until the ack policy is satisfied for a write ending at
-        ``(generation, end)`` in the leader WAL; False on timeout."""
+        LSN ``end`` of the leader WAL; False on timeout."""
         required = acks_required(self._ack_policy, len(self._followers))
         if required == 0:
             return True
@@ -270,7 +285,7 @@ class WalShipper:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         async with self._ack_cond:
-            while self._ack_count(generation, end) < required:
+            while self._ack_count(end) < required:
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     return False
@@ -283,35 +298,26 @@ class WalShipper:
         return True
 
     async def _record_ack(self, index: int, ack: dict) -> None:
-        cursor = (ack["generation"], ack["applied"])
+        applied = ack["applied"]
         with self._lock:
             if ack.get("quarantined", 0) > 0:
                 # The follower is advertising damaged local runs. Its
                 # cursor is still honest about the WAL prefix it applied,
                 # but its *materialized state* is not that prefix any
-                # more — so force the next ship to be a full reset
-                # snapshot, which replaces the damage wholesale.
+                # more — so forget where it stands: the probe that
+                # follows sees the damage too and answers with a full
+                # reset snapshot, which replaces it wholesale.
                 self._cursors[index] = None
             else:
-                self._cursors[index] = cursor
-            self._acked[index] = cursor
-            self._m_applied[index].set(float(ack["applied"]))
+                self._cursors[index] = applied
+            self._acked[index] = applied
+            self._m_applied[index].set(float(applied))
             self._refresh_lag_locked(index)
         assert self._ack_cond is not None
         async with self._ack_cond:
             self._ack_cond.notify_all()
 
     # -- shipping --------------------------------------------------------
-
-    def _read_frames(self, offset: int):
-        frames = []
-        for frame in WriteAheadLog.stream_frames(
-            self._store.wal_path, offset
-        ):
-            frames.append(frame)
-            if len(frames) >= _MAX_FRAMES_PER_READ:
-                break
-        return frames
 
     async def _ship_loop(self, index: int) -> None:
         assert self._wake is not None
@@ -325,6 +331,12 @@ class WalShipper:
                 if error.code == protocol.CODE_STALE_EPOCH:
                     self._fenced = True
                     return
+                if error.code == protocol.CODE_REPLICA_GAP:
+                    # Our idea of the follower's cursor is wrong; the
+                    # next round asks for it.
+                    with self._lock:
+                        self._cursors[index] = None
+                    continue
                 # Anything else (INTERNAL, CLOSED, BAD_REQUEST) is a
                 # follower-side failure; treat it like unreachability.
                 await self._note_stall(index, error)
@@ -353,82 +365,113 @@ class WalShipper:
                     )
 
     async def _note_stall(self, index: int, error: Exception) -> None:
-        entered = False
         with self._lock:
-            if not self._stalled[index]:
-                self._stalled[index] = True
-                entered = True
-        if entered:
+            self._stalls[index] += 1
+            attempts = self._stalls[index]
+        if attempts == 1:
             self._m_stalls.inc()
             self._obs.tracer.emit(
                 obs_events.SHIP_STALL,
                 follower=index,
                 error=type(error).__name__,
             )
-        await asyncio.sleep(self._stall_retry_interval)
+        await asyncio.sleep(
+            min(
+                _STALL_RETRY_CAP_SECONDS,
+                _STALL_RETRY_SECONDS * 2 ** min(attempts - 1, 16),
+            )
+        )
 
     def _clear_stall(self, index: int) -> None:
         with self._lock:
-            self._stalled[index] = False
+            self._stalls[index] = 0
 
     async def _ship_once(self, index: int) -> bool:
-        """Ship one snapshot or one batch of frames; False when idle."""
+        """Attach the follower, or ship it one span; False when idle."""
         client = self._followers[index]
         with self._lock:
             cursor = self._cursors[index]
             tail = self._tail
-            epoch = self._epoch
+            wal_base = self._wal_base
         if cursor is None:
-            return await self._ship_reset(index, client, epoch)
-        generation, offset = cursor
-        if generation != tail[0]:
-            # The WAL restarted without this cursor draining — only
-            # possible after a promotion re-based the group — so the
-            # follower needs a snapshot, not frames.
-            with self._lock:
-                self._cursors[index] = None
+            await self._attach(index, client)
             return True
-        if offset >= tail[1]:
+        if cursor >= tail:
             return False  # fully shipped: idle until the next commit
-        frames = await asyncio.to_thread(self._read_frames, offset)
-        if not frames:
-            return False  # appended bytes not yet visible as a frame
-        for start, end, ops in frames:
-            if self._stopped or self._fenced:
-                return True
-            message = protocol.replicate_request(
-                epoch, generation, start, end, ops
+        # On the loop thread: these bytes were appended moments ago and
+        # are in the page cache. Never past ``tail`` — a commit group's
+        # frames are in the file before they are committed.
+        span, frames = WriteAheadLog.read_span(
+            self._store.wal_path,
+            cursor - wal_base,
+            min(_SPAN_BYTES, tail - cursor),
+        )
+        if not span:
+            # The log is damaged at the cursor; the leader's state is
+            # not, so the follower gets that instead.
+            await self._ship_reset(index, client)
+            return True
+        ack = await client.replicate(
+            protocol.replicate_request(
+                self._epoch, self._lineage, cursor, span
             )
-            try:
-                ack = await client.replicate(message)
-            except RequestFailedError as error:
-                if error.code == protocol.CODE_REPLICA_GAP:
-                    await self._rewind(index, client, epoch)
-                    return True
-                raise
-            self._m_frames.inc()
-            await self._record_ack(index, ack)
-        return True
-
-    async def _ship_reset(self, index: int, client, epoch: int) -> bool:
-        items, generation, offset = await asyncio.to_thread(
-            self._store.replication_snapshot
         )
-        message = protocol.replicate_request(
-            epoch, generation, 0, offset, list(items), reset=True
-        )
-        ack = await client.replicate(message)
-        self._m_resets.inc()
+        self._m_frames.inc(frames)
+        self._m_bytes["log"].inc(len(span))
         await self._record_ack(index, ack)
         return True
 
-    async def _rewind(self, index: int, client, epoch: int) -> None:
-        """Resynchronise the cursor after a gap rejection."""
-        status = await client.replica_status(epoch)
+    async def _attach(self, index: int, client) -> None:
+        """Find out where a follower stands; reset it only if we must.
+
+        Resuming is sound exactly when the follower's cursor is an LSN
+        of *this* lineage that the log still reaches back to: it then
+        holds our log's prefix up to there and nothing else. A follower
+        that does not answer raises out of here before any snapshot is
+        built.
+        """
+        status = await client.replica_status(self._epoch)
+        applied = status["applied"]
         with self._lock:
-            if status["generation"] == self._tail[0]:
-                self._cursors[index] = (
-                    status["generation"], status["applied"]
+            resumable = (
+                status["lineage"] == self._lineage
+                and status["quarantined"] == 0
+                and self._wal_base <= applied <= self._tail
+            )
+        if not resumable:
+            await self._ship_reset(index, client)
+            return
+        self._m_resumes.inc()
+        await self._record_ack(index, status)
+
+    async def _ship_reset(self, index: int, client) -> None:
+        """Ship the whole state as a snapshot, in bounded chunks.
+
+        The snapshot is one list on this side and one staged list on
+        the follower's until its final chunk; only the messages are
+        bounded. Streaming it waits for consistent snapshot scans.
+        """
+        items, lsn = await asyncio.to_thread(
+            self._store.replication_snapshot
+        )
+        chunks = WriteAheadLog.chunk_frames(items, _SPAN_BYTES)
+        chunk, first = next(chunks, b""), True
+        while True:
+            following = next(chunks, None)
+            ack = await client.replicate(
+                protocol.replicate_request(
+                    self._epoch,
+                    self._lineage,
+                    lsn,
+                    chunk,
+                    reset=True,
+                    first=first,
+                    final=following is None,
                 )
-            else:
-                self._cursors[index] = None
+            )
+            self._m_bytes["reset"].inc(len(chunk))
+            if following is None:
+                break
+            chunk, first = following, False
+        self._m_resets.inc()
+        await self._record_ack(index, ack)

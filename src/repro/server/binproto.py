@@ -13,6 +13,7 @@ payload::
     OP_GET   (0x02)  klen:u32 key
     OP_DEL   (0x03)  klen:u32 key
     OP_BATCH (0x04)  count:u32 { kind:u8 klen:u32 key [vlen:u32 value] }*
+    OP_REPLICATE (0x05)  epoch:u32 lineage:u64 start:u64 flags:u8 span
     OP_JSON  (0x00)  utf-8 JSON object (any other verb)
 
     ST_OK    (0x00)  empty           (PUT/DEL/BATCH success)
@@ -22,10 +23,20 @@ payload::
 
 All integers are big-endian. The hot verbs carry raw key/value bytes —
 no text anywhere on PUT/GET/DEL/BATCH; everything else (SCAN, STATS,
-replication, errors) rides the embedded JSON envelope, so the slow
-verbs keep full fidelity without a parallel schema. The message dicts
-on either side of this codec are described in
+replication probes and acks, errors) rides the embedded JSON envelope,
+so the slow verbs keep full fidelity without a parallel schema. The
+message dicts on either side of this codec are described in
 :mod:`repro.server.protocol`.
+
+``OP_REPLICATE`` is the leader-to-follower hop of every replicated
+write, so it is a hot verb too: ``span`` — everything after the 21-byte
+header — is write-ahead-log frames exactly as they lie in the leader's
+log (``repro.engine.wal``: little-endian length and CRC, then the
+operations), never re-encoded. ``start`` is the LSN of the span's first
+byte in the log of ``lineage``; ``flags`` is ``0x01`` reset (the span is
+one chunk of a snapshot and ``start`` the LSN the snapshot was taken
+at), ``0x02`` first and ``0x04`` final chunk of a reset. This module
+only frames the span; the follower checks its CRCs.
 """
 
 from __future__ import annotations
@@ -48,12 +59,14 @@ MAX_FRAME_BYTES = 16 * 2**20
 _U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
 _LENGTH = struct.Struct(">I")
+_REPLICATE = struct.Struct(">IQQB")  # epoch, lineage, start lsn, flags
 
 OP_JSON = 0x00
 OP_PUT = 0x01
 OP_GET = 0x02
 OP_DEL = 0x03
 OP_BATCH = 0x04
+OP_REPLICATE = 0x05
 
 ST_OK = 0x00
 ST_VALUE = 0x01
@@ -62,6 +75,9 @@ ST_JSON = 0x03
 
 _KIND_PUT = 1
 _KIND_DEL = 2
+
+#: OP_REPLICATE flag bits, in the order of the message's boolean fields.
+_REPLICATE_FLAGS = (("reset", 0x01), ("first", 0x02), ("final", 0x04))
 
 
 def require_binary(wire: str) -> None:
@@ -83,9 +99,11 @@ def require_binary(wire: str) -> None:
 def encode_request(message: dict) -> bytes:
     """Encode one request message into a frame payload.
 
-    Hot verbs get the compact opcode forms; every other verb is wrapped
-    as an OP_JSON envelope (the message must then be JSON-serializable,
-    which protocol.py's request builders guarantee).
+    Hot verbs get the compact opcode forms — a REPLICATE counts when
+    it carries a ``span`` of raw bytes; every other verb (a REPLICATE
+    probe among them) is wrapped as an OP_JSON envelope (the message
+    must then be JSON-serializable, which protocol.py's request
+    builders guarantee).
     """
     verb = message.get("op")
     if verb == "PUT":
@@ -115,6 +133,22 @@ def encode_request(message: dict) -> bytes:
                 parts.append(_U32.pack(len(value)))
                 parts.append(value)
         return b"".join(parts)
+    if verb == "REPLICATE" and isinstance(
+        message.get("span"), (bytes, bytearray)
+    ):
+        flags = sum(
+            bit for field, bit in _REPLICATE_FLAGS if message.get(field)
+        )
+        try:
+            header = _REPLICATE.pack(
+                message.get("epoch"),
+                message.get("lineage"),
+                message.get("start"),
+                flags,
+            )
+        except struct.error as error:
+            raise ProtocolError(f"replicate header: {error}") from error
+        return b"".join((_U8.pack(OP_REPLICATE), header, message["span"]))
     return _U8.pack(OP_JSON) + _encode_envelope(message)
 
 
@@ -199,6 +233,23 @@ def decode_request(payload: bytes) -> dict:
                 raise ProtocolError(f"unknown batch op kind {kind}")
         cursor.done()
         return {"op": "BATCH", "ops": ops}
+    if opcode == OP_REPLICATE:
+        epoch, lineage, start, flags = _REPLICATE.unpack(
+            cursor.take(_REPLICATE.size)
+        )
+        message = {
+            "op": "REPLICATE",
+            "epoch": epoch,
+            "lineage": lineage,
+            "start": start,
+            "span": payload[cursor.pos :],
+        }
+        for field, bit in _REPLICATE_FLAGS:
+            message[field] = bool(flags & bit)
+            flags &= ~bit
+        if flags:
+            raise ProtocolError(f"unknown replicate flags {flags:#04x}")
+        return message
     raise ProtocolError(f"unknown opcode {opcode:#04x}")
 
 

@@ -366,21 +366,23 @@ class KVClient:
 
     @staticmethod
     def _replica_ack(response: dict) -> dict:
+        lineage = response.get("lineage")
         return {
             "epoch": int(response.get("epoch", 0)),
-            "generation": int(response.get("generation", 0)),
+            # None until the replica has followed (or led) some log.
+            "lineage": None if lineage is None else int(lineage),
             "applied": int(response.get("applied", 0)),
             "role": str(response.get("role", "follower")),
             "quarantined": int(response.get("quarantined", 0)),
         }
 
     async def replicate(self, message: dict) -> dict:
-        """Ship one REPLICATE frame (see ``protocol.replicate_request``).
+        """Ship one REPLICATE span (see ``protocol.replicate_request``).
 
-        Returns the follower's ack cursor ``{"epoch", "generation",
-        "applied", "role"}``. Gap/fencing rejections (``REPLICA_GAP``,
-        ``STALE_EPOCH``) are not retryable and surface immediately as
-        :class:`~repro.errors.RequestFailedError`.
+        Returns the follower's ack cursor ``{"epoch", "lineage",
+        "applied", "role", "quarantined"}``. Gap/fencing rejections
+        (``REPLICA_GAP``, ``STALE_EPOCH``) are not retryable and surface
+        immediately as :class:`~repro.errors.RequestFailedError`.
         """
         return self._replica_ack(await self.request(message))
 
@@ -407,7 +409,7 @@ class KVClient:
         The repair path's verb: a leader with a quarantined run asks a
         follower for that run's key range so it can rebuild the file
         from replicated data. Returns ``{"items": [(key, value), ...]}``
-        plus the follower's ack cursor (``epoch``/``generation``/
+        plus the follower's ack cursor (``epoch``/``lineage``/
         ``applied``) — the caller must check the cursor is at least as
         fresh as its own shipped position before trusting the snapshot.
         Fencing rejections (``STALE_EPOCH``) surface immediately.

@@ -9,15 +9,17 @@ hot verbs carry raw ``bytes`` — in process and on the wire alike::
     DEL   {"op": "DEL", "key": bytes}
     BATCH {"op": "BATCH", "ops": [(key, value), (key, None), ...]}
 
-Every other verb is a JSON-safe object (it rides the wire's JSON
-envelope), so binary fields inside *those* payloads are base64 text::
+So does a shipped REPLICATE, whose ``span`` is write-ahead-log frames
+(see :func:`replicate_request`). Every other verb is a JSON-safe object
+(it rides the wire's JSON envelope), so binary fields inside *those*
+payloads are base64 text::
 
     SCAN  {"op": "SCAN", "lo": b64|null, "hi": b64|null, "limit": int|null}
     STATS {"op": "STATS"}
     PING  {"op": "PING"}
     METRICS {"op": "METRICS"}
     EVENTS  {"op": "EVENTS", "since": int, "limit": int|null}
-    REPLICATE / PROMOTE / FETCH_RANGE   (see the builders below)
+    REPLICATE probe / PROMOTE / FETCH_RANGE   (see the builders below)
 
 ``METRICS`` returns the server's structured metrics-registry snapshot
 (:mod:`repro.obs`) — structured rather than pre-rendered text so a
@@ -57,8 +59,9 @@ CODE_SHARD_DOWN = "SHARD_DOWN"
 #: A replication verb hit a server in the wrong role (REPLICATE sent to
 #: a leader, client write sent to a follower).
 CODE_NOT_LEADER = "NOT_LEADER"
-#: A shipped frame does not start at the follower's applied offset; the
-#: response carries the expected cursor so the shipper can rewind.
+#: A shipped span does not continue the follower's cursor (other
+#: lineage, other LSN, or a reset chunk out of order); the shipper
+#: probes for the cursor and resumes there or resets.
 CODE_REPLICA_GAP = "REPLICA_GAP"
 #: A replication frame carried an epoch older than the follower's — a
 #: deposed leader is still shipping and must stop (fencing).
@@ -147,27 +150,35 @@ def events_request(since: int = -1, limit: int | None = None) -> dict:
 
 def replicate_request(
     epoch: int,
-    generation: int,
+    lineage: int,
     start: int,
-    end: int,
-    ops: list[tuple[bytes, bytes | None]],
+    span: bytes,
     reset: bool = False,
+    first: bool = False,
+    final: bool = False,
 ) -> dict:
-    """One shipped WAL frame (or, with ``reset``, a full resync snapshot).
+    """One shipped span of the leader's log, or one chunk of a reset.
 
-    ``start``/``end`` are the frame's byte span in the leader WAL at
-    ``generation``; the follower acks by advancing its cursor to ``end``.
-    A reset frame replaces the follower's entire state with ``ops`` and
-    re-bases its cursor at ``(generation, end)``.
+    ``span`` is whole write-ahead-log frames, byte for byte as
+    ``WriteAheadLog.read_span`` returned them: they occupy ``[start,
+    start + len(span))`` in the log of ``lineage``, and the follower
+    acks by advancing its cursor to the end of that range. With
+    ``reset`` the frames instead carry one chunk of a snapshot taken at
+    LSN ``start`` — the same on every chunk — marked ``first`` and
+    ``final`` at its ends; the follower stages the chunks and, at the
+    final one, replaces its entire state with them and re-bases its
+    cursor at ``(lineage, start)``. An empty span is legal: a snapshot
+    of an empty store is one chunk, both first and final, of no frames.
     """
     return {
         "op": "REPLICATE",
         "epoch": epoch,
-        "generation": generation,
+        "lineage": lineage,
         "start": start,
-        "end": end,
-        "ops": _encode_ops(ops),
+        "span": span,
         "reset": reset,
+        "first": first,
+        "final": final,
     }
 
 
@@ -231,23 +242,13 @@ def fetch_range_payload(
     )
 
 
-def _encode_ops(ops: list[tuple[bytes, bytes | None]]) -> list:
-    encoded = []
-    for key, value in ops:
-        if value is None:
-            encoded.append(["del", b64encode(key)])
-        else:
-            encoded.append(["put", b64encode(key), b64encode(value)])
-    return encoded
-
-
 def replicate_payload(message: dict) -> dict:
-    """Decode a REPLICATE request into a plain dict.
+    """Validate a REPLICATE request into a plain dict.
 
-    Returns ``{"epoch", "probe"}`` for probes, or ``{"epoch",
-    "generation", "start", "end", "ops", "reset", "probe"}`` for shipped
-    frames. Unlike BATCH, an empty ops list is legal — a reset snapshot
-    of an empty store ships no operations.
+    Returns ``{"epoch", "probe"}`` for probes, or ``{"epoch", "probe",
+    "lineage", "start", "span", "reset", "first", "final"}`` for a
+    shipped span (:func:`replicate_request`). The span's frames are not
+    looked at here — the applier walks them, CRC first.
     """
     epoch = message.get("epoch", -1)
     if not isinstance(epoch, int) or isinstance(epoch, bool):
@@ -255,32 +256,20 @@ def replicate_payload(message: dict) -> dict:
     if message.get("probe"):
         return {"epoch": epoch, "probe": True}
     fields = {}
-    for field in ("generation", "start", "end"):
+    for field in ("lineage", "start"):
         value = message.get(field)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ProtocolError(
                 f"replicate {field} must be a non-negative integer"
             )
         fields[field] = value
-    raw = message.get("ops")
-    if not isinstance(raw, list):
-        raise ProtocolError("replicate needs an ops list")
-    ops: list[tuple[bytes, bytes | None]] = []
-    for entry in raw:
-        if not isinstance(entry, list) or not entry:
-            raise ProtocolError("malformed replicate entry")
-        kind = entry[0]
-        if kind == "put" and len(entry) == 3:
-            ops.append((b64decode(entry[1]), b64decode(entry[2])))
-        elif kind == "del" and len(entry) == 2:
-            ops.append((b64decode(entry[1]), None))
-        else:
-            raise ProtocolError(f"malformed replicate entry {entry!r}")
     return {
         "epoch": epoch,
         "probe": False,
-        "ops": ops,
+        "span": _raw(message.get("span"), "replicate span"),
         "reset": bool(message.get("reset", False)),
+        "first": bool(message.get("first", False)),
+        "final": bool(message.get("final", False)),
         **fields,
     }
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import TOMBSTONE, WriteAheadLog, scan_wal
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, CorruptionError
 
 
 class TestAppendReplay:
@@ -54,14 +54,15 @@ class TestOffsetsAndStreaming:
         assert offset_b == length_a
         assert offset_b + length_b == log.size_bytes
 
-    def test_generation_bumps_on_truncate(self, tmp_path):
+    def test_offsets_restart_at_zero_after_truncate(self, tmp_path):
+        # The log itself numbers nothing across a truncation (there is
+        # no generation to tell two logs apart): the store that owns it
+        # keeps the base that makes offsets into LSNs.
         log = WriteAheadLog(str(tmp_path / "wal.log"))
-        assert log.generation == 0
-        log.append([(b"a", b"1")])
+        first = log.append([(b"a", b"1")])
         log.truncate()
-        assert log.generation == 1
-        log.truncate()
-        assert log.generation == 2
+        assert log.size_bytes == 0
+        assert log.append([(b"a", b"1")]) == first
         log.close()
 
     def test_stream_frames_yields_ranges(self, tmp_path):
@@ -292,3 +293,92 @@ class TestFrameBytes:
         assert [written[o : o + n] for o, n in spans] == [
             bytes.fromhex(self.GOLDEN[name][1]) for name in sorted(self.GOLDEN)
         ]
+
+
+class TestSpans:
+    """Raw runs of frames: what replication ships instead of ops."""
+
+    BATCHES = [
+        [(b"a", b"1")],
+        [(b"b", b"22"), (b"c", TOMBSTONE)],
+        [(b"d", b"x" * 100)],
+    ]
+
+    def log(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        log = WriteAheadLog(path)
+        ranges = [log.append(batch) for batch in self.BATCHES]
+        log.close()
+        return path, ranges
+
+    def test_a_span_is_the_files_own_bytes(self, tmp_path):
+        path, ranges = self.log(tmp_path)
+        with open(path, "rb") as raw:
+            everything = raw.read()
+        assert WriteAheadLog.read_span(path, 0, 1 << 20) == (everything, 3)
+        cut = ranges[1][0]
+        assert WriteAheadLog.read_span(path, cut, 1 << 20) == (
+            everything[cut:], 2,
+        )
+        assert WriteAheadLog.decode_span(everything) == self.BATCHES
+
+    def test_limit_cuts_on_a_frame_boundary_but_never_below_one_frame(
+        self, tmp_path
+    ):
+        path, ranges = self.log(tmp_path)
+        two = ranges[2][0]
+        for limit, frames, length in (
+            (two, 2, two),
+            (two + 5, 2, two),  # the third frame does not fit: not sent
+            (two - 1, 1, ranges[0][1]),
+            (1, 1, ranges[0][1]),  # smaller than a header, still a frame
+        ):
+            span, count = WriteAheadLog.read_span(path, 0, limit)
+            assert (count, len(span)) == (frames, length), limit
+        big, _ = WriteAheadLog.read_span(path, two, 10)
+        assert WriteAheadLog.decode_span(big) == self.BATCHES[2:]
+
+    def test_span_stops_before_a_torn_or_damaged_frame(self, tmp_path):
+        path, ranges = self.log(tmp_path)
+        two = ranges[2][0]
+        with open(path, "r+b") as damaged:
+            damaged.truncate(two + ranges[2][1] - 1)
+        assert WriteAheadLog.read_span(path, 0, 1 << 20)[1] == 2
+        assert WriteAheadLog.read_span(path, two, 1 << 20) == (b"", 0)
+        with open(path, "r+b") as damaged:
+            damaged.seek(ranges[1][0] + 10)
+            damaged.write(b"\xff")
+        span, frames = WriteAheadLog.read_span(path, 0, 1 << 20)
+        assert (len(span), frames) == (ranges[0][1], 1)
+        # at the end of the log there is nothing, which is not an error
+        assert WriteAheadLog.read_span(path, two + 500, 64) == (b"", 0)
+
+    def test_decode_is_all_or_nothing(self, tmp_path):
+        path, ranges = self.log(tmp_path)
+        span, _ = WriteAheadLog.read_span(path, 0, 1 << 20)
+        assert WriteAheadLog.decode_span(b"") == []
+        for damaged in (
+            span[:-1],  # torn last frame
+            span[:5],  # not even a header
+            span[: ranges[1][0]] + b"\x00" + span[ranges[1][0] + 1 :],
+            span + b"\x01",  # trailing junk
+        ):
+            with pytest.raises(CorruptionError):
+                WriteAheadLog.decode_span(damaged)
+
+    def test_chunk_frames_bounds_every_frame(self):
+        ops = [(b"k%03d" % i, b"v" * 50) for i in range(40)]
+        ops[7] = (b"k007", TOMBSTONE)
+        ops[20] = (b"k020", b"w" * 400)  # larger than the limit: alone
+        chunks = list(WriteAheadLog.chunk_frames(iter(ops), 256))
+        assert all(len(c) <= 256 for c in chunks if len(c) < 400)
+        assert sum(len(c) > 256 for c in chunks) == 1
+        decoded = [WriteAheadLog.decode_span(bytes(c)) for c in chunks]
+        assert all(len(frames) == 1 for frames in decoded)
+        assert [op for frames in decoded for op in frames[0]] == ops
+        # as full as the limit allows: the op that opens a chunk would
+        # not have fitted into the one before
+        for chunk, following in zip(chunks, decoded[1:]):
+            opener = WriteAheadLog.encode_frame(following[0][:1])
+            assert len(chunk) + len(opener) - 8 > 256
+        assert list(WriteAheadLog.chunk_frames([], 256)) == []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import TOMBSTONE
+from repro.engine import TOMBSTONE, WriteAheadLog
 from repro.errors import ProtocolError
 from repro.server import binproto, protocol
 
@@ -20,40 +20,87 @@ def test_new_error_codes_exist():
     assert protocol.CODE_STALE_EPOCH == "STALE_EPOCH"
 
 
+SPAN = bytes(WriteAheadLog.encode_frame([(b"k", b"v"), (b"dead", TOMBSTONE)]))
+
+
 def test_replicate_request_round_trip():
     message = protocol.replicate_request(
-        epoch=3,
-        generation=1,
-        start=128,
-        end=256,
-        ops=[(b"k", b"v"), (b"dead", TOMBSTONE)],
+        epoch=3, lineage=2**52 + 1, start=128, span=SPAN
     )
-    # survives framing like any other message
-    decoded = binproto.decode_request(binproto.encode_request(message))
+    # survives framing like any other message — as the log's own bytes,
+    # not as text
+    encoded = binproto.encode_request(message)
+    assert encoded[0] == binproto.OP_REPLICATE
+    assert encoded.endswith(SPAN)
+    decoded = binproto.decode_request(encoded)
+    assert decoded == message
     payload = protocol.replicate_payload(decoded)
     assert payload["epoch"] == 3
     assert payload["probe"] is False
-    assert payload["generation"] == 1
-    assert (payload["start"], payload["end"]) == (128, 256)
-    assert payload["reset"] is False
-    assert payload["ops"] == [(b"k", b"v"), (b"dead", None)]
+    assert payload["lineage"] == 2**52 + 1
+    assert payload["start"] == 128
+    assert (payload["reset"], payload["first"], payload["final"]) == (
+        False, False, False,
+    )
+    assert WriteAheadLog.decode_span(payload["span"]) == [
+        [(b"k", b"v"), (b"dead", None)]
+    ]
 
 
 def test_replicate_reset_flag_round_trips():
-    message = protocol.replicate_request(
-        epoch=0, generation=2, start=0, end=64,
-        ops=[(b"a", b"1")], reset=True,
-    )
-    assert protocol.replicate_payload(message)["reset"] is True
+    for flags in (
+        dict(reset=True, first=True),
+        dict(reset=True),
+        dict(reset=True, final=True),
+        dict(reset=True, first=True, final=True),
+    ):
+        message = protocol.replicate_request(
+            epoch=0, lineage=2, start=64, span=SPAN, **flags
+        )
+        payload = protocol.replicate_payload(
+            binproto.decode_request(binproto.encode_request(message))
+        )
+        expected = dict(dict(reset=False, first=False, final=False), **flags)
+        assert {field: payload[field] for field in expected} == expected
 
 
 def test_replicate_empty_ops_is_legal():
-    # Unlike BATCH, a shipped frame may carry zero ops (pure cursor
-    # advance); the payload accessor must not reject it.
+    # Unlike BATCH, a shipped span may carry zero ops: the snapshot of
+    # an empty store is one reset chunk of no frames. The payload
+    # accessor must not reject it.
     message = protocol.replicate_request(
-        epoch=0, generation=0, start=0, end=0, ops=[]
+        epoch=0, lineage=1, start=0, span=b"",
+        reset=True, first=True, final=True,
     )
-    assert protocol.replicate_payload(message)["ops"] == []
+    payload = protocol.replicate_payload(
+        binproto.decode_request(binproto.encode_request(message))
+    )
+    assert payload["span"] == b""
+    assert WriteAheadLog.decode_span(payload["span"]) == []
+
+
+def test_replicate_header_fields_must_fit_the_wire():
+    for field, value in (("epoch", -1), ("lineage", 2**64), ("start", -5)):
+        message = protocol.replicate_request(
+            **dict(dict(epoch=0, lineage=1, start=0, span=SPAN), **{field: value})
+        )
+        with pytest.raises(ProtocolError):
+            binproto.encode_request(message)
+
+
+def test_unknown_replicate_flags_rejected():
+    encoded = bytearray(
+        binproto.encode_request(
+            protocol.replicate_request(epoch=0, lineage=1, start=0, span=SPAN)
+        )
+    )
+    encoded[1 + 4 + 8 + 8] |= 0x80
+    with pytest.raises(ProtocolError):
+        binproto.decode_request(bytes(encoded))
+    # a header cut short is a truncated frame, whatever follows
+    for cut in range(1, 1 + 4 + 8 + 8 + 1):
+        with pytest.raises(ProtocolError):
+            binproto.decode_request(bytes(encoded[:cut]))
 
 
 def test_replicate_probe_round_trip():
@@ -88,3 +135,12 @@ def test_replicate_payload_rejects_garbage():
         protocol.replicate_payload(
             {"op": "REPLICATE", "epoch": 0, "probe": False}
         )
+    shipped = protocol.replicate_request(epoch=0, lineage=1, start=0, span=SPAN)
+    for field, junk in (
+        ("lineage", None),
+        ("start", -1),
+        ("start", True),
+        ("span", "dGV4dA=="),
+    ):
+        with pytest.raises(ProtocolError):
+            protocol.replicate_payload(dict(shipped, **{field: junk}))

@@ -235,6 +235,11 @@ def test_stats_carry_replication_sections(tmp_path):
                     await leader.become_leader(
                         0, [follower_client(follower)]
                     )
+                    # attached (by an empty reset) before the write, so
+                    # the write travels as a log frame
+                    await eventually(
+                        lambda: leader.shipper.acked_cursors() == [0]
+                    )
                     host, port = leader.address
                     async with KVClient(host, port) as client:
                         await client.put(b"k", b"v")
@@ -243,14 +248,26 @@ def test_stats_carry_replication_sections(tmp_path):
                     assert replication["role"] == "leader"
                     assert replication["ack_policy"] == "all"
                     shipping = replication["shipping"]
-                    assert shipping["followers"][0]["lag_bytes"] == 0
+                    position = leader_store.wal_position()
+                    assert {
+                        field: shipping[field]
+                        for field in ("lineage", "lsn", "wal_base")
+                    } == position._asdict()
+                    assert shipping["followers"] == [
+                        {
+                            "acked_offset": position.lsn,
+                            "lag_bytes": 0,
+                            "stalled": False,
+                        }
+                    ]
                     fh, fp = follower.address
                     async with KVClient(fh, fp) as client:
                         stats = await client.stats()
                     assert stats["replication"]["role"] == "follower"
-                    assert (
-                        stats["replication"]["applier"]["frames_applied"]
-                        >= 1
+                    applier = stats["replication"]["applier"]
+                    assert applier["frames_applied"] == 1
+                    assert (applier["lineage"], applier["applied"]) == (
+                        position.lineage, position.lsn,
                     )
         finally:
             leader_store.close()

@@ -1,5 +1,12 @@
 """Tests for the ``python -m repro`` command-line driver."""
 
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -448,3 +455,64 @@ class TestClusterParsersAndValidation:
         code = main(["loadgen", "--mode", "closed", "--ops", "0"])
         assert code == 2
         assert "--ops" in capsys.readouterr().err
+
+
+class TestSigterm:
+    """``kill`` must be a clean shutdown: from the replication restart
+    work on, an unclean one costs every follower a full resync."""
+
+    @staticmethod
+    def free_port():
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            return probe.getsockname()[1]
+
+    def serve_and_kill(self, tmp_path, *command):
+        """Run a serving command until it is up, SIGTERM it; its output."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONUNBUFFERED="1")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", *command,
+             "--port", str(self.free_port())],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            cwd=str(tmp_path),
+        )
+        try:
+            banner = process.stdout.readline()
+            assert banner.startswith("serving "), banner
+            process.send_signal(signal.SIGTERM)
+            rest, _ = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0, rest
+        assert "shutting down" in rest
+        assert "Traceback" not in rest
+        return banner + rest
+
+    @staticmethod
+    def closed_cleanly(directory):
+        """Only ``close()`` writes a log position into the manifest."""
+        with open(directory / "MANIFEST", encoding="utf-8") as manifest:
+            last = json.loads(manifest.read().strip().splitlines()[-1])
+        return last["op"] == "position" and last["lineage"] is not None
+
+    def test_serve_closes_the_store_on_sigterm(self, tmp_path):
+        self.serve_and_kill(tmp_path, "serve", str(tmp_path / "db"))
+        assert self.closed_cleanly(tmp_path / "db")
+
+    def test_cluster_serve_closes_every_store_on_sigterm(self, tmp_path):
+        self.serve_and_kill(
+            tmp_path, "cluster-serve", str(tmp_path / "cluster"),
+            "--shards", "2", "--replicas", "1",
+        )
+        stores = sorted(path.name for path in (tmp_path / "cluster").iterdir())
+        assert stores == [
+            "replica-00-0", "replica-01-0", "shard-00", "shard-01",
+        ]
+        for name in stores:
+            assert self.closed_cleanly(tmp_path / "cluster" / name), name

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.router import LocalCluster
-from repro.engine import LSMStore, StoreOptions
+from repro.engine import LSMStore, StoreOptions, WriteAheadLog
 from repro.errors import ConfigurationError, ProtocolError
 from repro.server import binproto, protocol
 from repro.server.client import KVClient
@@ -57,6 +57,63 @@ GOLDEN_RESPONSES = [
         "2e32357d",
     ),
 ]
+
+
+#: One write-ahead-log frame — little-endian length and CRC, then a put
+#: and a delete — exactly as ``WriteAheadLog.encode_frame`` lays it out
+#: (``tests/engine/test_wal.py`` pins that format on its own).
+_WAL_FRAME = (
+    "1c0000000ad4bbcf"
+    "010200000004000000006bff76616c"
+    "020400000000000000676f6e65"
+)
+_LINEAGE = 0x0123456789ABCD
+
+#: OP_REPLICATE: opcode, epoch:u32, lineage:u64, start:u64, flags:u8,
+#: then the span untouched. A log span; the first chunk of a reset; an
+#: empty store's whole reset (first and final, no frames); a final chunk.
+GOLDEN_REPLICATE = [
+    (
+        protocol.replicate_request(
+            3, _LINEAGE, 4096, bytes.fromhex(_WAL_FRAME)
+        ),
+        "0000003a" "05" "00000003" "000123456789abcd" "0000000000001000"
+        "00" + _WAL_FRAME,
+    ),
+    (
+        protocol.replicate_request(
+            3, _LINEAGE, 8192, bytes.fromhex(_WAL_FRAME),
+            reset=True, first=True,
+        ),
+        "0000003a" "05" "00000003" "000123456789abcd" "0000000000002000"
+        "03" + _WAL_FRAME,
+    ),
+    (
+        protocol.replicate_request(
+            3, _LINEAGE, 8192, b"", reset=True, first=True, final=True
+        ),
+        "00000016" "05" "00000003" "000123456789abcd" "0000000000002000"
+        "07",
+    ),
+    (
+        protocol.replicate_request(
+            3, _LINEAGE, 8192, bytes.fromhex(_WAL_FRAME),
+            reset=True, final=True,
+        ),
+        "0000003a" "05" "00000003" "000123456789abcd" "0000000000002000"
+        "05" + _WAL_FRAME,
+    ),
+]
+
+
+@pytest.mark.parametrize(("message", "frame"), GOLDEN_REPLICATE)
+def test_replicate_frames_are_byte_identical(message, frame):
+    encoded = binproto.encode_frame(binproto.encode_request(message))
+    assert encoded.hex() == frame
+    assert binproto.decode_request(encoded[4:]) == message
+    assert WriteAheadLog.decode_span(message["span"]) == (
+        [[(b"\x00k", b"\xffval"), (b"gone", None)]] if message["span"] else []
+    )
 
 
 @pytest.mark.parametrize(("message", "frame"), GOLDEN_REQUESTS)

@@ -633,13 +633,7 @@ class TestWaitFalse:
                     store.settle()  # the filling batch's seal woke them
                     assert timing.io_seconds <= timing.engine_seconds
                     assert timing.stall_seconds == 0.0
-                    spans.append(
-                        (
-                            timing.wal_generation,
-                            timing.wal_offset,
-                            timing.wal_end,
-                        )
-                    )
+                    spans.append((timing.wal_offset, timing.wal_end))
                 log = Path(store.wal_path).read_bytes()
                 memtable = store.stats().memtable_entries
                 rows = list(store.scan())
