@@ -12,14 +12,7 @@ from .blockcache import BlockCache
 from .blockcodec import BlockCodec, available_codecs, get_codec, register_codec
 from .bloom import BloomFilter
 from .compaction import CompactionManager, MergeJob, build_policy, build_scheduler
-from .filters import (
-    FilterSpec,
-    PointFilter,
-    available_filters,
-    build_filter,
-    load_filter,
-    register_filter,
-)
+from .filters import PointFilter, available_filters, load_filter
 from .integrity import IntegrityReport, verify_store
 from .datastore import (
     LSMStore,
@@ -43,7 +36,6 @@ __all__ = [
     "BlockCodec",
     "BloomFilter",
     "CURRENT_FORMAT_VERSION",
-    "FilterSpec",
     "PointFilter",
     "CompactionManager",
     "IntegrityReport",
@@ -72,13 +64,11 @@ __all__ = [
     "scan_wal",
     "available_codecs",
     "available_filters",
-    "build_filter",
     "build_policy",
     "build_scheduler",
     "get_codec",
     "load_filter",
     "register_codec",
-    "register_filter",
     "verify_store",
     "decode_secondary_key",
     "encode_secondary_key",

@@ -1,8 +1,9 @@
 """The public storage engine API: an embeddable LSM key-value store.
 
-:class:`LSMStore` composes the substrates — memtables, WAL,
-manifest, sorted runs, and the policy/scheduler-driven compaction manager
-— into the store a downstream application uses::
+:class:`LSMStore` composes the substrates — memtables, the commit log,
+manifest, sorted runs, the policy/scheduler-driven compaction manager
+and the maintenance executor — into the store a downstream application
+uses::
 
     from repro.engine import LSMStore, StoreOptions
 
@@ -12,26 +13,27 @@ manifest, sorted runs, and the policy/scheduler-driven compaction manager
         for key, value in store.scan(b"a", b"z"):
             ...
 
-Writes go to the WAL then the active memtable; a full memtable is sealed
+Writes go to the log then the active memtable; a full memtable is sealed
 and flushed as a level-0 run; the component constraint stalls writes when
 merges lag (the paper's "stop" interaction, Section 5.1.2), either
 blocking the writer or raising
 :class:`~repro.errors.WriteStalledError` per ``options.stall_mode``.
-Maintenance (flushes + merge chunks) runs inline by default, or on a
-pool of ``options.maintenance_threads`` background workers with
-``options.background_maintenance`` — workers claim a task under the
-store lock but perform its file I/O outside it (see
-``docs/engine-concurrency.md`` for the claim/publish protocol).
+
+The store itself keeps the options, the lock, the memtables, the stall
+gate, reads, quarantine and repair, stats and the lifecycle. Two parts
+own the rest behind the same lock: :class:`~.commitlog.CommitLog` (the
+log file, LSNs, group commit) and
+:class:`~.maintenance.MaintenanceExecutor` (flush, merge and scrub
+tasks; workers or the calling thread) — ``docs/engine-concurrency.md``.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import threading
-import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from ..errors import (
     ClosedError,
@@ -42,7 +44,7 @@ from ..errors import (
 )
 from ..obs import Observability
 from ..obs import events as obs_events
-from ..scrub import Scrubber
+from .commitlog import CommitLog, WalPosition
 from .compaction import CompactionManager
 from .iterators import (
     EntryCursor,
@@ -52,19 +54,11 @@ from .iterators import (
     reconcile_get,
     reconciling_iterator,
 )
-from .manifest import LogPosition, Manifest
-from .memtable import MemTable, payload_bytes
+from .maintenance import MaintenanceExecutor
+from .manifest import Manifest
+from .memtable import MemTable
 from .options import StoreOptions, TOMBSTONE
 from .quarantine import QuarantineEntry
-from .ratelimiter import RateLimiter
-from .wal import WriteAheadLog
-
-#: Caps on one commit group, so a giant group can neither starve the
-#: queue nor balloon the window a failed fsync rolls back: 1 MiB is
-#: RocksDB's ``max_write_batch_group_size_bytes`` default, and the batch
-#: count bounds the leader's apply loop under the store lock.
-GROUP_COMMIT_MAX_BYTES = 1 * 2**20
-GROUP_COMMIT_MAX_OPS = 1024
 
 
 @dataclass(frozen=True)
@@ -164,47 +158,6 @@ class WriteTiming:
     wal_end: int = -1
 
 
-class WalPosition(NamedTuple):
-    """Where a store's log stands, in log-sequence numbers.
-
-    An LSN counts every byte the log has ever held within one
-    ``lineage``: ``wal_base`` is the LSN of the log file's first byte (a
-    checkpoint truncates the file and moves the base up by what it
-    held), ``lsn`` the LSN just past its last. A lineage survives a
-    clean close and reopen; after a crash, or once a follower has been
-    promoted, the store starts a fresh random one, so two positions
-    compare only when their lineages are equal.
-    """
-
-    lineage: int
-    lsn: int
-    wal_base: int
-
-
-def _new_lineage() -> int:
-    # 53 random bits: still an exact integer in any JSON reader.
-    return int.from_bytes(os.urandom(8), "big") >> 11
-
-
-class _CommitEntry:
-    """One writer's parked commit batch in the group-commit queue.
-
-    The parked writer waits until a leader marks it ``done``, then reads
-    either ``result`` — its frame's ``(lsn, length)`` — or ``error``.
-    ``nbytes`` is the batch's raw key+value size, used to honour the
-    group byte cap without encoding frames twice.
-    """
-
-    __slots__ = ("batch", "nbytes", "done", "result", "error")
-
-    def __init__(self, batch: list[tuple[bytes, bytes | None]]) -> None:
-        self.batch = batch
-        self.nbytes = payload_bytes(batch)
-        self.done = False
-        self.result: tuple[int, int] | None = None
-        self.error: BaseException | None = None
-
-
 class LSMStore:
     """An LSM-tree key-value store driven by the paper's core machinery."""
 
@@ -257,15 +210,6 @@ class LSMStore:
         self._compaction = CompactionManager(
             directory, self._options, self._manifest, obs=self._obs
         )
-        self._wal = WriteAheadLog(
-            os.path.join(directory, "wal.log"),
-            sync=self._options.sync_writes,
-            fault_plan=self._options.fault_plan,
-        )
-        self._m_maintenance_failures = self._obs.registry.counter(
-            "engine_maintenance_failures_total",
-            help="Maintenance tasks (flush or merge chunk) that raised.",
-        )
         self._m_corruption = {
             source: self._obs.registry.counter(
                 "engine_corruption_detected_total",
@@ -279,78 +223,44 @@ class LSMStore:
             "engine_runs_repaired_total",
             help="Quarantined runs rebuilt from replica data.",
         )
-        self._scrubber = Scrubber(
-            interval=self._options.scrub_interval,
-            chunk_bytes=self._compaction.chunk_bytes,
-            rate_limiter=self._compaction.rate_limiter,
-            scrub_limiter=(
-                RateLimiter(self._options.scrub_rate_bytes_per_s)
-                if self._options.scrub_rate_bytes_per_s
-                else None
-            ),
-            obs=self._obs,
-        )
         self._active = MemTable()
         self._sealed: list[MemTable] = []
         # Live memory knobs: the arbiter retargets these at runtime via
         # set_memory_budget(); options.memtable_bytes is only the seed.
         self._memtable_target = self._options.memtable_bytes
         self._ingested_bytes = 0
-        self._commit_listener = None
         self._closed = False
         self._stall_count = 0
         self._stall_seconds = 0.0
         self._lock = threading.RLock()
-        # The single "state changed" signal: workers wait on it for
-        # work; stalled writers and quiesce paths wait on it for
-        # progress. Every publish, rotation, and close notifies it.
+        # The single "state changed" signal; everything that waits on
+        # it is in the maintenance executor.
         self._work_available = threading.Condition(self._lock)
-        # True while a worker is writing the oldest sealed memtable out.
-        # Exactly one flush may be in flight: flushes take fresh manifest
-        # sequence stamps, so publishing them out of order would corrupt
-        # the newest-first reconciliation order.
-        self._flush_claimed = False
-        # Group commit: parked writers queue on their own condition (NOT
-        # the store lock) so the leader can fsync with the store lock
-        # released — that window is where the next group forms.
-        self._gc_cond = threading.Condition(threading.Lock())
-        self._gc_queue: deque[_CommitEntry] = deque()
-        self._gc_leader_busy = False
-        # Frames appended but not yet applied/acked (a group mid-sync);
-        # WAL checkpoints are deferred while non-zero so a truncation
-        # can't discard them.
-        self._wal_syncs_in_flight = 0
-        self._m_gc_batches = self._obs.registry.counter(
-            "engine_group_commit_batches_total",
-            help="Commit batches that rode a group-commit frame group.",
+        # Replays the log into the active memtable. take_position voids
+        # what it reads back, before the log can take an append.
+        self._log = CommitLog(
+            os.path.join(directory, "wal.log"),
+            sync=self._options.sync_writes,
+            fault_plan=self._options.fault_plan,
+            registry=self._obs.registry,
+            lock=self._lock,
+            position=self._manifest.take_position(),
+            check_open=self._check_open,
+            insert=self._insert,
+            group_applied=self._maybe_rotate,
         )
-        self._m_gc_syncs = self._obs.registry.counter(
-            "engine_group_commit_syncs_total",
-            help="Group-commit fsyncs (one per group, not per batch).",
+        self._maintenance = MaintenanceExecutor(
+            self._options,
+            self._obs,
+            self._lock,
+            self._work_available,
+            self._compaction,
+            self._sealed,
+            is_closed=lambda: self._closed,
+            memtable_target=lambda: self._memtable_target,
+            flushed=self._checkpoint_log,
+            quarantine=self._quarantine_locked,
         )
-        # A position read back proves a clean close and nothing since
-        # (take_position voids it before the log can take an append) —
-        # unless replay stopped short of the file's end, in which case
-        # the LSNs it vouches for are not all there.
-        position = self._manifest.take_position()
-        if self._replay_wal() != self._wal.size_bytes:
-            position = None
-        if position is None:
-            position = LogPosition(lineage=_new_lineage(), wal_base=0)
-        self._lineage = position.lineage
-        self._wal_base = position.wal_base
-        self._upstream = position.upstream
-        self._workers: list[threading.Thread] = []
-        if self._options.background_maintenance:
-            for index in range(self._options.maintenance_threads):
-                worker = threading.Thread(
-                    target=self._worker_loop,
-                    args=(index,),
-                    name=f"lsm-maintenance-{index}",
-                    daemon=True,
-                )
-                self._workers.append(worker)
-                worker.start()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -365,39 +275,41 @@ class LSMStore:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _shut(self) -> bool:
+        """Mark the store closed and join the workers: each finishes
+        (publishes or abandons) the task it already claimed, then exits
+        its loop. False when the store was closed already."""
+        with self._lock:
+            if self._closed:
+                return False
+            self._closed = True
+            self._work_available.notify_all()
+        self._maintenance.join()
+        return True
+
     def close(self) -> None:
         """Flush buffered data, finish merges, and release resources.
 
-        Workers are quiesced first: each finishes (publishes or abandons)
-        the task it already claimed, then exits its loop; only after the
-        join does the inline drain run, so it never races a claim.
+        Workers are quiesced first; only after the join does the inline
+        drain run, so it never races a claim.
         """
+        if not self._shut():
+            return
+        self._log.settle()
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._work_available.notify_all()
-        for worker in self._workers:
-            worker.join(timeout=30.0)
-        # Let in-flight commit groups finish (parked writers racing the
-        # close self-organize into leaders and fail with ClosedError).
-        with self._gc_cond:
-            self._gc_cond.notify_all()
-            while self._gc_leader_busy or self._gc_queue:
-                self._gc_cond.wait(timeout=0.05)
-        with self._lock:
-            self._flush_all_memtables()
+            if len(self._active) > 0:
+                self._seal_active()
+            self._maintenance.flush_all()
             # The last flush's own checkpoint may have been vetoed or
             # skipped; without this one the next open replays — and
             # later flushes again — data that is already in runs.
-            self._wal_checkpoint()
+            self._checkpoint_log()
             self._compaction.drain()
-            self._manifest.compact(
-                LogPosition(self._lineage, self._wal_base, self._upstream)
-            )
+            self._manifest.compact(self._log.closing_record())
             self._compaction.close()
-            self._wal.close()
+            self._log.close()
             self._manifest.close()
+            self._maintenance.close()
 
     def crash(self) -> None:
         """Simulate power loss: release file handles, persist *nothing*.
@@ -411,18 +323,14 @@ class LSMStore:
         fault-injection harness (:mod:`repro.faults.crashsim`); the
         store is unusable afterwards.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._work_available.notify_all()
-        for worker in self._workers:
-            worker.join(timeout=30.0)
+        if not self._shut():
+            return
         with self._lock:
             for release in (
                 self._compaction.close,
-                self._wal.close,
+                self._log.close,
                 self._manifest.close,
+                self._maintenance.close,
             ):
                 try:
                     release()
@@ -432,19 +340,6 @@ class LSMStore:
     def _check_open(self) -> None:
         if self._closed:
             raise ClosedError("store is closed")
-
-    # -- recovery --------------------------------------------------------
-
-    def _replay_wal(self) -> int:
-        """Re-apply the log's intact frames; returns where they end."""
-        end = 0
-        for _start, end, ops in WriteAheadLog.stream_frames(self._wal.path):
-            for key, value in ops:
-                if value is TOMBSTONE:
-                    self._active.delete(key)
-                else:
-                    self._active.put(key, value)
-        return end
 
     # -- replication hooks -----------------------------------------------
 
@@ -463,31 +358,21 @@ class LSMStore:
           ``wal_base``, and nothing else about positions changes.
         """
         with self._lock:
-            self._commit_listener = listener
-
-    def _notify_commit(self, lsn: int, length: int, batch) -> None:
-        listener = self._commit_listener
-        if listener is not None:
-            listener.on_commit(lsn, length, batch)
-
-    @property
-    def wal_path(self) -> str:
-        """The WAL's backing file (replication ships spans read from it:
-        LSN ``n`` is at byte ``n - wal_base``)."""
-        return self._wal.path
-
-    def _lsn_locked(self) -> int:
-        return self._wal_base + self._wal.size_bytes
+            self._log.set_listener(listener)
 
     def wal_position(self) -> WalPosition:
         """The log's current :class:`WalPosition`; its ``lsn`` is where
         a fully caught-up follower's cursor sits."""
         with self._lock:
-            return WalPosition(
-                lineage=self._lineage,
-                lsn=self._lsn_locked(),
-                wal_base=self._wal_base,
-            )
+            return self._log.position()
+
+    def read_log(self, lsn: int, limit: int) -> tuple[bytes, int]:
+        """``(span, frames)``: the raw bytes of the whole, CRC-valid
+        frames that start at ``lsn`` and fit in ``limit`` bytes (never
+        less than one frame; empty when the log does not hold ``lsn``)
+        — how replication ships the log, by LSN and nothing else."""
+        with self._lock:
+            return self._log.read(lsn, limit)
 
     def replication_snapshot(self) -> tuple[list[tuple[bytes, bytes]], int]:
         """Atomic ``(items, lsn)`` for replica resync: a follower that
@@ -496,13 +381,13 @@ class LSMStore:
         with self._lock:
             self._check_open()
             items = list(self.scan())
-            return items, self._lsn_locked()
+            return items, self._log.position().lsn
 
     @property
     def upstream(self) -> tuple[int, int, int] | None:
         """A follower's replication cursor, ``(leader lineage, applied
         lsn, epoch)``; None for a store that follows nobody."""
-        return self._upstream
+        return self._log.upstream
 
     def set_upstream(self, cursor: tuple[int, int, int] | None) -> None:
         """Record how far this store has applied a leader's log.
@@ -512,7 +397,7 @@ class LSMStore:
         this as it acknowledges, after the writes themselves.
         """
         with self._lock:
-            self._upstream = cursor
+            self._log.set_upstream(cursor)
 
     def reset_lineage(self) -> None:
         """Start a fresh lineage and forget the upstream cursor.
@@ -522,8 +407,7 @@ class LSMStore:
         history must be resynchronised rather than resumed.
         """
         with self._lock:
-            self._lineage = _new_lineage()
-            self._upstream = None
+            self._log.reset_lineage()
 
     # -- writes ----------------------------------------------------------
 
@@ -542,168 +426,26 @@ class LSMStore:
         self._write(batch)
 
     def _write(self, batch: list[tuple[bytes, bytes | None]]) -> None:
-        if self._options.group_commit:
-            self._commit_grouped(batch)
-            return
         with self._lock:
             self._check_open()
             self._wait_for_headroom()
-            self._apply_locked(batch)
+            if not self._options.group_commit:
+                self._log.commit(batch)
+                self._maybe_rotate()
+                return
+        # Admitted exactly as above; the commit itself is the log's
+        # leader/follower protocol, entered with the lock released.
+        self._log.commit_grouped(batch)
 
-    def _apply_locked(
-        self, batch: list[tuple[bytes, bytes | None]]
-    ) -> None:
-        """Append, apply, and announce one batch (store lock held).
-
-        The classic per-writer commit: WAL append (fsyncing per
-        ``sync_writes``), memtable apply, replication notify, rotation
-        check.
-        """
-        offset, length = self._wal.append(batch)
+    def _insert(self, batch: list[tuple[bytes, bytes | None]]) -> None:
+        """Apply a logged batch to the active memtable (lock held, or
+        the store not yet shared: replay at open)."""
+        active = self._active
         for key, value in batch:
             if value is TOMBSTONE:
-                self._active.delete(key)
+                active.delete(key)
             else:
-                self._active.put(key, value)
-        self._notify_commit(self._wal_base + offset, length, batch)
-        self._maybe_rotate()
-
-    # -- group commit ----------------------------------------------------
-
-    def _commit_grouped(
-        self, batch: list[tuple[bytes, bytes | None]]
-    ) -> tuple[int, int]:
-        """Commit ``batch`` through the group-commit queue.
-
-        Admission (open check + headroom gate) happens under the store
-        lock exactly as in the classic path; the commit itself is then
-        handed to the leader/follower protocol of :meth:`_gc_park`.
-        """
-        with self._lock:
-            self._check_open()
-            self._wait_for_headroom()
-        return self._gc_park(batch)
-
-    def _gc_park(
-        self, batch: list[tuple[bytes, bytes | None]]
-    ) -> tuple[int, int]:
-        """Park a batch in the commit queue; lead if first in line.
-
-        Every parked writer waits until its entry is marked done — by
-        itself (as leader) or by another writer's leadership term. The
-        queue head becomes leader whenever no term is in progress, so
-        leadership hands over without a dedicated thread, and everything
-        that queued while the previous leader was fsyncing rides the
-        next group.
-        """
-        entry = _CommitEntry(batch)
-        group: list[_CommitEntry] | None = None
-        with self._gc_cond:
-            self._gc_queue.append(entry)
-            while not entry.done:
-                if not self._gc_leader_busy and self._gc_queue[0] is entry:
-                    self._gc_leader_busy = True
-                    group = self._take_group_locked()
-                    break
-                self._gc_cond.wait()
-        if group is not None:
-            try:
-                self._commit_group(group)
-            finally:
-                with self._gc_cond:
-                    self._gc_leader_busy = False
-                    for member in group:
-                        member.done = True
-                    self._gc_cond.notify_all()
-        if entry.error is not None:
-            raise entry.error
-        assert entry.result is not None
-        return entry.result
-
-    def _take_group_locked(self) -> list[_CommitEntry]:
-        """Drain one group off the queue head (gc condition held).
-
-        Always takes at least the leader's own entry; stops at the
-        byte/batch caps.
-        """
-        group = [self._gc_queue.popleft()]
-        total = group[0].nbytes
-        while (
-            self._gc_queue
-            and len(group) < GROUP_COMMIT_MAX_OPS
-            and total + self._gc_queue[0].nbytes <= GROUP_COMMIT_MAX_BYTES
-        ):
-            entry = self._gc_queue.popleft()
-            group.append(entry)
-            total += entry.nbytes
-        return group
-
-    def _commit_group(self, group: list[_CommitEntry]) -> None:
-        """One leadership term: append the group, sync once, apply all.
-
-        The frames land under the store lock (buffered write — fast),
-        but the fsync runs with every lock released: that window is
-        where the next group forms. Failures before the sync completes
-        roll the WAL back to the group's start (nothing was acked), so
-        the cursor and the file keep agreeing.
-        """
-        try:
-            with self._lock:
-                self._check_open()
-                # Fixed until the group is applied: no checkpoint runs
-                # while _wal_syncs_in_flight is non-zero.
-                base = self._wal_base
-                spans = self._wal.append_group(
-                    [entry.batch for entry in group]
-                )
-                group_start = spans[0][0]
-                group_end = spans[-1][0] + spans[-1][1]
-                self._wal_syncs_in_flight += 1
-        except BaseException as error:
-            for entry in group:
-                entry.error = error
-            return
-        try:
-            synced = False
-            if self._options.sync_writes:
-                try:
-                    self._wal.sync()
-                except BaseException as error:
-                    with self._lock:
-                        if self._wal.size_bytes == group_end:
-                            try:
-                                self._wal.rollback(group_start)
-                            except OSError:
-                                pass  # rollback already failed the log closed
-                        else:
-                            # Someone moved the log under us (should be
-                            # impossible while syncs are in flight) —
-                            # refuse to guess.
-                            self._wal.fail_closed()
-                    for entry in group:
-                        entry.error = error
-                    return
-                synced = True
-            with self._lock:
-                listener = self._commit_listener
-                for entry, (offset, length) in zip(group, spans):
-                    for key, value in entry.batch:
-                        if value is TOMBSTONE:
-                            self._active.delete(key)
-                        else:
-                            self._active.put(key, value)
-                    if listener is not None:
-                        listener.on_commit(
-                            base + offset, length, entry.batch
-                        )
-                    entry.result = (base + offset, length)
-                self._m_gc_batches.inc(len(group))
-                if synced:
-                    self._m_gc_syncs.inc()
-                self._maybe_rotate()
-        finally:
-            with self._lock:
-                self._wal_syncs_in_flight -= 1
+                active.put(key, value)
 
     # -- timed writes (serving-tier latency breakdown) -------------------
 
@@ -775,7 +517,7 @@ class LSMStore:
             # The park covers queueing + the group's append and fsync;
             # that whole wait is this write's commit I/O.
             io_started = clock()
-            lsn, length = self._gc_park(batch)
+            lsn, length = self._log.commit_grouped(batch)
             finished = clock()
             return WriteTiming(
                 engine_seconds=finished - started,
@@ -790,16 +532,7 @@ class LSMStore:
             stall_before = self._stall_seconds
             self._wait_for_headroom()
             stall_seconds = self._stall_seconds - stall_before
-            io_started = clock()
-            offset, length = self._wal.append(batch)
-            io_seconds = clock() - io_started
-            lsn = self._wal_base + offset
-            for key, value in batch:
-                if value is TOMBSTONE:
-                    self._active.delete(key)
-                else:
-                    self._active.put(key, value)
-            self._notify_commit(lsn, length, batch)
+            lsn, length, io_seconds = self._log.commit(batch, clock)
             self._maybe_rotate()
             return WriteTiming(
                 engine_seconds=clock() - started,
@@ -823,10 +556,7 @@ class LSMStore:
         """
         if self._compaction.is_write_stalled():
             return True
-        if (
-            self._options.background_maintenance
-            and len(self._sealed) < self._options.num_memtables - 1
-        ):
+        if self._maintenance.seals_freely():
             return False
         return self._active.bytes_at_most_after(batch) >= self._memtable_target
 
@@ -836,6 +566,9 @@ class LSMStore:
         A stall is counted once per write that observed a stalled tree
         (not once per polling iteration), and the time a blocking writer
         spends here accumulates into ``stall_seconds_total``.
+        ``stall_exit`` says how the wait ended: ``resumed``, ``rejected``
+        (reject mode, no wait), ``closed`` under the writer, or
+        ``failed`` — as a rule, nothing could ever clear the constraint.
         """
         if not self._compaction.is_write_stalled():
             return
@@ -854,39 +587,19 @@ class LSMStore:
                 "component constraint violated; merges must catch up"
             )
         started = self._obs.clock()
+        outcome = "failed"  # any error but a close
         try:
-            if self._workers:
-                # Maintenance workers own progress: wake them, then wait
-                # on the condition (which releases every RLock level)
-                # until a publish clears the constraint. Raise rather
-                # than hang when nothing claimable could ever clear it.
-                self._work_available.notify_all()
-                while self._compaction.is_write_stalled():
-                    if self._closed:
-                        raise ClosedError(
-                            "store closed while a write was stalled"
-                        )
-                    if not (
-                        self._sealed
-                        or self._flush_claimed
-                        or self._compaction.has_work()
-                        or self._compaction.kick()
-                    ):
-                        raise ConfigurationError(
-                            "write stalled with no merge work available: "
-                            "the component constraint is too tight for "
-                            "this policy configuration"
-                        )
-                    self._work_available.wait(timeout=0.05)
-            else:
-                while self._compaction.is_write_stalled():
-                    self._advance_maintenance(blocking=True)
+            self._maintenance.await_headroom()
+            outcome = "resumed"
+        except ClosedError:
+            outcome = "closed"
+            raise
         finally:
             elapsed = self._obs.clock() - started
             self._stall_seconds += elapsed
             self._m_stall_seconds.inc(elapsed)
             self._obs.tracer.emit(
-                obs_events.STALL_EXIT, outcome="resumed", seconds=elapsed
+                obs_events.STALL_EXIT, outcome=outcome, seconds=elapsed
             )
 
     def _maybe_rotate(self) -> None:
@@ -900,18 +613,7 @@ class LSMStore:
             # _wait_for_headroom, and timed on this branch only.
             started = self._obs.clock()
             try:
-                if self._workers:
-                    self._work_available.notify_all()
-                    limit = max(1, self._options.num_memtables - 1)
-                    while len(self._sealed) >= limit:
-                        if self._closed:
-                            raise ClosedError(
-                                "store closed while a rotation was stalled"
-                            )
-                        self._work_available.wait(timeout=0.05)
-                else:
-                    while self._sealed:
-                        self._advance_maintenance(blocking=True)
+                self._maintenance.await_sealed_slot()
             finally:
                 elapsed = self._obs.clock() - started
                 self._m_flush_stalls.inc()
@@ -922,39 +624,17 @@ class LSMStore:
                     sealed_queue=len(self._sealed),
                 )
         self._seal_active()
-        self._work_available.notify_all()
-        if not self._options.background_maintenance:
-            self._advance_maintenance(blocking=False)
+        self._maintenance.advance()
 
     # -- maintenance -----------------------------------------------------
 
-    def _flush_oldest_sealed(self) -> None:
-        memtable = self._sealed.pop(0)
-        self._compaction.register_flush(memtable.items(), len(memtable))
-        self._wal_checkpoint()
-
-    def _wal_checkpoint(self) -> None:
-        # Every memtable that was sealed before this flush is durable in
-        # runs once the sealed queue is empty; the WAL can then restart.
-        # A replication listener may veto the truncation while a
-        # follower has yet to acknowledge part of the log — the
-        # checkpoint is simply retried at the next flush, or by close().
-        # A group whose frames are appended but whose fsync/apply is
-        # still in flight lives only in the WAL tail — truncating now
-        # would discard it, so the checkpoint waits for the next flush.
-        if (
-            self._wal_syncs_in_flight
-            or self._sealed
-            or len(self._active)
-            or not self._wal.size_bytes
-        ):
-            return
-        lsn = self._lsn_locked()
-        listener = self._commit_listener
-        if listener is not None and not listener.may_truncate(lsn):
-            return
-        self._wal.truncate()
-        self._wal_base = lsn
+    def _checkpoint_log(self) -> None:
+        """Every memtable that was sealed before the last flush is
+        durable in runs once the sealed queue is empty; if the active
+        one holds nothing either, the log may restart (store lock held;
+        :meth:`CommitLog.checkpoint` has the rest of the rule)."""
+        if not self._sealed and not len(self._active):
+            self._log.checkpoint()
 
     def _seal_active(self) -> None:
         """Rotate — because the memtable filled, or a flush, checkpoint
@@ -971,210 +651,17 @@ class LSMStore:
             sealed_queue=len(self._sealed),
         )
 
-    def _flush_all_memtables(self) -> None:
-        if len(self._active) > 0:
-            self._seal_active()
-        while self._sealed:
-            self._flush_oldest_sealed()
-
-    def _advance_maintenance(self, blocking: bool) -> None:
-        """One pump: flush if a memtable waits, plus merge chunks.
-
-        In inline mode this is the only engine of progress, so each pump
-        also advances merges by enough chunks to keep compaction paced
-        with ingestion (several memtables' worth of merge input per
-        flush); otherwise merges would only ever run once the component
-        constraint had already stalled writers.
-        """
-        progressed = False
-        if self._sealed and not self._flush_claimed:
-            self._flush_oldest_sealed()
-            progressed = True
-        budget = self._options.maintenance_chunks_per_rotation or max(
-            2,
-            int(8 * self._memtable_target // self._compaction.chunk_bytes)
-            + 1,
-        )
-        for _ in range(budget):
-            if not self._compaction.step():
-                break
-            progressed = True
-        if not progressed and blocking and self._compaction.is_write_stalled():
-            raise ConfigurationError(
-                "write stalled with no merge work available: the component "
-                "constraint is too tight for this policy configuration"
-            )
-
-    # -- the maintenance executor ---------------------------------------
-
-    def _worker_loop(self, index: int) -> None:
-        """One maintenance worker: claim under the lock, do I/O off it.
-
-        The lock is held only to claim a task (marking the flush slot or
-        merge job so no other worker co-advances it) and, inside
-        :meth:`_execute_task`, to publish the finished result. The
-        expensive part — reconciling and writing run files, plus any
-        rate-limiter sleeps — runs with the lock released, so foreground
-        reads and writes proceed underneath, and with several workers
-        one can flush while others advance different merges.
-        """
-        busy = self._obs.registry.gauge(
-            "engine_maintenance_worker_busy",
-            labels={"worker": str(index)},
-            help="1 while this maintenance worker is executing a task.",
-        )
-        self._obs.tracer.emit(
-            obs_events.MAINTENANCE_WORKER, worker=index, state="start"
-        )
-        try:
-            while True:
-                with self._lock:
-                    if self._closed:
-                        return
-                    task = self._claim_work_locked()
-                    if task is None:
-                        self._work_available.wait(timeout=0.05)
-                        continue
-                busy.set(1.0)
-                try:
-                    self._execute_task(task)
-                finally:
-                    busy.set(0.0)
-        finally:
-            self._obs.tracer.emit(
-                obs_events.MAINTENANCE_WORKER, worker=index, state="stop"
-            )
-
-    def _claim_work_locked(self):
-        """Claim one task (caller holds the lock); None when idle.
-
-        Flushes take priority over merge chunks — memory components are
-        the scarcest resource, and a full sealed queue stalls rotations.
-        Only one flush may be claimed at a time (see ``_flush_claimed``);
-        merges are claimed through the compaction manager's scheduler.
-        Scrub chunks rank last: verification is the only maintenance
-        work with no deadline, so it soaks up idle worker capacity
-        without ever delaying a flush or merge claim.
-        """
-        if self._sealed and not self._flush_claimed:
-            memtable = self._sealed[0]
-            run_id, writer = self._compaction.begin_flush(len(memtable))
-            self._flush_claimed = True
-            return ("flush", memtable, run_id, writer)
-        job = self._compaction.claim_merge()
-        if job is not None:
-            return ("merge", job)
-        scrub = self._scrubber.claim(self._compaction.scrub_targets())
-        if scrub is not None:
-            return ("scrub", scrub)
-        return None
-
-    def _execute_task(self, task) -> None:
-        """Run one claimed task's I/O off-lock, then publish under it.
-
-        The claimed memtable stays in ``_sealed`` (read-visible) for the
-        whole write; it is popped only after the run is published, so a
-        reader always sees the data in exactly one place. A task that
-        raises is abandoned — partial output deleted, claim released —
-        and the worker survives to claim again.
-        """
-        kind = task[0]
-        try:
-            if kind == "flush":
-                _, memtable, run_id, writer = task
-                writer.add_many(memtable.items())
-                stats = writer.finish()
-                with self._lock:
-                    self._compaction.publish_flush(run_id, stats)
-                    self._sealed.remove(memtable)
-                    self._flush_claimed = False
-                    self._wal_checkpoint()
-                    self._work_available.notify_all()
-            elif kind == "merge":
-                _, job = task
-                finished = job.advance(self._compaction.chunk_bytes)
-                with self._lock:
-                    self._compaction.release_merge(job, finished)
-                    self._work_available.notify_all()
-            else:  # scrub
-                _, scrub = task
-                result = self._scrubber.execute(scrub)
-                with self._lock:
-                    self._scrubber.publish(result)
-                    if result.finding is not None:
-                        self._quarantine_locked(
-                            result.run_id, result.finding, "scrub"
-                        )
-                    self._work_available.notify_all()
-        except Exception:  # noqa: BLE001 — worker must survive any task
-            with self._lock:
-                self._abandon_task_locked(task)
-
-    def _abandon_task_locked(self, task) -> None:
-        """Clean up a failed task (caller holds the lock).
-
-        A failed flush keeps its memtable sealed (the data is still in
-        the WAL and remains readable); a failed merge is abandoned so
-        the policy may reschedule the same inputs later; a failed scrub
-        chunk releases the scrubber's claim and skips the current run
-        (the next pass revisits it).
-        """
-        if task[0] == "flush":
-            writer = task[3]
-            try:
-                writer.abandon()
-            except Exception:  # noqa: BLE001 — best-effort cleanup
-                pass
-            self._flush_claimed = False
-        elif task[0] == "merge":
-            try:
-                self._compaction.fail_merge(task[1])
-            except Exception:  # noqa: BLE001 — best-effort cleanup
-                pass
-        else:
-            try:
-                self._scrubber.fail(task[1])
-            except Exception:  # noqa: BLE001 — best-effort cleanup
-                pass
-        self._m_maintenance_failures.inc()
-        self._work_available.notify_all()
-
     def _quiesce_memtables_locked(self) -> None:
-        """Get every buffered write into runs (caller holds the lock).
-
-        Inline mode flushes directly; worker mode seals the active
-        memtable and waits for the workers to drain the sealed queue.
-        """
-        if not self._workers:
-            self._flush_all_memtables()
-            return
+        """Get every buffered write into runs (caller holds the lock)."""
         if len(self._active) > 0:
             self._seal_active()
-        self._work_available.notify_all()
-        while self._sealed or self._flush_claimed:
-            if self._closed:
-                raise ClosedError("store closed while flushing")
-            self._work_available.wait(timeout=0.05)
+        self._maintenance.quiesce_memtables()
 
     def maintenance(self, max_steps: int = 1_000_000) -> None:
         """Run flushes and merges to quiescence."""
         with self._lock:
             self._check_open()
-            if self._workers:
-                self._work_available.notify_all()
-                while (
-                    self._sealed
-                    or self._flush_claimed
-                    or self._compaction.has_work()
-                    or self._compaction.kick()
-                ):
-                    if self._closed:
-                        raise ClosedError("store closed during maintenance")
-                    self._work_available.wait(timeout=0.05)
-                return
-            while self._sealed:
-                self._flush_oldest_sealed()
-            self._compaction.drain(max_steps)
+            self._maintenance.run_to_idle(max_steps)
 
     def advance_maintenance(self) -> bool:
         """One bounded maintenance pump: the serving layer's stall hook.
@@ -1189,10 +676,7 @@ class LSMStore:
         """
         with self._lock:
             self._check_open()
-            if self._workers:
-                self._work_available.notify_all()
-            elif self._sealed or self._compaction.has_work():
-                self._advance_maintenance(blocking=False)
+            self._maintenance.advance()
             return self._compaction.is_write_stalled()
 
     def flush(self) -> None:
@@ -1211,8 +695,6 @@ class LSMStore:
         source are irrelevant because their inputs are still live in the
         manifest. Returns the number of runs captured.
         """
-        import shutil
-
         with self._lock:
             self._check_open()
             self._quiesce_memtables_locked()
@@ -1223,35 +705,14 @@ class LSMStore:
                 )
             os.makedirs(target, exist_ok=True)
             records = self._manifest.live_runs()
-            import json
-
-            with open(
-                os.path.join(target, "MANIFEST"), "w", encoding="utf-8"
-            ) as manifest:
-                for record in records:
-                    source_path = os.path.join(
-                        self._directory, record.filename
-                    )
-                    destination = os.path.join(target, record.filename)
-                    try:
-                        os.link(source_path, destination)
-                    except OSError:
-                        shutil.copy2(source_path, destination)
-                    manifest.write(
-                        json.dumps(
-                            {
-                                "op": "add",
-                                "run_id": record.run_id,
-                                "level": record.level,
-                                "filename": record.filename,
-                                "sequence": record.sequence,
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                manifest.flush()
-                os.fsync(manifest.fileno())
+            for record in records:
+                source_path = os.path.join(self._directory, record.filename)
+                destination = os.path.join(target, record.filename)
+                try:
+                    os.link(source_path, destination)
+                except OSError:
+                    shutil.copy2(source_path, destination)
+            self._manifest.write_snapshot(os.path.join(target, "MANIFEST"))
             return len(records)
 
     # -- memory arbitration ----------------------------------------------
@@ -1537,7 +998,7 @@ class LSMStore:
                     entry.to_wire()
                     for entry in self._compaction.quarantine.entries()
                 ],
-                "scrub": self._scrubber.summary(),
+                "scrub": self._maintenance.scrub_summary(),
             }
 
     def repair_run(
@@ -1643,9 +1104,11 @@ class LSMStore:
                 # and a reset must not interleave with other writers
                 # anyway.
                 self._wait_for_headroom()
-                self._apply_locked(batch)
+                self._log.commit(batch)
+                self._maybe_rotate()
             for entry in self._compaction.quarantine.entries():
                 self._compaction.drop_run(entry.run_id)
+
 
     # -- scrubbing --------------------------------------------------------
 
@@ -1658,18 +1121,7 @@ class LSMStore:
         claimable — the scrubber is idle, not yet due, or another
         executor holds the claim.
         """
-        with self._lock:
-            self._check_open()
-            task = self._scrubber.claim(self._compaction.scrub_targets())
-        if task is None:
-            return False
-        result = self._scrubber.execute(task)
-        with self._lock:
-            self._scrubber.publish(result)
-            if result.finding is not None:
-                self._quarantine_locked(result.run_id, result.finding, "scrub")
-            self._work_available.notify_all()
-        return True
+        return self._maintenance.scrub_tick()
 
     def scrub_pass(self) -> dict:
         """Force one full scrub pass, synchronously; returns its summary.
@@ -1679,17 +1131,7 @@ class LSMStore:
         active the pass may be partly executed by them; this call simply
         drives and waits until the pass that it forced completes.
         """
-        with self._lock:
-            self._check_open()
-            passes_before = self._scrubber.passes_completed
-            self._scrubber.force_due()
-        while True:
-            with self._lock:
-                self._check_open()
-                if self._scrubber.passes_completed != passes_before:
-                    return self._scrubber.summary()
-            if not self.scrub_tick():
-                time.sleep(0.005)
+        return self._maintenance.scrub_pass()
 
     # -- introspection ---------------------------------------------------
 
@@ -1725,7 +1167,7 @@ class LSMStore:
                 merges_completed=compaction.merges_completed,
                 write_stalls=self._stall_count,
                 stall_seconds_total=self._stall_seconds,
-                wal_bytes=self._wal.size_bytes,
+                wal_bytes=self._log.size_bytes,
                 write_stalled=compaction.is_write_stalled(),
                 write_headroom=compaction.write_headroom(),
                 throttle_sleep_seconds=(

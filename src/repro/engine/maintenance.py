@@ -1,0 +1,403 @@
+"""The maintenance executor: who runs flushes, merge chunks and scrub
+chunks, and on which thread.
+
+Every task is **claimed** under the store lock, **executed** (its file
+I/O) and **published** or abandoned under the lock again — by worker
+threads with ``background_maintenance``, else by the calling thread,
+lock held (it is re-entrant), wherever a write needs progress.
+:class:`MaintenanceExecutor` owns the workers, the single-flush claim
+and the scrubber, and is the one place that asks which mode is on. The
+store's lock and "state changed" condition, the compaction manager, the
+sealed-memtable queue (the store appends, a published flush removes the
+head) and four callbacks into the store arrive through the constructor
+(``docs/engine-concurrency.md``). "Lock held" means that lock.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from typing import Callable
+
+from ..errors import ClosedError, ConfigurationError
+from ..obs import events as obs_events
+from ..scrub import Scrubber
+from .compaction import CompactionManager
+from .memtable import MemTable
+from .options import StoreOptions
+from .ratelimiter import RateLimiter
+
+#: How long a waiter sleeps before re-checking its condition without
+#: having been notified (a missed wake-up costs this much, no more).
+_POLL_SECONDS = 0.05
+
+
+class MaintenanceExecutor:
+    """Claims, executes and publishes one store's maintenance tasks."""
+
+    def __init__(
+        self,
+        options: StoreOptions,
+        obs,
+        lock: threading.RLock,
+        changed: threading.Condition,
+        compaction: CompactionManager,
+        sealed: list[MemTable],
+        *,
+        is_closed: Callable[[], bool],
+        memtable_target: Callable[[], int],
+        flushed: Callable[[], None],
+        quarantine: Callable[[int, str, str], object],
+    ) -> None:
+        self._options = options
+        self._obs = obs
+        self._lock = lock
+        # The single "state changed" signal: workers wait on it for
+        # work; stalled writers and quiesce paths wait on it for
+        # progress. Every publish, rotation, and close notifies it.
+        self._changed = changed
+        self._compaction = compaction
+        self._sealed = sealed
+        self._is_closed = is_closed
+        self._memtable_target = memtable_target
+        self._flushed = flushed
+        self._quarantine = quarantine
+        # True while the oldest sealed memtable is being written out.
+        # Exactly one flush may be in flight: flushes take fresh manifest
+        # sequence stamps, so publishing them out of order would corrupt
+        # the newest-first reconciliation order.
+        self._flush_claimed = False
+        self._scrubber = Scrubber(
+            interval=options.scrub_interval,
+            chunk_bytes=compaction.chunk_bytes,
+            rate_limiter=compaction.rate_limiter,
+            scrub_limiter=(
+                RateLimiter(options.scrub_rate_bytes_per_s)
+                if options.scrub_rate_bytes_per_s
+                else None
+            ),
+            obs=obs,
+        )
+        self._m_failures = obs.registry.counter(
+            "engine_maintenance_failures_total",
+            help="Maintenance tasks (flush or merge chunk) that raised.",
+        )
+        #: Non-empty exactly when workers drive maintenance.
+        self._workers: list[threading.Thread] = []
+        if options.background_maintenance:
+            for index in range(options.maintenance_threads):
+                worker = threading.Thread(
+                    target=self._worker_loop,
+                    args=(index,),
+                    name=f"lsm-maintenance-{index}",
+                    daemon=True,
+                )
+                self._workers.append(worker)
+                worker.start()
+
+    def join(self) -> None:
+        """Wait for the workers to exit (lock NOT held; the store has
+        set its closed flag and notified). Each first publishes or
+        abandons the task it had claimed."""
+        for worker in self._workers:
+            worker.join(timeout=30.0)
+
+    def close(self) -> None:
+        """Let go of the store, last thing in its close or crash: the
+        callbacks are a reference cycle (see :meth:`CommitLog.close`)."""
+        self._is_closed = lambda: True
+        self._memtable_target = self._flushed = self._quarantine = None
+
+    # -- claim → execute → publish ---------------------------------------
+
+    def _claim_flush_locked(self):
+        """Claim the oldest sealed memtable's flush (lock held); None
+        when nothing is sealed or a flush is already in flight."""
+        if not self._sealed or self._flush_claimed:
+            return None
+        memtable = self._sealed[0]
+        run_id, writer = self._compaction.begin_flush(len(memtable))
+        self._flush_claimed = True
+        return ("flush", memtable, run_id, writer)
+
+    def _claim_locked(self):
+        """Claim one task for a worker (lock held); None when idle.
+
+        Flushes take priority over merge chunks — memory components are
+        the scarcest resource, and a full sealed queue stalls rotations.
+        Merges are claimed through the compaction manager's scheduler.
+        Scrub chunks rank last: verification is the only maintenance
+        work with no deadline, so it soaks up idle worker capacity
+        without ever delaying a flush or merge claim.
+        """
+        task = self._claim_flush_locked()
+        if task is not None:
+            return task
+        job = self._compaction.claim_merge()
+        if job is not None:
+            return ("merge", job)
+        return self._claim_scrub_locked()
+
+    def _claim_scrub_locked(self):
+        scrub = self._scrubber.claim(self._compaction.scrub_targets())
+        return None if scrub is None else ("scrub", scrub)
+
+    def _run(self, task) -> None:
+        """Execute one claimed task's I/O, then publish under the lock
+        (a worker comes without the lock, an inline caller holding it).
+
+        The claimed memtable stays in the sealed queue (read-visible)
+        for the whole write and is removed only after the run is
+        published, so a reader always sees the data in exactly one
+        place. A task that raises is abandoned — partial output deleted,
+        claim released — and the error goes on to the caller.
+        """
+        try:
+            kind = task[0]
+            if kind == "flush":
+                _, memtable, run_id, writer = task
+                writer.add_many(memtable.items())
+                stats = writer.finish()
+                with self._lock:
+                    self._compaction.publish_flush(run_id, stats)
+                    self._sealed.remove(memtable)
+                    self._flush_claimed = False
+                    self._flushed()
+                    self._changed.notify_all()
+            elif kind == "merge":
+                _, job = task
+                finished = job.advance(self._compaction.chunk_bytes)
+                with self._lock:
+                    self._compaction.release_merge(job, finished)
+                    self._changed.notify_all()
+            else:  # scrub
+                _, scrub = task
+                result = self._scrubber.execute(scrub)
+                with self._lock:
+                    self._scrubber.publish(result)
+                    if result.finding is not None:
+                        self._quarantine(
+                            result.run_id, result.finding, "scrub"
+                        )
+                    self._changed.notify_all()
+        except BaseException:
+            with self._lock:
+                self._abandon_locked(task)
+            raise
+
+    def _abandon_locked(self, task) -> None:
+        """Clean up a failed task (lock held).
+
+        A failed flush keeps its memtable sealed (the data is still in
+        the WAL and remains readable); a failed merge is abandoned so
+        the policy may reschedule the same inputs later; a failed scrub
+        chunk releases the scrubber's claim and skips the current run
+        (the next pass revisits it).
+        """
+        try:
+            if task[0] == "flush":
+                self._flush_claimed = False
+                task[3].abandon()
+            elif task[0] == "merge":
+                self._compaction.fail_merge(task[1])
+            else:
+                self._scrubber.fail(task[1])
+        except Exception:  # noqa: BLE001 — best-effort cleanup
+            pass
+        self._m_failures.inc()
+        self._changed.notify_all()
+
+    def _worker_loop(self, index: int) -> None:
+        """One maintenance worker: claim under the lock, do I/O off it.
+
+        The lock is held only to claim a task (marking the flush slot or
+        merge job so no other worker co-advances it) and, inside
+        :meth:`_run`, to publish the finished result. The expensive part
+        — reconciling and writing run files, plus any rate-limiter
+        sleeps — runs with the lock released, so foreground reads and
+        writes proceed underneath, and with several workers one can
+        flush while others advance different merges.
+        """
+        busy = self._obs.registry.gauge(
+            "engine_maintenance_worker_busy",
+            labels={"worker": str(index)},
+            help="1 while this maintenance worker is executing a task.",
+        )
+        self._obs.tracer.emit(
+            obs_events.MAINTENANCE_WORKER, worker=index, state="start"
+        )
+        try:
+            while True:
+                with self._lock:
+                    if self._is_closed():
+                        return
+                    task = self._claim_locked()
+                    if task is None:
+                        self._changed.wait(timeout=_POLL_SECONDS)
+                        continue
+                busy.set(1.0)
+                try:
+                    self._run(task)
+                except Exception:  # noqa: BLE001 — abandoned and counted
+                    pass  # by _run; the worker survives to claim again
+                finally:
+                    busy.set(0.0)
+        finally:
+            self._obs.tracer.emit(
+                obs_events.MAINTENANCE_WORKER, worker=index, state="stop"
+            )
+
+    # -- the caller as the engine of progress (lock held) ----------------
+
+    def flush_all(self) -> None:
+        """Flush every sealed memtable on the calling thread (inline
+        mode; ``close()`` in either mode). No merge is stepped."""
+        while (task := self._claim_flush_locked()) is not None:
+            self._run(task)
+
+    def _pump(self, blocking: bool) -> None:
+        """One inline pump: flush if a memtable waits, plus merge chunks.
+
+        In inline mode this is the only engine of progress, so each pump
+        also advances merges by enough chunks to keep compaction paced
+        with ingestion (several memtables' worth of merge input per
+        flush); otherwise merges would only ever run once the component
+        constraint had already stalled writers.
+        """
+        task = self._claim_flush_locked()
+        if task is not None:
+            self._run(task)
+        progressed = task is not None
+        budget = self._options.maintenance_chunks_per_rotation or max(
+            2,
+            int(8 * self._memtable_target() // self._compaction.chunk_bytes)
+            + 1,
+        )
+        for _ in range(budget):
+            if not self._compaction.step():
+                break
+            progressed = True
+        if not progressed and blocking and self._compaction.is_write_stalled():
+            raise self._too_tight()
+
+    @staticmethod
+    def _too_tight() -> ConfigurationError:
+        return ConfigurationError(
+            "write stalled with no merge work available: the component "
+            "constraint is too tight for this policy configuration"
+        )
+
+    # -- the drive mode: do workers make progress, or the caller? --------
+    # Lock held; a wait releases it (Condition.wait drops every level).
+
+    def _check_open(self, doing: str) -> None:
+        if self._is_closed():
+            raise ClosedError(f"store closed {doing}")
+
+    def _wait(self, doing: str) -> None:
+        self._check_open(doing)
+        self._changed.wait(timeout=_POLL_SECONDS)
+
+    def _nothing_claimable(self) -> bool:
+        return not (
+            self._sealed
+            or self._flush_claimed
+            or self._compaction.has_work()
+            or self._compaction.kick()
+        )
+
+    def seals_freely(self) -> bool:
+        """Would a rotation now be a bare seal and a wake-up (workers
+        flush, a sealed slot is free) — or wait for, or run, a flush?"""
+        return (
+            bool(self._workers)
+            and len(self._sealed) < self._options.num_memtables - 1
+        )
+
+    def await_headroom(self) -> None:
+        """Return once the stall gate is open. Workers own progress
+        when they exist: wake them, then wait for a publish to clear
+        the constraint — raising rather than hanging when nothing
+        claimable could ever clear it. Without them the caller pumps."""
+        stalled = self._compaction.is_write_stalled
+        if not self._workers:
+            while stalled():
+                self._pump(blocking=True)
+            return
+        self._changed.notify_all()
+        while stalled():
+            self._check_open("while a write was stalled")
+            if self._nothing_claimable():
+                raise self._too_tight()
+            self._changed.wait(timeout=_POLL_SECONDS)
+
+    def await_sealed_slot(self) -> None:
+        """Return once the sealed queue has room for one more memtable
+        (a flush stall: every memory component is waiting on a flush)."""
+        if not self._workers:
+            while self._sealed:
+                self._pump(blocking=True)
+            return
+        self._changed.notify_all()
+        limit = max(1, self._options.num_memtables - 1)
+        while len(self._sealed) >= limit:
+            self._wait("while a rotation was stalled")
+
+    def quiesce_memtables(self) -> None:
+        """Return once every sealed memtable is in a run."""
+        if not self._workers:
+            self.flush_all()
+            return
+        self._changed.notify_all()
+        while self._sealed or self._flush_claimed:
+            self._wait("while flushing")
+
+    def run_to_idle(self, max_steps: int) -> None:
+        """Run flushes and merges until none remain."""
+        if not self._workers:
+            self.flush_all()
+            self._compaction.drain(max_steps)
+            return
+        self._changed.notify_all()
+        while not self._nothing_claimable():
+            self._wait("during maintenance")
+
+    def advance(self) -> None:
+        """One bounded push forward, after a rotation or on request:
+        workers are woken rather than competed with; without them the
+        caller pumps once, if there is anything to pump."""
+        if self._workers:
+            self._changed.notify_all()
+        elif self._sealed or self._compaction.has_work():
+            self._pump(blocking=False)
+
+    # -- scrubbing -------------------------------------------------------
+
+    def scrub_summary(self) -> dict:
+        """JSON-safe scrub progress (lock held)."""
+        return self._scrubber.summary()
+
+    def scrub_tick(self) -> bool:
+        """``LSMStore.scrub_tick``: one scrub chunk, claimed and run on
+        the calling thread (lock NOT held)."""
+        with self._lock:
+            self._check_open("before a scrub chunk")
+            task = self._claim_scrub_locked()
+        if task is None:
+            return False
+        self._run(task)
+        return True
+
+    def scrub_pass(self) -> dict:
+        """``LSMStore.scrub_pass`` (lock NOT held)."""
+        with self._lock:
+            self._check_open("before a scrub pass")
+            passes_before = self._scrubber.passes_completed
+            self._scrubber.force_due()
+        while True:
+            with self._lock:
+                self._check_open("during a scrub pass")
+                if self._scrubber.passes_completed != passes_before:
+                    return self._scrubber.summary()
+            if not self.scrub_tick():
+                time.sleep(0.005)

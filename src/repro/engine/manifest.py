@@ -33,6 +33,15 @@ class RunRecord:
     filename: str
     sequence: int  # age stamp: larger = newer data
 
+    def to_edit(self) -> dict:
+        return {
+            "op": "add",
+            "run_id": self.run_id,
+            "level": self.level,
+            "filename": self.filename,
+            "sequence": self.sequence,
+        }
+
 
 @dataclass(frozen=True)
 class LogPosition:
@@ -62,7 +71,6 @@ class Manifest:
     """Versioned, crash-safe component bookkeeping."""
 
     def __init__(self, directory: str, fault_plan=None) -> None:
-        self._directory = directory
         self._path = os.path.join(directory, "MANIFEST")
         self._fault_plan = fault_plan
         self._runs: dict[int, RunRecord] = {}
@@ -115,16 +123,6 @@ class Manifest:
             self._next_sequence = max(self._next_sequence, record.sequence + 1)
         elif kind == "remove":
             self._runs.pop(int(edit["run_id"]), None)
-        elif kind == "move":
-            run_id = int(edit["run_id"])
-            if run_id in self._runs:
-                old = self._runs[run_id]
-                self._runs[run_id] = RunRecord(
-                    run_id=old.run_id,
-                    level=int(edit["level"]),
-                    filename=old.filename,
-                    sequence=old.sequence,
-                )
         elif kind == "position":
             upstream = edit.get("upstream")
             self._position = (
@@ -199,15 +197,7 @@ class Manifest:
             sequence=sequence,
         )
         self._runs[run_id] = record
-        self._append(
-            {
-                "op": "add",
-                "run_id": record.run_id,
-                "level": record.level,
-                "filename": record.filename,
-                "sequence": record.sequence,
-            }
-        )
+        self._append(record.to_edit())
         return record
 
     def replace_runs(
@@ -233,24 +223,18 @@ class Manifest:
             self._append({"op": "remove", "run_id": run_id})
         return records
 
-    def compact(self, position: LogPosition | None = None) -> None:
-        """Rewrite the manifest as a minimal snapshot (atomic rename).
+    def write_snapshot(
+        self, path: str, position: LogPosition | None = None
+    ) -> None:
+        """Write the live runs as a minimal manifest at ``path``.
 
-        ``position`` — given only by a clean close, once everything
-        before it in the log is in fsynced runs — becomes the
-        snapshot's last line (see :meth:`take_position`).
+        Durable and all-or-nothing: written beside ``path``, fsynced,
+        renamed into place, the directory fsynced. :meth:`compact`
+        rewrites this manifest with it; a store checkpoint writes its
+        copy's. ``position``, when given, becomes the last line.
         """
-        fresh_path = self._path + ".new"
-        edits = [
-            {
-                "op": "add",
-                "run_id": record.run_id,
-                "level": record.level,
-                "filename": record.filename,
-                "sequence": record.sequence,
-            }
-            for record in self.live_runs()
-        ]
+        fresh_path = path + ".new"
+        edits = [record.to_edit() for record in self.live_runs()]
         if position is not None:
             edits.append(position.to_edit())
         with open(fresh_path, "w", encoding="utf-8") as fresh:
@@ -258,9 +242,18 @@ class Manifest:
                 fresh.write(json.dumps(edit, sort_keys=True) + "\n")
             fresh.flush()
             os.fsync(fresh.fileno())
+        os.replace(fresh_path, path)
+        fsync_dir(os.path.dirname(path))
+
+    def compact(self, position: LogPosition | None = None) -> None:
+        """Rewrite the manifest as a minimal snapshot (atomic rename).
+
+        ``position`` — given only by a clean close, once everything
+        before it in the log is in fsynced runs — becomes the
+        snapshot's last line (see :meth:`take_position`).
+        """
+        self.write_snapshot(self._path, position)
         self._file.close()
-        os.replace(fresh_path, self._path)
-        fsync_dir(self._directory)
         self._file = self._wrap(open(self._path, "a", encoding="utf-8"))
 
     def close(self) -> None:

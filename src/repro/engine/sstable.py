@@ -16,9 +16,9 @@ File layout::
 * The **index block** maps each data block's first key to its (offset,
   stored length), enabling a single-block read per point lookup.
 * The **filter block** is a serialized point filter
-  (:mod:`repro.engine.filters`; Bloom is the registered kind): the
-  blob's magic prefix says which, so version-1 files (always Bloom)
-  load through the same path.
+  (:mod:`repro.engine.filters`; a Bloom filter): the blob's magic
+  prefix says so, so version-1 files (always Bloom) load through the
+  same path.
 * The **meta block** is JSON: entry/tombstone counts, key bounds, the
   physical data byte count (what merge accounting bills against the I/O
   budget) and — version 2 — the format version, codec name, filter kind,
@@ -46,7 +46,8 @@ from typing import Iterable, Iterator, NamedTuple
 from ..errors import ConfigurationError, CorruptionError
 from .blockcodec import NONE_CODEC_ID, codec_by_id, get_codec
 from .bloom import BATCH_KEYS as _FILTER_BATCH_KEYS
-from .filters import build_filter, load_filter
+from .bloom import BloomFilter
+from .filters import available_filters, load_filter
 from .options import TOMBSTONE
 from .ratelimiter import RateLimiter, SyncPolicy
 from .wal import fsync_file
@@ -262,9 +263,11 @@ class SSTableWriter:
         self._block_bytes = block_bytes
         self._format_version = format_version
         self._codec = get_codec(block_codec)
+        if filter_kind not in available_filters():
+            raise ConfigurationError(f"unknown filter kind {filter_kind!r}")
         self._filter_kind = filter_kind
-        self._filter = build_filter(
-            filter_kind, max(expected_keys, 1024), bloom_bits_per_key
+        self._filter = BloomFilter(
+            max(expected_keys, 1024), bloom_bits_per_key
         )
         # Every argument is validated by now: a rejected configuration
         # must not leave an open handle or an empty run file behind.

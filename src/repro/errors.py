@@ -162,10 +162,6 @@ class StaleEpochError(ReplicationError):
     """
 
 
-class NotLeaderError(ReplicationError):
-    """A leader-only operation was sent to a replica in follower role."""
-
-
 class RetriesExhaustedError(ServerError):
     """A client request failed every attempt in its retry budget.
 

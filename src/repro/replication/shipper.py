@@ -2,13 +2,14 @@
 
 The shipper registers as the leader store's commit listener, so it
 learns of every WAL append in commit order without buffering a byte:
-ship tasks read spans of whole frames straight back out of the WAL file
-(:meth:`WriteAheadLog.read_span`) and send them as they lie there, which
-works because the listener also *gates WAL truncation* — the log is
-only cut once every follower has acknowledged all of it, so a shipping
-cursor never dangles. Positions are LSNs in the store's lineage
-(``repro.engine.datastore.WalPosition``); a truncation does not disturb
-them.
+ship tasks read spans of whole frames back out of the log *through the
+store, by LSN* (:meth:`LSMStore.read_log`) and send them as they lie
+there, which works because the listener also *gates WAL truncation* —
+the log is only cut once every follower has acknowledged all of it, so
+a shipping cursor never dangles. Positions are LSNs in the store's
+lineage (``repro.engine.datastore.WalPosition``); where the log's file
+begins, what it is called and which of its bytes an LSN names are the
+store's business, and a truncation disturbs nothing kept here.
 
 One asyncio task per follower ships spans strictly in order over the
 framed protocol's ``REPLICATE`` verb and keeps three pieces of state:
@@ -77,9 +78,9 @@ class WalShipper:
         self._idle_interval = idle_interval
         self._obs = store.obs
         self._lock = threading.Lock()
-        # The store's WalPosition, kept current by the listener calls.
+        # The store's lineage, and the LSN just past the last commit
+        # the listener was told of.
         self._lineage = 0
-        self._wal_base = 0
         self._tail = 0
         self._cursors: list[int | None] = [None for _ in self._followers]
         self._acked: list[int | None] = [None for _ in self._followers]
@@ -155,19 +156,19 @@ class WalShipper:
         return self._fenced
 
     def status(self) -> dict:
-        """Shipping state for STATS: position, per-follower acks, lag."""
+        """Shipping state for STATS: the store's position (every field
+        of its ``WalPosition``), per-follower acks, lag."""
+        position = self._store.wal_position()  # before our lock, not under it
         with self._lock:
             return {
                 "epoch": self._epoch,
                 "ack_policy": self._ack_policy,
-                "lineage": self._lineage,
-                "lsn": self._tail,
-                "wal_base": self._wal_base,
+                **position._asdict(),
                 "fenced": self._fenced,
                 "followers": [
                     {
                         "acked_offset": acked,
-                        "lag_bytes": self._lag_locked(index),
+                        "lag_bytes": self._lag(acked, position),
                         "stalled": self._stalls[index] > 0,
                     }
                     for index, acked in enumerate(self._acked)
@@ -187,15 +188,18 @@ class WalShipper:
         with self._lock:
             return list(self._acked)
 
-    def _lag_locked(self, index: int) -> int:
-        acked = self._acked[index]
+    def _lag(self, acked: int | None, position) -> int:
+        """Bytes a follower has yet to acknowledge; for one not attached
+        yet, everything the log still holds (the store's ``position``
+        says: only a caller *not* under the store lock can have asked)."""
         if acked is None:
-            # Not attached yet: everything the log still holds.
-            return self._tail - self._wal_base
+            return position.log_bytes
         return max(0, self._tail - acked)
 
-    def _refresh_lag_locked(self, index: int) -> None:
-        self._m_lag[index].set(float(self._lag_locked(index)))
+    def _refresh_lag_locked(self, index: int, position=None) -> None:
+        acked = self._acked[index]
+        if acked is not None or position is not None:
+            self._m_lag[index].set(float(self._lag(acked, position)))
 
     # -- the commit-listener face (called under the store lock) ----------
 
@@ -207,17 +211,12 @@ class WalShipper:
         self._wake_ship_tasks()
 
     def may_truncate(self, lsn) -> bool:
-        # The file is cut only once every follower has acknowledged all
-        # of it — otherwise a lagging follower's cursor would point at
-        # bytes that no longer exist. A cursor sits at its follower's
-        # ack, so granting also means no ship task is reading the file,
-        # or will before the next commit: the new base is safe to use
-        # from here on.
+        # The log is cut only once every follower has acknowledged all
+        # of it — otherwise a lagging follower's cursor would name
+        # bytes that no longer exist. A question, answered from the
+        # acks alone: nothing here changes, whatever the answer.
         with self._lock:
-            granted = all(acked == lsn for acked in self._acked)
-            if granted:
-                self._wal_base = lsn
-            return granted
+            return all(acked == lsn for acked in self._acked)
 
     def _wake_ship_tasks(self) -> None:
         loop, wake = self._loop, self._wake
@@ -239,7 +238,6 @@ class WalShipper:
         position = self._store.wal_position()
         with self._lock:
             self._lineage = position.lineage
-            self._wal_base = position.wal_base
             self._tail = max(self._tail, position.lsn)
         self._tasks = [
             asyncio.create_task(
@@ -392,7 +390,6 @@ class WalShipper:
         with self._lock:
             cursor = self._cursors[index]
             tail = self._tail
-            wal_base = self._wal_base
         if cursor is None:
             await self._attach(index, client)
             return True
@@ -400,11 +397,9 @@ class WalShipper:
             return False  # fully shipped: idle until the next commit
         # On the loop thread: these bytes were appended moments ago and
         # are in the page cache. Never past ``tail`` — a commit group's
-        # frames are in the file before they are committed.
-        span, frames = WriteAheadLog.read_span(
-            self._store.wal_path,
-            cursor - wal_base,
-            min(_SPAN_BYTES, tail - cursor),
+        # frames are in the log before they are committed.
+        span, frames = self._store.read_log(
+            cursor, min(_SPAN_BYTES, tail - cursor)
         )
         if not span:
             # The log is damaged at the cursor; the leader's state is
@@ -430,14 +425,17 @@ class WalShipper:
         that does not answer raises out of here before any snapshot is
         built.
         """
-        status = await client.replica_status(self._epoch)
-        applied = status["applied"]
+        # Its lag until it answers is whatever the log holds; say so
+        # now, in case the probe goes unanswered.
+        position = self._store.wal_position()
         with self._lock:
-            resumable = (
-                status["lineage"] == self._lineage
-                and status["quarantined"] == 0
-                and self._wal_base <= applied <= self._tail
-            )
+            self._refresh_lag_locked(index, position)
+        status = await client.replica_status(self._epoch)
+        resumable = (
+            status["lineage"] == self._lineage
+            and status["quarantined"] == 0
+            and self._store.wal_position().reaches(status["applied"])
+        )
         if not resumable:
             await self._ship_reset(index, client)
             return

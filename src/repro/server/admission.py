@@ -78,8 +78,11 @@ class AdmissionController:
     absorbs_stalls = False
     stall_pause = 0.0
 
-    def decide(self, stats: StoreStats, nbytes: int) -> AdmissionDecision:
-        """Judge one write of ``nbytes`` against the engine snapshot."""
+    def decide(
+        self, stats: StoreStats | None, nbytes: int
+    ) -> AdmissionDecision:
+        """Judge one write of ``nbytes`` against the engine snapshot
+        (None for mode ``none``, which the service spares the read)."""
         return _ADMIT_NOW
 
 

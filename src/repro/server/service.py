@@ -31,7 +31,7 @@ import asyncio
 import contextlib
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 
 from ..engine.datastore import LSMStore
@@ -74,15 +74,6 @@ class ServerMetrics:
     def snapshot(self) -> dict:
         """Plain-dict view for the STATS response."""
         return asdict(self)
-
-
-@dataclass
-class _WriteOutcome:
-    """Internal result of the admission + execution pipeline."""
-
-    response: dict
-    admitted: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 class FramedServer:
@@ -458,8 +449,13 @@ class KVServer(FramedServer):
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self._write_deadline
         admission_wait = 0.0
+        # Mode ``none`` admits whatever the engine reports, so it is given
+        # no snapshot: one takes the store lock, on this thread.
+        reads_stats = self._admission.mode != "none"
         while True:
-            decision = self._admission.decide(self._store.stats(), nbytes)
+            decision = self._admission.decide(
+                self._store.stats() if reads_stats else None, nbytes
+            )
             if decision.action == REJECT:
                 # Shedding load must not also starve maintenance: with
                 # inline stores nothing else advances merges while every

@@ -1,6 +1,8 @@
 """Integration-grade tests for the LSMStore public API."""
 
+import gc
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,7 +204,7 @@ class TestDurability:
         store = LSMStore.open(path, SMALL)
         store.put(b"durable", b"yes")
         # simulate crash: skip close(), reopen from disk artifacts
-        store._wal._file.flush()
+        store._log._wal._file.flush()
         store2 = LSMStore.open(path + "-copy", SMALL)
         store2.close()
         reopened = LSMStore.open(path, SMALL)
@@ -241,6 +243,39 @@ class TestLifecycle:
         with pytest.raises(ClosedError):
             store.get(b"a")
         store.close()  # idempotent
+
+    @pytest.mark.parametrize("end", ["close", "crash"])
+    @pytest.mark.parametrize("background", [False, True])
+    def test_a_closed_store_is_freed_without_the_cyclic_collector(
+        self, tmp_path, end, background
+    ):
+        """The commit log and the maintenance executor call back into
+        the store; closing must undo that cycle, or every closed store
+        keeps its readers' indexes and filters until a full collection.
+        What still answers after a close keeps answering."""
+        options = SMALL.with_(
+            background_maintenance=background, group_commit=True
+        )
+        store = LSMStore.open(str(tmp_path / "db"), options)
+        store.put(b"a", b"1")
+        gc.collect()
+        gc.disable()
+        try:
+            getattr(store, end)()
+            assert store.stats().wal_bytes == store.wal_position().log_bytes
+            assert store.upstream is None
+            for refused in (
+                lambda: store.put(b"b", b"2"),
+                store.scrub_tick,
+                lambda: store._log.commit_grouped([(b"late", b"leader")]),
+            ):
+                with pytest.raises(ClosedError):
+                    refused()
+            alive = weakref.ref(store)
+            del store, refused
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_stats_shape(self, store):
         store.put(b"a", b"1")

@@ -1,6 +1,12 @@
 """Tests for the crash-safe manifest."""
 
-from repro.engine import Manifest
+import json
+
+import pytest
+
+from repro.engine import LSMStore, Manifest, StoreOptions
+from repro.engine import manifest as manifest_module
+from repro.errors import CorruptionError
 
 
 class TestBasicBookkeeping:
@@ -86,3 +92,61 @@ class TestRecovery:
         recovered = Manifest(str(tmp_path))
         assert [r.run_id for r in recovered.live_runs()] == [ids[9]]
         recovered.close()
+
+    @pytest.mark.parametrize("kind", ["move", "rename"])
+    def test_an_edit_nobody_writes_is_corruption(self, tmp_path, kind):
+        """``move`` had a reader and never a writer; it now fails like
+        any other line the manifest does not know."""
+        manifest = Manifest(str(tmp_path))
+        manifest.add_run(manifest.allocate_run_id(), 0, "a.run")
+        manifest.close()
+        with open(tmp_path / "MANIFEST", "a", encoding="utf-8") as log:
+            log.write(json.dumps({"op": kind, "run_id": 1, "level": 2}) + "\n")
+        with pytest.raises(CorruptionError, match=f"unknown edit '{kind}'"):
+            Manifest(str(tmp_path))
+
+
+class TestSnapshots:
+    def test_add_compact_and_checkpoint_write_the_same_record(self, tmp_path):
+        """One spelling of an ``add`` line: what ``add_run`` appends,
+        ``compact()`` rewrites and a store checkpoint copies."""
+        options = StoreOptions(policy="tiering", size_ratio=3)
+        with LSMStore.open(str(tmp_path / "db"), options) as store:
+            for index in range(200):  # two runs: no merge is due
+                store.put(b"key-%04d" % index, b"v" * 64)
+                if index % 100 == 99:
+                    store.flush()
+            appended = (tmp_path / "db" / "MANIFEST").read_text().splitlines()
+            live = {record.run_id for record in store.live_runs()}
+            assert store.checkpoint(str(tmp_path / "copy")) == len(live)
+        copied = (tmp_path / "copy" / "MANIFEST").read_text().splitlines()
+        compacted = (tmp_path / "db" / "MANIFEST").read_text().splitlines()
+        assert copied == compacted[:-1]  # close() adds the position line
+        assert json.loads(compacted[-1])["op"] == "position"
+        assert copied == [
+            line for line in appended
+            if json.loads(line).get("op") == "add"
+            and json.loads(line)["run_id"] in live
+        ]
+        with LSMStore.open(str(tmp_path / "copy"), options) as copy:
+            assert len(list(copy.scan())) == 200
+
+    def test_a_snapshot_is_renamed_into_place_and_its_directory_synced(
+        self, tmp_path, monkeypatch
+    ):
+        synced = []
+        monkeypatch.setattr(manifest_module, "fsync_dir", synced.append)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        manifest = Manifest(str(tmp_path / "a"))
+        manifest.add_run(manifest.allocate_run_id(), 0, "a.run")
+        del synced[:]
+        manifest.write_snapshot(str(tmp_path / "b" / "MANIFEST"))
+        manifest.compact()
+        manifest.close()
+        assert synced == [str(tmp_path / "b"), str(tmp_path / "a")]
+        assert not (tmp_path / "b" / "MANIFEST.new").exists()
+        assert (tmp_path / "b" / "MANIFEST").read_text() == (
+            tmp_path / "a" / "MANIFEST"
+        ).read_text()
+

@@ -10,8 +10,18 @@ in the manifest, voided at the next open).
 import json
 import os
 import shutil
+import tempfile
+import threading
 
-from repro.engine import LogPosition, LSMStore, Manifest, StoreOptions
+from hypothesis import given, settings, strategies as st
+
+from repro.engine import (
+    LogPosition,
+    LSMStore,
+    Manifest,
+    StoreOptions,
+    WriteAheadLog,
+)
 
 OPTIONS = StoreOptions(
     memtable_bytes=16 * 1024,
@@ -107,6 +117,93 @@ class TestLsn:
                 (base, timing.wal_end - timing.wal_offset)
             ]
             assert timing.wal_offset == base
+
+
+BATCHES = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from([b"a", b"b", b"c", b"d"]),
+            st.one_of(st.none(), st.binary(min_size=1, max_size=40)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=4,
+)
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), BATCHES),
+        st.tuples(st.just("group"), BATCHES),
+        st.tuples(st.just("cut"), st.just([])),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestReadByLsn:
+    """``read_log(lsn, limit)`` is ``read_span`` of the log's file at
+    ``lsn - wal_base``: the one rule, kept by the store, however the
+    frames got there and wherever the base has moved to."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=STEPS, limits=st.lists(st.integers(1, 400), min_size=3, max_size=3))
+    def test_reading_through_the_store_is_reading_the_file_at_lsn_minus_base(
+        self, steps, limits
+    ):
+        listener = Listener()
+        with tempfile.TemporaryDirectory() as scratch:
+            # group_commit: a write is a commit group (concurrent ones
+            # share a group); apply_reset still commits by plain append.
+            options = OPTIONS.with_(group_commit=True)
+            with LSMStore.open(scratch, options) as store:
+                store.set_commit_listener(listener)
+                path = os.path.join(scratch, "wal.log")
+                for kind, batches in steps:
+                    if kind == "append":
+                        for batch in batches:
+                            store.apply_reset(batch)
+                    elif kind == "group":
+                        writers = [
+                            threading.Thread(target=store.write_batch, args=(batch,))
+                            for batch in batches
+                        ]
+                        for writer in writers:
+                            writer.start()
+                        for writer in writers:
+                            writer.join(30.0)
+                    position = store.wal_position()
+                    if kind == "cut":
+                        store.flush()
+                        # The base moves up by what the file held.
+                        assert store.wal_position() == (
+                            position.lineage, position.lsn, position.lsn
+                        )
+                        position = store.wal_position()
+                    # No LSN ever moves: the frames are back to back
+                    # from 0, across every cut so far.
+                    ends = [lsn + length for lsn, length in listener.commits]
+                    assert [lsn for lsn, _ in listener.commits] == (
+                        [0] + ends
+                    )[: len(ends)]
+                    assert position.lsn == (ends[-1] if ends else 0)
+                    assert position.log_bytes == wal_bytes(scratch)
+                    for lsn, _length in listener.commits:
+                        for limit in limits:
+                            got = store.read_log(lsn, limit)
+                            if lsn < position.wal_base:
+                                assert got == (b"", 0)  # cut away
+                            else:
+                                assert got == WriteAheadLog.read_span(
+                                    path, lsn - position.wal_base, limit
+                                )
+                                assert got[1] >= 1
+                    assert store.read_log(position.lsn, 64) == (b"", 0)
+                    assert position.reaches(position.lsn)
+                    assert not position.reaches(position.lsn + 1)
+                    assert not position.reaches(position.wal_base - 1)
+                store.set_commit_listener(None)
 
 
 class TestLineage:

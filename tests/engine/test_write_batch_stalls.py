@@ -9,10 +9,12 @@ maintenance and the batch lands atomically.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.engine import LSMStore, StoreOptions
-from repro.errors import WriteStalledError
+from repro.errors import ClosedError, ConfigurationError, WriteStalledError
 
 #: A tree this tight stalls after a handful of memtable rotations:
 #: limit 5 >= 2 * levels + 1, so every stall has mergeable work and is
@@ -145,3 +147,88 @@ def test_mixed_batch_round_trips_through_wal_recovery(tmp_path):
         assert reopened.get(b"a") is None
         assert reopened.get(b"b") == b"2"
         assert reopened.get(b"c") == b"3"
+
+
+# -- how a stall ended is what its ``stall_exit`` event says ---------------
+
+
+def stall_outcomes(store: LSMStore) -> list[str]:
+    return [
+        event.fields["outcome"]
+        for event in store.obs.tracer.events()
+        if event.kind == "stall_exit"
+    ]
+
+
+def test_a_bounced_write_exits_its_stall_rejected(tmp_path):
+    with LSMStore.open(str(tmp_path), STALL_OPTIONS) as store:
+        fill_until_stalled(store, b"seed")
+        assert stall_outcomes(store) == ["rejected"]
+
+
+def test_a_write_that_rode_the_stall_out_exits_it_resumed(tmp_path):
+    options = STALL_OPTIONS.with_(stall_mode="block")
+    with LSMStore.open(str(tmp_path), options) as store:
+        for index in range(400):
+            store.put(b"fill-%06d" % index, b"x" * 256)
+        outcomes = stall_outcomes(store)
+        assert outcomes and set(outcomes) == {"resumed"}
+        assert len(outcomes) == store.stats().write_stalls
+
+
+def test_a_stall_nothing_can_clear_exits_failed(tmp_path):
+    """One component allowed and tiering never merges a lone run: the
+    put raises — and used to be logged as ``resumed``."""
+    options = StoreOptions(
+        memtable_bytes=4096,
+        policy="tiering",
+        constraint_limit=1,
+        stall_mode="block",
+        background_maintenance=False,
+    )
+    with LSMStore.open(str(tmp_path), options) as store:
+        with pytest.raises(ConfigurationError, match="too tight"):
+            for index in range(10_000):
+                store.put(b"fill-%06d" % index, b"x" * 256)
+        assert stall_outcomes(store) == ["failed"]
+        assert store.stats().write_stalls == 1
+
+
+def test_a_stall_the_store_was_closed_under_exits_closed(tmp_path):
+    options = STALL_OPTIONS.with_(
+        stall_mode="block", background_maintenance=True
+    )
+    store = LSMStore.open(str(tmp_path), options)
+    parked = threading.Event()
+    emit = store.obs.tracer.emit
+
+    def watching(kind, **fields):
+        event = emit(kind, **fields)
+        if kind == "stall_enter":
+            parked.set()
+        return event
+
+    store.obs.tracer.emit = watching
+    # Workers that flush but never claim a merge: runs pile up until
+    # the gate closes, and the writer parks in it for good.
+    store._compaction.claim_merge = lambda: None
+    raised: list[BaseException] = []
+
+    def writer() -> None:
+        try:
+            for index in range(100_000):
+                store.put(b"fill-%06d" % index, b"x" * 256)
+        except BaseException as error:  # noqa: BLE001 — reported below
+            raised.append(error)
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    try:
+        assert parked.wait(30.0), "the writer never stalled"
+    finally:
+        store.close()  # merges still held back: nothing can resume it
+    thread.join(30.0)
+    assert not thread.is_alive()
+    assert [type(error) for error in raised] == [ClosedError]
+    assert stall_outcomes(store) == ["closed"]
+

@@ -88,17 +88,18 @@ def test_any_restart_and_duplication_schedule_converges(batches, data):
             for batch in batches:
                 leader.write_batch(batch)
             position = leader.wal_position()
+            log_path = f"{scratch}/leader/wal.log"
             # One span per frame, the finest schedule a shipper can run.
             frames = [
                 frame(
                     WriteAheadLog.read_span(
-                        leader.wal_path, start, end - start
+                        log_path, start, end - start
                     )[0],
                     start,
                     position.lineage,
                 )
                 for start, end, _ops in WriteAheadLog.stream_frames(
-                    leader.wal_path
+                    log_path
                 )
             ]
             assert len(frames) == len(batches)

@@ -320,6 +320,129 @@ def test_a_returning_follower_gets_the_missing_spans_or_a_reset(tmp_path):
     asyncio.run(scenario())
 
 
+def test_a_follower_resumes_across_a_cut_from_a_shipper_with_no_base(tmp_path):
+    """The log is cut (its base moves up), the leader writes on, and a
+    shipper started afterwards resumes the follower mid-log — knowing
+    LSNs only: which byte of which file an LSN names is the store's
+    business (``LSMStore.read_log``)."""
+
+    async def scenario():
+        leader_store = make_store(tmp_path, "leader")
+        follower_store = make_store(tmp_path, "follower")
+        follower = ReplicatedKVServer(follower_store, role="follower")
+        address = await follower.start()
+        leader = ReplicatedKVServer(leader_store, role="leader")
+        await leader.start()
+        await leader.become_leader(0, [client_for(address)])
+
+        def acked():
+            return leader.shipper.acked_cursors()[0]
+
+        async def write(batch):
+            async with KVClient(*leader.address) as client:
+                for key in batch:
+                    await client.put(key, VALUE)
+
+        try:
+            await eventually(lambda: acked() == 0)
+            await write(keys(0, 50))
+            await eventually(
+                lambda: acked() == leader_store.wal_position().lsn
+            )
+            leader_store.flush()  # all of it acknowledged: the cut is granted
+            cut = leader_store.wal_position()
+            assert cut.wal_base == cut.lsn > 0
+            await write(keys(50, 80))  # shipped from the new base on
+            await eventually(
+                lambda: acked() == leader_store.wal_position().lsn
+            )
+            assert follower.applier.status()["frames_applied"] == 80
+
+            # away while the leader writes on, behind the cut
+            await follower.aclose()
+            follower_store.close()
+            await write(keys(80, 100))
+            here = leader_store.wal_position()
+            assert here.wal_base == cut.wal_base < acked() < here.lsn
+
+            # a shipper that has to ask, and a follower that answers
+            # with an LSN past the base
+            await leader.become_leader(0, [client_for(address)])
+            shipper = leader.shipper
+            assert not [
+                name for name in vars(shipper)
+                if "base" in name or "path" in name or "offset" in name
+            ]
+            follower_store = make_store(tmp_path, "follower")
+            follower = ReplicatedKVServer(
+                follower_store, role="follower", host=address[0], port=address[1]
+            )
+            await follower.start()
+            await eventually(lambda: acked() == here.lsn)
+            assert counter(leader_store, "replication_resumes_total") == 1
+            assert counter(leader_store, "replication_resets_total") == 1
+            assert follower.applier.status()["frames_applied"] == 20
+            assert counter(
+                leader_store, "replication_bytes_shipped_total", kind="log"
+            ) == here.lsn  # every byte once, on either side of the cut
+            assert list(follower_store.scan()) == list(leader_store.scan())
+            assert len(list(follower_store.scan())) == 100
+        finally:
+            await leader.aclose()
+            await follower.aclose()
+            leader_store.close()
+            follower_store.close()
+
+    asyncio.run(scenario())
+
+
+def test_asking_whether_the_log_may_be_cut_changes_nothing_in_the_shipper(
+    tmp_path,
+):
+    """``may_truncate`` is a question. (It used to move the shipper's
+    own copy of the log's base as a side effect of answering yes.)"""
+
+    def state(shipper):
+        return {
+            name: list(value) if isinstance(value, list) else value
+            for name, value in vars(shipper).items()
+            if isinstance(value, (int, list, type(None)))
+        }
+
+    async def scenario():
+        leader_store = make_store(tmp_path, "leader")
+        follower_store = make_store(tmp_path, "follower")
+        try:
+            async with ReplicatedKVServer(
+                follower_store, role="follower"
+            ) as follower, ReplicatedKVServer(
+                leader_store, role="leader"
+            ) as leader:
+                await leader.become_leader(0, [client_for(follower.address)])
+                shipper = leader.shipper
+                async with KVClient(*leader.address) as client:
+                    await client.put(b"key", VALUE)
+                lsn = leader_store.wal_position().lsn
+                await eventually(lambda: shipper.acked_cursors() == [lsn])
+                before, status = state(shipper), shipper.status()
+                assert before["_tail"] == lsn
+                assert shipper.may_truncate(lsn) is True
+                assert shipper.may_truncate(lsn - 1) is False
+                assert state(shipper) == before
+                assert shipper.status() == status
+                # and the store, told yes, moves its own base by itself
+                leader_store.flush()
+                assert leader_store.wal_position() == (
+                    status["lineage"], lsn, lsn
+                )
+                assert state(shipper) == before
+        finally:
+            leader_store.close()
+            follower_store.close()
+
+    asyncio.run(scenario())
+
+
 # -- (d) a snapshot larger than any frame may be ---------------------------
 
 

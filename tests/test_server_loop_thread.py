@@ -29,6 +29,7 @@ from repro.errors import WriteStalledError
 from repro.obs import events as obs_events
 from repro.replication import ReplicatedKVServer
 from repro.server import binproto, protocol
+from repro.server.admission import build_admission
 from repro.server.client import KVClient
 from repro.server.service import INLINE_SCAN_ROWS, KVServer
 
@@ -70,7 +71,7 @@ def open_store(directory, options: StoreOptions):
 
         def wait(timeout=None):
             me = threading.current_thread()
-            if me not in store._workers:
+            if me not in store._maintenance._workers:
                 return timed_wait(timeout)  # a parked writer keeps its poll
             with changed:
                 asleep.add(me)
@@ -84,7 +85,7 @@ def open_store(directory, options: StoreOptions):
         def settle() -> None:
             with changed:
                 assert changed.wait_for(
-                    lambda: len(asleep) == len(store._workers), PATIENCE
+                    lambda: len(asleep) == len(store._maintenance._workers), PATIENCE
                 )
             # The last to doze off lets go of the lock inside its wait().
             with store._lock:
@@ -241,6 +242,34 @@ class EveryCallOnThePool(KVServer):
         return protocol.ok_response(items=protocol.encode_items(items))
 
 
+@pytest.mark.parametrize("mode, snapshots", [("none", 0), ("stop", 1)])
+def test_a_write_reads_the_engines_stats_only_for_a_mode_that_looks(
+    tmp_path, mode, snapshots
+):
+    """``store.stats()`` takes the store lock and builds a 16-field
+    snapshot, on the loop thread: once per write for a controller that
+    decides by it, never for ``none``, which admits regardless."""
+
+    async def scenario():
+        with open_store(tmp_path, WORKERS) as store:
+            calls = []
+            stats = store.stats
+            store.stats = lambda: calls.append(1) or stats()
+            async with KVServer(store, build_admission(mode)) as server:
+                async with KVClient(*server.address) as client:
+                    await client.put(b"key", b"value")
+                    assert len(calls) == snapshots
+                    await client.delete(b"key")
+                    await client.batch([(b"a", b"1"), (b"b", None)])
+                    assert len(calls) == 3 * snapshots
+                    assert await client.get(b"a") == b"1"
+                    # The STATS verb itself always reads the engine.
+                    await client.stats()
+                    assert len(calls) == 3 * snapshots + 1
+
+    asyncio.run(scenario())
+
+
 def test_an_idle_store_answers_on_the_loop_what_the_pool_would(tmp_path):
     async def scenario():
         with open_store(tmp_path / "loop", WORKERS) as store:
@@ -323,7 +352,7 @@ def test_a_batch_that_only_seals_stays_and_one_that_flush_stalls_hops(
 
     async def scenario():
         with open_store(tmp_path, WORKERS) as store:
-            release = hold(store, store, "_claim_work_locked")
+            release = hold(store, store._maintenance, "_claim_locked")
             async with KVServer(store) as server:
                 pool = Submissions(server)
                 async with KVClient(*server.address, pool_size=2) as client:
@@ -407,7 +436,7 @@ def test_eight_concurrent_synced_puts_share_one_commit_group(
             memtable_bytes=2**20, sync_writes=True, group_commit=True
         )
         with open_store(tmp_path, options) as store:
-            queue = store._gc_queue = _SignallingQueue(writers)
+            queue = store._log._gc_queue = _SignallingQueue(writers)
             async with KVServer(store) as server:
                 pool = Submissions(server)
                 async with KVClient(
@@ -569,7 +598,7 @@ class TestWaitFalse:
         self, tmp_path
     ):
         with open_store(tmp_path / "workers", WORKERS) as store:
-            release = hold(store, store, "_claim_work_locked")
+            release = hold(store, store._maintenance, "_claim_locked")
             # A free slot in the sealed queue: seal and carry on.
             assert store.timed_write_batch(self.BATCH, wait=False)
             assert store.stats().sealed_memtables == 1
@@ -622,7 +651,7 @@ class TestWaitFalse:
             with open_store(directory, WORKERS) as store:
                 # Idle workers: no flush publishes mid-run, so the log
                 # is not checkpointed away under the comparison.
-                release = hold(store, store, "_claim_work_locked")
+                release = hold(store, store._maintenance, "_claim_locked")
                 for write in (
                     self.writes(store)
                     # Fills the memtable: a bare seal, so still no wait.
@@ -634,7 +663,7 @@ class TestWaitFalse:
                     assert timing.io_seconds <= timing.engine_seconds
                     assert timing.stall_seconds == 0.0
                     spans.append((timing.wal_offset, timing.wal_end))
-                log = Path(store.wal_path).read_bytes()
+                log = Path(store.directory, "wal.log").read_bytes()
                 memtable = store.stats().memtable_entries
                 rows = list(store.scan())
                 release()

@@ -120,12 +120,20 @@ def load_once(directory: str) -> tuple[dict[str, tuple[float, int]], int]:
         WriteAheadLog,
     )
 
+    try:
+        # Claim -> execute -> publish of one task on the caller; inline
+        # and without scrubbing, only flushes come through here.
+        from repro.engine.maintenance import MaintenanceExecutor
+
+        flush = (MaintenanceExecutor, "_run")
+    except ImportError:  # --src is a tree from before the executor
+        flush = (CompactionManager, "register_flush")
     legs = Legs()
     per_call = timer_cost()
     for owner, attribute, name in (
         (WriteAheadLog, "append", "wal append"),
         (MemTable, "put", "memtable put"),
-        (CompactionManager, "register_flush", "flush"),
+        (*flush, "flush"),
         (MergeJob, "advance", "merge advance"),
         (SSTableWriter, "finish", "run finish"),
         (os, "fsync", "fsync"),
