@@ -537,49 +537,38 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 else {}
             ),
         )
+    load = dict(
+        num_shards=args.shards,
+        ops=args.ops,
+        seed=args.seed,
+        op_interval=args.op_interval_ms / 1000.0,
+        replicas=args.replicas,
+        ack_policy=args.ack_policy,
+        options=options,
+    )
     if args.corrupt_at_rest:
         if args.replicas < 1:
             raise ReproError(
                 "--corrupt-at-rest needs --replicas >= 1 "
                 "(repair is replica-backed)"
             )
-        report = asyncio.run(
-            run_corruption_chaos(
-                args.directory,
-                num_shards=args.shards,
-                ops=args.ops,
-                target_shard=args.kill_shard,
-                corrupt_at=args.kill_at,
-                seed=args.seed,
-                op_interval=args.op_interval_ms / 1000.0,
-                replicas=args.replicas,
-                ack_policy=args.ack_policy,
-                options=options,
-            )
-        )
-        print(report.summary())
-        if args.json_out is not None:
-            with open(args.json_out, "w", encoding="utf-8") as handle:
-                json.dump(report.to_dict(), handle, indent=2)
-                handle.write("\n")
-        return 0 if report.ok else 1
-    report = asyncio.run(
-        run_chaos(
+        run = run_corruption_chaos(
             args.directory,
-            num_shards=args.shards,
-            ops=args.ops,
+            target_shard=args.kill_shard,
+            corrupt_at=args.kill_at,
+            **load,
+        )
+    else:
+        run = run_chaos(
+            args.directory,
             kill_shard=args.kill_shard,
             kill_at=args.kill_at,
             restore_at=args.restore_at,
-            seed=args.seed,
             cooldown=args.cooldown_ms / 1000.0,
-            op_interval=args.op_interval_ms / 1000.0,
-            replicas=args.replicas,
-            ack_policy=args.ack_policy,
             read_from_replica=args.read_from_replica,
-            options=options,
+            **load,
         )
-    )
+    report = asyncio.run(run)
     print(report.summary())
     if args.json_out is not None:
         with open(args.json_out, "w", encoding="utf-8") as handle:

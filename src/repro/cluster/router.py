@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -117,39 +117,18 @@ class ClusterMetrics:
         self._bump(self.writes_delayed_per_shard, shard)
 
     def snapshot(self) -> dict:
-        """Plain-dict view for the STATS response."""
-        return {
-            "requests_total": self.requests_total,
-            "reads_total": self.reads_total,
-            "scans_total": self.scans_total,
-            "writes_admitted": self.writes_admitted,
-            "writes_delayed": self.writes_delayed,
-            "writes_rejected": self.writes_rejected,
-            "delay_seconds_total": self.delay_seconds_total,
-            "protocol_errors": self.protocol_errors,
-            "connections_total": self.connections_total,
-            "connections_open": self.connections_open,
-            "shard_down_rejections": self.shard_down_rejections,
-            "degraded_scans": self.degraded_scans,
-            "writes_admitted_per_shard": {
-                str(shard): count
-                for shard, count in sorted(
-                    self.writes_admitted_per_shard.items()
-                )
-            },
-            "writes_rejected_per_shard": {
-                str(shard): count
-                for shard, count in sorted(
-                    self.writes_rejected_per_shard.items()
-                )
-            },
-            "writes_delayed_per_shard": {
-                str(shard): count
-                for shard, count in sorted(
-                    self.writes_delayed_per_shard.items()
-                )
-            },
-        }
+        """Plain-dict view for the STATS response: every field, the
+        per-shard maps keyed by shard as a string, in shard order."""
+        view = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, dict):
+                value = {
+                    str(shard): count
+                    for shard, count in sorted(value.items())
+                }
+            view[spec.name] = value
+        return view
 
 
 class ClusterRouter(FramedServer):
@@ -720,35 +699,15 @@ class ClusterRouter(FramedServer):
         engine and shard series.
         """
         registry = self.obs.registry
-        per_shard_fields = {
-            "writes_admitted_per_shard": "router_shard_writes_admitted_total",
-            "writes_rejected_per_shard": "router_shard_writes_rejected_total",
-            "writes_delayed_per_shard": "router_shard_writes_delayed_total",
-        }
-        for name, value in self.metrics.snapshot().items():
-            if name == "connections_open":
-                registry.gauge(
-                    "router_connections_open",
-                    help="Currently open client connections.",
-                ).set(value)
-                continue
-            if name in per_shard_fields:
-                for shard, count in value.items():
-                    registry.counter(
-                        per_shard_fields[name],
-                        labels={"shard": str(shard)},
-                        help="Per-shard routing outcome counts.",
-                    ).set_total(count)
-                continue
-            suffix = (
-                "_seconds_total" if name.endswith("_seconds_total") else
-                "_total"
-            )
-            base = name.removesuffix("_seconds_total").removesuffix("_total")
-            registry.counter(
-                f"router_{base}{suffix}",
-                help=f"Router cumulative {name.replace('_', ' ')}.",
-            ).set_total(value)
+        self._mirror_metrics("router", "Router")
+        for outcome in ("admitted", "rejected", "delayed"):
+            per_shard = getattr(self.metrics, f"writes_{outcome}_per_shard")
+            for shard, count in per_shard.items():
+                registry.counter(
+                    f"router_shard_writes_{outcome}_total",
+                    labels={"shard": str(shard)},
+                    help="Per-shard routing outcome counts.",
+                ).set_total(count)
         registry.counter(
             "router_promotions_total",
             help="Follower-to-leader promotions performed on failover.",

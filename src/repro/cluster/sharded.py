@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from ..core.components import Component, MergeDescriptor
-from ..core.schedulers import FairScheduler, GreedyScheduler, MergeScheduler
+from ..core.schedulers import MergeScheduler, scheduler_by_name
 from ..engine.datastore import LSMStore, StoreStats
 from ..engine.options import StoreOptions, TOMBSTONE
 from ..errors import ConfigurationError
@@ -53,13 +53,11 @@ ARBITERS = ("fair", "greedy")
 
 
 def _build_arbiter(name: str) -> MergeScheduler:
-    if name == "fair":
-        return FairScheduler()
-    if name == "greedy":
-        return GreedyScheduler()
-    raise ConfigurationError(
-        f"unknown arbiter {name!r}; expected one of {ARBITERS}"
-    )
+    if name not in ARBITERS:
+        raise ConfigurationError(
+            f"unknown arbiter {name!r}; expected one of {ARBITERS}"
+        )
+    return scheduler_by_name(name)
 
 
 def _apportion(allocation: dict[int, float], budget: int) -> dict[int, int]:

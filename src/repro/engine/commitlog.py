@@ -187,14 +187,13 @@ class CommitLog:
 
     # -- the per-writer commit (lock held) -------------------------------
 
-    def commit(self, batch: Batch, clock=None) -> tuple[int, int, float]:
+    def commit(self, batch: Batch, clock) -> tuple[int, int, float]:
         """Append one batch (fsyncing per ``sync``), insert it, tell the
         listener. Returns the frame's ``(lsn, length)`` and the seconds
-        the append took — 0.0 unless given a ``clock``: the plain write
-        path reads none."""
-        started = 0.0 if clock is None else clock()
+        the append took by ``clock``."""
+        started = clock()
         offset, length = self._wal.append(batch)
-        io_seconds = 0.0 if clock is None else clock() - started
+        io_seconds = clock() - started
         lsn = self._base + offset
         self._insert(batch)
         listener = self._commit_listener

@@ -31,11 +31,9 @@ from ..core.policies import (
     TieringPolicy,
 )
 from ..core.schedulers import (
-    FairScheduler,
     GlobalComponentConstraint,
-    GreedyScheduler,
     MergeScheduler,
-    SingleThreadedScheduler,
+    scheduler_by_name,
 )
 from ..errors import ConfigurationError, CorruptionError
 from ..obs import events as obs_events
@@ -79,11 +77,7 @@ def build_policy(options: StoreOptions) -> MergePolicy:
 
 def build_scheduler(options: StoreOptions) -> MergeScheduler:
     """Instantiate the configured core merge scheduler."""
-    if options.scheduler == "single":
-        return SingleThreadedScheduler()
-    if options.scheduler == "fair":
-        return FairScheduler()
-    return GreedyScheduler()
+    return scheduler_by_name(options.scheduler)
 
 
 def _open_writer(

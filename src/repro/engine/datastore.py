@@ -33,7 +33,7 @@ import os
 import shutil
 import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ..errors import (
     ClosedError,
@@ -135,27 +135,29 @@ class MemorySignals:
     cache_used_bytes: int
 
 
-@dataclass(frozen=True)
-class WriteTiming:
+class WriteTiming(NamedTuple):
     """Where one write's time went (the engine leg of a request breakdown).
 
-    ``engine_seconds`` is the total time inside the store lock for this
-    write; ``io_seconds`` is the WAL-append portion of it; and
-    ``stall_seconds`` is the portion spent blocked in the headroom gate
-    (0.0 unless the write stalled). Produced only by the ``timed_*``
-    write variants — the plain paths never read a clock.
+    ``engine_seconds`` runs from the moment the write holds the store
+    lock to its return; ``io_seconds`` is the WAL-append portion of it
+    (under ``group_commit``, the whole park in the commit queue); and
+    ``stall_seconds`` is the portion this write itself spent blocked in
+    the headroom gate (0.0 unless it stalled). Every write builds one —
+    ``put``/``delete``/``write_batch`` drop it, the ``timed_*`` names
+    return it — hence a tuple: a frozen dataclass costs a microsecond,
+    a sixth of a whole put.
 
     ``wal_offset``/``wal_end`` are the LSNs the write's commit frame
-    starts and ends at (see :class:`WalPosition`; -1 when unknown); a
-    replicated server waits for follower acks to reach ``wal_end``
-    before acknowledging under quorum/all ack policies.
+    starts and ends at (see :class:`WalPosition`); a replicated server
+    waits for follower acks to reach ``wal_end`` before acknowledging
+    under quorum/all ack policies.
     """
 
     engine_seconds: float
     io_seconds: float
     stall_seconds: float
-    wal_offset: int = -1
-    wal_end: int = -1
+    wal_offset: int
+    wal_end: int
 
 
 class LSMStore:
@@ -421,21 +423,79 @@ class LSMStore:
 
     def write_batch(self, batch: list[tuple[bytes, bytes | None]]) -> None:
         """Atomically log and apply a batch of puts/deletes."""
+        self.timed_write_batch(batch)
+
+    def timed_put(
+        self, key: bytes, value: bytes, wait: bool = True
+    ) -> WriteTiming | None:
+        """``put`` that reports where its time went.
+
+        With ``wait=False`` the write commits only if that takes no more
+        than a log append and a memtable insert, and otherwise returns
+        None having changed nothing (see :meth:`_write`); the same holds
+        for :meth:`timed_delete` and :meth:`timed_write_batch`.
+        """
+        return self._write([(key, value)], wait)
+
+    def timed_delete(
+        self, key: bytes, wait: bool = True
+    ) -> WriteTiming | None:
+        """``delete`` that reports where its time went."""
+        return self._write([(key, TOMBSTONE)], wait)
+
+    def timed_write_batch(
+        self, batch: list[tuple[bytes, bytes | None]], wait: bool = True
+    ) -> WriteTiming | None:
+        """``write_batch`` that reports where its time went."""
         if not batch:
             raise ConfigurationError("empty batch")
-        self._write(batch)
+        return self._write(batch, wait)
 
-    def _write(self, batch: list[tuple[bytes, bytes | None]]) -> None:
+    def _write(
+        self, batch: list[tuple[bytes, bytes | None]], wait: bool = True
+    ) -> WriteTiming | None:
+        """The one write body: stall gate, log, memtable, rotation.
+
+        ``wait=False`` is for a caller that must not park — an event
+        loop's thread. Every reason to wait is checked *before* the WAL
+        append, under a lock taken without blocking, so None means the
+        log and the memtable are untouched and the caller can repeat
+        the call with ``wait=True`` from a thread that may park. When
+        nothing would wait, the write runs through the code below
+        unchanged (the store lock is re-entrant).
+
+        The clock is read once the store lock is held, around the WAL
+        append, and at the end. Under ``group_commit`` the commit is the
+        log's leader/follower protocol, entered with the lock released.
+        """
+        options = self._options
+        if not wait:
+            if options.sync_writes or options.group_commit:
+                return None  # an fsync is a wait
+            if not self._lock.acquire(blocking=False):
+                return None
+            try:
+                self._check_open()
+                if self._would_wait_locked(batch):
+                    return None
+                return self._write(batch)
+            finally:
+                self._lock.release()
+        clock = self._obs.clock
         with self._lock:
             self._check_open()
-            self._wait_for_headroom()
-            if not self._options.group_commit:
-                self._log.commit(batch)
+            started = clock()
+            stall_seconds = self._wait_for_headroom()
+            if not options.group_commit:
+                lsn, length, io_seconds = self._log.commit(batch, clock)
                 self._maybe_rotate()
-                return
-        # Admitted exactly as above; the commit itself is the log's
-        # leader/follower protocol, entered with the lock released.
-        self._log.commit_grouped(batch)
+        if options.group_commit:
+            io_started = clock()
+            lsn, length = self._log.commit_grouped(batch)
+            io_seconds = clock() - io_started
+        return WriteTiming(
+            clock() - started, io_seconds, stall_seconds, lsn, lsn + length
+        )
 
     def _insert(self, batch: list[tuple[bytes, bytes | None]]) -> None:
         """Apply a logged batch to the active memtable (lock held, or
@@ -446,101 +506,6 @@ class LSMStore:
                 active.delete(key)
             else:
                 active.put(key, value)
-
-    # -- timed writes (serving-tier latency breakdown) -------------------
-
-    def timed_put(
-        self, key: bytes, value: bytes, wait: bool = True
-    ) -> WriteTiming | None:
-        """``put`` that reports where its time went.
-
-        With ``wait=False`` the write commits only if that takes no more
-        than a log append and a memtable insert, and otherwise returns
-        None having changed nothing (see :meth:`_write_timed`); the
-        same holds for :meth:`timed_delete` and
-        :meth:`timed_write_batch`.
-        """
-        return self._write_timed([(key, value)], wait)
-
-    def timed_delete(
-        self, key: bytes, wait: bool = True
-    ) -> WriteTiming | None:
-        """``delete`` that reports where its time went."""
-        return self._write_timed([(key, TOMBSTONE)], wait)
-
-    def timed_write_batch(
-        self, batch: list[tuple[bytes, bytes | None]], wait: bool = True
-    ) -> WriteTiming | None:
-        """``write_batch`` that reports where its time went."""
-        if not batch:
-            raise ConfigurationError("empty batch")
-        return self._write_timed(batch, wait)
-
-    def _write_timed(
-        self, batch: list[tuple[bytes, bytes | None]], wait: bool = True
-    ) -> WriteTiming | None:
-        """The instrumented twin of :meth:`_write`/:meth:`write_batch`.
-
-        A separate path so the plain write methods stay free of clock
-        reads (the embedded hot path); the serving tier calls this one
-        to attach an engine/I-O/stall breakdown to each response.
-
-        ``wait=False`` is for a caller that must not park — an event
-        loop's thread. Every reason to wait is checked *before* the WAL
-        append, under a lock taken without blocking, so None means the
-        log and the memtable are untouched and the caller can repeat
-        the call with ``wait=True`` from a thread that may park. When
-        nothing would wait, the write runs through the code below
-        unchanged (the store lock is re-entrant).
-        """
-        if not wait:
-            options = self._options
-            if options.sync_writes or options.group_commit:
-                return None  # an fsync is a wait
-            if not self._lock.acquire(blocking=False):
-                return None
-            try:
-                self._check_open()
-                if self._would_wait_locked(batch):
-                    return None
-                return self._write_timed(batch)
-            finally:
-                self._lock.release()
-        clock = self._obs.clock
-        if self._options.group_commit:
-            started = clock()
-            with self._lock:
-                self._check_open()
-                stall_before = self._stall_seconds
-                self._wait_for_headroom()
-                stall_seconds = self._stall_seconds - stall_before
-            # The park covers queueing + the group's append and fsync;
-            # that whole wait is this write's commit I/O.
-            io_started = clock()
-            lsn, length = self._log.commit_grouped(batch)
-            finished = clock()
-            return WriteTiming(
-                engine_seconds=finished - started,
-                io_seconds=finished - io_started,
-                stall_seconds=stall_seconds,
-                wal_offset=lsn,
-                wal_end=lsn + length,
-            )
-        with self._lock:
-            self._check_open()
-            started = clock()
-            stall_before = self._stall_seconds
-            self._wait_for_headroom()
-            stall_seconds = self._stall_seconds - stall_before
-            lsn, length, io_seconds = self._log.commit(batch, clock)
-            self._maybe_rotate()
-            return WriteTiming(
-                engine_seconds=clock() - started,
-                io_seconds=io_seconds,
-                stall_seconds=stall_seconds,
-                wal_offset=lsn,
-                wal_end=lsn + length,
-            )
 
     def _would_wait_locked(
         self, batch: list[tuple[bytes, bytes | None]]
@@ -560,8 +525,9 @@ class LSMStore:
             return False
         return self._active.bytes_at_most_after(batch) >= self._memtable_target
 
-    def _wait_for_headroom(self) -> None:
+    def _wait_for_headroom(self) -> float:
         """The write-stall gate: the paper's stop interaction mode.
+        Returns the seconds this caller waited at it (0.0 when open).
 
         A stall is counted once per write that observed a stalled tree
         (not once per polling iteration), and the time a blocking writer
@@ -571,7 +537,7 @@ class LSMStore:
         ``failed`` — as a rule, nothing could ever clear the constraint.
         """
         if not self._compaction.is_write_stalled():
-            return
+            return 0.0
         self._stall_count += 1
         self._m_stalls.inc()
         self._obs.tracer.emit(
@@ -595,12 +561,15 @@ class LSMStore:
             outcome = "closed"
             raise
         finally:
+            # The wait drops the store lock, so other writers park here
+            # too: each bills its own elapsed, never the total's growth.
             elapsed = self._obs.clock() - started
             self._stall_seconds += elapsed
             self._m_stall_seconds.inc(elapsed)
             self._obs.tracer.emit(
                 obs_events.STALL_EXIT, outcome=outcome, seconds=elapsed
             )
+        return elapsed
 
     def _maybe_rotate(self) -> None:
         if self._active.approximate_bytes < self._memtable_target:
@@ -1104,7 +1073,7 @@ class LSMStore:
                 # and a reset must not interleave with other writers
                 # anyway.
                 self._wait_for_headroom()
-                self._log.commit(batch)
+                self._log.commit(batch, self._obs.clock)
                 self._maybe_rotate()
             for entry in self._compaction.quarantine.entries():
                 self._compaction.drop_run(entry.run_id)

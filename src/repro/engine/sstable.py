@@ -26,7 +26,7 @@ File layout::
 * The fixed-size **footer** locates the three auxiliary blocks and carries
   the format magic (``LSMRUN01`` = version 1, ``LSMRUN02`` = version 2);
   version-absent files keep reading unchanged, and merges naturally
-  rewrite them into the current format.
+  rewrite them into the current format — the only one a writer produces.
 
 Writers stream through the shared :class:`~repro.engine.ratelimiter.RateLimiter`
 and issue periodic forces per the :class:`~repro.engine.ratelimiter.SyncPolicy`,
@@ -242,26 +242,11 @@ class SSTableWriter:
         fault_plan=None,
         block_codec: str = "none",
         filter_kind: str = "bloom",
-        format_version: int = CURRENT_FORMAT_VERSION,
     ) -> None:
         if block_bytes < 128:
             raise ConfigurationError("block size too small")
-        if format_version not in (1, CURRENT_FORMAT_VERSION):
-            raise ConfigurationError(
-                f"unknown run format version {format_version}"
-            )
-        if format_version == 1 and (
-            block_codec != "none" or filter_kind != "bloom"
-        ):
-            # Version 1 predates the block header and the filter magic
-            # dispatch; only the legacy configuration round-trips.
-            raise ConfigurationError(
-                "format version 1 supports only block_codec='none' "
-                "and filter_kind='bloom'"
-            )
         self._path = path
         self._block_bytes = block_bytes
-        self._format_version = format_version
         self._codec = get_codec(block_codec)
         if filter_kind not in available_filters():
             raise ConfigurationError(f"unknown filter kind {filter_kind!r}")
@@ -303,18 +288,15 @@ class SSTableWriter:
             return
         payload = bytes(self._block)
         self._logical_bytes += len(payload)
-        if self._format_version == 1:
-            record = payload
-        else:
-            stored = self._codec.compress(payload)
-            codec_id = self._codec.codec_id
-            if len(stored) >= len(payload):
-                # Incompressible block: store raw under the none codec;
-                # the per-block header, not the run default, is
-                # authoritative on read.
-                stored = payload
-                codec_id = NONE_CODEC_ID
-            record = _BLOCK_HEADER.pack(codec_id, len(payload)) + stored
+        stored = self._codec.compress(payload)
+        codec_id = self._codec.codec_id
+        if len(stored) >= len(payload):
+            # Incompressible block: store raw under the none codec;
+            # the per-block header, not the run default, is
+            # authoritative on read.
+            stored = payload
+            codec_id = NONE_CODEC_ID
+        record = _BLOCK_HEADER.pack(codec_id, len(payload)) + stored
         start = self._offset
         self._write_raw(record + _crc(record))
         self._index.append(
@@ -428,10 +410,8 @@ class SSTableWriter:
         every later merge.
         """
         keys = source.keys
-        if (
-            self._format_version != CURRENT_FORMAT_VERSION
-            or source.codec_id != self._codec.codec_id
-            or not _closed_when_full(source.ends, self._block_bytes)
+        if source.codec_id != self._codec.codec_id or not _closed_when_full(
+            source.ends, self._block_bytes
         ):
             self.add_entries(source, 0, len(keys))
             return False
@@ -481,10 +461,6 @@ class SSTableWriter:
         self._flush_block()
         self._feed_filter(1)
         data_bytes = self._offset
-        if self._format_version == 1:
-            # Version-absent runs carry no logical-size record, so
-            # readers treat physical as logical; report the same here.
-            self._logical_bytes = data_bytes
 
         index_payload = bytearray()
         for first_key, offset, length in self._index:
@@ -505,14 +481,12 @@ class SSTableWriter:
             "data_bytes": data_bytes,
             "min_key": (self._min_key or b"").hex(),
             "max_key": (self._last_key or b"").hex(),
+            # Version-1 files are recognizable by the *absence* of these.
+            "format_version": CURRENT_FORMAT_VERSION,
+            "codec": self._codec.name,
+            "filter": self._filter_kind,
+            "logical_bytes": self._logical_bytes,
         }
-        if self._format_version >= 2:
-            # Version-1 files are recognizable by the *absence* of these
-            # keys, so only current-format writers emit them.
-            meta["format_version"] = self._format_version
-            meta["codec"] = self._codec.name
-            meta["filter"] = self._filter_kind
-            meta["logical_bytes"] = self._logical_bytes
         meta_payload = json.dumps(meta).encode("utf-8")
         meta_off = self._offset
         self._write_raw(meta_payload + _crc(meta_payload))
@@ -525,8 +499,7 @@ class SSTableWriter:
         self._write_raw(
             _FOOTER.pack(
                 index_off, index_len, filter_off, filter_len,
-                meta_off, meta_len,
-                _MAGIC_V1 if self._format_version == 1 else _MAGIC_V2,
+                meta_off, meta_len, _MAGIC_V2,
             )
         )
         fsync_file(self._file)

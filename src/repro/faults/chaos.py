@@ -42,6 +42,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from ..cluster.breaker import CLOSED
+from ..cluster.ring import HashRing
 from ..cluster.router import LocalCluster
 from ..engine.options import StoreOptions
 from ..errors import (
@@ -54,6 +55,7 @@ from ..metrics.percentiles import percentile
 from ..obs.events import CORRUPTION_QUARANTINE
 from ..server import protocol
 from ..server.client import KVClient
+from ..server.service import in_thread
 
 
 @dataclass
@@ -256,6 +258,10 @@ class CorruptionChaosReport:
 
 _SSTABLE_FOOTER = struct.Struct("<QIQIQI8s")
 
+#: How a router under test talks to its shards: transport failures must
+#: show up fast, so one retry on a tight backoff.
+_ONE_FAST_RETRY = dict(max_retries=1, backoff_base=0.01, backoff_max=0.05)
+
 
 def _flip_run_byte(directory: str, rng: random.Random) -> str | None:
     """Flip one data-region byte of a seeded-random live run file.
@@ -298,6 +304,55 @@ def _flip_run_byte(directory: str, rng: random.Random) -> str | None:
     return None
 
 
+async def _load_and_audit(
+    address, report, rng, ops, keyspace, value_bytes, op_interval,
+    before_op, after_op, settle,
+) -> None:
+    """The seeded load both runners drive, and the audit that ends it.
+
+    ``ops`` paced puts through one client that surfaces every error
+    instead of retrying through the fault — the error budget is the
+    measurement. Op ``index`` draws its key, then its value bytes, from
+    ``rng``; an ack goes into the model. The fault schedule is what a
+    runner brings, as three coroutines that may draw from ``rng`` too:
+    ``before_op(index, client)``, ``after_op(key, elapsed, error,
+    client, model)`` (``error`` None on an ack) and ``settle(client,
+    model)`` once the load is done. Then every acked write must read
+    back; ``report.lost_acked`` counts the ones that do not.
+    """
+    model: dict[bytes, bytes] = {}
+    async with KVClient(*address, max_retries=0, timeout=5.0) as client:
+        for index in range(ops):
+            await before_op(index, client)
+            key = f"key-{rng.randrange(keyspace):06d}".encode()
+            value = f"{index:08d}".encode() + bytes(
+                rng.randrange(256) for _ in range(max(0, value_bytes - 8))
+            )
+            report.ops_total += 1
+            error = None
+            started = time.monotonic()
+            try:
+                await client.put(key, value)
+            except ServerError as failure:
+                error = failure
+            else:
+                report.acked += 1
+                model[key] = value
+            await after_op(
+                key, time.monotonic() - started, error, client, model
+            )
+            await asyncio.sleep(op_interval)
+        await settle(client, model)
+        async with KVClient(*address, max_retries=6, timeout=5.0) as verifier:
+            for key, value in model.items():
+                try:
+                    stored = await verifier.get(key)
+                except ServerError:
+                    stored = None
+                if stored != value:
+                    report.lost_acked += 1
+
+
 async def run_corruption_chaos(
     directory: str,
     num_shards: int = 2,
@@ -338,7 +393,6 @@ async def run_corruption_chaos(
     report = CorruptionChaosReport(replicas=replicas, ack_policy=ack_policy)
     rng = random.Random(seed)
     corrupt_index = int(ops * corrupt_at)
-    model: dict[bytes, bytes] = {}
     corrupted_at = 0.0
 
     cluster = LocalCluster(
@@ -353,22 +407,15 @@ async def run_corruption_chaos(
             memtable_bytes=4096,
             scrub_interval=0.2,
         ),
-        shard_client_options=dict(
-            max_retries=1,
-            timeout=2.0,
-            backoff_base=0.01,
-            backoff_max=0.05,
-        ),
+        shard_client_options=dict(_ONE_FAST_RETRY, timeout=2.0),
         replicas=replicas,
         ack_policy=ack_policy,
         repair_interval=0.1,
     )
     async with cluster:
-        host, port = cluster.address
         engine = cluster.store.engine(target_shard)
-        client = KVClient(host, port, max_retries=0, timeout=5.0)
 
-        def inject() -> str | None:
+        def flip() -> str | None:
             # Make sure at least one run exists, then flip a byte in a
             # seeded-random one.
             if not any(
@@ -377,6 +424,14 @@ async def run_corruption_chaos(
             ):
                 engine.flush()
             return _flip_run_byte(engine.directory, rng)
+
+        async def inject() -> None:
+            nonlocal corrupted_at
+            name = await in_thread(flip)
+            if name is not None:
+                report.injections += 1
+                report.corrupted_files.append(name)
+                corrupted_at = time.monotonic()
 
         def quarantines() -> list:
             # From the tracer, not from the live registry: a follower
@@ -388,12 +443,22 @@ async def run_corruption_chaos(
                 if event.kind == CORRUPTION_QUARANTINE
             ]
 
-        async def audit_get(key: bytes) -> None:
+        async def before_op(index: int, client: KVClient) -> None:
+            if index == corrupt_index:
+                await inject()
+
+        async def after_op(key, elapsed, error, client, model) -> None:
+            if error is not None:
+                report.other_errors += 1
+            if not model or rng.random() >= 0.5:
+                return
+            # Audit a seeded-random acked key against the model.
+            probe = rng.choice(sorted(model))
             report.reads_total += 1
             try:
-                stored = await client.get(key)
-            except RequestFailedError as error:
-                if error.code == protocol.CODE_DATA_CORRUPT:
+                stored = await client.get(probe)
+            except RequestFailedError as failure:
+                if failure.code == protocol.CODE_DATA_CORRUPT:
                     # The honest outcome: refusal, never a wrong value.
                     report.corrupt_reads += 1
                     report.detected = True
@@ -405,35 +470,10 @@ async def run_corruption_chaos(
             except ServerError:
                 report.other_errors += 1
                 return
-            if stored != model.get(key):
+            if stored != model.get(probe):
                 report.wrong_answers += 1
 
-        try:
-            for index in range(ops):
-                if index == corrupt_index:
-                    name = await asyncio.to_thread(inject)
-                    if name is not None:
-                        report.injections += 1
-                        report.corrupted_files.append(name)
-                        corrupted_at = time.monotonic()
-                key = f"key-{rng.randrange(keyspace):06d}".encode()
-                value = f"{index:08d}".encode() + bytes(
-                    rng.randrange(256)
-                    for _ in range(max(0, value_bytes - 8))
-                )
-                report.ops_total += 1
-                try:
-                    await client.put(key, value)
-                except ServerError:
-                    report.other_errors += 1
-                else:
-                    report.acked += 1
-                    model[key] = value
-                if model and rng.random() < 0.5:
-                    probe = rng.choice(sorted(model))
-                    await audit_get(probe)
-                await asyncio.sleep(op_interval)
-
+        async def settle(client: KVClient, model) -> None:
             # Detection guarantee: if neither a read nor the background
             # scrubber tripped over the damage yet (the load may never
             # have touched that block, or a merge may have retired the
@@ -442,14 +482,10 @@ async def run_corruption_chaos(
             for _attempt in range(3):
                 if quarantines():
                     break
-                status = await asyncio.to_thread(engine.scrub_pass)
+                status = await in_thread(engine.scrub_pass)
                 if status["findings"] or quarantines():
                     break
-                name = await asyncio.to_thread(inject)
-                if name is not None:
-                    report.injections += 1
-                    report.corrupted_files.append(name)
-                    corrupted_at = time.monotonic()
+                await inject()
             quarantined = quarantines()
             report.quarantined_seen = len(
                 {event.fields["run_id"] for event in quarantined}
@@ -479,21 +515,12 @@ async def run_corruption_chaos(
             )
             report.scrub = engine.corruption_status()["scrub"]
 
-            # The final audit: every acked write must read back, and a
-            # repaired store must answer all of them — no refusals left.
-            verifier = KVClient(host, port, max_retries=6, timeout=5.0)
-            try:
-                for key, value in model.items():
-                    try:
-                        stored = await verifier.get(key)
-                    except ServerError:
-                        stored = None
-                    if stored != value:
-                        report.lost_acked += 1
-            finally:
-                await verifier.aclose()
-        finally:
-            await client.aclose()
+        # The final audit doubles as the repair check: a repaired store
+        # must answer every acked key — no refusals left.
+        await _load_and_audit(
+            cluster.address, report, rng, ops, keyspace, value_bytes,
+            op_interval, before_op, after_op, settle,
+        )
     return report
 
 
@@ -530,6 +557,20 @@ async def run_chaos(
             raise ConfigurationError("need 0 < kill_at < 1")
     elif not 0.0 < kill_at < restore_at < 1.0:
         raise ConfigurationError("need 0 < kill_at < restore_at < 1")
+    ring = HashRing(num_shards)
+    # What the post-load phase writes to until the killed range answers.
+    probe_keys = [
+        key
+        for key in (
+            f"key-{candidate:06d}".encode() for candidate in range(keyspace)
+        )
+        if ring.shard_for(key) == kill_shard
+    ]
+    if not probe_keys:
+        raise ConfigurationError(
+            f"no key of a {keyspace}-key keyspace routes to shard "
+            f"{kill_shard} of {num_shards}: nothing could probe its recovery"
+        )
     report = ChaosReport(replicas=replicas, ack_policy=ack_policy)
     rng = random.Random(seed)
     kill_index = int(ops * kill_at)
@@ -539,21 +580,16 @@ async def run_chaos(
     else:
         restore_index = max(kill_index + 1, int(ops * restore_at))
         scan_index = (kill_index + restore_index) // 2
-    model: dict[bytes, bytes] = {}
     survivors: list[float] = []
     restored_at = 0.0
+    down = False
 
     cluster = LocalCluster(
         directory,
         num_shards=num_shards,
         options=options or StoreOptions(block_cache_bytes=0),
-        # Fast transport failure detection: one retry, tight timeouts.
-        shard_client_options=dict(
-            max_retries=1,
-            timeout=1.0,
-            backoff_base=0.01,
-            backoff_max=0.05,
-        ),
+        ring=ring,
+        shard_client_options=dict(_ONE_FAST_RETRY, timeout=1.0),
         breaker_options=dict(
             failure_threshold=0.5,
             window=8,
@@ -565,93 +601,60 @@ async def run_chaos(
         read_from_replica=read_from_replica,
     )
     async with cluster:
-        host, port = cluster.address
         assert cluster.router is not None
         breaker = cluster.router.breakers[kill_shard]
-        # The driver surfaces every error instead of retrying through
-        # the outage: the error budget is the measurement.
-        client = KVClient(host, port, max_retries=0, timeout=5.0)
-        down = False
-        try:
-            for index in range(ops):
-                if index == kill_index:
-                    await cluster.kill_shard(kill_shard)
-                    down = True
-                    if replicas > 0:
-                        # Recovery clock: kill → first promoted-leader
-                        # ack on the killed range.
-                        restored_at = time.monotonic()
-                if index == restore_index:
-                    await cluster.restore_shard(kill_shard)
-                    restored_at = time.monotonic()
-                    down = False
-                if index == scan_index and down:
-                    try:
-                        scan = await client.scan_detailed(limit=50)
-                    except ServerError:
-                        scan = None
-                    if scan is not None:
-                        report.degraded_scan_seen = scan["degraded"]
-                        report.degraded_scan_correct = scan[
-                            "missing_shards"
-                        ] == [kill_shard]
-                        report.replica_scan_seen = bool(
-                            scan.get("replica_read")
-                        )
-                        report.max_staleness_bytes = int(
-                            scan.get("staleness_bytes") or 0
-                        )
-                key = f"key-{rng.randrange(keyspace):06d}".encode()
-                value = f"{index:08d}".encode() + bytes(
-                    rng.randrange(256)
-                    for _ in range(max(0, value_bytes - 8))
-                )
-                target = cluster.store.ring.shard_for(key)
-                report.ops_total += 1
-                started = time.monotonic()
-                try:
-                    await client.put(key, value)
-                except RetriesExhaustedError as error:
-                    elapsed = time.monotonic() - started
-                    cause = error.last_error
-                    if (
-                        isinstance(cause, RequestFailedError)
-                        and cause.code == protocol.CODE_SHARD_DOWN
-                    ):
-                        report.shard_down_fast_fails += 1
-                        report.fail_fast_max = max(
-                            report.fail_fast_max, elapsed
-                        )
-                    else:
-                        report.other_errors += 1
-                except ServerError:
-                    report.other_errors += 1
-                else:
-                    elapsed = time.monotonic() - started
-                    report.acked += 1
-                    model[key] = value
-                    if target != kill_shard:
-                        survivors.append(elapsed)
-                    elif down and replicas > 0:
-                        # A write on the killed range succeeded again:
-                        # the router promoted a follower.
-                        report.recovery_seconds = (
-                            time.monotonic() - restored_at
-                        )
-                        down = False
-                await asyncio.sleep(op_interval)
 
+        async def before_op(index: int, client: KVClient) -> None:
+            nonlocal down, restored_at
+            if index == kill_index:
+                await cluster.kill_shard(kill_shard)
+                down = True
+                if replicas > 0:
+                    # Recovery clock: kill → first promoted-leader
+                    # ack on the killed range.
+                    restored_at = time.monotonic()
+            if index == restore_index:
+                await cluster.restore_shard(kill_shard)
+                restored_at = time.monotonic()
+                down = False
+            if index == scan_index and down:
+                try:
+                    scan = await client.scan_detailed(limit=50)
+                except ServerError:
+                    return
+                report.degraded_scan_seen = scan["degraded"]
+                report.degraded_scan_correct = scan["missing_shards"] == [
+                    kill_shard
+                ]
+                report.replica_scan_seen = bool(scan.get("replica_read"))
+                report.max_staleness_bytes = int(
+                    scan.get("staleness_bytes") or 0
+                )
+
+        async def after_op(key, elapsed, error, client, model) -> None:
+            nonlocal down
+            if error is None:
+                if ring.shard_for(key) != kill_shard:
+                    survivors.append(elapsed)
+                elif down and replicas > 0:
+                    # A write on the killed range succeeded again:
+                    # the router promoted a follower.
+                    report.recovery_seconds = time.monotonic() - restored_at
+                    down = False
+            elif (
+                isinstance(error, RetriesExhaustedError)
+                and isinstance(error.last_error, RequestFailedError)
+                and error.last_error.code == protocol.CODE_SHARD_DOWN
+            ):
+                report.shard_down_fast_fails += 1
+                report.fail_fast_max = max(report.fail_fast_max, elapsed)
+            else:
+                report.other_errors += 1
+
+        async def settle(client: KVClient, model) -> None:
             # Post-load: drive probe writes at the killed range until
             # its breaker closes again (cooldown is wall-clock).
             deadline = time.monotonic() + recovery_deadline
-            probe_keys = [
-                f"key-{candidate:06d}".encode()
-                for candidate in range(keyspace)
-                if cluster.store.ring.shard_for(
-                    f"key-{candidate:06d}".encode()
-                )
-                == kill_shard
-            ]
             probe_turn = 0
             while time.monotonic() < deadline:
                 key = probe_keys[probe_turn % len(probe_keys)]
@@ -666,29 +669,17 @@ async def run_chaos(
                 report.acked += 1
                 report.ops_total += 1
                 if report.recovery_seconds < 0.0:
-                    report.recovery_seconds = (
-                        time.monotonic() - restored_at
-                    )
+                    report.recovery_seconds = time.monotonic() - restored_at
                 if breaker.state == CLOSED:
                     break
 
-            # The final audit: every acked write must read back.
-            verifier = KVClient(host, port, max_retries=6, timeout=5.0)
-            try:
-                for key, value in model.items():
-                    try:
-                        stored = await verifier.get(key)
-                    except ServerError:
-                        stored = None
-                    if stored != value:
-                        report.lost_acked += 1
-            finally:
-                await verifier.aclose()
-            report.breaker_transitions = list(breaker.transitions)
-            report.final_health = cluster.router.shard_health()
-            report.promotions = cluster.router.promotions
-            report.shard_epochs = cluster.router.epochs
-        finally:
-            await client.aclose()
+        await _load_and_audit(
+            cluster.address, report, rng, ops, keyspace, value_bytes,
+            op_interval, before_op, after_op, settle,
+        )
+        report.breaker_transitions = list(breaker.transitions)
+        report.final_health = cluster.router.shard_health()
+        report.promotions = cluster.router.promotions
+        report.shard_epochs = cluster.router.epochs
     report.surviving_p99 = percentile(survivors, 99.0) if survivors else 0.0
     return report

@@ -26,19 +26,17 @@ from ..core.policies import (
 )
 from ..core.schedulers import (
     ComponentConstraint,
-    FairScheduler,
     GlobalComponentConstraint,
-    GreedyScheduler,
     LevelZeroConstraint,
     LocalComponentConstraint,
     MergeScheduler,
     RateLimitControl,
-    SingleThreadedScheduler,
     SlowdownControl,
     SpringGearControl,
     SpringGearScheduler,
     StopControl,
     WriteControl,
+    scheduler_by_name,
 )
 from ..errors import ConfigurationError
 from ..sim import (
@@ -69,15 +67,9 @@ WARMUP = 3600.0
 
 
 def make_scheduler(name: str, policy: MergePolicy, config: SimConfig) -> MergeScheduler:
-    """Build a scheduler by name: single / fair / greedy / greedy-k / spring."""
-    if name == "single":
-        return SingleThreadedScheduler()
-    if name == "fair":
-        return FairScheduler()
-    if name == "greedy":
-        return GreedyScheduler()
-    if name.startswith("greedy-"):
-        return GreedyScheduler(concurrency=int(name.split("-", 1)[1]))
+    """Build a scheduler by name: ``spring`` (bLSM's, sized from the
+    policy's level capacities) or any name
+    :func:`~repro.core.schedulers.scheduler_by_name` knows."""
     if name == "spring":
         capacities: dict[int, float] = {}
         if isinstance(policy, LevelingPolicy):
@@ -86,7 +78,7 @@ def make_scheduler(name: str, policy: MergePolicy, config: SimConfig) -> MergeSc
                 for level in range(1, policy.levels + 1)
             }
         return SpringGearScheduler(capacities)
-    raise ConfigurationError(f"unknown scheduler {name!r}")
+    return scheduler_by_name(name)
 
 
 def make_constraint(

@@ -33,6 +33,10 @@ from ..errors import ConfigurationError
 from ..obs import MEMORY_REBALANCE, Observability
 from .budget import MemoryBudget, MemoryShares
 
+#: Bytes a block-cache miss re-reads from disk (the engine's block size):
+#: what turns a miss count into read demand comparable to ingested bytes.
+MISS_COST_BYTES = 4096
+
 
 class MemoryTarget(Protocol):
     """What the arbiter needs from a shard: observe and apply."""
@@ -78,7 +82,6 @@ class MemoryArbiter:
         step_fraction: float = 0.05,
         deadband: float = 0.05,
         smoothing: float = 0.5,
-        miss_cost_bytes: int = 4096,
         apply_initial: bool = True,
     ) -> None:
         if len(targets) != budget.num_shards:
@@ -94,8 +97,6 @@ class MemoryArbiter:
             raise ConfigurationError("deadband must be in [0, 1)")
         if not 0.0 < smoothing <= 1.0:
             raise ConfigurationError("smoothing must be in (0, 1]")
-        if miss_cost_bytes < 1:
-            raise ConfigurationError("miss cost must be positive")
         self.budget = budget
         # Hold the caller's sequence, not a copy: ShardedStore swaps an
         # engine in place on migration cutover and the arbiter must see
@@ -106,7 +107,6 @@ class MemoryArbiter:
         self.step_fraction = step_fraction
         self.deadband = deadband
         self.smoothing = smoothing
-        self.miss_cost_bytes = miss_cost_bytes
         self._clock = clock if clock is not None else self.obs.clock
         self._lock = threading.Lock()
         self._write_fraction = budget.clamp_fraction(write_fraction)
@@ -199,7 +199,7 @@ class MemoryArbiter:
         # indicators the byte ratio can lag, so they boost the write
         # side on top.
         total_ingest = sum(ingest_deltas)
-        miss_bytes = miss_delta * self.miss_cost_bytes
+        miss_bytes = miss_delta * MISS_COST_BYTES
         traffic = total_ingest + miss_bytes
         if traffic > 0:
             demand = total_ingest / traffic

@@ -100,7 +100,6 @@ class MemoryBudget:
         *,
         min_write_fraction: float = 0.1,
         max_write_fraction: float = 0.9,
-        min_memtable_bytes: int = MIN_MEMTABLE_BYTES,
     ) -> None:
         if total_bytes <= 0:
             raise ConfigurationError("memory budget must be positive")
@@ -110,23 +109,18 @@ class MemoryBudget:
             raise ConfigurationError(
                 "need 0 < min_write_fraction <= max_write_fraction < 1"
             )
-        if min_memtable_bytes < 4096:
-            raise ConfigurationError(
-                "per-shard memtable floor below the engine minimum"
-            )
         if int(total_bytes * min_write_fraction) < (
-            num_shards * min_memtable_bytes
+            num_shards * MIN_MEMTABLE_BYTES
         ):
             raise ConfigurationError(
                 f"budget of {total_bytes} bytes cannot give {num_shards} "
-                f"shard(s) a {min_memtable_bytes}-byte memtable floor at "
+                f"shard(s) a {MIN_MEMTABLE_BYTES}-byte memtable floor at "
                 f"the minimum write fraction {min_write_fraction}"
             )
         self.total_bytes = total_bytes
         self.num_shards = num_shards
         self.min_write_fraction = min_write_fraction
         self.max_write_fraction = max_write_fraction
-        self.min_memtable_bytes = min_memtable_bytes
 
     def clamp_fraction(self, write_fraction: float) -> float:
         """Pull a proposed write fraction back inside the allowed band."""
@@ -151,7 +145,7 @@ class MemoryBudget:
             write_fraction=fraction,
             memtable_bytes=tuple(
                 apportion_bytes(
-                    write_pool, writes, floor=self.min_memtable_bytes
+                    write_pool, writes, floor=MIN_MEMTABLE_BYTES
                 )
             ),
             cache_bytes=tuple(apportion_bytes(read_pool, reads)),

@@ -8,7 +8,6 @@ time series, latency samples and FIFO fluid queues.
 from .curves import CumulativeCurve, fifo_latencies
 from .percentiles import (
     STANDARD_PERCENTILES,
-    LatencyReservoir,
     percentile,
     percentile_profile,
     weighted_percentile_profile,
@@ -17,7 +16,6 @@ from .series import SeriesPoint, StepSeries, WindowedCounter, stall_windows
 
 __all__ = [
     "CumulativeCurve",
-    "LatencyReservoir",
     "STANDARD_PERCENTILES",
     "SeriesPoint",
     "StepSeries",

@@ -1,10 +1,8 @@
-"""Exact and streaming percentile computation over latency samples.
+"""Exact percentile computation over latency samples.
 
 The paper reports percentile write/query latencies (50%, 90%, 99%, 99.9%).
-Experiments in this reproduction are deterministic simulations, so we keep
-*exact* samples whenever feasible (:class:`LatencyReservoir` with an
-unbounded mode) and fall back to uniform reservoir sampling for very long
-runs. Percentiles use the "higher" interpolation (nearest rank from
+Experiments in this reproduction are deterministic simulations, so every
+sample is kept. Percentiles use the "higher" interpolation (nearest rank from
 above): the reported value is an actual observed sample, and tail
 percentiles are conservative. The previous "lower" interpolation
 systematically under-reported the tail on small sample counts — with 100
@@ -83,71 +81,3 @@ def weighted_percentile_profile(
         index = int(np.searchsorted(cumulative, level / 100.0))
         result[level] = float(values[min(index, values.size - 1)])
     return result
-
-
-class LatencyReservoir:
-    """Collects latency samples with an optional uniform-sampling cap.
-
-    With ``capacity=None`` (default) every sample is kept and percentiles
-    are exact. With a finite capacity the reservoir keeps a uniform random
-    subset using Vitter's algorithm R, driven by an explicit
-    :class:`numpy.random.Generator` so simulations stay reproducible.
-    """
-
-    def __init__(
-        self,
-        capacity: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ConfigurationError("reservoir capacity must be positive")
-        self._capacity = capacity
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._samples: list[float] = []
-        self._seen = 0
-
-    @property
-    def count(self) -> int:
-        """Total number of samples offered to the reservoir."""
-        return self._seen
-
-    def add(self, value: float) -> None:
-        """Record one latency sample (seconds)."""
-        self._seen += 1
-        if self._capacity is None or len(self._samples) < self._capacity:
-            self._samples.append(float(value))
-            return
-        slot = int(self._rng.integers(0, self._seen))
-        if slot < self._capacity:
-            self._samples[slot] = float(value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Record many latency samples."""
-        for value in values:
-            self.add(value)
-
-    def samples(self) -> np.ndarray:
-        """Return the retained samples as an array (copy)."""
-        return np.asarray(self._samples, dtype=np.float64)
-
-    def percentile(self, q: float) -> float:
-        """Exact-or-sampled percentile of the retained samples."""
-        return percentile(self._samples, q)
-
-    def profile(
-        self, levels: Iterable[float] = STANDARD_PERCENTILES
-    ) -> dict[float, float]:
-        """Percentile profile (see :func:`percentile_profile`)."""
-        return percentile_profile(self._samples, levels)
-
-    def mean(self) -> float:
-        """Arithmetic mean of the retained samples."""
-        if not self._samples:
-            raise ConfigurationError("cannot take the mean of zero samples")
-        return float(np.mean(self._samples))
-
-    def maximum(self) -> float:
-        """Largest retained sample."""
-        if not self._samples:
-            raise ConfigurationError("cannot take the max of zero samples")
-        return float(np.max(self._samples))

@@ -60,11 +60,10 @@ class Observability:
     def __init__(
         self,
         clock: Callable[[], float] = time.monotonic,
-        tracer_capacity: int = 2048,
     ) -> None:
         self.clock = clock
         self.registry = MetricsRegistry()
-        self.tracer = EventTracer(capacity=tracer_capacity, clock=clock)
+        self.tracer = EventTracer(clock=clock)
 
     def snapshot(self) -> dict:
         """The registry snapshot (metrics only; events have a cursor API)."""

@@ -199,11 +199,7 @@ class MetricsRegistry:
     thread).
     """
 
-    def __init__(
-        self,
-        default_bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS,
-    ) -> None:
-        self._default_bounds = tuple(default_bounds)
+    def __init__(self) -> None:
         self._metrics: dict[tuple, object] = {}
         self._kinds: dict[str, str] = {}
         self._help: dict[str, str] = {}
@@ -257,7 +253,7 @@ class MetricsRegistry:
         bounds: Sequence[float] | None = None,
     ) -> Histogram:
         """Get-or-create a labelled histogram (default log-scale bounds)."""
-        chosen = tuple(bounds) if bounds is not None else self._default_bounds
+        chosen = DEFAULT_LATENCY_BOUNDS if bounds is None else tuple(bounds)
 
         def factory(metric_name, metric_labels):
             return Histogram(metric_name, metric_labels, chosen)

@@ -47,6 +47,7 @@ from ..errors import (
 )
 from ..obs import events as obs_events
 from ..server import protocol
+from ..server.service import in_thread
 from .policy import acks_required, validate_ack_policy
 
 #: The most log one REPLICATE carries, and the size of a reset's chunks
@@ -59,6 +60,10 @@ _SPAN_BYTES = 1 << 20
 _STALL_RETRY_SECONDS = 0.05
 _STALL_RETRY_CAP_SECONDS = 1.0
 
+#: A follower with nothing to ship looks again after this long even if
+#: no commit woke it (a wake-up lost to a race costs this much, no more).
+_IDLE_SECONDS = 0.05
+
 
 class WalShipper:
     """Ships a leader store's WAL to a set of follower clients."""
@@ -69,13 +74,11 @@ class WalShipper:
         followers,
         ack_policy: str = "leader_only",
         epoch: int = 0,
-        idle_interval: float = 0.05,
     ) -> None:
         self._store = store
         self._followers = list(followers)
         self._ack_policy = validate_ack_policy(ack_policy)
         self._epoch = epoch
-        self._idle_interval = idle_interval
         self._obs = store.obs
         self._lock = threading.Lock()
         # The store's lineage, and the LSN just past the last commit
@@ -359,7 +362,7 @@ class WalShipper:
             if not advanced:
                 with contextlib.suppress(asyncio.TimeoutError):
                     await asyncio.wait_for(
-                        self._wake.wait(), self._idle_interval
+                        self._wake.wait(), _IDLE_SECONDS
                     )
 
     async def _note_stall(self, index: int, error: Exception) -> None:
@@ -449,9 +452,7 @@ class WalShipper:
         the follower's until its final chunk; only the messages are
         bounded. Streaming it waits for consistent snapshot scans.
         """
-        items, lsn = await asyncio.to_thread(
-            self._store.replication_snapshot
-        )
+        items, lsn = await in_thread(self._store.replication_snapshot)
         chunks = WriteAheadLog.chunk_frames(items, _SPAN_BYTES)
         chunk, first = next(chunks, b""), True
         while True:

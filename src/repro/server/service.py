@@ -55,6 +55,22 @@ DEFAULT_WRITE_DEADLINE = 5.0
 #: rows costs about what a few point reads do.
 INLINE_SCAN_ROWS = 256
 
+#: Threads in a front-end's worker pool. Only calls that wait go there
+#: (stall-gate and flush-stall parks, fsyncs, unbounded scans,
+#: maintenance pumps), so it is sized past the CPU count: it bounds how
+#: many writers can park at once, and with it how many a group-commit
+#: leader's fsync can cover.
+ENGINE_THREADS = 16
+
+
+async def in_thread(fn, *args, executor=None):
+    """Run a call that may wait off the event loop's thread: on
+    ``executor``, else on the loop's default one (what code with no
+    server of its own — a chaos runner, a WAL shipper — uses)."""
+    return await asyncio.get_running_loop().run_in_executor(
+        executor, fn, *args
+    )
+
 
 @dataclass
 class ServerMetrics:
@@ -95,10 +111,7 @@ class FramedServer:
         host: str = "127.0.0.1",
         port: int = 0,
         metrics_port: int | None = None,
-        engine_threads: int = 16,
     ) -> None:
-        if engine_threads < 1:
-            raise ConfigurationError("engine_threads must be at least 1")
         self._host = host
         self._port = port
         self._server: asyncio.AbstractServer | None = None
@@ -109,13 +122,8 @@ class FramedServer:
         self._exposition: PrometheusEndpoint | None = None
         self._tickers: list[tuple[object, float]] = []
         self._ticker_tasks: list[asyncio.Task] = []
-        # Only calls that wait come here (stall-gate and flush-stall
-        # parks, fsyncs, unbounded scans, maintenance pumps), so the pool
-        # is sized past the CPU count: it bounds how many writers can
-        # park at once, and with it how many a group-commit leader's
-        # fsync can cover. Threads start on first use; a server whose
-        # calls never wait never starts one.
-        self._engine_threads = engine_threads
+        # Threads start on first use; a server whose calls never wait
+        # never starts one.
         self._executor: ThreadPoolExecutor | None = None
 
     # -- lifecycle -------------------------------------------------------
@@ -138,9 +146,7 @@ class FramedServer:
         """Run a call that may wait on the server's own worker pool."""
         if self._executor is None:
             raise ConfigurationError("server is not started")
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
-        )
+        return await in_thread(fn, *args, executor=self._executor)
 
     async def _run_ticker(self, fn, interval: float) -> None:
         while True:
@@ -157,7 +163,7 @@ class FramedServer:
         if self._server is not None:
             raise ConfigurationError("server already started")
         self._executor = ThreadPoolExecutor(
-            max_workers=self._engine_threads,
+            max_workers=ENGINE_THREADS,
             thread_name_prefix="kv-engine",
         )
         self._server = await asyncio.start_server(
@@ -292,7 +298,11 @@ class FramedServer:
         verb = "?"
         try:
             verb = protocol.request_verb(message)
-            handler = getattr(self, f"_op_{verb.lower()}")
+            handler = getattr(self, f"_op_{verb.lower()}", None)
+            if handler is None:
+                # A verb of the protocol that this front-end does not
+                # serve (REPLICATE to a router or an unreplicated server).
+                raise ProtocolError(f"{verb} is not served here")
             response = await handler(message)
         except ProtocolError as error:
             self.metrics.protocol_errors += 1
@@ -360,6 +370,25 @@ class FramedServer:
 
     async def _op_ping(self, message: dict) -> dict:
         return protocol.ok_response(pong=True)
+
+    def _mirror_metrics(self, tier: str, title: str) -> None:
+        """Mirror the scalar fields of ``self.metrics`` into the registry
+        as ``<tier>_<field>`` series (maps are the subclass's to label)."""
+        registry = self.obs.registry
+        for name, value in self.metrics.snapshot().items():
+            if isinstance(value, dict):
+                continue
+            if name == "connections_open":
+                registry.gauge(
+                    f"{tier}_connections_open",
+                    help="Currently open client connections.",
+                ).set(value)
+                continue
+            series = name if name.endswith("_total") else f"{name}_total"
+            registry.counter(
+                f"{tier}_{series}",
+                help=f"{title} cumulative {name.replace('_', ' ')}.",
+            ).set_total(value)
 
     # -- observability verbs (shared by server and cluster router) -------
 
@@ -452,6 +481,23 @@ class KVServer(FramedServer):
         # Mode ``none`` admits whatever the engine reports, so it is given
         # no snapshot: one takes the store lock, on this thread.
         reads_stats = self._admission.mode != "none"
+
+        def rejected(reason: str, message: str, retry_after: float) -> dict:
+            self.metrics.writes_rejected += 1
+            self.obs.tracer.emit(
+                obs_events.ADMISSION,
+                action="reject",
+                reason=reason,
+                nbytes=nbytes,
+            )
+            response = protocol.error_response(
+                protocol.CODE_STALLED, message, retry_after=retry_after
+            )
+            response["breakdown"] = {
+                "admission": admission_wait, "engine": 0.0, "io": 0.0,
+            }
+            return response
+
         while True:
             decision = self._admission.decide(
                 self._store.stats() if reads_stats else None, nbytes
@@ -462,22 +508,11 @@ class KVServer(FramedServer):
                 # write is bounced, so the stall would never clear.
                 if self._pump_maintenance:
                     await self._in_thread(self._store.advance_maintenance)
-                self.metrics.writes_rejected += 1
-                self.obs.tracer.emit(
-                    obs_events.ADMISSION,
-                    action="reject",
-                    reason=decision.reason or "admission",
-                    nbytes=nbytes,
-                )
-                response = protocol.error_response(
-                    protocol.CODE_STALLED,
+                return rejected(
+                    decision.reason or "admission",
                     decision.reason or "write rejected by admission",
-                    retry_after=decision.retry_after,
+                    decision.retry_after,
                 )
-                response["breakdown"] = {
-                    "admission": admission_wait, "engine": 0.0, "io": 0.0,
-                }
-                return response
             if decision.delay_seconds > 0.0:
                 self.metrics.writes_delayed += 1
                 self.metrics.delay_seconds_total += decision.delay_seconds
@@ -521,22 +556,11 @@ class KVServer(FramedServer):
                     admission_wait += pause
                     await asyncio.sleep(pause)
                     continue  # slow down, don't stop
-                self.metrics.writes_rejected += 1
-                self.obs.tracer.emit(
-                    obs_events.ADMISSION,
-                    action="reject",
-                    reason="engine stall",
-                    nbytes=nbytes,
-                )
-                response = protocol.error_response(
-                    protocol.CODE_STALLED,
+                return rejected(
+                    "engine stall",
                     str(error),
-                    retry_after=self._admission.stall_pause or 0.05,
+                    self._admission.stall_pause or 0.05,
                 )
-                response["breakdown"] = {
-                    "admission": admission_wait, "engine": 0.0, "io": 0.0,
-                }
-                return response
             self.metrics.writes_admitted += 1
             return protocol.ok_response(
                 breakdown={
@@ -611,26 +635,6 @@ class KVServer(FramedServer):
             breakdown={"engine": engine_seconds},
         )
 
-    # -- replication verbs (overridden by ReplicatedKVServer) ------------
-
-    async def _op_replicate(self, message: dict) -> dict:
-        return protocol.error_response(
-            protocol.CODE_BAD_REQUEST,
-            "replication is not enabled on this server",
-        )
-
-    async def _op_promote(self, message: dict) -> dict:
-        return protocol.error_response(
-            protocol.CODE_BAD_REQUEST,
-            "replication is not enabled on this server",
-        )
-
-    async def _op_fetch_range(self, message: dict) -> dict:
-        return protocol.error_response(
-            protocol.CODE_BAD_REQUEST,
-            "replication is not enabled on this server",
-        )
-
     # -- observability ----------------------------------------------------
 
     def _sync_registry(self) -> dict:
@@ -642,24 +646,8 @@ class KVServer(FramedServer):
         sees engine and server series side by side.
         """
         self._store.refresh_gauges()
-        registry = self.obs.registry
-        for name, value in self.metrics.snapshot().items():
-            if name == "connections_open":
-                registry.gauge(
-                    "server_connections_open",
-                    help="Currently open client connections.",
-                ).set(value)
-                continue
-            suffix = (
-                "_seconds_total" if name.endswith("_seconds_total") else
-                "_total"
-            )
-            base = name.removesuffix("_seconds_total").removesuffix("_total")
-            registry.counter(
-                f"server_{base}{suffix}",
-                help=f"Serving-layer cumulative {name.replace('_', ' ')}.",
-            ).set_total(value)
-        return registry.snapshot()
+        self._mirror_metrics("server", "Serving-layer")
+        return self.obs.registry.snapshot()
 
     async def metrics_snapshot(self) -> dict:
         """Structured metrics for METRICS and the scrape endpoint."""

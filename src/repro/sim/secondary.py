@@ -56,6 +56,11 @@ from .lsm import SimulatedLSMTree
 from .queries import QueryDevice, pages_per_query, QueryWorkload
 from .result import SimResult
 
+#: The lookup-capacity modulation of :class:`EagerLookupControl`: up to
+#: a quarter of the capacity, on a ten-minute cycle.
+_SWING_AMPLITUDE = 0.25
+_SWING_PERIOD = 600.0
+
 
 @dataclass(frozen=True)
 class SecondarySetup:
@@ -115,21 +120,13 @@ class EagerLookupControl(WriteControl):
         config: SimConfig,
         device: QueryDevice,
         threads: int = 8,
-        variance_amplitude: float = 0.25,
-        variance_period: float = 600.0,
     ) -> None:
         if threads < 1:
             raise ConfigurationError("need at least one lookup thread")
-        if not 0.0 <= variance_amplitude < 1.0:
-            raise ConfigurationError("variance amplitude must be in [0, 1)")
-        if variance_period <= 0:
-            raise ConfigurationError("variance period must be positive")
         self._config = config
         self._device = device
         self._threads = threads
         self._workload = QueryWorkload.point_lookup(threads)
-        self._amplitude = variance_amplitude
-        self._period = variance_period
 
     def admission_rate(
         self,
@@ -155,10 +152,10 @@ class EagerLookupControl(WriteControl):
         # otherwise average this away, so it is reproduced as a
         # deterministic slow modulation of the lookup capacity — variance
         # with a reproducible phase rather than a random seed.
-        swing = 0.5 * (1.0 + math.sin(2.0 * math.pi * now / self._period))
+        swing = 0.5 * (1.0 + math.sin(2.0 * math.pi * now / _SWING_PERIOD))
         service = self._device.op_latency_s + pages / self._device.read_pages_per_s
         rate = min(capacity / pages, self._threads / service)
-        return rate * (1.0 - self._amplitude * swing)
+        return rate * (1.0 - _SWING_AMPLITUDE * swing)
 
 
 @dataclass

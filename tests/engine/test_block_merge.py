@@ -28,12 +28,16 @@ from repro.engine.iterators import reconciling_iterator
 from repro.engine.ratelimiter import RateLimiter
 from repro.errors import CorruptionError
 
+from .legacy_runs import write_v1_run
+
 
 def key(index):
     return b"k%06d" % index
 
 
-def write_run(path, entries, **writer_options):
+def write_run(path, entries, legacy=False, **writer_options):
+    if legacy:  # a version-1 file: raw blocks, no codec
+        return write_v1_run(path, entries, **writer_options)
     writer = SSTableWriter(str(path), **writer_options)
     writer.add_many(entries)
     return writer.finish()
@@ -170,7 +174,7 @@ class TestPassThrough:
         assert read_back(stats.path) == reference([old, new], True)
 
     def test_version_1_blocks_are_never_copied(self, tmp_path):
-        paths = disjoint_runs(tmp_path, format_version=1)
+        paths = disjoint_runs(tmp_path, legacy=True)
         job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
         stats = run_job(job)
         assert job.blocks_copied == 0 and job.blocks_rewritten == 9
@@ -593,11 +597,15 @@ def _run_spec(draw, block_bytes, block_codec):
             "block_codec": block_codec,
             "block_bytes": block_bytes,
         }
-    legacy = written == "legacy"
+    if written == "legacy":
+        return {
+            "entries": contents,
+            "legacy": True,
+            "block_bytes": draw(st.sampled_from([128, 256])),
+        }
     return {
         "entries": contents,
-        "format_version": 1 if legacy else 2,
-        "block_codec": "none" if legacy else draw(st.sampled_from(["none", "zlib"])),
+        "block_codec": draw(st.sampled_from(["none", "zlib"])),
         "block_bytes": draw(st.sampled_from([128, 256])),
     }
 

@@ -17,11 +17,12 @@ from repro.engine import (
     LSMStore,
     Manifest,
     SSTableReader,
-    SSTableWriter,
     StoreOptions,
     verify_store,
 )
 from repro.errors import DataCorruptError
+
+from .legacy_runs import write_v1_run
 
 
 def _install_legacy_run(directory, entries):
@@ -32,14 +33,9 @@ def _install_legacy_run(directory, entries):
     try:
         run_id = manifest.allocate_run_id()
         filename = f"{run_id:08d}.run"
-        writer = SSTableWriter(
-            os.path.join(directory, filename),
-            block_bytes=512,
-            format_version=1,
+        write_v1_run(
+            os.path.join(directory, filename), entries, block_bytes=512
         )
-        for key, value in entries:
-            writer.add(key, value)
-        writer.finish()
         manifest.add_run(run_id, 0, filename)
         return run_id
     finally:

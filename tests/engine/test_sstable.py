@@ -11,6 +11,8 @@ from repro.engine import RateLimiter, SSTableReader, SSTableWriter, SyncPolicy, 
 from repro.engine.sstable import _decode_block, _walk_block
 from repro.errors import ConfigurationError, CorruptionError
 
+from .legacy_runs import write_v1_run
+
 _LEN = struct.Struct("<I")
 
 
@@ -400,28 +402,15 @@ class TestBlockFormat:
 
     def test_v1_writer_roundtrips_as_version_absent(self, tmp_path):
         entries = [(f"k{i:04d}".encode(), b"value") for i in range(100)]
-        stats = write_run(
-            tmp_path / "v1.run", entries, format_version=1
+        reader = SSTableReader(
+            write_v1_run(tmp_path / "v1.run", entries, block_bytes=512)
         )
-        assert stats.logical_bytes == stats.data_bytes
-        reader = SSTableReader(stats.path)
         assert reader.format_version == 1
         assert reader.codec == "none"
         assert reader.filter_kind == "bloom"
         assert reader.logical_bytes == reader.data_bytes
         assert list(reader.items()) == entries
         reader.close()
-
-    def test_v1_writer_rejects_new_format_features(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            SSTableWriter(
-                str(tmp_path / "bad.run"), format_version=1,
-                block_codec="zlib",
-            )
-
-    def test_unknown_format_version_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            SSTableWriter(str(tmp_path / "bad3.run"), format_version=3)
 
     def test_unknown_codec_name_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

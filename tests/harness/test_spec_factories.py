@@ -50,8 +50,9 @@ class TestMakeScheduler:
         assert isinstance(scheduler, SpringGearScheduler)
 
     def test_unknown_rejected(self, policy, config):
-        with pytest.raises(ConfigurationError):
-            make_scheduler("lottery", policy, config)
+        for name in ("lottery", "greedy-", "greedy-x", "greedy-0"):
+            with pytest.raises(ConfigurationError):
+                make_scheduler(name, policy, config)
 
 
 class TestMakeConstraint:

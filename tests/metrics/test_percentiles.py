@@ -1,11 +1,11 @@
-"""Tests for exact and reservoir percentile computation."""
+"""Tests for exact percentile computation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.metrics import LatencyReservoir, percentile, percentile_profile
+from repro.metrics import percentile, percentile_profile
 
 
 class TestPercentile:
@@ -68,52 +68,6 @@ class TestPercentileProfile:
         levels = sorted(profile)
         values = [profile[level] for level in levels]
         assert values == sorted(values)
-
-
-class TestLatencyReservoir:
-    def test_unbounded_mode_keeps_everything(self):
-        reservoir = LatencyReservoir()
-        reservoir.extend(range(100))
-        assert reservoir.count == 100
-        assert len(reservoir.samples()) == 100
-
-    def test_capacity_bounds_retention(self):
-        reservoir = LatencyReservoir(capacity=10)
-        reservoir.extend(range(1000))
-        assert reservoir.count == 1000
-        assert len(reservoir.samples()) == 10
-
-    def test_sampling_is_seed_deterministic(self):
-        first = LatencyReservoir(capacity=5, rng=np.random.default_rng(7))
-        second = LatencyReservoir(capacity=5, rng=np.random.default_rng(7))
-        for value in range(50):
-            first.add(value)
-            second.add(value)
-        assert list(first.samples()) == list(second.samples())
-
-    def test_mean_and_maximum(self):
-        reservoir = LatencyReservoir()
-        reservoir.extend([1.0, 2.0, 3.0])
-        assert reservoir.mean() == pytest.approx(2.0)
-        assert reservoir.maximum() == 3.0
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LatencyReservoir(capacity=0)
-
-    def test_empty_statistics_raise(self):
-        reservoir = LatencyReservoir()
-        with pytest.raises(ConfigurationError):
-            reservoir.mean()
-        with pytest.raises(ConfigurationError):
-            reservoir.percentile(50.0)
-
-    @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=500))
-    def test_reservoir_samples_are_subset_of_input(self, values):
-        reservoir = LatencyReservoir(capacity=16)
-        reservoir.extend(values)
-        retained = set(reservoir.samples().tolist())
-        assert retained <= set(float(v) for v in values)
 
 
 class TestWeightedPercentileProfile:

@@ -9,10 +9,12 @@ not one acked write is lost.
 """
 
 import asyncio
+import hashlib
 
 from repro.errors import ConfigurationError
-from repro.faults import run_chaos
+from repro.faults import run_chaos, run_corruption_chaos
 from repro.faults.chaos import ChaosReport
+from repro.server.client import KVClient
 
 import pytest
 
@@ -129,3 +131,63 @@ def test_chaos_run_with_maintenance_workers(tmp_path):
     assert report.final_health == {
         "0": "closed", "1": "closed", "2": "closed",
     }
+
+
+def test_a_keyspace_with_no_key_on_the_killed_shard_is_rejected(tmp_path):
+    # key-000000 routes to one shard of three; killing another leaves
+    # the post-load phase nothing to probe its recovery with.
+    from repro.cluster.ring import HashRing
+
+    only = HashRing(3).shard_for(b"key-000000")
+    with pytest.raises(ConfigurationError, match="no key"):
+        asyncio.run(
+            run_chaos(str(tmp_path), kill_shard=(only + 1) % 3, keyspace=1)
+        )
+    assert not list(tmp_path.iterdir())  # refused before anything booted
+
+
+#: The first 32 puts of seed 0, as issued before the runners shared
+#: their load driver: the key numbers, and the SHA-256 of the 32 values
+#: back to back. The corruption runner draws its audit reads from the
+#: same ``rng``, so its stream parts ways with the kill runner's.
+SEED_0 = {
+    run_chaos: (
+        [197, 104, 149, 120, 112, 36, 241, 98, 25, 140, 4, 36, 43, 103,
+         112, 235, 196, 10, 233, 228, 3, 80, 181, 215, 254, 127, 242, 59,
+         178, 27, 173, 22],
+        "69c7c1014d929829a10cc68ef29d930dd91f6209a97be0b4bad6728bae9028b7",
+    ),
+    run_corruption_chaos: (
+        [197, 104, 63, 214, 37, 31, 128, 193, 161, 21, 76, 218, 133, 249,
+         153, 134, 77, 233, 220, 119, 161, 29, 72, 20, 107, 30, 235, 17,
+         1, 177, 78, 50],
+        "c583b5e88a8311bb06b375e846961621bbf0f511f5e21eb9bbca3569e8653d8b",
+    ),
+}
+
+
+@pytest.mark.parametrize("runner", list(SEED_0), ids=lambda fn: fn.__name__)
+def test_a_seed_replays_the_same_ops(tmp_path, monkeypatch, runner):
+    issued = []
+    put = KVClient.put
+
+    class Enough(Exception):
+        pass
+
+    async def recording(self, key, value):
+        if len(issued) == 32:
+            raise Enough  # both schedules fire their fault later
+        issued.append((key, value))
+        return await put(self, key, value)
+
+    monkeypatch.setattr(KVClient, "put", recording)
+    with pytest.raises(Enough):
+        asyncio.run(runner(str(tmp_path), seed=0, op_interval=0.0))
+    keys, digest = SEED_0[runner]
+    assert [key for key, _ in issued] == [b"key-%06d" % n for n in keys]
+    values = b"".join(value for _, value in issued)
+    assert hashlib.sha256(values).hexdigest() == digest
+    assert all(
+        value.startswith(b"%08d" % index) and len(value) == 32
+        for index, (_, value) in enumerate(issued)
+    )

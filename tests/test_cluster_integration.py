@@ -19,7 +19,8 @@ import pytest
 
 from repro.cluster import LocalCluster, build_cluster_admission
 from repro.engine import LSMStore, StoreOptions
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RequestFailedError
+from repro.server import KVServer, protocol
 from repro.server.client import KVClient
 from repro.server.loadgen import _operation_stream, closed_loop
 
@@ -86,6 +87,45 @@ def test_all_verbs_round_trip_through_the_router(tmp_path):
                 assert stats["admission_mode"] == "local:none"
                 assert stats["cluster"]["cluster"]["num_shards"] == SHARDS
                 assert stats["router"]["writes_admitted"] >= 4
+
+    asyncio.run(scenario())
+
+
+UNSERVED = [
+    protocol.replicate_request(1, 7, 0, b""),
+    protocol.promote_request(1),
+    protocol.fetch_range_request(1, b"a", b"z"),
+]
+
+
+@pytest.mark.parametrize("front_end", ["router", "server"])
+def test_a_verb_the_front_end_does_not_serve_is_a_bad_request(
+    tmp_path, front_end
+):
+    """REPLICATE / PROMOTE / FETCH_RANGE are verbs of the protocol that
+    only a replicated server handles: a router or a plain server says
+    so by name (not ``INTERNAL: AttributeError``) and keeps serving."""
+
+    async def refused(address, metrics):
+        async with KVClient(*address, max_retries=0) as client:
+            for message in UNSERVED:
+                with pytest.raises(RequestFailedError) as excinfo:
+                    await client.request(message)
+                assert excinfo.value.code == protocol.CODE_BAD_REQUEST
+                assert message["op"] in str(excinfo.value)
+            assert await client.ping()
+        assert metrics.protocol_errors == len(UNSERVED)
+
+    async def scenario():
+        if front_end == "router":
+            async with LocalCluster(
+                str(tmp_path), 2, FUNCTIONAL_OPTIONS
+            ) as cluster:
+                await refused(cluster.address, cluster.router.metrics)
+        else:
+            with LSMStore.open(str(tmp_path), FUNCTIONAL_OPTIONS) as store:
+                async with KVServer(store) as server:
+                    await refused(server.address, server.metrics)
 
     asyncio.run(scenario())
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import sys
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 from functools import partial
@@ -672,6 +673,47 @@ class TestWaitFalse:
         assert run(tmp_path / "nowait", False) == run(tmp_path / "wait", True)
 
 
+def test_each_stalled_writer_is_billed_its_own_wait(tmp_path):
+    """Two writers parked at one closed gate, the second 0.3 s after the
+    first: the wait drops the store lock, so a ``stall_seconds`` read
+    off the store-wide total would bill one of them the other's too."""
+    stagger = 0.3
+    with open_store(tmp_path, WORKERS) as store:
+        release = hold(store, store._compaction, "claim_merge")
+        trip_the_constraint(store)
+        before = store.stats().stall_seconds_total
+        timings: dict[bytes, object] = {}
+
+        def parked_writer(key: bytes) -> threading.Thread:
+            parked = watch_for(store, obs_events.STALL_ENTER)
+            thread = threading.Thread(
+                target=lambda: timings.update(
+                    {key: store.timed_put(key, b"v")}
+                )
+            )
+            thread.start()
+            assert parked.wait(PATIENCE)
+            return thread
+
+        early = parked_writer(b"early")
+        time.sleep(stagger)
+        late = parked_writer(b"late")
+        time.sleep(stagger / 3)
+        release()
+        for thread in (early, late):
+            thread.join(PATIENCE)
+            assert not thread.is_alive()
+        waits = {key: t.stall_seconds for key, t in timings.items()}
+        assert waits[b"late"] >= stagger / 3
+        # Both leave when the gate opens; the early one came earlier.
+        assert waits[b"early"] - waits[b"late"] == pytest.approx(
+            stagger, abs=stagger / 3
+        )
+        assert sum(waits.values()) == pytest.approx(
+            store.stats().stall_seconds_total - before
+        )
+
+
 # -- both kinds of writer at once ------------------------------------------
 
 
@@ -726,16 +768,14 @@ def test_loop_and_pool_writers_interleave_without_losing_a_write(tmp_path):
 
 
 def test_the_default_executor_is_gone_from_the_serving_tiers():
-    """One pool: the server's own, sized and shut down by it."""
+    """A server's waits run on its own pool, sized and shut down by it;
+    code with no server of its own (a chaos runner, a WAL shipper) uses
+    the loop's default executor — either way through
+    ``repro.server.service.in_thread``, never ``asyncio.to_thread``."""
     package = Path(repro.__file__).parent
-    sources = [
-        *sorted((package / "server").glob("*.py")),
-        package / "replication" / "server.py",
-        package / "cluster" / "router.py",
-    ]
     offenders = [
         str(path.relative_to(package))
-        for path in sources
+        for path in sorted(package.rglob("*.py"))
         if "asyncio.to_thread" in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
