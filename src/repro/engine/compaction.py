@@ -5,22 +5,22 @@ This module is where the shared abstractions pay off: the *same*
 :class:`~repro.core.schedulers.base.MergeScheduler` objects that drive the
 simulator decide which runs to merge and which merge makes progress next.
 
-Merges execute in *chunks*: :meth:`CompactionManager.step` asks the
-scheduler for the current bandwidth allocation and advances the in-flight
-merge with the largest share by one chunk of input bytes. A
-single-threaded scheduler therefore runs one merge to completion; the
-fair scheduler round-robins chunks across merges; the greedy scheduler
-always advances the merge with the fewest remaining input bytes —
-cooperative multitasking that realizes each paper scheduler's discipline
-deterministically, with the shared rate limiter throttling actual file
-writes underneath.
+Merges execute in *chunks*: :meth:`CompactionManager.claim_merge` asks
+the scheduler for the current bandwidth allocation and hands the merge
+with the largest share to the maintenance executor, which advances it
+by one chunk of input bytes. A single-threaded scheduler therefore runs
+one merge to completion; the fair scheduler round-robins chunks across
+merges; the greedy scheduler always advances the merge with the fewest
+remaining input bytes — cooperative multitasking that realizes each
+paper scheduler's discipline deterministically, with the shared rate
+limiter throttling actual file writes underneath.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from ..core import model
 from ..core.components import Component, MergeDescriptor, TreeSnapshot, UidAllocator
@@ -35,10 +35,10 @@ from ..core.schedulers import (
     MergeScheduler,
     scheduler_by_name,
 )
-from ..errors import ConfigurationError, CorruptionError
+from ..errors import CorruptionError
 from ..obs import events as obs_events
 from .blockcache import BlockCache
-from .iterators import pick_head
+from .iterators import pick_head, read_twice
 from .manifest import Manifest, RunRecord
 from .options import StoreOptions
 from .quarantine import QuarantineEntry, QuarantineSet
@@ -105,11 +105,12 @@ def _open_writer(
 class _BlockCursor:
     """One merge input: the run's current decoded block and a position
     in it. ``key`` is the head — the next key this input offers — and
-    None once the run is exhausted."""
+    None once the run is exhausted. Reads are :func:`read_twice`'s."""
 
-    __slots__ = ("reader", "next_block", "block", "pos", "key")
+    __slots__ = ("run_id", "reader", "next_block", "block", "pos", "key")
 
-    def __init__(self, reader: SSTableReader) -> None:
+    def __init__(self, run_id: int, reader: SSTableReader) -> None:
+        self.run_id = run_id
         self.reader = reader
         self.next_block = 0
         self.block: DataBlock | None = None
@@ -120,7 +121,9 @@ class _BlockCursor:
         """Step to the run's next block (or to exhaustion); ``block``
         is that block when the caller has read it already."""
         if self.next_block < self.reader.block_count:
-            self.block = block or self.reader.read_data_block(self.next_block)
+            self.block = block or read_twice(
+                self.run_id, self.reader.read_data_block, self.next_block
+            )
             self.next_block += 1
             self.pos = 0
             self.key = self.block.keys[0]
@@ -153,10 +156,10 @@ class MergeJob:
     dedicated ones rather than sharing the store's query readers,
     because :meth:`advance` may run on a maintenance worker outside the
     store lock while foreground reads use the shared readers' file
-    handles. ``claimed`` is the executor's co-advance guard: a worker
-    (or the inline pump) may only call :meth:`advance` after claiming
-    the job under the store lock, so two threads can never interleave
-    chunks of one merge.
+    handles. ``claimed`` is the executor's co-advance guard:
+    :meth:`advance` is called only by ``MaintenanceExecutor._run``, on a
+    job claimed under the store lock, so two threads can never
+    interleave chunks of one merge.
     """
 
     def __init__(
@@ -178,7 +181,8 @@ class MergeJob:
             rate_limiter,
             sum(r.entry_count for r in readers),
         )
-        self._output_path = output_path
+        #: Path of the run being produced.
+        self.output_path = output_path
         #: Inputs not yet exhausted, newest first so that position
         #: breaks ties. Opened by the first advance(): the constructor
         #: runs under the store lock and must not read blocks.
@@ -186,7 +190,7 @@ class MergeJob:
         # Progress is tracked against *logical* input bytes because a
         # cursor sees decoded blocks; for uncompressed (and all
         # version-1) runs this equals data_bytes, CRC trailers aside.
-        self._total_input = sum(r.logical_bytes for r in readers)
+        self.total_input_bytes = sum(r.logical_bytes for r in readers)
         self._consumed = 0
         #: Input blocks by how they reached the output (or were shadowed
         #: away): appended verbatim vs. decoded and re-packed.
@@ -228,7 +232,9 @@ class MergeJob:
         keep_tombstones = not self._drop_tombstones
         stopper = None
         while first < stop and self._consumed < target and stopper is None:
-            span, stopper = reader.read_span(
+            span, stopper = read_twice(
+                cursor.run_id,
+                reader.read_span,
                 first,
                 stop,
                 target - self._consumed,
@@ -304,7 +310,10 @@ class MergeJob:
         if self.finished:
             return True
         if self._cursors is None:
-            cursors = [_BlockCursor(r) for r in reversed(self._readers)]
+            cursors = [
+                _BlockCursor(c.uid, r)
+                for c, r in zip(self.descriptor.inputs, self._readers)
+            ][::-1]
             for cursor in cursors:
                 cursor.load()
             self._cursors = [c for c in cursors if c.key is not None]
@@ -316,7 +325,7 @@ class MergeJob:
             self.stats = self._writer.finish()
             self.finished = True
         self.descriptor.remaining_input_bytes = max(
-            0.0, self._total_input - self._consumed
+            0.0, self.total_input_bytes - self._consumed
         )
         return self.finished
 
@@ -330,16 +339,6 @@ class MergeJob:
         """Close the job's dedicated input readers."""
         for reader in self._readers:
             reader.close()
-
-    @property
-    def output_path(self) -> str:
-        """Path of the run being produced."""
-        return self._output_path
-
-    @property
-    def total_input_bytes(self) -> int:
-        """Total merge input this job will consume."""
-        return self._total_input
 
 
 class _RunSetView(NamedTuple):
@@ -621,8 +620,7 @@ class CompactionManager:
             if not job.claimed and any(
                 c.uid == run_id for c in job.descriptor.inputs
             ):
-                self._jobs.pop(job.descriptor.uid, None)
-                job.abandon()
+                self.fail_merge(job)
         return entry
 
     @property
@@ -699,13 +697,10 @@ class CompactionManager:
     # -- flush -----------------------------------------------------------
 
     def begin_flush(self, entry_hint: int) -> tuple[int, SSTableWriter]:
-        """Allocate a run id and open its writer (call under the store lock).
-
-        First half of the claim/publish protocol: the returned writer's
-        I/O runs off-lock on a maintenance worker, which feeds it the
-        sealed memtable and hands the finished stats to
-        :meth:`publish_flush` back under the lock.
-        """
+        """Allocate a run id and open its writer (under the store lock):
+        the claim half of a flush. The claimant feeds the writer the
+        sealed memtable off-lock and hands the finished stats to
+        :meth:`publish_flush`, under the lock again."""
         run_id, writer = self._begin_run(entry_hint)
         if self._obs is not None:
             self._obs.tracer.emit(
@@ -726,14 +721,6 @@ class CompactionManager:
                 entries=stats.entry_count,
             )
         self._apply_edit([], [(run_id, 0, os.path.basename(stats.path))])
-
-    def register_flush(
-        self, items: Iterator[tuple[bytes, bytes | None]], entry_hint: int
-    ) -> None:
-        """Write a sealed memtable out as a new level-0 run (inline)."""
-        run_id, writer = self.begin_flush(entry_hint)
-        writer.add_many(items)
-        self.publish_flush(run_id, writer.finish())
 
     # -- merging ---------------------------------------------------------
 
@@ -881,11 +868,8 @@ class CompactionManager:
         return job
 
     def release_merge(self, job: MergeJob, finished: bool) -> None:
-        """Publish a finished chunk's outcome (under lock).
-
-        Unclaims the job; a finished merge is installed in the manifest
-        and its inputs retired.
-        """
+        """Publish a chunk's outcome (under lock): unclaim the job; a
+        finished merge is installed in the manifest, its inputs retired."""
         job.claimed = False
         if finished:
             self._finish_job(job)
@@ -919,7 +903,9 @@ class CompactionManager:
             return None
         return self._begin_run(int(component.entry_count) or 1024)
 
-    def publish_repair(self, run_id: int, new_run_id: int, stats) -> bool:
+    def publish_repair(
+        self, run_id: int, new_run_id: int, stats
+    ) -> QuarantineEntry | None:
         """Swap a rebuilt run in for a quarantined one (under the lock).
 
         The replacement keeps the old run's level and — critically — its
@@ -927,17 +913,21 @@ class CompactionManager:
         exactly the shadowing position the corrupt run held, so values
         flushed or merged while the repair ran keep winning. An empty
         rebuild (the replica held nothing in the run's bounds) simply
-        retires the run. Lifts the quarantine on success.
+        retires the run. Returns the quarantine entry it lifted — None,
+        the rebuilt file deleted, if the run is gone or not quarantined.
         """
         component = self._components.get(run_id)
-        if component is None or run_id not in self._quarantine:
-            return False
+        entry = self._quarantine.get(run_id)
+        if component is None or entry is None:
+            if os.path.exists(stats.path):
+                os.remove(stats.path)
+            return None
         self._apply_edit(
             [run_id],
             self._written(new_run_id, component.level, stats),
             sequence=component.handle.sequence,
         )
-        return True
+        return entry
 
     def drop_run(self, run_id: int) -> bool:
         """Retire a quarantined run with no replacement (under the lock).
@@ -951,34 +941,6 @@ class CompactionManager:
             return False
         self._apply_edit([run_id], [])
         return True
-
-    def step(self) -> bool:
-        """Advance one scheduler-chosen merge by one chunk.
-
-        Returns True if any progress was made (False = idle). This is
-        the inline pump: claim, advance, release — the same protocol the
-        maintenance workers follow, minus the lock juggling.
-        """
-        job = self.claim_merge()
-        if job is None:
-            return False
-        finished = job.advance(self.chunk_bytes)
-        self.release_merge(job, finished)
-        return True
-
-    def drain(self, max_steps: int = 1_000_000) -> int:
-        """Run merges until none remain; returns steps taken."""
-        steps = 0
-        self._schedule_merges()
-        while self.has_work():
-            if not self.step():
-                break
-            steps += 1
-            if steps >= max_steps:
-                raise ConfigurationError(
-                    "compaction did not converge within the step budget"
-                )
-        return steps
 
     def close(self) -> None:
         """Abandon in-flight merges and close every reader."""

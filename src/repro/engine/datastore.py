@@ -23,8 +23,9 @@ The store itself keeps the options, the lock, the memtables, the stall
 gate, reads, quarantine and repair, stats and the lifecycle. Two parts
 own the rest behind the same lock: :class:`~.commitlog.CommitLog` (the
 log file, LSNs, group commit) and
-:class:`~.maintenance.MaintenanceExecutor` (flush, merge and scrub
-tasks; workers or the calling thread) — ``docs/engine-concurrency.md``.
+:class:`~.maintenance.MaintenanceExecutor` (flush, merge, scrub and
+repair tasks; workers or the calling thread) —
+``docs/engine-concurrency.md``.
 """
 
 from __future__ import annotations
@@ -219,12 +220,8 @@ class LSMStore:
                 help="Runs quarantined after persistent corruption, "
                 "by detection source.",
             )
-            for source in ("read", "scrub")
+            for source in ("read", "scrub", "merge")
         }
-        self._m_repairs = self._obs.registry.counter(
-            "engine_runs_repaired_total",
-            help="Quarantined runs rebuilt from replica data.",
-        )
         self._active = MemTable()
         self._sealed: list[MemTable] = []
         # Live memory knobs: the arbiter retargets these at runtime via
@@ -301,12 +298,12 @@ class LSMStore:
         with self._lock:
             if len(self._active) > 0:
                 self._seal_active()
-            self._maintenance.flush_all()
+            self._maintenance.quiesce_memtables()
             # The last flush's own checkpoint may have been vetoed or
             # skipped; without this one the next open replays — and
             # later flushes again — data that is already in runs.
             self._checkpoint_log()
-            self._compaction.drain()
+            self._maintenance.run_to_idle()
             self._manifest.compact(self._log.closing_record())
             self._compaction.close()
             self._log.close()
@@ -786,7 +783,7 @@ class LSMStore:
         merge retired the run."""
         if previous is None:
             return failure
-        self._quarantine_locked(failure.run_id, str(failure.error), "read")
+        self._quarantine_locked(failure.run_id, str(failure), "read")
         return None
 
     def get(self, key: bytes) -> bytes | None:
@@ -984,25 +981,19 @@ class LSMStore:
         every key inside the bounds that other local sources still hold
         but the replica does not**: the corrupt run may have been the
         only thing shadowing an older value beneath it, and without the
-        pinned tombstone the swap would resurrect that value. The
-        replacement is written off-lock (it is ordinary maintenance
-        I/O, debited against the shared rate limiter) and swapped in at
-        the old run's level and sequence, lifting the quarantine.
-        Returns False when the run is no longer live, not quarantined,
-        or still feeding an in-flight merge.
+        pinned tombstone the swap would resurrect that value. Writing
+        and swapping it in is a maintenance task like any other
+        (:meth:`MaintenanceExecutor.repair`): off-lock, debited against
+        the shared rate limiter, installed at the old run's level and
+        sequence, lifting the quarantine. Returns False when the run is
+        no longer live, not quarantined, or still feeding an in-flight
+        merge.
         """
         with self._lock:
             self._check_open()
             entry = self._compaction.quarantine.get(run_id)
-            begin = (
-                self._compaction.begin_repair(run_id)
-                if entry is not None
-                else None
-            )
-            if begin is None:
+            if entry is None:
                 return False
-            new_run_id, writer = begin
-            lo = entry.min_key
             hi = entry.max_key + b"\x00"  # half-open cover of [min, max]
             fetched = {
                 key: value for key, value in items if entry.covers(key)
@@ -1010,38 +1001,15 @@ class LSMStore:
             local_keys = {
                 key
                 for key, _value in reconciling_iterator(
-                    self._run_sources(lo, hi, skip=run_id),
+                    self._run_sources(entry.min_key, hi, skip=run_id),
                     keep_tombstones=True,
                 )
             }
             entries = [
-                (key, fetched[key] if key in fetched else TOMBSTONE)
+                (key, fetched.get(key, TOMBSTONE))
                 for key in sorted(set(fetched) | local_keys)
             ]
-        try:
-            writer.add_many(entries)
-            stats = writer.finish()
-        except Exception:
-            writer.abandon()
-            raise
-        with self._lock:
-            self._check_open()
-            if not self._compaction.publish_repair(
-                run_id, new_run_id, stats
-            ):
-                if os.path.exists(stats.path):
-                    os.remove(stats.path)
-                return False
-            self._m_repairs.inc()
-            self._obs.tracer.emit(
-                obs_events.RUN_REPAIRED,
-                run_id=run_id,
-                replacement=new_run_id,
-                entries=stats.entry_count,
-                source=entry.source,
-            )
-            self._work_available.notify_all()
-            return True
+        return self._maintenance.repair(run_id, entries)
 
     def apply_reset(self, ops: list[tuple[bytes, bytes | None]]) -> None:
         """Replace the visible state with an authoritative snapshot.

@@ -106,18 +106,32 @@ def pick_head(cursors: list, step_over: Callable[[object], None]):
     return best, bound
 
 
-class ReaderCorruption(Exception):
-    """Internal tag: which run's reader raised mid-read.
+class ReaderCorruption(CorruptionError):
+    """A checksum failure that says which run's reader raised it.
 
-    Never escapes the store — it exists so get/scan can tell *which* run
-    failed its checksum (the probe and the scan cursors know, their
-    consumers don't) before deciding to retry, quarantine, or re-serve.
+    Get and scan learn from it *which* run failed (the probe and the
+    scan cursors know, their consumers don't) before deciding to retry,
+    quarantine, or re-serve, and never let it out of the store; a merge
+    chunk's executor quarantines the input it names.
     """
 
     def __init__(self, run_id: int, error: CorruptionError) -> None:
         super().__init__(str(error))
         self.run_id = run_id
-        self.error = error
+
+
+def read_twice(run_id: int, read, *args):
+    """``read(*args)`` off run ``run_id``'s file, the way maintenance
+    reads a block: a checksum failure is believed only the second time
+    in a row (a transient read error passes the re-read; at-rest damage
+    fails again), and then names the run."""
+    try:
+        try:
+            return read(*args)
+        except CorruptionError:
+            return read(*args)
+    except CorruptionError as error:
+        raise ReaderCorruption(run_id, error) from error
 
 
 class EntryCursor:

@@ -1,10 +1,11 @@
-"""The maintenance executor: who runs flushes, merge chunks and scrub
-chunks, and on which thread.
+"""The maintenance executor: who runs flushes, merge chunks, scrub
+chunks and repair rebuilds, and on which thread.
 
 Every task is **claimed** under the store lock, **executed** (its file
-I/O) and **published** or abandoned under the lock again — by worker
-threads with ``background_maintenance``, else by the calling thread,
-lock held (it is re-entrant), wherever a write needs progress.
+I/O) and **published** or abandoned under the lock again, in ``_run``
+and nowhere else — by worker threads with ``background_maintenance``,
+else by the calling thread, lock held (it is re-entrant), wherever a
+write needs progress.
 :class:`MaintenanceExecutor` owns the workers, the single-flush claim
 and the scrubber, and is the one place that asks which mode is on. The
 store's lock and "state changed" condition, the compaction manager, the
@@ -23,6 +24,7 @@ from ..errors import ClosedError, ConfigurationError
 from ..obs import events as obs_events
 from ..scrub import Scrubber
 from .compaction import CompactionManager
+from .iterators import ReaderCorruption
 from .memtable import MemTable
 from .options import StoreOptions
 from .ratelimiter import RateLimiter
@@ -80,7 +82,12 @@ class MaintenanceExecutor:
         )
         self._m_failures = obs.registry.counter(
             "engine_maintenance_failures_total",
-            help="Maintenance tasks (flush or merge chunk) that raised.",
+            help="Maintenance tasks (flush, merge chunk, scrub chunk or "
+            "repair rebuild) that raised and were abandoned.",
+        )
+        self._m_repairs = obs.registry.counter(
+            "engine_runs_repaired_total",
+            help="Quarantined runs rebuilt from replica data.",
         )
         #: Non-empty exactly when workers drive maintenance.
         self._workers: list[threading.Thread] = []
@@ -98,9 +105,11 @@ class MaintenanceExecutor:
     def join(self) -> None:
         """Wait for the workers to exit (lock NOT held; the store has
         set its closed flag and notified). Each first publishes or
-        abandons the task it had claimed."""
+        abandons the task it had claimed; from here the caller drives
+        (``close()``'s last flushes and merges)."""
         for worker in self._workers:
             worker.join(timeout=30.0)
+        self._workers.clear()
 
     def close(self) -> None:
         """Let go of the store, last thing in its close or crash: the
@@ -130,27 +139,33 @@ class MaintenanceExecutor:
         work with no deadline, so it soaks up idle worker capacity
         without ever delaying a flush or merge claim.
         """
-        task = self._claim_flush_locked()
-        if task is not None:
-            return task
+        return (
+            self._claim_flush_locked()
+            or self._claim_merge_locked()
+            or self._claim_scrub_locked()
+        )
+
+    def _claim_merge_locked(self):
         job = self._compaction.claim_merge()
-        if job is not None:
-            return ("merge", job)
-        return self._claim_scrub_locked()
+        return None if job is None else ("merge", job)
 
     def _claim_scrub_locked(self):
         scrub = self._scrubber.claim(self._compaction.scrub_targets())
         return None if scrub is None else ("scrub", scrub)
 
-    def _run(self, task) -> None:
+    def _run(self, task) -> bool:
         """Execute one claimed task's I/O, then publish under the lock
-        (a worker comes without the lock, an inline caller holding it).
+        (a worker comes without the lock, an inline caller holding it);
+        True once published. The only caller of ``MergeJob.advance``.
 
         The claimed memtable stays in the sealed queue (read-visible)
         for the whole write and is removed only after the run is
         published, so a reader always sees the data in exactly one
         place. A task that raises is abandoned — partial output deleted,
-        claim released — and the error goes on to the caller.
+        claim released — and the error goes on to the caller. A merge
+        whose *input* fails its checksum twice is contained instead: the
+        run is quarantined (source ``merge``), nothing is raised, and
+        the write that pumped the chunk goes on.
         """
         try:
             kind = task[0]
@@ -170,6 +185,26 @@ class MaintenanceExecutor:
                 with self._lock:
                     self._compaction.release_merge(job, finished)
                     self._changed.notify_all()
+            elif kind == "repair":
+                _, run_id, new_run_id, writer, entries = task
+                writer.add_many(entries)
+                stats = writer.finish()
+                with self._lock:
+                    self._check_open("during a repair")
+                    lifted = self._compaction.publish_repair(
+                        run_id, new_run_id, stats
+                    )
+                    if lifted is None:  # superseded, rebuilt file gone
+                        return False
+                    self._m_repairs.inc()
+                    self._obs.tracer.emit(
+                        obs_events.RUN_REPAIRED,
+                        run_id=run_id,
+                        replacement=new_run_id,
+                        entries=stats.entry_count,
+                        source=lifted.source,
+                    )
+                    self._changed.notify_all()
             else:  # scrub
                 _, scrub = task
                 result = self._scrubber.execute(scrub)
@@ -180,6 +215,12 @@ class MaintenanceExecutor:
                             result.run_id, result.finding, "scrub"
                         )
                     self._changed.notify_all()
+            return True
+        except ReaderCorruption as damage:
+            with self._lock:
+                self._abandon_locked(task)
+                self._quarantine(damage.run_id, str(damage), "merge")
+            return False
         except BaseException:
             with self._lock:
                 self._abandon_locked(task)
@@ -190,13 +231,15 @@ class MaintenanceExecutor:
 
         A failed flush keeps its memtable sealed (the data is still in
         the WAL and remains readable); a failed merge is abandoned so
-        the policy may reschedule the same inputs later; a failed scrub
+        the policy may reschedule the same inputs later; a failed repair
+        leaves the run quarantined for the next attempt; a failed scrub
         chunk releases the scrubber's claim and skips the current run
         (the next pass revisits it).
         """
         try:
             if task[0] == "flush":
                 self._flush_claimed = False
+            if task[0] in ("flush", "repair"):
                 task[3].abandon()
             elif task[0] == "merge":
                 self._compaction.fail_merge(task[1])
@@ -249,11 +292,14 @@ class MaintenanceExecutor:
 
     # -- the caller as the engine of progress (lock held) ----------------
 
-    def flush_all(self) -> None:
-        """Flush every sealed memtable on the calling thread (inline
-        mode; ``close()`` in either mode). No merge is stepped."""
-        while (task := self._claim_flush_locked()) is not None:
-            self._run(task)
+    def _step(self, claim) -> bool:
+        """One task on the caller: ``claim`` it and run it, as a worker
+        would, on the calling thread; False when there is none."""
+        task = claim()
+        if task is None:
+            return False
+        self._run(task)
+        return True
 
     def _pump(self, blocking: bool) -> None:
         """One inline pump: flush if a memtable waits, plus merge chunks.
@@ -264,17 +310,14 @@ class MaintenanceExecutor:
         flush); otherwise merges would only ever run once the component
         constraint had already stalled writers.
         """
-        task = self._claim_flush_locked()
-        if task is not None:
-            self._run(task)
-        progressed = task is not None
+        progressed = self._step(self._claim_flush_locked)
         budget = self._options.maintenance_chunks_per_rotation or max(
             2,
             int(8 * self._memtable_target() // self._compaction.chunk_bytes)
             + 1,
         )
         for _ in range(budget):
-            if not self._compaction.step():
+            if not self._step(self._claim_merge_locked):
                 break
             progressed = True
         if not progressed and blocking and self._compaction.is_write_stalled():
@@ -344,19 +387,30 @@ class MaintenanceExecutor:
             self._wait("while a rotation was stalled")
 
     def quiesce_memtables(self) -> None:
-        """Return once every sealed memtable is in a run."""
+        """Return once every sealed memtable is in a run (the caller
+        flushes them itself, and steps no merge, when it drives)."""
         if not self._workers:
-            self.flush_all()
+            while self._step(self._claim_flush_locked):
+                pass
             return
         self._changed.notify_all()
         while self._sealed or self._flush_claimed:
             self._wait("while flushing")
 
-    def run_to_idle(self, max_steps: int) -> None:
-        """Run flushes and merges until none remain."""
+    def run_to_idle(self, max_steps: int = 1_000_000) -> None:
+        """Run flushes and merges until none remain — when the caller
+        drives, in at most ``max_steps`` merge chunks."""
         if not self._workers:
-            self.flush_all()
-            self._compaction.drain(max_steps)
+            self.quiesce_memtables()
+            steps = 0
+            self._compaction.kick()
+            merge = self._claim_merge_locked
+            while self._compaction.has_work() and self._step(merge):
+                steps += 1
+                if steps >= max_steps:
+                    raise ConfigurationError(
+                        "compaction did not converge within the step budget"
+                    )
             return
         self._changed.notify_all()
         while not self._nothing_claimable():
@@ -371,7 +425,19 @@ class MaintenanceExecutor:
         elif self._sealed or self._compaction.has_work():
             self._pump(blocking=False)
 
-    # -- scrubbing -------------------------------------------------------
+    # -- repair and scrubbing --------------------------------------------
+
+    def repair(self, run_id: int, entries: list) -> bool:
+        """``LSMStore.repair_run``'s rebuild: a run of ``entries``
+        swapped in for quarantined ``run_id``, claimed and run on the
+        calling thread (lock NOT held). False when the run is not live,
+        not quarantined, or still feeding an in-flight merge."""
+        with self._lock:
+            self._check_open("before a repair")
+            claim = self._compaction.begin_repair(run_id)
+        if claim is None:
+            return False
+        return self._run(("repair", run_id, *claim, entries))
 
     def scrub_summary(self) -> dict:
         """JSON-safe scrub progress (lock held)."""

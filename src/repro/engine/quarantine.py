@@ -36,7 +36,7 @@ class QuarantineEntry:
     min_key: bytes
     max_key: bytes
     reason: str
-    source: str  # "read" or "scrub"
+    source: str  # "read", "scrub" or "merge"
 
     def covers(self, key: bytes) -> bool:
         """True when ``key`` falls inside this run's key bounds — the

@@ -889,12 +889,6 @@ class SSTableReader:
         )
         return span, stopper
 
-    def verify_block(self, block_idx: int) -> list[bytes]:
-        """Checksum-verify and decode one data block; returns its keys in
-        file order (the scrubber's raw material for order and bounds
-        checks). See :meth:`read_data_block` for what it raises."""
-        return self.read_data_block(block_idx).keys
-
     def _block_for(self, key: bytes) -> int:
         return bisect_right(self._first_keys, key) - 1
 

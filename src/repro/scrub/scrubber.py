@@ -10,8 +10,8 @@ chunks the cursor — current run, next block, running key-order state —
 persists here.
 
 Detection discipline: a block that fails its checksum is re-read once
-before it becomes a finding, splitting a transient read error from
-persistent at-rest damage. Structural problems (keys out of order,
+before it becomes a finding (:func:`~repro.engine.iterators.read_twice`,
+the rule a merge reads its inputs by too). Structural problems (keys out of order,
 entry counts or key bounds disagreeing with the meta block) are findings
 immediately — they are properties of the decoded bytes, not the read.
 
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from ..errors import CorruptionError
 from ..obs import events as obs_events
+from ..engine.iterators import read_twice
 from ..engine.sstable import SSTableReader
 
 
@@ -253,12 +254,9 @@ class Scrubber:
             if self._scrub_rate is not None:
                 self._scrub_rate.acquire(length)
             try:
-                try:
-                    keys = reader.verify_block(cursor.next_block)
-                except CorruptionError:
-                    # Re-read once: a transient device hiccup passes the
-                    # second time; persistent at-rest rot fails again.
-                    keys = reader.verify_block(cursor.next_block)
+                keys = read_twice(
+                    cursor.run_id, reader.read_data_block, cursor.next_block
+                ).keys
             except CorruptionError as error:
                 return ScrubResult(
                     run_id=cursor.run_id,

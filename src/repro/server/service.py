@@ -125,6 +125,7 @@ class FramedServer:
         # Threads start on first use; a server whose calls never wait
         # never starts one.
         self._executor: ThreadPoolExecutor | None = None
+        self._breakdown_histograms: dict[tuple[str, str], object] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -341,32 +342,28 @@ class FramedServer:
         ``total`` (frame receipt to response ready) and ``queue`` (total
         minus every attributed leg: event-loop scheduling, thread-pool
         handoff, serialization), then aggregates each leg into the
-        tier's per-op histograms.
+        tier's per-op histograms, each bound on its first observation.
         """
         breakdown = response.pop("breakdown", None)
         if breakdown is None:
             return
         total = self._clock() - received_at
+        # Handed over: admission, engine, io, replication — nothing else.
+        breakdown["queue"] = max(0.0, total - sum(breakdown.values()))
         breakdown["total"] = total
-        breakdown["queue"] = max(
-            0.0,
-            total
-            - breakdown.get("admission", 0.0)
-            - breakdown.get("engine", 0.0)
-            - breakdown.get("io", 0.0)
-            - breakdown.get("replication", 0.0),
-        )
-        registry = self.obs.registry
-        op = verb.lower()
+        bound = self._breakdown_histograms
         for component in (
             "total", "queue", "admission", "engine", "io", "replication"
         ):
             if component in breakdown:
-                registry.histogram(
-                    "server_request_seconds",
-                    labels={"op": op, "component": component},
-                    help="Per-request latency breakdown by component.",
-                ).observe(breakdown[component])
+                key = (verb, component)
+                if key not in bound:  # once each, and only if observed
+                    bound[key] = self.obs.registry.histogram(
+                        "server_request_seconds",
+                        labels={"op": verb.lower(), "component": component},
+                        help="Per-request latency breakdown by component.",
+                    )
+                bound[key].observe(breakdown[component])
 
     async def _op_ping(self, message: dict) -> dict:
         return protocol.ok_response(pong=True)

@@ -28,6 +28,7 @@ from repro.engine.iterators import reconciling_iterator
 from repro.engine.ratelimiter import RateLimiter
 from repro.errors import CorruptionError
 
+from . import bare_manager
 from .legacy_runs import write_v1_run
 
 
@@ -282,7 +283,7 @@ class TestPassThrough:
             items = [
                 (key(index * 1000 + i), VALUE) for i in range(5 * PER_BLOCK)
             ]
-            manager.register_flush(iter(items), len(items))
+            bare_manager.flush(manager, iter(items), len(items))
         inputs = sorted(r.filename for r in manifest.live_runs())
         job = manager.claim_merge()
         # Flip a byte inside one block of the middle input. Its first

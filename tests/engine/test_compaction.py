@@ -12,6 +12,8 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError
 
+from . import bare_manager
+
 
 def make_manager(tmp_path, **option_overrides):
     options = StoreOptions(
@@ -30,7 +32,7 @@ def flush_entries(manager, start, count, value=b"x" * 64):
     items = [
         (f"k{start + i:08d}".encode(), value) for i in range(count)
     ]
-    manager.register_flush(iter(items), count)
+    bare_manager.flush(manager, iter(items), count)
 
 
 class TestFlushAndMerge:
@@ -47,7 +49,7 @@ class TestFlushAndMerge:
         for batch in range(3):
             flush_entries(manager, batch * 100, 100)
         assert manager.has_work()
-        manager.drain()
+        bare_manager.drain(manager)
         assert manager.levels() == {1: 1}
         assert manager.merges_completed == 1
         manager.close()
@@ -58,7 +60,7 @@ class TestFlushAndMerge:
         for batch in range(3):
             flush_entries(manager, batch * 100, 100)
         inputs = {r.filename for r in manifest.live_runs()}
-        manager.drain()
+        bare_manager.drain(manager)
         after = {f for f in os.listdir(tmp_path) if f.endswith(".run")}
         assert len(after) == 1
         assert after.isdisjoint(inputs)
@@ -71,20 +73,30 @@ class TestFlushAndMerge:
             flush_entries(manager, batch * 100, 5000, value=b"y" * 200)
         steps = 0
         while manager.has_work():
-            assert manager.step()
+            assert bare_manager.step(manager)
             steps += 1
         assert steps >= 3  # several chunks, not one monolithic pass
         manager.close()
         manifest.close()
 
     def test_drain_step_budget(self, tmp_path):
-        manager, manifest = make_manager(tmp_path)
-        for batch in range(3):
-            flush_entries(manager, batch * 100, 100)
-        with pytest.raises(ConfigurationError):
-            manager.drain(max_steps=0)
-        manager.close()
-        manifest.close()
+        # Three flushes make a merge; pumping is held back (one chunk
+        # of one byte per rotation) so it is still pending at the call.
+        options = StoreOptions(
+            memtable_bytes=8 * 1024,
+            policy="tiering",
+            size_ratio=3,
+            levels=3,
+            merge_chunk_bytes=1,
+            maintenance_chunks_per_rotation=1,
+        )
+        with LSMStore.open(str(tmp_path), options) as store:
+            for batch in range(3):
+                for i in range(100):
+                    store.put(f"k{batch * 100 + i:08d}".encode(), b"x" * 64)
+                store.flush()
+            with pytest.raises(ConfigurationError):
+                store.maintenance(max_steps=0)
 
 
 class TestStallSignal:
@@ -125,7 +137,7 @@ class TestCrashRecovery:
             flush_entries(manager, batch * 100, 5000, value=b"z" * 400)
         # advance the merge partially, then "crash" (no finish)
         assert manager.has_work()
-        manager.step()
+        bare_manager.step(manager)
         assert manager.has_work()  # still unfinished after one chunk
         live_before = {r.filename for r in manifest.live_runs()}
         partial = [
@@ -146,7 +158,7 @@ class TestCrashRecovery:
         remaining = {f for f in os.listdir(tmp_path) if f.endswith(".run")}
         assert remaining == {r.filename for r in manifest2.live_runs()}
         # and the recovered tree re-schedules + completes the merge
-        manager2.drain()
+        bare_manager.drain(manager2)
         assert manager2.levels() == {1: 1}
         manager2.close()
         manifest2.close()

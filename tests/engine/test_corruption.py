@@ -341,3 +341,88 @@ class TestMergeInteraction:
             assert [e.run_id for e in store.quarantined_entries()] == [
                 victim.run_id
             ]
+
+    @pytest.mark.parametrize("background", [False, True])
+    def test_a_merge_that_meets_a_corrupt_block_is_contained(
+        self, tmp_path, background
+    ):
+        """The corrupt block is first read by a merge chunk: the input
+        is quarantined (source ``merge``), the job let go, the write
+        that pumped the chunk succeeds, and a repair can claim the run."""
+        import time
+
+        directory = str(tmp_path / "db")
+        options = OPTIONS.with_(
+            memtable_bytes=4096,
+            policy="tiering",
+            size_ratio=3,
+            background_maintenance=background,
+        )
+        model = {}
+
+        def failures(store):
+            return sum(
+                counter["value"]
+                for counter in store.obs.registry.snapshot()["counters"]
+                if counter["name"] == "engine_maintenance_failures_total"
+            )
+
+        def merge_quarantines(store):
+            return [
+                event.fields["run_id"]
+                for event in store.obs.tracer.events(-1, None)
+                if event.kind == "corruption_quarantine"
+                and event.fields["source"] == "merge"
+            ]
+
+        with LSMStore.open(directory, options) as store:
+            compaction = store._compaction
+            # Hold merges back until the damage is in place: flushes
+            # publish, the merge is scheduled, nobody may claim it.
+            compaction.claim_merge = lambda: None
+            for batch in range(3):
+                for i in range(40):
+                    key = f"k{batch}{i:04d}".encode()
+                    model[key] = bytes([65 + batch]) * 64
+                    store.put(key, model[key])
+                store.flush()
+            [job] = compaction._jobs.values()
+            victim = job.descriptor.inputs[1].uid
+            [record] = [r for r in store.live_runs() if r.run_id == victim]
+            _flip_data_byte(directory, record.filename)
+            failed_before = failures(store)
+            del compaction.claim_merge  # the next claim consumes the run
+
+            deadline = time.monotonic() + 10.0
+            index = 0
+            while not merge_quarantines(store):
+                assert time.monotonic() < deadline and index < 2000, (
+                    "no merge ever met the damaged block"
+                )
+                key = f"late{index:05d}".encode()
+                model[key] = b"L" * 64
+                store.put(key, model[key])  # must return, pumping or not
+                index += 1
+                if background:
+                    time.sleep(0.005)
+            assert merge_quarantines(store) == [victim]
+            [entry] = store.quarantined_entries()
+            assert (entry.run_id, entry.source) == (victim, "merge")
+            assert failures(store) == failed_before + 1
+            # No job is left claimed over the run: a repair may begin.
+            with store._lock:
+                claim = compaction.begin_repair(victim)
+            assert claim is not None
+            claim[1].abandon()
+
+            healthy = sorted(
+                (key, value)
+                for key, value in model.items()
+                if entry.covers(key)
+            )
+            assert store.repair_run(victim, healthy)
+            assert store.quarantined_entries() == []
+            for key, value in model.items():
+                assert store.get(key) == value
+        with LSMStore.open(directory, options) as store:
+            assert dict(store.scan()) == model

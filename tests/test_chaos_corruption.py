@@ -2,10 +2,10 @@
 
 The replicated counterpart of the kill/restore chaos suite: a seeded
 run flips a byte inside a live run's data region mid-load, and passes
-only if the damage was detected (read path or scrubber), the run was
-quarantined, every audited read either matched the model or refused
-loudly with ``DATA_CORRUPT``, and the leader rebuilt the run from its
-follower before the deadline.
+only if the damage was detected (read path, scrubber, or a merge
+reading its input), the run was quarantined, every audited read either
+matched the model or refused loudly with ``DATA_CORRUPT``, and the
+leader rebuilt the run from its follower before the deadline.
 """
 
 import asyncio
@@ -88,7 +88,7 @@ def test_corruption_chaos_meets_the_acceptance_bar(tmp_path):
     # At least one byte flip landed and was noticed.
     assert report.injections >= 1
     assert report.detected
-    assert set(report.detection_sources) <= {"read", "scrub"}
+    assert set(report.detection_sources) <= {"read", "scrub", "merge"}
     # Containment: refusals are fine, lies are not.
     assert report.wrong_answers == 0
     assert report.quarantined_seen >= 1
@@ -102,3 +102,20 @@ def test_corruption_chaos_meets_the_acceptance_bar(tmp_path):
     assert report.other_errors == 0
     # The background scrubber was live during the run.
     assert report.scrub.get("passes_completed", 0) >= 0
+
+
+def test_a_merge_meeting_the_flipped_block_does_not_wedge_the_repair(
+    tmp_path,
+):
+    """Seed 0 at the defaults (300 ops, ``leader_only``, inline
+    maintenance): the flipped block is first read by a merge chunk,
+    unless the scrubber's clock gets there first. Until PR 24 the
+    pumping ``put`` answered ``INTERNAL``, the job stayed claimed and
+    the repair never ran."""
+    report = asyncio.run(run_corruption_chaos(str(tmp_path), seed=0))
+    assert report.ok, report.summary()
+    assert set(report.detection_sources) <= {"read", "scrub", "merge"}
+    assert report.other_errors == 0
+    assert report.lost_acked == 0
+    assert report.runs_repaired >= 1
+    assert report.final_quarantined == 0

@@ -61,7 +61,10 @@ class Legs:
         self._inner = [0.0]
         self._restore: list[tuple[object, str, object]] = []
 
-    def wrap(self, owner, attribute: str, name: str) -> None:
+    def wrap(self, owner, attribute: str, name: str, when=None) -> None:
+        """Book ``owner.attribute``'s calls under ``name`` — only those
+        ``when(*args)`` picks, if given; the others run untimed, their
+        time their caller's."""
         original = getattr(owner, attribute)
         self._restore.append((owner, attribute, original))
         self.seconds.setdefault(name, 0.0)
@@ -69,6 +72,8 @@ class Legs:
         inner = self._inner
 
         def timed(*args, **kwargs):
+            if when is not None and not when(*args):
+                return original(*args, **kwargs)
             inner.append(0.0)
             started = perf_counter()
             try:
@@ -121,25 +126,29 @@ def load_once(directory: str) -> tuple[dict[str, tuple[float, int]], int]:
     )
 
     try:
-        # Claim -> execute -> publish of one task on the caller; inline
-        # and without scrubbing, only flushes come through here.
+        # Claim -> execute -> publish of every task on the caller; the
+        # flush leg is its flush tasks. A merge chunk's own time is the
+        # `merge advance` leg and its publish is `rest`, as when the
+        # inline pump stepped merges itself (PR 21 to PR 23).
         from repro.engine.maintenance import MaintenanceExecutor
 
         flush = (MaintenanceExecutor, "_run")
+        is_flush = lambda _executor, task: task[0] == "flush"  # noqa: E731
     except ImportError:  # --src is a tree from before the executor
         flush = (CompactionManager, "register_flush")
+        is_flush = None
     legs = Legs()
     per_call = timer_cost()
-    for owner, attribute, name in (
+    for owner, attribute, name, *when in (
         (WriteAheadLog, "append", "wal append"),
         (MemTable, "put", "memtable put"),
-        (*flush, "flush"),
+        (*flush, "flush", is_flush),
         (MergeJob, "advance", "merge advance"),
         (SSTableWriter, "finish", "run finish"),
         (os, "fsync", "fsync"),
         (SSTableReader, "__init__", "reader open"),
     ):
-        legs.wrap(owner, attribute, name)
+        legs.wrap(owner, attribute, name, *when)
     try:
         store = LSMStore.open(directory, StoreOptions(**STORE_OPTIONS))
         started = perf_counter()
