@@ -37,7 +37,8 @@ import sys
 import tempfile
 
 from repro.engine import LSMStore, StoreOptions
-from repro.server import KVServer, closed_loop
+from repro.server import KVServer
+from repro.server.loadgen import closed_loop
 
 
 def build_options(group_commit: bool) -> StoreOptions:

@@ -30,7 +30,8 @@ import tempfile
 from pathlib import Path
 
 from repro.engine import LSMStore, StoreOptions
-from repro.server import KVServer, build_admission, two_phase
+from repro.server import KVServer, build_admission
+from repro.server.loadgen import two_phase
 
 #: Merge-starved engine: the inline maintenance pump advances fewer
 #: merge chunks per rotation than ingestion generates, so the component

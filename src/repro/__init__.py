@@ -15,6 +15,9 @@ The package has three layers:
   (memtable, sorted runs with Bloom filters, WAL, manifest, compaction)
   driven by the same policies and schedulers.
 
+Importing the package imports none of them: the engine, the server and
+the cluster need only the standard library, numpy is the simulator's.
+
 Quickstart::
 
     from repro.harness import ExperimentSpec, two_phase
@@ -22,8 +25,6 @@ Quickstart::
     print(outcome.max_write_throughput, outcome.p99_write_latency)
 """
 
-from . import core, errors, metrics, sim, workloads
-
 __version__ = "1.0.0"
 
-__all__ = ["core", "errors", "metrics", "sim", "workloads", "__version__"]
+__all__ = ["__version__"]

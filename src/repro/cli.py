@@ -22,22 +22,16 @@ import sys
 from typing import Sequence
 
 from .errors import ReproError
-from .harness import (
-    ExperimentSpec,
-    compare_schedulers,
-    format_latency_profile,
-    format_table,
-    partition_size_sweep,
-    size_ratio_sweep,
-    sparkline,
-    two_phase,
-    utilization_sweep,
-)
+
+# Every command imports what it runs in its own body: the simulation
+# commands load repro.harness (and numpy), `serve` never does.
 
 _POLICIES = ("tiering", "leveling", "lazy-leveling", "size-tiered", "partitioned")
 
 
-def _spec_for(args: argparse.Namespace) -> ExperimentSpec:
+def _spec_for(args: argparse.Namespace):
+    from .harness import ExperimentSpec
+
     common = dict(scale=args.scale)
     if args.policy == "tiering":
         spec = ExperimentSpec.tiering(
@@ -76,6 +70,8 @@ def _spec_for(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def _cmd_two_phase(args: argparse.Namespace) -> int:
+    from .harness import format_latency_profile, sparkline, two_phase
+
     spec = _spec_for(args)
     print(f"spec: {spec.name} (scale x{args.scale:.0f}, "
           f"utilization {args.utilization:.0%})")
@@ -94,9 +90,11 @@ def _cmd_two_phase(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .harness import compare_schedulers, format_table
+
     schedulers = [s.strip() for s in args.schedulers.split(",")]
 
-    def make(scheduler: str) -> ExperimentSpec:
+    def make(scheduler: str):
         forged = argparse.Namespace(**vars(args))
         forged.scheduler = scheduler
         return _spec_for(forged)
@@ -107,6 +105,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .harness import (
+        format_table,
+        partition_size_sweep,
+        size_ratio_sweep,
+        utilization_sweep,
+    )
+
     if args.axis == "size-ratio":
         ratios = [int(v) for v in args.ratios.split(",")]
         rows = size_ratio_sweep(args.policy, ratios, scale=args.scale)
@@ -256,7 +261,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .server import closed_loop, open_loop, two_phase as net_two_phase
+    from .server.loadgen import closed_loop, open_loop, two_phase as net_two_phase
 
     _check_port(args.port)
     if args.mode == "open" and args.rate <= 0:

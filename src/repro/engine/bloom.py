@@ -14,17 +14,18 @@ import hashlib
 import math
 import struct
 
-import numpy as np
-
 from ..errors import ConfigurationError, CorruptionError
 
 _HEADER = struct.Struct("<4sIIQ")
 _MAGIC = b"BLM1"
-#: Most keys one vectorized build step hashes at a time. A step's
-#: scratch arrays hold ``hash_count`` 8-byte probes per key, so this
-#: bounds a build's transient memory whatever the run's size (about
-#: 110 KiB per array at 7 probes); larger batches measured no faster.
+#: Most keys one step of :meth:`BloomFilter.add_many` hashes at a time:
+#: its digests and lanes cost tens of bytes per key, so this bounds
+#: them whatever the run's size; larger batches measured no faster.
 BATCH_KEYS = 2048
+#: Probes and strides stay below ``2**32`` (the header's bit count),
+#: their sum below ``2**33``: bit 40 of ``lane + 2**40 - bits`` says
+#: whether a 64-bit lane reached ``bits``, and no carry leaves a lane.
+_CARRY_BIT = 40
 
 
 def _hash_pair(key: bytes) -> tuple[int, int]:
@@ -67,6 +68,13 @@ class BloomFilter:
         """Keys inserted so far."""
         return self._added
 
+    @property
+    def feed_keys(self) -> int:
+        """Keys worth one :meth:`add_many` call: a call costs O(bits)
+        on top of its keys, so a writer buffers one key per 64 bits
+        (at least :data:`BATCH_KEYS`) between calls."""
+        return max(BATCH_KEYS, self._bits // 64)
+
     def add(self, key: bytes) -> None:
         """Insert a key."""
         h1, h2 = _hash_pair(key)
@@ -78,33 +86,42 @@ class BloomFilter:
     def add_many(self, keys: list[bytes]) -> None:
         """Insert many keys; same bits as calling :meth:`add` on each.
 
-        The probes of a batch are computed in numpy. ``h1 + i * h2``
-        can pass 2**64, where fixed-width integers would wrap and
-        Python's do not, so both hashes are reduced modulo the bit
-        count first: the count fits 32 bits (see the header), hence
-        every intermediate stays far below the wrap and the residues —
-        the bits set — are the ones :meth:`add` computes.
+        A batch's probes are lanes of one integer, 64 bits per key,
+        little-endian: ``h1 % bits`` to start; each further probe adds
+        ``(h2 | 1) % bits`` lane-wise and subtracts ``bits`` from the
+        lanes that reached it, so every residue is the one :meth:`add`
+        computes. Probes are marked in a scratch of one ASCII digit per
+        filter bit, read as one base-2 integer and ORed into the bit
+        array once per call.
         """
-        bits = np.uint64(self._bits)
-        steps = np.arange(self._hashes, dtype=np.uint64)
-        array = np.frombuffer(self._array, dtype=np.uint8)
+        bits = self._bits
         blake2b = hashlib.blake2b
+        marks = bytearray(b"0") * bits
         for start in range(0, len(keys), BATCH_KEYS):
-            digests = b"".join(
-                [
-                    blake2b(key, digest_size=16).digest()
-                    for key in keys[start : start + BATCH_KEYS]
-                ]
+            batch = keys[start : start + BATCH_KEYS]
+            lanes = struct.Struct(f"<{len(batch)}Q")
+            words = struct.unpack(
+                f"<{2 * len(batch)}Q",
+                b"".join([blake2b(k, digest_size=16).digest() for k in batch]),
             )
-            pairs = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
-            first = pairs[:, 0] % bits
-            stride = (pairs[:, 1] | np.uint64(1)) % bits
-            probes = ((first[:, None] + steps * stride[:, None]) % bits).ravel()
-            np.bitwise_or.at(
-                array,
-                probes >> np.uint64(3),
-                (1 << (probes & np.uint64(7))).astype(np.uint8),
+            probe, stride, ones = (
+                int.from_bytes(lanes.pack(*column), "little")
+                for column in (
+                    [h % bits for h in words[0::2]],
+                    [(h | 1) % bits for h in words[1::2]],
+                    [1] * len(batch),
+                )
             )
+            bias = ones * ((1 << _CARRY_BIT) - bits)
+            for step in range(self._hashes):
+                if step:
+                    probe += stride
+                    probe -= ((probe + bias) >> _CARRY_BIT & ones) * bits
+                for bit in lanes.unpack(probe.to_bytes(lanes.size, "little")):
+                    marks[bit] = 49  # b"1"
+        marks.reverse()  # int() reads the most significant digit first
+        merged = int(marks, 2) | int.from_bytes(self._array, "little")
+        self._array[:] = merged.to_bytes(len(self._array), "little")
         self._added += len(keys)
 
     def might_contain(self, key: bytes) -> bool:

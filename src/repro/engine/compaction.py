@@ -152,14 +152,14 @@ class MergeJob:
     ranges moved or stepped over, so it ends at the inputs' logical
     bytes; a chunk boundary may cut a range anywhere.
 
-    The job *owns* its input readers — the compaction manager opens it
-    dedicated ones rather than sharing the store's query readers,
-    because :meth:`advance` may run on a maintenance worker outside the
-    store lock while foreground reads use the shared readers' file
-    handles. ``claimed`` is the executor's co-advance guard:
-    :meth:`advance` is called only by ``MaintenanceExecutor._run``, on a
-    job claimed under the store lock, so two threads can never
-    interleave chunks of one merge.
+    The job *owns* its input readers — the compaction manager gives it
+    each query reader's :meth:`~SSTableReader.sequential_handle` rather
+    than the reader itself, because :meth:`advance` may run on a
+    maintenance worker outside the store lock while foreground reads
+    use the shared readers' file handles. ``claimed`` is the executor's
+    co-advance guard: :meth:`advance` is called only by
+    ``MaintenanceExecutor._run``, on a job claimed under the store lock,
+    so two threads can never interleave chunks of one merge.
     """
 
     def __init__(
@@ -742,13 +742,13 @@ class CompactionManager:
             self._start_job(descriptor)
 
     def _start_job(self, descriptor: MergeDescriptor) -> None:
-        # Dedicated input readers: SSTableReader seeks one shared file
+        # Dedicated input handles: SSTableReader seeks one shared file
         # handle, so a job advancing off-lock on a maintenance worker
         # cannot iterate the store's query readers while foreground
-        # reads use them. No block cache — a merge's single sequential
-        # pass would only churn it.
+        # reads use them. They share the query reader's parsed index,
+        # filter and meta, so a claim parses nothing.
         readers = [
-            SSTableReader(self._readers[c.uid].path, sequential=True)
+            self._readers[c.uid].sequential_handle()
             for c in descriptor.inputs
         ]
         oldest_live = min(

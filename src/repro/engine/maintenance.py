@@ -22,7 +22,6 @@ from typing import Callable
 
 from ..errors import ClosedError, ConfigurationError
 from ..obs import events as obs_events
-from ..scrub import Scrubber
 from .compaction import CompactionManager
 from .iterators import ReaderCorruption
 from .memtable import MemTable
@@ -69,6 +68,10 @@ class MaintenanceExecutor:
         # sequence stamps, so publishing them out of order would corrupt
         # the newest-first reconciliation order.
         self._flush_claimed = False
+        # Imported here: repro.scrub imports the engine, so a top-level
+        # import fails when repro.scrub is a process's first import.
+        from ..scrub import Scrubber
+
         self._scrubber = Scrubber(
             interval=options.scrub_interval,
             chunk_bytes=compaction.chunk_bytes,

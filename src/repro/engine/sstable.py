@@ -35,6 +35,7 @@ reproducing the paper's two I/O optimizations on the real write path.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import struct
@@ -45,7 +46,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import ConfigurationError, CorruptionError
 from .blockcodec import NONE_CODEC_ID, codec_by_id, get_codec
-from .bloom import BATCH_KEYS as _FILTER_BATCH_KEYS
 from .bloom import BloomFilter
 from .filters import available_filters, load_filter
 from .options import TOMBSTONE
@@ -261,8 +261,8 @@ class SSTableWriter:
             self._file = fault_plan.wrap(self._file, "sstable")
         self._rate = rate_limiter or RateLimiter(0)
         self._sync = sync_policy or SyncPolicy(0)
-        #: Keys written but not yet in the filter; handed over in
-        #: batches so the filter can build them vectorized.
+        #: Keys written but not yet in the filter; handed over
+        #: ``feed_keys`` at a time, since each hand-over costs O(bits).
         self._filter_keys: list[bytes] = []
         self._block = bytearray()
         self._block_first_key: bytes | None = None
@@ -303,7 +303,7 @@ class SSTableWriter:
             (self._block_first_key, start, len(record) + _CRC_LEN)
         )
         self._block.clear()
-        self._feed_filter(_FILTER_BATCH_KEYS)
+        self._feed_filter(self._filter.feed_keys)
 
     def _feed_filter(self, at_least: int) -> None:
         """Hand the pending keys to the filter once ``at_least`` wait."""
@@ -451,7 +451,7 @@ class SSTableWriter:
         self._entries += len(span.keys)
         self._tombstones += span.tombstones
         self._filter_keys += span.keys
-        self._feed_filter(_FILTER_BATCH_KEYS)
+        self._feed_filter(self._filter.feed_keys)
 
     def finish(self) -> RunStats:
         """Flush everything, write the footer, fsync, and close."""
@@ -573,23 +573,15 @@ class SSTableReader:
     blocks are served from and populated into the shared cache (the
     engine's buffer-cache analogue of the paper's Section 3.1 setup);
     index/filter/meta blocks are always held in memory per reader.
-    ``sequential`` says the caller will walk the run front to back (a
-    merge's dedicated reader): the file is then read in
-    :data:`SEQUENTIAL_IO_BYTES` units, which a point lookup must not
-    pay for one block.
     """
 
-    def __init__(
-        self, path: str, block_cache=None, sequential: bool = False
-    ) -> None:
+    def __init__(self, path: str, block_cache=None) -> None:
         self._path = path
         self._cache = block_cache
         self._generation = (
             block_cache.register_reader() if block_cache is not None else 0
         )
-        self._file = open(
-            path, "rb", buffering=SEQUENTIAL_IO_BYTES if sequential else -1
-        )
+        self._file = open(path, "rb")
         size = os.path.getsize(path)
         if size < _FOOTER.size:
             raise CorruptionError(f"{path}: file smaller than footer")
@@ -654,6 +646,18 @@ class SSTableReader:
         self._filter_kind = str(meta.get("filter", "bloom"))
         self._logical_bytes = int(meta.get("logical_bytes", self._data_bytes))
         self._closed = False
+
+    def sequential_handle(self) -> SSTableReader:
+        """A reader of the same run for one front-to-back walk (a
+        merge's): its own file handle, read in
+        :data:`SEQUENTIAL_IO_BYTES` units, and no block cache, which one
+        pass would only churn. The index, filter and meta parsed and
+        verified at open are shared, not read again: they are immutable,
+        as the run is."""
+        handle = copy.copy(self)
+        handle._cache = None
+        handle._file = open(self._path, "rb", buffering=SEQUENTIAL_IO_BYTES)
+        return handle
 
     # -- metadata ------------------------------------------------------
 

@@ -4,9 +4,10 @@ The serving tier the paper's write-interaction taxonomy matters for in
 production: an asyncio TCP front-end (:class:`KVServer`) speaking
 length-prefixed binary frames, a pooled retrying client
 (:class:`KVClient`), an admission controller mapping engine
-backpressure onto the paper's stop / limit / gradual interaction modes,
-and a closed/open-loop load generator implementing the two-phase
-methodology over the wire.
+backpressure onto the paper's stop / limit / gradual interaction modes.
+The closed/open-loop load generator implementing the two-phase
+methodology over the wire is :mod:`repro.server.loadgen`, not imported
+here: it needs numpy, the serving process does not.
 
 The error types a caller of this package must be able to catch —
 :class:`~repro.errors.RequestFailedError` for non-transient server
@@ -34,15 +35,6 @@ from .admission import (
     build_admission,
 )
 from .client import ClientMetrics, KVClient
-from .loadgen import (
-    DISTRIBUTIONS,
-    LoadResult,
-    TwoPhaseNetworkResult,
-    classify_error,
-    closed_loop,
-    open_loop,
-    two_phase,
-)
 from .service import (
     DEFAULT_WRITE_DEADLINE,
     FramedServer,
@@ -55,7 +47,6 @@ __all__ = [
     "ADMIT",
     "DELAY",
     "DEFAULT_WRITE_DEADLINE",
-    "DISTRIBUTIONS",
     "MODES",
     "REJECT",
     "AdmissionController",
@@ -66,18 +57,12 @@ __all__ = [
     "KVClient",
     "KVServer",
     "LimitAdmission",
-    "LoadResult",
     "ProtocolError",
     "RequestFailedError",
     "RetriesExhaustedError",
     "ServerError",
     "ServerMetrics",
     "StopAdmission",
-    "TwoPhaseNetworkResult",
     "build_admission",
-    "classify_error",
-    "closed_loop",
-    "open_loop",
     "serve",
-    "two_phase",
 ]

@@ -104,6 +104,24 @@ class TestBulkBuild:
         assert bulk.to_bytes() == one_by_one.to_bytes()
         assert bulk.added == count
 
+    @pytest.mark.parametrize("bits_per_key", [1, 10, 16])
+    def test_feed_sized_calls_equal_per_key_blob(self, bits_per_key):
+        """A run writer calls ``add_many`` once per ``feed_keys`` keys:
+        ``BATCH_KEYS`` for a small filter, one key per 64 bits for a
+        large one. The blob is the per-key one however keys are cut."""
+        count = 40_000
+        keys = [f"key-{i:09d}".encode() for i in range(count)]
+        one_by_one = BloomFilter(count, bits_per_key)
+        for key in keys:
+            one_by_one.add(key)
+        fed = BloomFilter(count, bits_per_key)
+        step = fed.feed_keys
+        assert step == max(BATCH_KEYS, count * bits_per_key // 64)
+        for start in range(0, count, step):
+            fed.add_many(keys[start : start + step])
+        assert fed.to_bytes() == one_by_one.to_bytes()
+        assert fed.added == count
+
     def test_add_many_continues_a_partly_built_filter(self):
         keys = [f"key-{i:05d}".encode() for i in range(500)]
         reference = BloomFilter(500)

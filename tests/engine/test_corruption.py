@@ -13,6 +13,7 @@ import pytest
 
 from repro.engine import LSMStore, StoreOptions
 from repro.engine.quarantine import QuarantineEntry
+from repro.engine.sstable import _FOOTER
 from repro.errors import DataCorruptError
 
 OPTIONS = StoreOptions(
@@ -24,7 +25,7 @@ OPTIONS = StoreOptions(
 
 
 def _flip_data_byte(directory, filename, offset=16):
-    """Corrupt one byte inside a run's data region (before the index)."""
+    """Corrupt one byte of a run: by default inside its data region."""
     path = os.path.join(directory, filename)
     blob = bytearray(open(path, "rb").read())
     blob[offset] ^= 0xFF
@@ -341,6 +342,38 @@ class TestMergeInteraction:
             assert [e.run_id for e in store.quarantined_entries()] == [
                 victim.run_id
             ]
+
+    def test_a_merge_input_whose_index_rots_after_open_completes(
+        self, tmp_path
+    ):
+        """A claim parses nothing: the merge walks the index the store
+        verified when it opened the run, so damage to the index block on
+        disk since then neither fails the claim nor loses a key."""
+        directory = str(tmp_path / "db")
+        options = OPTIONS.with_(policy="tiering", size_ratio=3)
+        model = {}
+        with LSMStore.open(directory, options) as store:
+            for batch in range(3):
+                if batch == 2:  # the next flush schedules the merge
+                    victim = store.live_runs()[0]
+                    blob = (tmp_path / "db" / victim.filename).read_bytes()
+                    index_offset = _FOOTER.unpack_from(
+                        blob, len(blob) - _FOOTER.size
+                    )[0]
+                    _flip_data_byte(directory, victim.filename, index_offset)
+                for i in range(40):
+                    key = f"k{batch}{i:04d}".encode()
+                    model[key] = bytes([65 + batch]) * 64
+                    store.put(key, model[key])
+                store.flush()
+            store.maintenance()
+            assert store.stats().merges_completed == 1
+            assert victim.run_id not in {r.run_id for r in store.live_runs()}
+            assert store.quarantined_entries() == []
+            for key, value in model.items():
+                assert store.get(key) == value
+        with LSMStore.open(directory, options) as store:
+            assert dict(store.scan()) == model
 
     @pytest.mark.parametrize("background", [False, True])
     def test_a_merge_that_meets_a_corrupt_block_is_contained(

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import RateLimiter, SSTableReader, SSTableWriter, SyncPolicy, TOMBSTONE
+from repro.engine.blockcache import BlockCache
+from repro.engine.bloom import BloomFilter
 from repro.engine.sstable import _decode_block, _walk_block
 from repro.errors import ConfigurationError, CorruptionError
 
@@ -73,6 +75,28 @@ class TestWriteRead:
         assert [k for k, _ in subset] == [f"k{i:03d}".encode() for i in range(10, 20)]
         everything = list(reader.items())
         assert len(everything) == 50
+        reader.close()
+
+    def test_sequential_handle_shares_the_parsed_run(self, tmp_path):
+        """A merge's handle reuses the index, filter and meta the query
+        reader parsed, reads through its own file, and closing it leaves
+        the query reader (and its cached blocks) alone."""
+        entries = [(f"k{i:04d}".encode(), b"x" * 50) for i in range(300)]
+        stats = write_run(tmp_path / "s.run", entries)
+        reader = SSTableReader(stats.path, block_cache=BlockCache(1 << 20))
+        assert reader.get(b"k0100") == (True, b"x" * 50)
+        handle = reader.sequential_handle()
+        assert handle._first_keys is reader._first_keys
+        assert handle._filter is reader._filter
+        assert handle._file is not reader._file
+        walked = [
+            key
+            for index in range(handle.block_count)
+            for key in handle.read_data_block(index).keys
+        ]
+        assert walked == [key for key, _ in entries]
+        handle.close()
+        assert reader.get(b"k0100") == (True, b"x" * 50)
         reader.close()
 
     def test_empty_value_supported(self, tmp_path):
@@ -143,6 +167,28 @@ class TestWriterDiscipline:
         assert (tmp_path / "many.run").read_bytes() == (
             tmp_path / "one.run"
         ).read_bytes()
+
+    def test_filter_is_fed_in_feed_sized_calls(self, tmp_path):
+        """The writer hands keys to the filter ``feed_keys`` or more at a
+        time (each call costs O(bits)), and the filter it stores is the
+        one a key-by-key build gives."""
+        keys = [f"k{i:05d}".encode() for i in range(5000)]
+        writer = SSTableWriter(str(tmp_path / "fed.run"), expected_keys=3000)
+        fed = []
+        add_many = writer._filter.add_many
+        writer._filter.add_many = lambda batch: (
+            fed.append(len(batch)), add_many(batch)
+        )
+        writer.add_many((key, b"v") for key in keys)
+        writer.finish()
+        assert len(fed) > 2 and sum(fed) == len(keys)
+        assert min(fed[:-1]) >= writer._filter.feed_keys
+        reference = BloomFilter(3000, 10)
+        for key in keys:
+            reference.add(key)
+        reader = SSTableReader(str(tmp_path / "fed.run"))
+        assert reader._filter.to_bytes() == reference.to_bytes()
+        reader.close()
 
     def test_add_many_rejects_out_of_order_and_finished(self, tmp_path):
         writer = SSTableWriter(str(tmp_path / "m.run"))

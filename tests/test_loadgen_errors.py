@@ -16,8 +16,8 @@ from repro.errors import (
     RequestFailedError,
     RetriesExhaustedError,
 )
-from repro.server import binproto, classify_error, protocol
-from repro.server.loadgen import LoadResult, closed_loop
+from repro.server import binproto, protocol
+from repro.server.loadgen import LoadResult, classify_error, closed_loop
 
 
 class TestClassifyError:

@@ -18,13 +18,16 @@ Compare two source trees on the same box, a few repeats each::
     python tools/ingest_ledger.py --src /path/to/parent/src --repeats 5
     python tools/ingest_ledger.py --repeats 5
 
-The table is the run with the median total.
+The table is the run with the median total. The last line is the
+process's peak resident memory (``ru_maxrss``), imports included, so two
+trees' import footprints compare as well.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import resource
 import shutil
 import sys
 import tempfile
@@ -115,6 +118,7 @@ def load_once(directory: str) -> tuple[dict[str, tuple[float, int]], int]:
     """One preload: ``{leg: (seconds, calls)}`` including ``total``,
     and the number of input blocks its merges consumed."""
     from repro.engine import (
+        BloomFilter,
         CompactionManager,
         LSMStore,
         MemTable,
@@ -145,6 +149,7 @@ def load_once(directory: str) -> tuple[dict[str, tuple[float, int]], int]:
         (*flush, "flush", is_flush),
         (MergeJob, "advance", "merge advance"),
         (SSTableWriter, "finish", "run finish"),
+        (BloomFilter, "add_many", "filter build"),
         (os, "fsync", "fsync"),
         (SSTableReader, "__init__", "reader open"),
     ):
@@ -218,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
             f"merge advance per input block: {per_block:.2f} us "
             f"({blocks} blocks)"
         )
+    # Linux reports KiB: the process's peak, imports included.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"ru_maxrss: {peak:.1f} MiB")
     return 0
 
 
