@@ -5,7 +5,9 @@ that cannot contain the key. The implementation uses the standard
 double-hashing scheme (Kirsch & Mitzenmacher): two independent 64-bit
 hashes ``h1, h2`` derived from one blake2b digest, probing
 ``h1 + i * h2`` for ``i in range(k)``. Filters serialize to bytes for
-embedding in the sorted-run file format.
+embedding in the sorted-run file format. A run made by laying runs end
+to end keeps their filters as they are, one per key range
+(:class:`PartitionedBloom`).
 """
 
 from __future__ import annotations
@@ -13,11 +15,15 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from bisect import bisect_right
 
 from ..errors import ConfigurationError, CorruptionError
 
 _HEADER = struct.Struct("<4sIIQ")
 _MAGIC = b"BLM1"
+_PARTITIONED_HEADER = struct.Struct("<4sI")
+_PARTITIONED_MAGIC = b"BLP1"
+_LEN = struct.Struct("<I")
 #: Most keys one step of :meth:`BloomFilter.add_many` hashes at a time:
 #: its digests and lanes cost tens of bytes per key, so this bounds
 #: them whatever the run's size; larger batches measured no faster.
@@ -172,3 +178,81 @@ class BloomFilter:
         filt._array = bytearray(body)
         filt._added = added
         return filt
+
+
+class PartitionedBloom:
+    """Bloom filters of disjoint key ranges, laid end to end: the filter
+    of a run whose inputs were appended rather than merged.
+
+    Partition ``i`` is the :class:`BloomFilter` of the keys from
+    ``first_keys[i]`` up to the next partition's first key. A probe
+    bisects the first keys and asks the one filter whose range holds
+    the key, so it hashes the key once and answers at that filter's
+    false-positive rate. A partitioned filter given as a partition is
+    flattened into its own partitions. Serialized as the magic ``BLP1``
+    and the partition count, then per partition its first key and its
+    ``BLM1`` blob, each behind a u32 length.
+    """
+
+    def __init__(self, partitions: list[tuple[bytes, object]]) -> None:
+        self._first_keys: list[bytes] = []
+        self._filters: list[BloomFilter] = []
+        for first_key, filt in partitions:
+            if isinstance(filt, PartitionedBloom):
+                self._first_keys += filt._first_keys
+                self._filters += filt._filters
+            else:
+                self._first_keys.append(first_key)
+                self._filters.append(filt)
+
+    def __len__(self) -> int:
+        return len(self._filters)
+
+    @property
+    def bit_size(self) -> int:
+        """Number of filter bits, every partition's."""
+        return sum(filt.bit_size for filt in self._filters)
+
+    def might_contain(self, key: bytes) -> bool:
+        """False means definitely absent; True means probably present."""
+        index = bisect_right(self._first_keys, key) - 1
+        return index >= 0 and self._filters[index].might_contain(key)
+
+    def to_bytes(self) -> bytes:
+        """Serialize (header, then each partition's key and blob)."""
+        parts = [_PARTITIONED_HEADER.pack(_PARTITIONED_MAGIC, len(self))]
+        for first_key, filt in zip(self._first_keys, self._filters):
+            blob = filt.to_bytes()
+            parts += (_LEN.pack(len(first_key)), first_key)
+            parts += (_LEN.pack(len(blob)), blob)
+        return b"".join(parts)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "PartitionedBloom":
+        """Deserialize; raises :class:`CorruptionError` on bad input."""
+        if len(data) < _PARTITIONED_HEADER.size:
+            raise CorruptionError("partitioned bloom blob truncated")
+        magic, count = _PARTITIONED_HEADER.unpack_from(data)
+        if magic != _PARTITIONED_MAGIC:
+            raise CorruptionError("partitioned bloom magic mismatch")
+        pos = _PARTITIONED_HEADER.size
+        fields = []
+        for _ in range(2 * count):
+            if pos + _LEN.size > len(data):
+                raise CorruptionError("partitioned bloom blob truncated")
+            end = pos + _LEN.size + _LEN.unpack_from(data, pos)[0]
+            if end > len(data):
+                raise CorruptionError("partitioned bloom blob truncated")
+            fields.append(data[pos + _LEN.size : end])
+            pos = end
+        if pos != len(data):
+            raise CorruptionError("partitioned bloom blob has trailing bytes")
+        first_keys = fields[0::2]
+        if any(a >= b for a, b in zip(first_keys, first_keys[1:])):
+            raise CorruptionError("partitioned bloom keys out of order")
+        return cls(
+            [
+                (first_key, BloomFilter.from_bytes(blob))
+                for first_key, blob in zip(first_keys, fields[1::2])
+            ]
+        )

@@ -19,6 +19,7 @@ limiter throttling actual file writes underneath.
 from __future__ import annotations
 
 import os
+import time
 from bisect import bisect_left
 from typing import NamedTuple
 
@@ -43,7 +44,13 @@ from .manifest import Manifest, RunRecord
 from .options import StoreOptions
 from .quarantine import QuarantineEntry, QuarantineSet
 from .ratelimiter import RateLimiter, SyncPolicy
-from .sstable import DataBlock, SSTableReader, SSTableWriter
+from .sstable import (
+    CURRENT_FORMAT_VERSION,
+    MIN_FILTER_KEYS,
+    DataBlock,
+    SSTableReader,
+    SSTableWriter,
+)
 
 #: Upper key bound recorded when a run is quarantined before its meta
 #: block could be read — wide enough that any plausible key is covered.
@@ -53,11 +60,22 @@ _UNBOUNDED_MAX_KEY = b"\xff" * 256
 #: is the paper's testbed setting (Section 3.1), ~1% false positives.
 BLOOM_BITS_PER_KEY = 10
 
+#: How much larger than the one filter a k-way merge would build the
+#: filters of an appending merge's inputs may be, all together.
+APPENDED_FILTER_BITS = 2
+
 #: Flush and merge writers force their file to disk every 16 MB, the
 #: paper's second I/O optimization (Section 3.1; RocksDB's
 #: ``bytes_per_sync``): it keeps the OS write queue short, so a large
 #: merge cannot stall foreground I/O behind one giant final fsync.
 BYTES_PER_SYNC = 16 * 2**20
+
+#: How long no merge is started after one failed for a reason other
+#: than a checksum — at its start or in a chunk: an idle maintenance
+#: worker's poll (``maintenance._POLL_SECONDS``), so a persistent I/O
+#: error costs one attempt per poll, not a busy loop, while flushes and
+#: merges already started go on being claimed.
+RETRY_SECONDS = 0.05
 
 
 def build_policy(options: StoreOptions) -> MergePolicy:
@@ -132,6 +150,42 @@ class _BlockCursor:
             self.key = None
 
 
+def _append_order(
+    run_ids: list[int],
+    readers: list[SSTableReader],
+    options: StoreOptions,
+    drop_tombstones: bool,
+) -> list[tuple[int, SSTableReader]] | None:
+    """``(run_id, reader)`` of the inputs in key order if the merge may
+    lay them end to end, else None; decided from metas and indexes.
+    Each input is a current-format run under the writer's codec whose
+    blocks hold at least the writer's block size but for its last (on
+    average: a run written at a smaller size is re-packed instead), the
+    key ranges are pairwise disjoint, and no tombstone is to be dropped.
+    The inputs' filters, kept as they are, hold at most
+    :data:`APPENDED_FILTER_BITS` times the bits of the filter the k-way
+    merge would build (a writer sizes one for 1,024 keys at least).
+    """
+    for reader in readers:
+        if (
+            reader.format_version != CURRENT_FORMAT_VERSION
+            or reader.codec != options.block_codec
+            or reader.logical_bytes
+            < (reader.block_count - 1) * options.block_bytes
+            or (drop_tombstones and reader.tombstone_count)
+        ):
+            return None
+    rebuilt = max(sum(r.entry_count for r in readers), MIN_FILTER_KEYS)
+    bits = sum(r.point_filter.bit_size for r in readers)
+    if bits > APPENDED_FILTER_BITS * rebuilt * BLOOM_BITS_PER_KEY:
+        return None
+    ordered = sorted(zip(run_ids, readers), key=lambda pair: pair[1].min_key)
+    for (_, lower), (_, upper) in zip(ordered, ordered[1:]):
+        if lower.max_key >= upper.min_key:
+            return None
+    return [pair for pair in ordered if pair[1].block_count]
+
+
 class MergeJob:
     """An in-flight merge: incremental reconciliation into a new run.
 
@@ -151,6 +205,14 @@ class MergeJob:
     (:meth:`_copy_spans`). Input progress is the encoded size of the
     ranges moved or stepped over, so it ends at the inputs' logical
     bytes; a chunk boundary may cut a range anywhere.
+
+    A merge whose inputs' key ranges are disjoint (:func:`_append_order`
+    says when) has nothing to reconcile: it *appends* them instead, in
+    key order, a read of whole blocks at a time (:meth:`_append`). The
+    blocks are checked for their CRC and header length and written
+    verbatim; each input's counts and bounds come from its meta, and
+    its Bloom filter becomes the output's for its key range. No entry
+    is walked and no key hashed. ``appends`` says which way a job goes.
 
     The job *owns* its input readers — the compaction manager gives it
     each query reader's :meth:`~SSTableReader.sequential_handle` rather
@@ -175,11 +237,19 @@ class MergeJob:
         self._readers = readers
         self.claimed = False
         self._drop_tombstones = drop_tombstones
+        #: Inputs still to append, key order; None for a k-way merge.
+        self._appending = _append_order(
+            [c.uid for c in descriptor.inputs], readers, options, drop_tombstones
+        )
+        self.appends = self._appending is not None
+        #: The next block of the input being appended.
+        self._next_block = 0
         self._writer = _open_writer(
             output_path,
             options,
             rate_limiter,
-            sum(r.entry_count for r in readers),
+            # An appending writer builds no filter of its own.
+            0 if self.appends else sum(r.entry_count for r in readers),
         )
         #: Path of the run being produced.
         self.output_path = output_path
@@ -193,7 +263,8 @@ class MergeJob:
         self.total_input_bytes = sum(r.logical_bytes for r in readers)
         self._consumed = 0
         #: Input blocks by how they reached the output (or were shadowed
-        #: away): appended verbatim vs. decoded and re-packed.
+        #: away): written verbatim (by either path) vs. decoded and
+        #: re-packed.
         self.blocks_copied = 0
         self.blocks_rewritten = 0
         self.finished = False
@@ -305,10 +376,31 @@ class MergeJob:
             ):
                 return
 
-    def advance(self, chunk_bytes: int) -> bool:
-        """Process roughly ``chunk_bytes`` of input; True when complete."""
-        if self.finished:
-            return True
+    def _append(self, target: int) -> bool:
+        """Append whole blocks of the inputs, key order, until consumed
+        input reaches ``target``; True once every input is appended."""
+        writer = self._writer
+        while self._appending and self._consumed < target:
+            run_id, reader = self._appending[0]
+            span = read_twice(
+                run_id,
+                reader.read_blocks,
+                self._next_block,
+                target - self._consumed,
+            )
+            writer.append_blocks(span)
+            self._consumed += span.logical_bytes
+            self.blocks_copied += len(span.lengths)
+            self._next_block += len(span.lengths)
+            if self._next_block == reader.block_count:
+                writer.close_input(reader)
+                del self._appending[0]
+                self._next_block = 0
+        return not self._appending
+
+    def _merge(self, target: int) -> bool:
+        """Run the k-way merge until consumed input reaches ``target``;
+        True once every input is exhausted."""
         if self._cursors is None:
             cursors = [
                 _BlockCursor(c.uid, r)
@@ -317,11 +409,17 @@ class MergeJob:
             for cursor in cursors:
                 cursor.load()
             self._cursors = [c for c in cursors if c.key is not None]
-        target = self._consumed + chunk_bytes
         while self._cursors and self._consumed < target:
             best, limit = pick_head(self._cursors, self._step_over)
             self._drain(best, limit, target)
-        if not self._cursors:
+        return not self._cursors
+
+    def advance(self, chunk_bytes: int) -> bool:
+        """Process roughly ``chunk_bytes`` of input; True when complete."""
+        if self.finished:
+            return True
+        target = self._consumed + chunk_bytes
+        if self._append(target) if self.appends else self._merge(target):
             self.stats = self._writer.finish()
             self.finished = True
         self.descriptor.remaining_input_bytes = max(
@@ -398,6 +496,8 @@ class CompactionManager:
         self._readers: dict[int, SSTableReader] = {}
         self._components: dict[int, Component] = {}
         self._jobs: dict[int, MergeJob] = {}
+        #: No merge starts before this ``time.monotonic()``: one failed.
+        self._retry_at = 0.0
         self._merge_count = 0
         self._quarantine = QuarantineSet(directory)
         #: What is derived from the run set; None until the next read.
@@ -724,7 +824,12 @@ class CompactionManager:
 
     # -- merging ---------------------------------------------------------
 
-    def _schedule_merges(self) -> None:
+    def _schedule_merges(self, strict: bool = False) -> None:
+        """Start the merges the policy selects; one that cannot start
+        holds merge starts back and, with ``strict``, raises its error."""
+        if self.retry_pending():
+            return
+        failure = None
         active = [job.descriptor for job in self._jobs.values()]
         for descriptor in self._policy.select_merges(
             self.snapshot(), self._uids, active
@@ -739,36 +844,52 @@ class CompactionManager:
             if any(c.uid in self._quarantine for c in descriptor.inputs):
                 descriptor.release_inputs()
                 continue
-            self._start_job(descriptor)
+            failure = self._start_job(descriptor) or failure
+        if strict and failure is not None:
+            raise failure
 
-    def _start_job(self, descriptor: MergeDescriptor) -> None:
-        # Dedicated input handles: SSTableReader seeks one shared file
-        # handle, so a job advancing off-lock on a maintenance worker
-        # cannot iterate the store's query readers while foreground
-        # reads use them. They share the query reader's parsed index,
-        # filter and meta, so a claim parses nothing.
-        readers = [
-            self._readers[c.uid].sequential_handle()
-            for c in descriptor.inputs
-        ]
+    def _start_job(self, descriptor: MergeDescriptor) -> OSError | None:
         oldest_live = min(
             c.handle.sequence for c in self._components.values()
         )
         drops = any(
             c.handle.sequence == oldest_live for c in descriptor.inputs
         )
-        output_run_id = self._manifest.allocate_run_id()
-        output_path = os.path.join(
-            self._directory, f"{output_run_id:08d}.run"
-        )
-        job = MergeJob(
-            descriptor,
-            readers,
-            output_path,
-            self._options,
-            self._rate_limiter,
-            drop_tombstones=drops,
-        )
+        # Dedicated input handles: SSTableReader seeks one shared file
+        # handle, so a job advancing off-lock on a maintenance worker
+        # cannot iterate the store's query readers while foreground
+        # reads use them. They share the query reader's parsed index,
+        # filter and meta, so a claim parses nothing.
+        readers = []
+        try:
+            for component in descriptor.inputs:
+                reader = self._readers[component.uid]
+                readers.append(reader.sequential_handle())
+            output_run_id = self._manifest.allocate_run_id()
+            output_path = os.path.join(
+                self._directory, f"{output_run_id:08d}.run"
+            )
+            job = MergeJob(
+                descriptor,
+                readers,
+                output_path,
+                self._options,
+                self._rate_limiter,
+                drop_tombstones=drops,
+            )
+        except OSError as exc:
+            # Nothing is started (an input or the output cannot be
+            # opened): the claim or publish that scheduled the merge
+            # goes on, and the merge is retried after a back-off.
+            for reader in readers:
+                reader.close()
+            descriptor.release_inputs()
+            self._retry_at = time.monotonic() + RETRY_SECONDS
+            if self._obs is not None:
+                self._obs.registry.counter(
+                    "engine_maintenance_failures_total"
+                ).inc()
+            return exc
         job.output_run_id = output_run_id
         self._jobs[descriptor.uid] = job
         if self._obs is not None:
@@ -800,15 +921,16 @@ class CompactionManager:
                 help="Merge input bytes consumed, by target level.",
             ).inc(job.total_input_bytes)
             for path, blocks in (
-                ("copied", job.blocks_copied),
+                ("appended" if job.appends else "copied", job.blocks_copied),
                 ("rewritten", job.blocks_rewritten),
             ):
                 self._obs.registry.counter(
                     "engine_merge_blocks_total",
                     labels={"path": path},
                     help="Merge input blocks consumed, by how they "
-                    "reached the output: stored bytes appended verbatim "
-                    "vs. decoded and re-packed.",
+                    "reached the output: a key-disjoint merge's inputs "
+                    "laid end to end, stored bytes copied verbatim by a "
+                    "k-way merge, or decoded and re-packed.",
                 ).inc(blocks)
             self._obs.tracer.emit(
                 obs_events.MERGE_END,
@@ -828,14 +950,19 @@ class CompactionManager:
         """True when merges are pending."""
         return bool(self._jobs)
 
+    def retry_pending(self) -> bool:
+        """True while merges wait out a failed one's back-off."""
+        return time.monotonic() < self._retry_at
+
     @property
     def merge_jobs_in_flight(self) -> int:
         """In-flight merge jobs (claimed or waiting for a worker)."""
         return len(self._jobs)
 
-    def kick(self) -> bool:
-        """Schedule any newly-eligible merges; True if work now exists."""
-        self._schedule_merges()
+    def kick(self, strict: bool = False) -> bool:
+        """Schedule any newly-eligible merges; True if work now exists.
+        With ``strict``, a merge that cannot start raises its error."""
+        self._schedule_merges(strict)
         return self.has_work()
 
     def claim_merge(self) -> MergeJob | None:
@@ -874,15 +1001,18 @@ class CompactionManager:
         if finished:
             self._finish_job(job)
 
-    def fail_merge(self, job: MergeJob) -> None:
+    def fail_merge(self, job: MergeJob, retry: bool = False) -> None:
         """Abandon a claimed merge whose advance raised (under lock).
 
         The partial output is deleted and the descriptor's inputs are
-        released, so the policy may reschedule the same merge later.
+        released, so the policy may reschedule the same merge later —
+        with ``retry``, no merge starts for :data:`RETRY_SECONDS`.
         """
         job.claimed = False
         self._jobs.pop(job.descriptor.uid, None)
         job.abandon()
+        if retry:
+            self._retry_at = time.monotonic() + RETRY_SECONDS
 
     # -- quarantine repair ---------------------------------------------
 

@@ -9,7 +9,10 @@ writer builds directly. The run reader knows only the
 
 A filter serializes behind a 4-byte magic that :func:`load_filter`
 checks — so version-1 files (always Bloom) load through the same path,
-and a blob with any other magic is corruption.
+and a blob with any other magic is corruption. A merge that appends its
+inputs writes their filters end to end (``BLP1``,
+:class:`~repro.engine.bloom.PartitionedBloom`): still the ``bloom``
+kind, loaded by the same dispatch, and only ever probed.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 from ..errors import CorruptionError
-from .bloom import BloomFilter
+from .bloom import BloomFilter, PartitionedBloom
 
 _BLOOM_MAGIC = b"BLM1"
+_PARTITIONED_MAGIC = b"BLP1"
 
 
 @runtime_checkable
@@ -44,7 +48,7 @@ def available_filters() -> tuple[str, ...]:
     return ("bloom",)
 
 
-def load_filter(data: bytes) -> PointFilter:
+def load_filter(data: bytes) -> PointFilter | PartitionedBloom:
     """Deserialize a filter blob, checking its magic prefix.
 
     Version-1 run files always carry Bloom blobs, so they resolve here
@@ -53,6 +57,8 @@ def load_filter(data: bytes) -> PointFilter:
     if len(data) < 4:
         raise CorruptionError("filter blob truncated")
     magic = bytes(data[:4])
-    if magic != _BLOOM_MAGIC:
-        raise CorruptionError(f"unknown filter magic {magic!r}")
-    return BloomFilter.from_bytes(data)
+    if magic == _BLOOM_MAGIC:
+        return BloomFilter.from_bytes(data)
+    if magic == _PARTITIONED_MAGIC:
+        return PartitionedBloom.from_bytes(data)
+    raise CorruptionError(f"unknown filter magic {magic!r}")

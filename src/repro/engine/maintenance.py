@@ -165,10 +165,11 @@ class MaintenanceExecutor:
         for the whole write and is removed only after the run is
         published, so a reader always sees the data in exactly one
         place. A task that raises is abandoned — partial output deleted,
-        claim released — and the error goes on to the caller. A merge
-        whose *input* fails its checksum twice is contained instead: the
-        run is quarantined (source ``merge``), nothing is raised, and
-        the write that pumped the chunk goes on.
+        claim released; a merge is started again only after a back-off
+        (``compaction.RETRY_SECONDS``) — and the error goes on to the
+        caller. A merge whose *input* fails its checksum twice is
+        contained instead: the run is quarantined (source ``merge``),
+        nothing is raised, and the write that pumped the chunk goes on.
         """
         try:
             kind = task[0]
@@ -226,15 +227,16 @@ class MaintenanceExecutor:
             return False
         except BaseException:
             with self._lock:
-                self._abandon_locked(task)
+                self._abandon_locked(task, retry=True)
             raise
 
-    def _abandon_locked(self, task) -> None:
+    def _abandon_locked(self, task, retry: bool = False) -> None:
         """Clean up a failed task (lock held).
 
         A failed flush keeps its memtable sealed (the data is still in
         the WAL and remains readable); a failed merge is abandoned so
-        the policy may reschedule the same inputs later; a failed repair
+        the policy may reschedule the same inputs later (with ``retry``,
+        after a back-off); a failed repair
         leaves the run quarantined for the next attempt; a failed scrub
         chunk releases the scrubber's claim and skips the current run
         (the next pass revisits it).
@@ -245,7 +247,7 @@ class MaintenanceExecutor:
             if task[0] in ("flush", "repair"):
                 task[3].abandon()
             elif task[0] == "merge":
-                self._compaction.fail_merge(task[1])
+                self._compaction.fail_merge(task[1], retry)
             else:
                 self._scrubber.fail(task[1])
         except Exception:  # noqa: BLE001 — best-effort cleanup
@@ -262,7 +264,9 @@ class MaintenanceExecutor:
         — reconciling and writing run files, plus any rate-limiter
         sleeps — runs with the lock released, so foreground reads and
         writes proceed underneath, and with several workers one can
-        flush while others advance different merges.
+        flush while others advance different merges. A claim that
+        raises (a run writer that cannot be opened, say) is counted as
+        a failure, and the worker waits a poll and claims again.
         """
         busy = self._obs.registry.gauge(
             "engine_maintenance_worker_busy",
@@ -277,7 +281,11 @@ class MaintenanceExecutor:
                 with self._lock:
                     if self._is_closed():
                         return
-                    task = self._claim_locked()
+                    try:
+                        task = self._claim_locked()
+                    except Exception:  # noqa: BLE001 — counted; claim again
+                        self._m_failures.inc()
+                        task = None
                     if task is None:
                         self._changed.wait(timeout=_POLL_SECONDS)
                         continue
@@ -324,7 +332,9 @@ class MaintenanceExecutor:
                 break
             progressed = True
         if not progressed and blocking and self._compaction.is_write_stalled():
-            raise self._too_tight()
+            if not self._compaction.retry_pending():
+                raise self._too_tight()
+            self._wait("while a failed merge waited to be retried")
 
     @staticmethod
     def _too_tight() -> ConfigurationError:
@@ -350,6 +360,7 @@ class MaintenanceExecutor:
             or self._flush_claimed
             or self._compaction.has_work()
             or self._compaction.kick()
+            or self._compaction.retry_pending()
         )
 
     def seals_freely(self) -> bool:
@@ -402,19 +413,26 @@ class MaintenanceExecutor:
 
     def run_to_idle(self, max_steps: int = 1_000_000) -> None:
         """Run flushes and merges until none remain — when the caller
-        drives, in at most ``max_steps`` merge chunks."""
+        drives, in at most ``max_steps`` merge chunks, waiting out a
+        failed merge's back-off with the lock held (as it merges, and
+        as a closing store drains), and raising the error of a merge
+        start it makes itself."""
         if not self._workers:
             self.quiesce_memtables()
             steps = 0
-            self._compaction.kick()
             merge = self._claim_merge_locked
-            while self._compaction.has_work() and self._step(merge):
-                steps += 1
-                if steps >= max_steps:
-                    raise ConfigurationError(
-                        "compaction did not converge within the step budget"
-                    )
-            return
+            while True:
+                self._compaction.kick(strict=True)
+                while self._compaction.has_work() and self._step(merge):
+                    steps += 1
+                    if steps >= max_steps:
+                        raise ConfigurationError(
+                            "compaction did not converge within the step "
+                            "budget"
+                        )
+                if not self._compaction.retry_pending():
+                    return
+                time.sleep(_POLL_SECONDS)
         self._changed.notify_all()
         while not self._nothing_claimable():
             self._wait("during maintenance")

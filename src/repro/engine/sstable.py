@@ -18,7 +18,8 @@ File layout::
 * The **filter block** is a serialized point filter
   (:mod:`repro.engine.filters`; a Bloom filter): the blob's magic
   prefix says so, so version-1 files (always Bloom) load through the
-  same path.
+  same path. A run whose inputs were appended keeps their filters end
+  to end, one per input key range (``BLP1``).
 * The **meta block** is JSON: entry/tombstone counts, key bounds, the
   physical data byte count (what merge accounting bills against the I/O
   budget) and — version 2 — the format version, codec name, filter kind,
@@ -46,7 +47,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import ConfigurationError, CorruptionError
 from .blockcodec import NONE_CODEC_ID, codec_by_id, get_codec
-from .bloom import BloomFilter
+from .bloom import BloomFilter, PartitionedBloom
 from .filters import available_filters, load_filter
 from .options import TOMBSTONE
 from .ratelimiter import RateLimiter, SyncPolicy
@@ -74,6 +75,9 @@ CURRENT_FORMAT_VERSION = 2
 #: interval (5 ms) to get it back — with the default buffer those waits,
 #: not the merge's own work, were most of a merge's wall time.
 SEQUENTIAL_IO_BYTES = 1 << 18
+
+#: Fewest keys a writer sizes its Bloom filter for, however few it holds.
+MIN_FILTER_KEYS = 1024
 
 
 @dataclass(frozen=True)
@@ -206,6 +210,25 @@ def _decode_block(payload: bytes) -> list[tuple[bytes, bytes | None]]:
     return entries
 
 
+def _stored_logical(blob: bytes, view, start: int, end: int) -> int | None:
+    """The entry bytes a current-format stored block ``blob[start:end]``
+    (CRC trailer included, ``view`` a memoryview of ``blob``) declares
+    in its header — None unless its CRC holds, it has a header, and a
+    block stored raw declares exactly the bytes it holds. Checked where
+    the block lies: nothing is copied."""
+    body_end = end - _CRC_LEN
+    if body_end - start < _BLOCK_HEADER.size or zlib.crc32(
+        view[start:body_end]
+    ) != _LEN.unpack_from(blob, body_end)[0]:
+        return None
+    codec_id, logical = _BLOCK_HEADER.unpack_from(blob, start)
+    if codec_id == NONE_CODEC_ID and (
+        logical != body_end - start - _BLOCK_HEADER.size
+    ):
+        return None
+    return logical
+
+
 def _closed_when_full(
     ends: list[int], block_bytes: int, origin: int = 0
 ) -> bool:
@@ -228,7 +251,10 @@ class SSTableWriter:
     block's entries as encoded bytes, and :meth:`add_span` appends
     whole input blocks verbatim when they are what this writer would
     have produced anyway (:meth:`add_block` is its one-block case, for
-    a block the merge holds decoded).
+    a block the merge holds decoded). A merge of key-disjoint runs
+    appends each of them whole instead (:meth:`append_blocks`, then
+    :meth:`close_input`): no entry is walked and no key hashed, and the
+    inputs' filters become this run's, one per input key range.
     """
 
     def __init__(
@@ -252,7 +278,7 @@ class SSTableWriter:
             raise ConfigurationError(f"unknown filter kind {filter_kind!r}")
         self._filter_kind = filter_kind
         self._filter = BloomFilter(
-            max(expected_keys, 1024), bloom_bits_per_key
+            max(expected_keys, MIN_FILTER_KEYS), bloom_bits_per_key
         )
         # Every argument is validated by now: a rejected configuration
         # must not leave an open handle or an empty run file behind.
@@ -264,6 +290,8 @@ class SSTableWriter:
         #: Keys written but not yet in the filter; handed over
         #: ``feed_keys`` at a time, since each hand-over costs O(bits).
         self._filter_keys: list[bytes] = []
+        #: ``(min key, filter)`` of each appended input, in key order.
+        self._partitions: list[tuple[bytes, object]] = []
         self._block = bytearray()
         self._block_first_key: bytes | None = None
         self._index: list[tuple[bytes, int, int]] = []
@@ -436,6 +464,35 @@ class SSTableWriter:
         test (:meth:`SSTableReader.read_span` selects by it).
         """
         self._begin(span.keys[0])
+        self._put_blocks(span)
+        self._logical_bytes += span.logical_bytes
+        self._last_key = span.keys[-1]
+        self._entries += len(span.keys)
+        self._tombstones += span.tombstones
+        self._filter_keys += span.keys
+        self._feed_filter(self._filter.feed_keys)
+
+    def append_blocks(self, span: BlockSpan) -> None:
+        """Append blocks of an input run that this run takes whole, as
+        :meth:`SSTableReader.read_blocks` read them: verbatim, in one
+        write and one debit of the rate limiter, index entries shifted.
+        Their entries are accounted for by :meth:`close_input`."""
+        self._begin(span.first_keys[0])
+        self._put_blocks(span)
+        self._last_key = span.first_keys[-1]
+
+    def close_input(self, reader: SSTableReader) -> None:
+        """End an input run whose blocks :meth:`append_blocks` moved:
+        its entry and tombstone counts, logical bytes and last key are
+        its meta's, and its filter covers its key range of this run's
+        (partitioned) filter."""
+        self._entries += reader.entry_count
+        self._tombstones += reader.tombstone_count
+        self._logical_bytes += reader.logical_bytes
+        self._last_key = reader.max_key
+        self._partitions.append((reader.min_key, reader.point_filter))
+
+    def _put_blocks(self, span: BlockSpan) -> None:
         # Close the partial output block first: the copy must start on
         # a block boundary of its own.
         self._flush_block()
@@ -446,12 +503,6 @@ class SSTableWriter:
             span.lengths,
         )
         self._write_raw(span.stored)
-        self._logical_bytes += span.logical_bytes
-        self._last_key = span.keys[-1]
-        self._entries += len(span.keys)
-        self._tombstones += span.tombstones
-        self._filter_keys += span.keys
-        self._feed_filter(self._filter.feed_keys)
 
     def finish(self) -> RunStats:
         """Flush everything, write the footer, fsync, and close."""
@@ -470,7 +521,11 @@ class SSTableWriter:
         self._write_raw(bytes(index_payload) + _crc(bytes(index_payload)))
         index_len = self._offset - index_off
 
-        filter_payload = self._filter.to_bytes()
+        filter_payload = (
+            PartitionedBloom(self._partitions)
+            if self._partitions
+            else self._filter
+        ).to_bytes()
         filter_off = self._offset
         self._write_raw(filter_payload + _crc(filter_payload))
         filter_len = self._offset - filter_off
@@ -704,6 +759,12 @@ class SSTableReader:
         return self._filter_kind
 
     @property
+    def point_filter(self):
+        """The run's point filter as parsed at open (immutable, shared
+        with every :meth:`sequential_handle`)."""
+        return self._filter
+
+    @property
     def min_key(self) -> bytes:
         """Smallest key in the run."""
         return self._min_key
@@ -820,18 +881,9 @@ class SSTableReader:
             return None, None
         codec_id, block_bytes = copy_rule
         offsets, lengths = self._offsets, self._lengths
+        blob, last = self._read_piece(first, stop, budget)
         base = offsets[first]
-        reach = base + min(budget, SEQUENTIAL_IO_BYTES)
-        last = bisect_right(offsets, reach, first + 1, stop)
-        if last - 1 > first and offsets[last - 1] + lengths[last - 1] > reach:
-            last -= 1
-        blob = self._read_at(
-            base, offsets[last - 1] + lengths[last - 1] - base
-        )
         view = memoryview(blob)
-        crc32 = zlib.crc32
-        stored_crc = _LEN.unpack_from
-        unpack_header = _BLOCK_HEADER.unpack_from
         keys: list[bytes] = []
         tombstones = 0
         logical = 0
@@ -840,8 +892,8 @@ class SSTableReader:
             start = offsets[index] - base
             body_end = start + lengths[index] - _CRC_LEN
             if (
-                body_end - start >= _BLOCK_HEADER.size
-                and crc32(view[start:body_end]) == stored_crc(blob, body_end)[0]
+                _stored_logical(blob, view, start, body_end + _CRC_LEN)
+                is not None
                 and blob[start] == codec_id
             ):
                 try:
@@ -849,8 +901,6 @@ class SSTableReader:
                         # Stored raw: walk the entries where they lie.
                         payload = blob
                         origin = start + _BLOCK_HEADER.size
-                        if unpack_header(blob, start)[1] != body_end - origin:
-                            raise CorruptionError("block length mismatch")
                         end = body_end
                     else:
                         payload = _decode_stored_block(
@@ -892,6 +942,51 @@ class SSTableReader:
             logical,
         )
         return span, stopper
+
+    def read_blocks(self, first: int, budget: int) -> BlockSpan:
+        """Blocks ``first`` on, as stored, for a merge that appends this
+        current-format run whole: one read of as many as fit
+        :data:`SEQUENTIAL_IO_BYTES` and ``budget``, never fewer than
+        one, and every block's CRC and header length checked where it
+        lies (:meth:`read_span`'s first check). No entry is walked: the
+        span's ``keys`` are empty, its ``tombstones`` 0 and its
+        ``logical_bytes`` what the block headers declare. A damaged
+        block raises as :meth:`read_data_block` does.
+        """
+        if self._closed:
+            raise ConfigurationError("reader is closed")
+        offsets, lengths = self._offsets, self._lengths
+        blob, last = self._read_piece(first, len(offsets), budget)
+        base = offsets[first]
+        view = memoryview(blob)
+        logical = 0
+        for index in range(first, last):
+            start = offsets[index] - base
+            end = start + lengths[index]
+            size = _stored_logical(blob, view, start, end)
+            if size is None:
+                # Damaged: opening it the usual way raises, naming it.
+                self._open_block(blob[start:end], index)
+            logical += size
+        return BlockSpan(
+            blob, self._first_keys[first:last], offsets[first:last],
+            lengths[first:last], [], 0, logical,
+        )
+
+    def _read_piece(
+        self, first: int, stop: int, budget: int
+    ) -> tuple[bytes, int]:
+        """Blocks ``first`` to ``stop - 1`` as stored, in one read of as
+        many as fit :data:`SEQUENTIAL_IO_BYTES` and ``budget``, never
+        fewer than one; the bytes and one past the last block read."""
+        offsets, lengths = self._offsets, self._lengths
+        base = offsets[first]
+        reach = base + min(budget, SEQUENTIAL_IO_BYTES)
+        last = bisect_right(offsets, reach, first + 1, stop)
+        if last - 1 > first and offsets[last - 1] + lengths[last - 1] > reach:
+            last -= 1
+        end = offsets[last - 1] + lengths[last - 1]
+        return self._read_at(base, end - base), last
 
     def _block_for(self, key: bytes) -> int:
         return bisect_right(self._first_keys, key) - 1

@@ -8,6 +8,8 @@ iterator yields over the same inputs.
 
 import hashlib
 import os
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,10 @@ from repro.engine import (
     SSTableReader,
     SSTableWriter,
     StoreOptions,
+    compaction,
     sstable,
 )
+from repro.engine.bloom import BloomFilter, PartitionedBloom
 from repro.engine.compaction import MergeJob
 from repro.engine.iterators import reconciling_iterator
 from repro.engine.ratelimiter import RateLimiter
@@ -109,16 +113,27 @@ PER_BLOCK = 14
 OPTIONS = StoreOptions()
 
 
-def disjoint_runs(tmp_path, blocks_per_run=3, runs=3, **writer_options):
+def disjoint_runs(
+    tmp_path, blocks_per_run=3, runs=3, overlap=False, **writer_options
+):
+    """``runs`` runs of ``blocks_per_run`` full blocks, keys 1000 apart.
+
+    With ``overlap`` the oldest also holds one key just past the newest
+    run's last: the inputs' ranges overlap, so a merge of them takes
+    the k-way path, while each of them still lies below the others'
+    heads but for that key.
+    """
     paths = []
     for index in range(runs):
         start = index * 1000
         path = tmp_path / f"in{index}.run"
-        write_run(
-            path,
-            [(key(start + i), VALUE) for i in range(blocks_per_run * PER_BLOCK)],
-            **writer_options,
-        )
+        entries = [
+            (key(start + i), VALUE) for i in range(blocks_per_run * PER_BLOCK)
+        ]
+        if overlap and index == 0:
+            last = (runs - 1) * 1000 + blocks_per_run * PER_BLOCK
+            entries.append((key(last), VALUE))
+        write_run(path, entries, **writer_options)
         paths.append(path)
     return paths
 
@@ -157,10 +172,13 @@ class TestPassThrough:
                 (key(index * 1000 + i), VALUE)
                 for i in range(2 * PER_BLOCK + 3)
             ]
+            if index == 0:  # overlaps the next run: a k-way merge
+                entries.append((key(1000 + 2 * PER_BLOCK + 3), VALUE))
             write_run(path, entries)
             paths.append(path)
         job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
         stats = run_job(job)
+        assert not job.appends
         assert (job.blocks_copied, job.blocks_rewritten) == (4, 2)
         assert read_back(stats.path) == reference(paths, True)
 
@@ -247,9 +265,10 @@ class TestPassThrough:
         assert limiter.total_admitted_bytes == os.path.getsize(stats.path)
 
     def test_a_chunk_boundary_inside_a_block_resumes_there(self, tmp_path):
-        paths = disjoint_runs(tmp_path, runs=2)
+        paths = disjoint_runs(tmp_path, runs=2, overlap=True)
         expected = reference(paths, True)
         job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
+        assert not job.appends
         # 1000 bytes end inside the first block (14 entries of 315
         # bytes): the chunk stops with the entry that reaches them.
         assert not job.advance(1000)
@@ -334,14 +353,20 @@ class TestSpans:
     block-wise path, and the output is the same either way."""
 
     def test_disjoint_inputs_move_as_spans(self, tmp_path, monkeypatch):
-        paths = disjoint_runs(tmp_path, blocks_per_run=6)
+        paths = disjoint_runs(tmp_path, blocks_per_run=6, overlap=True)
         reads = block_reads(monkeypatch)
         job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
         stats = run_job(job)
-        assert (job.blocks_copied, job.blocks_rewritten) == (18, 0)
-        # Only each input's head block was decoded on its own.
+        assert not job.appends
+        # The overlapping key's block is the one re-packed.
+        assert (job.blocks_copied, job.blocks_rewritten) == (18, 1)
+        # Only each input's head block was decoded on its own — and,
+        # where the oldest meets the overlapping key, its last whole
+        # block below the others (the index cannot tell it ends there)
+        # and the overlapping key's.
         assert sorted(reads) == [
-            ("in0.run", 0), ("in1.run", 0), ("in2.run", 0)
+            ("in0.run", 0), ("in0.run", 5), ("in0.run", 6),
+            ("in1.run", 0), ("in2.run", 0),
         ]
         assert read_back(stats.path) == reference(paths, True)
 
@@ -366,7 +391,7 @@ class TestSpans:
     def test_the_read_size_cap_ends_a_span_not_the_copy(
         self, tmp_path, monkeypatch
     ):
-        paths = disjoint_runs(tmp_path, blocks_per_run=6)
+        paths = disjoint_runs(tmp_path, blocks_per_run=6, overlap=True)
         whole = make_job(paths, tmp_path / "whole.run", OPTIONS, True)
         run_job(whole)
         # Room for two stored blocks per read.
@@ -381,8 +406,9 @@ class TestSpans:
         monkeypatch.setattr(SSTableWriter, "add_span", recording)
         capped = make_job(paths, tmp_path / "capped.run", OPTIONS, True)
         run_job(capped)
+        assert not capped.appends
         assert max(spans) == 2
-        assert (capped.blocks_copied, capped.blocks_rewritten) == (18, 0)
+        assert (capped.blocks_copied, capped.blocks_rewritten) == (18, 1)
         assert file_bytes(tmp_path / "capped.run") == file_bytes(
             tmp_path / "whole.run"
         )
@@ -512,6 +538,8 @@ class TestStoreWiring:
         with LSMStore.open(str(tmp_path / "store"), options) as store:
             for index in range(600):
                 store.put(key(index), VALUE)
+                if index == 300:  # the second flush overlaps the first
+                    store.put(key(0), VALUE)
             store.flush()
             store.maintenance()
             assert store.stats().merges_completed > 0
@@ -523,8 +551,8 @@ class TestStoreWiring:
             for index in range(0, 600, 7):
                 assert store.get(key(index)) == VALUE
         assert set(counts) == {"copied", "rewritten"}
-        # Sequential keys: flushes are disjoint, so nearly every block
-        # is copied; each input's short tail is re-packed.
+        # Sequential keys but for one: nearly every block is copied;
+        # each input's short tail is re-packed.
         assert counts["copied"] > counts["rewritten"] > 0
 
     def test_scan_skips_runs_outside_the_range(self, tmp_path, monkeypatch):
@@ -554,6 +582,278 @@ class TestStoreWiring:
             del opened[:]
             assert len(list(store.scan())) == 100
             assert sorted(opened) == [key(0), key(1000)]
+
+
+def regions(path):
+    """SHA-256 of a run's data, index and meta regions; its filter blob."""
+    blob = file_bytes(path)
+    index_off, index_len, filter_off, filter_len, meta_off, meta_len, _ = (
+        sstable._FOOTER.unpack_from(blob, len(blob) - sstable._FOOTER.size)
+    )
+    digests = {
+        name: hashlib.sha256(blob[start:end]).hexdigest()
+        for name, start, end in (
+            ("data", 0, index_off),
+            ("index", index_off, index_off + index_len),
+            ("meta", meta_off, meta_off + meta_len),
+        )
+    }
+    return digests, blob[filter_off : filter_off + filter_len - 4]
+
+
+def disjoint_store_merge(directory):
+    """Three key-disjoint flushes of 600 keys — values of every length,
+    so each ends on a short block — and their merge, through a store
+    with inline maintenance: the output's :func:`regions` and the block
+    counters."""
+    options = StoreOptions(
+        memtable_bytes=1 << 20,
+        policy="tiering",
+        size_ratio=3,
+        levels=3,
+        background_maintenance=False,
+    )
+    with LSMStore.open(str(directory), options) as store:
+        for start in (0, 1000, 2000):
+            for index in range(start, start + 600):
+                store.put(key(index), b"%04d" % index + VALUE[: index % 300])
+            store.flush()
+        store.maintenance()
+        assert store.stats().merges_completed == 1
+        [record] = store.live_runs()
+        for index in range(0, 3000, 7):
+            value = b"%04d" % index + VALUE[: index % 300]
+            found = store.get(key(index))
+            assert found == (value if index % 1000 < 600 else None)
+        counts = {
+            counter["labels"]["path"]: counter["value"]
+            for counter in store.obs.registry.snapshot()["counters"]
+            if counter["name"] == "engine_merge_blocks_total"
+        }
+    return regions(os.path.join(str(directory), record.filename)), counts
+
+
+class TestAppend:
+    """A merge of key-disjoint inputs lays them end to end: blocks,
+    index and Bloom filters, no entry walked and no key hashed."""
+
+    #: The merge output's regions, the same whichever path made them.
+    DIGESTS = {
+        "data": "88e63d676e328c55d7eec77d834bf1500f3f24c9501749f2e1cc01b2"
+        "caf4de71",
+        "index": "7923bf9a5349628dee6a9051f39893e5905db564a2b8128b490d5ac"
+        "c05db4c9b",
+        "meta": "497d69acaa853fb92b76a630638d1187d455543e4b7817ab2f8d3bc2"
+        "a971b101",
+    }
+
+    def test_the_output_is_the_k_way_merges_but_for_the_filter(
+        self, tmp_path, monkeypatch
+    ):
+        (appended, filter_blob), counts = disjoint_store_merge(tmp_path / "a")
+        assert appended == self.DIGESTS
+        assert filter_blob[:4] == b"BLP1"
+        assert counts == {"appended": 73, "rewritten": 0}
+        monkeypatch.setattr(compaction, "_append_order", lambda *args: None)
+        (merged, filter_blob), counts = disjoint_store_merge(tmp_path / "k")
+        assert merged == appended
+        assert filter_blob[:4] == b"BLM1"
+        assert set(counts) == {"copied", "rewritten"}
+
+    def test_every_key_passes_the_filter_and_absent_ones_as_often_as_one(
+        self, tmp_path
+    ):
+        paths = []
+        for index in range(3):
+            path = tmp_path / f"in{index}.run"
+            entries = [(key(index * 10_000 + i), b"v") for i in range(3000)]
+            write_run(path, entries, expected_keys=len(entries))
+            paths.append(path)
+        job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
+        stats = run_job(job)
+        assert job.appends
+        reader = SSTableReader(stats.path)
+        assert len(reader.point_filter) == 3
+        present = [entry_key for entry_key, _ in reference(paths, True)]
+        assert all(reader.might_contain(k) for k in present)
+        assert [reader.get(k) for k in present] == [(True, b"v")] * 9000
+        # Beside every key and in the gaps between the inputs: each
+        # probe asks the one filter whose range holds it.
+        absent = [key(i) + b"x" for i in range(22_999)]
+        passed = sum(reader.might_contain(k) for k in absent) / len(absent)
+        whole = BloomFilter(len(present), compaction.BLOOM_BITS_PER_KEY)
+        whole.add_many(present)
+        one = sum(whole.might_contain(k) for k in absent) / len(absent)
+        reader.close()
+        assert 0 < passed < 0.015 and passed < 1.5 * one
+
+    def test_scans_cross_the_inputs_and_reads_survive_a_reopen(self, tmp_path):
+        directory = str(tmp_path / "store")
+        # About 800 keys per flush: enough that the inputs' filters may
+        # be kept as they are, at every level.
+        options = StoreOptions(
+            memtable_bytes=48 * 1024,
+            policy="tiering",
+            size_ratio=3,
+            levels=3,
+            background_maintenance=False,
+        )
+        model = {key(i): b"%05d" % i for i in range(7200)}
+        with LSMStore.open(directory, options) as store:
+            for entry_key, value in model.items():
+                store.put(entry_key, value)
+            store.flush()
+            store.maintenance()
+            assert store.stats().merges_completed >= 2
+            counts = {
+                counter["labels"]["path"]
+                for counter in store.obs.registry.snapshot()["counters"]
+                if counter["name"] == "engine_merge_blocks_total"
+            }
+            assert counts == {"appended", "rewritten"}
+            partitions = []
+            for record in store.live_runs():
+                reader = SSTableReader(os.path.join(directory, record.filename))
+                if record.level > 0:
+                    partitions.append(len(reader.point_filter))
+                reader.close()
+            assert max(partitions) > 3
+            lo, hi = key(150), key(5000)
+            assert list(store.scan(lo, hi)) == [
+                (k, v) for k, v in model.items() if lo <= k < hi
+            ]
+        with LSMStore.open(directory, options) as store:
+            assert list(store.scan()) == list(model.items())
+            assert all(store.get(k) == v for k, v in model.items())
+            assert store.get(key(150) + b"x") is None
+
+    def test_a_second_append_flattens_and_a_k_way_merge_builds_one_filter(
+        self, tmp_path
+    ):
+        # Runs of 602 keys: their filters may be kept, two runs and four.
+        paths = disjoint_runs(tmp_path, blocks_per_run=43, runs=4)
+        halves = [
+            run_job(make_job(half, tmp_path / f"{i}.run", OPTIONS, True)).path
+            for i, half in enumerate((paths[:2], paths[2:]))
+        ]
+        job = make_job(halves, tmp_path / "both.run", OPTIONS, True)
+        both = run_job(job)
+        assert job.appends
+        reader = SSTableReader(both.path)
+        assert isinstance(reader.point_filter, PartitionedBloom)
+        assert len(reader.point_filter) == 4
+        assert all(reader.might_contain(k) for k, _ in read_back(both.path))
+        reader.close()
+        # An overlapping input: the merge hashes every key into one filter.
+        newer = tmp_path / "newer.run"
+        write_run(newer, [(key(1005), b"newer")])
+        inputs = [both.path, newer]
+        job = make_job(inputs, tmp_path / "merged.run", OPTIONS, True)
+        merged = run_job(job)
+        assert not job.appends
+        reader = SSTableReader(merged.path)
+        assert isinstance(reader.point_filter, BloomFilter)
+        expected = reference(inputs, True)
+        assert read_back(merged.path) == expected
+        assert all(reader.might_contain(k) for k, _ in expected)
+        reader.close()
+
+    def test_dropped_tombstones_and_version_1_inputs_take_the_k_way_path(
+        self, tmp_path
+    ):
+        paths = disjoint_runs(tmp_path, runs=1)
+        deleted = tmp_path / "deleted.run"
+        write_run(deleted, [(key(5000), None), (key(5001), VALUE)])
+        inputs = [*paths, deleted]
+        keeping = make_job(inputs, tmp_path / "keep.run", OPTIONS, False)
+        assert keeping.appends
+        assert run_job(keeping).tombstone_count == 1
+        assert read_back(keeping.stats.path) == reference(inputs, False)
+        dropping = make_job(inputs, tmp_path / "drop.run", OPTIONS, True)
+        assert not dropping.appends
+        assert run_job(dropping).tombstone_count == 0
+        assert read_back(dropping.stats.path) == reference(inputs, True)
+
+        legacy = tmp_path / "legacy.run"
+        write_run(legacy, [(key(7000), VALUE)], legacy=True)
+        inputs = [*paths, legacy]
+        job = make_job(inputs, tmp_path / "v1.run", OPTIONS, True)
+        assert not job.appends
+        assert read_back(run_job(job).path) == reference(inputs, True)
+
+    def test_small_runs_are_merged_rather_than_their_filters_kept(
+        self, tmp_path
+    ):
+        # A run of 42 keys has a filter sized for 1,024, a writer's
+        # least: two such filters fit in twice the one filter a k-way
+        # merge builds, three do not.
+        paths = disjoint_runs(tmp_path)
+        two = make_job(paths[:2], tmp_path / "two.run", OPTIONS, True)
+        assert two.appends
+        two.abandon()
+        three = make_job(paths, tmp_path / "three.run", OPTIONS, True)
+        assert not three.appends
+        reader = SSTableReader(run_job(three).path)
+        assert isinstance(reader.point_filter, BloomFilter)
+        reader.close()
+
+    def test_a_sequential_load_of_small_flushes_keeps_its_filters_small(
+        self, tmp_path
+    ):
+        directory = str(tmp_path / "store")
+        options = StoreOptions(
+            memtable_bytes=4096,
+            policy="leveling",
+            size_ratio=4,
+            levels=3,
+            background_maintenance=False,
+        )
+        with LSMStore.open(directory, options) as store:
+            for index in range(3000):
+                store.put(key(index), b"v")
+            store.flush()
+            store.maintenance()
+            counts = {
+                counter["labels"]["path"]: counter["value"]
+                for counter in store.obs.registry.snapshot()["counters"]
+                if counter["name"] == "engine_merge_blocks_total"
+            }
+            records = store.live_runs()
+        # Every merge is key-disjoint, and some still append.
+        assert counts["appended"] > 0
+        for record in records:
+            reader = SSTableReader(os.path.join(directory, record.filename))
+            rebuilt = (
+                max(reader.entry_count, sstable.MIN_FILTER_KEYS)
+                * compaction.BLOOM_BITS_PER_KEY
+            )
+            assert reader.point_filter.bit_size <= (
+                compaction.APPENDED_FILTER_BITS * rebuilt
+            )
+            reader.close()
+
+    def test_a_raw_block_that_misstates_its_length_is_caught(self, tmp_path):
+        paths = disjoint_runs(tmp_path, runs=2)
+        # Block 1 of the second run claims a byte more than it holds,
+        # under a CRC recomputed to match: only its header can tell.
+        reader = SSTableReader(str(paths[1]))
+        offset, length = reader.block_span(1)
+        reader.close()
+        blob = bytearray(file_bytes(paths[1]))
+        codec_id, logical = struct.unpack_from("<BI", blob, offset)
+        struct.pack_into("<BI", blob, offset, codec_id, logical + 1)
+        body_end = offset + length - 4
+        crc = zlib.crc32(blob[offset:body_end])
+        struct.pack_into("<I", blob, body_end, crc)
+        with open(paths[1], "wb") as handle:
+            handle.write(bytes(blob))
+        job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
+        assert job.appends
+        with pytest.raises(CorruptionError) as raised:
+            run_job(job)
+        assert f"offset {offset}" in str(raised.value)
+        job.abandon()
+        assert not os.path.exists(job.output_path)
 
 
 # -- the property --------------------------------------------------------
@@ -699,8 +999,9 @@ class TestMatchesTheReference:
             for index in range(reader.block_count):
                 logical += len(reader.read_data_block(index).payload)
             assert reader.logical_bytes == logical
-            # The filter saw every key, copied or re-packed.
+            # The filter saw every key, copied, re-packed or appended.
             for entry_key, value in expected:
+                assert reader.might_contain(entry_key)
                 assert reader.get(entry_key) == (True, value)
         finally:
             reader.close()

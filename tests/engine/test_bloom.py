@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import BloomFilter
-from repro.engine.bloom import BATCH_KEYS
+from repro.engine.bloom import BATCH_KEYS, PartitionedBloom
 from repro.errors import ConfigurationError, CorruptionError
 
 
@@ -165,3 +165,73 @@ class TestPropertyBased:
             filt.add(key)
         restored = BloomFilter.from_bytes(filt.to_bytes())
         assert all(restored.might_contain(key) for key in key_list)
+
+
+def _filter_of(keys):
+    filt = BloomFilter(len(keys), 10)
+    filt.add_many(keys)
+    return filt
+
+
+class TestPartitioned:
+    """The filter of a run whose inputs were appended: theirs, end to
+    end, one per key range."""
+
+    def ranges(self):
+        return [
+            (b"a", [b"a%03d" % i for i in range(200)]),
+            (b"m", [b"m%03d" % i for i in range(200)]),
+            (b"t", [b"t%03d" % i for i in range(200)]),
+        ]
+
+    def test_a_probe_asks_the_filter_of_its_range(self):
+        ranges = self.ranges()
+        filt = PartitionedBloom([(lo, _filter_of(ks)) for lo, ks in ranges])
+        assert len(filt) == 3
+        assert all(filt.might_contain(k) for _, keys in ranges for k in keys)
+        # Below the first range nothing is asked; in the gaps, the
+        # filter before the gap answers.
+        assert not filt.might_contain(b"0")
+        hits = sum(filt.might_contain(b"p%05d" % i) for i in range(5000))
+        assert hits / 5000 < 0.03
+
+    def test_a_partitioned_partition_is_flattened_and_round_trips(self):
+        ranges = self.ranges()
+        inner = PartitionedBloom(
+            [(lo, _filter_of(keys)) for lo, keys in ranges[:2]]
+        )
+        last_lo, last_keys = ranges[2]
+        filt = PartitionedBloom(
+            [(b"a", inner), (last_lo, _filter_of(last_keys))]
+        )
+        assert len(filt) == 3
+        blob = filt.to_bytes()
+        assert blob[:4] == b"BLP1"
+        restored = PartitionedBloom.from_bytes(blob)
+        assert restored.to_bytes() == blob
+        probes = [
+            c + b"%03d" % i for c in (b"a", b"m", b"t", b"z") for i in range(300)
+        ]
+        assert [restored.might_contain(k) for k in probes] == [
+            filt.might_contain(k) for k in probes
+        ]
+
+    @pytest.mark.parametrize(
+        "damage", ["magic", "truncated", "trailing", "order", "inner"]
+    )
+    def test_a_damaged_blob_is_rejected(self, damage):
+        ranges = self.ranges()
+        filt = PartitionedBloom([(lo, _filter_of(ks)) for lo, ks in ranges])
+        blob = bytearray(filt.to_bytes())
+        if damage == "magic":
+            blob[0] ^= 0xFF
+        elif damage == "truncated":
+            del blob[-1]
+        elif damage == "trailing":
+            blob += b"\0"
+        elif damage == "order":  # the second range's first key: b"m" -> b"\0"
+            blob[blob.index(b"\x01\x00\x00\x00m") + 4] = 0
+        else:  # the first partition's BLM1 magic
+            blob[blob.index(b"BLM1")] = 0
+        with pytest.raises(CorruptionError):
+            PartitionedBloom.from_bytes(bytes(blob))

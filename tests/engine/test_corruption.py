@@ -375,18 +375,23 @@ class TestMergeInteraction:
         with LSMStore.open(directory, options) as store:
             assert dict(store.scan()) == model
 
+    @pytest.mark.parametrize("appended", [True, False])
     @pytest.mark.parametrize("background", [False, True])
     def test_a_merge_that_meets_a_corrupt_block_is_contained(
-        self, tmp_path, background
+        self, tmp_path, background, appended
     ):
         """The corrupt block is first read by a merge chunk: the input
         is quarantined (source ``merge``), the job let go, the write
-        that pumped the chunk succeeds, and a repair can claim the run."""
+        that pumped the chunk succeeds, and a repair can claim the run.
+        The same whether the merge appends its key-disjoint inputs or
+        merges overlapping ones."""
         import time
 
         directory = str(tmp_path / "db")
+        # Each batch is one flush of 600 keys: enough that the inputs'
+        # filters may be kept as they are by an appending merge.
         options = OPTIONS.with_(
-            memtable_bytes=4096,
+            memtable_bytes=48 * 1024,
             policy="tiering",
             size_ratio=3,
             background_maintenance=background,
@@ -414,12 +419,17 @@ class TestMergeInteraction:
             # publish, the merge is scheduled, nobody may claim it.
             compaction.claim_merge = lambda: None
             for batch in range(3):
-                for i in range(40):
+                if batch == 1 and not appended:
+                    # The merge's third input overlaps its first.
+                    model[b"k00005"] = b"overlap"
+                    store.put(b"k00005", model[b"k00005"])
+                for i in range(600):
                     key = f"k{batch}{i:04d}".encode()
-                    model[key] = bytes([65 + batch]) * 64
+                    model[key] = bytes([65 + batch]) * 8
                     store.put(key, model[key])
                 store.flush()
             [job] = compaction._jobs.values()
+            assert job.appends == appended
             victim = job.descriptor.inputs[1].uid
             [record] = [r for r in store.live_runs() if r.run_id == victim]
             _flip_data_byte(directory, record.filename)
@@ -433,7 +443,7 @@ class TestMergeInteraction:
                     "no merge ever met the damaged block"
                 )
                 key = f"late{index:05d}".encode()
-                model[key] = b"L" * 64
+                model[key] = b"L" * 8
                 store.put(key, model[key])  # must return, pumping or not
                 index += 1
                 if background:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import SSTableWriter, StoreOptions
-from repro.engine.bloom import BloomFilter
+from repro.engine.bloom import BloomFilter, PartitionedBloom
 from repro.engine.filters import PointFilter, available_filters, load_filter
 from repro.errors import ConfigurationError, CorruptionError
 
@@ -26,6 +26,12 @@ class TestRegistry:
         bloom.add(b"present")
         assert isinstance(load_filter(bloom.to_bytes()), BloomFilter)
         assert load_filter(bloom.to_bytes()).might_contain(b"present")
+        # An appended run's filters, end to end: still the one kind.
+        blob = PartitionedBloom([(b"a", bloom), (b"q", bloom)]).to_bytes()
+        loaded = load_filter(blob)
+        assert isinstance(loaded, PartitionedBloom) and len(loaded) == 2
+        assert loaded.might_contain(b"present")
+        assert available_filters() == ("bloom",)
 
     def test_load_rejects_unknown_magic(self):
         with pytest.raises(CorruptionError):

@@ -13,7 +13,16 @@ import time
 
 import pytest
 
-from repro.engine import LSMStore, MergeJob, SSTableWriter, StoreOptions
+from repro.engine import (
+    CompactionManager,
+    LSMStore,
+    MergeJob,
+    SSTableReader,
+    SSTableWriter,
+    StoreOptions,
+    compaction,
+    maintenance,
+)
 from repro.obs import events as obs_events
 
 WORKERS = StoreOptions(
@@ -301,6 +310,250 @@ class TestObservability:
             "engine_flush_stall_seconds_total": 0,
         }
         assert obs_events.FLUSH_STALL not in kinds
+
+
+def counter(store, name):
+    return sum(
+        series["value"]
+        for series in store.obs.registry.snapshot()["counters"]
+        if series["name"] == name
+    )
+
+
+def hold_back_merges(store, rows=600):
+    """Load ``rows`` keys and flush them with no merge claimed; then
+    let go of the merges they scheduled (lock held on return, no flush
+    pending): the next claim schedules them again and opens their
+    files."""
+    manager = store._compaction
+    manager.claim_merge = lambda: None
+    for i in range(rows):
+        store.put(f"user{i:06d}".encode(), b"v" * 64)
+    store.flush()
+    store._lock.acquire()
+    assert manager.has_work()
+    for job in list(manager._jobs.values()):
+        manager.fail_merge(job)
+    del manager.claim_merge
+
+
+def fail_once(monkeypatch, cls, name, failed):
+    """``cls.name`` raises ``OSError`` on its first call."""
+    original = getattr(cls, name)
+
+    def once(self, *args, **kwargs):
+        if not failed:
+            failed.append(name)
+            raise OSError("injected: too many open files")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, once)
+
+
+def opened_handles(monkeypatch):
+    """Every merge input handle opened from now on."""
+    handles = []
+    original = SSTableReader.sequential_handle
+
+    def recorded(self):
+        handles.append(original(self))
+        return handles[-1]
+
+    monkeypatch.setattr(SSTableReader, "sequential_handle", recorded)
+    return handles
+
+
+class TestFailures:
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(SSTableReader, "sequential_handle"), (SSTableWriter, "__init__")],
+        ids=["an-input", "the-output"],
+    )
+    def test_a_claim_that_cannot_open_a_merges_files_is_retried(
+        self, tmp_path, monkeypatch, cls, name
+    ):
+        handles = opened_handles(monkeypatch)
+        failed = []
+        outcome = []
+
+        def load():
+            options = WORKERS.with_(maintenance_threads=1)
+            with LSMStore.open(str(tmp_path / "db"), options) as store:
+                hold_back_merges(store)
+                fail_once(monkeypatch, cls, name, failed)
+                store._lock.release()
+                while not failed:
+                    time.sleep(0.01)
+                store.maintenance()
+                manager = store._compaction
+                outcome.append(
+                    (
+                        store.stats().merges_completed > 0,
+                        counter(store, "engine_maintenance_failures_total"),
+                        len(list(store.scan())),
+                        # No input is left marked as merging, and no
+                        # handle of the failed start is left open.
+                        any(c.merging for c in manager._components.values()),
+                        [h.path for h in handles if not h._file.closed],
+                    )
+                )
+
+        loader = threading.Thread(target=load, daemon=True)
+        loader.start()
+        loader.join(timeout=60.0)
+        assert not loader.is_alive(), "maintenance stopped for good"
+        assert outcome == [(True, 1, 600, False, [])]
+
+    def test_a_flush_claim_that_raises_does_not_end_the_worker(
+        self, tmp_path, monkeypatch
+    ):
+        original = CompactionManager.begin_flush
+        failed = []
+
+        def once(self, entry_hint):
+            if not failed:
+                failed.append(entry_hint)
+                raise OSError("injected: no space left on device")
+            return original(self, entry_hint)
+
+        monkeypatch.setattr(CompactionManager, "begin_flush", once)
+        outcome = []
+
+        def load():
+            options = WORKERS.with_(maintenance_threads=1)
+            with LSMStore.open(str(tmp_path / "db"), options) as store:
+                for i in range(4000):
+                    store.put(f"user{i % 600:06d}".encode(), b"v" * 64)
+                store.maintenance()
+                outcome.append(
+                    (
+                        counter(store, "engine_maintenance_failures_total"),
+                        len(list(store.scan())),
+                    )
+                )
+
+        # Without the guard the worker dies and writers wait forever.
+        loader = threading.Thread(target=load, daemon=True)
+        loader.start()
+        loader.join(timeout=60.0)
+        assert not loader.is_alive(), "maintenance stopped for good"
+        assert failed and outcome == [(1, 600)]
+
+    def test_a_merge_whose_reads_fail_backs_off(self, tmp_path, monkeypatch):
+        assert compaction.RETRY_SECONDS >= maintenance._POLL_SECONDS
+        failing_until = [float("inf")]
+        read_at = SSTableReader._read_at
+
+        def flaky(self, offset, length):
+            # Only a merge's readers have no cache.
+            if self._cache is None and time.monotonic() < failing_until[0]:
+                raise OSError("injected: I/O error")
+            return read_at(self, offset, length)
+
+        attempts = []
+        advance = MergeJob.advance
+
+        def counted(self, chunk_bytes):
+            attempts.append(time.monotonic())
+            return advance(self, chunk_bytes)
+
+        monkeypatch.setattr(SSTableReader, "_read_at", flaky)
+        monkeypatch.setattr(MergeJob, "advance", counted)
+        options = WORKERS.with_(maintenance_threads=1)
+        with LSMStore.open(str(tmp_path / "db"), options) as store:
+            for i in range(800):
+                store.put(f"user{i:06d}".encode(), b"v" * 64)
+            deadline = time.monotonic() + 10.0
+            while not attempts:
+                assert time.monotonic() < deadline, "no merge was tried"
+                time.sleep(0.01)
+            failing_until[0] = attempts[0] + 0.5
+            flushes = counter(store, "engine_flushes_total")
+            for i in range(100):
+                store.put(f"late{i:06d}".encode(), b"v" * 64)
+            store.flush()
+            # The flush published while the merge was still failing.
+            assert time.monotonic() < failing_until[0]
+            assert counter(store, "engine_flushes_total") > flushes
+            time.sleep(max(0.0, failing_until[0] - time.monotonic()))
+            store.maintenance()
+            assert store.stats().merges_completed > 0
+            failed = [at for at in attempts if at < failing_until[0]]
+            # One attempt per back-off, not a busy loop.
+            assert 2 <= len(failed) <= 0.5 / compaction.RETRY_SECONDS + 2
+            assert counter(
+                store, "engine_maintenance_failures_total"
+            ) == len(failed)
+            assert len(list(store.scan())) == 900
+
+    def test_an_inline_drain_raises_a_failed_start_then_waits_it_out(
+        self, tmp_path, monkeypatch
+    ):
+        options = WORKERS.with_(background_maintenance=False)
+        failed = []
+        with LSMStore.open(str(tmp_path / "db"), options) as store:
+            manager = store._compaction
+            hold_back_merges(store)
+            fail_once(monkeypatch, SSTableReader, "sequential_handle", failed)
+            store._lock.release()
+            # The caller drives: the start it made failed, so it is told.
+            with pytest.raises(OSError, match="injected"):
+                store.maintenance()
+            assert manager.retry_pending() and not manager.has_work()
+            assert counter(store, "engine_maintenance_failures_total") == 1
+            # Called inside the back-off, the drain waits it out and
+            # merges, rather than returning with the merge still due.
+            store.maintenance()
+            assert store.stats().merges_completed > 0
+            assert not manager.kick()
+            assert len(list(store.scan())) == 600
+
+    def test_an_inline_merge_whose_reads_fail_backs_off(
+        self, tmp_path, monkeypatch
+    ):
+        options = WORKERS.with_(background_maintenance=False)
+        with LSMStore.open(str(tmp_path / "db"), options) as store:
+            hold_back_merges(store)
+            failing_until = time.monotonic() + 0.5
+            read_at = SSTableReader._read_at
+
+            def flaky(self, offset, length):
+                # Only a merge's readers have no cache.
+                if self._cache is None and time.monotonic() < failing_until:
+                    raise OSError("injected: I/O error")
+                return read_at(self, offset, length)
+
+            attempts = []
+            advance = MergeJob.advance
+
+            def counted(self, chunk_bytes):
+                attempts.append(time.monotonic())
+                return advance(self, chunk_bytes)
+
+            monkeypatch.setattr(SSTableReader, "_read_at", flaky)
+            monkeypatch.setattr(MergeJob, "advance", counted)
+            store._lock.release()
+            raised = 0
+            while True:
+                try:
+                    store.maintenance()
+                    break
+                except OSError:
+                    raised += 1
+                if raised == 1:
+                    # A flush publishes while the merge is failing.
+                    flushes = counter(store, "engine_flushes_total")
+                    for i in range(100):
+                        store.put(f"late{i:06d}".encode(), b"v" * 64)
+                    store.flush()
+                    assert counter(store, "engine_flushes_total") > flushes
+            assert time.monotonic() >= failing_until
+            assert store.stats().merges_completed > 0
+            failed = [at for at in attempts if at < failing_until]
+            # Each drain tried once, after the back-off, until one merged.
+            assert raised == len(failed)
+            assert 2 <= len(failed) <= 0.5 / compaction.RETRY_SECONDS + 2
+            assert len(list(store.scan())) == 700
 
 
 class TestKnownGaps:

@@ -1,0 +1,137 @@
+"""``tools/pairs.py``: the arithmetic of a paired-runs report, on canned
+results — and on BENCH_25.json's own pairs, whose numbers it must give
+back."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location(
+        "pairs", ROOT / "tools" / "pairs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_line(setup_s, rss, correct=True, failed=0):
+    metrics = {"setup_s": setup_s, "peak_rss_mb": rss}
+    return {
+        "correct": correct,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {name: {"value": v} for name, v in metrics.items()},
+    }
+
+
+BENCHMARK = {
+    "end_to_end": [
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.2},
+    ]
+}
+
+
+def test_quartiles_and_seed_ranges():
+    pairs = _load()
+    assert pairs.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == [2.0, 3.0, 4.0]
+    assert pairs.quartiles([7.0]) == [7.0, 7.0, 7.0]
+    assert pairs._seeds("911-913") == [911, 912, 913]
+    assert pairs._seeds("7") == [7]
+
+
+def test_a_metric_is_summarised_pair_by_pair():
+    pairs = _load()
+    rows = [[1, 1.0, 0.8], [2, 1.2, 1.3], [3, 1.1, 0.9], [4, 1.0, 1.0]]
+    summary = pairs.summarise(rows, 0.25, "lower")
+    assert summary["change_lower"] == 2 and summary["change_higher"] == 1
+    assert summary["parent_q1_med_q3"] == [1.0, 1.05, 1.125]
+    assert summary["change_q1_med_q3"] == [0.875, 0.95, 1.075]
+    assert summary["median_delta"] == round((0.95 - 1.05) / 1.05, 4)
+    assert summary["inside_bound"] and not summary["equal_to_3_digits"]
+    # 30% worse where lower is better is outside a 25% bound; the same
+    # numbers where higher is better are a gain.
+    worse = [[1, 1.0, 1.3], [2, 1.0, 1.3]]
+    assert not pairs.summarise(worse, 0.25, "lower")["inside_bound"]
+    assert pairs.summarise(worse, 0.25, "higher")["inside_bound"]
+    same = [[1, 1.0001, 1.0002]]
+    assert pairs.summarise(same, 0.05, "lower")["equal_to_3_digits"]
+
+
+@pytest.mark.parametrize(
+    "change, met",
+    [
+        # 10/10 lower, median 20% lower, far beyond the parent's spread.
+        ([0.8] * 10, True),
+        # Only 8 of 10 lower.
+        ([0.8] * 8 + [1.1] * 2, False),
+        # 10/10 lower but by 5%: short of the predicted 12%.
+        ([0.95] * 10, False),
+    ],
+)
+def test_a_claim_needs_wins_size_and_more_than_the_spread(change, met):
+    pairs = _load()
+    parent = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    rows = [[i, p, c] for i, (p, c) in enumerate(zip(parent, change))]
+    claim = {"workload": "w", "metric": "setup_s", "min_delta": 0.12}
+    verdict = pairs.verdict(claim, rows, "lower")
+    assert verdict["met"] is met
+    assert verdict["of"] == 10
+    assert verdict["parent_iqr"] == 0.015
+    # A spread wider than the gain fails a claim that is otherwise met.
+    noisy = [[i, p, 0.8] for i, p in enumerate([0.9, 1.0, 1.5, 2.0] * 3)]
+    assert not pairs.verdict(claim, noisy, "lower")["met"]
+
+
+def test_a_report_covers_every_workload_metric_and_claim():
+    pairs = _load()
+    runs = {
+        "engine-mixed": [
+            {
+                "seed": seed,
+                "parent": _bench_line(0.5 + seed / 100, 60.0),
+                "change": _bench_line(0.4 + seed / 100, 60.0),
+            }
+            for seed in range(1, 11)
+        ]
+    }
+    claim = {"workload": "engine-mixed", "metric": "setup_s", "min_delta": 0.1}
+    predict = {"claims": [claim]}
+    report = pairs.report(runs, BENCHMARK, predict)
+    section = report["untraced"]["engine-mixed"]
+    assert section["attempted"] == {"parent": 1000, "change": 1000}
+    assert section["failed"] == {"parent": 0, "change": 0}
+    assert section["correct"] == {"parent": True, "change": True}
+    assert section["peak_rss_mb"]["equal_to_3_digits"]
+    assert [seed for seed, _, _ in section["setup_s"]["pairs"]] == list(
+        range(1, 11)
+    )
+    [claim] = report["claims"]
+    assert claim["change_lower"] == 10 and claim["met"]
+
+
+def test_bench_25s_own_pairs_give_back_its_numbers():
+    pairs = _load()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    recorded = json.loads((ROOT / "BENCH_25.json").read_text())
+    for metric in benchmark["end_to_end"]:
+        for section in recorded["untraced"].values():
+            stored = section[metric["name"]]
+            assert pairs.summarise(
+                stored["pairs"], metric["bound"], metric["better"]
+            ) == stored
+    claim = recorded["claim"]
+    verdict = pairs.verdict(
+        {**claim, "min_delta": 0.2},
+        recorded["untraced"][claim["workload"]][claim["metric"]]["pairs"],
+        "lower",
+    )
+    for key in ("change_lower", "parent_median", "change_median",
+                "median_delta", "parent_iqr", "met"):
+        assert verdict[key] == claim[key]

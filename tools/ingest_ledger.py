@@ -114,9 +114,12 @@ def timer_cost(calls: int = 100_000) -> float:
     return max(0.0, perf_counter() - started - bare) / calls
 
 
-def load_once(directory: str) -> tuple[dict[str, tuple[float, int]], int]:
+def load_once(
+    directory: str,
+) -> tuple[dict[str, tuple[float, int]], dict[str, int]]:
     """One preload: ``{leg: (seconds, calls)}`` including ``total``,
-    and the number of input blocks its merges consumed."""
+    and the input blocks its merges consumed, by path (``appended``,
+    ``copied``, ``rewritten``: ``engine_merge_blocks_total``)."""
     from repro.engine import (
         BloomFilter,
         CompactionManager,
@@ -164,11 +167,11 @@ def load_once(directory: str) -> tuple[dict[str, tuple[float, int]], int]:
         store.flush()
         store.maintenance()
         total = perf_counter() - started
-        blocks = sum(
-            counter["value"]
+        blocks = {
+            counter["labels"]["path"]: int(counter["value"])
             for counter in store.obs.registry.snapshot()["counters"]
             if counter["name"] == "engine_merge_blocks_total"
-        )
+        }
         store.close()
     finally:
         legs.unwrap()
@@ -182,7 +185,7 @@ def load_once(directory: str) -> tuple[dict[str, tuple[float, int]], int]:
     attributed = sum(seconds for seconds, _ in result.values())
     result["rest"] = (total - attributed, 0)
     result["total"] = (total, 0)
-    return result, int(blocks)
+    return result, blocks
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -217,11 +220,19 @@ def main(argv: list[str] | None = None) -> int:
     for name, (seconds, calls) in run.items():
         per_call = f"{seconds / calls * 1e6:10.2f}" if calls else ""
         print(f"{name:<16}{seconds:10.4f}{calls or '':>9}{per_call}")
-    if blocks:
-        per_block = run["merge advance"][0] / blocks * 1e6
+    total_blocks = sum(blocks.values())
+    if total_blocks:
+        per_block = run["merge advance"][0] / total_blocks * 1e6
         print(
             f"merge advance per input block: {per_block:.2f} us "
-            f"({blocks} blocks)"
+            f"({total_blocks} blocks)"
+        )
+        print(
+            "merge blocks by path: "
+            + ", ".join(
+                f"{path} {blocks.get(path, 0)}"
+                for path in ("appended", "copied", "rewritten")
+            )
         )
     # Linux reports KiB: the process's peak, imports included.
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
