@@ -135,11 +135,10 @@ class _BlockCursor:
         self.pos = 0
         self.key: bytes | None = None
 
-    def load(self, block: DataBlock | None = None) -> None:
-        """Step to the run's next block (or to exhaustion); ``block``
-        is that block when the caller has read it already."""
+    def load(self) -> None:
+        """Step to the run's next block (or to exhaustion)."""
         if self.next_block < self.reader.block_count:
-            self.block = block or read_twice(
+            self.block = read_twice(
                 self.run_id, self.reader.read_data_block, self.next_block
             )
             self.next_block += 1
@@ -199,12 +198,9 @@ class MergeJob:
     as encoded bytes, and a block that is consumed whole — and holds no
     tombstone this merge must drop — is offered to the writer for a
     verbatim copy (:meth:`SSTableWriter.add_block` decides from the
-    block's format version, codec id and size). The whole blocks that
-    follow it below the same bound are not decoded one by one: they
-    move as spans, one read and one write per run of blocks
-    (:meth:`_copy_spans`). Input progress is the encoded size of the
-    ranges moved or stepped over, so it ends at the inputs' logical
-    bytes; a chunk boundary may cut a range anywhere.
+    block's format version, codec id and size). Input progress is the
+    encoded size of the ranges moved or stepped over, so it ends at the
+    inputs' logical bytes; a chunk boundary may cut a range anywhere.
 
     A merge whose inputs' key ranges are disjoint (:func:`_append_order`
     says when) has nothing to reconcile: it *appends* them instead, in
@@ -270,56 +266,15 @@ class MergeJob:
         self.finished = False
         self.stats = None
 
-    def _leave_block(
-        self,
-        cursor: _BlockCursor,
-        copied: bool = False,
-        following: DataBlock | None = None,
-    ) -> None:
-        """Count the block a cursor is done with and load its next
-        (``following``, if that one has been read already)."""
+    def _leave_block(self, cursor: _BlockCursor, copied: bool = False) -> None:
+        """Count the block a cursor is done with and load its next."""
         if copied:
             self.blocks_copied += 1
         else:
             self.blocks_rewritten += 1
-        cursor.load(following)
+        cursor.load()
         if cursor.key is None:
             self._cursors.remove(cursor)
-
-    def _copy_spans(
-        self, cursor: _BlockCursor, limit: bytes | None, target: int
-    ) -> DataBlock | None:
-        """Move the whole blocks that follow ``cursor``'s current one
-        and end below ``limit`` to the output as spans, up to
-        ``target``: the same blocks :meth:`_drain` would copy one by
-        one, without decoding them one by one.
-
-        Returns the block the last span stopped at, if it was read: it
-        is the cursor's next, and takes the block-wise path.
-        """
-        reader = cursor.reader
-        first = cursor.next_block
-        stop = reader.whole_blocks_below(limit, first)
-        keep_tombstones = not self._drop_tombstones
-        stopper = None
-        while first < stop and self._consumed < target and stopper is None:
-            span, stopper = read_twice(
-                cursor.run_id,
-                reader.read_span,
-                first,
-                stop,
-                target - self._consumed,
-                self._writer.copy_rule,
-                keep_tombstones,
-            )
-            if span is None:
-                break
-            self._writer.add_span(span)
-            self._consumed += span.logical_bytes
-            self.blocks_copied += len(span.lengths)
-            first += len(span.lengths)
-        cursor.next_block = first
-        return stopper
 
     def _step_over(self, cursor: _BlockCursor) -> None:
         """Move an input past its head, a copy of a key that a newer
@@ -367,8 +322,7 @@ class MergeJob:
                 best.pos = hi
                 best.key = keys[hi]
                 return
-            following = self._copy_spans(best, limit, target)
-            self._leave_block(best, copied, following)
+            self._leave_block(best, copied)
             if (
                 best.key is None
                 or (limit is not None and best.key >= limit)

@@ -141,40 +141,32 @@ class BlockSpan(NamedTuple):
     ``stored`` is the blocks exactly as the file holds them, back to
     back, CRC trailers included: block ``i`` begins with
     ``first_keys[i]``, sits ``offsets[i] - offsets[0]`` bytes in and is
-    ``lengths[i]`` long. ``keys`` are the keys of all of them in order,
-    ``tombstones`` counts the deleted ones, and ``logical_bytes`` is
-    the size of the decoded entries.
+    ``lengths[i]`` long. ``logical_bytes`` is the size of the decoded
+    entries.
     """
 
     stored: bytes
     first_keys: list[bytes]
     offsets: list[int]
     lengths: list[int]
-    keys: list[bytes]
-    tombstones: int
     logical_bytes: int
 
 
 def _walk_block(
-    payload: bytes,
-    stop_at: bytes | None = None,
-    pos: int = 0,
-    size: int | None = None,
+    payload: bytes, stop_at: bytes | None = None
 ) -> tuple[list[bytes], list[int], list[int]]:
     """Keys-first walk of a block's entry payload; slices no value.
 
     Returns ``(keys, ends, tombstones)`` as :class:`DataBlock` holds
     them. With ``stop_at`` the walk ends at the first key that is not
-    below it — a point lookup needs nothing beyond that entry. ``pos``
-    and ``size`` bound the walk to a window of ``payload`` (a raw block
-    inside a larger read); ``ends`` are then offsets into ``payload``.
+    below it — a point lookup needs nothing beyond that entry.
     """
     keys: list[bytes] = []
     ends: list[int] = []
     tombstones: list[int] = []
     unpack = _ENTRY_HEADER.unpack_from
-    if size is None:
-        size = len(payload)
+    size = len(payload)
+    pos = 0
     while pos < size:
         if pos + 8 > size:
             raise CorruptionError("data block entry header truncated")
@@ -229,16 +221,13 @@ def _stored_logical(blob: bytes, view, start: int, end: int) -> int | None:
     return logical
 
 
-def _closed_when_full(
-    ends: list[int], block_bytes: int, origin: int = 0
-) -> bool:
-    """Whether a block whose entries end at ``ends`` (counted from
-    ``origin``) is what a writer at ``block_bytes`` makes of them:
-    closed by the entry that filled it, not earlier (a short tail) and
-    not later (a larger block size).
+def _closed_when_full(ends: list[int], block_bytes: int) -> bool:
+    """Whether a block whose entries end at ``ends`` is what a writer at
+    ``block_bytes`` makes of them: closed by the entry that filled it,
+    not earlier (a short tail) and not later (a larger block size).
     """
-    return ends[-1] - origin >= block_bytes and (
-        len(ends) == 1 or ends[-2] - origin < block_bytes
+    return ends[-1] >= block_bytes and (
+        len(ends) == 1 or ends[-2] < block_bytes
     )
 
 
@@ -248,13 +237,12 @@ class SSTableWriter:
     Entries arrive one at a time (:meth:`add`), as an iterable
     (:meth:`add_many`, what a memtable flush feeds), or block-wise from
     a merge's inputs: :meth:`add_entries` moves a range of a decoded
-    block's entries as encoded bytes, and :meth:`add_span` appends
-    whole input blocks verbatim when they are what this writer would
-    have produced anyway (:meth:`add_block` is its one-block case, for
-    a block the merge holds decoded). A merge of key-disjoint runs
-    appends each of them whole instead (:meth:`append_blocks`, then
-    :meth:`close_input`): no entry is walked and no key hashed, and the
-    inputs' filters become this run's, one per input key range.
+    block's entries as encoded bytes, and :meth:`add_block` appends a
+    whole input block verbatim when it is what this writer would have
+    produced anyway. A merge of key-disjoint runs appends each of them
+    whole instead (:meth:`append_blocks`, then :meth:`close_input`): no
+    entry is walked and no key hashed, and the inputs' filters become
+    this run's, one per input key range.
     """
 
     def __init__(
@@ -416,12 +404,6 @@ class SSTableWriter:
             lo = closing + 1
             self._flush_block()
 
-    @property
-    def copy_rule(self) -> tuple[int, int]:
-        """``(codec id, block size)`` a stored block must have been
-        written under for this writer to append it verbatim."""
-        return self._codec.codec_id, self._block_bytes
-
     def add_block(self, source: DataBlock) -> bool:
         """Append a whole decoded input block; True if copied verbatim.
 
@@ -443,34 +425,18 @@ class SSTableWriter:
         ):
             self.add_entries(source, 0, len(keys))
             return False
-        self.add_span(
-            BlockSpan(
-                source.stored,
-                keys[:1],
-                [0],
-                [len(source.stored)],
-                keys,
-                len(source.tombstones),
-                len(source.payload),
-            )
+        self._begin(keys[0])
+        stored, logical = source.stored, len(source.payload)
+        self._put_blocks(
+            BlockSpan(stored, keys[:1], [0], [len(stored)], logical)
         )
-        return True
-
-    def add_span(self, span: BlockSpan) -> None:
-        """Append consecutive input blocks verbatim: one write, one
-        debit of the rate limiter, their index entries moved over.
-
-        The caller vouches that every block passes :meth:`add_block`'s
-        test (:meth:`SSTableReader.read_span` selects by it).
-        """
-        self._begin(span.keys[0])
-        self._put_blocks(span)
-        self._logical_bytes += span.logical_bytes
-        self._last_key = span.keys[-1]
-        self._entries += len(span.keys)
-        self._tombstones += span.tombstones
-        self._filter_keys += span.keys
+        self._logical_bytes += logical
+        self._last_key = keys[-1]
+        self._entries += len(keys)
+        self._tombstones += len(source.tombstones)
+        self._filter_keys += keys
         self._feed_filter(self._filter.feed_keys)
+        return True
 
     def append_blocks(self, span: BlockSpan) -> None:
         """Append blocks of an input run that this run takes whole, as
@@ -662,7 +628,7 @@ class SSTableReader:
             f"{path}: index block at offset {index_off} ({index_len} bytes)",
         )
         #: The block index, one list per column: a lookup bisects the
-        #: first keys, a span read bisects the offsets.
+        #: first keys, an appending merge's read bisects the offsets.
         self._first_keys: list[bytes] = []
         self._offsets: list[int] = []
         self._lengths: list[int] = []
@@ -843,121 +809,26 @@ class SSTableReader:
         )
         return self._open_block(stored, block_idx)
 
-    def whole_blocks_below(self, key: bytes | None, first: int) -> int:
-        """One past the last block from ``first`` on whose keys are all
-        below ``key`` (None = unbounded); ``first`` if there is none.
-
-        Decided on the index alone: a block ends below ``key`` when its
-        successor begins below it, the last block when the run does.
-        """
-        if key is None or self._max_key < key:
-            return len(self._first_keys)
-        return max(first, bisect_left(self._first_keys, key, first) - 1)
-
-    def read_span(
-        self,
-        first: int,
-        stop: int,
-        budget: int,
-        copy_rule: tuple[int, int],
-        keep_tombstones: bool,
-    ) -> tuple[BlockSpan | None, DataBlock | None]:
-        """Read blocks ``first`` to ``stop - 1`` in one piece and keep
-        those a writer under ``copy_rule`` may append verbatim.
-
-        One read covers as many of the blocks as fit
-        :data:`SEQUENTIAL_IO_BYTES` and ``budget``, never fewer than
-        one; each is checksum-verified where it lies and its keys are
-        walked. Returns the leading blocks that pass
-        :meth:`SSTableWriter.add_block`'s test, hold ``budget`` decoded
-        bytes at most between them and — unless ``keep_tombstones`` —
-        no deletion, as a span (None if the very first fails); and the
-        block that failed, read and decoded (None if the read just
-        ended). A damaged block raises as :meth:`read_data_block` does.
-        """
-        if self._closed:
-            raise ConfigurationError("reader is closed")
-        if self._format_version != CURRENT_FORMAT_VERSION:
-            return None, None
-        codec_id, block_bytes = copy_rule
-        offsets, lengths = self._offsets, self._lengths
-        blob, last = self._read_piece(first, stop, budget)
-        base = offsets[first]
-        view = memoryview(blob)
-        keys: list[bytes] = []
-        tombstones = 0
-        logical = 0
-        stopper = None
-        for index in range(first, last):
-            start = offsets[index] - base
-            body_end = start + lengths[index] - _CRC_LEN
-            if (
-                _stored_logical(blob, view, start, body_end + _CRC_LEN)
-                is not None
-                and blob[start] == codec_id
-            ):
-                try:
-                    if codec_id == NONE_CODEC_ID:
-                        # Stored raw: walk the entries where they lie.
-                        payload = blob
-                        origin = start + _BLOCK_HEADER.size
-                        end = body_end
-                    else:
-                        payload = _decode_stored_block(
-                            blob[start:body_end], self._format_version, ""
-                        )
-                        origin = 0
-                        end = len(payload)
-                    block_keys, ends, dead = _walk_block(
-                        payload, None, origin, end
-                    )
-                except CorruptionError:
-                    ends = None
-                if (
-                    ends
-                    and _closed_when_full(ends, block_bytes, origin)
-                    and logical + end - origin <= budget
-                    and (keep_tombstones or not dead)
-                ):
-                    keys += block_keys
-                    tombstones += len(dead)
-                    logical += end - origin
-                    continue
-            # Not one to copy, or damaged: open it the usual way, which
-            # raises naming the block if it is the latter.
-            stopper = self._open_block(
-                blob[start : body_end + _CRC_LEN], index
-            )
-            last = index
-            break
-        if last == first:
-            return None, stopper
-        span = BlockSpan(
-            blob[: offsets[last - 1] + lengths[last - 1] - base],
-            self._first_keys[first:last],
-            offsets[first:last],
-            lengths[first:last],
-            keys,
-            tombstones,
-            logical,
-        )
-        return span, stopper
-
     def read_blocks(self, first: int, budget: int) -> BlockSpan:
         """Blocks ``first`` on, as stored, for a merge that appends this
         current-format run whole: one read of as many as fit
         :data:`SEQUENTIAL_IO_BYTES` and ``budget``, never fewer than
         one, and every block's CRC and header length checked where it
-        lies (:meth:`read_span`'s first check). No entry is walked: the
-        span's ``keys`` are empty, its ``tombstones`` 0 and its
-        ``logical_bytes`` what the block headers declare. A damaged
-        block raises as :meth:`read_data_block` does.
+        lies. No entry is walked: the span's ``logical_bytes`` is what
+        the block headers declare. A damaged block raises as
+        :meth:`read_data_block` does.
         """
         if self._closed:
             raise ConfigurationError("reader is closed")
         offsets, lengths = self._offsets, self._lengths
-        blob, last = self._read_piece(first, len(offsets), budget)
         base = offsets[first]
+        reach = base + min(budget, SEQUENTIAL_IO_BYTES)
+        last = bisect_right(offsets, reach, first + 1)
+        if last - 1 > first and offsets[last - 1] + lengths[last - 1] > reach:
+            last -= 1
+        blob = self._read_at(
+            base, offsets[last - 1] + lengths[last - 1] - base
+        )
         view = memoryview(blob)
         logical = 0
         for index in range(first, last):
@@ -970,23 +841,8 @@ class SSTableReader:
             logical += size
         return BlockSpan(
             blob, self._first_keys[first:last], offsets[first:last],
-            lengths[first:last], [], 0, logical,
+            lengths[first:last], logical,
         )
-
-    def _read_piece(
-        self, first: int, stop: int, budget: int
-    ) -> tuple[bytes, int]:
-        """Blocks ``first`` to ``stop - 1`` as stored, in one read of as
-        many as fit :data:`SEQUENTIAL_IO_BYTES` and ``budget``, never
-        fewer than one; the bytes and one past the last block read."""
-        offsets, lengths = self._offsets, self._lengths
-        base = offsets[first]
-        reach = base + min(budget, SEQUENTIAL_IO_BYTES)
-        last = bisect_right(offsets, reach, first + 1, stop)
-        if last - 1 > first and offsets[last - 1] + lengths[last - 1] > reach:
-            last -= 1
-        end = offsets[last - 1] + lengths[last - 1]
-        return self._read_at(base, end - base), last
 
     def _block_for(self, key: bytes) -> int:
         return bisect_right(self._first_keys, key) - 1

@@ -305,10 +305,8 @@ class TestPassThrough:
             bare_manager.flush(manager, iter(items), len(items))
         inputs = sorted(r.filename for r in manifest.live_runs())
         job = manager.claim_merge()
-        # Flip a byte inside one block of the middle input. Its first
-        # block is decoded on its own; blocks 1 to 4 move as one span,
-        # so the rot sits at the span's start, middle or end — and the
-        # error must name that block, not the span.
+        # Flip a byte inside one block of the middle input — its second,
+        # fourth or last — and the error must name that block.
         victim = os.path.join(directory, inputs[1])
         reader = SSTableReader(victim)
         offset, length = reader.block_span(damaged)
@@ -336,7 +334,7 @@ class TestPassThrough:
 
 
 def block_reads(monkeypatch):
-    """Record which blocks a merge decodes one by one (vs. in a span)."""
+    """Record which blocks a merge reads, one ``(file, block)`` a read."""
     reads = []
     original = SSTableReader.read_data_block
 
@@ -348,11 +346,23 @@ def block_reads(monkeypatch):
     return reads
 
 
-class TestSpans:
-    """Runs of whole blocks move as spans; what ends a span takes the
-    block-wise path, and the output is the same either way."""
+def every_block(paths):
+    """Each ``(file, block)`` of the runs at ``paths``, sorted."""
+    blocks = []
+    for path in paths:
+        reader = SSTableReader(str(path))
+        blocks += [(path.name, i) for i in range(reader.block_count)]
+        reader.close()
+    return sorted(blocks)
 
-    def test_disjoint_inputs_move_as_spans(self, tmp_path, monkeypatch):
+
+class TestBlockwiseCopy:
+    """A k-way merge reads each input block once and copies the whole
+    ones it may verbatim; what cannot be copied is re-packed."""
+
+    def test_disjoint_stretches_are_copied_block_by_block(
+        self, tmp_path, monkeypatch
+    ):
         paths = disjoint_runs(tmp_path, blocks_per_run=6, overlap=True)
         reads = block_reads(monkeypatch)
         job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
@@ -360,17 +370,12 @@ class TestSpans:
         assert not job.appends
         # The overlapping key's block is the one re-packed.
         assert (job.blocks_copied, job.blocks_rewritten) == (18, 1)
-        # Only each input's head block was decoded on its own — and,
-        # where the oldest meets the overlapping key, its last whole
-        # block below the others (the index cannot tell it ends there)
-        # and the overlapping key's.
-        assert sorted(reads) == [
-            ("in0.run", 0), ("in0.run", 5), ("in0.run", 6),
-            ("in1.run", 0), ("in2.run", 0),
-        ]
+        assert sorted(reads) == every_block(paths)
         assert read_back(stats.path) == reference(paths, True)
 
-    def test_the_other_inputs_head_ends_a_span(self, tmp_path, monkeypatch):
+    def test_the_other_inputs_head_ends_the_copies(
+        self, tmp_path, monkeypatch
+    ):
         old = tmp_path / "old.run"
         new = tmp_path / "new.run"
         write_run(old, [(key(i), VALUE) for i in range(6 * PER_BLOCK)])
@@ -383,35 +388,9 @@ class TestSpans:
         job = make_job([old, new], tmp_path / "out.run", OPTIONS, True)
         stats = run_job(job)
         assert (job.blocks_copied, job.blocks_rewritten) == (5, 2)
-        assert ("old.run", 4) in reads
-        assert not {("old.run", index) for index in (1, 2, 3)} & set(reads)
+        assert sorted(reads) == every_block([old, new])
         assert read_back(stats.path) == reference([old, new], True)
         assert dict(read_back(stats.path))[key(inside)] == b"newer"
-
-    def test_the_read_size_cap_ends_a_span_not_the_copy(
-        self, tmp_path, monkeypatch
-    ):
-        paths = disjoint_runs(tmp_path, blocks_per_run=6, overlap=True)
-        whole = make_job(paths, tmp_path / "whole.run", OPTIONS, True)
-        run_job(whole)
-        # Room for two stored blocks per read.
-        monkeypatch.setattr(sstable, "SEQUENTIAL_IO_BYTES", 9000)
-        spans = []
-        original = SSTableWriter.add_span
-
-        def recording(self, span):
-            spans.append(len(span.lengths))
-            return original(self, span)
-
-        monkeypatch.setattr(SSTableWriter, "add_span", recording)
-        capped = make_job(paths, tmp_path / "capped.run", OPTIONS, True)
-        run_job(capped)
-        assert not capped.appends
-        assert max(spans) == 2
-        assert (capped.blocks_copied, capped.blocks_rewritten) == (18, 1)
-        assert file_bytes(tmp_path / "capped.run") == file_bytes(
-            tmp_path / "whole.run"
-        )
 
     def test_a_block_larger_than_the_cap_still_moves(
         self, tmp_path, monkeypatch
@@ -427,8 +406,7 @@ class TestSpans:
         self, tmp_path, monkeypatch
     ):
         # The middle run's third block holds a tombstone this merge
-        # drops: the span ends there, the block is re-packed from the
-        # bytes the span read already held, and a new span resumes.
+        # drops: it is re-packed, and the copies resume after it.
         entries = [(key(1000 + i), VALUE) for i in range(6 * PER_BLOCK)]
         entries[2 * PER_BLOCK + 5] = (entries[2 * PER_BLOCK + 5][0], None)
         paths = disjoint_runs(tmp_path, blocks_per_run=6, runs=1)
@@ -439,7 +417,7 @@ class TestSpans:
         job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
         stats = run_job(job)
         assert (job.blocks_copied, job.blocks_rewritten) == (11, 1)
-        assert sorted(reads) == [("deleted.run", 0), ("in0.run", 0)]
+        assert sorted(reads) == every_block(paths)
         assert stats.tombstone_count == 0
         assert read_back(stats.path) == reference(paths, True)
 
@@ -503,7 +481,7 @@ def fixed_store_files(directory):
 
 
 class TestSameFilesAsBefore:
-    """Batching and spans change how the bytes move, not which bytes:
+    """Batching and appends change how the bytes move, not which bytes:
     the digests and block counts below were produced by this function
     at commit 48bbd93 (one record per memtable node, one block per
     merge call)."""
@@ -878,7 +856,7 @@ def _run_spec(draw, block_bytes, block_codec):
     (duplicates across runs) and leave stretches to themselves (whole
     blocks below every other input's head). Half the runs are written
     the way the merge writes (``block_bytes``, ``block_codec``), so
-    that those stretches are copied, several blocks to a span; the
+    that those stretches are copied verbatim, block by block; the
     rest are legacy files or differ in codec or block size.
     """
     lo = draw(st.integers(0, 120))
@@ -950,7 +928,7 @@ class TestMatchesTheReference:
         options = StoreOptions(
             block_bytes=block_bytes, block_codec=block_codec
         )
-        # ``io_bytes`` caps a span's read: one block, a few, or no cap.
+        # ``io_bytes`` caps an append's read: one block, a few, or none.
         configured = sstable.SEQUENTIAL_IO_BYTES
         sstable.SEQUENTIAL_IO_BYTES = io_bytes
         try:
@@ -960,22 +938,6 @@ class TestMatchesTheReference:
             stats = run_job(job, chunk_bytes)
         finally:
             sstable.SEQUENTIAL_IO_BYTES = configured
-        # A span is only a faster way to make the copies the block-wise
-        # path makes: with span reads switched off, the same file.
-        read_span = SSTableReader.read_span
-        SSTableReader.read_span = lambda self, *args: (None, None)
-        try:
-            blockwise = make_job(
-                paths, directory / "blockwise.run", options, drop_tombstones
-            )
-            run_job(blockwise, chunk_bytes)
-        finally:
-            SSTableReader.read_span = read_span
-        assert file_bytes(stats.path) == file_bytes(blockwise.stats.path)
-        assert (job.blocks_copied, job.blocks_rewritten) == (
-            blockwise.blocks_copied,
-            blockwise.blocks_rewritten,
-        )
         input_blocks = 0
         for path in paths:
             reader = SSTableReader(str(path))

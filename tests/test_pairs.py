@@ -4,6 +4,7 @@ back."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,22 @@ def test_a_metric_is_summarised_pair_by_pair():
     assert pairs.summarise(worse, 0.25, "higher")["inside_bound"]
     same = [[1, 1.0001, 1.0002]]
     assert pairs.summarise(same, 0.05, "lower")["equal_to_3_digits"]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    pairs = _load()
+    # Parent quartiles 0.9 / 1.0 / 1.1: a spread of 20% of the median.
+    parent = [0.8, 0.9, 0.9, 1.0, 1.0, 1.1, 1.1, 1.2]
+    rows = [[i, p, 1.0] for i, p in enumerate(parent)]
+    assert pairs.quartiles(parent) == pytest.approx([0.9, 1.0, 1.1])
+    assert pairs.summarise(rows, 0.25, "lower")["unresolved"] is False
+    wide = pairs.summarise(rows, 0.1, "lower")
+    # Inside the bound by its median, and still not a finding.
+    assert wide["inside_bound"] and wide["unresolved"]
+    # Unless every change run beats every parent run.
+    beaten = [[i, p, 0.7] for i, p in enumerate(parent)]
+    assert not pairs.summarise(beaten, 0.1, "lower")["unresolved"]
+    assert pairs.summarise(beaten, 0.1, "higher")["unresolved"]
 
 
 @pytest.mark.parametrize(
@@ -123,9 +140,11 @@ def test_bench_25s_own_pairs_give_back_its_numbers():
     for metric in benchmark["end_to_end"]:
         for section in recorded["untraced"].values():
             stored = section[metric["name"]]
-            assert pairs.summarise(
+            fresh = pairs.summarise(
                 stored["pairs"], metric["bound"], metric["better"]
-            ) == stored
+            )
+            # BENCH_25 predates the "unresolved" field.
+            assert {key: fresh[key] for key in stored} == stored
     claim = recorded["claim"]
     verdict = pairs.verdict(
         {**claim, "min_delta": 0.2},
@@ -135,3 +154,32 @@ def test_bench_25s_own_pairs_give_back_its_numbers():
     for key in ("change_lower", "parent_median", "change_median",
                 "median_delta", "parent_iqr", "met"):
         assert verdict[key] == claim[key]
+
+
+def test_the_change_clone_drops_files_deleted_staged_or_not(tmp_path):
+    pairs = _load()
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    for name in ("a", "b", "c"):
+        (repo / name).write_text(name)
+    git("add", "a", "b", "c")
+    git("commit", "-q", "-m", "three files")
+    git("rm", "-q", "b")
+    (repo / "a").unlink()
+    (repo / "c").write_text("changed")
+    parent, change = pairs.clone_pair("HEAD", tmp_path / "scratch", repo)
+    assert sorted(p.name for p in parent.iterdir() if p.name != ".git") == [
+        "a", "b", "c"
+    ]
+    assert sorted(p.name for p in change.iterdir() if p.name != ".git") == [
+        "c"
+    ]
+    assert (change / "c").read_text() == "changed"

@@ -23,7 +23,13 @@ A claim is met when the change is better in at least nine of every ten
 pairs, its median better by at least ``min_delta`` of the parent's, and
 the median difference larger than the parent's q3 - q1. Directions and
 bounds come from ``BENCHMARK.json``. Quartiles are
-``statistics.quantiles(n=4, method="inclusive")``.
+``statistics.quantiles(n=4, method="inclusive")``. A metric whose
+parent runs spread wider than its bound (``(q3 - q1) / median``) is
+``"unresolved"``: inside the bound or not, the runs cannot tell —
+unless every change run is better than every parent run.
+
+``--parent HEAD`` on a clean working tree is the A/A run: both clones
+hold the same code, so the report is the box's own spread.
 """
 
 from __future__ import annotations
@@ -63,12 +69,19 @@ def _delta(parent: float, change: float) -> float:
 def summarise(pairs: list[list], bound: float, better: str) -> dict:
     """One gated metric on one workload: ``pairs`` are ``[seed, parent,
     change]``; ``inside_bound`` says whether the change's median is no
-    worse than the parent's by more than ``bound`` (a share)."""
+    worse than the parent's by more than ``bound`` (a share), and
+    ``unresolved`` whether the parent's runs spread too wide to say."""
     parent = [p for _, p, _ in pairs]
     change = [c for _, _, c in pairs]
     parent_q, change_q = quartiles(parent), quartiles(change)
     delta = _delta(parent_q[1], change_q[1])
     worse = delta if better == "lower" else -delta
+    q1, median, q3 = parent_q
+    spread = (q3 - q1) / median if median else 0.0
+    all_better = (
+        max(change) < min(parent) if better == "lower"
+        else min(change) > max(parent)
+    )
     return {
         "bound": bound,
         "of": len(pairs),
@@ -78,6 +91,7 @@ def summarise(pairs: list[list], bound: float, better: str) -> dict:
         "change_q1_med_q3": _rounded(change_q),
         "median_delta": delta,
         "inside_bound": worse <= bound,
+        "unresolved": spread > bound and not all_better,
         "equal_to_3_digits": all(
             round(p, 3) == round(c, 3) for _, p, c in pairs
         ),
@@ -162,23 +176,29 @@ def _git(*args: str, cwd: Path = ROOT) -> str:
     ).stdout
 
 
-def clone_pair(parent: str, scratch: Path) -> tuple[Path, Path]:
-    """A clone at ``parent``, and a clone of HEAD with the working
-    tree's files (tracked and untracked, ignored ones aside) over it."""
+def clone_pair(
+    parent: str, scratch: Path, root: Path = ROOT
+) -> tuple[Path, Path]:
+    """A clone of ``root`` at ``parent``, and a clone of HEAD with the
+    working tree's files (tracked and untracked, ignored ones aside)
+    over it and the files it deleted, staged or not, gone."""
     sides = scratch / "parent", scratch / "change"
     for side in sides:
-        _git("clone", "-q", str(ROOT), str(side))
+        _git("clone", "-q", str(root), str(side), cwd=root)
     _git("checkout", "-q", parent, cwd=sides[0])
     listed = _git(
-        "ls-files", "-z", "--cached", "--others", "--exclude-standard"
+        "ls-files", "-z", "--cached", "--others", "--exclude-standard",
+        cwd=root,
     )
     for name in filter(None, listed.split("\0")):
-        source, target = ROOT / name, sides[1] / name
+        source, target = root / name, sides[1] / name
         if source.is_file():
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target)
-        elif target.exists():  # deleted in the working tree
-            target.unlink()
+    committed = _git("ls-tree", "-r", "-z", "--name-only", "HEAD", cwd=root)
+    for name in filter(None, committed.split("\0")):
+        if not (root / name).exists():
+            (sides[1] / name).unlink(missing_ok=True)
     return sides
 
 
