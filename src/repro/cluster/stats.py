@@ -131,4 +131,5 @@ def worst_case_stats(snapshots: Sequence[StoreStats]) -> StoreStats:
         block_cache_used_bytes=sum(
             s.block_cache_used_bytes for s in snapshots
         ),
+        row_hits=sum(s.row_hits for s in snapshots),
     )

@@ -670,6 +670,9 @@ class CompactionManager:
         )
         self._quarantine.add(entry)
         self._run_set_changed()
+        # A cached row may have come from this run: a lookup it answered
+        # must fail fast now, as an uncached one does.
+        self._block_cache.drop_all_rows()
         for job in list(self._jobs.values()):
             if not job.claimed and any(
                 c.uid == run_id for c in job.descriptor.inputs
@@ -1011,6 +1014,7 @@ class CompactionManager:
             self._written(new_run_id, component.level, stats),
             sequence=component.handle.sequence,
         )
+        self._block_cache.drop_all_rows()
         return entry
 
     def drop_run(self, run_id: int) -> bool:
@@ -1024,12 +1028,16 @@ class CompactionManager:
         if run_id not in self._components or self._in_flight(run_id):
             return False
         self._apply_edit([run_id], [])
+        self._block_cache.drop_all_rows()
         return True
 
     def close(self) -> None:
-        """Abandon in-flight merges and close every reader."""
+        """Abandon in-flight merges, close every reader and empty the
+        cache: rows belong to no reader, so closing readers frees only
+        blocks."""
         for job in list(self._jobs.values()):
             job.abandon()
         self._jobs.clear()
         for reader in self._readers.values():
             reader.close()
+        self._block_cache.clear()

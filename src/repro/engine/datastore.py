@@ -40,7 +40,6 @@ from ..errors import (
     ClosedError,
     ConfigurationError,
     CorruptionError,
-    DataCorruptError,
     WriteStalledError,
 )
 from ..obs import Observability
@@ -52,7 +51,6 @@ from .iterators import (
     ReaderCorruption,
     RunCursor,
     merge_scan,
-    reconcile_get,
     reconciling_iterator,
 )
 from .maintenance import MaintenanceExecutor
@@ -90,9 +88,11 @@ class StoreStats:
     throttle_sleep_seconds: float
     block_cache_hit_rate: float
     block_cache_used_bytes: int
-    #: Runs excluded from reads pending repair (default keeps older
-    #: positional constructions — test fixtures, wire rebuilds — valid).
+    #: Runs excluded from reads pending repair, and gets answered by a
+    #: cached row (defaults keep older positional constructions — test
+    #: fixtures, wire rebuilds — valid).
     quarantined_runs: int = 0
+    row_hits: int = 0
 
     @property
     def memory_fill(self) -> float:
@@ -118,7 +118,8 @@ class MemorySignals:
     memory that a rotation has not yet released. ``ingested_bytes`` is
     cumulative over the store's lifetime (per-tick deltas measure write
     rate); the cache counters are the :class:`BlockCache`'s cumulative
-    totals (deltas measure read traffic and miss rate).
+    totals (deltas measure read traffic and miss rate): block lookups,
+    and ``row_hits``, the gets a cached row answered with none.
     """
 
     memtable_bytes: int
@@ -134,6 +135,7 @@ class MemorySignals:
     cache_evictions: int
     cache_capacity_bytes: int
     cache_used_bytes: int
+    row_hits: int = 0
 
 
 class WriteTiming(NamedTuple):
@@ -496,13 +498,15 @@ class LSMStore:
 
     def _insert(self, batch: list[tuple[bytes, bytes | None]]) -> None:
         """Apply a logged batch to the active memtable (lock held, or
-        the store not yet shared: replay at open)."""
+        the store not yet shared: replay at open) and drop the cached
+        rows of its keys — every committed write passes here."""
         active = self._active
         for key, value in batch:
             if value is TOMBSTONE:
                 active.delete(key)
             else:
                 active.put(key, value)
+        self._compaction.block_cache.drop_rows(key for key, _ in batch)
 
     def _would_wait_locked(
         self, batch: list[tuple[bytes, bytes | None]]
@@ -630,16 +634,10 @@ class LSMStore:
             self._maintenance.run_to_idle(max_steps)
 
     def advance_maintenance(self) -> bool:
-        """One bounded maintenance pump: the serving layer's stall hook.
-
-        With ``stall_mode="reject"`` and inline maintenance nothing
-        advances flushes or merges while writes are being bounced, so a
-        front-end that rejects (or absorbs) stalled writes must push
-        maintenance forward itself between attempts. Returns True while
-        the write gate is still closed afterwards. When maintenance
-        workers exist they own all progress — the pump just wakes them
-        instead of competing for claims.
-        """
+        """One bounded maintenance pump: the serving layer's stall hook
+        (with inline maintenance and ``stall_mode="reject"``, nothing
+        else advances merges while writes bounce; with workers it wakes
+        them). True while the write gate is still closed afterwards."""
         with self._lock:
             self._check_open()
             self._maintenance.advance()
@@ -750,6 +748,7 @@ class LSMStore:
                 cache_evictions=cache.evictions,
                 cache_capacity_bytes=cache.capacity_bytes,
                 cache_used_bytes=cache.used_bytes,
+                row_hits=cache.row_hits,
             )
 
     # -- reads -----------------------------------------------------------
@@ -789,6 +788,9 @@ class LSMStore:
     def get(self, key: bytes) -> bytes | None:
         """Point lookup; None when absent (or deleted).
 
+        Newest first: memtables, the key's cached row, runs. A run's answer
+        becomes the row, until :meth:`_insert` drops it for a write.
+
         Corruption containment: the probe walks sources newest-first, so
         a quarantined run only poisons the lookup when the probe actually
         *reaches* it — a newer memtable or run holding the key answers
@@ -799,38 +801,39 @@ class LSMStore:
         deleted key or serve a stale value). Fresh checksum failures go
         through :meth:`_read_failed`.
         """
+        cache = self._compaction.block_cache
         failure = None
         while True:
             with self._lock:
                 self._check_open()
-                try:
-                    found, value = reconcile_get(
-                        self._probe(key, *self._sources())
-                    )
-                    return value if found else None
-                except ReaderCorruption as error:
-                    failure = self._read_failed(error, failure)
-
-    @staticmethod
-    def _probe(key, memtables, plan):
-        for memtable in memtables:
-            yield memtable.get(key)
-        for run_id, element in plan:
-            if isinstance(element, QuarantineEntry):
-                if element.covers(key):
-                    raise DataCorruptError(
-                        f"run {element.run_id} is quarantined and its "
-                        f"bounds cover the requested key",
-                        run_id=element.run_id,
-                        min_key=element.min_key,
-                        max_key=element.max_key,
-                    )
-                continue
-            if element.might_contain(key):
-                try:
-                    yield element.get(key)
-                except CorruptionError as error:
-                    raise ReaderCorruption(run_id, error) from error
+                memtables, plan = self._sources()
+                for memtable in memtables:
+                    found, value = memtable.get(key)
+                    if found:
+                        return value
+                found, value = cache.get_row(key)
+                if found:
+                    return value
+                for run_id, element in plan:
+                    if isinstance(element, QuarantineEntry):
+                        if element.covers(key):
+                            raise element.fence(
+                                f"run {run_id} is quarantined and its "
+                                f"bounds cover the requested key"
+                            )
+                    elif element.might_contain(key):
+                        try:
+                            found, value = element.get(key)
+                        except CorruptionError as error:
+                            failure = self._read_failed(
+                                ReaderCorruption(run_id, error), failure
+                            )
+                            break
+                        if found:
+                            cache.put_row(key, value)
+                            return value
+                else:
+                    return None
 
     def scan(
         self,
@@ -865,12 +868,8 @@ class LSMStore:
                 self._check_open()
                 entry = self._compaction.quarantine.overlapping(lo, hi)
                 if entry is not None:
-                    raise DataCorruptError(
-                        f"scan range intersects quarantined run "
-                        f"{entry.run_id}",
-                        run_id=entry.run_id,
-                        min_key=entry.min_key,
-                        max_key=entry.max_key,
+                    raise entry.fence(
+                        f"scan range intersects quarantined run {entry.run_id}"
                     )
                 if limit == 0:
                     return iter(())
@@ -1046,7 +1045,6 @@ class LSMStore:
             for entry in self._compaction.quarantine.entries():
                 self._compaction.drop_run(entry.run_id)
 
-
     # -- scrubbing --------------------------------------------------------
 
     def scrub_tick(self) -> bool:
@@ -1075,18 +1073,14 @@ class LSMStore:
     def stats(self) -> StoreStats:
         """Snapshot of store internals (for monitoring and tests).
 
-        The snapshot is taken atomically: every field is read at a
-        single maintenance-safe point under the store lock, which both
-        cooperative maintenance (:meth:`advance_maintenance`) and the
-        background thread also hold for each pump. No interleaving can
-        produce a snapshot mixing pre- and post-merge values — e.g.
-        ``wal_bytes`` from before a checkpoint with ``components_per_level``
-        from after. Keep every mutable-state read inside the locked
-        region: hoisting one out is exactly that torn-snapshot bug.
-        What depends on the run set (levels, stall bit, headroom) is
-        read off the compaction manager's cached view, not recomputed.
+        Atomic: every field is read under the store lock, which every
+        maintenance step also holds, so no snapshot mixes pre- and
+        post-merge values (``wal_bytes`` from before a checkpoint with
+        ``components_per_level`` from after). Keep every mutable-state
+        read inside the locked region. What depends on the run set is
+        read off the compaction manager's cached view.
         """
-        compaction = self._compaction
+        compaction, cache = self._compaction, self._compaction.block_cache
         with self._lock:
             return StoreStats(
                 memtable_entries=len(self._active),
@@ -1110,8 +1104,9 @@ class LSMStore:
                 throttle_sleep_seconds=(
                     compaction.rate_limiter.total_sleep_seconds
                 ),
-                block_cache_hit_rate=compaction.block_cache.hit_rate(),
-                block_cache_used_bytes=compaction.block_cache.used_bytes,
+                block_cache_hit_rate=cache.hit_rate(),
+                block_cache_used_bytes=cache.used_bytes,
+                row_hits=cache.row_hits,
             )
 
     @property
@@ -1183,8 +1178,12 @@ class LSMStore:
         ).set_total(float(cache.misses))
         registry.counter(
             "engine_block_cache_evictions_total",
-            help="Blocks evicted to stay within the cache budget.",
+            help="Blocks and rows evicted to stay within the cache budget.",
         ).set_total(float(cache.evictions))
+        registry.counter(
+            "engine_row_cache_hits_total",
+            help="Point lookups answered by a cached row, no block read.",
+        ).set_total(float(cache.row_hits))
         registry.gauge(
             "engine_block_cache_capacity_bytes",
             help="Current block-cache byte budget.",

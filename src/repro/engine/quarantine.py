@@ -21,6 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from ..errors import DataCorruptError
 from .wal import fsync_dir
 
 _FILENAME = "quarantine.json"
@@ -42,6 +43,15 @@ class QuarantineEntry:
         """True when ``key`` falls inside this run's key bounds — the
         read cannot be answered soundly without the run."""
         return self.min_key <= key <= self.max_key
+
+    def fence(self, message: str) -> DataCorruptError:
+        """The error a read that depends on this run fails with."""
+        return DataCorruptError(
+            message,
+            run_id=self.run_id,
+            min_key=self.min_key,
+            max_key=self.max_key,
+        )
 
     def overlaps(self, lo: bytes | None, hi: bytes | None) -> bool:
         """True when the half-open scan range ``[lo, hi)`` intersects

@@ -749,7 +749,7 @@ class SSTableReader:
             raise CorruptionError(f"{self._path}: short read")
         return blob
 
-    def _read_block(self, offset: int, length: int) -> bytes:
+    def _read_block(self, offset: int, length: int, admit=True) -> bytes:
         """Read, checksum-verify, and decode one data block, cache-aware.
 
         Only verified payloads enter the cache, so a cached block can
@@ -757,7 +757,9 @@ class SSTableReader:
         reflects what is on disk right now. The cache holds the
         *decompressed* payload: repeat hits skip the codec entirely,
         and the cache's byte budget charges what the block actually
-        occupies in memory, not its on-disk size.
+        occupies in memory, not its on-disk size. ``admit=False`` (a
+        point lookup, whose store caches the one row it wanted) uses a
+        cached block but does not add the one it read.
         """
         if self._cache is not None:
             cached = self._cache.get(self._generation, offset)
@@ -768,7 +770,7 @@ class SSTableReader:
         )
         record = _check_crc(self._read_at(offset, length), context)
         payload = _decode_stored_block(record, self._format_version, context)
-        if self._cache is not None:
+        if self._cache is not None and admit:
             self._cache.put(self._generation, offset, payload)
         return payload
 
@@ -902,7 +904,7 @@ class SSTableReader:
         if block_idx < 0 or key > self._max_key:
             return False, None
         payload = self._read_block(
-            self._offsets[block_idx], self._lengths[block_idx]
+            self._offsets[block_idx], self._lengths[block_idx], admit=False
         )
         keys, ends, tombstones = _walk_block(payload, stop_at=key)
         if not keys or keys[-1] != key:

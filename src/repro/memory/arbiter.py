@@ -162,11 +162,13 @@ class MemoryArbiter:
             max(0, cur.ingested_bytes - old.ingested_bytes)
             for cur, old in zip(signals, prev)
         ]
+        # A get a cached row answered looks up no block, but it is read
+        # traffic the cache served all the same.
         lookup_deltas = [
             max(
                 0,
-                (cur.cache_hits + cur.cache_misses)
-                - (old.cache_hits + old.cache_misses),
+                (cur.cache_hits + cur.cache_misses + cur.row_hits)
+                - (old.cache_hits + old.cache_misses + old.row_hits),
             )
             for cur, old in zip(signals, prev)
         ]

@@ -1,9 +1,10 @@
-"""Tests for the shared LRU block cache."""
+"""Tests for the shared LRU cache of blocks and rows."""
 
 import pytest
 
 from repro.engine import BlockCache, LSMStore, StoreOptions
-from repro.errors import ConfigurationError
+from repro.engine.blockcache import ROW_OVERHEAD_BYTES, ROWS
+from repro.errors import ConfigurationError, DataCorruptError
 
 
 class TestBlockCacheUnit:
@@ -105,20 +106,98 @@ class TestBlockCacheUnit:
             BlockCache(-1)
 
 
+class TestRowEntries:
+    def test_a_row_and_a_deletion_round_trip(self):
+        cache = BlockCache(4096)
+        assert cache.get_row(b"k") == (False, None)
+        cache.put_row(b"k", b"value")
+        cache.put_row(b"gone", None)
+        assert cache.get_row(b"k") == (True, b"value")
+        assert cache.get_row(b"gone") == (True, None)
+        assert cache.row_hits == 2
+        # Row lookups are not block lookups.
+        assert cache.hits == cache.misses == 0
+        assert cache.used_bytes == (
+            len(b"k") + len(b"value") + len(b"gone") + 2 * ROW_OVERHEAD_BYTES
+        )
+
+    def test_rows_are_dropped_by_key_and_all_at_once(self):
+        cache = BlockCache(4096)
+        gen = cache.register_reader()
+        cache.put(gen, 0, b"b" * 100)
+        for key in (b"a", b"b", b"c"):
+            cache.put_row(key, b"v")
+        cache.drop_rows([b"a", b"missing"])
+        assert cache.get_row(b"a") == (False, None)
+        assert cache.get_row(b"b") == (True, b"v")
+        assert cache.drop_all_rows() == 2 * (2 + ROW_OVERHEAD_BYTES)
+        assert cache.get_row(b"c") == (False, None)
+        # Blocks are untouched, and a reader's eviction leaves rows be.
+        assert cache.used_bytes == 100
+        cache.put_row(b"d", b"v")
+        assert cache.evict_reader(gen) == 100
+        assert cache.get_row(b"d") == (True, b"v")
+
+    def test_rows_and_blocks_evict_each_other_in_one_budget(self):
+        cache = BlockCache(1000)
+        gen = cache.register_reader()
+        cache.put_row(b"k", b"v" * 500)  # charged 801
+        cache.put(gen, 0, b"b" * 300)  # 1101 > 1000: the row goes
+        assert cache.get_row(b"k") == (False, None)
+        assert cache.used_bytes == 300
+        cache.put_row(b"k2", b"v" * 500)  # and now the block does
+        assert cache.get(gen, 0) is None
+        assert cache.get_row(b"k2") == (True, b"v" * 500)
+        assert cache.evictions == 2
+        assert cache.used_bytes <= cache.capacity_bytes
+
+    def test_zero_capacity_caches_no_row(self):
+        cache = BlockCache(0)
+        cache.put_row(b"k", b"v")
+        assert cache.get_row(b"k") == (False, None)
+        assert cache.used_bytes == 0
+
+
+def _loaded(tmp_path, block_cache_bytes=1 << 20, **options):
+    """A store whose keys ``user000000`` .. ``user000399`` are all in
+    runs, so a get reads a run, not a memtable."""
+    store = LSMStore.open(
+        str(tmp_path / "db"),
+        StoreOptions(
+            memtable_bytes=16 * 1024,
+            levels=3,
+            block_cache_bytes=block_cache_bytes,
+            **options,
+        ),
+    )
+    for i in range(3000):
+        store.put(f"user{i % 400:06d}".encode(), b"v" * 64)
+    store.flush()
+    store.maintenance()
+    return store
+
+
+def _block_lookups(store) -> int:
+    signals = store.memory_signals()
+    return signals.cache_hits + signals.cache_misses
+
+
 class TestBlockCacheInStore:
     def test_repeated_lookups_hit_cache(self, tmp_path):
-        options = StoreOptions(
-            memtable_bytes=16 * 1024, levels=3, block_cache_bytes=1 << 20
-        )
-        with LSMStore.open(str(tmp_path / "db"), options) as store:
-            for i in range(3000):
-                store.put(f"user{i % 400:06d}".encode(), b"v" * 64)
-            store.maintenance()
-            for _ in range(3):
-                for i in range(0, 400, 11):
-                    assert store.get(f"user{i:06d}".encode()) is not None
+        """The first get of a key reads a block and caches the row it
+        wanted; every repeat is a row hit, with no block lookup."""
+        with _loaded(tmp_path) as store:
+            keys = [f"user{i:06d}".encode() for i in range(0, 400, 11)]
+            for key in keys:
+                assert store.get(key) == b"v" * 64
+            lookups = _block_lookups(store)
+            assert lookups >= len(keys)
+            for _ in range(2):
+                for key in keys:
+                    assert store.get(key) == b"v" * 64
             stats = store.stats()
-            assert stats.block_cache_hit_rate > 0.3
+            assert _block_lookups(store) == lookups
+            assert stats.row_hits == 2 * len(keys)
             assert stats.block_cache_used_bytes > 0
 
     def test_cache_disabled_still_correct(self, tmp_path):
@@ -147,3 +226,160 @@ class TestBlockCacheInStore:
             # against the fully merged store still succeed
             assert store.get(b"user000001") is not None
             assert used_after >= 0
+
+
+def _rows(store) -> set[bytes]:
+    """The keys the store's cache holds a row for."""
+    members = store._compaction.block_cache._by_generation.get(ROWS, ())
+    return {key for _, key in members}
+
+
+SMALL = StoreOptions(memtable_bytes=16 * 1024, levels=3)
+
+
+class TestRowTier:
+    """A cached row answers a get only while no write, and no change of
+    the run set, could have changed the answer."""
+
+    def test_a_get_uses_a_scanned_block_but_adds_none(self, tmp_path):
+        with _loaded(tmp_path) as store:
+            cache = store._compaction.block_cache
+            assert store.get(b"user000020") == b"v" * 64
+            assert set(cache._by_generation) == {ROWS}  # a row, no block
+            assert len(list(store.scan(b"user000100", None, limit=5))) == 5
+            assert set(cache._by_generation) - {ROWS}
+            hits = cache.hits
+            assert store.get(b"user000101") == b"v" * 64
+            assert cache.hits > hits  # the block the scan brought in
+
+    @pytest.mark.parametrize("write", ["put", "delete", "write_batch"])
+    def test_a_write_after_a_cached_get_is_seen(self, tmp_path, write):
+        key, other = b"user000007", b"user000008"
+        with _loaded(tmp_path) as store:
+            assert store.get(key) == store.get(other) == b"v" * 64
+            assert {key, other} <= _rows(store)
+            if write == "put":
+                store.put(key, b"new")
+            elif write == "delete":
+                store.delete(key)
+            else:
+                store.write_batch([(key, b"new"), (other, None)])
+                assert other not in _rows(store)
+            assert key not in _rows(store)
+            store.flush()  # so that a run, not the memtable, answers
+            expected = None if write == "delete" else b"new"
+            for _ in range(2):
+                assert store.get(key) == expected
+                if write == "write_batch":
+                    assert store.get(other) is None
+
+    def test_a_cached_tombstone_answers_deleted(self, tmp_path):
+        with LSMStore.open(str(tmp_path / "db"), SMALL) as store:
+            store.put(b"k", b"v")
+            store.flush()
+            store.delete(b"k")
+            store.flush()
+            assert store.get(b"k") is None  # the newer run's tombstone
+            assert b"k" in _rows(store)
+            lookups, hits = _block_lookups(store), store.stats().row_hits
+            assert store.get(b"k") is None
+            assert _block_lookups(store) == lookups
+            assert store.stats().row_hits == hits + 1
+            store.put(b"k", b"back")
+            store.flush()
+            assert store.get(b"k") == b"back"
+
+    def test_group_commit_writes_drop_rows(self, tmp_path):
+        key = b"user000011"
+        with _loaded(tmp_path, group_commit=True) as store:
+            assert store.get(key) == b"v" * 64
+            store.put(key, b"grouped")
+            assert key not in _rows(store)
+            store.flush()
+            assert store.get(key) == b"grouped"
+
+    def test_apply_reset_drops_the_rows_it_rewrites(self, tmp_path):
+        kept, dropped = b"user000012", b"user000013"
+        with _loaded(tmp_path) as store:
+            assert store.get(kept) and store.get(dropped)
+            store.apply_reset([(kept, b"reset")])
+            assert not _rows(store) & {kept, dropped}
+            store.flush()
+            assert store.get(kept) == b"reset"
+            assert store.get(dropped) is None
+
+    def test_quarantine_drops_rows_and_a_covered_get_still_fails(
+        self, tmp_path
+    ):
+        keys = [f"k{i:04d}".encode() for i in range(100)]
+        with LSMStore.open(str(tmp_path / "db"), SMALL) as store:
+            for key in keys:
+                store.put(key, b"value-" + key)
+            store.flush()
+            assert store.get(keys[5]) == b"value-k0005"
+            [record] = store.live_runs()
+            assert store.quarantine_run(record.run_id, "test")
+            assert not _rows(store)
+            with pytest.raises(DataCorruptError) as excinfo:
+                store.get(keys[5])
+            assert excinfo.value.run_id == record.run_id
+            assert (excinfo.value.min_key, excinfo.value.max_key) == (
+                keys[0], keys[-1]
+            )
+            store.put(b"zzz", b"fresh")
+            assert store.get(b"zzz") == b"fresh"
+
+    def test_repair_drops_rows(self, tmp_path):
+        with LSMStore.open(str(tmp_path / "db"), SMALL) as store:
+            store.put(b"a", b"1")
+            store.flush()
+            store.put(b"z", b"1")
+            store.flush()
+            newer = max(store.live_runs(), key=lambda r: r.sequence)
+            assert store.get(b"a") == b"1"
+            assert store.quarantine_run(newer.run_id, "test")
+            assert not _rows(store)
+            # The fenced run's bounds are [z, z]: "a" is still served,
+            # and cached again.
+            assert store.get(b"a") == b"1"
+            assert b"a" in _rows(store)
+            assert store.repair_run(newer.run_id, [(b"z", b"2")])
+            assert not _rows(store)
+            assert store.get(b"z") == b"2"
+            assert store.get(b"a") == b"1"
+
+    def test_a_zero_budget_caches_nothing(self, tmp_path):
+        key = b"user000014"
+        with _loaded(tmp_path, block_cache_bytes=0) as store:
+            for _ in range(2):
+                assert store.get(key) == b"v" * 64
+            stats, signals = store.stats(), store.memory_signals()
+            assert stats.row_hits == 0
+            assert stats.block_cache_used_bytes == 0
+            assert signals.cache_hits == 0 and signals.cache_misses >= 2
+
+    def test_rows_and_scanned_blocks_share_one_budget(self, tmp_path):
+        budget = 8 * 1024
+        with _loaded(tmp_path, block_cache_bytes=budget) as store:
+            cache = store._compaction.block_cache
+            for i in range(400):
+                key = f"user{i:06d}".encode()
+                assert store.get(key) == b"v" * 64
+                if i % 50 == 0:
+                    assert len(list(store.scan(key, None, limit=100))) > 0
+                assert cache.used_bytes <= budget
+            assert cache.evictions > 0
+            assert _rows(store)
+            list(store.scan(None, None, limit=100))
+            assert set(cache._by_generation) - {ROWS}  # and blocks
+
+    @pytest.mark.parametrize("end", ["close", "crash"])
+    def test_a_closed_store_releases_its_cache(self, tmp_path, end):
+        store = _loaded(tmp_path)
+        cache = store._compaction.block_cache
+        assert store.get(b"user000015") == b"v" * 64
+        assert len(list(store.scan(None, None, limit=50))) == 50
+        assert _rows(store) and set(cache._by_generation) - {ROWS}
+        getattr(store, end)()
+        assert cache.used_bytes == 0
+        assert not cache._by_generation

@@ -36,10 +36,12 @@ values = st.binary(min_size=1, max_size=40)
 
 
 class EngineMatchesDict(RuleBasedStateMachine):
+    options = OPTIONS
+
     @initialize()
     def open_store(self):
         self.directory = tempfile.mkdtemp(prefix="repro-stateful-")
-        self.store = LSMStore.open(self.directory + "/db", OPTIONS)
+        self.store = LSMStore.open(self.directory + "/db", self.options)
         self.model: dict[bytes, bytes] = {}
 
     @rule(key=keys, value=values)
@@ -67,7 +69,7 @@ class EngineMatchesDict(RuleBasedStateMachine):
     @rule()
     def crash_free_reopen(self):
         self.store.close()
-        self.store = LSMStore.open(self.directory + "/db", OPTIONS)
+        self.store = LSMStore.open(self.directory + "/db", self.options)
 
     @rule(key=keys)
     def lookup_agrees(self, key):
@@ -90,7 +92,38 @@ class EngineMatchesDict(RuleBasedStateMachine):
         shutil.rmtree(self.directory, ignore_errors=True)
 
 
-EngineMatchesDict.TestCase.settings = settings(
-    max_examples=15, stateful_step_count=30, deadline=None
-)
+class EngineWithASmallCacheMatchesDict(EngineMatchesDict):
+    """The same machine on a cache of about 16 KB, a few blocks' worth,
+    with values large enough that puts fill memtables and flush on their
+    own: rows and the blocks scans bring in evict each other, and a key
+    read twice in a row from a run is a row hit the second time."""
+
+    options = OPTIONS.with_(block_cache_bytes=16 * 1024)
+
+    @initialize()
+    def open_store(self):
+        super().open_store()
+        for i in range(31):  # every key, so most lookups find one
+            self.put(f"key{i:03d}".encode(), bytes([i]) * 200)
+
+    @rule(key=keys, value=st.binary(min_size=100, max_size=400))
+    def put(self, key, value):
+        super().put(key, value)
+
+    @rule(key=keys)
+    def lookup_twice(self, key):
+        """From a run: the first get caches the key's row, the second
+        (unless something evicted it in between) is a row hit."""
+        self.store.flush()
+        assert self.store.get(key) == self.model.get(key)
+        assert self.store.get(key) == self.model.get(key)
+
+
+for machine in (EngineMatchesDict, EngineWithASmallCacheMatchesDict):
+    machine.TestCase.settings = settings(
+        max_examples=15, stateful_step_count=30, deadline=None
+    )
 TestEngineMatchesDict = EngineMatchesDict.TestCase
+TestEngineWithASmallCacheMatchesDict = (
+    EngineWithASmallCacheMatchesDict.TestCase
+)

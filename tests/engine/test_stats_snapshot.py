@@ -160,6 +160,26 @@ class TestRefreshGauges:
             )
             assert cache.hits + cache.misses > 0
 
+    def test_row_hits_mirrored_apart_from_block_lookups(self, tmp_path):
+        with LSMStore.open(str(tmp_path / "db"), OPTIONS) as store:
+            for i in range(600):
+                store.put(f"k{i:06d}".encode(), b"v" * 64)
+            store.flush()
+            store.maintenance()
+            for _ in range(2):
+                assert store.get(b"k000007") == b"v" * 64
+            cache = store._compaction.block_cache
+            lookups = cache.hits + cache.misses
+            assert store.get(b"k000007") == b"v" * 64
+            assert cache.hits + cache.misses == lookups
+            stats = store.refresh_gauges()
+            counters = {
+                c["name"]: c["value"]
+                for c in store.obs.registry.snapshot()["counters"]
+            }
+            assert counters["engine_row_cache_hits_total"] == 2
+            assert stats.row_hits == store.memory_signals().row_hits == 2
+
     def test_cache_series_lint_clean(self, tmp_path):
         from repro.obs import lint_exposition, render_prometheus
 
@@ -172,6 +192,7 @@ class TestRefreshGauges:
             store.refresh_gauges()
             text = render_prometheus(store.obs.registry.snapshot())
             assert "engine_block_cache_hits_total" in text
+            assert "engine_row_cache_hits_total" in text
             assert "memory_budget_bytes" in text
             assert lint_exposition(text) == []
 

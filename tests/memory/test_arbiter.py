@@ -27,6 +27,7 @@ class FakeStore:
         self.ingested_bytes = 0
         self.cache_hits = 0
         self.cache_misses = 0
+        self.row_hits = 0
         self.write_stalls = 0
         self.memory_fill = 0.0
 
@@ -49,6 +50,7 @@ class FakeStore:
             cache_evictions=0,
             cache_capacity_bytes=cache,
             cache_used_bytes=0,
+            row_hits=self.row_hits,
         )
 
 
@@ -139,6 +141,16 @@ class TestPerShardShares:
         arbiter, stores, _ = make_arbiter(num_shards=2)
         for _ in range(6):
             stores[0].cache_hits += 10_000
+            arbiter.tick()
+        shares = arbiter.shares
+        assert shares.cache_bytes[0] > shares.cache_bytes[1]
+
+    def test_a_shard_served_by_rows_is_not_idle(self):
+        """Gets a cached row answers look up no block; the shard they
+        hit is still the busy reader and keeps gaining cache."""
+        arbiter, stores, _ = make_arbiter(num_shards=2)
+        for _ in range(6):
+            stores[0].row_hits += 10_000
             arbiter.tick()
         shares = arbiter.shares
         assert shares.cache_bytes[0] > shares.cache_bytes[1]

@@ -133,6 +133,76 @@ def test_a_report_covers_every_workload_metric_and_claim():
     assert claim["change_lower"] == 10 and claim["met"]
 
 
+def _ledger_line(probes, get_us):
+    metrics = {
+        "engine.sstable.runs_probed_per_get": probes,
+        "engine.sstable.get_us": get_us,
+    }
+    return {
+        "correct": True,
+        "attempted": 50,
+        "failed": 0,
+        "metrics": {name: {"value": v} for name, v in metrics.items()},
+    }
+
+
+def test_traced_runs_give_each_ledger_metric_a_median_per_side():
+    pairs = _load()
+    runs = {
+        "wire-read": [
+            {
+                "seed": seed,
+                "parent": _bench_line(0.5, 60.0),
+                "change": _bench_line(0.5, 60.0),
+                "traced": {
+                    "seed": seed,
+                    "parent": _ledger_line(1.0, 16.0 + seed),
+                    "change": _ledger_line(0.4 + seed / 100, 24.0 - seed),
+                },
+            }
+            for seed in range(1, 6)
+        ]
+    }
+    report = pairs.report(runs, BENCHMARK, {"claims": []})
+    traced = report["traced"]["wire-read"]
+    assert traced["attempted"] == {"parent": 250, "change": 250}
+    assert traced["correct"] == {"parent": True, "change": True}
+    assert traced["engine.sstable.runs_probed_per_get"] == {
+        "parent_median": 1.0,
+        "change_median": 0.43,
+        "change_lower": 5,
+        "change_higher": 0,
+        "of": 5,
+    }
+    # Parent 17..21, change 23..19: higher in three pairs, equal in one
+    # (20 and 20), lower in the last; medians 19 and 21.
+    get_us = traced["engine.sstable.get_us"]
+    assert (get_us["parent_median"], get_us["change_median"]) == (19.0, 21.0)
+    assert (get_us["change_higher"], get_us["change_lower"]) == (3, 1)
+    # Untraced runs make no such section.
+    for run in runs["wire-read"]:
+        del run["traced"]
+    assert "traced" not in pairs.report(runs, BENCHMARK, {"claims": []})
+
+
+def test_a_claim_on_a_workload_not_run_is_refused_before_any_run(
+    tmp_path, capsys
+):
+    pairs = _load()
+    predict = tmp_path / "predict.json"
+    predict.write_text(json.dumps(
+        {"claims": [{"workload": "wire-read", "metric": "read_amp"}]}
+    ))
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main([
+            "--parent", "HEAD", "--workload", "engine-mixed", "--seeds", "1",
+            "--predict", str(predict), "--scratch", str(tmp_path / "s"),
+        ])
+    assert exit_info.value.code == 2
+    assert "wire-read" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_bench_25s_own_pairs_give_back_its_numbers():
     pairs = _load()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -30,6 +30,12 @@ unless every change run is better than every parent run.
 
 ``--parent HEAD`` on a clean working tree is the A/A run: both clones
 hold the same code, so the report is the box's own spread.
+
+``--trace 1`` also runs the per-layer ledger (``bench/run.py --trace
+1``) for every pair, in the same order, and adds a ``traced`` section:
+for each workload and ledger metric, the median per side and how many
+pairs the change was lower or higher in. Ledger metrics are times and
+shares on a shared box; they explain a gated number, they are not one.
 """
 
 from __future__ import annotations
@@ -128,19 +134,50 @@ def verdict(claim: dict, pairs: list[list], better: str) -> dict:
     }
 
 
+def _outcomes(pairs: list[dict]) -> dict:
+    """Operations attempted and failed, and correctness, per side."""
+    section = {
+        key: {side: sum(run[side][key] for run in pairs) for side in SIDES}
+        for key in ("attempted", "failed")
+    }
+    section["correct"] = {
+        side: all(run[side]["correct"] for run in pairs) for side in SIDES
+    }
+    return section
+
+
+def ledger(pairs: list[dict]) -> dict:
+    """One workload's ``--trace 1`` runs: ``pairs`` are ``{"seed",
+    "parent", "change"}``, each side the ledger's JSON line. Every
+    metric gets its median per side and the pairs the change was
+    lower and higher in."""
+    section = _outcomes(pairs)
+    for name in pairs[0]["parent"]["metrics"]:
+        rows = [
+            [run[side]["metrics"][name]["value"] for side in SIDES]
+            for run in pairs
+        ]
+        section[name] = {
+            "parent_median": round(statistics.median(p for p, _ in rows), 4),
+            "change_median": round(statistics.median(c for _, c in rows), 4),
+            "change_lower": sum(c < p for p, c in rows),
+            "change_higher": sum(c > p for p, c in rows),
+            "of": len(rows),
+        }
+    return section
+
+
 def report(runs: dict, benchmark: dict, predict: dict) -> dict:
     """``runs[workload]`` is a list of ``{"seed", "parent", "change"}``,
-    each side the JSON line ``bench/run.py`` printed last."""
+    each side the JSON line ``bench/run.py`` printed last; a run made
+    with ``--trace 1`` also holds ``"traced"``, the same for the
+    ledger, and the report then has a ``traced`` section."""
     gated = {m["name"]: m for m in benchmark["end_to_end"]}
-    untraced = {}
+    untraced, traced = {}, {}
     for workload, pairs in runs.items():
-        section = {
-            key: {side: sum(run[side][key] for run in pairs) for side in SIDES}
-            for key in ("attempted", "failed")
-        }
-        section["correct"] = {
-            side: all(run[side]["correct"] for run in pairs) for side in SIDES
-        }
+        section = _outcomes(pairs)
+        if all("traced" in run for run in pairs):
+            traced[workload] = ledger([run["traced"] for run in pairs])
         for name, metric in gated.items():
             values = [
                 [
@@ -162,7 +199,10 @@ def report(runs: dict, benchmark: dict, predict: dict) -> dict:
         )
         for claim in predict.get("claims", [])
     ]
-    return {"claims": claims, "untraced": untraced}
+    result = {"claims": claims, "untraced": untraced}
+    if traced:
+        result["traced"] = traced
+    return result
 
 
 def _seeds(text: str) -> list[int]:
@@ -202,11 +242,11 @@ def clone_pair(
     return sides
 
 
-def run_bench(clone: Path, workload: str, seed: int) -> dict:
+def run_bench(clone: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One ``bench/run.py`` run in ``clone``; its last stdout line."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed)],
+         "--seed", str(seed), "--trace", str(trace)],
         cwd=clone, capture_output=True, text=True,
     )
     lines = done.stdout.strip().splitlines()
@@ -224,11 +264,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, help="first-last")
     parser.add_argument("--predict", required=True, help="prediction JSON")
+    parser.add_argument(
+        "--trace", type=int, choices=(0, 1), default=0,
+        help="1: also run the per-layer ledger for every pair",
+    )
     parser.add_argument("--scratch", default=None, help="clone directory")
     parser.add_argument("--out", default=None, help="default BENCH_<pr>.json")
     args = parser.parse_args(argv)
 
     predict = json.loads(Path(args.predict).read_text())
+    unrun = {c["workload"] for c in predict.get("claims", [])}
+    if unrun - set(args.workload):
+        parser.error(f"claims on workloads not run: {sorted(unrun)}")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="pairs-"))
     parent_clone, change_clone = clone_pair(args.parent, scratch)
@@ -237,9 +284,15 @@ def main(argv: list[str] | None = None) -> int:
         for workload in args.workload:
             order = ["parent", "change"] if seed % 2 else ["change", "parent"]
             run = {"seed": seed}
+            clones = {"parent": parent_clone, "change": change_clone}
             for side in order:
-                clone = parent_clone if side == "parent" else change_clone
-                run[side] = run_bench(clone, workload, seed)
+                run[side] = run_bench(clones[side], workload, seed)
+            if args.trace:
+                run["traced"] = {"seed": seed}
+                for side in order:
+                    run["traced"][side] = run_bench(
+                        clones[side], workload, seed, trace=1
+                    )
             runs[workload].append(run)
             print(
                 f"{workload} seed {seed}: "
@@ -257,7 +310,8 @@ def main(argv: list[str] | None = None) -> int:
         "method": f"clone of the parent ({rev}) vs a clone of HEAD with "
         "the working tree copied over, alternating which side runs first "
         "(odd seeds parent first), python3 bench/run.py --workload W "
-        f"--seed S; seeds {args.seeds}; "
+        f"--seed S --trace 0{' and --trace 1' if args.trace else ''}; "
+        f"seeds {args.seeds}; "
         f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
         f"{platform.python_version()}",
         "note": predict.get("note", ""),
