@@ -2,12 +2,11 @@
 """The serving tier, end to end: one server per admission mode over TCP.
 
 Boots a :class:`repro.server.KVServer` in-process over a deliberately
-merge-starved engine (ingestion outruns inline compaction bandwidth, so
-the component constraint produces genuine write stalls), runs the
-paper's two-phase methodology over real sockets — a closed-loop testing
-phase to measure capacity, then an open-loop running phase at 95% of
-that maximum — and prints P50/P99/max client write latency for each
-admission mode:
+merge-starved engine (ingestion outruns the maintenance workers'
+throttled bandwidth, so the component constraint produces genuine write
+stalls), plays the same seeded closed-loop write overload over real
+sockets against each admission mode, and prints P50/P99/max client
+write latency:
 
 * ``none``    — stalls reach clients as retried rejections;
 * ``stop``    — saturated writes rejected at admission with RETRY_AFTER;
@@ -17,7 +16,10 @@ admission mode:
 
 The tail tells the paper's story: stop-style interaction pushes entire
 stall windows into P99, gradual trades a small median penalty for a
-dramatically flatter tail.
+flatter tail. (The load is closed-loop, not the two-phase replay: with
+throttled workers, a testing phase too short to fill the tree measures
+more throughput than the workers sustain — the paper's §5.3 trap — and
+each mode would then be run at a different, unsustainable rate.)
 
 Run:  python examples/serve_and_load.py
 """
@@ -31,12 +33,13 @@ from pathlib import Path
 
 from repro.engine import LSMStore, StoreOptions
 from repro.server import KVServer, build_admission
-from repro.server.loadgen import two_phase
+from repro.server.loadgen import closed_loop
 
-#: Merge-starved engine: the inline maintenance pump advances fewer
-#: merge chunks per rotation than ingestion generates, so the component
-#: constraint (limit 5 >= 2 * levels + 1, every stall transient) trips
-#: under sustained writes — write stalls at human-visible scale.
+#: Merge-starved engine: the workers' flush + merge throttle (the
+#: paper's fixed maintenance budget, scaled down) is below the ingest
+#: rate, so the component constraint (limit 5 >= 2 * levels + 1, every
+#: stall transient) trips under sustained writes — write stalls at
+#: human-visible scale.
 ENGINE = StoreOptions(
     memtable_bytes=4096,
     num_memtables=2,
@@ -45,9 +48,9 @@ ENGINE = StoreOptions(
     levels=2,
     constraint_limit=5,
     merge_chunk_bytes=1024,
-    maintenance_chunks_per_rotation=6,
+    rate_limit_bytes_per_s=320 * 1024,
     stall_mode="reject",
-    background_maintenance=False,
+    background_maintenance=True,
     block_cache_bytes=0,
 )
 
@@ -68,38 +71,32 @@ async def run_mode(directory: Path, mode: str, params: dict):
         )
         async with server:
             host, port = server.address
-            outcome = await two_phase(
+            result = await closed_loop(
                 host,
                 port,
-                utilization=0.95,
                 clients=1,
-                testing_ops_per_client=200,
-                running_ops=200,
+                ops_per_client=300,
                 value_bytes=512,
                 keyspace=512,
                 seed=7,
+                label=mode,
                 client_options=dict(CLIENT),
             )
-        return outcome, store.stats(), server.metrics
+        return result, store.stats(), server.metrics
 
 
-def report(mode: str, outcome, stats, metrics) -> None:
-    running = outcome.running
-    profile = running.latency_profile((50.0, 99.0))
+def report(mode: str, result, stats, metrics) -> None:
+    profile = result.latency_profile((50.0, 99.0))
     print(f"\n=== admission: {mode}")
-    print(
-        f"  testing phase: max {outcome.max_throughput:6.0f} op/s; "
-        f"running at {outcome.arrival_rate:6.0f} op/s (95%)"
-    )
     print(
         f"  client write latency: p50 {profile[50.0] * 1e3:7.2f}ms  "
         f"p99 {profile[99.0] * 1e3:7.2f}ms  "
-        f"max {running.max_latency * 1e3:7.2f}ms"
+        f"max {result.max_latency * 1e3:7.2f}ms"
     )
     print(
-        f"  client: {running.retries} retries, "
-        f"{running.stalled_responses} stalled responses, "
-        f"{running.error_count} errors"
+        f"  client: {result.retries} retries, "
+        f"{result.stalled_responses} stalled responses, "
+        f"{result.error_count} errors"
     )
     print(
         f"  server: {metrics.writes_admitted} admitted, "
@@ -120,8 +117,8 @@ async def main() -> None:
     try:
         for mode, params in MODES:
             directory = workdir / mode
-            outcome, stats, metrics = await run_mode(directory, mode, params)
-            report(mode, outcome, stats, metrics)
+            result, stats, metrics = await run_mode(directory, mode, params)
+            report(mode, result, stats, metrics)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(

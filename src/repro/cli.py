@@ -160,7 +160,10 @@ def _admission_from(args: argparse.Namespace):
 
 
 def _store_options_from(args: argparse.Namespace):
-    """The engine options the ``_add_engine_args`` flags describe."""
+    """The engine options the ``_add_engine_args`` flags describe.
+
+    A served store always runs maintenance workers: the server can shed
+    its writes, and a shed write drives no inline maintenance."""
     from .engine import StoreOptions
 
     return StoreOptions(
@@ -168,9 +171,7 @@ def _store_options_from(args: argparse.Namespace):
         policy=args.engine_policy,
         block_codec=args.block_codec,
         stall_mode=args.stall_mode,
-        background_maintenance=(
-            args.background or args.maintenance_threads > 1
-        ),
+        background_maintenance=True,
         maintenance_threads=args.maintenance_threads,
         scrub_interval=args.scrub_interval,
         scrub_rate_bytes_per_s=int(args.scrub_rate_mib * 2**20),
@@ -341,8 +342,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
             num_shards=args.shards,
             options=options,
             admission=admission,
-            arbiter=args.arbiter,
-            pump_budget=args.pump_budget,
             host=args.host,
             port=args.port,
             metrics_port=args.metrics_port,
@@ -369,7 +368,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
             print(
                 f"serving {args.shards}-shard cluster from "
                 f"{args.directory} on {host}:{port} "
-                f"(admission: {admission.mode}, arbiter: {args.arbiter}"
+                f"(admission: {admission.mode}"
                 f"{replication}{budget_note})"
             )
             assert cluster.router is not None
@@ -537,7 +536,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             # Keep the corruption runner's small-memtable/scrub shape so
             # its at-rest byte flips still land on live run files.
             **(
-                dict(memtable_bytes=4096, scrub_interval=0.2)
+                dict(
+                    memtable_bytes=4096,
+                    background_maintenance=True,
+                    scrub_interval=0.2,
+                )
                 if args.corrupt_at_rest
                 else {}
             ),
@@ -681,13 +684,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "admission layer, not the engine, absorbs stalls)",
     )
     parser.add_argument(
-        "--background", action="store_true",
-        help="run engine maintenance on background workers",
-    )
-    parser.add_argument(
         "--maintenance-threads", type=int, default=1,
-        help="background flush/merge workers per store "
-             "(>1 implies --background)",
+        help="flush/merge workers per store (default: 1)",
     )
     parser.add_argument(
         "--scrub-interval", type=float, default=0.0,
@@ -972,16 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission scope: does one stalled shard backpressure "
              "every write (global) or only its own key range (local)? "
              "(default: local)",
-    )
-    cluster_serve_cmd.add_argument(
-        "--arbiter", choices=("fair", "greedy"), default="fair",
-        help="shared maintenance-budget arbiter across shards "
-             "(default: fair)",
-    )
-    cluster_serve_cmd.add_argument(
-        "--pump-budget", type=int, default=None,
-        help="maintenance pump calls shared per round "
-             "(default: one per shard)",
     )
     cluster_serve_cmd.add_argument(
         "--repair-interval", type=float, default=0.0,

@@ -1,12 +1,10 @@
 """A sharded, multi-engine serving tier over :mod:`repro.engine`.
 
 The paper's component-constraint taxonomy — global versus local — one
-level up: a consistent-hash ring maps keys onto N shard engines, a
-shared maintenance budget is arbitrated across shards by the same
-scheduler classes the paper applies to merges
-(:mod:`repro.core.schedulers`), and a cluster admission layer decides
-whether one hot shard's write stall backpressures the whole cluster
-(``global``) or only its own key range (``local``). An asyncio router
+level up: a consistent-hash ring maps keys onto N shard engines, and a
+cluster admission layer decides whether one hot shard's write stall
+backpressures the whole cluster (``global``) or only its own key range
+(``local``). An asyncio router
 speaks the single-server wire protocol on the front and fans out to
 per-shard :class:`~repro.server.KVServer` backends, with scatter-gather
 scans and online shard migration under live writes.
@@ -18,11 +16,10 @@ from .breaker import CircuitBreaker
 from .rebalance import MigrationReport, migrate_shard
 from .ring import HashRing
 from .router import ClusterMetrics, ClusterRouter, LocalCluster
-from .sharded import ARBITERS, ShardedStore
+from .sharded import ShardedStore
 from .stats import ClusterStats, aggregate_stats, worst_case_stats
 
 __all__ = [
-    "ARBITERS",
     "BREAKER_STATES",
     "SCOPES",
     "CircuitBreaker",

@@ -21,8 +21,10 @@ The mirror is opened with ``stall_mode="block"`` regardless of the
 cluster's serving options: a migration target that rejected writes
 would push its stalls into the *live* write path through the
 dual-write, which is exactly what a rebalance must not do — the copy
-loop simply slows down while the mirror's inline maintenance catches
-up (the paper's graceful interaction, applied to migration traffic).
+loop simply slows down while the mirror's maintenance catches up (the
+paper's graceful interaction, applied to migration traffic). It keeps
+the source's drive mode, so a shard with workers is promoted with
+workers.
 """
 
 from __future__ import annotations
@@ -88,9 +90,7 @@ def migrate_shard(
         raise ConfigurationError(
             f"migration target {target_directory!r} is not empty"
         )
-    mirror_options = (options or store.options).with_(
-        stall_mode="block", background_maintenance=False
-    )
+    mirror_options = (options or store.options).with_(stall_mode="block")
     mirror = LSMStore.open(target_directory, mirror_options)
     store.attach_mirror(shard, mirror)
     source = store.engine(shard)

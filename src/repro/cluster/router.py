@@ -20,14 +20,13 @@ fans requests out to per-shard backends through pooled, retrying
 Per-shard transport failures and backend ``STALLED`` responses are
 retried by the shard clients with exponential backoff, so transient
 backend stalls are absorbed inside the router rather than surfaced.
-Whenever admission rejects or delays a write the router pumps the
-cluster maintenance hook (the sharded store's shared-budget arbiter) —
-shedding load must not starve the merges that would clear the stall.
+The router never drives maintenance: a shard it can shed writes from
+runs its own workers (:func:`~repro.server.service.require_workers`).
 
 :class:`LocalCluster` is the in-process deployment used by the CLI,
 tests, and examples: one :class:`~repro.cluster.sharded.ShardedStore`,
 one backend :class:`KVServer` per shard engine, and a router wired with
-direct (deterministic) stats and maintenance hooks.
+a direct (deterministic) stats hook.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from ..obs import events as obs_events
 from ..server import binproto, protocol
 from ..server.admission import ADMIT, REJECT, AdmissionDecision
 from ..server.client import KVClient
-from ..server.service import FramedServer, KVServer
+from ..server.service import FramedServer, KVServer, require_workers
 from .admission import ClusterAdmission, build_cluster_admission
 from .breaker import OPEN, CircuitBreaker
 from .ring import HashRing
@@ -140,7 +139,6 @@ class ClusterRouter(FramedServer):
         stats_fn: Callable[[], Sequence[StoreStats]],
         ring: HashRing | None = None,
         admission: ClusterAdmission | None = None,
-        maintenance_fn: Callable[[], object] | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
         shard_client_options: dict | None = None,
@@ -178,7 +176,6 @@ class ClusterRouter(FramedServer):
             "local", "none", len(backends)
         )
         self._stats_fn = stats_fn
-        self._maintenance_fn = maintenance_fn
         options = dict(
             DEFAULT_SHARD_CLIENT_OPTIONS, **(shard_client_options or {})
         )
@@ -370,12 +367,6 @@ class ClusterRouter(FramedServer):
         on the loop thread, as a shard server's own admission does."""
         return list(self._stats_fn())
 
-    async def _pump(self) -> None:
-        """Advance the cluster's shared-budget maintenance, if wired —
-        flushes and merge chunks on the caller, so on a pool thread."""
-        if self._maintenance_fn is not None:
-            await self._in_thread(self._maintenance_fn)
-
     # -- shard health -----------------------------------------------------
 
     def shard_health(self) -> dict[str, str]:
@@ -472,9 +463,6 @@ class ClusterRouter(FramedServer):
                 nbytes_by_shard, self._snapshots()
             )
         if decision.action == REJECT:
-            # Shedding load must not starve the maintenance that would
-            # clear the stall: pump the shared budget before bouncing.
-            await self._pump()
             for shard in nbytes_by_shard:
                 self.metrics.record_rejected(shard)
             self.obs.tracer.emit(
@@ -500,7 +488,6 @@ class ClusterRouter(FramedServer):
                 shards=sorted(nbytes_by_shard),
             )
             admission_wait += decision.delay_seconds
-            await self._pump()
             await asyncio.sleep(decision.delay_seconds)
         try:
             response = await forward()
@@ -531,10 +518,6 @@ class ClusterRouter(FramedServer):
             ))
         for shard in nbytes_by_shard:
             self.metrics.record_admitted(shard)
-        # Successful writes co-fund cluster maintenance: under local
-        # admission, traffic on healthy shards keeps paying the shared
-        # budget that drains a stalled sibling's backlog.
-        await self._pump()
         return with_legs(response)
 
     # -- verbs ------------------------------------------------------------
@@ -824,9 +807,8 @@ class LocalCluster:
     The deployment shape behind ``python -m repro cluster-serve``, the
     hot-shard example, and the integration tests: every shard engine is
     served by an in-process :class:`KVServer` on an ephemeral port, and
-    the router reads shard stats and pumps maintenance through *direct*
-    hooks into the sharded store (fresh snapshots, deterministic
-    pumping) — the only way a router gets them.
+    the router reads shard stats through a *direct* hook into the
+    sharded store (fresh snapshots) — the only way a router gets them.
     """
 
     def __init__(
@@ -836,8 +818,6 @@ class LocalCluster:
         options: StoreOptions | None = None,
         admission: ClusterAdmission | None = None,
         ring: HashRing | None = None,
-        arbiter: str = "fair",
-        pump_budget: int | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
         shard_client_options: dict | None = None,
@@ -868,14 +848,11 @@ class LocalCluster:
             raise ConfigurationError(
                 "memory rebalance interval must be positive"
             )
-        self.store = ShardedStore(
-            directory,
-            num_shards,
-            options,
-            ring=ring,
-            arbiter=arbiter,
-            pump_budget=pump_budget,
+        require_workers(
+            options or StoreOptions(),
+            admission.base_mode if admission is not None else "none",
         )
+        self.store = ShardedStore(directory, num_shards, options, ring=ring)
         # The router and the memory arbiter share one bundle, so
         # memory_rebalance events ride the cluster EVENTS verb and the
         # arbiter's gauges land in the router-tier scrape.
@@ -990,14 +967,6 @@ class LocalCluster:
                 ring=self.store.ring,
                 admission=self._admission,
                 stats_fn=self.store.stats_list,
-                # Shards with maintenance workers make their own
-                # progress; pumping them is an executor hop per write
-                # into a no-op.
-                maintenance_fn=(
-                    None
-                    if self.store.options.background_maintenance
-                    else self.store.pump
-                ),
                 host=self._host,
                 port=self._port,
                 shard_client_options=self._shard_client_options,

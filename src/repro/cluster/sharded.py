@@ -1,29 +1,12 @@
-"""A multi-engine sharded store with a shared maintenance budget.
+"""A multi-engine sharded store.
 
 :class:`ShardedStore` owns one :class:`~repro.engine.LSMStore` per
 shard (each in its own subdirectory) and routes keys through a
-:class:`~repro.cluster.ring.HashRing`. The cluster-level twist is the
-*shared I/O budget*: maintenance (flushes + merge chunks) across all
-shards is paid from one pot, arbitrated by the same scheduler taxonomy
-the paper applies to merges inside a single tree
-(:mod:`repro.core.schedulers`):
-
-* ``fair``  — every needy shard gets an equal slice of the pump budget
-  (Cassandra/HBase-style even split, Section 5.1.4 one level up). A
-  hot shard whose ingest outruns its fair slice falls behind and
-  stalls; cold shards stay comfortably ahead — the regime where the
-  global-vs-local admission scopes separate.
-* ``greedy`` — the whole budget goes to the shard with the *smallest*
-  maintenance backlog (the paper's greedy scheduler, Section 5.1.5:
-  finishing the smallest remaining work first minimizes how many
-  shards are backlogged at once).
-
-Shard backlogs are translated into synthetic
-:class:`~repro.core.components.MergeDescriptor` objects so the real
-:class:`~repro.core.schedulers.FairScheduler` /
-:class:`~repro.core.schedulers.GreedyScheduler` implementations do the
-arbitration — the cluster reuses the paper's machinery rather than
-reimplementing it.
+:class:`~repro.cluster.ring.HashRing`. Every shard drives its own
+flushes and merges — on its maintenance workers, or inline in the
+writes that reach it — so one shard's backlog is its own; the cluster's
+admission scope (:mod:`repro.cluster.admission`) decides whether it
+backpressures the others.
 
 Online migration support (dual-write mirrors) lives here; the paged
 copy loop that uses it is :mod:`repro.cluster.rebalance`.
@@ -38,8 +21,6 @@ from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from ..core.components import Component, MergeDescriptor
-from ..core.schedulers import MergeScheduler, scheduler_by_name
 from ..engine.datastore import LSMStore, StoreStats
 from ..engine.options import StoreOptions, TOMBSTONE
 from ..errors import ConfigurationError
@@ -47,39 +28,6 @@ from ..memory import MemoryArbiter, MemoryBudget
 from ..obs import Observability
 from .ring import HashRing
 from .stats import ClusterStats, aggregate_stats
-
-#: Arbiter names accepted by :class:`ShardedStore`.
-ARBITERS = ("fair", "greedy")
-
-
-def _build_arbiter(name: str) -> MergeScheduler:
-    if name not in ARBITERS:
-        raise ConfigurationError(
-            f"unknown arbiter {name!r}; expected one of {ARBITERS}"
-        )
-    return scheduler_by_name(name)
-
-
-def _apportion(allocation: dict[int, float], budget: int) -> dict[int, int]:
-    """Largest-remainder rounding of a bandwidth split into pump calls."""
-    total = sum(allocation.values())
-    if total <= 0.0:
-        return {}
-    quotas = {
-        shard: budget * share / total
-        for shard, share in allocation.items()
-        if share > 0.0
-    }
-    pumps = {shard: int(quota) for shard, quota in quotas.items()}
-    leftover = budget - sum(pumps.values())
-    by_remainder = sorted(
-        quotas,
-        key=lambda shard: (quotas[shard] - pumps[shard], -shard),
-        reverse=True,
-    )
-    for shard in by_remainder[:leftover]:
-        pumps[shard] += 1
-    return {shard: count for shard, count in pumps.items() if count > 0}
 
 
 class ShardedStore:
@@ -96,8 +44,6 @@ class ShardedStore:
         num_shards: int = 4,
         options: StoreOptions | None = None,
         ring: HashRing | None = None,
-        arbiter: str = "fair",
-        pump_budget: int | None = None,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError("need at least one shard")
@@ -108,11 +54,6 @@ class ShardedStore:
                 f"ring routes to {self._ring.num_shards} shards but the "
                 f"store has {num_shards}"
             )
-        if pump_budget is not None and pump_budget < 1:
-            raise ConfigurationError("pump budget must be positive")
-        self._arbiter = _build_arbiter(arbiter)
-        self._arbiter_name = arbiter
-        self._pump_budget = pump_budget or num_shards
         self._directory = directory
         os.makedirs(directory, exist_ok=True)
         self._stores: list[LSMStore] = []
@@ -180,11 +121,6 @@ class ShardedStore:
     def options(self) -> StoreOptions:
         """The per-shard engine options."""
         return self._options
-
-    @property
-    def arbiter(self) -> str:
-        """The shared-budget arbitration policy name."""
-        return self._arbiter_name
 
     def shard_for(self, key: bytes) -> int:
         """Which shard owns ``key``."""
@@ -268,85 +204,7 @@ class ShardedStore:
         sources = [store.scan(lo, hi, limit) for store in self._stores]
         return islice(heapq.merge(*sources, key=itemgetter(0)), limit)
 
-    # -- shared-budget maintenance ---------------------------------------
-
-    def _backlog(self, stats: StoreStats, memtable_target: int) -> float:
-        """Bytes-scale proxy for one shard's outstanding maintenance.
-
-        Sealed memtables await flushes; consumed component budget
-        (``1 - write_headroom``) stands in for remaining merge input,
-        scaled to the same order of magnitude. Uses the shard's *live*
-        memtable target — the memory arbiter moves it — so a shard with
-        a big write budget is credited with proportionally more debt
-        per sealed memtable.
-        """
-        flush_debt = stats.sealed_memtables * memtable_target
-        merge_debt = (
-            (1.0 - max(0.0, min(stats.write_headroom, 1.0)))
-            * 8.0
-            * memtable_target
-        )
-        return flush_debt + merge_debt
-
-    def pump(self, rounds: int = 1) -> dict[int, int]:
-        """Spend the shared maintenance budget across needy shards.
-
-        Each round gathers per-shard backlogs, lets the arbiter
-        (:class:`FairScheduler` or :class:`GreedyScheduler`) split the
-        pump budget, and spends each shard's slice as
-        ``advance_maintenance()`` calls on that shard's engine. Returns
-        the total pumps applied per shard (for tests and reporting).
-
-        Shards running background maintenance workers make their own
-        progress, so the pump is a no-op for them — arbitrating a shared
-        budget the workers ignore would just misreport who did the work.
-        """
-        if rounds < 1:
-            raise ConfigurationError("pump rounds must be positive")
-        if self._options.background_maintenance:
-            return {}
-        applied: dict[int, int] = {}
-        for _ in range(rounds):
-            backlogs = {
-                shard: self._backlog(
-                    store.stats(), store.memtable_target_bytes
-                )
-                for shard, store in enumerate(self._stores)
-            }
-            needy = {
-                shard: backlog
-                for shard, backlog in backlogs.items()
-                if backlog > 0.0
-            }
-            if not needy:
-                break
-            descriptors = [
-                MergeDescriptor(
-                    uid=shard,
-                    inputs=[
-                        Component(
-                            uid=shard,
-                            level=0,
-                            size_bytes=backlog,
-                            entry_count=1.0,
-                        )
-                    ],
-                    target_level=1,
-                    reason="cluster-maintenance",
-                )
-                for shard, backlog in sorted(needy.items())
-            ]
-            allocation = self._arbiter.allocate(
-                descriptors, float(self._pump_budget)
-            )
-            for shard, pumps in sorted(
-                _apportion(allocation, self._pump_budget).items()
-            ):
-                with self._shard_locks[shard]:
-                    for _ in range(pumps):
-                        self._stores[shard].advance_maintenance()
-                applied[shard] = applied.get(shard, 0) + pumps
-        return applied
+    # -- maintenance -----------------------------------------------------
 
     def maintenance(self) -> None:
         """Run every shard's maintenance to quiescence."""
@@ -455,5 +313,5 @@ class ShardedStore:
     def __repr__(self) -> str:
         return (
             f"ShardedStore(shards={self.num_shards}, "
-            f"arbiter={self._arbiter_name!r}, dir={self._directory!r})"
+            f"dir={self._directory!r})"
         )

@@ -634,10 +634,9 @@ class LSMStore:
             self._maintenance.run_to_idle(max_steps)
 
     def advance_maintenance(self) -> bool:
-        """One bounded maintenance pump: the serving layer's stall hook
-        (with inline maintenance and ``stall_mode="reject"``, nothing
-        else advances merges while writes bounce; with workers it wakes
-        them). True while the write gate is still closed afterwards."""
+        """One bounded maintenance pump on the caller (with workers it
+        wakes them): how tests step an inline store. No server calls
+        it. True while the write gate is still closed afterwards."""
         with self._lock:
             self._check_open()
             self._maintenance.advance()

@@ -319,7 +319,9 @@ class MaintenanceExecutor:
         also advances merges by enough chunks to keep compaction paced
         with ingestion (several memtables' worth of merge input per
         flush); otherwise merges would only ever run once the component
-        constraint had already stalled writers.
+        constraint had already stalled writers. Kept because tests step
+        an inline store with it deterministically; no server runs an
+        inline store it can shed writes from.
         """
         progressed = self._step(self._claim_flush_locked)
         budget = self._options.maintenance_chunks_per_rotation or max(

@@ -60,7 +60,9 @@ class StoreOptions:
         ingestion). Setting this *below* the auto pacing models a merge
         bandwidth deficit, so ingestion outruns compaction and the
         component constraint produces genuine transient write stalls —
-        the regime the paper studies. Ignored by background mode.
+        the regime the paper studies. Ignored by background mode. Kept
+        for the deterministic stall tests; it goes with inline mode once
+        ``bench/`` picks the drive mode in one place.
     rate_limit_bytes_per_s:
         Flush/merge write throttle (paper: 100 MB/s); 0 disables.
     block_cache_bytes:
@@ -72,7 +74,9 @@ class StoreOptions:
     background_maintenance:
         True runs flushes/merges on background maintenance workers;
         False runs them inline inside ``put`` (deterministic, the
-        default for tests).
+        default for tests). A store that a server can shed writes from,
+        or that scrubs, needs workers: a shed write drives nothing, and
+        inline mode never claims a scrub chunk.
     maintenance_threads:
         Size of the background maintenance worker pool (ignored unless
         ``background_maintenance``). Workers claim a flush or a merge
@@ -199,6 +203,11 @@ class StoreOptions:
             )
         if self.scrub_interval < 0:
             raise ConfigurationError("scrub interval cannot be negative")
+        if self.scrub_interval > 0 and not self.background_maintenance:
+            raise ConfigurationError(
+                "scrubbing runs on maintenance workers: scrub_interval "
+                "needs background_maintenance=True"
+            )
         if self.scrub_rate_bytes_per_s < 0:
             raise ConfigurationError("scrub rate cannot be negative")
 

@@ -405,6 +405,7 @@ async def run_corruption_chaos(
         or StoreOptions(
             block_cache_bytes=0,
             memtable_bytes=4096,
+            background_maintenance=True,
             scrub_interval=0.2,
         ),
         shard_client_options=dict(_ONE_FAST_RETRY, timeout=2.0),

@@ -6,11 +6,12 @@ from a store the caller opened.
 An engine call runs on the event loop's own thread unless it would wait:
 a GET, a bounded SCAN, and a write that only logs and inserts cost no
 hand-off, while a write the engine says would park (a closed stall gate,
-a flush-stalled rotation, an fsync, a contended store lock), an
-unbounded SCAN and the inline maintenance pump go to the server's one
-worker pool — so a stalled write never freezes the loop or the reads on
-it (``docs/server.md``, "Threading model"). Every write first passes the
-admission controller (:mod:`repro.server.admission`):
+a flush-stalled rotation, an fsync, a contended store lock) and an
+unbounded SCAN go to the server's one worker pool — so a stalled write
+never freezes the loop or the reads on it (``docs/server.md``,
+"Threading model"). It never drives flushes or merges: a store it can
+shed writes from runs workers (:func:`require_workers`). Every write
+first passes the admission controller (:mod:`repro.server.admission`):
 
 * ``admit`` — the write proceeds immediately;
 * ``delay`` — the service sleeps the prescribed pause first (graceful
@@ -56,11 +57,26 @@ DEFAULT_WRITE_DEADLINE = 5.0
 INLINE_SCAN_ROWS = 256
 
 #: Threads in a front-end's worker pool. Only calls that wait go there
-#: (stall-gate and flush-stall parks, fsyncs, unbounded scans,
-#: maintenance pumps), so it is sized past the CPU count: it bounds how
-#: many writers can park at once, and with it how many a group-commit
-#: leader's fsync can cover.
+#: (stall-gate and flush-stall parks, fsyncs, unbounded scans), so it
+#: is sized past the CPU count: it bounds how many writers can park at
+#: once, and with it how many a group-commit leader's fsync can cover.
 ENGINE_THREADS = 16
+
+
+def require_workers(options, admission_mode: str) -> None:
+    """Refuse an inline store behind a server that can shed its writes.
+
+    An inline store merges only inside the writes that reach it. One
+    that admission (any mode but ``none``) or a rejecting stall gate
+    turns away drives nothing, so the stall would never clear."""
+    if options.background_maintenance:
+        return
+    if admission_mode != "none" or options.stall_mode == "reject":
+        raise ConfigurationError(
+            f"admission {admission_mode!r} with stall mode "
+            f"{options.stall_mode!r} can shed writes, so the store needs "
+            "maintenance workers (background_maintenance=True)"
+        )
 
 
 async def in_thread(fn, *args, executor=None):
@@ -427,9 +443,10 @@ class KVServer(FramedServer):
         binproto.require_binary(wire)
         if write_deadline <= 0:
             raise ConfigurationError("write_deadline must be positive")
+        self._admission = admission or AdmissionController()
+        require_workers(store.options, self._admission.mode)
         super().__init__(host, port, metrics_port=metrics_port)
         self._store = store
-        self._admission = admission or AdmissionController()
         self._write_deadline = write_deadline
         self.metrics = ServerMetrics()
         # Share the engine's bundle: one registry, one event ring, one
@@ -442,11 +459,6 @@ class KVServer(FramedServer):
             # (injectable clock) decides whether a tick actually runs,
             # so wall-clock scheduling never leaks into its decisions.
             self.attach_ticker(memory_arbiter.maybe_tick, memory_interval)
-        # Inline stores need the serving layer to pump maintenance
-        # between bounced writes; stores with maintenance workers make
-        # their own progress, so the stall hook would only burn a
-        # thread-pool hop per rejection.
-        self._pump_maintenance = not store.options.background_maintenance
         self._engine_calls = {
             (op, where): self.obs.registry.counter(
                 "server_engine_calls_total",
@@ -500,11 +512,6 @@ class KVServer(FramedServer):
                 self._store.stats() if reads_stats else None, nbytes
             )
             if decision.action == REJECT:
-                # Shedding load must not also starve maintenance: with
-                # inline stores nothing else advances merges while every
-                # write is bounced, so the stall would never clear.
-                if self._pump_maintenance:
-                    await self._in_thread(self._store.advance_maintenance)
                 return rejected(
                     decision.reason or "admission",
                     decision.reason or "write rejected by admission",
@@ -520,8 +527,6 @@ class KVServer(FramedServer):
                     nbytes=nbytes,
                 )
                 admission_wait += decision.delay_seconds
-                if self._pump_maintenance:
-                    await self._in_thread(self._store.advance_maintenance)
                 await asyncio.sleep(decision.delay_seconds)
             try:
                 timing = apply(wait=False)
@@ -531,12 +536,6 @@ class KVServer(FramedServer):
                 else:
                     self._engine_calls[op, "loop"].inc()
             except WriteStalledError as error:
-                # Rejected writes make no maintenance progress in inline
-                # mode, so the serving layer pumps merges forward — the
-                # stall would otherwise never clear while clients back
-                # off (merge-coupled serving, bLSM-style).
-                if self._pump_maintenance:
-                    await self._in_thread(self._store.advance_maintenance)
                 if (
                     self._admission.absorbs_stalls
                     and loop.time() < deadline

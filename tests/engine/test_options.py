@@ -39,6 +39,14 @@ class TestStoreOptionsValidation:
         with pytest.raises(ConfigurationError):
             StoreOptions(**overrides)
 
+    def test_scrubbing_needs_workers(self):
+        """Inline maintenance never claims a scrub chunk, so a scrub
+        interval on an inline store would silently never scrub."""
+        with pytest.raises(ConfigurationError, match="scrub"):
+            StoreOptions(scrub_interval=1.0)
+        options = StoreOptions(scrub_interval=1.0, background_maintenance=True)
+        assert options.scrub_interval == 1.0
+
     def test_with_returns_updated_copy(self):
         base = StoreOptions()
         updated = base.with_(scheduler="fair")

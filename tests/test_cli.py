@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _store_options_from, build_parser, main
 
 
 @pytest.fixture
@@ -261,7 +261,16 @@ class TestServeAndLoadgenParsers:
         assert args.admission == "none"
         assert args.port == 7379
         assert args.stall_mode == "reject"
-        assert not args.background
+        # The server can shed writes, so the store runs its own workers.
+        assert _store_options_from(args).background_maintenance
+
+    def test_a_served_store_that_scrubs_has_workers(self):
+        args = build_parser().parse_args(
+            ["serve", "/tmp/db", "--scrub-interval", "1"]
+        )
+        options = _store_options_from(args)
+        assert options.scrub_interval == 1.0
+        assert options.background_maintenance
 
     def test_serve_admission_modes(self):
         for mode in ("none", "stop", "limit", "gradual"):
@@ -360,9 +369,8 @@ class TestClusterParsersAndValidation:
         assert args.port == 7379
         assert args.shards == 4
         assert args.scope == "local"
-        assert args.arbiter == "fair"
         assert args.admission == "none"
-        assert args.pump_budget is None
+        assert _store_options_from(args).background_maintenance
 
     def test_cluster_loadgen_defaults_to_zipf(self):
         args = build_parser().parse_args(["cluster-loadgen"])
@@ -380,10 +388,12 @@ class TestClusterParsersAndValidation:
             )
 
     def test_unknown_arbiter_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["cluster-serve", "/tmp/db", "--arbiter", "roulette"]
-            )
+        """Shards run their own workers: there is no shared-budget
+        arbiter, no pump budget, and no flag to turn the workers off."""
+        for flag in (["--arbiter", "fair"], ["--pump-budget", "4"],
+                     ["--background"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["cluster-serve", "/tmp/db", *flag])
 
     def test_unknown_distribution_rejected(self):
         with pytest.raises(SystemExit):

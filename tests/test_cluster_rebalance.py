@@ -47,6 +47,31 @@ class TestQuiescentMigration:
                 (k, b"v:" + k) for k in KEYS
             )
 
+    def test_a_shard_with_workers_is_promoted_with_workers(self, tmp_path):
+        import time
+
+        workers = SMALL.with_(background_maintenance=True)
+        with ShardedStore(str(tmp_path / "c"), 2, workers) as store:
+            for key in KEYS[:100]:
+                store.put(key, b"v:" + key)
+            migrate_shard(store, 1, str(tmp_path / "t"), verify=True)
+            promoted = store.engine(1)
+            assert promoted.options.background_maintenance
+            assert promoted.options.stall_mode == "block"
+            threads = promoted._maintenance._workers
+            assert threads and all(thread.is_alive() for thread in threads)
+            # Its own workers flush what the writes fill.
+            for key in KEYS[100:]:
+                store.put(key, b"w:" + key)
+            deadline = time.monotonic() + 10.0
+            while promoted.stats().disk_components == 0:
+                assert time.monotonic() < deadline, "nothing flushed"
+                time.sleep(0.01)
+            for key in shard_keys(store, 1):
+                assert store.get(key) == (
+                    b"w:" + key if key in KEYS[100:] else b"v:" + key
+                )
+
     def test_empty_shard_migrates_cleanly(self, tmp_path):
         with ShardedStore(str(tmp_path / "c"), 2, SMALL) as store:
             report = migrate_shard(

@@ -1,24 +1,10 @@
-"""Tests for the sharded multi-engine store and its shared pump budget."""
+"""Tests for the sharded multi-engine store."""
 
 import pytest
 
 from repro.cluster import HashRing, ShardedStore
-from repro.cluster.sharded import _apportion
 from repro.engine import LSMStore, StoreOptions
-from repro.errors import ConfigurationError, WriteStalledError
-
-
-def ingest(store, keys, value):
-    """Write through transient stalls: pump the shared budget and retry."""
-    for key in keys:
-        for _ in range(50):
-            try:
-                store.put(key, value)
-                break
-            except WriteStalledError:
-                store.pump()
-        else:  # pragma: no cover - deficit too deep to clear
-            raise AssertionError("stall never cleared while pumping")
+from repro.errors import ConfigurationError
 
 SMALL = StoreOptions(
     memtable_bytes=4096,
@@ -27,16 +13,6 @@ SMALL = StoreOptions(
     size_ratio=3,
     levels=2,
     background_maintenance=False,
-)
-
-#: Ingestion outruns inline merge bandwidth (same recipe as the server
-#: integration tests) so shards accumulate a visible maintenance backlog.
-DEFICIT = SMALL.with_(
-    constraint_limit=5,
-    merge_chunk_bytes=1024,
-    maintenance_chunks_per_rotation=6,
-    stall_mode="reject",
-    block_cache_bytes=0,
 )
 
 KEYS = [f"key-{i:06d}".encode() for i in range(400)]
@@ -97,65 +73,6 @@ class TestRoutingAndReads:
             for key in KEYS[:80]:
                 assert store.get(key) == b"persist"
 
-
-class TestApportion:
-    def test_exact_split_sums_to_budget(self):
-        pumps = _apportion({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}, 4)
-        assert pumps == {0: 1, 1: 1, 2: 1, 3: 1}
-
-    def test_largest_remainder_breaks_ties_deterministically(self):
-        pumps = _apportion({0: 1.0, 1: 1.0, 2: 1.0}, 2)
-        assert sum(pumps.values()) == 2
-        assert pumps == _apportion({0: 1.0, 1: 1.0, 2: 1.0}, 2)
-
-    def test_skewed_allocation_gets_more_pumps(self):
-        pumps = _apportion({0: 9.0, 1: 1.0}, 10)
-        assert pumps[0] == 9
-        assert pumps[1] == 1
-
-    def test_zero_total_yields_nothing(self):
-        assert _apportion({0: 0.0}, 4) == {}
-
-    def test_zero_share_shards_dropped(self):
-        pumps = _apportion({0: 2.0, 1: 0.0}, 2)
-        assert pumps == {0: 2}
-
-
-class TestSharedBudgetPump:
-    def test_quiescent_store_needs_no_pumps(self, tmp_path):
-        with ShardedStore(str(tmp_path), 2, SMALL) as store:
-            assert store.pump() == {}
-
-    def test_pump_targets_needy_shards_within_budget(self, tmp_path):
-        with ShardedStore(
-            str(tmp_path), 2, DEFICIT, pump_budget=2
-        ) as store:
-            hot = 0
-            hot_keys = [k for k in KEYS if store.shard_for(k) == hot]
-            ingest(store, hot_keys, b"x" * 256)
-            applied = store.pump()
-            assert applied, "an ingest-heavy shard must have backlog"
-            assert set(applied) <= {0, 1}
-            assert sum(applied.values()) <= 2
-            assert hot in applied
-
-    def test_pump_rounds_drain_the_backlog(self, tmp_path):
-        with ShardedStore(str(tmp_path), 2, DEFICIT) as store:
-            ingest(store, KEYS, b"x" * 256)
-            store.pump(rounds=200)
-            store.maintenance()
-            stats = store.stats()
-            assert not stats.write_stalled
-            assert stats.memory_fill == 0.0
-
-    def test_greedy_arbiter_accepted(self, tmp_path):
-        with ShardedStore(
-            str(tmp_path), 2, DEFICIT, arbiter="greedy"
-        ) as store:
-            ingest(store, KEYS[:200], b"x" * 256)
-            applied = store.pump()
-            assert sum(applied.values()) <= store.num_shards
-
     def test_stats_rollup(self, tmp_path):
         with ShardedStore(str(tmp_path), 3, SMALL) as store:
             for key in KEYS[:90]:
@@ -176,23 +93,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ShardedStore(str(tmp_path), 4, SMALL, ring=HashRing(2))
 
-    def test_rejects_bad_pump_budget(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            ShardedStore(str(tmp_path), 2, SMALL, pump_budget=0)
-
-    def test_rejects_unknown_arbiter(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            ShardedStore(str(tmp_path), 2, SMALL, arbiter="roulette")
-
     def test_rejects_empty_batch(self, tmp_path):
         with ShardedStore(str(tmp_path), 2, SMALL) as store:
             with pytest.raises(ConfigurationError):
                 store.write_batch([])
-
-    def test_rejects_bad_pump_rounds(self, tmp_path):
-        with ShardedStore(str(tmp_path), 2, SMALL) as store:
-            with pytest.raises(ConfigurationError):
-                store.pump(rounds=0)
 
     def test_double_attach_mirror_rejected(self, tmp_path):
         with ShardedStore(str(tmp_path / "c"), 2, SMALL) as store:

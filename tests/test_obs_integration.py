@@ -24,8 +24,9 @@ from repro.server.client import KVClient
 from repro.server.loadgen import open_loop
 from repro.server.service import KVServer
 
-#: Ingestion outruns inline merge bandwidth (chunks-per-rotation below
-#: pacing), so the component constraint produces genuine write stalls.
+#: Ingestion outruns the workers' throttled flush + merge bandwidth (the
+#: paper's fixed maintenance budget), so the component constraint
+#: produces genuine write stalls.
 OVERLOAD_OPTIONS = StoreOptions(
     memtable_bytes=4096,
     num_memtables=2,
@@ -34,9 +35,9 @@ OVERLOAD_OPTIONS = StoreOptions(
     levels=2,
     constraint_limit=5,
     merge_chunk_bytes=1024,
-    maintenance_chunks_per_rotation=6,
+    rate_limit_bytes_per_s=192 * 1024,
     stall_mode="reject",
-    background_maintenance=False,
+    background_maintenance=True,
     block_cache_bytes=0,
 )
 

@@ -41,7 +41,7 @@ LOADGEN_API = {
 
 #: The documented public API of ``repro.cluster`` (docs/cluster.md).
 CLUSTER_API = {
-    "ARBITERS", "SCOPES",
+    "SCOPES",
     "ClusterAdmission", "build_cluster_admission",
     "ClusterMetrics", "ClusterRouter", "LocalCluster",
     "ClusterStats", "aggregate_stats", "worst_case_stats",

@@ -1,14 +1,14 @@
 """End-to-end service tests: real engine, real TCP, real admission.
 
 The centrepiece reproduces the paper's stop-vs-slow-down comparison at
-the serving layer: the same deterministic closed-loop overload is played
-against ``stop`` and ``gradual`` admission over an engine configured
-with a merge-bandwidth deficit (``maintenance_chunks_per_rotation``
-below pacing), and gradual must deliver strictly lower P99 client write
-latency. The engine work is deterministic (inline maintenance, seeded
-keys); only the latency magnitudes depend on the clock, and the margin
-between the modes is structural — stop's tail contains at least one
-client backoff of >= 50ms per stall, gradual's only 10ms server pauses.
+the serving layer: the same seeded closed-loop overload is played
+against ``stop`` and ``gradual`` admission over an engine whose
+maintenance workers run behind the paper's fixed I/O throttle
+(``rate_limit_bytes_per_s``, scaled down) below the ingest rate, and
+gradual must deliver strictly lower P99 client write latency. The
+margin between the modes is structural — stop's tail contains at least
+one client backoff of >= 50ms per stall, gradual's only 10ms server
+pauses.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ FUNCTIONAL_OPTIONS = StoreOptions(
     background_maintenance=False,
 )
 
-#: Overload engine: ingestion outruns inline merge bandwidth, so the
-#: component constraint produces genuine transient write stalls. The
-#: limit obeys ``>= 2L + 1``, so a violated constraint always implies
-#: mergeable work and every stall is clearable.
+#: Overload engine: ingestion outruns the workers' throttled flush +
+#: merge bandwidth, so the component constraint produces genuine
+#: transient write stalls. The limit obeys ``>= 2L + 1``, so a violated
+#: constraint always implies mergeable work and every stall is
+#: clearable.
 OVERLOAD_OPTIONS = StoreOptions(
     memtable_bytes=4096,
     num_memtables=2,
@@ -43,9 +44,9 @@ OVERLOAD_OPTIONS = StoreOptions(
     levels=2,
     constraint_limit=5,
     merge_chunk_bytes=1024,
-    maintenance_chunks_per_rotation=6,
+    rate_limit_bytes_per_s=320 * 1024,
     stall_mode="reject",
-    background_maintenance=False,
+    background_maintenance=True,
     block_cache_bytes=0,
 )
 
