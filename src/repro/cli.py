@@ -26,47 +26,17 @@ from .errors import ReproError
 # Every command imports what it runs in its own body: the simulation
 # commands load repro.harness (and numpy), `serve` never does.
 
-_POLICIES = ("tiering", "leveling", "lazy-leveling", "size-tiered", "partitioned")
-
-
-def _spec_for(args: argparse.Namespace):
+def _spec_for(args: argparse.Namespace, scheduler: str | None = None):
     from .harness import ExperimentSpec
 
-    common = dict(scale=args.scale)
-    if args.policy == "tiering":
-        spec = ExperimentSpec.tiering(
-            size_ratio=int(args.size_ratio or 3),
-            scheduler=args.scheduler,
-            distribution=args.distribution,
-            **common,
-        )
-    elif args.policy == "leveling":
-        spec = ExperimentSpec.leveling(
-            size_ratio=float(args.size_ratio or 10),
-            scheduler=args.scheduler,
-            distribution=args.distribution,
-            **common,
-        )
-    elif args.policy == "lazy-leveling":
-        spec = ExperimentSpec.lazy_leveling(
-            size_ratio=int(args.size_ratio or 3),
-            scheduler=args.scheduler,
-            distribution=args.distribution,
-            **common,
-        )
-    elif args.policy == "size-tiered":
-        spec = ExperimentSpec.size_tiered(
-            scheduler=args.scheduler,
-            testing_fix=args.testing_fix,
-            **common,
-        )
-    elif args.policy == "partitioned":
-        spec = ExperimentSpec.partitioned(
-            testing_fix=args.testing_fix, **common
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        raise ReproError(f"unknown policy {args.policy!r}")
-    return spec.with_(utilization=args.utilization)
+    return ExperimentSpec.for_policy(
+        args.policy,
+        size_ratio=args.size_ratio,
+        scheduler=scheduler or args.scheduler,
+        distribution=args.distribution,
+        testing_fix=args.testing_fix,
+        scale=args.scale,
+    ).with_(utilization=args.utilization)
 
 
 def _cmd_two_phase(args: argparse.Namespace) -> int:
@@ -93,13 +63,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from .harness import compare_schedulers, format_table
 
     schedulers = [s.strip() for s in args.schedulers.split(",")]
-
-    def make(scheduler: str):
-        forged = argparse.Namespace(**vars(args))
-        forged.scheduler = scheduler
-        return _spec_for(forged)
-
-    rows = compare_schedulers(make, schedulers)
+    rows = compare_schedulers(lambda s: _spec_for(args, s), schedulers)
     print(format_table(rows))
     return 0
 
@@ -586,18 +550,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    from .core.factory import POLICIES, SCHEDULERS
+
     parser.add_argument(
-        "--policy", choices=_POLICIES, default="tiering",
+        "--policy", choices=POLICIES, default="tiering",
         help="merge policy (default: tiering)",
     )
     parser.add_argument(
         "--scheduler", default="greedy",
-        help="runtime scheduler: single/fair/greedy/greedy-<k> "
-             "(default: greedy)",
+        help=f"runtime scheduler: {'/'.join(SCHEDULERS)} (default: greedy)",
     )
     parser.add_argument(
-        "--size-ratio", default=None,
-        help="size ratio T (defaults: tiering 3, leveling 10)",
+        "--size-ratio", type=float, default=None,
+        help="size ratio T, whole under tiering and lazy leveling "
+             "(defaults: tiering 3, leveling 10)",
     )
     parser.add_argument(
         "--distribution", choices=("uniform", "zipf"), default="uniform",
@@ -667,11 +633,13 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "--memtable-mib", type=float, default=4.0,
         help="engine memory component budget (default: 4 MiB)",
     )
+    from .engine.blockcodec import available_codecs
+    from .engine.options import ENGINE_POLICIES
+
     parser.add_argument(
-        "--engine-policy", choices=("tiering", "leveling", "size-tiered"),
+        "--engine-policy", choices=ENGINE_POLICIES,
         default="tiering", help="engine merge policy (default: tiering)",
     )
-    from .engine.blockcodec import available_codecs
     parser.add_argument(
         "--block-codec", choices=available_codecs(), default="none",
         help="per-block compression for new sorted runs (default: "
@@ -829,9 +797,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--json-out", default=None, metavar="PATH",
         help="also write the full report as JSON to this file",
     )
+    from .engine.options import ENGINE_POLICIES
+
     verify_cmd.add_argument(
-        "--policy", default=None,
-        choices=["leveling", "tiering", "size-tiered"],
+        "--policy", default=None, choices=ENGINE_POLICIES,
         help="merge policy the store ran with; 'leveling' additionally "
         "enforces the partitioned-level no-overlap invariant",
     )

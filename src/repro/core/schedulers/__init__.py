@@ -7,7 +7,6 @@ A complete runtime configuration is a triple:
 * a :class:`WriteControl` (how writes behave before the stall).
 """
 
-from ...errors import ConfigurationError
 from .base import Allocation, MergeScheduler
 from .blsm import SpringGearControl, SpringGearScheduler
 from .constraints import (
@@ -27,22 +26,6 @@ from .write_control import (
 )
 
 
-def scheduler_by_name(name: str) -> MergeScheduler:
-    """The scheduler a configuration names — ``single``, ``fair``,
-    ``greedy``, or ``greedy-<k>`` for at most ``k`` concurrent merges —
-    for the engine, the simulator harness and the cluster's arbiter."""
-    if name == "single":
-        return SingleThreadedScheduler()
-    if name == "fair":
-        return FairScheduler()
-    if name == "greedy":
-        return GreedyScheduler()
-    head, _, concurrency = name.partition("-")
-    if head == "greedy" and concurrency.isdigit():
-        return GreedyScheduler(concurrency=int(concurrency))
-    raise ConfigurationError(f"unknown scheduler {name!r}")
-
-
 __all__ = [
     "Allocation",
     "ComponentConstraint",
@@ -59,5 +42,4 @@ __all__ = [
     "SpringGearScheduler",
     "StopControl",
     "WriteControl",
-    "scheduler_by_name",
 ]

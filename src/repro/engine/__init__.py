@@ -11,7 +11,7 @@ limiter with periodic forces, and a compaction driver that executes the
 from .blockcache import BlockCache
 from .blockcodec import BlockCodec, available_codecs, get_codec, register_codec
 from .bloom import BloomFilter
-from .compaction import CompactionManager, MergeJob, build_policy, build_scheduler
+from .compaction import CompactionManager, MergeJob
 from .filters import PointFilter, available_filters, load_filter
 from .integrity import IntegrityReport, verify_store
 from .datastore import (
@@ -64,8 +64,6 @@ __all__ = [
     "scan_wal",
     "available_codecs",
     "available_filters",
-    "build_policy",
-    "build_scheduler",
     "get_codec",
     "load_filter",
     "register_codec",

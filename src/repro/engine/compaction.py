@@ -23,19 +23,7 @@ import time
 from bisect import bisect_left
 from typing import NamedTuple
 
-from ..core import model
 from ..core.components import Component, MergeDescriptor, TreeSnapshot, UidAllocator
-from ..core.policies import (
-    LevelingPolicy,
-    MergePolicy,
-    SizeTieredPolicy,
-    TieringPolicy,
-)
-from ..core.schedulers import (
-    GlobalComponentConstraint,
-    MergeScheduler,
-    scheduler_by_name,
-)
 from ..errors import CorruptionError
 from ..obs import events as obs_events
 from .blockcache import BlockCache
@@ -76,26 +64,6 @@ BYTES_PER_SYNC = 16 * 2**20
 #: error costs one attempt per poll, not a busy loop, while flushes and
 #: merges already started go on being claimed.
 RETRY_SECONDS = 0.05
-
-
-def build_policy(options: StoreOptions) -> MergePolicy:
-    """Instantiate the configured core merge policy for the engine."""
-    if options.policy == "leveling":
-        return LevelingPolicy(
-            options.size_ratio, options.levels, options.memtable_bytes
-        )
-    if options.policy == "tiering":
-        return TieringPolicy(int(options.size_ratio), options.levels)
-    return SizeTieredPolicy(
-        size_ratio=max(options.size_ratio, 1.1),
-        min_merge=2,
-        max_merge=10,
-    )
-
-
-def build_scheduler(options: StoreOptions) -> MergeScheduler:
-    """Instantiate the configured core merge scheduler."""
-    return scheduler_by_name(options.scheduler)
 
 
 def _open_writer(
@@ -438,12 +406,9 @@ class CompactionManager:
                 "engine_flush_bytes_total",
                 help="Bytes written by memtable flushes.",
             )
-        self._policy = build_policy(options)
-        self._scheduler = build_scheduler(options)
-        limit = options.constraint_limit or model.default_component_limit(
-            self._policy.expected_components()
+        self._policy, self._scheduler, self._constraint = (
+            options.merge_decisions()
         )
-        self._constraint = GlobalComponentConstraint(limit)
         self._uids = UidAllocator()
         self._rate_limiter = RateLimiter(options.rate_limit_bytes_per_s)
         self._block_cache = BlockCache(options.block_cache_bytes)

@@ -4,18 +4,28 @@ The engine mirrors the paper's testbed settings: 4 KB pages, two memory
 components and an I/O rate limiter for flush/merge writes (its Bloom
 filter sizing and 16 MB periodic forces are constants beside the run
 writer, :mod:`repro.engine.compaction`). Policies and schedulers are
-named with the same strings as the simulation harness.
+named, and built, as in the simulation harness: by :mod:`repro.core.factory`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..core import factory
 from ..errors import ConfigurationError
 from . import blockcodec, filters
 
 #: Sentinel stored in memtables and sorted runs for deletions.
 TOMBSTONE = None
+
+#: Names the factory builds that the engine refuses, and why.
+SIMULATOR_ONLY = {
+    "partitioned": "the engine writes no range-partitioned runs",
+    "spring": "the engine has no spring-and-gear write control",
+}
+
+#: The merge policies the engine runs.
+ENGINE_POLICIES = tuple(p for p in factory.POLICIES if p not in SIMULATOR_ONLY)
 
 
 @dataclass(frozen=True)
@@ -29,11 +39,14 @@ class StoreOptions:
     num_memtables:
         Memory components (one active, the rest flushing); paper: 2.
     policy:
-        Merge policy name: ``leveling`` / ``tiering`` / ``size-tiered``.
+        Merge policy name: ``tiering`` / ``leveling`` / ``lazy-leveling``
+        / ``size-tiered`` (``partitioned`` is refused, see
+        :data:`SIMULATOR_ONLY`).
     size_ratio:
-        The policy's size ratio ``T``.
+        The policy's size ratio ``T`` (whole under tiering, lazy leveling).
     scheduler:
-        Merge scheduler name: ``single`` / ``fair`` / ``greedy``.
+        Merge scheduler name: ``single`` / ``fair`` / ``greedy`` /
+        ``greedy-<k>`` (``spring`` is refused).
     constraint_limit:
         Global component-count limit (0 = derive as twice the policy's
         expected component count once the tree shape is known).
@@ -165,14 +178,14 @@ class StoreOptions:
             raise ConfigurationError("memtable budget is implausibly small")
         if self.num_memtables < 1:
             raise ConfigurationError("need at least one memory component")
-        if self.policy not in ("leveling", "tiering", "size-tiered"):
-            raise ConfigurationError(f"unknown policy {self.policy!r}")
-        if self.scheduler not in ("single", "fair", "greedy"):
-            raise ConfigurationError(f"unknown scheduler {self.scheduler!r}")
-        if self.size_ratio <= 1:
-            raise ConfigurationError("size ratio must exceed 1")
-        if self.levels < 1:
-            raise ConfigurationError("need at least one level")
+        for name in (self.policy, self.scheduler):
+            if name in SIMULATOR_ONLY:
+                raise ConfigurationError(
+                    f"{name!r} runs only in the simulator: "
+                    f"{SIMULATOR_ONLY[name]}"
+                )
+        # A bad name or ratio fails here, before a store opens any file.
+        self.merge_decisions()
         if self.block_bytes < 128:
             raise ConfigurationError("block size too small")
         if self.block_codec not in blockcodec.available_codecs():
@@ -210,6 +223,18 @@ class StoreOptions:
             )
         if self.scrub_rate_bytes_per_s < 0:
             raise ConfigurationError("scrub rate cannot be negative")
+
+    def merge_decisions(self) -> tuple:
+        """The ``(policy, scheduler, global constraint)`` these options
+        name, built fresh by :mod:`repro.core.factory`."""
+        policy = factory.build_policy(
+            self.policy, self.size_ratio, self.levels, self.memtable_bytes
+        )
+        return (
+            policy,
+            factory.build_scheduler(self.scheduler, policy),
+            factory.build_constraint("global", policy, limit=self.constraint_limit),
+        )
 
     def with_(self, **overrides) -> "StoreOptions":
         """Functional update."""

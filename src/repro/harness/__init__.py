@@ -2,13 +2,7 @@
 
 from .charts import ascii_chart
 from .report import emit, format_latency_profile, format_table, sparkline
-from .spec import (
-    DEFAULT_SCALE,
-    ExperimentSpec,
-    make_constraint,
-    make_control,
-    make_scheduler,
-)
+from .spec import DEFAULT_SCALE, ExperimentSpec, make_control
 from .sweeps import (
     compare_schedulers,
     scheduler_running_results,
@@ -34,9 +28,7 @@ __all__ = [
     "emit",
     "format_latency_profile",
     "format_table",
-    "make_constraint",
     "make_control",
-    "make_scheduler",
     "partition_size_sweep",
     "running_phase",
     "scheduler_running_results",

@@ -10,33 +10,26 @@ paper's experimental setups (Sections 4-7) with their exact defaults.
 
 from __future__ import annotations
 
-import math
+import inspect
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from ..core import model
 from ..core.components import Component, UidAllocator
+from ..core.factory import POLICIES, build_policy, level_capacities
 from ..core.policies import (
-    LazyLevelingPolicy,
     LevelingPolicy,
     MergePolicy,
     PartitionedLevelingPolicy,
     SizeTieredPolicy,
-    TieringPolicy,
 )
 from ..core.schedulers import (
-    ComponentConstraint,
-    GlobalComponentConstraint,
-    LevelZeroConstraint,
-    LocalComponentConstraint,
-    MergeScheduler,
     RateLimitControl,
     SlowdownControl,
     SpringGearControl,
-    SpringGearScheduler,
     StopControl,
     WriteControl,
-    scheduler_by_name,
 )
 from ..errors import ConfigurationError
 from ..sim import (
@@ -64,40 +57,6 @@ DEFAULT_SCALE = 128.0
 TESTING_DURATION = 14400.0
 RUNNING_DURATION = 7200.0
 WARMUP = 3600.0
-
-
-def make_scheduler(name: str, policy: MergePolicy, config: SimConfig) -> MergeScheduler:
-    """Build a scheduler by name: ``spring`` (bLSM's, sized from the
-    policy's level capacities) or any name
-    :func:`~repro.core.schedulers.scheduler_by_name` knows."""
-    if name == "spring":
-        capacities: dict[int, float] = {}
-        if isinstance(policy, LevelingPolicy):
-            capacities = {
-                level: policy.level_capacity_bytes(level)
-                for level in range(1, policy.levels + 1)
-            }
-        return SpringGearScheduler(capacities)
-    return scheduler_by_name(name)
-
-
-def make_constraint(
-    name: str, policy: MergePolicy, factor: float = 2.0
-) -> ComponentConstraint:
-    """Build a constraint by name: global / local / level0."""
-    if name == "global":
-        return GlobalComponentConstraint(
-            model.default_component_limit(policy.expected_components(), factor)
-        )
-    if name == "local":
-        if isinstance(policy, TieringPolicy):
-            per_level = int(math.ceil(factor * policy.size_ratio))
-        else:
-            per_level = int(math.ceil(factor))
-        return LocalComponentConstraint(per_level)
-    if name == "level0":
-        return LevelZeroConstraint(stop=12)
-    raise ConfigurationError(f"unknown constraint {name!r}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +105,42 @@ class ExperimentSpec:
         """Functional update."""
         return replace(self, **overrides)
 
+    @classmethod
+    def for_policy(cls, policy: str, **options) -> "ExperimentSpec":
+        """The standard setup of a :mod:`repro.core.factory` policy name:
+        the builder named after it, given those ``options`` it declares
+        that are not None. Others keep the setup's default (partitioned
+        keeps LevelDB's single compaction thread whatever ``scheduler``)."""
+        if policy not in POLICIES:
+            raise ConfigurationError(f"unknown policy {policy!r}")
+        builder = getattr(cls, policy.replace("-", "_"))
+        declared = inspect.signature(builder).parameters
+        given = {key: value for key, value in options.items() if value is not None}
+        return builder(**{key: given[key] for key in given.keys() & declared})
+
+    @classmethod
+    def _by_ratio(
+        cls, policy: str, size_ratio: float, scheduler: str, scale: float,
+        bootstrap: Callable, min_levels: int = 1, **overrides,
+    ) -> "ExperimentSpec":
+        """A setup whose levels grow by ``size_ratio`` until they hold
+        the scaled dataset, with the factory's ``policy`` over them."""
+        config = bench_config(scale)
+        levels = model.levels_for_tiering(
+            config.total_keys, config.memory_component_entries, size_ratio
+        )
+        return cls(
+            name=f"{policy}-T{size_ratio:g}-{scheduler}",
+            config=config,
+            policy_factory=partial(
+                build_policy, policy, size_ratio, max(levels, min_levels),
+                config.memory_component_bytes,
+            ),
+            bootstrap=bootstrap,
+            scheduler=scheduler,
+            **overrides,
+        )
+
     # ------------------------------------------------------------------
     # the paper's standard setups
     # ------------------------------------------------------------------
@@ -160,22 +155,9 @@ class ExperimentSpec:
         **overrides,
     ) -> "ExperimentSpec":
         """Section 5.2's tiering setup (T=3, eight-ish levels)."""
-        config = bench_config(scale)
-        levels = model.levels_for_tiering(
-            config.total_keys, config.memory_component_entries, size_ratio
-        )
-
-        def build() -> TieringPolicy:
-            return TieringPolicy(size_ratio, levels)
-
-        return cls(
-            name=f"tiering-T{size_ratio}-{scheduler}",
-            config=config,
-            policy_factory=build,
-            bootstrap=loaded_tiering_tree,
-            scheduler=scheduler,
-            distribution=distribution,
-            **overrides,
+        return cls._by_ratio(
+            "tiering", size_ratio, scheduler, scale, loaded_tiering_tree,
+            distribution=distribution, **overrides,
         )
 
     @classmethod
@@ -188,30 +170,20 @@ class ExperimentSpec:
         dynamic_level_sizes: bool = False,
         **overrides,
     ) -> "ExperimentSpec":
-        """Section 5.2's leveling setup (T=10, three levels)."""
-        config = bench_config(scale)
-        levels = model.levels_for_leveling(
-            config.total_keys, config.memory_component_entries, size_ratio
+        """Section 5.2's leveling setup (T=10, three levels); with
+        ``dynamic_level_sizes``, the last level's capacity is the
+        dataset's footprint."""
+        spec = cls._by_ratio(
+            "leveling", size_ratio, scheduler, scale, loaded_leveling_tree,
+            distribution=distribution, **overrides,
         )
-        last_level = config.total_bytes if dynamic_level_sizes else None
-
-        def build() -> LevelingPolicy:
-            return LevelingPolicy(
-                size_ratio,
-                levels,
-                config.memory_component_bytes,
-                last_level_bytes=last_level,
-            )
-
-        return cls(
-            name=f"leveling-T{size_ratio}-{scheduler}",
-            config=config,
-            policy_factory=build,
-            bootstrap=loaded_leveling_tree,
-            scheduler=scheduler,
-            distribution=distribution,
-            **overrides,
-        )
+        if not dynamic_level_sizes:
+            return spec
+        return spec.with_(policy_factory=partial(
+            LevelingPolicy, size_ratio, spec.policy_factory().levels,
+            spec.config.memory_component_bytes,
+            last_level_bytes=spec.config.total_bytes,
+        ))
 
     @classmethod
     def lazy_leveling(
@@ -224,22 +196,10 @@ class ExperimentSpec:
     ) -> "ExperimentSpec":
         """The Dostoevsky-style extension policy (DESIGN.md Section 8):
         tiering at intermediate levels, leveling at the last."""
-        config = bench_config(scale)
-        levels = model.levels_for_tiering(
-            config.total_keys, config.memory_component_entries, size_ratio
-        )
-
-        def build() -> LazyLevelingPolicy:
-            return LazyLevelingPolicy(size_ratio, max(levels, 2))
-
-        return cls(
-            name=f"lazy-leveling-T{size_ratio}-{scheduler}",
-            config=config,
-            policy_factory=build,
-            bootstrap=loaded_lazy_leveling_tree,
-            scheduler=scheduler,
-            distribution=distribution,
-            **overrides,
+        return cls._by_ratio(
+            "lazy-leveling", size_ratio, scheduler, scale,
+            loaded_lazy_leveling_tree, min_levels=2,
+            distribution=distribution, **overrides,
         )
 
     @classmethod
@@ -259,28 +219,22 @@ class ExperimentSpec:
         ``testing_fix=True`` applies the paper's solution: the testing
         phase merges exactly ``min_merge`` components.
         """
-        config = bench_config(scale)
-
-        def build() -> SizeTieredPolicy:
-            return SizeTieredPolicy(
-                size_ratio=size_ratio,
-                min_merge=min_merge,
-                max_merge=max_merge,
-                expected_component_cap=component_cap // 2,
-            )
-
-        testing_factory = None
-        if testing_fix:
-            def testing_factory() -> SizeTieredPolicy:  # noqa: E306
-                return build().with_always_min(True)
-
+        build = partial(
+            SizeTieredPolicy,
+            size_ratio=size_ratio,
+            min_merge=min_merge,
+            max_merge=max_merge,
+            expected_component_cap=component_cap // 2,
+        )
         return cls(
             name=f"size-tiered-{scheduler}{'-fixed' if testing_fix else ''}",
-            config=config,
+            config=bench_config(scale),
             policy_factory=build,
             bootstrap=loaded_size_tiered_stack,
             scheduler=scheduler,
-            testing_policy_factory=testing_factory,
+            testing_policy_factory=(
+                (lambda: build().with_always_min(True)) if testing_fix else None
+            ),
             **overrides,
         )
 
@@ -308,21 +262,15 @@ class ExperimentSpec:
         while level1_target * size_ratio ** (levels - 1) < config.total_bytes:
             levels += 1
 
-        def build() -> PartitionedLevelingPolicy:
-            return PartitionedLevelingPolicy(
-                size_ratio=size_ratio,
-                levels=levels,
-                level1_target_bytes=level1_target,
-                max_file_bytes=max_file,
-                l0_min_merge=4,
-                selection=selection,
-            )
-
-        testing_factory = None
-        if testing_fix:
-            def testing_factory() -> PartitionedLevelingPolicy:  # noqa: E306
-                return build().with_l0_exact(True)
-
+        build = partial(
+            PartitionedLevelingPolicy,
+            size_ratio=size_ratio,
+            levels=levels,
+            level1_target_bytes=level1_target,
+            max_file_bytes=max_file,
+            l0_min_merge=4,
+            selection=selection,
+        )
         return cls(
             name=f"partitioned-{selection}{'-fixed' if testing_fix else ''}",
             config=config,
@@ -331,7 +279,9 @@ class ExperimentSpec:
             scheduler="single",
             testing_scheduler="single",
             constraint="level0",
-            testing_policy_factory=testing_factory,
+            testing_policy_factory=(
+                (lambda: build().with_l0_exact(True)) if testing_fix else None
+            ),
             **overrides,
         )
 
@@ -359,16 +309,9 @@ class ExperimentSpec:
             memory_component_bytes=1024 * 2**20 / scale,
             reallocation_interval=5.0,
         )
-        levels = 2
-
-        def build() -> LevelingPolicy:
-            return LevelingPolicy(10, levels, config.memory_component_bytes)
-
-        capacities = {
-            level: build().level_capacity_bytes(level)
-            for level in range(1, levels + 1)
-        }
-
+        build = partial(
+            build_policy, "leveling", 10, 2, config.memory_component_bytes
+        )
         return cls(
             name="blsm-spring-gear",
             config=config,
@@ -379,7 +322,7 @@ class ExperimentSpec:
             constraint="local",
             constraint_factor=3.0,
             control_factory=lambda: SpringGearControl(
-                config.entry_bytes, capacities
+                config.entry_bytes, level_capacities(build())
             ),
             distribution=distribution,
             **overrides,

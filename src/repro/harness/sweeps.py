@@ -27,23 +27,14 @@ def size_ratio_sweep(
     For each ratio, the maximum throughput is measured once with the fair
     scheduler (the paper's testing-phase rule), then each runtime
     scheduler is evaluated at 95% of that number. Leveling uses the
-    dynamic level size optimization, as the paper does for this figure.
+    dynamic level size optimization, as the paper does for this figure
+    (the other setups take no such option).
     """
     rows: list[dict[str, object]] = []
     for ratio in ratios:
-        if policy == "tiering":
-            base = ExperimentSpec.tiering(
-                size_ratio=ratio, scale=scale, **spec_overrides
-            )
-        elif policy == "leveling":
-            base = ExperimentSpec.leveling(
-                size_ratio=ratio,
-                scale=scale,
-                dynamic_level_sizes=True,
-                **spec_overrides,
-            )
-        else:
-            raise ConfigurationError(f"unknown policy {policy!r}")
+        base = ExperimentSpec.for_policy(
+            policy, size_ratio=ratio, scale=scale, dynamic_level_sizes=True
+        ).with_(**spec_overrides)
         max_throughput, _ = testing_phase(base)
         row: dict[str, object] = {
             "policy": policy,

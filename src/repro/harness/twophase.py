@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.components import UidAllocator
+from ..core.factory import build_constraint, build_scheduler
 from ..errors import ConfigurationError
 from ..sim import SimResult, SimulatedLSMTree
 from ..workloads import ArrivalProcess, ClosedArrivals, ConstantArrivals
-from .spec import ExperimentSpec, make_constraint, make_scheduler
+from .spec import ExperimentSpec
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,8 @@ def build_tree(
     return SimulatedLSMTree(
         config=spec.config,
         policy=policy,
-        scheduler=make_scheduler(scheduler_name, policy, spec.config),
-        constraint=make_constraint(
+        scheduler=build_scheduler(scheduler_name, policy),
+        constraint=build_constraint(
             spec.constraint, policy, spec.constraint_factor
         ),
         keyspace=keyspace,

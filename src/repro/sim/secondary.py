@@ -35,12 +35,8 @@ import numpy as np
 
 from ..core import model
 from ..core.components import MergeDescriptor, TreeSnapshot, UidAllocator
-from ..core.policies import TieringPolicy
-from ..core.schedulers import (
-    ComponentConstraint,
-    GlobalComponentConstraint,
-    WriteControl,
-)
+from ..core.factory import build_constraint, build_policy, build_scheduler
+from ..core.schedulers import ComponentConstraint, WriteControl
 from ..errors import ConfigurationError
 from ..metrics import percentile_profile
 from ..workloads import (
@@ -221,8 +217,6 @@ def _tree_for(
     scheduler_name: str,
     control: WriteControl | None,
 ) -> SimulatedLSMTree:
-    from ..harness.spec import make_scheduler  # local import: avoid cycle
-
     tree_config = config.with_(
         entry_bytes=entry_bytes,
         bandwidth_bytes_per_s=bandwidth,
@@ -230,7 +224,9 @@ def _tree_for(
     levels = model.levels_for_tiering(
         tree_config.total_keys, tree_config.memory_component_entries, setup.size_ratio
     )
-    policy = TieringPolicy(setup.size_ratio, levels)
+    policy = build_policy(
+        "tiering", setup.size_ratio, levels, tree_config.memory_component_bytes
+    )
     keyspace = KeyspaceModel(UniformKeys(tree_config.total_keys))
     components = loaded_tiering_tree(policy, keyspace, tree_config, UidAllocator())
     if isinstance(arrivals, ConstantArrivals):
@@ -238,10 +234,8 @@ def _tree_for(
     return SimulatedLSMTree(
         config=tree_config,
         policy=policy,
-        scheduler=make_scheduler(scheduler_name, policy, tree_config),
-        constraint=GlobalComponentConstraint(
-            model.default_component_limit(policy.expected_components())
-        ),
+        scheduler=build_scheduler(scheduler_name, policy),
+        constraint=build_constraint("global", policy),
         keyspace=keyspace,
         arrivals=arrivals,
         write_control=control,

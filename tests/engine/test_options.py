@@ -39,6 +39,31 @@ class TestStoreOptionsValidation:
         with pytest.raises(ConfigurationError):
             StoreOptions(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides,reason",
+        [
+            ({"policy": "partitioned", "size_ratio": 10}, "range-partitioned"),
+            ({"scheduler": "spring"}, "spring-and-gear"),
+        ],
+    )
+    def test_simulator_only_names_refused(self, overrides, reason):
+        with pytest.raises(ConfigurationError, match=reason):
+            StoreOptions(**overrides)
+
+    @pytest.mark.parametrize("policy", ["tiering", "lazy-leveling"])
+    def test_fractional_tiered_ratio_refused(self, policy):
+        with pytest.raises(ConfigurationError, match="whole size ratio"):
+            StoreOptions(policy=policy, size_ratio=2.7)
+
+    def test_bad_options_fail_before_a_store_opens(self, tmp_path):
+        """The options refuse the ratio themselves, so no store directory
+        (or MANIFEST handle) is ever opened for them."""
+        directory = tmp_path / "db"
+        with pytest.raises(ConfigurationError):
+            options = StoreOptions(policy="tiering", size_ratio=1.5)
+            LSMStore.open(str(directory), options)
+        assert not directory.exists()
+
     def test_scrubbing_needs_workers(self):
         """Inline maintenance never claims a scrub chunk, so a scrub
         interval on an inline store would silently never scrub."""
@@ -59,7 +84,12 @@ class TestPolicyChoicesOnEngine:
 
     @pytest.mark.parametrize(
         "policy,size_ratio",
-        [("tiering", 3), ("leveling", 4), ("size-tiered", 1.2)],
+        [
+            ("tiering", 3),
+            ("leveling", 4),
+            ("size-tiered", 1.2),
+            ("lazy-leveling", 3),
+        ],
     )
     def test_policy_end_to_end(self, tmp_path, policy, size_ratio):
         options = StoreOptions(

@@ -1,84 +1,25 @@
-"""Tests for the harness' name-based factories (schedulers, constraints,
-controls) and spec edge cases not covered by the two-phase tests."""
+"""Tests for the harness' write-control factory and spec edge cases not
+covered by the two-phase tests. Policies, schedulers and constraints are
+built by :mod:`repro.core.factory` (``tests/core/test_factory.py``)."""
 
 
 import pytest
 
 from repro.core import (
-    FairScheduler,
-    GlobalComponentConstraint,
-    GreedyScheduler,
-    LevelZeroConstraint,
-    LocalComponentConstraint,
     RateLimitControl,
-    SingleThreadedScheduler,
     SlowdownControl,
     SpringGearControl,
-    SpringGearScheduler,
     StopControl,
 )
+from repro.core.factory import POLICIES
 from repro.errors import ConfigurationError
-from repro.harness import ExperimentSpec, make_constraint, make_control, make_scheduler
+from repro.harness import ExperimentSpec, make_control
 from repro.sim import bench_config
-
-
-@pytest.fixture
-def policy():
-    return ExperimentSpec.leveling(scale=512.0).policy_factory()
 
 
 @pytest.fixture
 def config():
     return bench_config(512.0)
-
-
-class TestMakeScheduler:
-    def test_names(self, policy, config):
-        assert isinstance(make_scheduler("single", policy, config),
-                          SingleThreadedScheduler)
-        assert isinstance(make_scheduler("fair", policy, config), FairScheduler)
-        assert isinstance(make_scheduler("greedy", policy, config),
-                          GreedyScheduler)
-
-    def test_greedy_k_parses_concurrency(self, policy, config):
-        scheduler = make_scheduler("greedy-4", policy, config)
-        assert isinstance(scheduler, GreedyScheduler)
-        assert scheduler.concurrency == 4
-
-    def test_spring_gets_level_capacities(self, policy, config):
-        scheduler = make_scheduler("spring", policy, config)
-        assert isinstance(scheduler, SpringGearScheduler)
-
-    def test_unknown_rejected(self, policy, config):
-        for name in ("lottery", "greedy-", "greedy-x", "greedy-0"):
-            with pytest.raises(ConfigurationError):
-                make_scheduler(name, policy, config)
-
-
-class TestMakeConstraint:
-    def test_global_uses_double_expected(self, policy):
-        constraint = make_constraint("global", policy)
-        assert isinstance(constraint, GlobalComponentConstraint)
-        assert constraint.limit == 2 * policy.expected_components()
-
-    def test_local_scales_with_tiering_ratio(self):
-        tiering_policy = ExperimentSpec.tiering(scale=512.0).policy_factory()
-        constraint = make_constraint("local", tiering_policy)
-        assert isinstance(constraint, LocalComponentConstraint)
-        assert constraint.per_level == 2 * tiering_policy.size_ratio
-
-    def test_local_for_leveling_is_two(self, policy):
-        constraint = make_constraint("local", policy)
-        assert constraint.per_level == 2
-
-    def test_level0(self, policy):
-        constraint = make_constraint("level0", policy)
-        assert isinstance(constraint, LevelZeroConstraint)
-        assert constraint.stop == 12
-
-    def test_unknown_rejected(self, policy):
-        with pytest.raises(ConfigurationError):
-            make_constraint("per-key", policy)
 
 
 class TestMakeControl:
@@ -123,3 +64,14 @@ class TestSpecEdgeCases:
         assert "fixed" in ExperimentSpec.size_tiered(
             scale=512.0, testing_fix=True
         ).name
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_factory_policy_has_a_setup(self, policy):
+        spec = ExperimentSpec.for_policy(
+            policy, size_ratio=None, scheduler="fair", scale=512.0
+        )
+        assert spec.policy_factory().expected_components() >= 1
+
+    def test_for_policy_rejects_unknown_names(self):
+        with pytest.raises(ConfigurationError, match="unknown policy"):
+            ExperimentSpec.for_policy("btree")

@@ -41,6 +41,37 @@ class TestParser:
         args = build_parser().parse_args(["sweep", "size-ratio"])
         assert args.axis == "size-ratio"
 
+    def test_policy_choices_are_the_factory_names(self):
+        from repro.core.factory import POLICIES
+        from repro.engine.options import ENGINE_POLICIES
+
+        parser = build_parser()
+        for name in POLICIES:
+            assert parser.parse_args(["two-phase", "--policy", name]).policy == name
+        for command in (["verify", "db"], ["serve", "db"]):
+            flag = "--policy" if command[0] == "verify" else "--engine-policy"
+            for name in ENGINE_POLICIES:
+                parser.parse_args([*command, flag, name])
+            with pytest.raises(SystemExit):
+                parser.parse_args([*command, flag, "partitioned"])
+
+    def test_non_numeric_size_ratio_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["two-phase", "--size-ratio", "abc"])
+        assert exit_info.value.code == 2
+        assert "--size-ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["tiering", "lazy-leveling"])
+    def test_fractional_tiered_ratio_exits_2(self, policy, capsys):
+        code = main(["two-phase", "--policy", policy, "--size-ratio", "2.5"])
+        assert code == 2
+        assert "whole size ratio" in capsys.readouterr().err
+
+    def test_unknown_scheduler_exits_2(self, capsys):
+        code = main(["two-phase", "--scheduler", "lottery", "--scale", "512"])
+        assert code == 2
+        assert "unknown scheduler 'lottery'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_two_phase_runs(self, fast, capsys):

@@ -69,7 +69,7 @@ def test_every_subpackage_imports_first(module, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "module", ["repro.cli", "repro.cluster", "repro.replication"]
+    "module", ["repro.cli", "repro.cluster", "repro.core", "repro.replication"]
 )
 def test_serving_imports_load_no_simulation_module(module, tmp_path):
     loaded = run_fresh(
