@@ -7,13 +7,12 @@ backpressures the whole cluster (``global``) or only its own key range
 (``local``). An asyncio router
 speaks the single-server wire protocol on the front and fans out to
 per-shard :class:`~repro.server.KVServer` backends, with scatter-gather
-scans and online shard migration under live writes.
+scans; it is the cluster's only key-value front end.
 """
 
 from .admission import SCOPES, ClusterAdmission, build_cluster_admission
 from .breaker import STATES as BREAKER_STATES
 from .breaker import CircuitBreaker
-from .rebalance import MigrationReport, migrate_shard
 from .ring import HashRing
 from .router import ClusterMetrics, ClusterRouter, LocalCluster
 from .sharded import ShardedStore
@@ -29,10 +28,8 @@ __all__ = [
     "ClusterStats",
     "HashRing",
     "LocalCluster",
-    "MigrationReport",
     "ShardedStore",
     "aggregate_stats",
     "build_cluster_admission",
-    "migrate_shard",
     "worst_case_stats",
 ]

@@ -896,10 +896,6 @@ class LSMStore:
                 self._m_scan_blocks.inc(sum(c.blocks for c in cursors))
                 return iter(results)
 
-    def multi_get(self, keys: list[bytes]) -> dict[bytes, bytes | None]:
-        """Batched point lookups."""
-        return {key: self.get(key) for key in keys}
-
     # -- corruption survival ---------------------------------------------
 
     def _quarantine_locked(

@@ -98,9 +98,8 @@ class MemoryArbiter:
         if not 0.0 < smoothing <= 1.0:
             raise ConfigurationError("smoothing must be in (0, 1]")
         self.budget = budget
-        # Hold the caller's sequence, not a copy: ShardedStore swaps an
-        # engine in place on migration cutover and the arbiter must see
-        # the replacement, not keep budgeting a closed store.
+        # The caller owns the targets (and closes them); the arbiter
+        # only reads their signals and sets their budgets.
         self.targets = targets
         self.obs = obs if obs is not None else Observability()
         self.interval = interval

@@ -289,6 +289,7 @@ def promote_payload(message: dict) -> tuple[int, list[tuple[str, int]]]:
             or len(entry) != 2
             or not isinstance(entry[0], str)
             or not isinstance(entry[1], int)
+            or isinstance(entry[1], bool)
         ):
             raise ProtocolError(f"malformed promote peer {entry!r}")
         peers.append((entry[0], entry[1]))
@@ -376,7 +377,9 @@ def scan_bounds(
 ) -> tuple[bytes | None, bytes | None, int | None]:
     """Decode a SCAN request's bounds and limit."""
     lo, hi, limit = message.get("lo"), message.get("hi"), message.get("limit")
-    if limit is not None and (not isinstance(limit, int) or limit < 0):
+    if limit is not None and (
+        not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
+    ):
         raise ProtocolError("scan limit must be a non-negative integer")
     return (
         None if lo is None else b64decode(lo),

@@ -50,10 +50,6 @@ class TestBasicKeyValue:
         with pytest.raises(ConfigurationError):
             store.write_batch([])
 
-    def test_multi_get(self, store):
-        store.put(b"a", b"1")
-        assert store.multi_get([b"a", b"b"]) == {b"a": b"1", b"b": None}
-
 
 class TestReadAcrossComponents:
     def fill(self, store, count=2000, value_size=64):

@@ -52,11 +52,11 @@ class TestShardedStoreWiring:
             hot_keys = [
                 key
                 for key in (f"k{i:06d}".encode() for i in range(4000))
-                if s.shard_for(key) == 0
+                if s.ring.shard_for(key) == 0
             ]
             for _ in range(3):
                 for key in hot_keys[:600]:
-                    s.put(key, b"v" * 256)
+                    s.engine(0).put(key, b"v" * 256)
                 s.rebalance_memory()
             shares = arbiter.shares
             assert shares.memtable_bytes[0] > shares.memtable_bytes[1]
@@ -71,12 +71,13 @@ class TestShardedStoreWiring:
             )
             keys = [f"k{i:06d}".encode() for i in range(2000)]
             for key in keys:
-                s.put(key, b"v" * 1024)
-            s.maintenance()
-            hot = [key for key in keys if s.shard_for(key) == 1][:400]
+                s.engine(s.ring.shard_for(key)).put(key, b"v" * 1024)
+            for engine in s.engines():
+                engine.maintenance()
+            hot = [key for key in keys if s.ring.shard_for(key) == 1][:400]
             for _ in range(4):
                 for key in hot:
-                    s.get(key)
+                    s.engine(1).get(key)
                 s.rebalance_memory()
             shares = arbiter.shares
             assert shares.cache_bytes[1] > shares.cache_bytes[0]
@@ -87,7 +88,8 @@ class TestShardedStoreWiring:
                 4 * 2**20, clock=lambda: 0.0
             )
             for i in range(500):
-                s.put(f"k{i:05d}".encode(), b"v" * 512)
+                key = f"k{i:05d}".encode()
+                s.engine(s.ring.shard_for(key)).put(key, b"v" * 512)
             s.rebalance_memory()
             kinds = [e.kind for e in arbiter.obs.tracer.events()]
             assert MEMORY_REBALANCE in kinds

@@ -226,7 +226,7 @@ def test_scatter_gather_scan_matches_single_engine(tmp_path):
     asyncio.run(scenario())
 
 
-def test_scan_limit_zero_through_the_router_and_the_sharded_store(tmp_path):
+def test_scan_limit_zero_through_the_router(tmp_path):
     """Regression: ``limit=0`` used to come back with one row from the
     router's merge (and one per shard underneath it)."""
     records = [(b"key-%06d" % i, b"v" * 40) for i in range(300)]
@@ -247,13 +247,12 @@ def test_scan_limit_zero_through_the_router_and_the_sharded_store(tmp_path):
                 before = block_lookups(cluster.store)
                 assert await client.scan(limit=0) == []
                 assert await client.scan(lo=records[7][0], limit=0) == []
-                # In process, under the router: the same answer.
-                assert list(cluster.store.scan(limit=0)) == []
                 assert block_lookups(cluster.store) == before
                 assert await client.scan(limit=2) == records[:2]
-                assert list(cluster.store.scan(limit=2)) == records[:2]
-                with pytest.raises(ConfigurationError):
-                    cluster.store.scan(limit=-1)
+                for limit in (-1, True):
+                    with pytest.raises(RequestFailedError) as excinfo:
+                        await client.request({"op": "SCAN", "limit": limit})
+                    assert excinfo.value.code == protocol.CODE_BAD_REQUEST
 
     asyncio.run(scenario())
 
@@ -267,7 +266,8 @@ def test_cluster_survives_reopen(tmp_path):
             async with KVClient(host, port) as client:
                 for index in range(64):
                     await client.put(f"key-{index:04d}".encode(), b"x" * 64)
-            cluster.store.maintenance()
+            for engine in cluster.store.engines():
+                engine.maintenance()
 
     async def read_phase():
         async with LocalCluster(

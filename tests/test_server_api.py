@@ -46,7 +46,6 @@ CLUSTER_API = {
     "ClusterMetrics", "ClusterRouter", "LocalCluster",
     "ClusterStats", "aggregate_stats", "worst_case_stats",
     "HashRing", "ShardedStore",
-    "MigrationReport", "migrate_shard",
     "BREAKER_STATES", "CircuitBreaker",
 }
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
-from repro.errors import ProtocolError
-from repro.server import protocol
+from repro.engine import LSMStore, StoreOptions
+from repro.errors import ProtocolError, RequestFailedError
+from repro.server import KVServer, protocol
+from repro.server.client import KVClient
 
 
 # -- payload codecs ------------------------------------------------------
@@ -83,10 +87,33 @@ def test_items_round_trip():
 
 
 def test_scan_limit_must_be_non_negative_int():
+    # A JSON true is a Python int equal to 1: it must not pass as one.
+    for junk in (-1, "ten", True, False):
+        with pytest.raises(ProtocolError):
+            protocol.scan_bounds({"op": "SCAN", "limit": junk})
+
+
+def test_a_promote_peer_port_must_not_be_a_boolean():
+    message = {"op": "PROMOTE", "epoch": 1, "peers": [["127.0.0.1", True]]}
     with pytest.raises(ProtocolError):
-        protocol.scan_bounds({"op": "SCAN", "limit": -1})
-    with pytest.raises(ProtocolError):
-        protocol.scan_bounds({"op": "SCAN", "limit": "ten"})
+        protocol.promote_payload(message)
+
+
+def test_a_boolean_scan_limit_is_a_bad_request_from_the_server(tmp_path):
+    options = StoreOptions(memtable_bytes=4096, background_maintenance=False)
+
+    async def scenario():
+        with LSMStore.open(str(tmp_path), options) as store:
+            store.put(b"a", b"1")
+            store.put(b"b", b"2")
+            async with KVServer(store) as server:
+                async with KVClient(*server.address, max_retries=0) as client:
+                    with pytest.raises(RequestFailedError) as excinfo:
+                        await client.request({"op": "SCAN", "limit": True})
+                    assert excinfo.value.code == protocol.CODE_BAD_REQUEST
+                    assert await client.scan(limit=1) == [(b"a", b"1")]
+
+    asyncio.run(scenario())
 
 
 def test_error_response_carries_retry_after_only_when_given():
