@@ -602,11 +602,7 @@ class ClusterRouter(FramedServer):
             )
 
     async def _scan_shard(
-        self,
-        shard: int,
-        lo: bytes | None,
-        hi: bytes | None,
-        limit: int | None,
+        self, shard: int, request: dict
     ) -> tuple[list[tuple[bytes, bytes]], bool, int]:
         """One shard's slice of a scan: ``(items, replica_read, staleness)``.
 
@@ -617,7 +613,6 @@ class ClusterRouter(FramedServer):
         don't answer (or when the feature is off) fall back to the
         leader through the breaker-guarded path.
         """
-        request = protocol.scan_request(lo, hi, limit)
         if self._read_from_replica:
             for client in self._replica_clients[shard]:
                 try:
@@ -625,22 +620,20 @@ class ClusterRouter(FramedServer):
                 except ServerError:
                     continue  # next follower, else the leader
                 return (
-                    protocol.decode_items(response),
+                    response["items"],
                     bool(response.get("replica_read", False)),
                     int(response.get("staleness_bytes", 0)),
                 )
         response = await self._shard_request(shard, request)
-        return protocol.decode_items(response), False, 0
+        return response["items"], False, 0
 
     async def _op_scan(self, message: dict) -> dict:
         lo, hi, limit = protocol.scan_bounds(message)
         self.metrics.reads_total += 1
         self.metrics.scans_total += 1
+        request = protocol.scan_request(lo, hi, limit)
         results = await asyncio.gather(
-            *(
-                self._scan_shard(shard, lo, hi, limit)
-                for shard in range(len(self._clients))
-            ),
+            *(self._scan_shard(i, request) for i in range(self.num_shards)),
             return_exceptions=True,
         )
         per_shard: list[list[tuple[bytes, bytes]]] = []
@@ -664,7 +657,7 @@ class ClusterRouter(FramedServer):
             self.metrics.degraded_scans += 1
         items = list(islice(heapq.merge(*per_shard, key=itemgetter(0)), limit))
         return protocol.ok_response(
-            items=protocol.encode_items(items),
+            items=items,
             degraded=bool(missing),
             missing_shards=missing,
             replica_read=replica_read,

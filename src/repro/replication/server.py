@@ -302,7 +302,8 @@ class ReplicatedKVServer(KVServer):
         turns into ``DATA_CORRUPT`` — a damaged copy refuses to feed a
         repair.
         """
-        epoch, lo, hi = protocol.fetch_range_payload(message)
+        epoch = protocol.request_epoch(message)
+        lo, hi, _ = protocol.scan_bounds(message)
         if epoch < self._epoch:
             return protocol.error_response(
                 protocol.CODE_STALE_EPOCH,
@@ -314,12 +315,12 @@ class ReplicatedKVServer(KVServer):
             else:
                 self._epoch = epoch
         status = self._applier.status()
-        hi_exclusive = hi + b"\x00"  # wire bounds are inclusive
-        items = await self._in_thread(
-            lambda: list(self._store.scan(lo, hi_exclusive))
-        )
+        # The bounds are inclusive; an absent ``hi`` is unbounded.
+        stop = None if hi is None else hi + b"\x00"
         response = self._ack_response(status)
-        response["items"] = protocol.encode_items(items)
+        response["items"] = await self._in_thread(
+            lambda: list(self._store.scan(lo, stop))
+        )
         return response
 
     def _ack_response(self, status: dict) -> dict:

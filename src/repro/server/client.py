@@ -284,7 +284,7 @@ class KVClient:
     ) -> list[tuple[bytes, bytes]]:
         """Ordered range scan over ``[lo, hi)``."""
         response = await self.request(protocol.scan_request(lo, hi, limit))
-        return protocol.decode_items(response)
+        return response["items"]
 
     async def scan_detailed(
         self,
@@ -307,7 +307,7 @@ class KVClient:
         """
         response = await self.request(protocol.scan_request(lo, hi, limit))
         return {
-            "items": protocol.decode_items(response),
+            "items": response["items"],
             "degraded": bool(response.get("degraded", False)),
             "missing_shards": [
                 int(shard) for shard in response.get("missing_shards", [])
@@ -402,7 +402,7 @@ class KVClient:
         )
 
     async def fetch_range(
-        self, epoch: int, lo: bytes, hi: bytes
+        self, epoch: int, lo: bytes | None, hi: bytes | None
     ) -> dict:
         """Fetch a follower's view of the *inclusive* key range [lo, hi].
 
@@ -418,5 +418,5 @@ class KVClient:
             protocol.fetch_range_request(epoch, lo, hi)
         )
         ack = self._replica_ack(response)
-        ack["items"] = protocol.decode_items(response)
+        ack["items"] = response["items"]
         return ack

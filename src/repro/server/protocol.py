@@ -1,20 +1,20 @@
 """Verbs, codes, and payload shapes of the network KV service.
 
 What a request or response *means*; :mod:`repro.server.binproto` owns
-how it travels. Every message is a dict with an ``op`` verb. The four
-hot verbs carry raw ``bytes`` — in process and on the wire alike::
+how it travels. Every message is a dict with an ``op`` verb. Every
+user key, value and bound is raw ``bytes`` — in process and on the wire
+alike::
 
     PUT   {"op": "PUT", "key": bytes, "value": bytes}
     GET   {"op": "GET", "key": bytes}
     DEL   {"op": "DEL", "key": bytes}
     BATCH {"op": "BATCH", "ops": [(key, value), (key, None), ...]}
+    SCAN  {"op": "SCAN", "lo": bytes|None, "hi": bytes|None, "limit": int|None}
 
 So does a shipped REPLICATE, whose ``span`` is write-ahead-log frames
-(see :func:`replicate_request`). Every other verb is a JSON-safe object
-(it rides the wire's JSON envelope), so binary fields inside *those*
-payloads are base64 text::
+(see :func:`replicate_request`) and FETCH_RANGE's bounds. Every other
+field of every message is JSON-safe::
 
-    SCAN  {"op": "SCAN", "lo": b64|null, "hi": b64|null, "limit": int|null}
     STATS {"op": "STATS"}
     PING  {"op": "PING"}
     METRICS {"op": "METRICS"}
@@ -28,17 +28,16 @@ anything computes a percentile. ``EVENTS`` pages through the lifecycle
 event ring with a ``since`` sequence-number cursor.
 
 Responses carry ``{"ok": true, ...}`` on success (a GET's ``value`` is
-raw ``bytes`` or ``None``) or ``{"ok": false, "code": ..., "error":
-..., "retry_after": ...}`` on failure. The ``STALLED`` code is the
-serving-layer face of the paper's write-stall taxonomy: the admission
-controller rejected (stop mode) or timed out (gradual mode) a write,
-and ``retry_after`` tells the client how long to back off before
-retrying.
+raw ``bytes`` or ``None``; a SCAN's or FETCH_RANGE's ``items`` is a
+list of ``(key, value)`` tuples of raw ``bytes``) or ``{"ok": false,
+"code": ..., "error": ..., "retry_after": ...}`` on failure. The
+``STALLED`` code is the serving-layer face of the paper's write-stall
+taxonomy: the admission controller rejected (stop mode) or timed out
+(gradual mode) a write, and ``retry_after`` tells the client how long
+to back off before retrying.
 """
 
 from __future__ import annotations
-
-import base64
 
 from ..errors import ProtocolError
 
@@ -73,33 +72,6 @@ CODE_STALE_EPOCH = "STALE_EPOCH"
 CODE_DATA_CORRUPT = "DATA_CORRUPT"
 
 
-def b64encode(raw: bytes) -> str:
-    """Binary-to-text encoding for bytes inside a JSON payload."""
-    return base64.b64encode(raw).decode("ascii")
-
-
-def b64decode(text: str) -> bytes:
-    """Text-to-binary decoding; raises :class:`ProtocolError` on junk."""
-    try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except (ValueError, AttributeError) as error:
-        raise ProtocolError(f"invalid base64 field: {error}") from error
-
-
-def encode_items(items) -> list[list[str]]:
-    """``(key, value)`` pairs as the ``items`` field of a SCAN or
-    FETCH_RANGE response."""
-    return [[b64encode(key), b64encode(value)] for key, value in items]
-
-
-def decode_items(response: dict) -> list[tuple[bytes, bytes]]:
-    """The ``(key, value)`` pairs of a response's ``items`` field."""
-    return [
-        (b64decode(key), b64decode(value))
-        for key, value in response.get("items", [])
-    ]
-
-
 # -- request builders ----------------------------------------------------
 
 
@@ -124,12 +96,7 @@ def scan_request(
     hi: bytes | None = None,
     limit: int | None = None,
 ) -> dict:
-    return {
-        "op": "SCAN",
-        "lo": None if lo is None else b64encode(lo),
-        "hi": None if hi is None else b64encode(hi),
-        "limit": limit,
-    }
+    return {"op": "SCAN", "lo": lo, "hi": hi, "limit": limit}
 
 
 def stats_request() -> dict:
@@ -218,28 +185,16 @@ def fetch_range_request(
     serve over) a group that moved on. The response carries the
     follower's ack cursor alongside the items, letting the leader verify
     the view is at least as fresh as its own WAL position at fetch time.
+    A ``None`` bound leaves that side of the range open.
     """
-    return {
-        "op": "FETCH_RANGE",
-        "epoch": epoch,
-        "lo": None if lo is None else b64encode(lo),
-        "hi": None if hi is None else b64encode(hi),
-    }
+    return {"op": "FETCH_RANGE", "epoch": epoch, "lo": lo, "hi": hi}
 
 
-def fetch_range_payload(
-    message: dict,
-) -> tuple[int, bytes | None, bytes | None]:
-    """Decode a FETCH_RANGE request's epoch and inclusive bounds."""
-    epoch = message.get("epoch", -1)
-    if not isinstance(epoch, int) or isinstance(epoch, bool):
-        raise ProtocolError("fetch_range epoch must be an integer")
-    lo, hi = message.get("lo"), message.get("hi")
-    return (
-        epoch,
-        None if lo is None else b64decode(lo),
-        None if hi is None else b64decode(hi),
-    )
+def request_epoch(message: dict) -> int:
+    """A replication request's fencing ``epoch`` (-1, observe only, when
+    absent)."""
+    verb = str(message.get("op")).lower()
+    return _integer(message.get("epoch", -1), f"{verb} epoch")
 
 
 def replicate_payload(message: dict) -> dict:
@@ -250,19 +205,13 @@ def replicate_payload(message: dict) -> dict:
     shipped span (:func:`replicate_request`). The span's frames are not
     looked at here — the applier walks them, CRC first.
     """
-    epoch = message.get("epoch", -1)
-    if not isinstance(epoch, int) or isinstance(epoch, bool):
-        raise ProtocolError("replicate epoch must be an integer")
+    epoch = request_epoch(message)
     if message.get("probe"):
         return {"epoch": epoch, "probe": True}
-    fields = {}
-    for field in ("lineage", "start"):
-        value = message.get(field)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ProtocolError(
-                f"replicate {field} must be a non-negative integer"
-            )
-        fields[field] = value
+    fields = {
+        field: _integer(message.get(field), f"replicate {field}", True)
+        for field in ("lineage", "start")
+    }
     return {
         "epoch": epoch,
         "probe": False,
@@ -276,35 +225,25 @@ def replicate_payload(message: dict) -> dict:
 
 def promote_payload(message: dict) -> tuple[int, list[tuple[str, int]]]:
     """Decode a PROMOTE request's epoch and surviving-peer list."""
-    epoch = message.get("epoch")
-    if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
-        raise ProtocolError("promote epoch must be a non-negative integer")
+    epoch = _integer(message.get("epoch"), "promote epoch", True)
     raw = message.get("peers", [])
     if not isinstance(raw, list):
         raise ProtocolError("promote peers must be a list")
     peers: list[tuple[str, int]] = []
     for entry in raw:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not isinstance(entry[0], str)
-            or not isinstance(entry[1], int)
-            or isinstance(entry[1], bool)
-        ):
+        pair = isinstance(entry, list) and len(entry) == 2
+        if not pair or not isinstance(entry[0], str):
             raise ProtocolError(f"malformed promote peer {entry!r}")
-        peers.append((entry[0], entry[1]))
+        peers.append((entry[0], _integer(entry[1], "promote peer port")))
     return epoch, peers
 
 
 def events_cursor(message: dict) -> tuple[int, int | None]:
     """Decode an EVENTS request's ``since`` cursor and ``limit``."""
-    since, limit = message.get("since", -1), message.get("limit")
-    if not isinstance(since, int) or isinstance(since, bool):
-        raise ProtocolError("events cursor must be an integer")
-    if limit is not None and (
-        not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
-    ):
-        raise ProtocolError("events limit must be a non-negative integer")
+    since = _integer(message.get("since", -1), "events cursor")
+    limit = message.get("limit")
+    if limit is not None:
+        _integer(limit, "events limit", True)
     return since, limit
 
 
@@ -337,6 +276,18 @@ def request_verb(message: dict) -> str:
     return verb.upper()
 
 
+def _integer(value, what: str, non_negative: bool = False) -> int:
+    """A JSON integer field; a boolean (JSON ``true`` is 1) is not one."""
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (non_negative and value < 0)
+    ):
+        kind = "a non-negative integer" if non_negative else "an integer"
+        raise ProtocolError(f"{what} must be {kind}")
+    return value
+
+
 def _raw(field, what: str) -> bytes:
     if not isinstance(field, (bytes, bytearray)):
         raise ProtocolError(f"{what} must be raw bytes, got {field!r}")
@@ -363,26 +314,21 @@ def batch_ops(message: dict) -> list[tuple[bytes, bytes | None]]:
         if not isinstance(entry, tuple) or len(entry) != 2:
             raise ProtocolError(f"malformed batch entry {entry!r}")
         key, value = entry
-        ops.append(
-            (
-                _raw(key, "batch key"),
-                None if value is None else _raw(value, "batch value"),
-            )
-        )
+        value = None if value is None else _raw(value, "batch value")
+        ops.append((_raw(key, "batch key"), value))
     return ops
 
 
 def scan_bounds(
     message: dict,
 ) -> tuple[bytes | None, bytes | None, int | None]:
-    """Decode a SCAN request's bounds and limit."""
+    """The raw ``lo``/``hi`` bounds (``None``: unbounded) and ``limit`` of
+    a SCAN or FETCH_RANGE request."""
     lo, hi, limit = message.get("lo"), message.get("hi"), message.get("limit")
-    if limit is not None and (
-        not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
-    ):
-        raise ProtocolError("scan limit must be a non-negative integer")
+    if limit is not None:
+        _integer(limit, "scan limit", True)
     return (
-        None if lo is None else b64decode(lo),
-        None if hi is None else b64decode(hi),
+        None if lo is None else _raw(lo, "range bound"),
+        None if hi is None else _raw(hi, "range bound"),
         limit,
     )

@@ -307,7 +307,8 @@ class FramedServer:
                 self.metrics.protocol_errors += 1
                 break  # framing is lost; drop the connection
             response = await self._dispatch(message)
-            await binproto.write_response(writer, response)
+            if not await binproto.write_response(writer, response):
+                self.metrics.protocol_errors += 1  # too large to frame
 
     async def _dispatch(self, message: dict) -> dict:
         self.metrics.requests_total += 1
@@ -627,8 +628,7 @@ class KVServer(FramedServer):
             self._engine_calls["scan", "thread"].inc()
             items, engine_seconds = await self._in_thread(scan)
         return protocol.ok_response(
-            items=protocol.encode_items(items),
-            breakdown={"engine": engine_seconds},
+            items=items, breakdown={"engine": engine_seconds}
         )
 
     # -- observability ----------------------------------------------------

@@ -89,6 +89,32 @@ class TestFetchRange:
 
         asyncio.run(scenario())
 
+    def test_an_absent_upper_bound_is_unbounded(self, tmp_path):
+        """``hi=None`` fetches to the end of the keyspace (it once
+        answered INTERNAL: ``None + b"\\x00"``); ``hi=b""`` stays a
+        bound, below every key the store can hold."""
+
+        async def scenario():
+            store = make_store(tmp_path, "node")
+            try:
+                async with ReplicatedKVServer(store, role="follower") as node:
+                    async with follower_client(node) as client:
+                        rows = [(b"a", b"1"), (b"b", b"2"), (b"c", b"3")]
+                        store.write_batch(rows)
+                        fetched = await client.fetch_range(0, None, None)
+                        assert fetched["items"] == rows
+                        fetched = await client.fetch_range(0, b"b", None)
+                        assert fetched["items"] == rows[1:]
+                        fetched = await client.fetch_range(0, None, b"")
+                        assert fetched["items"] == []
+                        # The same open range in the JSON envelope.
+                        bare = {"op": "FETCH_RANGE", "epoch": 0}
+                        assert (await client.request(bare))["items"] == rows
+            finally:
+                store.close()
+
+        asyncio.run(scenario())
+
     def test_stale_epoch_is_fenced(self, tmp_path):
         async def scenario():
             store = make_store(tmp_path, "node")

@@ -173,6 +173,9 @@ def test_traced_runs_give_each_ledger_metric_a_median_per_side():
         "change_lower": 5,
         "change_higher": 0,
         "of": 5,
+        "pairs": [
+            [seed, 1.0, round(0.4 + seed / 100, 4)] for seed in range(1, 6)
+        ],
     }
     # Parent 17..21, change 23..19: higher in three pairs, equal in one
     # (20 and 20), lower in the last; medians 19 and 21.

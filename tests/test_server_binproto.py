@@ -11,17 +11,24 @@ from hypothesis import strategies as st
 
 from repro.cluster.router import LocalCluster
 from repro.engine import LSMStore, StoreOptions, WriteAheadLog
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, ProtocolError, RequestFailedError
 from repro.server import binproto, protocol
 from repro.server.client import KVClient
 from repro.server.service import KVServer
 
 # -- golden frames --------------------------------------------------------
 
+
+def _json(text: str) -> str:
+    return text.encode("utf-8").hex()
+
+
 #: Frames captured from the commit before the JSON wire was retired
 #: (``encode_frame(encode_request(...))`` there): the hot verbs must
 #: stay byte-identical, and bench/'s ``server.binproto.bytes_per_put``
-#: is read off the PUT and ST_OK frames.
+#: is read off the PUT and ST_OK frames. The SCAN frame was re-captured
+#: when SCAN left the JSON envelope (whose bounds were base64 text) for
+#: OP_RANGE: a JSON head, then the flags and the raw bounds.
 GOLDEN_REQUESTS = [
     (
         {"op": "PUT", "key": b"\x00k", "value": b"\xffval"},
@@ -37,8 +44,40 @@ GOLDEN_REQUESTS = [
     ({"op": "PING"}, "0000000e007b226f70223a2250494e47227d"),
     (
         protocol.scan_request(b"a", None, 3),
-        "0000002e007b226f70223a225343414e222c226c6f223a2259513d3d222c"
-        "226869223a6e756c6c2c226c696d6974223a337d",
+        "00000022" "06" "00000017" + _json('{"op":"SCAN","limit":3}')
+        + "01" "00000001" "61",
+    ),
+]
+
+#: OP_RANGE, captured when it was introduced: an absent bound and an
+#: empty one differ only in the flags, and FETCH_RANGE's epoch rides
+#: the head.
+GOLDEN_RANGES = [
+    (
+        protocol.scan_request(None, b"", None),
+        "00000024" "06" "0000001a" + _json('{"op":"SCAN","limit":null}')
+        + "02" "00000000",
+    ),
+    (
+        protocol.fetch_range_request(2, b"\x00k", b"\xff"),
+        "0000002f" "06" "0000001e"
+        + _json('{"op":"FETCH_RANGE","epoch":2}')
+        + "03" "00000002" "006b" "00000001" "ff",
+    ),
+]
+
+#: ST_ROWS, captured when it was introduced: the JSON head, the count,
+#: then each row's length-prefixed key and value.
+GOLDEN_ROWS = [
+    (
+        protocol.ok_response(items=[(b"a", b"1"), (b"", b"")], degraded=False),
+        "00000037" "04" "0000001c" + _json('{"ok":true,"degraded":false}')
+        + "00000002" "00000001" "61" "00000001" "31"
+        "00000000" "00000000",
+    ),
+    (
+        protocol.ok_response(items=[]),
+        "00000014" "04" "0000000b" + _json('{"ok":true}') + "00000000",
     ),
 ]
 
@@ -123,6 +162,20 @@ def test_request_frames_are_byte_identical(message, frame):
     assert binproto.decode_request(encoded[4:]) == message
 
 
+@pytest.mark.parametrize(("message", "frame"), GOLDEN_RANGES)
+def test_range_frames_are_byte_identical(message, frame):
+    encoded = binproto.encode_frame(binproto.encode_request(message))
+    assert encoded.hex() == frame
+    assert binproto.decode_request(encoded[4:]) == message
+
+
+@pytest.mark.parametrize(("response", "frame"), GOLDEN_ROWS)
+def test_row_frames_are_byte_identical(response, frame):
+    encoded = binproto.encode_frame(binproto.encode_response(response))
+    assert encoded.hex() == frame
+    assert binproto.decode_response(encoded[4:]) == response
+
+
 @pytest.mark.parametrize(("response", "frame"), GOLDEN_RESPONSES)
 def test_response_frames_are_byte_identical(response, frame):
     encoded = binproto.encode_frame(binproto.encode_response(response))
@@ -136,6 +189,8 @@ def test_builders_produce_the_shape_the_codec_carries():
         protocol.get_request(b"k"),
         protocol.delete_request(b"k"),
         protocol.batch_request([(b"a", b"1"), [b"b", None]]),
+        protocol.scan_request(b"a", b"b", 5),
+        protocol.fetch_range_request(1, None, b"z"),
     ):
         decoded = binproto.decode_request(binproto.encode_request(message))
         assert decoded == message
@@ -209,6 +264,102 @@ def test_response_codec_round_trips_and_rejects_every_truncation(response):
     _assert_every_strict_prefix_is_a_protocol_error(
         binproto.decode_response, payload
     )
+
+
+_bound = st.none() | _blob
+_range_request = st.one_of(
+    st.builds(
+        protocol.scan_request,
+        _bound,
+        _bound,
+        st.none() | st.integers(0, 2**31),
+    ),
+    st.builds(
+        protocol.fetch_range_request, st.integers(-1, 2**31), _bound, _bound
+    ),
+)
+_rows_response = st.builds(
+    lambda items, fields: {**fields, "ok": True, "items": items},
+    st.lists(st.tuples(_blob, _blob), max_size=6),
+    _envelope,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_range_request)
+def test_range_form_round_trips_and_rejects_every_truncation(message):
+    payload = binproto.encode_request(message)
+    assert payload[0] == binproto.OP_RANGE
+    decoded = binproto.decode_request(payload)
+    assert decoded == message
+    # An absent bound and an empty one stay apart.
+    for field in ("lo", "hi"):
+        assert (decoded[field] is None) == (message[field] is None)
+    _assert_every_strict_prefix_is_a_protocol_error(
+        binproto.decode_request, payload
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows_response)
+def test_rows_form_round_trips_and_rejects_every_truncation(response):
+    payload = binproto.encode_response(response)
+    assert payload[0] == binproto.ST_ROWS
+    assert binproto.decode_response(payload) == response
+    _assert_every_strict_prefix_is_a_protocol_error(
+        binproto.decode_response, payload
+    )
+
+
+def _rows_payload(head: bytes, count: int, rows: bytes) -> bytes:
+    return (
+        bytes([binproto.ST_ROWS])
+        + struct.pack(">I", len(head)) + head
+        + struct.pack(">I", count) + rows
+    )
+
+
+def test_malformed_rows_are_protocol_errors():
+    row = struct.pack(">I", 1) + b"k" + struct.pack(">I", 1) + b"v"
+    assert binproto.decode_response(_rows_payload(b"{}", 1, row)) == {
+        "items": [(b"k", b"v")]
+    }
+    for payload, match in (
+        (_rows_payload(b"{}", 1, row[:-1]), "truncated"),
+        (_rows_payload(b"{}", 2, row), "cannot fit"),
+        (_rows_payload(b"{}", 2**32 - 1, row), "cannot fit"),
+        (_rows_payload(b"{}", 1, row + b"x"), "trailing"),
+        (_rows_payload(b"[]", 0, b""), "object"),
+    ):
+        with pytest.raises(ProtocolError, match=match):
+            binproto.decode_response(payload)
+
+
+def test_malformed_ranges_are_protocol_errors():
+    head = b'{"op":"SCAN"}'
+    prefix = bytes([binproto.OP_RANGE]) + struct.pack(">I", len(head)) + head
+    bound = struct.pack(">I", 1) + b"a"
+    assert binproto.decode_request(prefix + b"\x01" + bound) == {
+        "op": "SCAN", "lo": b"a", "hi": None
+    }
+    for payload, match in (
+        (prefix + b"\x05" + bound, "unknown range flags 0x05"),
+        (prefix + b"\x80", "unknown range flags 0x80"),
+        (prefix + b"\x03" + bound, "truncated"),
+        (prefix + b"\x01" + bound + b"x", "trailing"),
+        (prefix, "truncated"),
+    ):
+        with pytest.raises(ProtocolError, match=match):
+            binproto.decode_request(payload)
+
+
+def test_text_bounds_and_rows_ride_the_envelope():
+    # Not raw bytes, so not the raw forms: the envelope carries them,
+    # and the server refuses text bounds (tests/test_server_protocol.py).
+    message = {"op": "SCAN", "lo": "YQ==", "hi": None, "limit": None}
+    assert binproto.encode_request(message)[0] == binproto.OP_JSON
+    response = {"ok": True, "items": [["YQ==", "MQ=="]]}
+    assert binproto.encode_response(response)[0] == binproto.ST_JSON
 
 
 def test_other_verbs_ride_the_json_envelope():
@@ -417,5 +568,35 @@ def test_stats_and_scan_envelopes(tmp_path):
             await client.put(b"b", b"2")
             assert await client.stats()
             assert await client.scan() == [(b"a", b"1"), (b"b", b"2")]
+            assert await client.scan(b"b", None) == [(b"b", b"2")]
+            assert await client.scan(None, b"b") == [(b"a", b"1")]
+            assert await client.scan(None, b"") == []
 
     asyncio.run(_with_server(tmp_path, scenario))
+
+
+def test_a_response_too_large_to_frame_is_refused_and_the_link_kept(
+    tmp_path, monkeypatch
+):
+    """An unbounded SCAN whose rows outgrow one frame answers a
+    BAD_REQUEST that says to page, counted once, on the same
+    connection — not a dropped link the client re-sends the scan on."""
+    monkeypatch.setattr(binproto, "MAX_FRAME_BYTES", 4096)
+
+    async def scenario(server):
+        async with KVClient(
+            *server.address, pool_size=1, max_retries=0
+        ) as client:
+            for index in range(64):
+                await client.put(b"key-%03d" % index, b"v" * 100)
+            with pytest.raises(RequestFailedError) as excinfo:
+                await client.scan()
+            assert excinfo.value.code == protocol.CODE_BAD_REQUEST
+            assert "limit" in str(excinfo.value)
+            assert len(await client.scan(limit=8)) == 8
+            assert client.telemetry.reconnects == 0
+        return server.metrics.snapshot()
+
+    metrics = asyncio.run(_with_server(tmp_path, scenario))
+    assert metrics["protocol_errors"] == 1
+    assert metrics["connections_total"] == 1

@@ -240,7 +240,7 @@ class EveryCallOnThePool(KVServer):
         items = await self._in_thread(
             lambda: list(self._store.scan(lo, hi, limit))
         )
-        return protocol.ok_response(items=protocol.encode_items(items))
+        return protocol.ok_response(items=items)
 
 
 @pytest.mark.parametrize("mode, snapshots", [("none", 0), ("stop", 1)])

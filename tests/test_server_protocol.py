@@ -8,17 +8,8 @@ import pytest
 
 from repro.engine import LSMStore, StoreOptions
 from repro.errors import ProtocolError, RequestFailedError
-from repro.server import KVServer, protocol
+from repro.server import KVServer, binproto, protocol
 from repro.server.client import KVClient
-
-
-# -- payload codecs ------------------------------------------------------
-
-
-def test_b64_round_trip_and_junk():
-    assert protocol.b64decode(protocol.b64encode(b"\x00\xffkey")) == b"\x00\xffkey"
-    with pytest.raises(ProtocolError):
-        protocol.b64decode("not base64!!")
 
 
 # -- builders and accessors ----------------------------------------------
@@ -43,6 +34,24 @@ def test_scan_request_round_trip_bounds():
     assert protocol.scan_bounds(message) == (b"a", b"z", 10)
     open_ended = protocol.scan_request()
     assert protocol.scan_bounds(open_ended) == (None, None, None)
+    empty = protocol.scan_request(b"", b"")
+    assert protocol.scan_bounds(empty) == (b"", b"", None)
+
+
+def test_fetch_range_shares_the_bounds_accessor():
+    message = protocol.fetch_range_request(3, b"a", None)
+    assert protocol.request_epoch(message) == 3
+    assert protocol.scan_bounds(message) == (b"a", None, None)
+    for junk in ("3", True, None):
+        with pytest.raises(ProtocolError, match="fetch_range epoch"):
+            protocol.request_epoch({"op": "FETCH_RANGE", "epoch": junk})
+
+
+def test_range_bounds_must_be_raw_bytes():
+    for bounds in (("YQ==", None), (None, "eg=="), (1, None), (None, [])):
+        message = dict(zip(("lo", "hi"), bounds), op="SCAN")
+        with pytest.raises(ProtocolError, match="raw bytes"):
+            protocol.scan_bounds(message)
 
 
 def test_request_verb_is_case_insensitive_and_validated():
@@ -81,9 +90,9 @@ def test_malformed_batch_entries_rejected():
 
 def test_items_round_trip():
     items = [(b"\x00a", b"1"), (b"b", b"")]
-    response = protocol.ok_response(items=protocol.encode_items(items))
-    assert protocol.decode_items(response) == items
-    assert protocol.decode_items(protocol.ok_response()) == []
+    response = protocol.ok_response(items=items)
+    payload = binproto.encode_response(response)
+    assert binproto.decode_response(payload) == response
 
 
 def test_scan_limit_must_be_non_negative_int():
@@ -110,6 +119,11 @@ def test_a_boolean_scan_limit_is_a_bad_request_from_the_server(tmp_path):
                 async with KVClient(*server.address, max_retries=0) as client:
                     with pytest.raises(RequestFailedError) as excinfo:
                         await client.request({"op": "SCAN", "limit": True})
+                    assert excinfo.value.code == protocol.CODE_BAD_REQUEST
+                    # Base64 text bounds, as the old wire sent them.
+                    text = {"op": "SCAN", "lo": "YQ==", "hi": None}
+                    with pytest.raises(RequestFailedError) as excinfo:
+                        await client.request(text)
                     assert excinfo.value.code == protocol.CODE_BAD_REQUEST
                     assert await client.scan(limit=1) == [(b"a", b"1")]
 

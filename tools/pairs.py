@@ -149,8 +149,9 @@ def _outcomes(pairs: list[dict]) -> dict:
 def ledger(pairs: list[dict]) -> dict:
     """One workload's ``--trace 1`` runs: ``pairs`` are ``{"seed",
     "parent", "change"}``, each side the ledger's JSON line. Every
-    metric gets its median per side and the pairs the change was
-    lower and higher in."""
+    metric gets its median per side, the pairs the change was lower
+    and higher in, and each pair as ``[seed, parent, change]`` (an A/A
+    run's spread is read off those)."""
     section = _outcomes(pairs)
     for name in pairs[0]["parent"]["metrics"]:
         rows = [
@@ -163,6 +164,9 @@ def ledger(pairs: list[dict]) -> dict:
             "change_lower": sum(c < p for p, c in rows),
             "change_higher": sum(c > p for p, c in rows),
             "of": len(rows),
+            "pairs": [
+                [run["seed"], *_rounded(row)] for run, row in zip(pairs, rows)
+            ],
         }
     return section
 
