@@ -78,7 +78,7 @@ def measure_bytes(store: LSMStore, directory: str) -> tuple[int, int]:
     physical = 0
     logical = 0
     for record in store.live_runs():
-        reader = SSTableReader(os.path.join(directory, record.filename))
+        reader = SSTableReader(os.path.join(directory, record.files[0]))
         try:
             physical += reader.data_bytes
             logical += reader.logical_bytes

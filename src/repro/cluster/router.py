@@ -644,6 +644,13 @@ class ClusterRouter(FramedServer):
             if isinstance(result, BaseException):
                 if not isinstance(result, ServerError):
                     raise result  # programming error, not a dead shard
+                if (
+                    isinstance(result, RequestFailedError)
+                    and result.code == protocol.CODE_BAD_REQUEST
+                ):
+                    # The request is at fault, not the shard (a scan
+                    # too large to frame, say): refuse it, not a slice.
+                    return protocol.error_response(result.code, str(result))
                 missing.append(shard)
             else:
                 shard_items, from_replica, staleness = result

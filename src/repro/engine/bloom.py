@@ -5,9 +5,9 @@ that cannot contain the key. The implementation uses the standard
 double-hashing scheme (Kirsch & Mitzenmacher): two independent 64-bit
 hashes ``h1, h2`` derived from one blake2b digest, probing
 ``h1 + i * h2`` for ``i in range(k)``. Filters serialize to bytes for
-embedding in the sorted-run file format. A run made by laying runs end
-to end keeps their filters as they are, one per key range
-(:class:`PartitionedBloom`).
+embedding in the sorted-run file format. Run files that earlier merges
+wrote by laying runs end to end hold their filters as they were, one
+per key range (:class:`PartitionedBloom`); they are read, never written.
 """
 
 from __future__ import annotations
@@ -182,28 +182,23 @@ class BloomFilter:
 
 class PartitionedBloom:
     """Bloom filters of disjoint key ranges, laid end to end: the filter
-    of a run whose inputs were appended rather than merged.
+    of a run file whose inputs were appended rather than merged, read
+    so that such files still open (nothing writes one any more).
 
     Partition ``i`` is the :class:`BloomFilter` of the keys from
     ``first_keys[i]`` up to the next partition's first key. A probe
     bisects the first keys and asks the one filter whose range holds
     the key, so it hashes the key once and answers at that filter's
-    false-positive rate. A partitioned filter given as a partition is
-    flattened into its own partitions. Serialized as the magic ``BLP1``
-    and the partition count, then per partition its first key and its
-    ``BLM1`` blob, each behind a u32 length.
+    false-positive rate. Serialized as the magic ``BLP1`` and the
+    partition count, then per partition its first key and its ``BLM1``
+    blob, each behind a u32 length.
     """
 
-    def __init__(self, partitions: list[tuple[bytes, object]]) -> None:
-        self._first_keys: list[bytes] = []
-        self._filters: list[BloomFilter] = []
-        for first_key, filt in partitions:
-            if isinstance(filt, PartitionedBloom):
-                self._first_keys += filt._first_keys
-                self._filters += filt._filters
-            else:
-                self._first_keys.append(first_key)
-                self._filters.append(filt)
+    def __init__(
+        self, first_keys: list[bytes], filters: list[BloomFilter]
+    ) -> None:
+        self._first_keys = first_keys
+        self._filters = filters
 
     def __len__(self) -> int:
         return len(self._filters)
@@ -217,15 +212,6 @@ class PartitionedBloom:
         """False means definitely absent; True means probably present."""
         index = bisect_right(self._first_keys, key) - 1
         return index >= 0 and self._filters[index].might_contain(key)
-
-    def to_bytes(self) -> bytes:
-        """Serialize (header, then each partition's key and blob)."""
-        parts = [_PARTITIONED_HEADER.pack(_PARTITIONED_MAGIC, len(self))]
-        for first_key, filt in zip(self._first_keys, self._filters):
-            blob = filt.to_bytes()
-            parts += (_LEN.pack(len(first_key)), first_key)
-            parts += (_LEN.pack(len(blob)), blob)
-        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PartitionedBloom":
@@ -251,8 +237,5 @@ class PartitionedBloom:
         if any(a >= b for a, b in zip(first_keys, first_keys[1:])):
             raise CorruptionError("partitioned bloom keys out of order")
         return cls(
-            [
-                (first_key, BloomFilter.from_bytes(blob))
-                for first_key, blob in zip(first_keys, fields[1::2])
-            ]
+            first_keys, [BloomFilter.from_bytes(blob) for blob in fields[1::2]]
         )

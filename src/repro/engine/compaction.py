@@ -32,13 +32,8 @@ from .manifest import Manifest, RunRecord
 from .options import StoreOptions
 from .quarantine import QuarantineEntry, QuarantineSet
 from .ratelimiter import RateLimiter, SyncPolicy
-from .sstable import (
-    CURRENT_FORMAT_VERSION,
-    MIN_FILTER_KEYS,
-    DataBlock,
-    SSTableReader,
-    SSTableWriter,
-)
+from .runs import Run
+from .sstable import MIN_FILTER_KEYS, DataBlock, SSTableReader, SSTableWriter
 
 #: Upper key bound recorded when a run is quarantined before its meta
 #: block could be read — wide enough that any plausible key is covered.
@@ -49,8 +44,15 @@ _UNBOUNDED_MAX_KEY = b"\xff" * 256
 BLOOM_BITS_PER_KEY = 10
 
 #: How much larger than the one filter a k-way merge would build the
-#: filters of an appending merge's inputs may be, all together.
+#: filters of a linking merge's input files may be, all together: a
+#: sequential load of tiny flushes would otherwise keep a filter padded
+#: to a writer's least per file, forever.
 APPENDED_FILTER_BITS = 2
+
+#: Most files a linked run may name. Every live file holds an open
+#: handle (its query reader's), so the cap bounds a store's handles at
+#: this many per run; a merge that would name more rewrites its inputs.
+MAX_RUN_FILES = 64
 
 #: Flush and merge writers force their file to disk every 16 MB, the
 #: paper's second I/O optimization (Section 3.1; RocksDB's
@@ -91,13 +93,18 @@ def _open_writer(
 class _BlockCursor:
     """One merge input: the run's current decoded block and a position
     in it. ``key`` is the head — the next key this input offers — and
-    None once the run is exhausted. Reads are :func:`read_twice`'s."""
+    None once the run is exhausted. Blocks are read off a sequential
+    handle of the file that holds them, one file's handle open at a
+    time; reads are :func:`read_twice`'s."""
 
-    __slots__ = ("run_id", "reader", "next_block", "block", "pos", "key")
+    __slots__ = (
+        "run_id", "run", "handle", "next_block", "block", "pos", "key",
+    )
 
-    def __init__(self, run_id: int, reader: SSTableReader) -> None:
+    def __init__(self, run_id: int, run: Run) -> None:
         self.run_id = run_id
-        self.reader = reader
+        self.run = run
+        self.handle: SSTableReader | None = None
         self.next_block = 0
         self.block: DataBlock | None = None
         self.pos = 0
@@ -105,52 +112,56 @@ class _BlockCursor:
 
     def load(self) -> None:
         """Step to the run's next block (or to exhaustion)."""
-        if self.next_block < self.reader.block_count:
+        if self.next_block < self.run.block_count:
+            reader, index = self.run.locate(self.next_block)
+            if self.handle is None or self.handle.path != reader.path:
+                self.close()
+                self.handle = reader.sequential_handle()
             self.block = read_twice(
-                self.run_id, self.reader.read_data_block, self.next_block
+                self.run_id, self.handle.read_data_block, index
             )
             self.next_block += 1
             self.pos = 0
             self.key = self.block.keys[0]
         else:
+            self.close()
             self.block = None
             self.key = None
 
+    def close(self) -> None:
+        """Close the open file handle, if any."""
+        if self.handle is not None:
+            self.handle.close()
+            self.handle = None
 
-def _append_order(
-    run_ids: list[int],
-    readers: list[SSTableReader],
-    options: StoreOptions,
-    drop_tombstones: bool,
-) -> list[tuple[int, SSTableReader]] | None:
-    """``(run_id, reader)`` of the inputs in key order if the merge may
-    lay them end to end, else None; decided from metas and indexes.
-    Each input is a current-format run under the writer's codec whose
-    blocks hold at least the writer's block size but for its last (on
-    average: a run written at a smaller size is re-packed instead), the
-    key ranges are pairwise disjoint, and no tombstone is to be dropped.
-    The inputs' filters, kept as they are, hold at most
-    :data:`APPENDED_FILTER_BITS` times the bits of the filter the k-way
-    merge would build (a writer sizes one for 1,024 keys at least).
+
+def _link_order(
+    runs: list[Run], drop_tombstones: bool
+) -> tuple[str, ...] | None:
+    """The files of a merge's output, key order, if the merge may link
+    its inputs rather than rewrite them, else None; decided from metas.
+    The inputs' key ranges are pairwise disjoint, no tombstone is to be
+    dropped, together they name at most :data:`MAX_RUN_FILES` files,
+    and those files' filters hold at most :data:`APPENDED_FILTER_BITS`
+    times the bits of the one filter the k-way merge would build (a
+    writer sizes one for 1,024 keys at least).
     """
-    for reader in readers:
-        if (
-            reader.format_version != CURRENT_FORMAT_VERSION
-            or reader.codec != options.block_codec
-            or reader.logical_bytes
-            < (reader.block_count - 1) * options.block_bytes
-            or (drop_tombstones and reader.tombstone_count)
-        ):
-            return None
-    rebuilt = max(sum(r.entry_count for r in readers), MIN_FILTER_KEYS)
-    bits = sum(r.point_filter.bit_size for r in readers)
+    files = [reader for run in runs for reader in run.files]
+    if len(files) > MAX_RUN_FILES or (
+        drop_tombstones and any(run.tombstone_count for run in runs)
+    ):
+        return None
+    rebuilt = max(sum(run.entry_count for run in runs), MIN_FILTER_KEYS)
+    bits = sum(reader.point_filter.bit_size for reader in files)
     if bits > APPENDED_FILTER_BITS * rebuilt * BLOOM_BITS_PER_KEY:
         return None
-    ordered = sorted(zip(run_ids, readers), key=lambda pair: pair[1].min_key)
-    for (_, lower), (_, upper) in zip(ordered, ordered[1:]):
+    ordered = sorted(runs, key=lambda run: run.min_key)
+    for lower, upper in zip(ordered, ordered[1:]):
         if lower.max_key >= upper.min_key:
             return None
-    return [pair for pair in ordered if pair[1].block_count]
+    return tuple(
+        os.path.basename(f.path) for run in ordered for f in run.files
+    )
 
 
 class MergeJob:
@@ -170,20 +181,18 @@ class MergeJob:
     encoded size of the ranges moved or stepped over, so it ends at the
     inputs' logical bytes; a chunk boundary may cut a range anywhere.
 
-    A merge whose inputs' key ranges are disjoint (:func:`_append_order`
-    says when) has nothing to reconcile: it *appends* them instead, in
-    key order, a read of whole blocks at a time (:meth:`_append`). The
-    blocks are checked for their CRC and header length and written
-    verbatim; each input's counts and bounds come from its meta, and
-    its Bloom filter becomes the output's for its key range. No entry
-    is walked and no key hashed. ``appends`` says which way a job goes.
+    A merge whose inputs' key ranges are disjoint (:func:`_link_order`
+    says when) has nothing to reconcile, and nothing to write either: it
+    *links* them. ``links`` lists the files the output run names, in key
+    order; its first advance finishes it, and publishing it is one
+    manifest edit. No block is read and no byte written, and the files'
+    readers, with their cached blocks, pass to the output run.
 
-    The job *owns* its input readers — the compaction manager gives it
-    each query reader's :meth:`~SSTableReader.sequential_handle` rather
-    than the reader itself, because :meth:`advance` may run on a
-    maintenance worker outside the store lock while foreground reads
-    use the shared readers' file handles. ``claimed`` is the executor's
-    co-advance guard: :meth:`advance` is called only by
+    A k-way merge reads its inputs off its own sequential file handles,
+    opened by :meth:`advance` one file per input at a time, because it
+    may run on a maintenance worker outside the store lock while
+    foreground reads use the query readers' handles. ``claimed`` is the
+    executor's co-advance guard: :meth:`advance` is called only by
     ``MaintenanceExecutor._run``, on a job claimed under the store lock,
     so two threads can never interleave chunks of one merge.
     """
@@ -191,44 +200,41 @@ class MergeJob:
     def __init__(
         self,
         descriptor: MergeDescriptor,
-        readers: list[SSTableReader],
+        runs: list[Run],
         output_path: str,
         options: StoreOptions,
         rate_limiter: RateLimiter,
         drop_tombstones: bool,
     ) -> None:
         self.descriptor = descriptor
-        self._readers = readers
+        self._runs = runs
         self.claimed = False
         self._drop_tombstones = drop_tombstones
-        #: Inputs still to append, key order; None for a k-way merge.
-        self._appending = _append_order(
-            [c.uid for c in descriptor.inputs], readers, options, drop_tombstones
-        )
-        self.appends = self._appending is not None
-        #: The next block of the input being appended.
-        self._next_block = 0
-        self._writer = _open_writer(
-            output_path,
-            options,
-            rate_limiter,
-            # An appending writer builds no filter of its own.
-            0 if self.appends else sum(r.entry_count for r in readers),
-        )
+        self.links = _link_order(runs, drop_tombstones)
+        # Progress is tracked against *logical* input bytes because a
+        # cursor sees decoded blocks; for uncompressed (and all
+        # version-1) runs this equals data_bytes, CRC trailers aside.
+        self.total_input_bytes = sum(run.logical_bytes for run in runs)
+        self._writer = None
+        if self.links is None:
+            self._writer = _open_writer(
+                output_path,
+                options,
+                rate_limiter,
+                sum(run.entry_count for run in runs),
+            )
+        else:
+            descriptor.remaining_input_bytes = 0.0
         #: Path of the run being produced.
         self.output_path = output_path
         #: Inputs not yet exhausted, newest first so that position
         #: breaks ties. Opened by the first advance(): the constructor
         #: runs under the store lock and must not read blocks.
         self._cursors: list[_BlockCursor] | None = None
-        # Progress is tracked against *logical* input bytes because a
-        # cursor sees decoded blocks; for uncompressed (and all
-        # version-1) runs this equals data_bytes, CRC trailers aside.
-        self.total_input_bytes = sum(r.logical_bytes for r in readers)
         self._consumed = 0
         #: Input blocks by how they reached the output (or were shadowed
-        #: away): written verbatim (by either path) vs. decoded and
-        #: re-packed.
+        #: away): kept in place (linked) or written verbatim vs. decoded
+        #: and re-packed.
         self.blocks_copied = 0
         self.blocks_rewritten = 0
         self.finished = False
@@ -298,35 +304,13 @@ class MergeJob:
             ):
                 return
 
-    def _append(self, target: int) -> bool:
-        """Append whole blocks of the inputs, key order, until consumed
-        input reaches ``target``; True once every input is appended."""
-        writer = self._writer
-        while self._appending and self._consumed < target:
-            run_id, reader = self._appending[0]
-            span = read_twice(
-                run_id,
-                reader.read_blocks,
-                self._next_block,
-                target - self._consumed,
-            )
-            writer.append_blocks(span)
-            self._consumed += span.logical_bytes
-            self.blocks_copied += len(span.lengths)
-            self._next_block += len(span.lengths)
-            if self._next_block == reader.block_count:
-                writer.close_input(reader)
-                del self._appending[0]
-                self._next_block = 0
-        return not self._appending
-
     def _merge(self, target: int) -> bool:
         """Run the k-way merge until consumed input reaches ``target``;
         True once every input is exhausted."""
         if self._cursors is None:
             cursors = [
-                _BlockCursor(c.uid, r)
-                for c, r in zip(self.descriptor.inputs, self._readers)
+                _BlockCursor(c.uid, run)
+                for c, run in zip(self.descriptor.inputs, self._runs)
             ][::-1]
             for cursor in cursors:
                 cursor.load()
@@ -340,8 +324,11 @@ class MergeJob:
         """Process roughly ``chunk_bytes`` of input; True when complete."""
         if self.finished:
             return True
-        target = self._consumed + chunk_bytes
-        if self._append(target) if self.appends else self._merge(target):
+        if self.links is not None:
+            self.blocks_copied = sum(run.block_count for run in self._runs)
+            self.finished = True
+            return True
+        if self._merge(self._consumed + chunk_bytes):
             self.stats = self._writer.finish()
             self.finished = True
         self.descriptor.remaining_input_bytes = max(
@@ -349,16 +336,24 @@ class MergeJob:
         )
         return self.finished
 
+    @property
+    def output_bytes(self) -> int:
+        """Data bytes of the finished output run."""
+        if self.links is not None:
+            return sum(run.data_bytes for run in self._runs)
+        return self.stats.data_bytes
+
     def abandon(self) -> None:
         """Abort the merge and delete the partial output."""
-        self._writer.abandon()
+        if self._writer is not None:
+            self._writer.abandon()
         self.close_readers()
         self.descriptor.release_inputs()
 
     def close_readers(self) -> None:
-        """Close the job's dedicated input readers."""
-        for reader in self._readers:
-            reader.close()
+        """Close the file handles the job's cursors hold open."""
+        for cursor in self._cursors or ():
+            cursor.close()
 
 
 class _RunSetView(NamedTuple):
@@ -372,7 +367,7 @@ class _RunSetView(NamedTuple):
     write_stalled: bool
     write_headroom: float
     scrub_targets: list[tuple[int, str]]
-    read_plan: tuple[tuple[int, SSTableReader | QuarantineEntry], ...]
+    read_plan: tuple[tuple[int, Run | QuarantineEntry], ...]
 
 
 class CompactionManager:
@@ -412,7 +407,9 @@ class CompactionManager:
         self._uids = UidAllocator()
         self._rate_limiter = RateLimiter(options.rate_limit_bytes_per_s)
         self._block_cache = BlockCache(options.block_cache_bytes)
-        self._readers: dict[int, SSTableReader] = {}
+        #: The open reader of every file a live run names, by file name.
+        self._files: dict[str, SSTableReader] = {}
+        self._runs: dict[int, Run] = {}
         self._components: dict[int, Component] = {}
         self._jobs: dict[int, MergeJob] = {}
         #: No merge starts before this ``time.monotonic()``: one failed.
@@ -427,7 +424,7 @@ class CompactionManager:
         self._quarantine.retain({record.run_id for record in records})
         self._apply_edit([], [], recovered=records)
         # Orphaned run files are crash leftovers from unfinished merges.
-        live_files = {record.filename for record in records}
+        live_files = {name for record in records for name in record.files}
         for name in os.listdir(directory):
             if name.endswith(".run") and name not in live_files:
                 os.remove(os.path.join(directory, name))
@@ -437,22 +434,24 @@ class CompactionManager:
     def _apply_edit(
         self,
         removed_run_ids: list[int],
-        added: list[tuple[int, int, str]],
+        added: list[tuple[int, int, tuple[str, ...]]],
         sequence: int | None = None,
         recovered: list[RunRecord] | None = None,
     ) -> None:
         """The one place the live run set changes (store lock held).
 
-        ``added`` lists ``(run_id, level, filename)``, all stamped
+        ``added`` lists ``(run_id, level, files)``, all stamped
         ``sequence`` (None: a fresh stamp, a flush). The order is what
         makes a crash between any two steps recoverable (docs/engine.md,
-        "Run-set edits"): the manifest first, outputs before removals,
-        so a crash leaves superseded runs beside their replacement and
-        never missing data; then the new readers (a failure raises with
-        memory untouched); then the in-memory swap, lifting a retired
-        run's quarantine; then the retired files, which the manifest no
-        longer names (a crash leaves orphans for recovery to sweep);
-        last the one invalidation, and the policy sees the new tree.
+        "Run-set edits"): the manifest first, one line for the whole
+        edit, so a crash leaves either the inputs or the outputs live
+        and never both; then readers for files no live run named yet (a
+        failure raises with memory untouched) — a linked output's files
+        keep theirs, cached blocks included; then the in-memory swap,
+        lifting a retired run's quarantine; then the files that no live
+        run names any more, which the manifest no longer names either (a
+        crash leaves orphans for recovery to sweep); last the one
+        invalidation, and the policy sees the new tree.
 
         Recovery passes the manifest's own records as ``recovered``:
         already durable, so nothing is logged or scheduled, and a run
@@ -465,27 +464,34 @@ class CompactionManager:
             )
         else:
             records = recovered
+        fresh: dict[str, SSTableReader] = {}
         opened = []
         for record in records:
-            path = os.path.join(self._directory, record.filename)
             try:
-                reader = SSTableReader(path, block_cache=self._block_cache)
-                size, entries = reader.data_bytes, reader.entry_count
+                run = Run(
+                    tuple(self._reader(name, fresh) for name in record.files)
+                )
+                size, entries = run.data_bytes, run.entry_count
             except (CorruptionError, OSError) as error:
                 if recovered is None:
+                    for reader in fresh.values():
+                        reader.close()
                     raise
                 # Bad footer, index or meta block — but a replica may
                 # still hold the data: keep the run as a quarantined,
                 # readerless component. Its key bounds are unknown, so
                 # the quarantine fences the whole keyspace.
-                reader = None
-                size = os.path.getsize(path) if os.path.exists(path) else 0
-                entries = 0
+                run, entries = None, 0
+                size = sum(
+                    os.path.getsize(path)
+                    for path in map(self._path, record.files)
+                    if os.path.exists(path)
+                )
                 if record.run_id not in self._quarantine:
                     self._quarantine.add(
                         QuarantineEntry(
                             run_id=record.run_id,
-                            filename=record.filename,
+                            filename=",".join(record.files),
                             level=record.level,
                             min_key=b"",
                             max_key=_UNBOUNDED_MAX_KEY,
@@ -500,23 +506,47 @@ class CompactionManager:
                 entry_count=float(entries),
                 handle=record,
             )
-            opened.append((component, reader))
-        for component, reader in opened:
+            opened.append((component, run))
+        self._files.update(fresh)
+        for component, run in opened:
             self._components[component.uid] = component
-            if reader is not None:
-                self._readers[component.uid] = reader
+            if run is not None:
+                self._runs[component.uid] = run
+        retired = []
         for run_id in removed_run_ids:
-            component = self._components.pop(run_id)
-            reader = self._readers.pop(run_id, None)
-            if reader is not None:
-                reader.close()
+            retired += self._components.pop(run_id).handle.files
+            self._runs.pop(run_id, None)
             self._quarantine.remove(run_id)
-            path = os.path.join(self._directory, component.handle.filename)
-            if os.path.exists(path):
-                os.remove(path)
+        named = {
+            name
+            for component in self._components.values()
+            for name in component.handle.files
+        }
+        for name in retired:
+            if name not in named:
+                reader = self._files.pop(name, None)
+                if reader is not None:
+                    reader.close()
+                if os.path.exists(self._path(name)):
+                    os.remove(self._path(name))
         self._run_set_changed()
         if recovered is None:
             self._schedule_merges()
+
+    def _reader(
+        self, name: str, fresh: dict[str, SSTableReader]
+    ) -> SSTableReader:
+        """The open reader of a file, opened into ``fresh`` if no live
+        run names it yet."""
+        reader = self._files.get(name) or fresh.get(name)
+        if reader is None:
+            reader = fresh[name] = SSTableReader(
+                self._path(name), block_cache=self._block_cache
+            )
+        return reader
+
+    def _path(self, name: str) -> str:
+        return os.path.join(self._directory, name)
 
     def _run_set_changed(self) -> None:
         """The one invalidation of everything derived: called by
@@ -541,14 +571,15 @@ class CompactionManager:
             write_headroom=self._constraint.headroom(snapshot),
             scrub_targets=sorted(
                 (uid, reader.path)
-                for uid, reader in self._readers.items()
+                for uid, run in self._runs.items()
                 if uid not in self._quarantine
+                for reader in run.files
             ),
             read_plan=tuple(
                 (
                     component.uid,
                     self._quarantine.get(component.uid)
-                    or self._readers[component.uid],
+                    or self._runs[component.uid],
                 )
                 for component in newest_first
             ),
@@ -559,11 +590,9 @@ class CompactionManager:
         """Core-typed view of the live runs, oldest-first per level."""
         return (self._view or self._rebuild_view()).snapshot
 
-    def read_plan(
-        self,
-    ) -> tuple[tuple[int, SSTableReader | QuarantineEntry], ...]:
+    def read_plan(self) -> tuple[tuple[int, Run | QuarantineEntry], ...]:
         """Probe plan, newest data first: ``(run_id, element)`` where the
-        element is a live reader — or the :class:`QuarantineEntry`
+        element is a live :class:`Run` — or the :class:`QuarantineEntry`
         fencing that run off, held *in probe position* so a point lookup
         knows exactly when its answer would have depended on the corrupt
         run (newer sources can still answer soundly).
@@ -574,8 +603,8 @@ class CompactionManager:
         return (self._view or self._rebuild_view()).read_plan
 
     def scrub_targets(self) -> list[tuple[int, str]]:
-        """``(run_id, path)`` of every readable live run, stable order —
-        the work list one scrub pass walks."""
+        """``(run_id, path)`` of every file of every readable live run,
+        stable order — the work list one scrub pass walks."""
         return (self._view or self._rebuild_view()).scrub_targets
 
     def levels(self) -> dict[int, int]:
@@ -619,14 +648,14 @@ class CompactionManager:
         component = self._components.get(run_id)
         if component is None or run_id in self._quarantine:
             return None
-        reader = self._readers.get(run_id)
-        if reader is not None:
-            min_key, max_key = reader.min_key, reader.max_key
+        run = self._runs.get(run_id)
+        if run is not None:
+            min_key, max_key = run.min_key, run.max_key
         else:
             min_key, max_key = b"", _UNBOUNDED_MAX_KEY
         entry = QuarantineEntry(
             run_id=run_id,
-            filename=component.handle.filename,
+            filename=",".join(component.handle.files),
             level=component.level,
             min_key=min_key,
             max_key=max_key,
@@ -681,7 +710,7 @@ class CompactionManager:
 
     def _written(
         self, run_id: int, level: int, stats
-    ) -> list[tuple[int, int, str]]:
+    ) -> list[tuple[int, int, tuple[str, ...]]]:
         """A finished writer's run as an edit's ``added`` — nothing,
         and the file deleted, when the run came out empty."""
         if stats.entry_count == 0:
@@ -689,7 +718,7 @@ class CompactionManager:
                 os.remove(stats.path)
             return []
         self._note_run_written(stats)
-        return [(run_id, level, os.path.basename(stats.path))]
+        return [(run_id, level, (os.path.basename(stats.path),))]
 
     def _note_run_written(self, stats) -> None:
         """Block-format metrics for any newly published run: how many
@@ -742,7 +771,7 @@ class CompactionManager:
                 bytes=stats.data_bytes,
                 entries=stats.entry_count,
             )
-        self._apply_edit([], [(run_id, 0, os.path.basename(stats.path))])
+        self._apply_edit([], [(run_id, 0, (os.path.basename(stats.path),))])
 
     # -- merging ---------------------------------------------------------
 
@@ -777,34 +806,20 @@ class CompactionManager:
         drops = any(
             c.handle.sequence == oldest_live for c in descriptor.inputs
         )
-        # Dedicated input handles: SSTableReader seeks one shared file
-        # handle, so a job advancing off-lock on a maintenance worker
-        # cannot iterate the store's query readers while foreground
-        # reads use them. They share the query reader's parsed index,
-        # filter and meta, so a claim parses nothing.
-        readers = []
         try:
-            for component in descriptor.inputs:
-                reader = self._readers[component.uid]
-                readers.append(reader.sequential_handle())
             output_run_id = self._manifest.allocate_run_id()
-            output_path = os.path.join(
-                self._directory, f"{output_run_id:08d}.run"
-            )
             job = MergeJob(
                 descriptor,
-                readers,
-                output_path,
+                [self._runs[component.uid] for component in descriptor.inputs],
+                os.path.join(self._directory, f"{output_run_id:08d}.run"),
                 self._options,
                 self._rate_limiter,
                 drop_tombstones=drops,
             )
         except OSError as exc:
-            # Nothing is started (an input or the output cannot be
-            # opened): the claim or publish that scheduled the merge
-            # goes on, and the merge is retried after a back-off.
-            for reader in readers:
-                reader.close()
+            # Nothing is started (the output cannot be opened): the
+            # claim or publish that scheduled the merge goes on, and the
+            # merge is retried after a back-off.
             descriptor.release_inputs()
             self._retry_at = time.monotonic() + RETRY_SECONDS
             if self._obs is not None:
@@ -840,31 +855,35 @@ class CompactionManager:
             self._obs.registry.counter(
                 "engine_merge_bytes_total",
                 labels={"level": level},
-                help="Merge input bytes consumed, by target level.",
-            ).inc(job.total_input_bytes)
+                help="Merge input bytes read and rewritten, by target "
+                "level (a merge that links its inputs reads none).",
+            ).inc(0 if job.links else job.total_input_bytes)
             for path, blocks in (
-                ("appended" if job.appends else "copied", job.blocks_copied),
+                ("linked" if job.links else "copied", job.blocks_copied),
                 ("rewritten", job.blocks_rewritten),
             ):
                 self._obs.registry.counter(
                     "engine_merge_blocks_total",
                     labels={"path": path},
-                    help="Merge input blocks consumed, by how they "
-                    "reached the output: a key-disjoint merge's inputs "
-                    "laid end to end, stored bytes copied verbatim by a "
-                    "k-way merge, or decoded and re-packed.",
+                    help="Merge input blocks, by how they reached the "
+                    "output: kept in place by a key-disjoint merge that "
+                    "links its inputs' files, stored bytes copied "
+                    "verbatim by a k-way merge, or decoded and re-packed.",
                 ).inc(blocks)
             self._obs.tracer.emit(
                 obs_events.MERGE_END,
                 merge_uid=descriptor.uid,
                 level=descriptor.target_level,
                 input_bytes=job.total_input_bytes,
-                output_bytes=stats.data_bytes,
+                output_bytes=job.output_bytes,
             )
+        level = descriptor.target_level
         # The output's data is only as new as its newest input.
         self._apply_edit(
             [c.uid for c in descriptor.inputs],
-            self._written(job.output_run_id, descriptor.target_level, stats),
+            [(job.output_run_id, level, job.links)]
+            if job.links
+            else self._written(job.output_run_id, level, stats),
             sequence=max(c.handle.sequence for c in descriptor.inputs),
         )
 
@@ -1003,6 +1022,6 @@ class CompactionManager:
         for job in list(self._jobs.values()):
             job.abandon()
         self._jobs.clear()
-        for reader in self._readers.values():
+        for reader in self._files.values():
             reader.close()
         self._block_cache.clear()

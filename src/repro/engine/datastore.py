@@ -651,9 +651,10 @@ class LSMStore:
     def checkpoint(self, target_directory: str) -> int:
         """Create an openable point-in-time copy of the store.
 
-        Buffered writes are flushed to runs first, then every live run is
-        hard-linked (falling back to a copy across filesystems) into
-        ``target_directory`` together with a minimal manifest snapshot.
+        Buffered writes are flushed to runs first, then every file of
+        every live run is hard-linked (falling back to a copy across
+        filesystems) into ``target_directory`` together with a minimal
+        manifest snapshot.
         The checkpoint opens as a normal store; in-flight merges in the
         source are irrelevant because their inputs are still live in the
         manifest. Returns the number of runs captured.
@@ -668,9 +669,9 @@ class LSMStore:
                 )
             os.makedirs(target, exist_ok=True)
             records = self._manifest.live_runs()
-            for record in records:
-                source_path = os.path.join(self._directory, record.filename)
-                destination = os.path.join(target, record.filename)
+            for name in {name for record in records for name in record.files}:
+                source_path = os.path.join(self._directory, name)
+                destination = os.path.join(target, name)
                 try:
                     os.link(source_path, destination)
                 except OSError:
@@ -936,7 +937,7 @@ class LSMStore:
         """The manifest's live run records, oldest first.
 
         Read-only operator/test hook: repair tooling and integrity
-        tests need run identity (id, level, filename) without reaching
+        tests need run identity (id, level, files) without reaching
         into store internals.
         """
         with self._lock:

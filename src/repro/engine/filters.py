@@ -9,10 +9,10 @@ writer builds directly. The run reader knows only the
 
 A filter serializes behind a 4-byte magic that :func:`load_filter`
 checks — so version-1 files (always Bloom) load through the same path,
-and a blob with any other magic is corruption. A merge that appends its
-inputs writes their filters end to end (``BLP1``,
-:class:`~repro.engine.bloom.PartitionedBloom`): still the ``bloom``
-kind, loaded by the same dispatch, and only ever probed.
+and a blob with any other magic is corruption. Run files that earlier
+merges wrote by appending their inputs hold those filters end to end
+(``BLP1``, :class:`~repro.engine.bloom.PartitionedBloom`): still the
+``bloom`` kind, loaded by the same dispatch, and only ever probed.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Offline integrity verification for a store directory.
 
 A production storage engine needs a way to audit its on-disk state:
-``verify_store`` walks the manifest, opens every referenced run, checks
-all block checksums, validates key ordering inside each run, confirms
-per-run metadata (entry counts, key bounds) against the actual contents,
-and cross-checks level invariants (partitioned levels must not have
-overlapping files). Returns a report rather than raising on first error,
-so operators see the full damage picture at once.
+``verify_store`` walks the manifest, opens every file of every live run,
+checks all block checksums, validates key ordering inside each file and
+across a run's files, confirms per-file metadata (entry counts, key
+bounds) against the actual contents, checks that every file belongs to
+exactly one live run, and cross-checks level invariants (partitioned
+levels must not have overlapping runs). Returns a report rather than
+raising on first error, so operators see the full damage picture at
+once.
 """
 
 from __future__ import annotations
@@ -122,11 +124,11 @@ def _verify_run(reader: SSTableReader, report: IntegrityReport, name: str) -> No
 def _check_partitioned_levels(
     by_level: dict[int, list], report: IntegrityReport
 ) -> None:
-    """Flag overlapping files inside partitioned levels.
+    """Flag overlapping runs inside partitioned levels.
 
     Under the leveling policy every level >= 1 is a sorted partition of
-    the keyspace: files must cover disjoint key ranges, or reads would
-    consult the wrong file and merges would silently drop entries.
+    the keyspace: runs must cover disjoint key ranges, or reads would
+    consult the wrong run and merges would silently drop entries.
     Level 0 is exempt (freshly flushed runs legitimately overlap).
     """
     for level, spans in sorted(by_level.items()):
@@ -143,14 +145,55 @@ def _check_partitioned_levels(
                 )
 
 
+def _verify_files(
+    directory: str, files: tuple[str, ...], report: IntegrityReport
+) -> list[tuple[bytes, bytes, str]] | None:
+    """Verify one run's files; ``(min, max, name)`` of each non-empty
+    one, in the run's order — None if any file could not be checked."""
+    bounds = []
+    problems = len(report.problems)
+    for name in files:
+        path = os.path.join(directory, name)
+        if not os.path.exists(path):
+            report.problems.append(
+                f"{name}: referenced by manifest but missing"
+            )
+            continue
+        try:
+            reader = SSTableReader(path)
+        except CorruptionError as error:
+            report.problems.append(f"{name}: {error}")
+            continue
+        try:
+            _verify_run(reader, report, name)
+            report.physical_data_bytes += reader.data_bytes
+            report.logical_data_bytes += reader.logical_bytes
+            if reader.entry_count:
+                bounds.append((reader.min_key, reader.max_key, name))
+        except CorruptionError as error:
+            report.problems.append(f"{name}: {error}")
+        finally:
+            reader.close()
+    for (_, lower_max, lower), (upper_min, _, upper) in zip(
+        bounds, bounds[1:]
+    ):
+        if upper_min <= lower_max:
+            report.problems.append(
+                f"{upper}: starts at or below the end of {lower}, the "
+                f"file before it in its run"
+            )
+    return bounds if len(report.problems) == problems else None
+
+
 def verify_store(directory: str, policy: str | None = None) -> IntegrityReport:
     """Audit every live run referenced by the store's manifest.
 
     ``policy`` is the merge policy the store was run with; when it is
     ``"leveling"`` the audit additionally enforces the partitioned-level
-    invariant (no overlapping files within a level >= 1). Tiering
+    invariant (no overlapping runs within a level >= 1). Tiering
     policies legitimately stack overlapping runs per level, so the check
-    is skipped unless the caller asserts the policy.
+    is skipped unless the caller asserts the policy. Orphans are run
+    files no live run names; a file two live runs name is a problem.
     """
     report = IntegrityReport()
     wal_path = os.path.join(directory, "wal.log")
@@ -167,39 +210,31 @@ def verify_store(directory: str, policy: str | None = None) -> IntegrityReport:
     manifest = Manifest(directory)
     try:
         live = manifest.live_runs()
-        live_names = {record.filename for record in live}
+        owners: dict[str, int] = {}
+        for record in live:
+            for name in record.files:
+                if name in owners:
+                    report.problems.append(
+                        f"{name}: named by live runs {owners[name]} and "
+                        f"{record.run_id}"
+                    )
+                owners.setdefault(name, record.run_id)
         for name in sorted(os.listdir(directory)):
-            if name.endswith(".run") and name not in live_names:
+            if name.endswith(".run") and name not in owners:
                 report.orphan_files.append(name)
         by_level: dict[int, list] = {}
         for record in live:
             report.components_per_level[record.level] = (
                 report.components_per_level.get(record.level, 0) + 1
             )
-            path = os.path.join(directory, record.filename)
-            if not os.path.exists(path):
-                report.problems.append(
-                    f"{record.filename}: referenced by manifest but missing"
+            bounds = _verify_files(directory, record.files, report)
+            if bounds is None:
+                continue
+            if bounds:
+                by_level.setdefault(record.level, []).append(
+                    (bounds[0][0], bounds[-1][1], f"run {record.run_id}")
                 )
-                continue
-            try:
-                reader = SSTableReader(path)
-            except CorruptionError as error:
-                report.problems.append(f"{record.filename}: {error}")
-                continue
-            try:
-                _verify_run(reader, report, record.filename)
-                report.physical_data_bytes += reader.data_bytes
-                report.logical_data_bytes += reader.logical_bytes
-                if reader.entry_count:
-                    by_level.setdefault(record.level, []).append(
-                        (reader.min_key, reader.max_key, record.filename)
-                    )
-                report.runs_checked += 1
-            except CorruptionError as error:
-                report.problems.append(f"{record.filename}: {error}")
-            finally:
-                reader.close()
+            report.runs_checked += 1
         if policy == "leveling":
             _check_partitioned_levels(by_level, report)
         report.quarantined_runs = [

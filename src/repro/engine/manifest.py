@@ -1,11 +1,13 @@
 """The manifest: durable record of which runs form the tree.
 
-A JSON-lines log of version edits. Each edit either adds a run (with its
-level, age stamp and file name) or removes one (merged away). Recovery
-replays the edits; compaction of the manifest itself happens by writing a
-fresh snapshot file and atomically renaming it over the old one. Run
-files not referenced by the recovered version are orphans from a crash
-mid-merge and are deleted on open.
+A JSON-lines log of version edits. Each run-set edit is one ``edit``
+line: the runs it adds (level, age stamp and files) and the run ids it
+removes (merged away), so a crash leaves an edit whole or not at all.
+Logs written before that kept an ``add`` line per run (one ``filename``)
+and a ``remove`` line per retired run; recovery still replays them.
+Compaction of the manifest itself happens by writing a fresh snapshot
+file and atomically renaming it over the old one. Run files no recovered
+run names are orphans from a crash mid-merge and are deleted on open.
 
 One more record kind, ``position``, says where the write-ahead log
 stood (:class:`LogPosition`). It is only ever the *last* line of the
@@ -26,21 +28,41 @@ from .wal import fsync_dir, fsync_file
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One live sorted run as the manifest sees it."""
+    """One live sorted run as the manifest sees it: its files are
+    key-disjoint and listed in key order."""
 
     run_id: int
     level: int
-    filename: str
+    files: tuple[str, ...]
     sequence: int  # age stamp: larger = newer data
 
-    def to_edit(self) -> dict:
+    def to_json(self) -> dict:
         return {
-            "op": "add",
             "run_id": self.run_id,
             "level": self.level,
-            "filename": self.filename,
+            "files": list(self.files),
             "sequence": self.sequence,
         }
+
+    @classmethod
+    def from_json(cls, fields: dict) -> "RunRecord":
+        # An ``add`` line of an older log names one ``filename``.
+        files = fields.get("files") or [fields["filename"]]
+        return cls(
+            run_id=int(fields["run_id"]),
+            level=int(fields["level"]),
+            files=tuple(str(name) for name in files),
+            sequence=int(fields["sequence"]),
+        )
+
+
+def _edit(added: list[RunRecord], removed: list[int]) -> dict:
+    """One run-set edit as its manifest line."""
+    return {
+        "op": "edit",
+        "add": [record.to_json() for record in added],
+        "remove": removed,
+    }
 
 
 @dataclass(frozen=True)
@@ -111,18 +133,15 @@ class Manifest:
 
     def _apply(self, edit: dict, line_no: int) -> None:
         kind = edit.get("op")
-        if kind == "add":
-            record = RunRecord(
-                run_id=int(edit["run_id"]),
-                level=int(edit["level"]),
-                filename=str(edit["filename"]),
-                sequence=int(edit["sequence"]),
+        if kind == "edit":
+            self._install(
+                [RunRecord.from_json(fields) for fields in edit["add"]],
+                [int(run_id) for run_id in edit["remove"]],
             )
-            self._runs[record.run_id] = record
-            self._next_run_id = max(self._next_run_id, record.run_id + 1)
-            self._next_sequence = max(self._next_sequence, record.sequence + 1)
+        elif kind == "add":
+            self._install([RunRecord.from_json(edit)], [])
         elif kind == "remove":
-            self._runs.pop(int(edit["run_id"]), None)
+            self._install([], [int(edit["run_id"])])
         elif kind == "position":
             upstream = edit.get("upstream")
             self._position = (
@@ -142,6 +161,14 @@ class Manifest:
             raise CorruptionError(
                 f"manifest line {line_no}: unknown edit {kind!r}"
             )
+
+    def _install(self, added: list[RunRecord], removed: list[int]) -> None:
+        for record in added:
+            self._runs[record.run_id] = record
+            self._next_run_id = max(self._next_run_id, record.run_id + 1)
+            self._next_sequence = max(self._next_sequence, record.sequence + 1)
+        for run_id in removed:
+            self._runs.pop(run_id, None)
 
     def _append(self, edit: dict) -> None:
         self._file.write(json.dumps(edit, sort_keys=True) + "\n")
@@ -167,7 +194,7 @@ class Manifest:
         return position
 
     def allocate_run_id(self) -> int:
-        """Reserve the next run id (not durable until ``add_run``)."""
+        """Reserve the next run id (not durable until an edit adds it)."""
         run_id = self._next_run_id
         self._next_run_id += 1
         return run_id
@@ -176,51 +203,36 @@ class Manifest:
         self,
         run_id: int,
         level: int,
-        filename: str,
+        files: tuple[str, ...],
         sequence: int | None = None,
     ) -> RunRecord:
-        """Durably register a run.
-
-        Flushes omit ``sequence`` and receive a fresh age stamp. Merge
-        outputs MUST pass the maximum sequence of their inputs: the
-        output's data is only as new as its newest input, and stamping it
-        with creation time would let merged-away old values shadow
-        tombstones flushed while the merge ran.
-        """
-        if sequence is None:
-            sequence = self._next_sequence
-            self._next_sequence += 1
-        record = RunRecord(
-            run_id=run_id,
-            level=level,
-            filename=filename,
-            sequence=sequence,
-        )
-        self._runs[run_id] = record
-        self._append(record.to_edit())
-        return record
+        """Durably register one run (an edit that adds it alone)."""
+        return self.replace_runs([], [(run_id, level, files)], sequence)[0]
 
     def replace_runs(
         self,
         removed: list[int],
-        added: list[tuple[int, int, str]],
+        added: list[tuple[int, int, tuple[str, ...]]],
         sequence: int | None = None,
     ) -> list[RunRecord]:
-        """Atomically-enough swap merge inputs for outputs.
+        """Swap merge inputs for outputs in one fsynced line.
 
-        Outputs are appended before removals so a crash between lines
-        leaves extra (superseded) runs rather than missing data; the
-        duplicate-shadowing is resolved by reconciliation order.
-        ``sequence`` stamps the outputs with their true data age (the
-        newest input's sequence).
+        ``added`` lists ``(run_id, level, files)``. Flushes omit
+        ``sequence`` and receive a fresh age stamp. Merge outputs MUST
+        pass the maximum sequence of their inputs: the output's data is
+        only as new as its newest input, and stamping it with creation
+        time would let merged-away old values shadow tombstones flushed
+        while the merge ran. Memory changes only once the line is
+        durable: a failed write leaves the recorded runs as they were.
         """
+        if sequence is None and added:
+            sequence = self._next_sequence
         records = [
-            self.add_run(run_id, level, filename, sequence=sequence)
-            for run_id, level, filename in added
+            RunRecord(run_id, level, tuple(files), sequence)
+            for run_id, level, files in added
         ]
-        for run_id in removed:
-            self._runs.pop(run_id, None)
-            self._append({"op": "remove", "run_id": run_id})
+        self._append(_edit(records, list(removed)))
+        self._install(records, removed)
         return records
 
     def write_snapshot(
@@ -234,7 +246,7 @@ class Manifest:
         copy's. ``position``, when given, becomes the last line.
         """
         fresh_path = path + ".new"
-        edits = [record.to_edit() for record in self.live_runs()]
+        edits = [_edit(self.live_runs(), [])]
         if position is not None:
             edits.append(position.to_edit())
         with open(fresh_path, "w", encoding="utf-8") as fresh:

@@ -18,8 +18,8 @@ File layout::
 * The **filter block** is a serialized point filter
   (:mod:`repro.engine.filters`; a Bloom filter): the blob's magic
   prefix says so, so version-1 files (always Bloom) load through the
-  same path. A run whose inputs were appended keeps their filters end
-  to end, one per input key range (``BLP1``).
+  same path, and so do the partitioned filters (``BLP1``) that earlier
+  merges wrote by appending their inputs; none is written any more.
 * The **meta block** is JSON: entry/tombstone counts, key bounds, the
   physical data byte count (what merge accounting bills against the I/O
   budget) and — version 2 — the format version, codec name, filter kind,
@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import ConfigurationError, CorruptionError
 from .blockcodec import NONE_CODEC_ID, codec_by_id, get_codec
-from .bloom import BloomFilter, PartitionedBloom
+from .bloom import BloomFilter
 from .filters import available_filters, load_filter
 from .options import TOMBSTONE
 from .ratelimiter import RateLimiter, SyncPolicy
@@ -135,23 +135,6 @@ class DataBlock(NamedTuple):
     tombstones: list[int]
 
 
-class BlockSpan(NamedTuple):
-    """Consecutive data blocks of one run, as a merge copies them.
-
-    ``stored`` is the blocks exactly as the file holds them, back to
-    back, CRC trailers included: block ``i`` begins with
-    ``first_keys[i]``, sits ``offsets[i] - offsets[0]`` bytes in and is
-    ``lengths[i]`` long. ``logical_bytes`` is the size of the decoded
-    entries.
-    """
-
-    stored: bytes
-    first_keys: list[bytes]
-    offsets: list[int]
-    lengths: list[int]
-    logical_bytes: int
-
-
 def _walk_block(
     payload: bytes, stop_at: bytes | None = None
 ) -> tuple[list[bytes], list[int], list[int]]:
@@ -202,25 +185,6 @@ def _decode_block(payload: bytes) -> list[tuple[bytes, bytes | None]]:
     return entries
 
 
-def _stored_logical(blob: bytes, view, start: int, end: int) -> int | None:
-    """The entry bytes a current-format stored block ``blob[start:end]``
-    (CRC trailer included, ``view`` a memoryview of ``blob``) declares
-    in its header — None unless its CRC holds, it has a header, and a
-    block stored raw declares exactly the bytes it holds. Checked where
-    the block lies: nothing is copied."""
-    body_end = end - _CRC_LEN
-    if body_end - start < _BLOCK_HEADER.size or zlib.crc32(
-        view[start:body_end]
-    ) != _LEN.unpack_from(blob, body_end)[0]:
-        return None
-    codec_id, logical = _BLOCK_HEADER.unpack_from(blob, start)
-    if codec_id == NONE_CODEC_ID and (
-        logical != body_end - start - _BLOCK_HEADER.size
-    ):
-        return None
-    return logical
-
-
 def _closed_when_full(ends: list[int], block_bytes: int) -> bool:
     """Whether a block whose entries end at ``ends`` is what a writer at
     ``block_bytes`` makes of them: closed by the entry that filled it,
@@ -239,10 +203,7 @@ class SSTableWriter:
     a merge's inputs: :meth:`add_entries` moves a range of a decoded
     block's entries as encoded bytes, and :meth:`add_block` appends a
     whole input block verbatim when it is what this writer would have
-    produced anyway. A merge of key-disjoint runs appends each of them
-    whole instead (:meth:`append_blocks`, then :meth:`close_input`): no
-    entry is walked and no key hashed, and the inputs' filters become
-    this run's, one per input key range.
+    produced anyway.
     """
 
     def __init__(
@@ -278,8 +239,6 @@ class SSTableWriter:
         #: Keys written but not yet in the filter; handed over
         #: ``feed_keys`` at a time, since each hand-over costs O(bits).
         self._filter_keys: list[bytes] = []
-        #: ``(min key, filter)`` of each appended input, in key order.
-        self._partitions: list[tuple[bytes, object]] = []
         self._block = bytearray()
         self._block_first_key: bytes | None = None
         self._index: list[tuple[bytes, int, int]] = []
@@ -426,49 +385,18 @@ class SSTableWriter:
             self.add_entries(source, 0, len(keys))
             return False
         self._begin(keys[0])
-        stored, logical = source.stored, len(source.payload)
-        self._put_blocks(
-            BlockSpan(stored, keys[:1], [0], [len(stored)], logical)
-        )
-        self._logical_bytes += logical
+        # Close the partial output block first: the copy must start on
+        # a block boundary of its own.
+        self._flush_block()
+        self._index.append((keys[0], self._offset, len(source.stored)))
+        self._write_raw(source.stored)
+        self._logical_bytes += len(source.payload)
         self._last_key = keys[-1]
         self._entries += len(keys)
         self._tombstones += len(source.tombstones)
         self._filter_keys += keys
         self._feed_filter(self._filter.feed_keys)
         return True
-
-    def append_blocks(self, span: BlockSpan) -> None:
-        """Append blocks of an input run that this run takes whole, as
-        :meth:`SSTableReader.read_blocks` read them: verbatim, in one
-        write and one debit of the rate limiter, index entries shifted.
-        Their entries are accounted for by :meth:`close_input`."""
-        self._begin(span.first_keys[0])
-        self._put_blocks(span)
-        self._last_key = span.first_keys[-1]
-
-    def close_input(self, reader: SSTableReader) -> None:
-        """End an input run whose blocks :meth:`append_blocks` moved:
-        its entry and tombstone counts, logical bytes and last key are
-        its meta's, and its filter covers its key range of this run's
-        (partitioned) filter."""
-        self._entries += reader.entry_count
-        self._tombstones += reader.tombstone_count
-        self._logical_bytes += reader.logical_bytes
-        self._last_key = reader.max_key
-        self._partitions.append((reader.min_key, reader.point_filter))
-
-    def _put_blocks(self, span: BlockSpan) -> None:
-        # Close the partial output block first: the copy must start on
-        # a block boundary of its own.
-        self._flush_block()
-        shift = self._offset - span.offsets[0]
-        self._index += zip(
-            span.first_keys,
-            [offset + shift for offset in span.offsets],
-            span.lengths,
-        )
-        self._write_raw(span.stored)
 
     def finish(self) -> RunStats:
         """Flush everything, write the footer, fsync, and close."""
@@ -487,11 +415,7 @@ class SSTableWriter:
         self._write_raw(bytes(index_payload) + _crc(bytes(index_payload)))
         index_len = self._offset - index_off
 
-        filter_payload = (
-            PartitionedBloom(self._partitions)
-            if self._partitions
-            else self._filter
-        ).to_bytes()
+        filter_payload = self._filter.to_bytes()
         filter_off = self._offset
         self._write_raw(filter_payload + _crc(filter_payload))
         filter_len = self._offset - filter_off
@@ -627,8 +551,7 @@ class SSTableReader:
             self._read_at(index_off, index_len),
             f"{path}: index block at offset {index_off} ({index_len} bytes)",
         )
-        #: The block index, one list per column: a lookup bisects the
-        #: first keys, an appending merge's read bisects the offsets.
+        #: The block index, one list per column.
         self._first_keys: list[bytes] = []
         self._offsets: list[int] = []
         self._lengths: list[int] = []
@@ -810,41 +733,6 @@ class SSTableReader:
             self._offsets[block_idx], self._lengths[block_idx]
         )
         return self._open_block(stored, block_idx)
-
-    def read_blocks(self, first: int, budget: int) -> BlockSpan:
-        """Blocks ``first`` on, as stored, for a merge that appends this
-        current-format run whole: one read of as many as fit
-        :data:`SEQUENTIAL_IO_BYTES` and ``budget``, never fewer than
-        one, and every block's CRC and header length checked where it
-        lies. No entry is walked: the span's ``logical_bytes`` is what
-        the block headers declare. A damaged block raises as
-        :meth:`read_data_block` does.
-        """
-        if self._closed:
-            raise ConfigurationError("reader is closed")
-        offsets, lengths = self._offsets, self._lengths
-        base = offsets[first]
-        reach = base + min(budget, SEQUENTIAL_IO_BYTES)
-        last = bisect_right(offsets, reach, first + 1)
-        if last - 1 > first and offsets[last - 1] + lengths[last - 1] > reach:
-            last -= 1
-        blob = self._read_at(
-            base, offsets[last - 1] + lengths[last - 1] - base
-        )
-        view = memoryview(blob)
-        logical = 0
-        for index in range(first, last):
-            start = offsets[index] - base
-            end = start + lengths[index]
-            size = _stored_logical(blob, view, start, end)
-            if size is None:
-                # Damaged: opening it the usual way raises, naming it.
-                self._open_block(blob[start:end], index)
-            logical += size
-        return BlockSpan(
-            blob, self._first_keys[first:last], offsets[first:last],
-            lengths[first:last], logical,
-        )
 
     def _block_for(self, key: bytes) -> int:
         return bisect_right(self._first_keys, key) - 1

@@ -271,6 +271,12 @@ def fault_scenarios(workdir: str, seed: int = 0) -> CrashSimReport:
     # A wide keyspace keeps most puts fresh (updates net out of the
     # memtable byte count), so the 4 KiB memtables below really rotate.
     ops = build_workload(160, seed, keyspace=4096, value_bytes=64)
+    # Ascending keys flush key-disjoint runs, of enough keys each that
+    # their merge links their files: its edit is the fourth manifest
+    # write, after three flushes'.
+    ascending = [
+        (b"key-%05d" % index, b"%08d" % index) for index in range(3000)
+    ]
     report = CrashSimReport()
     # Small memtables force real flushes (hence SSTable and manifest
     # traffic) inside a 120-op run.
@@ -298,12 +304,18 @@ def fault_scenarios(workdir: str, seed: int = 0) -> CrashSimReport:
             flushing,
             FaultRule("manifest.write", 1, "torn", keep_bytes=10),
         ),
+        (
+            "manifest-torn-link",
+            dict(flushing, memtable_bytes=32 * 1024),
+            FaultRule("manifest.write", 3, "torn", keep_bytes=10),
+        ),
     ]
     for name, base, rule in scenarios:
         plan = FaultPlan([rule], seed=seed)
         live = os.path.join(workdir, f"scenario-{name}")
         options = StoreOptions(fault_plan=plan, **base)
-        acked, issued = _run_with_plan(live, ops, options)
+        workload = ascending if name == "manifest-torn-link" else ops
+        acked, issued = _run_with_plan(live, workload, options)
         if not plan.fired:
             report.crash_points += 1
             report.failures.append(
@@ -314,7 +326,7 @@ def fault_scenarios(workdir: str, seed: int = 0) -> CrashSimReport:
         report.fired.extend(f"{name}:{entry}" for entry in plan.fired)
         image = os.path.join(workdir, f"image-{name}")
         shutil.copytree(live, image)
-        _check_recovery(image, ops, acked, issued, name, report)
+        _check_recovery(image, workload, acked, issued, name, report)
     return report
 
 
@@ -360,7 +372,7 @@ def compressed_block_scenarios(
             "compressed-block: store produced no runs — miswired"
         )
         return report
-    run_file = runs[0].filename
+    run_file = runs[0].files[0]
     reader = SSTableReader(os.path.join(live, run_file))
     try:
         if reader.codec != "zlib":

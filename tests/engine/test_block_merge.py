@@ -8,8 +8,6 @@ iterator yields over the same inputs.
 
 import hashlib
 import os
-import struct
-import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +23,13 @@ from repro.engine import (
     StoreOptions,
     compaction,
     sstable,
+    verify_store,
 )
-from repro.engine.bloom import BloomFilter, PartitionedBloom
+from repro.engine.bloom import BloomFilter
 from repro.engine.compaction import MergeJob
 from repro.engine.iterators import reconciling_iterator
 from repro.engine.ratelimiter import RateLimiter
+from repro.engine.runs import Run
 from repro.errors import CorruptionError
 
 from . import bare_manager
@@ -48,30 +48,42 @@ def write_run(path, entries, legacy=False, **writer_options):
     return writer.finish()
 
 
-def make_job(paths, output, options, drop_tombstones, limiter=None):
-    """A MergeJob over ``paths`` (oldest first), as the manager builds it."""
-    readers = [SSTableReader(str(path)) for path in paths]
+def make_job(
+    paths, output, options, drop_tombstones, may_link=False, limiter=None
+):
+    """A MergeJob over ``paths`` (oldest first), as the manager builds
+    it, each path a run of one file; one that may not link takes the
+    k-way path whatever its inputs."""
+    runs = [Run((SSTableReader(str(path)),)) for path in paths]
     descriptor = MergeDescriptor(
         uid=1,
         inputs=[
             Component(
                 uid=index,
                 level=0,
-                size_bytes=float(reader.data_bytes),
-                entry_count=float(reader.entry_count),
+                size_bytes=float(run.data_bytes),
+                entry_count=float(run.entry_count),
             )
-            for index, reader in enumerate(readers)
+            for index, run in enumerate(runs)
         ],
         target_level=1,
     )
-    return MergeJob(
-        descriptor,
-        readers,
-        str(output),
-        options,
-        limiter or RateLimiter(0),
-        drop_tombstones=drop_tombstones,
-    )
+    link_order = compaction._link_order
+    if not may_link:
+        compaction._link_order = lambda *args: None
+    try:
+        job = MergeJob(
+            descriptor,
+            runs,
+            str(output),
+            options,
+            limiter or RateLimiter(0),
+            drop_tombstones=drop_tombstones,
+        )
+    finally:
+        compaction._link_order = link_order
+    job.inputs = runs  # closed by run_job
+    return job
 
 
 def run_job(job, chunk_bytes=1 << 20):
@@ -79,8 +91,15 @@ def run_job(job, chunk_bytes=1 << 20):
     while not job.advance(chunk_bytes):
         chunks += 1
         assert chunks < 1_000_000
-    job.close_readers()
+    close_job(job)
     return job.stats
+
+
+def close_job(job):
+    job.close_readers()
+    for run in job.inputs:
+        for reader in run.files:
+            reader.close()
 
 
 def reference(paths, drop_tombstones):
@@ -178,7 +197,6 @@ class TestPassThrough:
             paths.append(path)
         job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
         stats = run_job(job)
-        assert not job.appends
         assert (job.blocks_copied, job.blocks_rewritten) == (4, 2)
         assert read_back(stats.path) == reference(paths, True)
 
@@ -268,7 +286,6 @@ class TestPassThrough:
         paths = disjoint_runs(tmp_path, runs=2, overlap=True)
         expected = reference(paths, True)
         job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
-        assert not job.appends
         # 1000 bytes end inside the first block (14 entries of 315
         # bytes): the chunk stops with the entry that reaches them.
         assert not job.advance(1000)
@@ -280,7 +297,7 @@ class TestPassThrough:
         while not job.advance(1000):
             remaining.append(job.descriptor.remaining_input_bytes)
             assert remaining[-1] < remaining[-2]
-        job.close_readers()
+        close_job(job)
         assert job.descriptor.remaining_input_bytes == 0
         # Split blocks went through the re-pack path; nothing was lost
         # or repeated at any boundary.
@@ -303,7 +320,7 @@ class TestPassThrough:
                 (key(index * 1000 + i), VALUE) for i in range(5 * PER_BLOCK)
             ]
             bare_manager.flush(manager, iter(items), len(items))
-        inputs = sorted(r.filename for r in manifest.live_runs())
+        inputs = sorted(name for r in manifest.live_runs() for name in r.files)
         job = manager.claim_merge()
         # Flip a byte inside one block of the middle input — its second,
         # fourth or last — and the error must name that block.
@@ -328,7 +345,8 @@ class TestPassThrough:
         manager.fail_merge(job)
         assert not os.path.exists(job.output_path)
         assert not manager.has_work()
-        assert sorted(r.filename for r in manifest.live_runs()) == inputs
+        live = manifest.live_runs()
+        assert sorted(name for r in live for name in r.files) == inputs
         manager.close()
         manifest.close()
 
@@ -367,7 +385,6 @@ class TestBlockwiseCopy:
         reads = block_reads(monkeypatch)
         job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
         stats = run_job(job)
-        assert not job.appends
         # The overlapping key's block is the one re-packed.
         assert (job.blocks_copied, job.blocks_rewritten) == (18, 1)
         assert sorted(reads) == every_block(paths)
@@ -442,11 +459,10 @@ def fixed_store_files(directory):
 
     def note_new_runs(store):
         for record in store.live_runs():
-            if record.filename not in digests:
-                path = os.path.join(str(directory), record.filename)
-                digests[record.filename] = hashlib.sha256(
-                    file_bytes(path)
-                ).hexdigest()
+            [name] = record.files
+            if name not in digests:
+                path = os.path.join(str(directory), name)
+                digests[name] = hashlib.sha256(file_bytes(path)).hexdigest()
 
     with LSMStore.open(str(directory), options) as store:
         # Oldest: a long stretch to itself, then overlap with the next.
@@ -481,7 +497,7 @@ def fixed_store_files(directory):
 
 
 class TestSameFilesAsBefore:
-    """Batching and appends change how the bytes move, not which bytes:
+    """Batching changes how the bytes move, not which bytes:
     the digests and block counts below were produced by this function
     at commit 48bbd93 (one record per memtable node, one block per
     merge call)."""
@@ -562,81 +578,103 @@ class TestStoreWiring:
             assert sorted(opened) == [key(0), key(1000)]
 
 
-def regions(path):
-    """SHA-256 of a run's data, index and meta regions; its filter blob."""
-    blob = file_bytes(path)
-    index_off, index_len, filter_off, filter_len, meta_off, meta_len, _ = (
-        sstable._FOOTER.unpack_from(blob, len(blob) - sstable._FOOTER.size)
-    )
-    digests = {
-        name: hashlib.sha256(blob[start:end]).hexdigest()
-        for name, start, end in (
-            ("data", 0, index_off),
-            ("index", index_off, index_off + index_len),
-            ("meta", meta_off, meta_off + meta_len),
-        )
-    }
-    return digests, blob[filter_off : filter_off + filter_len - 4]
-
-
-def disjoint_store_merge(directory):
-    """Three key-disjoint flushes of 600 keys — values of every length,
-    so each ends on a short block — and their merge, through a store
-    with inline maintenance: the output's :func:`regions` and the block
-    counters."""
-    options = StoreOptions(
-        memtable_bytes=1 << 20,
-        policy="tiering",
-        size_ratio=3,
-        levels=3,
-        background_maintenance=False,
-    )
-    with LSMStore.open(str(directory), options) as store:
-        for start in (0, 1000, 2000):
-            for index in range(start, start + 600):
-                store.put(key(index), b"%04d" % index + VALUE[: index % 300])
-            store.flush()
-        store.maintenance()
-        assert store.stats().merges_completed == 1
-        [record] = store.live_runs()
-        for index in range(0, 3000, 7):
-            value = b"%04d" % index + VALUE[: index % 300]
-            found = store.get(key(index))
-            assert found == (value if index % 1000 < 600 else None)
-        counts = {
-            counter["labels"]["path"]: counter["value"]
-            for counter in store.obs.registry.snapshot()["counters"]
-            if counter["name"] == "engine_merge_blocks_total"
-        }
-    return regions(os.path.join(str(directory), record.filename)), counts
-
-
-class TestAppend:
-    """A merge of key-disjoint inputs lays them end to end: blocks,
-    index and Bloom filters, no entry walked and no key hashed."""
-
-    #: The merge output's regions, the same whichever path made them.
-    DIGESTS = {
-        "data": "88e63d676e328c55d7eec77d834bf1500f3f24c9501749f2e1cc01b2"
-        "caf4de71",
-        "index": "7923bf9a5349628dee6a9051f39893e5905db564a2b8128b490d5ac"
-        "c05db4c9b",
-        "meta": "497d69acaa853fb92b76a630638d1187d455543e4b7817ab2f8d3bc2"
-        "a971b101",
+def merge_blocks(store):
+    """``engine_merge_blocks_total`` by path."""
+    return {
+        counter["labels"]["path"]: counter["value"]
+        for counter in store.obs.registry.snapshot()["counters"]
+        if counter["name"] == "engine_merge_blocks_total"
     }
 
-    def test_the_output_is_the_k_way_merges_but_for_the_filter(
-        self, tmp_path, monkeypatch
+
+#: About 600 keys per flush: enough that the inputs' filters may be
+#: kept as they are when their files are linked.
+LINKING = StoreOptions(
+    memtable_bytes=48 * 1024,
+    policy="tiering",
+    size_ratio=3,
+    levels=3,
+    background_maintenance=False,
+)
+
+
+class TestLink:
+    """A merge of key-disjoint inputs links them: the output run names
+    their files in key order, and no byte is read or written."""
+
+    def test_a_disjoint_merge_names_its_inputs_files_and_writes_nothing(
+        self, tmp_path
     ):
-        (appended, filter_blob), counts = disjoint_store_merge(tmp_path / "a")
-        assert appended == self.DIGESTS
-        assert filter_blob[:4] == b"BLP1"
-        assert counts == {"appended": 73, "rewritten": 0}
-        monkeypatch.setattr(compaction, "_append_order", lambda *args: None)
-        (merged, filter_blob), counts = disjoint_store_merge(tmp_path / "k")
-        assert merged == appended
-        assert filter_blob[:4] == b"BLM1"
-        assert set(counts) == {"copied", "rewritten"}
+        directory = str(tmp_path / "store")
+        model = {}
+        with LSMStore.open(directory, LINKING) as store:
+            for start in (2000, 0, 1000):  # flushed out of key order
+                for index in range(start, start + 600):
+                    model[key(index)] = b"%05d" % index
+                    store.put(key(index), model[key(index)])
+                store.flush()
+            inputs = store.live_runs()
+            admitted = store.rate_limiter.total_admitted_bytes
+            store.maintenance()
+            assert store.stats().merges_completed == 1
+            [output] = store.live_runs()
+            # Key order: the second flush's keys, the third's, the first's.
+            assert output.files == (
+                inputs[1].files + inputs[2].files + inputs[0].files
+            )
+            assert output.level == 1
+            assert output.sequence == max(r.sequence for r in inputs)
+            assert store.rate_limiter.total_admitted_bytes == admitted
+            blocks = merge_blocks(store)
+            assert blocks["rewritten"] == 0 and blocks["linked"] > 0
+            assert sorted(os.listdir(directory)) == sorted(
+                [*output.files, "MANIFEST", "wal.log"]
+            )
+            assert dict(store.scan()) == model
+            assert store.get(key(1599)) == model[key(1599)]
+            assert store.get(key(700)) is None
+        with LSMStore.open(directory, LINKING) as store:
+            assert dict(store.scan()) == model
+        assert verify_store(directory).clean
+
+    def test_cached_blocks_survive_the_link(self, tmp_path):
+        with LSMStore.open(str(tmp_path / "store"), LINKING) as store:
+            for start in (0, 1000, 2000):
+                for index in range(start, start + 600):
+                    store.put(key(index), b"v")
+                store.flush()
+            assert len(list(store.scan())) == 1800
+            cached = store.memory_signals()
+            store.maintenance()
+            assert store.stats().merges_completed == 1
+            assert len(list(store.scan())) == 1800
+            after = store.memory_signals()
+        assert after.cache_misses == cached.cache_misses
+        assert after.cache_hits > cached.cache_hits
+
+    def test_scans_cross_the_files_and_reads_survive_a_reopen(self, tmp_path):
+        directory = str(tmp_path / "store")
+        model = {key(i): b"%05d" % i for i in range(7200)}
+        with LSMStore.open(directory, LINKING) as store:
+            for entry_key, value in model.items():
+                store.put(entry_key, value)
+            store.flush()
+            store.maintenance()
+            assert store.stats().merges_completed >= 2
+            assert set(merge_blocks(store)) == {"linked", "rewritten"}
+            assert max(len(r.files) for r in store.live_runs()) > 3
+            lo, hi = key(150), key(5000)
+            assert list(store.scan(lo, hi)) == [
+                (k, v) for k, v in model.items() if lo <= k < hi
+            ]
+            assert list(store.scan(lo, hi, limit=7)) == [
+                (k, model[k]) for k in sorted(model) if k >= lo
+            ][:7]
+        with LSMStore.open(directory, LINKING) as store:
+            assert list(store.scan()) == list(model.items())
+            assert all(store.get(k) == v for k, v in model.items())
+            assert store.get(key(150) + b"x") is None
+        assert verify_store(directory).clean
 
     def test_every_key_passes_the_filter_and_absent_ones_as_often_as_one(
         self, tmp_path
@@ -647,117 +685,41 @@ class TestAppend:
             entries = [(key(index * 10_000 + i), b"v") for i in range(3000)]
             write_run(path, entries, expected_keys=len(entries))
             paths.append(path)
-        job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
-        stats = run_job(job)
-        assert job.appends
-        reader = SSTableReader(stats.path)
-        assert len(reader.point_filter) == 3
+        job = make_job(paths, tmp_path / "out.run", OPTIONS, True, True)
+        assert job.advance(1) and job.links == tuple(p.name for p in paths)
+        assert not os.path.exists(job.output_path)
+        run = Run(tuple(reader for r in job.inputs for reader in r.files))
         present = [entry_key for entry_key, _ in reference(paths, True)]
-        assert all(reader.might_contain(k) for k in present)
-        assert [reader.get(k) for k in present] == [(True, b"v")] * 9000
-        # Beside every key and in the gaps between the inputs: each
+        assert all(run.might_contain(k) for k in present)
+        assert [run.get(k) for k in present] == [(True, b"v")] * 9000
+        # Beside every key and in the gaps between the files: each
         # probe asks the one filter whose range holds it.
         absent = [key(i) + b"x" for i in range(22_999)]
-        passed = sum(reader.might_contain(k) for k in absent) / len(absent)
+        passed = sum(run.might_contain(k) for k in absent) / len(absent)
         whole = BloomFilter(len(present), compaction.BLOOM_BITS_PER_KEY)
         whole.add_many(present)
         one = sum(whole.might_contain(k) for k in absent) / len(absent)
-        reader.close()
+        close_job(job)
         assert 0 < passed < 0.015 and passed < 1.5 * one
 
-    def test_scans_cross_the_inputs_and_reads_survive_a_reopen(self, tmp_path):
-        directory = str(tmp_path / "store")
-        # About 800 keys per flush: enough that the inputs' filters may
-        # be kept as they are, at every level.
-        options = StoreOptions(
-            memtable_bytes=48 * 1024,
-            policy="tiering",
-            size_ratio=3,
-            levels=3,
-            background_maintenance=False,
-        )
-        model = {key(i): b"%05d" % i for i in range(7200)}
-        with LSMStore.open(directory, options) as store:
-            for entry_key, value in model.items():
-                store.put(entry_key, value)
-            store.flush()
-            store.maintenance()
-            assert store.stats().merges_completed >= 2
-            counts = {
-                counter["labels"]["path"]
-                for counter in store.obs.registry.snapshot()["counters"]
-                if counter["name"] == "engine_merge_blocks_total"
-            }
-            assert counts == {"appended", "rewritten"}
-            partitions = []
-            for record in store.live_runs():
-                reader = SSTableReader(os.path.join(directory, record.filename))
-                if record.level > 0:
-                    partitions.append(len(reader.point_filter))
-                reader.close()
-            assert max(partitions) > 3
-            lo, hi = key(150), key(5000)
-            assert list(store.scan(lo, hi)) == [
-                (k, v) for k, v in model.items() if lo <= k < hi
-            ]
-        with LSMStore.open(directory, options) as store:
-            assert list(store.scan()) == list(model.items())
-            assert all(store.get(k) == v for k, v in model.items())
-            assert store.get(key(150) + b"x") is None
-
-    def test_a_second_append_flattens_and_a_k_way_merge_builds_one_filter(
-        self, tmp_path
-    ):
-        # Runs of 602 keys: their filters may be kept, two runs and four.
-        paths = disjoint_runs(tmp_path, blocks_per_run=43, runs=4)
-        halves = [
-            run_job(make_job(half, tmp_path / f"{i}.run", OPTIONS, True)).path
-            for i, half in enumerate((paths[:2], paths[2:]))
-        ]
-        job = make_job(halves, tmp_path / "both.run", OPTIONS, True)
-        both = run_job(job)
-        assert job.appends
-        reader = SSTableReader(both.path)
-        assert isinstance(reader.point_filter, PartitionedBloom)
-        assert len(reader.point_filter) == 4
-        assert all(reader.might_contain(k) for k, _ in read_back(both.path))
-        reader.close()
-        # An overlapping input: the merge hashes every key into one filter.
-        newer = tmp_path / "newer.run"
-        write_run(newer, [(key(1005), b"newer")])
-        inputs = [both.path, newer]
-        job = make_job(inputs, tmp_path / "merged.run", OPTIONS, True)
-        merged = run_job(job)
-        assert not job.appends
-        reader = SSTableReader(merged.path)
-        assert isinstance(reader.point_filter, BloomFilter)
-        expected = reference(inputs, True)
-        assert read_back(merged.path) == expected
-        assert all(reader.might_contain(k) for k, _ in expected)
-        reader.close()
-
-    def test_dropped_tombstones_and_version_1_inputs_take_the_k_way_path(
+    def test_dropped_tombstones_and_overlaps_take_the_k_way_path(
         self, tmp_path
     ):
         paths = disjoint_runs(tmp_path, runs=1)
         deleted = tmp_path / "deleted.run"
         write_run(deleted, [(key(5000), None), (key(5001), VALUE)])
         inputs = [*paths, deleted]
-        keeping = make_job(inputs, tmp_path / "keep.run", OPTIONS, False)
-        assert keeping.appends
-        assert run_job(keeping).tombstone_count == 1
-        assert read_back(keeping.stats.path) == reference(inputs, False)
-        dropping = make_job(inputs, tmp_path / "drop.run", OPTIONS, True)
-        assert not dropping.appends
+        keeping = make_job(inputs, tmp_path / "k.run", OPTIONS, False, True)
+        assert keeping.links == ("in0.run", "deleted.run")
+        close_job(keeping)
+        dropping = make_job(inputs, tmp_path / "d.run", OPTIONS, True, True)
+        assert dropping.links is None
         assert run_job(dropping).tombstone_count == 0
         assert read_back(dropping.stats.path) == reference(inputs, True)
-
-        legacy = tmp_path / "legacy.run"
-        write_run(legacy, [(key(7000), VALUE)], legacy=True)
-        inputs = [*paths, legacy]
-        job = make_job(inputs, tmp_path / "v1.run", OPTIONS, True)
-        assert not job.appends
-        assert read_back(run_job(job).path) == reference(inputs, True)
+        overlapping = disjoint_runs(tmp_path, runs=2, overlap=True)
+        job = make_job(overlapping, tmp_path / "o.run", OPTIONS, True, True)
+        assert job.links is None
+        assert read_back(run_job(job).path) == reference(overlapping, True)
 
     def test_small_runs_are_merged_rather_than_their_filters_kept(
         self, tmp_path
@@ -766,14 +728,21 @@ class TestAppend:
         # least: two such filters fit in twice the one filter a k-way
         # merge builds, three do not.
         paths = disjoint_runs(tmp_path)
-        two = make_job(paths[:2], tmp_path / "two.run", OPTIONS, True)
-        assert two.appends
-        two.abandon()
-        three = make_job(paths, tmp_path / "three.run", OPTIONS, True)
-        assert not three.appends
+        two = make_job(paths[:2], tmp_path / "two.run", OPTIONS, True, True)
+        assert two.links is not None
+        close_job(two)
+        three = make_job(paths, tmp_path / "three.run", OPTIONS, True, True)
+        assert three.links is None
         reader = SSTableReader(run_job(three).path)
         assert isinstance(reader.point_filter, BloomFilter)
         reader.close()
+
+    def test_a_run_names_at_most_the_file_cap(self, tmp_path, monkeypatch):
+        paths = disjoint_runs(tmp_path, runs=2)
+        monkeypatch.setattr(compaction, "MAX_RUN_FILES", 1)
+        job = make_job(paths, tmp_path / "out.run", OPTIONS, True, True)
+        assert job.links is None
+        assert read_back(run_job(job).path) == reference(paths, True)
 
     def test_a_sequential_load_of_small_flushes_keeps_its_filters_small(
         self, tmp_path
@@ -791,47 +760,72 @@ class TestAppend:
                 store.put(key(index), b"v")
             store.flush()
             store.maintenance()
-            counts = {
-                counter["labels"]["path"]: counter["value"]
-                for counter in store.obs.registry.snapshot()["counters"]
-                if counter["name"] == "engine_merge_blocks_total"
-            }
+            counts = merge_blocks(store)
             records = store.live_runs()
-        # Every merge is key-disjoint, and some still append.
-        assert counts["appended"] > 0
+        # Every merge is key-disjoint, and some still link.
+        assert counts["linked"] > 0
         for record in records:
-            reader = SSTableReader(os.path.join(directory, record.filename))
+            readers = [
+                SSTableReader(os.path.join(directory, name))
+                for name in record.files
+            ]
             rebuilt = (
-                max(reader.entry_count, sstable.MIN_FILTER_KEYS)
+                max(
+                    sum(r.entry_count for r in readers),
+                    sstable.MIN_FILTER_KEYS,
+                )
                 * compaction.BLOOM_BITS_PER_KEY
             )
-            assert reader.point_filter.bit_size <= (
+            assert sum(r.point_filter.bit_size for r in readers) <= (
                 compaction.APPENDED_FILTER_BITS * rebuilt
             )
-            reader.close()
+            for reader in readers:
+                reader.close()
 
-    def test_a_raw_block_that_misstates_its_length_is_caught(self, tmp_path):
-        paths = disjoint_runs(tmp_path, runs=2)
-        # Block 1 of the second run claims a byte more than it holds,
-        # under a CRC recomputed to match: only its header can tell.
-        reader = SSTableReader(str(paths[1]))
-        offset, length = reader.block_span(1)
-        reader.close()
-        blob = bytearray(file_bytes(paths[1]))
-        codec_id, logical = struct.unpack_from("<BI", blob, offset)
-        struct.pack_into("<BI", blob, offset, codec_id, logical + 1)
-        body_end = offset + length - 4
-        crc = zlib.crc32(blob[offset:body_end])
-        struct.pack_into("<I", blob, body_end, crc)
-        with open(paths[1], "wb") as handle:
-            handle.write(bytes(blob))
-        job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
-        assert job.appends
-        with pytest.raises(CorruptionError) as raised:
-            run_job(job)
-        assert f"offset {offset}" in str(raised.value)
-        job.abandon()
-        assert not os.path.exists(job.output_path)
+    def test_a_k_way_merge_holds_one_handle_per_input_run(
+        self, tmp_path, monkeypatch
+    ):
+        """Its inputs are runs of several files each; a cursor opens
+        the next file's sequential handle only once it closed the last."""
+        directory = str(tmp_path / "store")
+        model = {}
+        with LSMStore.open(directory, LINKING) as store:
+            for round_ in range(2):
+                for batch in range(3):
+                    for i in range(600):
+                        index = batch * 10_000 + i * 2 + round_
+                        model[key(index)] = b"%d" % round_
+                        store.put(key(index), model[key(index)])
+                    store.flush()
+                store.maintenance()
+            [first, second] = store.live_runs()
+            assert len(first.files) == len(second.files) == 3
+            open_handles, peak = set(), []
+            sequential = SSTableReader.sequential_handle
+            close = SSTableReader.close
+
+            def opening(self):
+                handle = sequential(self)
+                open_handles.add(id(handle))
+                peak.append(len(open_handles))
+                return handle
+
+            def closing(self):
+                open_handles.discard(id(self))
+                close(self)
+
+            monkeypatch.setattr(SSTableReader, "sequential_handle", opening)
+            monkeypatch.setattr(SSTableReader, "close", closing)
+            for batch in range(3):  # the level-0 runs that cascade
+                for i in range(600):
+                    index = batch * 10_000 + 1 + 2 * i
+                    model[key(index)] = b"2"
+                    store.put(key(index), b"2")
+                store.flush()
+            store.maintenance()
+            assert len(peak) >= 6 and max(peak) <= 3
+            assert not open_handles
+            assert dict(store.scan()) == model
 
 
 # -- the property --------------------------------------------------------
@@ -928,7 +922,8 @@ class TestMatchesTheReference:
         options = StoreOptions(
             block_bytes=block_bytes, block_codec=block_codec
         )
-        # ``io_bytes`` caps an append's read: one block, a few, or none.
+        # ``io_bytes`` sizes the merge's file buffers: one block, a few,
+        # or none.
         configured = sstable.SEQUENTIAL_IO_BYTES
         sstable.SEQUENTIAL_IO_BYTES = io_bytes
         try:
@@ -961,7 +956,7 @@ class TestMatchesTheReference:
             for index in range(reader.block_count):
                 logical += len(reader.read_data_block(index).payload)
             assert reader.logical_bytes == logical
-            # The filter saw every key, copied, re-packed or appended.
+            # The filter saw every key, copied or re-packed.
             for entry_key, value in expected:
                 assert reader.might_contain(entry_key)
                 assert reader.get(entry_key) == (True, value)

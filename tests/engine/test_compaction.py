@@ -59,7 +59,7 @@ class TestFlushAndMerge:
         manager, manifest = make_manager(tmp_path)
         for batch in range(3):
             flush_entries(manager, batch * 100, 100)
-        inputs = {r.filename for r in manifest.live_runs()}
+        inputs = {name for r in manifest.live_runs() for name in r.files}
         bare_manager.drain(manager)
         after = {f for f in os.listdir(tmp_path) if f.endswith(".run")}
         assert len(after) == 1
@@ -139,7 +139,7 @@ class TestCrashRecovery:
         assert manager.has_work()
         bare_manager.step(manager)
         assert manager.has_work()  # still unfinished after one chunk
-        live_before = {r.filename for r in manifest.live_runs()}
+        live_before = {name for r in manifest.live_runs() for name in r.files}
         partial = [
             f
             for f in os.listdir(tmp_path)
@@ -156,7 +156,7 @@ class TestCrashRecovery:
             manifest2,
         )
         remaining = {f for f in os.listdir(tmp_path) if f.endswith(".run")}
-        assert remaining == {r.filename for r in manifest2.live_runs()}
+        assert remaining == {name for r in manifest2.live_runs() for name in r.files}
         # and the recovered tree re-schedules + completes the merge
         bare_manager.drain(manager2)
         assert manager2.levels() == {1: 1}

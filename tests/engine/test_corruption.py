@@ -47,7 +47,7 @@ class TestReadPathQuarantine:
         keys = [f"k{i:04d}".encode() for i in range(200)]
         with _build(directory, keys) as store:
             [record] = store.live_runs()
-            _flip_data_byte(directory, record.filename)
+            _flip_data_byte(directory, record.files[0])
             with pytest.raises(DataCorruptError) as excinfo:
                 store.get(keys[0])
             entries = store.quarantined_entries()
@@ -66,7 +66,7 @@ class TestReadPathQuarantine:
         keys = [f"m{i:04d}".encode() for i in range(100)]
         with _build(directory, keys) as store:
             [record] = store.live_runs()
-            _flip_data_byte(directory, record.filename)
+            _flip_data_byte(directory, record.files[0])
             with pytest.raises(DataCorruptError):
                 store.get(keys[0])
             # Fresh writes land in the memtable, outside the poisoned run.
@@ -84,7 +84,7 @@ class TestReadPathQuarantine:
         keys = [f"m{i:04d}".encode() for i in range(100)]
         with _build(directory, keys) as store:
             [record] = store.live_runs()
-            _flip_data_byte(directory, record.filename)
+            _flip_data_byte(directory, record.files[0])
             with pytest.raises(DataCorruptError):
                 list(store.scan(keys[0], keys[-1]))
             store.put(b"zz-0", b"x")
@@ -97,7 +97,7 @@ class TestReadPathQuarantine:
         keys = [f"k{i:04d}".encode() for i in range(100)]
         with _build(directory, keys) as store:
             [record] = store.live_runs()
-            _flip_data_byte(directory, record.filename)
+            _flip_data_byte(directory, record.files[0])
             with pytest.raises(DataCorruptError):
                 store.get(keys[0])
             run_id = store.quarantined_entries()[0].run_id
@@ -114,7 +114,7 @@ class TestScrubDetection:
         keys = [f"k{i:04d}".encode() for i in range(200)]
         with _build(directory, keys) as store:
             [record] = store.live_runs()
-            _flip_data_byte(directory, record.filename)
+            _flip_data_byte(directory, record.files[0])
             summary = store.scrub_pass()
             assert summary["passes_completed"] >= 1
             entries = store.quarantined_entries()
@@ -143,7 +143,7 @@ class TestRepair:
         keys = [f"k{i:04d}".encode() for i in range(100)]
         with _build(directory, keys) as store:
             [record] = store.live_runs()
-            _flip_data_byte(directory, record.filename)
+            _flip_data_byte(directory, record.files[0])
             with pytest.raises(DataCorruptError):
                 store.get(keys[0])
             run_id = store.quarantined_entries()[0].run_id
@@ -183,7 +183,7 @@ class TestApplyReset:
         keys = [f"k{i:04d}".encode() for i in range(50)]
         with _build(directory, keys) as store:
             [record] = store.live_runs()
-            _flip_data_byte(directory, record.filename)
+            _flip_data_byte(directory, record.files[0])
             with pytest.raises(DataCorruptError):
                 store.get(keys[0])
             snapshot = [(b"only", b"survivor")]
@@ -313,7 +313,7 @@ class TestScrubPacing:
                 store.put(key, b"value-" + key)
             store.flush()
             [record] = store.live_runs()
-            _flip_data_byte(directory, record.filename)
+            _flip_data_byte(directory, record.files[0])
             deadline = time.monotonic() + 5.0
             while not store.quarantined_entries():
                 assert time.monotonic() < deadline, (
@@ -356,11 +356,11 @@ class TestMergeInteraction:
             for batch in range(3):
                 if batch == 2:  # the next flush schedules the merge
                     victim = store.live_runs()[0]
-                    blob = (tmp_path / "db" / victim.filename).read_bytes()
+                    blob = (tmp_path / "db" / victim.files[0]).read_bytes()
                     index_offset = _FOOTER.unpack_from(
                         blob, len(blob) - _FOOTER.size
                     )[0]
-                    _flip_data_byte(directory, victim.filename, index_offset)
+                    _flip_data_byte(directory, victim.files[0], index_offset)
                 for i in range(40):
                     key = f"k{batch}{i:04d}".encode()
                     model[key] = bytes([65 + batch]) * 64
@@ -375,21 +375,19 @@ class TestMergeInteraction:
         with LSMStore.open(directory, options) as store:
             assert dict(store.scan()) == model
 
-    @pytest.mark.parametrize("appended", [True, False])
     @pytest.mark.parametrize("background", [False, True])
     def test_a_merge_that_meets_a_corrupt_block_is_contained(
-        self, tmp_path, background, appended
+        self, tmp_path, background
     ):
         """The corrupt block is first read by a merge chunk: the input
         is quarantined (source ``merge``), the job let go, the write
         that pumped the chunk succeeds, and a repair can claim the run.
-        The same whether the merge appends its key-disjoint inputs or
-        merges overlapping ones."""
+        The inputs overlap: a merge of key-disjoint ones links their
+        files and reads no block."""
         import time
 
         directory = str(tmp_path / "db")
-        # Each batch is one flush of 600 keys: enough that the inputs'
-        # filters may be kept as they are by an appending merge.
+        # Each batch is one flush of 600 keys.
         options = OPTIONS.with_(
             memtable_bytes=48 * 1024,
             policy="tiering",
@@ -419,7 +417,7 @@ class TestMergeInteraction:
             # publish, the merge is scheduled, nobody may claim it.
             compaction.claim_merge = lambda: None
             for batch in range(3):
-                if batch == 1 and not appended:
+                if batch == 1:
                     # The merge's third input overlaps its first.
                     model[b"k00005"] = b"overlap"
                     store.put(b"k00005", model[b"k00005"])
@@ -429,10 +427,10 @@ class TestMergeInteraction:
                     store.put(key, model[key])
                 store.flush()
             [job] = compaction._jobs.values()
-            assert job.appends == appended
+            assert job.links is None
             victim = job.descriptor.inputs[1].uid
             [record] = [r for r in store.live_runs() if r.run_id == victim]
-            _flip_data_byte(directory, record.filename)
+            _flip_data_byte(directory, record.files[0])
             failed_before = failures(store)
             del compaction.claim_merge  # the next claim consumes the run
 

@@ -76,63 +76,120 @@ class TestFaultScenarios:
             "wal-fsync-fail",
             "sstable-mid-flush",
             "manifest-torn-add",
+            "manifest-torn-link",
         }
 
 
 class TestRunSetEditCrash:
-    """A merge's edit logs its output before it removes its inputs and
-    deletes their files only afterwards; a crash anywhere between must
-    recover every write, the superseded inputs live beside the output."""
+    """A merge's edit is one manifest line: a crash before it is whole
+    leaves the inputs live, one after it leaves only the output, and no
+    file is ever named by two live runs or deleted while one does."""
 
-    @pytest.mark.parametrize("removals_logged", [0, 1, 2])
-    def test_crash_between_merge_output_append_and_input_removal(
-        self, tmp_path, removals_logged
-    ):
-        # Tiering at size ratio 3: three flushes are manifest writes
-        # 0-2; their merge logs its output (3), then three removals.
-        plan = FaultPlan(
-            [FaultRule("manifest.write", 4 + removals_logged, "fail")]
-        )
-        shape = dict(
-            memtable_bytes=4096,
-            policy="tiering",
-            size_ratio=3,
-            levels=3,
-            block_cache_bytes=0,
-        )
-        directory = str(tmp_path / "db")
+    SHAPE = dict(
+        memtable_bytes=1 << 20,
+        policy="tiering",
+        size_ratio=3,
+        levels=3,
+        block_cache_bytes=0,
+    )
+
+    def load(self, store, merge):
+        """Three flushes and their merge's model. ``rewrite``: they
+        overlap and the middle one's tombstones are dropped, a k-way
+        merge; ``link``: ascending keys, key-disjoint flushes of enough
+        keys that their filters may be kept."""
         model = {}
-        store = LSMStore.open(directory, StoreOptions(fault_plan=plan, **shape))
+        for generation in range(3):
+            if merge == "link":
+                keys = range(600 * generation, 600 * generation + 600)
+            else:
+                keys = range(generation, 40, generation + 1)
+            for i in keys:
+                key = b"key-%04d" % i
+                if merge == "rewrite" and generation == 1:
+                    store.delete(key)
+                    model.pop(key, None)
+                else:
+                    store.put(key, b"%d-%03d" % (generation, i))
+                    model[key] = b"%d-%03d" % (generation, i)
+            store.flush()
+        return model
+
+    @staticmethod
+    def run_files(directory):
+        return {name for name in os.listdir(directory) if name.endswith(".run")}
+
+    @staticmethod
+    def owners_are_unique(records):
+        names = [name for record in records for name in record.files]
+        return len(names) == len(set(names))
+
+    @pytest.mark.parametrize("merge", ["rewrite", "link"])
+    @pytest.mark.parametrize("kind", ["fail", "torn"])
+    def test_a_failed_or_torn_edit_recovers_the_inputs(
+        self, tmp_path, kind, merge
+    ):
+        # The three flushes are manifest writes 0-2; the merge's edit 3.
+        rule = FaultRule("manifest.write", 3, kind, keep_bytes=25)
+        plan = FaultPlan([rule])
+        directory = str(tmp_path / "db")
+        store = LSMStore.open(
+            directory, StoreOptions(fault_plan=plan, **self.SHAPE)
+        )
         try:
-            for generation in range(3):
-                for i in range(generation, 40, generation + 1):
-                    key = b"key-%03d" % i
-                    if generation == 1:  # the merge drops these tombstones
-                        store.delete(key)
-                        model.pop(key, None)
-                    else:
-                        store.put(key, b"%d-%03d" % (generation, i))
-                        model[key] = b"%d-%03d" % (generation, i)
-                store.flush()
-            inputs = {record.filename for record in store.live_runs()}
-            assert len(inputs) == 3
+            model = self.load(store, merge)
+            inputs = store.live_runs()
+            assert [len(record.files) for record in inputs] == [1, 1, 1]
+            [job] = store._compaction._jobs.values()
+            assert (job.links is not None) == (merge == "link")
             with pytest.raises(FaultInjectedError):
                 store.maintenance()
         finally:
             store.crash()
-        assert plan.fired == [f"manifest.write[{4 + removals_logged}]:fail"]
+        assert plan.fired == [f"manifest.write[3]:{kind}"]
         # Nothing was deleted: the edit never got past the manifest.
-        assert inputs <= set(os.listdir(directory))
+        named = {name for record in inputs for name in record.files}
+        assert named <= self.run_files(directory)
 
-        with LSMStore.open(directory, StoreOptions(**shape)) as recovered:
-            live = {record.filename for record in recovered.live_runs()}
-            assert len(live & inputs) == 3 - removals_logged
-            assert len(live - inputs) == 1  # the merge's output
-            assert live == {
-                name for name in os.listdir(directory) if name.endswith(".run")
-            }
+        with LSMStore.open(directory, StoreOptions(**self.SHAPE)) as recovered:
+            assert recovered.live_runs() == inputs
+            assert self.run_files(directory) == named  # orphans swept
             assert dict(recovered.scan()) == model
             recovered.maintenance()
+            assert dict(recovered.scan()) == model
+            assert self.owners_are_unique(recovered.live_runs())
+        assert verify_store(directory).clean
+
+    @pytest.mark.parametrize("merge", ["rewrite", "link"])
+    def test_a_written_edit_recovers_only_the_output(self, tmp_path, merge):
+        """The crash comes after the edit's line and before any input
+        file is deleted: the files the output does not name are
+        orphans, swept at open."""
+        directory = str(tmp_path / "db")
+        store = LSMStore.open(directory, StoreOptions(**self.SHAPE))
+        try:
+            model = self.load(store, merge)
+            inputs = store.live_runs()
+            saved = {
+                name: open(os.path.join(directory, name), "rb").read()
+                for record in inputs
+                for name in record.files
+            }
+            store.maintenance()
+            [output] = store.live_runs()
+        finally:
+            store.crash()
+        for name, blob in saved.items():  # undo the deletions
+            with open(os.path.join(directory, name), "wb") as restored:
+                restored.write(blob)
+        if merge == "link":
+            assert set(output.files) == set(saved)
+        else:
+            assert not set(output.files) & set(saved)
+
+        with LSMStore.open(directory, StoreOptions(**self.SHAPE)) as recovered:
+            assert recovered.live_runs() == [output]
+            assert self.run_files(directory) == set(output.files)
             assert dict(recovered.scan()) == model
         assert verify_store(directory).clean
 

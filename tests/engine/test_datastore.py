@@ -131,8 +131,9 @@ class TestPointLookupProbes:
                     store.put(b"user%04d" % i, b"%d" % generation)
                 store.flush()
             assert store.stats().disk_components == 3
-            for _run_id, reader in store._compaction.read_plan():
-                reader._filter = CountingFilter(reader._filter)
+            for _run_id, run in store._compaction.read_plan():
+                for reader in run.files:
+                    reader._filter = CountingFilter(reader._filter)
             monkeypatch.setattr(SSTableReader, "might_contain", counted_probe)
             monkeypatch.setattr(SSTableReader, "get", counted_lookup)
             before = block_lookups(store)
@@ -158,7 +159,8 @@ class TestPointLookupProbes:
         for i in range(0, 100, 2):
             store.put(b"user%04d" % i, b"v")
         store.flush()
-        [(_run_id, reader)] = store._compaction.read_plan()
+        [(_run_id, run)] = store._compaction.read_plan()
+        [reader] = run.files
         before = block_lookups(store)
         assert reader.get(b"user0010") == (True, b"v")
         assert reader.get(b"user0011") == (False, None)

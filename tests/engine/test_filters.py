@@ -7,6 +7,8 @@ from repro.engine.bloom import BloomFilter, PartitionedBloom
 from repro.engine.filters import PointFilter, available_filters, load_filter
 from repro.errors import ConfigurationError, CorruptionError
 
+from .test_bloom import partitioned_blob
+
 
 class TestRegistry:
     def test_builtins_registered(self):
@@ -26,8 +28,8 @@ class TestRegistry:
         bloom.add(b"present")
         assert isinstance(load_filter(bloom.to_bytes()), BloomFilter)
         assert load_filter(bloom.to_bytes()).might_contain(b"present")
-        # An appended run's filters, end to end: still the one kind.
-        blob = PartitionedBloom([(b"a", bloom), (b"q", bloom)]).to_bytes()
+        # An appended run file's filters, end to end: still the one kind.
+        blob = partitioned_blob([(b"a", bloom), (b"q", bloom)])
         loaded = load_filter(blob)
         assert isinstance(loaded, PartitionedBloom) and len(loaded) == 2
         assert loaded.might_contain(b"present")

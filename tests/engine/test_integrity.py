@@ -1,5 +1,6 @@
 """Tests for offline store integrity verification."""
 
+import json
 import os
 
 from repro.engine import LSMStore, StoreOptions, verify_store
@@ -67,6 +68,60 @@ class TestVerifyStore:
         assert report.quarantined_runs == [record.run_id]
         assert "quarantined" in report.summary()
 
+    def test_a_file_named_by_two_live_runs_is_a_problem(self, tmp_path):
+        """Hand-written: two runs that share a file. Removing either
+        would delete data the other still needs."""
+        directory = tmp_path / "db"
+        directory.mkdir()
+        writer = SSTableWriter(str(directory / "00000001.run"))
+        writer.add_many((b"k%03d" % i, b"v") for i in range(10))
+        writer.finish()
+        runs = [
+            {"run_id": run_id, "level": 0, "files": ["00000001.run"],
+             "sequence": run_id}
+            for run_id in (2, 3)
+        ]
+        (directory / "MANIFEST").write_text(
+            json.dumps({"op": "edit", "add": runs, "remove": []}) + "\n"
+        )
+        report = verify_store(str(directory))
+        assert not report.clean
+        assert report.problems == [
+            "00000001.run: named by live runs 2 and 3"
+        ]
+
+    def test_a_multi_file_run_is_checked_file_by_file(self, tmp_path):
+        directory = str(tmp_path / "db")
+        os.mkdir(directory)
+        manifest = Manifest(directory)
+
+        def write(start):
+            name = f"{start:08d}.run"
+            writer = SSTableWriter(os.path.join(directory, name))
+            writer.add_many((b"k%03d" % i, b"v") for i in range(start, start + 10))
+            writer.finish()
+            return name
+
+        manifest.add_run(manifest.allocate_run_id(), 1, (write(0), write(100)))
+        manifest.add_run(manifest.allocate_run_id(), 1, (write(200),))
+        report = verify_store(directory, policy="leveling")
+        assert report.runs_checked == 2 and report.entries_checked == 30
+        assert report.orphan_files == [] and report.clean
+        # Between the first run's files, yet inside its bounds: the
+        # partition check goes by runs.
+        manifest.add_run(manifest.allocate_run_id(), 1, (write(50),))
+        manifest.add_run(manifest.allocate_run_id(), 0, (write(310), write(300)))
+        manifest.close()
+        os.remove(os.path.join(directory, "00000200.run"))
+        report = verify_store(directory, policy="leveling")
+        assert sorted(report.problems) == sorted([
+            "00000200.run: referenced by manifest but missing",
+            "00000300.run: starts at or below the end of 00000310.run, "
+            "the file before it in its run",
+            "level 1: run 1 (max b'k109') overlaps run 3 (min b'k050') in "
+            "a partitioned level",
+        ])
+
 
 def _register_run(directory, manifest, level, keys):
     """Write a real run file and register it at ``level``."""
@@ -76,7 +131,7 @@ def _register_run(directory, manifest, level, keys):
     for key in keys:
         writer.add(key, b"v")
     writer.finish()
-    manifest.add_run(run_id, level, filename)
+    manifest.add_run(run_id, level, (filename,))
     return filename
 
 

@@ -117,7 +117,7 @@ class TestQuiesce:
             background_maintenance=False
         )) as reopened:
             live = {
-                record.filename
+                record.files[0]
                 for record in reopened._manifest.live_runs()
             }
             assert run_files(directory) == live
@@ -151,7 +151,7 @@ class TestQuiesce:
         )) as reopened:
             assert len(list(reopened.scan())) == 600
             live = {
-                record.filename
+                record.files[0]
                 for record in reopened._manifest.live_runs()
             }
             assert run_files(directory) == live

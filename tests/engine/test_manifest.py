@@ -13,7 +13,7 @@ class TestBasicBookkeeping:
     def test_add_and_list(self, tmp_path):
         manifest = Manifest(str(tmp_path))
         run_id = manifest.allocate_run_id()
-        manifest.add_run(run_id, 0, "00000001.run")
+        manifest.add_run(run_id, 0, ("00000001.run",))
         runs = manifest.live_runs()
         assert len(runs) == 1
         assert runs[0].level == 0
@@ -23,7 +23,7 @@ class TestBasicBookkeeping:
         manifest = Manifest(str(tmp_path))
         ids = [manifest.allocate_run_id() for _ in range(3)]
         for run_id in ids:
-            manifest.add_run(run_id, 0, f"{run_id:08d}.run")
+            manifest.add_run(run_id, 0, (f"{run_id:08d}.run",))
         runs = manifest.live_runs()
         assert [r.run_id for r in runs] == ids  # oldest first
         assert runs[0].sequence < runs[-1].sequence
@@ -33,9 +33,9 @@ class TestBasicBookkeeping:
         manifest = Manifest(str(tmp_path))
         ids = [manifest.allocate_run_id() for _ in range(3)]
         for run_id in ids:
-            manifest.add_run(run_id, 0, f"{run_id:08d}.run")
+            manifest.add_run(run_id, 0, (f"{run_id:08d}.run",))
         output = manifest.allocate_run_id()
-        manifest.replace_runs(ids[:2], [(output, 1, f"{output:08d}.run")])
+        manifest.replace_runs(ids[:2], [(output, 1, (f"{output:08d}.run",))])
         runs = manifest.live_runs()
         assert {r.run_id for r in runs} == {ids[2], output}
         assert [r for r in runs if r.run_id == output][0].level == 1
@@ -46,9 +46,9 @@ class TestRecovery:
     def test_reopen_restores_state(self, tmp_path):
         manifest = Manifest(str(tmp_path))
         a = manifest.allocate_run_id()
-        manifest.add_run(a, 0, "a.run")
+        manifest.add_run(a, 0, ("a.run",))
         b = manifest.allocate_run_id()
-        manifest.add_run(b, 1, "b.run")
+        manifest.add_run(b, 1, ("b.run",))
         manifest.close()
 
         recovered = Manifest(str(tmp_path))
@@ -61,7 +61,7 @@ class TestRecovery:
     def test_removals_survive_reopen(self, tmp_path):
         manifest = Manifest(str(tmp_path))
         a = manifest.allocate_run_id()
-        manifest.add_run(a, 0, "a.run")
+        manifest.add_run(a, 0, ("a.run",))
         manifest.replace_runs([a], [])
         manifest.close()
         recovered = Manifest(str(tmp_path))
@@ -71,7 +71,7 @@ class TestRecovery:
     def test_torn_tail_line_tolerated(self, tmp_path):
         manifest = Manifest(str(tmp_path))
         a = manifest.allocate_run_id()
-        manifest.add_run(a, 0, "a.run")
+        manifest.add_run(a, 0, ("a.run",))
         manifest.close()
         with open(tmp_path / "MANIFEST", "a", encoding="utf-8") as damaged:
             damaged.write('{"op": "add", "run_id": 99, "lev')  # torn line
@@ -83,7 +83,7 @@ class TestRecovery:
         manifest = Manifest(str(tmp_path))
         ids = [manifest.allocate_run_id() for _ in range(10)]
         for run_id in ids:
-            manifest.add_run(run_id, 0, f"{run_id}.run")
+            manifest.add_run(run_id, 0, (f"{run_id}.run",))
         manifest.replace_runs(ids[:9], [])
         manifest.compact()
         manifest.close()
@@ -93,12 +93,63 @@ class TestRecovery:
         assert [r.run_id for r in recovered.live_runs()] == [ids[9]]
         recovered.close()
 
+    def test_an_edit_is_one_line_and_a_failed_one_changes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        manifest = Manifest(str(tmp_path))
+        ids = [manifest.allocate_run_id() for _ in range(3)]
+        for run_id in ids:
+            manifest.add_run(run_id, 0, (f"{run_id}.run",))
+        output = manifest.allocate_run_id()
+        files = tuple(f"{run_id}.run" for run_id in ids)
+        monkeypatch.setattr(
+            manifest, "_append", lambda edit: (_ for _ in ()).throw(OSError)
+        )
+        with pytest.raises(OSError):
+            manifest.replace_runs(ids, [(output, 1, files)], sequence=3)
+        assert [r.run_id for r in manifest.live_runs()] == ids
+        monkeypatch.undo()
+        manifest.replace_runs(ids, [(output, 1, files)], sequence=3)
+        manifest.close()
+        lines = (tmp_path / "MANIFEST").read_text().splitlines()
+        assert len(lines) == 4
+        assert json.loads(lines[-1]) == {
+            "op": "edit",
+            "add": [
+                {"run_id": output, "level": 1, "files": list(files),
+                 "sequence": 3}
+            ],
+            "remove": ids,
+        }
+        [record] = Manifest(str(tmp_path)).live_runs()
+        assert (record.run_id, record.files) == (output, files)
+
+    def test_a_log_of_add_and_remove_lines_still_recovers(self, tmp_path):
+        old = [
+            {"op": "add", "run_id": 1, "level": 0, "filename": "1.run",
+             "sequence": 1},
+            {"op": "add", "run_id": 2, "level": 0, "filename": "2.run",
+             "sequence": 2},
+            {"op": "add", "run_id": 3, "level": 1, "filename": "3.run",
+             "sequence": 2},
+            {"op": "remove", "run_id": 1},
+            {"op": "remove", "run_id": 2},
+        ]
+        (tmp_path / "MANIFEST").write_text(
+            "".join(json.dumps(edit) + "\n" for edit in old)
+        )
+        manifest = Manifest(str(tmp_path))
+        [record] = manifest.live_runs()
+        assert (record.run_id, record.level, record.files) == (3, 1, ("3.run",))
+        assert manifest.allocate_run_id() == 4
+        manifest.close()
+
     @pytest.mark.parametrize("kind", ["move", "rename"])
     def test_an_edit_nobody_writes_is_corruption(self, tmp_path, kind):
         """``move`` had a reader and never a writer; it now fails like
         any other line the manifest does not know."""
         manifest = Manifest(str(tmp_path))
-        manifest.add_run(manifest.allocate_run_id(), 0, "a.run")
+        manifest.add_run(manifest.allocate_run_id(), 0, ("a.run",))
         manifest.close()
         with open(tmp_path / "MANIFEST", "a", encoding="utf-8") as log:
             log.write(json.dumps({"op": kind, "run_id": 1, "level": 2}) + "\n")
@@ -108,8 +159,9 @@ class TestRecovery:
 
 class TestSnapshots:
     def test_add_compact_and_checkpoint_write_the_same_record(self, tmp_path):
-        """One spelling of an ``add`` line: what ``add_run`` appends,
-        ``compact()`` rewrites and a store checkpoint copies."""
+        """One spelling of a run record: what an edit appends,
+        ``compact()`` rewrites and a store checkpoint copies — a
+        snapshot is one edit that adds every live run."""
         options = StoreOptions(policy="tiering", size_ratio=3)
         with LSMStore.open(str(tmp_path / "db"), options) as store:
             for index in range(200):  # two runs: no merge is due
@@ -123,10 +175,13 @@ class TestSnapshots:
         compacted = (tmp_path / "db" / "MANIFEST").read_text().splitlines()
         assert copied == compacted[:-1]  # close() adds the position line
         assert json.loads(compacted[-1])["op"] == "position"
-        assert copied == [
-            line for line in appended
-            if json.loads(line).get("op") == "add"
-            and json.loads(line)["run_id"] in live
+        [snapshot] = [json.loads(line) for line in copied]
+        assert (snapshot["op"], snapshot["remove"]) == ("edit", [])
+        assert snapshot["add"] == [
+            record
+            for line in appended
+            for record in json.loads(line)["add"]
+            if record["run_id"] in live
         ]
         with LSMStore.open(str(tmp_path / "copy"), options) as copy:
             assert len(list(copy.scan())) == 200
@@ -139,7 +194,7 @@ class TestSnapshots:
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         manifest = Manifest(str(tmp_path / "a"))
-        manifest.add_run(manifest.allocate_run_id(), 0, "a.run")
+        manifest.add_run(manifest.allocate_run_id(), 0, ("a.run",))
         del synced[:]
         manifest.write_snapshot(str(tmp_path / "b" / "MANIFEST"))
         manifest.compact()

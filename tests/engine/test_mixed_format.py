@@ -36,7 +36,7 @@ def _install_legacy_run(directory, entries):
         write_v1_run(
             os.path.join(directory, filename), entries, block_bytes=512
         )
-        manifest.add_run(run_id, 0, filename)
+        manifest.add_run(run_id, 0, (filename,))
         return run_id
     finally:
         manifest.close()
@@ -88,7 +88,7 @@ class TestMixedTreeServing:
         versions = {}
         for record in records:
             reader = SSTableReader(
-                os.path.join(directory, record.filename)
+                os.path.join(directory, record.files[0])
             )
             versions[record.run_id] = (
                 reader.format_version, reader.codec
@@ -134,7 +134,7 @@ class TestMixedTreeMerge:
         versions = set()
         for record in records:
             reader = SSTableReader(
-                os.path.join(directory, record.filename)
+                os.path.join(directory, record.files[0])
             )
             versions.add(reader.format_version)
             reader.close()
@@ -181,7 +181,7 @@ class TestMixedTreeCorruptionSweep:
         for case_index, record in enumerate(records):
             image = str(tmp_path / f"image-{case_index}")
             shutil.copytree(directory, image)
-            run_path = os.path.join(image, record.filename)
+            run_path = os.path.join(image, record.files[0])
             reader = SSTableReader(run_path)
             offset, length = reader.block_span(0)
             skip = 6 if reader.format_version == 2 else 2
@@ -201,7 +201,7 @@ class TestMixedTreeCorruptionSweep:
                         continue
                     assert got == value, (
                         f"wrong answer for {key!r} with corrupt "
-                        f"{record.filename}"
+                        f"{record.files[0]}"
                     )
                 assert detections > 0
                 assert store.quarantined_entries() != []

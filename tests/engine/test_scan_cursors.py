@@ -289,7 +289,7 @@ def _flip_byte_in_block(store, run_index, block_idx):
     """Damage one stored byte of one data block of the ``run_index``-th
     oldest run; returns that run's id."""
     record = store.live_runs()[run_index]
-    path = os.path.join(store.directory, record.filename)
+    path = os.path.join(store.directory, record.files[0])
     reader = SSTableReader(path)
     offset, length = reader.block_span(block_idx)
     reader.close()

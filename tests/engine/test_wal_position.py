@@ -331,7 +331,7 @@ class TestManifestRecord:
     def test_position_round_trips_and_is_taken_once(self, tmp_path):
         manifest = Manifest(str(tmp_path))
         run = manifest.allocate_run_id()
-        manifest.add_run(run, 0, "a.run")
+        manifest.add_run(run, 0, ("a.run",))
         manifest.compact(LogPosition(7, 99, (8, 50, 1)))
         manifest.close()
         recovered = Manifest(str(tmp_path))

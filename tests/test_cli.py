@@ -264,9 +264,9 @@ class TestCrashsimCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "failures: 0" in out
-        # 5 injected-fault scenarios + 8 compressed-block corruption
+        # 6 injected-fault scenarios + 8 compressed-block corruption
         # positions, every one expected to fire.
-        assert "injected faults fired: 13" in out
+        assert "injected faults fired: 14" in out
 
 
 class TestChaosParser:

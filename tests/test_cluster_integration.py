@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import LocalCluster, build_cluster_admission
 from repro.engine import LSMStore, StoreOptions
 from repro.errors import ConfigurationError, RequestFailedError
-from repro.server import KVServer, build_admission, protocol
+from repro.server import KVServer, binproto, build_admission, protocol
 from repro.server.client import KVClient
 from repro.server.loadgen import _operation_stream, closed_loop
 
@@ -253,6 +253,32 @@ def test_scan_limit_zero_through_the_router(tmp_path):
                     with pytest.raises(RequestFailedError) as excinfo:
                         await client.request({"op": "SCAN", "limit": limit})
                     assert excinfo.value.code == protocol.CODE_BAD_REQUEST
+
+    asyncio.run(scenario())
+
+
+def test_a_scan_a_shard_refuses_as_a_bad_request_is_refused(
+    tmp_path, monkeypatch
+):
+    """A shard's rows too large for one frame make the shard answer
+    BAD_REQUEST; the router answers the same, not a partial result
+    with that shard labelled missing."""
+    monkeypatch.setattr(binproto, "MAX_FRAME_BYTES", 2048)
+    records = [(b"key-%06d" % i, b"v" * 40) for i in range(300)]
+
+    async def scenario():
+        async with LocalCluster(
+            str(tmp_path), SHARDS, FUNCTIONAL_OPTIONS
+        ) as cluster:
+            async with KVClient(*cluster.address, max_retries=0) as client:
+                for key, value in records:
+                    await client.put(key, value)
+                with pytest.raises(RequestFailedError) as excinfo:
+                    await client.scan()
+                assert excinfo.value.code == protocol.CODE_BAD_REQUEST
+                assert "limit" in str(excinfo.value)
+                assert await client.scan(limit=8) == records[:8]
+                assert cluster.router.metrics.degraded_scans == 0
 
     asyncio.run(scenario())
 

@@ -118,8 +118,10 @@ def load_once(
     directory: str,
 ) -> tuple[dict[str, tuple[float, int]], dict[str, int]]:
     """One preload: ``{leg: (seconds, calls)}`` including ``total``,
-    and the input blocks its merges consumed, by path (``appended``,
-    ``copied``, ``rewritten``: ``engine_merge_blocks_total``)."""
+    and its merges' input blocks by path (``engine_merge_blocks_total``:
+    ``linked``, ``copied``, ``rewritten``; ``appended`` in a tree from
+    before merges linked their inputs). A merge that links its inputs
+    is one ``merge link`` call: the count of linked merges."""
     from repro.engine import (
         BloomFilter,
         CompactionManager,
@@ -144,13 +146,17 @@ def load_once(
     except ImportError:  # --src is a tree from before the executor
         flush = (CompactionManager, "register_flush")
         is_flush = None
+    def links(job, _chunk) -> bool:
+        return getattr(job, "links", None) is not None
+
     legs = Legs()
     per_call = timer_cost()
     for owner, attribute, name, *when in (
         (WriteAheadLog, "append", "wal append"),
         (MemTable, "put", "memtable put"),
         (*flush, "flush", is_flush),
-        (MergeJob, "advance", "merge advance"),
+        (MergeJob, "advance", "merge advance", lambda *a: not links(*a)),
+        (MergeJob, "advance", "merge link", links),
         (SSTableWriter, "finish", "run finish"),
         (BloomFilter, "add_many", "filter build"),
         (os, "fsync", "fsync"),
@@ -220,20 +226,21 @@ def main(argv: list[str] | None = None) -> int:
     for name, (seconds, calls) in run.items():
         per_call = f"{seconds / calls * 1e6:10.2f}" if calls else ""
         print(f"{name:<16}{seconds:10.4f}{calls or '':>9}{per_call}")
-    total_blocks = sum(blocks.values())
-    if total_blocks:
-        per_block = run["merge advance"][0] / total_blocks * 1e6
+    read = sum(blocks.values()) - blocks.get("linked", 0)
+    if read:
+        per_block = run["merge advance"][0] / read * 1e6
         print(
             f"merge advance per input block: {per_block:.2f} us "
-            f"({total_blocks} blocks)"
+            f"({read} blocks read)"
         )
+    if blocks:
         print(
             "merge blocks by path: "
             + ", ".join(
-                f"{path} {blocks.get(path, 0)}"
-                for path in ("appended", "copied", "rewritten")
+                f"{path} {count}" for path, count in sorted(blocks.items())
             )
         )
+    print(f"linked merges: {run['merge link'][1]}")
     # Linux reports KiB: the process's peak, imports included.
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"ru_maxrss: {peak:.1f} MiB")
