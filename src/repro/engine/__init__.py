@@ -12,7 +12,6 @@ from .blockcache import BlockCache
 from .blockcodec import BlockCodec, available_codecs, get_codec, register_codec
 from .bloom import BloomFilter
 from .compaction import CompactionManager, MergeJob
-from .filters import PointFilter, available_filters, load_filter
 from .integrity import IntegrityReport, verify_store
 from .datastore import (
     LSMStore,
@@ -28,15 +27,13 @@ from .options import StoreOptions, TOMBSTONE
 from .quarantine import QuarantineEntry, QuarantineSet
 from .ratelimiter import RateLimiter, SyncPolicy
 from .secondary import IndexedStore, decode_secondary_key, encode_secondary_key
-from .sstable import CURRENT_FORMAT_VERSION, RunStats, SSTableReader, SSTableWriter
+from .sstable import RunStats, SSTableReader, SSTableWriter
 from .wal import WalScan, WriteAheadLog, scan_wal
 
 __all__ = [
     "BlockCache",
     "BlockCodec",
     "BloomFilter",
-    "CURRENT_FORMAT_VERSION",
-    "PointFilter",
     "CompactionManager",
     "IntegrityReport",
     "IndexedStore",
@@ -63,9 +60,7 @@ __all__ = [
     "WriteTiming",
     "scan_wal",
     "available_codecs",
-    "available_filters",
     "get_codec",
-    "load_filter",
     "register_codec",
     "verify_store",
     "decode_secondary_key",

@@ -4,10 +4,8 @@ Disk components carry a Bloom filter so point lookups can skip components
 that cannot contain the key. The implementation uses the standard
 double-hashing scheme (Kirsch & Mitzenmacher): two independent 64-bit
 hashes ``h1, h2`` derived from one blake2b digest, probing
-``h1 + i * h2`` for ``i in range(k)``. Filters serialize to bytes for
-embedding in the sorted-run file format. Run files that earlier merges
-wrote by laying runs end to end hold their filters as they were, one
-per key range (:class:`PartitionedBloom`); they are read, never written.
+``h1 + i * h2`` for ``i in range(k)``. Filters serialize to bytes
+behind the magic ``BLM1`` for embedding in the sorted-run file format.
 """
 
 from __future__ import annotations
@@ -15,15 +13,11 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from bisect import bisect_right
 
 from ..errors import ConfigurationError, CorruptionError
 
 _HEADER = struct.Struct("<4sIIQ")
 _MAGIC = b"BLM1"
-_PARTITIONED_HEADER = struct.Struct("<4sI")
-_PARTITIONED_MAGIC = b"BLP1"
-_LEN = struct.Struct("<I")
 #: Most keys one step of :meth:`BloomFilter.add_many` hashes at a time:
 #: its digests and lanes cost tens of bytes per key, so this bounds
 #: them whatever the run's size; larger batches measured no faster.
@@ -179,63 +173,3 @@ class BloomFilter:
         filt._added = added
         return filt
 
-
-class PartitionedBloom:
-    """Bloom filters of disjoint key ranges, laid end to end: the filter
-    of a run file whose inputs were appended rather than merged, read
-    so that such files still open (nothing writes one any more).
-
-    Partition ``i`` is the :class:`BloomFilter` of the keys from
-    ``first_keys[i]`` up to the next partition's first key. A probe
-    bisects the first keys and asks the one filter whose range holds
-    the key, so it hashes the key once and answers at that filter's
-    false-positive rate. Serialized as the magic ``BLP1`` and the
-    partition count, then per partition its first key and its ``BLM1``
-    blob, each behind a u32 length.
-    """
-
-    def __init__(
-        self, first_keys: list[bytes], filters: list[BloomFilter]
-    ) -> None:
-        self._first_keys = first_keys
-        self._filters = filters
-
-    def __len__(self) -> int:
-        return len(self._filters)
-
-    @property
-    def bit_size(self) -> int:
-        """Number of filter bits, every partition's."""
-        return sum(filt.bit_size for filt in self._filters)
-
-    def might_contain(self, key: bytes) -> bool:
-        """False means definitely absent; True means probably present."""
-        index = bisect_right(self._first_keys, key) - 1
-        return index >= 0 and self._filters[index].might_contain(key)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PartitionedBloom":
-        """Deserialize; raises :class:`CorruptionError` on bad input."""
-        if len(data) < _PARTITIONED_HEADER.size:
-            raise CorruptionError("partitioned bloom blob truncated")
-        magic, count = _PARTITIONED_HEADER.unpack_from(data)
-        if magic != _PARTITIONED_MAGIC:
-            raise CorruptionError("partitioned bloom magic mismatch")
-        pos = _PARTITIONED_HEADER.size
-        fields = []
-        for _ in range(2 * count):
-            if pos + _LEN.size > len(data):
-                raise CorruptionError("partitioned bloom blob truncated")
-            end = pos + _LEN.size + _LEN.unpack_from(data, pos)[0]
-            if end > len(data):
-                raise CorruptionError("partitioned bloom blob truncated")
-            fields.append(data[pos + _LEN.size : end])
-            pos = end
-        if pos != len(data):
-            raise CorruptionError("partitioned bloom blob has trailing bytes")
-        first_keys = fields[0::2]
-        if any(a >= b for a, b in zip(first_keys, first_keys[1:])):
-            raise CorruptionError("partitioned bloom keys out of order")
-        return cls(
-            first_keys, [BloomFilter.from_bytes(blob) for blob in fields[1::2]]
-        )

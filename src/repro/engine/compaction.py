@@ -24,7 +24,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from ..core.components import Component, MergeDescriptor, TreeSnapshot, UidAllocator
-from ..errors import CorruptionError
+from ..errors import ConfigurationError, CorruptionError
 from ..obs import events as obs_events
 from .blockcache import BlockCache
 from .iterators import pick_head, read_twice
@@ -86,7 +86,6 @@ def _open_writer(
         sync_policy=SyncPolicy(BYTES_PER_SYNC),
         fault_plan=options.fault_plan,
         block_codec=options.block_codec,
-        filter_kind=options.filter_kind,
     )
 
 
@@ -419,10 +418,10 @@ class CompactionManager:
         #: What is derived from the run set; None until the next read.
         self._view: _RunSetView | None = None
         records = manifest.live_runs()
+        self._apply_edit([], [], recovered=records)
         # A merge or repair that retired a run also retired its
         # quarantine; drop registry entries the manifest no longer backs.
         self._quarantine.retain({record.run_id for record in records})
-        self._apply_edit([], [], recovered=records)
         # Orphaned run files are crash leftovers from unfinished merges.
         live_files = {name for record in records for name in record.files}
         for name in os.listdir(directory):
@@ -456,7 +455,8 @@ class CompactionManager:
         Recovery passes the manifest's own records as ``recovered``:
         already durable, so nothing is logged or scheduled, and a run
         that cannot be opened is kept, quarantined, rather than
-        refusing to start.
+        refusing to start — unless a file is in a legacy format, which
+        refuses the open before the quarantine is written.
         """
         if recovered is None:
             records = self._manifest.replace_runs(
@@ -465,15 +465,16 @@ class CompactionManager:
         else:
             records = recovered
         fresh: dict[str, SSTableReader] = {}
-        opened = []
+        opened, unreadable = [], []
         for record in records:
             try:
                 run = Run(
                     tuple(self._reader(name, fresh) for name in record.files)
                 )
                 size, entries = run.data_bytes, run.entry_count
-            except (CorruptionError, OSError) as error:
-                if recovered is None:
+            except (CorruptionError, OSError, ConfigurationError) as error:
+                # A legacy file refuses recovery too, before any write.
+                if recovered is None or isinstance(error, ConfigurationError):
                     for reader in fresh.values():
                         reader.close()
                     raise
@@ -487,18 +488,17 @@ class CompactionManager:
                     for path in map(self._path, record.files)
                     if os.path.exists(path)
                 )
-                if record.run_id not in self._quarantine:
-                    self._quarantine.add(
-                        QuarantineEntry(
-                            run_id=record.run_id,
-                            filename=",".join(record.files),
-                            level=record.level,
-                            min_key=b"",
-                            max_key=_UNBOUNDED_MAX_KEY,
-                            reason=str(error),
-                            source="read",
-                        )
+                unreadable.append(
+                    QuarantineEntry(
+                        run_id=record.run_id,
+                        filename=",".join(record.files),
+                        level=record.level,
+                        min_key=b"",
+                        max_key=_UNBOUNDED_MAX_KEY,
+                        reason=str(error),
+                        source="read",
                     )
+                )
             component = Component(
                 uid=record.run_id,
                 level=record.level,
@@ -507,6 +507,9 @@ class CompactionManager:
                 handle=record,
             )
             opened.append((component, run))
+        for entry in unreadable:
+            if entry.run_id not in self._quarantine:
+                self._quarantine.add(entry)
         self._files.update(fresh)
         for component, run in opened:
             self._components[component.uid] = component
@@ -741,7 +744,7 @@ class CompactionManager:
         ).inc(stats.data_bytes)
         registry.counter(
             "engine_filters_built_total",
-            labels={"kind": stats.filter_kind},
+            labels={"kind": "bloom"},
             help="Point filters built for published runs, by kind.",
         ).inc()
 

@@ -212,9 +212,13 @@ class LSMStore:
         self._manifest = Manifest(
             directory, fault_plan=self._options.fault_plan
         )
-        self._compaction = CompactionManager(
-            directory, self._options, self._manifest, obs=self._obs
-        )
+        try:
+            self._compaction = CompactionManager(
+                directory, self._options, self._manifest, obs=self._obs
+            )
+        except BaseException:
+            self._manifest.close()
+            raise
         self._m_corruption = {
             source: self._obs.registry.counter(
                 "engine_corruption_detected_total",

@@ -3,8 +3,6 @@
 A JSON-lines log of version edits. Each run-set edit is one ``edit``
 line: the runs it adds (level, age stamp and files) and the run ids it
 removes (merged away), so a crash leaves an edit whole or not at all.
-Logs written before that kept an ``add`` line per run (one ``filename``)
-and a ``remove`` line per retired run; recovery still replays them.
 Compaction of the manifest itself happens by writing a fresh snapshot
 file and atomically renaming it over the old one. Run files no recovered
 run names are orphans from a crash mid-merge and are deleted on open.
@@ -14,6 +12,12 @@ stood (:class:`LogPosition`). It is only ever the *last* line of the
 snapshot a clean ``close()`` writes, and the next open voids it —
 durably, before the log takes an append — so a position that is read
 back proves the store was closed cleanly and not written since.
+
+A store holding bytes in a format that nothing has written for many
+versions — an ``add`` or ``remove`` line here, or a run file or filter
+of an older layout (:class:`~repro.engine.sstable.SSTableReader`) — is
+refused at open (:func:`legacy_format`) before anything is written to
+it; it is not read as corruption.
 """
 
 from __future__ import annotations
@@ -22,8 +26,21 @@ import json
 import os
 from dataclasses import dataclass
 
-from ..errors import CorruptionError
+from ..errors import ConfigurationError, CorruptionError
 from .wal import fsync_dir, fsync_file
+
+#: The last commit whose engine reads the formats :func:`legacy_format`
+#: refuses: a store that holds them opens there.
+LAST_LEGACY_READER = "ed47c64"
+
+
+def legacy_format(marker: str, path: str) -> ConfigurationError:
+    """The refusal of a store that holds ``marker``, a format this
+    engine no longer reads, in the file at ``path``."""
+    return ConfigurationError(
+        f"{path}: {marker} is an on-disk format this engine no longer "
+        f"reads; commit {LAST_LEGACY_READER} is the last that does"
+    )
 
 
 @dataclass(frozen=True)
@@ -46,12 +63,10 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, fields: dict) -> "RunRecord":
-        # An ``add`` line of an older log names one ``filename``.
-        files = fields.get("files") or [fields["filename"]]
         return cls(
             run_id=int(fields["run_id"]),
             level=int(fields["level"]),
-            files=tuple(str(name) for name in files),
+            files=tuple(str(name) for name in fields["files"]),
             sequence=int(fields["sequence"]),
         )
 
@@ -138,10 +153,8 @@ class Manifest:
                 [RunRecord.from_json(fields) for fields in edit["add"]],
                 [int(run_id) for run_id in edit["remove"]],
             )
-        elif kind == "add":
-            self._install([RunRecord.from_json(edit)], [])
-        elif kind == "remove":
-            self._install([], [int(edit["run_id"])])
+        elif kind in ("add", "remove"):
+            raise legacy_format(f"manifest {kind!r} line {line_no}", self._path)
         elif kind == "position":
             upstream = edit.get("upstream")
             self._position = (

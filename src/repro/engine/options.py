@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from ..core import factory
 from ..errors import ConfigurationError
-from . import blockcodec, filters
+from . import blockcodec
 
 #: Sentinel stored in memtables and sorted runs for deletions.
 TOMBSTONE = None
@@ -59,9 +59,9 @@ class StoreOptions:
         ``zlib``; see :mod:`repro.engine.blockcodec`). Existing runs
         keep their recorded codec; merges rewrite them under this one.
     filter_kind:
-        Point-filter implementation for new runs, one of
-        :func:`repro.engine.filters.available_filters` (``bloom``).
-        Readers dispatch on the serialized filter's magic.
+        Point filter of every run: ``bloom``, the one kind the engine
+        builds (:class:`repro.engine.bloom.BloomFilter`); any other name
+        is refused.
     merge_chunk_bytes:
         Merge input bytes processed per scheduler consultation (0 =
         the compaction manager's 1 MB default). Smaller chunks make
@@ -193,10 +193,9 @@ class StoreOptions:
                 f"unknown block codec {self.block_codec!r}; available: "
                 f"{', '.join(blockcodec.available_codecs())}"
             )
-        if self.filter_kind not in filters.available_filters():
+        if self.filter_kind != "bloom":
             raise ConfigurationError(
-                f"unknown filter kind {self.filter_kind!r}; available: "
-                f"{', '.join(filters.available_filters())}"
+                f"unknown filter kind {self.filter_kind!r}; available: bloom"
             )
         if self.merge_chunk_bytes < 0:
             raise ConfigurationError("merge chunk size cannot be negative")

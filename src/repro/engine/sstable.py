@@ -6,28 +6,26 @@ File layout::
 
 * **Data blocks** hold length-prefixed key/value entries in key order and
   close at the configured block size (paper: 4 KB, matching the SSD page).
-  Format version 2 frames each block as ``[codec id u8][logical length
-  u32][payload, possibly compressed]``; version 1 stores the raw entry
-  payload with no header. Either way the block ends with a CRC32 of
-  everything before it — for compressed blocks the CRC covers the
-  *compressed* bytes, so corruption is detected before any decompression
-  is attempted. Codecs are resolved through the pluggable registry in
+  Each block is framed as ``[codec id u8][logical length u32][payload,
+  possibly compressed]`` and ends with a CRC32 of everything before it —
+  for compressed blocks the CRC covers the *compressed* bytes, so
+  corruption is detected before any decompression is attempted. Codecs
+  are resolved through the pluggable registry in
   :mod:`repro.engine.blockcodec`.
 * The **index block** maps each data block's first key to its (offset,
   stored length), enabling a single-block read per point lookup.
-* The **filter block** is a serialized point filter
-  (:mod:`repro.engine.filters`; a Bloom filter): the blob's magic
-  prefix says so, so version-1 files (always Bloom) load through the
-  same path, and so do the partitioned filters (``BLP1``) that earlier
-  merges wrote by appending their inputs; none is written any more.
+* The **filter block** is a serialized
+  :class:`~repro.engine.bloom.BloomFilter` (magic ``BLM1``).
 * The **meta block** is JSON: entry/tombstone counts, key bounds, the
   physical data byte count (what merge accounting bills against the I/O
-  budget) and — version 2 — the format version, codec name, filter kind,
-  and pre-compression (logical) byte count for space-amp reporting.
+  budget), the codec name, and the pre-compression (logical) byte count
+  for space-amp reporting.
 * The fixed-size **footer** locates the three auxiliary blocks and carries
-  the format magic (``LSMRUN01`` = version 1, ``LSMRUN02`` = version 2);
-  version-absent files keep reading unchanged, and merges naturally
-  rewrite them into the current format — the only one a writer produces.
+  the format magic ``LSMRUN02``.
+
+There is one format: a reader reads what the writer writes. A footer or
+filter in a format no writer has produced for many versions is refused
+(:func:`~repro.engine.manifest.legacy_format`), not read as corruption.
 
 Writers stream through the shared :class:`~repro.engine.ratelimiter.RateLimiter`
 and issue periodic forces per the :class:`~repro.engine.ratelimiter.SyncPolicy`,
@@ -48,7 +46,7 @@ from typing import Iterable, Iterator, NamedTuple
 from ..errors import ConfigurationError, CorruptionError
 from .blockcodec import NONE_CODEC_ID, codec_by_id, get_codec
 from .bloom import BloomFilter
-from .filters import available_filters, load_filter
+from .manifest import legacy_format
 from .options import TOMBSTONE
 from .ratelimiter import RateLimiter, SyncPolicy
 from .wal import fsync_file
@@ -58,15 +56,11 @@ _LEN = struct.Struct("<I")
 _ENTRY_HEADER = struct.Struct("<II")
 _INDEX_ENTRY = struct.Struct("<QI")
 _FOOTER = struct.Struct("<QIQIQI8s")
-_MAGIC_V1 = b"LSMRUN01"
-_MAGIC_V2 = b"LSMRUN02"
+_MAGIC = b"LSMRUN02"
 _TOMBSTONE_LEN = 0xFFFFFFFF
 _CRC_LEN = 4
-#: Version-2 per-block header: codec id, decompressed payload length.
+#: Per-block header: codec id, decompressed payload length.
 _BLOCK_HEADER = struct.Struct("<BI")
-
-#: What new runs are written as (readers accept every older version).
-CURRENT_FORMAT_VERSION = 2
 
 #: File buffer of a run that is written, or read front to back by a
 #: merge: one system call per 256 KiB instead of one per 8 KiB. Each
@@ -99,7 +93,6 @@ class RunStats:
     max_key: bytes
     logical_bytes: int = 0
     codec: str = "none"
-    filter_kind: str = "bloom"
 
 
 def _crc(payload: bytes) -> bytes:
@@ -121,14 +114,14 @@ class DataBlock(NamedTuple):
 
     ``stored`` is the block exactly as the file holds it, CRC trailer
     included — what a verbatim copy appends. ``codec_id`` is the id in
-    its header, None for a version-1 block (which has no header).
+    its header.
     ``payload`` is the decoded entry bytes: entry ``i`` occupies
     ``payload[ends[i - 1]:ends[i]]`` (from 0 for the first), and
     ``tombstones`` holds the positions of the deleted keys.
     """
 
     stored: bytes
-    codec_id: int | None
+    codec_id: int
     payload: bytes
     keys: list[bytes]
     ends: list[int]
@@ -216,16 +209,12 @@ class SSTableWriter:
         sync_policy: SyncPolicy | None = None,
         fault_plan=None,
         block_codec: str = "none",
-        filter_kind: str = "bloom",
     ) -> None:
         if block_bytes < 128:
             raise ConfigurationError("block size too small")
         self._path = path
         self._block_bytes = block_bytes
         self._codec = get_codec(block_codec)
-        if filter_kind not in available_filters():
-            raise ConfigurationError(f"unknown filter kind {filter_kind!r}")
-        self._filter_kind = filter_kind
         self._filter = BloomFilter(
             max(expected_keys, MIN_FILTER_KEYS), bloom_bits_per_key
         )
@@ -331,8 +320,8 @@ class SSTableWriter:
     def add_entries(self, source: DataBlock, lo: int, hi: int) -> None:
         """Append entries ``lo:hi`` of a decoded input block.
 
-        The entry encoding is the same in every format version, so the
-        range moves as encoded bytes — one slice per output block it
+        The entries' encoding does not depend on the block's codec, so
+        the range moves as encoded bytes — one slice per output block it
         touches — and closes output blocks exactly where :meth:`add`
         would have.
         """
@@ -371,9 +360,9 @@ class SSTableWriter:
         entries anyway: a current-format block under this writer's
         codec id that closed because it filled, at this writer's block
         size. Anything else is re-packed through :meth:`add_entries`:
-        version-1 blocks (no header), blocks under another codec id
-        (including raw fallbacks under a compressing writer, which
-        deserve another attempt), and short blocks — a run's tail, or a
+        blocks under another codec id (including raw fallbacks under a
+        compressing writer, which deserve another attempt), and short
+        blocks — a run's tail, or a
         block closed early ahead of an earlier copy — so that they can
         coalesce with their neighbours instead of persisting through
         every later merge.
@@ -426,10 +415,7 @@ class SSTableWriter:
             "data_bytes": data_bytes,
             "min_key": (self._min_key or b"").hex(),
             "max_key": (self._last_key or b"").hex(),
-            # Version-1 files are recognizable by the *absence* of these.
-            "format_version": CURRENT_FORMAT_VERSION,
             "codec": self._codec.name,
-            "filter": self._filter_kind,
             "logical_bytes": self._logical_bytes,
         }
         meta_payload = json.dumps(meta).encode("utf-8")
@@ -444,7 +430,7 @@ class SSTableWriter:
         self._write_raw(
             _FOOTER.pack(
                 index_off, index_len, filter_off, filter_len,
-                meta_off, meta_len, _MAGIC_V2,
+                meta_off, meta_len, _MAGIC,
             )
         )
         fsync_file(self._file)
@@ -460,7 +446,6 @@ class SSTableWriter:
             max_key=self._last_key or b"",
             logical_bytes=self._logical_bytes,
             codec=self._codec.name,
-            filter_kind=self._filter_kind,
         )
 
     def abandon(self) -> None:
@@ -478,9 +463,7 @@ class SSTableWriter:
             os.remove(self._path)
 
 
-def _decode_stored_block(
-    record: bytes, format_version: int, context: str
-) -> bytes:
+def _decode_stored_block(record: bytes, context: str) -> bytes:
     """CRC-stripped stored block -> logical (decompressed) entry payload.
 
     The caller has already verified the CRC, which covers the stored
@@ -488,8 +471,6 @@ def _decode_stored_block(
     or the codec stream itself is inconsistent, which is corruption the
     CRC could not see only if it was written that way.
     """
-    if format_version == 1:
-        return record
     if len(record) < _BLOCK_HEADER.size:
         raise CorruptionError(f"{context}: block header truncated")
     codec_id, logical_len = _BLOCK_HEADER.unpack_from(record)
@@ -527,6 +508,16 @@ class SSTableReader:
             block_cache.register_reader() if block_cache is not None else 0
         )
         self._file = open(path, "rb")
+        try:
+            self._load()
+        except BaseException:
+            self._file.close()
+            raise
+        self._closed = False
+
+    def _load(self) -> None:
+        """Parse and verify the footer, index, filter and meta blocks."""
+        path = self._path
         size = os.path.getsize(path)
         if size < _FOOTER.size:
             raise CorruptionError(f"{path}: file smaller than footer")
@@ -541,11 +532,9 @@ class SSTableReader:
             meta_len,
             magic,
         ) = _FOOTER.unpack(footer)
-        if magic == _MAGIC_V1:
-            self._format_version = 1
-        elif magic == _MAGIC_V2:
-            self._format_version = 2
-        else:
+        if magic == b"LSMRUN01":
+            raise legacy_format("LSMRUN01 run file", path)
+        if magic != _MAGIC:
             raise CorruptionError(f"{path}: bad magic {magic!r}")
         index_payload = _check_crc(
             self._read_at(index_off, index_len),
@@ -565,13 +554,14 @@ class SSTableReader:
             pos += _INDEX_ENTRY.size
             self._offsets.append(offset)
             self._lengths.append(length)
-        self._filter = load_filter(
-            _check_crc(
-                self._read_at(filter_off, filter_len),
-                f"{path}: filter block at offset {filter_off} "
-                f"({filter_len} bytes)",
-            )
+        filter_blob = _check_crc(
+            self._read_at(filter_off, filter_len),
+            f"{path}: filter block at offset {filter_off} "
+            f"({filter_len} bytes)",
         )
+        if filter_blob[:4] == b"BLP1":
+            raise legacy_format("BLP1 filter", path)
+        self._filter = BloomFilter.from_bytes(filter_blob)
         meta = json.loads(
             _check_crc(
                 self._read_at(meta_off, meta_len),
@@ -584,12 +574,8 @@ class SSTableReader:
         self._data_bytes = int(meta["data_bytes"])
         self._min_key = bytes.fromhex(meta["min_key"])
         self._max_key = bytes.fromhex(meta["max_key"])
-        # Version-1 metas predate these keys: uncompressed data, Bloom
-        # filter, logical == physical.
-        self._codec_name = str(meta.get("codec", "none"))
-        self._filter_kind = str(meta.get("filter", "bloom"))
-        self._logical_bytes = int(meta.get("logical_bytes", self._data_bytes))
-        self._closed = False
+        self._codec_name = str(meta["codec"])
+        self._logical_bytes = int(meta["logical_bytes"])
 
     def sequential_handle(self) -> SSTableReader:
         """A reader of the same run for one front-to-back walk (a
@@ -628,14 +614,8 @@ class SSTableReader:
 
     @property
     def logical_bytes(self) -> int:
-        """Pre-compression entry payload bytes (space-amp denominator;
-        equals :attr:`data_bytes` for version-1 runs)."""
+        """Pre-compression entry payload bytes (space-amp denominator)."""
         return self._logical_bytes
-
-    @property
-    def format_version(self) -> int:
-        """On-disk format version (1 = legacy raw blocks, 2 = current)."""
-        return self._format_version
 
     @property
     def codec(self) -> str:
@@ -643,12 +623,7 @@ class SSTableReader:
         return self._codec_name
 
     @property
-    def filter_kind(self) -> str:
-        """The point-filter kind recorded in the meta block."""
-        return self._filter_kind
-
-    @property
-    def point_filter(self):
+    def point_filter(self) -> BloomFilter:
         """The run's point filter as parsed at open (immutable, shared
         with every :meth:`sequential_handle`)."""
         return self._filter
@@ -692,7 +667,7 @@ class SSTableReader:
             f"{self._path}: data block at offset {offset} ({length} bytes)"
         )
         record = _check_crc(self._read_at(offset, length), context)
-        payload = _decode_stored_block(record, self._format_version, context)
+        payload = _decode_stored_block(record, context)
         if self._cache is not None and admit:
             self._cache.put(self._generation, offset, payload)
         return payload
@@ -714,9 +689,8 @@ class SSTableReader:
             f"({self._lengths[block_idx]} bytes)"
         )
         record = _check_crc(stored, context)
-        payload = _decode_stored_block(record, self._format_version, context)
-        codec_id = record[0] if self._format_version >= 2 else None
-        return DataBlock(stored, codec_id, payload, *_walk_block(payload))
+        payload = _decode_stored_block(record, context)
+        return DataBlock(stored, record[0], payload, *_walk_block(payload))
 
     def read_data_block(self, block_idx: int) -> DataBlock:
         """Read, checksum-verify and walk one data block, off the cache.

@@ -200,6 +200,14 @@ class WriteAheadLog:
         )
         return frame
 
+    @staticmethod
+    def frame_bytes(batch: list[tuple[bytes, bytes | None]]) -> int:
+        """Size of the frame :meth:`encode_frame` makes of ``batch``."""
+        return _FRAME_HEADER.size + sum(
+            _OP.size + len(key) + (0 if value is TOMBSTONE else len(value))
+            for key, value in batch
+        )
+
     def _check_usable(self) -> None:
         if self._failed:
             raise WalFailedError(

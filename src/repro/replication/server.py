@@ -25,9 +25,11 @@ from __future__ import annotations
 import asyncio
 
 from ..engine.datastore import LSMStore
+from ..engine.wal import WriteAheadLog
 from ..errors import (
     ConfigurationError,
     CorruptionError,
+    ProtocolError,
     ReplicaGapError,
     RequestFailedError,
     RetriesExhaustedError,
@@ -35,7 +37,7 @@ from ..errors import (
     WriteStalledError,
 )
 from ..obs import events as obs_events
-from ..server import protocol
+from ..server import binproto, protocol
 from ..server.admission import AdmissionController
 from ..server.client import KVClient
 from ..server.service import DEFAULT_WRITE_DEADLINE, KVServer
@@ -233,6 +235,33 @@ class ReplicatedKVServer(KVServer):
             )
             return failure
         return response
+
+    def _check_shippable(self, ops: list[tuple[bytes, bytes | None]]) -> None:
+        """Refuse a write, before it is applied, whose log frame could
+        never ship in one REPLICATE: a span is never less than one
+        frame, so every later write on the shard would queue behind it
+        and never reach a follower."""
+        size = WriteAheadLog.frame_bytes(ops) + binproto.REPLICATE_HEADER_BYTES
+        if size > binproto.MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"write too large to replicate: its log frame ships in "
+                f"{size} bytes, over the {binproto.MAX_FRAME_BYTES}-byte "
+                f"frame limit"
+            )
+
+    async def _op_put(self, message: dict) -> dict:
+        self._check_shippable(
+            [(protocol.request_key(message), protocol.request_value(message))]
+        )
+        return await super()._op_put(message)
+
+    async def _op_del(self, message: dict) -> dict:
+        self._check_shippable([(protocol.request_key(message), None)])
+        return await super()._op_del(message)
+
+    async def _op_batch(self, message: dict) -> dict:
+        self._check_shippable(protocol.batch_ops(message))
+        return await super()._op_batch(message)
 
     # -- replication verbs -----------------------------------------------
 

@@ -62,6 +62,8 @@ MAX_FRAME_BYTES = 16 * 2**20
 _U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")  # also every frame's length prefix
 _REPLICATE = struct.Struct(">IQQB")  # epoch, lineage, start lsn, flags
+#: What an OP_REPLICATE payload adds to the log span it carries.
+REPLICATE_HEADER_BYTES = 1 + _REPLICATE.size
 
 OP_JSON = 0x00
 OP_PUT = 0x01

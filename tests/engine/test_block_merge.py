@@ -33,16 +33,13 @@ from repro.engine.runs import Run
 from repro.errors import CorruptionError
 
 from . import bare_manager
-from .legacy_runs import write_v1_run
 
 
 def key(index):
     return b"k%06d" % index
 
 
-def write_run(path, entries, legacy=False, **writer_options):
-    if legacy:  # a version-1 file: raw blocks, no codec
-        return write_v1_run(path, entries, **writer_options)
+def write_run(path, entries, **writer_options):
     writer = SSTableWriter(str(path), **writer_options)
     writer.add_many(entries)
     return writer.finish()
@@ -209,16 +206,6 @@ class TestPassThrough:
         stats = run_job(job)
         assert (job.blocks_copied, job.blocks_rewritten) == (0, 6)
         assert read_back(stats.path) == reference([old, new], True)
-
-    def test_version_1_blocks_are_never_copied(self, tmp_path):
-        paths = disjoint_runs(tmp_path, legacy=True)
-        job = make_job(paths, tmp_path / "out.run", OPTIONS, True)
-        stats = run_job(job)
-        assert job.blocks_copied == 0 and job.blocks_rewritten == 9
-        reader = SSTableReader(stats.path)
-        assert reader.format_version == 2
-        reader.close()
-        assert read_back(stats.path) == reference(paths, True)
 
     @pytest.mark.parametrize(
         "input_codec, output_codec", [("zlib", "none"), ("none", "zlib")]
@@ -497,20 +484,22 @@ def fixed_store_files(directory):
 
 
 class TestSameFilesAsBefore:
-    """Batching changes how the bytes move, not which bytes:
-    the digests and block counts below were produced by this function
-    at commit 48bbd93 (one record per memtable node, one block per
-    merge call)."""
+    """Batching changes how the bytes move, not which bytes: the block
+    counts below were produced by this function at commit 48bbd93 (one
+    record per memtable node, one block per merge call), and so were
+    the files' bytes up to their meta blocks. The digests are of the
+    files since the meta block lost its ``format_version`` and
+    ``filter`` keys, which the footer and filter magics already said."""
 
     DIGESTS = {
-        "00000001.run": "cfefef469db40117ebc89f95807122187192a7e6478f9e3c"
-        "511bd8f2f8efffb9",
-        "00000002.run": "b46535374750109d11b954e43fff7b891b384ddbf90c5cf9"
-        "9e8c6a384cf576ab",
-        "00000003.run": "95640914a4d4b330ecd83e824536322258617dff3d4e6130"
-        "97f919db700930d5",
-        "00000004.run": "eb16553021d33e738d16ca59ee9107867ef1e5872424f8f2"
-        "edef03193cad79b2",
+        "00000001.run": "d365a62dc27224aa4a67d31dea969f28e58c1a56b06933ef"
+        "8a3d58e84de4c465",
+        "00000002.run": "d0c549efacfd5dc3f159cc90c3c93ed0fe68446dcb6bca4b"
+        "2e1e15637090790e",
+        "00000003.run": "35e5dc2a2bd0cd15abeec09c3eeaba350883a980ae34b6dc"
+        "23d4db22e1491570",
+        "00000004.run": "d11c31de2918c64379631b35f61d97723cf78dfde7d4ed28"
+        "d8ef4a7f0282d2bc",
     }
     COUNTS = {"copied": 67, "rewritten": 35}
 
@@ -851,7 +840,7 @@ def _run_spec(draw, block_bytes, block_codec):
     blocks below every other input's head). Half the runs are written
     the way the merge writes (``block_bytes``, ``block_codec``), so
     that those stretches are copied verbatim, block by block; the
-    rest are legacy files or differ in codec or block size.
+    rest differ in codec or block size.
     """
     lo = draw(st.integers(0, 120))
     width = draw(st.integers(1, 80))
@@ -863,18 +852,11 @@ def _run_spec(draw, block_bytes, block_codec):
             st.sets(st.integers(lo, lo + width), min_size=1, max_size=60)
         )
     contents = [(key(i), draw(_VALUES)) for i in sorted(indices)]
-    written = draw(st.sampled_from(["alike", "alike", "legacy", "other"]))
-    if written == "alike":
+    if draw(st.booleans()):
         return {
             "entries": contents,
             "block_codec": block_codec,
             "block_bytes": block_bytes,
-        }
-    if written == "legacy":
-        return {
-            "entries": contents,
-            "legacy": True,
-            "block_bytes": draw(st.sampled_from([128, 256])),
         }
     return {
         "entries": contents,
@@ -947,8 +929,6 @@ class TestMatchesTheReference:
             assert reader.entry_count == len(expected) == stats.entry_count
             tombstones = sum(1 for _, value in expected if value is None)
             assert reader.tombstone_count == tombstones
-            assert reader.format_version == 2
-            assert reader.filter_kind == "bloom"
             if expected:
                 assert reader.min_key == expected[0][0]
                 assert reader.max_key == expected[-1][0]

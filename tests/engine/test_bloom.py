@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import BloomFilter
-from repro.engine.bloom import BATCH_KEYS, PartitionedBloom
+from repro.engine.bloom import BATCH_KEYS
 from repro.errors import ConfigurationError, CorruptionError
 
 
@@ -53,6 +53,14 @@ class TestSerialization:
     def test_truncated_blob_rejected(self):
         with pytest.raises(CorruptionError):
             BloomFilter.from_bytes(b"BL")
+
+    @pytest.mark.parametrize("magic", [b"XXXX", b"CKF1", b"BLP1"])
+    def test_unknown_magic_rejected(self, magic):
+        # Any magic but BLM1 — a cuckoo filter's, or the partitioned
+        # one a store is refused for before its filters load — is not
+        # a Bloom filter.
+        with pytest.raises(CorruptionError):
+            BloomFilter.from_bytes(magic + b"\x00" * 32)
 
     def test_bad_magic_rejected(self):
         filt = BloomFilter(expected_keys=10)
@@ -166,83 +174,3 @@ class TestPropertyBased:
         restored = BloomFilter.from_bytes(filt.to_bytes())
         assert all(restored.might_contain(key) for key in key_list)
 
-
-def _filter_of(keys):
-    filt = BloomFilter(len(keys), 10)
-    filt.add_many(keys)
-    return filt
-
-
-def partitioned_blob(partitions):
-    """A ``BLP1`` blob as run files written by appending merges hold
-    one: magic and count, then each first key and ``BLM1`` blob behind
-    a u32 length. Nothing in the engine writes one any more."""
-    parts = [b"BLP1", struct.pack("<I", len(partitions))]
-    for first_key, filt in partitions:
-        blob = filt.to_bytes()
-        parts += [struct.pack("<I", len(first_key)), first_key]
-        parts += [struct.pack("<I", len(blob)), blob]
-    return b"".join(parts)
-
-
-class TestPartitioned:
-    """The filter of a run file whose inputs were appended: theirs, end
-    to end, one per key range — read, never written."""
-
-    def ranges(self):
-        return [
-            (b"a", [b"a%03d" % i for i in range(200)]),
-            (b"m", [b"m%03d" % i for i in range(200)]),
-            (b"t", [b"t%03d" % i for i in range(200)]),
-        ]
-
-    def loaded(self):
-        return PartitionedBloom.from_bytes(
-            partitioned_blob(
-                [(lo, _filter_of(keys)) for lo, keys in self.ranges()]
-            )
-        )
-
-    def test_a_probe_asks_the_filter_of_its_range(self):
-        ranges = self.ranges()
-        filt = self.loaded()
-        assert len(filt) == 3
-        assert all(filt.might_contain(k) for _, keys in ranges for k in keys)
-        # Below the first range nothing is asked; in the gaps, the
-        # filter before the gap answers.
-        assert not filt.might_contain(b"0")
-        hits = sum(filt.might_contain(b"p%05d" % i) for i in range(5000))
-        assert hits / 5000 < 0.03
-
-    def test_a_stored_blob_probes_as_its_partitions(self):
-        filters = [(lo, _filter_of(keys)) for lo, keys in self.ranges()]
-        filt = self.loaded()
-        assert filt.bit_size == sum(f.bit_size for _, f in filters)
-        probes = [
-            c + b"%03d" % i for c in (b"a", b"m", b"t", b"z") for i in range(300)
-        ]
-        owner = {b"a": 0, b"m": 1, b"t": 2, b"z": 2}
-        assert [filt.might_contain(k) for k in probes] == [
-            filters[owner[k[:1]]][1].might_contain(k) for k in probes
-        ]
-
-    @pytest.mark.parametrize(
-        "damage", ["magic", "truncated", "trailing", "order", "inner"]
-    )
-    def test_a_damaged_blob_is_rejected(self, damage):
-        ranges = self.ranges()
-        blob = bytearray(
-            partitioned_blob([(lo, _filter_of(ks)) for lo, ks in ranges])
-        )
-        if damage == "magic":
-            blob[0] ^= 0xFF
-        elif damage == "truncated":
-            del blob[-1]
-        elif damage == "trailing":
-            blob += b"\0"
-        elif damage == "order":  # the second range's first key: b"m" -> b"\0"
-            blob[blob.index(b"\x01\x00\x00\x00m") + 4] = 0
-        else:  # the first partition's BLM1 magic
-            blob[blob.index(b"BLM1")] = 0
-        with pytest.raises(CorruptionError):
-            PartitionedBloom.from_bytes(bytes(blob))

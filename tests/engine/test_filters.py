@@ -1,47 +1,36 @@
-"""Tests for the point-filter protocol and its one kind."""
+"""Tests for the one point-filter kind, as a run file loads it."""
+
+import struct
+import zlib
 
 import pytest
 
-from repro.engine import SSTableWriter, StoreOptions
-from repro.engine.bloom import BloomFilter, PartitionedBloom
-from repro.engine.filters import PointFilter, available_filters, load_filter
+from repro.engine import SSTableReader, StoreOptions
 from repro.errors import ConfigurationError, CorruptionError
 
-from .test_bloom import partitioned_blob
+_FOOTER = struct.Struct("<QIQIQI8s")
+
+
+def run_with_filter_blob(blob: bytes) -> bytes:
+    """A current footer over an empty index and ``blob`` as the filter
+    block, both behind valid CRCs: only the blob itself is bad."""
+    index = struct.pack("<I", zlib.crc32(b""))
+    filt = blob + struct.pack("<I", zlib.crc32(blob))
+    return index + filt + _FOOTER.pack(
+        0, len(index), len(index), len(filt), len(index) + len(filt), 0,
+        b"LSMRUN02",
+    )
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
-        assert available_filters() == ("bloom",)
-        assert isinstance(BloomFilter(1000, 10), PointFilter)
-
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             StoreOptions(filter_kind="xor")
-        run = tmp_path / "x.run"
-        with pytest.raises(ConfigurationError):
-            SSTableWriter(str(run), filter_kind="xor")
-        assert not run.exists()
+        assert StoreOptions(filter_kind="bloom").filter_kind == "bloom"
+        assert list(tmp_path.iterdir()) == []
 
-    def test_load_dispatches_on_magic(self):
-        bloom = BloomFilter(100, 10)
-        bloom.add(b"present")
-        assert isinstance(load_filter(bloom.to_bytes()), BloomFilter)
-        assert load_filter(bloom.to_bytes()).might_contain(b"present")
-        # An appended run file's filters, end to end: still the one kind.
-        blob = partitioned_blob([(b"a", bloom), (b"q", bloom)])
-        loaded = load_filter(blob)
-        assert isinstance(loaded, PartitionedBloom) and len(loaded) == 2
-        assert loaded.might_contain(b"present")
-        assert available_filters() == ("bloom",)
-
-    def test_load_rejects_unknown_magic(self):
-        with pytest.raises(CorruptionError):
-            load_filter(b"XXXX" + b"\x00" * 32)
-        # So is a magic no kind has any more (a cuckoo filter's).
-        with pytest.raises(CorruptionError):
-            load_filter(b"CKF1" + b"\x00" * 32)
-
-    def test_load_rejects_truncated_blob(self):
-        with pytest.raises(CorruptionError):
-            load_filter(b"BL")
+    def test_load_rejects_truncated_blob(self, tmp_path):
+        run = tmp_path / "1.run"
+        run.write_bytes(run_with_filter_blob(b"BL"))
+        with pytest.raises(CorruptionError, match="truncated"):
+            SSTableReader(str(run))

@@ -124,26 +124,6 @@ class TestRecovery:
         [record] = Manifest(str(tmp_path)).live_runs()
         assert (record.run_id, record.files) == (output, files)
 
-    def test_a_log_of_add_and_remove_lines_still_recovers(self, tmp_path):
-        old = [
-            {"op": "add", "run_id": 1, "level": 0, "filename": "1.run",
-             "sequence": 1},
-            {"op": "add", "run_id": 2, "level": 0, "filename": "2.run",
-             "sequence": 2},
-            {"op": "add", "run_id": 3, "level": 1, "filename": "3.run",
-             "sequence": 2},
-            {"op": "remove", "run_id": 1},
-            {"op": "remove", "run_id": 2},
-        ]
-        (tmp_path / "MANIFEST").write_text(
-            "".join(json.dumps(edit) + "\n" for edit in old)
-        )
-        manifest = Manifest(str(tmp_path))
-        [record] = manifest.live_runs()
-        assert (record.run_id, record.level, record.files) == (3, 1, ("3.run",))
-        assert manifest.allocate_run_id() == 4
-        manifest.close()
-
     @pytest.mark.parametrize("kind", ["move", "rename"])
     def test_an_edit_nobody_writes_is_corruption(self, tmp_path, kind):
         """``move`` had a reader and never a writer; it now fails like

@@ -13,7 +13,6 @@ from repro.engine.bloom import BloomFilter
 from repro.engine.sstable import _decode_block, _walk_block
 from repro.errors import ConfigurationError, CorruptionError
 
-from .legacy_runs import write_v1_run
 
 _LEN = struct.Struct("<I")
 
@@ -144,12 +143,12 @@ class TestWriterDiscipline:
         writer.abandon()
 
     @pytest.mark.parametrize(
-        "bad", [{"filter_kind": "nope"}, {"block_codec": "lz4"}]
+        "bad", [{"bloom_bits_per_key": 0}, {"block_codec": "lz4"}]
     )
     def test_rejected_configuration_leaves_no_file(self, tmp_path, bad):
         """Regression: the output file used to be opened before the
-        filter kind was validated, so a bad kind left an open handle and
-        an orphan 0-byte run behind."""
+        configuration was validated, so a bad one left an open handle
+        and an orphan 0-byte run behind."""
         with pytest.raises(ConfigurationError):
             SSTableWriter(str(tmp_path / "bad.run"), **bad)
         assert os.listdir(tmp_path) == []
@@ -395,7 +394,6 @@ class TestBlockFormat:
         assert stats.codec == "zlib"
         assert stats.logical_bytes > stats.data_bytes > 0
         reader = SSTableReader(stats.path)
-        assert reader.format_version == 2
         assert reader.codec == "zlib"
         assert reader.logical_bytes == stats.logical_bytes
         assert reader.data_bytes == stats.data_bytes
@@ -444,18 +442,6 @@ class TestBlockFormat:
         reader = SSTableReader(stats.path)
         with pytest.raises(CorruptionError):
             list(reader.items())
-        reader.close()
-
-    def test_v1_writer_roundtrips_as_version_absent(self, tmp_path):
-        entries = [(f"k{i:04d}".encode(), b"value") for i in range(100)]
-        reader = SSTableReader(
-            write_v1_run(tmp_path / "v1.run", entries, block_bytes=512)
-        )
-        assert reader.format_version == 1
-        assert reader.codec == "none"
-        assert reader.filter_kind == "bloom"
-        assert reader.logical_bytes == reader.data_bytes
-        assert list(reader.items()) == entries
         reader.close()
 
     def test_unknown_codec_name_rejected(self, tmp_path):

@@ -6,10 +6,11 @@ import asyncio
 
 import pytest
 
+from repro.cluster.router import LocalCluster
 from repro.engine import LSMStore, StoreOptions
 from repro.errors import RequestFailedError
 from repro.replication import ReplicatedKVServer
-from repro.server import protocol
+from repro.server import binproto, protocol
 from repro.server.client import KVClient
 
 OPTIONS = StoreOptions(
@@ -272,5 +273,48 @@ def test_stats_carry_replication_sections(tmp_path):
         finally:
             leader_store.close()
             follower_store.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_write_whose_log_frame_cannot_ship_is_refused(tmp_path, monkeypatch):
+    """A PUT within 30 bytes of the frame limit, and a BATCH of deletes
+    (4 bytes more per op in the log than on the wire), fit one request
+    frame but not the REPLICATE that would carry their log frame. They
+    are refused before they are applied, so the writes after them still
+    reach the follower instead of queueing behind a span that never
+    ships."""
+    monkeypatch.setattr(binproto, "MAX_FRAME_BYTES", 4096)
+    options = StoreOptions(memtable_bytes=1 << 16, background_maintenance=True)
+
+    async def scenario():
+        async with LocalCluster(
+            str(tmp_path), num_shards=1, options=options, replicas=1
+        ) as cluster:
+            leader = cluster.store.engine(0)
+            (follower,) = cluster.replica_stores[0]
+            async with KVClient(*cluster.address, max_retries=0) as client:
+                await client.put(b"small", b"v")
+                await eventually(
+                    lambda: follower.upstream is not None
+                    and follower.upstream[1] == leader.wal_position().lsn
+                )
+                tail = leader.wal_position().lsn
+                deletes = [(b"k%029d" % index, None) for index in range(110)]
+                for write, args in (
+                    (client.put, (b"big", b"v" * 4070)),
+                    (client.batch, (deletes,)),
+                ):
+                    with pytest.raises(RequestFailedError) as excinfo:
+                        await write(*args)
+                    assert excinfo.value.code == protocol.CODE_BAD_REQUEST
+                    assert "replicate" in str(excinfo.value)
+                assert leader.wal_position().lsn == tail
+                assert leader.get(b"big") is None
+                await client.put(b"after", b"v")
+                await eventually(
+                    lambda: follower.upstream[1] == leader.wal_position().lsn
+                )
+                assert follower.get(b"after") == b"v"
 
     asyncio.run(scenario())
