@@ -262,7 +262,6 @@ class LSMStore:
             self._compaction,
             self._sealed,
             is_closed=lambda: self._closed,
-            memtable_target=lambda: self._memtable_target,
             flushed=self._checkpoint_log,
             quarantine=self._quarantine_locked,
         )
@@ -636,15 +635,6 @@ class LSMStore:
         with self._lock:
             self._check_open()
             self._maintenance.run_to_idle(max_steps)
-
-    def advance_maintenance(self) -> bool:
-        """One bounded maintenance pump on the caller (with workers it
-        wakes them): how tests step an inline store. No server calls
-        it. True while the write gate is still closed afterwards."""
-        with self._lock:
-            self._check_open()
-            self._maintenance.advance()
-            return self._compaction.is_write_stalled()
 
     def flush(self) -> None:
         """Seal and flush the active memtable."""
@@ -1050,11 +1040,11 @@ class LSMStore:
     def scrub_tick(self) -> bool:
         """Advance the scrubber by one claimed chunk, inline.
 
-        The same claim/execute/publish cycle a maintenance worker runs;
-        this is the hook for stores without background workers (and for
-        the serving tier's ticker). Returns False when nothing was
-        claimable — the scrubber is idle, not yet due, or another
-        executor holds the claim.
+        The same claim/execute/publish cycle a maintenance worker runs,
+        for a caller that steps the scrubber one chunk at a time (no
+        serving tier does: its stores scrub on workers). Returns False
+        when nothing was claimable — the scrubber is idle, not yet due,
+        or another executor holds the claim.
         """
         return self._maintenance.scrub_tick()
 

@@ -4,13 +4,14 @@ chunks and repair rebuilds, and on which thread.
 Every task is **claimed** under the store lock, **executed** (its file
 I/O) and **published** or abandoned under the lock again, in ``_run``
 and nowhere else — by worker threads with ``background_maintenance``,
-else by the calling thread, lock held (it is re-entrant), wherever a
-write needs progress.
+else by the calling thread, lock held (it is re-entrant): the write
+that rotates a memtable flushes it and runs every merge that made
+eligible, and every wait runs claims until its own condition holds.
 :class:`MaintenanceExecutor` owns the workers, the single-flush claim
 and the scrubber, and is the one place that asks which mode is on. The
 store's lock and "state changed" condition, the compaction manager, the
 sealed-memtable queue (the store appends, a published flush removes the
-head) and four callbacks into the store arrive through the constructor
+head) and three callbacks into the store arrive through the constructor
 (``docs/engine-concurrency.md``). "Lock held" means that lock.
 """
 
@@ -46,7 +47,6 @@ class MaintenanceExecutor:
         sealed: list[MemTable],
         *,
         is_closed: Callable[[], bool],
-        memtable_target: Callable[[], int],
         flushed: Callable[[], None],
         quarantine: Callable[[int, str, str], object],
     ) -> None:
@@ -60,7 +60,6 @@ class MaintenanceExecutor:
         self._compaction = compaction
         self._sealed = sealed
         self._is_closed = is_closed
-        self._memtable_target = memtable_target
         self._flushed = flushed
         self._quarantine = quarantine
         # True while the oldest sealed memtable is being written out.
@@ -118,7 +117,7 @@ class MaintenanceExecutor:
         """Let go of the store, last thing in its close or crash: the
         callbacks are a reference cycle (see :meth:`CommitLog.close`)."""
         self._is_closed = lambda: True
-        self._memtable_target = self._flushed = self._quarantine = None
+        self._flushed = self._quarantine = None
 
     # -- claim → execute → publish ---------------------------------------
 
@@ -169,7 +168,7 @@ class MaintenanceExecutor:
         (``compaction.RETRY_SECONDS``) — and the error goes on to the
         caller. A merge whose *input* fails its checksum twice is
         contained instead: the run is quarantined (source ``merge``),
-        nothing is raised, and the write that pumped the chunk goes on.
+        nothing is raised, and the write that ran the chunk goes on.
         """
         try:
             kind = task[0]
@@ -312,31 +311,24 @@ class MaintenanceExecutor:
         self._run(task)
         return True
 
-    def _pump(self, blocking: bool) -> None:
-        """One inline pump: flush if a memtable waits, plus merge chunks.
+    def _claim_next_locked(self):
+        """The caller's next task: a flush before any merge chunk."""
+        return self._claim_flush_locked() or self._claim_merge_locked()
 
-        In inline mode this is the only engine of progress, so each pump
-        also advances merges by enough chunks to keep compaction paced
-        with ingestion (several memtables' worth of merge input per
-        flush); otherwise merges would only ever run once the component
-        constraint had already stalled writers. Kept because tests step
-        an inline store with it deterministically; no server runs an
-        inline store it can shed writes from.
-        """
-        progressed = self._step(self._claim_flush_locked)
-        budget = self._options.maintenance_chunks_per_rotation or max(
-            2,
-            int(8 * self._memtable_target() // self._compaction.chunk_bytes)
-            + 1,
-        )
-        for _ in range(budget):
-            if not self._step(self._claim_merge_locked):
-                break
-            progressed = True
-        if not progressed and blocking and self._compaction.is_write_stalled():
-            if not self._compaction.retry_pending():
-                raise self._too_tight()
-            self._wait("while a failed merge waited to be retried")
+    def _step_until_idle(self, max_steps: int | None = None) -> int:
+        """Run flushes, then merge chunks, on the caller until none is
+        claimable; the steps taken. With ``max_steps``, work still
+        pending once that many are spent raises."""
+        steps = 0
+        while steps != max_steps:
+            if not self._step(self._claim_next_locked):
+                return steps
+            steps += 1
+        if self._sealed or self._compaction.has_work():
+            raise ConfigurationError(
+                "compaction did not converge within the step budget"
+            )
+        return steps
 
     @staticmethod
     def _too_tight() -> ConfigurationError:
@@ -346,15 +338,12 @@ class MaintenanceExecutor:
         )
 
     # -- the drive mode: do workers make progress, or the caller? --------
-    # Lock held; a wait releases it (Condition.wait drops every level).
+    # Lock held; a worker-mode wait releases it (Condition.wait drops
+    # every level), the caller keeps it throughout.
 
     def _check_open(self, doing: str) -> None:
         if self._is_closed():
             raise ClosedError(f"store closed {doing}")
-
-    def _wait(self, doing: str) -> None:
-        self._check_open(doing)
-        self._changed.wait(timeout=_POLL_SECONDS)
 
     def _nothing_claimable(self) -> bool:
         return not (
@@ -365,6 +354,30 @@ class MaintenanceExecutor:
             or self._compaction.retry_pending()
         )
 
+    def _drive(self, done: Callable[[], bool], doing: str) -> None:
+        """Return once ``done()`` holds, raising rather than hanging when
+        nothing claimable could ever make it hold. The mode is read once:
+        ``join()`` empties the pool under a parked waiter, which must
+        then see the close, not start driving. Workers own progress when
+        they exist: wake them, then wait for a publish. Without them the
+        caller claims and runs each task itself, a flush first, and
+        never asks whether the store closed — ``close()``'s own drain
+        comes here after the join."""
+        if not self._workers:
+            while not done():
+                if self._step(self._claim_next_locked):
+                    continue
+                if not self._compaction.retry_pending():
+                    raise self._too_tight()
+                time.sleep(_POLL_SECONDS)
+            return
+        self._changed.notify_all()
+        while not done():
+            self._check_open(doing)
+            if self._nothing_claimable():
+                raise self._too_tight()
+            self._changed.wait(timeout=_POLL_SECONDS)
+
     def seals_freely(self) -> bool:
         """Would a rotation now be a bare seal and a wake-up (workers
         flush, a sealed slot is free) — or wait for, or run, a flush?"""
@@ -374,79 +387,49 @@ class MaintenanceExecutor:
         )
 
     def await_headroom(self) -> None:
-        """Return once the stall gate is open. Workers own progress
-        when they exist: wake them, then wait for a publish to clear
-        the constraint — raising rather than hanging when nothing
-        claimable could ever clear it. Without them the caller pumps."""
+        """Return once the stall gate is open."""
         stalled = self._compaction.is_write_stalled
-        if not self._workers:
-            while stalled():
-                self._pump(blocking=True)
-            return
-        self._changed.notify_all()
-        while stalled():
-            self._check_open("while a write was stalled")
-            if self._nothing_claimable():
-                raise self._too_tight()
-            self._changed.wait(timeout=_POLL_SECONDS)
+        self._drive(lambda: not stalled(), "while a write was stalled")
 
     def await_sealed_slot(self) -> None:
         """Return once the sealed queue has room for one more memtable
         (a flush stall: every memory component is waiting on a flush)."""
-        if not self._workers:
-            while self._sealed:
-                self._pump(blocking=True)
-            return
-        self._changed.notify_all()
         limit = max(1, self._options.num_memtables - 1)
-        while len(self._sealed) >= limit:
-            self._wait("while a rotation was stalled")
+        self._drive(
+            lambda: len(self._sealed) < limit, "while a rotation was stalled"
+        )
 
     def quiesce_memtables(self) -> None:
-        """Return once every sealed memtable is in a run (the caller
-        flushes them itself, and steps no merge, when it drives)."""
-        if not self._workers:
-            while self._step(self._claim_flush_locked):
-                pass
-            return
-        self._changed.notify_all()
-        while self._sealed or self._flush_claimed:
-            self._wait("while flushing")
+        """Return once every sealed memtable is in a run (a caller that
+        drives runs flushes only: it claims a flush first, and stops
+        when none is left)."""
+        self._drive(
+            lambda: not (self._sealed or self._flush_claimed), "while flushing"
+        )
 
     def run_to_idle(self, max_steps: int = 1_000_000) -> None:
         """Run flushes and merges until none remain — when the caller
-        drives, in at most ``max_steps`` merge chunks, waiting out a
-        failed merge's back-off with the lock held (as it merges, and
-        as a closing store drains), and raising the error of a merge
-        start it makes itself."""
-        if not self._workers:
-            self.quiesce_memtables()
-            steps = 0
-            merge = self._claim_merge_locked
-            while True:
-                self._compaction.kick(strict=True)
-                while self._compaction.has_work() and self._step(merge):
-                    steps += 1
-                    if steps >= max_steps:
-                        raise ConfigurationError(
-                            "compaction did not converge within the step "
-                            "budget"
-                        )
-                if not self._compaction.retry_pending():
-                    return
-                time.sleep(_POLL_SECONDS)
-        self._changed.notify_all()
-        while not self._nothing_claimable():
-            self._wait("during maintenance")
+        drives, in at most ``max_steps`` tasks, waiting out a failed
+        merge's back-off with the lock held, and raising the error of a
+        merge start it makes itself."""
+        if self._workers:
+            self._drive(self._nothing_claimable, "during maintenance")
+            return
+        while True:
+            self._compaction.kick(strict=True)
+            max_steps -= self._step_until_idle(max_steps)
+            if not self._compaction.retry_pending():
+                return
+            time.sleep(_POLL_SECONDS)
 
     def advance(self) -> None:
-        """One bounded push forward, after a rotation or on request:
-        workers are woken rather than competed with; without them the
-        caller pumps once, if there is anything to pump."""
+        """After a rotation: workers are woken rather than competed
+        with; without them the caller flushes the sealed memtable and
+        runs every merge that made eligible, leaving no work behind."""
         if self._workers:
             self._changed.notify_all()
-        elif self._sealed or self._compaction.has_work():
-            self._pump(blocking=False)
+        else:
+            self._step_until_idle()
 
     # -- repair and scrubbing --------------------------------------------
 

@@ -67,15 +67,6 @@ class StoreOptions:
         the compaction manager's 1 MB default). Smaller chunks make
         merge progress finer-grained — and merge lag, hence write
         stalls, realistic at small scales.
-    maintenance_chunks_per_rotation:
-        Merge chunks the inline maintenance pump advances per memtable
-        rotation (0 = auto: enough to keep merges paced with
-        ingestion). Setting this *below* the auto pacing models a merge
-        bandwidth deficit, so ingestion outruns compaction and the
-        component constraint produces genuine transient write stalls —
-        the regime the paper studies. Ignored by background mode. Kept
-        for the deterministic stall tests; it goes with inline mode once
-        ``bench/`` picks the drive mode in one place.
     rate_limit_bytes_per_s:
         Flush/merge write throttle (paper: 100 MB/s); 0 disables.
     block_cache_bytes:
@@ -85,14 +76,19 @@ class StoreOptions:
         ``"block"`` (writers wait, the paper's stop mode) or ``"reject"``
         (raise :class:`~repro.errors.WriteStalledError`).
     background_maintenance:
-        True runs flushes/merges on background maintenance workers;
-        False runs them inline inside ``put`` (deterministic, the
-        default for tests). A store that a server can shed writes from,
-        or that scrubs, needs workers: a shed write drives nothing, and
-        inline mode never claims a scrub chunk.
+        True runs flushes/merges on background maintenance workers.
+        False (deterministic, the default for tests) makes the caller
+        the only worker, and it leaves no work behind: the write that
+        rotates a memtable flushes it and then runs, chunk by chunk,
+        every merge that flush made eligible; a stalled write,
+        ``flush()`` and ``maintenance()`` run tasks until their own
+        condition holds. A store that a server can shed writes from, or
+        that scrubs, needs workers: a shed write drives nothing, and
+        the caller never claims a scrub chunk.
     maintenance_threads:
         Size of the background maintenance worker pool (ignored unless
-        ``background_maintenance``). Workers claim a flush or a merge
+        ``background_maintenance``; without workers the caller runs
+        every task, see there). Workers claim a flush or a merge
         chunk under the store lock but perform the chunk's file I/O
         *outside* it, so maintenance overlaps foreground writes and —
         with more than one worker — with itself: one worker can flush
@@ -147,7 +143,6 @@ class StoreOptions:
     block_codec: str = "none"
     filter_kind: str = "bloom"
     merge_chunk_bytes: int = 0
-    maintenance_chunks_per_rotation: int = 0
     rate_limit_bytes_per_s: int = 0
     block_cache_bytes: int = 8 * 2**20
     stall_mode: str = "block"
@@ -199,10 +194,6 @@ class StoreOptions:
             )
         if self.merge_chunk_bytes < 0:
             raise ConfigurationError("merge chunk size cannot be negative")
-        if self.maintenance_chunks_per_rotation < 0:
-            raise ConfigurationError(
-                "maintenance chunks per rotation cannot be negative"
-            )
         if self.rate_limit_bytes_per_s < 0:
             raise ConfigurationError("rate limit cannot be negative")
         if self.block_cache_bytes < 0:

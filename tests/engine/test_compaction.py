@@ -80,23 +80,41 @@ class TestFlushAndMerge:
         manifest.close()
 
     def test_drain_step_budget(self, tmp_path):
-        # Three flushes make a merge; pumping is held back (one chunk
-        # of one byte per rotation) so it is still pending at the call.
+        # Three flushes make a merge; flush() runs flushes only, so it
+        # is still pending at the call, and a budget of 0 takes no step.
         options = StoreOptions(
             memtable_bytes=8 * 1024,
             policy="tiering",
             size_ratio=3,
             levels=3,
             merge_chunk_bytes=1,
-            maintenance_chunks_per_rotation=1,
         )
         with LSMStore.open(str(tmp_path), options) as store:
             for batch in range(3):
                 for i in range(100):
                     store.put(f"k{batch * 100 + i:08d}".encode(), b"x" * 64)
                 store.flush()
+            assert store._compaction.has_work()
             with pytest.raises(ConfigurationError):
                 store.maintenance(max_steps=0)
+
+    def test_drain_that_converges_in_exactly_its_budget_returns(
+        self, tmp_path
+    ):
+        # Three flushes leave one merge of one chunk: a budget of one
+        # step runs it, and nothing is left to exceed the budget with.
+        options = StoreOptions(
+            memtable_bytes=8 * 1024, policy="tiering", size_ratio=3, levels=3
+        )
+        with LSMStore.open(str(tmp_path), options) as store:
+            for batch in range(3):
+                for i in range(50):
+                    store.put(f"k{batch * 50 + i:08d}".encode(), b"x" * 64)
+                store.flush()
+            assert store._compaction.has_work()
+            store.maintenance(max_steps=1)
+            assert store.stats().merges_completed == 1
+            assert not store._compaction.has_work()
 
 
 class TestStallSignal:

@@ -8,6 +8,7 @@ provide the synchronization barriers.
 """
 
 import os
+import random
 import threading
 import time
 
@@ -310,6 +311,29 @@ class TestObservability:
             "engine_flush_stall_seconds_total": 0,
         }
         assert obs_events.FLUSH_STALL not in kinds
+
+
+class TestCallerDrive:
+    def test_a_rotating_write_leaves_no_merge_behind(self, tmp_path):
+        """Without workers the caller is the only worker: the put that
+        rotates flushes and runs every merge that made eligible, so no
+        put returns with a merge in flight, and the gate never closes."""
+        options = StoreOptions(
+            memtable_bytes=4096,
+            merge_chunk_bytes=1024,
+            policy="tiering",
+            size_ratio=3,
+            levels=4,
+        )
+        rng = random.Random(37)
+        with LSMStore.open(str(tmp_path / "db"), options) as store:
+            for _ in range(3000):
+                key = b"%012d" % rng.randrange(10**12)
+                store.put(key, b"v" * 64)
+                assert not store._compaction.has_work()
+            stats = store.stats()
+        assert stats.merges_completed > 0
+        assert stats.write_stalls == 0
 
 
 def counter(store, name):

@@ -1,7 +1,7 @@
 """Stateful property testing: the engine versus a dict, under chaos.
 
 Hypothesis drives random interleavings of puts, deletes, flushes,
-compaction pumps and full close/reopen cycles against a reference dict;
+merge steps and full close/reopen cycles against a reference dict;
 after every step, point lookups and full scans must agree with the
 model. This is the strongest single correctness statement in the suite:
 no sequence of maintenance operations may ever lose, resurrect, or
@@ -64,7 +64,11 @@ class EngineMatchesDict(RuleBasedStateMachine):
 
     @rule()
     def merge_step(self):
-        self.store.advance_maintenance()
+        """One merge chunk on the caller — pending after ``flush``,
+        which runs flushes only."""
+        maintenance = self.store._maintenance
+        with self.store._lock:
+            maintenance._step(maintenance._claim_merge_locked)
 
     @rule()
     def crash_free_reopen(self):

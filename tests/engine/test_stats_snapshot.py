@@ -48,18 +48,32 @@ class TestAtomicSnapshot:
             _assert_consistent(store.stats())
 
     def test_stats_interleaved_with_maintenance_thread(self, tmp_path):
-        """The regression: snapshots taken while another thread pumps
-        advance_maintenance() (flushing, merging, retiring components)
-        must never expose a half-updated view."""
+        """The regression: snapshots taken while another thread writes
+        and runs maintenance (rotations flushing and merging,
+        maintenance() draining, components retiring) must never expose
+        a half-updated view."""
         with LSMStore.open(str(tmp_path / "db"), OPTIONS) as store:
             for i in range(1500):
                 store.put(f"k{i:06d}".encode(), b"v" * 64)
+            merges_before = store.stats().merges_completed
             stop = threading.Event()
             failures: list[AssertionError] = []
+            errors: list[Exception] = []
 
-            def pump() -> None:
-                while not stop.is_set():
-                    store.advance_maintenance()
+            def drive() -> None:
+                # Each round rotates about three memtables, enough for
+                # a merge under T = 3; the first always runs.
+                try:
+                    written = 0
+                    while True:
+                        for _ in range(300):
+                            store.put(f"d{written:06d}".encode(), b"v" * 64)
+                            written += 1
+                        store.maintenance()
+                        if stop.is_set():
+                            return
+                except Exception as error:  # noqa: BLE001 — asserted below
+                    errors.append(error)
 
             def observe() -> None:
                 try:
@@ -68,14 +82,17 @@ class TestAtomicSnapshot:
                 except AssertionError as error:  # pragma: no cover
                     failures.append(error)
 
-            pumper = threading.Thread(target=pump)
+            driver = threading.Thread(target=drive)
             observer = threading.Thread(target=observe)
-            pumper.start()
+            driver.start()
             observer.start()
-            observer.join()
+            observer.join(60.0)
             stop.set()
-            pumper.join()
+            driver.join(60.0)
+            assert not (observer.is_alive() or driver.is_alive())
+            assert not errors, errors[0]
             assert not failures, failures[0]
+            assert store.stats().merges_completed > merges_before
 
     def test_snapshot_is_frozen_in_time(self, tmp_path):
         """A snapshot must not change after more writes land."""

@@ -3,8 +3,13 @@
 The stall gate runs *before* the WAL append, so a batch rejected by
 ``stall_mode="reject"`` must leave no trace — not in the memtable, not
 in the WAL, and therefore not after a crash-recovery reopen. In
-``stall_mode="block"`` the same pressure is absorbed by inline
-maintenance and the batch lands atomically.
+``stall_mode="block"`` the writer runs the held-back merges inside the
+gate, and the batch lands atomically.
+
+A store without workers runs every merge a rotation makes eligible
+before the rotating write returns, so its gate never closes on its own:
+these tests hold merges back (flushes still run) until the runs trip
+the constraint, then let them go.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ import pytest
 from repro.engine import LSMStore, StoreOptions
 from repro.errors import ClosedError, ConfigurationError, WriteStalledError
 
-#: A tree this tight stalls after a handful of memtable rotations:
+#: A tree this tight stalls after a handful of held-back rotations:
 #: limit 5 >= 2 * levels + 1, so every stall has mergeable work and is
-#: transient, while the starved maintenance budget guarantees the
-#: constraint actually trips.
+#: transient once merges run again.
 STALL_OPTIONS = StoreOptions(
     memtable_bytes=4096,
     num_memtables=2,
@@ -28,15 +32,25 @@ STALL_OPTIONS = StoreOptions(
     levels=2,
     constraint_limit=5,
     merge_chunk_bytes=1024,
-    maintenance_chunks_per_rotation=2,
     stall_mode="reject",
     background_maintenance=False,
     block_cache_bytes=0,
 )
 
 
+def hold_back_merges(store: LSMStore) -> None:
+    """No merge is claimed until :func:`release_merges`."""
+    store._compaction.claim_merge = lambda: None
+
+
+def release_merges(store: LSMStore) -> None:
+    del store._compaction.claim_merge
+
+
 def fill_until_stalled(store: LSMStore, tag: bytes) -> int:
-    """Write until the gate closes; returns how many puts landed."""
+    """Reject mode: with merges held back, write until the gate bounces
+    a put; returns how many puts landed. Merges stay held back."""
+    hold_back_merges(store)
     landed = 0
     for index in range(100_000):
         key = b"fill-%s-%06d" % (tag, index)
@@ -49,12 +63,23 @@ def fill_until_stalled(store: LSMStore, tag: bytes) -> int:
     raise AssertionError("store never stalled under fill load")
 
 
+def fill_until_gate_closes(store: LSMStore, tag: bytes) -> int:
+    """Block mode: with merges held back, write until the gate is closed
+    for the next write (which would find nothing to run and raise);
+    returns how many puts landed. Merges stay held back."""
+    hold_back_merges(store)
+    for index in range(100_000):
+        store.put(b"fill-%s-%06d" % (tag, index), b"x" * 256)
+        if store.write_stalled:
+            return index + 1
+    raise AssertionError("store never stalled under fill load")
+
+
 def drain_stall(store: LSMStore) -> None:
-    """Pump maintenance until the write gate reopens."""
-    for _ in range(10_000):
-        if not store.advance_maintenance():
-            return
-    raise AssertionError("stall did not clear under maintenance pumping")
+    """Let merges run again and run them to quiescence."""
+    release_merges(store)
+    store.maintenance()
+    assert not store.write_stalled
 
 
 def test_rejected_batch_is_atomic_no_partial_state(tmp_path):
@@ -117,22 +142,23 @@ def test_batch_lands_atomically_once_stall_clears(tmp_path):
 def test_blocking_mode_absorbs_the_stall_and_applies_the_batch(tmp_path):
     options = STALL_OPTIONS.with_(stall_mode="block")
     with LSMStore.open(str(tmp_path), options) as store:
-        # Apply the same pressure; in block mode puts never raise — the
-        # writer rides out stalls inside the gate.
-        for index in range(400):
-            store.put(b"fill-%06d" % index, b"x" * 256)
+        # Apply the same pressure; in block mode the batch never raises
+        # — its writer runs the released merges inside the gate.
+        fill_until_gate_closes(store, b"seed")
+        release_merges(store)
 
         batch = [(b"k-%03d" % i, b"v-%03d" % i) for i in range(50)]
-        batch += [(b"fill-%06d" % i, None) for i in range(10)]
+        batch += [(b"fill-seed-%06d" % i, None) for i in range(10)]
         store.write_batch(batch)
 
         for i in range(50):
             assert store.get(b"k-%03d" % i) == b"v-%03d" % i
         for i in range(10):
-            assert store.get(b"fill-%06d" % i) is None
+            assert store.get(b"fill-seed-%06d" % i) is None
         stats = store.stats()
-        # Blocking stalls were observed and their time accounted.
-        assert stats.write_stalls > 0
+        # The blocking stall was observed and its time accounted.
+        assert stats.write_stalls == 1
+        assert not store.write_stalled
         assert stats.stall_seconds_total >= 0.0
 
 
@@ -169,11 +195,11 @@ def test_a_bounced_write_exits_its_stall_rejected(tmp_path):
 def test_a_write_that_rode_the_stall_out_exits_it_resumed(tmp_path):
     options = STALL_OPTIONS.with_(stall_mode="block")
     with LSMStore.open(str(tmp_path), options) as store:
-        for index in range(400):
-            store.put(b"fill-%06d" % index, b"x" * 256)
-        outcomes = stall_outcomes(store)
-        assert outcomes and set(outcomes) == {"resumed"}
-        assert len(outcomes) == store.stats().write_stalls
+        landed = fill_until_gate_closes(store, b"seed")
+        release_merges(store)
+        store.put(b"fill-seed-%06d" % landed, b"x" * 256)
+        assert stall_outcomes(store) == ["resumed"]
+        assert store.stats().write_stalls == 1
 
 
 def test_a_stall_nothing_can_clear_exits_failed(tmp_path):
@@ -211,7 +237,7 @@ def test_a_stall_the_store_was_closed_under_exits_closed(tmp_path):
     store.obs.tracer.emit = watching
     # Workers that flush but never claim a merge: runs pile up until
     # the gate closes, and the writer parks in it for good.
-    store._compaction.claim_merge = lambda: None
+    hold_back_merges(store)
     raised: list[BaseException] = []
 
     def writer() -> None:
