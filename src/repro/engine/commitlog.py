@@ -124,6 +124,7 @@ class CommitLog:
         # checkpoints are deferred while non-zero so a truncation can't
         # discard them.
         self._wal_syncs_in_flight = 0
+        self._group_lsn: int | None = None  # where that group starts
         self._m_gc_batches = registry.counter(
             "engine_group_commit_batches_total",
             help="Commit batches that rode a group-commit frame group.",
@@ -153,6 +154,13 @@ class CommitLog:
             lsn=self._base + self._wal.size_bytes,
             wal_base=self._base,
         )
+
+    def applied(self) -> int:
+        """The LSN before which every frame is in the memtables: the end,
+        or where a commit group appended but not yet applied starts."""
+        if self._group_lsn is None:
+            return self._base + self._wal.size_bytes
+        return self._group_lsn
 
     @property
     def size_bytes(self) -> int:
@@ -275,6 +283,7 @@ class CommitLog:
                 )
                 group_start = spans[0][0]
                 group_end = spans[-1][0] + spans[-1][1]
+                self._group_lsn = base + group_start
                 self._wal_syncs_in_flight += 1
         except BaseException as error:
             for entry in group:
@@ -300,6 +309,7 @@ class CommitLog:
                         entry.error = error
                     return
             with self._lock:
+                self._group_lsn = None
                 listener = self._commit_listener
                 for entry, (offset, length) in zip(group, spans):
                     self._insert(entry.batch)
@@ -315,6 +325,7 @@ class CommitLog:
         finally:
             with self._lock:
                 self._wal_syncs_in_flight -= 1
+                self._group_lsn = None
 
     def settle(self) -> None:
         """Let in-flight commit groups finish (lock NOT held; parked

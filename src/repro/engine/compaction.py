@@ -1004,19 +1004,23 @@ class CompactionManager:
         self._block_cache.drop_all_rows()
         return entry
 
-    def drop_run(self, run_id: int) -> bool:
-        """Retire a quarantined run with no replacement (under the lock).
-
-        Only sound when an authoritative snapshot supersedes the whole
-        store — a replica reset installs the leader's full state above
-        every run, so nothing the dropped run contained (or shadowed)
-        can resurface. Refuses while an in-flight merge reads the run.
-        """
-        if run_id not in self._components or self._in_flight(run_id):
-            return False
-        self._apply_edit([run_id], [])
+    def install(self, runs: list[tuple[int, tuple[str, ...]]]) -> None:
+        """A reset's one edit (under the lock, no merge claimed): every
+        live run, quarantined or not, out, and ``runs`` — ``(level,
+        files)``, oldest first — in, stamped newer in that order. Every
+        merge is abandoned, for its inputs go."""
+        for job in list(self._jobs.values()):
+            self.fail_merge(job)
+        if self._components or runs:  # an empty store takes an empty image
+            self._apply_edit(
+                list(self._components),
+                [(self._manifest.allocate_run_id(), *run) for run in runs],
+            )
         self._block_cache.drop_all_rows()
-        return True
+
+    def merge_claimed(self) -> bool:
+        """Is a merge chunk being advanced right now (under the lock)?"""
+        return any(job.claimed for job in self._jobs.values())
 
     def close(self) -> None:
         """Abandon in-flight merges, close every reader and empty the

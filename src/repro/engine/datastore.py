@@ -46,6 +46,7 @@ from ..obs import Observability
 from ..obs import events as obs_events
 from .commitlog import CommitLog, WalPosition
 from .compaction import CompactionManager
+from .integrity import IntegrityReport, verify_files
 from .iterators import (
     EntryCursor,
     ReaderCorruption,
@@ -58,6 +59,7 @@ from .manifest import Manifest
 from .memtable import MemTable
 from .options import StoreOptions, TOMBSTONE
 from .quarantine import QuarantineEntry
+from .wal import fsync_dir
 
 
 @dataclass(frozen=True)
@@ -161,6 +163,21 @@ class WriteTiming(NamedTuple):
     stall_seconds: float
     wal_offset: int
     wal_end: int
+
+
+class RunImage(NamedTuple):
+    """The live runs frozen at ``lsn`` (:meth:`LSMStore.run_image`):
+    their records, oldest first, and ``(name, descriptor, size)`` of
+    each file they name, in order. The open descriptors pin the bytes:
+    a run file is never rewritten, and a merge only unlinks its name."""
+
+    lsn: int
+    records: list
+    files: tuple[tuple[str, int, int], ...]
+
+    def close(self) -> None:
+        for _name, fd, _size in self.files:
+            os.close(fd)
 
 
 class LSMStore:
@@ -301,9 +318,7 @@ class LSMStore:
             return
         self._log.settle()
         with self._lock:
-            if len(self._active) > 0:
-                self._seal_active()
-            self._maintenance.quiesce_memtables()
+            self._quiesce_memtables_locked()
             # The last flush's own checkpoint may have been vetoed or
             # skipped; without this one the next open replays — and
             # later flushes again — data that is already in runs.
@@ -377,15 +392,6 @@ class LSMStore:
         — how replication ships the log, by LSN and nothing else."""
         with self._lock:
             return self._log.read(lsn, limit)
-
-    def replication_snapshot(self) -> tuple[list[tuple[bytes, bytes]], int]:
-        """Atomic ``(items, lsn)`` for replica resync: a follower that
-        applies ``items`` as a fresh state and sets its cursor to
-        ``lsn`` (in this store's lineage) is exactly caught up."""
-        with self._lock:
-            self._check_open()
-            items = list(self.scan())
-            return items, self._log.position().lsn
 
     @property
     def upstream(self) -> tuple[int, int, int] | None:
@@ -625,10 +631,16 @@ class LSMStore:
         )
 
     def _quiesce_memtables_locked(self) -> None:
-        """Get every buffered write into runs (caller holds the lock)."""
+        """Get every buffered write into runs (caller holds the lock).
+        Writes can land while workers flush, the lock released; what
+        did is flushed here, the lock held, so on return both memtables
+        are empty."""
         if len(self._active) > 0:
             self._seal_active()
         self._maintenance.quiesce_memtables()
+        if len(self._active) > 0:
+            self._seal_active()
+            self._maintenance.flush_here()
 
     def maintenance(self, max_steps: int = 1_000_000) -> None:
         """Run flushes and merges to quiescence."""
@@ -637,41 +649,99 @@ class LSMStore:
             self._maintenance.run_to_idle(max_steps)
 
     def flush(self) -> None:
-        """Seal and flush the active memtable."""
+        """Seal and flush the active memtable, then cut the log if it
+        may be (a flush before this one may have been refused a cut)."""
         with self._lock:
             self._check_open()
             self._quiesce_memtables_locked()
+            self._checkpoint_log()
 
     def checkpoint(self, target_directory: str) -> int:
-        """Create an openable point-in-time copy of the store.
+        """Copy :meth:`run_image` into ``target_directory`` as a store of
+        its own: each file hard-linked by name — copied off the image's
+        descriptor across filesystems, or once a merge retired the name
+        — then a manifest of the image's runs. Returns their number."""
+        target = os.path.abspath(target_directory)
+        if os.path.exists(target) and os.listdir(target):
+            raise ConfigurationError(
+                f"checkpoint target {target!r} is not empty"
+            )
+        os.makedirs(target, exist_ok=True)
+        image = self.run_image()
+        try:
+            for name, fd, _size in image.files:
+                destination = os.path.join(target, name)
+                try:
+                    os.link(os.path.join(self._directory, name), destination)
+                except OSError:  # the dup's offset is 0: pread never moves it
+                    with os.fdopen(os.dup(fd), "rb") as source, open(
+                        destination, "wb"
+                    ) as copy:
+                        shutil.copyfileobj(source, copy)
+            self._manifest.write_snapshot(
+                os.path.join(target, "MANIFEST"), records=image.records
+            )
+        finally:
+            image.close()
+        return len(image.records)
 
-        Buffered writes are flushed to runs first, then every file of
-        every live run is hard-linked (falling back to a copy across
-        filesystems) into ``target_directory`` together with a minimal
-        manifest snapshot.
-        The checkpoint opens as a normal store; in-flight merges in the
-        source are irrelevant because their inputs are still live in the
-        manifest. Returns the number of runs captured.
+    # -- whole-store images ----------------------------------------------
+
+    def run_image(self) -> RunImage:
+        """Freeze the live runs: what a reset ships, and a checkpoint
+        copies. Buffered writes are flushed first, then the records, the
+        files and the LSN are read in one lock hold with both memtables
+        empty. Refuses (:class:`~repro.errors.DataCorruptError`) while a
+        run is quarantined: no copy would be whole. The caller closes it.
         """
         with self._lock:
             self._check_open()
             self._quiesce_memtables_locked()
-            target = os.path.abspath(target_directory)
-            if os.path.exists(target) and os.listdir(target):
-                raise ConfigurationError(
-                    f"checkpoint target {target!r} is not empty"
-                )
-            os.makedirs(target, exist_ok=True)
-            records = self._manifest.live_runs()
-            for name in {name for record in records for name in record.files}:
-                source_path = os.path.join(self._directory, name)
-                destination = os.path.join(target, name)
-                try:
-                    os.link(source_path, destination)
-                except OSError:
-                    shutil.copy2(source_path, destination)
-            self._manifest.write_snapshot(os.path.join(target, "MANIFEST"))
-            return len(records)
+            for entry in self._compaction.quarantine.entries():
+                raise entry.fence(f"run {entry.run_id} is quarantined")
+            records, files = self._manifest.live_runs(), []
+            try:
+                for name in (n for record in records for n in record.files):
+                    path = os.path.join(self._directory, name)
+                    fd = os.open(path, os.O_RDONLY)
+                    files.append((name, fd, os.fstat(fd).st_size))
+            except OSError:
+                RunImage(0, [], tuple(files)).close()
+                raise
+            return RunImage(self._log.applied(), records, tuple(files))
+
+    def new_run_names(self, count: int) -> list[str]:
+        """Names for files of runs no edit added yet (those a crash
+        leaves unnamed are orphans, which the next open sweeps)."""
+        with self._lock:
+            return [
+                f"{self._manifest.allocate_run_id():08d}.run"
+                for _ in range(count)
+            ]
+
+    def install_image(self, runs: list[tuple[int, tuple[str, ...]]]) -> None:
+        """Make ``runs`` — ``(level, file names)``, oldest first, written
+        under :meth:`new_run_names` — the whole store, as a reset does.
+        Block CRCs are checked first: an edit names files before it opens
+        them. Then in one lock hold the memtables are forgotten, the log
+        is cut and one edit swaps every run for ``runs``, so a crash
+        reopens to the old runs or to exactly these."""
+        report = IntegrityReport()
+        for _level, files in runs:
+            verify_files(self._directory, files, report)
+        if report.problems:
+            raise CorruptionError("; ".join(report.problems))
+        for name in (name for _level, files in runs for name in files):
+            with open(os.path.join(self._directory, name), "rb") as staged:
+                os.fsync(staged.fileno())
+        if runs:
+            fsync_dir(self._directory)
+        with self._lock:
+            self._check_open()
+            self._maintenance.drop_pending()
+            self._active = MemTable()
+            self._checkpoint_log()
+            self._compaction.install(runs)
 
     # -- memory arbitration ----------------------------------------------
 
@@ -999,41 +1069,6 @@ class LSMStore:
                 for key in sorted(set(fetched) | local_keys)
             ]
         return self._maintenance.repair(run_id, entries)
-
-    def apply_reset(self, ops: list[tuple[bytes, bytes | None]]) -> None:
-        """Replace the visible state with an authoritative snapshot.
-
-        The replica-reset primitive: after this call, a scan returns
-        exactly ``ops``. Unlike a scan-and-diff built on :meth:`scan`,
-        this works while local runs are quarantined — the snapshot
-        supersedes the entire store, so the quarantined runs are simply
-        *dropped* (their unreadable contents need no tombstones: a key
-        only they held is either in the snapshot, which rewrites it
-        above them, or absent from it, which dropping realizes). Keys
-        visible in the readable remainder but absent from the snapshot
-        are tombstoned before the drop so nothing beneath a dropped run
-        resurfaces.
-        """
-        with self._lock:
-            self._check_open()
-            snapshot_keys = {key for key, _value in ops}
-            batch: list[tuple[bytes, bytes | None]] = [
-                (key, TOMBSTONE)
-                for key, _value in reconciling_iterator(self._run_sources())
-                if key not in snapshot_keys
-            ]
-            batch.extend(ops)
-            if batch:
-                # Commit inline even under group_commit: this thread
-                # holds the store lock, so parking in the commit queue
-                # would deadlock against the leader needing the lock —
-                # and a reset must not interleave with other writers
-                # anyway.
-                self._wait_for_headroom()
-                self._log.commit(batch, self._obs.clock)
-                self._maybe_rotate()
-            for entry in self._compaction.quarantine.entries():
-                self._compaction.drop_run(entry.run_id)
 
     # -- scrubbing --------------------------------------------------------
 

@@ -145,7 +145,7 @@ def _check_partitioned_levels(
                 )
 
 
-def _verify_files(
+def verify_files(
     directory: str, files: tuple[str, ...], report: IntegrityReport
 ) -> list[tuple[bytes, bytes, str]] | None:
     """Verify one run's files; ``(min, max, name)`` of each non-empty
@@ -227,7 +227,7 @@ def verify_store(directory: str, policy: str | None = None) -> IntegrityReport:
             report.components_per_level[record.level] = (
                 report.components_per_level.get(record.level, 0) + 1
             )
-            bounds = _verify_files(directory, record.files, report)
+            bounds = verify_files(directory, record.files, report)
             if bounds is None:
                 continue
             if bounds:

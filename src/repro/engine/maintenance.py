@@ -407,6 +407,21 @@ class MaintenanceExecutor:
             lambda: not (self._sealed or self._flush_claimed), "while flushing"
         )
 
+    def flush_here(self) -> None:
+        """Flush the sealed queue on the caller, lock held throughout,
+        so nothing is written meanwhile (no flush may be claimed)."""
+        while self._step(self._claim_flush_locked):
+            pass
+
+    def drop_pending(self) -> None:
+        """Wait out claimed flushes and merge chunks, then forget the
+        sealed memtables: a reset's install supersedes them."""
+        claimed = self._compaction.merge_claimed
+        self._drive(
+            lambda: not (self._flush_claimed or claimed()), "during a reset"
+        )
+        self._sealed.clear()
+
     def run_to_idle(self, max_steps: int = 1_000_000) -> None:
         """Run flushes and merges until none remain — when the caller
         drives, in at most ``max_steps`` tasks, waiting out a failed

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import count, repeat
 
 from ..errors import ConfigurationError, CorruptionError
 from .wal import fsync_dir, fsync_file
@@ -230,18 +231,20 @@ class Manifest:
     ) -> list[RunRecord]:
         """Swap merge inputs for outputs in one fsynced line.
 
-        ``added`` lists ``(run_id, level, files)``. Flushes omit
-        ``sequence`` and receive a fresh age stamp. Merge outputs MUST
+        ``added`` lists ``(run_id, level, files)``. Flushes (and a
+        reset's install) omit ``sequence``: each added run gets a fresh
+        age stamp, newer in list order. Merge outputs MUST
         pass the maximum sequence of their inputs: the output's data is
         only as new as its newest input, and stamping it with creation
         time would let merged-away old values shadow tombstones flushed
         while the merge ran. Memory changes only once the line is
         durable: a failed write leaves the recorded runs as they were.
         """
-        if sequence is None and added:
-            sequence = self._next_sequence
+        stamps = count(self._next_sequence) if sequence is None else (
+            repeat(sequence)
+        )
         records = [
-            RunRecord(run_id, level, tuple(files), sequence)
+            RunRecord(run_id, level, tuple(files), next(stamps))
             for run_id, level, files in added
         ]
         self._append(_edit(records, list(removed)))
@@ -249,9 +252,10 @@ class Manifest:
         return records
 
     def write_snapshot(
-        self, path: str, position: LogPosition | None = None
+        self, path: str, position: LogPosition | None = None, records=None
     ) -> None:
-        """Write the live runs as a minimal manifest at ``path``.
+        """Write ``records`` (default: the live runs) as a minimal
+        manifest at ``path``.
 
         Durable and all-or-nothing: written beside ``path``, fsynced,
         renamed into place, the directory fsynced. :meth:`compact`
@@ -259,7 +263,7 @@ class Manifest:
         copy's. ``position``, when given, becomes the last line.
         """
         fresh_path = path + ".new"
-        edits = [_edit(self.live_runs(), [])]
+        edits = [_edit(self.live_runs() if records is None else records, [])]
         if position is not None:
             edits.append(position.to_edit())
         with open(fresh_path, "w", encoding="utf-8") as fresh:

@@ -15,7 +15,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..errors import ConfigurationError, CorruptionError, WalFailedError
 from .options import TOMBSTONE
@@ -405,27 +405,6 @@ class WriteAheadLog:
                     f"byte {start}"
                 )
         return batches
-
-    @staticmethod
-    def chunk_frames(
-        ops: Iterable[tuple[bytes, bytes | None]], limit: int
-    ) -> Iterator[bytearray]:
-        """Encode ``ops`` as consecutive frames of at most ``limit``
-        bytes each (one operation larger than that gets its own frame):
-        how a snapshot of any size travels in bounded messages."""
-        batch: list[tuple[bytes, bytes | None]] = []
-        size = _FRAME_HEADER.size
-        for key, value in ops:
-            op_size = _OP.size + len(key)
-            if value is not TOMBSTONE:
-                op_size += len(value)
-            if batch and size + op_size > limit:
-                yield WriteAheadLog.encode_frame(batch)
-                batch, size = [], _FRAME_HEADER.size
-            batch.append((key, value))
-            size += op_size
-        if batch:
-            yield WriteAheadLog.encode_frame(batch)
 
     @staticmethod
     def replay_from(

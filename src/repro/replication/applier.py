@@ -2,7 +2,7 @@
 
 The applier is the correctness core of log shipping. The shipper may
 re-send spans after a reconnect, restart from an arbitrary cursor, or
-fall back to a full snapshot; the applier's contract is that whatever
+fall back to a reset; the applier's contract is that whatever
 arrives, the follower's ``scan()`` output stays a prefix-consistent copy
 of the leader's. Its cursor is ``(lineage, applied)``: how many bytes of
 which leader log it has applied (``repro.engine.datastore.WalPosition``).
@@ -20,10 +20,11 @@ which leader log it has applied (``repro.engine.datastore.WalPosition``).
 * **stale epochs** are rejected with
   :class:`~repro.errors.StaleEpochError` — the fencing that stops a
   deposed leader from diverging a follower after a promotion;
-* **reset chunks** are staged until the final one arrives, then replace
-  the entire local state with the leader snapshot they add up to and
-  re-base the cursor — the recovery path whenever the leader cannot
-  prove its log continues this follower's cursor.
+* **reset chunks** carry the leader's run files, byte for byte; they
+  are written into run files of this store's own until the final one
+  arrives, which installs them as the entire local state and re-bases
+  the cursor — the recovery path whenever the leader cannot prove its
+  log continues this follower's cursor.
 
 The cursor is mirrored into the store (``LSMStore.set_upstream``) after
 every acknowledged advance, which is what lets a clean close persist it
@@ -36,10 +37,52 @@ its worker pool, since a shipped write can park like any other.
 
 from __future__ import annotations
 
+import os
 import threading
+from itertools import accumulate
 
 from ..engine.wal import WriteAheadLog
 from ..errors import ReplicaGapError, StaleEpochError
+
+
+class _Stage:
+    """A reset image arriving: its files, written in order under fresh
+    run names into the store's directory. ``starts`` is where each file
+    begins in the image's bytes end to end; ``written``, how many of
+    those bytes are on disk."""
+
+    def __init__(self, identity: tuple, store) -> None:
+        self.identity = identity
+        sizes = [size for _level, files in identity[-1] for size in files]
+        names = iter(store.new_run_names(len(sizes)))
+        self.runs = [
+            (level, tuple(next(names) for _ in files))
+            for level, files in identity[-1]
+        ]
+        self.paths = [
+            os.path.join(store.directory, name)
+            for _level, files in self.runs
+            for name in files
+        ]
+        self.starts = list(accumulate(sizes, initial=0))
+        self.written = 0
+
+    def write(self, file: int, offset: int, data: bytes) -> bool:
+        """Append what the image holds at ``offset`` of ``file``, unless
+        it is written already; False if it starts past the next byte."""
+        start = self.starts[file] + offset
+        if start + len(data) <= self.written:
+            return True  # a retried chunk, or an empty one
+        if start != self.written:
+            return False
+        with open(self.paths[file], "ab") as staged:
+            staged.write(data)
+        self.written += len(data)
+        return True
+
+    def drop(self) -> None:
+        for path in filter(os.path.exists, self.paths):
+            os.remove(path)
 
 
 class ReplicaApplier:
@@ -57,8 +100,8 @@ class ReplicaApplier:
         #: metadata, even if the span was a duplicate). ``ship_tail -
         #: applied`` is the follower's own lower bound on its staleness.
         self._ship_tail = self._applied
-        #: Chunks of a reset not yet complete: ``(identity, ops)``.
-        self._staged: tuple[tuple[int, int, int], list] | None = None
+        #: The reset whose chunks are arriving, if any.
+        self._stage: _Stage | None = None
         self._frames_applied = 0
         self._frames_skipped = 0
         self._resets = 0
@@ -79,7 +122,7 @@ class ReplicaApplier:
                 "resets": self._resets,
                 # A follower advertising quarantined runs is telling the
                 # leader its local state is damaged: the shipper answers
-                # by sending a full reset snapshot, which heals it.
+                # by shipping a reset, which heals it.
                 "quarantined": quarantined,
             }
 
@@ -115,20 +158,25 @@ class ReplicaApplier:
                 raise StaleEpochError(
                     f"frame epoch {epoch} < replica epoch {self._epoch}"
                 )
+            elif frame["reset"]:
+                self._epoch = epoch
+                self._apply_chunk_locked(frame)
             else:
-                # Before the epoch is adopted or a stage touched: a
+                # Before the epoch is adopted or a stage dropped: a
                 # damaged message changes nothing.
                 batches = WriteAheadLog.decode_span(frame["span"])
                 self._epoch = epoch
-                if frame["reset"]:
-                    self._stage_reset_locked(frame, batches)
-                else:
-                    self._apply_span_locked(frame, batches)
+                self._apply_span_locked(frame, batches)
         return self.status()
+
+    def _drop_stage_locked(self) -> None:
+        if self._stage is not None:
+            self._stage.drop()
+            self._stage = None
 
     def _apply_span_locked(self, frame: dict, batches: list) -> None:
         # Log frames between a reset's chunks mean its sender gave up.
-        self._staged = None
+        self._drop_stage_locked()
         start = frame["start"]
         end = start + len(frame["span"])
         if frame["lineage"] != self._lineage:
@@ -151,35 +199,44 @@ class ReplicaApplier:
         self._frames_applied += len(batches)
         self._advance_locked(frame["lineage"], end)
 
-    def _stage_reset_locked(self, frame: dict, batches: list) -> None:
-        """Stage one chunk of a snapshot; apply it all at the final one.
+    def _apply_chunk_locked(self, frame: dict) -> None:
+        """Stage one chunk of a reset image; install it at the final one.
 
-        Delegated to :meth:`LSMStore.apply_reset` rather than a local
-        scan-and-diff: the store computes the deletions from its
-        *readable* state (a plain ``scan`` would fail fast on a
-        quarantined run) and drops every quarantined run afterwards —
-        sound because the snapshot supersedes the whole store, so a
-        reset is also the follower's corruption-repair path. Nothing is
-        visible to reads until then: a chunk that does not continue the
-        staged reset (no ``first`` chunk seen, another snapshot's
-        identity) drops the stage instead of applying part of one.
+        A ``first`` chunk starts a stage. A chunk already written is
+        acked without a write (a client retries what timed out); one of
+        another image, past the next byte, or a final one that leaves
+        the image short drops the stage — deleting its files — and is a
+        gap. Nothing is visible until :meth:`LSMStore.install_image`,
+        which drops quarantined runs too: a reset also repairs.
         """
-        identity = (frame["epoch"], frame["lineage"], frame["start"])
+        identity = (
+            frame["epoch"], frame["lineage"], frame["start"], frame["layout"]
+        )
         if frame["first"]:
-            self._staged = (identity, [])
-        elif self._staged is None or self._staged[0] != identity:
-            self._staged = None
-            raise ReplicaGapError(
-                f"reset chunk {identity} does not continue a staged reset",
-                expected=(self._lineage, self._applied),
-            )
-        ops = self._staged[1]
-        for batch in batches:
-            ops += batch
-        if not frame["final"]:
-            return
-        self._staged = None
-        self._store.apply_reset(ops)
+            self._drop_stage_locked()
+            self._stage = _Stage(identity, self._store)
+        stage = self._stage
+        try:
+            if (
+                stage is None
+                or stage.identity != identity
+                or not stage.write(
+                    frame["file"], frame["offset"], frame["span"]
+                )
+                or (frame["final"] and stage.written != stage.starts[-1])
+            ):
+                raise ReplicaGapError(
+                    f"reset chunk at offset {frame['offset']} of file "
+                    f"{frame['file']} does not continue a staged reset",
+                    expected=(self._lineage, self._applied),
+                )
+            if not frame["final"]:
+                return
+            self._store.install_image(stage.runs)
+        except BaseException:
+            self._drop_stage_locked()
+            raise
+        self._stage = None
         self._ship_tail = frame["start"]
         self._resets += 1
         self._advance_locked(frame["lineage"], frame["start"])

@@ -14,10 +14,10 @@ plays one of two roles:
   a staleness lower bound for the router's ``read_from_replica`` mode.
 
 ``PROMOTE`` flips a follower to leader at a new epoch and a fresh log
-lineage, so any surviving peers are re-attached with a reset-snapshot
-resync. A deposed leader that receives a higher-epoch ``REPLICATE``
-steps down to follower — together with the applier's epoch check this
-is the fencing that keeps exactly one writable head per shard.
+lineage, so any surviving peers are re-attached with a reset. A
+deposed leader that receives a higher-epoch ``REPLICATE`` steps down
+to follower — together with the applier's epoch check this is the
+fencing that keeps exactly one writable head per shard.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class ReplicatedKVServer(KVServer):
         ``PROMOTE`` verb mid-failover. Peers start with an unknown
         cursor, so the shipper first asks each where it stands: one
         whose cursor lies in this store's lineage and log resumes from
-        it, any other gets a reset snapshot — correct regardless of how
+        it, any other gets a reset — correct regardless of how
         far behind it is. A store that has been following someone is no
         longer that log's prefix once it takes writes of its own, so it
         leads under a fresh lineage: every peer of a promoted follower
@@ -392,7 +392,7 @@ class ReplicatedKVServer(KVServer):
         """Try to rebuild every quarantined run from a follower.
 
         Returns how many runs were repaired. A pass is a no-op on a
-        follower (its repair path is the shipper's reset snapshot) and
+        follower (its repair path is the shipper's reset) and
         on a leader with no followers attached.
         """
         if self._role != "leader" or self._shipper is None:

@@ -18,7 +18,7 @@ framed protocol's ``REPLICATE`` verb and keeps three pieces of state:
   where the follower stands (start-up, a gap, a damaged follower): the
   task then *asks* — a status probe — and resumes from the follower's
   own cursor if that lies in this lineage and inside the log, and only
-  otherwise ships a reset snapshot, in bounded chunks;
+  otherwise ships a reset: the leader's run files, in bounded chunks;
 * ``acked`` — the follower's last acknowledged LSN, which drives the
   ``replication_applied_offset`` / ``replication_lag_bytes`` gauges and
   the quorum accounting behind :meth:`wait_committed`;
@@ -37,22 +37,23 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
 import threading
 
-from ..engine.wal import WriteAheadLog
 from ..errors import (
     DataCorruptError,
     RequestFailedError,
     RetriesExhaustedError,
 )
 from ..obs import events as obs_events
-from ..server import protocol
+from ..server import binproto, protocol
 from ..server.service import in_thread
 from .policy import acks_required, validate_ack_policy
 
-#: The most log one REPLICATE carries, and the size of a reset's chunks
-#: (a single frame larger than this still travels, alone): what bounds
-#: both a follower's apply and a message, far below the wire's frame cap.
+#: The most log one REPLICATE carries, and the most of a run file one
+#: reset chunk does (a single frame larger than this still travels,
+#: alone): what bounds both a follower's apply and a message, far below
+#: the wire's frame cap.
 _SPAN_BYTES = 1 << 20
 
 #: A stalled follower is retried after this long, doubling per failed
@@ -118,7 +119,7 @@ class WalShipper:
         )
         self._m_resets = registry.counter(
             "replication_resets_total",
-            help="Full snapshot resyncs shipped to followers.",
+            help="Resets shipped to followers (their whole state).",
         )
         self._m_resumes = registry.counter(
             "replication_resumes_total",
@@ -129,8 +130,8 @@ class WalShipper:
             kind: registry.counter(
                 "replication_bytes_shipped_total",
                 labels={"kind": kind},
-                help="Span bytes acknowledged by followers: log frames, "
-                "or reset snapshot chunks.",
+                help="Bytes acknowledged by followers: log frames, or "
+                "the run files a reset ships plus each chunk's header.",
             )
             for kind in ("log", "reset")
         }
@@ -267,7 +268,7 @@ class WalShipper:
     # -- quorum accounting -----------------------------------------------
 
     def _ack_count(self, end: int) -> int:
-        # A reset snapshot carries the leader's state as of the LSN the
+        # A reset carries the leader's state as of the LSN the
         # follower then acks, so one comparison covers both paths.
         with self._lock:
             return sum(
@@ -307,7 +308,7 @@ class WalShipper:
                 # but its *materialized state* is not that prefix any
                 # more — so forget where it stands: the probe that
                 # follows sees the damage too and answers with a full
-                # reset snapshot, which replaces it wholesale.
+                # reset, which replaces it wholesale.
                 self._cursors[index] = None
             else:
                 self._cursors[index] = applied
@@ -351,11 +352,11 @@ class WalShipper:
                 await self._note_stall(index, error)
                 continue
             except DataCorruptError as error:
-                # The *leader's* snapshot scan hit its own quarantined
-                # run (only reachable while shipping a reset). Back off
-                # like a stall: the repair ticker will rebuild the run
-                # from a healthy follower, after which the reset scan
-                # succeeds again.
+                # The *leader* holds a quarantined run, so no image of
+                # it is whole (only reachable while shipping a reset).
+                # Back off like a stall: the repair ticker will rebuild
+                # the run from a healthy follower, after which the image
+                # is whole again.
                 await self._note_stall(index, error)
                 continue
             self._clear_stall(index)
@@ -425,8 +426,8 @@ class WalShipper:
         Resuming is sound exactly when the follower's cursor is an LSN
         of *this* lineage that the log still reaches back to: it then
         holds our log's prefix up to there and nothing else. A follower
-        that does not answer raises out of here before any snapshot is
-        built.
+        that does not answer raises out of here before any image is
+        frozen.
         """
         # Its lag until it answers is whatever the log holds; say so
         # now, in case the probe goes unanswered.
@@ -446,31 +447,47 @@ class WalShipper:
         await self._record_ack(index, status)
 
     async def _ship_reset(self, index: int, client) -> None:
-        """Ship the whole state as a snapshot, in bounded chunks.
+        """Ship the leader's run files, as they lie on its disk, in
+        chunks of at most :data:`_SPAN_BYTES`.
 
-        The snapshot is one list on this side and one staged list on
-        the follower's until its final chunk; only the messages are
-        bounded. Streaming it waits for consistent snapshot scans.
+        The image (:meth:`LSMStore.run_image`) is frozen under the store
+        lock; its files are then read and sent one chunk at a time, off
+        the lock, through the descriptors that pin them.
         """
-        items, lsn = await in_thread(self._store.replication_snapshot)
-        chunks = WriteAheadLog.chunk_frames(items, _SPAN_BYTES)
-        chunk, first = next(chunks, b""), True
-        while True:
-            following = next(chunks, None)
-            ack = await client.replicate(
-                protocol.replicate_request(
+        image = await in_thread(self._store.run_image)
+        try:
+            sizes = {name: size for name, _fd, size in image.files}
+            layout = [
+                (run.level, [sizes[name] for name in run.files])
+                for run in image.records
+            ]
+            pieces = [
+                (file, fd, offset, min(_SPAN_BYTES, size - offset))
+                for file, (_name, fd, size) in enumerate(image.files)
+                for offset in range(0, size, _SPAN_BYTES)
+            ] or [(0, None, 0, 0)]  # an image of no files: one empty chunk
+            for number, (file, fd, offset, length) in enumerate(pieces):
+                span = b""
+                if length:
+                    span = await in_thread(os.pread, fd, length, offset)
+                message = protocol.reset_chunk_request(
                     self._epoch,
                     self._lineage,
-                    lsn,
-                    chunk,
-                    reset=True,
-                    first=first,
-                    final=following is None,
+                    image.lsn,
+                    span,
+                    layout=layout,
+                    file=file,
+                    offset=offset,
+                    first=number == 0,
+                    final=number == len(pieces) - 1,
                 )
-            )
-            self._m_bytes["reset"].inc(len(chunk))
-            if following is None:
-                break
-            chunk, first = following, False
+                ack = await client.replicate(message)
+                self._m_bytes["reset"].inc(
+                    binproto.REPLICATE_HEADER_BYTES
+                    + len(binproto.reset_head(message))
+                    + length
+                )
+        finally:
+            image.close()
         self._m_resets.inc()
         await self._record_ack(index, ack)

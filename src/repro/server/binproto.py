@@ -13,7 +13,8 @@ payload::
     OP_GET   (0x02)  klen:u32 key
     OP_DEL   (0x03)  klen:u32 key
     OP_BATCH (0x04)  count:u32 { kind:u8 klen:u32 key [vlen:u32 value] }*
-    OP_REPLICATE (0x05)  epoch:u32 lineage:u64 start:u64 flags:u8 span
+    OP_REPLICATE (0x05)  epoch:u32 lineage:u64 start:u64 flags:u8
+                         [hlen:u32 head] span
     OP_RANGE (0x06)  hlen:u32 head flags:u8 [lolen:u32 lo] [hilen:u32 hi]
     OP_JSON  (0x00)  utf-8 JSON object (any other request)
 
@@ -36,10 +37,11 @@ write, so it is a hot verb too: ``span`` — everything after the 21-byte
 header — is write-ahead-log frames exactly as they lie in the leader's
 log (``repro.engine.wal``: little-endian length and CRC, then the
 operations), never re-encoded. ``start`` is the LSN of the span's first
-byte in the log of ``lineage``; ``flags`` is ``0x01`` reset (the span is
-one chunk of a snapshot and ``start`` the LSN the snapshot was taken
-at), ``0x02`` first and ``0x04`` final chunk of a reset. This module
-only frames the span; the follower checks its CRCs.
+byte in the log of ``lineage``; ``flags`` is ``0x01`` reset, ``0x02``
+first and ``0x04`` final chunk of a reset. A reset chunk's span is bytes
+of a leader's run file instead, and a JSON ``head`` says where they lie:
+``file``, ``offset`` and the image's ``layout``. This module only frames
+the span; the follower checks its CRCs.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ _KIND_DEL = 2
 #: Flag bits of OP_REPLICATE (the message's boolean fields) and of
 #: OP_RANGE (which bounds follow the head).
 _REPLICATE_FLAGS = (("reset", 0x01), ("first", 0x02), ("final", 0x04))
+_RESET_FIELDS = ("file", "offset", "layout")
 _RANGE_FLAGS = (("lo", 0x01), ("hi", 0x02))
 
 
@@ -114,6 +117,12 @@ def _head(message: dict, raw: tuple[str, ...]) -> tuple[bytes, bytes]:
     """The length-prefixed JSON head of OP_RANGE and ST_ROWS: every
     field of ``message`` but the ``raw`` ones."""
     return _sized(_json({f: v for f, v in message.items() if f not in raw}))
+
+
+def reset_head(message: dict) -> bytes:
+    """A reset chunk's ``hlen:u32 head``: where its span lies."""
+    head = _json({field: message.get(field) for field in _RESET_FIELDS})
+    return _U32.pack(len(head)) + head
 
 
 def _json_object(raw: bytes) -> dict:
@@ -170,7 +179,9 @@ def encode_request(message: dict) -> bytes:
                 message.get("start"),
                 flags,
             )
-        except struct.error as error:
+            if message.get("reset"):
+                header += reset_head(message)
+        except (struct.error, TypeError) as error:
             raise ProtocolError(f"replicate header: {error}") from error
         return b"".join((_U8.pack(OP_REPLICATE), header, message["span"]))
     if "lo" in message and "hi" in message and all(
@@ -265,10 +276,13 @@ def decode_request(payload: bytes) -> dict:
             "epoch": epoch,
             "lineage": lineage,
             "start": start,
-            "span": cursor.take(len(payload) - cursor.pos),
         }
         for field, bit in _REPLICATE_FLAGS:
             message[field] = bool(flags & bit)
+        if message["reset"]:
+            head = _json_object(cursor.sized())
+            message.update((field, head.get(field)) for field in _RESET_FIELDS)
+        message["span"] = cursor.take(len(payload) - cursor.pos)
     elif opcode == OP_RANGE:
         message = _json_object(cursor.sized())
         flags = cursor.u8()

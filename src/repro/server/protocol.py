@@ -116,26 +116,14 @@ def events_request(since: int = -1, limit: int | None = None) -> dict:
 
 
 def replicate_request(
-    epoch: int,
-    lineage: int,
-    start: int,
-    span: bytes,
-    reset: bool = False,
-    first: bool = False,
-    final: bool = False,
+    epoch: int, lineage: int, start: int, span: bytes
 ) -> dict:
-    """One shipped span of the leader's log, or one chunk of a reset.
+    """One shipped span of the leader's log.
 
     ``span`` is whole write-ahead-log frames, byte for byte as
     ``WriteAheadLog.read_span`` returned them: they occupy ``[start,
     start + len(span))`` in the log of ``lineage``, and the follower
-    acks by advancing its cursor to the end of that range. With
-    ``reset`` the frames instead carry one chunk of a snapshot taken at
-    LSN ``start`` — the same on every chunk — marked ``first`` and
-    ``final`` at its ends; the follower stages the chunks and, at the
-    final one, replaces its entire state with them and re-bases its
-    cursor at ``(lineage, start)``. An empty span is legal: a snapshot
-    of an empty store is one chunk, both first and final, of no frames.
+    acks by advancing its cursor to the end of that range.
     """
     return {
         "op": "REPLICATE",
@@ -143,10 +131,29 @@ def replicate_request(
         "lineage": lineage,
         "start": start,
         "span": span,
-        "reset": reset,
-        "first": first,
-        "final": final,
+        "reset": False,
+        "first": False,
+        "final": False,
     }
+
+
+def reset_chunk_request(
+    epoch, lineage, start, span, *, layout, file, offset, first, final
+) -> dict:
+    """One chunk of a reset: ``span`` is the bytes at ``offset`` of file
+    ``file`` of an image of the leader's runs at LSN ``start``, whose
+    ``layout`` is ``(level, file sizes)`` per run, oldest first. The
+    chunks cover the files in order, ``first`` to ``final``; an image of
+    no files is one empty chunk."""
+    return dict(
+        replicate_request(epoch, lineage, start, span),
+        reset=True,
+        first=first,
+        final=final,
+        layout=[[level, list(sizes)] for level, sizes in layout],
+        file=file,
+        offset=offset,
+    )
 
 
 def replicate_probe_request(epoch: int = -1) -> dict:
@@ -164,7 +171,7 @@ def promote_request(
     """Tell a follower to become the shard leader at ``epoch``.
 
     ``peers`` lists the surviving followers' addresses; the new leader
-    re-attaches them with a reset-snapshot resync so the replica group
+    re-attaches them with a reset so the replica group
     keeps its redundancy after a failover.
     """
     message = {"op": "PROMOTE", "epoch": epoch}
@@ -202,8 +209,10 @@ def replicate_payload(message: dict) -> dict:
 
     Returns ``{"epoch", "probe"}`` for probes, or ``{"epoch", "probe",
     "lineage", "start", "span", "reset", "first", "final"}`` for a
-    shipped span (:func:`replicate_request`). The span's frames are not
-    looked at here — the applier walks them, CRC first.
+    shipped span (:func:`replicate_request`), plus ``"layout", "file",
+    "offset"`` for a reset chunk (:func:`reset_chunk_request`), whose
+    bytes must lie inside the file the layout declares. The span's
+    frames are not looked at here — the applier walks them, CRC first.
     """
     epoch = request_epoch(message)
     if message.get("probe"):
@@ -212,7 +221,7 @@ def replicate_payload(message: dict) -> dict:
         field: _integer(message.get(field), f"replicate {field}", True)
         for field in ("lineage", "start")
     }
-    return {
+    payload = {
         "epoch": epoch,
         "probe": False,
         "span": _raw(message.get("span"), "replicate span"),
@@ -221,6 +230,35 @@ def replicate_payload(message: dict) -> dict:
         "final": bool(message.get("final", False)),
         **fields,
     }
+    if payload["reset"]:
+        payload.update(_image_chunk(message, len(payload["span"])))
+    return payload
+
+
+def _image_chunk(message: dict, length: int) -> dict:
+    """A reset chunk's ``layout``, ``file`` and ``offset``: whole numbers,
+    a file or more per run, and ``length`` bytes inside file ``file``
+    (or none at offset 0 past the last file)."""
+    try:
+        layout = tuple(
+            (level, tuple(files)) for level, files in message.get("layout")
+        )
+    except (TypeError, ValueError) as error:
+        raise ProtocolError(f"malformed reset layout: {error}") from error
+    for level, files in layout:
+        for number in (level, *files):
+            _integer(number, "reset run level or file size", True)
+    file = _integer(message.get("file"), "reset file", True)
+    offset = _integer(message.get("offset"), "reset offset", True)
+    sizes = [size for _level, files in layout for size in files] + [0]
+    if not all(files for _level, files in layout) or not (
+        file < len(sizes) and offset + length <= sizes[file]
+    ):
+        raise ProtocolError(
+            f"a reset chunk of {length} bytes at offset {offset} of file "
+            f"{file} lies outside its image"
+        )
+    return {"layout": layout, "file": file, "offset": offset}
 
 
 def promote_payload(message: dict) -> tuple[int, list[tuple[str, int]]]:

@@ -6,6 +6,8 @@ from repro.engine import BlockCache, LSMStore, StoreOptions
 from repro.engine.blockcache import ROW_OVERHEAD_BYTES, ROWS
 from repro.errors import ConfigurationError, DataCorruptError
 
+from .images import frozen, install
+
 
 class TestBlockCacheUnit:
     def test_put_get_roundtrip(self):
@@ -302,7 +304,8 @@ class TestRowTier:
         kept, dropped = b"user000012", b"user000013"
         with _loaded(tmp_path) as store:
             assert store.get(kept) and store.get(dropped)
-            store.apply_reset([(kept, b"reset")])
+            with frozen(tmp_path / "leader", [(kept, b"reset")]) as image:
+                install(store, image)
             assert not _rows(store) & {kept, dropped}
             store.flush()
             assert store.get(kept) == b"reset"

@@ -1,9 +1,11 @@
 """Tests for point-in-time store checkpoints."""
 
+import os
+
 import pytest
 
 from repro.engine import LSMStore, StoreOptions, verify_store
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataCorruptError
 
 OPTIONS = StoreOptions(memtable_bytes=16 * 1024, levels=3)
 
@@ -55,3 +57,25 @@ class TestCheckpoint:
         with LSMStore.open(str(tmp_path / "db"), OPTIONS) as original:
             assert original.get(b"shared") == b"2"
             assert original.get(b"snap-only") is None
+
+    def test_a_quarantined_run_is_not_laundered_into_a_copy(self, tmp_path):
+        # A copy of a quarantined run would open with no quarantine at
+        # all, the damage found again only when a read hit the block.
+        directory = str(tmp_path / "db")
+        options = OPTIONS.with_(block_cache_bytes=0)
+        with LSMStore.open(directory, options) as store:
+            for i in range(100):
+                store.put(b"k%04d" % i, b"v" * 64)
+            store.flush()
+            [record] = store.live_runs()
+            path = os.path.join(directory, record.files[0])
+            blob = bytearray(open(path, "rb").read())
+            blob[16] ^= 0xFF
+            with open(path, "wb") as damaged:
+                damaged.write(bytes(blob))
+            with pytest.raises(DataCorruptError):
+                store.get(b"k0000")
+            assert store.stats().quarantined_runs == 1
+            with pytest.raises(DataCorruptError):
+                store.checkpoint(str(tmp_path / "snap"))
+        assert not (tmp_path / "snap" / "MANIFEST").exists()

@@ -16,6 +16,8 @@ from repro.engine.quarantine import QuarantineEntry
 from repro.engine.sstable import _FOOTER
 from repro.errors import DataCorruptError
 
+from .images import frozen, install
+
 OPTIONS = StoreOptions(
     memtable_bytes=16 * 1024,
     block_cache_bytes=0,  # no cache: reads must touch the damaged disk
@@ -187,15 +189,27 @@ class TestApplyReset:
             with pytest.raises(DataCorruptError):
                 store.get(keys[0])
             snapshot = [(b"only", b"survivor")]
-            store.apply_reset(snapshot)
+            with frozen(tmp_path / "leader", snapshot) as image:
+                install(store, image)
             assert store.quarantined_entries() == []
+            assert store.stats().quarantined_runs == 0
             assert list(store.scan()) == snapshot
             assert store.get(keys[0]) is None
+            assert not os.path.exists(os.path.join(directory, record.files[0]))
+        with LSMStore.open(directory, OPTIONS) as store:
+            assert store.quarantined_entries() == []
+            assert list(store.scan()) == snapshot
 
     def test_reset_tombstones_extra_local_keys(self, tmp_path):
+        # No key of the old state survives the image: not one in a run,
+        # not one buffered in a memtable (nor, after a reopen, its log).
         directory = str(tmp_path / "db")
         with _build(directory, [b"a", b"b", b"c"]) as store:
-            store.apply_reset([(b"b", b"kept")])
+            store.put(b"d", b"buffered")
+            with frozen(tmp_path / "leader", [(b"b", b"kept")]) as image:
+                install(store, image)
+            assert list(store.scan()) == [(b"b", b"kept")]
+        with LSMStore.open(directory, OPTIONS) as store:
             assert list(store.scan()) == [(b"b", b"kept")]
 
 
@@ -269,7 +283,8 @@ class TestReadPlanCache:
             assert isinstance(
                 self._current_plan(store)[1][1], QuarantineEntry
             )
-            store.apply_reset([(b"key", b"reset")])  # drops the fenced run
+            with frozen(tmp_path / "leader", [(b"key", b"reset")]) as image:
+                install(store, image)  # drops the fenced run
             assert older.run_id not in [
                 run_id for run_id, _ in self._current_plan(store)
             ]

@@ -365,20 +365,3 @@ class TestSpans:
         ):
             with pytest.raises(CorruptionError):
                 WriteAheadLog.decode_span(damaged)
-
-    def test_chunk_frames_bounds_every_frame(self):
-        ops = [(b"k%03d" % i, b"v" * 50) for i in range(40)]
-        ops[7] = (b"k007", TOMBSTONE)
-        ops[20] = (b"k020", b"w" * 400)  # larger than the limit: alone
-        chunks = list(WriteAheadLog.chunk_frames(iter(ops), 256))
-        assert all(len(c) <= 256 for c in chunks if len(c) < 400)
-        assert sum(len(c) > 256 for c in chunks) == 1
-        decoded = [WriteAheadLog.decode_span(bytes(c)) for c in chunks]
-        assert all(len(frames) == 1 for frames in decoded)
-        assert [op for frames in decoded for op in frames[0]] == ops
-        # as full as the limit allows: the op that opens a chunk would
-        # not have fitted into the one before
-        for chunk, following in zip(chunks, decoded[1:]):
-            opener = WriteAheadLog.encode_frame(following[0][:1])
-            assert len(chunk) + len(opener) - 8 > 256
-        assert list(WriteAheadLog.chunk_frames([], 256)) == []

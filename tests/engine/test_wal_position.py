@@ -155,7 +155,7 @@ class TestReadByLsn:
         listener = Listener()
         with tempfile.TemporaryDirectory() as scratch:
             # group_commit: a write is a commit group (concurrent ones
-            # share a group); apply_reset still commits by plain append.
+            # share a group, a lone one is a group of one).
             options = OPTIONS.with_(group_commit=True)
             with LSMStore.open(scratch, options) as store:
                 store.set_commit_listener(listener)
@@ -163,7 +163,7 @@ class TestReadByLsn:
                 for kind, batches in steps:
                     if kind == "append":
                         for batch in batches:
-                            store.apply_reset(batch)
+                            store.write_batch(batch)
                     elif kind == "group":
                         writers = [
                             threading.Thread(target=store.write_batch, args=(batch,))

@@ -1,10 +1,14 @@
 """Applier decision tree: duplicates, gaps, epochs, staged resets."""
 
+import os
+
 import pytest
 
 from repro.engine import LSMStore, StoreOptions, WriteAheadLog
 from repro.errors import CorruptionError, ReplicaGapError, StaleEpochError
 from repro.replication import ReplicaApplier
+
+from ..engine.images import chunks, frozen, unnamed_runs
 
 OPTIONS = StoreOptions(
     memtable_bytes=4096,
@@ -31,35 +35,40 @@ def span_of(*batches):
     return b"".join(bytes(WriteAheadLog.encode_frame(b)) for b in batches)
 
 
-def frame(
-    batches,
-    start,
-    epoch=0,
-    lineage=LINEAGE,
-    reset=False,
-    first=False,
-    final=False,
-):
+def frame(batches, start, epoch=0, lineage=LINEAGE):
     return {
         "epoch": epoch,
         "probe": False,
         "lineage": lineage,
         "start": start,
         "span": span_of(*batches),
-        "reset": reset,
-        "first": first,
-        "final": final,
+        "reset": False,
+        "first": False,
+        "final": False,
     }
 
 
-def reset(batches, lsn, first=True, final=True, **fields):
-    return frame(batches, lsn, reset=True, first=first, final=final, **fields)
+def empty_reset(lsn, epoch=0, lineage=LINEAGE):
+    """The reset of an empty leader: one chunk, no files."""
+    return {
+        "epoch": epoch,
+        "probe": False,
+        "lineage": lineage,
+        "start": lsn,
+        "span": b"",
+        "reset": True,
+        "first": True,
+        "final": True,
+        "layout": (),
+        "file": 0,
+        "offset": 0,
+    }
 
 
 def attached(store, lsn=0):
-    """An applier that has been reset to an empty snapshot at ``lsn``."""
+    """An applier that has been reset to an empty leader at ``lsn``."""
     applier = ReplicaApplier(store)
-    applier.apply_frame(reset([], lsn))
+    applier.apply_frame(empty_reset(lsn))
     return applier
 
 
@@ -109,9 +118,11 @@ def test_gap_rejected_with_expected_cursor(store):
     assert list(store.scan()) == [(b"a", b"1")]
 
 
-def test_stale_epoch_fenced(store):
+def test_stale_epoch_fenced(store, tmp_path):
     applier = ReplicaApplier(store)
-    applier.apply_frame(reset([A], 10, epoch=2))
+    with frozen(tmp_path / "leader", A) as image:
+        [chunk] = chunks(image, epoch=2, start=10)
+    applier.apply_frame(chunk)
     with pytest.raises(StaleEpochError):
         applier.apply_frame(frame([[(b"z", b"9")]], 10, epoch=1))
     assert list(store.scan()) == [(b"a", b"1")]
@@ -171,97 +182,139 @@ def test_overlapping_span_is_a_gap(store):
     assert applier.status()["applied"] == LEN_A
 
 
-def test_reset_replaces_state_and_rebases(store):
+def test_reset_replaces_state_and_rebases(store, tmp_path):
     applier = attached(store)
     applier.apply_frame(frame([[(b"old", b"x"), (b"keep", b"1")]], 0))
-    status = applier.apply_frame(
-        reset([[(b"keep", b"2"), (b"new", b"3")]], 40, lineage=9)
-    )
+    with frozen(tmp_path / "leader", [(b"keep", b"2"), (b"new", b"3")]) as image:
+        [chunk] = chunks(image, lineage=9, start=40)
+    status = applier.apply_frame(chunk)
     assert status == dict(
         status, lineage=9, applied=40, ship_tail=40, resets=2
     )
-    # keys outside the snapshot are gone; snapshot values win
+    # keys outside the image are gone; image values win
     assert list(store.scan()) == [(b"keep", b"2"), (b"new", b"3")]
     assert store.upstream == (9, 40, 0)
+    assert unnamed_runs(store) == []
 
 
 class TestStagedReset:
     OLD = [(b"old", b"x")]
-    CHUNKS = [[(b"a", b"1")], [(b"b", b"2")], [(b"c", b"3")]]
+    ROWS = [(b"k%03d" % index, b"v" * 40) for index in range(64)]
+    #: Bytes per chunk: the image's one file travels in several.
+    LIMIT = 1024
+
+    @pytest.fixture
+    def image_chunks(self, tmp_path):
+        with frozen(tmp_path / "leader", self.ROWS) as image:
+            assert len(image.files) == 1
+            yield lambda **fields: chunks(
+                image, self.LIMIT, start=900, **fields
+            )
 
     def follower(self, store):
         applier = attached(store)
         applier.apply_frame(frame([self.OLD], 0))
         return applier, applier.status()
 
-    def test_nothing_is_visible_until_the_final_chunk(self, store):
+    def test_nothing_is_visible_until_the_final_chunk(
+        self, store, image_chunks
+    ):
         applier, before = self.follower(store)
-        first, middle, last = self.CHUNKS
-        for chunk, is_first in ((first, True), (middle, False)):
-            status = applier.apply_frame(
-                reset([chunk], 900, first=is_first, final=False)
-            )
+        *staged, last = image_chunks()
+        assert len(staged) >= 3
+        for chunk in staged:
+            status = applier.apply_frame(chunk)
             assert status == before
             assert list(store.scan()) == self.OLD
             assert store.upstream == (LINEAGE, before["applied"], 0)
-        status = applier.apply_frame(reset([last], 900, first=False))
+        status = applier.apply_frame(last)
         assert status["applied"] == 900
-        assert list(store.scan()) == [op for c in self.CHUNKS for op in c]
+        assert list(store.scan()) == self.ROWS
+        assert unnamed_runs(store) == []
 
-    def test_a_chunk_without_its_first_is_a_gap(self, store):
+    def test_a_chunk_without_its_first_is_a_gap(self, store, image_chunks):
         applier, before = self.follower(store)
         with pytest.raises(ReplicaGapError):
-            applier.apply_frame(reset([self.CHUNKS[2]], 900, first=False))
+            applier.apply_frame(image_chunks()[-1])
         assert applier.status() == before
         assert list(store.scan()) == self.OLD
+
+    def test_a_retried_chunk_is_acked_and_a_skipped_one_is_a_gap(
+        self, store, image_chunks
+    ):
+        applier, before = self.follower(store)
+        first, second, third, *rest = image_chunks()
+        applier.apply_frame(first)
+        applier.apply_frame(second)
+        [staged] = unnamed_runs(store)
+        path = os.path.join(store.directory, staged)
+        written = applier._stage.written
+        # a client retries a request it timed out on: an ack, no write
+        assert applier.apply_frame(second) == before
+        assert applier._stage.written == written
+        assert os.path.getsize(path) == written
+        with pytest.raises(ReplicaGapError):
+            applier.apply_frame(rest[0])  # ``third`` never arrived
+        assert applier._stage is None
+        assert unnamed_runs(store) == []
+        assert list(store.scan()) == self.OLD
+        assert applier.status()["applied"] == before["applied"]
 
     @pytest.mark.parametrize(
         "other", [dict(lineage=8), dict(epoch=1), dict(start=901)]
     )
-    def test_a_chunk_of_another_reset_drops_the_stage(self, store, other):
+    def test_a_chunk_of_another_reset_drops_the_stage(
+        self, store, image_chunks, other
+    ):
         applier, before = self.follower(store)
-        applier.apply_frame(
-            reset([self.CHUNKS[0]], 900, first=True, final=False)
-        )
-        fields = dict(dict(lineage=LINEAGE, epoch=0, start=900), **other)
+        first, second, *rest = image_chunks()
+        applier.apply_frame(first)
+        assert unnamed_runs(store)  # the stage's file
+        foreign = dict(second, **other)
         with pytest.raises(ReplicaGapError):
-            applier.apply_frame(
-                frame(
-                    [self.CHUNKS[1]],
-                    fields["start"],
-                    epoch=fields["epoch"],
-                    lineage=fields["lineage"],
-                    reset=True,
-                )
-            )
-        # ... for good: the final chunk of the first reset finds nothing
-        # to complete (or, after a newer epoch's chunk, is fenced)
+            applier.apply_frame(foreign)
+        assert unnamed_runs(store) == []
+        # ... for good: the rest of the first reset finds nothing to
+        # continue (or, after a newer epoch's chunk, is fenced)
         with pytest.raises((ReplicaGapError, StaleEpochError)):
-            applier.apply_frame(reset([self.CHUNKS[2]], 900, first=False))
+            applier.apply_frame(rest[-1])
         assert list(store.scan()) == self.OLD
         assert applier.status()["applied"] == before["applied"]
 
-    def test_a_first_chunk_starts_over(self, store):
+    def test_a_first_chunk_starts_over(self, store, image_chunks):
         applier, _ = self.follower(store)
-        applier.apply_frame(
-            reset([self.CHUNKS[0]], 900, first=True, final=False)
-        )
-        # the shipper gave up mid-reset and begins again, same identity
-        applier.apply_frame(
-            reset([self.CHUNKS[1]], 900, first=True, final=False)
-        )
-        applier.apply_frame(reset([self.CHUNKS[2]], 900, first=False))
-        assert list(store.scan()) == self.CHUNKS[1] + self.CHUNKS[2]
+        first, second, *rest = image_chunks()
+        applier.apply_frame(first)
+        applier.apply_frame(second)
+        # the shipper gave up mid-reset and begins again
+        for chunk in image_chunks():
+            applier.apply_frame(chunk)
+        assert list(store.scan()) == self.ROWS
+        assert unnamed_runs(store) == []
 
-    def test_a_log_span_between_chunks_drops_the_stage(self, store):
+    def test_a_log_span_between_chunks_drops_the_stage(
+        self, store, image_chunks
+    ):
         applier, before = self.follower(store)
-        applier.apply_frame(
-            reset([self.CHUNKS[0]], 900, first=True, final=False)
-        )
+        first, *rest = image_chunks()
+        applier.apply_frame(first)
         applier.apply_frame(frame([B], before["applied"]))
+        assert unnamed_runs(store) == []
         with pytest.raises(ReplicaGapError):
-            applier.apply_frame(reset([self.CHUNKS[2]], 900, first=False))
+            applier.apply_frame(rest[-1])
         assert list(store.scan()) == [(b"b", b"2")] + self.OLD
+
+    def test_a_damaged_image_is_refused_whole(self, store, image_chunks):
+        applier, before = self.follower(store)
+        *staged, last = image_chunks()
+        middle = dict(staged[1], span=bytes(len(staged[1]["span"])))
+        for chunk in [staged[0], middle, *staged[2:]]:
+            applier.apply_frame(chunk)
+        with pytest.raises(CorruptionError):
+            applier.apply_frame(last)
+        assert applier.status() == before
+        assert list(store.scan()) == self.OLD
+        assert unnamed_runs(store) == []
 
 
 def test_a_damaged_span_changes_nothing(store):

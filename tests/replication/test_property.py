@@ -59,17 +59,23 @@ def frame(span, start, lineage):
     }
 
 
+def empty_reset(start, lineage):
+    """The reset of an empty leader: one chunk, no files."""
+    return dict(
+        frame(b"", start, lineage),
+        reset=True,
+        first=True,
+        final=True,
+        layout=(),
+        file=0,
+        offset=0,
+    )
+
+
 def attach(follower, position):
     """An applier reset to the leader's (empty) state at LSN 0."""
     applier = ReplicaApplier(follower)
-    applier.apply_frame(
-        dict(
-            frame(b"", 0, position.lineage),
-            reset=True,
-            first=True,
-            final=True,
-        )
-    )
+    applier.apply_frame(empty_reset(0, position.lineage))
     return applier
 
 
@@ -192,9 +198,7 @@ def test_a_damaged_span_is_never_applied_in_part(batches):
         follower = LSMStore.open(f"{scratch}/follower", OPTIONS)
         try:
             applier = ReplicaApplier(follower)
-            applier.apply_frame(
-                dict(frame(b"", 40, 7), reset=True, first=True, final=True)
-            )
+            applier.apply_frame(empty_reset(40, 7))
             before = applier.status()
 
             def rejected(damaged):

@@ -47,36 +47,75 @@ def test_replicate_request_round_trip():
     ]
 
 
+LAYOUT = ((1, (100,)), (0, (64, 32)))
+
+
+def chunk(span=b"x" * 8, **fields):
+    return protocol.reset_chunk_request(
+        0, 2, 64, span,
+        **dict(
+            dict(layout=LAYOUT, file=0, offset=0, first=False, final=False),
+            **fields,
+        ),
+    )
+
+
 def test_replicate_reset_flag_round_trips():
     for flags in (
-        dict(reset=True, first=True),
-        dict(reset=True),
-        dict(reset=True, final=True),
-        dict(reset=True, first=True, final=True),
+        dict(first=True),
+        dict(),
+        dict(final=True),
+        dict(first=True, final=True),
     ):
-        message = protocol.replicate_request(
-            epoch=0, lineage=2, start=64, span=SPAN, **flags
+        message = chunk(file=1, offset=56, **flags)
+        decoded = binproto.decode_request(binproto.encode_request(message))
+        assert decoded == message
+        payload = protocol.replicate_payload(decoded)
+        expected = dict(
+            dict(reset=True, first=False, final=False),
+            layout=LAYOUT, file=1, offset=56, **flags,
         )
-        payload = protocol.replicate_payload(
-            binproto.decode_request(binproto.encode_request(message))
-        )
-        expected = dict(dict(reset=False, first=False, final=False), **flags)
         assert {field: payload[field] for field in expected} == expected
 
 
 def test_replicate_empty_ops_is_legal():
-    # Unlike BATCH, a shipped span may carry zero ops: the snapshot of
-    # an empty store is one reset chunk of no frames. The payload
-    # accessor must not reject it.
-    message = protocol.replicate_request(
-        epoch=0, lineage=1, start=0, span=b"",
-        reset=True, first=True, final=True,
+    # An empty store has no files: its reset is one chunk of no bytes,
+    # both first and final. The payload accessor must not reject it.
+    message = protocol.reset_chunk_request(
+        0, 1, 0, b"", layout=(), file=0, offset=0, first=True, final=True
     )
     payload = protocol.replicate_payload(
         binproto.decode_request(binproto.encode_request(message))
     )
-    assert payload["span"] == b""
-    assert WriteAheadLog.decode_span(payload["span"]) == []
+    assert (payload["span"], payload["layout"]) == (b"", ())
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(file=3),  # past the last file, with bytes
+        dict(file=2, offset=30),  # bytes past the end of file 2
+        dict(file=0, offset=93),
+        dict(layout=((0, ()),)),  # a run of no files
+        dict(layout=((-1, (8,)),)),
+        dict(layout=((0, (8, "x")),)),
+        dict(layout=((0,),)),
+        dict(layout=None),
+        dict(offset=-1),
+        dict(file=None),
+    ],
+)
+def test_a_chunk_outside_its_declared_image_is_refused(fields):
+    message = dict(chunk(), **fields)
+    with pytest.raises(ProtocolError):
+        protocol.replicate_payload(message)
+
+
+def test_a_reset_header_cut_short_is_a_truncated_frame():
+    encoded = binproto.encode_request(chunk(span=b""))
+    for cut in range(1 + 4 + 8 + 8 + 1, len(encoded)):
+        with pytest.raises(ProtocolError):
+            binproto.decode_request(encoded[:cut])
 
 
 def test_replicate_header_fields_must_fit_the_wire():

@@ -225,6 +225,11 @@ class TestLeaderRepair:
                         await leader.become_leader(
                             0, [follower_client(follower)]
                         )
+                        # Attached while the leader is empty: the reset
+                        # ships no run, so each store flushes one below.
+                        await eventually(
+                            lambda: leader.shipper.acked_cursors() == [0]
+                        )
                         host, port = leader.address
                         async with KVClient(host, port) as client:
                             for i in range(40):
@@ -307,6 +312,11 @@ class TestFollowerHealing:
                     ) as leader:
                         await leader.become_leader(
                             0, [follower_client(follower)]
+                        )
+                        # Attached while the leader is empty: the reset
+                        # ships no run, so each store flushes one below.
+                        await eventually(
+                            lambda: leader.shipper.acked_cursors() == [0]
                         )
                         host, port = leader.address
                         async with KVClient(host, port) as client:

@@ -451,7 +451,8 @@ def test_a_shard_twice_the_frame_cap_still_attaches_a_follower(
 ):
     """The cap is lowered, not the data raised (same arithmetic, a
     hundredth of the memory): 2 x MAX_FRAME_BYTES of values travel as
-    chunks of at most the shipper's real span size."""
+    the leader's run files, in chunks of at most the shipper's real
+    span size, each a full span or the rest of its file."""
     monkeypatch.setattr(binproto, "MAX_FRAME_BYTES", 2 << 20)
     span_bytes = shipper_module._SPAN_BYTES
     assert span_bytes * 2 <= binproto.MAX_FRAME_BYTES
@@ -484,8 +485,10 @@ def test_a_shard_twice_the_frame_cap_still_attaches_a_follower(
 
                 async def scan_between_chunks(message):
                     response = await replicate(message)
-                    if message.get("reset") and not message.get("final"):
-                        views.append(await reader.scan())
+                    if message.get("reset"):
+                        chunks.append(message)
+                        if not message.get("final"):
+                            views.append(await reader.scan())
                     return response
 
                 follower._op_replicate = scan_between_chunks
@@ -503,10 +506,20 @@ def test_a_shard_twice_the_frame_cap_still_attaches_a_follower(
             follower_store.close()
         return views
 
+    chunks = []
     views = asyncio.run(scenario())
-    header = 1 + 21
+    [layout] = {repr(chunk["layout"]) for chunk in chunks}
+    layout = chunks[0]["layout"]
+    sizes = [size for _level, files in layout for size in files]
+    assert sum(sizes) > 2 * binproto.MAX_FRAME_BYTES
+    assert sum(len(chunk["span"]) for chunk in chunks) == sum(sizes)
+    for chunk in chunks:
+        end = chunk["offset"] + len(chunk["span"])
+        assert len(chunk["span"]) == span_bytes or end == sizes[chunk["file"]]
+    header = binproto.REPLICATE_HEADER_BYTES + max(
+        len(binproto.reset_head(chunk)) for chunk in chunks
+    )
     assert max(frames) <= span_bytes + header
-    assert sum(size > span_bytes // 2 for size in frames) >= 4
     # a reader between two chunks sees the old state whole, never a mix
     assert len(views) >= 3
     assert all(view == old for view in views)
@@ -540,11 +553,9 @@ def test_a_silent_follower_costs_no_snapshot_and_is_retried_ever_slower(
             store.write_batch([(key, VALUE) for key in keys(start, start + 50)])
         store.flush()
         snapshots = []
-        snapshot = store.replication_snapshot
+        run_image = store.run_image
         monkeypatch.setattr(
-            store,
-            "replication_snapshot",
-            lambda: snapshots.append(1) or snapshot(),
+            store, "run_image", lambda: snapshots.append(1) or run_image()
         )
         server, accepted = await black_hole()
         port = server.sockets[0].getsockname()[1]
@@ -600,7 +611,7 @@ def test_a_leader_that_cannot_scan_itself_backs_off_too(tmp_path, monkeypatch):
                 "run 3 is quarantined", run_id=3, min_key=b"a", max_key=b"z"
             )
 
-        monkeypatch.setattr(leader_store, "replication_snapshot", quarantined)
+        monkeypatch.setattr(leader_store, "run_image", quarantined)
         try:
             async with ReplicatedKVServer(
                 follower_store, role="follower"

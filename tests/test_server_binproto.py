@@ -109,8 +109,12 @@ _WAL_FRAME = (
 _LINEAGE = 0x0123456789ABCD
 
 #: OP_REPLICATE: opcode, epoch:u32, lineage:u64, start:u64, flags:u8,
-#: then the span untouched. A log span; the first chunk of a reset; an
-#: empty store's whole reset (first and final, no frames); a final chunk.
+#: then the span untouched. A log span. A reset chunk puts a sized JSON
+#: head — which file of its image, at which offset, and the image's
+#: layout — before its span of run-file bytes: the first chunk of a
+#: reset; an empty store's whole reset (first and final, no files); a
+#: final chunk.
+_FILE_BYTES = bytes(range(16))
 GOLDEN_REPLICATE = [
     (
         protocol.replicate_request(
@@ -120,27 +124,31 @@ GOLDEN_REPLICATE = [
         "00" + _WAL_FRAME,
     ),
     (
-        protocol.replicate_request(
-            3, _LINEAGE, 8192, bytes.fromhex(_WAL_FRAME),
-            reset=True, first=True,
+        protocol.reset_chunk_request(
+            3, _LINEAGE, 8192, _FILE_BYTES, layout=[(0, [40])],
+            file=0, offset=0, first=True, final=False,
         ),
-        "0000003a" "05" "00000003" "000123456789abcd" "0000000000002000"
-        "03" + _WAL_FRAME,
+        "00000053" "05" "00000003" "000123456789abcd" "0000000000002000"
+        "03" "00000029" + _json('{"file":0,"offset":0,"layout":[[0,[40]]]}')
+        + _FILE_BYTES.hex(),
     ),
     (
-        protocol.replicate_request(
-            3, _LINEAGE, 8192, b"", reset=True, first=True, final=True
+        protocol.reset_chunk_request(
+            3, _LINEAGE, 8192, b"", layout=[],
+            file=0, offset=0, first=True, final=True,
         ),
-        "00000016" "05" "00000003" "000123456789abcd" "0000000000002000"
-        "07",
+        "0000003b" "05" "00000003" "000123456789abcd" "0000000000002000"
+        "07" "00000021" + _json('{"file":0,"offset":0,"layout":[]}'),
     ),
     (
-        protocol.replicate_request(
-            3, _LINEAGE, 8192, bytes.fromhex(_WAL_FRAME),
-            reset=True, final=True,
+        protocol.reset_chunk_request(
+            3, _LINEAGE, 8192, _FILE_BYTES, layout=[(2, [40]), (0, [8, 32])],
+            file=2, offset=16, first=False, final=True,
         ),
-        "0000003a" "05" "00000003" "000123456789abcd" "0000000000002000"
-        "05" + _WAL_FRAME,
+        "0000005f" "05" "00000003" "000123456789abcd" "0000000000002000"
+        "05" "00000035"
+        + _json('{"file":2,"offset":16,"layout":[[2,[40]],[0,[8,32]]]}')
+        + _FILE_BYTES.hex(),
     ),
 ]
 
@@ -150,9 +158,13 @@ def test_replicate_frames_are_byte_identical(message, frame):
     encoded = binproto.encode_frame(binproto.encode_request(message))
     assert encoded.hex() == frame
     assert binproto.decode_request(encoded[4:]) == message
-    assert WriteAheadLog.decode_span(message["span"]) == (
-        [[(b"\x00k", b"\xffval"), (b"gone", None)]] if message["span"] else []
-    )
+    payload = protocol.replicate_payload(message)
+    if message["reset"]:
+        assert payload["span"] == message["span"]
+    else:
+        assert WriteAheadLog.decode_span(payload["span"]) == [
+            [(b"\x00k", b"\xffval"), (b"gone", None)]
+        ]
 
 
 @pytest.mark.parametrize(("message", "frame"), GOLDEN_REQUESTS)
