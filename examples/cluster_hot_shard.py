@@ -47,7 +47,6 @@ ENGINE = StoreOptions(
     constraint_limit=5,
     merge_chunk_bytes=512,
     rate_limit_bytes_per_s=96 * 1024,
-    stall_mode="reject",
     background_maintenance=True,
     block_cache_bytes=0,
 )

@@ -8,7 +8,8 @@ stalls), plays the same seeded closed-loop write overload over real
 sockets against each admission mode, and prints P50/P99/max client
 write latency:
 
-* ``none``    — stalls reach clients as retried rejections;
+* ``none``    — a stalled write waits at the engine's gate: the stall
+  reaches clients as latency;
 * ``stop``    — saturated writes rejected at admission with RETRY_AFTER;
 * ``limit``   — token-bucket byte-rate cap ahead of the engine;
 * ``gradual`` — bLSM-style delays ramping with merge backlog, absorbing
@@ -49,7 +50,6 @@ ENGINE = StoreOptions(
     constraint_limit=5,
     merge_chunk_bytes=1024,
     rate_limit_bytes_per_s=320 * 1024,
-    stall_mode="reject",
     background_maintenance=True,
     block_cache_bytes=0,
 )

@@ -134,7 +134,6 @@ def _store_options_from(args: argparse.Namespace):
         memtable_bytes=int(args.memtable_mib * 2**20),
         policy=args.engine_policy,
         block_codec=args.block_codec,
-        stall_mode=args.stall_mode,
         background_maintenance=True,
         maintenance_threads=args.maintenance_threads,
         scrub_interval=args.scrub_interval,
@@ -212,8 +211,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
                 print(
                     f"serving {args.directory} on {host}:{port} "
-                    f"(admission: {args.admission}, "
-                    f"stall mode: {args.stall_mode}{budget_note})"
+                    f"(admission: {args.admission}{budget_note})"
                 )
                 if server.metrics_address is not None:
                     mhost, mport = server.metrics_address
@@ -645,11 +643,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="per-block compression for new sorted runs (default: "
              "none); existing runs keep reading and merges rewrite "
              "them under the new codec",
-    )
-    parser.add_argument(
-        "--stall-mode", choices=("block", "reject"), default="reject",
-        help="engine stall gate behaviour (default: reject — the "
-             "admission layer, not the engine, absorbs stalls)",
     )
     parser.add_argument(
         "--maintenance-threads", type=int, default=1,

@@ -94,13 +94,9 @@ class ClusterAdmission:
         return f"{self._scope}:{self.base_mode}"
 
     @property
-    def absorbs_stalls(self) -> bool:
-        """Whether backend stalls should be absorbed (gradual base)."""
-        return self._controllers[0].absorbs_stalls
-
-    @property
     def stall_pause(self) -> float:
-        """Pause between absorption retries (gradual base)."""
+        """The base controller's pause at a closed gate (gradual base);
+        the router's ``retry_after`` hint when shard retries run out."""
         return self._controllers[0].stall_pause
 
     def _controller_for(self, shard: int) -> AdmissionController:

@@ -821,7 +821,6 @@ class LocalCluster:
         host: str = "127.0.0.1",
         port: int = 0,
         shard_client_options: dict | None = None,
-        write_deadline: float = 10.0,
         breaker_options: dict | None = None,
         metrics_port: int | None = None,
         replicas: int = 0,
@@ -874,7 +873,6 @@ class LocalCluster:
         self._host = host
         self._port = port
         self._shard_client_options = shard_client_options
-        self._write_deadline = write_deadline
         self._breaker_options = breaker_options
         self._metrics_port = metrics_port
         self._replicas = replicas
@@ -918,7 +916,6 @@ class LocalCluster:
                 store,
                 host=self._host,
                 port=0,
-                write_deadline=self._write_deadline,
                 role="follower",
                 ack_policy=self._ack_policy,
                 replication_timeout=timeout,
@@ -929,7 +926,6 @@ class LocalCluster:
             engine,
             host=self._host,
             port=0,
-            write_deadline=self._write_deadline,
             role="leader",
             ack_policy=self._ack_policy,
             replication_timeout=timeout,
@@ -954,12 +950,7 @@ class LocalCluster:
                 if self._replicas > 0:
                     backend = await self._start_replica_group(shard, engine)
                 else:
-                    backend = KVServer(
-                        engine,
-                        host=self._host,
-                        port=0,
-                        write_deadline=self._write_deadline,
-                    )
+                    backend = KVServer(engine, host=self._host, port=0)
                     await backend.start()
                 self.backends.append(backend)
             self.router = ClusterRouter(
@@ -1038,12 +1029,7 @@ class LocalCluster:
             raise ConfigurationError(f"no such shard {shard}")
         old = self.backends[shard]
         host, port = old.address
-        backend = KVServer(
-            self.store.engine(shard),
-            host=host,
-            port=port,
-            write_deadline=self._write_deadline,
-        )
+        backend = KVServer(self.store.engine(shard), host=host, port=port)
         await backend.start()
         self.backends[shard] = backend
 

@@ -15,9 +15,9 @@ uses::
 
 Writes go to the log then the active memtable; a full memtable is sealed
 and flushed as a level-0 run; the component constraint stalls writes when
-merges lag (the paper's "stop" interaction, Section 5.1.2), either
-blocking the writer or raising
-:class:`~repro.errors.WriteStalledError` per ``options.stall_mode``.
+merges lag (the paper's "stop" interaction, Section 5.1.2): the writer
+waits at the gate. A caller that must not wait writes with
+``wait=False`` and gets None instead (:meth:`LSMStore.timed_put`).
 
 The store itself keeps the options, the lock, the memtables, the stall
 gate, reads, quarantine and repair, stats and the lifecycle. Two parts
@@ -36,12 +36,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from ..errors import (
-    ClosedError,
-    ConfigurationError,
-    CorruptionError,
-    WriteStalledError,
-)
+from ..errors import ClosedError, ConfigurationError, CorruptionError
 from ..obs import Observability
 from ..obs import events as obs_events
 from .commitlog import CommitLog, WalPosition
@@ -523,7 +518,7 @@ class LSMStore:
         """Would committing ``batch`` now do more than log and insert?
 
         Store lock held. True when the stall gate is closed
-        (:meth:`_wait_for_headroom` would park or raise), or when the
+        (:meth:`_wait_for_headroom` would park), or when the
         batch could fill the active memtable while :meth:`_maybe_rotate`
         could not get by with a bare seal: the sealed queue is full (a
         flush stall), or there are no workers and rotation flushes on
@@ -542,9 +537,9 @@ class LSMStore:
         A stall is counted once per write that observed a stalled tree
         (not once per polling iteration), and the time a blocking writer
         spends here accumulates into ``stall_seconds_total``.
-        ``stall_exit`` says how the wait ended: ``resumed``, ``rejected``
-        (reject mode, no wait), ``closed`` under the writer, or
-        ``failed`` — as a rule, nothing could ever clear the constraint.
+        ``stall_exit`` says how the wait ended: ``resumed``, ``closed``
+        under the writer, or ``failed`` — as a rule, nothing could ever
+        clear the constraint.
         """
         if not self._compaction.is_write_stalled():
             return 0.0
@@ -552,16 +547,8 @@ class LSMStore:
         self._m_stalls.inc()
         self._obs.tracer.emit(
             obs_events.STALL_ENTER,
-            mode=self._options.stall_mode,
             components=self._compaction.component_count,
         )
-        if self._options.stall_mode == "reject":
-            self._obs.tracer.emit(
-                obs_events.STALL_EXIT, outcome="rejected", seconds=0.0
-            )
-            raise WriteStalledError(
-                "component constraint violated; merges must catch up"
-            )
         started = self._obs.clock()
         outcome = "failed"  # any error but a close
         try:

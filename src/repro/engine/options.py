@@ -72,9 +72,6 @@ class StoreOptions:
     block_cache_bytes:
         Shared LRU block cache over all sorted runs (the engine's
         buffer cache; paper's testbed used 2 GB). 0 disables.
-    stall_mode:
-        ``"block"`` (writers wait, the paper's stop mode) or ``"reject"``
-        (raise :class:`~repro.errors.WriteStalledError`).
     background_maintenance:
         True runs flushes/merges on background maintenance workers.
         False (deterministic, the default for tests) makes the caller
@@ -145,7 +142,6 @@ class StoreOptions:
     merge_chunk_bytes: int = 0
     rate_limit_bytes_per_s: int = 0
     block_cache_bytes: int = 8 * 2**20
-    stall_mode: str = "block"
     background_maintenance: bool = False
     maintenance_threads: int = 1
     scrub_interval: float = 0.0
@@ -198,8 +194,6 @@ class StoreOptions:
             raise ConfigurationError("rate limit cannot be negative")
         if self.block_cache_bytes < 0:
             raise ConfigurationError("block cache cannot be negative")
-        if self.stall_mode not in ("block", "reject"):
-            raise ConfigurationError(f"unknown stall mode {self.stall_mode!r}")
         if self.maintenance_threads < 1:
             raise ConfigurationError(
                 "need at least one maintenance worker"

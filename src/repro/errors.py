@@ -72,15 +72,6 @@ class WalFailedError(StorageError):
     """
 
 
-class WriteStalledError(StorageError):
-    """A non-blocking write was rejected because the tree is stalled.
-
-    Raised only when the engine is configured with ``stall_mode="reject"``;
-    the default behaviour is to block the writer until the stall clears,
-    matching the paper's "stop" write-interaction mode.
-    """
-
-
 class ClosedError(StorageError):
     """An operation was attempted on a closed datastore or iterator."""
 

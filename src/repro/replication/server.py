@@ -34,7 +34,6 @@ from ..errors import (
     RequestFailedError,
     RetriesExhaustedError,
     StaleEpochError,
-    WriteStalledError,
 )
 from ..obs import events as obs_events
 from ..server import binproto, protocol
@@ -277,7 +276,7 @@ class ReplicatedKVServer(KVServer):
                 )
         try:
             # A shipped frame is a write like any other: it can meet a
-            # closed stall gate or a flush-stalled rotation.
+            # closed stall gate or a flush-stalled rotation, and waits.
             status = await self._in_thread(
                 self._applier.apply_frame, payload
             )
@@ -293,10 +292,6 @@ class ReplicatedKVServer(KVServer):
             # The span arrived damaged; none of it was applied.
             return protocol.error_response(
                 protocol.CODE_BAD_REQUEST, str(error)
-            )
-        except WriteStalledError as error:
-            return protocol.error_response(
-                protocol.CODE_STALLED, str(error), retry_after=0.05
             )
         if status["epoch"] > self._epoch:
             self._epoch = status["epoch"]  # follower adopts shipped epoch

@@ -67,11 +67,11 @@ _ADMIT_NOW = AdmissionDecision(ADMIT)
 class AdmissionController:
     """Base controller: admit everything (mode ``none``).
 
-    ``absorbs_stalls`` tells the service what to do when the engine
-    itself raises :class:`~repro.errors.WriteStalledError` despite
-    admission: graceful controllers pause ``stall_pause`` seconds and
-    retry internally (slow down, don't stop); the rest surface the
-    stall to the client as a ``STALLED`` rejection.
+    ``absorbs_stalls`` tells the service what to do when an admitted
+    write still meets a closed stall gate (modes other than ``none``):
+    graceful controllers pause ``stall_pause`` seconds and retry
+    internally (slow down, don't stop); the rest surface the stall to
+    the client as a ``STALLED`` rejection.
     """
 
     mode = "none"

@@ -19,11 +19,11 @@ first passes the admission controller (:mod:`repro.server.admission`):
 * ``reject`` — the client gets a ``STALLED`` error with a
   ``retry_after`` hint (the paper's stop interaction, surfaced).
 
-If the engine itself raises :class:`~repro.errors.WriteStalledError`
-(store opened with ``stall_mode="reject"``), a controller that
-``absorbs_stalls`` makes the service pause-and-retry internally until
-``write_deadline`` — slow down, never stop — while other controllers
-propagate the stall as a rejection.
+An admitted write can still meet a closed stall gate. Under mode
+``none`` it waits there, on the pool. Any other mode decides on the
+loop: a controller that ``absorbs_stalls`` pauses and retries until
+``write_deadline`` — slow down, never stop — and the rest answer
+``STALLED`` at once.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from ..errors import (
     ConfigurationError,
     DataCorruptError,
     ProtocolError,
-    WriteStalledError,
 )
 from ..obs import PrometheusEndpoint, render_prometheus
 from ..obs import events as obs_events
@@ -67,15 +66,12 @@ def require_workers(options, admission_mode: str) -> None:
     """Refuse an inline store behind a server that can shed its writes.
 
     An inline store merges only inside the writes that reach it. One
-    that admission (any mode but ``none``) or a rejecting stall gate
-    turns away drives nothing, so the stall would never clear."""
-    if options.background_maintenance:
-        return
-    if admission_mode != "none" or options.stall_mode == "reject":
+    that admission (any mode but ``none``) turns away drives nothing,
+    so the stall would never clear."""
+    if not options.background_maintenance and admission_mode != "none":
         raise ConfigurationError(
-            f"admission {admission_mode!r} with stall mode "
-            f"{options.stall_mode!r} can shed writes, so the store needs "
-            "maintenance workers (background_maintenance=True)"
+            f"admission {admission_mode!r} can shed writes, so the store "
+            "needs maintenance workers (background_maintenance=True)"
         )
 
 
@@ -474,23 +470,29 @@ class KVServer(FramedServer):
     # -- the admission + write pipeline ----------------------------------
 
     async def _admitted_write(self, op: str, nbytes: int, apply) -> dict:
-        """Run one write through admission, delays, and stall absorption.
+        """Run one write through admission, a delay, and the stall gate.
 
         ``apply`` is one of the store's ``timed_*`` writes with its data
-        bound: ``apply(wait=False)`` is tried here, on the loop thread,
-        and only when the engine answers None — the write would wait —
-        is ``apply()`` sent to the pool to do the waiting. Either way it
-        returns a :class:`~repro.engine.WriteTiming`; the response hands
-        dispatch a ``breakdown`` with the admission wait this pipeline
-        accumulated (delays, absorb pauses) and the engine/I-O legs from
-        the timing (``engine`` excludes the WAL leg reported as ``io``).
+        bound. The controller judges the write once. Then
+        ``apply(wait=False)`` is tried here, on the loop thread, and
+        None means the write would wait. Under mode ``none`` it does:
+        ``apply()`` goes to the pool, where a closed gate parks it.
+        Any other mode decides a closed gate here: a controller that
+        ``absorbs_stalls`` pauses ``stall_pause`` and tries again until
+        ``write_deadline``, the rest answer STALLED at once. Any other
+        reason to wait (a flush stall, an fsync, a contended lock) goes
+        to the pool. The response hands dispatch a ``breakdown`` with
+        the admission wait (delay, pauses) and the engine/I-O legs of
+        the :class:`~repro.engine.WriteTiming` (``engine`` excludes the
+        WAL leg reported as ``io``).
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self._write_deadline
         admission_wait = 0.0
-        # Mode ``none`` admits whatever the engine reports, so it is given
-        # no snapshot: one takes the store lock, on this thread.
-        reads_stats = self._admission.mode != "none"
+        # Mode ``none`` admits whatever the engine reports, so it neither
+        # reads a snapshot nor asks about the gate: both take the store
+        # lock, on this thread.
+        sheds = self._admission.mode != "none"
 
         def rejected(reason: str, message: str, retry_after: float) -> dict:
             self.metrics.writes_rejected += 1
@@ -508,66 +510,59 @@ class KVServer(FramedServer):
             }
             return response
 
-        while True:
-            decision = self._admission.decide(
-                self._store.stats() if reads_stats else None, nbytes
+        async def pause(action: str, seconds: float) -> None:
+            nonlocal admission_wait
+            self.metrics.delay_seconds_total += seconds
+            self.obs.tracer.emit(
+                obs_events.ADMISSION,
+                action=action,
+                seconds=seconds,
+                nbytes=nbytes,
             )
-            if decision.action == REJECT:
-                return rejected(
-                    decision.reason or "admission",
-                    decision.reason or "write rejected by admission",
-                    decision.retry_after,
-                )
-            if decision.delay_seconds > 0.0:
-                self.metrics.writes_delayed += 1
-                self.metrics.delay_seconds_total += decision.delay_seconds
-                self.obs.tracer.emit(
-                    obs_events.ADMISSION,
-                    action="delay",
-                    seconds=decision.delay_seconds,
-                    nbytes=nbytes,
-                )
-                admission_wait += decision.delay_seconds
-                await asyncio.sleep(decision.delay_seconds)
-            try:
-                timing = apply(wait=False)
-                if timing is None:
-                    self._engine_calls[op, "thread"].inc()
-                    timing = await self._in_thread(apply)
-                else:
-                    self._engine_calls[op, "loop"].inc()
-            except WriteStalledError as error:
-                if (
-                    self._admission.absorbs_stalls
-                    and loop.time() < deadline
-                ):
-                    self.metrics.stalls_absorbed += 1
-                    pause = self._admission.stall_pause or 0.001
-                    self.metrics.delay_seconds_total += pause
-                    self.obs.tracer.emit(
-                        obs_events.ADMISSION,
-                        action="absorb",
-                        seconds=pause,
-                        nbytes=nbytes,
-                    )
-                    admission_wait += pause
-                    await asyncio.sleep(pause)
-                    continue  # slow down, don't stop
+            admission_wait += seconds
+            await asyncio.sleep(seconds)
+
+        decision = self._admission.decide(
+            self._store.stats() if sheds else None, nbytes
+        )
+        if decision.action == REJECT:
+            return rejected(
+                decision.reason or "admission",
+                decision.reason or "write rejected by admission",
+                decision.retry_after,
+            )
+        if decision.delay_seconds > 0.0:
+            self.metrics.writes_delayed += 1
+            await pause("delay", decision.delay_seconds)
+        timing = apply(wait=False)
+        absorbed = False
+        while timing is None and sheds and self._store.write_stalled:
+            if not self._admission.absorbs_stalls or loop.time() >= deadline:
                 return rejected(
                     "engine stall",
-                    str(error),
+                    "component constraint violated; merges must catch up",
                     self._admission.stall_pause or 0.05,
                 )
-            self.metrics.writes_admitted += 1
-            return protocol.ok_response(
-                breakdown={
-                    "admission": admission_wait,
-                    "engine": max(
-                        0.0, timing.engine_seconds - timing.io_seconds
-                    ),
-                    "io": timing.io_seconds,
-                }
-            )
+            if not absorbed:  # a write counts once, however long it waits
+                self.metrics.stalls_absorbed += 1
+                absorbed = True
+            await pause("absorb", self._admission.stall_pause)
+            timing = apply(wait=False)
+        if timing is None:
+            self._engine_calls[op, "thread"].inc()
+            timing = await self._in_thread(apply)
+        else:
+            self._engine_calls[op, "loop"].inc()
+        self.metrics.writes_admitted += 1
+        return protocol.ok_response(
+            breakdown={
+                "admission": admission_wait,
+                "engine": max(
+                    0.0, timing.engine_seconds - timing.io_seconds
+                ),
+                "io": timing.io_seconds,
+            }
+        )
 
     # -- verbs -----------------------------------------------------------
 

@@ -32,7 +32,6 @@ class TestStoreOptionsValidation:
             {"block_codec": "lz4"},
             {"filter_kind": "xor"},
             {"rate_limit_bytes_per_s": -1},
-            {"stall_mode": "panic"},
         ],
     )
     def test_invalid_configurations_rejected(self, overrides):
@@ -113,21 +112,28 @@ class TestPolicyChoicesOnEngine:
 
 
 class TestStallModes:
-    def test_reject_mode_raises_on_stall(self, tmp_path):
-        from repro.errors import WriteStalledError
-
+    def test_a_write_that_may_not_wait_is_refused_at_a_closed_gate(
+        self, tmp_path
+    ):
         options = StoreOptions(
             memtable_bytes=4096,
             policy="tiering",
             size_ratio=3,
             levels=2,
-            constraint_limit=2,
-            stall_mode="reject",
+            constraint_limit=5,
         )
         with LSMStore.open(str(tmp_path / "db"), options) as store:
-            with pytest.raises(WriteStalledError):
-                for i in range(100_000):
-                    store.put(f"k{i:08d}".encode(), b"v" * 64)
+            store._compaction.claim_merge = lambda: None  # runs pile up
+            for i in range(100_000):
+                key = f"k{i:08d}".encode()
+                if store.timed_put(key, b"v" * 64, wait=False) is None:
+                    if store.write_stalled:
+                        break
+                    store.put(key, b"v" * 64)  # this one rotates inline
+            else:
+                raise AssertionError("the gate never closed")
+            assert store.get(key) is None
+            assert store.stats().write_stalls == 0
 
     def test_block_mode_makes_progress(self, tmp_path):
         options = StoreOptions(
@@ -136,7 +142,6 @@ class TestStallModes:
             size_ratio=3,
             levels=2,
             constraint_limit=8,
-            stall_mode="block",
         )
         with LSMStore.open(str(tmp_path / "db"), options) as store:
             for i in range(20_000):

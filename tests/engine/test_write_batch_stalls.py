@@ -1,10 +1,10 @@
 """``write_batch`` under write stalls: atomicity and stall accounting.
 
-The stall gate runs *before* the WAL append, so a batch rejected by
-``stall_mode="reject"`` must leave no trace — not in the memtable, not
-in the WAL, and therefore not after a crash-recovery reopen. In
-``stall_mode="block"`` the writer runs the held-back merges inside the
-gate, and the batch lands atomically.
+The stall gate runs *before* the WAL append, so a batch refused at a
+closed gate with ``wait=False`` must leave no trace — not in the
+memtable, not in the WAL, not in the stall count, and therefore not
+after a crash-recovery reopen. A batch that may wait makes its writer
+run the held-back merges inside the gate, and lands atomically.
 
 A store without workers runs every merge a rotation makes eligible
 before the rotating write returns, so its gate never closes on its own:
@@ -19,7 +19,7 @@ import threading
 import pytest
 
 from repro.engine import LSMStore, StoreOptions
-from repro.errors import ClosedError, ConfigurationError, WriteStalledError
+from repro.errors import ClosedError, ConfigurationError
 
 #: A tree this tight stalls after a handful of held-back rotations:
 #: limit 5 >= 2 * levels + 1, so every stall has mergeable work and is
@@ -32,7 +32,6 @@ STALL_OPTIONS = StoreOptions(
     levels=2,
     constraint_limit=5,
     merge_chunk_bytes=1024,
-    stall_mode="reject",
     background_maintenance=False,
     block_cache_bytes=0,
 )
@@ -47,32 +46,21 @@ def release_merges(store: LSMStore) -> None:
     del store._compaction.claim_merge
 
 
-def fill_until_stalled(store: LSMStore, tag: bytes) -> int:
-    """Reject mode: with merges held back, write until the gate bounces
-    a put; returns how many puts landed. Merges stay held back."""
-    hold_back_merges(store)
-    landed = 0
-    for index in range(100_000):
-        key = b"fill-%s-%06d" % (tag, index)
-        try:
-            store.put(key, b"x" * 256)
-        except WriteStalledError:
-            assert store.write_stalled
-            return landed
-        landed += 1
-    raise AssertionError("store never stalled under fill load")
-
-
 def fill_until_gate_closes(store: LSMStore, tag: bytes) -> int:
-    """Block mode: with merges held back, write until the gate is closed
-    for the next write (which would find nothing to run and raise);
-    returns how many puts landed. Merges stay held back."""
+    """With merges held back, write until the gate is closed for the
+    next write (which, allowed to wait, would find nothing to run and
+    raise); returns how many puts landed. Merges stay held back."""
     hold_back_merges(store)
     for index in range(100_000):
         store.put(b"fill-%s-%06d" % (tag, index), b"x" * 256)
         if store.write_stalled:
             return index + 1
     raise AssertionError("store never stalled under fill load")
+
+
+def refused(store: LSMStore, batch) -> bool:
+    """Offer ``batch`` with ``wait=False``: True if the store said None."""
+    return store.timed_write_batch(batch, wait=False) is None
 
 
 def drain_stall(store: LSMStore) -> None:
@@ -89,16 +77,17 @@ def test_rejected_batch_is_atomic_no_partial_state(tmp_path):
         (b"batch-put-b", b"2"),
     ]
     with LSMStore.open(str(tmp_path), STALL_OPTIONS) as store:
-        landed = fill_until_stalled(store, b"seed")
+        landed = fill_until_gate_closes(store, b"seed")
         assert landed > 0
-        stalls_before = store.stats().write_stalls
+        entries_before = store.stats().memtable_entries
 
-        with pytest.raises(WriteStalledError):
-            store.write_batch(batch)
+        assert refused(store, batch)
 
-        # The rejection is counted as one stalled write...
-        assert store.stats().write_stalls == stalls_before + 1
+        # The refusal never entered the gate: no stall counted...
+        assert store.stats().write_stalls == 0
+        assert stall_outcomes(store) == []
         # ...and left no partial effects: puts absent, delete not applied.
+        assert store.stats().memtable_entries == entries_before
         assert store.get(b"batch-put-a") is None
         assert store.get(b"batch-put-b") is None
         assert store.get(b"fill-seed-000000") == b"x" * 256
@@ -106,13 +95,13 @@ def test_rejected_batch_is_atomic_no_partial_state(tmp_path):
 
 def test_rejected_batch_leaves_no_wal_trace_across_reopen(tmp_path):
     batch = [(b"batch-ghost", b"boo"), (b"fill-seed-000001", None)]
-    with LSMStore.open(str(tmp_path), STALL_OPTIONS) as store:
-        landed = fill_until_stalled(store, b"seed")
-        wal_before = store.stats().wal_bytes
-        with pytest.raises(WriteStalledError):
-            store.write_batch(batch)
-        # The gate fired before the WAL append: nothing was logged.
-        assert store.stats().wal_bytes == wal_before
+    store = LSMStore.open(str(tmp_path), STALL_OPTIONS)
+    landed = fill_until_gate_closes(store, b"seed")
+    wal_before = store.wal_position()
+    assert refused(store, batch)
+    # The gate is checked before the WAL append: nothing was logged.
+    assert store.wal_position() == wal_before
+    store.crash()  # the log is replayed as it lies, not flushed away
 
     with LSMStore.open(str(tmp_path), STALL_OPTIONS) as reopened:
         assert reopened.get(b"batch-ghost") is None
@@ -127,12 +116,11 @@ def test_batch_lands_atomically_once_stall_clears(tmp_path):
         (b"batch-put-b", b"2"),
     ]
     with LSMStore.open(str(tmp_path), STALL_OPTIONS) as store:
-        fill_until_stalled(store, b"seed")
-        with pytest.raises(WriteStalledError):
-            store.write_batch(batch)
+        fill_until_gate_closes(store, b"seed")
+        assert refused(store, batch)
 
         drain_stall(store)
-        store.write_batch(batch)  # same batch, now admitted
+        assert not refused(store, batch)  # same batch, now admitted
 
         assert store.get(b"batch-put-a") == b"1"
         assert store.get(b"batch-put-b") == b"2"
@@ -140,10 +128,9 @@ def test_batch_lands_atomically_once_stall_clears(tmp_path):
 
 
 def test_blocking_mode_absorbs_the_stall_and_applies_the_batch(tmp_path):
-    options = STALL_OPTIONS.with_(stall_mode="block")
-    with LSMStore.open(str(tmp_path), options) as store:
-        # Apply the same pressure; in block mode the batch never raises
-        # — its writer runs the released merges inside the gate.
+    with LSMStore.open(str(tmp_path), STALL_OPTIONS) as store:
+        # Apply the same pressure; a batch that may wait never raises —
+        # its writer runs the released merges inside the gate.
         fill_until_gate_closes(store, b"seed")
         release_merges(store)
 
@@ -163,7 +150,7 @@ def test_blocking_mode_absorbs_the_stall_and_applies_the_batch(tmp_path):
 
 
 def test_mixed_batch_round_trips_through_wal_recovery(tmp_path):
-    options = STALL_OPTIONS.with_(stall_mode="block", constraint_limit=0)
+    options = STALL_OPTIONS.with_(constraint_limit=0)
     batch = [(b"a", b"1"), (b"b", b"2"), (b"a", None), (b"c", b"3")]
     with LSMStore.open(str(tmp_path), options) as store:
         store.write_batch(batch)
@@ -186,15 +173,21 @@ def stall_outcomes(store: LSMStore) -> list[str]:
     ]
 
 
-def test_a_bounced_write_exits_its_stall_rejected(tmp_path):
+def test_a_refused_write_enters_no_stall(tmp_path):
+    """Only a write that waits at the gate is a stall: one offered with
+    ``wait=False`` is answered None before it, with no event pair."""
     with LSMStore.open(str(tmp_path), STALL_OPTIONS) as store:
-        fill_until_stalled(store, b"seed")
-        assert stall_outcomes(store) == ["rejected"]
+        landed = fill_until_gate_closes(store, b"seed")
+        key = b"fill-seed-%06d" % landed
+        assert store.timed_put(key, b"x", wait=False) is None
+        assert store.timed_delete(b"fill-seed-000000", wait=False) is None
+        kinds = {event.kind for event in store.obs.tracer.events()}
+        assert not kinds & {"stall_enter", "stall_exit"}
+        assert store.stats().write_stalls == 0
 
 
 def test_a_write_that_rode_the_stall_out_exits_it_resumed(tmp_path):
-    options = STALL_OPTIONS.with_(stall_mode="block")
-    with LSMStore.open(str(tmp_path), options) as store:
+    with LSMStore.open(str(tmp_path), STALL_OPTIONS) as store:
         landed = fill_until_gate_closes(store, b"seed")
         release_merges(store)
         store.put(b"fill-seed-%06d" % landed, b"x" * 256)
@@ -209,7 +202,6 @@ def test_a_stall_nothing_can_clear_exits_failed(tmp_path):
         memtable_bytes=4096,
         policy="tiering",
         constraint_limit=1,
-        stall_mode="block",
         background_maintenance=False,
     )
     with LSMStore.open(str(tmp_path), options) as store:
@@ -221,9 +213,7 @@ def test_a_stall_nothing_can_clear_exits_failed(tmp_path):
 
 
 def test_a_stall_the_store_was_closed_under_exits_closed(tmp_path):
-    options = STALL_OPTIONS.with_(
-        stall_mode="block", background_maintenance=True
-    )
+    options = STALL_OPTIONS.with_(background_maintenance=True)
     store = LSMStore.open(str(tmp_path), options)
     parked = threading.Event()
     emit = store.obs.tracer.emit

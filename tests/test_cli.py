@@ -291,7 +291,6 @@ class TestServeAndLoadgenParsers:
         args = build_parser().parse_args(["serve", "/tmp/db"])
         assert args.admission == "none"
         assert args.port == 7379
-        assert args.stall_mode == "reject"
         # The server can shed writes, so the store runs its own workers.
         assert _store_options_from(args).background_maintenance
 

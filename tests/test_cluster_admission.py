@@ -117,7 +117,6 @@ class TestGlobalScope:
         assert admission.scope == "global"
         assert admission.base_mode == "stop"
         assert admission.mode == "global:stop"
-        assert not admission.absorbs_stalls
 
 
 class TestLocalScope:
@@ -138,7 +137,6 @@ class TestLocalScope:
         assert pressured.action == DELAY
         assert pressured.delay_seconds > 0.0
         assert admission.decide(1, snapshots, 100).action == ADMIT
-        assert admission.absorbs_stalls
         assert admission.stall_pause == pytest.approx(0.02)
 
     def test_limit_buckets_are_per_shard(self):

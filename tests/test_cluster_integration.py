@@ -38,7 +38,6 @@ OVERLOAD_OPTIONS = FUNCTIONAL_OPTIONS.with_(
     constraint_limit=5,
     merge_chunk_bytes=512,
     rate_limit_bytes_per_s=96 * 1024,
-    stall_mode="reject",
     background_maintenance=True,
     block_cache_bytes=0,
 )
@@ -168,25 +167,19 @@ def test_a_write_reads_shard_stats_only_if_admission_looks(
     asyncio.run(scenario())
 
 
-@pytest.mark.parametrize(
-    "mode,stall_mode", [("stop", "block"), ("none", "reject")]
-)
-def test_a_cluster_that_can_shed_writes_refuses_inline_shards(
-    tmp_path, mode, stall_mode
-):
+def test_a_cluster_that_can_shed_writes_refuses_inline_shards(tmp_path):
     """Nothing would drive a shed shard's merges: its workers must."""
-    options = FUNCTIONAL_OPTIONS.with_(stall_mode=stall_mode)
     with pytest.raises(ConfigurationError, match="maintenance workers"):
         LocalCluster(
             str(tmp_path),
             2,
-            options,
-            admission=build_cluster_admission("global", mode, 2),
+            FUNCTIONAL_OPTIONS,
+            admission=build_cluster_admission("global", "stop", 2),
         )
     assert not (tmp_path / "shard-00").exists()
-    with LSMStore.open(str(tmp_path / "single"), options) as store:
+    with LSMStore.open(str(tmp_path / "single"), FUNCTIONAL_OPTIONS) as store:
         with pytest.raises(ConfigurationError, match="maintenance workers"):
-            KVServer(store, build_admission(mode))
+            KVServer(store, build_admission("stop"))
 
 
 def test_scatter_gather_scan_matches_single_engine(tmp_path):

@@ -14,13 +14,12 @@ class TestHierarchy:
             "PolicyError",
             "StorageError",
             "CorruptionError",
-            "WriteStalledError",
             "ClosedError",
         ):
             assert issubclass(getattr(errors, name), errors.ReproError)
 
     def test_storage_branch(self):
-        for name in ("CorruptionError", "WriteStalledError", "ClosedError"):
+        for name in ("CorruptionError", "ClosedError"):
             assert issubclass(getattr(errors, name), errors.StorageError)
 
     def test_catchable_as_base(self):

@@ -45,7 +45,6 @@ OVERLOAD_OPTIONS = StoreOptions(
     constraint_limit=5,
     merge_chunk_bytes=1024,
     rate_limit_bytes_per_s=320 * 1024,
-    stall_mode="reject",
     background_maintenance=True,
     block_cache_bytes=0,
 )

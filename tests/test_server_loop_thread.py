@@ -13,6 +13,7 @@ hanging.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import sys
 import threading
 import time
@@ -26,7 +27,6 @@ import pytest
 import repro
 from repro.engine import LSMStore, StoreOptions
 from repro.engine import wal as wal_module
-from repro.errors import WriteStalledError
 from repro.obs import events as obs_events
 from repro.replication import ReplicatedKVServer
 from repro.server import binproto, protocol
@@ -45,7 +45,6 @@ WORKERS = StoreOptions(
     size_ratio=3,
     levels=2,
     constraint_limit=5,
-    stall_mode="block",
     background_maintenance=True,
 )
 INLINE = WORKERS.with_(background_maintenance=False)
@@ -167,13 +166,14 @@ def hold(store: LSMStore, method_owner, method: str):
     return release
 
 
-def watch_for(store: LSMStore, kind: str) -> threading.Event:
-    """An event set when the store's tracer next emits ``kind``."""
+def watch_for(store: LSMStore, kind: str, **match) -> threading.Event:
+    """An event set when the store's tracer next emits ``kind`` with
+    the fields in ``match``."""
     seen = threading.Event()
     emit = store.obs.tracer.emit
 
     def watching(event_kind, **fields):
-        if event_kind == kind:
+        if event_kind == kind and match.items() <= fields.items():
             seen.set()
         return emit(event_kind, **fields)
 
@@ -338,6 +338,161 @@ def test_a_stalled_put_parks_on_the_pool_while_reads_are_answered(tmp_path):
                     assert await client.get(b"new") == b"value"
             assert engine_calls(store, "thread") == {"put": 1}
             assert store.stats().write_stalls == 1
+
+    asyncio.run(scenario())
+
+
+# -- (b') under admission the loop decides what a closed gate means --------
+
+ADMISSION_PARAMS = {
+    "none": {},
+    "stop": {},
+    "limit": dict(rate_bytes_per_s=2**30),
+    "gradual": dict(max_delay=0.02),
+}
+
+
+def gate_looks_open(store: LSMStore) -> None:
+    """The snapshot a controller judges says the gate is open, so an
+    admitted write meets the closed gate itself."""
+    stats = store.stats
+    store.stats = lambda: dataclasses.replace(stats(), write_stalled=False)
+
+
+def count_gate_reads(monkeypatch) -> list:
+    """Each read of ``LSMStore.write_stalled`` appends one entry."""
+    reads = []
+    gate = LSMStore.write_stalled
+    monkeypatch.setattr(
+        LSMStore,
+        "write_stalled",
+        property(lambda store: reads.append(1) or gate.fget(store)),
+    )
+    return reads
+
+
+@pytest.mark.parametrize("mode", ["none", "stop", "limit", "gradual"])
+def test_only_mode_none_takes_a_closed_gate_to_the_pool(
+    tmp_path, monkeypatch, mode
+):
+    """``none`` parks the write on the pool, where it commits once the
+    gate opens, and never asks about the gate on the loop. Every other
+    mode answers on the loop, with no pool hop: stop and limit at once,
+    gradual once ``write_deadline`` has passed."""
+
+    async def scenario():
+        with open_store(tmp_path, WORKERS) as store:
+            release = hold(store, store._compaction, "claim_merge")
+            trip_the_constraint(store)
+            gate_looks_open(store)
+            reads = count_gate_reads(monkeypatch)
+            admission = build_admission(mode, **ADMISSION_PARAMS[mode])
+            async with KVServer(
+                store, admission, write_deadline=0.2
+            ) as server:
+                pool = Submissions(server)
+                put = asyncio.create_task(exchange(
+                    server.address, [protocol.put_request(b"k", b"v")]
+                ))
+                if mode == "none":
+                    await asyncio.wait_for(pool.seen.wait(), PATIENCE)
+                    release()
+                (payload,) = await asyncio.wait_for(put, PATIENCE)
+                release()
+                response = binproto.decode_response(payload)
+                metrics = server.metrics
+            if mode == "none":
+                assert response["ok"]
+                assert pool.count == 1
+                assert reads == []
+                assert store.get(b"k") == b"v"
+                assert store.stats().write_stalls == 1
+                return
+            assert response["code"] == protocol.CODE_STALLED
+            assert pool.count == 0
+            assert reads
+            assert metrics.writes_rejected == 1
+            assert metrics.stalls_absorbed == (mode == "gradual")
+            # The engine never saw the write: no stall, no trace.
+            assert store.stats().write_stalls == 0
+            assert store.get(b"k") is None
+
+    asyncio.run(scenario())
+
+
+def test_gradual_absorbs_a_closed_gate_once_and_commits_when_it_opens(
+    tmp_path,
+):
+    """Held at the gate for many pauses, one write counts once in
+    ``writes_delayed`` and once in ``stalls_absorbed``; every pause is
+    in ``delay_seconds_total``; the engine counts no stall of its own.
+
+    The gate is closed by hand, not by held-back merges: workers that
+    merge take the store lock, and a retry that met it taken would hop
+    to the pool (rightly) and make the count a race."""
+    held_for = 0.2
+
+    async def scenario():
+        with open_store(tmp_path, WORKERS) as store:
+            closed = threading.Event()
+            closed.set()
+            stalled = store._compaction.is_write_stalled
+            store._compaction.is_write_stalled = (
+                lambda: closed.is_set() or stalled()
+            )
+            release = closed.clear
+            absorbing = watch_for(
+                store, obs_events.ADMISSION, action="absorb"
+            )
+            admission = build_admission("gradual", max_delay=0.02)
+            async with KVServer(
+                store, admission, write_deadline=PATIENCE
+            ) as server:
+                pool = Submissions(server)
+                async with KVClient(*server.address) as client:
+                    put = asyncio.create_task(client.put(b"k", b"v"))
+                    await reached(absorbing)
+                    await asyncio.sleep(held_for)
+                    release()
+                    await asyncio.wait_for(put, PATIENCE)
+                    assert await client.get(b"k") == b"v"
+                metrics = server.metrics
+            assert pool.count == 0
+            assert metrics.writes_delayed == 1
+            assert metrics.stalls_absorbed == 1
+            assert metrics.writes_rejected == 0
+            assert metrics.delay_seconds_total >= held_for
+            assert engine_calls(store, "loop") == {"put": 1, "get": 1}
+            assert store.stats().write_stalls == 0
+
+    asyncio.run(scenario())
+
+
+def test_a_gate_that_opens_before_the_check_sends_the_write_to_the_pool(
+    tmp_path,
+):
+    """The engine answered None, then the gate opened before the loop
+    asked: the write is not stalled any more, so it goes to the pool and
+    commits there."""
+
+    async def scenario():
+        with open_store(tmp_path, WORKERS) as store:
+            timed_put = store.timed_put
+
+            def opened_meanwhile(key, value, wait=True):
+                if not wait:
+                    return None  # as if the gate were closed just then
+                return timed_put(key, value)
+
+            store.timed_put = opened_meanwhile
+            async with KVServer(store, build_admission("stop")) as server:
+                pool = Submissions(server)
+                async with KVClient(*server.address) as client:
+                    await client.put(b"k", b"v")
+                    assert await client.get(b"k") == b"v"
+                assert pool.count == 1
+                assert server.metrics.writes_rejected == 0
+            assert engine_calls(store, "thread") == {"put": 1}
 
     asyncio.run(scenario())
 
@@ -572,28 +727,17 @@ class TestWaitFalse:
                 assert untouched(store, write)
                 assert write() is not None
 
-    def test_a_closed_stall_gate_is_a_wait_in_either_stall_mode(
-        self, tmp_path
-    ):
-        with open_store(tmp_path / "block", WORKERS) as store:
+    def test_a_closed_stall_gate_is_a_wait(self, tmp_path):
+        with open_store(tmp_path, WORKERS) as store:
             release = hold(store, store._compaction, "claim_merge")
             trip_the_constraint(store)
             for write in self.writes(store):
                 assert untouched(store, write)
             release()
+            # The stall — and its count — belong to the call that was
+            # allowed to meet the gate.
             assert store.timed_put(b"k", b"v").stall_seconds > 0.0
-        rejecting = WORKERS.with_(stall_mode="reject")
-        with open_store(tmp_path / "reject", rejecting) as store:
-            release = hold(store, store._compaction, "claim_merge")
-            trip_the_constraint(store)
-            for write in self.writes(store):
-                assert untouched(store, write)
-            # The rejection — and its count — belong to the call that
-            # was allowed to meet the gate.
-            with pytest.raises(WriteStalledError):
-                store.timed_put(b"k", b"v")
             assert store.stats().write_stalls == 1
-            release()
 
     def test_filling_the_memtable_waits_only_when_a_seal_is_not_enough(
         self, tmp_path
