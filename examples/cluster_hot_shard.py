@@ -86,7 +86,10 @@ async def run_scope(directory: Path, scope: str):
             label=f"{scope}-admission",
             client_options=dict(CLIENT),
         )
-        rejected = dict(cluster.router.metrics.writes_rejected_per_shard)
+        per_shard = cluster.router.metrics.snapshot()[
+            "writes_rejected_per_shard"
+        ]
+        rejected = {int(shard): count for shard, count in per_shard.items()}
         ring = cluster.store.ring
     return result, rejected, ring
 

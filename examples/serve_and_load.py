@@ -82,7 +82,7 @@ async def run_mode(directory: Path, mode: str, params: dict):
                 label=mode,
                 client_options=dict(CLIENT),
             )
-        return result, store.stats(), server.metrics
+        return result, store.stats(), server.metrics.snapshot()
 
 
 def report(mode: str, result, stats, metrics) -> None:
@@ -99,10 +99,10 @@ def report(mode: str, result, stats, metrics) -> None:
         f"{result.error_count} errors"
     )
     print(
-        f"  server: {metrics.writes_admitted} admitted, "
-        f"{metrics.writes_delayed} delayed, "
-        f"{metrics.writes_rejected} rejected, "
-        f"{metrics.stalls_absorbed} stalls absorbed"
+        f"  server: {metrics['writes_admitted']} admitted, "
+        f"{metrics['writes_delayed']} delayed, "
+        f"{metrics['writes_rejected']} rejected, "
+        f"{metrics['stalls_absorbed']} stalls absorbed"
     )
     print(
         f"  engine: {stats.write_stalls} write stalls, "

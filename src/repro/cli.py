@@ -241,8 +241,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         value_bytes=args.value_bytes,
         keyspace=args.keyspace,
         seed=args.seed,
-        distribution=getattr(args, "distribution", "uniform"),
-        theta=getattr(args, "theta", 0.99),
+        distribution=args.distribution,
+        theta=args.theta,
     )
 
     async def run():

@@ -14,7 +14,7 @@ from .admission import SCOPES, ClusterAdmission, build_cluster_admission
 from .breaker import STATES as BREAKER_STATES
 from .breaker import CircuitBreaker
 from .ring import HashRing
-from .router import ClusterMetrics, ClusterRouter, LocalCluster
+from .router import ClusterRouter, LocalCluster
 from .sharded import ShardedStore
 from .stats import ClusterStats, aggregate_stats, worst_case_stats
 
@@ -23,7 +23,6 @@ __all__ = [
     "SCOPES",
     "CircuitBreaker",
     "ClusterAdmission",
-    "ClusterMetrics",
     "ClusterRouter",
     "ClusterStats",
     "HashRing",

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-from dataclasses import dataclass, field, fields
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -58,7 +57,12 @@ from ..obs import events as obs_events
 from ..server import binproto, protocol
 from ..server.admission import ADMIT, REJECT, AdmissionDecision
 from ..server.client import KVClient
-from ..server.service import FramedServer, KVServer, require_workers
+from ..server.service import (
+    FramedServer,
+    KVServer,
+    ServingCounters,
+    require_workers,
+)
 from .admission import ClusterAdmission, build_cluster_admission
 from .breaker import OPEN, CircuitBreaker
 from .ring import HashRing
@@ -74,60 +78,6 @@ DEFAULT_SHARD_CLIENT_OPTIONS = dict(
     backoff_base=0.02,
     backoff_max=0.2,
 )
-
-
-@dataclass
-class ClusterMetrics:
-    """Cumulative router counters, exported via ``STATS``."""
-
-    requests_total: int = 0
-    reads_total: int = 0
-    scans_total: int = 0
-    writes_admitted: int = 0
-    writes_delayed: int = 0
-    writes_rejected: int = 0
-    delay_seconds_total: float = 0.0
-    protocol_errors: int = 0
-    connections_total: int = 0
-    connections_open: int = 0
-    shard_down_rejections: int = 0
-    degraded_scans: int = 0
-    writes_admitted_per_shard: dict[int, int] = field(default_factory=dict)
-    writes_rejected_per_shard: dict[int, int] = field(default_factory=dict)
-    writes_delayed_per_shard: dict[int, int] = field(default_factory=dict)
-
-    def _bump(self, counters: dict[int, int], shard: int) -> None:
-        counters[shard] = counters.get(shard, 0) + 1
-
-    def record_admitted(self, shard: int) -> None:
-        """Count one write forwarded to ``shard``."""
-        self.writes_admitted += 1
-        self._bump(self.writes_admitted_per_shard, shard)
-
-    def record_rejected(self, shard: int) -> None:
-        """Count one write bounced for ``shard``."""
-        self.writes_rejected += 1
-        self._bump(self.writes_rejected_per_shard, shard)
-
-    def record_delayed(self, shard: int, seconds: float) -> None:
-        """Count one write delayed before forwarding to ``shard``."""
-        self.writes_delayed += 1
-        self.delay_seconds_total += seconds
-        self._bump(self.writes_delayed_per_shard, shard)
-
-    def snapshot(self) -> dict:
-        """Plain-dict view for the STATS response: every field, the
-        per-shard maps keyed by shard as a string, in shard order."""
-        view = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, dict):
-                value = {
-                    str(shard): count
-                    for shard, count in sorted(value.items())
-                }
-            view[spec.name] = value
-        return view
 
 
 class ClusterRouter(FramedServer):
@@ -163,6 +113,27 @@ class ClusterRouter(FramedServer):
         # arbiter the same one) so arbiter events surface through the
         # router's EVENTS verb alongside its own.
         self.obs = obs if obs is not None else Observability()
+        registry = self.obs.registry
+        self.metrics = ServingCounters(
+            registry, "router", "Router",
+            "requests_total reads_total scans_total writes_admitted "
+            "writes_delayed writes_rejected delay_seconds_total "
+            "protocol_errors connections_total shard_down_rejections "
+            "degraded_scans",
+            shard_outcomes=("admitted", "rejected", "delayed"),
+        )
+        self._promotions = registry.counter(
+            "router_promotions_total",
+            help="Follower-to-leader promotions performed on failover.",
+        )
+        self._breaker_trips = [
+            registry.counter(
+                "router_breaker_trips_total",
+                labels={"shard": str(shard)},
+                help="Circuit-breaker trips (closed/half-open to open).",
+            )
+            for shard in range(len(backends))
+        ]
         if memory_fn is not None:
             self.attach_ticker(memory_fn, memory_interval)
         self._backends = list(backends)
@@ -220,9 +191,7 @@ class ClusterRouter(FramedServer):
                 "read_from_replica needs at least one follower"
             )
         self._epochs = [0 for _ in self._backends]
-        self.promotions = 0
         self._promotion_tasks: dict[int, asyncio.Task] = {}
-        self.metrics = ClusterMetrics()
 
     @property
     def num_shards(self) -> int:
@@ -239,6 +208,11 @@ class ClusterRouter(FramedServer):
         """The cluster admission layer."""
         return self._admission
 
+    @property
+    def promotions(self) -> int:
+        """Follower-to-leader promotions performed on failover."""
+        return int(self._promotions.value)
+
     def _breaker_listener(self, shard: int):
         """A per-shard callback tracing breaker state changes.
 
@@ -252,6 +226,7 @@ class ClusterRouter(FramedServer):
                 obs_events.BREAKER, shard=shard, old=old, new=new
             )
             if new == OPEN:
+                self._breaker_trips[shard].inc()
                 self._schedule_promotion(shard)
 
         return on_transition
@@ -328,7 +303,7 @@ class ClusterRouter(FramedServer):
         await promoted_client.aclose()
         await old_client.aclose()
         self._epochs[shard] = epoch
-        self.promotions += 1
+        self._promotions.inc()
         self.breakers[shard].reset()
         self.obs.tracer.emit(
             obs_events.REPLICA_PROMOTE,
@@ -463,8 +438,7 @@ class ClusterRouter(FramedServer):
                 nbytes_by_shard, self._snapshots()
             )
         if decision.action == REJECT:
-            for shard in nbytes_by_shard:
-                self.metrics.record_rejected(shard)
+            self.metrics.count_shards("rejected", nbytes_by_shard)
             self.obs.tracer.emit(
                 obs_events.ADMISSION,
                 action="reject",
@@ -478,8 +452,9 @@ class ClusterRouter(FramedServer):
                 retry_after=decision.retry_after,
             ))
         if decision.delay_seconds > 0.0:
-            for shard in nbytes_by_shard:
-                self.metrics.record_delayed(shard, decision.delay_seconds)
+            self.metrics.count_shards(
+                "delayed", nbytes_by_shard, decision.delay_seconds
+            )
             self.obs.tracer.emit(
                 obs_events.ADMISSION,
                 action="delay",
@@ -494,30 +469,26 @@ class ClusterRouter(FramedServer):
         except ShardDownError as error:
             # Fail fast with an honest cooldown hint instead of hanging
             # the write through N doomed transport retries.
-            self.metrics.shard_down_rejections += 1
-            for shard in nbytes_by_shard:
-                self.metrics.record_rejected(shard)
+            self.metrics.shard_down_rejections.inc()
+            self.metrics.count_shards("rejected", nbytes_by_shard)
             return with_legs(protocol.error_response(
                 protocol.CODE_SHARD_DOWN,
                 str(error),
                 retry_after=error.retry_after,
             ))
         except RequestFailedError as error:
-            for shard in nbytes_by_shard:
-                self.metrics.record_rejected(shard)
+            self.metrics.count_shards("rejected", nbytes_by_shard)
             return with_legs(protocol.error_response(
                 error.code, str(error), retry_after=error.retry_after
             ))
         except ServerError as error:
-            for shard in nbytes_by_shard:
-                self.metrics.record_rejected(shard)
+            self.metrics.count_shards("rejected", nbytes_by_shard)
             return with_legs(protocol.error_response(
                 protocol.CODE_STALLED,
                 f"shard retries exhausted: {error}",
                 retry_after=self._admission.stall_pause or 0.05,
             ))
-        for shard in nbytes_by_shard:
-            self.metrics.record_admitted(shard)
+        self.metrics.count_shards("admitted", nbytes_by_shard)
         return with_legs(response)
 
     # -- verbs ------------------------------------------------------------
@@ -580,13 +551,13 @@ class ClusterRouter(FramedServer):
 
     async def _op_get(self, message: dict) -> dict:
         key = protocol.request_key(message)
-        self.metrics.reads_total += 1
+        self.metrics.reads_total.inc()
         try:
             return await self._shard_request(
                 self._ring.shard_for(key), message
             )
         except ShardDownError as error:
-            self.metrics.shard_down_rejections += 1
+            self.metrics.shard_down_rejections.inc()
             return protocol.error_response(
                 protocol.CODE_SHARD_DOWN,
                 str(error),
@@ -629,8 +600,8 @@ class ClusterRouter(FramedServer):
 
     async def _op_scan(self, message: dict) -> dict:
         lo, hi, limit = protocol.scan_bounds(message)
-        self.metrics.reads_total += 1
-        self.metrics.scans_total += 1
+        self.metrics.reads_total.inc()
+        self.metrics.scans_total.inc()
         request = protocol.scan_request(lo, hi, limit)
         results = await asyncio.gather(
             *(self._scan_shard(i, request) for i in range(self.num_shards)),
@@ -661,7 +632,7 @@ class ClusterRouter(FramedServer):
             # Partial answer over the surviving shards, honestly
             # labelled, instead of failing every range read because one
             # hash slice is dark.
-            self.metrics.degraded_scans += 1
+            self.metrics.degraded_scans.inc()
         items = list(islice(heapq.merge(*per_shard, key=itemgetter(0)), limit))
         return protocol.ok_response(
             items=items,
@@ -672,41 +643,6 @@ class ClusterRouter(FramedServer):
         )
 
     # -- observability -----------------------------------------------------
-
-    def _sync_registry(self) -> dict:
-        """Mirror :class:`ClusterMetrics` into the registry, then snapshot.
-
-        Like the single server, the dataclass stays the source of truth
-        for ``STATS``; the registry view exists so one Prometheus scrape
-        of the router shows routing counters next to the rolled-up
-        engine and shard series.
-        """
-        registry = self.obs.registry
-        self._mirror_metrics("router", "Router")
-        for outcome in ("admitted", "rejected", "delayed"):
-            per_shard = getattr(self.metrics, f"writes_{outcome}_per_shard")
-            for shard, count in per_shard.items():
-                registry.counter(
-                    f"router_shard_writes_{outcome}_total",
-                    labels={"shard": str(shard)},
-                    help="Per-shard routing outcome counts.",
-                ).set_total(count)
-        registry.counter(
-            "router_promotions_total",
-            help="Follower-to-leader promotions performed on failover.",
-        ).set_total(self.promotions)
-        for shard, breaker in enumerate(self.breakers):
-            registry.counter(
-                "router_breaker_trips_total",
-                labels={"shard": str(shard)},
-                help="Circuit-breaker trips (closed/half-open to open).",
-            ).set_total(breaker.trips)
-            registry.gauge(
-                "router_breaker_open",
-                labels={"shard": str(shard)},
-                help="1 when the shard's breaker is open, else 0.",
-            ).set(1.0 if breaker.state == OPEN else 0.0)
-        return registry.snapshot()
 
     async def metrics_snapshot(self) -> dict:
         """Cluster-wide metrics: router tier plus every live shard.
@@ -724,8 +660,14 @@ class ClusterRouter(FramedServer):
             ),
             return_exceptions=True,
         )
+        for shard, breaker in enumerate(self.breakers):
+            self.obs.registry.gauge(
+                "router_breaker_open",
+                labels={"shard": str(shard)},
+                help="1 when the shard's breaker is open, else 0.",
+            ).set(1.0 if breaker.state == OPEN else 0.0)
         snapshots = [
-            relabel_snapshot(self._sync_registry(), {"tier": "router"})
+            relabel_snapshot(self.obs.registry.snapshot(), {"tier": "router"})
         ]
         for shard, response in enumerate(responses):
             if isinstance(response, BaseException):
@@ -783,7 +725,7 @@ class ClusterRouter(FramedServer):
         router_view = self.metrics.snapshot()
         router_view["shard_health"] = self.shard_health()
         router_view["breaker_trips"] = sum(
-            breaker.trips for breaker in self.breakers
+            int(trips.value) for trips in self._breaker_trips
         )
         router_view["promotions"] = self.promotions
         router_view["shard_epochs"] = {

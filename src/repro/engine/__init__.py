@@ -15,7 +15,6 @@ from .compaction import CompactionManager, MergeJob
 from .integrity import IntegrityReport, verify_store
 from .datastore import (
     LSMStore,
-    MemorySignals,
     StoreStats,
     WalPosition,
     WriteTiming,
@@ -40,7 +39,6 @@ __all__ = [
     "LSMStore",
     "LogPosition",
     "Manifest",
-    "MemorySignals",
     "MemTable",
     "MergeJob",
     "QuarantineEntry",

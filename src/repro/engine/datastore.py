@@ -57,6 +57,25 @@ from .quarantine import QuarantineEntry
 from .wal import fsync_dir
 
 
+#: The block cache's counters in the registry, in the order
+#: ``refresh_gauges`` reads them off the cache.
+_CACHE_COUNTERS = (
+    ("engine_block_cache_hits_total", "Block lookups served from the cache."),
+    (
+        "engine_block_cache_misses_total",
+        "Block lookups that fell through to disk.",
+    ),
+    (
+        "engine_block_cache_evictions_total",
+        "Blocks and rows evicted to stay within the cache budget.",
+    ),
+    (
+        "engine_row_cache_hits_total",
+        "Point lookups answered by a cached row, no block read.",
+    ),
+)
+
+
 @dataclass(frozen=True)
 class StoreStats:
     """A point-in-time summary of the store's state.
@@ -67,7 +86,12 @@ class StoreStats:
     spent blocked in the headroom gate. ``write_stalled`` and
     ``write_headroom`` are instantaneous backpressure signals for
     admission controllers: headroom is the remaining fraction of the
-    component budget (0.0 = stalled right now).
+    component budget (0.0 = stalled right now). ``memtable_bytes``
+    counts sealed memtables awaiting flush as well as the active one.
+    ``ingested_bytes`` is cumulative over the store's lifetime, and the
+    cache counters are the :class:`BlockCache`'s cumulative totals: block
+    lookups, and ``row_hits``, the gets a cached row answered with none.
+    Their deltas between two snapshots measure write and read traffic.
     """
 
     memtable_entries: int
@@ -85,11 +109,14 @@ class StoreStats:
     throttle_sleep_seconds: float
     block_cache_hit_rate: float
     block_cache_used_bytes: int
-    #: Runs excluded from reads pending repair, and gets answered by a
-    #: cached row (defaults keep older positional constructions — test
-    #: fixtures, wire rebuilds — valid).
+    #: Fields a hand-built snapshot (a test fixture, the cluster's
+    #: ``worst_case_stats``) may leave out.
     quarantined_runs: int = 0
     row_hits: int = 0
+    ingested_bytes: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_evictions: int = 0
 
     @property
     def memory_fill(self) -> float:
@@ -102,37 +129,6 @@ class StoreStats:
         """
         slots = max(1, self.num_memtables - 1)
         return min(1.0, self.sealed_memtables / slots)
-
-
-@dataclass(frozen=True)
-class MemorySignals:
-    """What the memory arbiter needs to know about one store.
-
-    A compact, atomically-read snapshot of the write-memory and
-    read-cache signals :class:`repro.memory.MemoryArbiter` drives its
-    rebalance decisions from. ``memtable_bytes`` counts sealed
-    memtables awaiting flush as well as the active one — buffered write
-    memory that a rotation has not yet released. ``ingested_bytes`` is
-    cumulative over the store's lifetime (per-tick deltas measure write
-    rate); the cache counters are the :class:`BlockCache`'s cumulative
-    totals (deltas measure read traffic and miss rate): block lookups,
-    and ``row_hits``, the gets a cached row answered with none.
-    """
-
-    memtable_bytes: int
-    memtable_target_bytes: int
-    sealed_memtables: int
-    num_memtables: int
-    memory_fill: float
-    write_stalls: int
-    stall_seconds_total: float
-    ingested_bytes: int
-    cache_hits: int
-    cache_misses: int
-    cache_evictions: int
-    cache_capacity_bytes: int
-    cache_used_bytes: int
-    row_hits: int = 0
 
 
 class WriteTiming(NamedTuple):
@@ -246,6 +242,8 @@ class LSMStore:
         # set_memory_budget(); options.memtable_bytes is only the seed.
         self._memtable_target = self._options.memtable_bytes
         self._ingested_bytes = 0
+        # The cache totals the last refresh_gauges() counted up to.
+        self._cache_counted = (0, 0, 0, 0)
         self._closed = False
         self._stall_count = 0
         self._stall_seconds = 0.0
@@ -772,35 +770,10 @@ class LSMStore:
         with self._lock:
             return self._memtable_target
 
-    def memory_signals(self) -> MemorySignals:
-        """Atomic snapshot of the arbiter's input signals."""
-        with self._lock:
-            self._check_open()
-            cache = self._compaction.block_cache
-            sealed_bytes = sum(
-                memtable.approximate_bytes for memtable in self._sealed
-            )
-            slots = max(1, self._options.num_memtables - 1)
-            return MemorySignals(
-                memtable_bytes=(
-                    self._active.approximate_bytes + sealed_bytes
-                ),
-                memtable_target_bytes=self._memtable_target,
-                sealed_memtables=len(self._sealed),
-                num_memtables=self._options.num_memtables,
-                memory_fill=min(1.0, len(self._sealed) / slots),
-                write_stalls=self._stall_count,
-                stall_seconds_total=self._stall_seconds,
-                ingested_bytes=(
-                    self._ingested_bytes + self._active.approximate_bytes
-                ),
-                cache_hits=cache.hits,
-                cache_misses=cache.misses,
-                cache_evictions=cache.evictions,
-                cache_capacity_bytes=cache.capacity_bytes,
-                cache_used_bytes=cache.used_bytes,
-                row_hits=cache.row_hits,
-            )
+    def memory_signals(self) -> StoreStats:
+        """The :meth:`stats` snapshot, under the name
+        ``bench/server_proc.py`` still reads it by."""
+        return self.stats()
 
     # -- reads -----------------------------------------------------------
 
@@ -1119,6 +1092,12 @@ class LSMStore:
                 block_cache_hit_rate=cache.hit_rate(),
                 block_cache_used_bytes=cache.used_bytes,
                 row_hits=cache.row_hits,
+                ingested_bytes=(
+                    self._ingested_bytes + self._active.approximate_bytes
+                ),
+                cache_hits=cache.hits,
+                cache_misses=cache.misses,
+                cache_evictions=cache.evictions,
             )
 
     @property
@@ -1168,34 +1147,27 @@ class LSMStore:
             "engine_quarantined_runs",
             help="Runs currently fenced off from reads as corrupt.",
         ).set(float(stats.quarantined_runs))
+        # Block-cache counts live in the cache (bumped under its own
+        # lock). Each refresh adds what they grew by since this store's
+        # last one, read under the store lock so racing refreshes count
+        # a lookup once, and stores sharing a bundle sum.
+        cache = self._compaction.block_cache
         with self._lock:
             queue_depth = (
                 len(self._sealed) + self._compaction.merge_jobs_in_flight
             )
+            counts = (
+                cache.hits, cache.misses, cache.evictions, cache.row_hits
+            )
+            for (name, help_text), now, before in zip(
+                _CACHE_COUNTERS, counts, self._cache_counted
+            ):
+                registry.counter(name, help=help_text).inc(now - before)
+            self._cache_counted = counts
         registry.gauge(
             "engine_maintenance_queue_depth",
             help="Sealed memtables plus in-flight merge jobs.",
         ).set(float(queue_depth))
-        # Block-cache counters live in the cache (bumped under its own
-        # lock); mirror the cumulative totals at scrape time instead of
-        # double-counting on the lookup path.
-        cache = self._compaction.block_cache
-        registry.counter(
-            "engine_block_cache_hits_total",
-            help="Block lookups served from the cache.",
-        ).set_total(float(cache.hits))
-        registry.counter(
-            "engine_block_cache_misses_total",
-            help="Block lookups that fell through to disk.",
-        ).set_total(float(cache.misses))
-        registry.counter(
-            "engine_block_cache_evictions_total",
-            help="Blocks and rows evicted to stay within the cache budget.",
-        ).set_total(float(cache.evictions))
-        registry.counter(
-            "engine_row_cache_hits_total",
-            help="Point lookups answered by a cached row, no block read.",
-        ).set_total(float(cache.row_hits))
         registry.gauge(
             "engine_block_cache_capacity_bytes",
             help="Current block-cache byte budget.",

@@ -1,8 +1,8 @@
 """The memory arbiter: a feedback controller over the node's budget.
 
 :class:`MemoryArbiter` watches every shard's
-:meth:`~repro.engine.LSMStore.memory_signals` snapshot and steers two
-levers of one :class:`~repro.memory.MemoryBudget`:
+:meth:`~repro.engine.LSMStore.stats` snapshot and steers two levers of
+one :class:`~repro.memory.MemoryBudget`:
 
 * the **write/read split** — both demands are measured in bytes and
   the split tracks their ratio: ingested bytes demand write memory,
@@ -41,7 +41,7 @@ MISS_COST_BYTES = 4096
 class MemoryTarget(Protocol):
     """What the arbiter needs from a shard: observe and apply."""
 
-    def memory_signals(self): ...  # pragma: no cover - protocol
+    def stats(self): ...  # pragma: no cover - protocol
 
     def set_memory_budget(
         self, memtable_bytes: int, cache_bytes: int
@@ -114,7 +114,7 @@ class MemoryArbiter:
         # can re-grow without a discontinuity.
         self._write_weights = [1.0] * budget.num_shards
         self._read_weights = [1.0] * budget.num_shards
-        self._prev = [target.memory_signals() for target in self.targets]
+        self._prev = [target.stats() for target in self.targets]
         self._next_deadline = self._clock() + interval
         self._shares = self.budget.split(
             self._write_fraction, self._write_weights, self._read_weights
@@ -154,7 +154,7 @@ class MemoryArbiter:
     # -- the controller -------------------------------------------------
 
     def _tick_locked(self) -> RebalanceDecision:
-        signals = [target.memory_signals() for target in self.targets]
+        signals = [target.stats() for target in self.targets]
         prev, self._prev = self._prev, signals
 
         ingest_deltas = [
@@ -230,8 +230,10 @@ class MemoryArbiter:
             or after.cache_bytes != before.cache_bytes
         )
         if changed:
-            self._shares = after
+            # A closed target refuses its share (ClosedError) before it
+            # takes it, and the tick stops there.
             self._apply_locked(after)
+            self._shares = after
             if stall_delta > 0:
                 reason = "write_stalls"
             elif abs(gap) > self.deadband:

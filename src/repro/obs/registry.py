@@ -76,21 +76,6 @@ class Counter:
             raise ConfigurationError("counters only go up")
         self._value += amount
 
-    def set_total(self, total: float) -> None:
-        """Mirror an externally accumulated monotone total.
-
-        For counters whose source of truth lives elsewhere (for example
-        the serving layer's :class:`~repro.server.service.ServerMetrics`
-        dataclass): the owner syncs the cumulative value at snapshot
-        time instead of double-counting on the hot path.
-        """
-        if total < self._value:
-            raise ConfigurationError(
-                f"counter {self.name} cannot move backwards "
-                f"({self._value} -> {total})"
-            )
-        self._value = float(total)
-
     @property
     def value(self) -> float:
         """Current total."""

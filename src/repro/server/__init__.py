@@ -35,13 +35,7 @@ from .admission import (
     build_admission,
 )
 from .client import ClientMetrics, KVClient
-from .service import (
-    DEFAULT_WRITE_DEADLINE,
-    FramedServer,
-    KVServer,
-    ServerMetrics,
-    serve,
-)
+from .service import DEFAULT_WRITE_DEADLINE, FramedServer, KVServer
 
 __all__ = [
     "ADMIT",
@@ -61,8 +55,6 @@ __all__ = [
     "RequestFailedError",
     "RetriesExhaustedError",
     "ServerError",
-    "ServerMetrics",
     "StopAdmission",
     "build_admission",
-    "serve",
 ]

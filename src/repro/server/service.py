@@ -32,7 +32,7 @@ import asyncio
 import contextlib
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import partial
 
 from ..engine.datastore import LSMStore
@@ -42,7 +42,7 @@ from ..errors import (
     DataCorruptError,
     ProtocolError,
 )
-from ..obs import PrometheusEndpoint, render_prometheus
+from ..obs import MetricsRegistry, PrometheusEndpoint, render_prometheus
 from ..obs import events as obs_events
 from . import binproto, protocol
 from .admission import REJECT, AdmissionController
@@ -84,24 +84,68 @@ async def in_thread(fn, *args, executor=None):
     )
 
 
-@dataclass
-class ServerMetrics:
-    """Cumulative serving-layer counters, exported via ``STATS``."""
+class ServingCounters:
+    """A front-end's serving counters, each one registry series.
 
-    requests_total: int = 0
-    reads_total: int = 0
-    writes_admitted: int = 0
-    writes_delayed: int = 0
-    writes_rejected: int = 0
-    stalls_absorbed: int = 0
-    delay_seconds_total: float = 0.0
-    protocol_errors: int = 0
-    connections_total: int = 0
-    connections_open: int = 0
+    Each of the space-separated ``names`` is an attribute holding the
+    ``<tier>_<name>`` counter (``_total`` appended where missing), bumped
+    with ``inc()`` at the event it counts; ``connections_open`` is that
+    gauge. :meth:`count_shards` also counts into a per-shard series,
+    made by the first write it counts. :meth:`snapshot` reads them all
+    back for STATS, so a front-end built again over the same registry
+    (a restored shard server) carries the totals on.
+    """
+
+    def __init__(
+        self, registry: MetricsRegistry, tier: str, title: str, names: str,
+        shard_outcomes: tuple[str, ...] = (),
+    ) -> None:
+        self._names = names.split()
+        for name in self._names:
+            series = name if name.endswith("_total") else f"{name}_total"
+            setattr(self, name, registry.counter(
+                f"{tier}_{series}",
+                help=f"{title} cumulative {name.replace('_', ' ')}.",
+            ))
+        self.connections_open = registry.gauge(
+            f"{tier}_connections_open",
+            help="Currently open client connections.",
+        )
+        self._registry, self._tier = registry, tier
+        self._by_shard = {outcome: {} for outcome in shard_outcomes}
+
+    def count_shards(self, outcome: str, shards, delay: float = 0.0) -> None:
+        """Count one write's ``outcome`` once per shard it spans, in
+        ``writes_<outcome>`` and in that shard's ``shard_writes_<outcome>``
+        series, with ``delay`` seconds of admission pause for each."""
+        total = getattr(self, f"writes_{outcome}")
+        by_shard = self._by_shard[outcome]
+        for shard in shards:
+            if shard not in by_shard:
+                by_shard[shard] = self._registry.counter(
+                    f"{self._tier}_shard_writes_{outcome}_total",
+                    labels={"shard": str(shard)},
+                    help="Per-shard routing outcome counts.",
+                )
+            by_shard[shard].inc()
+            total.inc()
+            if delay:
+                self.delay_seconds_total.inc(delay)
 
     def snapshot(self) -> dict:
-        """Plain-dict view for the STATS response."""
-        return asdict(self)
+        """Plain-dict view for STATS: seconds as floats, counts as ints,
+        per-shard counts keyed by shard as a string."""
+        view = {}
+        for name in self._names:
+            value = getattr(self, name).value
+            view[name] = value if "seconds" in name else int(value)
+        view["connections_open"] = int(self.connections_open.value)
+        for outcome, by_shard in self._by_shard.items():
+            view[f"writes_{outcome}_per_shard"] = {
+                str(shard): int(counter.value)
+                for shard, counter in sorted(by_shard.items())
+            }
+        return view
 
 
 class FramedServer:
@@ -111,9 +155,9 @@ class FramedServer:
     dispatch to ``_op_<verb>`` coroutine methods. Subclasses —
     :class:`KVServer` over one engine, the cluster's
     :class:`~repro.cluster.router.ClusterRouter` over many — provide the
-    verb handlers, a ``metrics`` object with ``requests_total``,
-    ``protocol_errors``, ``connections_total``, and ``connections_open``
-    counters, and an ``obs`` bundle backing the shared ``METRICS`` /
+    verb handlers, a :class:`ServingCounters` ``metrics`` with at least
+    ``requests_total``, ``protocol_errors`` and ``connections_total``,
+    and an ``obs`` bundle backing the shared ``METRICS`` /
     ``EVENTS`` verbs and the optional Prometheus scrape endpoint
     (``metrics_port``; 0 picks a free port, None disables).
     """
@@ -260,8 +304,8 @@ class FramedServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.metrics.connections_total += 1
-        self.metrics.connections_open += 1
+        self.metrics.connections_total.inc()
+        self.metrics.connections_open.inc()
         self._connections.add(writer)
         task = asyncio.current_task()
         if task is not None:
@@ -271,7 +315,7 @@ class FramedServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self.metrics.connections_open -= 1
+            self.metrics.connections_open.inc(-1)
             self._connections.discard(writer)
             if task is not None:
                 self._handlers.discard(task)
@@ -291,7 +335,7 @@ class FramedServer:
         except asyncio.IncompleteReadError:
             return  # connected and left without sending anything
         if preamble != binproto.MAGIC_BYTE:
-            self.metrics.protocol_errors += 1
+            self.metrics.protocol_errors.inc()
             return
         while True:
             try:
@@ -300,14 +344,14 @@ class FramedServer:
                     break
                 message = binproto.decode_request(payload)
             except ProtocolError:
-                self.metrics.protocol_errors += 1
+                self.metrics.protocol_errors.inc()
                 break  # framing is lost; drop the connection
             response = await self._dispatch(message)
             if not await binproto.write_response(writer, response):
-                self.metrics.protocol_errors += 1  # too large to frame
+                self.metrics.protocol_errors.inc()  # too large to frame
 
     async def _dispatch(self, message: dict) -> dict:
-        self.metrics.requests_total += 1
+        self.metrics.requests_total.inc()
         received_at = self._clock()
         verb = "?"
         try:
@@ -319,7 +363,7 @@ class FramedServer:
                 raise ProtocolError(f"{verb} is not served here")
             response = await handler(message)
         except ProtocolError as error:
-            self.metrics.protocol_errors += 1
+            self.metrics.protocol_errors.inc()
             return protocol.error_response(
                 protocol.CODE_BAD_REQUEST, str(error)
             )
@@ -381,25 +425,6 @@ class FramedServer:
     async def _op_ping(self, message: dict) -> dict:
         return protocol.ok_response(pong=True)
 
-    def _mirror_metrics(self, tier: str, title: str) -> None:
-        """Mirror the scalar fields of ``self.metrics`` into the registry
-        as ``<tier>_<field>`` series (maps are the subclass's to label)."""
-        registry = self.obs.registry
-        for name, value in self.metrics.snapshot().items():
-            if isinstance(value, dict):
-                continue
-            if name == "connections_open":
-                registry.gauge(
-                    f"{tier}_connections_open",
-                    help="Currently open client connections.",
-                ).set(value)
-                continue
-            series = name if name.endswith("_total") else f"{name}_total"
-            registry.counter(
-                f"{tier}_{series}",
-                help=f"{title} cumulative {name.replace('_', ' ')}.",
-            ).set_total(value)
-
     # -- observability verbs (shared by server and cluster router) -------
 
     async def metrics_snapshot(self) -> dict:
@@ -445,10 +470,15 @@ class KVServer(FramedServer):
         super().__init__(host, port, metrics_port=metrics_port)
         self._store = store
         self._write_deadline = write_deadline
-        self.metrics = ServerMetrics()
         # Share the engine's bundle: one registry, one event ring, one
         # clock for the whole process tier.
         self.obs = store.obs
+        self.metrics = ServingCounters(
+            store.obs.registry, "server", "Serving-layer",
+            "requests_total reads_total writes_admitted writes_delayed "
+            "writes_rejected stalls_absorbed delay_seconds_total "
+            "protocol_errors connections_total",
+        )
         self._clock = store.obs.clock
         self._memory_arbiter = memory_arbiter
         if memory_arbiter is not None:
@@ -495,7 +525,7 @@ class KVServer(FramedServer):
         sheds = self._admission.mode != "none"
 
         def rejected(reason: str, message: str, retry_after: float) -> dict:
-            self.metrics.writes_rejected += 1
+            self.metrics.writes_rejected.inc()
             self.obs.tracer.emit(
                 obs_events.ADMISSION,
                 action="reject",
@@ -512,7 +542,7 @@ class KVServer(FramedServer):
 
         async def pause(action: str, seconds: float) -> None:
             nonlocal admission_wait
-            self.metrics.delay_seconds_total += seconds
+            self.metrics.delay_seconds_total.inc(seconds)
             self.obs.tracer.emit(
                 obs_events.ADMISSION,
                 action=action,
@@ -532,7 +562,7 @@ class KVServer(FramedServer):
                 decision.retry_after,
             )
         if decision.delay_seconds > 0.0:
-            self.metrics.writes_delayed += 1
+            self.metrics.writes_delayed.inc()
             await pause("delay", decision.delay_seconds)
         timing = apply(wait=False)
         absorbed = False
@@ -544,7 +574,7 @@ class KVServer(FramedServer):
                     self._admission.stall_pause or 0.05,
                 )
             if not absorbed:  # a write counts once, however long it waits
-                self.metrics.stalls_absorbed += 1
+                self.metrics.stalls_absorbed.inc()
                 absorbed = True
             await pause("absorb", self._admission.stall_pause)
             timing = apply(wait=False)
@@ -553,7 +583,7 @@ class KVServer(FramedServer):
             timing = await self._in_thread(apply)
         else:
             self._engine_calls[op, "loop"].inc()
-        self.metrics.writes_admitted += 1
+        self.metrics.writes_admitted.inc()
         return protocol.ok_response(
             breakdown={
                 "admission": admission_wait,
@@ -596,7 +626,7 @@ class KVServer(FramedServer):
 
     async def _op_get(self, message: dict) -> dict:
         key = protocol.request_key(message)
-        self.metrics.reads_total += 1
+        self.metrics.reads_total.inc()
         # On the loop thread even when the block must come from disk:
         # the store holds its lock across block reads, so a pool thread
         # would overlap nothing and only add the hand-off.
@@ -609,7 +639,7 @@ class KVServer(FramedServer):
 
     async def _op_scan(self, message: dict) -> dict:
         lo, hi, limit = protocol.scan_bounds(message)
-        self.metrics.reads_total += 1
+        self.metrics.reads_total.inc()
 
         def scan():
             started = self._clock()
@@ -628,21 +658,11 @@ class KVServer(FramedServer):
 
     # -- observability ----------------------------------------------------
 
-    def _sync_registry(self) -> dict:
-        """Scrape-time sync: gauges and mirrored counters, then snapshot.
-
-        The :class:`ServerMetrics` dataclass stays the source of truth
-        for serving-layer totals (STATS reports it directly); here its
-        cumulative values are mirrored into the registry so one scrape
-        sees engine and server series side by side.
-        """
-        self._store.refresh_gauges()
-        self._mirror_metrics("server", "Serving-layer")
-        return self.obs.registry.snapshot()
-
     async def metrics_snapshot(self) -> dict:
-        """Structured metrics for METRICS and the scrape endpoint."""
-        return self._sync_registry()
+        """Structured metrics for METRICS and the scrape endpoint: the
+        engine's gauges brought up to now, then the registry."""
+        self._store.refresh_gauges()
+        return self.obs.registry.snapshot()
 
     async def _op_stats(self, message: dict) -> dict:
         stats = self._store.stats()
@@ -659,23 +679,3 @@ class KVServer(FramedServer):
             admission_mode=self._admission.mode,
         )
 
-
-async def serve(
-    store: LSMStore,
-    admission: AdmissionController | None = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    ready: asyncio.Event | None = None,
-    metrics_port: int | None = None,
-) -> None:
-    """Convenience runner: start a server and serve until cancelled."""
-    server = KVServer(store, admission, host, port, metrics_port=metrics_port)
-    await server.start()
-    if ready is not None:
-        ready.set()
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        raise
-    finally:
-        await server.aclose()

@@ -633,11 +633,11 @@ class TestLink:
                     store.put(key(index), b"v")
                 store.flush()
             assert len(list(store.scan())) == 1800
-            cached = store.memory_signals()
+            cached = store.stats()
             store.maintenance()
             assert store.stats().merges_completed == 1
             assert len(list(store.scan())) == 1800
-            after = store.memory_signals()
+            after = store.stats()
         assert after.cache_misses == cached.cache_misses
         assert after.cache_hits > cached.cache_hits
 

@@ -180,8 +180,8 @@ def _loaded(tmp_path, block_cache_bytes=1 << 20, **options):
 
 
 def _block_lookups(store) -> int:
-    signals = store.memory_signals()
-    return signals.cache_hits + signals.cache_misses
+    stats = store.stats()
+    return stats.cache_hits + stats.cache_misses
 
 
 class TestBlockCacheInStore:
@@ -356,10 +356,10 @@ class TestRowTier:
         with _loaded(tmp_path, block_cache_bytes=0) as store:
             for _ in range(2):
                 assert store.get(key) == b"v" * 64
-            stats, signals = store.stats(), store.memory_signals()
+            stats = store.stats()
             assert stats.row_hits == 0
             assert stats.block_cache_used_bytes == 0
-            assert signals.cache_hits == 0 and signals.cache_misses >= 2
+            assert stats.cache_hits == 0 and stats.cache_misses >= 2
 
     def test_rows_and_scanned_blocks_share_one_budget(self, tmp_path):
         budget = 8 * 1024

@@ -94,8 +94,8 @@ class TestReadAcrossComponents:
 
 
 def block_lookups(store):
-    signals = store.memory_signals()
-    return signals.cache_hits + signals.cache_misses
+    stats = store.stats()
+    return stats.cache_hits + stats.cache_misses
 
 
 class TestPointLookupProbes:

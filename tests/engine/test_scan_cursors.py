@@ -26,8 +26,8 @@ def key(index):
 
 def lookups(store):
     """Block lookups so far: every one is a cache hit or a miss."""
-    signals = store.memory_signals()
-    return signals.cache_hits + signals.cache_misses
+    stats = store.stats()
+    return stats.cache_hits + stats.cache_misses
 
 
 def reference_scan(store, lo, hi, limit):

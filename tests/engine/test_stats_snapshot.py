@@ -7,6 +7,7 @@ layers make decisions from a single snapshot and a torn one would let a
 write slip past a stall gate (or stall a healthy store).
 """
 
+import sys
 import threading
 
 import pytest
@@ -177,6 +178,54 @@ class TestRefreshGauges:
             )
             assert cache.hits + cache.misses > 0
 
+    def test_concurrent_refreshes_count_every_lookup_once(self, tmp_path):
+        """Each refresh adds what the cache grew by since the last one:
+        refreshes racing reads on many threads neither lose nor repeat
+        a lookup."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with LSMStore.open(str(tmp_path / "db"), OPTIONS) as store:
+                for i in range(600):
+                    store.put(f"k{i:06d}".encode(), b"v" * 64)
+                store.maintenance()
+
+                errors = []
+
+                def worker(seed):
+                    try:
+                        for i in range(300):
+                            key = f"k{(i * 7 + seed) % 600:06d}".encode()
+                            store.get(key)
+                            if i % 10 == 0:
+                                store.refresh_gauges()
+                    except Exception as error:  # noqa: BLE001
+                        errors.append(error)
+
+                threads = [
+                    threading.Thread(target=worker, args=(seed,))
+                    for seed in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                stats = store.refresh_gauges()
+                counters = {
+                    c["name"]: c["value"]
+                    for c in store.obs.registry.snapshot()["counters"]
+                }
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert counters["engine_block_cache_hits_total"] == stats.cache_hits
+        assert counters["engine_block_cache_misses_total"] == (
+            stats.cache_misses
+        )
+        assert counters["engine_row_cache_hits_total"] == stats.row_hits
+        assert stats.cache_hits + stats.cache_misses + stats.row_hits > 0
+
     def test_row_hits_mirrored_apart_from_block_lookups(self, tmp_path):
         with LSMStore.open(str(tmp_path / "db"), OPTIONS) as store:
             for i in range(600):
@@ -195,7 +244,7 @@ class TestRefreshGauges:
                 for c in store.obs.registry.snapshot()["counters"]
             }
             assert counters["engine_row_cache_hits_total"] == 2
-            assert stats.row_hits == store.memory_signals().row_hits == 2
+            assert stats.row_hits == 2
 
     def test_cache_series_lint_clean(self, tmp_path):
         from repro.obs import lint_exposition, render_prometheus
@@ -230,13 +279,3 @@ class TestSealedMemtableBytes:
             # The sealed bytes did not vanish from the report.
             assert stats.memtable_bytes >= active_only
             assert stats.memtable_bytes > 0
-
-    def test_memory_signals_agree_with_stats(self, tmp_path):
-        with LSMStore.open(str(tmp_path / "db"), OPTIONS) as store:
-            for i in range(40):
-                store.put(f"k{i:04d}".encode(), b"v" * 100)
-            with store._lock:
-                store._seal_active()
-            assert store.memory_signals().memtable_bytes == (
-                store.stats().memtable_bytes
-            )

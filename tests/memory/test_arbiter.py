@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import MemorySignals
+from repro.engine import StoreStats
 from repro.errors import ConfigurationError
 from repro.memory import MemoryArbiter, MemoryBudget
 from repro.obs import MEMORY_REBALANCE, Observability
@@ -34,23 +34,28 @@ class FakeStore:
     def set_memory_budget(self, memtable_bytes: int, cache_bytes: int):
         self.applied.append((memtable_bytes, cache_bytes))
 
-    def memory_signals(self) -> MemorySignals:
-        memtable, cache = self.applied[-1] if self.applied else (0, 0)
-        return MemorySignals(
+    def stats(self) -> StoreStats:
+        # StoreStats derives memory_fill as sealed / (num_memtables - 1).
+        return StoreStats(
+            memtable_entries=0,
             memtable_bytes=0,
-            memtable_target_bytes=memtable,
-            sealed_memtables=0,
-            num_memtables=2,
-            memory_fill=self.memory_fill,
+            sealed_memtables=round(self.memory_fill * 100),
+            num_memtables=101,
+            disk_components=0,
+            components_per_level={},
+            merges_completed=0,
             write_stalls=self.write_stalls,
             stall_seconds_total=0.0,
+            wal_bytes=0,
+            write_stalled=False,
+            write_headroom=1.0,
+            throttle_sleep_seconds=0.0,
+            block_cache_hit_rate=0.0,
+            block_cache_used_bytes=0,
+            row_hits=self.row_hits,
             ingested_bytes=self.ingested_bytes,
             cache_hits=self.cache_hits,
             cache_misses=self.cache_misses,
-            cache_evictions=0,
-            cache_capacity_bytes=cache,
-            cache_used_bytes=0,
-            row_hits=self.row_hits,
         )
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster import ShardedStore
 from repro.engine import LSMStore, StoreOptions
-from repro.errors import ConfigurationError
+from repro.errors import ClosedError, ConfigurationError
+from repro.memory import MemoryArbiter, MemoryBudget
 from repro.obs import MEMORY_REBALANCE
 
 
@@ -26,8 +27,7 @@ class TestShardedStoreWiring:
                 4 * 2**20
             )
             for engine in s.engines():
-                signals = engine.memory_signals()
-                assert signals.memtable_target_bytes == (
+                assert engine.memtable_target_bytes == (
                     arbiter.shares.memtable_bytes[0]
                 )
                 break
@@ -110,8 +110,7 @@ class TestEngineBudgetProtocol:
             assert store.memtable_target_bytes == 4096
             # With a 4 KiB target, 40 * ~260B writes must have sealed at
             # least once (the old 64 KiB target would not have).
-            signals = store.memory_signals()
-            assert signals.ingested_bytes > 0
+            assert store.stats().ingested_bytes > 0
             assert rotations_before >= 1
 
     def test_budget_gauges_published_per_component(self, tmp_path):
@@ -136,10 +135,10 @@ class TestEngineBudgetProtocol:
             store.maintenance()
             for i in range(500):
                 store.get(f"k{i:05d}".encode())
-            used = store.memory_signals().cache_used_bytes
+            used = store.stats().block_cache_used_bytes
             assert used > 4096
             store.set_memory_budget(64 * 1024, 4096)
-            assert store.memory_signals().cache_used_bytes <= 4096
+            assert store.stats().block_cache_used_bytes <= 4096
 
     def test_implausible_budgets_rejected(self, tmp_path):
         with LSMStore.open(str(tmp_path / "s"), SMALL) as store:
@@ -147,3 +146,19 @@ class TestEngineBudgetProtocol:
                 store.set_memory_budget(1024, 64 * 1024)
             with pytest.raises(ConfigurationError):
                 store.set_memory_budget(64 * 1024, -1)
+
+    def test_a_tick_over_a_closed_store_applies_nothing(self, tmp_path):
+        """The arbiter reads ``stats()``, which a closed store still
+        answers; the share it would move is refused, not applied."""
+        store = LSMStore.open(str(tmp_path / "s"), SMALL)
+        arbiter = MemoryArbiter(
+            MemoryBudget(2 * 2**20, 1), [store], clock=lambda: 0.0
+        )
+        target = store.memtable_target_bytes
+        for i in range(200):
+            store.put(f"k{i:04d}".encode(), b"v" * 256)
+        store.close()
+        with pytest.raises(ClosedError):
+            arbiter.tick()
+        assert store.memtable_target_bytes == target
+        assert arbiter.shares.memtable_bytes == (target,)

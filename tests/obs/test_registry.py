@@ -47,13 +47,6 @@ class TestCounter:
         with pytest.raises(ConfigurationError):
             counter.inc(-1.0)
 
-    def test_set_total_cannot_move_backwards(self):
-        counter = MetricsRegistry().counter("c_total")
-        counter.set_total(10.0)
-        counter.set_total(10.0)  # holding still is fine
-        with pytest.raises(ConfigurationError):
-            counter.set_total(9.0)
-
 
 class TestGauge:
     def test_set_and_inc(self):

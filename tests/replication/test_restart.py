@@ -39,8 +39,8 @@ def counter(store, name, **labels):
 
 
 def block_lookups(store):
-    signals = store.memory_signals()
-    return signals.cache_hits + signals.cache_misses
+    stats = store.stats()
+    return stats.cache_hits + stats.cache_misses
 
 
 def shipping(cluster):
@@ -718,7 +718,7 @@ def test_a_span_damaged_in_transit_is_refused_and_sent_again(
                 assert damaged == [1]
                 status = follower.applier.status()
                 assert (status["frames_applied"], status["frames_skipped"]) == (1, 0)
-                assert follower.metrics.protocol_errors == 0
+                assert follower.metrics.protocol_errors.value == 0
                 assert list(follower_store.scan()) == [(b"k", b"v")]
                 assert counter(leader_store, "replication_ship_stalls_total") == 1
         finally:

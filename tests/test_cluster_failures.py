@@ -123,7 +123,7 @@ def test_dead_shard_fails_fast_with_retry_after(tmp_path):
             await client.get(keys[DEAD][0])
         shard_down_error(excinfo)
         assert cluster.router.shard_retries() == retries_before
-        assert cluster.router.metrics.shard_down_rejections >= 3
+        assert cluster.router.metrics.shard_down_rejections.value >= 3
         assert cluster.router.shard_health() == {
             "0": "open", "1": "closed", "2": "closed",
         }
@@ -166,7 +166,7 @@ def test_scan_degrades_honestly_while_a_shard_is_down(tmp_path):
             for key in keys[shard]
         }
         assert {key for key, _ in scan["items"]} == survivors
-        assert cluster.router.metrics.degraded_scans >= 1
+        assert cluster.router.metrics.degraded_scans.value >= 1
 
         # A healthy-cluster scan is not marked degraded.
         await cluster.restore_shard(DEAD)
@@ -247,3 +247,38 @@ def test_batch_spanning_a_dead_shard_is_rejected_whole(tmp_path):
             assert await client.get(keys[shard][3]) is None
 
     run_cluster_scenario(tmp_path, scenario)
+
+
+def test_a_restored_shard_carries_its_counters_on(tmp_path):
+    """Regression: the server ``restore_shard`` builds counted from 0
+    over the old store's registry, so the shard answered METRICS with
+    INTERNAL ("cannot move backwards") and the router's roll-up dropped
+    it. The counters live in that registry and carry on."""
+
+    def shard_requests(snapshot):
+        return sum(
+            entry["value"]
+            for entry in snapshot["counters"]
+            if entry["name"] == "server_requests_total"
+            and entry["labels"].get("tier") == "shard"
+            and entry["labels"].get("shard") == str(DEAD)
+        )
+
+    async def scenario(cluster, client, clock):
+        keys = keys_by_shard(cluster)
+        for round_ in range(3):
+            for key in keys[DEAD]:
+                await client.put(key, b"before-%d" % round_)
+        before = shard_requests(await client.metrics())
+        await cluster.kill_shard(DEAD)
+        await cluster.restore_shard(DEAD)
+        for key in keys[DEAD]:
+            await client.put(key, b"after")
+        async with KVClient(*cluster.backends[DEAD].address) as direct:
+            assert (await direct.metrics())["counters"]
+        after = shard_requests(await client.metrics())
+        return before, after
+
+    before, after = run_cluster_scenario(tmp_path, scenario)
+    assert before >= 12
+    assert after >= before + 4

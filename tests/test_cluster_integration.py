@@ -113,7 +113,7 @@ def test_a_verb_the_front_end_does_not_serve_is_a_bad_request(
                 assert excinfo.value.code == protocol.CODE_BAD_REQUEST
                 assert message["op"] in str(excinfo.value)
             assert await client.ping()
-        assert metrics.protocol_errors == len(UNSERVED)
+        assert metrics.protocol_errors.value == len(UNSERVED)
 
     async def scenario():
         if front_end == "router":
@@ -225,8 +225,8 @@ def test_scan_limit_zero_through_the_router(tmp_path):
     records = [(b"key-%06d" % i, b"v" * 40) for i in range(300)]
 
     def block_lookups(sharded):
-        signals = [engine.memory_signals() for engine in sharded.engines()]
-        return sum(s.cache_hits + s.cache_misses for s in signals)
+        stats = [engine.stats() for engine in sharded.engines()]
+        return sum(s.cache_hits + s.cache_misses for s in stats)
 
     async def scenario():
         async with LocalCluster(
@@ -271,7 +271,7 @@ def test_a_scan_a_shard_refuses_as_a_bad_request_is_refused(
                 assert excinfo.value.code == protocol.CODE_BAD_REQUEST
                 assert "limit" in str(excinfo.value)
                 assert await client.scan(limit=8) == records[:8]
-                assert cluster.router.metrics.degraded_scans == 0
+                assert cluster.router.metrics.degraded_scans.value == 0
 
     asyncio.run(scenario())
 
@@ -354,8 +354,10 @@ def run_overload(tmp_path, scope):
                 label=f"{scope}-admission",
                 client_options=OVERLOAD_CLIENT,
             )
-            metrics = cluster.router.metrics
-            rejected = dict(metrics.writes_rejected_per_shard)
+            per_shard = cluster.router.metrics.snapshot()[
+                "writes_rejected_per_shard"
+            ]
+            rejected = {int(shard): n for shard, n in per_shard.items()}
             ring = cluster.store.ring
             return result, rejected, ring
 

@@ -17,7 +17,11 @@ import urllib.request
 
 from repro.cluster.router import LocalCluster
 from repro.engine import LSMStore, StoreOptions
-from repro.obs import lint_exposition, percentile_from_buckets
+from repro.obs import (
+    Observability,
+    lint_exposition,
+    percentile_from_buckets,
+)
 from repro.server import protocol
 from repro.server.admission import build_admission
 from repro.server.client import KVClient
@@ -262,3 +266,69 @@ def test_cluster_rollup_merges_histograms_bucket_by_bucket(tmp_path):
         if "shard" in event["fields"]
     ]
     assert shard_tagged, "no shard events reached the cluster view"
+
+
+def test_stores_sharing_one_bundle_sum_their_cache_counters(tmp_path):
+    """Regression: each store's scrape overwrote the shared bundle's
+    block-cache counters with its own totals, so the store with fewer
+    lookups answered METRICS with INTERNAL ("cannot move backwards").
+    Now each scrape adds what its store's cache grew by."""
+    options = StoreOptions(obs=Observability(), memtable_bytes=8192)
+
+    async def scenario():
+        answers = []
+        with LSMStore.open(str(tmp_path / "a"), options) as first, \
+                LSMStore.open(str(tmp_path / "b"), options) as second:
+            for store, reads in ((first, 300), (second, 100)):
+                for i in range(300):
+                    store.put(b"k%05d" % i, b"v" * 64)
+                store.flush()
+                for i in range(reads):
+                    store.get(b"k%05d" % (i * 7 % 300))
+            for store in (first, second):
+                async with KVServer(store) as server:
+                    async with KVClient(*server.address) as client:
+                        answers.append(await client.metrics())
+            lookups = sum(
+                store.stats().cache_hits + store.stats().cache_misses
+                for store in (first, second)
+            )
+        return answers, lookups
+
+    (_, last), lookups = asyncio.run(scenario())
+    assert lookups > 0
+    assert _counter(
+        last, "engine_block_cache_hits_total"
+    ) + _counter(last, "engine_block_cache_misses_total") == lookups
+
+
+def test_server_counters_agree_across_snapshot_stats_and_registry(tmp_path):
+    """The serving counters have one home, the registry: the view, the
+    STATS section and the series read the same numbers."""
+
+    async def scenario():
+        with LSMStore.open(str(tmp_path / "db"), StoreOptions()) as store:
+            async with KVServer(store) as server:
+                async with KVClient(*server.address) as client:
+                    for i in range(12):
+                        await client.put(b"k%d" % i, b"v")
+                    for i in range(5):
+                        await client.get(b"k%d" % i)
+                    await client.scan(limit=3)
+                    stats = await client.stats()
+                view = server.metrics.snapshot()
+                snapshot = await server.metrics_snapshot()
+        return view, stats["server"], snapshot
+
+    view, served, snapshot = asyncio.run(scenario())
+    # STATS was answered before its own connection closed.
+    assert served == dict(view, connections_open=1)
+    assert view["writes_admitted"] == 12
+    assert view["reads_total"] == 6
+    assert view["requests_total"] == 19
+    assert view["connections_total"] == 1
+    for name, value in view.items():
+        if name == "connections_open":
+            continue
+        series = name if name.endswith("_total") else f"{name}_total"
+        assert _counter(snapshot, f"server_{series}") == value

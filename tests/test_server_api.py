@@ -22,7 +22,7 @@ SERVER_API = {
     "StopAdmission", "LimitAdmission", "GradualAdmission",
     "build_admission",
     # protocol + service
-    "FramedServer", "KVServer", "ServerMetrics", "serve",
+    "FramedServer", "KVServer",
     "DEFAULT_WRITE_DEADLINE",
     # client
     "KVClient", "ClientMetrics",
@@ -43,7 +43,7 @@ LOADGEN_API = {
 CLUSTER_API = {
     "SCOPES",
     "ClusterAdmission", "build_cluster_admission",
-    "ClusterMetrics", "ClusterRouter", "LocalCluster",
+    "ClusterRouter", "LocalCluster",
     "ClusterStats", "aggregate_stats", "worst_case_stats",
     "HashRing", "ShardedStore",
     "BREAKER_STATES", "CircuitBreaker",
