@@ -29,7 +29,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from repro.cluster import LocalCluster, build_cluster_admission
+from repro.cluster import ClusterAdmission, LocalCluster
 from repro.engine import StoreOptions
 from repro.server.loadgen import _operation_stream, closed_loop
 
@@ -62,9 +62,7 @@ CLIENT = dict(timeout=5.0, max_retries=40, backoff_base=0.02, backoff_max=0.05)
 
 
 async def run_scope(directory: Path, scope: str):
-    admission = build_cluster_admission(
-        scope, "stop", SHARDS, retry_after=0.05
-    )
+    admission = ClusterAdmission(scope, "stop", SHARDS, retry_after=0.05)
     cluster = LocalCluster(
         str(directory),
         num_shards=SHARDS,

@@ -11,9 +11,10 @@ write latency:
 * ``none``    — a stalled write waits at the engine's gate: the stall
   reaches clients as latency;
 * ``stop``    — saturated writes rejected at admission with RETRY_AFTER;
-* ``limit``   — token-bucket byte-rate cap ahead of the engine;
-* ``gradual`` — bLSM-style delays ramping with merge backlog, absorbing
-  stalls inside the service (slow down, never stop).
+* ``limit``   — writes paced at a byte-rate cap ahead of the engine;
+* ``gradual`` — the simulator's slowdown: pacing that ramps down from
+  the maintenance budget as merge backlog grows, absorbing stalls
+  inside the service (slow down, never stop).
 
 The tail tells the paper's story: stop-style interaction pushes entire
 stall windows into P99, gradual trades a small median penalty for a
@@ -58,7 +59,9 @@ MODES = (
     ("none", {}),
     ("stop", dict(retry_after=0.05)),
     ("limit", dict(rate_bytes_per_s=256 * 1024)),
-    ("gradual", dict(max_delay=0.01, threshold=0.5)),
+    ("gradual", dict(
+        rate_bytes_per_s=ENGINE.rate_limit_bytes_per_s, retry_after=0.01
+    )),
 )
 
 CLIENT = dict(timeout=10.0, max_retries=25, backoff_base=0.05, backoff_max=0.1)

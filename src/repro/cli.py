@@ -102,19 +102,14 @@ def _check_port(port: int) -> int:
 def _admission_params(args: argparse.Namespace) -> dict:
     """Map CLI flags onto :func:`build_admission` keyword arguments."""
     mode = args.admission
-    if mode == "stop":
-        return dict(retry_after=args.retry_after_ms / 1000.0)
-    if mode == "limit":
-        return dict(
-            rate_bytes_per_s=args.rate_mib * 2**20,
-            retry_after=args.retry_after_ms / 1000.0,
-        )
+    if mode == "none":
+        return {}
+    params = dict(retry_after=args.retry_after_ms / 1000.0)
+    if mode != "stop":
+        params.update(rate_bytes_per_s=args.rate_mib * 2**20)
     if mode == "gradual":
-        return dict(
-            max_delay=args.max_delay_ms / 1000.0,
-            threshold=args.threshold,
-        )
-    return {}
+        params.update(threshold=args.threshold)
+    return params
 
 
 def _admission_from(args: argparse.Namespace):
@@ -283,7 +278,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_serve(args: argparse.Namespace) -> int:
-    from .cluster import LocalCluster, build_cluster_admission
+    from .cluster import ClusterAdmission, LocalCluster
 
     _check_port(args.port)
     if args.shards < 1:
@@ -292,7 +287,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         )
     memory_budget = _memory_budget_bytes(args)
     options = _store_options_from(args)
-    admission = build_cluster_admission(
+    admission = ClusterAdmission(
         args.scope, args.admission, args.shards, **_admission_params(args)
     )
 
@@ -610,19 +605,18 @@ def _add_admission_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--rate-mib", type=float, default=64.0,
-        help="limit mode: admitted write budget in MiB/s (default: 64)",
+        help="limit mode: admitted write budget in MiB/s; gradual mode: "
+             "the rate its ramp starts from (default: 64)",
     )
     parser.add_argument(
         "--retry-after-ms", type=float, default=50.0,
-        help="stop/limit modes: client backoff hint (default: 50ms)",
-    )
-    parser.add_argument(
-        "--max-delay-ms", type=float, default=20.0,
-        help="gradual mode: delay at full pressure (default: 20ms)",
+        help="client backoff hint of a stalled write; gradual mode: its "
+             "pause before retrying (default: 50ms)",
     )
     parser.add_argument(
         "--threshold", type=float, default=0.5,
-        help="gradual mode: pressure where delays start (default: 0.5)",
+        help="gradual mode: consumed constraint budget where slowing "
+             "starts (default: 0.5)",
     )
 
 

@@ -10,13 +10,13 @@ per-shard :class:`~repro.server.KVServer` backends, with scatter-gather
 scans; it is the cluster's only key-value front end.
 """
 
-from .admission import SCOPES, ClusterAdmission, build_cluster_admission
+from .admission import SCOPES, ClusterAdmission
 from .breaker import STATES as BREAKER_STATES
 from .breaker import CircuitBreaker
 from .ring import HashRing
 from .router import ClusterRouter, LocalCluster
 from .sharded import ShardedStore
-from .stats import ClusterStats, aggregate_stats, worst_case_stats
+from .stats import ClusterStats, aggregate_stats
 
 __all__ = [
     "BREAKER_STATES",
@@ -29,6 +29,4 @@ __all__ = [
     "LocalCluster",
     "ShardedStore",
     "aggregate_stats",
-    "build_cluster_admission",
-    "worst_case_stats",
 ]

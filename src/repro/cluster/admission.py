@@ -3,23 +3,22 @@
 The paper classifies component constraints as *global* (one limit over
 the whole tree) or *local* (per level / per component group). One level
 up, the same split reappears across shards, and this module makes it an
-explicit knob over PR 1's per-engine controllers
-(:mod:`repro.server.admission`):
+explicit knob over the per-engine adapters of
+:mod:`repro.server.admission`:
 
 ``global``
-    One controller judges every write against the *worst-case* merged
-    view of all shard snapshots (:func:`~repro.cluster.stats.worst_case_stats`):
-    if any shard is stalled, every write in the cluster is delayed or
-    rejected. Simple and conservatively safe — and exactly how one hot
-    shard throttles a whole cluster.
+    One adapter judges every write against the worst signals of all
+    shard snapshots: the lowest ``write_headroom`` and the highest
+    ``memory_fill``. If any shard is stalled, every write in the
+    cluster is delayed or rejected. Simple and conservatively safe —
+    and exactly how one hot shard throttles a whole cluster.
 
 ``local``
-    One controller *per shard*, each judging only writes routed to its
+    One adapter *per shard*, each judging only writes routed to its
     shard against that shard's own snapshot. A stalled shard
     backpressures its own key range; the rest of the cluster keeps
-    serving at full speed. Stateful controllers (``limit``'s token
-    bucket) are instantiated per shard, so the rate cap is per-shard
-    bandwidth, not a cluster-wide pool.
+    serving at full speed. ``limit``'s pacer is per shard, so the rate
+    cap is per-shard bandwidth, not a cluster-wide pool.
 
 The base mode (``stop`` / ``limit`` / ``gradual`` / ``none``) still
 decides *how* backpressure is applied; the scope decides *how far* one
@@ -36,47 +35,38 @@ from ..server.admission import (
     ADMIT,
     DELAY,
     REJECT,
-    AdmissionController,
     AdmissionDecision,
     build_admission,
 )
-from .stats import worst_case_stats
 
 #: The admission scopes exposed on the CLI.
 SCOPES = ("global", "local")
 
 
 class ClusterAdmission:
-    """Scope wrapper: route shard snapshots into per-engine controllers.
+    """Scope wrapper: route shard snapshots into per-engine adapters.
 
-    ``controllers`` holds exactly one controller for ``global`` scope,
-    or one per shard for ``local`` scope (so stateful modes keep
-    independent per-shard state). Use :func:`build_cluster_admission`
-    rather than constructing directly.
+    Builds one adapter of ``mode`` for ``global`` scope, or one per
+    shard for ``local`` scope, passing ``params`` to
+    :func:`repro.server.admission.build_admission`. A router refuses an
+    admission built for another shard count.
     """
 
     def __init__(
-        self,
-        scope: str,
-        controllers: Sequence[AdmissionController],
+        self, scope: str, mode: str, num_shards: int, **params
     ) -> None:
         if scope not in SCOPES:
             raise ConfigurationError(
                 f"unknown admission scope {scope!r}; expected one of {SCOPES}"
             )
-        if not controllers:
-            raise ConfigurationError("need at least one controller")
-        if scope == "global" and len(controllers) != 1:
-            raise ConfigurationError(
-                "global scope uses exactly one controller"
-            )
-        modes = {controller.mode for controller in controllers}
-        if len(modes) != 1:
-            raise ConfigurationError(
-                f"controllers must share one mode, got {sorted(modes)}"
-            )
+        if num_shards < 1:
+            raise ConfigurationError("need at least one shard")
         self._scope = scope
-        self._controllers = list(controllers)
+        self.num_shards = num_shards
+        count = 1 if scope == "global" else num_shards
+        self._adapters = [
+            build_admission(mode, **params) for _ in range(count)
+        ]
 
     @property
     def scope(self) -> str:
@@ -86,7 +76,7 @@ class ClusterAdmission:
     @property
     def base_mode(self) -> str:
         """The wrapped per-engine mode (``stop`` / ``gradual`` / ...)."""
-        return self._controllers[0].mode
+        return self._adapters[0].mode
 
     @property
     def mode(self) -> str:
@@ -94,15 +84,18 @@ class ClusterAdmission:
         return f"{self._scope}:{self.base_mode}"
 
     @property
-    def stall_pause(self) -> float:
-        """The base controller's pause at a closed gate (gradual base);
-        the router's ``retry_after`` hint when shard retries run out."""
-        return self._controllers[0].stall_pause
+    def retry_after(self) -> float:
+        """The adapters' backoff hint; also the router's when shard
+        retries run out."""
+        return self._adapters[0].retry_after
 
-    def _controller_for(self, shard: int) -> AdmissionController:
-        if self._scope == "global":
-            return self._controllers[0]
-        return self._controllers[shard]
+    def require_shards(self, num_shards: int) -> None:
+        """Refuse to serve a cluster of another size than built for."""
+        if num_shards != self.num_shards:
+            raise ConfigurationError(
+                f"admission was built for {self.num_shards} shards, "
+                f"the cluster has {num_shards}"
+            )
 
     def decide(
         self,
@@ -111,13 +104,18 @@ class ClusterAdmission:
         nbytes: int,
     ) -> AdmissionDecision:
         """Judge one write bound for ``shard`` against the cluster state."""
-        if not 0 <= shard < max(len(snapshots), len(self._controllers)):
+        if not 0 <= shard < min(len(snapshots), self.num_shards):
             raise ConfigurationError(f"shard {shard} out of range")
         if self._scope == "global":
-            view = worst_case_stats(snapshots)
-        else:
-            view = snapshots[shard]
-        return self._controller_for(shard).decide(view, nbytes)
+            return self._adapters[0].decide(
+                min(stats.write_headroom for stats in snapshots),
+                max(stats.memory_fill for stats in snapshots),
+                nbytes,
+            )
+        stats = snapshots[shard]
+        return self._adapters[shard].decide(
+            stats.write_headroom, stats.memory_fill, nbytes
+        )
 
     def decide_many(
         self,
@@ -143,27 +141,3 @@ class ClusterAdmission:
         if delays:
             return max(delays, key=lambda d: d.delay_seconds)
         return AdmissionDecision(ADMIT)
-
-
-def build_cluster_admission(
-    scope: str,
-    mode: str,
-    num_shards: int,
-    **params,
-) -> ClusterAdmission:
-    """Factory: one cluster admission layer over per-engine controllers.
-
-    ``params`` are forwarded to the base mode's constructor (see
-    :func:`repro.server.admission.build_admission`). Local scope builds
-    ``num_shards`` independent controllers so stateful modes (limit)
-    keep per-shard state.
-    """
-    if scope not in SCOPES:
-        raise ConfigurationError(
-            f"unknown admission scope {scope!r}; expected one of {SCOPES}"
-        )
-    if num_shards < 1:
-        raise ConfigurationError("need at least one shard")
-    count = 1 if scope == "global" else num_shards
-    controllers = [build_admission(mode, **params) for _ in range(count)]
-    return ClusterAdmission(scope, controllers)

@@ -63,7 +63,7 @@ from ..server.service import (
     ServingCounters,
     require_workers,
 )
-from .admission import ClusterAdmission, build_cluster_admission
+from .admission import ClusterAdmission
 from .breaker import OPEN, CircuitBreaker
 from .ring import HashRing
 from .sharded import ShardedStore
@@ -143,9 +143,10 @@ class ClusterRouter(FramedServer):
                 f"ring routes to {self._ring.num_shards} shards but "
                 f"{len(backends)} backends were given"
             )
-        self._admission = admission or build_cluster_admission(
+        self._admission = admission or ClusterAdmission(
             "local", "none", len(backends)
         )
+        self._admission.require_shards(len(backends))
         self._stats_fn = stats_fn
         options = dict(
             DEFAULT_SHARD_CLIENT_OPTIONS, **(shard_client_options or {})
@@ -442,13 +443,13 @@ class ClusterRouter(FramedServer):
             self.obs.tracer.emit(
                 obs_events.ADMISSION,
                 action="reject",
-                reason=decision.reason or "cluster admission",
+                reason=decision.reason,
                 nbytes=nbytes,
                 shards=sorted(nbytes_by_shard),
             )
             return with_legs(protocol.error_response(
                 protocol.CODE_STALLED,
-                decision.reason or "write rejected by cluster admission",
+                decision.reason,
                 retry_after=decision.retry_after,
             ))
         if decision.delay_seconds > 0.0:
@@ -486,7 +487,7 @@ class ClusterRouter(FramedServer):
             return with_legs(protocol.error_response(
                 protocol.CODE_STALLED,
                 f"shard retries exhausted: {error}",
-                retry_after=self._admission.stall_pause or 0.05,
+                retry_after=self._admission.retry_after,
             ))
         self.metrics.count_shards("admitted", nbytes_by_shard)
         return with_legs(response)
@@ -789,10 +790,9 @@ class LocalCluster:
             raise ConfigurationError(
                 "memory rebalance interval must be positive"
             )
-        require_workers(
-            options or StoreOptions(),
-            admission.base_mode if admission is not None else "none",
-        )
+        if admission is not None:
+            admission.require_shards(num_shards)
+            require_workers(options or StoreOptions(), admission.base_mode)
         self.store = ShardedStore(directory, num_shards, options, ring=ring)
         # The router and the memory arbiter share one bundle, so
         # memory_rebalance events ride the cluster EVENTS verb and the

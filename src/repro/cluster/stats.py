@@ -1,17 +1,8 @@
-"""Aggregated cluster statistics and the global-constraint stats view.
-
-Two views of the same per-shard :class:`~repro.engine.StoreStats`
-snapshots:
-
-* :class:`ClusterStats` — monitoring: every shard's snapshot plus the
-  cluster-wide rollups (``write_stalled`` anywhere, worst
-  ``memory_fill``, summed ``stall_seconds_total``, …).
-* :func:`worst_case_stats` — admission: one synthetic ``StoreStats``
-  carrying the *worst* backpressure signal observed on any shard. A
-  per-engine controller fed this view behaves like the paper's global
-  component constraint lifted to the cluster: one saturated shard makes
-  the whole cluster look saturated. Feeding the controller a single
-  shard's own snapshot instead yields the local constraint.
+"""Aggregated cluster statistics: every shard's
+:class:`~repro.engine.StoreStats` snapshot plus the cluster-wide rollups
+(``write_stalled`` anywhere, worst ``memory_fill``, summed
+``stall_seconds_total``, …) that STATS serves. Global-scope admission
+(:mod:`repro.cluster.admission`) judges the same worst signals.
 """
 
 from __future__ import annotations
@@ -93,43 +84,4 @@ def aggregate_stats(snapshots: Sequence[StoreStats]) -> ClusterStats:
         disk_components=sum(stats.disk_components for stats in snapshots),
         memtable_entries=sum(stats.memtable_entries for stats in snapshots),
         wal_bytes=sum(stats.wal_bytes for stats in snapshots),
-    )
-
-
-def worst_case_stats(snapshots: Sequence[StoreStats]) -> StoreStats:
-    """One synthetic snapshot carrying the worst signal per dimension.
-
-    The flush-backlog pair (``sealed_memtables``, ``num_memtables``) is
-    taken from the shard with the highest ``memory_fill`` so the derived
-    property reports the worst fill; counters are summed so totals still
-    mean something in reports.
-    """
-    if not snapshots:
-        raise ConfigurationError("cannot merge zero shard snapshots")
-    fullest = max(snapshots, key=lambda stats: stats.memory_fill)
-    levels: dict[int, int] = {}
-    for stats in snapshots:
-        for level, count in stats.components_per_level.items():
-            levels[level] = levels.get(level, 0) + count
-    return StoreStats(
-        memtable_entries=sum(s.memtable_entries for s in snapshots),
-        memtable_bytes=sum(s.memtable_bytes for s in snapshots),
-        sealed_memtables=fullest.sealed_memtables,
-        num_memtables=fullest.num_memtables,
-        disk_components=sum(s.disk_components for s in snapshots),
-        components_per_level=levels,
-        merges_completed=sum(s.merges_completed for s in snapshots),
-        write_stalls=sum(s.write_stalls for s in snapshots),
-        stall_seconds_total=sum(s.stall_seconds_total for s in snapshots),
-        wal_bytes=sum(s.wal_bytes for s in snapshots),
-        write_stalled=any(s.write_stalled for s in snapshots),
-        write_headroom=min(s.write_headroom for s in snapshots),
-        throttle_sleep_seconds=sum(
-            s.throttle_sleep_seconds for s in snapshots
-        ),
-        block_cache_hit_rate=min(s.block_cache_hit_rate for s in snapshots),
-        block_cache_used_bytes=sum(
-            s.block_cache_used_bytes for s in snapshots
-        ),
-        row_hits=sum(s.row_hits for s in snapshots),
     )

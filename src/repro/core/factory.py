@@ -1,9 +1,9 @@
-"""Names to objects: the one place a policy, scheduler or constraint name
-becomes the object that decides. The engine (``StoreOptions``), the
-simulator harness (``ExperimentSpec``) and the CLI all build through the
-three functions here, so a name means the same object on every
-substrate; naming a new policy, scheduler or constraint is one entry in
-a table here.
+"""Names to objects: the one place a policy, scheduler, constraint or
+write-control name becomes the object that decides. The engine
+(``StoreOptions``), the serving tier's admission, the simulator harness
+(``ExperimentSpec``) and the CLI all build through the functions here,
+so a name means the same object on every substrate; naming a new one is
+one entry in a table here.
 """
 
 from __future__ import annotations
@@ -28,8 +28,13 @@ from .schedulers import (
     LevelZeroConstraint,
     LocalComponentConstraint,
     MergeScheduler,
+    RateLimitControl,
     SingleThreadedScheduler,
+    SlowdownControl,
+    SpringGearControl,
     SpringGearScheduler,
+    StopControl,
+    WriteControl,
 )
 
 #: name -> policy from (size ratio T, disk levels, memory component bytes).
@@ -90,10 +95,23 @@ _CONSTRAINTS = {
     "level0": (LevelZeroConstraint, lambda policy, factor: 12),
 }
 
+#: name -> write control from (rate, start fraction, policy, entry bytes).
+_CONTROLS = {
+    "stop": lambda rate, start, policy, entry_bytes: StopControl(),
+    "limit": lambda rate, start, policy, entry_bytes: RateLimitControl(rate),
+    "slowdown": lambda rate, start, policy, entry_bytes: SlowdownControl(
+        rate, start
+    ),
+    "spring": lambda rate, start, policy, entry_bytes: SpringGearControl(
+        entry_bytes, level_capacities(policy)
+    ),
+}
+
 #: The legal names; ``greedy-<k>`` is greedy with at most ``k`` merges.
 POLICIES = tuple(_POLICIES)
 SCHEDULERS = (*_SCHEDULERS, "greedy-<k>")
 CONSTRAINTS = tuple(_CONSTRAINTS)
+CONTROLS = tuple(_CONTROLS)
 
 
 def _lookup(table: dict, name: str, kind: str, known: tuple[str, ...]):
@@ -133,3 +151,21 @@ def build_constraint(
     expected components for ``global`` (Section 5.1.1)."""
     constraint, derive = _lookup(_CONSTRAINTS, name, "constraint", CONSTRAINTS)
     return constraint(limit or derive(policy, factor))
+
+
+def build_control(
+    name: str,
+    rate: float = 0.0,
+    start_fraction: float = 0.33,
+    policy: MergePolicy | None = None,
+    entry_bytes: float = 1.0,
+) -> WriteControl:
+    """The write control ``name`` (Section 5.1.2). ``rate`` is in whatever
+    unit the caller counts (entries/s in the simulator, bytes/s on the
+    wire): ``limit`` caps at it, ``slowdown`` ramps down from it once
+    headroom falls below ``start_fraction``. ``spring`` gears writes to
+    ``policy``'s level capacities, counted in entries of ``entry_bytes``."""
+    build = _lookup(_CONTROLS, name, "write control", CONTROLS)
+    if name == "spring" and policy is None:
+        raise ConfigurationError("spring gears writes to a policy's levels")
+    return build(rate, start_fraction, policy, entry_bytes)

@@ -10,12 +10,18 @@ degradation between a slowdown and a stop threshold, and
 :class:`RateLimitControl` reproduces the "Limit" variant of the burst
 experiment (Figure 13), both of which trade smoother throughput for larger
 queuing latencies.
+
+These three decide from the constraint's headroom alone
+(:meth:`WriteControl.rate`), which is 0 exactly when the constraint is
+violated. That is what lets the serving tier
+(:mod:`repro.server.admission`) run the same objects over an engine's
+``write_headroom``: the rate's unit is whatever the caller counts,
+entries/s in the simulator and bytes/s on the wire.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from typing import Mapping, Sequence
 
 from ...errors import ConfigurationError
@@ -23,13 +29,12 @@ from ..components import MergeDescriptor, TreeSnapshot
 from .constraints import ComponentConstraint
 
 
-class WriteControl(ABC):
+class WriteControl:
     """Computes the currently admissible in-memory write rate."""
 
     #: Human-readable control name for reports.
     name: str = "abstract"
 
-    @abstractmethod
     def admission_rate(
         self,
         tree: TreeSnapshot,
@@ -45,9 +50,17 @@ class WriteControl(ABC):
         writes when no memory component has room, regardless of this
         value. ``merges`` and ``allocation`` describe the in-flight merge
         operations and their current bandwidth split, for controls (such
-        as bLSM's spring) whose throttle tracks merge progress; most
-        controls ignore them.
+        as bLSM's spring) whose throttle tracks merge progress; the rest
+        decide from the constraint's headroom alone, through :meth:`rate`.
         """
+        return self.rate(constraint.headroom(tree))
+
+    def rate(self, headroom: float) -> float:
+        """The admissible rate at constraint ``headroom`` (0 = violated),
+        in whatever unit the caller counts: entries/s in the simulator,
+        bytes/s on the wire. Controls that need more than the headroom
+        override :meth:`admission_rate` instead."""
+        raise NotImplementedError(f"{self.name} decides from more than headroom")
 
 
 class StopControl(WriteControl):
@@ -59,23 +72,16 @@ class StopControl(WriteControl):
 
     name = "stop"
 
-    def admission_rate(
-        self,
-        tree: TreeSnapshot,
-        constraint: ComponentConstraint,
-        merges: Sequence[MergeDescriptor] = (),
-        allocation: Mapping[int, float] | None = None,
-        now: float = 0.0,
-    ) -> float:
-        return 0.0 if constraint.is_violated(tree) else math.inf
+    def rate(self, headroom: float) -> float:
+        return math.inf if headroom > 0.0 else 0.0
 
 
 class RateLimitControl(WriteControl):
     """A fixed ceiling on the in-memory write rate (Fig. 13's "Limit").
 
     Still stops entirely on constraint violation; below that, writes are
-    admitted at no more than ``limit`` entries/second even when the tree
-    could absorb more.
+    admitted at no more than ``limit`` per second (entries or bytes, as
+    the caller counts) even when the tree could absorb more.
     """
 
     name = "rate-limit"
@@ -87,18 +93,11 @@ class RateLimitControl(WriteControl):
 
     @property
     def limit(self) -> float:
-        """The configured ceiling in entries/second."""
+        """The configured ceiling per second."""
         return self._limit
 
-    def admission_rate(
-        self,
-        tree: TreeSnapshot,
-        constraint: ComponentConstraint,
-        merges: Sequence[MergeDescriptor] = (),
-        allocation: Mapping[int, float] | None = None,
-        now: float = 0.0,
-    ) -> float:
-        return 0.0 if constraint.is_violated(tree) else self._limit
+    def rate(self, headroom: float) -> float:
+        return self._limit if headroom > 0.0 else 0.0
 
     def __repr__(self) -> str:
         return f"RateLimitControl(limit={self._limit})"
@@ -109,9 +108,10 @@ class SlowdownControl(WriteControl):
 
     Models LevelDB's L0 write throttle: full speed while constraint
     headroom exceeds ``start_fraction``, then a linear ramp from
-    ``base_rate`` down to zero as headroom shrinks. ``base_rate`` stands
-    in for the unthrottled in-memory write speed and only shapes the ramp;
-    the executor still caps admission by its own memory write rate.
+    ``base_rate`` down to zero as headroom shrinks. In the simulator
+    ``base_rate`` stands in for the unthrottled in-memory write speed and
+    only shapes the ramp (the executor still caps admission by its own
+    memory write rate); on the wire it is the byte rate ``limit`` caps at.
     """
 
     name = "slowdown"
@@ -124,20 +124,10 @@ class SlowdownControl(WriteControl):
         self._base_rate = base_rate
         self._start_fraction = start_fraction
 
-    def admission_rate(
-        self,
-        tree: TreeSnapshot,
-        constraint: ComponentConstraint,
-        merges: Sequence[MergeDescriptor] = (),
-        allocation: Mapping[int, float] | None = None,
-        now: float = 0.0,
-    ) -> float:
-        if constraint.is_violated(tree):
-            return 0.0
-        headroom = constraint.headroom(tree)
+    def rate(self, headroom: float) -> float:
         if headroom >= self._start_fraction:
             return math.inf
-        return self._base_rate * headroom / self._start_fraction
+        return self._base_rate * max(0.0, headroom) / self._start_fraction
 
     def __repr__(self) -> str:
         return (

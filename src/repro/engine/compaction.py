@@ -621,8 +621,8 @@ class CompactionManager:
     def write_headroom(self) -> float:
         """Remaining component budget as a fraction (0 = stalled).
 
-        Graceful write-slowdown controls (the serving tier's ``gradual``
-        admission mode) key their delays off this signal, bLSM-style.
+        The serving tier's admission feeds this signal alone to its
+        mode's core write control (stop, limit or slowdown).
         """
         return (self._view or self._rebuild_view()).write_headroom
 

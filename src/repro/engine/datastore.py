@@ -109,8 +109,7 @@ class StoreStats:
     throttle_sleep_seconds: float
     block_cache_hit_rate: float
     block_cache_used_bytes: int
-    #: Fields a hand-built snapshot (a test fixture, the cluster's
-    #: ``worst_case_stats``) may leave out.
+    #: Fields a hand-built snapshot (a test fixture) may leave out.
     quarantined_runs: int = 0
     row_hits: int = 0
     ingested_bytes: int = 0

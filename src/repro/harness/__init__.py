@@ -2,7 +2,7 @@
 
 from .charts import ascii_chart
 from .report import emit, format_latency_profile, format_table, sparkline
-from .spec import DEFAULT_SCALE, ExperimentSpec, make_control
+from .spec import DEFAULT_SCALE, ExperimentSpec
 from .sweeps import (
     compare_schedulers,
     scheduler_running_results,
@@ -28,7 +28,6 @@ __all__ = [
     "emit",
     "format_latency_profile",
     "format_table",
-    "make_control",
     "partition_size_sweep",
     "running_phase",
     "scheduler_running_results",

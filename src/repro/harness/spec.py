@@ -17,20 +17,14 @@ from typing import Callable
 
 from ..core import model
 from ..core.components import Component, UidAllocator
-from ..core.factory import POLICIES, build_policy, level_capacities
+from ..core.factory import POLICIES, build_control, build_policy
 from ..core.policies import (
     LevelingPolicy,
     MergePolicy,
     PartitionedLevelingPolicy,
     SizeTieredPolicy,
 )
-from ..core.schedulers import (
-    RateLimitControl,
-    SlowdownControl,
-    SpringGearControl,
-    StopControl,
-    WriteControl,
-)
+from ..core.schedulers import StopControl, WriteControl
 from ..errors import ConfigurationError
 from ..sim import (
     SimConfig,
@@ -321,22 +315,9 @@ class ExperimentSpec:
             testing_scheduler="spring",
             constraint="local",
             constraint_factor=3.0,
-            control_factory=lambda: SpringGearControl(
-                config.entry_bytes, level_capacities(build())
+            control_factory=lambda: build_control(
+                "spring", policy=build(), entry_bytes=config.entry_bytes
             ),
             distribution=distribution,
             **overrides,
         )
-
-
-def make_control(name: str, config: SimConfig, rate: float = 0.0) -> WriteControl:
-    """Build a write control by name (stop / limit / slowdown / spring)."""
-    if name == "stop":
-        return StopControl()
-    if name == "limit":
-        return RateLimitControl(rate)
-    if name == "slowdown":
-        return SlowdownControl(base_rate=config.memory_write_rate)
-    if name == "spring":
-        return SpringGearControl(config.entry_bytes)
-    raise ConfigurationError(f"unknown write control {name!r}")

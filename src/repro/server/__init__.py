@@ -4,7 +4,8 @@ The serving tier the paper's write-interaction taxonomy matters for in
 production: an asyncio TCP front-end (:class:`KVServer`) speaking
 length-prefixed binary frames, a pooled retrying client
 (:class:`KVClient`), an admission controller mapping engine
-backpressure onto the paper's stop / limit / gradual interaction modes.
+backpressure onto the paper's stop / limit / gradual interaction modes
+through the simulator's own write controls.
 The closed/open-loop load generator implementing the two-phase
 methodology over the wire is :mod:`repro.server.loadgen`, not imported
 here: it needs numpy, the serving process does not.
@@ -29,9 +30,6 @@ from .admission import (
     REJECT,
     AdmissionController,
     AdmissionDecision,
-    GradualAdmission,
-    LimitAdmission,
-    StopAdmission,
     build_admission,
 )
 from .client import ClientMetrics, KVClient
@@ -47,14 +45,11 @@ __all__ = [
     "AdmissionDecision",
     "ClientMetrics",
     "FramedServer",
-    "GradualAdmission",
     "KVClient",
     "KVServer",
-    "LimitAdmission",
     "ProtocolError",
     "RequestFailedError",
     "RetriesExhaustedError",
     "ServerError",
-    "StopAdmission",
     "build_admission",
 ]

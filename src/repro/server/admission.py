@@ -1,44 +1,48 @@
-"""Stall-aware admission control for the serving tier.
+"""Stall-aware admission for the serving tier: an adapter over the
+simulator's write controls.
 
-The paper's taxonomy of how merges interact with writes (stop vs
-graceful slow-down, Sections 2.3 and 4) reappears at the network layer
-as three admission modes over the engine's backpressure signals
-(:class:`~repro.engine.StoreStats.write_stalled`, ``write_headroom``,
-``sealed_memtables``):
+The paper's taxonomy of how merges interact with writes (stop, slow
+down, or limit; Section 5.1.2) is decided in one place,
+:mod:`repro.core.schedulers.write_control`. A server's
+:class:`AdmissionController` holds one of those controls and feeds it
+the engine's constraint headroom (``write_headroom``, 0 exactly when the
+constraint is violated) in bytes/s. The CLI mode names map onto core
+controls in :func:`build_admission`:
 
-``stop``
-    The engine's own interaction mode, surfaced to clients: while the
-    component constraint is violated, writes are rejected outright with
-    a ``RETRY_AFTER`` hint. Cheap and honest, but clients eat the full
+``stop`` → :class:`~repro.core.StopControl`
+    Full speed until the constraint trips; then writes are rejected with
+    a ``RETRY_AFTER`` hint. Theorem 1's recommendation: clients eat the
     stall in their tail latency (the paper's Figure 1 shape).
 
-``limit``
-    A constant-rate cap: admitted write bytes pass through a token
-    bucket (reusing :class:`repro.engine.RateLimiter`), so ingestion can
-    never outrun the configured merge bandwidth and the constraint is
-    rarely hit. The bLSM/RocksDB "delayed write rate" knob.
+``limit`` → :class:`~repro.core.RateLimitControl`
+    Admitted writes are paced at ``rate_bytes_per_s`` with no burst, so
+    ingestion never outruns the configured merge bandwidth; a tripped
+    constraint still rejects, as ``stop`` does.
 
-``gradual``
-    bLSM-style spring-and-gear slow-down: each write is delayed in
-    proportion to how much of the component budget is consumed
-    (``1 - write_headroom``), ramping smoothly from zero delay at the
-    threshold to ``max_delay`` as the tree approaches a hard stall —
-    and a stalled engine is *absorbed* (the service pauses and retries
-    internally) rather than propagated as a rejection.
+``gradual`` → :class:`~repro.core.SlowdownControl`
+    LevelDB-style slow-down: full speed while headroom exceeds
+    ``1 - threshold``, then paced at a rate ramping linearly from
+    ``rate_bytes_per_s`` down to 0. A stalled engine is *absorbed*: the
+    write pauses ``retry_after`` and tries again rather than being
+    rejected.
 
-Controllers are pure decision functions over a stats snapshot — no
-sleeping, no I/O — so the asyncio service applies delays with
-``await asyncio.sleep`` and tests can drive them with synthetic stats.
+The controller applies the rule the simulator's executor also applies:
+with every memory component sealed (``memory_fill >= 1``) the rate is 0.
+A rate of 0 stalls the write, ∞ admits it, and a finite rate paces it:
+each write reserves ``nbytes / rate`` seconds after the previous one.
+Decisions do no sleeping and no I/O — the asyncio service awaits the
+delay — and the pacer is mutated only on the event loop's thread.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..engine.datastore import StoreStats
-from ..engine.ratelimiter import RateLimiter
+from ..core.factory import build_control
+from ..core.schedulers import WriteControl
 from ..errors import ConfigurationError
 
 #: Decision actions.
@@ -65,160 +69,82 @@ _ADMIT_NOW = AdmissionDecision(ADMIT)
 
 
 class AdmissionController:
-    """Base controller: admit everything (mode ``none``).
+    """Turn a core write control's rate into per-write decisions.
 
-    ``absorbs_stalls`` tells the service what to do when an admitted
-    write still meets a closed stall gate (modes other than ``none``):
-    graceful controllers pause ``stall_pause`` seconds and retry
-    internally (slow down, don't stop); the rest surface the stall to
-    the client as a ``STALLED`` rejection.
+    Without a control (mode ``none``) every write is admitted.
+    ``absorbs_stalls`` (mode ``gradual``) tells the service what to do
+    when a write meets a closed stall gate: pause ``retry_after`` and
+    try again (slow down, don't stop); the other modes answer
+    ``STALLED`` with ``retry_after`` as the client's backoff hint.
     """
-
-    mode = "none"
-    absorbs_stalls = False
-    stall_pause = 0.0
-
-    def decide(
-        self, stats: StoreStats | None, nbytes: int
-    ) -> AdmissionDecision:
-        """Judge one write of ``nbytes`` against the engine snapshot
-        (None for mode ``none``, which the service spares the read)."""
-        return _ADMIT_NOW
-
-
-class StopAdmission(AdmissionController):
-    """Reject writes outright while the engine is saturated.
-
-    Saturated means either backpressure bit: the component constraint is
-    violated (``write_stalled``) or every spare memory component is
-    queued behind a flush (``memory_fill >= 1``), i.e. the next write
-    that rotates would stall inline.
-    """
-
-    mode = "stop"
-
-    def __init__(self, retry_after: float = 0.05) -> None:
-        if retry_after <= 0:
-            raise ConfigurationError("retry_after must be positive")
-        self._retry_after = retry_after
-
-    def decide(self, stats: StoreStats, nbytes: int) -> AdmissionDecision:
-        if stats.write_stalled:
-            return AdmissionDecision(
-                REJECT,
-                retry_after=self._retry_after,
-                reason="component constraint violated",
-            )
-        if stats.memory_fill >= 1.0:
-            return AdmissionDecision(
-                REJECT,
-                retry_after=self._retry_after,
-                reason="all memory components are flushing",
-            )
-        return _ADMIT_NOW
-
-
-class LimitAdmission(AdmissionController):
-    """Token-bucket byte-rate cap on admitted writes.
-
-    Reuses the engine's :class:`~repro.engine.RateLimiter` with a
-    capturing sleep: instead of blocking, the computed sleep becomes the
-    decision's ``delay_seconds`` for the asyncio service to await.
-    """
-
-    mode = "limit"
 
     def __init__(
         self,
-        rate_bytes_per_s: float,
+        mode: str = "none",
+        control: WriteControl | None = None,
         retry_after: float = 0.05,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if rate_bytes_per_s <= 0:
-            raise ConfigurationError("limit mode needs a positive rate")
-        self._captured = 0.0
-        self._bucket = RateLimiter(
-            rate_bytes_per_s, clock=clock, sleep=self._capture
-        )
-        self._retry_after = retry_after
+        if retry_after <= 0:
+            raise ConfigurationError("retry_after must be positive")
+        self.mode = mode
+        self.absorbs_stalls = mode == "gradual"
+        self.retry_after = retry_after
+        self._control = control
+        self._clock = clock
+        #: When the pacer is free again: the end of the last reservation.
+        self._paced_until = 0.0
 
-    def _capture(self, delay: float) -> None:
-        self._captured = delay
-
-    def decide(self, stats: StoreStats, nbytes: int) -> AdmissionDecision:
-        if stats.write_stalled or stats.memory_fill >= 1.0:
-            # The cap should keep ingestion below maintenance bandwidth;
-            # if the engine saturated anyway, behave like stop rather
-            # than queue blindly.
-            return AdmissionDecision(
-                REJECT,
-                retry_after=self._retry_after,
-                reason="stalled despite rate cap",
-            )
-        self._captured = 0.0
-        self._bucket.acquire(nbytes)
-        if self._captured > 0.0:
-            return AdmissionDecision(
-                DELAY, delay_seconds=self._captured, reason="rate cap"
-            )
-        return _ADMIT_NOW
-
-
-class GradualAdmission(AdmissionController):
-    """Delay writes in proportion to engine pressure (bLSM-style).
-
-    Pressure is the worse of the two backlogs: consumed component
-    budget (``1 - write_headroom``, the merge backlog) and sealed
-    memtable occupancy (``memory_fill``, the flush backlog). Below
-    ``threshold`` writes pass untouched; above it the delay ramps
-    linearly up to ``max_delay`` at full pressure. A saturated engine
-    yields a ``max_delay`` pause rather than a rejection — this
-    controller never says stop, only slower.
-    """
-
-    mode = "gradual"
-    absorbs_stalls = True
-
-    def __init__(self, max_delay: float = 0.02, threshold: float = 0.5) -> None:
-        if max_delay <= 0:
-            raise ConfigurationError("max_delay must be positive")
-        if not 0.0 <= threshold < 1.0:
-            raise ConfigurationError("threshold must be in [0, 1)")
-        self._max_delay = max_delay
-        self._threshold = threshold
-        self.stall_pause = max_delay
-
-    def decide(self, stats: StoreStats, nbytes: int) -> AdmissionDecision:
-        merge_backlog = 1.0 - max(0.0, min(stats.write_headroom, 1.0))
-        pressure = max(merge_backlog, stats.memory_fill)
-        if stats.write_stalled:
-            pressure = 1.0
-        if pressure <= self._threshold:
+    def decide(
+        self, write_headroom: float, memory_fill: float, nbytes: int
+    ) -> AdmissionDecision:
+        """Judge one write of ``nbytes`` against the engine's signals."""
+        if self._control is None:
             return _ADMIT_NOW
-        ramp = (pressure - self._threshold) / (1.0 - self._threshold)
+        if memory_fill >= 1.0:
+            rate, reason = 0.0, "all memory components are flushing"
+        else:
+            rate = self._control.rate(write_headroom)
+            reason = "component constraint violated"
+        if rate == 0.0:
+            if self.absorbs_stalls:
+                return AdmissionDecision(
+                    DELAY, delay_seconds=self.retry_after, reason=reason
+                )
+            return AdmissionDecision(
+                REJECT, retry_after=self.retry_after, reason=reason
+            )
+        if math.isinf(rate):
+            return _ADMIT_NOW
+        now = self._clock()
+        self._paced_until = max(now, self._paced_until) + nbytes / rate
         return AdmissionDecision(
             DELAY,
-            delay_seconds=self._max_delay * min(1.0, ramp),
-            reason=f"pressure {pressure:.2f}",
+            delay_seconds=self._paced_until - now,
+            reason=f"paced at {rate:.0f} B/s",
         )
 
 
 def build_admission(mode: str, **params) -> AdmissionController:
-    """Factory mapping a CLI mode name to a controller instance.
+    """Map a CLI mode name onto a controller over its core control.
 
-    ``params`` are forwarded to the chosen controller's constructor;
-    parameters foreign to that mode raise immediately.
+    ``rate_bytes_per_s`` is what ``limit`` caps at and ``gradual`` ramps
+    down from once headroom falls below ``1 - threshold``;
+    ``retry_after`` and ``clock`` go to :class:`AdmissionController`.
+    Mode ``none`` takes no parameters.
     """
     if mode == "none":
         if params:
             raise ConfigurationError("mode 'none' takes no parameters")
         return AdmissionController()
-    if mode == "stop":
-        return StopAdmission(**params)
-    if mode == "limit":
-        return LimitAdmission(**params)
-    if mode == "gradual":
-        return GradualAdmission(**params)
-    raise ConfigurationError(
-        f"unknown admission mode {mode!r}; expected one of {MODES}"
+    controls = {"stop": "stop", "limit": "limit", "gradual": "slowdown"}
+    if mode not in controls:
+        raise ConfigurationError(
+            f"unknown admission mode {mode!r}; expected one of {MODES}"
+        )
+    control = build_control(
+        controls[mode],
+        rate=params.pop("rate_bytes_per_s", 0.0),
+        start_fraction=1.0 - params.pop("threshold", 0.5),
     )
+    return AdmissionController(mode, control, **params)

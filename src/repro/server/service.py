@@ -45,7 +45,7 @@ from ..errors import (
 from ..obs import MetricsRegistry, PrometheusEndpoint, render_prometheus
 from ..obs import events as obs_events
 from . import binproto, protocol
-from .admission import REJECT, AdmissionController
+from .admission import ADMIT, REJECT, AdmissionController, AdmissionDecision
 
 #: Default bound on how long one admitted write may be absorbed/delayed.
 DEFAULT_WRITE_DEADLINE = 5.0
@@ -508,7 +508,7 @@ class KVServer(FramedServer):
         None means the write would wait. Under mode ``none`` it does:
         ``apply()`` goes to the pool, where a closed gate parks it.
         Any other mode decides a closed gate here: a controller that
-        ``absorbs_stalls`` pauses ``stall_pause`` and tries again until
+        ``absorbs_stalls`` pauses ``retry_after`` and tries again until
         ``write_deadline``, the rest answer STALLED at once. Any other
         reason to wait (a flush stall, an fsync, a contended lock) goes
         to the pool. The response hands dispatch a ``breakdown`` with
@@ -524,7 +524,7 @@ class KVServer(FramedServer):
         # lock, on this thread.
         sheds = self._admission.mode != "none"
 
-        def rejected(reason: str, message: str, retry_after: float) -> dict:
+        def rejected(reason: str, message: str) -> dict:
             self.metrics.writes_rejected.inc()
             self.obs.tracer.emit(
                 obs_events.ADMISSION,
@@ -533,7 +533,8 @@ class KVServer(FramedServer):
                 nbytes=nbytes,
             )
             response = protocol.error_response(
-                protocol.CODE_STALLED, message, retry_after=retry_after
+                protocol.CODE_STALLED, message,
+                retry_after=self._admission.retry_after,
             )
             response["breakdown"] = {
                 "admission": admission_wait, "engine": 0.0, "io": 0.0,
@@ -552,15 +553,14 @@ class KVServer(FramedServer):
             admission_wait += seconds
             await asyncio.sleep(seconds)
 
-        decision = self._admission.decide(
-            self._store.stats() if sheds else None, nbytes
-        )
-        if decision.action == REJECT:
-            return rejected(
-                decision.reason or "admission",
-                decision.reason or "write rejected by admission",
-                decision.retry_after,
+        decision = AdmissionDecision(ADMIT)
+        if sheds:
+            stats = self._store.stats()
+            decision = self._admission.decide(
+                stats.write_headroom, stats.memory_fill, nbytes
             )
+        if decision.action == REJECT:
+            return rejected(decision.reason, decision.reason)
         if decision.delay_seconds > 0.0:
             self.metrics.writes_delayed.inc()
             await pause("delay", decision.delay_seconds)
@@ -571,12 +571,11 @@ class KVServer(FramedServer):
                 return rejected(
                     "engine stall",
                     "component constraint violated; merges must catch up",
-                    self._admission.stall_pause or 0.05,
                 )
             if not absorbed:  # a write counts once, however long it waits
                 self.metrics.stalls_absorbed.inc()
                 absorbed = True
-            await pause("absorb", self._admission.stall_pause)
+            await pause("absorb", self._admission.retry_after)
             timing = apply(wait=False)
         if timing is None:
             self._engine_calls[op, "thread"].inc()

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core import (
     Component,
@@ -75,6 +77,28 @@ class TestLevelZeroConstraint:
     def test_headroom(self):
         constraint = LevelZeroConstraint(stop=4)
         assert constraint.headroom(tree_with({0: 1})) == pytest.approx(0.75)
+
+
+@given(
+    counts=st.dictionaries(
+        st.integers(0, 5), st.integers(0, 14), max_size=6
+    ),
+    bound=st.integers(1, 12),
+)
+@example(counts={}, bound=1)
+def test_headroom_is_zero_exactly_when_violated(counts, bound):
+    """The wire feeds a write control only the engine's headroom, so
+    ``headroom == 0`` must mean violated — for every constraint, on any
+    tree, the empty tree included."""
+    tree = tree_with(counts)
+    for constraint in (
+        GlobalComponentConstraint(bound),
+        LocalComponentConstraint(bound),
+        LevelZeroConstraint(bound),
+    ):
+        assert (constraint.headroom(tree) == 0.0) == constraint.is_violated(
+            tree
+        ), constraint
 
 
 class TestStopControl:

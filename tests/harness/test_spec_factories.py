@@ -1,6 +1,6 @@
-"""Tests for the harness' write-control factory and spec edge cases not
-covered by the two-phase tests. Policies, schedulers and constraints are
-built by :mod:`repro.core.factory` (``tests/core/test_factory.py``)."""
+"""Tests for the write-control factory and spec edge cases not covered
+by the two-phase tests. Policies, schedulers and constraints are built
+by :mod:`repro.core.factory` too (``tests/core/test_factory.py``)."""
 
 
 import pytest
@@ -11,9 +11,9 @@ from repro.core import (
     SpringGearControl,
     StopControl,
 )
-from repro.core.factory import POLICIES
+from repro.core.factory import POLICIES, build_control, build_policy
 from repro.errors import ConfigurationError
-from repro.harness import ExperimentSpec, make_control
+from repro.harness import ExperimentSpec
 from repro.sim import bench_config
 
 
@@ -22,17 +22,30 @@ def config():
     return bench_config(512.0)
 
 
-class TestMakeControl:
+class TestBuildControl:
     def test_names(self, config):
-        assert isinstance(make_control("stop", config), StopControl)
-        assert isinstance(make_control("limit", config, rate=10.0),
-                          RateLimitControl)
-        assert isinstance(make_control("slowdown", config), SlowdownControl)
-        assert isinstance(make_control("spring", config), SpringGearControl)
+        leveling = build_policy("leveling", 10, 3, 1024.0)
+        assert isinstance(build_control("stop"), StopControl)
+        assert isinstance(build_control("limit", rate=10.0), RateLimitControl)
+        assert isinstance(
+            build_control("slowdown", rate=config.memory_write_rate),
+            SlowdownControl,
+        )
+        spring = build_control(
+            "spring", policy=leveling, entry_bytes=config.entry_bytes
+        )
+        assert isinstance(spring, SpringGearControl)
+        # built by name, spring gets every level's gear, as the
+        # ``spring`` scheduler and ``ExperimentSpec.blsm`` do
+        assert "levels=[1, 2, 3]" in repr(spring)
 
     def test_unknown_rejected(self, config):
         with pytest.raises(ConfigurationError):
-            make_control("yolo", config)
+            build_control("yolo")
+        with pytest.raises(ConfigurationError):
+            build_control("limit")  # a limit needs its rate
+        with pytest.raises(ConfigurationError):
+            build_control("spring")  # and a spring its policy's levels
 
 
 class TestSpecEdgeCases:

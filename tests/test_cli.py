@@ -337,11 +337,18 @@ class TestServeAndLoadgenParsers:
 
         args = build_parser().parse_args(
             ["serve", "/tmp/db", "--admission", "gradual",
-             "--max-delay-ms", "30", "--threshold", "0.6"]
+             "--retry-after-ms", "30", "--threshold", "0.6"]
         )
         controller = _admission_from(args)
         assert controller.mode == "gradual"
-        assert controller.stall_pause == pytest.approx(0.03)
+        assert controller.retry_after == pytest.approx(0.03)
+        # slowing starts once 60% of the budget is used: headroom 0.4
+        assert controller.decide(0.41, 0.0, 10).action == "admit"
+        assert controller.decide(0.39, 0.0, 10).action == "delay"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "/tmp/db", "--max-delay-ms", "30"]
+            )
 
     def test_loadgen_against_live_server(self, tmp_path, capsys):
         import asyncio

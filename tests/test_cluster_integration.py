@@ -13,7 +13,7 @@ import asyncio
 
 import pytest
 
-from repro.cluster import LocalCluster, build_cluster_admission
+from repro.cluster import ClusterAdmission, LocalCluster
 from repro.engine import LSMStore, StoreOptions
 from repro.errors import ConfigurationError, RequestFailedError
 from repro.server import KVServer, binproto, build_admission, protocol
@@ -32,7 +32,7 @@ FUNCTIONAL_OPTIONS = StoreOptions(
 #: Per-shard overload engine: the hot shard's ingest outruns its
 #: workers' throttled flush + merge bandwidth. Three memtables, so a
 #: cold shard's seal never fills memory before its worker flushes
-#: (``StopAdmission`` rejects at ``memory_fill >= 1``).
+#: (every shedding mode stalls a write at ``memory_fill >= 1``).
 OVERLOAD_OPTIONS = FUNCTIONAL_OPTIONS.with_(
     num_memtables=3,
     constraint_limit=5,
@@ -145,7 +145,7 @@ def test_a_write_reads_shard_stats_only_if_admission_looks(
             str(tmp_path),
             2,
             FUNCTIONAL_OPTIONS.with_(background_maintenance=background),
-            admission=build_cluster_admission("local", mode, 2),
+            admission=ClusterAdmission("local", mode, 2),
         )
         calls = {"stats": 0}
         stats_list = cluster.store.stats_list
@@ -174,12 +174,29 @@ def test_a_cluster_that_can_shed_writes_refuses_inline_shards(tmp_path):
             str(tmp_path),
             2,
             FUNCTIONAL_OPTIONS,
-            admission=build_cluster_admission("global", "stop", 2),
+            admission=ClusterAdmission("global", "stop", 2),
         )
     assert not (tmp_path / "shard-00").exists()
     with LSMStore.open(str(tmp_path / "single"), FUNCTIONAL_OPTIONS) as store:
         with pytest.raises(ConfigurationError, match="maintenance workers"):
             KVServer(store, build_admission("stop"))
+
+
+@pytest.mark.parametrize("built_for", [2, 6])
+def test_a_cluster_refuses_an_admission_built_for_other_shards(
+    tmp_path, built_for
+):
+    """Regression: a local admission built for two shards was taken by a
+    four-shard cluster, and every write to shards 2 and 3 failed with
+    INTERNAL."""
+    with pytest.raises(ConfigurationError, match="built for"):
+        LocalCluster(
+            str(tmp_path),
+            4,
+            OVERLOAD_OPTIONS,
+            admission=ClusterAdmission("local", "stop", built_for),
+        )
+    assert not (tmp_path / "shard-00").exists()
 
 
 def test_scatter_gather_scan_matches_single_engine(tmp_path):
@@ -330,9 +347,7 @@ def run_overload(tmp_path, scope):
     """One Zipf-skewed closed-loop overload run against ``scope``."""
 
     async def scenario():
-        admission = build_cluster_admission(
-            scope, "stop", SHARDS, retry_after=0.05
-        )
+        admission = ClusterAdmission(scope, "stop", SHARDS, retry_after=0.05)
         cluster = LocalCluster(
             str(tmp_path / scope),
             num_shards=SHARDS,

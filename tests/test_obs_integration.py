@@ -78,7 +78,12 @@ def test_open_loop_exposes_stall_pipeline_through_prometheus(tmp_path):
         with LSMStore.open(str(tmp_path / "db"), OVERLOAD_OPTIONS) as store:
             server = KVServer(
                 store,
-                build_admission("gradual", max_delay=0.01, threshold=0.3),
+                build_admission(
+                    "gradual",
+                    rate_bytes_per_s=OVERLOAD_OPTIONS.rate_limit_bytes_per_s,
+                    retry_after=0.01,
+                    threshold=0.3,
+                ),
                 metrics_port=0,
             )
             await server.start()

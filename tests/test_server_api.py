@@ -18,9 +18,7 @@ from repro.server.loadgen import LoadResult, _operation_stream
 SERVER_API = {
     # admission
     "ADMIT", "DELAY", "REJECT", "MODES",
-    "AdmissionController", "AdmissionDecision",
-    "StopAdmission", "LimitAdmission", "GradualAdmission",
-    "build_admission",
+    "AdmissionController", "AdmissionDecision", "build_admission",
     # protocol + service
     "FramedServer", "KVServer",
     "DEFAULT_WRITE_DEADLINE",
@@ -42,9 +40,8 @@ LOADGEN_API = {
 #: The documented public API of ``repro.cluster`` (docs/cluster.md).
 CLUSTER_API = {
     "SCOPES",
-    "ClusterAdmission", "build_cluster_admission",
-    "ClusterRouter", "LocalCluster",
-    "ClusterStats", "aggregate_stats", "worst_case_stats",
+    "ClusterAdmission", "ClusterRouter", "LocalCluster",
+    "ClusterStats", "aggregate_stats",
     "HashRing", "ShardedStore",
     "BREAKER_STATES", "CircuitBreaker",
 }

@@ -203,7 +203,11 @@ def test_gradual_beats_stop_on_p99_under_overload(tmp_path):
             tmp_path / "stop", "stop", retry_after=0.05
         )
         gradual = await _run_overload(
-            tmp_path / "gradual", "gradual", max_delay=0.01, threshold=0.5
+            tmp_path / "gradual",
+            "gradual",
+            rate_bytes_per_s=OVERLOAD_OPTIONS.rate_limit_bytes_per_s,
+            retry_after=0.01,
+            threshold=0.5,
         )
         return stop, gradual
 
@@ -230,7 +234,7 @@ def test_gradual_beats_stop_on_p99_under_overload(tmp_path):
     assert gradual.retries == 0  # clients never even saw the stalls
 
     # The paper's result at the serving layer: graceful slow-down yields
-    # strictly lower tail latency than stop (observed margin ~50x).
+    # strictly lower tail latency than stop (observed margin ~4x).
     assert gradual.percentile(99.0) < stop.percentile(99.0)
     # ...at the cost of a (bounded) median penalty from the ramp delays.
     assert gradual.percentile(50.0) >= stop.percentile(50.0)

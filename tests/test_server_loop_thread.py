@@ -348,7 +348,7 @@ ADMISSION_PARAMS = {
     "none": {},
     "stop": {},
     "limit": dict(rate_bytes_per_s=2**30),
-    "gradual": dict(max_delay=0.02),
+    "gradual": dict(rate_bytes_per_s=2**30, retry_after=0.02),
 }
 
 
@@ -356,7 +356,9 @@ def gate_looks_open(store: LSMStore) -> None:
     """The snapshot a controller judges says the gate is open, so an
     admitted write meets the closed gate itself."""
     stats = store.stats
-    store.stats = lambda: dataclasses.replace(stats(), write_stalled=False)
+    store.stats = lambda: dataclasses.replace(
+        stats(), write_stalled=False, write_headroom=1.0
+    )
 
 
 def count_gate_reads(monkeypatch) -> list:
@@ -420,6 +422,61 @@ def test_only_mode_none_takes_a_closed_gate_to_the_pool(
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("mode", ["stop", "limit"])
+def test_a_write_refused_at_the_gate_carries_the_configured_hint(
+    tmp_path, mode
+):
+    """Regression: a write the engine's gate refused hinted 50 ms
+    whatever ``retry_after`` the controller was built with."""
+
+    async def scenario():
+        with open_store(tmp_path, WORKERS) as store:
+            release = hold(store, store._compaction, "claim_merge")
+            trip_the_constraint(store)
+            gate_looks_open(store)
+            admission = build_admission(
+                mode, **ADMISSION_PARAMS[mode], retry_after=0.2
+            )
+            async with KVServer(store, admission) as server:
+                (payload,) = await exchange(
+                    server.address, [protocol.put_request(b"k", b"v")]
+                )
+            release()
+        response = binproto.decode_response(payload)
+        assert response["code"] == protocol.CODE_STALLED
+        assert response["error"].endswith("merges must catch up")  # the gate
+        assert response["retry_after"] == 0.2
+
+    asyncio.run(scenario())
+
+
+def test_every_admission_decision_runs_on_the_loop_thread(tmp_path):
+    """The pacer behind ``limit`` and ``gradual`` takes no lock: it is
+    safe only while every decision runs on the event loop's thread."""
+
+    async def scenario():
+        with open_store(tmp_path, WORKERS) as store:
+            admission = build_admission("limit", rate_bytes_per_s=2**30)
+            threads = []
+            decide = admission.decide
+
+            def recorded(*args):
+                threads.append(threading.get_ident())
+                return decide(*args)
+
+            admission.decide = recorded
+            async with KVServer(store, admission) as server:
+                async with KVClient(*server.address, pool_size=4) as client:
+                    await asyncio.gather(
+                        client.batch([(b"a", b"1"), (b"b", None)]),
+                        client.delete(b"c"),
+                        *(client.put(b"k%d" % n, b"v") for n in range(20)),
+                    )
+        assert threads == [threading.get_ident()] * 22
+
+    asyncio.run(scenario())
+
+
 def test_gradual_absorbs_a_closed_gate_once_and_commits_when_it_opens(
     tmp_path,
 ):
@@ -440,11 +497,17 @@ def test_gradual_absorbs_a_closed_gate_once_and_commits_when_it_opens(
             store._compaction.is_write_stalled = (
                 lambda: closed.is_set() or stalled()
             )
+            headroom = store._compaction.write_headroom
+            store._compaction.write_headroom = (
+                lambda: 0.0 if closed.is_set() else headroom()
+            )
             release = closed.clear
             absorbing = watch_for(
                 store, obs_events.ADMISSION, action="absorb"
             )
-            admission = build_admission("gradual", max_delay=0.02)
+            admission = build_admission(
+                "gradual", **ADMISSION_PARAMS["gradual"]
+            )
             async with KVServer(
                 store, admission, write_deadline=PATIENCE
             ) as server:
