@@ -499,7 +499,7 @@ class LSMStore:
 
     def _insert(self, batch: list[tuple[bytes, bytes | None]]) -> None:
         """Apply a logged batch to the active memtable (lock held, or
-        the store not yet shared: replay at open) and drop the cached
+        the store not yet shared: replay at open) and refresh the cached
         rows of its keys — every committed write passes here."""
         active = self._active
         for key, value in batch:
@@ -507,7 +507,7 @@ class LSMStore:
                 active.delete(key)
             else:
                 active.put(key, value)
-        self._compaction.block_cache.drop_rows(key for key, _ in batch)
+        self._compaction.block_cache.refresh_rows(batch)
 
     def _would_wait_locked(
         self, batch: list[tuple[bytes, bytes | None]]
@@ -812,7 +812,7 @@ class LSMStore:
         """Point lookup; None when absent (or deleted).
 
         Newest first: memtables, the key's cached row, runs. A run's answer
-        becomes the row, until :meth:`_insert` drops it for a write.
+        becomes the row, and :meth:`_insert` refreshes it for a write.
 
         Corruption containment: the probe walks sources newest-first, so
         a quarantined run only poisons the lookup when the probe actually

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import BlockCache, LSMStore, StoreOptions
-from repro.engine.blockcache import ROW_OVERHEAD_BYTES, ROWS
+from repro.engine.blockcache import ROW_OVERHEAD_BYTES
 from repro.errors import ConfigurationError, DataCorruptError
 
 from .images import frozen, install
@@ -123,16 +123,19 @@ class TestRowEntries:
             len(b"k") + len(b"value") + len(b"gone") + 2 * ROW_OVERHEAD_BYTES
         )
 
-    def test_rows_are_dropped_by_key_and_all_at_once(self):
+    def test_rows_are_refreshed_by_key_and_dropped_all_at_once(self):
         cache = BlockCache(4096)
         gen = cache.register_reader()
         cache.put(gen, 0, b"b" * 100)
         for key in (b"a", b"b", b"c"):
             cache.put_row(key, b"v")
-        cache.drop_rows([b"a", b"missing"])
-        assert cache.get_row(b"a") == (False, None)
-        assert cache.get_row(b"b") == (True, b"v")
-        assert cache.drop_all_rows() == 2 * (2 + ROW_OVERHEAD_BYTES)
+        cache.refresh_rows([(b"a", b"new"), (b"b", None), (b"missing", b"x")])
+        assert cache.get_row(b"a") == (True, b"new")
+        assert cache.get_row(b"b") == (True, None)
+        assert cache.get_row(b"missing") == (False, None)  # no row made
+        assert cache.drop_all_rows() == (
+            len(b"anew") + len(b"b") + len(b"cv") + 3 * ROW_OVERHEAD_BYTES
+        )
         assert cache.get_row(b"c") == (False, None)
         # Blocks are untouched, and a reader's eviction leaves rows be.
         assert cache.used_bytes == 100
@@ -141,17 +144,52 @@ class TestRowEntries:
         assert cache.get_row(b"d") == (True, b"v")
 
     def test_rows_and_blocks_evict_each_other_in_one_budget(self):
+        """Rows outrank blocks: a block fits only beside the rows and
+        evicts blocks; a row evicts the least recent block first, and a
+        row only when no block is left."""
         cache = BlockCache(1000)
         gen = cache.register_reader()
-        cache.put_row(b"k", b"v" * 500)  # charged 801
-        cache.put(gen, 0, b"b" * 300)  # 1101 > 1000: the row goes
-        assert cache.get_row(b"k") == (False, None)
-        assert cache.used_bytes == 300
-        cache.put_row(b"k2", b"v" * 500)  # and now the block does
+        row = 1 + 400 + ROW_OVERHEAD_BYTES
+        cache.put_row(b"k", b"v" * 400)
+        cache.put(gen, 0, b"b" * 300)
+        cache.put(gen, 1, b"b" * (1000 - row - 300))  # exactly full
+        cache.put(gen, 2, b"b" * (1001 - row))  # not beside the row
+        assert cache.get(gen, 2) is None
+        assert cache.get_row(b"k") == (True, b"v" * 400)
+        assert cache.used_bytes == 1000 and cache.evictions == 0
+        cache.put(gen, 3, b"b" * 10)  # evicts block 0, never the row
         assert cache.get(gen, 0) is None
-        assert cache.get_row(b"k2") == (True, b"v" * 500)
-        assert cache.evictions == 2
+        assert cache.get_row(b"k") == (True, b"v" * 400)
+        cache.get(gen, 1)  # block 1 is now more recent than block 3
+        cache.put_row(b"k2", b"v" * 125)  # the least recent block goes
+        assert cache.get(gen, 3) is None and cache.get(gen, 1) is not None
+        cache.put_row(b"k3", b"v" * 400)  # the last block, then row k
+        assert cache.get(gen, 1) is None
+        assert cache.get_row(b"k") == (False, None)
+        assert cache.get_row(b"k2") == (True, b"v" * 125)
+        assert cache.get_row(b"k3") == (True, b"v" * 400)
+        assert cache.evictions == 4
         assert cache.used_bytes <= cache.capacity_bytes
+
+    def test_a_refresh_that_no_longer_fits_drops_the_row(self):
+        """A refreshed row is admitted again by the row rule."""
+        cache = BlockCache(1000)
+        gen = cache.register_reader()
+        cache.put_row(b"a", b"v" * 300)
+        cache.put_row(b"b", b"v" * 10)
+        cache.put(gen, 0, b"x" * 100)
+        # Growing evicts the least recent block first ...
+        cache.refresh_rows([(b"b", b"w" * 350)])
+        assert cache.get(gen, 0) is None
+        assert cache.get_row(b"b") == (True, b"w" * 350)
+        # ... and another row only when no block is left.
+        cache.refresh_rows([(b"a", b"v" * 400)])
+        assert cache.get_row(b"b") == (False, None)
+        assert cache.used_bytes == 1 + 400 + ROW_OVERHEAD_BYTES
+        # Larger than the whole budget: the row is dropped.
+        cache.refresh_rows([(b"a", b"w" * 1000)])
+        assert cache.get_row(b"a") == (False, None)
+        assert cache.used_bytes == 0
 
     def test_zero_capacity_caches_no_row(self):
         cache = BlockCache(0)
@@ -230,10 +268,9 @@ class TestBlockCacheInStore:
             assert used_after >= 0
 
 
-def _rows(store) -> set[bytes]:
-    """The keys the store's cache holds a row for."""
-    members = store._compaction.block_cache._by_generation.get(ROWS, ())
-    return {key for _, key in members}
+def _rows(store) -> dict[bytes, bytes | None]:
+    """The store's cached rows, ``key -> value`` (None: deleted)."""
+    return dict(store._compaction.block_cache._rows)
 
 
 SMALL = StoreOptions(memtable_bytes=16 * 1024, levels=3)
@@ -247,9 +284,9 @@ class TestRowTier:
         with _loaded(tmp_path) as store:
             cache = store._compaction.block_cache
             assert store.get(b"user000020") == b"v" * 64
-            assert set(cache._by_generation) == {ROWS}  # a row, no block
+            assert cache._rows and not cache._blocks  # a row, no block
             assert len(list(store.scan(b"user000100", None, limit=5))) == 5
-            assert set(cache._by_generation) - {ROWS}
+            assert cache._blocks
             hits = cache.hits
             assert store.get(b"user000101") == b"v" * 64
             assert cache.hits > hits  # the block the scan brought in
@@ -259,17 +296,17 @@ class TestRowTier:
         key, other = b"user000007", b"user000008"
         with _loaded(tmp_path) as store:
             assert store.get(key) == store.get(other) == b"v" * 64
-            assert {key, other} <= _rows(store)
+            assert {key, other} <= _rows(store).keys()
             if write == "put":
                 store.put(key, b"new")
             elif write == "delete":
                 store.delete(key)
             else:
                 store.write_batch([(key, b"new"), (other, None)])
-                assert other not in _rows(store)
-            assert key not in _rows(store)
-            store.flush()  # so that a run, not the memtable, answers
+                assert _rows(store)[other] is None
             expected = None if write == "delete" else b"new"
+            assert _rows(store)[key] == expected
+            store.flush()  # so that a run, not the memtable, answers
             for _ in range(2):
                 assert store.get(key) == expected
                 if write == "write_batch":
@@ -291,14 +328,19 @@ class TestRowTier:
             store.flush()
             assert store.get(b"k") == b"back"
 
-    def test_group_commit_writes_drop_rows(self, tmp_path):
-        key = b"user000011"
+    def test_group_commit_writes_refresh_rows(self, tmp_path):
+        key, other = b"user000011", b"user000012"
         with _loaded(tmp_path, group_commit=True) as store:
-            assert store.get(key) == b"v" * 64
+            assert store.get(key) == store.get(other) == b"v" * 64
             store.put(key, b"grouped")
-            assert key not in _rows(store)
+            store.write_batch([(other, b"x"), (other, None)])
+            assert _rows(store)[key] == b"grouped"
+            assert _rows(store)[other] is None
             store.flush()
+            lookups = _block_lookups(store)
             assert store.get(key) == b"grouped"
+            assert store.get(other) is None
+            assert _block_lookups(store) == lookups
 
     def test_apply_reset_drops_the_rows_it_rewrites(self, tmp_path):
         kept, dropped = b"user000012", b"user000013"
@@ -306,7 +348,7 @@ class TestRowTier:
             assert store.get(kept) and store.get(dropped)
             with frozen(tmp_path / "leader", [(kept, b"reset")]) as image:
                 install(store, image)
-            assert not _rows(store) & {kept, dropped}
+            assert not _rows(store).keys() & {kept, dropped}
             store.flush()
             assert store.get(kept) == b"reset"
             assert store.get(dropped) is None
@@ -372,9 +414,53 @@ class TestRowTier:
                     assert len(list(store.scan(key, None, limit=100))) > 0
                 assert cache.used_bytes <= budget
             assert cache.evictions > 0
-            assert _rows(store)
+            # By here rows hold the budget: a scan's blocks fit only into
+            # the bytes the rows leave, and evict no row.
+            rows = _rows(store)
+            assert budget - cache._row_bytes < 4096
             list(store.scan(None, None, limit=100))
-            assert set(cache._by_generation) - {ROWS}  # and blocks
+            assert _rows(store) == rows
+            assert cache.used_bytes <= budget
+
+    def test_a_scan_twice_the_budget_leaves_a_hot_row(self, tmp_path):
+        budget, hot = 8 * 1024, b"user000123"
+        with _loaded(tmp_path, block_cache_bytes=budget) as store:
+            cache = store._compaction.block_cache
+            assert store.get(hot) == b"v" * 64
+            scanned = list(store.scan(None, None))
+            assert sum(len(k) + len(v) for k, v in scanned) > 2 * budget
+            assert cache.evictions > 0  # the scan's blocks churned
+            lookups, hits = _block_lookups(store), cache.row_hits
+            assert store.get(hot) == b"v" * 64
+            assert cache.row_hits == hits + 1
+            assert _block_lookups(store) == lookups
+
+    def test_a_batch_refreshes_to_its_last_write(self, tmp_path):
+        key, gone = b"user000016", b"user000017"
+        with _loaded(tmp_path) as store:
+            assert store.get(key) == store.get(gone) == b"v" * 64
+            store.write_batch(
+                [(key, b"first"), (gone, b"x"), (key, b"last"), (gone, None)]
+            )
+            assert _rows(store)[key] == b"last"
+            assert _rows(store)[gone] is None
+            store.delete(key)
+            assert _rows(store)[key] is None
+            store.flush()
+            lookups = _block_lookups(store)
+            assert store.get(key) is None and store.get(gone) is None
+            assert _block_lookups(store) == lookups
+
+    def test_a_refresh_that_no_longer_fits_drops_the_row(self, tmp_path):
+        budget, key = 4096, b"user000020"
+        with _loaded(tmp_path, block_cache_bytes=budget) as store:
+            cache = store._compaction.block_cache
+            assert store.get(key) == b"v" * 64
+            store.put(key, b"w" * budget)
+            assert key not in _rows(store)
+            assert cache.used_bytes <= cache.capacity_bytes
+            store.flush()
+            assert store.get(key) == b"w" * budget
 
     @pytest.mark.parametrize("end", ["close", "crash"])
     def test_a_closed_store_releases_its_cache(self, tmp_path, end):
@@ -382,7 +468,8 @@ class TestRowTier:
         cache = store._compaction.block_cache
         assert store.get(b"user000015") == b"v" * 64
         assert len(list(store.scan(None, None, limit=50))) == 50
-        assert _rows(store) and set(cache._by_generation) - {ROWS}
+        assert _rows(store) and cache._blocks
         getattr(store, end)()
         assert cache.used_bytes == 0
+        assert not cache._rows and not cache._blocks
         assert not cache._by_generation

@@ -99,8 +99,9 @@ class EngineMatchesDict(RuleBasedStateMachine):
 class EngineWithASmallCacheMatchesDict(EngineMatchesDict):
     """The same machine on a cache of about 16 KB, a few blocks' worth,
     with values large enough that puts fill memtables and flush on their
-    own: rows and the blocks scans bring in evict each other, and a key
-    read twice in a row from a run is a row hit the second time."""
+    own: rows and the blocks scans bring in share the budget, a key read
+    twice in a row from a run is a row hit the second time, and a write
+    refreshes the row it finds."""
 
     options = OPTIONS.with_(block_cache_bytes=16 * 1024)
 
@@ -121,6 +122,22 @@ class EngineWithASmallCacheMatchesDict(EngineMatchesDict):
         self.store.flush()
         assert self.store.get(key) == self.model.get(key)
         assert self.store.get(key) == self.model.get(key)
+
+    @rule(key=keys, other=keys, value=st.binary(min_size=100, max_size=400))
+    def write_batch(self, key, other, value):
+        """One batch writes ``key`` twice and deletes ``other``: a cached
+        row of either takes the batch's last answer for it."""
+        self.store.write_batch([(key, b"first"), (other, None), (key, value)])
+        self.model.pop(other, None)
+        self.model[key] = value
+
+    @invariant()
+    def rows_are_current(self):
+        """A write refreshes a resident row, so every row is the answer
+        a get would give."""
+        rows = self.store._compaction.block_cache._rows
+        for key, value in list(rows.items()):
+            assert value == self.model.get(key)
 
 
 for machine in (EngineMatchesDict, EngineWithASmallCacheMatchesDict):
