@@ -18,8 +18,10 @@ the same tables/sparklines the benchmark suite produces.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from typing import Sequence
+from dataclasses import fields
+from typing import Sequence, get_type_hints
 
 from .errors import ReproError
 
@@ -82,21 +84,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     elif args.axis == "utilization":
         points = [float(v) for v in args.points.split(",")]
         rows = utilization_sweep(_spec_for(args), points)
-    elif args.axis == "partition-size":
+    else:  # partition-size; argparse choices allow no other axis
         sizes = [float(v) for v in args.files_mib.split(",")]
         rows = partition_size_sweep(sizes, scale=args.scale)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ReproError(f"unknown sweep axis {args.axis!r}")
     print(format_table(rows))
     return 0
 
 
-def _check_port(port: int) -> int:
+def _check_port(port: int) -> None:
     if not 1 <= port <= 65535:
-        raise ReproError(
-            f"port {port} is outside the valid TCP range 1-65535"
-        )
-    return port
+        raise ReproError(f"port {port} is outside the valid TCP range 1-65535")
 
 
 def _admission_params(args: argparse.Namespace) -> dict:
@@ -118,23 +115,24 @@ def _admission_from(args: argparse.Namespace):
     return build_admission(args.admission, **_admission_params(args))
 
 
+#: The :class:`~repro.engine.StoreOptions` fields ``serve`` and
+#: ``cluster-serve`` expose, one flag each (see :func:`_add_engine_args`).
+ENGINE_FLAGS = (
+    "memtable_bytes", "policy", "block_codec", "maintenance_threads",
+    "scrub_interval", "scrub_rate_bytes_per_s", "sync_writes", "group_commit",
+)
+
+
 def _store_options_from(args: argparse.Namespace):
-    """The engine options the ``_add_engine_args`` flags describe.
+    """The engine options the :data:`ENGINE_FLAGS` flags describe.
 
     A served store always runs maintenance workers: the server can shed
     its writes, and a shed write drives no inline maintenance."""
     from .engine import StoreOptions
 
     return StoreOptions(
-        memtable_bytes=int(args.memtable_mib * 2**20),
-        policy=args.engine_policy,
-        block_codec=args.block_codec,
         background_maintenance=True,
-        maintenance_threads=args.maintenance_threads,
-        scrub_interval=args.scrub_interval,
-        scrub_rate_bytes_per_s=int(args.scrub_rate_mib * 2**20),
-        sync_writes=args.sync_writes,
-        group_commit=args.group_commit,
+        **{name: getattr(args, name) for name in ENGINE_FLAGS},
     )
 
 
@@ -167,6 +165,15 @@ def _serve_until_interrupted(run, args: argparse.Namespace) -> int:
     return 0
 
 
+def _announce(args, what: str, address, metrics_address, notes) -> None:
+    """The banner a serving command prints once it listens."""
+    if args.memory_budget is not None:
+        notes.append(f"memory budget: {args.memory_budget:g} MiB")
+    print(f"serving {what} on {address[0]}:{address[1]} ({', '.join(notes)})")
+    if metrics_address is not None:
+        print("metrics on http://%s:%d/metrics" % metrics_address)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .engine import LSMStore
     from .memory import MemoryArbiter, MemoryBudget
@@ -175,17 +182,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _check_port(args.port)
     memory_budget = _memory_budget_bytes(args)
     options = _store_options_from(args)
+    # Built before the store opens: a budget too small to split refuses
+    # with nothing written.
+    budget = None if memory_budget is None else MemoryBudget(memory_budget, 1)
 
     async def run() -> None:
         with LSMStore.open(args.directory, options) as store:
             arbiter = None
-            if memory_budget is not None:
+            if budget is not None:
                 # Single-node deployment: the arbiter still earns its
                 # keep by moving the write/read split with the workload.
                 arbiter = MemoryArbiter(
-                    MemoryBudget(memory_budget, 1),
-                    [store],
-                    obs=store.obs,
+                    budget, [store], obs=store.obs,
                     interval=args.memory_rebalance_interval,
                 )
             server = KVServer(
@@ -198,19 +206,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 memory_interval=args.memory_rebalance_interval,
             )
             async with server:
-                host, port = server.address
-                budget_note = (
-                    f", memory budget: {args.memory_budget:g} MiB"
-                    if memory_budget is not None
-                    else ""
+                _announce(
+                    args, args.directory, server.address,
+                    server.metrics_address, [f"admission: {args.admission}"],
                 )
-                print(
-                    f"serving {args.directory} on {host}:{port} "
-                    f"(admission: {args.admission}{budget_note})"
-                )
-                if server.metrics_address is not None:
-                    mhost, mport = server.metrics_address
-                    print(f"metrics on http://{mhost}:{mport}/metrics")
                 await server.serve_forever()
 
     return _serve_until_interrupted(run, args)
@@ -227,54 +226,37 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             f"--rate must be a positive arrival rate, got {args.rate}"
         )
     if args.clients < 1:
-        raise ReproError(
-            f"--clients must be at least 1, got {args.clients}"
-        )
+        raise ReproError(f"--clients must be at least 1, got {args.clients}")
     if args.ops < 1:
         raise ReproError(f"--ops must be at least 1, got {args.ops}")
     common = dict(
+        host=args.host,
+        port=args.port,
         value_bytes=args.value_bytes,
         keyspace=args.keyspace,
         seed=args.seed,
         distribution=args.distribution,
         theta=args.theta,
     )
-
-    async def run():
-        if args.mode == "closed":
-            return await closed_loop(
-                args.host,
-                args.port,
-                clients=args.clients,
-                ops_per_client=args.ops // max(1, args.clients),
-                **common,
-            )
-        if args.mode == "open":
-            return await open_loop(
-                args.host,
-                args.port,
-                rate_ops_per_s=args.rate,
-                total_ops=args.ops,
-                **common,
-            )
-        return await net_two_phase(
-            args.host,
-            args.port,
+    per_client = args.ops // args.clients
+    if args.mode == "closed":
+        run = closed_loop(
+            clients=args.clients, ops_per_client=per_client, **common
+        )
+    elif args.mode == "open":
+        run = open_loop(rate_ops_per_s=args.rate, total_ops=args.ops, **common)
+    else:
+        run = net_two_phase(
             utilization=args.utilization,
             clients=args.clients,
-            testing_ops_per_client=args.ops // max(1, args.clients),
+            testing_ops_per_client=per_client,
             running_ops=args.ops,
             **common,
         )
-
-    result = asyncio.run(run())
+    result = asyncio.run(run)
     print(result.summary())
-    completed = (
-        result.running.op_count
-        if hasattr(result, "running")
-        else result.op_count
-    )
-    return 0 if completed else 1
+    # A two-phase result counts its running phase.
+    return 0 if getattr(result, "running", result).op_count else 1
 
 
 def _cmd_cluster_serve(args: argparse.Namespace) -> int:
@@ -282,16 +264,12 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
 
     _check_port(args.port)
     if args.shards < 1:
-        raise ReproError(
-            f"--shards must be at least 1, got {args.shards}"
-        )
+        raise ReproError(f"--shards must be at least 1, got {args.shards}")
     memory_budget = _memory_budget_bytes(args)
     options = _store_options_from(args)
     admission = ClusterAdmission(
         args.scope, args.admission, args.shards, **_admission_params(args)
     )
-
-    _check_replication(args)
 
     async def run() -> None:
         cluster = LocalCluster(
@@ -310,28 +288,16 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
             repair_interval=args.repair_interval,
         )
         async with cluster:
-            host, port = cluster.address
-            replication = (
-                f", {args.replicas} replica(s)/shard "
-                f"under {args.ack_policy!r}"
-                if args.replicas > 0
-                else ""
+            notes = [f"admission: {admission.mode}"]
+            if args.replicas > 0:
+                notes.append(
+                    f"{args.replicas} replica(s)/shard "
+                    f"under {args.ack_policy!r}"
+                )
+            _announce(
+                args, f"{args.shards}-shard cluster from {args.directory}",
+                cluster.address, cluster.router.metrics_address, notes,
             )
-            budget_note = (
-                f", memory budget: {args.memory_budget:g} MiB"
-                if memory_budget is not None
-                else ""
-            )
-            print(
-                f"serving {args.shards}-shard cluster from "
-                f"{args.directory} on {host}:{port} "
-                f"(admission: {admission.mode}"
-                f"{replication}{budget_note})"
-            )
-            assert cluster.router is not None
-            if cluster.router.metrics_address is not None:
-                mhost, mport = cluster.router.metrics_address
-                print(f"metrics on http://{mhost}:{mport}/metrics")
             await cluster.serve_forever()
 
     return _serve_until_interrupted(run, args)
@@ -379,32 +345,36 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _write_json(path: str | None, payload: dict) -> None:
+    """``--json-out``: the report as indented JSON, if a path was given."""
     import json
+
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, default=str)
+            handle.write("\n")
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from .engine import verify_store
 
     report = verify_store(args.directory, policy=args.policy)
     print(report.summary())
-    if args.json_out is not None:
-        payload = asdict(report)
-        payload["clean"] = report.clean
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, default=str)
-            handle.write("\n")
+    _write_json(args.json_out, dict(asdict(report), clean=report.clean))
     return 0 if report.clean else 1
 
 
 def _cmd_scrub(args: argparse.Namespace) -> int:
     """Run one synchronous scrub pass over a store and report it."""
-    import json
-
     from .engine import LSMStore, StoreOptions
+    from .engine.integrity import require_store
 
+    require_store(args.directory)
     options = StoreOptions(
         block_cache_bytes=0,
-        scrub_rate_bytes_per_s=int(args.scrub_rate_mib * 2**20),
+        scrub_rate_bytes_per_s=args.scrub_rate_bytes_per_s,
     )
     with LSMStore.open(args.directory, options) as store:
         summary = store.scrub_pass()
@@ -420,14 +390,9 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
             f"quarantined: run {entry['run_id']} level {entry['level']} "
             f"({entry['reason']})"
         )
-    if args.json_out is not None:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"scrub": summary, "quarantined": status["quarantined"]},
-                handle,
-                indent=2,
-            )
-            handle.write("\n")
+    _write_json(
+        args.json_out, {"scrub": summary, "quarantined": status["quarantined"]}
+    )
     return 0 if not status["quarantined"] else 1
 
 
@@ -448,60 +413,26 @@ def _cmd_crashsim(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _check_replication(args: argparse.Namespace) -> None:
-    from .replication import ACK_POLICIES
-
-    if args.replicas < 0:
-        raise ReproError(
-            f"--replicas cannot be negative, got {args.replicas}"
-        )
-    if args.ack_policy not in ACK_POLICIES:
-        raise ReproError(
-            f"--ack-policy must be one of {ACK_POLICIES}, "
-            f"got {args.ack_policy!r}"
-        )
-    if args.read_from_replica and args.replicas == 0:
-        raise ReproError(
-            "--read-from-replica needs --replicas >= 1"
-        )
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import asyncio
-    import json
 
-    from .engine import StoreOptions
-    from .faults import run_chaos, run_corruption_chaos
+    from .faults import (
+        CHAOS_OPTIONS,
+        CORRUPTION_CHAOS_OPTIONS,
+        run_chaos,
+        run_corruption_chaos,
+    )
 
     if args.shards < 2:
         raise ReproError(
             f"--shards must be at least 2 (one to kill, one to "
             f"survive), got {args.shards}"
         )
-    if not 0 <= args.kill_shard < args.shards:
-        raise ReproError(
-            f"--kill-shard {args.kill_shard} is outside "
-            f"[0, {args.shards})"
-        )
-    _check_replication(args)
-    options = None
+    options = (
+        CORRUPTION_CHAOS_OPTIONS if args.corrupt_at_rest else CHAOS_OPTIONS
+    )
     if args.group_commit:
-        options = StoreOptions(
-            block_cache_bytes=0,
-            sync_writes=True,
-            group_commit=True,
-            # Keep the corruption runner's small-memtable/scrub shape so
-            # its at-rest byte flips still land on live run files.
-            **(
-                dict(
-                    memtable_bytes=4096,
-                    background_maintenance=True,
-                    scrub_interval=0.2,
-                )
-                if args.corrupt_at_rest
-                else {}
-            ),
-        )
+        options = options.with_(sync_writes=True, group_commit=True)
     load = dict(
         num_shards=args.shards,
         ops=args.ops,
@@ -512,11 +443,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         options=options,
     )
     if args.corrupt_at_rest:
-        if args.replicas < 1:
-            raise ReproError(
-                "--corrupt-at-rest needs --replicas >= 1 "
-                "(repair is replica-backed)"
-            )
         run = run_corruption_chaos(
             args.directory,
             target_shard=args.kill_shard,
@@ -535,10 +461,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
     report = asyncio.run(run)
     print(report.summary())
-    if args.json_out is not None:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-            handle.write("\n")
+    _write_json(args.json_out, report.to_dict())
     return 0 if report.ok else 1
 
 
@@ -620,50 +543,38 @@ def _add_admission_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--memtable-mib", type=float, default=4.0,
-        help="engine memory component budget (default: 4 MiB)",
-    )
-    from .engine.blockcodec import available_codecs
-    from .engine.options import ENGINE_POLICIES
+def _field_docs(cls) -> dict[str, str]:
+    """Each field's paragraph in a class docstring's ``Attributes``
+    section, on one line and without its reST markup."""
+    section = cls.__doc__.split("----------\n", 1)[1]
+    paragraphs = re.findall(r"^    (\w+):\n((?:        .*\n)+)", section, re.M)
+    return {
+        name: " ".join(re.sub(r"(:\w+:)?`+", "", text).split())
+        for name, text in paragraphs
+    }
 
-    parser.add_argument(
-        "--engine-policy", choices=ENGINE_POLICIES,
-        default="tiering", help="engine merge policy (default: tiering)",
-    )
-    parser.add_argument(
-        "--block-codec", choices=available_codecs(), default="none",
-        help="per-block compression for new sorted runs (default: "
-             "none); existing runs keep reading and merges rewrite "
-             "them under the new codec",
-    )
-    parser.add_argument(
-        "--maintenance-threads", type=int, default=1,
-        help="flush/merge workers per store (default: 1)",
-    )
-    parser.add_argument(
-        "--scrub-interval", type=float, default=0.0,
-        help="seconds between background integrity-scrub passes over "
-             "the live runs (default: 0, disabled); scrub I/O is "
-             "debited against the maintenance rate budget",
-    )
-    parser.add_argument(
-        "--scrub-rate-mib", type=float, default=0.0,
-        help="additional dedicated scrub throttle in MiB/s "
-             "(default: 0, unthrottled beyond the shared budget)",
-    )
-    parser.add_argument(
-        "--sync-writes", action="store_true",
-        help="fsync the WAL before acknowledging each write "
-             "(default: rely on OS buffering)",
-    )
-    parser.add_argument(
-        "--group-commit", action="store_true",
-        help="coalesce concurrent writers into one WAL write+fsync "
-             "per group (amortizes --sync-writes; see "
-             "docs/engine-concurrency.md)",
-    )
+
+def _add_engine_args(
+    parser: argparse.ArgumentParser, names: Sequence[str] = ENGINE_FLAGS
+) -> None:
+    """One ``--<field>`` flag per named :class:`StoreOptions` field: its
+    type, its default and its docstring paragraph as the help. The
+    values are checked once, by ``StoreOptions`` itself."""
+    from .engine import StoreOptions
+
+    docs = _field_docs(StoreOptions)
+    types = get_type_hints(StoreOptions)
+    for field in fields(StoreOptions):
+        if field.name not in names:
+            continue
+        kind = types[field.name]
+        parser.add_argument(
+            "--" + field.name.replace("_", "-"),
+            default=field.default,
+            help=docs[field.name].replace("%", "%%")
+            + " (default: %(default)s)",
+            **(dict(action="store_true") if kind is bool else dict(type=kind)),
+        )
 
 
 def _add_memory_args(parser: argparse.ArgumentParser) -> None:
@@ -672,7 +583,7 @@ def _add_memory_args(parser: argparse.ArgumentParser) -> None:
         help="adaptive memory arbitration: one global budget (MiB) "
              "split between memtables and block caches and rebalanced "
              "from observed pressure (default: disabled — static "
-             "--memtable-mib sizing applies)",
+             "--memtable-bytes sizing applies)",
     )
     parser.add_argument(
         "--memory-rebalance-interval", type=float, default=1.0,
@@ -698,11 +609,29 @@ def _memory_budget_bytes(args: argparse.Namespace) -> int | None:
     return int(args.memory_budget * 2**20)
 
 
-def _add_loadgen_args(
-    parser: argparse.ArgumentParser, default_distribution: str = "uniform"
+def _add_json_out(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--json-out", default=None, metavar="PATH",
+        help="also write the full report as JSON to this file",
+    )
+
+
+def _add_address(
+    parser: argparse.ArgumentParser, metrics: str | None = None
 ) -> None:
+    """``--host``/``--port``, and ``--metrics-port`` serving ``metrics``."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7379)
+    if metrics is not None:
+        parser.add_argument(
+            "--metrics-port", type=int, default=None,
+            help=f"expose {metrics} over HTTP on this port (0 picks a "
+                 "free port; default: disabled)",
+        )
+
+
+def _add_loadgen_args(parser: argparse.ArgumentParser) -> None:
+    _add_address(parser)
     parser.add_argument(
         "--mode", choices=("closed", "open", "two-phase"),
         default="two-phase",
@@ -726,9 +655,8 @@ def _add_loadgen_args(
              "max (default: 0.95, the paper's setting)",
     )
     parser.add_argument(
-        "--distribution", choices=("uniform", "zipf"),
-        default=default_distribution,
-        help="key popularity (default: %(default)s); zipf concentrates "
+        "--distribution", choices=("uniform", "zipf"), default="uniform",
+        help="key popularity (default: uniform); zipf concentrates "
              "traffic onto hot keys and therefore hot shards",
     )
     parser.add_argument(
@@ -780,10 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="audit a storage-engine directory's integrity"
     )
     verify_cmd.add_argument("directory", help="LSMStore data directory")
-    verify_cmd.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="also write the full report as JSON to this file",
-    )
+    _add_json_out(verify_cmd)
     from .engine.options import ENGINE_POLICIES
 
     verify_cmd.add_argument(
@@ -799,14 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
              "live runs; exits non-zero if anything was quarantined",
     )
     scrub_cmd.add_argument("directory", help="LSMStore data directory")
-    scrub_cmd.add_argument(
-        "--scrub-rate-mib", type=float, default=0.0,
-        help="dedicated scrub throttle in MiB/s (default: unthrottled)",
-    )
-    scrub_cmd.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="also write the scrub summary as JSON to this file",
-    )
+    _add_engine_args(scrub_cmd, ("scrub_rate_bytes_per_s",))
+    _add_json_out(scrub_cmd)
     scrub_cmd.set_defaults(handler=_cmd_scrub)
 
     crashsim_cmd = commands.add_parser(
@@ -881,23 +800,14 @@ def build_parser() -> argparse.ArgumentParser:
              "so the zero-lost-acked-writes audit covers grouped WAL "
              "fsyncs",
     )
-    chaos_cmd.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="also write the full report as JSON to this file",
-    )
+    _add_json_out(chaos_cmd)
     chaos_cmd.set_defaults(handler=_cmd_chaos)
 
     serve_cmd = commands.add_parser(
         "serve", help="serve an LSMStore over TCP with admission control"
     )
     serve_cmd.add_argument("directory", help="LSMStore data directory")
-    serve_cmd.add_argument("--host", default="127.0.0.1")
-    serve_cmd.add_argument("--port", type=int, default=7379)
-    serve_cmd.add_argument(
-        "--metrics-port", type=int, default=None,
-        help="expose Prometheus text metrics over HTTP on this port "
-             "(0 picks a free port; default: disabled)",
-    )
+    _add_address(serve_cmd, "Prometheus text metrics")
     _add_admission_args(serve_cmd)
     _add_engine_args(serve_cmd)
     _add_memory_args(serve_cmd)
@@ -910,13 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_serve_cmd.add_argument(
         "directory", help="cluster root directory (one subdir per shard)"
     )
-    cluster_serve_cmd.add_argument("--host", default="127.0.0.1")
-    cluster_serve_cmd.add_argument("--port", type=int, default=7379)
-    cluster_serve_cmd.add_argument(
-        "--metrics-port", type=int, default=None,
-        help="expose the cluster-wide Prometheus roll-up over HTTP on "
-             "this port (0 picks a free port; default: disabled)",
-    )
+    _add_address(cluster_serve_cmd, "the cluster-wide Prometheus roll-up")
     cluster_serve_cmd.add_argument(
         "--shards", type=int, default=4,
         help="number of shard engines (default: 4)",
@@ -949,8 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump: print the event ring once; tail: follow it; "
              "scrape: print the metrics snapshot as Prometheus text",
     )
-    obs_cmd.add_argument("--host", default="127.0.0.1")
-    obs_cmd.add_argument("--port", type=int, default=7379)
+    _add_address(obs_cmd)
     obs_cmd.add_argument(
         "--since", type=int, default=-1,
         help="only events with a larger sequence number (default: all)",
@@ -966,17 +869,10 @@ def build_parser() -> argparse.ArgumentParser:
     obs_cmd.set_defaults(handler=_cmd_obs)
 
     loadgen_cmd = commands.add_parser(
-        "loadgen", help="drive a running server with network load"
+        "loadgen", help="drive a server or a cluster router with load"
     )
     _add_loadgen_args(loadgen_cmd)
     loadgen_cmd.set_defaults(handler=_cmd_loadgen)
-
-    cluster_loadgen_cmd = commands.add_parser(
-        "cluster-loadgen",
-        help="drive a cluster router with (optionally skewed) load",
-    )
-    _add_loadgen_args(cluster_loadgen_cmd, default_distribution="zipf")
-    cluster_loadgen_cmd.set_defaults(handler=_cmd_loadgen)
 
     return parser
 

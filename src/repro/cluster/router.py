@@ -46,6 +46,7 @@ from ..errors import (
     ServerError,
     ShardDownError,
 )
+from ..memory import MemoryBudget
 from ..obs import (
     Event,
     Observability,
@@ -784,8 +785,6 @@ class LocalCluster:
             raise ConfigurationError(
                 "read_from_replica needs at least one replica per shard"
             )
-        if memory_budget is not None and memory_budget <= 0:
-            raise ConfigurationError("memory budget must be positive")
         if memory_rebalance_interval <= 0:
             raise ConfigurationError(
                 "memory rebalance interval must be positive"
@@ -793,6 +792,8 @@ class LocalCluster:
         if admission is not None:
             admission.require_shards(num_shards)
             require_workers(options or StoreOptions(), admission.base_mode)
+        if memory_budget is not None:  # refused before any shard opens
+            memory_budget = MemoryBudget(memory_budget, num_shards)
         self.store = ShardedStore(directory, num_shards, options, ring=ring)
         # The router and the memory arbiter share one bundle, so
         # memory_rebalance events ride the cluster EVENTS verb and the
@@ -802,8 +803,7 @@ class LocalCluster:
         if memory_budget is not None:
             try:
                 self.memory_arbiter = self.store.enable_memory_arbiter(
-                    memory_budget,
-                    obs=self._obs,
+                    memory_budget, obs=self._obs,
                     interval=memory_rebalance_interval,
                 )
             except BaseException:

@@ -104,16 +104,17 @@ class ShardedStore:
 
     def enable_memory_arbiter(
         self,
-        total_bytes: int,
+        budget: int | MemoryBudget,
         *,
         obs: Observability | None = None,
         **arbiter_kwargs,
     ) -> MemoryArbiter:
         """Put every shard's memory under one adaptive budget.
 
-        Builds a :class:`~repro.memory.MemoryBudget` of ``total_bytes``
-        over the shard engines and a :class:`~repro.memory.MemoryArbiter`
-        that re-splits it from observed signals. The initial equal-share
+        ``budget`` is a :class:`~repro.memory.MemoryBudget` over the
+        shard engines, or the total bytes to build one of; a
+        :class:`~repro.memory.MemoryArbiter` re-splits it from observed
+        signals. The initial equal-share
         split is applied immediately; afterwards the owner drives the
         control loop — a serving tier ticks ``arbiter.maybe_tick`` on a
         timer, a bench calls :meth:`rebalance_memory` inline. Extra
@@ -124,7 +125,8 @@ class ShardedStore:
             raise ConfigurationError(
                 "memory arbiter already enabled for this store"
             )
-        budget = MemoryBudget(total_bytes, self.num_shards)
+        if not isinstance(budget, MemoryBudget):
+            budget = MemoryBudget(budget, self.num_shards)
         self._memory_arbiter = MemoryArbiter(
             budget, self._stores, obs=obs, **arbiter_kwargs
         )

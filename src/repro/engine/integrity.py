@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..errors import CorruptionError
+from ..errors import ConfigurationError, CorruptionError
 from .manifest import Manifest
 from .quarantine import QuarantineSet
 from .sstable import SSTableReader
@@ -185,6 +185,12 @@ def verify_files(
     return bounds if len(report.problems) == problems else None
 
 
+def require_store(directory: str) -> None:
+    """Refuse a path with no store: opening one would create it empty."""
+    if not os.path.isfile(os.path.join(directory, "MANIFEST")):
+        raise ConfigurationError(f"no store at {directory}: no MANIFEST")
+
+
 def verify_store(directory: str, policy: str | None = None) -> IntegrityReport:
     """Audit every live run referenced by the store's manifest.
 
@@ -194,7 +200,9 @@ def verify_store(directory: str, policy: str | None = None) -> IntegrityReport:
     policies legitimately stack overlapping runs per level, so the check
     is skipped unless the caller asserts the policy. Orphans are run
     files no live run names; a file two live runs name is a problem.
+    A directory with no manifest is refused (:func:`require_store`).
     """
+    require_store(directory)
     report = IntegrityReport()
     wal_path = os.path.join(directory, "wal.log")
     if os.path.exists(wal_path):

@@ -23,6 +23,8 @@ replayable:
 """
 
 from .chaos import (
+    CHAOS_OPTIONS,
+    CORRUPTION_CHAOS_OPTIONS,
     ChaosReport,
     CorruptionChaosReport,
     run_chaos,
@@ -41,6 +43,8 @@ from .netsim import FaultyProxy
 from .plan import KINDS, SITES, FaultPlan, FaultRule, FaultyFile
 
 __all__ = [
+    "CHAOS_OPTIONS",
+    "CORRUPTION_CHAOS_OPTIONS",
     "KINDS",
     "SITES",
     "ChaosReport",

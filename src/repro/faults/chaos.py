@@ -57,6 +57,15 @@ from ..server import protocol
 from ..server.client import KVClient
 from ..server.service import in_thread
 
+#: :func:`run_chaos`'s shard engines: no block cache, so reads see disk.
+CHAOS_OPTIONS = StoreOptions(block_cache_bytes=0)
+
+#: :func:`run_corruption_chaos`'s: small memtables leave runs to corrupt,
+#: and a fast scrub makes background detection compete with the load.
+CORRUPTION_CHAOS_OPTIONS = CHAOS_OPTIONS.with_(
+    memtable_bytes=4096, background_maintenance=True, scrub_interval=0.2
+)
+
 
 @dataclass
 class ChaosReport:
@@ -398,16 +407,7 @@ async def run_corruption_chaos(
     cluster = LocalCluster(
         directory,
         num_shards=num_shards,
-        # Small memtables so the load actually produces on-disk runs to
-        # corrupt; no block cache so reads observe the disk; a fast
-        # scrub cadence so background detection competes with the load.
-        options=options
-        or StoreOptions(
-            block_cache_bytes=0,
-            memtable_bytes=4096,
-            background_maintenance=True,
-            scrub_interval=0.2,
-        ),
+        options=options or CORRUPTION_CHAOS_OPTIONS,
         shard_client_options=dict(_ONE_FAST_RETRY, timeout=2.0),
         replicas=replicas,
         ack_policy=ack_policy,
@@ -588,7 +588,7 @@ async def run_chaos(
     cluster = LocalCluster(
         directory,
         num_shards=num_shards,
-        options=options or StoreOptions(block_cache_bytes=0),
+        options=options or CHAOS_OPTIONS,
         ring=ring,
         shard_client_options=dict(_ONE_FAST_RETRY, timeout=1.0),
         breaker_options=dict(

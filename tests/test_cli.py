@@ -6,10 +6,18 @@ import signal
 import socket
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from repro.cli import _store_options_from, build_parser, main
+from repro.cli import (
+    ENGINE_FLAGS,
+    _field_docs,
+    _store_options_from,
+    build_parser,
+    main,
+)
+from repro.engine import StoreOptions
 
 
 @pytest.fixture
@@ -41,19 +49,25 @@ class TestParser:
         args = build_parser().parse_args(["sweep", "size-ratio"])
         assert args.axis == "size-ratio"
 
-    def test_policy_choices_are_the_factory_names(self):
+    def test_policy_choices_are_the_factory_names(self, tmp_path, capsys):
         from repro.core.factory import POLICIES
         from repro.engine.options import ENGINE_POLICIES
 
         parser = build_parser()
         for name in POLICIES:
             assert parser.parse_args(["two-phase", "--policy", name]).policy == name
-        for command in (["verify", "db"], ["serve", "db"]):
-            flag = "--policy" if command[0] == "verify" else "--engine-policy"
-            for name in ENGINE_POLICIES:
-                parser.parse_args([*command, flag, name])
-            with pytest.raises(SystemExit):
-                parser.parse_args([*command, flag, "partitioned"])
+        for name in ENGINE_POLICIES:
+            parser.parse_args(["verify", "db", "--policy", name])
+            args = parser.parse_args(["serve", "db", "--policy", name])
+            assert _store_options_from(args).policy == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "db", "--policy", "partitioned"])
+        # The engine flags carry no choices: StoreOptions refuses the
+        # name before the store opens.
+        directory = tmp_path / "db"
+        assert main(["serve", str(directory), "--policy", "partitioned"]) == 2
+        assert "runs only in the simulator" in capsys.readouterr().err
+        assert not directory.exists()
 
     def test_non_numeric_size_ratio_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -319,7 +333,6 @@ class TestServeAndLoadgenParsers:
             ["serve", "/tmp/db"],
             ["cluster-serve", "/tmp/db"],
             ["loadgen"],
-            ["cluster-loadgen"],
         ],
     )
     def test_there_is_no_wire_flag(self, command):
@@ -409,11 +422,6 @@ class TestClusterParsersAndValidation:
         assert args.admission == "none"
         assert _store_options_from(args).background_maintenance
 
-    def test_cluster_loadgen_defaults_to_zipf(self):
-        args = build_parser().parse_args(["cluster-loadgen"])
-        assert args.distribution == "zipf"
-        assert args.theta == 0.99
-
     def test_loadgen_defaults_to_uniform(self):
         args = build_parser().parse_args(["loadgen"])
         assert args.distribution == "uniform"
@@ -502,6 +510,133 @@ class TestClusterParsersAndValidation:
         code = main(["loadgen", "--mode", "closed", "--ops", "0"])
         assert code == 2
         assert "--ops" in capsys.readouterr().err
+
+
+class TestEngineFlags:
+    """``serve``/``cluster-serve`` engine flags are StoreOptions fields."""
+
+    def test_every_store_option_has_a_docstring_paragraph(self):
+        docs = _field_docs(StoreOptions)
+        assert list(docs) == [field.name for field in fields(StoreOptions)]
+        assert all(docs.values())
+        assert "``" not in docs["block_codec"]
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            (["serve", "db"], ENGINE_FLAGS),
+            (["cluster-serve", "db"], ENGINE_FLAGS),
+            (["scrub", "db"], ("scrub_rate_bytes_per_s",)),
+        ],
+    )
+    def test_every_flag_defaults_to_its_field(self, command, names):
+        args = vars(build_parser().parse_args(command))
+        exposed = {
+            field.name: field.default
+            for field in fields(StoreOptions)
+            if field.name in args
+        }
+        assert exposed == {
+            field.name: field.default
+            for field in fields(StoreOptions)
+            if field.name in names
+        }
+        assert {name: args[name] for name in exposed} == exposed
+
+    def test_eight_values_and_their_renames(self):
+        assert len(ENGINE_FLAGS) == 8
+        args = build_parser().parse_args([
+            "serve", "db", "--memtable-bytes", "104857", "--policy",
+            "leveling", "--block-codec", "zlib", "--maintenance-threads",
+            "2", "--scrub-interval", "0.5", "--scrub-rate-bytes-per-s",
+            "1024", "--sync-writes", "--group-commit",
+        ])
+        assert _store_options_from(args) == StoreOptions(
+            memtable_bytes=104857,
+            policy="leveling",
+            block_codec="zlib",
+            background_maintenance=True,
+            maintenance_threads=2,
+            scrub_interval=0.5,
+            scrub_rate_bytes_per_s=1024,
+            sync_writes=True,
+            group_commit=True,
+        )
+        for gone in (["--memtable-mib", "4"], ["--engine-policy", "tiering"],
+                     ["--scrub-rate-mib", "1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "db", *gone])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cluster-loadgen"])
+
+
+#: A value the command line refuses, and a piece of its one error line.
+#: ``{dir}`` is a directory under ``tmp_path`` that must not exist after.
+REFUSED = [
+    (["two-phase", "--size-ratio", "2.5"], "whole size ratio"),
+    (["two-phase", "--scheduler", "lottery"], "unknown scheduler"),
+    (["verify", "{dir}"], "no store"),
+    (["scrub", "{dir}"], "no store"),
+    (["crashsim", "{dir}", "--ops", "1"], "--ops"),
+    (["serve", "{dir}", "--port", "70000"], "70000"),
+    (["serve", "{dir}", "--memory-budget", "0"], "--memory-budget"),
+    (["serve", "{dir}", "--memory-budget", "-8"], "--memory-budget"),
+    (["serve", "{dir}", "--memory-budget", "0.01"], "memtable floor"),
+    (["serve", "{dir}", "--memory-budget", "8",
+      "--memory-rebalance-interval", "0"], "--memory-rebalance-interval"),
+    (["serve", "{dir}", "--memtable-bytes", "100"], "implausibly small"),
+    (["serve", "{dir}", "--policy", "partitioned"], "only in the simulator"),
+    (["serve", "{dir}", "--block-codec", "lz9"], "unknown block codec"),
+    (["serve", "{dir}", "--maintenance-threads", "0"], "maintenance worker"),
+    (["serve", "{dir}", "--scrub-interval", "-1"], "scrub interval"),
+    (["serve", "{dir}", "--scrub-rate-bytes-per-s", "-1"], "scrub rate"),
+    (["cluster-serve", "{dir}", "--port", "0"], "valid TCP range"),
+    (["cluster-serve", "{dir}", "--shards", "0"], "--shards"),
+    (["cluster-serve", "{dir}", "--memory-budget", "-1"], "--memory-budget"),
+    (["cluster-serve", "{dir}", "--memory-budget", "0.01"], "memtable floor"),
+    (["cluster-serve", "{dir}", "--replicas", "-1"], "negative"),
+    (["cluster-serve", "{dir}", "--read-from-replica"], "replica"),
+    (["cluster-serve", "{dir}", "--repair-interval", "-1"], "negative"),
+    (["chaos", "{dir}", "--shards", "1"], "--shards"),
+    (["chaos", "{dir}", "--shards", "2", "--kill-shard", "5"], "shard 5"),
+    (["chaos", "{dir}", "--corrupt-at-rest", "--replicas", "1",
+      "--shards", "2", "--kill-shard", "5"], "no such shard 5"),
+    (["chaos", "{dir}", "--corrupt-at-rest", "--replicas", "0"],
+     "replicas >= 1"),
+    (["chaos", "{dir}", "--replicas", "-1"], "negative"),
+    (["chaos", "{dir}", "--read-from-replica"], "replica"),
+    (["chaos", "{dir}", "--kill-at", "0.7"], "kill_at < restore_at"),
+    (["loadgen", "--port", "70000"], "70000"),
+    (["loadgen", "--mode", "open", "--rate", "-5"], "--rate"),
+    (["loadgen", "--mode", "closed", "--clients", "0"], "--clients"),
+    (["loadgen", "--mode", "closed", "--ops", "0"], "--ops"),
+    (["obs", "dump", "--port", "0"], "valid TCP range"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, message", REFUSED, ids=[" ".join(row[0]) for row in REFUSED]
+)
+def test_a_refused_value_exits_2_and_leaves_nothing(
+    command, message, tmp_path, capsys
+):
+    directory = tmp_path / "db"
+    argv = [part.replace("{dir}", str(directory)) for part in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert message in err
+    assert not directory.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "scrub"])
+def test_an_audit_of_a_directory_without_a_store_writes_nothing(
+    command, tmp_path, capsys
+):
+    (tmp_path / "notes.txt").write_text("not a store")
+    assert main([command, str(tmp_path)]) == 2
+    assert "no store" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["notes.txt"]
 
 
 class TestSigterm:
