@@ -5,9 +5,9 @@ The memory arbiter's claim (BENCH_7): one byte budget split between the
 memtable and the block cache by a feedback controller tracks a shifting
 workload better than any fixed carving. A split tuned for writes starves
 the cache when the workload turns scan-heavy; a split tuned for reads
-rotates tiny memtables during a write burst, putting an inline flush in
-the P99 more than 1% of the time. The adaptive store starts from an even
-split and must end up near the right carving in *every* phase.
+rotates tiny memtables during a write burst, flushing and merging more
+bytes. The adaptive store starts from an even split and must end up near
+the right carving in *every* phase.
 
 Three identical stores — adaptive (arbiter, ticked every ``--tick-ops``
 operations), static write-heavy (7/8 memtable), static read-heavy (1/8
@@ -19,16 +19,21 @@ memtable) — run the same seeded three-phase workload:
    large cache but thrash the small one;
 3. **mixed**       — 70% puts / 30% scans over the same hot set.
 
-Per phase, the first ``--warmup-fraction`` of operations is excluded
-from the percentiles: that window is where the controller is *supposed*
-to be moving, and the claim is about where it lands, not how it gets
-there. Run with the repo sources on the path::
+The verdict is on I/O, the quantity *Breaking Down Memory Walls* tunes
+memory for: per phase, the bytes flushes and merges wrote (the rate
+limiter's admitted bytes) plus one block read per cache miss. The first
+``--warmup-fraction`` of each phase is excluded: that window is where
+the controller is *supposed* to be moving, and the claim is about where
+it lands, not how it gets there. The counts repeat from run to run for a
+seed; P99 latencies are printed beside them but judge nothing, because
+on a shared box they do not repeat. Run with the repo sources on the
+path::
 
     PYTHONPATH=src python benchmarks/bench_memory.py --quick
 
 Emits ``BENCH_7.json`` (override with ``--output``). Exits non-zero
-unless, in every phase, the adaptive P99 strictly beats the worst static
-split and lands within 15% of the best one.
+unless, in every phase, the adaptive store's I/O bytes are strictly
+below the worst static split's and within 15% of the best one's.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from repro.metrics.percentiles import percentile
 
 WRITE_HEAVY_FRACTION = 0.875
 READ_HEAVY_FRACTION = 0.125
+#: Bytes one cache miss reads: the store's block size.
+BLOCK_BYTES = 4096
 
 
 def build_options(args: argparse.Namespace) -> StoreOptions:
@@ -61,6 +68,7 @@ def build_options(args: argparse.Namespace) -> StoreOptions:
         size_ratio=4,
         scheduler="greedy",
         levels=6,
+        block_bytes=BLOCK_BYTES,
         background_maintenance=False,
     )
 
@@ -96,6 +104,14 @@ class Config:
         # seeded workload, so reruns reproduce the same decisions.
         if self.arbiter is not None and (op_index + 1) % tick_ops == 0:
             self.arbiter.tick()
+
+    def io_bytes(self) -> float:
+        """Bytes flushes and merges wrote plus bytes cache misses read,
+        over the store's lifetime."""
+        return (
+            self.store.rate_limiter.total_admitted_bytes
+            + self.store.stats().cache_misses * BLOCK_BYTES
+        )
 
     def close(self) -> None:
         self.store.close()
@@ -149,6 +165,7 @@ def run_phase(
     hot = [f"k{i:08d}".encode() for i in range(args.hot_keys)]
     warmup = int(len(ops) * args.warmup_fraction)
     latencies: dict[str, list[float]] = {c.name: [] for c in configs}
+    io_at_warmup: dict[str, float] = {}
     rebalances_before = {
         config.name: len(config.arbiter.obs.tracer.events())
         for config in configs
@@ -159,6 +176,8 @@ def run_phase(
         # caches, post-tick work) does not consistently favour one.
         offset = index % len(configs)
         for config in configs[offset:] + configs[:offset]:
+            if index == warmup:
+                io_at_warmup[config.name] = config.io_bytes()
             store = config.store
             if op[0] == "put":
                 started = time.perf_counter()
@@ -184,6 +203,9 @@ def run_phase(
             "p50_us": round(percentile(samples, 50.0) * 1e6, 1),
             "p99_us": round(percentile(samples, 99.0) * 1e6, 1),
             "mean_us": round(sum(samples) / len(samples) * 1e6, 1),
+            "io_mib": round(
+                (config.io_bytes() - io_at_warmup[config.name]) / 2**20, 2
+            ),
         }
         if config.arbiter is not None:
             shares = config.arbiter.shares
@@ -267,8 +289,9 @@ def main(argv: list[str] | None = None) -> int:
                     else ""
                 )
                 print(
-                    f"{name}/{phase}: p50={outcome['p50_us']:.0f}us "
-                    f"p99={outcome['p99_us']:.0f}us{extra}"
+                    f"{name}/{phase}: io={outcome['io_mib']:.1f}MiB "
+                    f"(p50={outcome['p50_us']:.0f}us "
+                    f"p99={outcome['p99_us']:.0f}us){extra}"
                 )
             # Settle between phases so carried-over merge debt from
             # one phase does not pollute the next one's percentiles.
@@ -281,28 +304,34 @@ def main(argv: list[str] | None = None) -> int:
     failed: list[str] = []
     comparison = {}
     for phase in phases:
-        adaptive = results["adaptive"][phase]["p99_us"]
+        adaptive = results["adaptive"][phase]["io_mib"]
         statics = {
-            name: results[name][phase]["p99_us"]
+            name: results[name][phase]["io_mib"]
             for name in ("static_write", "static_read")
         }
         worst = max(statics.values())
         best = min(statics.values())
         comparison[phase] = {
-            "adaptive_p99_us": adaptive,
-            "best_static_p99_us": best,
-            "worst_static_p99_us": worst,
+            "adaptive_io_mib": adaptive,
+            "best_static_io_mib": best,
+            "worst_static_io_mib": worst,
             "vs_best": round(adaptive / best, 3) if best else None,
+            # Printed beside the counts, never judged.
+            "adaptive_p99_us": results["adaptive"][phase]["p99_us"],
+            "static_p99_us": {
+                name: results[name][phase]["p99_us"]
+                for name in ("static_write", "static_read")
+            },
         }
         if adaptive >= worst:
             failed.append(
-                f"{phase}: adaptive p99 {adaptive:.0f}us did not beat "
-                f"the worst static split ({worst:.0f}us)"
+                f"{phase}: adaptive I/O {adaptive:.1f} MiB did not beat "
+                f"the worst static split ({worst:.1f} MiB)"
             )
         if adaptive > 1.15 * best:
             failed.append(
-                f"{phase}: adaptive p99 {adaptive:.0f}us is more than "
-                f"15% over the best static split ({best:.0f}us)"
+                f"{phase}: adaptive I/O {adaptive:.1f} MiB is more than "
+                f"15% over the best static split ({best:.1f} MiB)"
             )
 
     payload = {

@@ -84,7 +84,7 @@ async def run_corner(
                 seed=args.seed,
                 label=_tag(group_commit),
             )
-        profile = result.latency_profile((50.0, 99.0))
+        profile = result.write_latency_profile((50.0, 99.0))
         batches = _metric(store, "engine_group_commit_batches_total")
         syncs = _metric(store, "engine_group_commit_syncs_total")
     return {

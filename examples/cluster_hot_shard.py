@@ -93,7 +93,7 @@ async def run_scope(directory: Path, scope: str):
 
 
 def report(scope: str, result, rejected) -> None:
-    profile = result.latency_profile((50.0, 99.0))
+    profile = result.write_latency_profile((50.0, 99.0))
     per_shard = ", ".join(
         f"shard {shard}: {count}" for shard, count in sorted(rejected.items())
     ) or "none"

@@ -89,7 +89,7 @@ async def run_mode(directory: Path, mode: str, params: dict):
 
 
 def report(mode: str, result, stats, metrics) -> None:
-    profile = result.latency_profile((50.0, 99.0))
+    profile = result.write_latency_profile((50.0, 99.0))
     print(f"\n=== admission: {mode}")
     print(
         f"  client write latency: p50 {profile[50.0] * 1e3:7.2f}ms  "

@@ -3,16 +3,18 @@
 ::
 
     python -m repro two-phase --policy tiering --scheduler greedy
+    python -m repro two-phase --target engine --scale 1024
     python -m repro compare --policy leveling
     python -m repro sweep size-ratio --policy tiering --ratios 2,4,6,10
     python -m repro sweep utilization --policy tiering --points 0.5,0.8,0.95
     python -m repro sweep partition-size --files-mib 8,64,512
     python -m repro serve /tmp/db --admission gradual
-    python -m repro loadgen --port 7379 --mode two-phase
+    python -m repro loadgen --port 7379 --mode open --rate 500
 
 Every command builds the corresponding :class:`~repro.harness.ExperimentSpec`,
-runs the two-phase evaluation on the scaled simulated testbed, and prints
-the same tables/sparklines the benchmark suite produces.
+runs the two-phase evaluation on the scaled simulated testbed (or with
+``--target engine|wire`` on the real stack), and prints the same
+tables/sparklines the benchmark suite produces.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from typing import Sequence, get_type_hints
 
@@ -41,22 +44,60 @@ def _spec_for(args: argparse.Namespace, scheduler: str | None = None):
     ).with_(utilization=args.utilization)
 
 
+@contextmanager
+def _two_phase_target(args: argparse.Namespace, spec):
+    """The spec, or a target writing 16 of its memtables' worth a phase."""
+    if args.target == "sim":
+        yield spec
+        return
+    from .harness import EngineTarget, WireTarget
+
+    config = spec.config
+    load = dict(ops=int(16 * config.memory_component_entries),
+                value_bytes=int(config.entry_bytes),
+                keyspace=int(config.total_keys), distribution=args.distribution)
+    if args.target == "wire":
+        _check_port(args.port)
+        yield WireTarget(args.host, args.port, **load)
+        return
+    import tempfile
+
+    from .engine import LSMStore, StoreOptions
+
+    options = StoreOptions(  # refuses a simulator-only name before mkdtemp
+        policy=args.policy, scheduler=args.scheduler,
+        size_ratio=getattr(
+            spec.policy_factory(), "size_ratio", StoreOptions.size_ratio
+        ),
+        memtable_bytes=int(config.memory_component_bytes),
+        background_maintenance=True,
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-two-phase-") as directory:
+        with LSMStore.open(directory, options) as store:
+            yield EngineTarget(store, **load)
+
+
 def _cmd_two_phase(args: argparse.Namespace) -> int:
     from .harness import format_latency_profile, sparkline, two_phase
 
     spec = _spec_for(args)
-    print(f"spec: {spec.name} (scale x{args.scale:.0f}, "
+    print(f"spec: {spec.name} on {args.target} (scale x{args.scale:.0f}, "
           f"utilization {args.utilization:.0%})")
-    outcome = two_phase(spec)
+    with _two_phase_target(args, spec) as target:
+        outcome = two_phase(target, args.utilization)
+    running, unit = outcome.running, "entries/s" if target is spec else "writes/s"
     print(f"testing phase:  max write throughput = "
-          f"{outcome.max_write_throughput:.1f} entries/s")
-    print(f"running phase:  arrivals = {outcome.arrival_rate:.1f} entries/s")
-    print("  throughput  "
-          + sparkline(outcome.running.throughput_series(), 60))
-    print(f"  stalls: {outcome.running.stall_count()} "
-          f"({outcome.running.stall_time:.0f}s)")
-    print("  write latencies: "
-          + format_latency_profile(outcome.running.write_latency_profile()))
+          f"{outcome.max_write_throughput:.1f} {unit}")
+    print(f"running phase:  arrivals = {outcome.arrival_rate:.1f} {unit}")
+    if target is spec:
+        print("  throughput  " + sparkline(running.throughput_series(), 60))
+        print(f"  stalls: {running.stall_count()} ({running.stall_time:.0f}s)")
+    else:
+        print(f"  {outcome.testing.summary()}\n  {running.summary()}")
+        print(f"  stalls: {running.stall_count()}, queued at the last "
+              f"arrival: {running.final_queue_length}")
+    print("  write latencies: " + format_latency_profile(
+        running.write_latency_profile((50.0, 90.0, 99.0, 99.9))))
     print(f"  sustainable: {'yes' if outcome.sustainable else 'NO'}")
     return 0
 
@@ -218,7 +259,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .server.loadgen import closed_loop, open_loop, two_phase as net_two_phase
+    from .server.loadgen import closed_loop, open_loop
 
     _check_port(args.port)
     if args.mode == "open" and args.rate <= 0:
@@ -238,25 +279,16 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         distribution=args.distribution,
         theta=args.theta,
     )
-    per_client = args.ops // args.clients
     if args.mode == "closed":
         run = closed_loop(
-            clients=args.clients, ops_per_client=per_client, **common
-        )
-    elif args.mode == "open":
-        run = open_loop(rate_ops_per_s=args.rate, total_ops=args.ops, **common)
-    else:
-        run = net_two_phase(
-            utilization=args.utilization,
-            clients=args.clients,
-            testing_ops_per_client=per_client,
-            running_ops=args.ops,
+            clients=args.clients, ops_per_client=args.ops // args.clients,
             **common,
         )
+    else:
+        run = open_loop(rate_ops_per_s=args.rate, total_ops=args.ops, **common)
     result = asyncio.run(run)
     print(result.summary())
-    # A two-phase result counts its running phase.
-    return 0 if getattr(result, "running", result).op_count else 1
+    return 0 if result.op_count else 1
 
 
 def _cmd_cluster_serve(args: argparse.Namespace) -> int:
@@ -633,26 +665,20 @@ def _add_address(
 def _add_loadgen_args(parser: argparse.ArgumentParser) -> None:
     _add_address(parser)
     parser.add_argument(
-        "--mode", choices=("closed", "open", "two-phase"),
-        default="two-phase",
-        help="load shape (default: the paper's two-phase methodology)",
+        "--mode", choices=("closed", "open"), default="closed",
+        help="load shape (default: closed)",
     )
     parser.add_argument(
         "--clients", type=int, default=4,
-        help="concurrent closed-loop clients (default: 4)",
+        help="closed mode: concurrent clients (default: 4)",
     )
     parser.add_argument(
         "--ops", type=int, default=2000,
-        help="total operations per phase (default: 2000)",
+        help="total operations (default: 2000)",
     )
     parser.add_argument(
         "--rate", type=float, default=500.0,
         help="open mode: arrivals per second (default: 500)",
-    )
-    parser.add_argument(
-        "--utilization", type=float, default=0.95,
-        help="two-phase mode: running-phase fraction of the measured "
-             "max (default: 0.95, the paper's setting)",
     )
     parser.add_argument(
         "--distribution", choices=("uniform", "zipf"), default="uniform",
@@ -679,7 +705,13 @@ def build_parser() -> argparse.ArgumentParser:
     two_phase_cmd = commands.add_parser(
         "two-phase", help="run the full testing+running methodology"
     )
+    two_phase_cmd.add_argument(
+        "--target", choices=("sim", "engine", "wire"), default="sim",
+        help="the simulated testbed, an LSMStore in process (temporary "
+             "directory), or the server at --host/--port (default: sim)",
+    )
     _add_common(two_phase_cmd)
+    _add_address(two_phase_cmd)
     two_phase_cmd.set_defaults(handler=_cmd_two_phase)
 
     compare_cmd = commands.add_parser(

@@ -55,6 +55,7 @@ from ..obs import (
     relabel_snapshot,
 )
 from ..obs import events as obs_events
+from ..replication.policy import validate_ack_policy
 from ..server import binproto, protocol
 from ..server.admission import ADMIT, REJECT, AdmissionDecision
 from ..server.client import KVClient
@@ -779,6 +780,7 @@ class LocalCluster:
         binproto.require_binary(wire)
         if replicas < 0:
             raise ConfigurationError("replicas cannot be negative")
+        validate_ack_policy(ack_policy)
         if repair_interval < 0:
             raise ConfigurationError("repair_interval cannot be negative")
         if read_from_replica and replicas == 0:

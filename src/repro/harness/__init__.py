@@ -11,7 +11,9 @@ from .sweeps import (
     utilization_sweep,
 )
 from .twophase import (
+    EngineTarget,
     TwoPhaseOutcome,
+    WireTarget,
     build_tree,
     running_phase,
     testing_phase,
@@ -21,8 +23,10 @@ from .twophase import (
 __all__ = [
     "DEFAULT_SCALE",
     "ascii_chart",
+    "EngineTarget",
     "ExperimentSpec",
     "TwoPhaseOutcome",
+    "WireTarget",
     "build_tree",
     "compare_schedulers",
     "emit",

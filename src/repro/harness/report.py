@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
+from .charts import _resample
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -54,15 +55,9 @@ def sparkline(values: Iterable[float], width: int = 72) -> str:
     Stalls render as the lowest glyph, so a write-stall-riddled
     throughput series is visibly gap-toothed in benchmark output.
     """
-    data = np.asarray(list(values), dtype=np.float64)
+    data = _resample(np.asarray(list(values), dtype=np.float64), width)
     if data.size == 0:
         return ""
-    if data.size > width:
-        edges = np.linspace(0, data.size, width + 1).astype(int)
-        data = np.asarray(
-            [data[lo:hi].mean() if hi > lo else data[min(lo, data.size - 1)]
-             for lo, hi in zip(edges[:-1], edges[1:])]
-        )
     top = float(data.max())
     if top <= 0:
         return _SPARK_LEVELS[0] * data.size

@@ -1,25 +1,16 @@
-"""Network load generation: the two-phase methodology over the wire.
-
-The paper evaluates write stalls with a two-phase experiment: a *testing
-phase* measures the maximum sustainable write throughput with a closed
-system, then a *running phase* replays an open (constant-arrival) load
-at a fraction of that maximum — 95% throughout the paper — and reports
-percentile latencies. This module reproduces that methodology against a
-live :class:`~repro.server.KVServer` with real TCP clients:
+"""Network load generation: the two loops of the two-phase methodology.
 
 * :func:`closed_loop` — N concurrent clients issuing back-to-back
-  writes; measures service capacity (the testing phase), and doubles as
-  an overload generator for admission-mode experiments.
-* :func:`open_loop` — ops dispatched on a fixed arrival schedule;
-  latency is measured from *scheduled arrival* to completion, so queueing
-  delay during stalls shows up in the tail exactly as the paper's
-  Figure 1 latency spikes do.
-* :func:`two_phase` — the full pipeline: closed-loop testing phase, then
-  an open-loop running phase at ``utilization`` times the measured max.
+  writes: the testing phase (service capacity), and an overload
+  generator for admission-mode experiments.
+* :func:`open_loop` — writes dispatched on a fixed arrival schedule,
+  each timed from its *scheduled* arrival, so queueing during a stall
+  lands in the tail as the paper's Figure 1 spikes do.
 
-Latencies include client-side retries and backoff: they are what a real
-application would observe, which is the entire point of the serving
-layer's admission control.
+Both drive a live :class:`~repro.server.KVServer` or cluster router over
+TCP; :func:`repro.harness.two_phase` runs them as the two phases
+(:class:`~repro.harness.WireTarget`). Latencies include client retries
+and backoff: what an application would observe.
 """
 
 from __future__ import annotations
@@ -95,6 +86,12 @@ class LoadResult:
     #: Failed ops bucketed by :func:`classify_error`; values sum to
     #: ``error_count``.
     errors_by_type: dict[str, int] = field(default_factory=dict)
+    #: Open loop: ops not yet answered when the last one arrived.
+    final_queue_length: int = 0
+
+    def stall_count(self) -> int:
+        """Writes the store stalled (STALLED answers, over the wire)."""
+        return self.stalled_responses
 
     @property
     def data_corrupt_count(self) -> int:
@@ -104,13 +101,18 @@ class LoadResult:
         return self.errors_by_type.get("data_corrupt", 0)
 
     @property
+    def total_writes(self) -> int:
+        """Completed operations, under the simulator result's name."""
+        return self.op_count
+
+    @property
     def throughput(self) -> float:
         """Completed operations per second."""
         if self.duration_seconds <= 0:
             return 0.0
         return self.op_count / self.duration_seconds
 
-    def latency_profile(
+    def write_latency_profile(
         self, levels: tuple[float, ...] = (50.0, 90.0, 99.0)
     ) -> dict[float, float]:
         """Percentile client latencies in seconds.
@@ -127,10 +129,6 @@ class LoadResult:
             )
         return percentile_profile(self.latencies, levels)
 
-    def percentile(self, q: float) -> float:
-        """One percentile of the observed client latencies."""
-        return self.latency_profile((q,))[q]
-
     @property
     def max_latency(self) -> float:
         """Worst observed client latency."""
@@ -140,7 +138,12 @@ class LoadResult:
         """One-line human-readable result."""
         if not self.latencies:
             return f"{self.label}: no completed operations"
-        profile = self.latency_profile()
+        profile = self.write_latency_profile()
+        buckets = ", ".join(
+            f"{kind}: {count}" for kind, count in sorted(
+                self.errors_by_type.items(), key=lambda item: (-item[1], item[0])
+            )
+        )
         return (
             f"{self.label}: {self.op_count} ops in "
             f"{self.duration_seconds:.2f}s ({self.throughput:.0f} op/s), "
@@ -148,19 +151,7 @@ class LoadResult:
             f"p99 {profile[99.0] * 1e3:.1f}ms "
             f"max {self.max_latency * 1e3:.1f}ms, "
             f"{self.retries} retries, {self.error_count} errors"
-            + (
-                " ("
-                + ", ".join(
-                    f"{kind}: {count}"
-                    for kind, count in sorted(
-                        self.errors_by_type.items(),
-                        key=lambda item: (-item[1], item[0]),
-                    )
-                )
-                + ")"
-                if self.errors_by_type
-                else ""
-            )
+            + (f" ({buckets})" if buckets else "")
         )
 
 
@@ -198,6 +189,39 @@ def _operation_stream(
             yield key, rng.randbytes(value_bytes)
 
 
+class _Tally:
+    """One run's client, its answered writes and its failed ones by kind."""
+
+    def __init__(self, host: str, port: int, options: dict | None,
+                 pool_size: int, seed: int) -> None:
+        options = dict(options or {})
+        options.setdefault("pool_size", pool_size)
+        options.setdefault("jitter_seed", seed)
+        self.client = KVClient(host, port, **options)
+        self.latencies: list[float] = []
+        self.errors_by_type: dict[str, int] = {}
+
+    async def put(self, key: bytes, value: bytes, since: float) -> float | None:
+        """One write timed from ``since``: when it was answered, or None."""
+        try:
+            await self.client.put(key, value)
+        except ServerError as error:
+            kind = classify_error(error)
+            self.errors_by_type[kind] = self.errors_by_type.get(kind, 0) + 1
+            return None
+        done = time.monotonic()
+        self.latencies.append(done - since)
+        return done
+
+    def result(self, label: str, duration: float, queued: int = 0) -> LoadResult:
+        telemetry = self.client.telemetry
+        return LoadResult(
+            label, len(self.latencies), sum(self.errors_by_type.values()),
+            duration, self.latencies, telemetry.retries_total,
+            telemetry.stalled_responses, self.errors_by_type, queued,
+        )
+
+
 async def closed_loop(
     host: str,
     port: int,
@@ -214,53 +238,20 @@ async def closed_loop(
     """Closed system: each client issues its next write on completion."""
     if clients < 1 or ops_per_client < 1:
         raise ConfigurationError("need at least one client and one op")
-    options = dict(client_options or {})
-    options.setdefault("pool_size", clients)
-    options.setdefault("jitter_seed", seed)
-    latencies: list[float] = []
-    errors = 0
-    errors_by_type: dict[str, int] = {}
-
-    async with KVClient(host, port, **options) as client:
+    tally = _Tally(host, port, client_options, clients, seed)
+    async with tally.client:
 
         async def worker(worker_id: int) -> None:
-            nonlocal errors
             stream = _operation_stream(
-                seed + worker_id,
-                keyspace,
-                value_bytes,
-                distribution=distribution,
-                theta=theta,
+                seed + worker_id, keyspace, value_bytes,
+                distribution=distribution, theta=theta,
             )
             for _ in range(ops_per_client):
-                key, value = next(stream)
-                started = time.monotonic()
-                try:
-                    await client.put(key, value)
-                except ServerError as error:
-                    errors += 1
-                    kind = classify_error(error)
-                    errors_by_type[kind] = (
-                        errors_by_type.get(kind, 0) + 1
-                    )
-                    continue
-                latencies.append(time.monotonic() - started)
+                await tally.put(*next(stream), time.monotonic())
 
         started = time.monotonic()
-        await asyncio.gather(
-            *(worker(worker_id) for worker_id in range(clients))
-        )
-        duration = time.monotonic() - started
-        return LoadResult(
-            label=label,
-            op_count=len(latencies),
-            error_count=errors,
-            duration_seconds=duration,
-            latencies=latencies,
-            retries=client.telemetry.retries_total,
-            stalled_responses=client.telemetry.stalled_responses,
-            errors_by_type=errors_by_type,
-        )
+        await asyncio.gather(*(worker(index) for index in range(clients)))
+        return tally.result(label, time.monotonic() - started)
 
 
 async def open_loop(
@@ -284,132 +275,33 @@ async def open_loop(
     """
     if rate_ops_per_s <= 0 or total_ops < 1:
         raise ConfigurationError("need a positive rate and op count")
-    options = dict(client_options or {})
-    options.setdefault("pool_size", 8)
-    options.setdefault("jitter_seed", seed)
-    latencies: list[float] = []
-    errors = 0
-    errors_by_type: dict[str, int] = {}
-
-    async with KVClient(host, port, **options) as client:
+    tally = _Tally(host, port, client_options, 8, seed)
+    queued = 0
+    async with tally.client:
         stream = _operation_stream(
             seed, keyspace, value_bytes, distribution=distribution, theta=theta
         )
         operations = [next(stream) for _ in range(total_ops)]
         epoch = time.monotonic()
+        last_arrival = epoch + (total_ops - 1) / rate_ops_per_s
 
         async def fire(index: int, key: bytes, value: bytes) -> None:
-            nonlocal errors
+            nonlocal queued
             scheduled = epoch + index / rate_ops_per_s
             pause = scheduled - time.monotonic()
             if pause > 0:
                 await asyncio.sleep(pause)
-            try:
-                await client.put(key, value)
-            except ServerError as error:
-                errors += 1
-                kind = classify_error(error)
-                errors_by_type[kind] = errors_by_type.get(kind, 0) + 1
-                return
             # Latency is anchored to the *scheduled* arrival, never to
             # when the send actually happened: an op held up behind a
             # slow predecessor (pool exhausted, server stalled) accrues
             # that queueing time. Measuring from the send instant would
             # be coordinated omission — the stall would erase its own
             # evidence from the tail.
-            latencies.append(time.monotonic() - scheduled)
+            done = await tally.put(key, value, scheduled)
+            queued += done is not None and done > last_arrival
 
         await asyncio.gather(
-            *(
-                fire(index, key, value)
-                for index, (key, value) in enumerate(operations)
-            )
+            *(fire(index, *operation)
+              for index, operation in enumerate(operations))
         )
-        duration = time.monotonic() - epoch
-        return LoadResult(
-            label=label,
-            op_count=len(latencies),
-            error_count=errors,
-            duration_seconds=duration,
-            latencies=latencies,
-            retries=client.telemetry.retries_total,
-            stalled_responses=client.telemetry.stalled_responses,
-            errors_by_type=errors_by_type,
-        )
-
-
-@dataclass
-class TwoPhaseNetworkResult:
-    """Testing phase + running phase, measured over the wire."""
-
-    testing: LoadResult
-    running: LoadResult
-    max_throughput: float
-    arrival_rate: float
-    utilization: float
-
-    def summary(self) -> str:
-        """Multi-line report mirroring the simulator harness output."""
-        return "\n".join(
-            [
-                f"testing phase:  max write throughput = "
-                f"{self.max_throughput:.1f} ops/s",
-                f"running phase:  arrivals = {self.arrival_rate:.1f} ops/s "
-                f"({self.utilization:.0%} utilization)",
-                "  " + self.testing.summary(),
-                "  " + self.running.summary(),
-            ]
-        )
-
-
-async def two_phase(
-    host: str,
-    port: int,
-    utilization: float = 0.95,
-    clients: int = 4,
-    testing_ops_per_client: int = 200,
-    running_ops: int = 500,
-    value_bytes: int = 100,
-    keyspace: int = 4096,
-    seed: int = 0,
-    client_options: dict | None = None,
-    distribution: str = "uniform",
-    theta: float = 0.99,
-) -> TwoPhaseNetworkResult:
-    """The paper's methodology end-to-end over TCP."""
-    if not 0.0 < utilization <= 1.0:
-        raise ConfigurationError("utilization must be in (0, 1]")
-    testing = await closed_loop(
-        host,
-        port,
-        clients=clients,
-        ops_per_client=testing_ops_per_client,
-        value_bytes=value_bytes,
-        keyspace=keyspace,
-        seed=seed,
-        label="testing",
-        client_options=client_options,
-        distribution=distribution,
-        theta=theta,
-    )
-    arrival_rate = max(1.0, testing.throughput * utilization)
-    running = await open_loop(
-        host,
-        port,
-        rate_ops_per_s=arrival_rate,
-        total_ops=running_ops,
-        value_bytes=value_bytes,
-        keyspace=keyspace,
-        seed=seed + 1,
-        label="running",
-        client_options=client_options,
-        distribution=distribution,
-        theta=theta,
-    )
-    return TwoPhaseNetworkResult(
-        testing=testing,
-        running=running,
-        max_throughput=testing.throughput,
-        arrival_rate=arrival_rate,
-        utilization=utilization,
-    )
+        return tally.result(label, time.monotonic() - epoch, queued)

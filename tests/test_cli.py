@@ -37,6 +37,7 @@ class TestParser:
 
     def test_two_phase_defaults(self):
         args = build_parser().parse_args(["two-phase"])
+        assert args.target == "sim"
         assert args.policy == "tiering"
         assert args.scheduler == "greedy"
         assert args.utilization == 0.95
@@ -94,6 +95,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "max write throughput" in out
         assert "sustainable" in out
+
+    def test_two_phase_engine_target(self, capsys):
+        code = main(["two-phase", "--target", "engine", "--scale", "4096"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "on engine" in out
+        # 16 memory components of 32 KiB, in 1 KiB writes, per phase.
+        assert "testing: 512 ops" in out and "running: 512 ops" in out
+        assert "sustainable: " in out
 
     def test_two_phase_lazy_leveling(self, fast, capsys):
         code = main(["two-phase", "--policy", "lazy-leveling",
@@ -340,10 +350,17 @@ class TestServeAndLoadgenParsers:
         with pytest.raises(SystemExit):
             build_parser().parse_args([*command, "--wire", "binary"])
 
-    def test_loadgen_defaults(self):
+    def test_loadgen_runs_a_closed_loop_by_default(self):
         args = build_parser().parse_args(["loadgen"])
-        assert args.mode == "two-phase"
-        assert args.utilization == 0.95
+        assert args.mode == "closed"
+        assert not hasattr(args, "utilization")
+
+    def test_loadgen_has_no_two_phase_mode(self, capsys):
+        """The two phases over the wire are `two-phase --target wire`."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["loadgen", "--mode", "two-phase"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'two-phase'" in capsys.readouterr().err
 
     def test_admission_factory_wiring(self):
         from repro.cli import _admission_from
@@ -363,54 +380,71 @@ class TestServeAndLoadgenParsers:
                 ["serve", "/tmp/db", "--max-delay-ms", "30"]
             )
 
-    def test_loadgen_against_live_server(self, tmp_path, capsys):
-        import asyncio
-        import threading
+    def test_loadgen_against_live_server(self, live_server, capsys):
+        host, port = live_server
+        code = main([
+            "loadgen", "--host", host, "--port", str(port),
+            "--mode", "closed", "--clients", "2", "--ops", "60",
+            "--value-bytes", "32",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "60 ops" in out and "0 errors" in out
 
-        from repro.engine import LSMStore, StoreOptions
-        from repro.server import KVServer
+    def test_two_phase_against_live_server(self, live_server, capsys):
+        host, port = live_server
+        code = main([
+            "two-phase", "--target", "wire", "--host", host,
+            "--port", str(port), "--scale", "8192",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        # 16 memory components of 16 KiB, in 1 KiB writes, per phase.
+        assert "testing: 256 ops" in out and "running: 256 ops" in out
+        assert "sustainable: " in out
 
-        store = LSMStore.open(
-            str(tmp_path / "db"),
-            StoreOptions(memtable_bytes=16 * 1024,
-                         background_maintenance=False),
-        )
-        loop = asyncio.new_event_loop()
-        server = KVServer(store)
-        started = threading.Event()
-        shared = {}
 
-        async def boot():
-            shared["hp"] = await server.start()
-            shared["task"] = asyncio.current_task()
-            started.set()
-            try:
-                await server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-            finally:
-                await server.aclose()
+@pytest.fixture
+def live_server(tmp_path):
+    """A KVServer on a thread of its own; yields its (host, port)."""
+    import asyncio
+    import threading
 
-        thread = threading.Thread(
-            target=lambda: loop.run_until_complete(boot()), daemon=True
-        )
-        thread.start()
-        assert started.wait(5.0)
-        host, port = shared["hp"]
+    from repro.engine import LSMStore
+    from repro.server import KVServer
+
+    store = LSMStore.open(
+        str(tmp_path / "db"),
+        StoreOptions(memtable_bytes=16 * 1024, background_maintenance=False),
+    )
+    loop = asyncio.new_event_loop()
+    server = KVServer(store)
+    started = threading.Event()
+    shared = {}
+
+    async def boot():
+        shared["hp"] = await server.start()
+        shared["task"] = asyncio.current_task()
+        started.set()
         try:
-            code = main([
-                "loadgen", "--host", host, "--port", str(port),
-                "--mode", "closed", "--clients", "2", "--ops", "60",
-                "--value-bytes", "32",
-            ])
-            assert code == 0
-            out = capsys.readouterr().out
-            assert "60 ops" in out and "0 errors" in out
+            await server.serve_forever()
+        except asyncio.CancelledError:
+            pass
         finally:
-            loop.call_soon_threadsafe(shared["task"].cancel)
-            thread.join(5.0)
-            loop.close()
-            store.close()
+            await server.aclose()
+
+    thread = threading.Thread(
+        target=lambda: loop.run_until_complete(boot()), daemon=True
+    )
+    thread.start()
+    assert started.wait(5.0)
+    try:
+        yield shared["hp"]
+    finally:
+        loop.call_soon_threadsafe(shared["task"].cancel)
+        thread.join(5.0)
+        loop.close()
+        store.close()
 
 
 class TestClusterParsersAndValidation:
@@ -575,6 +609,9 @@ class TestEngineFlags:
 REFUSED = [
     (["two-phase", "--size-ratio", "2.5"], "whole size ratio"),
     (["two-phase", "--scheduler", "lottery"], "unknown scheduler"),
+    (["two-phase", "--target", "engine", "--policy", "partitioned"],
+     "only in the simulator"),
+    (["two-phase", "--target", "wire", "--port", "70000"], "70000"),
     (["verify", "{dir}"], "no store"),
     (["scrub", "{dir}"], "no store"),
     (["crashsim", "{dir}", "--ops", "1"], "--ops"),

@@ -199,6 +199,17 @@ def test_a_cluster_refuses_an_admission_built_for_other_shards(
     assert not (tmp_path / "shard-00").exists()
 
 
+def test_a_cluster_refuses_an_unknown_ack_policy_before_opening(tmp_path):
+    """Regression: the ack policy was checked only after every shard and
+    replica store had opened, so a bad name left them on disk."""
+    directory = tmp_path / "cluster"
+    with pytest.raises(ConfigurationError, match="unknown ack policy"):
+        LocalCluster(
+            str(directory), num_shards=2, replicas=1, ack_policy="bogus"
+        )
+    assert not directory.exists()
+
+
 def test_scatter_gather_scan_matches_single_engine(tmp_path):
     """Acceptance: a routed SCAN equals one engine holding all the data."""
     records = [

@@ -33,8 +33,8 @@ SERVER_API = {
 #: "Load generation"): its own module, which the package does not
 #: import, because it needs numpy and a serving process does not.
 LOADGEN_API = {
-    "DISTRIBUTIONS", "LoadResult", "TwoPhaseNetworkResult",
-    "classify_error", "closed_loop", "open_loop", "two_phase",
+    "DISTRIBUTIONS", "LoadResult", "classify_error", "closed_loop",
+    "open_loop",
 }
 
 #: The documented public API of ``repro.cluster`` (docs/cluster.md).
@@ -84,11 +84,11 @@ class TestEmptyLoadResult:
 
     def test_percentile_raises_value_error(self):
         with pytest.raises(ValueError, match="no latency samples"):
-            self.empty().percentile(99.0)
+            self.empty().write_latency_profile((99.0,))
 
     def test_latency_profile_raises_value_error(self):
         with pytest.raises(ValueError, match="doomed"):
-            self.empty().latency_profile()
+            self.empty().write_latency_profile()
 
     def test_summary_still_safe(self):
         assert "no completed operations" in self.empty().summary()
@@ -104,8 +104,8 @@ class TestEmptyLoadResult:
             duration_seconds=1.0,
             latencies=[0.001, 0.002, 0.003, 0.004],
         )
-        assert result.percentile(50.0) > 0.0
-        assert set(result.latency_profile()) == {50.0, 90.0, 99.0}
+        assert result.write_latency_profile((50.0,))[50.0] > 0.0
+        assert set(result.write_latency_profile()) == {50.0, 90.0, 99.0}
 
 
 class TestOperationStream:
