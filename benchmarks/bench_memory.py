@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Adaptive memory arbitration vs static splits under a shifting workload.
 
-The memory arbiter's claim (BENCH_7): one byte budget split between the
-memtable and the block cache by a feedback controller tracks a shifting
-workload better than any fixed carving. A split tuned for writes starves
+The memory arbiter's claim (BENCH_7): one byte budget moved between the
+memtable and the block cache, a step at a time toward the side that
+saves more I/O per byte, tracks a shifting workload better than any
+fixed carving. A split tuned for writes starves
 the cache when the workload turns scan-heavy; a split tuned for reads
 rotates tiny memtables during a write burst, flushing and merging more
 bytes. The adaptive store starts from an even split and must end up near
@@ -23,7 +24,7 @@ The verdict is on I/O, the quantity *Breaking Down Memory Walls* tunes
 memory for: per phase, the bytes flushes and merges wrote (the rate
 limiter's admitted bytes) plus one block read per cache miss. The first
 ``--warmup-fraction`` of each phase is excluded: that window is where
-the controller is *supposed* to be moving, and the claim is about where
+the arbiter is *supposed* to be moving, and the claim is about where
 it lands, not how it gets there. The counts repeat from run to run for a
 seed; P99 latencies are printed beside them but judge nothing, because
 on a shared box they do not repeat. Run with the repo sources on the
@@ -49,7 +50,7 @@ import time
 
 from repro.engine import LSMStore, StoreOptions
 from repro.memory import MemoryArbiter, MemoryBudget
-from repro.metrics.percentiles import percentile
+from repro.metrics.percentiles import percentile_profile
 
 WRITE_HEAVY_FRACTION = 0.875
 READ_HEAVY_FRACTION = 0.125
@@ -196,12 +197,13 @@ def run_phase(
     results: dict[str, dict] = {}
     for config in configs:
         samples = latencies[config.name]
+        profile = percentile_profile(samples, (50.0, 99.0))
         result = {
             "phase": phase,
             "ops": len(ops),
             "measured_ops": len(samples),
-            "p50_us": round(percentile(samples, 50.0) * 1e6, 1),
-            "p99_us": round(percentile(samples, 99.0) * 1e6, 1),
+            "p50_us": round(profile[50.0] * 1e6, 1),
+            "p99_us": round(profile[99.0] * 1e6, 1),
             "mean_us": round(sum(samples) / len(samples) * 1e6, 1),
             "io_mib": round(
                 (config.io_bytes() - io_at_warmup[config.name]) / 2**20, 2

@@ -32,7 +32,7 @@ import tempfile
 import time
 
 from repro.engine import LSMStore, StoreOptions
-from repro.metrics.percentiles import percentile
+from repro.metrics.percentiles import percentile_profile
 
 
 def build_options(scrubbing: bool, args: argparse.Namespace) -> StoreOptions:
@@ -105,13 +105,14 @@ def run_mode(scrubbing: bool, args: argparse.Namespace) -> dict:
                 scrub_after["bytes_verified"]
                 - scrub_before["bytes_verified"]
             )
+            profile = percentile_profile(latencies, (50.0, 99.0))
             return {
                 "scrubbing": scrubbing,
                 "reads": reads,
                 "elapsed_seconds": round(elapsed, 4),
                 "reads_per_s": round(reads / elapsed, 1),
-                "p50_ms": round(percentile(latencies, 50.0) * 1e3, 4),
-                "p99_ms": round(percentile(latencies, 99.0) * 1e3, 4),
+                "p50_ms": round(profile[50.0] * 1e3, 4),
+                "p99_ms": round(profile[99.0] * 1e3, 4),
                 "max_ms": round(max(latencies) * 1e3, 4),
                 "scrub_passes": scrub_after["passes_completed"]
                 - scrub_before["passes_completed"],

@@ -9,7 +9,8 @@ eager strategy's p99 write latency versus utilization — latencies become
 small only below roughly 80% utilization.
 """
 
-from repro.sim import SecondarySetup, dataset_two_phase, simulate_dataset
+from repro.harness import two_phase
+from repro.sim import DatasetTarget, SecondarySetup, simulate_dataset
 from repro.workloads import ConstantArrivals
 
 from _common import SCALE, banner, run_once, series_block, show, table_block
@@ -22,9 +23,9 @@ def test_fig25_27_secondary_maintenance(benchmark, capsys):
         outcomes = {}
         for strategy in ("lazy", "eager"):
             setup = SecondarySetup(strategy=strategy, scale=SCALE)
-            outcomes[strategy] = dataset_two_phase(setup, scheduler="fair")
+            outcomes[strategy] = two_phase(DatasetTarget(setup))
         eager_setup = SecondarySetup(strategy="eager", scale=SCALE)
-        eager_max = outcomes["eager"][0]
+        eager_max = outcomes["eager"].max_write_throughput
         sweep = []
         for utilization in UTILIZATIONS:
             run = simulate_dataset(
@@ -46,7 +47,8 @@ def test_fig25_27_secondary_maintenance(benchmark, capsys):
     rows = []
     blocks = [banner("Figures 25-27", "secondary indexes: lazy vs eager "
                                       "maintenance")]
-    for strategy, (max_throughput, run) in outcomes.items():
+    for strategy, outcome in outcomes.items():
+        run = outcome.running
         profile = run.write_latency_profile((50.0, 99.0, 99.9))
         blocks.append(
             series_block(f"running throughput at 95%, {strategy}",
@@ -55,7 +57,7 @@ def test_fig25_27_secondary_maintenance(benchmark, capsys):
         rows.append(
             {
                 "strategy": strategy,
-                "max_throughput": max_throughput,
+                "max_throughput": outcome.max_write_throughput,
                 "p50": profile[50.0],
                 "p99": profile[99.0],
                 "p999": profile[99.9],

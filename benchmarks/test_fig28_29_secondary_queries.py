@@ -9,10 +9,11 @@ is smaller under the eager strategy, whose lower arrival rate leaves less
 merge backlog to optimize.
 """
 
+from repro.harness import two_phase
 from repro.sim import (
+    DatasetTarget,
     QueryWorkload,
     SecondarySetup,
-    dataset_two_phase,
     simulate_dataset,
     simulate_queries,
 )
@@ -28,9 +29,9 @@ def test_fig28_29_secondary_query_selectivity(benchmark, capsys):
         rows = []
         for strategy in ("lazy", "eager"):
             setup = SecondarySetup(strategy=strategy, scale=SCALE)
-            max_throughput, _ = dataset_two_phase(
-                setup, running_duration=600.0
-            )
+            max_throughput = two_phase(
+                DatasetTarget(setup, running_duration=600.0)
+            ).max_write_throughput
             for scheduler in ("fair", "greedy"):
                 run = simulate_dataset(
                     setup,

@@ -244,7 +244,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 port=args.port,
                 metrics_port=args.metrics_port,
                 memory_arbiter=arbiter,
-                memory_interval=args.memory_rebalance_interval,
             )
             async with server:
                 _announce(

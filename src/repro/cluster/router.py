@@ -99,8 +99,7 @@ class ClusterRouter(FramedServer):
         replica_backends: Sequence[Sequence[tuple[str, int]]] | None = None,
         read_from_replica: bool = False,
         obs: Observability | None = None,
-        memory_fn: Callable[[], object] | None = None,
-        memory_interval: float = 1.0,
+        memory_arbiter=None,
     ) -> None:
         if not backends:
             raise ConfigurationError("a cluster needs at least one backend")
@@ -136,8 +135,10 @@ class ClusterRouter(FramedServer):
             )
             for shard in range(len(backends))
         ]
-        if memory_fn is not None:
-            self.attach_ticker(memory_fn, memory_interval)
+        if memory_arbiter is not None:
+            self.attach_ticker(
+                memory_arbiter.maybe_tick, memory_arbiter.interval
+            )
         self._backends = list(backends)
         self._ring = ring or HashRing(len(backends))
         if self._ring.num_shards != len(backends):
@@ -823,7 +824,6 @@ class LocalCluster:
         self._ack_policy = ack_policy
         self._read_from_replica = read_from_replica
         self._replication_timeout = replication_timeout
-        self._memory_rebalance_interval = memory_rebalance_interval
         self._repair_interval = repair_interval
         self.backends: list[KVServer] = []
         self.replica_stores: list[list] = []
@@ -915,12 +915,7 @@ class LocalCluster:
                 else None,
                 read_from_replica=self._read_from_replica,
                 obs=self._obs,
-                memory_fn=(
-                    self.memory_arbiter.maybe_tick
-                    if self.memory_arbiter is not None
-                    else None
-                ),
-                memory_interval=self._memory_rebalance_interval,
+                memory_arbiter=self.memory_arbiter,
             )
             return await self.router.start()
         except BaseException:

@@ -15,7 +15,7 @@ backpressures the others.
 from __future__ import annotations
 
 import os
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..engine.datastore import LSMStore, StoreStats
 from ..engine.options import StoreOptions
@@ -107,19 +107,18 @@ class ShardedStore:
         budget: int | MemoryBudget,
         *,
         obs: Observability | None = None,
-        **arbiter_kwargs,
+        clock: Callable[[], float] | None = None,
+        interval: float = 1.0,
     ) -> MemoryArbiter:
         """Put every shard's memory under one adaptive budget.
 
         ``budget`` is a :class:`~repro.memory.MemoryBudget` over the
         shard engines, or the total bytes to build one of; a
-        :class:`~repro.memory.MemoryArbiter` re-splits it from observed
-        signals. The initial equal-share
-        split is applied immediately; afterwards the owner drives the
-        control loop — a serving tier ticks ``arbiter.maybe_tick`` on a
-        timer, a bench calls :meth:`rebalance_memory` inline. Extra
-        keyword arguments pass through to the arbiter (clock, interval,
-        step sizes) so tests stay deterministic.
+        :class:`~repro.memory.MemoryArbiter` moves it between memtables
+        and caches from observed signals. The initial even split is
+        applied immediately; afterwards the owner drives the loop — a
+        serving tier ticks ``arbiter.maybe_tick`` every ``interval``
+        seconds of ``clock``, a bench calls :meth:`rebalance_memory`.
         """
         if self._memory_arbiter is not None:
             raise ConfigurationError(
@@ -128,7 +127,7 @@ class ShardedStore:
         if not isinstance(budget, MemoryBudget):
             budget = MemoryBudget(budget, self.num_shards)
         self._memory_arbiter = MemoryArbiter(
-            budget, self._stores, obs=obs, **arbiter_kwargs
+            budget, self._stores, obs=obs, clock=clock, interval=interval
         )
         return self._memory_arbiter
 

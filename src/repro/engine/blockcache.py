@@ -22,6 +22,13 @@ get and a block a scan reads once saves none (*Breaking Down Memory
 Walls*): a block fits only into the bytes rows leave, and a row evicts
 the least recent block first, a row only when no block is left. Every
 eviction pops the head of one list: O(1), never a walk.
+
+A **ghost list** remembers what the budget cost: the ids of the blocks
+and rows it evicted or refused, with their bytes, up to ``ghost_bytes``
+of them. A lookup that misses an entry the ghost still holds is one a
+cache that many bytes larger would have served; its bytes count once
+into :attr:`BlockCache.ghost_hit_bytes`, the read side's marginal
+saving that :mod:`repro.memory` weighs against the memtable's.
 """
 
 from __future__ import annotations
@@ -44,13 +51,31 @@ def _row_charge(key: bytes, value: bytes | None) -> int:
     return len(key) + len(value or b"") + ROW_OVERHEAD_BYTES
 
 
+#: The share of a store's memory (memtable plus cache bytes) its ghost
+#: list covers, and the share of a shard's budget one memory-arbiter
+#: step moves: a ghost hit is a lookup one more step of cache would
+#: have served.
+STEP_SHARE = 0.05
+
+
+def ghost_bytes_for(memtable_bytes: int, cache_bytes: int) -> int:
+    """The ghost bound of a store holding these two budgets."""
+    return int((memtable_bytes + cache_bytes) * STEP_SHARE)
+
+
 class BlockCache:
     """Byte-budgeted cache of data blocks and rows, thread-safe."""
 
-    def __init__(self, capacity_bytes: int) -> None:
-        if capacity_bytes < 0:
+    def __init__(self, capacity_bytes: int, ghost_bytes: int = 0) -> None:
+        if capacity_bytes < 0 or ghost_bytes < 0:
             raise ConfigurationError("cache capacity cannot be negative")
         self._capacity = capacity_bytes
+        # Evicted or refused ids, ``(generation, offset)`` for a block
+        # and the key for a row, oldest first, each with its bytes.
+        self._ghost: OrderedDict[object, int] = OrderedDict()
+        self._ghost_capacity = ghost_bytes
+        self._ghost_bytes = 0
+        self._ghost_hit_bytes = 0
         self._blocks: OrderedDict[tuple[int, int], bytes] = OrderedDict()
         self._rows: OrderedDict[bytes, bytes | None] = OrderedDict()
         # Per-reader block offsets, so evict_reader drops one reader's
@@ -95,6 +120,16 @@ class BlockCache:
         """Entries evicted to stay within the budget (resizes included)."""
         return self._evictions
 
+    @property
+    def ghost_hit_bytes(self) -> int:
+        """Bytes of lookups that missed an entry the ghost list held."""
+        return self._ghost_hit_bytes
+
+    @property
+    def ghost_bytes(self) -> int:
+        """Bytes of evicted or refused entries the ghost list holds."""
+        return self._ghost_bytes
+
     def hit_rate(self) -> float:
         """Fraction of block lookups served from cache (0 when unused)."""
         total = self._hits + self._misses
@@ -121,6 +156,7 @@ class BlockCache:
             block = self._blocks.get(key)
             if block is None:
                 self._misses += 1
+                self._ghost_hit_locked(key)
                 return None
             self._blocks.move_to_end(key)
             self._hits += 1
@@ -131,9 +167,10 @@ class BlockCache:
         recent blocks; a block that does not fit beside the rows is not
         cached."""
         with self._lock:
-            if len(block) > self._capacity - self._row_bytes:
-                return
             key = (generation, offset)
+            if len(block) > self._capacity - self._row_bytes:
+                self._remember_locked(key, len(block))
+                return
             self._block_bytes += len(block) - len(self._blocks.pop(key, b""))
             self._blocks[key] = block
             self._by_generation.setdefault(generation, set()).add(offset)
@@ -145,6 +182,7 @@ class BlockCache:
         counted: the lookup goes on to blocks, which are."""
         with self._lock:
             if key not in self._rows:
+                self._ghost_hit_locked(key)
                 return False, None
             self._rows.move_to_end(key)
             self._row_hits += 1
@@ -172,24 +210,51 @@ class BlockCache:
         if key in self._rows:
             self._row_bytes -= _row_charge(key, self._rows.pop(key))
         size = _row_charge(key, value)
-        if size <= self._capacity:
-            self._rows[key] = value
-            self._row_bytes += size
-            self._evict_locked()
+        if size > self._capacity:
+            self._remember_locked(key, size)
+            return
+        self._rows[key] = value
+        self._row_bytes += size
+        self._evict_locked()
+
+    def _remember_locked(self, key, size: int) -> None:
+        """Put an evicted or refused entry at the ghost's tail, dropping
+        the oldest past the bound; caller holds the lock."""
+        self._ghost_bytes += size - self._ghost.pop(key, 0)
+        self._ghost[key] = size
+        self._trim_ghost_locked()
+
+    def _trim_ghost_locked(self) -> None:
+        while self._ghost_bytes > self._ghost_capacity:
+            self._ghost_bytes -= self._ghost.popitem(last=False)[1]
+
+    def _ghost_hit_locked(self, key) -> None:
+        """A lookup missed: if the ghost holds ``key``, count its bytes
+        and forget it, so one eviction counts once; caller holds the
+        lock."""
+        size = self._ghost.pop(key, 0)
+        self._ghost_bytes -= size
+        self._ghost_hit_bytes += size
 
     def _evict_locked(self) -> None:
         """Evict the least recent block, or with no block left the least
         recent row, until within budget; caller holds the lock."""
         while self._block_bytes + self._row_bytes > self._capacity:
             if self._blocks:
-                (generation, offset), block = self._blocks.popitem(last=False)
-                self._block_bytes -= len(block)
-                self._by_generation[generation].discard(offset)
+                key, block = self._blocks.popitem(last=False)
+                size = len(block)
+                self._block_bytes -= size
+                self._by_generation[key[0]].discard(key[1])
             else:
-                self._row_bytes -= _row_charge(*self._rows.popitem(last=False))
+                key, value = self._rows.popitem(last=False)
+                size = _row_charge(key, value)
+                self._row_bytes -= size
+            self._remember_locked(key, size)
             self._evictions += 1
 
-    def resize(self, capacity_bytes: int) -> int:
+    def resize(
+        self, capacity_bytes: int, ghost_bytes: int | None = None
+    ) -> int:
         """Change the byte budget in place; returns bytes evicted.
 
         Shrinking evicts blocks, then rows, at once so accounting stays
@@ -200,12 +265,17 @@ class BlockCache:
         like a cache constructed with capacity 0. Generations are
         untouched — readers registered before a resize keep their ids,
         so a block cached under one can never alias another reader's.
+        ``ghost_bytes`` moves the ghost's bound too (None keeps it); what
+        a shrink evicts enters the ghost under the new bound.
         """
-        if capacity_bytes < 0:
+        if capacity_bytes < 0 or (ghost_bytes or 0) < 0:
             raise ConfigurationError("cache capacity cannot be negative")
         with self._lock:
             before = self.used_bytes
             self._capacity = capacity_bytes
+            if ghost_bytes is not None:
+                self._ghost_capacity = ghost_bytes
+                self._trim_ghost_locked()
             self._evict_locked()
             return before - self.used_bytes
 
@@ -232,9 +302,10 @@ class BlockCache:
             return freed
 
     def clear(self) -> None:
-        """Drop everything (budget unchanged)."""
+        """Drop everything, the ghost list too (budget unchanged)."""
         with self._lock:
             self._blocks.clear()
             self._rows.clear()
+            self._ghost.clear()
             self._by_generation.clear()
-            self._block_bytes = self._row_bytes = 0
+            self._block_bytes = self._row_bytes = self._ghost_bytes = 0

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from ..core.components import Component, MergeDescriptor, TreeSnapshot, UidAllocator
 from ..errors import ConfigurationError, CorruptionError
 from ..obs import events as obs_events
-from .blockcache import BlockCache
+from .blockcache import BlockCache, ghost_bytes_for
 from .iterators import pick_head, read_twice
 from .manifest import Manifest, RunRecord
 from .options import StoreOptions
@@ -405,7 +405,10 @@ class CompactionManager:
         )
         self._uids = UidAllocator()
         self._rate_limiter = RateLimiter(options.rate_limit_bytes_per_s)
-        self._block_cache = BlockCache(options.block_cache_bytes)
+        self._block_cache = BlockCache(
+            options.block_cache_bytes,
+            ghost_bytes_for(options.memtable_bytes, options.block_cache_bytes),
+        )
         #: The open reader of every file a live run names, by file name.
         self._files: dict[str, SSTableReader] = {}
         self._runs: dict[int, Run] = {}

@@ -39,6 +39,7 @@ from typing import Iterator, NamedTuple
 from ..errors import ClosedError, ConfigurationError, CorruptionError
 from ..obs import Observability
 from ..obs import events as obs_events
+from .blockcache import ghost_bytes_for
 from .commitlog import CommitLog, WalPosition
 from .compaction import CompactionManager
 from .integrity import IntegrityReport, verify_files
@@ -73,6 +74,10 @@ _CACHE_COUNTERS = (
         "engine_row_cache_hits_total",
         "Point lookups answered by a cached row, no block read.",
     ),
+    (
+        "engine_block_cache_ghost_hit_bytes_total",
+        "Bytes of misses on evicted entries the ghost list still held.",
+    ),
 )
 
 
@@ -92,6 +97,8 @@ class StoreStats:
     cache counters are the :class:`BlockCache`'s cumulative totals: block
     lookups, and ``row_hits``, the gets a cached row answered with none.
     Their deltas between two snapshots measure write and read traffic.
+    ``ghost_hit_bytes`` counts the bytes of lookups a larger cache would
+    have served: with ``ingested_bytes``, the memory arbiter's signals.
     """
 
     memtable_entries: int
@@ -116,6 +123,7 @@ class StoreStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
+    ghost_hit_bytes: int = 0
 
     @property
     def memory_fill(self) -> float:
@@ -242,7 +250,7 @@ class LSMStore:
         self._memtable_target = self._options.memtable_bytes
         self._ingested_bytes = 0
         # The cache totals the last refresh_gauges() counted up to.
-        self._cache_counted = (0, 0, 0, 0)
+        self._cache_counted = (0,) * len(_CACHE_COUNTERS)
         self._closed = False
         self._stall_count = 0
         self._stall_seconds = 0.0
@@ -750,7 +758,9 @@ class LSMStore:
             self._memtable_target = memtable_bytes
         # The cache has its own leaf lock; resizing outside the store
         # lock keeps eviction work off the write path.
-        self._compaction.block_cache.resize(cache_bytes)
+        self._compaction.block_cache.resize(
+            cache_bytes, ghost_bytes_for(memtable_bytes, cache_bytes)
+        )
         registry = self._obs.registry
         registry.gauge(
             "memory_budget_bytes",
@@ -1097,6 +1107,7 @@ class LSMStore:
                 cache_hits=cache.hits,
                 cache_misses=cache.misses,
                 cache_evictions=cache.evictions,
+                ghost_hit_bytes=cache.ghost_hit_bytes,
             )
 
     @property
@@ -1156,7 +1167,8 @@ class LSMStore:
                 len(self._sealed) + self._compaction.merge_jobs_in_flight
             )
             counts = (
-                cache.hits, cache.misses, cache.evictions, cache.row_hits
+                cache.hits, cache.misses, cache.evictions, cache.row_hits,
+                cache.ghost_hit_bytes,
             )
             for (name, help_text), now, before in zip(
                 _CACHE_COUNTERS, counts, self._cache_counted

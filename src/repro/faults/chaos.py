@@ -51,7 +51,7 @@ from ..errors import (
     RetriesExhaustedError,
     ServerError,
 )
-from ..metrics.percentiles import percentile
+from ..metrics.percentiles import percentile_profile
 from ..obs.events import CORRUPTION_QUARANTINE
 from ..server import protocol
 from ..server.client import KVClient
@@ -682,5 +682,5 @@ async def run_chaos(
         report.final_health = cluster.router.shard_health()
         report.promotions = cluster.router.promotions
         report.shard_epochs = cluster.router.epochs
-    report.surviving_p99 = percentile(survivors, 99.0) if survivors else 0.0
+    report.surviving_p99 = percentile_profile(survivors or [0.0], (99,))[99]
     return report

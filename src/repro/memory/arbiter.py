@@ -1,88 +1,63 @@
-"""The memory arbiter: a feedback controller over the node's budget.
+"""The memory arbiter: each byte goes where it saves the most I/O.
 
-:class:`MemoryArbiter` watches every shard's
-:meth:`~repro.engine.LSMStore.stats` snapshot and steers two levers of
-one :class:`~repro.memory.MemoryBudget`:
-
-* the **write/read split** — both demands are measured in bytes and
-  the split tracks their ratio: ingested bytes demand write memory,
-  cache-miss bytes (misses x the block size they re-read from disk)
-  demand read memory, and memtable fill or write stalls boost the
-  write side further;
-* the **per-shard shares** — within each side, shards are weighted by
-  an exponential moving average of their recent activity (ingested
-  bytes for write memory, lookups for read memory), so a hot read
-  shard grows its cache at the expense of idle neighbours.
-
-Every decision is a pure function of the observed signal deltas: the
-clock is injectable and only gates *when* ``maybe_tick`` fires, never
-*what* a tick decides, so tests drive the controller with a fake clock
-and fixed workloads and get byte-identical shares. Applied decisions
-are visible twice over — per-component ``memory_budget_bytes`` gauges
-set by each engine, and a ``memory_rebalance`` tracer event carrying
-the before/after shares and the pressures that triggered the move.
+Each tick, :class:`MemoryArbiter` estimates from every shard's
+:meth:`~repro.engine.LSMStore.stats` deltas the I/O bytes one more byte
+of each ``(shard, side)`` bucket would have saved (*Breaking Down
+Memory Walls*; docs/memory.md derives both): ``ingested / (M * ln T)``
+for a memtable of ``M`` bytes in a tree of size ratio ``T`` that holds
+a component, and ghost-hit bytes over the ghost list's bound for a
+block cache. It moves one constant step from the bucket saving the
+least to the one saving the most; a window in which none saves more
+than another moves nothing. Decisions are pure functions of the deltas
+(the clock only gates *when* ``maybe_tick`` fires), and a tick is
+all-or-nothing. Moves show as each engine's ``memory_budget_bytes``
+gauges and a ``memory_rebalance`` tracer event.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
+from ..engine.blockcache import ghost_bytes_for
 from ..errors import ConfigurationError
 from ..obs import MEMORY_REBALANCE, Observability
-from .budget import MemoryBudget, MemoryShares
-
-#: Bytes a block-cache miss re-reads from disk (the engine's block size):
-#: what turns a miss count into read demand comparable to ingested bytes.
-MISS_COST_BYTES = 4096
-
-
-class MemoryTarget(Protocol):
-    """What the arbiter needs from a shard: observe and apply."""
-
-    def stats(self): ...  # pragma: no cover - protocol
-
-    def set_memory_budget(
-        self, memtable_bytes: int, cache_bytes: int
-    ) -> None: ...  # pragma: no cover - protocol
+from .budget import SIDES, MemoryBudget, MemoryShares
 
 
 @dataclass(frozen=True)
 class RebalanceDecision:
-    """What one tick concluded, whether or not it moved bytes."""
+    """What one tick concluded, whether or not it moved bytes.
+
+    ``memtable_savings`` and ``cache_savings`` are, per shard, the I/O
+    bytes one more byte of that bucket would have saved in the window.
+    """
 
     applied: bool
     reason: str
-    write_pressure: float
-    read_pressure: float
+    memtable_savings: tuple[float, ...]
+    cache_savings: tuple[float, ...]
     before: MemoryShares
     after: MemoryShares
 
 
 class MemoryArbiter:
-    """Periodically re-split one memory budget across shards.
+    """Move one byte budget, a step at a time, to where it saves I/O.
 
-    The controller is deliberately conservative: the write fraction
-    moves at most ``step_fraction`` per tick and only when the pressure
-    difference clears ``deadband``, so a noisy window cannot slosh the
-    budget back and forth. Shares are re-applied only when the integer
-    byte targets actually changed.
+    A target is what the arbiter observes and sets: ``stats()``,
+    ``options.size_ratio`` and ``set_memory_budget(memtable, cache)``.
     """
 
     def __init__(
         self,
         budget: MemoryBudget,
-        targets: Sequence[MemoryTarget],
+        targets: Sequence,
         *,
         obs: Observability | None = None,
         clock: Callable[[], float] | None = None,
         interval: float = 1.0,
-        write_fraction: float = 0.5,
-        step_fraction: float = 0.05,
-        deadband: float = 0.05,
-        smoothing: float = 0.5,
-        apply_initial: bool = True,
     ) -> None:
         if len(targets) != budget.num_shards:
             raise ConfigurationError(
@@ -91,50 +66,36 @@ class MemoryArbiter:
             )
         if interval <= 0:
             raise ConfigurationError("rebalance interval must be positive")
-        if not 0.0 < step_fraction <= 0.5:
-            raise ConfigurationError("step fraction must be in (0, 0.5]")
-        if not 0.0 <= deadband < 1.0:
-            raise ConfigurationError("deadband must be in [0, 1)")
-        if not 0.0 < smoothing <= 1.0:
-            raise ConfigurationError("smoothing must be in (0, 1]")
         self.budget = budget
         # The caller owns the targets (and closes them); the arbiter
         # only reads their signals and sets their budgets.
         self.targets = targets
         self.obs = obs if obs is not None else Observability()
         self.interval = interval
-        self.step_fraction = step_fraction
-        self.deadband = deadband
-        self.smoothing = smoothing
         self._clock = clock if clock is not None else self.obs.clock
         self._lock = threading.Lock()
-        self._write_fraction = budget.clamp_fraction(write_fraction)
-        # EMA-smoothed activity weights, one per shard. Idle shards keep
-        # a small epsilon so a quiet shard never collapses to zero and
-        # can re-grow without a discontinuity.
-        self._write_weights = [1.0] * budget.num_shards
-        self._read_weights = [1.0] * budget.num_shards
-        self._prev = [target.stats() for target in self.targets]
+        self._log_ratios = [
+            math.log(target.options.size_ratio) for target in targets
+        ]
+        self._prev = [target.stats() for target in targets]
         self._next_deadline = self._clock() + interval
-        self._shares = self.budget.split(
-            self._write_fraction, self._write_weights, self._read_weights
-        )
-        if apply_initial:
-            self._apply_locked(self._shares)
+        self._shares = budget.initial()
+        for shard, target in enumerate(targets):
+            target.set_memory_budget(*self._shares.shard(shard))
         self._publish_gauges()
 
     # -- public surface -------------------------------------------------
 
     @property
     def shares(self) -> MemoryShares:
-        """The most recently computed carving of the budget."""
+        """The carving of the budget the shards hold now."""
         with self._lock:
             return self._shares
 
     @property
     def write_fraction(self) -> float:
-        with self._lock:
-            return self._write_fraction
+        """Fraction of the budget the memtables hold now."""
+        return self.shares.write_fraction
 
     def maybe_tick(self) -> RebalanceDecision | None:
         """Run one tick if the rebalance interval has elapsed."""
@@ -151,102 +112,70 @@ class MemoryArbiter:
             self._next_deadline = self._clock() + self.interval
             return self._tick_locked()
 
-    # -- the controller -------------------------------------------------
+    # -- the rule -------------------------------------------------------
+
+    def _savings(self, signals) -> dict[tuple[int, str], float]:
+        """I/O bytes one more byte of each bucket would have saved."""
+        shares = self._shares
+        savings = {}
+        for shard, (cur, old) in enumerate(zip(signals, self._prev)):
+            memtable = shares.memtable_bytes[shard]
+            # The window's ingest is rewritten once per level holding a
+            # component, L times, and those merge bytes fall by
+            # 1 / (L * M * ln T) per memtable byte: L cancels, and a
+            # tree with no component merges nothing.
+            merges = any(cur.components_per_level.values())
+            ingested = max(0, cur.ingested_bytes - old.ingested_bytes)
+            savings[shard, "memtable"] = (
+                ingested / (memtable * self._log_ratios[shard])
+                if merges else 0.0
+            )
+            savings[shard, "cache"] = max(
+                0, cur.ghost_hit_bytes - old.ghost_hit_bytes
+            ) / ghost_bytes_for(memtable, shares.cache_bytes[shard])
+        return savings
 
     def _tick_locked(self) -> RebalanceDecision:
         signals = [target.stats() for target in self.targets]
-        prev, self._prev = self._prev, signals
-
-        ingest_deltas = [
-            max(0, cur.ingested_bytes - old.ingested_bytes)
-            for cur, old in zip(signals, prev)
+        savings = self._savings(signals)
+        before = after = self._shares
+        # Ties go to the lower shard, memtable before cache, so a replay
+        # of the same signals makes the same moves.
+        buckets = [
+            (shard, side)
+            for shard in range(self.budget.num_shards)
+            for side in SIDES
         ]
-        # A get a cached row answered looks up no block, but it is read
-        # traffic the cache served all the same.
-        lookup_deltas = [
-            max(
-                0,
-                (cur.cache_hits + cur.cache_misses + cur.row_hits)
-                - (old.cache_hits + old.cache_misses + old.row_hits),
+        gainer = max(buckets, key=lambda bucket: savings[bucket])
+        givers = [
+            bucket
+            for bucket in buckets
+            if bucket != gainer and before.spare(*bucket) > 0
+        ]
+        giver = min(givers, key=lambda bucket: savings[bucket], default=None)
+        step = 0
+        if giver is not None and savings[giver] < savings[gainer]:
+            step = min(self.budget.step_bytes, before.spare(*giver))
+            after = before.moved(giver, gainer, step)
+            self._apply_locked(before, after)
+        self._prev, self._shares = signals, after
+        applied = step > 0
+        reason = "steady"
+        if applied:
+            reason = (
+                "write_pressure" if gainer[1] == "memtable"
+                else "read_pressure"
             )
-            for cur, old in zip(signals, prev)
-        ]
-        miss_delta = sum(
-            max(0, cur.cache_misses - old.cache_misses)
-            for cur, old in zip(signals, prev)
-        )
-        stall_delta = sum(
-            max(0, cur.write_stalls - old.write_stalls)
-            for cur, old in zip(signals, prev)
-        )
-
-        # Per-shard weights: EMA of recent activity, +1 epsilon so an
-        # idle shard keeps a sliver of each pool.
-        alpha = self.smoothing
-        self._write_weights = [
-            (1 - alpha) * weight + alpha * (delta + 1.0)
-            for weight, delta in zip(self._write_weights, ingest_deltas)
-        ]
-        self._read_weights = [
-            (1 - alpha) * weight + alpha * (delta + 1.0)
-            for weight, delta in zip(self._read_weights, lookup_deltas)
-        ]
-
-        # Both demands in bytes, so they compare directly: ingested
-        # bytes want write memory; each miss re-read roughly one block
-        # from disk and wants cache. The split tracks the demand ratio;
-        # a quiet window (no traffic) holds position rather than
-        # drifting. Memtable fill and actual stalls are leading
-        # indicators the byte ratio can lag, so they boost the write
-        # side on top.
-        total_ingest = sum(ingest_deltas)
-        miss_bytes = miss_delta * MISS_COST_BYTES
-        traffic = total_ingest + miss_bytes
-        if traffic > 0:
-            demand = total_ingest / traffic
-        else:
-            demand = self._write_fraction
-        fill = max(signal.memory_fill for signal in signals)
-        demand = min(
-            1.0,
-            demand + 0.25 * fill + (0.5 if stall_delta > 0 else 0.0),
-        )
-        write_pressure = demand
-        read_pressure = 1.0 - demand
-
-        fraction = self._write_fraction
-        gap = demand - fraction
-        if abs(gap) > self.deadband:
-            step = max(-self.step_fraction, min(self.step_fraction, gap))
-            fraction = self.budget.clamp_fraction(fraction + step)
-        before = self._shares
-        after = self.budget.split(
-            fraction, self._write_weights, self._read_weights
-        )
-        self._write_fraction = fraction
-
-        changed = (
-            after.memtable_bytes != before.memtable_bytes
-            or after.cache_bytes != before.cache_bytes
-        )
-        if changed:
-            # A closed target refuses its share (ClosedError) before it
-            # takes it, and the tick stops there.
-            self._apply_locked(after)
-            self._shares = after
-            if stall_delta > 0:
-                reason = "write_stalls"
-            elif abs(gap) > self.deadband:
-                reason = (
-                    "write_pressure" if gap > 0 else "read_pressure"
-                )
-            else:
-                reason = "share_drift"
             self.obs.tracer.emit(
                 MEMORY_REBALANCE,
                 reason=reason,
-                write_pressure=round(write_pressure, 4),
-                read_pressure=round(read_pressure, 4),
+                from_shard=giver[0],
+                from_side=giver[1],
+                to_shard=gainer[0],
+                to_side=gainer[1],
+                moved_bytes=step,
+                saving_from=round(savings[giver], 6),
+                saving_to=round(savings[gainer], 6),
                 write_fraction_before=round(before.write_fraction, 4),
                 write_fraction_after=round(after.write_fraction, 4),
                 memtable_bytes_before=list(before.memtable_bytes),
@@ -256,29 +185,39 @@ class MemoryArbiter:
             )
             self.obs.registry.counter(
                 "memory_rebalances_total",
-                help="Rebalances that changed at least one byte share.",
+                help="Rebalances that moved a step of the budget.",
             ).inc()
-        else:
-            reason = "steady"
         self.obs.registry.counter(
             "memory_arbiter_ticks_total",
             help="Arbiter control-loop evaluations.",
         ).inc()
         self._publish_gauges()
+        shards = range(self.budget.num_shards)
         return RebalanceDecision(
-            applied=changed,
+            applied=applied,
             reason=reason,
-            write_pressure=write_pressure,
-            read_pressure=read_pressure,
+            memtable_savings=tuple(savings[s, "memtable"] for s in shards),
+            cache_savings=tuple(savings[s, "cache"] for s in shards),
             before=before,
-            after=self._shares,
+            after=after,
         )
 
-    def _apply_locked(self, shares: MemoryShares) -> None:
-        for target, memtable_bytes, cache_bytes in zip(
-            self.targets, shares.memtable_bytes, shares.cache_bytes
-        ):
-            target.set_memory_budget(memtable_bytes, cache_bytes)
+    def _apply_locked(
+        self, before: MemoryShares, after: MemoryShares
+    ) -> None:
+        """Give every shard whose share changed its new one, or none: a
+        shard that refuses (a closed store raises ``ClosedError``) puts
+        the shards already given theirs back on ``before``."""
+        done = []
+        try:
+            for shard, target in enumerate(self.targets):
+                if after.shard(shard) != before.shard(shard):
+                    target.set_memory_budget(*after.shard(shard))
+                    done.append(shard)
+        except BaseException:
+            for shard in done:
+                self.targets[shard].set_memory_budget(*before.shard(shard))
+            raise
 
     def _publish_gauges(self) -> None:
         registry = self.obs.registry
@@ -289,4 +228,4 @@ class MemoryArbiter:
         registry.gauge(
             "memory_write_fraction",
             help="Fraction of the budget currently given to memtables.",
-        ).set(self._write_fraction)
+        ).set(self._shares.write_fraction)

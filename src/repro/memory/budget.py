@@ -1,28 +1,18 @@
-"""The node-wide memory budget and its deterministic splitting rules.
+"""The node-wide memory budget and the shares it is carved into.
 
-One :class:`MemoryBudget` owns a single byte budget per node and knows
-how to carve it, at any write/read split point, into per-shard memtable
-targets and block-cache capacities. Splitting is pure arithmetic —
-weights in, integer byte shares out — so the arbiter's decisions are
-reproducible from its input signals alone: proportional shares use
-largest-remainder rounding with a fixed tie order (larger remainder
-first, lower shard id on ties), and every shard's write share is
-floored so a starved shard can still rotate memtables.
-
-Following *Breaking Down Memory Walls* (Luo & Carey), the budget is
-arbitrated along two axes: the **write/read split** (how much of the
-node goes to memtables versus block caches) and the **per-shard
-shares** within each side (hot read tenants gain cache, write-heavy
-tenants gain memtable). :class:`repro.memory.MemoryArbiter` moves both
-axes from observed signals; this module only guarantees the carving is
-exact — shares always sum to their pool — and honors the floors.
+Every shard starts with half of its share as memtable and half as
+block cache; :class:`repro.memory.MemoryArbiter` then moves one step at
+a time between two ``(shard, side)`` buckets. A move is a transfer, so
+the shares always sum to the budget, and no memtable falls below
+:data:`MIN_MEMTABLE_BYTES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
+from ..engine.blockcache import STEP_SHARE
 from ..errors import ConfigurationError
 
 #: Smallest write-memory target one shard may be squeezed to. Matches
@@ -30,12 +20,14 @@ from ..errors import ConfigurationError
 #: dominates and the flush pipeline degenerates.
 MIN_MEMTABLE_BYTES = 64 * 1024
 
+#: The two sides of a shard's share, in bucket (and field) order.
+SIDES = ("memtable", "cache")
+
 
 @dataclass(frozen=True)
 class MemoryShares:
     """One concrete carving of the budget: per-shard byte targets."""
 
-    write_fraction: float
     memtable_bytes: tuple[int, ...]
     cache_bytes: tuple[int, ...]
 
@@ -43,6 +35,30 @@ class MemoryShares:
     def total_bytes(self) -> int:
         """Bytes accounted for (always the full budget)."""
         return sum(self.memtable_bytes) + sum(self.cache_bytes)
+
+    @property
+    def write_fraction(self) -> float:
+        """Fraction of the budget the memtables hold."""
+        return sum(self.memtable_bytes) / self.total_bytes
+
+    def shard(self, shard: int) -> tuple[int, int]:
+        """One shard's ``(memtable, cache)`` bytes."""
+        return self.memtable_bytes[shard], self.cache_bytes[shard]
+
+    def spare(self, shard: int, side: str) -> int:
+        """Bytes the ``(shard, side)`` bucket can give above its floor."""
+        floor = MIN_MEMTABLE_BYTES if side == "memtable" else 0
+        return getattr(self, f"{side}_bytes")[shard] - floor
+
+    def moved(
+        self, source: tuple[int, str], target: tuple[int, str], nbytes: int
+    ) -> "MemoryShares":
+        """These shares with ``nbytes`` moved from one bucket to another;
+        the caller keeps ``nbytes`` within the source's spare bytes."""
+        sides = {side: list(getattr(self, f"{side}_bytes")) for side in SIDES}
+        sides[source[1]][source[0]] -= nbytes
+        sides[target[1]][target[0]] += nbytes
+        return MemoryShares(*(tuple(sides[side]) for side in SIDES))
 
 
 def apportion_bytes(
@@ -85,84 +101,39 @@ def apportion_bytes(
 
 
 class MemoryBudget:
-    """One global byte budget, split between write and read memory.
+    """One global byte budget over ``num_shards`` shards.
 
-    The budget validates once, at construction, that its floors are
-    satisfiable at the most write-starved allowed split — so a caller
-    holding a :class:`MemoryBudget` knows every ``split()`` within the
-    clamp range succeeds.
+    Validated once, at construction: the even starting split must give
+    every shard its memtable floor, so a caller holding a budget knows
+    :meth:`initial` succeeds.
     """
 
-    def __init__(
-        self,
-        total_bytes: int,
-        num_shards: int,
-        *,
-        min_write_fraction: float = 0.1,
-        max_write_fraction: float = 0.9,
-    ) -> None:
+    def __init__(self, total_bytes: int, num_shards: int) -> None:
         if total_bytes <= 0:
             raise ConfigurationError("memory budget must be positive")
         if num_shards < 1:
             raise ConfigurationError("need at least one shard")
-        if not 0.0 < min_write_fraction <= max_write_fraction < 1.0:
-            raise ConfigurationError(
-                "need 0 < min_write_fraction <= max_write_fraction < 1"
-            )
-        if int(total_bytes * min_write_fraction) < (
-            num_shards * MIN_MEMTABLE_BYTES
-        ):
+        if total_bytes // 2 < num_shards * MIN_MEMTABLE_BYTES:
             raise ConfigurationError(
                 f"budget of {total_bytes} bytes cannot give {num_shards} "
-                f"shard(s) a {MIN_MEMTABLE_BYTES}-byte memtable floor at "
-                f"the minimum write fraction {min_write_fraction}"
+                f"shard(s) a {MIN_MEMTABLE_BYTES}-byte memtable floor in "
+                f"half of it"
             )
         self.total_bytes = total_bytes
         self.num_shards = num_shards
-        self.min_write_fraction = min_write_fraction
-        self.max_write_fraction = max_write_fraction
 
-    def clamp_fraction(self, write_fraction: float) -> float:
-        """Pull a proposed write fraction back inside the allowed band."""
-        return min(
-            self.max_write_fraction,
-            max(self.min_write_fraction, write_fraction),
-        )
+    @property
+    def step_bytes(self) -> int:
+        """Bytes one rebalance moves: a constant share of a shard's
+        share of the budget."""
+        return int(self.total_bytes / self.num_shards * STEP_SHARE)
 
-    def split(
-        self,
-        write_fraction: float,
-        write_weights: Mapping[int, float] | Sequence[float],
-        read_weights: Mapping[int, float] | Sequence[float],
-    ) -> MemoryShares:
-        """Carve the budget at ``write_fraction`` into per-shard shares."""
-        fraction = self.clamp_fraction(write_fraction)
-        writes = self._as_list(write_weights)
-        reads = self._as_list(read_weights)
-        write_pool = int(self.total_bytes * fraction)
-        read_pool = self.total_bytes - write_pool
+    def initial(self) -> MemoryShares:
+        """The even starting split: each shard's share half memtable,
+        half cache."""
+        write_pool = self.total_bytes // 2
+        even = [1.0] * self.num_shards
         return MemoryShares(
-            write_fraction=fraction,
-            memtable_bytes=tuple(
-                apportion_bytes(
-                    write_pool, writes, floor=MIN_MEMTABLE_BYTES
-                )
-            ),
-            cache_bytes=tuple(apportion_bytes(read_pool, reads)),
+            tuple(apportion_bytes(write_pool, even)),
+            tuple(apportion_bytes(self.total_bytes - write_pool, even)),
         )
-
-    def _as_list(
-        self, weights: Mapping[int, float] | Sequence[float]
-    ) -> list[float]:
-        if isinstance(weights, Mapping):
-            listed = [
-                float(weights.get(shard, 0.0))
-                for shard in range(self.num_shards)
-            ]
-        else:
-            listed = [float(weight) for weight in weights]
-        if len(listed) != self.num_shards:
-            raise ConfigurationError(
-                f"expected {self.num_shards} weights, got {len(listed)}"
-            )
-        return listed

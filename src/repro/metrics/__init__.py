@@ -8,7 +8,6 @@ time series, latency samples and FIFO fluid queues.
 from .curves import CumulativeCurve, fifo_latencies
 from .percentiles import (
     STANDARD_PERCENTILES,
-    percentile,
     percentile_profile,
     weighted_percentile_profile,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "StepSeries",
     "WindowedCounter",
     "fifo_latencies",
-    "percentile",
     "percentile_profile",
     "stall_windows",
     "weighted_percentile_profile",

@@ -22,30 +22,26 @@ from ..errors import ConfigurationError
 STANDARD_PERCENTILES: tuple[float, ...] = (50.0, 90.0, 99.0, 99.9)
 
 
-def percentile(samples: Sequence[float] | np.ndarray, q: float) -> float:
-    """Return the ``q``-th percentile of ``samples`` as an observed value.
-
-    ``q`` is expressed in percent (0-100). Raises
-    :class:`~repro.errors.ConfigurationError` when ``samples`` is empty or
-    ``q`` is out of range, rather than silently returning NaN.
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ConfigurationError(f"percentile q={q} must be within [0, 100]")
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise ConfigurationError("cannot take a percentile of zero samples")
-    return float(np.percentile(arr, q, method="higher"))
-
-
 def percentile_profile(
     samples: Sequence[float] | np.ndarray,
     levels: Iterable[float] = STANDARD_PERCENTILES,
 ) -> dict[float, float]:
-    """Return ``{level: value}`` for each percentile level in ``levels``."""
+    """Return ``{level: value}`` for each percentile level in ``levels``
+    (in percent, 0-100), each an observed sample.
+
+    Raises :class:`~repro.errors.ConfigurationError` when ``samples`` is
+    empty or a level is out of range, rather than silently returning
+    NaN. One level: ``percentile_profile(samples, (99.0,))[99.0]``.
+    """
+    levels = tuple(levels)
+    for level in levels:
+        if not 0.0 <= level <= 100.0:
+            raise ConfigurationError(
+                f"percentile level {level} must be within [0, 100]"
+            )
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ConfigurationError("cannot take percentiles of zero samples")
-    levels = tuple(levels)
     values = np.percentile(arr, levels, method="higher")
     return {level: float(value) for level, value in zip(levels, values)}
 

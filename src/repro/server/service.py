@@ -459,7 +459,6 @@ class KVServer(FramedServer):
         write_deadline: float = DEFAULT_WRITE_DEADLINE,
         metrics_port: int | None = None,
         memory_arbiter=None,
-        memory_interval: float = 1.0,
         wire: str = "binary",
     ) -> None:
         binproto.require_binary(wire)
@@ -480,12 +479,13 @@ class KVServer(FramedServer):
             "protocol_errors connections_total",
         )
         self._clock = store.obs.clock
-        self._memory_arbiter = memory_arbiter
         if memory_arbiter is not None:
             # The ticker wakes the arbiter; the arbiter's own interval
             # (injectable clock) decides whether a tick actually runs,
             # so wall-clock scheduling never leaks into its decisions.
-            self.attach_ticker(memory_arbiter.maybe_tick, memory_interval)
+            self.attach_ticker(
+                memory_arbiter.maybe_tick, memory_arbiter.interval
+            )
         self._engine_calls = {
             (op, where): self.obs.registry.counter(
                 "server_engine_calls_total",

@@ -20,14 +20,15 @@ from .queries import (
 from .result import ForceEvent, MergeRecord, SimResult
 from .secondary import (
     DatasetResult,
+    DatasetTarget,
     EagerLookupControl,
     SecondarySetup,
-    dataset_two_phase,
     simulate_dataset,
 )
 
 __all__ = [
     "DatasetResult",
+    "DatasetTarget",
     "EagerLookupControl",
     "ForceEvent",
     "MergeRecord",
@@ -40,7 +41,6 @@ __all__ = [
     "SimResult",
     "SimulatedLSMTree",
     "bench_config",
-    "dataset_two_phase",
     "load_result_dict",
     "result_to_dict",
     "save_result",

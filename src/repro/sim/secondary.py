@@ -162,6 +162,22 @@ class DatasetResult:
     primary: SimResult
     secondary: SimResult
     closed_system: bool
+    #: Secondary-tree entries one ingested record makes.
+    secondary_entries_per_write: float = 1.0
+
+    @property
+    def total_writes(self) -> float:
+        """Records every tree took."""
+        per_write = self.secondary_entries_per_write
+        return min(self.primary.total_writes,
+                   self.secondary.total_writes / per_write)
+
+    @property
+    def final_queue_length(self) -> float:
+        """Records some tree had yet to take when the run ended."""
+        per_write = self.secondary_entries_per_write
+        return max(self.primary.final_queue_length,
+                   self.secondary.final_queue_length / per_write)
 
     def measured_throughput(self, exclude_initial: float = 0.0) -> float:
         """Dataset ingest throughput = the slower tree's throughput."""
@@ -292,31 +308,31 @@ def simulate_dataset(
         primary=primary.run(duration),
         secondary=secondary.run(duration),
         closed_system=closed,
+        secondary_entries_per_write=setup.entries_per_write_secondary,
     )
 
 
-def dataset_two_phase(
-    setup: SecondarySetup,
-    scheduler: str = "fair",
-    utilization: float = 0.95,
-    testing_duration: float = 7200.0,
-    running_duration: float = 7200.0,
-    warmup: float = 1200.0,
-) -> tuple[float, DatasetResult]:
-    """Two-phase evaluation at the dataset level.
+@dataclass(frozen=True)
+class DatasetTarget:
+    """The dataset as a :func:`repro.harness.two_phase` target.
 
-    Returns ``(max_throughput, running_result)``: the testing phase uses
-    the closed model and the fair scheduler; the running phase uses
-    constant arrivals at ``utilization`` times the measured maximum.
+    ``closed()`` is the testing phase: the closed model and the fair
+    scheduler, its throughput measured after ``warmup``. ``open(rate)``
+    is the running phase: constant arrivals at ``rate`` under
+    ``scheduler``.
     """
-    testing = simulate_dataset(
-        setup, ClosedArrivals(), scheduler="fair", duration=testing_duration
-    )
-    max_throughput = testing.measured_throughput(warmup)
-    running = simulate_dataset(
-        setup,
-        ConstantArrivals(utilization * max_throughput),
-        scheduler=scheduler,
-        duration=running_duration,
-    )
-    return max_throughput, running
+
+    setup: SecondarySetup
+    scheduler: str = "fair"
+    testing_duration: float = 7200.0
+    running_duration: float = 7200.0
+    warmup: float = 1200.0
+
+    def closed(self) -> tuple[float, DatasetResult]:
+        testing = simulate_dataset(self.setup, ClosedArrivals(), "fair",
+                                   self.testing_duration)
+        return testing.measured_throughput(self.warmup), testing
+
+    def open(self, rate: float) -> DatasetResult:
+        return simulate_dataset(self.setup, ConstantArrivals(rate),
+                                self.scheduler, self.running_duration)

@@ -56,35 +56,34 @@ class TestApportionBytes:
 class TestMemoryBudget:
     def test_split_accounts_for_every_byte(self):
         budget = MemoryBudget(4 * 2**20, 3)
-        shares = budget.split(0.5, [1, 1, 1], [1, 1, 1])
+        shares = budget.initial()
         assert shares.total_bytes == 4 * 2**20
         assert len(shares.memtable_bytes) == 3
         assert len(shares.cache_bytes) == 3
-
-    def test_write_fraction_clamped(self):
-        budget = MemoryBudget(
-            4 * 2**20, 1, min_write_fraction=0.2, max_write_fraction=0.8
-        )
-        assert budget.split(0.05, [1], [1]).write_fraction == 0.2
-        assert budget.split(0.99, [1], [1]).write_fraction == 0.8
+        moved = shares.moved((0, "cache"), (2, "memtable"), 12345)
+        assert moved.total_bytes == 4 * 2**20
+        assert moved.memtable_bytes[2] == shares.memtable_bytes[2] + 12345
 
     def test_memtable_floor_survives_skewed_weights(self):
+        """Every move toward one bucket stops at the others' floors."""
         budget = MemoryBudget(4 * 2**20, 4)
-        shares = budget.split(0.5, [1000.0, 0.0, 0.0, 0.0], [1, 1, 1, 1])
-        assert all(
-            share >= MIN_MEMTABLE_BYTES for share in shares.memtable_bytes
-        )
-
-    def test_mapping_weights(self):
-        budget = MemoryBudget(2 * 2**20, 2)
-        shares = budget.split(0.5, {0: 3.0, 1: 1.0}, {1: 1.0})
-        assert shares.memtable_bytes[0] > shares.memtable_bytes[1]
-        assert shares.cache_bytes[1] > shares.cache_bytes[0]
-
-    def test_wrong_weight_count_rejected(self):
-        budget = MemoryBudget(2 * 2**20, 2)
-        with pytest.raises(ConfigurationError):
-            budget.split(0.5, [1.0], [1.0, 1.0])
+        shares = budget.initial()
+        target = (0, "memtable")
+        for _ in range(200):
+            givers = [
+                (shard, side)
+                for shard in range(4)
+                for side in ("memtable", "cache")
+                if (shard, side) != target and shares.spare(shard, side)
+            ]
+            if not givers:
+                break
+            giver = givers[0]
+            step = min(budget.step_bytes, shares.spare(*giver))
+            shares = shares.moved(giver, target, step)
+        assert shares.memtable_bytes[1:] == (MIN_MEMTABLE_BYTES,) * 3
+        assert shares.cache_bytes == (0,) * 4
+        assert shares.total_bytes == 4 * 2**20
 
     def test_budget_too_small_for_floors_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -93,11 +92,3 @@ class TestMemoryBudget:
     def test_non_positive_budget_rejected(self):
         with pytest.raises(ConfigurationError):
             MemoryBudget(0, 1)
-
-    def test_bad_fraction_band_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MemoryBudget(2**20, 1, min_write_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            MemoryBudget(
-                2**20, 1, min_write_fraction=0.8, max_write_fraction=0.2
-            )

@@ -48,12 +48,16 @@ class TestShardedStoreWiring:
             arbiter = s.enable_memory_arbiter(
                 4 * 2**20, clock=lambda: 0.0
             )
-            # Find keys owned by shard 0 and hammer only those.
+            # Find keys owned by shard 0 and hammer only those, into a
+            # tree that already holds a component (one with none merges
+            # nothing, so a larger memtable would save it nothing).
             hot_keys = [
                 key
                 for key in (f"k{i:06d}".encode() for i in range(4000))
                 if s.ring.shard_for(key) == 0
             ]
+            s.engine(0).put(hot_keys[0], b"v")
+            s.engine(0).flush()
             for _ in range(3):
                 for key in hot_keys[:600]:
                     s.engine(0).put(key, b"v" * 256)
@@ -90,6 +94,8 @@ class TestShardedStoreWiring:
             for i in range(500):
                 key = f"k{i:05d}".encode()
                 s.engine(s.ring.shard_for(key)).put(key, b"v" * 512)
+                if i == 0:
+                    s.engine(s.ring.shard_for(key)).flush()
             s.rebalance_memory()
             kinds = [e.kind for e in arbiter.obs.tracer.events()]
             assert MEMORY_REBALANCE in kinds
@@ -162,3 +168,36 @@ class TestEngineBudgetProtocol:
             arbiter.tick()
         assert store.memtable_target_bytes == target
         assert arbiter.shares.memtable_bytes == (target,)
+
+    def test_a_tick_that_a_second_shard_refuses_applies_nothing(
+        self, tmp_path
+    ):
+        """A move between two shards is given to both or to neither:
+        when the second refuses, the first gets its old share back and
+        the arbiter keeps its shares and its signal window."""
+        stores = [
+            LSMStore.open(str(tmp_path / f"s{shard}"), SMALL)
+            for shard in range(2)
+        ]
+        arbiter = MemoryArbiter(
+            MemoryBudget(4 * 2**20, 2), stores, clock=lambda: 0.0
+        )
+        shares = arbiter.shares
+        # Shard 0 writes into a tree holding a component, and its cache
+        # has ghost hits: both its buckets save more than shard 1's.
+        stores[0].put(b"k", b"v")
+        stores[0].flush()
+        for i in range(200):
+            stores[0].put(f"k{i:04d}".encode(), b"v" * 256)
+        cache = stores[0]._compaction.block_cache
+        cache.resize(64, ghost_bytes=2**20)
+        cache.put_row(b"cold", b"v" * 1000)  # refused: too large
+        cache.get_row(b"cold")
+        assert stores[0].stats().ghost_hit_bytes > 0
+        stores[1].close()
+        with pytest.raises(ClosedError):
+            arbiter.tick()
+        assert stores[0].memtable_target_bytes == shares.memtable_bytes[0]
+        assert arbiter.shares == shares
+        assert arbiter.write_fraction == 0.5
+        stores[0].close()

@@ -31,9 +31,7 @@ def test_kvserver_ticker_drives_the_arbiter(tmp_path):
                 obs=store.obs,
                 interval=0.01,
             )
-            server = KVServer(
-                store, memory_arbiter=arbiter, memory_interval=0.01
-            )
+            server = KVServer(store, memory_arbiter=arbiter)
             async with server:
                 await asyncio.sleep(0.3)
             counters = {
@@ -65,6 +63,9 @@ def test_cluster_rebalance_events_and_rollup(tmp_path):
                     await client.put(
                         f"k{i:05d}".encode(), b"v" * 512
                     )
+                    if i == 0:  # a tree with a component to merge into
+                        for engine in cluster.store.engines():
+                            engine.flush()
                 # Deterministic: force the rebalance rather than racing
                 # the serving ticker.
                 cluster.store.rebalance_memory()

@@ -22,7 +22,7 @@ from repro.engine import StoreOptions
 from repro.errors import ConfigurationError
 from repro.faults import run_chaos
 from repro.faults.chaos import ChaosReport
-from repro.metrics.percentiles import percentile
+from repro.metrics.percentiles import percentile_profile
 from repro.server.client import KVClient
 
 
@@ -122,7 +122,7 @@ async def _baseline_p99(tmp_path, keys, value_bytes, op_interval):
                 await client.put(key, value)
                 samples.append(time.monotonic() - started)
                 await asyncio.sleep(op_interval)
-    return percentile(samples, 99.0)
+    return percentile_profile(samples, (99.0,))[99.0]
 
 
 def test_leader_kill_failover_meets_the_acceptance_bar(tmp_path):

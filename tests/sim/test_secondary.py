@@ -6,12 +6,13 @@ import pytest
 
 from repro.core import GlobalComponentConstraint
 from repro.errors import ConfigurationError
+from repro.harness import two_phase
 from repro.sim import (
+    DatasetTarget,
     EagerLookupControl,
     QueryDevice,
     SecondarySetup,
     bench_config,
-    dataset_two_phase,
     simulate_dataset,
 )
 from repro.workloads import ClosedArrivals, ConstantArrivals
@@ -77,6 +78,13 @@ class TestEagerLookupControl:
         assert math.isfinite(rate) and rate > 0
 
 
+def dataset_two_phase(setup, **durations):
+    """``(maximum, running result)`` of the harness's two phases over
+    the dataset."""
+    outcome = two_phase(DatasetTarget(setup, **durations))
+    return outcome.max_write_throughput, outcome.running
+
+
 class TestDatasetSimulation:
     def test_lazy_measures_higher_than_eager(self):
         lazy_max, _ = dataset_two_phase(
@@ -105,6 +113,22 @@ class TestDatasetSimulation:
         lazy_p99 = lazy_run.write_latency_profile((99.0,))[99.0]
         eager_p99 = eager_run.write_latency_profile((99.0,))[99.0]
         assert eager_p99 > lazy_p99
+
+    def test_the_dataset_answers_the_sustainable_verdict(self):
+        target = DatasetTarget(
+            SecondarySetup(strategy="lazy", scale=512),
+            testing_duration=2400,
+            running_duration=600,
+        )
+        outcome = two_phase(target)
+        assert outcome.arrival_rate == 0.95 * outcome.max_write_throughput
+        assert outcome.sustainable
+        assert outcome.running.total_writes == pytest.approx(
+            outcome.arrival_rate * 600, rel=0.01
+        )
+        overload = two_phase(target, utilization=2.0)
+        assert overload.running.final_queue_length > overload.arrival_rate
+        assert not overload.sustainable
 
     def test_lower_utilization_tames_eager_latency(self):
         setup = SecondarySetup(strategy="eager", scale=512)
