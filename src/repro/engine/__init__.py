@@ -11,7 +11,7 @@ limiter with periodic forces, and a compaction driver that executes the
 from .blockcache import BlockCache
 from .blockcodec import BlockCodec, available_codecs, get_codec, register_codec
 from .bloom import BloomFilter
-from .compaction import CompactionManager, MergeJob
+from .compaction import CompactionManager
 from .integrity import IntegrityReport, verify_store
 from .datastore import (
     LSMStore,
@@ -22,11 +22,13 @@ from .datastore import (
 from .iterators import reconcile_get, reconciling_iterator
 from .manifest import LogPosition, Manifest, RunRecord
 from .memtable import MemTable
+from .merge import MergeJob
 from .options import StoreOptions, TOMBSTONE
 from .quarantine import QuarantineEntry, QuarantineSet
 from .ratelimiter import RateLimiter, SyncPolicy
 from .secondary import IndexedStore, decode_secondary_key, encode_secondary_key
 from .sstable import RunStats, SSTableReader, SSTableWriter
+from .version import Version
 from .wal import WalScan, WriteAheadLog, scan_wal
 
 __all__ = [
@@ -52,6 +54,7 @@ __all__ = [
     "StoreStats",
     "SyncPolicy",
     "TOMBSTONE",
+    "Version",
     "WalPosition",
     "WalScan",
     "WriteAheadLog",

@@ -20,45 +20,24 @@ from __future__ import annotations
 
 import os
 import time
-from bisect import bisect_left
-from typing import NamedTuple
 
-from ..core.components import Component, MergeDescriptor, TreeSnapshot, UidAllocator
+from ..core.components import Component, MergeDescriptor, UidAllocator
 from ..errors import ConfigurationError, CorruptionError
 from ..obs import events as obs_events
 from .blockcache import BlockCache, ghost_bytes_for
-from .iterators import pick_head, read_twice
 from .manifest import Manifest, RunRecord
+from .memtable import MemTable
+from .merge import MergeJob, _open_writer
 from .options import StoreOptions
 from .quarantine import QuarantineEntry, QuarantineSet
-from .ratelimiter import RateLimiter, SyncPolicy
+from .ratelimiter import RateLimiter
 from .runs import Run
-from .sstable import MIN_FILTER_KEYS, DataBlock, SSTableReader, SSTableWriter
+from .sstable import SSTableReader, SSTableWriter
+from .version import Version, build_version
 
 #: Upper key bound recorded when a run is quarantined before its meta
 #: block could be read — wide enough that any plausible key is covered.
 _UNBOUNDED_MAX_KEY = b"\xff" * 256
-
-#: Point-filter sizing for every run the engine writes: 10 bits per key
-#: is the paper's testbed setting (Section 3.1), ~1% false positives.
-BLOOM_BITS_PER_KEY = 10
-
-#: How much larger than the one filter a k-way merge would build the
-#: filters of a linking merge's input files may be, all together: a
-#: sequential load of tiny flushes would otherwise keep a filter padded
-#: to a writer's least per file, forever.
-APPENDED_FILTER_BITS = 2
-
-#: Most files a linked run may name. Every live file holds an open
-#: handle (its query reader's), so the cap bounds a store's handles at
-#: this many per run; a merge that would name more rewrites its inputs.
-MAX_RUN_FILES = 64
-
-#: Flush and merge writers force their file to disk every 16 MB, the
-#: paper's second I/O optimization (Section 3.1; RocksDB's
-#: ``bytes_per_sync``): it keeps the OS write queue short, so a large
-#: merge cannot stall foreground I/O behind one giant final fsync.
-BYTES_PER_SYNC = 16 * 2**20
 
 #: How long no merge is started after one failed for a reason other
 #: than a checksum — at its start or in a chunk: an idle maintenance
@@ -66,307 +45,6 @@ BYTES_PER_SYNC = 16 * 2**20
 #: error costs one attempt per poll, not a busy loop, while flushes and
 #: merges already started go on being claimed.
 RETRY_SECONDS = 0.05
-
-
-def _open_writer(
-    path: str,
-    options: StoreOptions,
-    rate_limiter: RateLimiter,
-    expected_keys: int,
-) -> SSTableWriter:
-    """The writer of every run the engine produces — flush, merge
-    output or repair — configured from the store's options in one
-    place."""
-    return SSTableWriter(
-        path,
-        block_bytes=options.block_bytes,
-        bloom_bits_per_key=BLOOM_BITS_PER_KEY,
-        expected_keys=expected_keys,
-        rate_limiter=rate_limiter,
-        sync_policy=SyncPolicy(BYTES_PER_SYNC),
-        fault_plan=options.fault_plan,
-        block_codec=options.block_codec,
-    )
-
-
-class _BlockCursor:
-    """One merge input: the run's current decoded block and a position
-    in it. ``key`` is the head — the next key this input offers — and
-    None once the run is exhausted. Blocks are read off a sequential
-    handle of the file that holds them, one file's handle open at a
-    time; reads are :func:`read_twice`'s."""
-
-    __slots__ = (
-        "run_id", "run", "handle", "next_block", "block", "pos", "key",
-    )
-
-    def __init__(self, run_id: int, run: Run) -> None:
-        self.run_id = run_id
-        self.run = run
-        self.handle: SSTableReader | None = None
-        self.next_block = 0
-        self.block: DataBlock | None = None
-        self.pos = 0
-        self.key: bytes | None = None
-
-    def load(self) -> None:
-        """Step to the run's next block (or to exhaustion)."""
-        if self.next_block < self.run.block_count:
-            reader, index = self.run.locate(self.next_block)
-            if self.handle is None or self.handle.path != reader.path:
-                self.close()
-                self.handle = reader.sequential_handle()
-            self.block = read_twice(
-                self.run_id, self.handle.read_data_block, index
-            )
-            self.next_block += 1
-            self.pos = 0
-            self.key = self.block.keys[0]
-        else:
-            self.close()
-            self.block = None
-            self.key = None
-
-    def close(self) -> None:
-        """Close the open file handle, if any."""
-        if self.handle is not None:
-            self.handle.close()
-            self.handle = None
-
-
-def _link_order(
-    runs: list[Run], drop_tombstones: bool
-) -> tuple[str, ...] | None:
-    """The files of a merge's output, key order, if the merge may link
-    its inputs rather than rewrite them, else None; decided from metas.
-    The inputs' key ranges are pairwise disjoint, no tombstone is to be
-    dropped, together they name at most :data:`MAX_RUN_FILES` files,
-    and those files' filters hold at most :data:`APPENDED_FILTER_BITS`
-    times the bits of the one filter the k-way merge would build (a
-    writer sizes one for 1,024 keys at least).
-    """
-    files = [reader for run in runs for reader in run.files]
-    if len(files) > MAX_RUN_FILES or (
-        drop_tombstones and any(run.tombstone_count for run in runs)
-    ):
-        return None
-    rebuilt = max(sum(run.entry_count for run in runs), MIN_FILTER_KEYS)
-    bits = sum(reader.point_filter.bit_size for reader in files)
-    if bits > APPENDED_FILTER_BITS * rebuilt * BLOOM_BITS_PER_KEY:
-        return None
-    ordered = sorted(runs, key=lambda run: run.min_key)
-    for lower, upper in zip(ordered, ordered[1:]):
-        if lower.max_key >= upper.min_key:
-            return None
-    return tuple(
-        os.path.basename(f.path) for run in ordered for f in run.files
-    )
-
-
-class MergeJob:
-    """An in-flight merge: incremental reconciliation into a new run.
-
-    A k-way merge over block cursors, newest input first. Each round
-    picks the input with the smallest head (the newest on a tie, whose
-    entry shadows the others' — :func:`reconciling_iterator`'s rule,
-    stated once in :func:`~repro.engine.iterators.pick_head`) and
-    drains it up to the smallest head among the rest, block after block
-    without looking at the others again. What a round moves is a range
-    of one decoded block, never a record: the range goes to the writer
-    as encoded bytes, and a block that is consumed whole — and holds no
-    tombstone this merge must drop — is offered to the writer for a
-    verbatim copy (:meth:`SSTableWriter.add_block` decides from the
-    block's format version, codec id and size). Input progress is the
-    encoded size of the ranges moved or stepped over, so it ends at the
-    inputs' logical bytes; a chunk boundary may cut a range anywhere.
-
-    A merge whose inputs' key ranges are disjoint (:func:`_link_order`
-    says when) has nothing to reconcile, and nothing to write either: it
-    *links* them. ``links`` lists the files the output run names, in key
-    order; its first advance finishes it, and publishing it is one
-    manifest edit. No block is read and no byte written, and the files'
-    readers, with their cached blocks, pass to the output run.
-
-    A k-way merge reads its inputs off its own sequential file handles,
-    opened by :meth:`advance` one file per input at a time, because it
-    may run on a maintenance worker outside the store lock while
-    foreground reads use the query readers' handles. ``claimed`` is the
-    executor's co-advance guard: :meth:`advance` is called only by
-    ``MaintenanceExecutor._run``, on a job claimed under the store lock,
-    so two threads can never interleave chunks of one merge.
-    """
-
-    def __init__(
-        self,
-        descriptor: MergeDescriptor,
-        runs: list[Run],
-        output_path: str,
-        options: StoreOptions,
-        rate_limiter: RateLimiter,
-        drop_tombstones: bool,
-    ) -> None:
-        self.descriptor = descriptor
-        self._runs = runs
-        self.claimed = False
-        self._drop_tombstones = drop_tombstones
-        self.links = _link_order(runs, drop_tombstones)
-        # Progress is tracked against *logical* input bytes because a
-        # cursor sees decoded blocks; for uncompressed (and all
-        # version-1) runs this equals data_bytes, CRC trailers aside.
-        self.total_input_bytes = sum(run.logical_bytes for run in runs)
-        self._writer = None
-        if self.links is None:
-            self._writer = _open_writer(
-                output_path,
-                options,
-                rate_limiter,
-                sum(run.entry_count for run in runs),
-            )
-        else:
-            descriptor.remaining_input_bytes = 0.0
-        #: Path of the run being produced.
-        self.output_path = output_path
-        #: Inputs not yet exhausted, newest first so that position
-        #: breaks ties. Opened by the first advance(): the constructor
-        #: runs under the store lock and must not read blocks.
-        self._cursors: list[_BlockCursor] | None = None
-        self._consumed = 0
-        #: Input blocks by how they reached the output (or were shadowed
-        #: away): kept in place (linked) or written verbatim vs. decoded
-        #: and re-packed.
-        self.blocks_copied = 0
-        self.blocks_rewritten = 0
-        self.finished = False
-        self.stats = None
-
-    def _leave_block(self, cursor: _BlockCursor, copied: bool = False) -> None:
-        """Count the block a cursor is done with and load its next."""
-        if copied:
-            self.blocks_copied += 1
-        else:
-            self.blocks_rewritten += 1
-        cursor.load()
-        if cursor.key is None:
-            self._cursors.remove(cursor)
-
-    def _step_over(self, cursor: _BlockCursor) -> None:
-        """Move an input past its head, a copy of a key that a newer
-        input shadows; the entry counts as consumed."""
-        ends, pos = cursor.block.ends, cursor.pos
-        self._consumed += ends[pos] - (ends[pos - 1] if pos else 0)
-        if pos + 1 == len(ends):
-            self._leave_block(cursor)
-        else:
-            cursor.pos = pos + 1
-            cursor.key = cursor.block.keys[pos + 1]
-
-    def _drain(
-        self, best: _BlockCursor, limit: bytes | None, target: int
-    ) -> None:
-        """Move ``best``'s entries below ``limit`` to the output, block
-        after block, stopping with the entry that brings consumed input
-        to ``target``."""
-        writer = self._writer
-        drop = self._drop_tombstones
-        while True:
-            block = best.block
-            keys, ends = block.keys, block.ends
-            lo = best.pos
-            if limit is None or keys[-1] < limit:
-                hi = len(keys)
-            else:
-                hi = bisect_left(keys, limit, lo)
-            start = ends[lo - 1] if lo else 0
-            budget = target - self._consumed
-            if ends[hi - 1] - start > budget:
-                hi = bisect_left(ends, start + budget, lo, hi) + 1
-            self._consumed += ends[hi - 1] - start
-            copied = False
-            if lo == 0 and hi == len(keys) and not (drop and block.tombstones):
-                copied = writer.add_block(block)
-            else:
-                if drop:
-                    for position in block.tombstones:
-                        if lo <= position < hi:
-                            writer.add_entries(block, lo, position)
-                            lo = position + 1
-                writer.add_entries(block, lo, hi)
-            if hi < len(keys):
-                best.pos = hi
-                best.key = keys[hi]
-                return
-            self._leave_block(best, copied)
-            if (
-                best.key is None
-                or (limit is not None and best.key >= limit)
-                or self._consumed >= target
-            ):
-                return
-
-    def _merge(self, target: int) -> bool:
-        """Run the k-way merge until consumed input reaches ``target``;
-        True once every input is exhausted."""
-        if self._cursors is None:
-            cursors = [
-                _BlockCursor(c.uid, run)
-                for c, run in zip(self.descriptor.inputs, self._runs)
-            ][::-1]
-            for cursor in cursors:
-                cursor.load()
-            self._cursors = [c for c in cursors if c.key is not None]
-        while self._cursors and self._consumed < target:
-            best, limit = pick_head(self._cursors, self._step_over)
-            self._drain(best, limit, target)
-        return not self._cursors
-
-    def advance(self, chunk_bytes: int) -> bool:
-        """Process roughly ``chunk_bytes`` of input; True when complete."""
-        if self.finished:
-            return True
-        if self.links is not None:
-            self.blocks_copied = sum(run.block_count for run in self._runs)
-            self.finished = True
-            return True
-        if self._merge(self._consumed + chunk_bytes):
-            self.stats = self._writer.finish()
-            self.finished = True
-        self.descriptor.remaining_input_bytes = max(
-            0.0, self.total_input_bytes - self._consumed
-        )
-        return self.finished
-
-    @property
-    def output_bytes(self) -> int:
-        """Data bytes of the finished output run."""
-        if self.links is not None:
-            return sum(run.data_bytes for run in self._runs)
-        return self.stats.data_bytes
-
-    def abandon(self) -> None:
-        """Abort the merge and delete the partial output."""
-        if self._writer is not None:
-            self._writer.abandon()
-        self.close_readers()
-        self.descriptor.release_inputs()
-
-    def close_readers(self) -> None:
-        """Close the file handles the job's cursors hold open."""
-        for cursor in self._cursors or ():
-            cursor.close()
-
-
-class _RunSetView(NamedTuple):
-    """Everything read off the live run set between two edits: built
-    once, by the first read after
-    :meth:`CompactionManager._run_set_changed`, and shared by every
-    caller until the next."""
-
-    snapshot: TreeSnapshot
-    levels: dict[int, int]
-    write_stalled: bool
-    write_headroom: float
-    scrub_targets: list[tuple[int, str]]
-    read_plan: tuple[tuple[int, Run | QuarantineEntry], ...]
 
 
 class CompactionManager:
@@ -400,6 +78,15 @@ class CompactionManager:
                 "engine_flush_bytes_total",
                 help="Bytes written by memtable flushes.",
             )
+            self._m_corruption = {
+                source: registry.counter(
+                    "engine_corruption_detected_total",
+                    labels={"source": source},
+                    help="Runs quarantined after persistent corruption, "
+                    "by detection source.",
+                )
+                for source in ("read", "scrub", "merge")
+            }
         self._policy, self._scheduler, self._constraint = (
             options.merge_decisions()
         )
@@ -418,10 +105,12 @@ class CompactionManager:
         self._retry_at = 0.0
         self._merge_count = 0
         self._quarantine = QuarantineSet(directory)
-        #: What is derived from the run set; None until the next read.
-        self._view: _RunSetView | None = None
+        #: The store's current version; ``_install`` alone assigns it.
+        self.version: Version
         records = manifest.live_runs()
-        self._apply_edit([], [], recovered=records)
+        self._apply_edit(
+            [], [], recovered=records, memtables=(MemTable(), ())
+        )
         # A merge or repair that retired a run also retired its
         # quarantine; drop registry entries the manifest no longer backs.
         self._quarantine.retain({record.run_id for record in records})
@@ -439,6 +128,7 @@ class CompactionManager:
         added: list[tuple[int, int, tuple[str, ...]]],
         sequence: int | None = None,
         recovered: list[RunRecord] | None = None,
+        memtables: tuple[MemTable, tuple[MemTable, ...]] | None = None,
     ) -> None:
         """The one place the live run set changes (store lock held).
 
@@ -452,8 +142,11 @@ class CompactionManager:
         keep theirs, cached blocks included; then the in-memory swap,
         lifting a retired run's quarantine; then the files that no live
         run names any more, which the manifest no longer names either (a
-        crash leaves orphans for recovery to sweep); last the one
-        invalidation, and the policy sees the new tree.
+        crash leaves orphans for recovery to sweep; a read that pinned
+        an older version keeps the reader, whose descriptor closes when
+        the last reference goes); last the one install — with
+        ``memtables``, ``(active, sealed)``, in the same version — and
+        the policy sees the new tree.
 
         Recovery passes the manifest's own records as ``recovered``:
         already durable, so nothing is logged or scheduled, and a run
@@ -530,12 +223,10 @@ class CompactionManager:
         }
         for name in retired:
             if name not in named:
-                reader = self._files.pop(name, None)
-                if reader is not None:
-                    reader.close()
+                self._files.pop(name, None)
                 if os.path.exists(self._path(name)):
                     os.remove(self._path(name))
-        self._run_set_changed()
+        self._install(memtables)
         if recovered is None:
             self._schedule_merges()
 
@@ -554,84 +245,32 @@ class CompactionManager:
     def _path(self, name: str) -> str:
         return os.path.join(self._directory, name)
 
-    def _run_set_changed(self) -> None:
-        """The one invalidation of everything derived: called by
-        :meth:`_apply_edit` for the run set and :meth:`quarantine_run`
-        for the quarantine set; the next read rebuilds."""
-        self._view = None
-
-    def _rebuild_view(self) -> _RunSetView:
-        components = self._components.values()
-        snapshot = TreeSnapshot(
-            sorted(components, key=lambda c: (c.level, c.handle.sequence))
+    def _install(
+        self, memtables: tuple[MemTable, tuple[MemTable, ...]] | None = None
+    ) -> None:
+        """Make the next :class:`Version` current (store lock held): the
+        run set and quarantine as they stand, and ``memtables`` —
+        ``(active, sealed)`` — or the current version's. The one place
+        the store's version changes."""
+        active, sealed = memtables or (self.version.active, self.version.sealed)
+        self.version = build_version(
+            active, sealed, self._components, self._runs,
+            self._quarantine, self._constraint,
         )
-        newest_first = sorted(
-            components, key=lambda c: c.handle.sequence, reverse=True
-        )
-        self._view = view = _RunSetView(
-            snapshot=snapshot,
-            levels={
-                level: snapshot.count_at(level) for level in snapshot.levels()
-            },
-            write_stalled=self._constraint.is_violated(snapshot),
-            write_headroom=self._constraint.headroom(snapshot),
-            scrub_targets=sorted(
-                (uid, reader.path)
-                for uid, run in self._runs.items()
-                if uid not in self._quarantine
-                for reader in run.files
-            ),
-            read_plan=tuple(
-                (
-                    component.uid,
-                    self._quarantine.get(component.uid)
-                    or self._runs[component.uid],
-                )
-                for component in newest_first
-            ),
-        )
-        return view
 
-    def snapshot(self) -> TreeSnapshot:
-        """Core-typed view of the live runs, oldest-first per level."""
-        return (self._view or self._rebuild_view()).snapshot
-
-    def read_plan(self) -> tuple[tuple[int, Run | QuarantineEntry], ...]:
-        """Probe plan, newest data first: ``(run_id, element)`` where the
-        element is a live :class:`Run` — or the :class:`QuarantineEntry`
-        fencing that run off, held *in probe position* so a point lookup
-        knows exactly when its answer would have depended on the corrupt
-        run (newer sources can still answer soundly).
-
-        Shared by every get and scan until the run set next changes —
-        hence a tuple.
-        """
-        return (self._view or self._rebuild_view()).read_plan
-
-    def scrub_targets(self) -> list[tuple[int, str]]:
-        """``(run_id, path)`` of every file of every readable live run,
-        stable order — the work list one scrub pass walks."""
-        return (self._view or self._rebuild_view()).scrub_targets
-
-    def levels(self) -> dict[int, int]:
-        """Component count per level."""
-        return (self._view or self._rebuild_view()).levels
-
-    def is_write_stalled(self) -> bool:
-        """True when the component constraint forbids new flushes."""
-        return (self._view or self._rebuild_view()).write_stalled
-
-    def write_headroom(self) -> float:
-        """Remaining component budget as a fraction (0 = stalled).
-
-        The serving tier's admission feeds this signal alone to its
-        mode's core write control (stop, limit or slowdown).
-        """
-        return (self._view or self._rebuild_view()).write_headroom
+    def rotate(self) -> MemTable:
+        """Seal the active memtable behind the others awaiting flush and
+        install a fresh one in front (store lock held); returns the one
+        sealed."""
+        version = self.version
+        version.active.seal()
+        self._install((MemTable(), version.sealed + (version.active,)))
+        return version.active
 
     @property
     def quarantine(self) -> QuarantineSet:
-        """The persisted quarantine registry (query under the store lock)."""
+        """The persisted quarantine registry (query under the store lock;
+        a read uses the installed version's plan instead)."""
         return self._quarantine
 
     def _in_flight(self, run_id: int) -> bool:
@@ -643,7 +282,8 @@ class CompactionManager:
     def quarantine_run(
         self, run_id: int, reason: str, source: str
     ) -> QuarantineEntry | None:
-        """Fence a live run off from reads and merges (under the lock).
+        """Fence a live run off from reads and merges (under the lock),
+        counted by detection ``source`` and traced.
 
         Returns the new entry, or None when the run is not live or is
         already quarantined (nothing changed). Pending unclaimed merges
@@ -669,7 +309,7 @@ class CompactionManager:
             source=source,
         )
         self._quarantine.add(entry)
-        self._run_set_changed()
+        self._install()
         # A cached row may have come from this run: a lookup it answered
         # must fail fast now, as an uncached one does.
         self._block_cache.drop_all_rows()
@@ -678,6 +318,17 @@ class CompactionManager:
                 c.uid == run_id for c in job.descriptor.inputs
             ):
                 self.fail_merge(job)
+        if self._obs is not None:
+            self._m_corruption[source].inc()
+            self._obs.tracer.emit(
+                obs_events.CORRUPTION_QUARANTINE,
+                run_id=run_id,
+                level=entry.level,
+                source=source,
+                reason=reason,
+                min_key=min_key.hex(),
+                max_key=max_key.hex(),
+            )
         return entry
 
     @property
@@ -765,8 +416,11 @@ class CompactionManager:
             )
         return run_id, writer
 
-    def publish_flush(self, run_id: int, stats) -> None:
-        """Install a finished flush's run (call under the store lock)."""
+    def publish_flush(
+        self, run_id: int, stats, memtable: MemTable | None = None
+    ) -> None:
+        """Install a finished flush's run, and drop the sealed
+        ``memtable`` it holds, in one version (store lock held)."""
         self._note_run_written(stats)
         if self._obs is not None:
             self._m_flushes.inc()
@@ -777,7 +431,15 @@ class CompactionManager:
                 bytes=stats.data_bytes,
                 entries=stats.entry_count,
             )
-        self._apply_edit([], [(run_id, 0, (os.path.basename(stats.path),))])
+        version = self.version
+        self._apply_edit(
+            [],
+            [(run_id, 0, (os.path.basename(stats.path),))],
+            memtables=(
+                version.active,
+                tuple(m for m in version.sealed if m is not memtable),
+            ),
+        )
 
     # -- merging ---------------------------------------------------------
 
@@ -789,7 +451,7 @@ class CompactionManager:
         failure = None
         active = [job.descriptor for job in self._jobs.values()]
         for descriptor in self._policy.select_merges(
-            self.snapshot(), self._uids, active
+            self.version.snapshot, self._uids, active
         ):
             # Quarantined inputs are filtered *here*, not hidden from
             # the snapshot: the policy must keep seeing the run (it
@@ -932,7 +594,7 @@ class CompactionManager:
         if not unclaimed:
             return None
         allocation = self._scheduler.allocate(
-            unclaimed, budget=1.0, tree=self.snapshot()
+            unclaimed, budget=1.0, tree=self.version.snapshot
         )
         if not allocation:
             return None
@@ -1008,17 +670,22 @@ class CompactionManager:
         return entry
 
     def install(self, runs: list[tuple[int, tuple[str, ...]]]) -> None:
-        """A reset's one edit (under the lock, no merge claimed): every
-        live run, quarantined or not, out, and ``runs`` — ``(level,
-        files)``, oldest first — in, stamped newer in that order. Every
-        merge is abandoned, for its inputs go."""
+        """A reset's one edit (under the lock, no flush or merge
+        claimed): every live run, quarantined or not, out, and ``runs`` —
+        ``(level, files)``, oldest first — in, stamped newer in that
+        order, and every memtable forgotten, in one version. Every merge
+        is abandoned, for its inputs go."""
         for job in list(self._jobs.values()):
             self.fail_merge(job)
+        empty = (MemTable(), ())
         if self._components or runs:  # an empty store takes an empty image
             self._apply_edit(
                 list(self._components),
                 [(self._manifest.allocate_run_id(), *run) for run in runs],
+                memtables=empty,
             )
+        else:
+            self._install(empty)
         self._block_cache.drop_all_rows()
 
     def merge_claimed(self) -> bool:
@@ -1026,12 +693,14 @@ class CompactionManager:
         return any(job.claimed for job in self._jobs.values())
 
     def close(self) -> None:
-        """Abandon in-flight merges, close every reader and empty the
-        cache: rows belong to no reader, so closing readers frees only
-        blocks."""
+        """Abandon in-flight merges, let go of every run's readers and
+        empty the cache. The version installed last keeps the run set's
+        shape, which ``stats()`` still reports, and names no reader.
+        Nothing is closed under a read that pinned an earlier version: a
+        reader's descriptor closes once no version names it."""
         for job in list(self._jobs.values()):
             job.abandon()
-        self._jobs.clear()
-        for reader in self._files.values():
-            reader.close()
+        for live in (self._jobs, self._runs, self._files):
+            live.clear()
+        self._install()
         self._block_cache.clear()

@@ -19,10 +19,12 @@ merges lag (the paper's "stop" interaction, Section 5.1.2): the writer
 waits at the gate. A caller that must not wait writes with
 ``wait=False`` and gets None instead (:meth:`LSMStore.timed_put`).
 
-The store itself keeps the options, the lock, the memtables, the stall
-gate, reads, quarantine and repair, stats and the lifecycle. Two parts
-own the rest behind the same lock: :class:`~.commitlog.CommitLog` (the
-log file, LSNs, group commit) and
+The store itself keeps the options, the lock, the write path and its
+stall gate, repair, stats and the lifecycle. Three parts own the rest
+behind the same lock: :class:`~.compaction.CompactionManager` (the run
+set and the current :class:`~.version.Version`, which names the
+memtables too, and which reads pin instead of taking the lock),
+:class:`~.commitlog.CommitLog` (the log file, LSNs, group commit) and
 :class:`~.maintenance.MaintenanceExecutor` (flush, merge, scrub and
 repair tasks; workers or the calling thread) —
 ``docs/engine-concurrency.md``.
@@ -34,6 +36,7 @@ import os
 import shutil
 import threading
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from ..errors import ClosedError, ConfigurationError, CorruptionError
@@ -43,18 +46,12 @@ from .blockcache import ghost_bytes_for
 from .commitlog import CommitLog, WalPosition
 from .compaction import CompactionManager
 from .integrity import IntegrityReport, verify_files
-from .iterators import (
-    EntryCursor,
-    ReaderCorruption,
-    RunCursor,
-    merge_scan,
-    reconciling_iterator,
-)
+from .iterators import reconciling_iterator
 from .maintenance import MaintenanceExecutor
 from .manifest import Manifest
-from .memtable import MemTable
 from .options import StoreOptions, TOMBSTONE
 from .quarantine import QuarantineEntry
+from .version import read_retrying
 from .wal import fsync_dir
 
 
@@ -190,22 +187,6 @@ class LSMStore:
             "engine_memtable_rotations_total",
             help="Active-memtable seals (rotations).",
         )
-        self._m_stalls = self._obs.registry.counter(
-            "engine_write_stalls_total",
-            help="Writes that observed a stalled tree.",
-        )
-        self._m_stall_seconds = self._obs.registry.counter(
-            "engine_stall_seconds_total",
-            help="Time writers spent blocked in the headroom gate.",
-        )
-        self._m_flush_stalls = self._obs.registry.counter(
-            "engine_flush_stalls_total",
-            help="Rotations that found no free memory component.",
-        )
-        self._m_flush_stall_seconds = self._obs.registry.counter(
-            "engine_flush_stall_seconds_total",
-            help="Time writers spent waiting for a memtable to flush.",
-        )
         # Per-scan read amplification: blocks / rows is what a scan
         # paid in block lookups for each row it returned.
         self._m_scans = self._obs.registry.counter(
@@ -234,17 +215,6 @@ class LSMStore:
         except BaseException:
             self._manifest.close()
             raise
-        self._m_corruption = {
-            source: self._obs.registry.counter(
-                "engine_corruption_detected_total",
-                labels={"source": source},
-                help="Runs quarantined after persistent corruption, "
-                "by detection source.",
-            )
-            for source in ("read", "scrub", "merge")
-        }
-        self._active = MemTable()
-        self._sealed: list[MemTable] = []
         # Live memory knobs: the arbiter retargets these at runtime via
         # set_memory_budget(); options.memtable_bytes is only the seed.
         self._memtable_target = self._options.memtable_bytes
@@ -252,8 +222,6 @@ class LSMStore:
         # The cache totals the last refresh_gauges() counted up to.
         self._cache_counted = (0,) * len(_CACHE_COUNTERS)
         self._closed = False
-        self._stall_count = 0
-        self._stall_seconds = 0.0
         self._lock = threading.RLock()
         # The single "state changed" signal; everything that waits on
         # it is in the maintenance executor.
@@ -277,10 +245,8 @@ class LSMStore:
             self._lock,
             self._work_available,
             self._compaction,
-            self._sealed,
             is_closed=lambda: self._closed,
             flushed=self._checkpoint_log,
-            quarantine=self._quarantine_locked,
         )
 
     # -- lifecycle -------------------------------------------------------
@@ -493,7 +459,7 @@ class LSMStore:
         with self._lock:
             self._check_open()
             started = clock()
-            stall_seconds = self._wait_for_headroom()
+            stall_seconds = self._maintenance.await_headroom()
             if not options.group_commit:
                 lsn, length, io_seconds = self._log.commit(batch, clock)
                 self._maybe_rotate()
@@ -509,7 +475,7 @@ class LSMStore:
         """Apply a logged batch to the active memtable (lock held, or
         the store not yet shared: replay at open) and refresh the cached
         rows of its keys — every committed write passes here."""
-        active = self._active
+        active = self._compaction.version.active
         for key, value in batch:
             if value is TOMBSTONE:
                 active.delete(key)
@@ -523,77 +489,25 @@ class LSMStore:
         """Would committing ``batch`` now do more than log and insert?
 
         Store lock held. True when the stall gate is closed
-        (:meth:`_wait_for_headroom` would park), or when the
+        (:meth:`MaintenanceExecutor.await_headroom` would park), or when the
         batch could fill the active memtable while :meth:`_maybe_rotate`
         could not get by with a bare seal: the sealed queue is full (a
         flush stall), or there are no workers and rotation flushes on
         the caller.
         """
-        if self._compaction.is_write_stalled():
+        version = self._compaction.version
+        if version.write_stalled:
             return True
         if self._maintenance.seals_freely():
             return False
-        return self._active.bytes_at_most_after(batch) >= self._memtable_target
-
-    def _wait_for_headroom(self) -> float:
-        """The write-stall gate: the paper's stop interaction mode.
-        Returns the seconds this caller waited at it (0.0 when open).
-
-        A stall is counted once per write that observed a stalled tree
-        (not once per polling iteration), and the time a blocking writer
-        spends here accumulates into ``stall_seconds_total``.
-        ``stall_exit`` says how the wait ended: ``resumed``, ``closed``
-        under the writer, or ``failed`` — as a rule, nothing could ever
-        clear the constraint.
-        """
-        if not self._compaction.is_write_stalled():
-            return 0.0
-        self._stall_count += 1
-        self._m_stalls.inc()
-        self._obs.tracer.emit(
-            obs_events.STALL_ENTER,
-            components=self._compaction.component_count,
-        )
-        started = self._obs.clock()
-        outcome = "failed"  # any error but a close
-        try:
-            self._maintenance.await_headroom()
-            outcome = "resumed"
-        except ClosedError:
-            outcome = "closed"
-            raise
-        finally:
-            # The wait drops the store lock, so other writers park here
-            # too: each bills its own elapsed, never the total's growth.
-            elapsed = self._obs.clock() - started
-            self._stall_seconds += elapsed
-            self._m_stall_seconds.inc(elapsed)
-            self._obs.tracer.emit(
-                obs_events.STALL_EXIT, outcome=outcome, seconds=elapsed
-            )
-        return elapsed
+        return version.active.bytes_at_most_after(batch) >= self._memtable_target
 
     def _maybe_rotate(self) -> None:
-        if self._active.approximate_bytes < self._memtable_target:
+        version = self._compaction.version
+        if version.active.approximate_bytes < self._memtable_target:
             return
-        if len(self._sealed) >= self._options.num_memtables - 1:
-            # No free memory component: a flush stall. Push maintenance
-            # forward until one drains (flush stalls are rare when flushes
-            # get I/O priority; with num_memtables=1 they are the norm).
-            # Counted apart from the component-constraint stalls of
-            # _wait_for_headroom, and timed on this branch only.
-            started = self._obs.clock()
-            try:
-                self._maintenance.await_sealed_slot()
-            finally:
-                elapsed = self._obs.clock() - started
-                self._m_flush_stalls.inc()
-                self._m_flush_stall_seconds.inc(elapsed)
-                self._obs.tracer.emit(
-                    obs_events.FLUSH_STALL,
-                    seconds=elapsed,
-                    sealed_queue=len(self._sealed),
-                )
+        if len(version.sealed) >= self._options.num_memtables - 1:
+            self._maintenance.await_sealed_slot()  # a flush stall
         self._seal_active()
         self._maintenance.advance()
 
@@ -604,22 +518,20 @@ class LSMStore:
         durable in runs once the sealed queue is empty; if the active
         one holds nothing either, the log may restart (store lock held;
         :meth:`CommitLog.checkpoint` has the rest of the rule)."""
-        if not self._sealed and not len(self._active):
+        version = self._compaction.version
+        if not version.sealed and not len(version.active):
             self._log.checkpoint()
 
     def _seal_active(self) -> None:
         """Rotate — because the memtable filled, or a flush, checkpoint
         or close asked."""
-        sealed_bytes = self._active.approximate_bytes
-        self._active.seal()
-        self._sealed.append(self._active)
-        self._active = MemTable()
+        sealed_bytes = self._compaction.rotate().approximate_bytes
         self._ingested_bytes += sealed_bytes
         self._m_rotations.inc()
         self._obs.tracer.emit(
             obs_events.MEMTABLE_ROTATE,
             bytes=sealed_bytes,
-            sealed_queue=len(self._sealed),
+            sealed_queue=len(self._compaction.version.sealed),
         )
 
     def _quiesce_memtables_locked(self) -> None:
@@ -627,10 +539,10 @@ class LSMStore:
         Writes can land while workers flush, the lock released; what
         did is flushed here, the lock held, so on return both memtables
         are empty."""
-        if len(self._active) > 0:
+        if len(self._compaction.version.active) > 0:
             self._seal_active()
         self._maintenance.quiesce_memtables()
-        if len(self._active) > 0:
+        if len(self._compaction.version.active) > 0:
             self._seal_active()
             self._maintenance.flush_here()
 
@@ -715,8 +627,8 @@ class LSMStore:
         """Make ``runs`` — ``(level, file names)``, oldest first, written
         under :meth:`new_run_names` — the whole store, as a reset does.
         Block CRCs are checked first: an edit names files before it opens
-        them. Then in one lock hold the memtables are forgotten, the log
-        is cut and one edit swaps every run for ``runs``, so a crash
+        them. Then in one lock hold the log is cut and one edit swaps
+        every run for ``runs`` and forgets the memtables, so a crash
         reopens to the old runs or to exactly these."""
         report = IntegrityReport()
         for _level, files in runs:
@@ -731,8 +643,7 @@ class LSMStore:
         with self._lock:
             self._check_open()
             self._maintenance.drop_pending()
-            self._active = MemTable()
-            self._checkpoint_log()
+            self._log.checkpoint()  # what the memtables hold is dropped
             self._compaction.install(runs)
 
     # -- memory arbitration ----------------------------------------------
@@ -786,87 +697,40 @@ class LSMStore:
 
     # -- reads -----------------------------------------------------------
 
-    def _sources(self):
-        """Where reads look, newest data first (store lock held): the
-        memtables, then the probe plan — ``(run_id, reader)``, or the
-        :class:`QuarantineEntry` fencing a run, in probe position."""
-        memtables = [self._active] + list(reversed(self._sealed))
-        return memtables, self._compaction.read_plan()
-
-    def _run_sources(self, lo=None, hi=None, skip=None) -> list:
-        """``items(lo, hi)`` of every memtable and readable run, newest
-        first (store lock held), leaving out run ``skip``."""
-        memtables, plan = self._sources()
-        return [memtable.items(lo, hi) for memtable in memtables] + [
-            element.items(lo, hi)
-            for run_id, element in plan
-            if run_id != skip and not isinstance(element, QuarantineEntry)
-        ]
-
-    def _read_failed(
-        self, failure: ReaderCorruption, previous: ReaderCorruption | None
-    ) -> ReaderCorruption | None:
-        """A fresh checksum failure on the read path (store lock held);
-        the caller reads again, handing the result back as ``previous``.
-        A first failure is only re-read — transient errors pass the
-        second time. A second in a row quarantines the run: the next
-        read fails fast if it still depends on it, and answers from the
-        healthy remainder if the damage lay elsewhere or a concurrent
-        merge retired the run."""
-        if previous is None:
-            return failure
-        self._quarantine_locked(failure.run_id, str(failure), "read")
-        return None
+    def _quarantine_read(self, run_id: int, reason: str) -> None:
+        with self._lock:
+            self._compaction.quarantine_run(run_id, reason, "read")
 
     def get(self, key: bytes) -> bytes | None:
         """Point lookup; None when absent (or deleted).
 
-        Newest first: memtables, the key's cached row, runs. A run's answer
-        becomes the row, and :meth:`_insert` refreshes it for a write.
-
-        Corruption containment: the probe walks sources newest-first, so
-        a quarantined run only poisons the lookup when the probe actually
-        *reaches* it — a newer memtable or run holding the key answers
-        soundly, and a key outside the quarantined bounds never meets it
-        at all. When the probe would depend on the quarantined run, the
-        lookup fails fast with :class:`~repro.errors.DataCorruptError`
-        rather than silently skipping the run (which could resurrect a
-        deleted key or serve a stale value). Fresh checksum failures go
-        through :meth:`_read_failed`.
+        Answered from the current :class:`~repro.engine.version.Version`
+        without the store lock (:meth:`Version.get` has the probe order
+        and the quarantine rule). Fresh checksum failures are re-read,
+        then quarantine the run (:func:`~repro.engine.version.read_retrying`).
         """
-        cache = self._compaction.block_cache
-        failure = None
-        while True:
-            with self._lock:
-                self._check_open()
-                memtables, plan = self._sources()
-                for memtable in memtables:
-                    found, value = memtable.get(key)
-                    if found:
-                        return value
-                found, value = cache.get_row(key)
-                if found:
-                    return value
-                for run_id, element in plan:
-                    if isinstance(element, QuarantineEntry):
-                        if element.covers(key):
-                            raise element.fence(
-                                f"run {run_id} is quarantined and its "
-                                f"bounds cover the requested key"
-                            )
-                    elif element.might_contain(key):
-                        try:
-                            found, value = element.get(key)
-                        except CorruptionError as error:
-                            failure = self._read_failed(
-                                ReaderCorruption(run_id, error), failure
-                            )
-                            break
-                        if found:
-                            cache.put_row(key, value)
-                            return value
-                else:
-                    return None
+        return read_retrying(self._get, self._quarantine_read, key)
+
+    def _get(self, key: bytes) -> bytes | None:
+        compaction = self._compaction
+        version = compaction.version
+        self._check_open()  # after the pin: close() lets go of the runs
+        value, from_run = version.get(key, compaction.block_cache)
+        # A run's answer becomes the key's row only if no write could
+        # have reached the key since the pin: the version is still
+        # current (no rotation, flush or merge) and its active memtable
+        # lacks the key. Checked under the store lock, which every write
+        # and its row refresh (_insert) hold; when another thread holds
+        # it, the row is skipped rather than waited for.
+        if from_run and self._lock.acquire(blocking=False):
+            try:
+                if compaction.version is version and not version.active.get(
+                    key
+                )[0]:
+                    compaction.block_cache.put_row(key, value)
+            finally:
+                self._lock.release()
+        return value
 
     def scan(
         self,
@@ -876,81 +740,45 @@ class LSMStore:
     ) -> Iterator[tuple[bytes, bytes]]:
         """Ordered range scan over ``[lo, hi)``, at most ``limit`` rows.
 
-        Materializes the result under the store lock (snapshot-consistent
-        and safe against concurrent flushes) — callers wanting streaming
-        iteration over huge ranges should scan in key-range pages. The
-        merge (:func:`~repro.engine.iterators.merge_scan`) looks up a
-        data block only when a row of the result, or a stale copy of
-        one, lies in it.
-
-        Corruption containment: a range overlapping any quarantined
-        run's bounds fails fast with
-        :class:`~repro.errors.DataCorruptError` — every key in a scan
-        result is a claim that no deleted key reappears and no stale
-        value shadows a newer one, and a skipped run voids that claim
-        for the whole overlap. Ranges provably outside the quarantined
-        bounds keep serving. Fresh checksum failures — in a block the
-        scan reads; one it never needs is the scrubber's to find — go
-        through :meth:`_read_failed`, as :meth:`get`'s do.
+        Snapshot-consistent: the store lock is held only to pin the
+        current version and copy the active memtable's rows in range —
+        at most ``limit`` plus its tombstones, enough for ``limit`` live
+        rows; all of them when unbounded — and the rest is merged off it
+        (:meth:`Version.scan`, which has the quarantine rule). Callers
+        wanting streaming iteration over huge ranges should scan in
+        key-range pages. Checksum failures are handled as :meth:`get`'s.
         """
         if limit is not None and limit < 0:
             raise ConfigurationError("scan limit cannot be negative")
-        failure = None
-        while True:
-            with self._lock:
-                self._check_open()
-                entry = self._compaction.quarantine.overlapping(lo, hi)
-                if entry is not None:
-                    raise entry.fence(
-                        f"scan range intersects quarantined run {entry.run_id}"
-                    )
-                if limit == 0:
-                    return iter(())
-                memtables, plan = self._sources()
-                try:
-                    cursors = [
-                        EntryCursor(memtable.items(lo, hi))
-                        for memtable in memtables
-                    ]
-                    # A run whose key bounds miss [lo, hi) gets no
-                    # cursor (a quarantined one cannot overlap here).
-                    cursors += [
-                        RunCursor(run_id, element, lo, hi)
-                        for run_id, element in plan
-                        if not isinstance(element, QuarantineEntry)
-                        and (hi is None or element.min_key < hi)
-                        and (lo is None or element.max_key >= lo)
-                    ]
-                    results = merge_scan(cursors, limit)
-                except ReaderCorruption as error:
-                    failure = self._read_failed(error, failure)
-                    continue
-                self._m_scans.inc()
-                self._m_scan_rows.inc(len(results))
-                self._m_scan_blocks.inc(sum(c.blocks for c in cursors))
-                return iter(results)
+        return iter(
+            read_retrying(self._scan, self._quarantine_read, lo, hi, limit)
+        )
+
+    def _scan(self, lo, hi, limit) -> list[tuple[bytes, bytes]]:
+        with self._lock:
+            self._check_open()
+            version = self._compaction.version
+            entry = version.fence(lo, hi)
+            if entry is not None:
+                raise entry.fence(
+                    f"scan range intersects quarantined run {entry.run_id}"
+                )
+            if limit == 0:
+                return []
+            active = version.active
+            rows = list(
+                islice(
+                    active.items(lo, hi),
+                    None if limit is None else limit + active.tombstone_count,
+                )
+            )
+        results, blocks = version.scan(rows, lo, hi, limit)
+        self._m_scans.inc()
+        self._m_scan_rows.inc(len(results))
+        self._m_scan_blocks.inc(blocks)
+        return results
 
     # -- corruption survival ---------------------------------------------
-
-    def _quarantine_locked(
-        self, run_id: int, reason: str, source: str
-    ) -> QuarantineEntry | None:
-        """Fence a run off (caller holds the lock); None when the run is
-        no longer live or was already quarantined."""
-        entry = self._compaction.quarantine_run(run_id, reason, source)
-        if entry is None:
-            return None
-        self._m_corruption[source].inc()
-        self._obs.tracer.emit(
-            obs_events.CORRUPTION_QUARANTINE,
-            run_id=run_id,
-            level=entry.level,
-            source=source,
-            reason=reason,
-            min_key=entry.min_key.hex(),
-            max_key=entry.max_key.hex(),
-        )
-        return entry
 
     def quarantine_run(
         self, run_id: int, reason: str, source: str = "read"
@@ -964,7 +792,10 @@ class LSMStore:
         """
         with self._lock:
             self._check_open()
-            return self._quarantine_locked(run_id, reason, source) is not None
+            return (
+                self._compaction.quarantine_run(run_id, reason, source)
+                is not None
+            )
 
     def live_runs(self) -> list:
         """The manifest's live run records, oldest first.
@@ -1029,7 +860,9 @@ class LSMStore:
             local_keys = {
                 key
                 for key, _value in reconciling_iterator(
-                    self._run_sources(entry.min_key, hi, skip=run_id),
+                    self._compaction.version.sources(
+                        entry.min_key, hi, skip=run_id
+                    ),
                     keep_tombstones=True,
                 )
             }
@@ -1071,30 +904,33 @@ class LSMStore:
         maintenance step also holds, so no snapshot mixes pre- and
         post-merge values (``wal_bytes`` from before a checkpoint with
         ``components_per_level`` from after). Keep every mutable-state
-        read inside the locked region. What depends on the run set is
-        read off the compaction manager's cached view.
+        read inside the locked region. What depends on the memtables and
+        the run set is read off the current version.
         """
         compaction, cache = self._compaction, self._compaction.block_cache
         with self._lock:
+            version = compaction.version
+            active = version.active
             return StoreStats(
-                memtable_entries=len(self._active),
+                memtable_entries=len(active),
                 # Sealed memtables awaiting flush are still live write
                 # memory: reporting only the (freshly empty) active one
                 # would zero the figure right after every rotation and
                 # fool any controller keying off memory occupancy.
-                memtable_bytes=self._active.approximate_bytes
-                + sum(m.approximate_bytes for m in self._sealed),
-                sealed_memtables=len(self._sealed),
+                memtable_bytes=sum(
+                    m.approximate_bytes for m in version.memtables
+                ),
+                sealed_memtables=len(version.sealed),
                 num_memtables=self._options.num_memtables,
                 disk_components=compaction.component_count,
-                components_per_level=compaction.levels(),
+                components_per_level=version.levels,
                 quarantined_runs=len(compaction.quarantine),
                 merges_completed=compaction.merges_completed,
-                write_stalls=self._stall_count,
-                stall_seconds_total=self._stall_seconds,
+                write_stalls=self._maintenance.stall_count,
+                stall_seconds_total=self._maintenance.stall_seconds,
                 wal_bytes=self._log.size_bytes,
-                write_stalled=compaction.is_write_stalled(),
-                write_headroom=compaction.write_headroom(),
+                write_stalled=version.write_stalled,
+                write_headroom=version.write_headroom,
                 throttle_sleep_seconds=(
                     compaction.rate_limiter.total_sleep_seconds
                 ),
@@ -1102,7 +938,7 @@ class LSMStore:
                 block_cache_used_bytes=cache.used_bytes,
                 row_hits=cache.row_hits,
                 ingested_bytes=(
-                    self._ingested_bytes + self._active.approximate_bytes
+                    self._ingested_bytes + active.approximate_bytes
                 ),
                 cache_hits=cache.hits,
                 cache_misses=cache.misses,
@@ -1135,28 +971,6 @@ class LSMStore:
         """
         stats = self.stats()
         registry = self._obs.registry
-        registry.gauge(
-            "engine_write_headroom",
-            help="Remaining component budget fraction (0 = stalled).",
-        ).set(stats.write_headroom)
-        registry.gauge(
-            "engine_memory_fill",
-            help="Sealed-memtable queue occupancy in [0, 1].",
-        ).set(stats.memory_fill)
-        registry.gauge(
-            "engine_wal_bytes", help="Current write-ahead log size."
-        ).set(stats.wal_bytes)
-        registry.gauge(
-            "engine_disk_components", help="Live disk components."
-        ).set(stats.disk_components)
-        registry.gauge(
-            "engine_write_stalled",
-            help="1 when the write gate is closed right now.",
-        ).set(1.0 if stats.write_stalled else 0.0)
-        registry.gauge(
-            "engine_quarantined_runs",
-            help="Runs currently fenced off from reads as corrupt.",
-        ).set(float(stats.quarantined_runs))
         # Block-cache counts live in the cache (bumped under its own
         # lock). Each refresh adds what they grew by since this store's
         # last one, read under the store lock so racing refreshes count
@@ -1164,7 +978,8 @@ class LSMStore:
         cache = self._compaction.block_cache
         with self._lock:
             queue_depth = (
-                len(self._sealed) + self._compaction.merge_jobs_in_flight
+                len(self._compaction.version.sealed)
+                + self._compaction.merge_jobs_in_flight
             )
             counts = (
                 cache.hits, cache.misses, cache.evictions, cache.row_hits,
@@ -1175,25 +990,36 @@ class LSMStore:
             ):
                 registry.counter(name, help=help_text).inc(now - before)
             self._cache_counted = counts
-        registry.gauge(
-            "engine_maintenance_queue_depth",
-            help="Sealed memtables plus in-flight merge jobs.",
-        ).set(float(queue_depth))
-        registry.gauge(
-            "engine_block_cache_capacity_bytes",
-            help="Current block-cache byte budget.",
-        ).set(float(cache.capacity_bytes))
-        registry.gauge(
-            "engine_block_cache_used_bytes",
-            help="Bytes currently held by the block cache.",
-        ).set(float(cache.used_bytes))
+        for name, help_text, value in (
+            ("engine_write_headroom",
+             "Remaining component budget fraction (0 = stalled).",
+             stats.write_headroom),
+            ("engine_memory_fill",
+             "Sealed-memtable queue occupancy in [0, 1].", stats.memory_fill),
+            ("engine_wal_bytes", "Current write-ahead log size.",
+             stats.wal_bytes),
+            ("engine_disk_components", "Live disk components.",
+             stats.disk_components),
+            ("engine_write_stalled",
+             "1 when the write gate is closed right now.",
+             stats.write_stalled),
+            ("engine_quarantined_runs",
+             "Runs currently fenced off from reads as corrupt.",
+             stats.quarantined_runs),
+            ("engine_maintenance_queue_depth",
+             "Sealed memtables plus in-flight merge jobs.", queue_depth),
+            ("engine_block_cache_capacity_bytes",
+             "Current block-cache byte budget.", cache.capacity_bytes),
+            ("engine_block_cache_used_bytes",
+             "Bytes currently held by the block cache.", cache.used_bytes),
+        ):
+            registry.gauge(name, help=help_text).set(value)
         return stats
 
     @property
     def write_stalled(self) -> bool:
         """Instantaneous backpressure bit: is the write gate closed now?"""
-        with self._lock:
-            return self._compaction.is_write_stalled()
+        return self._compaction.version.write_stalled
 
     @property
     def options(self) -> StoreOptions:

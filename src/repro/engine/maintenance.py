@@ -7,12 +7,15 @@ and nowhere else — by worker threads with ``background_maintenance``,
 else by the calling thread, lock held (it is re-entrant): the write
 that rotates a memtable flushes it and runs every merge that made
 eligible, and every wait runs claims until its own condition holds.
-:class:`MaintenanceExecutor` owns the workers, the single-flush claim
-and the scrubber, and is the one place that asks which mode is on. The
-store's lock and "state changed" condition, the compaction manager, the
-sealed-memtable queue (the store appends, a published flush removes the
-head) and three callbacks into the store arrive through the constructor
-(``docs/engine-concurrency.md``). "Lock held" means that lock.
+:class:`MaintenanceExecutor` owns the workers, the single-flush claim,
+the scrubber and the two waits a write can meet — the stall gate and
+the flush stall, each counted and traced — and is the one place that
+asks which mode is on. The
+store's lock and "state changed" condition, the compaction manager
+(whose current version holds the sealed memtables: a rotation appends
+one, a published flush removes the head) and two callbacks into the
+store arrive through the constructor (``docs/engine-concurrency.md``).
+"Lock held" means that lock.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from ..errors import ClosedError, ConfigurationError
 from ..obs import events as obs_events
 from .compaction import CompactionManager
 from .iterators import ReaderCorruption
-from .memtable import MemTable
 from .options import StoreOptions
 from .ratelimiter import RateLimiter
 
@@ -44,11 +46,9 @@ class MaintenanceExecutor:
         lock: threading.RLock,
         changed: threading.Condition,
         compaction: CompactionManager,
-        sealed: list[MemTable],
         *,
         is_closed: Callable[[], bool],
         flushed: Callable[[], None],
-        quarantine: Callable[[int, str, str], object],
     ) -> None:
         self._options = options
         self._obs = obs
@@ -58,10 +58,8 @@ class MaintenanceExecutor:
         # progress. Every publish, rotation, and close notifies it.
         self._changed = changed
         self._compaction = compaction
-        self._sealed = sealed
         self._is_closed = is_closed
         self._flushed = flushed
-        self._quarantine = quarantine
         # True while the oldest sealed memtable is being written out.
         # Exactly one flush may be in flight: flushes take fresh manifest
         # sequence stamps, so publishing them out of order would corrupt
@@ -91,6 +89,25 @@ class MaintenanceExecutor:
             "engine_runs_repaired_total",
             help="Quarantined runs rebuilt from replica data.",
         )
+        #: Writes that met the stall gate closed, and their seconds there.
+        self.stall_count = 0
+        self.stall_seconds = 0.0
+        self._m_stalls = obs.registry.counter(
+            "engine_write_stalls_total",
+            help="Writes that observed a stalled tree.",
+        )
+        self._m_stall_seconds = obs.registry.counter(
+            "engine_stall_seconds_total",
+            help="Time writers spent blocked in the headroom gate.",
+        )
+        self._m_flush_stalls = obs.registry.counter(
+            "engine_flush_stalls_total",
+            help="Rotations that found no free memory component.",
+        )
+        self._m_flush_stall_seconds = obs.registry.counter(
+            "engine_flush_stall_seconds_total",
+            help="Time writers spent waiting for a memtable to flush.",
+        )
         #: Non-empty exactly when workers drive maintenance.
         self._workers: list[threading.Thread] = []
         if options.background_maintenance:
@@ -117,16 +134,17 @@ class MaintenanceExecutor:
         """Let go of the store, last thing in its close or crash: the
         callbacks are a reference cycle (see :meth:`CommitLog.close`)."""
         self._is_closed = lambda: True
-        self._flushed = self._quarantine = None
+        self._flushed = None
 
     # -- claim → execute → publish ---------------------------------------
 
     def _claim_flush_locked(self):
         """Claim the oldest sealed memtable's flush (lock held); None
         when nothing is sealed or a flush is already in flight."""
-        if not self._sealed or self._flush_claimed:
+        sealed = self._compaction.version.sealed
+        if not sealed or self._flush_claimed:
             return None
-        memtable = self._sealed[0]
+        memtable = sealed[0]
         run_id, writer = self._compaction.begin_flush(len(memtable))
         self._flush_claimed = True
         return ("flush", memtable, run_id, writer)
@@ -152,7 +170,7 @@ class MaintenanceExecutor:
         return None if job is None else ("merge", job)
 
     def _claim_scrub_locked(self):
-        scrub = self._scrubber.claim(self._compaction.scrub_targets())
+        scrub = self._scrubber.claim(self._compaction.version.scrub_targets)
         return None if scrub is None else ("scrub", scrub)
 
     def _run(self, task) -> bool:
@@ -161,9 +179,9 @@ class MaintenanceExecutor:
         True once published. The only caller of ``MergeJob.advance``.
 
         The claimed memtable stays in the sealed queue (read-visible)
-        for the whole write and is removed only after the run is
-        published, so a reader always sees the data in exactly one
-        place. A task that raises is abandoned — partial output deleted,
+        for the whole write, and the version that adds the run is the
+        one that removes it, so a reader always sees the data in exactly
+        one place. A task that raises is abandoned — partial output deleted,
         claim released; a merge is started again only after a back-off
         (``compaction.RETRY_SECONDS``) — and the error goes on to the
         caller. A merge whose *input* fails its checksum twice is
@@ -177,8 +195,7 @@ class MaintenanceExecutor:
                 writer.add_many(memtable.items())
                 stats = writer.finish()
                 with self._lock:
-                    self._compaction.publish_flush(run_id, stats)
-                    self._sealed.remove(memtable)
+                    self._compaction.publish_flush(run_id, stats, memtable)
                     self._flush_claimed = False
                     self._flushed()
                     self._changed.notify_all()
@@ -214,7 +231,7 @@ class MaintenanceExecutor:
                 with self._lock:
                     self._scrubber.publish(result)
                     if result.finding is not None:
-                        self._quarantine(
+                        self._compaction.quarantine_run(
                             result.run_id, result.finding, "scrub"
                         )
                     self._changed.notify_all()
@@ -222,7 +239,9 @@ class MaintenanceExecutor:
         except ReaderCorruption as damage:
             with self._lock:
                 self._abandon_locked(task)
-                self._quarantine(damage.run_id, str(damage), "merge")
+                self._compaction.quarantine_run(
+                    damage.run_id, str(damage), "merge"
+                )
             return False
         except BaseException:
             with self._lock:
@@ -324,7 +343,7 @@ class MaintenanceExecutor:
             if not self._step(self._claim_next_locked):
                 return steps
             steps += 1
-        if self._sealed or self._compaction.has_work():
+        if self._compaction.version.sealed or self._compaction.has_work():
             raise ConfigurationError(
                 "compaction did not converge within the step budget"
             )
@@ -347,7 +366,7 @@ class MaintenanceExecutor:
 
     def _nothing_claimable(self) -> bool:
         return not (
-            self._sealed
+            self._compaction.version.sealed
             or self._flush_claimed
             or self._compaction.has_work()
             or self._compaction.kick()
@@ -383,28 +402,86 @@ class MaintenanceExecutor:
         flush, a sealed slot is free) — or wait for, or run, a flush?"""
         return (
             bool(self._workers)
-            and len(self._sealed) < self._options.num_memtables - 1
+            and len(self._compaction.version.sealed)
+            < self._options.num_memtables - 1
         )
 
-    def await_headroom(self) -> None:
-        """Return once the stall gate is open."""
-        stalled = self._compaction.is_write_stalled
-        self._drive(lambda: not stalled(), "while a write was stalled")
+    def await_headroom(self) -> float:
+        """The write-stall gate, the paper's stop interaction mode:
+        return once it is open, with the seconds this caller waited
+        (0.0 when it was open).
+
+        A stall is counted once per write that observed a stalled tree
+        (not once per polling iteration), and the time a blocking writer
+        spends here accumulates into ``stall_seconds_total``.
+        ``stall_exit`` says how the wait ended: ``resumed``, ``closed``
+        under the writer, or ``failed`` — as a rule, nothing could ever
+        clear the constraint.
+        """
+        compaction = self._compaction
+        if not compaction.version.write_stalled:
+            return 0.0
+        self.stall_count += 1
+        self._m_stalls.inc()
+        self._obs.tracer.emit(
+            obs_events.STALL_ENTER, components=compaction.component_count
+        )
+        started = self._obs.clock()
+        outcome = "failed"  # any error but a close
+        try:
+            self._drive(
+                lambda: not compaction.version.write_stalled,
+                "while a write was stalled",
+            )
+            outcome = "resumed"
+        except ClosedError:
+            outcome = "closed"
+            raise
+        finally:
+            # The wait drops the store lock, so other writers park here
+            # too: each bills its own elapsed, never the total's growth.
+            elapsed = self._obs.clock() - started
+            self.stall_seconds += elapsed
+            self._m_stall_seconds.inc(elapsed)
+            self._obs.tracer.emit(
+                obs_events.STALL_EXIT, outcome=outcome, seconds=elapsed
+            )
+        return elapsed
 
     def await_sealed_slot(self) -> None:
-        """Return once the sealed queue has room for one more memtable
-        (a flush stall: every memory component is waiting on a flush)."""
+        """Return once the sealed queue has room for one more memtable.
+
+        A flush stall: every memory component is waiting on a flush
+        (rare when flushes get I/O priority; with ``num_memtables=1``
+        the norm). Counted apart from :meth:`await_headroom`'s stalls,
+        and timed here only.
+        """
         limit = max(1, self._options.num_memtables - 1)
-        self._drive(
-            lambda: len(self._sealed) < limit, "while a rotation was stalled"
-        )
+        compaction = self._compaction
+        started = self._obs.clock()
+        try:
+            self._drive(
+                lambda: len(compaction.version.sealed) < limit,
+                "while a rotation was stalled",
+            )
+        finally:
+            elapsed = self._obs.clock() - started
+            self._m_flush_stalls.inc()
+            self._m_flush_stall_seconds.inc(elapsed)
+            self._obs.tracer.emit(
+                obs_events.FLUSH_STALL,
+                seconds=elapsed,
+                sealed_queue=len(compaction.version.sealed),
+            )
 
     def quiesce_memtables(self) -> None:
         """Return once every sealed memtable is in a run (a caller that
         drives runs flushes only: it claims a flush first, and stops
         when none is left)."""
+        compaction = self._compaction
         self._drive(
-            lambda: not (self._sealed or self._flush_claimed), "while flushing"
+            lambda: not (compaction.version.sealed or self._flush_claimed),
+            "while flushing",
         )
 
     def flush_here(self) -> None:
@@ -414,13 +491,12 @@ class MaintenanceExecutor:
             pass
 
     def drop_pending(self) -> None:
-        """Wait out claimed flushes and merge chunks, then forget the
-        sealed memtables: a reset's install supersedes them."""
+        """Wait out claimed flushes and merge chunks: a reset's install
+        supersedes the sealed memtables, and the merges' inputs."""
         claimed = self._compaction.merge_claimed
         self._drive(
             lambda: not (self._flush_claimed or claimed()), "during a reset"
         )
-        self._sealed.clear()
 
     def run_to_idle(self, max_steps: int = 1_000_000) -> None:
         """Run flushes and merges until none remain — when the caller

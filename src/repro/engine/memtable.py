@@ -9,9 +9,12 @@ proportional to the table's size. Nothing is ever removed (deletes
 store tombstones), and the index holds keys only; values live in the
 map, so an overwrite never touches it.
 
-Every mutation, and every iteration over a table that can still change,
-runs under the store lock; a sealed table is immutable and may be
-iterated without it (see docs/engine-concurrency.md).
+Every mutation, and every iteration over a table that can still
+change — the active one — runs under the store lock. A get probes the
+active table without it, by one ``dict`` lookup, which the interpreter
+runs as a single step; it never iterates it. A sealed table is
+immutable and may be iterated without the lock (see
+docs/engine-concurrency.md).
 """
 
 from __future__ import annotations

@@ -148,15 +148,6 @@ class QuarantineSet:
     def get(self, run_id: int) -> QuarantineEntry | None:
         return self._entries.get(run_id)
 
-    def overlapping(
-        self, lo: bytes | None, hi: bytes | None
-    ) -> QuarantineEntry | None:
-        """The first quarantined run intersecting scan range ``[lo, hi)``."""
-        for entry in self._entries.values():
-            if entry.overlaps(lo, hi):
-                return entry
-        return None
-
     # -- mutations (call under the store lock) -------------------------
 
     def add(self, entry: QuarantineEntry) -> None:

@@ -38,6 +38,7 @@ import copy
 import json
 import os
 import struct
+import weakref
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -492,6 +493,13 @@ def _decode_stored_block(record: bytes, context: str) -> bytes:
     return payload
 
 
+def _close_descriptor(fd: int, cache, generation: int) -> None:
+    """Close a reader's descriptor and drop its cached blocks."""
+    os.close(fd)
+    if cache is not None:
+        cache.evict_reader(generation)
+
+
 class SSTableReader:
     """Random and sequential access to one sorted-run file.
 
@@ -499,30 +507,41 @@ class SSTableReader:
     blocks are served from and populated into the shared cache (the
     engine's buffer-cache analogue of the paper's Section 3.1 setup);
     index/filter/meta blocks are always held in memory per reader.
+
+    Reads are ``os.pread`` calls on one descriptor, so concurrent
+    readers share no file offset and need no lock. The descriptor is
+    closed, and the blocks dropped, by :meth:`close` or, failing that,
+    once nothing refers to the reader: the store never closes a live
+    run's reader, it lets go, so a read that still holds the run keeps
+    reading the file it opened.
     """
 
     def __init__(self, path: str, block_cache=None) -> None:
-        self._path = path
+        self.path = path
         self._cache = block_cache
         self._generation = (
             block_cache.register_reader() if block_cache is not None else 0
         )
-        self._file = open(path, "rb")
+        self._fd = os.open(path, os.O_RDONLY)
+        #: A sequential handle's own buffered file (None: pread).
+        self._file = None
+        self._closed = False
+        self._release = weakref.finalize(
+            self, _close_descriptor, self._fd, block_cache, self._generation
+        )
         try:
             self._load()
         except BaseException:
-            self._file.close()
+            self.close()
             raise
-        self._closed = False
 
     def _load(self) -> None:
         """Parse and verify the footer, index, filter and meta blocks."""
-        path = self._path
+        path = self.path
         size = os.path.getsize(path)
         if size < _FOOTER.size:
             raise CorruptionError(f"{path}: file smaller than footer")
-        self._file.seek(size - _FOOTER.size)
-        footer = self._file.read(_FOOTER.size)
+        footer = self._read_at(size - _FOOTER.size, _FOOTER.size)
         (
             index_off,
             index_len,
@@ -569,13 +588,17 @@ class SSTableReader:
                 f"({meta_len} bytes)",
             ).decode("utf-8")
         )
-        self._entries = int(meta["entries"])
-        self._tombstones = int(meta["tombstones"])
-        self._data_bytes = int(meta["data_bytes"])
-        self._min_key = bytes.fromhex(meta["min_key"])
-        self._max_key = bytes.fromhex(meta["max_key"])
-        self._codec_name = str(meta["codec"])
-        self._logical_bytes = int(meta["logical_bytes"])
+        #: The meta block: entries (tombstones included), tombstones,
+        #: physical data-block bytes as stored (the merge-costing size,
+        #: post-codec), pre-compression payload bytes (the space-amp
+        #: denominator), the run-level default codec and the key bounds.
+        self.entry_count = int(meta["entries"])
+        self.tombstone_count = int(meta["tombstones"])
+        self.data_bytes = int(meta["data_bytes"])
+        self.logical_bytes = int(meta["logical_bytes"])
+        self.codec = str(meta["codec"])
+        self.min_key = bytes.fromhex(meta["min_key"])
+        self.max_key = bytes.fromhex(meta["max_key"])
 
     def sequential_handle(self) -> SSTableReader:
         """A reader of the same run for one front-to-back walk (a
@@ -586,41 +609,11 @@ class SSTableReader:
         as the run is."""
         handle = copy.copy(self)
         handle._cache = None
-        handle._file = open(self._path, "rb", buffering=SEQUENTIAL_IO_BYTES)
+        handle._file = open(self.path, "rb", buffering=SEQUENTIAL_IO_BYTES)
+        handle._release = handle._file.close
         return handle
 
     # -- metadata ------------------------------------------------------
-
-    @property
-    def path(self) -> str:
-        """Backing file path."""
-        return self._path
-
-    @property
-    def entry_count(self) -> int:
-        """Entries in the run, tombstones included."""
-        return self._entries
-
-    @property
-    def tombstone_count(self) -> int:
-        """Tombstone entries in the run."""
-        return self._tombstones
-
-    @property
-    def data_bytes(self) -> int:
-        """Physical bytes of data blocks as stored (the merge-costing
-        size; post-codec)."""
-        return self._data_bytes
-
-    @property
-    def logical_bytes(self) -> int:
-        """Pre-compression entry payload bytes (space-amp denominator)."""
-        return self._logical_bytes
-
-    @property
-    def codec(self) -> str:
-        """The run-level default codec name recorded in the meta block."""
-        return self._codec_name
 
     @property
     def point_filter(self) -> BloomFilter:
@@ -628,23 +621,16 @@ class SSTableReader:
         with every :meth:`sequential_handle`)."""
         return self._filter
 
-    @property
-    def min_key(self) -> bytes:
-        """Smallest key in the run."""
-        return self._min_key
-
-    @property
-    def max_key(self) -> bytes:
-        """Largest key in the run."""
-        return self._max_key
-
     # -- access --------------------------------------------------------
 
     def _read_at(self, offset: int, length: int) -> bytes:
-        self._file.seek(offset)
-        blob = self._file.read(length)
+        if self._file is None:
+            blob = os.pread(self._fd, length, offset)
+        else:
+            self._file.seek(offset)
+            blob = self._file.read(length)
         if len(blob) != length:
-            raise CorruptionError(f"{self._path}: short read")
+            raise CorruptionError(f"{self.path}: short read")
         return blob
 
     def _read_block(self, offset: int, length: int, admit=True) -> bytes:
@@ -664,7 +650,7 @@ class SSTableReader:
             if cached is not None:
                 return cached
         context = (
-            f"{self._path}: data block at offset {offset} ({length} bytes)"
+            f"{self.path}: data block at offset {offset} ({length} bytes)"
         )
         record = _check_crc(self._read_at(offset, length), context)
         payload = _decode_stored_block(record, context)
@@ -685,7 +671,7 @@ class SSTableReader:
     def _open_block(self, stored: bytes, block_idx: int) -> DataBlock:
         """Checksum-verify and walk one data block's stored bytes."""
         context = (
-            f"{self._path}: data block at offset {self._offsets[block_idx]} "
+            f"{self.path}: data block at offset {self._offsets[block_idx]} "
             f"({self._lengths[block_idx]} bytes)"
         )
         record = _check_crc(stored, context)
@@ -747,7 +733,7 @@ class SSTableReader:
         store whose runs partition the keyspace by age or range, most
         runs are dismissed without touching the filter at all.
         """
-        if not self._offsets or key < self._min_key or key > self._max_key:
+        if not self._offsets or key < self.min_key or key > self.max_key:
             return False
         return self._filter.might_contain(key)
 
@@ -763,7 +749,7 @@ class SSTableReader:
         if self._closed:
             raise ConfigurationError("reader is closed")
         block_idx = self._block_for(key)
-        if block_idx < 0 or key > self._max_key:
+        if block_idx < 0 or key > self.max_key:
             return False, None
         payload = self._read_block(
             self._offsets[block_idx], self._lengths[block_idx], admit=False
@@ -795,9 +781,6 @@ class SSTableReader:
                 yield key, value
 
     def close(self) -> None:
-        """Release the file handle and cached blocks (idempotent)."""
-        if not self._closed:
-            self._file.close()
-            self._closed = True
-            if self._cache is not None:
-                self._cache.evict_reader(self._generation)
+        """Release the file handle and cached blocks now (idempotent)."""
+        self._closed = True
+        self._release()

@@ -1,0 +1,212 @@
+"""What a read sees: one immutable :class:`Version` of the store.
+
+A version names the active memtable, the sealed memtables awaiting
+flush and the live runs in probe order, with what the write gate, the
+scheduler and the scrubber derive from the run set beside them.
+:func:`build_version` builds one eagerly, and
+``CompactionManager._install`` assigns it under the store lock at every
+rotation, flush or merge publish, repair, quarantine and reset; nothing
+changes a version afterwards.
+
+A read pins the current version with one attribute read and answers
+from it without the store lock. The sealed memtables and the runs
+cannot change under it, and a run a merge retires stays readable while
+a pinned version names it: its reader's descriptor closes only when the
+last reference goes (:class:`~repro.engine.sstable.SSTableReader`).
+Only the active memtable still takes writes. A get looks the key up in
+its dict, one atomic step; a scan copies its rows under the lock and
+merges the rest off it. The read path — probe, scan, retry — is here;
+what the store adds is the lock and the row a get may leave behind
+(:meth:`~repro.engine.LSMStore.get`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterator
+
+from ..core.components import Component, TreeSnapshot
+from ..errors import CorruptionError
+from .iterators import EntryCursor, ReaderCorruption, RunCursor, merge_scan
+from .memtable import MemTable
+from .quarantine import QuarantineEntry, QuarantineSet
+from .runs import Run
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Version:
+    """The store at one instant, as every read and decision sees it."""
+
+    active: MemTable
+    #: Awaiting flush, oldest first.
+    sealed: tuple[MemTable, ...]
+    #: ``active`` then ``sealed``, newest first: the probe order.
+    memtables: tuple[MemTable, ...]
+    #: ``(run_id, element)``, newest data first: a live :class:`Run`, or
+    #: the :class:`QuarantineEntry` fencing it off *in probe position*,
+    #: so a lookup knows exactly when its answer would depend on the
+    #: corrupt run (newer sources can still answer soundly).
+    plan: tuple[tuple[int, Run | QuarantineEntry], ...]
+    #: Core-typed live runs, oldest first per level.
+    snapshot: TreeSnapshot
+    levels: dict[int, int]
+    #: The component constraint's gate, and its remaining budget as a
+    #: fraction (0 = stalled), which admission reads.
+    write_stalled: bool
+    write_headroom: float
+    #: ``(run_id, path)`` of every file of every readable run, stable
+    #: order: the work list one scrub pass walks.
+    scrub_targets: tuple[tuple[int, str], ...]
+
+    def get(self, key: bytes, cache) -> tuple[bytes | None, bool]:
+        """``(value, from_run)``; value None when absent or deleted.
+
+        Newest first: memtables, the key's cached row, runs. ``from_run``
+        says a run answered, so the answer may become the key's row. A
+        quarantined run whose bounds cover the key fails the lookup with
+        :class:`~repro.errors.DataCorruptError` rather than be skipped,
+        which could resurrect a deleted key or serve a stale value; a
+        checksum failure raises :class:`ReaderCorruption` naming the run.
+        """
+        for memtable in self.memtables:
+            found, value = memtable.get(key)
+            if found:
+                return value, False
+        found, value = cache.get_row(key)
+        if found:
+            return value, False
+        for run_id, element in self.plan:
+            if isinstance(element, QuarantineEntry):
+                if element.covers(key):
+                    raise element.fence(
+                        f"run {run_id} is quarantined and its "
+                        f"bounds cover the requested key"
+                    )
+            elif element.might_contain(key):
+                try:
+                    found, value = element.get(key)
+                except CorruptionError as error:
+                    raise ReaderCorruption(run_id, error) from error
+                if found:
+                    return value, True
+        return None, False
+
+    def fence(self, lo: bytes | None, hi: bytes | None):
+        """The first quarantined run whose bounds meet ``[lo, hi)``: a
+        scan of that range fails fast with its
+        :class:`~repro.errors.DataCorruptError`. Every key in a scan
+        result is a claim that no deleted key reappears and no stale
+        value shadows a newer one, and a skipped run voids that claim
+        for the whole overlap; ranges provably outside the quarantined
+        bounds keep serving."""
+        for _run_id, element in self.plan:
+            if isinstance(element, QuarantineEntry) and element.overlaps(lo, hi):
+                return element
+        return None
+
+    def scan(
+        self,
+        active_rows: list,
+        lo: bytes | None,
+        hi: bytes | None,
+        limit: int | None,
+    ) -> tuple[list[tuple[bytes, bytes]], int]:
+        """``(rows, block lookups)`` of a scan over ``[lo, hi)``: the
+        active memtable's rows as copied under the lock, then the sealed
+        memtables and the runs, merged by
+        :func:`~repro.engine.iterators.merge_scan`, which looks up a
+        block only when a row of the result, or a stale copy of one,
+        lies in it. A run whose bounds miss the range gets no cursor. A
+        checksum failure in a block the scan reads raises
+        :class:`ReaderCorruption`; one in a block it never needs is the
+        scrubber's to find."""
+        cursors = [EntryCursor(iter(active_rows))] + [
+            EntryCursor(memtable.items(lo, hi))
+            for memtable in self.memtables[1:]
+        ]
+        cursors += [
+            RunCursor(run_id, element, lo, hi)
+            for run_id, element in self.plan
+            if not isinstance(element, QuarantineEntry)
+            and (hi is None or element.min_key < hi)
+            and (lo is None or element.max_key >= lo)
+        ]
+        rows = merge_scan(cursors, limit)
+        return rows, sum(cursor.blocks for cursor in cursors)
+
+    def sources(
+        self, lo: bytes, hi: bytes, skip: int
+    ) -> list[Iterator[tuple[bytes, bytes | None]]]:
+        """``items(lo, hi)`` of every memtable and readable run, newest
+        first, leaving out run ``skip`` (store lock held: the active
+        memtable is iterated)."""
+        return [memtable.items(lo, hi) for memtable in self.memtables] + [
+            element.items(lo, hi)
+            for run_id, element in self.plan
+            if run_id != skip and not isinstance(element, QuarantineEntry)
+        ]
+
+
+def build_version(
+    active: MemTable,
+    sealed: tuple[MemTable, ...],
+    components: dict[int, Component],
+    runs: dict[int, Run],
+    quarantine: QuarantineSet,
+    constraint,
+) -> Version:
+    """A version of these memtables over this run set: ``components``
+    by run id (each with its manifest record as ``handle``), the
+    readable ``runs`` by run id, and the quarantine that fences some of
+    them; ``constraint`` sets the write gate."""
+    snapshot = TreeSnapshot(
+        sorted(
+            components.values(), key=lambda c: (c.level, c.handle.sequence)
+        )
+    )
+    newest_first = sorted(
+        components.values(), key=lambda c: c.handle.sequence, reverse=True
+    )
+    return Version(
+        active=active,
+        sealed=sealed,
+        memtables=(active, *reversed(sealed)),
+        plan=tuple(  # a closed store's names none: it let go of its runs
+            (c.uid, element)
+            for c in newest_first
+            if (element := quarantine.get(c.uid) or runs.get(c.uid))
+        ),
+        snapshot=snapshot,
+        levels={level: snapshot.count_at(level) for level in snapshot.levels()},
+        write_stalled=constraint.is_violated(snapshot),
+        write_headroom=constraint.headroom(snapshot),
+        scrub_targets=tuple(
+            sorted(
+                (uid, reader.path)
+                for uid, run in runs.items()
+                if uid not in quarantine
+                for reader in run.files
+            )
+        ),
+    )
+
+
+def read_retrying(attempt: Callable, quarantine: Callable[[int, str], object], *args):
+    """``attempt(*args)``, read again after a checksum failure.
+
+    A first failure is only re-read: a transient error passes the second
+    time. A second in a row quarantines the run (``quarantine(run_id,
+    reason)``) and reads once more, at the version that fences it: the
+    read fails fast if it still depends on the run, and answers from the
+    healthy remainder if the damage lay elsewhere or a concurrent merge
+    retired the run.
+    """
+    failure = None
+    while True:
+        try:
+            return attempt(*args)
+        except ReaderCorruption as error:
+            if failure is not None:
+                quarantine(error.run_id, str(error))
+                error = None
+            failure = error

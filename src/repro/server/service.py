@@ -627,8 +627,8 @@ class KVServer(FramedServer):
         key = protocol.request_key(message)
         self.metrics.reads_total.inc()
         # On the loop thread even when the block must come from disk:
-        # the store holds its lock across block reads, so a pool thread
-        # would overlap nothing and only add the hand-off.
+        # with the data in the page cache the hand-off costs more than
+        # the read it would overlap (docs/server.md, threading model).
         self._engine_calls["get", "loop"].inc()
         started = self._clock()
         value = self._store.get(key)

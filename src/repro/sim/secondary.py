@@ -180,28 +180,32 @@ class DatasetResult:
                    self.secondary.final_queue_length / per_write)
 
     def measured_throughput(self, exclude_initial: float = 0.0) -> float:
-        """Dataset ingest throughput = the slower tree's throughput."""
+        """Dataset ingest throughput, records/s = the slower tree's."""
+        per_write = self.secondary_entries_per_write
         return min(
             self.primary.measured_throughput(exclude_initial),
-            self.secondary.measured_throughput(exclude_initial),
+            self.secondary.measured_throughput(exclude_initial) / per_write,
         )
 
     def throughput_series(self) -> np.ndarray:
-        """Per-window ingest throughput (slower tree per window)."""
+        """Per-window ingest throughput, records/s (slower tree per
+        window)."""
         p = self.primary.throughput_series()
-        s = self.secondary.throughput_series()
+        s = self.secondary.throughput_series() / self.secondary_entries_per_write
         size = min(p.size, s.size)
         return np.minimum(p[:size], s[:size])
 
     def write_latencies(self, max_samples: int = 100_000) -> np.ndarray:
-        """Per-write latency: a write completes when every tree took it."""
+        """Per-write latency: a write completes when every tree took it
+        — the secondary, all ``secondary_entries_per_write`` entries."""
         if self.closed_system:
             raise ConfigurationError(
                 "write latencies are undefined for the closed system model"
             )
+        per_write = self.secondary_entries_per_write
         completed = min(
             self.primary.departures.final_total,
-            self.secondary.departures.final_total,
+            self.secondary.departures.final_total / per_write,
             self.primary.arrivals.final_total,
         )
         if completed <= 0:
@@ -209,7 +213,7 @@ class DatasetResult:
         indices = np.linspace(0, completed, num=max_samples, endpoint=False)
         arrive = self.primary.arrivals.inverse(indices)
         depart_p = self.primary.departures.inverse(indices)
-        depart_s = self.secondary.departures.inverse(indices)
+        depart_s = self.secondary.departures.inverse(indices * per_write)
         return np.maximum(np.maximum(depart_p, depart_s) - arrive, 0.0)
 
     def write_latency_profile(

@@ -21,12 +21,12 @@ from repro.engine import (
     SSTableReader,
     SSTableWriter,
     StoreOptions,
-    compaction,
+    merge,
     sstable,
     verify_store,
 )
 from repro.engine.bloom import BloomFilter
-from repro.engine.compaction import MergeJob
+from repro.engine.merge import MergeJob
 from repro.engine.iterators import reconciling_iterator
 from repro.engine.ratelimiter import RateLimiter
 from repro.engine.runs import Run
@@ -65,9 +65,9 @@ def make_job(
         ],
         target_level=1,
     )
-    link_order = compaction._link_order
+    link_order = merge._link_order
     if not may_link:
-        compaction._link_order = lambda *args: None
+        merge._link_order = lambda *args: None
     try:
         job = MergeJob(
             descriptor,
@@ -78,7 +78,7 @@ def make_job(
             drop_tombstones=drop_tombstones,
         )
     finally:
-        compaction._link_order = link_order
+        merge._link_order = link_order
     job.inputs = runs  # closed by run_job
     return job
 
@@ -685,7 +685,7 @@ class TestLink:
         # probe asks the one filter whose range holds it.
         absent = [key(i) + b"x" for i in range(22_999)]
         passed = sum(run.might_contain(k) for k in absent) / len(absent)
-        whole = BloomFilter(len(present), compaction.BLOOM_BITS_PER_KEY)
+        whole = BloomFilter(len(present), merge.BLOOM_BITS_PER_KEY)
         whole.add_many(present)
         one = sum(whole.might_contain(k) for k in absent) / len(absent)
         close_job(job)
@@ -728,7 +728,7 @@ class TestLink:
 
     def test_a_run_names_at_most_the_file_cap(self, tmp_path, monkeypatch):
         paths = disjoint_runs(tmp_path, runs=2)
-        monkeypatch.setattr(compaction, "MAX_RUN_FILES", 1)
+        monkeypatch.setattr(merge, "MAX_RUN_FILES", 1)
         job = make_job(paths, tmp_path / "out.run", OPTIONS, True, True)
         assert job.links is None
         assert read_back(run_job(job).path) == reference(paths, True)
@@ -763,10 +763,10 @@ class TestLink:
                     sum(r.entry_count for r in readers),
                     sstable.MIN_FILTER_KEYS,
                 )
-                * compaction.BLOOM_BITS_PER_KEY
+                * merge.BLOOM_BITS_PER_KEY
             )
             assert sum(r.point_filter.bit_size for r in readers) <= (
-                compaction.APPENDED_FILTER_BITS * rebuilt
+                merge.APPENDED_FILTER_BITS * rebuilt
             )
             for reader in readers:
                 reader.close()

@@ -40,7 +40,7 @@ class TestFlushAndMerge:
         manager, manifest = make_manager(tmp_path)
         flush_entries(manager, 0, 100)
         assert manager.component_count == 1
-        assert manager.levels() == {0: 1}
+        assert manager.version.levels == {0: 1}
         manager.close()
         manifest.close()
 
@@ -50,7 +50,7 @@ class TestFlushAndMerge:
             flush_entries(manager, batch * 100, 100)
         assert manager.has_work()
         bare_manager.drain(manager)
-        assert manager.levels() == {1: 1}
+        assert manager.version.levels == {1: 1}
         assert manager.merges_completed == 1
         manager.close()
         manifest.close()
@@ -121,9 +121,9 @@ class TestStallSignal:
     def test_constraint_reports_stall(self, tmp_path):
         manager, manifest = make_manager(tmp_path, constraint_limit=2)
         flush_entries(manager, 0, 50)
-        assert not manager.is_write_stalled()
+        assert not manager.version.write_stalled
         flush_entries(manager, 100, 50)
-        assert manager.is_write_stalled()
+        assert manager.version.write_stalled
         manager.close()
         manifest.close()
 
@@ -177,6 +177,6 @@ class TestCrashRecovery:
         assert remaining == {name for r in manifest2.live_runs() for name in r.files}
         # and the recovered tree re-schedules + completes the merge
         bare_manager.drain(manager2)
-        assert manager2.levels() == {1: 1}
+        assert manager2.version.levels == {1: 1}
         manager2.close()
         manifest2.close()

@@ -17,6 +17,7 @@ from repro.engine.sstable import _FOOTER
 from repro.errors import DataCorruptError
 
 from .images import frozen, install
+from .versions import current_version
 
 OPTIONS = StoreOptions(
     memtable_bytes=16 * 1024,
@@ -213,44 +214,17 @@ class TestApplyReset:
             assert list(store.scan()) == [(b"b", b"kept")]
 
 
-def current_derived(manager):
-    """What a ``CompactionManager`` derives from its run set, as cached —
-    after checking that a second read builds nothing (equal values; the
-    very same snapshot and plan) and that all of it equals what a forced
-    ``_run_set_changed()`` rebuilds from scratch."""
-
-    def read():
-        return {
-            "snapshot": [c.uid for c in manager.snapshot().components],
-            "levels": manager.levels(),
-            "component_count": manager.component_count,
-            "write_stalled": manager.is_write_stalled(),
-            "write_headroom": manager.write_headroom(),
-            "scrub_targets": manager.scrub_targets(),
-            "read_plan": manager.read_plan(),
-        }
-
-    cached = read()
-    snapshot, plan = manager.snapshot(), manager.read_plan()
-    assert read() == cached
-    assert manager.snapshot() is snapshot
-    assert manager.read_plan() is plan
-    assert cached["component_count"] == len(cached["snapshot"]) == len(plan)
-    manager._run_set_changed()
-    assert read() == cached
-    return cached
-
-
 class TestReadPlanCache:
-    """Everything ``CompactionManager`` derives from the run set is
-    built once per change of it; quarantine, repair and drop each have
-    to invalidate it."""
+    """Quarantine, repair and a reset's drop each install a version,
+    and the installed one always equals a version built anew from the
+    manifest, the quarantine set and the memtables."""
 
     @staticmethod
     def _current_plan(store):
-        """The cached plan, after checking it (and every other derived
-        value) against one built anew."""
-        return current_derived(store._compaction)["read_plan"]
+        """The installed probe plan, after checking the whole version
+        (snapshot, level counts, gate, headroom, scrub list) against one
+        built anew."""
+        return current_version(store._compaction).plan
 
     def test_plan_follows_quarantine_repair_drop_and_reopen(self, tmp_path):
         directory = str(tmp_path / "db")

@@ -131,7 +131,7 @@ class TestPointLookupProbes:
                     store.put(b"user%04d" % i, b"%d" % generation)
                 store.flush()
             assert store.stats().disk_components == 3
-            for _run_id, run in store._compaction.read_plan():
+            for _run_id, run in store._compaction.version.plan:
                 for reader in run.files:
                     reader._filter = CountingFilter(reader._filter)
             monkeypatch.setattr(SSTableReader, "might_contain", counted_probe)
@@ -159,7 +159,7 @@ class TestPointLookupProbes:
         for i in range(0, 100, 2):
             store.put(b"user%04d" % i, b"v")
         store.flush()
-        [(_run_id, run)] = store._compaction.read_plan()
+        [(_run_id, run)] = store._compaction.version.plan
         [reader] = run.files
         before = block_lookups(store)
         assert reader.get(b"user0010") == (True, b"v")

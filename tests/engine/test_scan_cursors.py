@@ -34,13 +34,11 @@ def reference_scan(store, lo, hi, limit):
     """The scan as the per-entry heap ran it: rows, and block lookups."""
     before = lookups(store)
     with store._lock:
-        sources = [
-            memtable.items(lo, hi)
-            for memtable in [store._active] + list(reversed(store._sealed))
-        ]
+        version = store._compaction.version
+        sources = [memtable.items(lo, hi) for memtable in version.memtables]
         sources += [
             element.items(lo, hi)
-            for _run_id, element in store._compaction.read_plan()
+            for _run_id, element in version.plan
             if not isinstance(element, QuarantineEntry)
             and (hi is None or element.min_key < hi)
             and (lo is None or element.max_key >= lo)

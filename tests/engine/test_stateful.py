@@ -21,7 +21,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.engine import LSMStore, StoreOptions
-from tests.engine.test_corruption import current_derived
+from tests.engine.versions import current_version
 
 OPTIONS = StoreOptions(
     memtable_bytes=4096,
@@ -84,12 +84,12 @@ class EngineMatchesDict(RuleBasedStateMachine):
         assert dict(self.store.scan()) == self.model
 
     @invariant()
-    def cached_read_plan_is_current(self):
-        """The probe plan — and the snapshot, level counts, stall gate,
-        headroom and scrub list beside it — is built once per run-set
-        change; whatever the last rule did to the tree, the cached
-        values must equal ones built from scratch."""
-        current_derived(self.store._compaction)
+    def installed_version_is_current(self):
+        """The version installed last — probe plan, snapshot, level
+        counts, stall gate, headroom and scrub list — equals one built
+        anew from the manifest, the quarantine set and the memtables,
+        whatever the last rule did to the tree."""
+        current_version(self.store._compaction)
 
     def teardown(self):
         self.store.close()

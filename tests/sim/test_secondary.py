@@ -1,5 +1,6 @@
 """Tests for the secondary-index dataset simulation (Section 7)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -162,3 +163,41 @@ class TestDatasetSimulation:
         s = result.secondary.throughput_series()[: series.size]
         assert (series <= p + 1e-9).all()
         assert (series <= s + 1e-9).all()
+
+
+class TestDatasetCountsRecords:
+    """Eager maintenance writes two secondary entries per record, and
+    every figure of a dataset run is in records."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        return simulate_dataset(
+            SecondarySetup(strategy="eager", scale=512),
+            ConstantArrivals(10.0),
+            duration=600,
+        )
+
+    def test_the_trees_count_entries_the_dataset_counts_records(self, run):
+        assert run.primary.total_writes == pytest.approx(6000)
+        assert run.secondary.total_writes == pytest.approx(12000)
+        assert run.total_writes == pytest.approx(6000)
+        assert run.measured_throughput() == pytest.approx(10.0)
+        assert run.throughput_series() == pytest.approx(10.0)
+        assert run.write_latencies().max() == pytest.approx(0.0, abs=1e-9)
+
+    def test_a_secondary_slower_in_records_than_in_entries_sets_the_pace(
+        self, run
+    ):
+        """The same secondary tree read at four entries a record took
+        3,000 records, half the primary's: it is the slower tree, though
+        its 20 entries/s outrun the primary's 10 records/s. Record ``i``
+        is complete once entry ``4 i`` departs, at ``i / 5`` s, having
+        arrived at ``i / 10`` s."""
+        slow = dataclasses.replace(run, secondary_entries_per_write=4.0)
+        assert slow.total_writes == pytest.approx(3000)
+        assert slow.measured_throughput() == pytest.approx(5.0)
+        assert slow.throughput_series() == pytest.approx(5.0)
+        latencies = slow.write_latencies(max_samples=3000)
+        assert latencies == pytest.approx(
+            [index / 10 for index in range(3000)], abs=1e-6
+        )

@@ -352,6 +352,35 @@ ADMISSION_PARAMS = {
 }
 
 
+def close_the_gate_by_hand(store: LSMStore):
+    """Wrap the store's component constraint in one that reports the
+    gate closed (headroom 0) until the returned ``release()``; a version
+    is installed at each end, as a publish would."""
+    compaction = store._compaction
+    constraint = compaction._constraint
+    closed = threading.Event()
+    closed.set()
+
+    class ClosedByHand:
+        def is_violated(self, tree):
+            return closed.is_set() or constraint.is_violated(tree)
+
+        def headroom(self, tree):
+            return 0.0 if closed.is_set() else constraint.headroom(tree)
+
+    def install():
+        with store._lock:
+            compaction._install()
+
+    def release():
+        closed.clear()
+        install()
+
+    compaction._constraint = ClosedByHand()
+    install()
+    return release
+
+
 def gate_looks_open(store: LSMStore) -> None:
     """The snapshot a controller judges says the gate is open, so an
     admitted write meets the closed gate itself."""
@@ -491,17 +520,7 @@ def test_gradual_absorbs_a_closed_gate_once_and_commits_when_it_opens(
 
     async def scenario():
         with open_store(tmp_path, WORKERS) as store:
-            closed = threading.Event()
-            closed.set()
-            stalled = store._compaction.is_write_stalled
-            store._compaction.is_write_stalled = (
-                lambda: closed.is_set() or stalled()
-            )
-            headroom = store._compaction.write_headroom
-            store._compaction.write_headroom = (
-                lambda: 0.0 if closed.is_set() else headroom()
-            )
-            release = closed.clear
+            release = close_the_gate_by_hand(store)
             absorbing = watch_for(
                 store, obs_events.ADMISSION, action="absorb"
             )
