@@ -33,7 +33,6 @@ repair tasks; workers or the calling thread) —
 from __future__ import annotations
 
 import os
-import shutil
 import threading
 from dataclasses import dataclass
 from itertools import islice
@@ -51,6 +50,7 @@ from .maintenance import MaintenanceExecutor
 from .manifest import Manifest
 from .options import StoreOptions, TOMBSTONE
 from .quarantine import QuarantineEntry
+from .sstable import SEQUENTIAL_IO_BYTES, SSTableReader
 from .version import read_retrying
 from .wal import fsync_dir
 
@@ -162,17 +162,15 @@ class WriteTiming(NamedTuple):
 
 class RunImage(NamedTuple):
     """The live runs frozen at ``lsn`` (:meth:`LSMStore.run_image`):
-    their records, oldest first, and ``(name, descriptor, size)`` of
-    each file they name, in order. The open descriptors pin the bytes:
-    a run file is never rewritten, and a merge only unlinks its name."""
+    their records, oldest first, and ``(name, reader, size)`` of each
+    file they name, in order. The store's own readers pin the bytes: a
+    run file is never rewritten, a merge only unlinks its name, and a
+    reader's descriptor closes once nothing, this image included, holds
+    it — dropping the image releases it."""
 
     lsn: int
     records: list
-    files: tuple[tuple[str, int, int], ...]
-
-    def close(self) -> None:
-        for _name, fd, _size in self.files:
-            os.close(fd)
+    files: tuple[tuple[str, SSTableReader, int], ...]
 
 
 class LSMStore:
@@ -562,9 +560,10 @@ class LSMStore:
 
     def checkpoint(self, target_directory: str) -> int:
         """Copy :meth:`run_image` into ``target_directory`` as a store of
-        its own: each file hard-linked by name — copied off the image's
-        descriptor across filesystems, or once a merge retired the name
-        — then a manifest of the image's runs. Returns their number."""
+        its own: each file hard-linked by name — copied through the
+        image's reader across filesystems, or once a merge retired the
+        name — then a manifest of the image's runs. Returns their
+        number."""
         target = os.path.abspath(target_directory)
         if os.path.exists(target) and os.listdir(target):
             raise ConfigurationError(
@@ -572,21 +571,18 @@ class LSMStore:
             )
         os.makedirs(target, exist_ok=True)
         image = self.run_image()
-        try:
-            for name, fd, _size in image.files:
-                destination = os.path.join(target, name)
-                try:
-                    os.link(os.path.join(self._directory, name), destination)
-                except OSError:  # the dup's offset is 0: pread never moves it
-                    with os.fdopen(os.dup(fd), "rb") as source, open(
-                        destination, "wb"
-                    ) as copy:
-                        shutil.copyfileobj(source, copy)
-            self._manifest.write_snapshot(
-                os.path.join(target, "MANIFEST"), records=image.records
-            )
-        finally:
-            image.close()
+        for name, reader, size in image.files:
+            destination = os.path.join(target, name)
+            try:
+                os.link(os.path.join(self._directory, name), destination)
+            except OSError:
+                with open(destination, "wb") as copy:
+                    for offset in range(0, size, SEQUENTIAL_IO_BYTES):
+                        length = min(SEQUENTIAL_IO_BYTES, size - offset)
+                        copy.write(reader.read_at(offset, length))
+        self._manifest.write_snapshot(
+            os.path.join(target, "MANIFEST"), records=image.records
+        )
         return len(image.records)
 
     # -- whole-store images ----------------------------------------------
@@ -595,24 +591,25 @@ class LSMStore:
         """Freeze the live runs: what a reset ships, and a checkpoint
         copies. Buffered writes are flushed first, then the records, the
         files and the LSN are read in one lock hold with both memtables
-        empty. Refuses (:class:`~repro.errors.DataCorruptError`) while a
-        run is quarantined: no copy would be whole. The caller closes it.
+        empty; the files are the current version's readers of them.
+        Refuses (:class:`~repro.errors.DataCorruptError`) while a run is
+        quarantined: no copy would be whole.
         """
         with self._lock:
             self._check_open()
             self._quiesce_memtables_locked()
             for entry in self._compaction.quarantine.entries():
                 raise entry.fence(f"run {entry.run_id} is quarantined")
-            records, files = self._manifest.live_runs(), []
-            try:
-                for name in (n for record in records for n in record.files):
-                    path = os.path.join(self._directory, name)
-                    fd = os.open(path, os.O_RDONLY)
-                    files.append((name, fd, os.fstat(fd).st_size))
-            except OSError:
-                RunImage(0, [], tuple(files)).close()
-                raise
-            return RunImage(self._log.applied(), records, tuple(files))
+            records = self._manifest.live_runs()
+            runs = dict(self._compaction.version.plan)
+            files = tuple(
+                (name, reader, reader.file_bytes)
+                for record in records
+                for name, reader in zip(
+                    record.files, runs[record.run_id].files
+                )
+            )
+            return RunImage(self._log.applied(), records, files)
 
     def new_run_names(self, count: int) -> list[str]:
         """Names for files of runs no edit added yet (those a crash

@@ -2,9 +2,10 @@
 
 A production storage engine needs a way to audit its on-disk state:
 ``verify_store`` walks the manifest, opens every file of every live run,
-checks all block checksums, validates key ordering inside each file and
-across a run's files, confirms per-file metadata (entry counts, key
-bounds) against the actual contents, checks that every file belongs to
+runs the scrubber's :class:`~repro.engine.scrub.BlockCheck` over it
+(block checksums, key order, entry and tombstone counts and key bounds
+against the meta block) and probes its point filter with every key,
+checks key order across a run's files, checks that every file belongs to
 exactly one live run, and cross-checks level invariants (partitioned
 levels must not have overlapping runs). Returns a report rather than
 raising on first error, so operators see the full damage picture at
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from ..errors import ConfigurationError, CorruptionError
 from .manifest import Manifest
 from .quarantine import QuarantineSet
+from .scrub import BlockCheck
 from .sstable import SSTableReader
 from .wal import scan_wal
 
@@ -83,44 +85,6 @@ class IntegrityReport:
         return "\n".join(lines)
 
 
-def _verify_run(reader: SSTableReader, report: IntegrityReport, name: str) -> None:
-    previous = None
-    count = 0
-    tombstones = 0
-    first = last = None
-    for key, value in reader.items():
-        if previous is not None and key <= previous:
-            report.problems.append(
-                f"{name}: keys out of order at {key!r}"
-            )
-            return
-        previous = key
-        if first is None:
-            first = key
-        last = key
-        count += 1
-        if value is None:
-            tombstones += 1
-        if not reader.might_contain(key):
-            report.problems.append(
-                f"{name}: point filter false negative for {key!r}"
-            )
-            return
-    report.entries_checked += count
-    if count != reader.entry_count:
-        report.problems.append(
-            f"{name}: metadata says {reader.entry_count} entries, "
-            f"found {count}"
-        )
-    if tombstones != reader.tombstone_count:
-        report.problems.append(
-            f"{name}: metadata says {reader.tombstone_count} tombstones, "
-            f"found {tombstones}"
-        )
-    if count and (first != reader.min_key or last != reader.max_key):
-        report.problems.append(f"{name}: key bounds do not match metadata")
-
-
 def _check_partitioned_levels(
     by_level: dict[int, list], report: IntegrityReport
 ) -> None:
@@ -165,7 +129,15 @@ def verify_files(
             report.problems.append(f"{name}: {error}")
             continue
         try:
-            _verify_run(reader, report, name)
+            check = BlockCheck(reader)
+            while not check.done:
+                for key in check.step():
+                    if not reader.might_contain(key):
+                        raise CorruptionError(
+                            f"point filter false negative for {key!r}"
+                        )
+            check.finish()
+            report.entries_checked += check.entries
             report.physical_data_bytes += reader.data_bytes
             report.logical_data_bytes += reader.logical_bytes
             if reader.entry_count:

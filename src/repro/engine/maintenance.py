@@ -30,6 +30,7 @@ from .compaction import CompactionManager
 from .iterators import ReaderCorruption
 from .options import StoreOptions
 from .ratelimiter import RateLimiter
+from .scrub import Scrubber
 
 #: How long a waiter sleeps before re-checking its condition without
 #: having been notified (a missed wake-up costs this much, no more).
@@ -65,10 +66,6 @@ class MaintenanceExecutor:
         # sequence stamps, so publishing them out of order would corrupt
         # the newest-first reconciliation order.
         self._flush_claimed = False
-        # Imported here: repro.scrub imports the engine, so a top-level
-        # import fails when repro.scrub is a process's first import.
-        from ..scrub import Scrubber
-
         self._scrubber = Scrubber(
             interval=options.scrub_interval,
             chunk_bytes=compaction.chunk_bytes,
@@ -170,7 +167,7 @@ class MaintenanceExecutor:
         return None if job is None else ("merge", job)
 
     def _claim_scrub_locked(self):
-        scrub = self._scrubber.claim(self._compaction.version.scrub_targets)
+        scrub = self._scrubber.claim(self._compaction.version)
         return None if scrub is None else ("scrub", scrub)
 
     def _run(self, task) -> bool:
@@ -267,7 +264,7 @@ class MaintenanceExecutor:
             elif task[0] == "merge":
                 self._compaction.fail_merge(task[1], retry)
             else:
-                self._scrubber.fail(task[1])
+                self._scrubber.fail()
         except Exception:  # noqa: BLE001 — best-effort cleanup
             pass
         self._m_failures.inc()

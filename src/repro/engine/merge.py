@@ -281,13 +281,15 @@ class MergeJob:
         """Run the k-way merge until consumed input reaches ``target``;
         True once every input is exhausted."""
         if self._cursors is None:
-            cursors = [
+            # Held before the first loads: if one raises, close_readers
+            # closes every handle the loads before it opened.
+            self._cursors = [
                 _BlockCursor(c.uid, run)
                 for c, run in zip(self.descriptor.inputs, self._runs)
             ][::-1]
-            for cursor in cursors:
+            for cursor in self._cursors:
                 cursor.load()
-            self._cursors = [c for c in cursors if c.key is not None]
+            self._cursors = [c for c in self._cursors if c.key is not None]
         while self._cursors and self._consumed < target:
             best, limit = pick_head(self._cursors, self._step_over)
             self._drain(best, limit, target)

@@ -424,10 +424,7 @@ class SSTableWriter:
         self._write_raw(meta_payload + _crc(meta_payload))
         meta_len = self._offset - meta_off
 
-        # The footer goes through _write_raw like every other byte, so
-        # it is debited against the maintenance rate limiter and counted
-        # by the sync policy (it used to slip past both via a raw
-        # file.write).
+        # The footer too is rate-limited and counted by the sync policy.
         self._write_raw(
             _FOOTER.pack(
                 index_off, index_len, filter_off, filter_len,
@@ -538,25 +535,19 @@ class SSTableReader:
     def _load(self) -> None:
         """Parse and verify the footer, index, filter and meta blocks."""
         path = self.path
-        size = os.path.getsize(path)
+        #: The file's size, as its descriptor sees it.
+        self.file_bytes = size = os.fstat(self._fd).st_size
         if size < _FOOTER.size:
             raise CorruptionError(f"{path}: file smaller than footer")
-        footer = self._read_at(size - _FOOTER.size, _FOOTER.size)
-        (
-            index_off,
-            index_len,
-            filter_off,
-            filter_len,
-            meta_off,
-            meta_len,
-            magic,
-        ) = _FOOTER.unpack(footer)
+        footer = self.read_at(size - _FOOTER.size, _FOOTER.size)
+        (index_off, index_len, filter_off, filter_len, meta_off, meta_len,
+         magic) = _FOOTER.unpack(footer)
         if magic == b"LSMRUN01":
             raise legacy_format("LSMRUN01 run file", path)
         if magic != _MAGIC:
             raise CorruptionError(f"{path}: bad magic {magic!r}")
         index_payload = _check_crc(
-            self._read_at(index_off, index_len),
+            self.read_at(index_off, index_len),
             f"{path}: index block at offset {index_off} ({index_len} bytes)",
         )
         #: The block index, one list per column.
@@ -574,7 +565,7 @@ class SSTableReader:
             self._offsets.append(offset)
             self._lengths.append(length)
         filter_blob = _check_crc(
-            self._read_at(filter_off, filter_len),
+            self.read_at(filter_off, filter_len),
             f"{path}: filter block at offset {filter_off} "
             f"({filter_len} bytes)",
         )
@@ -583,7 +574,7 @@ class SSTableReader:
         self._filter = BloomFilter.from_bytes(filter_blob)
         meta = json.loads(
             _check_crc(
-                self._read_at(meta_off, meta_len),
+                self.read_at(meta_off, meta_len),
                 f"{path}: meta block at offset {meta_off} "
                 f"({meta_len} bytes)",
             ).decode("utf-8")
@@ -602,16 +593,31 @@ class SSTableReader:
 
     def sequential_handle(self) -> SSTableReader:
         """A reader of the same run for one front-to-back walk (a
-        merge's): its own file handle, read in
+        merge's): a buffered file over a dup of this reader's descriptor
+        (whose offset no ``pread`` moves), read in
         :data:`SEQUENTIAL_IO_BYTES` units, and no block cache, which one
         pass would only churn. The index, filter and meta parsed and
         verified at open are shared, not read again: they are immutable,
         as the run is."""
         handle = copy.copy(self)
         handle._cache = None
-        handle._file = open(self.path, "rb", buffering=SEQUENTIAL_IO_BYTES)
+        handle._file = os.fdopen(
+            os.dup(self._fd), "rb", buffering=SEQUENTIAL_IO_BYTES
+        )
         handle._release = handle._file.close
         return handle
+
+    def reopened(self) -> SSTableReader:
+        """This file parsed afresh through the same descriptor: the
+        footer, index, filter and meta blocks read from disk again and
+        checked by the code an open runs (:class:`CorruptionError` if
+        one fails), no block cache — what a scrub pass walks. It holds
+        this reader, so the descriptor stays open while it lives."""
+        fresh = copy.copy(self)
+        fresh._cache, fresh._pinned = None, self
+        fresh._release = lambda: None  # the descriptor is this reader's
+        fresh._load()
+        return fresh
 
     # -- metadata ------------------------------------------------------
 
@@ -623,7 +629,9 @@ class SSTableReader:
 
     # -- access --------------------------------------------------------
 
-    def _read_at(self, offset: int, length: int) -> bytes:
+    def read_at(self, offset: int, length: int) -> bytes:
+        """``length`` bytes at ``offset`` as the file holds them: what a
+        reset ships and a checkpoint copies of a live run."""
         if self._file is None:
             blob = os.pread(self._fd, length, offset)
         else:
@@ -652,7 +660,7 @@ class SSTableReader:
         context = (
             f"{self.path}: data block at offset {offset} ({length} bytes)"
         )
-        record = _check_crc(self._read_at(offset, length), context)
+        record = _check_crc(self.read_at(offset, length), context)
         payload = _decode_stored_block(record, context)
         if self._cache is not None and admit:
             self._cache.put(self._generation, offset, payload)
@@ -660,12 +668,11 @@ class SSTableReader:
 
     @property
     def block_count(self) -> int:
-        """Number of data blocks (the scrub cursor's per-run extent)."""
         return len(self._offsets)
 
     def block_span(self, block_idx: int) -> tuple[int, int]:
-        """``(offset, length)`` of one data block — what a scrubber bills
-        against the maintenance rate limiter before verifying it."""
+        """``(offset, length)`` of one data block: what a scrub pass
+        bills against the rate limiter before it reads the block."""
         return self._offsets[block_idx], self._lengths[block_idx]
 
     def _open_block(self, stored: bytes, block_idx: int) -> DataBlock:
@@ -681,15 +688,13 @@ class SSTableReader:
     def read_data_block(self, block_idx: int) -> DataBlock:
         """Read, checksum-verify and walk one data block, off the cache.
 
-        The one block read a merge and the scrubber share: always from
-        disk, so it observes at-rest rot, and it raises
-        :class:`CorruptionError` naming the file path, offset and
-        length. Only the keys are materialized; values stay in the
-        payload until somebody moves them.
-        """
+        The one block read a merge and a scrub pass share: always from
+        disk, so it observes at-rest rot; a :class:`CorruptionError`
+        names the file path, offset and length. Values stay in the
+        payload until somebody moves them."""
         if self._closed:
             raise ConfigurationError("reader is closed")
-        stored = self._read_at(
+        stored = self.read_at(
             self._offsets[block_idx], self._lengths[block_idx]
         )
         return self._open_block(stored, block_idx)
@@ -727,12 +732,8 @@ class SSTableReader:
 
     def might_contain(self, key: bytes) -> bool:
         """Key-bounds then point-filter check (False = definitely absent).
-
-        The bounds comparison runs first because it is an order of
-        magnitude cheaper than hashing the key for the filter — on a
-        store whose runs partition the keyspace by age or range, most
-        runs are dismissed without touching the filter at all.
-        """
+        The bounds go first: an order of magnitude cheaper than hashing
+        the key, they dismiss most runs of a range-partitioned store."""
         if not self._offsets or key < self.min_key or key > self.max_key:
             return False
         return self._filter.might_contain(key)
@@ -740,12 +741,10 @@ class SSTableReader:
     def get(self, key: bytes) -> tuple[bool, bytes | None]:
         """Point lookup: ``(found, value)``; found tombstone = (True, None).
 
-        Reads the one block that could hold ``key`` unless the key lies
-        outside the run's bounds. The point filter is not consulted: a
-        caller that wants to skip the block read for an absent key asks
-        :meth:`might_contain` first (the store's probe does), so the
-        key is hashed once per run, not twice.
-        """
+        Reads the one block that could hold ``key``, if in bounds. The
+        point filter is not asked: a caller that would skip the read of
+        an absent key asks :meth:`might_contain` first (the store's
+        probe does), so the key is hashed once per run, not twice."""
         if self._closed:
             raise ConfigurationError("reader is closed")
         block_idx = self._block_for(key)

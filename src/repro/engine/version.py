@@ -1,8 +1,9 @@
 """What a read sees: one immutable :class:`Version` of the store.
 
 A version names the active memtable, the sealed memtables awaiting
-flush and the live runs in probe order, with what the write gate, the
-scheduler and the scrubber derive from the run set beside them.
+flush and the live runs in probe order, with what the write gate and
+the scheduler derive from the run set beside them; a scrub pass takes
+its work list from the probe order.
 :func:`build_version` builds one eagerly, and
 ``CompactionManager._install`` assigns it under the store lock at every
 rotation, flush or merge publish, repair, quarantine and reset; nothing
@@ -54,9 +55,6 @@ class Version:
     #: fraction (0 = stalled), which admission reads.
     write_stalled: bool
     write_headroom: float
-    #: ``(run_id, path)`` of every file of every readable run, stable
-    #: order: the work list one scrub pass walks.
-    scrub_targets: tuple[tuple[int, str], ...]
 
     def get(self, key: bytes, cache) -> tuple[bytes | None, bool]:
         """``(value, from_run)``; value None when absent or deleted.
@@ -180,14 +178,6 @@ def build_version(
         levels={level: snapshot.count_at(level) for level in snapshot.levels()},
         write_stalled=constraint.is_violated(snapshot),
         write_headroom=constraint.headroom(snapshot),
-        scrub_targets=tuple(
-            sorted(
-                (uid, reader.path)
-                for uid, run in runs.items()
-                if uid not in quarantine
-                for reader in run.files
-            )
-        ),
     )
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
 import threading
 
 from ..errors import (
@@ -452,42 +451,40 @@ class WalShipper:
 
         The image (:meth:`LSMStore.run_image`) is frozen under the store
         lock; its files are then read and sent one chunk at a time, off
-        the lock, through the descriptors that pin them.
+        the lock, through the store's readers, which it pins until it is
+        dropped.
         """
         image = await in_thread(self._store.run_image)
-        try:
-            sizes = {name: size for name, _fd, size in image.files}
-            layout = [
-                (run.level, [sizes[name] for name in run.files])
-                for run in image.records
-            ]
-            pieces = [
-                (file, fd, offset, min(_SPAN_BYTES, size - offset))
-                for file, (_name, fd, size) in enumerate(image.files)
-                for offset in range(0, size, _SPAN_BYTES)
-            ] or [(0, None, 0, 0)]  # an image of no files: one empty chunk
-            for number, (file, fd, offset, length) in enumerate(pieces):
-                span = b""
-                if length:
-                    span = await in_thread(os.pread, fd, length, offset)
-                message = protocol.reset_chunk_request(
-                    self._epoch,
-                    self._lineage,
-                    image.lsn,
-                    span,
-                    layout=layout,
-                    file=file,
-                    offset=offset,
-                    first=number == 0,
-                    final=number == len(pieces) - 1,
-                )
-                ack = await client.replicate(message)
-                self._m_bytes["reset"].inc(
-                    binproto.REPLICATE_HEADER_BYTES
-                    + len(binproto.reset_head(message))
-                    + length
-                )
-        finally:
-            image.close()
+        sizes = {name: size for name, _reader, size in image.files}
+        layout = [
+            (run.level, [sizes[name] for name in run.files])
+            for run in image.records
+        ]
+        pieces = [
+            (file, reader, offset, min(_SPAN_BYTES, size - offset))
+            for file, (_name, reader, size) in enumerate(image.files)
+            for offset in range(0, size, _SPAN_BYTES)
+        ] or [(0, None, 0, 0)]  # an image of no files: one empty chunk
+        for number, (file, reader, offset, length) in enumerate(pieces):
+            span = b""
+            if length:
+                span = await in_thread(reader.read_at, offset, length)
+            message = protocol.reset_chunk_request(
+                self._epoch,
+                self._lineage,
+                image.lsn,
+                span,
+                layout=layout,
+                file=file,
+                offset=offset,
+                first=number == 0,
+                final=number == len(pieces) - 1,
+            )
+            ack = await client.replicate(message)
+            self._m_bytes["reset"].inc(
+                binproto.REPLICATE_HEADER_BYTES
+                + len(binproto.reset_head(message))
+                + length
+            )
         self._m_resets.inc()
         await self._record_ack(index, ack)

@@ -18,16 +18,12 @@ def frozen(directory, rows, options=LEADER_OPTIONS):
     with LSMStore.open(str(directory), options) as leader:
         if rows:
             leader.write_batch(rows)
-        image = leader.run_image()
-        try:
-            yield image
-        finally:
-            image.close()
+        yield leader.run_image()
 
 
 def layout(image):
     """``(level, file sizes)`` per run of ``image``, oldest first."""
-    sizes = {name: size for name, _fd, size in image.files}
+    sizes = {name: size for name, _reader, size in image.files}
     return [
         (run.level, [sizes[name] for name in run.files])
         for run in image.records
@@ -38,8 +34,8 @@ def chunks(image, limit=1 << 20, epoch=0, lineage=7, start=None):
     """The chunks a shipper sends of ``image``, ``limit`` bytes at most,
     as the follower's server hands them to its applier."""
     pieces = [
-        (file, fd, offset, min(limit, size - offset))
-        for file, (_name, fd, size) in enumerate(image.files)
+        (file, reader, offset, min(limit, size - offset))
+        for file, (_name, reader, size) in enumerate(image.files)
         for offset in range(0, size, limit)
     ] or [(0, None, 0, 0)]
     return [
@@ -50,7 +46,7 @@ def chunks(image, limit=1 << 20, epoch=0, lineage=7, start=None):
                         epoch,
                         lineage,
                         image.lsn if start is None else start,
-                        os.pread(fd, length, offset) if length else b"",
+                        reader.read_at(offset, length) if length else b"",
                         layout=layout(image),
                         file=file,
                         offset=offset,
@@ -60,7 +56,7 @@ def chunks(image, limit=1 << 20, epoch=0, lineage=7, start=None):
                 )
             )
         )
-        for number, (file, fd, offset, length) in enumerate(pieces)
+        for number, (file, reader, offset, length) in enumerate(pieces)
     ]
 
 
@@ -73,10 +69,10 @@ def install(store, image):
     for level, sizes in layout(image):
         run = []
         for _size in sizes:
-            _name, fd, size = next(files)
+            _name, reader, size = next(files)
             run.append(next(names))
             with open(os.path.join(store.directory, run[-1]), "wb") as copy:
-                copy.write(os.pread(fd, size, 0))
+                copy.write(reader.read_at(0, size))
         runs.append((level, tuple(run)))
     store.install_image(runs)
 

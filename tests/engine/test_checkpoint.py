@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.engine import LSMStore, StoreOptions, verify_store
+from repro.engine import LSMStore, StoreOptions, datastore, verify_store
 from repro.errors import ConfigurationError, DataCorruptError
 
 OPTIONS = StoreOptions(memtable_bytes=16 * 1024, levels=3)
@@ -38,6 +38,31 @@ class TestCheckpoint:
         report = verify_store(str(tmp_path / "snap"))
         assert report.clean
 
+    def test_a_file_that_cannot_be_linked_is_copied_through_its_reader(
+        self, tmp_path, monkeypatch
+    ):
+        """Across filesystems (here: every link refused) each file is
+        copied through the store's reader of it, byte for byte, in
+        pieces smaller than the file."""
+        monkeypatch.setattr(datastore, "SEQUENTIAL_IO_BYTES", 4096)
+
+        def refused(*_args):
+            raise OSError("cross-device link")
+
+        monkeypatch.setattr(os, "link", refused)
+        with LSMStore.open(str(tmp_path / "db"), OPTIONS) as store:
+            for i in range(2000):
+                store.put(f"user{i % 300:06d}".encode(), b"v" * 64)
+            store.checkpoint(str(tmp_path / "snap"))
+            names = [n for r in store.live_runs() for n in r.files]
+            for name in names:
+                source = (tmp_path / "db" / name).read_bytes()
+                assert len(source) > 4096
+                assert (tmp_path / "snap" / name).read_bytes() == source
+        assert verify_store(str(tmp_path / "snap")).clean
+        with LSMStore.open(str(tmp_path / "snap"), OPTIONS) as snapshot:
+            assert len(list(snapshot.scan())) == 300
+
     def test_non_empty_target_rejected(self, tmp_path):
         (tmp_path / "snap").mkdir()
         (tmp_path / "snap" / "junk").write_text("x")
@@ -69,7 +94,8 @@ class TestCheckpoint:
             store.flush()
             [record] = store.live_runs()
             path = os.path.join(directory, record.files[0])
-            blob = bytearray(open(path, "rb").read())
+            with open(path, "rb") as run_file:
+                blob = bytearray(run_file.read())
             blob[16] ^= 0xFF
             with open(path, "wb") as damaged:
                 damaged.write(bytes(blob))

@@ -7,11 +7,14 @@ detect and quarantine it, confirm the fail-fast containment contract
 repair the run from a "replica view" and watch service resume.
 """
 
+import json
 import os
+import struct
+import zlib
 
 import pytest
 
-from repro.engine import LSMStore, StoreOptions
+from repro.engine import LSMStore, SSTableReader, StoreOptions, verify_store
 from repro.engine.quarantine import QuarantineEntry
 from repro.engine.sstable import _FOOTER
 from repro.errors import DataCorruptError
@@ -30,8 +33,35 @@ OPTIONS = StoreOptions(
 def _flip_data_byte(directory, filename, offset=16):
     """Corrupt one byte of a run: by default inside its data region."""
     path = os.path.join(directory, filename)
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
     blob[offset] ^= 0xFF
+    with open(path, "wb") as handle:
+        handle.write(bytes(blob))
+
+
+def _block_offset(directory, filename, field):
+    """Where the footer says a run's index (field 0) or meta (field 4)
+    block starts."""
+    with open(os.path.join(directory, filename), "rb") as handle:
+        blob = handle.read()
+    return _FOOTER.unpack_from(blob, len(blob) - _FOOTER.size)[field]
+
+
+def _rewrite_meta(directory, filename, **fields):
+    """Change fields of a run's meta block, with a valid CRC: a lie the
+    block's checksum cannot see. The block keeps its length."""
+    path = os.path.join(directory, filename)
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
+    footer = _FOOTER.unpack_from(blob, len(blob) - _FOOTER.size)
+    offset, length = footer[4], footer[5]
+    meta = json.loads(bytes(blob[offset : offset + length - 4]))
+    meta.update(fields)
+    payload = json.dumps(meta).encode("utf-8")
+    assert len(payload) == length - 4
+    crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+    blob[offset : offset + length] = payload + crc
     with open(path, "wb") as handle:
         handle.write(bytes(blob))
 
@@ -133,6 +163,92 @@ class TestScrubDetection:
             assert summary["bytes_verified"] > 0
             assert store.quarantined_entries() == []
 
+    @pytest.mark.parametrize("block,field", [("index", 0), ("meta", 4)])
+    def test_a_scrub_pass_rereads_the_blocks_parsed_at_open(
+        self, tmp_path, block, field
+    ):
+        """The store parsed the run's index and meta when it opened it;
+        a byte flipped in either since then is found by the next pass,
+        which reads both from disk again."""
+        directory = str(tmp_path / "db")
+        keys = [f"k{i:04d}".encode() for i in range(200)]
+        with _build(directory, keys) as store:
+            [record] = store.live_runs()
+            offset = _block_offset(directory, record.files[0], field)
+            _flip_data_byte(directory, record.files[0], offset + 1)
+            assert store.get(keys[7]) == b"value-" + keys[7]
+            summary = store.scrub_pass()
+            assert summary["last_pass"]["findings"] == 1
+            [entry] = store.quarantined_entries()
+            assert (entry.run_id, entry.source) == (record.run_id, "scrub")
+            assert f"{block} block" in entry.reason
+
+    def test_a_scrub_pass_checks_the_tombstone_count(self, tmp_path):
+        """A meta block whose tombstone count is wrong, under a valid
+        CRC, is a scrub finding, as it is a problem to verify_store:
+        the two run one check."""
+        directory = str(tmp_path / "db")
+        keys = [f"k{i:04d}".encode() for i in range(200)]
+        with _build(directory, keys) as store:
+            for key in keys[:20]:
+                store.delete(key)
+            store.flush()
+            newest = max(store.live_runs(), key=lambda r: r.sequence)
+        path = os.path.join(directory, newest.files[0])
+        reader = SSTableReader(path)
+        assert reader.tombstone_count == 20
+        reader.close()
+        _rewrite_meta(directory, newest.files[0], tombstones=21)
+        [problem] = verify_store(directory).problems
+        assert "21 tombstones" in problem
+        with LSMStore.open(directory, OPTIONS) as store:
+            assert store.quarantined_entries() == []
+            summary = store.scrub_pass()
+            assert summary["last_pass"]["findings"] == 1
+            [entry] = store.quarantined_entries()
+            assert (entry.run_id, entry.source) == (newest.run_id, "scrub")
+            assert "tombstones" in entry.reason
+
+    def test_a_pass_finishes_a_retired_run_and_skips_one_retired_early(
+        self, tmp_path
+    ):
+        """A pass's work list is the run ids its first claim saw. A
+        merge that retires the run being walked leaves the walk its
+        pinned readers, though the file's name is gone; a run it
+        retires before its turn is skipped. Neither is a finding."""
+        directory = str(tmp_path / "db")
+        options = OPTIONS.with_(
+            memtable_bytes=48 * 1024,
+            policy="tiering",
+            size_ratio=3,
+            merge_chunk_bytes=4096,
+        )
+        with LSMStore.open(directory, options) as store:
+            compaction = store._compaction
+            compaction.claim_merge = lambda: None  # hold the merge back
+            for batch in range(3):
+                for i in range(600):  # overlapping: the merge rewrites
+                    store.put(f"k{i:04d}".encode(), bytes([65 + batch]) * 8)
+                store.flush()
+            [job] = compaction._jobs.values()
+            inputs = sorted(c.uid for c in job.descriptor.inputs)
+            first = dict(compaction.version.plan)[inputs[0]]
+            assert len(inputs) == 3 and first.block_count > 2
+            store._maintenance._scrubber.force_due()
+            assert store.scrub_tick()  # the first chunk of the oldest run
+            assert store.corruption_status()["scrub"]["in_pass"]
+            del compaction.claim_merge
+            store.maintenance()
+            live = {record.run_id for record in store.live_runs()}
+            assert not live & set(inputs)
+            assert not os.path.exists(first.files[0].path)
+            while store.scrub_tick():
+                pass
+            last = store.corruption_status()["scrub"]["last_pass"]
+            assert (last["runs"], last["findings"]) == (1, 0)
+            assert last["blocks"] == first.block_count
+            assert store.quarantined_entries() == []
+
     def test_scrub_tick_idle_without_interval(self, tmp_path):
         directory = str(tmp_path / "db")
         with _build(directory, [b"a", b"b"]) as store:
@@ -222,7 +338,7 @@ class TestReadPlanCache:
     @staticmethod
     def _current_plan(store):
         """The installed probe plan, after checking the whole version
-        (snapshot, level counts, gate, headroom, scrub list) against one
+        (snapshot, level counts, gate, headroom) against one
         built anew."""
         return current_version(store._compaction).plan
 
@@ -363,6 +479,41 @@ class TestMergeInteraction:
                 assert store.get(key) == value
         with LSMStore.open(directory, options) as store:
             assert dict(store.scan()) == model
+
+    def test_a_merge_contained_at_its_first_blocks_closes_its_handles(
+        self, tmp_path, monkeypatch
+    ):
+        """The first advance opens one handle per input and reads its
+        first block; when an input's read fails for good, the handles
+        the loads before it opened are closed with the one that failed,
+        not left for the collector."""
+        directory = str(tmp_path / "db")
+        options = OPTIONS.with_(policy="tiering", size_ratio=3)
+        handles = []
+        sequential = SSTableReader.sequential_handle
+
+        def recorded(reader):
+            handles.append(sequential(reader))
+            return handles[-1]
+
+        monkeypatch.setattr(SSTableReader, "sequential_handle", recorded)
+        with LSMStore.open(directory, options) as store:
+            compaction = store._compaction
+            compaction.claim_merge = lambda: None
+            for batch in range(3):
+                for i in range(300):
+                    store.put(f"k{i:04d}".encode(), bytes([65 + batch]) * 8)
+                store.flush()
+            [job] = compaction._jobs.values()
+            oldest = min(c.uid for c in job.descriptor.inputs)
+            [record] = [r for r in store.live_runs() if r.run_id == oldest]
+            _flip_data_byte(directory, record.files[0])
+            del compaction.claim_merge
+            store.maintenance()
+            [entry] = store.quarantined_entries()
+            assert (entry.run_id, entry.source) == (oldest, "merge")
+            assert len(handles) == 3
+            assert all(handle._file.closed for handle in handles)
 
     @pytest.mark.parametrize("background", [False, True])
     def test_a_merge_that_meets_a_corrupt_block_is_contained(

@@ -170,11 +170,10 @@ class TestRunSetEditCrash:
         try:
             model = self.load(store, merge)
             inputs = store.live_runs()
-            saved = {
-                name: open(os.path.join(directory, name), "rb").read()
-                for record in inputs
-                for name in record.files
-            }
+            saved = {}
+            for name in (n for record in inputs for n in record.files):
+                with open(os.path.join(directory, name), "rb") as run_file:
+                    saved[name] = run_file.read()
             store.maintenance()
             [output] = store.live_runs()
         finally:

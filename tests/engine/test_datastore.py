@@ -210,7 +210,7 @@ class TestDurability:
             assert reopened.get(b"durable") == b"yes"
         finally:
             reopened.close()
-        store._closed = True  # silence the leaked store
+        store.crash()  # release the store that was never closed
 
     def test_clean_close_and_reopen(self, tmp_path):
         path = str(tmp_path / "db")

@@ -169,7 +169,8 @@ class TestGroupBoundaryCrashSweep:
 
     def test_every_cut_recovers_a_frame_prefix(self, tmp_path):
         path, batches, boundaries = self._grouped_wal(tmp_path)
-        pristine = open(path, "rb").read()
+        with open(path, "rb") as log_file:
+            pristine = log_file.read()
         total = boundaries[-1]
         assert total == len(pristine)
         for cut in range(total + 1):

@@ -3,6 +3,7 @@ install that makes one the whole of a follower's store."""
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -10,7 +11,7 @@ import pytest
 
 from repro.engine import LSMStore, StoreOptions, verify_store
 
-from .images import frozen, install, unnamed_runs
+from .images import chunks, frozen, install, unnamed_runs
 
 INLINE = StoreOptions(
     memtable_bytes=16 * 1024,
@@ -52,13 +53,10 @@ def test_an_image_holds_exactly_the_writes_before_its_lsn(
         for attempt in range(4):
             time.sleep(0.05)
             image = leader.run_image()
-            try:
-                copy = LSMStore.open(str(tmp_path / f"copy{attempt}"), INLINE)
-                with copy:
-                    install(copy, image)
-                    seen.append((image.lsn, [key for key, _ in copy.scan()]))
-            finally:
-                image.close()
+            copy = LSMStore.open(str(tmp_path / f"copy{attempt}"), INLINE)
+            with copy:
+                install(copy, image)
+                seen.append((image.lsn, [key for key, _ in copy.scan()]))
     finally:
         stop.set()
         for writer in writers:
@@ -158,12 +156,34 @@ def test_a_checkpoint_is_the_image_linked(tmp_path):
     """A checkpoint copies exactly the runs an image would ship."""
     with LSMStore.open(str(tmp_path / "db"), INLINE) as store:
         store.write_batch(ROWS)
-        image = store.run_image()
-        try:
-            names = [name for name, _fd, _size in image.files]
-        finally:
-            image.close()
+        names = [name for name, _reader, _size in store.run_image().files]
         store.checkpoint(str(tmp_path / "copy"))
     with LSMStore.open(str(tmp_path / "copy"), INLINE) as copy:
         assert list(copy.scan()) == ROWS
         assert [n for r in copy.live_runs() for n in r.files] == names
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_an_image_holds_no_descriptor_of_its_own(tmp_path):
+    """An image pins the store's readers and opens nothing: after a
+    checkpoint, a chunked read of every file and the store's close,
+    dropping the image leaves the process the descriptors it had
+    before the store opened."""
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    store = LSMStore.open(str(tmp_path / "db"), INLINE)
+    store.write_batch(ROWS)
+    image = store.run_image()
+    assert image.files
+    store.checkpoint(str(tmp_path / "copy"))
+    sent = b"".join(chunk["span"] for chunk in chunks(image, limit=4096))
+    assert len(sent) == sum(size for _name, _reader, size in image.files)
+    store.close()
+    assert open_fds() > before  # the image still pins the run files
+    del image
+    assert open_fds() == before

@@ -466,7 +466,7 @@ class TestFailures:
     def test_a_merge_whose_reads_fail_backs_off(self, tmp_path, monkeypatch):
         assert compaction.RETRY_SECONDS >= maintenance._POLL_SECONDS
         failing_until = [float("inf")]
-        read_at = SSTableReader._read_at
+        read_at = SSTableReader.read_at
 
         def flaky(self, offset, length):
             # Only a merge's readers have no cache.
@@ -481,7 +481,7 @@ class TestFailures:
             attempts.append(time.monotonic())
             return advance(self, chunk_bytes)
 
-        monkeypatch.setattr(SSTableReader, "_read_at", flaky)
+        monkeypatch.setattr(SSTableReader, "read_at", flaky)
         monkeypatch.setattr(MergeJob, "advance", counted)
         options = WORKERS.with_(maintenance_threads=1)
         with LSMStore.open(str(tmp_path / "db"), options) as store:
@@ -539,7 +539,7 @@ class TestFailures:
         with LSMStore.open(str(tmp_path / "db"), options) as store:
             hold_back_merges(store)
             failing_until = time.monotonic() + 0.5
-            read_at = SSTableReader._read_at
+            read_at = SSTableReader.read_at
 
             def flaky(self, offset, length):
                 # Only a merge's readers have no cache.
@@ -554,7 +554,7 @@ class TestFailures:
                 attempts.append(time.monotonic())
                 return advance(self, chunk_bytes)
 
-            monkeypatch.setattr(SSTableReader, "_read_at", flaky)
+            monkeypatch.setattr(SSTableReader, "read_at", flaky)
             monkeypatch.setattr(MergeJob, "advance", counted)
             store._lock.release()
             raised = 0

@@ -121,7 +121,9 @@ class TestRecovery:
             ],
             "remove": ids,
         }
-        [record] = Manifest(str(tmp_path)).live_runs()
+        reopened = Manifest(str(tmp_path))
+        [record] = reopened.live_runs()
+        reopened.close()
         assert (record.run_id, record.files) == (output, files)
 
     @pytest.mark.parametrize("kind", ["move", "rename"])

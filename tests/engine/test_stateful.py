@@ -86,7 +86,7 @@ class EngineMatchesDict(RuleBasedStateMachine):
     @invariant()
     def installed_version_is_current(self):
         """The version installed last — probe plan, snapshot, level
-        counts, stall gate, headroom and scrub list — equals one built
+        counts, stall gate and headroom — equals one built
         anew from the manifest, the quarantine set and the memtables,
         whatever the last rule did to the tree."""
         current_version(self.store._compaction)

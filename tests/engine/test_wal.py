@@ -161,7 +161,8 @@ class TestCrashConsistency:
         second_frame_end = log.size_bytes
         log.append([(b"c", b"3")])
         log.close()
-        pristine = open(path, "rb").read()
+        with open(path, "rb") as log_file:
+            pristine = log_file.read()
         for offset in range(first_frame_end, second_frame_end):
             blob = bytearray(pristine)
             blob[offset] ^= 0xFF

@@ -29,7 +29,6 @@ def _shape(version):
         "levels": version.levels,
         "write_stalled": version.write_stalled,
         "write_headroom": version.write_headroom,
-        "scrub_targets": version.scrub_targets,
     }
 
 

@@ -46,7 +46,8 @@ def corrupt_run(store, offset=16):
     """Flip a byte in the data region of the store's only run."""
     [record] = store.live_runs()
     path = os.path.join(store.directory, record.files[0])
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
     blob[offset] ^= 0xFF
     with open(path, "wb") as handle:
         handle.write(bytes(blob))

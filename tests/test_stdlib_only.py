@@ -35,6 +35,7 @@ SUBPACKAGES = (
     "repro.cluster",
     "repro.core",
     "repro.engine",
+    "repro.engine.scrub",
     "repro.errors",
     "repro.faults",
     "repro.harness",
@@ -42,7 +43,6 @@ SUBPACKAGES = (
     "repro.metrics",
     "repro.obs",
     "repro.replication",
-    "repro.scrub",
     "repro.server",
     "repro.sim",
     "repro.workloads",
