@@ -19,7 +19,7 @@ from .datastore import (
     WalPosition,
     WriteTiming,
 )
-from .iterators import reconcile_get, reconciling_iterator
+from .iterators import reconciling_iterator
 from .manifest import LogPosition, Manifest, RunRecord
 from .memtable import MemTable
 from .merge import MergeJob
@@ -66,6 +66,5 @@ __all__ = [
     "verify_store",
     "decode_secondary_key",
     "encode_secondary_key",
-    "reconcile_get",
     "reconciling_iterator",
 ]

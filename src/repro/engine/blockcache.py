@@ -63,6 +63,26 @@ def ghost_bytes_for(memtable_bytes: int, cache_bytes: int) -> int:
     return int((memtable_bytes + cache_bytes) * STEP_SHARE)
 
 
+#: The cache's counters in the registry, in the order
+#: :meth:`BlockCache.count_into` reads them.
+_COUNTERS = (
+    ("engine_block_cache_hits_total", "Block lookups served from the cache."),
+    ("engine_block_cache_misses_total", "Block lookups that fell through to disk."),
+    (
+        "engine_block_cache_evictions_total",
+        "Blocks and rows evicted to stay within the cache budget.",
+    ),
+    (
+        "engine_row_cache_hits_total",
+        "Point lookups answered by a cached row, no block read.",
+    ),
+    (
+        "engine_block_cache_ghost_hit_bytes_total",
+        "Bytes of misses on evicted entries the ghost list still held.",
+    ),
+)
+
+
 class BlockCache:
     """Byte-budgeted cache of data blocks and rows, thread-safe."""
 
@@ -87,6 +107,8 @@ class BlockCache:
         self._misses = 0
         self._row_hits = 0
         self._evictions = 0
+        # The totals the last count_into() counted up to.
+        self._counted = (0,) * len(_COUNTERS)
         self._lock = threading.Lock()
         self._generations = itertools.count(1)
 
@@ -129,6 +151,19 @@ class BlockCache:
     def ghost_bytes(self) -> int:
         """Bytes of evicted or refused entries the ghost list holds."""
         return self._ghost_bytes
+
+    def count_into(self, registry) -> None:
+        """Add to the registry's cache counters what the totals grew by
+        since the last call, read under the cache's lock so racing
+        callers count a lookup once; stores sharing a registry sum."""
+        with self._lock:
+            counts = (
+                self._hits, self._misses, self._evictions, self._row_hits,
+                self._ghost_hit_bytes,
+            )
+            before, self._counted = self._counted, counts
+        for (name, help_text), now, then in zip(_COUNTERS, counts, before):
+            registry.counter(name, help=help_text).inc(now - then)
 
     def hit_rate(self) -> float:
         """Fraction of block lookups served from cache (0 when unused)."""

@@ -7,9 +7,11 @@ commit batches and get LSNs back, read the log by LSN, and never see a
 path or an offset. With positions it owns what depends on them — the
 lineage, a follower's upstream cursor, the commit listener, group
 commit, the rule for cutting the log, replay at open, and the position
-record a clean close leaves in the manifest. The store's lock ("lock
-held" below means that lock) and three callbacks into the store arrive
-through the constructor.
+record a clean close leaves in the manifest, and the store's one closed
+flag: a closed log refuses appends. The store's lock ("lock held" below
+means that lock) and the :class:`~repro.engine.rotation.Rotation` that
+inserts a committed batch into the active memtable arrive through the
+constructor; nothing here calls back into the store.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from ..errors import ClosedError
 from .manifest import LogPosition
@@ -61,10 +63,6 @@ class WalPosition(NamedTuple):
         return self.wal_base <= lsn <= self.lsn
 
 
-def _refuse() -> None:
-    raise ClosedError("store is closed")
-
-
 def _new_lineage() -> int:
     # 53 random bits: still an exact integer in any JSON reader.
     return int.from_bytes(os.urandom(8), "big") >> 11
@@ -101,18 +99,18 @@ class CommitLog:
         registry,
         lock: threading.RLock,
         position: LogPosition | None,
-        check_open: Callable[[], None],
-        insert: Callable[[Batch], None],
-        group_applied: Callable[[], None],
+        memtables,
     ) -> None:
-        """Open the log at ``path`` and replay it through ``insert``;
-        ``position`` is what the manifest read back, if anything."""
+        """Open the log at ``path`` and replay it into ``memtables`` (a
+        :class:`~repro.engine.rotation.Rotation`); ``position`` is what
+        the manifest read back, if anything."""
         self._wal = WriteAheadLog(path, sync=sync, fault_plan=fault_plan)
         self._sync = sync
         self._lock = lock
-        self._check_open = check_open
-        self._insert = insert
-        self._group_applied = group_applied
+        self._memtables = memtables
+        #: The store's closed flag (set under the lock, by its close or
+        #: crash): from then on every append is refused.
+        self.closed = False
         self._commit_listener = None
         # Group commit: parked writers queue on their own condition (NOT
         # the store lock) so the leader can fsync with the store lock
@@ -135,7 +133,7 @@ class CommitLog:
         )
         intact = 0
         for _start, intact, ops in WriteAheadLog.stream_frames(path):
-            insert(ops)
+            memtables.insert(ops)
         # A position read back proves a clean close and nothing since —
         # unless replay stopped short of the file's end, in which case
         # the LSNs it vouches for are not all there.
@@ -182,15 +180,38 @@ class CommitLog:
         return self._upstream
 
     def set_upstream(self, cursor: tuple[int, int, int] | None) -> None:
+        """Record how far this store has applied a leader's log.
+
+        Held in memory and written out only by a clean close, once every
+        write it covers is in runs; the replica applier calls this as it
+        acknowledges, after the writes themselves.
+        """
         self._upstream = cursor
 
     def reset_lineage(self) -> None:
-        """Start a fresh lineage and forget the upstream cursor."""
+        """Start a fresh lineage and forget the upstream cursor.
+
+        For a follower taking over as leader: from here on its log is
+        no leader's prefix, and anyone holding a cursor into either
+        history must be resynchronised rather than resumed.
+        """
         self._lineage = _new_lineage()
         self._upstream = None
 
     def set_listener(self, listener) -> None:
-        """See ``LSMStore.set_commit_listener``."""
+        """Register (or clear) the replication hook observing commits.
+
+        The listener is duck-typed with two methods, both called with
+        the store lock held (so they must not re-enter the store):
+
+        - ``on_commit(lsn, length, batch)`` — after every log append, in
+          commit order; the frame occupies ``[lsn, lsn + length)``.
+        - ``may_truncate(lsn) -> bool`` — asked before a cut at ``lsn``;
+          returning False defers it (e.g. a follower has not
+          acknowledged the whole log yet). True means the cut happens,
+          there and then: ``lsn`` is the new ``wal_base``, and nothing
+          else about positions changes.
+        """
         self._commit_listener = listener
 
     # -- the per-writer commit (lock held) -------------------------------
@@ -203,7 +224,7 @@ class CommitLog:
         offset, length = self._wal.append(batch)
         io_seconds = clock() - started
         lsn = self._base + offset
-        self._insert(batch)
+        self._memtables.insert(batch)
         listener = self._commit_listener
         if listener is not None:
             listener.on_commit(lsn, length, batch)
@@ -274,7 +295,8 @@ class CommitLog:
         """
         try:
             with self._lock:
-                self._check_open()
+                if self.closed:
+                    raise ClosedError("store is closed")
                 # Fixed until the group is applied: no checkpoint runs
                 # while _wal_syncs_in_flight is non-zero.
                 base = self._base
@@ -312,7 +334,7 @@ class CommitLog:
                 self._group_lsn = None
                 listener = self._commit_listener
                 for entry, (offset, length) in zip(group, spans):
-                    self._insert(entry.batch)
+                    self._memtables.insert(entry.batch)
                     if listener is not None:
                         listener.on_commit(
                             base + offset, length, entry.batch
@@ -321,7 +343,6 @@ class CommitLog:
                 self._m_gc_batches.inc(len(group))
                 if self._sync:
                     self._m_gc_syncs.inc()
-                self._group_applied()
         finally:
             with self._lock:
                 self._wal_syncs_in_flight -= 1
@@ -364,8 +385,5 @@ class CommitLog:
         return LogPosition(self._lineage, self._base, self._upstream)
 
     def close(self) -> None:
-        """Close the log file and let go of the store: the callbacks
-        make a reference cycle, which would leave a closed store (its
-        readers' indexes and filters) to the cyclic collector."""
+        """Close the log file."""
         self._wal.close()
-        self._check_open, self._insert, self._group_applied = _refuse, None, None

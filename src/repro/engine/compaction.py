@@ -23,6 +23,7 @@ import time
 
 from ..core.components import Component, MergeDescriptor, UidAllocator
 from ..errors import ConfigurationError, CorruptionError
+from ..obs import Observability
 from ..obs import events as obs_events
 from .blockcache import BlockCache, ghost_bytes_for
 from .manifest import Manifest, RunRecord
@@ -67,26 +68,25 @@ class CompactionManager:
         self._options = options
         self.chunk_bytes = options.merge_chunk_bytes or self.CHUNK_BYTES
         self._manifest = manifest
-        self._obs = obs
-        if obs is not None:
-            registry = obs.registry
-            self._m_flushes = registry.counter(
-                "engine_flushes_total",
-                help="Sealed memtables flushed to level-0 runs.",
+        self._obs = obs = obs or Observability()
+        registry = obs.registry
+        self._m_flushes = registry.counter(
+            "engine_flushes_total",
+            help="Sealed memtables flushed to level-0 runs.",
+        )
+        self._m_flush_bytes = registry.counter(
+            "engine_flush_bytes_total",
+            help="Bytes written by memtable flushes.",
+        )
+        self._m_corruption = {
+            source: registry.counter(
+                "engine_corruption_detected_total",
+                labels={"source": source},
+                help="Runs quarantined after persistent corruption, "
+                "by detection source.",
             )
-            self._m_flush_bytes = registry.counter(
-                "engine_flush_bytes_total",
-                help="Bytes written by memtable flushes.",
-            )
-            self._m_corruption = {
-                source: registry.counter(
-                    "engine_corruption_detected_total",
-                    labels={"source": source},
-                    help="Runs quarantined after persistent corruption, "
-                    "by detection source.",
-                )
-                for source in ("read", "scrub", "merge")
-            }
+            for source in ("read", "scrub", "merge")
+        }
         self._policy, self._scheduler, self._constraint = (
             options.merge_decisions()
         )
@@ -318,17 +318,16 @@ class CompactionManager:
                 c.uid == run_id for c in job.descriptor.inputs
             ):
                 self.fail_merge(job)
-        if self._obs is not None:
-            self._m_corruption[source].inc()
-            self._obs.tracer.emit(
-                obs_events.CORRUPTION_QUARANTINE,
-                run_id=run_id,
-                level=entry.level,
-                source=source,
-                reason=reason,
-                min_key=min_key.hex(),
-                max_key=max_key.hex(),
-            )
+        self._m_corruption[source].inc()
+        self._obs.tracer.emit(
+            obs_events.CORRUPTION_QUARANTINE,
+            run_id=run_id,
+            level=entry.level,
+            source=source,
+            reason=reason,
+            min_key=min_key.hex(),
+            max_key=max_key.hex(),
+        )
         return entry
 
     @property
@@ -381,8 +380,6 @@ class CompactionManager:
         """Block-format metrics for any newly published run: how many
         data-block bytes it stores physically vs. logically (the
         store-wide space-amp series), and which point filter it built."""
-        if self._obs is None:
-            return
         registry = self._obs.registry
         registry.counter(
             "engine_block_logical_bytes_total",
@@ -410,10 +407,9 @@ class CompactionManager:
         sealed memtable off-lock and hands the finished stats to
         :meth:`publish_flush`, under the lock again."""
         run_id, writer = self._begin_run(entry_hint)
-        if self._obs is not None:
-            self._obs.tracer.emit(
-                obs_events.FLUSH_START, run_id=run_id, entries=entry_hint
-            )
+        self._obs.tracer.emit(
+            obs_events.FLUSH_START, run_id=run_id, entries=entry_hint
+        )
         return run_id, writer
 
     def publish_flush(
@@ -422,15 +418,14 @@ class CompactionManager:
         """Install a finished flush's run, and drop the sealed
         ``memtable`` it holds, in one version (store lock held)."""
         self._note_run_written(stats)
-        if self._obs is not None:
-            self._m_flushes.inc()
-            self._m_flush_bytes.inc(stats.data_bytes)
-            self._obs.tracer.emit(
-                obs_events.FLUSH_END,
-                run_id=run_id,
-                bytes=stats.data_bytes,
-                entries=stats.entry_count,
-            )
+        self._m_flushes.inc()
+        self._m_flush_bytes.inc(stats.data_bytes)
+        self._obs.tracer.emit(
+            obs_events.FLUSH_END,
+            run_id=run_id,
+            bytes=stats.data_bytes,
+            entries=stats.entry_count,
+        )
         version = self.version
         self._apply_edit(
             [],
@@ -490,21 +485,19 @@ class CompactionManager:
             # merge is retried after a back-off.
             descriptor.release_inputs()
             self._retry_at = time.monotonic() + RETRY_SECONDS
-            if self._obs is not None:
-                self._obs.registry.counter(
-                    "engine_maintenance_failures_total"
-                ).inc()
+            self._obs.registry.counter(
+                "engine_maintenance_failures_total"
+            ).inc()
             return exc
         job.output_run_id = output_run_id
         self._jobs[descriptor.uid] = job
-        if self._obs is not None:
-            self._obs.tracer.emit(
-                obs_events.MERGE_START,
-                merge_uid=descriptor.uid,
-                level=descriptor.target_level,
-                inputs=len(descriptor.inputs),
-                input_bytes=job.total_input_bytes,
-            )
+        self._obs.tracer.emit(
+            obs_events.MERGE_START,
+            merge_uid=descriptor.uid,
+            level=descriptor.target_level,
+            inputs=len(descriptor.inputs),
+            input_bytes=job.total_input_bytes,
+        )
 
     def _finish_job(self, job: MergeJob) -> None:
         descriptor = job.descriptor
@@ -513,38 +506,37 @@ class CompactionManager:
         descriptor.release_inputs()
         del self._jobs[descriptor.uid]
         self._merge_count += 1
-        if self._obs is not None:
-            level = str(descriptor.target_level)
+        level = str(descriptor.target_level)
+        self._obs.registry.counter(
+            "engine_merges_total",
+            labels={"level": level},
+            help="Merges completed, by target level.",
+        ).inc()
+        self._obs.registry.counter(
+            "engine_merge_bytes_total",
+            labels={"level": level},
+            help="Merge input bytes read and rewritten, by target "
+            "level (a merge that links its inputs reads none).",
+        ).inc(0 if job.links else job.total_input_bytes)
+        for path, blocks in (
+            ("linked" if job.links else "copied", job.blocks_copied),
+            ("rewritten", job.blocks_rewritten),
+        ):
             self._obs.registry.counter(
-                "engine_merges_total",
-                labels={"level": level},
-                help="Merges completed, by target level.",
-            ).inc()
-            self._obs.registry.counter(
-                "engine_merge_bytes_total",
-                labels={"level": level},
-                help="Merge input bytes read and rewritten, by target "
-                "level (a merge that links its inputs reads none).",
-            ).inc(0 if job.links else job.total_input_bytes)
-            for path, blocks in (
-                ("linked" if job.links else "copied", job.blocks_copied),
-                ("rewritten", job.blocks_rewritten),
-            ):
-                self._obs.registry.counter(
-                    "engine_merge_blocks_total",
-                    labels={"path": path},
-                    help="Merge input blocks, by how they reached the "
-                    "output: kept in place by a key-disjoint merge that "
-                    "links its inputs' files, stored bytes copied "
-                    "verbatim by a k-way merge, or decoded and re-packed.",
-                ).inc(blocks)
-            self._obs.tracer.emit(
-                obs_events.MERGE_END,
-                merge_uid=descriptor.uid,
-                level=descriptor.target_level,
-                input_bytes=job.total_input_bytes,
-                output_bytes=job.output_bytes,
-            )
+                "engine_merge_blocks_total",
+                labels={"path": path},
+                help="Merge input blocks, by how they reached the "
+                "output: kept in place by a key-disjoint merge that "
+                "links its inputs' files, stored bytes copied "
+                "verbatim by a k-way merge, or decoded and re-packed.",
+            ).inc(blocks)
+        self._obs.tracer.emit(
+            obs_events.MERGE_END,
+            merge_uid=descriptor.uid,
+            level=descriptor.target_level,
+            input_bytes=job.total_input_bytes,
+            output_bytes=job.output_bytes,
+        )
         level = descriptor.target_level
         # The output's data is only as new as its newest input.
         self._apply_edit(

@@ -60,23 +60,6 @@ def reconciling_iterator(
         yield key, value
 
 
-def reconcile_get(
-    sources: Iterable[tuple[bool, bytes | None]],
-) -> tuple[bool, bytes | None]:
-    """Point-lookup reconciliation: first hit wins, newest first.
-
-    ``sources`` yields per-component ``(found, value)`` pairs ordered
-    newest component first (the caller short-circuits by generating
-    lazily); a found tombstone terminates the search with "absent".
-    """
-    for found, value in sources:
-        if found:
-            if value is TOMBSTONE:
-                return False, None
-            return True, value
-    return False, None
-
-
 def pick_head(cursors: list, step_over: Callable[[object], None]):
     """One round of a k-way merge over ``cursors``, newest first: the
     cursor to drain next, and the key to stop before.

@@ -7,15 +7,16 @@ and nowhere else — by worker threads with ``background_maintenance``,
 else by the calling thread, lock held (it is re-entrant): the write
 that rotates a memtable flushes it and runs every merge that made
 eligible, and every wait runs claims until its own condition holds.
-:class:`MaintenanceExecutor` owns the workers, the single-flush claim,
-the scrubber and the two waits a write can meet — the stall gate and
-the flush stall, each counted and traced — and is the one place that
-asks which mode is on. The
-store's lock and "state changed" condition, the compaction manager
-(whose current version holds the sealed memtables: a rotation appends
-one, a published flush removes the head) and two callbacks into the
-store arrive through the constructor (``docs/engine-concurrency.md``).
-"Lock held" means that lock.
+:class:`MaintenanceExecutor` owns the workers, the "state changed"
+condition they and every waiter wait on, the single-flush claim, the
+scrubber, the cut of the log after a flush, and the two waits a write
+can meet — the stall gate and the flush stall, each counted and traced —
+and is the one place that asks which mode is on. The store's lock, the
+commit log (whose ``closed`` flag is the store's), the rotation rule
+and the compaction manager (whose current version holds the sealed
+memtables: a rotation appends one, a published flush removes the head)
+arrive through the constructor; nothing here calls back into the store
+(``docs/engine-concurrency.md``). "Lock held" means that lock.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from typing import Callable
 
 from ..errors import ClosedError, ConfigurationError
 from ..obs import events as obs_events
+from .commitlog import CommitLog
 from .compaction import CompactionManager
 from .iterators import ReaderCorruption
 from .options import StoreOptions
 from .ratelimiter import RateLimiter
+from .rotation import Rotation
 from .scrub import Scrubber
 
 #: How long a waiter sleeps before re-checking its condition without
@@ -45,22 +48,19 @@ class MaintenanceExecutor:
         options: StoreOptions,
         obs,
         lock: threading.RLock,
-        changed: threading.Condition,
+        log: CommitLog,
+        rotation: Rotation,
         compaction: CompactionManager,
-        *,
-        is_closed: Callable[[], bool],
-        flushed: Callable[[], None],
     ) -> None:
-        self._options = options
         self._obs = obs
         self._lock = lock
         # The single "state changed" signal: workers wait on it for
         # work; stalled writers and quiesce paths wait on it for
         # progress. Every publish, rotation, and close notifies it.
-        self._changed = changed
+        self._changed = threading.Condition(lock)
+        self._log = log
+        self._rotation = rotation
         self._compaction = compaction
-        self._is_closed = is_closed
-        self._flushed = flushed
         # True while the oldest sealed memtable is being written out.
         # Exactly one flush may be in flight: flushes take fresh manifest
         # sequence stamps, so publishing them out of order would corrupt
@@ -119,19 +119,15 @@ class MaintenanceExecutor:
                 worker.start()
 
     def join(self) -> None:
-        """Wait for the workers to exit (lock NOT held; the store has
-        set its closed flag and notified). Each first publishes or
+        """Wake the workers and wait for them to exit (lock NOT held;
+        the store has set its closed flag). Each first publishes or
         abandons the task it had claimed; from here the caller drives
         (``close()``'s last flushes and merges)."""
+        with self._lock:
+            self._changed.notify_all()
         for worker in self._workers:
             worker.join(timeout=30.0)
         self._workers.clear()
-
-    def close(self) -> None:
-        """Let go of the store, last thing in its close or crash: the
-        callbacks are a reference cycle (see :meth:`CommitLog.close`)."""
-        self._is_closed = lambda: True
-        self._flushed = None
 
     # -- claim → execute → publish ---------------------------------------
 
@@ -194,7 +190,7 @@ class MaintenanceExecutor:
                 with self._lock:
                     self._compaction.publish_flush(run_id, stats, memtable)
                     self._flush_claimed = False
-                    self._flushed()
+                    self._cut_log()
                     self._changed.notify_all()
             elif kind == "merge":
                 _, job = task
@@ -294,7 +290,7 @@ class MaintenanceExecutor:
         try:
             while True:
                 with self._lock:
-                    if self._is_closed():
+                    if self._log.closed:
                         return
                     try:
                         task = self._claim_locked()
@@ -358,7 +354,7 @@ class MaintenanceExecutor:
     # every level), the caller keeps it throughout.
 
     def _check_open(self, doing: str) -> None:
-        if self._is_closed():
+        if self._log.closed:
             raise ClosedError(f"store closed {doing}")
 
     def _nothing_claimable(self) -> bool:
@@ -393,15 +389,6 @@ class MaintenanceExecutor:
             if self._nothing_claimable():
                 raise self._too_tight()
             self._changed.wait(timeout=_POLL_SECONDS)
-
-    def seals_freely(self) -> bool:
-        """Would a rotation now be a bare seal and a wake-up (workers
-        flush, a sealed slot is free) — or wait for, or run, a flush?"""
-        return (
-            bool(self._workers)
-            and len(self._compaction.version.sealed)
-            < self._options.num_memtables - 1
-        )
 
     def await_headroom(self) -> float:
         """The write-stall gate, the paper's stop interaction mode:
@@ -448,18 +435,16 @@ class MaintenanceExecutor:
     def await_sealed_slot(self) -> None:
         """Return once the sealed queue has room for one more memtable.
 
-        A flush stall: every memory component is waiting on a flush
-        (rare when flushes get I/O priority; with ``num_memtables=1``
-        the norm). Counted apart from :meth:`await_headroom`'s stalls,
-        and timed here only.
+        A flush stall: every spare memory component is waiting on a
+        flush (:func:`~repro.engine.rotation.sealed_slots`; rare when
+        flushes get I/O priority). Counted apart from
+        :meth:`await_headroom`'s stalls, and timed here only.
         """
-        limit = max(1, self._options.num_memtables - 1)
         compaction = self._compaction
         started = self._obs.clock()
         try:
             self._drive(
-                lambda: len(compaction.version.sealed) < limit,
-                "while a rotation was stalled",
+                self._rotation.slot_free, "while a rotation was stalled"
             )
         finally:
             elapsed = self._obs.clock() - started
@@ -471,21 +456,50 @@ class MaintenanceExecutor:
                 sealed_queue=len(compaction.version.sealed),
             )
 
-    def quiesce_memtables(self) -> None:
-        """Return once every sealed memtable is in a run (a caller that
-        drives runs flushes only: it claims a flush first, and stops
-        when none is left)."""
-        compaction = self._compaction
+    def rotate_if_full(self) -> None:
+        """After a commit: seal the active memtable once it reaches the
+        target, first waiting for a sealed slot if none is free (a flush
+        stall). Workers are then woken rather than competed with;
+        without them the caller flushes the sealed memtable and runs
+        every merge that made eligible, leaving no work behind."""
+        rotation = self._rotation
+        if not rotation.full():
+            return
+        if not rotation.slot_free():
+            self.await_sealed_slot()
+        rotation.seal()
+        if self._workers:
+            self._changed.notify_all()
+        else:
+            self._step_until_idle()
+
+    def flush_memtables(self) -> None:
+        """Get every buffered write into runs, then cut the log if it
+        may be (a flush before may have been refused a cut). Writes can
+        land while workers flush, the lock released; what did is sealed
+        and flushed here on the caller, the lock held throughout (no
+        flush may be claimed), so on return every memtable is empty."""
+        compaction, rotation = self._compaction, self._rotation
+        if len(compaction.version.active):
+            rotation.seal()
         self._drive(
             lambda: not (compaction.version.sealed or self._flush_claimed),
             "while flushing",
         )
+        if len(compaction.version.active):
+            rotation.seal()
+            while self._step(self._claim_flush_locked):
+                pass
+        self._cut_log()
 
-    def flush_here(self) -> None:
-        """Flush the sealed queue on the caller, lock held throughout,
-        so nothing is written meanwhile (no flush may be claimed)."""
-        while self._step(self._claim_flush_locked):
-            pass
+    def _cut_log(self) -> None:
+        """Every memtable that was sealed before the last flush is
+        durable in runs once the sealed queue is empty; if the active
+        one holds nothing either, the log may restart
+        (:meth:`CommitLog.checkpoint` has the rest of the rule)."""
+        version = self._compaction.version
+        if not version.sealed and not len(version.active):
+            self._log.checkpoint()
 
     def drop_pending(self) -> None:
         """Wait out claimed flushes and merge chunks: a reset's install
@@ -509,15 +523,6 @@ class MaintenanceExecutor:
             if not self._compaction.retry_pending():
                 return
             time.sleep(_POLL_SECONDS)
-
-    def advance(self) -> None:
-        """After a rotation: workers are woken rather than competed
-        with; without them the caller flushes the sealed memtable and
-        runs every merge that made eligible, leaving no work behind."""
-        if self._workers:
-            self._changed.notify_all()
-        else:
-            self._step_until_idle()
 
     # -- repair and scrubbing --------------------------------------------
 

@@ -26,19 +26,21 @@ footer, index, filter and meta blocks read from disk again and checked,
 through the descriptor the store reads it by, and its data blocks read
 from disk, never from the block cache.
 
-Scrub I/O is debited against the maintenance rate limiter that paces
-flushes and merges (and an optional scrub throttle), so verification
-competes with, never adds to, the background I/O budget. The scrubber
+Every byte a scrub reads — each data block, and each file's footer,
+index, filter and meta blocks — is debited against the maintenance rate
+limiter that paces flushes and merges (and an optional scrub throttle),
+so verification competes with, never adds to, the background I/O
+budget. The scrubber
 never changes the store; the store turns a finding into a quarantine
 under its own lock, if the run is still live.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..errors import CorruptionError
+from ..obs import Observability
 from ..obs import events as obs_events
 from .iterators import read_twice
 from .runs import Run
@@ -154,8 +156,8 @@ class Scrubber:
         self._chunk_bytes = max(chunk_bytes, 1)
         self._rate = rate_limiter
         self._scrub_rate = scrub_limiter
-        self._obs = obs
-        self._clock = obs.clock if obs is not None else time.monotonic
+        self._obs = obs = obs or Observability()
+        self._clock = obs.clock
         self._next_due = self._clock() + interval
         self._forced = False
         self._in_pass = False
@@ -169,24 +171,23 @@ class Scrubber:
         self.blocks_verified = 0
         self.bytes_verified = 0
         self.findings = 0
-        if obs is not None:
-            registry = obs.registry
-            self._m_blocks = registry.counter(
-                "engine_scrub_blocks_verified_total",
-                help="Data blocks checksum-verified by the scrubber.",
-            )
-            self._m_bytes = registry.counter(
-                "engine_scrub_bytes_verified_total",
-                help="Data-block bytes read and verified by the scrubber.",
-            )
-            self._m_passes = registry.counter(
-                "engine_scrub_passes_total",
-                help="Completed full scrub passes over the live runs.",
-            )
-            self._m_findings = registry.counter(
-                "engine_scrub_findings_total",
-                help="Persistent corruption findings raised by the scrubber.",
-            )
+        registry = obs.registry
+        self._m_blocks = registry.counter(
+            "engine_scrub_blocks_verified_total",
+            help="Data blocks checksum-verified by the scrubber.",
+        )
+        self._m_bytes = registry.counter(
+            "engine_scrub_bytes_verified_total",
+            help="Data-block bytes read and verified by the scrubber.",
+        )
+        self._m_passes = registry.counter(
+            "engine_scrub_passes_total",
+            help="Completed full scrub passes over the live runs.",
+        )
+        self._m_findings = registry.counter(
+            "engine_scrub_findings_total",
+            help="Persistent corruption findings raised by the scrubber.",
+        )
 
     # -- claim / publish (call under the store lock) -------------------
 
@@ -242,7 +243,7 @@ class Scrubber:
         self._pass.bytes_verified += result.bytes_verified
         self.blocks_verified += result.blocks
         self.bytes_verified += result.bytes_verified
-        if self._obs is not None and result.blocks:
+        if result.blocks:
             self._m_blocks.inc(result.blocks)
             self._m_bytes.inc(result.bytes_verified)
         if result.done:
@@ -252,8 +253,7 @@ class Scrubber:
             if result.finding is not None:
                 self._pass.findings += 1
                 self.findings += 1
-                if self._obs is not None:
-                    self._m_findings.inc()
+                self._m_findings.inc()
 
     def fail(self) -> None:
         """A chunk's executor raised unexpectedly: skip this run."""
@@ -267,31 +267,39 @@ class Scrubber:
         self.passes_completed += 1
         if self._interval > 0:
             self._next_due = now + self._interval
-        if self._obs is not None:
-            self._m_passes.inc()
-            self._obs.tracer.emit(
-                obs_events.SCRUB_PASS,
-                runs=self._pass.runs,
-                blocks=self._pass.blocks,
-                bytes=self._pass.bytes_verified,
-                findings=self._pass.findings,
-                seconds=now - self._pass.started,
-            )
+        self._m_passes.inc()
+        self._obs.tracer.emit(
+            obs_events.SCRUB_PASS,
+            runs=self._pass.runs,
+            blocks=self._pass.blocks,
+            bytes=self._pass.bytes_verified,
+            findings=self._pass.findings,
+            seconds=now - self._pass.started,
+        )
 
     # -- execution (no store lock held) --------------------------------
 
+    def _debit(self, nbytes: int) -> None:
+        self._rate.acquire(nbytes)
+        if self._scrub_rate is not None:
+            self._scrub_rate.acquire(nbytes)
+
     def execute(self, cursor: _Cursor) -> ScrubResult:
-        """Check up to one chunk of the claimed run's blocks, each
-        debited against the shared maintenance budget (and the scrub
-        throttle, if set) before it is read."""
+        """Check up to one chunk of the claimed run's blocks. Every byte
+        read is debited against the shared maintenance budget (and the
+        scrub throttle, if set) before it is read: each data block, and
+        the footer, index, filter and meta blocks that follow the data
+        in a file, which :meth:`SSTableReader.reopened` reads again."""
         files = cursor.run.files
         blocks = consumed = 0
         try:
             while cursor.file < len(files):
                 check = cursor.check
                 if check is None:
+                    reader = files[cursor.file]
+                    self._debit(reader.file_bytes - reader.data_bytes)
                     check = cursor.check = BlockCheck(
-                        files[cursor.file].reopened(), cursor.run_id
+                        reader.reopened(), cursor.run_id
                     )
                 if check.done:
                     check.finish()
@@ -301,9 +309,7 @@ class Scrubber:
                 if consumed >= self._chunk_bytes:
                     return ScrubResult(cursor.run_id, blocks, consumed)
                 _offset, length = check.reader.block_span(check.next_block)
-                self._rate.acquire(length)
-                if self._scrub_rate is not None:
-                    self._scrub_rate.acquire(length)
+                self._debit(length)
                 check.step()
                 blocks += 1
                 consumed += length

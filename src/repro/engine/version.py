@@ -24,12 +24,19 @@ what the store adds is the lock and the row a get may leave behind
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..core.components import Component, TreeSnapshot
 from ..errors import CorruptionError
-from .iterators import EntryCursor, ReaderCorruption, RunCursor, merge_scan
+from .iterators import (
+    EntryCursor,
+    ReaderCorruption,
+    RunCursor,
+    merge_scan,
+    reconciling_iterator,
+)
 from .memtable import MemTable
+from .options import TOMBSTONE
 from .quarantine import QuarantineEntry, QuarantineSet
 from .runs import Run
 
@@ -89,18 +96,18 @@ class Version:
                     return value, True
         return None, False
 
-    def fence(self, lo: bytes | None, hi: bytes | None):
-        """The first quarantined run whose bounds meet ``[lo, hi)``: a
-        scan of that range fails fast with its
-        :class:`~repro.errors.DataCorruptError`. Every key in a scan
-        result is a claim that no deleted key reappears and no stale
-        value shadows a newer one, and a skipped run voids that claim
-        for the whole overlap; ranges provably outside the quarantined
-        bounds keep serving."""
-        for _run_id, element in self.plan:
+    def fence(self, lo: bytes | None, hi: bytes | None) -> None:
+        """Raise the :class:`~repro.errors.DataCorruptError` of the first
+        quarantined run whose bounds meet ``[lo, hi)``: a scan of that
+        range fails fast. Every key in a scan result is a claim that no
+        deleted key reappears and no stale value shadows a newer one,
+        and a skipped run voids that claim for the whole overlap; ranges
+        provably outside the quarantined bounds keep serving."""
+        for run_id, element in self.plan:
             if isinstance(element, QuarantineEntry) and element.overlaps(lo, hi):
-                return element
-        return None
+                raise element.fence(
+                    f"scan range intersects quarantined run {run_id}"
+                )
 
     def scan(
         self,
@@ -132,16 +139,31 @@ class Version:
         rows = merge_scan(cursors, limit)
         return rows, sum(cursor.blocks for cursor in cursors)
 
-    def sources(
-        self, lo: bytes, hi: bytes, skip: int
-    ) -> list[Iterator[tuple[bytes, bytes | None]]]:
-        """``items(lo, hi)`` of every memtable and readable run, newest
-        first, leaving out run ``skip`` (store lock held: the active
-        memtable is iterated)."""
-        return [memtable.items(lo, hi) for memtable in self.memtables] + [
+    def repair_entries(
+        self, entry: QuarantineEntry, items: list[tuple[bytes, bytes]]
+    ) -> list[tuple[bytes, bytes | None]]:
+        """What rebuilds quarantined run ``entry`` from a replica's
+        ``items``: the fetched rows in its bounds, plus a tombstone for
+        every key in them that another memtable or readable run still
+        holds but the replica does not — the corrupt run may have been
+        the only thing shadowing an older value, which the swap would
+        otherwise resurrect (store lock held: the active memtable is
+        iterated)."""
+        lo, hi = entry.min_key, entry.max_key + b"\x00"  # covers [min, max]
+        fetched = {key: value for key, value in items if entry.covers(key)}
+        sources = [memtable.items(lo, hi) for memtable in self.memtables] + [
             element.items(lo, hi)
             for run_id, element in self.plan
-            if run_id != skip and not isinstance(element, QuarantineEntry)
+            if run_id != entry.run_id
+            and not isinstance(element, QuarantineEntry)
+        ]
+        local = {
+            key
+            for key, _value in reconciling_iterator(sources, keep_tombstones=True)
+        }
+        return [
+            (key, fetched.get(key, TOMBSTONE))
+            for key in sorted(set(fetched) | local)
         ]
 
 

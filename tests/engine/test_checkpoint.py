@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.engine import LSMStore, StoreOptions, datastore, verify_store
+from repro.engine import LSMStore, StoreOptions, images, verify_store
 from repro.errors import ConfigurationError, DataCorruptError
 
 OPTIONS = StoreOptions(memtable_bytes=16 * 1024, levels=3)
@@ -44,7 +44,7 @@ class TestCheckpoint:
         """Across filesystems (here: every link refused) each file is
         copied through the store's reader of it, byte for byte, in
         pieces smaller than the file."""
-        monkeypatch.setattr(datastore, "SEQUENTIAL_IO_BYTES", 4096)
+        monkeypatch.setattr(images, "SEQUENTIAL_IO_BYTES", 4096)
 
         def refused(*_args):
             raise OSError("cross-device link")

@@ -404,6 +404,27 @@ class TestScrubPacing:
             assert summary["bytes_verified"] > 0
             assert delta >= summary["bytes_verified"]
 
+    def test_a_pass_bills_every_byte_of_every_file(self, tmp_path):
+        """A pass reads each live file whole — its data blocks, then
+        the footer, index, filter and meta blocks again — so the
+        limiters are debited exactly the files' sizes, no byte free."""
+        options = OPTIONS.with_(rate_limit_bytes_per_s=1 << 30)
+        with LSMStore.open(str(tmp_path / "db"), options) as store:
+            for i in range(3000):
+                store.put(f"k{i:05d}".encode(), b"v" * 64)
+            store.flush()
+            runs = dict(store._compaction.version.plan)
+            sizes = [
+                reader.file_bytes
+                for record in store.live_runs()
+                for reader in runs[record.run_id].files
+            ]
+            assert len(sizes) >= 3
+            before = store.rate_limiter.total_admitted_bytes
+            store.scrub_pass()
+            billed = store.rate_limiter.total_admitted_bytes - before
+        assert billed == sum(sizes)
+
     def test_background_workers_run_the_scrubber(self, tmp_path):
         import time
 

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import TOMBSTONE, reconcile_get, reconciling_iterator
+from repro.engine import TOMBSTONE, reconciling_iterator
 
 
 class TestReconcilingIterator:
@@ -65,27 +65,3 @@ class TestReconcilingIterator:
         sources = [iter(sorted(c.items())) for c in components]
         merged = list(reconciling_iterator(sources))
         assert merged == expected
-
-
-class TestReconcileGet:
-    def test_first_hit_wins(self):
-        assert reconcile_get(iter([(False, None), (True, b"v")])) == (True, b"v")
-
-    def test_tombstone_terminates_as_absent(self):
-        probes = iter([(False, None), (True, TOMBSTONE), (True, b"stale")])
-        assert reconcile_get(probes) == (False, None)
-
-    def test_all_misses(self):
-        assert reconcile_get(iter([(False, None)] * 3)) == (False, None)
-
-    def test_short_circuits(self):
-        consumed = []
-
-        def probes():
-            consumed.append(1)
-            yield True, b"v"
-            consumed.append(2)
-            yield True, b"other"
-
-        assert reconcile_get(probes()) == (True, b"v")
-        assert consumed == [1]

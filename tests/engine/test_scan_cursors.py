@@ -116,7 +116,7 @@ def test_scan_equals_the_reference_and_looks_up_no_more_blocks(
             store.write_batch(entries)
             if position + 1 < len(memtables):
                 with store._lock:
-                    store._seal_active()  # sealed, and left unflushed
+                    store._rotation.seal()  # sealed, and left unflushed
         for lo, hi, limit in queries:
             expected, old_lookups = reference_scan(store, lo, hi, limit)
             rows, new_lookups = counted_scan(store, lo, hi, limit)

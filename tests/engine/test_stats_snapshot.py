@@ -273,7 +273,7 @@ class TestSealedMemtableBytes:
                 store.put(f"k{i:04d}".encode(), b"v" * 100)
             active_only = store.stats().memtable_bytes
             with store._lock:
-                store._seal_active()
+                store._rotation.seal()
             stats = store.stats()
             assert stats.sealed_memtables >= 1
             # The sealed bytes did not vanish from the report.

@@ -64,7 +64,7 @@ def open_store(directory, options: StoreOptions):
     them and before asserting that a write stayed on its thread.
     """
     with LSMStore.open(str(directory), options) as store:
-        idle = store._work_available
+        idle = store._maintenance._changed
         timed_wait = idle.wait
         asleep: set[threading.Thread] = set()
         changed = threading.Condition()
@@ -153,7 +153,7 @@ def hold(store: LSMStore, method_owner, method: str):
     def let_go() -> None:
         held.clear()
         with store._lock:
-            store._work_available.notify_all()
+            store._maintenance._changed.notify_all()
 
     watchdog = threading.Timer(PATIENCE, let_go)
     watchdog.daemon = True
@@ -283,7 +283,7 @@ def test_an_idle_store_answers_on_the_loop_what_the_pool_would(tmp_path):
                     "put": 2, "del": 1, "batch": 1, "get": 2, "scan": 1,
                 }
         with open_store(tmp_path / "pool", WORKERS) as store:
-            store._would_wait_locked = lambda batch: True
+            store._rotation.would_wait = lambda batch: True
             async with EveryCallOnThePool(store) as server:
                 pool = Submissions(server)
                 on_the_pool = await exchange(server.address, REQUESTS)
