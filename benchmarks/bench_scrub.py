@@ -47,7 +47,6 @@ def build_options(scrubbing: bool, args: argparse.Namespace) -> StoreOptions:
         rate_limit_bytes_per_s=256 * 2**20,
         block_cache_bytes=0,  # every read touches disk, like the scrubber
         background_maintenance=True,
-        maintenance_threads=2,
         scrub_interval=0.01 if scrubbing else 0.0,
         scrub_rate_bytes_per_s=int(args.scrub_rate_mib * 2**20),
     )

@@ -159,15 +159,15 @@ def _admission_from(args: argparse.Namespace):
 #: The :class:`~repro.engine.StoreOptions` fields ``serve`` and
 #: ``cluster-serve`` expose, one flag each (see :func:`_add_engine_args`).
 ENGINE_FLAGS = (
-    "memtable_bytes", "policy", "block_codec", "maintenance_threads",
-    "scrub_interval", "scrub_rate_bytes_per_s", "sync_writes", "group_commit",
+    "memtable_bytes", "policy", "block_codec", "scrub_interval",
+    "scrub_rate_bytes_per_s", "sync_writes", "group_commit",
 )
 
 
 def _store_options_from(args: argparse.Namespace):
     """The engine options the :data:`ENGINE_FLAGS` flags describe.
 
-    A served store always runs maintenance workers: the server can shed
+    A served store always runs its maintenance worker: the server can shed
     its writes, and a shed write drives no inline maintenance."""
     from .engine import StoreOptions
 

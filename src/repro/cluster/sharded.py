@@ -7,7 +7,7 @@ not a key-value front end: reads and writes go client →
 :class:`~repro.cluster.router.ClusterRouter` → per-shard
 :class:`~repro.server.KVServer` → engine, so every write passes cluster
 admission. Every shard drives its own flushes and merges on its
-maintenance workers, so one shard's backlog is its own; the cluster's
+maintenance worker, so one shard's backlog is its own; the cluster's
 admission scope (:mod:`repro.cluster.admission`) decides whether it
 backpressures the others.
 """

@@ -8,12 +8,13 @@ simulator decide which runs to merge and which merge makes progress next.
 Merges execute in *chunks*: :meth:`CompactionManager.claim_merge` asks
 the scheduler for the current bandwidth allocation and hands the merge
 with the largest share to the maintenance executor, which advances it
-by one chunk of input bytes. A single-threaded scheduler therefore runs
-one merge to completion; the fair scheduler round-robins chunks across
-merges; the greedy scheduler always advances the merge with the fewest
-remaining input bytes — cooperative multitasking that realizes each
-paper scheduler's discipline deterministically, with the shared rate
-limiter throttling actual file writes underneath.
+by one chunk of input bytes on its one thread. A single-threaded
+scheduler therefore runs one merge to completion; the fair scheduler
+round-robins chunks across merges; the greedy scheduler always advances
+the merge with the fewest remaining input bytes — the paper's
+concurrent merges as cooperative multitasking, which realizes each
+scheduler's split of the one I/O budget deterministically, with the
+shared rate limiter throttling actual file writes underneath.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ class CompactionManager:
         self._runs: dict[int, Run] = {}
         self._components: dict[int, Component] = {}
         self._jobs: dict[int, MergeJob] = {}
+        #: The merge job whose chunk is in flight, if any: one at a time.
+        self._claimed: MergeJob | None = None
         #: No merge starts before this ``time.monotonic()``: one failed.
         self._retry_at = 0.0
         self._merge_count = 0
@@ -314,7 +317,7 @@ class CompactionManager:
         # must fail fast now, as an uncached one does.
         self._block_cache.drop_all_rows()
         for job in list(self._jobs.values()):
-            if not job.claimed and any(
+            if job is not self._claimed and any(
                 c.uid == run_id for c in job.descriptor.inputs
             ):
                 self.fail_merge(job)
@@ -557,7 +560,7 @@ class CompactionManager:
 
     @property
     def merge_jobs_in_flight(self) -> int:
-        """In-flight merge jobs (claimed or waiting for a worker)."""
+        """Merge jobs started and not yet finished or abandoned."""
         return len(self._jobs)
 
     def kick(self, strict: bool = False) -> bool:
@@ -567,38 +570,29 @@ class CompactionManager:
         return self.has_work()
 
     def claim_merge(self) -> MergeJob | None:
-        """Claim the scheduler-preferred unclaimed merge (under lock).
-
-        The core scheduler arbitrates which merge each caller advances:
-        the allocation over *unclaimed* descriptors is computed and the
-        largest share wins, so the fair scheduler spreads concurrent
-        workers across merges while the greedy scheduler funnels them
-        toward the fewest-remaining-bytes merge first. Returns None when
-        everything is already claimed or no merge is eligible.
-        """
+        """Claim the merge whose next chunk runs (under lock): the one
+        the scheduler gives the largest share of the budget. None while
+        a chunk is in flight or when no merge is eligible."""
+        if self._claimed is not None:
+            return None
         if not self._jobs:
             self._schedule_merges()
-        unclaimed = [
-            job.descriptor
-            for job in self._jobs.values()
-            if not job.claimed
-        ]
-        if not unclaimed:
-            return None
+            if not self._jobs:
+                return None
         allocation = self._scheduler.allocate(
-            unclaimed, budget=1.0, tree=self.version.snapshot
+            [job.descriptor for job in self._jobs.values()],
+            budget=1.0,
+            tree=self.version.snapshot,
         )
         if not allocation:
             return None
-        chosen_uid = max(allocation, key=allocation.get)
-        job = self._jobs[chosen_uid]
-        job.claimed = True
-        return job
+        self._claimed = self._jobs[max(allocation, key=allocation.get)]
+        return self._claimed
 
     def release_merge(self, job: MergeJob, finished: bool) -> None:
-        """Publish a chunk's outcome (under lock): unclaim the job; a
+        """Publish a chunk's outcome (under lock): release the claim; a
         finished merge is installed in the manifest, its inputs retired."""
-        job.claimed = False
+        self._claimed = None
         if finished:
             self._finish_job(job)
 
@@ -609,7 +603,8 @@ class CompactionManager:
         released, so the policy may reschedule the same merge later —
         with ``retry``, no merge starts for :data:`RETRY_SECONDS`.
         """
-        job.claimed = False
+        if job is self._claimed:
+            self._claimed = None
         self._jobs.pop(job.descriptor.uid, None)
         job.abandon()
         if retry:
@@ -682,7 +677,7 @@ class CompactionManager:
 
     def merge_claimed(self) -> bool:
         """Is a merge chunk being advanced right now (under the lock)?"""
-        return any(job.claimed for job in self._jobs.values())
+        return self._claimed is not None
 
     def close(self) -> None:
         """Abandon in-flight merges, let go of every run's readers and

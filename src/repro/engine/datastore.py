@@ -18,7 +18,7 @@ and the lifecycle, and is the public face of four parts behind that one
 lock. They form a one-way graph — store → maintenance → log → rotation
 → compaction — and none calls back into the store:
 :class:`~.maintenance.MaintenanceExecutor` (flush, merge, scrub and
-repair tasks, on workers or the caller; the waits a write can meet),
+repair tasks, on its worker or the caller; the waits a write can meet),
 :class:`~.commitlog.CommitLog` (the log, LSNs, group commit, and the
 store's closed flag), :class:`~.rotation.Rotation` (the memtable target
 and when to seal) and :class:`~.compaction.CompactionManager` (the run
@@ -138,8 +138,8 @@ class LSMStore:
 
     def _shut(self) -> bool:
         """Mark the store closed (the log's flag: it refuses appends from
-        here) and join the workers, each after it publishes or abandons
-        its claimed task. False when the store was closed already."""
+        here) and join the worker, after it publishes or abandons its
+        claimed task. False when the store was closed already."""
         with self._lock:
             if self._log.closed:
                 return False
@@ -149,7 +149,7 @@ class LSMStore:
 
     def close(self) -> None:
         """Flush buffered data, finish merges, and release resources:
-        the workers are joined first, so the drain here races no claim."""
+        the worker is joined first, so the drain here races no claim."""
         if not self._shut():
             return
         self._log.settle()
@@ -271,8 +271,10 @@ class LSMStore:
         The clock is read once the store lock is held, around the log
         append, and at the end. Under ``group_commit`` the commit is the
         log's leader/follower protocol, entered with the lock released;
-        the writer rotates after it returns, unless the store closed
-        meanwhile (its close flushes what the write left).
+        the writer rotates after it returns. A committed write whose
+        store closes before or during its rotation returns all the same
+        (:meth:`MaintenanceExecutor.rotate_if_full`): its close flushes
+        what the write left.
         """
         options = self._options
         if not wait:
@@ -300,8 +302,7 @@ class LSMStore:
             lsn, length = self._log.commit_grouped(batch)
             io_seconds = clock() - io_started
             with self._lock:
-                if not self._log.closed:
-                    self._maintenance.rotate_if_full()
+                self._maintenance.rotate_if_full()
         return WriteTiming(
             clock() - started, io_seconds, stall_seconds, lsn, lsn + length
         )
@@ -550,7 +551,7 @@ class LSMStore:
 
     def scrub_pass(self) -> dict:
         """Force one full scrub pass, whatever the interval, and return
-        its summary once it completes (workers may run part of it)."""
+        its summary once it completes (the worker may run part of it)."""
         return self._maintenance.scrub_pass()
 
     # -- introspection ---------------------------------------------------

@@ -3,12 +3,15 @@ chunks and repair rebuilds, and on which thread.
 
 Every task is **claimed** under the store lock, **executed** (its file
 I/O) and **published** or abandoned under the lock again, in ``_run``
-and nowhere else — by worker threads with ``background_maintenance``,
-else by the calling thread, lock held (it is re-entrant): the write
-that rotates a memtable flushes it and runs every merge that made
-eligible, and every wait runs claims until its own condition holds.
-:class:`MaintenanceExecutor` owns the workers, the "state changed"
-condition they and every waiter wait on, the single-flush claim, the
+and nowhere else — by the one maintenance thread with
+``background_maintenance``, else by the calling thread, lock held (it
+is re-entrant): the write that rotates a memtable flushes it and runs
+every merge that made eligible, and every wait runs claims until its
+own condition holds. The thread claims a flush before a merge chunk and
+a merge chunk before a scrub chunk, so a sealed memtable's flush starts
+after at most the one chunk in flight when it was sealed.
+:class:`MaintenanceExecutor` owns the thread, the "state changed"
+condition it and every waiter wait on, the single-flush claim, the
 scrubber, the cut of the log after a flush, and the two waits a write
 can meet — the stall gate and the flush stall, each counted and traced —
 and is the one place that asks which mode is on. The store's lock, the
@@ -54,7 +57,7 @@ class MaintenanceExecutor:
     ) -> None:
         self._obs = obs
         self._lock = lock
-        # The single "state changed" signal: workers wait on it for
+        # The single "state changed" signal: the worker waits on it for
         # work; stalled writers and quiesce paths wait on it for
         # progress. Every publish, rotation, and close notifies it.
         self._changed = threading.Condition(lock)
@@ -105,29 +108,24 @@ class MaintenanceExecutor:
             "engine_flush_stall_seconds_total",
             help="Time writers spent waiting for a memtable to flush.",
         )
-        #: Non-empty exactly when workers drive maintenance.
-        self._workers: list[threading.Thread] = []
+        #: The maintenance thread; None when the caller drives.
+        self._worker: threading.Thread | None = None
         if options.background_maintenance:
-            for index in range(options.maintenance_threads):
-                worker = threading.Thread(
-                    target=self._worker_loop,
-                    args=(index,),
-                    name=f"lsm-maintenance-{index}",
-                    daemon=True,
-                )
-                self._workers.append(worker)
-                worker.start()
+            self._worker = threading.Thread(
+                target=self._worker_loop, name="lsm-maintenance-0", daemon=True
+            )
+            self._worker.start()
 
     def join(self) -> None:
-        """Wake the workers and wait for them to exit (lock NOT held;
-        the store has set its closed flag). Each first publishes or
-        abandons the task it had claimed; from here the caller drives
+        """Wake the worker and wait for it to exit (lock NOT held; the
+        store has set its closed flag). It first publishes or abandons
+        the task it had claimed; from here the caller drives
         (``close()``'s last flushes and merges)."""
         with self._lock:
             self._changed.notify_all()
-        for worker in self._workers:
-            worker.join(timeout=30.0)
-        self._workers.clear()
+        if self._worker is not None:
+            self._worker.join(timeout=30.0)
+            self._worker = None
 
     # -- claim → execute → publish ---------------------------------------
 
@@ -143,14 +141,15 @@ class MaintenanceExecutor:
         return ("flush", memtable, run_id, writer)
 
     def _claim_locked(self):
-        """Claim one task for a worker (lock held); None when idle.
+        """Claim the worker's next task (lock held); None when idle.
 
         Flushes take priority over merge chunks — memory components are
-        the scarcest resource, and a full sealed queue stalls rotations.
-        Merges are claimed through the compaction manager's scheduler.
-        Scrub chunks rank last: verification is the only maintenance
-        work with no deadline, so it soaks up idle worker capacity
-        without ever delaying a flush or merge claim.
+        the scarcest resource, and a full sealed queue stalls rotations
+        — so a sealed memtable waits for at most the one chunk in flight
+        when it was sealed. Merges are claimed through the compaction
+        manager's scheduler. Scrub chunks rank last: verification is the
+        only maintenance work with no deadline, so it soaks up idle
+        time without ever delaying a flush or merge claim.
         """
         return (
             self._claim_flush_locked()
@@ -266,26 +265,25 @@ class MaintenanceExecutor:
         self._m_failures.inc()
         self._changed.notify_all()
 
-    def _worker_loop(self, index: int) -> None:
-        """One maintenance worker: claim under the lock, do I/O off it.
+    def _worker_loop(self) -> None:
+        """The maintenance thread: claim under the lock, do I/O off it.
 
-        The lock is held only to claim a task (marking the flush slot or
-        merge job so no other worker co-advances it) and, inside
-        :meth:`_run`, to publish the finished result. The expensive part
-        — reconciling and writing run files, plus any rate-limiter
-        sleeps — runs with the lock released, so foreground reads and
-        writes proceed underneath, and with several workers one can
-        flush while others advance different merges. A claim that
-        raises (a run writer that cannot be opened, say) is counted as
-        a failure, and the worker waits a poll and claims again.
+        The lock is held only to claim a task and, inside :meth:`_run`,
+        to publish the finished result. The expensive part — reconciling
+        and writing run files, plus any rate-limiter sleeps — runs with
+        the lock released, so foreground reads and writes proceed
+        underneath. Concurrent merges share the thread chunk by chunk,
+        as the scheduler splits the budget. A claim that raises (a run
+        writer that cannot be opened, say) is counted as a failure, and
+        the worker waits a poll and claims again.
         """
         busy = self._obs.registry.gauge(
             "engine_maintenance_worker_busy",
-            labels={"worker": str(index)},
-            help="1 while this maintenance worker is executing a task.",
+            labels={"worker": "0"},
+            help="1 while the maintenance worker is executing a task.",
         )
         self._obs.tracer.emit(
-            obs_events.MAINTENANCE_WORKER, worker=index, state="start"
+            obs_events.MAINTENANCE_WORKER, worker=0, state="start"
         )
         try:
             while True:
@@ -309,7 +307,7 @@ class MaintenanceExecutor:
                     busy.set(0.0)
         finally:
             self._obs.tracer.emit(
-                obs_events.MAINTENANCE_WORKER, worker=index, state="stop"
+                obs_events.MAINTENANCE_WORKER, worker=0, state="stop"
             )
 
     # -- the caller as the engine of progress (lock held) ----------------
@@ -349,7 +347,7 @@ class MaintenanceExecutor:
             "constraint is too tight for this policy configuration"
         )
 
-    # -- the drive mode: do workers make progress, or the caller? --------
+    # -- the drive mode: does the worker make progress, or the caller? ---
     # Lock held; a worker-mode wait releases it (Condition.wait drops
     # every level), the caller keeps it throughout.
 
@@ -369,13 +367,13 @@ class MaintenanceExecutor:
     def _drive(self, done: Callable[[], bool], doing: str) -> None:
         """Return once ``done()`` holds, raising rather than hanging when
         nothing claimable could ever make it hold. The mode is read once:
-        ``join()`` empties the pool under a parked waiter, which must
-        then see the close, not start driving. Workers own progress when
-        they exist: wake them, then wait for a publish. Without them the
-        caller claims and runs each task itself, a flush first, and
+        ``join()`` drops the worker under a parked waiter, which must
+        then see the close, not start driving. The worker owns progress
+        when there is one: wake it, then wait for a publish. Without it
+        the caller claims and runs each task itself, a flush first, and
         never asks whether the store closed — ``close()``'s own drain
         comes here after the join."""
-        if not self._workers:
+        if self._worker is None:
             while not done():
                 if self._step(self._claim_next_locked):
                     continue
@@ -459,16 +457,22 @@ class MaintenanceExecutor:
     def rotate_if_full(self) -> None:
         """After a commit: seal the active memtable once it reaches the
         target, first waiting for a sealed slot if none is free (a flush
-        stall). Workers are then woken rather than competed with;
-        without them the caller flushes the sealed memtable and runs
-        every merge that made eligible, leaving no work behind."""
+        stall). The write is already logged and in the memtable, so once
+        the store closed — before the wait or during it — it returns
+        without sealing: ``close()`` flushes what the write left. The
+        worker is then woken rather than competed with; without it the
+        caller flushes the sealed memtable and runs every merge that
+        made eligible, leaving no work behind."""
         rotation = self._rotation
-        if not rotation.full():
+        if not rotation.full() or self._log.closed:
             return
         if not rotation.slot_free():
-            self.await_sealed_slot()
+            try:
+                self.await_sealed_slot()
+            except ClosedError:
+                return
         rotation.seal()
-        if self._workers:
+        if self._worker is not None:
             self._changed.notify_all()
         else:
             self._step_until_idle()
@@ -476,7 +480,7 @@ class MaintenanceExecutor:
     def flush_memtables(self) -> None:
         """Get every buffered write into runs, then cut the log if it
         may be (a flush before may have been refused a cut). Writes can
-        land while workers flush, the lock released; what did is sealed
+        land while the worker flushes, the lock released; what did is sealed
         and flushed here on the caller, the lock held throughout (no
         flush may be claimed), so on return every memtable is empty."""
         compaction, rotation = self._compaction, self._rotation
@@ -514,7 +518,7 @@ class MaintenanceExecutor:
         drives, in at most ``max_steps`` tasks, waiting out a failed
         merge's back-off with the lock held, and raising the error of a
         merge start it makes itself."""
-        if self._workers:
+        if self._worker is not None:
             self._drive(self._nothing_claimable, "during maintenance")
             return
         while True:

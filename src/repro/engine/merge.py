@@ -164,10 +164,9 @@ class MergeJob:
     A k-way merge reads its inputs off its own sequential file handles,
     opened by :meth:`advance` one file per input at a time: buffered, so
     one read serves many blocks, and uncached, so one pass does not
-    churn the block cache the queries use. ``claimed`` is the
-    executor's co-advance guard: :meth:`advance` is called only by
-    ``MaintenanceExecutor._run``, on a job claimed under the store lock,
-    so two threads can never interleave chunks of one merge.
+    churn the block cache the queries use. :meth:`advance` is called
+    only by ``MaintenanceExecutor._run``, on the one job the compaction
+    manager has claimed (``CompactionManager.claim_merge``).
     """
 
     def __init__(
@@ -181,7 +180,6 @@ class MergeJob:
     ) -> None:
         self.descriptor = descriptor
         self._runs = runs
-        self.claimed = False
         self._drop_tombstones = drop_tombstones
         self.links = _link_order(runs, drop_tombstones)
         # Progress is tracked against *logical* input bytes because a

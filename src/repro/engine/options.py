@@ -73,29 +73,25 @@ class StoreOptions:
         Shared LRU block cache over all sorted runs (the engine's
         buffer cache; paper's testbed used 2 GB). 0 disables.
     background_maintenance:
-        True runs flushes/merges on background maintenance workers.
-        False (deterministic, the default for tests) makes the caller
-        the only worker, and it leaves no work behind: the write that
-        rotates a memtable flushes it and then runs, chunk by chunk,
-        every merge that flush made eligible; a stalled write,
+        True runs flushes, merge chunks and scrub chunks on one
+        background maintenance thread, which claims each under the
+        store lock and does its file I/O outside it, a flush before a
+        merge chunk. False (deterministic, the default for tests) makes
+        the caller the only worker, and it leaves no work behind: the
+        write that rotates a memtable flushes it and then runs, chunk by
+        chunk, every merge that flush made eligible; a stalled write,
         ``flush()`` and ``maintenance()`` run tasks until their own
         condition holds. A store that a server can shed writes from, or
-        that scrubs, needs workers: a shed write drives nothing, and
+        that scrubs, needs the worker: a shed write drives nothing, and
         the caller never claims a scrub chunk.
     maintenance_threads:
-        Size of the background maintenance worker pool (ignored unless
-        ``background_maintenance``; without workers the caller runs
-        every task, see there). Workers claim a flush or a merge
-        chunk under the store lock but perform the chunk's file I/O
-        *outside* it, so maintenance overlaps foreground writes and —
-        with more than one worker — with itself: one worker can flush
-        while others advance different merges, sharing the rate-limiter
-        budget. The default of 1 preserves the single-maintenance-thread
-        behaviour (now with I/O off the store lock).
+        Accepts only 1: there is one maintenance thread, and concurrent
+        merges share it chunk by chunk as the scheduler splits the
+        budget. Any other value is refused.
     scrub_interval:
         Seconds between background scrub passes over the on-disk runs
         (0, the default, disables scrubbing). The scrubber runs on the
-        maintenance worker pool at lower priority than flushes and
+        maintenance thread at lower priority than flushes and
         merges, verifying one data block's checksum per claim, so a
         pass's I/O is spread across many claims instead of bursting.
     scrub_rate_bytes_per_s:
@@ -194,15 +190,16 @@ class StoreOptions:
             raise ConfigurationError("rate limit cannot be negative")
         if self.block_cache_bytes < 0:
             raise ConfigurationError("block cache cannot be negative")
-        if self.maintenance_threads < 1:
+        if self.maintenance_threads != 1:
             raise ConfigurationError(
-                "need at least one maintenance worker"
+                f"maintenance_threads={self.maintenance_threads!r}: the "
+                "store runs one maintenance thread"
             )
         if self.scrub_interval < 0:
             raise ConfigurationError("scrub interval cannot be negative")
         if self.scrub_interval > 0 and not self.background_maintenance:
             raise ConfigurationError(
-                "scrubbing runs on maintenance workers: scrub_interval "
+                "scrubbing runs on the maintenance worker: scrub_interval "
                 "needs background_maintenance=True"
             )
         if self.scrub_rate_bytes_per_s < 0:

@@ -25,9 +25,10 @@ class RateLimiter:
     one-second burst so small writes are not over-penalized, matching how
     RocksDB's rate limiter behaves in practice.
 
-    The limiter is shared by every flush and merge writer of a store, so
-    with concurrent maintenance workers ``acquire`` is called from many
-    threads at once. All bucket state is guarded by an internal lock;
+    The limiter is shared by every flush, merge and scrub of a store,
+    whichever thread runs it (the maintenance worker, a caller's scrub
+    tick or repair), so ``acquire`` is called from several threads at
+    once. All bucket state is guarded by an internal lock;
     the balance is debited under it (and may go negative — debt), then
     the debtor sleeps off its own debt *outside* the lock. Tokens that
     accrue while a debtor sleeps pay the debt down through ``_refill``

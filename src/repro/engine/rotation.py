@@ -90,7 +90,7 @@ class Rotation:
         True when the stall gate is closed, or when the batch could fill
         the active memtable while its rotation could not get by with a
         bare seal: the sealed queue is full (a flush stall), or there
-        are no workers and the writer would flush.
+        is no worker and the writer would flush.
         """
         version = self._compaction.version
         if version.write_stalled:

@@ -1,8 +1,8 @@
 """The scrubber, and the one check of a run file's data blocks.
 
 The read path only *reacts* to checksum failures it happens to hit; the
-scrubber walks every live run block by block on the maintenance worker
-pool, so cold data's bit rot is found and quarantined before a query
+scrubber walks every live run block by block on the maintenance
+thread, so cold data's bit rot is found and quarantined before a query
 depends on it. :class:`BlockCheck` is what it runs over each file, and
 what :func:`~repro.engine.integrity.verify_files` runs too: every data
 block read off disk by :func:`~repro.engine.iterators.read_twice` (a

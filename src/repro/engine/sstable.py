@@ -50,7 +50,7 @@ from .bloom import BloomFilter
 from .manifest import legacy_format
 from .options import TOMBSTONE
 from .ratelimiter import RateLimiter, SyncPolicy
-from .wal import fsync_file
+from .wal import fsync_dir, fsync_file
 
 _LEN = struct.Struct("<I")
 #: Every data-block entry starts with its key and value lengths.
@@ -389,7 +389,8 @@ class SSTableWriter:
         return True
 
     def finish(self) -> RunStats:
-        """Flush everything, write the footer, fsync, and close."""
+        """Flush everything, write the footer, fsync, close, and fsync
+        the directory: a manifest edit may name the file from here."""
         if self._finished:
             raise ConfigurationError("writer already finished")
         self._finished = True
@@ -433,6 +434,7 @@ class SSTableWriter:
         )
         fsync_file(self._file)
         self._file.close()
+        fsync_dir(os.path.dirname(self._path))
         self._published = True
         return RunStats(
             path=self._path,

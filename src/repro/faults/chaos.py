@@ -546,8 +546,8 @@ async def run_chaos(
     """Run the kill/restore schedule against a fresh LocalCluster.
 
     ``options`` overrides the per-shard engine configuration (used by the
-    maintenance-worker tests to run the same schedule with background
-    workers enabled); the default disables the block cache.
+    maintenance-worker test to run the same schedule with the background
+    worker enabled); the default disables the block cache.
 
     With ``replicas > 0`` the kill targets a shard *leader* and nothing
     is ever restored: recovery must come from the router promoting a

@@ -119,7 +119,7 @@ class _Writes:
 class EngineTarget(_Writes):
     """An open :class:`~repro.engine.LSMStore`, one thread calling
     ``timed_put`` (a write that waited at the gate is a stall); opened with
-    ``background_maintenance=True``, its workers merge beside the writer."""
+    ``background_maintenance=True``, its worker merges beside the writer."""
 
     store: object
 

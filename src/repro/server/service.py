@@ -10,7 +10,7 @@ a flush-stalled rotation, an fsync, a contended store lock) and an
 unbounded SCAN go to the server's one worker pool — so a stalled write
 never freezes the loop or the reads on it (``docs/server.md``,
 "Threading model"). It never drives flushes or merges: a store it can
-shed writes from runs workers (:func:`require_workers`). Every write
+shed writes from runs a worker (:func:`require_workers`). Every write
 first passes the admission controller (:mod:`repro.server.admission`):
 
 * ``admit`` — the write proceeds immediately;

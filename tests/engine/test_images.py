@@ -110,9 +110,7 @@ def test_an_install_waits_out_a_merge_chunk_a_worker_has_claimed(
             for index in range(400):
                 follower.put(b"old-%04d" % (index % 97), b"x" * 100)
             deadline = time.monotonic() + 10.0
-            while not any(
-                job.claimed for job in follower._compaction._jobs.values()
-            ):
+            while not follower._compaction.merge_claimed():
                 assert time.monotonic() < deadline, "no merge chunk claimed"
                 time.sleep(0.001)
             install(follower, image)

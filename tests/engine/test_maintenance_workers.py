@@ -1,10 +1,11 @@
-"""Lifecycle tests for the concurrent maintenance executor.
+"""Lifecycle tests for the maintenance executor and its one thread.
 
 These tests pin down the claim/publish protocol's guarantees with
 condition-variable stepping rather than wall-clock sleeps: instrumented
 ``MergeJob.advance`` hooks observe or gate worker progress, and the
 store's own quiesce points (``maintenance()``, ``flush()``, ``close()``)
-provide the synchronization barriers.
+provide the synchronization barriers. Bounds on waiting are counted in
+merge chunks, not in time.
 """
 
 import os
@@ -33,7 +34,6 @@ WORKERS = StoreOptions(
     scheduler="greedy",
     levels=3,
     background_maintenance=True,
-    maintenance_threads=3,
 )
 
 
@@ -41,35 +41,109 @@ def run_files(directory):
     return {name for name in os.listdir(directory) if name.endswith(".run")}
 
 
+def maintenance_threads():
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("lsm-maintenance")
+    ]
+
+
 class TestNoCoAdvance:
-    def test_workers_never_co_advance_one_merge(self, tmp_path, monkeypatch):
-        # Every entry into MergeJob.advance is tracked per job; the
-        # claim protocol must make a second concurrent entry impossible
-        # no matter how three workers interleave.
+    def test_one_thread_advances_every_merge(self, tmp_path, monkeypatch):
+        # Every entry into MergeJob.advance is recorded with its thread:
+        # with workers on, the store's one maintenance thread runs every
+        # chunk, and never two at once.
         original = MergeJob.advance
         guard = threading.Lock()
-        active: dict[int, int] = {}
+        running = [0]
         overlaps: list[int] = []
+        threads: set[str] = set()
 
         def tracked(self, chunk_bytes):
             with guard:
-                active[id(self)] = active.get(id(self), 0) + 1
-                if active[id(self)] > 1:
+                running[0] += 1
+                if running[0] > 1:
                     overlaps.append(id(self))
+                threads.add(threading.current_thread().name)
             try:
                 return original(self, chunk_bytes)
             finally:
                 with guard:
-                    active[id(self)] -= 1
+                    running[0] -= 1
 
         monkeypatch.setattr(MergeJob, "advance", tracked)
+        before = maintenance_threads()
         with LSMStore.open(str(tmp_path / "db"), WORKERS) as store:
+            started = [t for t in maintenance_threads() if t not in before]
+            assert [t.name for t in started] == ["lsm-maintenance-0"]
             for i in range(4000):
                 store.put(f"user{i % 600:06d}".encode(), b"v" * 64)
             store.maintenance()
             merges = store.stats().merges_completed
+            # Before the close, whose own drain runs on the caller.
+            assert threads == {"lsm-maintenance-0"}
         assert merges > 0  # the guard was actually exercised
         assert not overlaps
+        assert not started[0].is_alive()
+
+    def test_a_sealed_memtable_waits_for_at_most_one_merge_chunk(
+        self, tmp_path, monkeypatch
+    ):
+        """The worker claims a flush before a merge chunk, so between a
+        memtable's seal and the start of its flush at most one chunk —
+        the one in flight at the seal — ends, however many merges wait."""
+        events: list[str] = []
+        guard = threading.Lock()
+
+        def record(kind):
+            with guard:
+                events.append(kind)
+
+        rotate = CompactionManager.rotate
+        claim_flush = maintenance.MaintenanceExecutor._claim_flush_locked
+        advance = MergeJob.advance
+
+        def sealed(self):
+            memtable = rotate(self)
+            record("seal")
+            return memtable
+
+        def claimed(self):
+            task = claim_flush(self)
+            if task is not None:
+                record("flush")
+            return task
+
+        def chunk(self, chunk_bytes):
+            time.sleep(0.001)  # let writes seal memtables mid-merge
+            finished = advance(self, chunk_bytes)
+            record("chunk")
+            return finished
+
+        monkeypatch.setattr(CompactionManager, "rotate", sealed)
+        monkeypatch.setattr(
+            maintenance.MaintenanceExecutor, "_claim_flush_locked", claimed
+        )
+        monkeypatch.setattr(MergeJob, "advance", chunk)
+        options = WORKERS.with_(
+            memtable_bytes=4096, merge_chunk_bytes=1024, constraint_limit=1000
+        )
+        rng = random.Random(49)
+        with LSMStore.open(str(tmp_path / "db"), options) as store:
+            for _ in range(1200):
+                store.put(b"%012d" % rng.randrange(10**12), b"v" * 64)
+            store.maintenance()
+            merges = store.stats().merges_completed
+        seals = [i for i, kind in enumerate(events) if kind == "seal"]
+        flushes = [i for i, kind in enumerate(events) if kind == "flush"]
+        assert len(seals) == len(flushes) > 20
+        waits = [
+            events[seal:flush].count("chunk")
+            for seal, flush in zip(seals, flushes)
+        ]
+        assert merges > 0 and events.count("chunk") > len(seals)
+        assert max(waits) == 1, waits  # some seals met a chunk in flight
 
     def test_fair_scheduler_with_workers(self, tmp_path):
         options = WORKERS.with_(scheduler="fair")
@@ -84,31 +158,45 @@ class TestNoCoAdvance:
             assert len(list(reopened.scan())) == 600
 
 
+def a_merge_chunk_held(store, monkeypatch) -> threading.Event:
+    """Load 600 keys and flush them with no merge claimed, then let the
+    worker claim a merge and hold it at its first chunk; returns the
+    event that lets the chunk go. Nothing is written while it is held:
+    the one worker could flush nothing."""
+    manager = store._compaction
+    manager.claim_merge = lambda: None
+    for i in range(4000):
+        store.put(f"user{i % 600:06d}".encode(), b"v" * 64)
+    store.flush()
+    original = MergeJob.advance
+    entered = threading.Event()
+    release = threading.Event()
+
+    def gated(self, chunk_bytes):
+        entered.set()
+        release.wait(timeout=30.0)
+        return original(self, chunk_bytes)
+
+    monkeypatch.setattr(MergeJob, "advance", gated)
+    del manager.claim_merge
+    assert entered.wait(timeout=30.0)
+    return release
+
+
 class TestQuiesce:
     def test_close_mid_merge_leaves_no_orphan_runs(
         self, tmp_path, monkeypatch
     ):
-        # Gate the first merge advance so close() arrives while a worker
-        # holds a claimed, half-written merge; the worker must finish or
-        # abandon it before close()'s join, and the directory must end
-        # with exactly the manifest's live runs.
-        original = MergeJob.advance
-        entered = threading.Event()
-        release = threading.Event()
-
-        def gated(self, chunk_bytes):
-            entered.set()
-            release.wait(timeout=30.0)
-            return original(self, chunk_bytes)
-
-        monkeypatch.setattr(MergeJob, "advance", gated)
+        # close() arrives while the worker holds a claimed, half-written
+        # merge; the worker must finish or abandon it before close()'s
+        # join, and the directory must end with exactly the manifest's
+        # live runs.
         directory = str(tmp_path / "db")
-        # A generous component budget: with merges gated, writers must
-        # not hit the stall gate and wait for progress that cannot come.
+        # A generous component budget: with merges held back, writers
+        # must not hit the stall gate and wait for progress that cannot
+        # come.
         store = LSMStore.open(directory, WORKERS.with_(constraint_limit=1000))
-        for i in range(4000):
-            store.put(f"user{i % 600:06d}".encode(), b"v" * 64)
-        assert entered.wait(timeout=30.0)
+        release = a_merge_chunk_held(store, monkeypatch)
         closer = threading.Thread(target=store.close)
         closer.start()
         release.set()
@@ -125,21 +213,9 @@ class TestQuiesce:
             assert len(list(reopened.scan())) == 600
 
     def test_crash_mid_merge_recovers_cleanly(self, tmp_path, monkeypatch):
-        original = MergeJob.advance
-        entered = threading.Event()
-        release = threading.Event()
-
-        def gated(self, chunk_bytes):
-            entered.set()
-            release.wait(timeout=30.0)
-            return original(self, chunk_bytes)
-
-        monkeypatch.setattr(MergeJob, "advance", gated)
         directory = str(tmp_path / "db")
         store = LSMStore.open(directory, WORKERS.with_(constraint_limit=1000))
-        for i in range(4000):
-            store.put(f"user{i % 600:06d}".encode(), b"v" * 64)
-        assert entered.wait(timeout=30.0)
+        release = a_merge_chunk_held(store, monkeypatch)
         crasher = threading.Thread(target=store.crash)
         crasher.start()
         release.set()
@@ -231,7 +307,7 @@ class TestObservability:
             for series in gauges
             if series["name"] == "engine_maintenance_worker_busy"
         }
-        assert busy_workers == {"0", "1", "2"}
+        assert busy_workers == {"0"}
         depths = [
             series["value"]
             for series in gauges
@@ -252,8 +328,8 @@ class TestObservability:
             if event.kind == obs_events.MAINTENANCE_WORKER
             and event.fields.get("state") == "stop"
         ]
-        assert {e.fields["worker"] for e in starts} == {0, 1, 2}
-        assert {e.fields["worker"] for e in stops} == {0, 1, 2}
+        assert [e.fields["worker"] for e in starts] == [0]
+        assert [e.fields["worker"] for e in stops] == [0]
 
     def test_waiting_for_a_free_memtable_is_counted_as_a_flush_stall(
         self, tmp_path, monkeypatch
@@ -401,8 +477,7 @@ class TestFailures:
         outcome = []
 
         def load():
-            options = WORKERS.with_(maintenance_threads=1)
-            with LSMStore.open(str(tmp_path / "db"), options) as store:
+            with LSMStore.open(str(tmp_path / "db"), WORKERS) as store:
                 hold_back_merges(store)
                 fail_once(monkeypatch, cls, name, failed)
                 store._lock.release()
@@ -444,8 +519,7 @@ class TestFailures:
         outcome = []
 
         def load():
-            options = WORKERS.with_(maintenance_threads=1)
-            with LSMStore.open(str(tmp_path / "db"), options) as store:
+            with LSMStore.open(str(tmp_path / "db"), WORKERS) as store:
                 for i in range(4000):
                     store.put(f"user{i % 600:06d}".encode(), b"v" * 64)
                 store.maintenance()
@@ -483,8 +557,7 @@ class TestFailures:
 
         monkeypatch.setattr(SSTableReader, "read_at", flaky)
         monkeypatch.setattr(MergeJob, "advance", counted)
-        options = WORKERS.with_(maintenance_threads=1)
-        with LSMStore.open(str(tmp_path / "db"), options) as store:
+        with LSMStore.open(str(tmp_path / "db"), WORKERS) as store:
             for i in range(800):
                 store.put(f"user{i:06d}".encode(), b"v" * 64)
             deadline = time.monotonic() + 10.0

@@ -1,6 +1,7 @@
 """Tests for the crash-safe manifest."""
 
 import json
+import os
 
 import pytest
 
@@ -187,3 +188,31 @@ class TestSnapshots:
             tmp_path / "a" / "MANIFEST"
         ).read_text()
 
+
+
+def test_a_run_file_is_in_its_directory_before_the_manifest_names_it(
+    tmp_path, monkeypatch
+):
+    """A new file's directory entry is durable only once the directory
+    is synced: a flush syncs the run file, then the directory, then the
+    manifest line naming the run, so a crash between any two leaves at
+    worst an orphan file, never a manifest naming a lost one."""
+    directory = tmp_path / "db"
+    synced = []
+    fsync = os.fsync
+
+    def recorded(fd):
+        synced.append(os.fstat(fd).st_ino)
+        fsync(fd)
+
+    with LSMStore.open(str(directory), StoreOptions()) as store:
+        store.put(b"k", b"v")
+        monkeypatch.setattr(os, "fsync", recorded)
+        store.flush()
+        monkeypatch.setattr(os, "fsync", fsync)
+        (record,) = store.live_runs()
+        manifest_inode = os.stat(directory / "MANIFEST").st_ino
+    run_inode = os.stat(directory / record.files[0]).st_ino
+    after_run = synced[synced.index(run_inode) + 1:]
+    before_manifest = after_run[: after_run.index(manifest_inode)]
+    assert os.stat(directory).st_ino in before_manifest

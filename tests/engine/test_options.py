@@ -71,6 +71,14 @@ class TestStoreOptionsValidation:
         options = StoreOptions(scrub_interval=1.0, background_maintenance=True)
         assert options.scrub_interval == 1.0
 
+    @pytest.mark.parametrize("threads", [0, 2, 4])
+    def test_there_is_one_maintenance_thread(self, threads):
+        """Concurrent merges share one thread chunk by chunk; the field
+        takes no value but 1."""
+        with pytest.raises(ConfigurationError, match="one maintenance"):
+            StoreOptions(maintenance_threads=threads)
+        assert StoreOptions(maintenance_threads=1) == StoreOptions()
+
     def test_with_returns_updated_copy(self):
         base = StoreOptions()
         updated = base.with_(scheduler="fair")

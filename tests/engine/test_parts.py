@@ -11,16 +11,17 @@ target and arguments.
 With rotation out of the group-commit leader's term, each grouped
 writer rotates after its commit returns; the second half checks that
 such writers still rotate and flush, and that a write committed before
-a close returns normally.
+a close returns normally, grouped or not.
 """
 
 import functools
 import threading
+import time
 import types
 
 import pytest
 
-from repro.engine import LSMStore, StoreOptions
+from repro.engine import LSMStore, SSTableWriter, StoreOptions, WriteTiming
 
 PARTS = ("_log", "_maintenance", "_rotation", "_compaction")
 
@@ -199,3 +200,53 @@ def test_a_grouped_write_the_store_closed_under_does_not_raise(tmp_path):
     with LSMStore.open(directory, options) as reopened:
         assert reopened.get(b"late") == b"v" * 4096
         assert reopened.get(b"k0099") == b"v" * 64
+
+
+def test_a_write_parked_in_a_flush_stall_returns_when_the_store_closes(
+    tmp_path, monkeypatch
+):
+    """An ungrouped write commits, finds the one sealed slot taken by a
+    flush the worker holds, and waits; the store closes under it. The
+    write is logged and in the memtable, so it returns its timing, and
+    the close flushes it."""
+    options = StoreOptions(memtable_bytes=4096, background_maintenance=True)
+    finish = SSTableWriter.finish
+    flushing, release = threading.Event(), threading.Event()
+
+    def held(writer):
+        flushing.set()
+        release.wait(timeout=30)
+        return finish(writer)
+
+    monkeypatch.setattr(SSTableWriter, "finish", held)
+    directory = str(tmp_path / "db")
+    store = LSMStore.open(directory, options)
+    store.write_batch([(b"k%04d" % i, b"v" * 64) for i in range(100)])
+    assert flushing.wait(timeout=10), "the first memtable was not flushed"
+    committed = store.wal_position().lsn
+    outcome = []
+
+    def write():
+        try:
+            outcome.append(
+                store.timed_write_batch([(b"late", b"v" * 4096)])
+            )
+        except BaseException as error:  # noqa: BLE001 — asserted below
+            outcome.append(error)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    # The writer holds the store lock from its commit until it parks.
+    deadline = time.monotonic() + 10
+    while store.wal_position().lsn == committed:
+        assert time.monotonic() < deadline, "the second write never committed"
+        time.sleep(0.001)
+    closer = threading.Thread(target=store.close, daemon=True)
+    closer.start()
+    writer.join(timeout=10)
+    release.set()
+    closer.join(timeout=30)
+    assert not writer.is_alive() and not closer.is_alive()
+    assert len(outcome) == 1 and isinstance(outcome[0], WriteTiming), outcome
+    with LSMStore.open(directory, options) as reopened:
+        assert reopened.get(b"late") == b"v" * 4096

@@ -105,8 +105,8 @@ def test_chaos_run_meets_the_acceptance_bar(tmp_path):
 
 
 def test_chaos_run_with_maintenance_workers(tmp_path):
-    # The same kill/restore schedule with every shard running two
-    # background maintenance workers: kills land mid-flush/mid-merge,
+    # The same kill/restore schedule with every shard running its
+    # background maintenance worker: kills land mid-flush/mid-merge,
     # and recovery must still come back whole with no acked loss.
     from repro.engine import StoreOptions
 
@@ -122,7 +122,6 @@ def test_chaos_run_with_maintenance_workers(tmp_path):
             options=StoreOptions(
                 block_cache_bytes=0,
                 background_maintenance=True,
-                maintenance_threads=2,
             ),
         )
     )

@@ -577,27 +577,27 @@ class TestEngineFlags:
         }
         assert {name: args[name] for name in exposed} == exposed
 
-    def test_eight_values_and_their_renames(self):
-        assert len(ENGINE_FLAGS) == 8
+    def test_seven_values_and_their_renames(self):
+        assert len(ENGINE_FLAGS) == 7
         args = build_parser().parse_args([
             "serve", "db", "--memtable-bytes", "104857", "--policy",
-            "leveling", "--block-codec", "zlib", "--maintenance-threads",
-            "2", "--scrub-interval", "0.5", "--scrub-rate-bytes-per-s",
-            "1024", "--sync-writes", "--group-commit",
+            "leveling", "--block-codec", "zlib", "--scrub-interval", "0.5",
+            "--scrub-rate-bytes-per-s", "1024", "--sync-writes",
+            "--group-commit",
         ])
         assert _store_options_from(args) == StoreOptions(
             memtable_bytes=104857,
             policy="leveling",
             block_codec="zlib",
             background_maintenance=True,
-            maintenance_threads=2,
             scrub_interval=0.5,
             scrub_rate_bytes_per_s=1024,
             sync_writes=True,
             group_commit=True,
         )
         for gone in (["--memtable-mib", "4"], ["--engine-policy", "tiering"],
-                     ["--scrub-rate-mib", "1"]):
+                     ["--scrub-rate-mib", "1"],
+                     ["--maintenance-threads", "1"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve", "db", *gone])
         with pytest.raises(SystemExit):
@@ -624,7 +624,6 @@ REFUSED = [
     (["serve", "{dir}", "--memtable-bytes", "100"], "implausibly small"),
     (["serve", "{dir}", "--policy", "partitioned"], "only in the simulator"),
     (["serve", "{dir}", "--block-codec", "lz9"], "unknown block codec"),
-    (["serve", "{dir}", "--maintenance-threads", "0"], "maintenance worker"),
     (["serve", "{dir}", "--scrub-interval", "-1"], "scrub interval"),
     (["serve", "{dir}", "--scrub-rate-bytes-per-s", "-1"], "scrub rate"),
     (["cluster-serve", "{dir}", "--port", "0"], "valid TCP range"),

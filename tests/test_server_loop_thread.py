@@ -52,16 +52,16 @@ INLINE = WORKERS.with_(background_maintenance=False)
 
 @contextmanager
 def open_store(directory, options: StoreOptions):
-    """An open store whose idle maintenance workers sleep until notified.
+    """An open store whose idle maintenance worker sleeps until notified.
 
     A worker with nothing to claim re-checks every 50 ms, under the
     store lock, and ``wait=False`` answers None when it meets that lock
     taken. Right in production — the write hops once — but a test that
     asserts *nothing* hopped must not be able to lose that race. Here
-    the workers wait without a timeout (every publish, rotation, release
-    and close still wakes them), and ``store.settle()`` returns once
-    every one of them is back asleep — call it after anything that woke
-    them and before asserting that a write stayed on its thread.
+    the worker waits without a timeout (every publish, rotation, release
+    and close still wakes it), and ``store.settle()`` returns once it is
+    back asleep — call it after anything that woke it and before
+    asserting that a write stayed on its thread.
     """
     with LSMStore.open(str(directory), options) as store:
         idle = store._maintenance._changed
@@ -71,7 +71,7 @@ def open_store(directory, options: StoreOptions):
 
         def wait(timeout=None):
             me = threading.current_thread()
-            if me not in store._maintenance._workers:
+            if me is not store._maintenance._worker:
                 return timed_wait(timeout)  # a parked writer keeps its poll
             with changed:
                 asleep.add(me)
@@ -85,7 +85,8 @@ def open_store(directory, options: StoreOptions):
         def settle() -> None:
             with changed:
                 assert changed.wait_for(
-                    lambda: len(asleep) == len(store._maintenance._workers), PATIENCE
+                    lambda: asleep == {store._maintenance._worker} - {None},
+                    PATIENCE,
                 )
             # The last to doze off lets go of the lock inside its wait().
             with store._lock:
