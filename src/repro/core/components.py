@@ -106,11 +106,6 @@ class MergeDescriptor:
         return sum(component.size_bytes for component in self.inputs)
 
     @property
-    def input_entries(self) -> float:
-        """Total entries across all input components."""
-        return sum(component.entry_count for component in self.inputs)
-
-    @property
     def progress(self) -> float:
         """Fraction of the merge's input already consumed, in [0, 1]."""
         total = self.input_bytes
@@ -157,10 +152,6 @@ class TreeSnapshot:
     def levels(self) -> list[int]:
         """Sorted list of level numbers that currently hold components."""
         return sorted(self._by_level)
-
-    def max_level(self) -> int:
-        """Highest occupied level (0 when the tree is empty)."""
-        return max(self._by_level, default=0)
 
     def count(self) -> int:
         """Total number of disk components."""

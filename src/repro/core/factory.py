@@ -148,8 +148,17 @@ def build_constraint(
 ) -> ComponentConstraint:
     """The component constraint ``name`` bounded by ``limit``, or when
     that is 0, by a bound derived from ``policy``: ``factor`` times its
-    expected components for ``global`` (Section 5.1.1)."""
+    expected components for ``global`` (Section 5.1.1). A ``global``
+    limit the policy can rest at, with no merge eligible, is refused:
+    the gate would close with nothing to merge."""
     constraint, derive = _lookup(_CONSTRAINTS, name, "constraint", CONSTRAINTS)
+    resting = policy.resting_components()
+    if name == "global" and 0 < limit <= resting:
+        raise ConfigurationError(
+            f"constraint_limit {limit} can never be met: {policy.name} "
+            f"rests at up to {resting} components with no merge eligible, "
+            f"so the limit must exceed {resting}"
+        )
     return constraint(limit or derive(policy, factor))
 
 

@@ -60,20 +60,6 @@ def max_write_throughput_tiering(bandwidth: float, levels: int) -> float:
     return bandwidth / levels
 
 
-def expected_components_leveling(levels: int) -> int:
-    """A leveling tree holds one component per level."""
-    if levels < 1:
-        raise ConfigurationError("levels must be >= 1")
-    return levels
-
-
-def expected_components_tiering(levels: int, size_ratio: float) -> int:
-    """A tiering tree holds up to ``T`` components per level."""
-    if levels < 1 or size_ratio <= 1:
-        raise ConfigurationError("need L >= 1, T > 1")
-    return int(math.ceil(levels * size_ratio))
-
-
 def default_component_limit(expected_components: int, factor: float = 2.0) -> int:
     """The paper's conservative global constraint: tolerate ``factor``
     times the expected number of disk components (Section 5.1.1).

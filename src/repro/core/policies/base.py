@@ -49,13 +49,11 @@ class MergePolicy(ABC):
         "twice the expected number of disk components").
         """
 
-    def output_level_capacity(self, level: int) -> float | None:
-        """Byte capacity of ``level``, if the policy defines one.
-
-        Partitioned policies use this to decide when a level overflows;
-        policies without per-level byte targets return ``None``.
-        """
-        return None
+    @abstractmethod
+    def resting_components(self) -> int:
+        """The most disk components a tree can hold with no merge
+        eligible: a global limit at or below it can close the write gate
+        with nothing left to merge."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

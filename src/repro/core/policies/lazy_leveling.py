@@ -61,6 +61,9 @@ class LazyLevelingPolicy(MergePolicy):
         # T runs per intermediate level plus the single last-level run.
         return self._size_ratio * (self._levels - 1) + 1
 
+    def resting_components(self) -> int:
+        return (self._size_ratio - 1) * (self._levels - 1) + 1
+
     def select_merges(
         self,
         tree: TreeSnapshot,

@@ -84,12 +84,12 @@ class LevelingPolicy(MergePolicy):
             return self._last_level_bytes / self._size_ratio ** (self._levels - level)
         return self._memory_bytes * self._size_ratio**level
 
-    def output_level_capacity(self, level: int) -> float | None:
-        if 1 <= level <= self._levels:
-            return self.level_capacity_bytes(level)
-        return None
-
     def expected_components(self) -> int:
+        return self._levels
+
+    def resting_components(self) -> int:
+        # A flushed run merges as soon as level 1 has room; each level
+        # below rests at one component.
         return self._levels
 
     def select_merges(

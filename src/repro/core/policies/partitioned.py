@@ -134,11 +134,6 @@ class PartitionedLevelingPolicy(MergePolicy):
             raise ConfigurationError(f"level {level} outside 1..{self._levels}")
         return self._level1_target * self._size_ratio ** (level - 1)
 
-    def output_level_capacity(self, level: int) -> float | None:
-        if 1 <= level <= self._levels:
-            return self.level_target_bytes(level)
-        return None
-
     def expected_components(self) -> int:
         # L0 at its minimum trigger plus one file set per partitioned
         # level; only used for reporting (partitioned trees constrain the
@@ -148,6 +143,11 @@ class PartitionedLevelingPolicy(MergePolicy):
             for level in range(1, self._levels + 1)
         )
         return self._l0_min + total_files
+
+    def resting_components(self) -> int:
+        # Level 0 below its trigger plus one file per partitioned level;
+        # how many more files a level rests at grows with the data.
+        return self._l0_min - 1 + self._levels
 
     def scores(self, tree: TreeSnapshot) -> dict[int, float]:
         """Per-level compaction scores (LevelDB's ``Finalize``)."""

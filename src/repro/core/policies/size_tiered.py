@@ -112,6 +112,12 @@ class SizeTieredPolicy(MergePolicy):
     def expected_components(self) -> int:
         return self._expected
 
+    def resting_components(self) -> int:
+        # Fewer than min_merge never merge. Older components that each
+        # outgrow the younger ones T-fold rest too, as many as the data's
+        # size allows, so this is the part that holds for any data.
+        return self._min_merge - 1
+
     def _window_from(self, ordered: list[Component], start: int) -> list[Component]:
         """The components a merge starting at ``start`` would process.
 

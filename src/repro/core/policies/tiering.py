@@ -56,6 +56,10 @@ class TieringPolicy(MergePolicy):
     def expected_components(self) -> int:
         return self._size_ratio * self._levels
 
+    def resting_components(self) -> int:
+        # T - 1 on every level, the last included: T are needed to merge.
+        return (self._size_ratio - 1) * self._levels
+
     def select_merges(
         self,
         tree: TreeSnapshot,

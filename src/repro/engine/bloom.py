@@ -133,13 +133,6 @@ class BloomFilter:
                 return False
         return True
 
-    def expected_false_positive_rate(self) -> float:
-        """The analytic FPR given the current fill."""
-        if self._added == 0:
-            return 0.0
-        fill = 1.0 - math.exp(-self._hashes * self._added / self._bits)
-        return fill**self._hashes
-
     def to_bytes(self) -> bytes:
         """Serialize (header + bit array)."""
         header = _HEADER.pack(_MAGIC, self._bits, self._hashes, self._added)

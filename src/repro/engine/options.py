@@ -49,7 +49,9 @@ class StoreOptions:
         ``greedy-<k>`` (``spring`` is refused).
     constraint_limit:
         Global component-count limit (0 = derive as twice the policy's
-        expected component count once the tree shape is known).
+        expected component count once the tree shape is known). A limit
+        at or below the policy's resting maximum (``(T - 1) * levels``
+        under tiering) is refused.
     levels:
         On-disk levels for leveling/tiering policies.
     block_bytes:

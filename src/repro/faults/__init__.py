@@ -14,9 +14,6 @@ replayable:
   replay a seeded workload, crash at every frame boundary and at every
   byte of the WAL tail, reopen, and assert the recovered-prefix
   invariant (acked writes present, no phantoms, ``verify_store`` clean).
-* :mod:`repro.faults.netsim` — :class:`FaultyProxy`, a frame-aware TCP
-  shim that refuses, drops, delays, or tears connections between a
-  :class:`~repro.server.KVClient` and its server.
 * :mod:`repro.faults.chaos` — :func:`run_chaos`, the cluster chaos
   runner behind ``python -m repro chaos``: kill a shard mid-load,
   restore it, and report recovery time + error budget.
@@ -39,7 +36,6 @@ from .crashsim import (
     run_crash_harness,
     wal_prefix_sweep,
 )
-from .netsim import FaultyProxy
 from .plan import KINDS, SITES, FaultPlan, FaultRule, FaultyFile
 
 __all__ = [
@@ -53,7 +49,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "FaultyFile",
-    "FaultyProxy",
     "apply_ops",
     "build_workload",
     "compressed_block_scenarios",

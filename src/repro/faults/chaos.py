@@ -37,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import os
 import random
-import struct
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -45,6 +44,7 @@ from ..cluster.breaker import CLOSED
 from ..cluster.ring import HashRing
 from ..cluster.router import LocalCluster
 from ..engine.options import StoreOptions
+from ..engine.sstable import _FOOTER as _SSTABLE_FOOTER
 from ..errors import (
     ConfigurationError,
     RequestFailedError,
@@ -65,6 +65,10 @@ CHAOS_OPTIONS = StoreOptions(block_cache_bytes=0)
 CORRUPTION_CHAOS_OPTIONS = CHAOS_OPTIONS.with_(
     memtable_bytes=4096, background_maintenance=True, scrub_interval=0.2
 )
+
+#: Seconds :func:`run_chaos` waits for the killed range to take writes
+#: again, and :func:`run_corruption_chaos` for the quarantine to clear.
+RECOVERY_DEADLINE, REPAIR_DEADLINE = 10.0, 15.0
 
 
 @dataclass
@@ -265,8 +269,6 @@ class CorruptionChaosReport:
         return payload
 
 
-_SSTABLE_FOOTER = struct.Struct("<QIQIQI8s")
-
 #: How a router under test talks to its shards: transport failures must
 #: show up fast, so one retry on a tight backoff.
 _ONE_FAST_RETRY = dict(max_retries=1, backoff_base=0.01, backoff_max=0.05)
@@ -372,7 +374,6 @@ async def run_corruption_chaos(
     keyspace: int = 256,
     value_bytes: int = 32,
     op_interval: float = 0.002,
-    repair_deadline: float = 15.0,
     options: StoreOptions | None = None,
     replicas: int = 1,
     ack_policy: str = "leader_only",
@@ -501,7 +502,7 @@ async def run_corruption_chaos(
 
             # Wait out the leader's repair ticker: the quarantine must
             # clear through a replica-backed rebuild, not a drop.
-            deadline = time.monotonic() + repair_deadline
+            deadline = time.monotonic() + REPAIR_DEADLINE
             while time.monotonic() < deadline:
                 if not engine.quarantined_entries():
                     break
@@ -537,7 +538,6 @@ async def run_chaos(
     value_bytes: int = 32,
     cooldown: float = 0.25,
     op_interval: float = 0.002,
-    recovery_deadline: float = 10.0,
     options: StoreOptions | None = None,
     replicas: int = 0,
     ack_policy: str = "leader_only",
@@ -655,7 +655,7 @@ async def run_chaos(
         async def settle(client: KVClient, model) -> None:
             # Post-load: drive probe writes at the killed range until
             # its breaker closes again (cooldown is wall-clock).
-            deadline = time.monotonic() + recovery_deadline
+            deadline = time.monotonic() + RECOVERY_DEADLINE
             probe_turn = 0
             while time.monotonic() < deadline:
                 key = probe_keys[probe_turn % len(probe_keys)]

@@ -53,6 +53,12 @@ from .plan import FaultPlan, FaultRule
 #: Operations in the default workload (the acceptance bar is 500).
 DEFAULT_NUM_OPS = 500
 
+#: :func:`wal_prefix_sweep` checks every this-many-th frame boundary.
+BOUNDARY_STRIDE = 1
+
+#: Seeded byte offsets :func:`compressed_block_scenarios` flips, one an image.
+CORRUPT_POSITIONS = 8
+
 _WAL_FILE = "wal.log"
 
 
@@ -163,7 +169,6 @@ def wal_prefix_sweep(
     workdir: str,
     num_ops: int = DEFAULT_NUM_OPS,
     seed: int = 0,
-    boundary_stride: int = 1,
 ) -> CrashSimReport:
     """Crash-enumerate the WAL: every frame boundary, every tail byte.
 
@@ -173,7 +178,7 @@ def wal_prefix_sweep(
     ``k`` holds frames ``[0, k)`` plus, for the tail sweep, a torn
     piece of frame ``k``. Acked == frame count in the image for
     boundary cuts; a torn tail must recover to exactly the boundary
-    below it. ``boundary_stride`` subsamples the boundary cuts (the
+    below it. :data:`BOUNDARY_STRIDE` subsamples the boundary cuts (the
     byte-granular tail sweep always runs in full).
     """
     ops = build_workload(num_ops, seed)
@@ -212,7 +217,7 @@ def wal_prefix_sweep(
         return image
 
     # Every frame boundary: the store crashed between two appends.
-    for index in range(0, len(offsets), max(1, boundary_stride)):
+    for index in range(0, len(offsets), BOUNDARY_STRIDE):
         cut = offsets[index]
         _check_recovery(
             make_image(wal_bytes[:cut]),
@@ -330,18 +335,17 @@ def fault_scenarios(workdir: str, seed: int = 0) -> CrashSimReport:
     return report
 
 
-def compressed_block_scenarios(
-    workdir: str, seed: int = 0, positions: int = 8
-) -> CrashSimReport:
+def compressed_block_scenarios(workdir: str, seed: int = 0) -> CrashSimReport:
     """At-rest corruption inside a *compressed* data block.
 
     The version-2 block CRC covers the compressed bytes, so a flipped
     bit must be detected *before* any decompression is attempted — a
     corrupt DEFLATE stream fed to the codec could otherwise
     "successfully" inflate to garbage. This sweep builds a zlib-coded
-    store over a compressible workload, flips one byte at ``positions``
-    seeded offsets strictly inside the first run's first compressed
-    block (header and CRC excluded — the payload is the hard case),
+    store over a compressible workload, flips one byte at each of
+    :data:`CORRUPT_POSITIONS` seeded offsets strictly inside the first
+    run's first compressed block (header and CRC excluded — the payload
+    is the hard case),
     and for each image asserts the survival contract: every read
     returns the model's value or refuses with
     :class:`~repro.errors.DataCorruptError`; at least one read detects;
@@ -391,7 +395,7 @@ def compressed_block_scenarios(
     payload_hi = block_off + block_len - 4
     targets = sorted(
         rng.sample(range(payload_lo, payload_hi),
-                   min(positions, payload_hi - payload_lo))
+                   min(CORRUPT_POSITIONS, payload_hi - payload_lo))
     )
     for position in targets:
         label = f"compressed-block@{position}B"

@@ -36,11 +36,6 @@ class CumulativeCurve:
         self._totals: list[float] = [0.0]
 
     @property
-    def final_time(self) -> float:
-        """Time of the last breakpoint."""
-        return self._times[-1]
-
-    @property
     def final_total(self) -> float:
         """Cumulative count at the last breakpoint."""
         return self._totals[-1]

@@ -8,7 +8,6 @@ from .bootstrap import (
     loaded_tiering_tree,
 )
 from .config import MiB, SimConfig, bench_config, paper_config
-from .export import load_result_dict, result_to_dict, save_result
 from .lsm import SimulatedLSMTree
 from .queries import (
     QueryDevice,
@@ -41,9 +40,6 @@ __all__ = [
     "SimResult",
     "SimulatedLSMTree",
     "bench_config",
-    "load_result_dict",
-    "result_to_dict",
-    "save_result",
     "pages_per_query",
     "simulate_dataset",
     "simulate_queries",

@@ -175,11 +175,6 @@ class SimulatedLSMTree:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def disk_component_count(self) -> int:
-        """Number of disk components right now."""
-        return self._component_count()
-
     def levels_view(self) -> dict[int, list[Component]]:
         """A copy of the per-level component lists (for tests/inspection)."""
         return {level: list(items) for level, items in self._levels.items()}

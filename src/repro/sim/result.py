@@ -138,21 +138,6 @@ class SimResult:
             self.processing_values, self.processing_weights, levels
         )
 
-    def queue_length_series(self, step: float | None = None) -> np.ndarray:
-        """Write-queue length sampled on a uniform grid.
-
-        The queue is the vertical gap between the arrival and departure
-        curves; ``step`` defaults to the analysis window. Closed-system
-        runs have no queue by construction (arrivals materialize on
-        demand) and return zeros.
-        """
-        step = step or self.window
-        grid = np.arange(0.0, self.duration, step)
-        if self.closed_system:
-            return np.zeros(grid.shape)
-        gap = self.arrivals.value_at(grid) - self.departures.value_at(grid)
-        return np.clip(gap, 0.0, None)
-
     def stall_count(self) -> int:
         """Number of distinct stall intervals."""
         return len(self.stall_intervals)

@@ -19,16 +19,7 @@ from .distributions import (
     ZipfianKeys,
 )
 from .keyspace import KeyspaceModel, Profile
-from .mixes import (
-    OPERATIONS,
-    TraceOp,
-    YCSB_MIXES,
-    YCSBWorkload,
-    load_trace,
-    replay_trace,
-    save_trace,
-)
-from .records import GeneratedRecord, RecordGenerator, decode_key, encode_key
+from .records import GeneratedRecord, RecordGenerator, encode_key
 
 __all__ = [
     "ArrivalProcess",
@@ -41,17 +32,9 @@ __all__ = [
     "KeyDistribution",
     "KeyspaceModel",
     "LatestKeys",
-    "OPERATIONS",
-    "TraceOp",
-    "YCSBWorkload",
-    "YCSB_MIXES",
     "Profile",
     "RecordGenerator",
     "UniformKeys",
     "ZipfianKeys",
-    "decode_key",
     "encode_key",
-    "load_trace",
-    "replay_trace",
-    "save_trace",
 ]

@@ -99,16 +99,6 @@ class BurstyArrivals(ArrivalProcess):
         self._phases = list(phases)
         self._cycle = sum(phase.duration for phase in phases)
 
-    @property
-    def cycle_length(self) -> float:
-        """Length of one full repetition of the schedule, in seconds."""
-        return self._cycle
-
-    def mean_rate(self) -> float:
-        """Long-run average arrival rate over one cycle."""
-        weighted = sum(p.duration * p.rate for p in self._phases)
-        return weighted / self._cycle
-
     def _locate(self, time: float) -> tuple[int, float]:
         """Return (phase index, time remaining in that phase)."""
         offset = time % self._cycle

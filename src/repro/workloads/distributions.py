@@ -165,11 +165,6 @@ class HotspotKeys(KeyDistribution):
         self._hot_count = max(1, int(keyspace * hot_fraction))
         self._hot_probability = hot_probability
 
-    @property
-    def hot_count(self) -> int:
-        """Number of keys in the hot set."""
-        return self._hot_count
-
     def _spread(self, ranks: np.ndarray) -> np.ndarray:
         """Map hot ranks onto keys spread across the key range."""
         stride = max(self._keyspace // self._hot_count, 1)

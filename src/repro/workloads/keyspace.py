@@ -133,22 +133,6 @@ class KeyspaceModel:
             miss *= 1.0 - fraction
         return counts * (1.0 - miss)
 
-    def sub_model(self, fraction: float) -> "KeyspaceModel":
-        """Model of a key-range slice covering ``fraction`` of the keyspace.
-
-        Scrambled distributions spread rank popularity uniformly across the
-        key range, so a slice holds ``fraction`` of every rank bucket and
-        the conditional per-draw probabilities scale by ``1 / fraction``.
-        Used by the partitioned-LSM simulator for per-file reclamation.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigurationError("slice fraction must be in (0, 1]")
-        clone = object.__new__(KeyspaceModel)
-        clone._counts = np.maximum(self._counts * fraction, 1e-9)
-        clone._probs = self._probs / fraction
-        clone._distribution = self._distribution
-        return clone
-
     def __repr__(self) -> str:
         return (
             f"KeyspaceModel({self._distribution!r}, buckets={self.buckets})"

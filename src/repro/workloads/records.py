@@ -30,14 +30,6 @@ def encode_key(key: int, width: int = 12, prefix: str = "user") -> bytes:
     return text.encode("ascii")
 
 
-def decode_key(encoded: bytes, prefix: str = "user") -> int:
-    """Invert :func:`encode_key`."""
-    text = encoded.decode("ascii")
-    if not text.startswith(prefix):
-        raise ConfigurationError(f"key {encoded!r} lacks prefix {prefix!r}")
-    return int(text[len(prefix):])
-
-
 @dataclass(frozen=True)
 class GeneratedRecord:
     """One generated record: primary key bytes, value bytes, and the

@@ -82,7 +82,6 @@ class TestTreeSnapshot:
 
     def test_levels_listing(self, snapshot):
         assert snapshot.levels() == [0, 1, 2]
-        assert snapshot.max_level() == 2
 
     def test_mergeable_excludes_merging(self, snapshot):
         assert [c.uid for c in snapshot.mergeable(0)] == [1]
@@ -101,7 +100,6 @@ class TestTreeSnapshot:
     def test_empty_tree(self):
         snapshot = TreeSnapshot([])
         assert snapshot.count() == 0
-        assert snapshot.max_level() == 0
         assert snapshot.levels() == []
 
 

@@ -42,6 +42,16 @@ class TestLazyLevelingPolicy:
     def test_expected_components(self, policy):
         assert policy.expected_components() == 3 * 2 + 1
 
+    def test_resting_maximum_is_the_fullest_tree_with_no_merge(self, policy):
+        resting = [
+            comp(level * 2 + i, level, 3**level) for level in (0, 1) for i in (1, 2)
+        ]
+        resting.append(comp(9, 2, 100))
+        assert len(resting) == policy.resting_components() == 2 * 2 + 1
+        assert policy.select_merges(TreeSnapshot(resting), UidAllocator()) == []
+        one_more = TreeSnapshot(resting + [comp(99, 0, 1)])
+        assert len(policy.select_merges(one_more, UidAllocator())) == 1
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             LazyLevelingPolicy(1, 3)

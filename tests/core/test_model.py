@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import model
+from repro.core import LevelingPolicy, TieringPolicy, model
 from repro.errors import ConfigurationError
 
 
@@ -59,8 +59,8 @@ class TestThroughputFormulas:
 
 class TestComponentCounts:
     def test_expected_components(self):
-        assert model.expected_components_leveling(3) == 3
-        assert model.expected_components_tiering(7, 3) == 21
+        assert LevelingPolicy(10, 3, memory_bytes=1.0).expected_components() == 3
+        assert TieringPolicy(3, 7).expected_components() == 21
 
     def test_default_limit_is_twice_expected(self):
         assert model.default_component_limit(3) == 6

@@ -87,6 +87,13 @@ class TestLevelingPolicy:
         tree = TreeSnapshot([comp(1, 3, 5000)])
         assert policy.select_merges(tree, UidAllocator()) == []
 
+    def test_resting_maximum_is_the_fullest_tree_with_no_merge(self, policy):
+        resting = [comp(1, 1, 5), comp(2, 2, 50), comp(3, 3, 500)]
+        assert len(resting) == policy.resting_components() == 3
+        assert policy.select_merges(TreeSnapshot(resting), UidAllocator()) == []
+        one_more = TreeSnapshot(resting + [comp(9, 0, 1)])
+        assert len(policy.select_merges(one_more, UidAllocator())) == 1
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             LevelingPolicy(1, 3, MB)
@@ -134,6 +141,15 @@ class TestTieringPolicy:
 
     def test_expected_components(self, policy):
         assert policy.expected_components() == 12
+
+    def test_resting_maximum_is_the_fullest_tree_with_no_merge(self, policy):
+        resting = [
+            comp(level * 2 + i, level, 3**level) for level in range(4) for i in (1, 2)
+        ]
+        assert len(resting) == policy.resting_components() == 8
+        assert policy.select_merges(TreeSnapshot(resting), UidAllocator()) == []
+        one_more = TreeSnapshot(resting + [comp(99, 0, 1)])
+        assert len(policy.select_merges(one_more, UidAllocator())) == 1
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -119,10 +119,13 @@ class TestFlushAndMerge:
 
 class TestStallSignal:
     def test_constraint_reports_stall(self, tmp_path):
-        manager, manifest = make_manager(tmp_path, constraint_limit=2)
-        flush_entries(manager, 0, 50)
+        # The lowest limit tiering at T = 3 over three levels can meet;
+        # no merge runs here, so the seventh flush reaches it.
+        manager, manifest = make_manager(tmp_path, constraint_limit=7)
+        for run in range(6):
+            flush_entries(manager, run * 100, 50)
         assert not manager.version.write_stalled
-        flush_entries(manager, 100, 50)
+        flush_entries(manager, 600, 50)
         assert manager.version.write_stalled
         manager.close()
         manifest.close()

@@ -17,6 +17,7 @@ from repro.faults import (
     FaultRule,
     apply_ops,
     build_workload,
+    crashsim,
     fault_scenarios,
     run_crash_harness,
     wal_prefix_sweep,
@@ -51,15 +52,13 @@ class TestWalPrefixSweep:
         # (an 8-byte header + key + value makes that > 20).
         assert report.crash_points > 60
 
-    def test_boundary_stride_subsamples(self, tmp_path):
+    def test_boundary_stride_subsamples(self, tmp_path, monkeypatch):
         full = wal_prefix_sweep(
             str(tmp_path / "full"), num_ops=24, seed=SEED
         )
+        monkeypatch.setattr(crashsim, "BOUNDARY_STRIDE", 8)
         strided = wal_prefix_sweep(
-            str(tmp_path / "strided"),
-            num_ops=24,
-            seed=SEED,
-            boundary_stride=8,
+            str(tmp_path / "strided"), num_ops=24, seed=SEED
         )
         assert strided.failures == []
         assert strided.crash_points < full.crash_points

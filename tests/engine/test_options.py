@@ -79,6 +79,27 @@ class TestStoreOptionsValidation:
             StoreOptions(maintenance_threads=threads)
         assert StoreOptions(maintenance_threads=1) == StoreOptions()
 
+    @pytest.mark.parametrize("limit", [6, 8])
+    def test_a_limit_tiering_can_rest_at_is_refused_at_open(self, tmp_path, limit):
+        """At T = 3 and four levels tiering rests at up to two runs a
+        level, eight in all, with no merge eligible: a limit of eight or
+        less would close the gate mid-run with nothing to merge."""
+        directory = tmp_path / "db"
+        with pytest.raises(ConfigurationError, match=f"limit {limit} .* up to 8 "):
+            options = StoreOptions(
+                policy="tiering", size_ratio=3, levels=4, constraint_limit=limit
+            )
+            LSMStore.open(str(directory), options)
+        assert not directory.exists()
+
+    def test_the_lowest_limit_tiering_can_always_meet_opens(self, tmp_path):
+        options = StoreOptions(
+            policy="tiering", size_ratio=3, levels=4, constraint_limit=9
+        )
+        with LSMStore.open(str(tmp_path), options) as store:
+            store.put(b"k", b"v")
+            assert store.get(b"k") == b"v"
+
     def test_with_returns_updated_copy(self):
         base = StoreOptions()
         updated = base.with_(scheduler="fair")

@@ -19,7 +19,8 @@ import threading
 import pytest
 
 from repro.engine import LSMStore, StoreOptions
-from repro.errors import ClosedError, ConfigurationError
+from repro.errors import ClosedError, FaultInjectedError
+from repro.faults import FaultPlan, FaultRule
 
 #: A tree this tight stalls after a handful of held-back rotations:
 #: limit 5 >= 2 * levels + 1, so every stall has mergeable work and is
@@ -196,18 +197,33 @@ def test_a_write_that_rode_the_stall_out_exits_it_resumed(tmp_path):
 
 
 def test_a_stall_nothing_can_clear_exits_failed(tmp_path):
-    """One component allowed and tiering never merges a lone run: the
-    put raises — and used to be logged as ``resumed``."""
-    options = StoreOptions(
-        memtable_bytes=4096,
-        policy="tiering",
-        constraint_limit=1,
-        background_maintenance=False,
-    )
-    with LSMStore.open(str(tmp_path), options) as store:
-        with pytest.raises(ConfigurationError, match="too tight"):
-            for index in range(10_000):
-                store.put(b"fill-%06d" % index, b"x" * 256)
+    """The stalled writer runs the held-back work itself, and the disk
+    fails the first run file write it makes: the put raises, and the
+    stall, which nothing cleared, exits ``failed`` (it used to be
+    logged as ``resumed``)."""
+
+    def stall(directory: str, plan: FaultPlan) -> LSMStore:
+        store = LSMStore.open(directory, STALL_OPTIONS.with_(fault_plan=plan))
+        hold_back_merges(store)
+        index = 0
+        while not store.write_stalled:
+            # Sixteen keys, so every run overlaps the others and a merge
+            # rewrites its inputs instead of linking their files.
+            store.put(b"fill-%02d" % (index % 16), b"x" * 256)
+            index += 1
+        return store
+
+    # Inline maintenance replays alike: the gate closes after as many
+    # run file writes on a second store.
+    dry = FaultPlan()
+    with stall(str(tmp_path / "dry"), dry):
+        written = dry.occurrences("sstable.write")
+    plan = FaultPlan([FaultRule("sstable.write", written)])
+    with stall(str(tmp_path / "db"), plan) as store:
+        release_merges(store)
+        with pytest.raises(FaultInjectedError):
+            store.put(b"after", b"x" * 256)
+        assert plan.fired
         assert stall_outcomes(store) == ["failed"]
         assert store.stats().write_stalls == 1
 

@@ -1,5 +1,8 @@
 """A frame-aware faulty TCP proxy for length-prefixed frames.
 
+A test helper: ``tests/test_netsim.py`` drives the client's retry and
+reconnect paths through it.
+
 :class:`FaultyProxy` sits between a :class:`~repro.server.KVClient` and
 a real server and misbehaves on a per-connection *script*: each accepted
 connection consumes the next behavior from the script (then defaults to

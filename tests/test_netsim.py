@@ -1,7 +1,7 @@
 """Network-fault tests: the client against a scripted faulty proxy.
 
 A real :class:`~repro.server.KVServer` sits behind a
-:class:`~repro.faults.FaultyProxy`, and the client connects to the
+:class:`~tests.netsim.FaultyProxy`, and the client connects to the
 proxy. Each test scripts a specific misbehavior — refused connection,
 torn response frame, mid-conversation drop, injected latency — and
 asserts the client survives it through its retry/reconnect machinery
@@ -14,16 +14,17 @@ import pytest
 
 from repro.engine import LSMStore, StoreOptions
 from repro.errors import RetriesExhaustedError
-from repro.faults import FaultyProxy
-from repro.faults.netsim import (
+from repro.server.client import KVClient
+from repro.server.service import KVServer
+
+from .netsim import (
     PASS,
     REFUSE,
+    FaultyProxy,
     delay_frames,
     drop_after,
     partial_frame,
 )
-from repro.server.client import KVClient
-from repro.server.service import KVServer
 
 OPTIONS = StoreOptions(
     memtable_bytes=1 << 20,

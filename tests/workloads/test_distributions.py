@@ -96,8 +96,9 @@ class TestHotspotKeys:
 
         dist = HotspotKeys(10_000, hot_fraction=0.2, hot_probability=0.8)
         keys = dist.sample(np.random.default_rng(6), 50_000)
-        stride = 10_000 // dist.hot_count
-        hot_keys = {(r * stride) % 10_000 for r in range(dist.hot_count)}
+        hot_count = 2_000  # a fifth of the keys, spread evenly
+        stride = 10_000 // hot_count
+        hot_keys = {(r * stride) % 10_000 for r in range(hot_count)}
         hot_hits = sum(1 for k in keys if int(k) in hot_keys)
         assert hot_hits / 50_000 > 0.75
 

@@ -111,18 +111,6 @@ class TestMergeSlice:
             uniform_model.merge_slice([uniform_model.empty_profile()], 0.0)
 
 
-class TestSubModel:
-    def test_sub_model_mass_is_consistent(self, zipf_model):
-        sub = zipf_model.sub_model(0.25)
-        # a flush into the slice sees conditional probabilities
-        profile = sub.flush_profile(1_000)
-        assert sub.unique_count(profile) <= 1_000
-
-    def test_invalid_fraction_raises(self, zipf_model):
-        with pytest.raises(ConfigurationError):
-            zipf_model.sub_model(0.0)
-
-
 class TestBucketing:
     def test_uniform_collapses_to_single_bucket(self, uniform_model):
         assert uniform_model.buckets == 1
