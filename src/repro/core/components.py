@@ -68,13 +68,15 @@ class Component:
 class MergeDescriptor:
     """A merge operation requested by a policy, to be run by a scheduler.
 
-    ``inputs`` are ordered oldest-first. ``target_level`` is where the
-    output lands. ``reason`` is a free-form tag used by metrics ("L0",
-    "level-3", "size-tiered" ...). The runtime progress fields are owned by
-    the executor: ``remaining_input_bytes`` counts down from
-    ``input_bytes`` as the merge reads, which is also the quantity the
-    greedy scheduler ranks by (the paper's "remaining input pages"
-    approximation, Fig. 7 line 12).
+    ``inputs`` carry no age order: an executor that reconciles them
+    decides which copy of a key is newest itself (the engine by sequence
+    stamp). ``target_level`` is where the output lands. ``reason`` is a
+    free-form tag used by metrics ("L0", "level-3", "size-tiered" ...).
+    The runtime progress fields are owned by the executor:
+    ``remaining_input_bytes`` counts down from ``input_bytes`` as the
+    merge reads, which is also the quantity the greedy scheduler ranks
+    by (the paper's "remaining input pages" approximation, Fig. 7 line
+    12).
     """
 
     uid: int
@@ -130,8 +132,8 @@ class TreeSnapshot:
     """A read-only view of the tree's disk components, grouped by level.
 
     Policies receive this on every decision point. Components within a
-    level are ordered oldest-first, which is the order merges must respect
-    for correctness (newer entries shadow older ones).
+    level are ordered oldest-first, so a policy can take a level's oldest
+    runs first.
     """
 
     def __init__(self, components: Iterable[Component]) -> None:

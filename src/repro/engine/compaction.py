@@ -466,21 +466,19 @@ class CompactionManager:
             raise failure
 
     def _start_job(self, descriptor: MergeDescriptor) -> OSError | None:
-        oldest_live = min(
-            c.handle.sequence for c in self._components.values()
-        )
-        drops = any(
-            c.handle.sequence == oldest_live for c in descriptor.inputs
-        )
+        # Newest first by sequence stamp, as reads probe runs: a
+        # policy's input order says nothing about age.
+        inputs = sorted(descriptor.inputs, key=lambda c: -c.handle.sequence)
+        oldest_live = min(c.handle.sequence for c in self._components.values())
         try:
             output_run_id = self._manifest.allocate_run_id()
             job = MergeJob(
                 descriptor,
-                [self._runs[component.uid] for component in descriptor.inputs],
+                [(c.uid, self._runs[c.uid]) for c in inputs],
                 os.path.join(self._directory, f"{output_run_id:08d}.run"),
                 self._options,
                 self._rate_limiter,
-                drop_tombstones=drops,
+                drop_tombstones=inputs[-1].handle.sequence == oldest_live,
             )
         except OSError as exc:
             # Nothing is started (the output cannot be opened): the

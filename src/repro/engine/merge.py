@@ -140,7 +140,9 @@ def _link_order(
 class MergeJob:
     """An in-flight merge: incremental reconciliation into a new run.
 
-    A k-way merge over block cursors, newest input first. Each round
+    A k-way merge over block cursors, one per ``(run id, run)`` of
+    ``inputs``, newest first: the compaction manager orders them by
+    sequence stamp, as reads order the runs they probe. Each round
     picks the input with the smallest head (the newest on a tie, whose
     entry shadows the others' — :func:`reconciling_iterator`'s rule,
     stated once in :func:`~repro.engine.iterators.pick_head`) and
@@ -172,14 +174,15 @@ class MergeJob:
     def __init__(
         self,
         descriptor: MergeDescriptor,
-        runs: list[Run],
+        inputs: list[tuple[int, Run]],
         output_path: str,
         options: StoreOptions,
         rate_limiter: RateLimiter,
         drop_tombstones: bool,
     ) -> None:
         self.descriptor = descriptor
-        self._runs = runs
+        self._inputs = inputs
+        self._runs = runs = [run for _, run in inputs]
         self._drop_tombstones = drop_tombstones
         self.links = _link_order(runs, drop_tombstones)
         # Progress is tracked against *logical* input bytes because a
@@ -282,9 +285,8 @@ class MergeJob:
             # Held before the first loads: if one raises, close_readers
             # closes every handle the loads before it opened.
             self._cursors = [
-                _BlockCursor(c.uid, run)
-                for c, run in zip(self.descriptor.inputs, self._runs)
-            ][::-1]
+                _BlockCursor(run_id, run) for run_id, run in self._inputs
+            ]
             for cursor in self._cursors:
                 cursor.load()
             self._cursors = [c for c in self._cursors if c.key is not None]

@@ -71,7 +71,7 @@ def make_job(
     try:
         job = MergeJob(
             descriptor,
-            runs,
+            list(enumerate(runs))[::-1],
             str(output),
             options,
             limiter or RateLimiter(0),

@@ -183,3 +183,30 @@ class TestCrashRecovery:
         assert manager2.version.levels == {1: 1}
         manager2.close()
         manifest2.close()
+
+
+class TestNewestCopyWins:
+    """A merge keeps the newest copy of a key whatever order its policy
+    lists the inputs in: leveling and lazy leveling list the incoming
+    runs before the older resident they absorb."""
+
+    @pytest.mark.parametrize(
+        "policy, size_ratio, versions",
+        [("leveling", 3, 4), ("lazy-leveling", 2, 8)],
+    )
+    def test_reopen_reads_the_last_put(
+        self, tmp_path, policy, size_ratio, versions
+    ):
+        options = StoreOptions(
+            memtable_bytes=4096, policy=policy, size_ratio=size_ratio,
+            levels=2,
+        )
+        directory = str(tmp_path / "db")
+        with LSMStore.open(directory, options) as store:
+            for version in range(versions):
+                store.put(b"key", b"v%d" % version)
+                store.flush()
+                store.maintenance()
+            assert store.stats().merges_completed >= 1
+        with LSMStore.open(directory, options) as store:
+            assert store.get(b"key") == b"v%d" % (versions - 1)

@@ -140,11 +140,35 @@ class EngineWithASmallCacheMatchesDict(EngineMatchesDict):
             assert value == self.model.get(key)
 
 
-for machine in (EngineMatchesDict, EngineWithASmallCacheMatchesDict):
+class EngineUnderLevelingMatchesDict(EngineMatchesDict):
+    """The same machine under leveling, whose merges list the incoming
+    run before the older resident it absorbs."""
+
+    options = OPTIONS.with_(policy="leveling")
+
+
+class EngineUnderLazyLevelingMatchesDict(EngineMatchesDict):
+    """The same machine under lazy leveling: tiered levels over one
+    leveled last level that each merge into it absorbs."""
+
+    options = OPTIONS.with_(policy="lazy-leveling")
+
+
+MACHINES = (
+    EngineMatchesDict,
+    EngineWithASmallCacheMatchesDict,
+    EngineUnderLevelingMatchesDict,
+    EngineUnderLazyLevelingMatchesDict,
+)
+for machine in MACHINES:
     machine.TestCase.settings = settings(
         max_examples=15, stateful_step_count=30, deadline=None
     )
 TestEngineMatchesDict = EngineMatchesDict.TestCase
 TestEngineWithASmallCacheMatchesDict = (
     EngineWithASmallCacheMatchesDict.TestCase
+)
+TestEngineUnderLevelingMatchesDict = EngineUnderLevelingMatchesDict.TestCase
+TestEngineUnderLazyLevelingMatchesDict = (
+    EngineUnderLazyLevelingMatchesDict.TestCase
 )
