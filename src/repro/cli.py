@@ -391,7 +391,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     from .engine import verify_store
 
-    report = verify_store(args.directory, policy=args.policy)
+    report = verify_store(args.directory)
     print(report.summary())
     _write_json(args.json_out, dict(asdict(report), clean=report.clean))
     return 0 if report.clean else 1
@@ -740,13 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_cmd.add_argument("directory", help="LSMStore data directory")
     _add_json_out(verify_cmd)
-    from .engine.options import ENGINE_POLICIES
-
-    verify_cmd.add_argument(
-        "--policy", default=None, choices=ENGINE_POLICIES,
-        help="merge policy the store ran with; 'leveling' additionally "
-        "enforces the partitioned-level no-overlap invariant",
-    )
     verify_cmd.set_defaults(handler=_cmd_verify)
 
     scrub_cmd = commands.add_parser(

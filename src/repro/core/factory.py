@@ -51,10 +51,6 @@ _POLICIES = {
     ),
 }
 
-#: Policies whose levels hold ``T`` components each: ``T`` is a count.
-_WHOLE_RATIO = ("tiering", "lazy-leveling")
-
-
 def level_capacities(policy: MergePolicy) -> dict[int, float]:
     """Level capacities of a leveled tree (none for any other), which
     bLSM's spring-and-gear paces merges and writes by."""
@@ -125,14 +121,11 @@ def _lookup(table: dict, name: str, kind: str, known: tuple[str, ...]):
 def build_policy(
     name: str, size_ratio: float, levels: int, memory_bytes: float
 ) -> MergePolicy:
-    """The merge policy ``name`` (each ignores what it does not use);
-    tiering and lazy leveling refuse a fractional size ratio."""
-    build = _lookup(_POLICIES, name, "policy", POLICIES)
-    if name in _WHOLE_RATIO and size_ratio != int(size_ratio):
-        raise ConfigurationError(
-            f"{name} needs a whole size ratio, got {size_ratio}"
-        )
-    return build(size_ratio, levels, memory_bytes)
+    """The merge policy ``name`` (each ignores what it does not use); one
+    with a tiered level refuses a fractional size ratio."""
+    return _lookup(_POLICIES, name, "policy", POLICIES)(
+        size_ratio, levels, memory_bytes
+    )
 
 
 def build_scheduler(name: str, policy: MergePolicy) -> MergeScheduler:

@@ -1,11 +1,9 @@
 """Merge policies: which components to merge (Figure 2, Sections 5-6)."""
 
 from .base import MergePolicy
-from .lazy_leveling import LazyLevelingPolicy
-from .leveling import LevelingPolicy
+from .layout import LazyLevelingPolicy, LevelingPolicy, TieringPolicy
 from .partitioned import PartitionedLevelingPolicy
 from .size_tiered import SizeTieredPolicy
-from .tiering import TieringPolicy
 
 __all__ = [
     "LazyLevelingPolicy",

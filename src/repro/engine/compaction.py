@@ -35,7 +35,7 @@ from .quarantine import QuarantineEntry, QuarantineSet
 from .ratelimiter import RateLimiter
 from .runs import Run
 from .sstable import SSTableReader, SSTableWriter
-from .version import Version, build_version
+from .version import Version, build_version, newest_first
 
 #: Upper key bound recorded when a run is quarantined before its meta
 #: block could be read — wide enough that any plausible key is covered.
@@ -466,9 +466,8 @@ class CompactionManager:
             raise failure
 
     def _start_job(self, descriptor: MergeDescriptor) -> OSError | None:
-        # Newest first by sequence stamp, as reads probe runs: a
-        # policy's input order says nothing about age.
-        inputs = sorted(descriptor.inputs, key=lambda c: -c.handle.sequence)
+        # A policy's input order says nothing about age.
+        inputs = newest_first(descriptor.inputs)
         oldest_live = min(c.handle.sequence for c in self._components.values())
         try:
             output_run_id = self._manifest.allocate_run_id()

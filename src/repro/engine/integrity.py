@@ -5,11 +5,11 @@ A production storage engine needs a way to audit its on-disk state:
 runs the scrubber's :class:`~repro.engine.scrub.BlockCheck` over it
 (block checksums, key order, entry and tombstone counts and key bounds
 against the meta block) and probes its point filter with every key,
-checks key order across a run's files, checks that every file belongs to
-exactly one live run, and cross-checks level invariants (partitioned
-levels must not have overlapping runs). Returns a report rather than
-raising on first error, so operators see the full damage picture at
-once.
+checks key order across a run's files, and checks that every file
+belongs to exactly one live run. Runs at one level may overlap: reads
+probe every run newest first by sequence stamp. Returns a report rather
+than raising on first error, so operators see the full damage picture
+at once.
 """
 
 from __future__ import annotations
@@ -85,35 +85,11 @@ class IntegrityReport:
         return "\n".join(lines)
 
 
-def _check_partitioned_levels(
-    by_level: dict[int, list], report: IntegrityReport
-) -> None:
-    """Flag overlapping runs inside partitioned levels.
-
-    Under the leveling policy every level >= 1 is a sorted partition of
-    the keyspace: runs must cover disjoint key ranges, or reads would
-    consult the wrong run and merges would silently drop entries.
-    Level 0 is exempt (freshly flushed runs legitimately overlap).
-    """
-    for level, spans in sorted(by_level.items()):
-        if level == 0 or len(spans) < 2:
-            continue
-        ordered = sorted(spans)
-        for (_, prev_max, prev_name), (next_min, _, next_name) in zip(
-            ordered, ordered[1:]
-        ):
-            if next_min <= prev_max:
-                report.problems.append(
-                    f"level {level}: {prev_name} (max {prev_max!r}) overlaps "
-                    f"{next_name} (min {next_min!r}) in a partitioned level"
-                )
-
-
 def verify_files(
     directory: str, files: tuple[str, ...], report: IntegrityReport
-) -> list[tuple[bytes, bytes, str]] | None:
-    """Verify one run's files; ``(min, max, name)`` of each non-empty
-    one, in the run's order — None if any file could not be checked."""
+) -> bool:
+    """Verify one run's files, in the run's order; True when every one
+    checked clean."""
     bounds = []
     problems = len(report.problems)
     for name in files:
@@ -154,7 +130,7 @@ def verify_files(
                 f"{upper}: starts at or below the end of {lower}, the "
                 f"file before it in its run"
             )
-    return bounds if len(report.problems) == problems else None
+    return len(report.problems) == problems
 
 
 def require_store(directory: str) -> None:
@@ -163,16 +139,12 @@ def require_store(directory: str) -> None:
         raise ConfigurationError(f"no store at {directory}: no MANIFEST")
 
 
-def verify_store(directory: str, policy: str | None = None) -> IntegrityReport:
+def verify_store(directory: str) -> IntegrityReport:
     """Audit every live run referenced by the store's manifest.
 
-    ``policy`` is the merge policy the store was run with; when it is
-    ``"leveling"`` the audit additionally enforces the partitioned-level
-    invariant (no overlapping runs within a level >= 1). Tiering
-    policies legitimately stack overlapping runs per level, so the check
-    is skipped unless the caller asserts the policy. Orphans are run
-    files no live run names; a file two live runs name is a problem.
-    A directory with no manifest is refused (:func:`require_store`).
+    Orphans are run files no live run names; a file two live runs name
+    is a problem. A directory with no manifest is refused
+    (:func:`require_store`).
     """
     require_store(directory)
     report = IntegrityReport()
@@ -202,21 +174,12 @@ def verify_store(directory: str, policy: str | None = None) -> IntegrityReport:
         for name in sorted(os.listdir(directory)):
             if name.endswith(".run") and name not in owners:
                 report.orphan_files.append(name)
-        by_level: dict[int, list] = {}
         for record in live:
             report.components_per_level[record.level] = (
                 report.components_per_level.get(record.level, 0) + 1
             )
-            bounds = verify_files(directory, record.files, report)
-            if bounds is None:
-                continue
-            if bounds:
-                by_level.setdefault(record.level, []).append(
-                    (bounds[0][0], bounds[-1][1], f"run {record.run_id}")
-                )
-            report.runs_checked += 1
-        if policy == "leveling":
-            _check_partitioned_levels(by_level, report)
+            if verify_files(directory, record.files, report):
+                report.runs_checked += 1
         report.quarantined_runs = [
             entry.run_id for entry in QuarantineSet(directory).entries()
         ]

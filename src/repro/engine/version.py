@@ -24,7 +24,7 @@ what the store adds is the lock and the row a get may leave behind
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..core.components import Component, TreeSnapshot
 from ..errors import CorruptionError
@@ -167,6 +167,12 @@ class Version:
         ]
 
 
+def newest_first(components: Iterable[Component]) -> list[Component]:
+    """``components`` newest first by sequence stamp: the order reads
+    probe runs in, and merges reconcile their inputs in."""
+    return sorted(components, key=lambda c: c.handle.sequence, reverse=True)
+
+
 def build_version(
     active: MemTable,
     sealed: tuple[MemTable, ...],
@@ -184,16 +190,13 @@ def build_version(
             components.values(), key=lambda c: (c.level, c.handle.sequence)
         )
     )
-    newest_first = sorted(
-        components.values(), key=lambda c: c.handle.sequence, reverse=True
-    )
     return Version(
         active=active,
         sealed=sealed,
         memtables=(active, *reversed(sealed)),
         plan=tuple(  # a closed store's names none: it let go of its runs
             (c.uid, element)
-            for c in newest_first
+            for c in newest_first(components.values())
             if (element := quarantine.get(c.uid) or runs.get(c.uid))
         ),
         snapshot=snapshot,

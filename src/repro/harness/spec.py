@@ -29,11 +29,9 @@ from ..errors import ConfigurationError
 from ..sim import (
     SimConfig,
     bench_config,
-    loaded_lazy_leveling_tree,
-    loaded_leveling_tree,
+    loaded_layout_tree,
     loaded_partitioned_tree,
     loaded_size_tiered_stack,
-    loaded_tiering_tree,
 )
 from ..workloads import KeyspaceModel, UniformKeys, ZipfianKeys
 
@@ -115,7 +113,7 @@ class ExperimentSpec:
     @classmethod
     def _by_ratio(
         cls, policy: str, size_ratio: float, scheduler: str, scale: float,
-        bootstrap: Callable, min_levels: int = 1, **overrides,
+        min_levels: int = 1, **overrides,
     ) -> "ExperimentSpec":
         """A setup whose levels grow by ``size_ratio`` until they hold
         the scaled dataset, with the factory's ``policy`` over them."""
@@ -130,7 +128,7 @@ class ExperimentSpec:
                 build_policy, policy, size_ratio, max(levels, min_levels),
                 config.memory_component_bytes,
             ),
-            bootstrap=bootstrap,
+            bootstrap=loaded_layout_tree,
             scheduler=scheduler,
             **overrides,
         )
@@ -150,7 +148,7 @@ class ExperimentSpec:
     ) -> "ExperimentSpec":
         """Section 5.2's tiering setup (T=3, eight-ish levels)."""
         return cls._by_ratio(
-            "tiering", size_ratio, scheduler, scale, loaded_tiering_tree,
+            "tiering", size_ratio, scheduler, scale,
             distribution=distribution, **overrides,
         )
 
@@ -168,7 +166,7 @@ class ExperimentSpec:
         ``dynamic_level_sizes``, the last level's capacity is the
         dataset's footprint."""
         spec = cls._by_ratio(
-            "leveling", size_ratio, scheduler, scale, loaded_leveling_tree,
+            "leveling", size_ratio, scheduler, scale,
             distribution=distribution, **overrides,
         )
         if not dynamic_level_sizes:
@@ -191,8 +189,7 @@ class ExperimentSpec:
         """The Dostoevsky-style extension policy (DESIGN.md Section 8):
         tiering at intermediate levels, leveling at the last."""
         return cls._by_ratio(
-            "lazy-leveling", size_ratio, scheduler, scale,
-            loaded_lazy_leveling_tree, min_levels=2,
+            "lazy-leveling", size_ratio, scheduler, scale, min_levels=2,
             distribution=distribution, **overrides,
         )
 
@@ -310,7 +307,7 @@ class ExperimentSpec:
             name="blsm-spring-gear",
             config=config,
             policy_factory=build,
-            bootstrap=loaded_leveling_tree,
+            bootstrap=loaded_layout_tree,
             scheduler="spring",
             testing_scheduler="spring",
             constraint="local",

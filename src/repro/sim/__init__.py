@@ -1,11 +1,9 @@
 """The discrete-event LSM simulator: the reproduction's testbed substrate."""
 
 from .bootstrap import (
-    loaded_lazy_leveling_tree,
-    loaded_leveling_tree,
+    loaded_layout_tree,
     loaded_partitioned_tree,
     loaded_size_tiered_stack,
-    loaded_tiering_tree,
 )
 from .config import MiB, SimConfig, bench_config, paper_config
 from .lsm import SimulatedLSMTree
@@ -43,10 +41,8 @@ __all__ = [
     "pages_per_query",
     "simulate_dataset",
     "simulate_queries",
-    "loaded_lazy_leveling_tree",
-    "loaded_leveling_tree",
+    "loaded_layout_tree",
     "loaded_partitioned_tree",
     "loaded_size_tiered_stack",
-    "loaded_tiering_tree",
     "paper_config",
 ]

@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 
 from ..core.components import Component, UidAllocator
-from ..core.policies.lazy_leveling import LazyLevelingPolicy
-from ..core.policies.leveling import LevelingPolicy
+from ..core.policies.layout import LEVELED, TIERED, LayoutPolicy
 from ..core.policies.partitioned import PartitionedLevelingPolicy
 from ..core.policies.size_tiered import SizeTieredPolicy
-from ..core.policies.tiering import TieringPolicy
 from ..errors import ConfigurationError
 from ..workloads.keyspace import KeyspaceModel
 from .config import SimConfig
@@ -57,51 +55,41 @@ def _subset_component(
     )
 
 
-def loaded_leveling_tree(
-    policy: LevelingPolicy,
+def loaded_layout_tree(
+    policy: LayoutPolicy,
     keyspace: KeyspaceModel,
     config: SimConfig,
     uids: UidAllocator,
 ) -> list[Component]:
-    """One component per level; intermediate levels half full, the last
-    level holding the bulk of the keyspace (paper: "nearly full")."""
-    components: list[Component] = []
-    remaining = float(keyspace.keyspace)
-    last_unique = remaining * 0.9
-    components.append(
-        _subset_component(uids, keyspace, config, policy.levels, last_unique)
-    )
-    for level in range(1, policy.levels):
-        capacity_entries = policy.level_capacity_bytes(level) / config.entry_bytes
-        components.append(
-            _subset_component(
-                uids, keyspace, config, level, capacity_entries * 0.5
-            )
-        )
-    return components
-
-
-def loaded_tiering_tree(
-    policy: TieringPolicy,
-    keyspace: KeyspaceModel,
-    config: SimConfig,
-    uids: UidAllocator,
-) -> list[Component]:
-    """Half-full levels of ``T``-sized runs; the last level splits the
-    bulk of the keyspace across two components."""
-    components: list[Component] = []
+    """The loaded tree of a tiering, leveling or lazy-leveling layout.
+    The last level holds the bulk of the keyspace (the paper: "nearly
+    full"): two runs of half and four tenths of it when tiered, one of
+    nine tenths when leveled. Every other tiered level holds ``T // 2``
+    runs of ``M * T**i`` entries, every other leveled level one run at
+    half its capacity; a landing level holds none. Components are
+    allocated last level first."""
     total = float(keyspace.keyspace)
-    last = policy.levels - 1
-    for share in (0.5, 0.4):
-        components.append(
-            _subset_component(uids, keyspace, config, last, total * share)
-        )
-    memory_entries = config.memory_component_entries
-    for level in range(0, last):
-        run_entries = memory_entries * policy.size_ratio**level
-        for _ in range(max(1, policy.size_ratio // 2)):
+    last = len(policy.layout) - 1
+    shares = (0.5, 0.4) if policy.layout[last] == TIERED else (0.9,)
+    components = [
+        _subset_component(uids, keyspace, config, last, total * share)
+        for share in shares
+    ]
+    memory, ratio = config.memory_component_entries, policy.size_ratio
+    for level, kind in enumerate(policy.layout[:last]):
+        if kind == TIERED:
+            components += [
+                _subset_component(
+                    uids, keyspace, config, level, memory * ratio**level
+                )
+                for _ in range(ratio // 2)
+            ]
+        elif kind == LEVELED:
+            capacity = policy.level_capacity_bytes(level) / config.entry_bytes
             components.append(
-                _subset_component(uids, keyspace, config, level, run_entries)
+                _subset_component(
+                    uids, keyspace, config, level, capacity * 0.5
+                )
             )
     return components
 
@@ -190,26 +178,3 @@ def _partitioned_level(
             )
         )
     return files
-
-
-def loaded_lazy_leveling_tree(
-    policy: LazyLevelingPolicy,
-    keyspace: KeyspaceModel,
-    config: SimConfig,
-    uids: UidAllocator,
-) -> list[Component]:
-    """Lazy leveling: half-full tiered levels plus one big leveled run."""
-    components: list[Component] = []
-    total = float(keyspace.keyspace)
-    last = policy.levels - 1
-    components.append(
-        _subset_component(uids, keyspace, config, last, total * 0.9)
-    )
-    memory_entries = config.memory_component_entries
-    for level in range(0, last):
-        run_entries = memory_entries * policy.size_ratio**level
-        for _ in range(max(1, policy.size_ratio // 2)):
-            components.append(
-                _subset_component(uids, keyspace, config, level, run_entries)
-            )
-    return components

@@ -46,7 +46,7 @@ from ..workloads import (
     KeyspaceModel,
     UniformKeys,
 )
-from .bootstrap import loaded_tiering_tree
+from .bootstrap import loaded_layout_tree
 from .config import SimConfig, bench_config
 from .lsm import SimulatedLSMTree
 from .queries import QueryDevice, pages_per_query, QueryWorkload
@@ -248,7 +248,7 @@ def _tree_for(
         "tiering", setup.size_ratio, levels, tree_config.memory_component_bytes
     )
     keyspace = KeyspaceModel(UniformKeys(tree_config.total_keys))
-    components = loaded_tiering_tree(policy, keyspace, tree_config, UidAllocator())
+    components = loaded_layout_tree(policy, keyspace, tree_config, UidAllocator())
     if isinstance(arrivals, ConstantArrivals):
         arrivals = ConstantArrivals(arrivals.rate * arrival_multiplier)
     return SimulatedLSMTree(

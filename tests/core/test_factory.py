@@ -44,6 +44,11 @@ class TestBuildPolicy:
             with pytest.raises(ConfigurationError, match="whole size ratio"):
                 build_policy(name, 2.7, 4, MEMORY)
 
+    @pytest.mark.parametrize("build", [TieringPolicy, LazyLevelingPolicy])
+    def test_the_constructors_refuse_a_fractional_ratio_too(self, build):
+        with pytest.raises(ConfigurationError, match="whole size ratio"):
+            build(2.5, 4)
+
     def test_unknown_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown policy"):
             build_policy("btree", 3, 4, MEMORY)

@@ -104,22 +104,20 @@ class TestVerifyStore:
 
         manifest.add_run(manifest.allocate_run_id(), 1, (write(0), write(100)))
         manifest.add_run(manifest.allocate_run_id(), 1, (write(200),))
-        report = verify_store(directory, policy="leveling")
+        report = verify_store(directory)
         assert report.runs_checked == 2 and report.entries_checked == 30
         assert report.orphan_files == [] and report.clean
-        # Between the first run's files, yet inside its bounds: the
-        # partition check goes by runs.
+        # Between the first run's files, yet inside its bounds: runs at
+        # one level may overlap, only a run's own files may not.
         manifest.add_run(manifest.allocate_run_id(), 1, (write(50),))
         manifest.add_run(manifest.allocate_run_id(), 0, (write(310), write(300)))
         manifest.close()
         os.remove(os.path.join(directory, "00000200.run"))
-        report = verify_store(directory, policy="leveling")
+        report = verify_store(directory)
         assert sorted(report.problems) == sorted([
             "00000200.run: referenced by manifest but missing",
             "00000300.run: starts at or below the end of 00000310.run, "
             "the file before it in its run",
-            "level 1: run 1 (max b'k109') overlaps run 3 (min b'k050') in "
-            "a partitioned level",
         ])
 
 
@@ -148,48 +146,15 @@ class TestPartitionedLevels:
             manifest.close()
         return directory
 
-    def test_overlap_flagged_under_leveling(self, tmp_path):
-        directory = self._store_with_levels(
-            tmp_path,
-            {1: [[b"a", b"m"], [b"g", b"z"]]},
-        )
-        report = verify_store(directory, policy="leveling")
-        assert not report.clean
-        assert any("overlaps" in problem for problem in report.problems)
-
     def test_overlap_ignored_without_policy(self, tmp_path):
-        # Tiering stacks overlapping runs per level legitimately; the
-        # invariant only applies when the caller asserts leveling.
+        # Tiering stacks overlapping runs per level, and leveling holds
+        # C1 and C1' at level 1 while the old run merges down: reads
+        # probe every run by sequence, so overlap is no problem.
         directory = self._store_with_levels(
             tmp_path,
             {1: [[b"a", b"m"], [b"g", b"z"]]},
         )
         assert verify_store(directory).clean
-        assert verify_store(directory, policy="tiering").clean
-
-    def test_disjoint_partitions_are_clean(self, tmp_path):
-        directory = self._store_with_levels(
-            tmp_path,
-            {1: [[b"a", b"f"], [b"g", b"m"], [b"n", b"z"]]},
-        )
-        assert verify_store(directory, policy="leveling").clean
-
-    def test_level_zero_exempt(self, tmp_path):
-        # Freshly flushed L0 runs overlap by construction.
-        directory = self._store_with_levels(
-            tmp_path,
-            {0: [[b"a", b"z"], [b"b", b"y"]]},
-        )
-        assert verify_store(directory, policy="leveling").clean
-
-    def test_touching_bounds_count_as_overlap(self, tmp_path):
-        # Inclusive max == next min means both files claim one key.
-        directory = self._store_with_levels(
-            tmp_path,
-            {2: [[b"a", b"g"], [b"g", b"z"]]},
-        )
-        report = verify_store(directory, policy="leveling")
-        assert not report.clean
 
 
 class TestWalSurface:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    LazyLevelingPolicy,
     LevelingPolicy,
     PartitionedLevelingPolicy,
     SizeTieredPolicy,
@@ -10,17 +11,16 @@ from repro.core import (
     UidAllocator,
 )
 from repro.sim import (
-    loaded_leveling_tree,
+    loaded_layout_tree,
     loaded_partitioned_tree,
     loaded_size_tiered_stack,
-    loaded_tiering_tree,
 )
 
 
 class TestLevelingBootstrap:
     def test_one_component_per_level(self, config, uniform_keyspace):
         policy = LevelingPolicy(10, 3, config.memory_component_bytes)
-        components = loaded_leveling_tree(
+        components = loaded_layout_tree(
             policy, uniform_keyspace, config, UidAllocator()
         )
         levels = sorted(c.level for c in components)
@@ -28,7 +28,7 @@ class TestLevelingBootstrap:
 
     def test_last_level_holds_the_bulk(self, config, uniform_keyspace):
         policy = LevelingPolicy(10, 3, config.memory_component_bytes)
-        components = loaded_leveling_tree(
+        components = loaded_layout_tree(
             policy, uniform_keyspace, config, UidAllocator()
         )
         last = max(components, key=lambda c: c.level)
@@ -36,7 +36,7 @@ class TestLevelingBootstrap:
 
     def test_profiles_consistent_with_sizes(self, config, uniform_keyspace):
         policy = LevelingPolicy(10, 3, config.memory_component_bytes)
-        for component in loaded_leveling_tree(
+        for component in loaded_layout_tree(
             policy, uniform_keyspace, config, UidAllocator()
         ):
             assert uniform_keyspace.unique_count(component.profile) == (
@@ -47,18 +47,31 @@ class TestLevelingBootstrap:
 class TestTieringBootstrap:
     def test_levels_populated(self, config, uniform_keyspace):
         policy = TieringPolicy(3, 7)
-        components = loaded_tiering_tree(
+        components = loaded_layout_tree(
             policy, uniform_keyspace, config, UidAllocator()
         )
         assert {c.level for c in components} >= {0, 6}
 
     def test_total_unique_bounded(self, config, uniform_keyspace):
         policy = TieringPolicy(3, 7)
-        components = loaded_tiering_tree(
+        components = loaded_layout_tree(
             policy, uniform_keyspace, config, UidAllocator()
         )
         for component in components:
             assert component.entry_count <= config.total_keys
+
+
+class TestLazyLevelingBootstrap:
+    def test_tiered_levels_over_one_leveled_run(self, config, uniform_keyspace):
+        policy = LazyLevelingPolicy(4, 3)
+        components = loaded_layout_tree(
+            policy, uniform_keyspace, config, UidAllocator()
+        )
+        assert [c.level for c in components] == [2, 0, 0, 1, 1]
+        assert components[0].entry_count == 0.9 * config.total_keys
+        assert components[3].entry_count == (
+            4 * config.memory_component_entries
+        )
 
 
 class TestSizeTieredBootstrap:

@@ -15,8 +15,7 @@ from repro.core import (
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim import (
     SimulatedLSMTree,
-    loaded_leveling_tree,
-    loaded_tiering_tree,
+    loaded_layout_tree,
 )
 from repro.workloads import (
     BurstPhase,
@@ -32,7 +31,7 @@ def tiering_tree(config, keyspace, scheduler=None, arrivals=None, limit=None):
     )
     policy = TieringPolicy(3, levels)
     limit = limit or model.default_component_limit(policy.expected_components())
-    initial = loaded_tiering_tree(policy, keyspace, config, UidAllocator())
+    initial = loaded_layout_tree(policy, keyspace, config, UidAllocator())
     return SimulatedLSMTree(
         config=config,
         policy=policy,
@@ -49,7 +48,7 @@ def leveling_tree(config, keyspace, scheduler=None, arrivals=None):
         config.total_keys, config.memory_component_entries, 10
     )
     policy = LevelingPolicy(10, levels, config.memory_component_bytes)
-    initial = loaded_leveling_tree(policy, keyspace, config, UidAllocator())
+    initial = loaded_layout_tree(policy, keyspace, config, UidAllocator())
     return SimulatedLSMTree(
         config=config,
         policy=policy,

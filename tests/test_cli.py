@@ -58,11 +58,8 @@ class TestParser:
         for name in POLICIES:
             assert parser.parse_args(["two-phase", "--policy", name]).policy == name
         for name in ENGINE_POLICIES:
-            parser.parse_args(["verify", "db", "--policy", name])
             args = parser.parse_args(["serve", "db", "--policy", name])
             assert _store_options_from(args).policy == name
-        with pytest.raises(SystemExit):
-            parser.parse_args(["verify", "db", "--policy", "partitioned"])
         # The engine flags carry no choices: StoreOptions refuses the
         # name before the store opens.
         directory = tmp_path / "db"
@@ -206,12 +203,6 @@ class TestVerifyCommand:
         assert payload["runs_checked"] >= 0
         assert payload["wal_state"] in ("clean", "torn", "corrupt")
         assert payload["quarantined_runs"] == []
-
-    def test_policy_flag_parses(self):
-        args = build_parser().parse_args(
-            ["verify", "/tmp/db", "--policy", "leveling"]
-        )
-        assert args.policy == "leveling"
 
 
 class TestScrubCommand:
