@@ -229,7 +229,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         with LSMStore.open(args.directory, options) as store:
-            arbiter = None
+            server = KVServer(
+                store,
+                _admission_from(args),
+                host=args.host,
+                port=args.port,
+                metrics_port=args.metrics_port,
+            )
             if budget is not None:
                 # Single-node deployment: the arbiter still earns its
                 # keep by moving the write/read split with the workload.
@@ -237,14 +243,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     budget, [store], obs=store.obs,
                     interval=args.memory_rebalance_interval,
                 )
-            server = KVServer(
-                store,
-                _admission_from(args),
-                host=args.host,
-                port=args.port,
-                metrics_port=args.metrics_port,
-                memory_arbiter=arbiter,
-            )
+                server.attach_ticker(arbiter.maybe_tick, arbiter.interval)
             async with server:
                 _announce(
                     args, args.directory, server.address,

@@ -14,7 +14,8 @@ from .admission import SCOPES, ClusterAdmission
 from .breaker import STATES as BREAKER_STATES
 from .breaker import CircuitBreaker
 from .ring import HashRing
-from .router import ClusterRouter, LocalCluster
+from .local import LocalCluster
+from .router import ClusterRouter
 from .sharded import ShardedStore
 from .stats import ClusterStats, aggregate_stats
 

@@ -18,7 +18,7 @@ Only *transport* failures (connection refused/reset, timeouts,
 exhausted retries against an unreachable backend) should be recorded as
 failures — a backend answering ``STALLED`` is slow, not dead, and
 tripping on it would amputate a shard that merely needs backpressure.
-That classification lives in the router; the breaker just counts.
+That classification lives in the shard backends; the breaker counts.
 
 The clock is injectable so state transitions are testable without
 wall-clock sleeps; :attr:`transitions` logs every state change.

@@ -40,9 +40,9 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 
+from ..cluster import LocalCluster
 from ..cluster.breaker import CLOSED
 from ..cluster.ring import HashRing
-from ..cluster.router import LocalCluster
 from ..engine.options import StoreOptions
 from ..engine.sstable import _FOOTER as _SSTABLE_FOOTER
 from ..errors import (

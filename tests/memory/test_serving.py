@@ -31,7 +31,8 @@ def test_kvserver_ticker_drives_the_arbiter(tmp_path):
                 obs=store.obs,
                 interval=0.01,
             )
-            server = KVServer(store, memory_arbiter=arbiter)
+            server = KVServer(store)
+            server.attach_ticker(arbiter.maybe_tick, arbiter.interval)
             async with server:
                 await asyncio.sleep(0.3)
             counters = {

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.cluster.router import LocalCluster
+from repro.cluster import LocalCluster
 from repro.engine import StoreOptions
 from repro.errors import ConfigurationError
 from repro.faults import run_chaos

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.cluster.router import LocalCluster
+from repro.cluster import LocalCluster
 from repro.engine import LSMStore, StoreOptions
 from repro.errors import DataCorruptError
 from repro.replication import ReplicatedKVServer

@@ -6,7 +6,7 @@ import asyncio
 
 import pytest
 
-from repro.cluster.router import LocalCluster
+from repro.cluster import LocalCluster
 from repro.engine import LSMStore, StoreOptions
 from repro.errors import RequestFailedError
 from repro.replication import ReplicatedKVServer

@@ -15,7 +15,7 @@ import asyncio
 import math
 import urllib.request
 
-from repro.cluster.router import LocalCluster
+from repro.cluster import LocalCluster
 from repro.engine import LSMStore, StoreOptions
 from repro.obs import (
     Observability,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.router import LocalCluster
+from repro.cluster import LocalCluster
 from repro.engine import LSMStore, StoreOptions, WriteAheadLog
 from repro.errors import ConfigurationError, ProtocolError, RequestFailedError
 from repro.server import binproto, protocol

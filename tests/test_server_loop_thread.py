@@ -61,13 +61,23 @@ def open_store(directory, options: StoreOptions):
     the worker waits without a timeout (every publish, rotation, release
     and close still wakes it), and ``store.settle()`` returns once it is
     back asleep — call it after anything that woke it and before
-    asserting that a write stayed on its thread.
+    asserting that a write stayed on its thread. A notified worker
+    counts as awake from the notify on, not from when it retakes the
+    store lock, so ``settle()`` cannot return in between.
     """
     with LSMStore.open(str(directory), options) as store:
         idle = store._maintenance._changed
         timed_wait = idle.wait
         asleep: set[threading.Thread] = set()
         changed = threading.Condition()
+
+        def waking(notify):
+            def wake(*args):
+                with changed:
+                    asleep.clear()
+                return notify(*args)
+
+            return wake
 
         def wait(timeout=None):
             me = threading.current_thread()
@@ -93,6 +103,8 @@ def open_store(directory, options: StoreOptions):
                 pass
 
         idle.wait = wait
+        idle.notify = waking(idle.notify)
+        idle.notify_all = waking(idle.notify_all)
         with store._lock:
             idle.notify_all()
         store.settle = settle
