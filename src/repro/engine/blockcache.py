@@ -1,40 +1,55 @@
-"""A shared cache of data blocks and point-lookup rows, one byte budget.
+"""A shared cache of data blocks and exact key spans, one byte budget.
 
 The paper's testbed gives AsterixDB a 2 GB buffer cache (Section 3.1);
 this is the engine's equivalent: one byte budget shared by every reader
-of a store, holding two kinds of entry, each in its own LRU list.
+of a store, holding three kinds of entry in two LRU lists.
 
 - **Blocks**, keyed by ``(reader generation, offset)``. Scans put the
   blocks they read; point lookups use a cached block but never add one.
   Runs are immutable, so a block needs no invalidation: a deleted run's
   entries are dropped with its reader, and the per-reader generation
   means a reused file name can never alias stale blocks.
-- **Rows**: a point lookup's answer, ``key -> value`` or "deleted",
-  from the run that held the key. A row caches the one value a lookup
-  wanted instead of the block around it. It is not immutable: a write
-  that commits to a cached key refreshes its row
-  (:meth:`refresh_rows`), and the store drops every row when the set of
-  runs changes what a lookup could answer (docs/engine.md, "Caching and
-  backups").
+- **Spans**: a key interval ``[lo, end)`` whose every live row is
+  cached, so a key inside it with no row is a proven absence. A scan
+  over ``[lo, hi)`` that returned ``limit`` rows leaves ``[lo, last
+  row]``, one that returned fewer ``[lo, hi)``; overlapping or touching
+  spans merge. A scan whose start a span covers and which it holds
+  ``limit`` rows of (or whose end it reaches) is answered from it with
+  no block lookup, and so is a get inside it.
+- **Rows**: the one-key span ``[k, k]`` a get that a run answered
+  leaves, ``key -> value`` or "deleted", held by key: it needs no order.
 
-Rows outrank blocks in the budget, for a hot row saves a block read per
-get and a block a scan reads once saves none (*Breaking Down Memory
-Walls*): a block fits only into the bytes rows leave, and a row evicts
-the least recent block first, a row only when no block is left. Every
-eviction pops the head of one list: O(1), never a walk.
+An answer is admitted only while :attr:`epoch` is where the read found
+it before it pinned its version. Every committed write bumps the epoch
+(:meth:`refresh_rows`, under the cache's lock and after the write
+reached the memtable), and so does every drop of the spans. From there
+the commit path keeps each row and span exact (docs/engine.md, "Caching
+and backups").
 
-A **ghost list** remembers what the budget cost: the ids of the blocks
-and rows it evicted or refused, with their bytes, up to ``ghost_bytes``
-of them. A lookup that misses an entry the ghost still holds is one a
-cache that many bytes larger would have served; its bytes count once
-into :attr:`BlockCache.ghost_hit_bytes`, the read side's marginal
-saving that :mod:`repro.memory` weighs against the memtable's.
+Rows and spans share one LRU list and outrank blocks, for each saves
+every block lookup of a repeat (*Breaking Down Memory Walls*): a block
+fits only into the bytes they leave, and they evict the least recent
+block first, the least recent row or span only when no block is left.
+So that spans do not crowd out the rows of hot keys, a span is admitted
+only on the :data:`SPAN_ADMIT_SCANS`-th scan from its start, and none
+may hold more than :data:`SPAN_SHARE` of the budget.
+
+A **ghost list** remembers what the budget cost: the ids of the entries
+it evicted, and of the blocks and rows it refused, with their bytes, up
+to ``ghost_bytes`` of them; an entry larger than that bound is not
+remembered, so it cannot flush the list. A span's id is the 1-tuple of
+its start key, which only a scan from that key asks for. A lookup that
+misses an entry the ghost holds is one a cache that many bytes larger
+would have served; its bytes count once into
+:attr:`BlockCache.ghost_hit_bytes`, the read side's marginal saving that
+:mod:`repro.memory` weighs against the memtable's.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 
 from ..errors import ConfigurationError
@@ -44,6 +59,42 @@ from ..errors import ConfigurationError
 #: links (~103). tracemalloc on CPython 3.11 x86_64 measured 169 per
 #: row for 6,000 rows of 100 B and of 1 KiB values.
 ROW_OVERHEAD_BYTES = 170
+#: What a span costs beyond its rows and its end key's bytes (the span
+#: object, its two row lists, its LRU entry and key, its slots in the
+#: sorted lists, the end key's header), and what each row in it costs
+#: beyond its key and value bytes (the two bytes objects' headers and a
+#: slot in each row list). tracemalloc on CPython 3.11 x86_64 measured
+#: 466 and 81 over 6,000 one-row and 1,000 fifty-row spans of 1 KiB.
+SPAN_OVERHEAD_BYTES = 470
+SPAN_ROW_OVERHEAD_BYTES = 88
+#: The largest share of the budget one span may hold: a wide scan's span
+#: is refused, as its rows alone would evict most of what is cached.
+SPAN_SHARE = 0.125
+#: A scan's span is admitted on the third scan from its start, counted
+#: over the last ``SCAN_STARTS`` starts: most starts are scanned once,
+#: and a span of 50 rows would take the budget of 50 rows of hot keys.
+SPAN_ADMIT_SCANS = 3
+SCAN_STARTS = 1024
+
+
+class _Span:
+    """Keys ``[lo, end)`` (``end`` None: no upper bound) whose every live
+    row is held: ``keys`` sorted, ``values`` beside them, ``charge`` the
+    bytes the budget counts for all of it."""
+
+    __slots__ = ("lo", "end", "keys", "values", "charge")
+
+    def __init__(self, lo: bytes, end: bytes | None, keys: list, values: list):
+        self.lo, self.end, self.keys, self.values = lo, end, keys, values
+        self.charge = (
+            SPAN_OVERHEAD_BYTES + len(end or b"")
+            + sum(map(len, keys)) + sum(map(len, values))
+            + SPAN_ROW_OVERHEAD_BYTES * len(keys)
+        )
+
+
+#: What ``_answers`` returns for a key with no row (a row may be None).
+_NO_ROW = object()
 
 
 def _row_charge(key: bytes, value: bytes | None) -> int:
@@ -70,12 +121,10 @@ _COUNTERS = (
     ("engine_block_cache_misses_total", "Block lookups that fell through to disk."),
     (
         "engine_block_cache_evictions_total",
-        "Blocks and rows evicted to stay within the cache budget.",
+        "Blocks, spans and rows evicted to stay within the cache budget.",
     ),
-    (
-        "engine_row_cache_hits_total",
-        "Point lookups answered by a cached row, no block read.",
-    ),
+    ("engine_row_cache_hits_total", "Point lookups a cached row or span answered."),
+    ("engine_scan_cache_hits_total", "Range scans a cached span answered."),
     (
         "engine_block_cache_ghost_hit_bytes_total",
         "Bytes of misses on evicted entries the ghost list still held.",
@@ -84,28 +133,40 @@ _COUNTERS = (
 
 
 class BlockCache:
-    """Byte-budgeted cache of data blocks and rows, thread-safe."""
+    """Byte-budgeted cache of data blocks, key spans and rows, thread-safe."""
 
     def __init__(self, capacity_bytes: int, ghost_bytes: int = 0) -> None:
         if capacity_bytes < 0 or ghost_bytes < 0:
             raise ConfigurationError("cache capacity cannot be negative")
         self._capacity = capacity_bytes
-        # Evicted or refused ids, ``(generation, offset)`` for a block
-        # and the key for a row, oldest first, each with its bytes.
+        # Evicted or refused ids, ``(generation, offset)`` for a block,
+        # ``(start key,)`` for a span and the key for a row, oldest
+        # first, each with its bytes.
         self._ghost: OrderedDict[object, int] = OrderedDict()
         self._ghost_capacity = ghost_bytes
         self._ghost_bytes = 0
         self._ghost_hit_bytes = 0
         self._blocks: OrderedDict[tuple[int, int], bytes] = OrderedDict()
-        self._rows: OrderedDict[bytes, bytes | None] = OrderedDict()
+        # Rows by key and spans by ``(start key,)``, one list, least
+        # recent first; and the spans in key order beside their start
+        # keys: disjoint and never touching, so the span that may cover
+        # a key is the one starting last at or before it.
+        self._answers: OrderedDict[object, bytes | None | _Span] = OrderedDict()
+        self._starts: list[bytes] = []
+        self._spans: list[_Span] = []
+        # Recent scan starts with no span yet, and how often each was
+        # scanned, least recent first.
+        self._scan_starts: OrderedDict[bytes, int] = OrderedDict()
         # Per-reader block offsets, so evict_reader drops one reader's
         # blocks without a full scan; a reader's set goes with it.
         self._by_generation: dict[int, set[int]] = {}
         self._block_bytes = 0
-        self._row_bytes = 0
+        self._answer_bytes = 0
+        self._epoch = 0
         self._hits = 0
         self._misses = 0
         self._row_hits = 0
+        self._scan_hits = 0
         self._evictions = 0
         # The totals the last count_into() counted up to.
         self._counted = (0,) * len(_COUNTERS)
@@ -119,8 +180,8 @@ class BlockCache:
 
     @property
     def used_bytes(self) -> int:
-        """Bytes currently cached, blocks and rows."""
-        return self._block_bytes + self._row_bytes
+        """Bytes currently cached: blocks, spans and rows."""
+        return self._block_bytes + self._answer_bytes
 
     @property
     def hits(self) -> int:
@@ -134,8 +195,14 @@ class BlockCache:
 
     @property
     def row_hits(self) -> int:
-        """Point lookups answered by a cached row, with no block lookup."""
+        """Point lookups answered by a cached row or span, with no block
+        lookup."""
         return self._row_hits
+
+    @property
+    def scan_hits(self) -> int:
+        """Range scans answered by a cached span, with no block lookup."""
+        return self._scan_hits
 
     @property
     def evictions(self) -> int:
@@ -152,6 +219,12 @@ class BlockCache:
         """Bytes of evicted or refused entries the ghost list holds."""
         return self._ghost_bytes
 
+    @property
+    def epoch(self) -> int:
+        """How many committed writes and span drops the cache has seen:
+        a read's answer is admitted only at the epoch it began at."""
+        return self._epoch
+
     def count_into(self, registry) -> None:
         """Add to the registry's cache counters what the totals grew by
         since the last call, read under the cache's lock so racing
@@ -159,7 +232,7 @@ class BlockCache:
         with self._lock:
             counts = (
                 self._hits, self._misses, self._evictions, self._row_hits,
-                self._ghost_hit_bytes,
+                self._scan_hits, self._ghost_hit_bytes,
             )
             before, self._counted = self._counted, counts
         for (name, help_text), now, then in zip(_COUNTERS, counts, before):
@@ -198,12 +271,12 @@ class BlockCache:
             return block
 
     def put(self, generation: int, offset: int, block: bytes) -> None:
-        """Insert a block into the bytes the rows leave, evicting least
-        recent blocks; a block that does not fit beside the rows is not
-        cached."""
+        """Insert a block into the bytes rows and spans leave, evicting
+        least recent blocks; a block that does not fit beside them is
+        not cached."""
         with self._lock:
             key = (generation, offset)
-            if len(block) > self._capacity - self._row_bytes:
+            if len(block) > self._capacity - self._answer_bytes:
                 self._remember_locked(key, len(block))
                 return
             self._block_bytes += len(block) - len(self._blocks.pop(key, b""))
@@ -212,52 +285,220 @@ class BlockCache:
             self._evict_locked()
 
     def get_row(self, key: bytes) -> tuple[bool, bytes | None]:
-        """A cached lookup answer as ``(found, value)``: ``(True, None)``
-        is a cached deletion, ``(False, None)`` no row. A miss is not
-        counted: the lookup goes on to blocks, which are."""
+        """A get's answer from the key's row or the span covering it, as
+        ``(found, value)``: ``(True, None)`` is a proven absence,
+        ``(False, None)`` neither. A miss is not counted: the lookup goes
+        on to blocks, which are."""
         with self._lock:
-            if key not in self._rows:
+            answers = self._answers
+            value = answers.get(key, _NO_ROW)
+            if value is not _NO_ROW:
+                answers.move_to_end(key)
+                self._row_hits += 1
+                return True, value
+            span = self._find_locked(key) if self._starts else None
+            if span is None:
                 self._ghost_hit_locked(key)
                 return False, None
-            self._rows.move_to_end(key)
+            answers.move_to_end((span.lo,))
             self._row_hits += 1
-            return True, self._rows[key]
+            keys = span.keys
+            index = bisect_left(keys, key)
+            if index < len(keys) and keys[index] == key:
+                return True, span.values[index]
+            return True, None
 
-    def put_row(self, key: bytes, value: bytes | None) -> None:
-        """Cache a lookup answer (``value`` None: the key is deleted),
-        evicting the least recent block first and a row only when no
-        block is left. A row larger than the whole budget is not
-        cached."""
+    def put_row(self, key: bytes, value: bytes | None, epoch: int) -> None:
+        """Admit a get's answer as the row of ``key`` (``value`` None: the
+        key is deleted), unless a write or a drop came after the get
+        read ``epoch``. A row evicts the least recent block first, the
+        least recent row or span only when no block is left; one larger
+        than the whole budget is not cached."""
         with self._lock:
-            self._put_row_locked(key, value)
+            if epoch == self._epoch:
+                self._put_row_locked(key, value)
+
+    def scan_rows(
+        self, lo: bytes | None, hi: bytes | None, limit: int | None
+    ) -> list[tuple[bytes, bytes]] | None:
+        """A scan's answer from the span covering ``lo``, or None when no
+        span holds ``limit`` rows from ``lo`` nor reaches ``hi``."""
+        lo = lo or b""
+        with self._lock:
+            span = self._find_locked(lo)
+            if span is not None:
+                keys = span.keys
+                first = bisect_left(keys, lo)
+                last = len(keys) if hi is None else bisect_left(keys, hi, first)
+                if limit is not None and last - first >= limit:
+                    last = first + limit
+                elif span.end is not None and (hi is None or hi > span.end):
+                    span = None  # short of ``limit`` rows and of ``hi``
+            if span is None:
+                self._ghost_hit_locked((lo,))
+                return None
+            self._answers.move_to_end((span.lo,))
+            self._scan_hits += 1
+            return list(zip(keys[first:last], span.values[first:last]))
+
+    def put_span(
+        self,
+        lo: bytes | None,
+        hi: bytes | None,
+        limit: int | None,
+        rows: list[tuple[bytes, bytes]],
+        epoch: int,
+    ) -> None:
+        """Admit what a scan over ``[lo, hi)`` returned, unless a write
+        or a drop came after the scan read ``epoch``: ``[lo, last row]``
+        when it returned ``limit`` rows, else ``[lo, hi)``. A span over
+        :data:`SPAN_SHARE` of the budget, merged or not, is refused, and
+        a large answer is refused by its row count before any copy."""
+        end = rows[-1][0] + b"\x00" if len(rows) == limit else hi
+        lo = lo or b""
+        share = self._capacity * SPAN_SHARE
+        if (
+            epoch != self._epoch
+            or (end is not None and lo >= end)
+            or len(rows) * SPAN_ROW_OVERHEAD_BYTES > share
+        ):
+            return
+        with self._lock:
+            scans = self._scan_starts.pop(lo, 0) + 1
+            if scans < SPAN_ADMIT_SCANS:
+                self._scan_starts[lo] = scans
+                if len(self._scan_starts) > SCAN_STARTS:
+                    self._scan_starts.popitem(last=False)
+                return
+        span = _Span(lo, end, [key for key, _ in rows], [v for _, v in rows])
+        if span.charge > share:
+            return
+        with self._lock:
+            if epoch == self._epoch:
+                self._admit_locked(span, share)
 
     def refresh_rows(self, batch) -> None:
         """A committed write's answers, ``(key, value or None)`` pairs in
-        commit order: a cached key's row takes its new value, admitted by
-        :meth:`put_row`'s rule, so a row that no longer fits the budget
-        is dropped. A key with no row gets none."""
+        commit order: a key's row takes its new value, admitted by
+        :meth:`put_row`'s rule; a key inside a span takes its new row, or
+        loses it when deleted, and the span turns most recent, or is
+        dropped once over its share. A key with neither gets none. Bumps
+        the epoch."""
         with self._lock:
+            self._epoch += 1
+            answers, starts = self._answers, self._starts
             for key, value in batch:
-                if key in self._rows:
+                if key in answers:
                     self._put_row_locked(key, value)
+                index = bisect_right(starts, key) if starts else 0
+                if index:  # inline _find_locked: every write passes here
+                    span = self._spans[index - 1]
+                    if span.end is None or key < span.end:
+                        self._refresh_span_locked(span, key, value)
+            if self._block_bytes + self._answer_bytes > self._capacity:
+                self._evict_locked()
+
+    def _refresh_span_locked(
+        self, span: _Span, key: bytes, value: bytes | None
+    ) -> None:
+        keys, values = span.keys, span.values
+        index = bisect_left(keys, key)
+        row = SPAN_ROW_OVERHEAD_BYTES + len(key)
+        if index < len(keys) and keys[index] == key:
+            delta = -row - len(values[index])
+            if value is None:
+                del keys[index], values[index]
+            else:
+                values[index] = value
+                delta += row + len(value)
+        elif value is not None:
+            keys.insert(index, key)
+            values.insert(index, value)
+            delta = row + len(value)
+        else:
+            return
+        span.charge += delta
+        self._answer_bytes += delta
+        self._answers.move_to_end((span.lo,))
+        if span.charge > self._capacity * SPAN_SHARE:
+            self._answer_bytes -= span.charge
+            del self._answers[(span.lo,)]
+            self._unindex_locked(span)
+            self._remember_locked((span.lo,), span.charge)
 
     def _put_row_locked(self, key: bytes, value: bytes | None) -> None:
-        if key in self._rows:
-            self._row_bytes -= _row_charge(key, self._rows.pop(key))
+        answers = self._answers
+        old = answers.pop(key, _NO_ROW)
+        if old is not _NO_ROW:
+            self._answer_bytes -= _row_charge(key, old)
         size = _row_charge(key, value)
         if size > self._capacity:
             self._remember_locked(key, size)
             return
-        self._rows[key] = value
-        self._row_bytes += size
+        answers[key] = value
+        self._answer_bytes += size
+        if self._block_bytes + self._answer_bytes > self._capacity:
+            self._evict_locked()
+
+    def _find_locked(self, key: bytes) -> _Span | None:
+        """The span covering ``key``, or None; caller holds the lock."""
+        index = bisect_right(self._starts, key)
+        if index:
+            span = self._spans[index - 1]
+            if span.end is None or key < span.end:
+                return span
+        return None
+
+    def _admit_locked(self, span: _Span, share: float) -> None:
+        """Cache ``span``, merged with every span it overlaps or touches,
+        as the most recent row or span, then evict to the budget. A merge
+        over ``share`` is refused and leaves the spans it would have
+        merged alone (each is exact)."""
+        lo, end, keys, values = span.lo, span.end, span.keys, span.values
+        starts = self._starts
+        first = bisect_right(starts, lo)
+        if first:
+            before = self._spans[first - 1].end
+            if before is None or before >= lo:
+                first -= 1
+        last = len(starts) if end is None else bisect_right(starts, end)
+        merged = self._spans[first:last]
+        if merged:
+            head, tail = merged[0], merged[-1]
+            if head.lo < lo:
+                cut = bisect_left(head.keys, lo)
+                keys[:0], values[:0] = head.keys[:cut], head.values[:cut]
+                lo = head.lo
+            if end is not None and (tail.end is None or tail.end > end):
+                cut = bisect_left(tail.keys, end)
+                keys += tail.keys[cut:]
+                values += tail.values[cut:]
+                end = tail.end
+            span = _Span(lo, end, keys, values)
+        if span.charge > share:
+            return
+        for old in merged:
+            self._answer_bytes -= old.charge
+            del self._answers[(old.lo,)]
+        starts[first:last] = [lo]
+        self._spans[first:last] = [span]
+        self._answers[(lo,)] = span
+        self._answer_bytes += span.charge
         self._evict_locked()
+
+    def _unindex_locked(self, span: _Span) -> None:
+        index = bisect_left(self._starts, span.lo)
+        del self._starts[index], self._spans[index]
 
     def _remember_locked(self, key, size: int) -> None:
         """Put an evicted or refused entry at the ghost's tail, dropping
-        the oldest past the bound; caller holds the lock."""
-        self._ghost_bytes += size - self._ghost.pop(key, 0)
-        self._ghost[key] = size
-        self._trim_ghost_locked()
+        the oldest past the bound; an entry larger than the bound is not
+        remembered. Caller holds the lock."""
+        self._ghost_bytes -= self._ghost.pop(key, 0)
+        if size <= self._ghost_capacity:
+            self._ghost[key] = size
+            self._ghost_bytes += size
+            self._trim_ghost_locked()
 
     def _trim_ghost_locked(self) -> None:
         while self._ghost_bytes > self._ghost_capacity:
@@ -272,18 +513,22 @@ class BlockCache:
         self._ghost_hit_bytes += size
 
     def _evict_locked(self) -> None:
-        """Evict the least recent block, or with no block left the least
-        recent row, until within budget; caller holds the lock."""
-        while self._block_bytes + self._row_bytes > self._capacity:
+        """Evict the least recent block, or with none left the least
+        recent row or span, until within budget; caller holds the lock."""
+        while self._block_bytes + self._answer_bytes > self._capacity:
             if self._blocks:
                 key, block = self._blocks.popitem(last=False)
                 size = len(block)
                 self._block_bytes -= size
                 self._by_generation[key[0]].discard(key[1])
             else:
-                key, value = self._rows.popitem(last=False)
-                size = _row_charge(key, value)
-                self._row_bytes -= size
+                key, entry = self._answers.popitem(last=False)
+                if isinstance(entry, _Span):
+                    self._unindex_locked(entry)
+                    size = entry.charge
+                else:
+                    size = _row_charge(key, entry)
+                self._answer_bytes -= size
             self._remember_locked(key, size)
             self._evictions += 1
 
@@ -292,12 +537,12 @@ class BlockCache:
     ) -> int:
         """Change the byte budget in place; returns bytes evicted.
 
-        Shrinking evicts blocks, then rows, at once so accounting stays
-        honest — ``used_bytes`` never exceeds the new capacity on
-        return. Growing simply raises the budget: previously rejected
-        entries are admitted on their next ``put``. Resizing to zero
-        drops everything but keeps counting lookups as misses, exactly
-        like a cache constructed with capacity 0. Generations are
+        Shrinking evicts blocks, then rows and spans, at once so
+        accounting stays honest — ``used_bytes`` never exceeds the new
+        capacity on return. Growing simply raises the budget: previously
+        rejected entries are admitted on their next ``put``. Resizing to
+        zero drops everything but keeps counting lookups as misses,
+        exactly like a cache constructed with capacity 0. Generations are
         untouched — readers registered before a resize keep their ids,
         so a block cached under one can never alias another reader's.
         ``ghost_bytes`` moves the ghost's bound too (None keeps it); what
@@ -330,17 +575,25 @@ class BlockCache:
             return freed
 
     def drop_all_rows(self) -> int:
-        """Forget every cached answer; returns bytes freed."""
+        """Forget every row and span, and bump the epoch so that no read
+        begun before admits one; returns bytes freed."""
         with self._lock:
-            freed, self._row_bytes = self._row_bytes, 0
-            self._rows.clear()
+            self._epoch += 1
+            freed, self._answer_bytes = self._answer_bytes, 0
+            self._answers.clear()
+            self._starts.clear()
+            self._spans.clear()
             return freed
 
     def clear(self) -> None:
         """Drop everything, the ghost list too (budget unchanged)."""
         with self._lock:
+            self._epoch += 1
             self._blocks.clear()
-            self._rows.clear()
+            self._answers.clear()
+            self._starts.clear()
+            self._spans.clear()
+            self._scan_starts.clear()
             self._ghost.clear()
             self._by_generation.clear()
-            self._block_bytes = self._row_bytes = self._ghost_bytes = 0
+            self._block_bytes = self._answer_bytes = self._ghost_bytes = 0

@@ -313,7 +313,7 @@ class CompactionManager:
         )
         self._quarantine.add(entry)
         self._install()
-        # A cached row may have come from this run: a lookup it answered
+        # A cached row or span may hold rows of this run: a lookup it answered
         # must fail fast now, as an uncached one does.
         self._block_cache.drop_all_rows()
         for job in list(self._jobs.values()):

@@ -428,22 +428,13 @@ class LSMStore:
         return read_retrying(self._get, self._quarantine_read, key)
 
     def _get(self, key: bytes) -> bytes | None:
-        compaction = self._compaction
-        version = compaction.version
+        cache = self._compaction.block_cache
+        epoch = cache.epoch  # before the pin: a later write refuses the row
+        version = self._compaction.version
         self._check_open()  # after the pin: close() lets go of the runs
-        value, from_run = version.get(key, compaction.block_cache)
-        # A run's answer becomes the key's row only if no write could
-        # have reached the key since the pin: the version is current and
-        # its active memtable lacks the key. Checked under the store lock,
-        # which every write holds; when another thread holds it, the row
-        # is skipped rather than waited for.
-        if from_run and self._lock.acquire(blocking=False):
-            try:
-                current = compaction.version is version
-                if current and not version.active.get(key)[0]:
-                    compaction.block_cache.put_row(key, value)
-            finally:
-                self._lock.release()
+        value, from_run = version.get(key, cache)
+        if from_run:
+            cache.put_row(key, value, epoch)
         return value
 
     def scan(
@@ -454,12 +445,13 @@ class LSMStore:
     ) -> Iterator[tuple[bytes, bytes]]:
         """Ordered range scan over ``[lo, hi)``, at most ``limit`` rows.
 
-        Snapshot-consistent: the store lock is held only to pin the
-        current version and copy the active memtable's rows in range (at
-        most ``limit`` plus its tombstones; all when unbounded); the rest
-        is merged off it (:meth:`Version.scan`). Scan huge ranges in
-        key-range pages. Checksum failures are handled as :meth:`get`'s.
-        """
+        Snapshot-consistent: under the store lock a cached span answers,
+        or the version is pinned and the active memtable's rows in range
+        copied (at most ``limit`` plus its tombstones; all if unbounded),
+        the rest merged off it (:meth:`Version.scan`) and left as a span
+        (:meth:`BlockCache.put_span`, which refuses it if a write came
+        since the pin). Scan huge ranges in pages; checksum failures are
+        :meth:`get`'s."""
         if limit is not None and limit < 0:
             raise ConfigurationError("scan limit cannot be negative")
         return iter(
@@ -467,16 +459,21 @@ class LSMStore:
         )
 
     def _scan(self, lo, hi, limit) -> list[tuple[bytes, bytes]]:
+        cache = self._compaction.block_cache
         with self._lock:
             self._check_open()
             version = self._compaction.version
             version.fence(lo, hi)
             if limit == 0:
                 return []
-            active = version.active
-            cap = None if limit is None else limit + active.tombstone_count
-            rows = list(islice(active.items(lo, hi), cap))
-        results, blocks = version.scan(rows, lo, hi, limit)
+            results, blocks = cache.scan_rows(lo, hi, limit), 0
+            if results is None:
+                epoch, active = cache.epoch, version.active
+                cap = None if limit is None else limit + active.tombstone_count
+                rows = list(islice(active.items(lo, hi), cap))
+        if results is None:
+            results, blocks = version.scan(rows, lo, hi, limit)
+            cache.put_span(lo, hi, limit, results, epoch)
         self._m_scans.inc()
         self._m_scan_rows.inc(len(results))
         self._m_scan_blocks.inc(blocks)

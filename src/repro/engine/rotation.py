@@ -4,10 +4,10 @@ write that fills it meets.
 :class:`Rotation` holds the live memtable target (the options seed it,
 ``LSMStore.set_memory_budget`` moves it) and the bytes sealed so far. It
 inserts every committed batch into the active memtable, refreshing the
-block cache's rows of its keys; it says when the active memtable is full
-and seals it, counted and traced. At most :func:`sealed_slots` sealed
-memtables await their flush: a rotation that finds the queue full is a
-flush stall (Section 5.1.2), which
+block cache's rows and spans of its keys; it says when the active
+memtable is full and seals it, counted and traced. At most
+:func:`sealed_slots` sealed memtables await their flush: a rotation that
+finds the queue full is a flush stall (Section 5.1.2), which
 :meth:`~repro.engine.maintenance.MaintenanceExecutor.rotate_if_full`
 waits out. :meth:`Rotation.would_wait` answers a ``wait=False`` writer
 before anything is logged.
@@ -50,7 +50,9 @@ class Rotation:
 
     def insert(self, batch: list[tuple[bytes, bytes | None]]) -> None:
         """Apply a logged batch to the active memtable and refresh the
-        cached rows of its keys: every committed write passes here."""
+        cached rows and spans of its keys (:meth:`BlockCache.refresh_rows`,
+        which bumps the cache's epoch): every committed write passes
+        here."""
         active = self._compaction.version.active
         for key, value in batch:
             if value is TOMBSTONE:

@@ -31,7 +31,8 @@ class StoreStats:
     counts sealed memtables awaiting flush as well as the active one.
     ``ingested_bytes`` is cumulative over the store's lifetime, and the
     cache counters are the :class:`BlockCache`'s cumulative totals: block
-    lookups, and ``row_hits``, the gets a cached row answered with none.
+    lookups, and ``row_hits`` and ``scan_hits``, the gets a cached row or
+    span and the scans a cached span answered with none.
     Their deltas between two snapshots measure write and read traffic.
     ``ghost_hit_bytes`` counts the bytes of lookups a larger cache would
     have served: with ``ingested_bytes``, the memory arbiter's signals.
@@ -55,6 +56,7 @@ class StoreStats:
     #: Fields a hand-built snapshot (a test fixture) may leave out.
     quarantined_runs: int = 0
     row_hits: int = 0
+    scan_hits: int = 0
     ingested_bytes: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -98,6 +100,7 @@ def snapshot(num_memtables, compaction, maintenance, log, rotation) -> StoreStat
         block_cache_hit_rate=cache.hit_rate(),
         block_cache_used_bytes=cache.used_bytes,
         row_hits=cache.row_hits,
+        scan_hits=cache.scan_hits,
         ingested_bytes=rotation.ingested_bytes,
         cache_hits=cache.hits,
         cache_misses=cache.misses,

@@ -17,8 +17,9 @@ last reference goes (:class:`~repro.engine.sstable.SSTableReader`).
 Only the active memtable still takes writes. A get looks the key up in
 its dict, one atomic step; a scan copies its rows under the lock and
 merges the rest off it. The read path — probe, scan, retry — is here;
-what the store adds is the lock and the row a get may leave behind
-(:meth:`~repro.engine.LSMStore.get`).
+what the store adds is the lock, the cached row or span that may answer
+a read instead, and the row or span a read leaves behind
+(:meth:`~repro.engine.LSMStore.get`, :meth:`~repro.engine.LSMStore.scan`).
 """
 
 from __future__ import annotations
@@ -66,12 +67,13 @@ class Version:
     def get(self, key: bytes, cache) -> tuple[bytes | None, bool]:
         """``(value, from_run)``; value None when absent or deleted.
 
-        Newest first: memtables, the key's cached row, runs. ``from_run``
-        says a run answered, so the answer may become the key's row. A
-        quarantined run whose bounds cover the key fails the lookup with
-        :class:`~repro.errors.DataCorruptError` rather than be skipped,
-        which could resurrect a deleted key or serve a stale value; a
-        checksum failure raises :class:`ReaderCorruption` naming the run.
+        Newest first: memtables, the key's cached row or span, runs.
+        ``from_run`` says a run answered, so the answer may become the
+        key's row. A quarantined run whose bounds cover the key fails the
+        lookup with :class:`~repro.errors.DataCorruptError` rather than be
+        skipped, which could resurrect a deleted key or serve a stale
+        value; a checksum failure raises :class:`ReaderCorruption` naming
+        the run.
         """
         for memtable in self.memtables:
             found, value = memtable.get(key)

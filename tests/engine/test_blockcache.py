@@ -112,8 +112,8 @@ class TestRowEntries:
     def test_a_row_and_a_deletion_round_trip(self):
         cache = BlockCache(4096)
         assert cache.get_row(b"k") == (False, None)
-        cache.put_row(b"k", b"value")
-        cache.put_row(b"gone", None)
+        cache.put_row(b"k", b"value", cache.epoch)
+        cache.put_row(b"gone", None, cache.epoch)
         assert cache.get_row(b"k") == (True, b"value")
         assert cache.get_row(b"gone") == (True, None)
         assert cache.row_hits == 2
@@ -128,7 +128,7 @@ class TestRowEntries:
         gen = cache.register_reader()
         cache.put(gen, 0, b"b" * 100)
         for key in (b"a", b"b", b"c"):
-            cache.put_row(key, b"v")
+            cache.put_row(key, b"v", cache.epoch)
         cache.refresh_rows([(b"a", b"new"), (b"b", None), (b"missing", b"x")])
         assert cache.get_row(b"a") == (True, b"new")
         assert cache.get_row(b"b") == (True, None)
@@ -139,7 +139,7 @@ class TestRowEntries:
         assert cache.get_row(b"c") == (False, None)
         # Blocks are untouched, and a reader's eviction leaves rows be.
         assert cache.used_bytes == 100
-        cache.put_row(b"d", b"v")
+        cache.put_row(b"d", b"v", cache.epoch)
         assert cache.evict_reader(gen) == 100
         assert cache.get_row(b"d") == (True, b"v")
 
@@ -150,7 +150,7 @@ class TestRowEntries:
         cache = BlockCache(1000)
         gen = cache.register_reader()
         row = 1 + 400 + ROW_OVERHEAD_BYTES
-        cache.put_row(b"k", b"v" * 400)
+        cache.put_row(b"k", b"v" * 400, cache.epoch)
         cache.put(gen, 0, b"b" * 300)
         cache.put(gen, 1, b"b" * (1000 - row - 300))  # exactly full
         cache.put(gen, 2, b"b" * (1001 - row))  # not beside the row
@@ -161,9 +161,11 @@ class TestRowEntries:
         assert cache.get(gen, 0) is None
         assert cache.get_row(b"k") == (True, b"v" * 400)
         cache.get(gen, 1)  # block 1 is now more recent than block 3
-        cache.put_row(b"k2", b"v" * 125)  # the least recent block goes
+        # The least recent block goes.
+        cache.put_row(b"k2", b"v" * 125, cache.epoch)
         assert cache.get(gen, 3) is None and cache.get(gen, 1) is not None
-        cache.put_row(b"k3", b"v" * 400)  # the last block, then row k
+        # The last block, then row k.
+        cache.put_row(b"k3", b"v" * 400, cache.epoch)
         assert cache.get(gen, 1) is None
         assert cache.get_row(b"k") == (False, None)
         assert cache.get_row(b"k2") == (True, b"v" * 125)
@@ -175,8 +177,8 @@ class TestRowEntries:
         """A refreshed row is admitted again by the row rule."""
         cache = BlockCache(1000)
         gen = cache.register_reader()
-        cache.put_row(b"a", b"v" * 300)
-        cache.put_row(b"b", b"v" * 10)
+        cache.put_row(b"a", b"v" * 300, cache.epoch)
+        cache.put_row(b"b", b"v" * 10, cache.epoch)
         cache.put(gen, 0, b"x" * 100)
         # Growing evicts the least recent block first ...
         cache.refresh_rows([(b"b", b"w" * 350)])
@@ -193,7 +195,7 @@ class TestRowEntries:
 
     def test_zero_capacity_caches_no_row(self):
         cache = BlockCache(0)
-        cache.put_row(b"k", b"v")
+        cache.put_row(b"k", b"v", cache.epoch)
         assert cache.get_row(b"k") == (False, None)
         assert cache.used_bytes == 0
 
@@ -270,7 +272,8 @@ class TestBlockCacheInStore:
 
 def _rows(store) -> dict[bytes, bytes | None]:
     """The store's cached rows, ``key -> value`` (None: deleted)."""
-    return dict(store._compaction.block_cache._rows)
+    answers = store._compaction.block_cache._answers
+    return {key: value for key, value in answers.items() if type(key) is bytes}
 
 
 SMALL = StoreOptions(memtable_bytes=16 * 1024, levels=3)
@@ -284,7 +287,7 @@ class TestRowTier:
         with _loaded(tmp_path) as store:
             cache = store._compaction.block_cache
             assert store.get(b"user000020") == b"v" * 64
-            assert cache._rows and not cache._blocks  # a row, no block
+            assert cache._answers and not cache._blocks  # a row, no block
             assert len(list(store.scan(b"user000100", None, limit=5))) == 5
             assert cache._blocks
             hits = cache.hits
@@ -417,7 +420,7 @@ class TestRowTier:
             # By here rows hold the budget: a scan's blocks fit only into
             # the bytes the rows leave, and evict no row.
             rows = _rows(store)
-            assert budget - cache._row_bytes < 4096
+            assert budget - cache._answer_bytes < 4096
             list(store.scan(None, None, limit=100))
             assert _rows(store) == rows
             assert cache.used_bytes <= budget
@@ -471,5 +474,5 @@ class TestRowTier:
         assert _rows(store) and cache._blocks
         getattr(store, end)()
         assert cache.used_bytes == 0
-        assert not cache._rows and not cache._blocks
+        assert not cache._answers and not cache._blocks
         assert not cache._by_generation

@@ -51,12 +51,13 @@ class TestGhostList:
         charge = row_charge(b"k0", b"v" * 10)
         cache = BlockCache(2 * charge, ghost_bytes=10 * charge)
         for index in range(3):  # the third evicts k0
-            cache.put_row(b"k%d" % index, b"v" * 10)
+            cache.put_row(b"k%d" % index, b"v" * 10, cache.epoch)
         assert cache.get_row(b"k0") == (False, None)
         assert cache.ghost_hit_bytes == charge
         assert cache.get_row(b"k0") == (False, None)
         assert cache.ghost_hit_bytes == charge
-        cache.put_row(b"big", b"v" * (3 * charge))  # refused
+        # Refused: larger than the budget, inside the ghost's bound.
+        cache.put_row(b"big", b"v" * (3 * charge), cache.epoch)
         cache.get_row(b"big")
         assert cache.ghost_hit_bytes == charge + row_charge(
             b"big", b"v" * (3 * charge)

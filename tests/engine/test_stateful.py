@@ -21,6 +21,8 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.engine import LSMStore, StoreOptions
+from repro.engine import blockcache
+from repro.engine.blockcache import SPAN_ADMIT_SCANS
 from tests.engine.versions import current_version
 
 OPTIONS = StoreOptions(
@@ -99,9 +101,9 @@ class EngineMatchesDict(RuleBasedStateMachine):
 class EngineWithASmallCacheMatchesDict(EngineMatchesDict):
     """The same machine on a cache of about 16 KB, a few blocks' worth,
     with values large enough that puts fill memtables and flush on their
-    own: rows and the blocks scans bring in share the budget, a key read
-    twice in a row from a run is a row hit the second time, and a write
-    refreshes the row it finds."""
+    own: rows, spans and the blocks scans bring in share the budget, a
+    key read twice in a row from a run is a row hit the second time, and
+    a write refreshes the row and the span it lands in."""
 
     options = OPTIONS.with_(block_cache_bytes=16 * 1024)
 
@@ -131,13 +133,68 @@ class EngineWithASmallCacheMatchesDict(EngineMatchesDict):
         self.model.pop(other, None)
         self.model[key] = value
 
+    @rule(
+        lo=keys,
+        hi=st.none() | keys,
+        limit=st.integers(1, 8),
+    )
+    def bounded_scan_until_admitted(self, lo, hi, limit):
+        """A bounded scan from a drawn key, as often as its span takes to
+        be admitted: the last leaves a span (or merges into one), which
+        a later draw inside it is answered from while writes refresh
+        it."""
+        expected = sorted(
+            (key, value)
+            for key, value in self.model.items()
+            if key >= lo and (hi is None or key < hi)
+        )[:limit]
+        for _ in range(SPAN_ADMIT_SCANS):
+            assert list(self.store.scan(lo, hi, limit)) == expected
+
     @invariant()
-    def rows_are_current(self):
-        """A write refreshes a resident row, so every row is the answer
-        a get would give."""
-        rows = self.store._compaction.block_cache._rows
-        for key, value in list(rows.items()):
-            assert value == self.model.get(key)
+    def rows_and_spans_are_exact(self):
+        """A write refreshes a resident row and the span it lands in, so
+        every row is the answer a get would give and every span holds
+        exactly the model's rows in its bounds."""
+        cache = self.store._compaction.block_cache
+        for key, row in list(cache._answers.items()):
+            if type(key) is bytes:  # a row; a span is under (start,)
+                assert row == self.model.get(key)
+        for span in list(cache._spans):
+            inside = sorted(
+                (key, value)
+                for key, value in self.model.items()
+                if span.lo <= key and (span.end is None or key < span.end)
+            )
+            assert list(zip(span.keys, span.values)) == inside
+
+
+class EngineWithATinyCacheMatchesDict(EngineWithASmallCacheMatchesDict):
+    """The small-cache machine on 6 KiB, less than the whole store, with
+    a span allowed half the budget instead of an eighth: the bounded
+    scans' spans of several rows are admitted, merged, refreshed and
+    evicted among the rows and the blocks."""
+
+    options = OPTIONS.with_(block_cache_bytes=6 * 1024)
+
+    @initialize()
+    def open_store(self):
+        self.span_share = blockcache.SPAN_SHARE
+        blockcache.SPAN_SHARE = 0.5
+        super().open_store()
+
+    def teardown(self):
+        try:
+            super().teardown()
+        finally:
+            blockcache.SPAN_SHARE = self.span_share
+
+
+class EngineWithoutACacheMatchesDict(EngineMatchesDict):
+    """The plain machine with no cache: every get and scan reads the
+    memtables and the runs, where a span would answer the repeats."""
+
+    options = OPTIONS.with_(block_cache_bytes=0)
 
 
 class EngineUnderLevelingMatchesDict(EngineMatchesDict):
@@ -157,6 +214,8 @@ class EngineUnderLazyLevelingMatchesDict(EngineMatchesDict):
 MACHINES = (
     EngineMatchesDict,
     EngineWithASmallCacheMatchesDict,
+    EngineWithATinyCacheMatchesDict,
+    EngineWithoutACacheMatchesDict,
     EngineUnderLevelingMatchesDict,
     EngineUnderLazyLevelingMatchesDict,
 )
@@ -168,6 +227,8 @@ TestEngineMatchesDict = EngineMatchesDict.TestCase
 TestEngineWithASmallCacheMatchesDict = (
     EngineWithASmallCacheMatchesDict.TestCase
 )
+TestEngineWithATinyCacheMatchesDict = EngineWithATinyCacheMatchesDict.TestCase
+TestEngineWithoutACacheMatchesDict = EngineWithoutACacheMatchesDict.TestCase
 TestEngineUnderLevelingMatchesDict = EngineUnderLevelingMatchesDict.TestCase
 TestEngineUnderLazyLevelingMatchesDict = (
     EngineUnderLazyLevelingMatchesDict.TestCase

@@ -157,7 +157,7 @@ class TestPerShardShares:
         for _ in range(6):
             for key in keys:
                 if not cache.get_row(key)[0]:
-                    cache.put_row(key, b"v" * 100)
+                    cache.put_row(key, b"v" * 100, cache.epoch)
             stores[0].ghost_hit_bytes = cache.ghost_hit_bytes
             arbiter.tick()
         assert cache.ghost_hit_bytes > 0

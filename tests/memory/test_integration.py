@@ -191,7 +191,7 @@ class TestEngineBudgetProtocol:
             stores[0].put(f"k{i:04d}".encode(), b"v" * 256)
         cache = stores[0]._compaction.block_cache
         cache.resize(64, ghost_bytes=2**20)
-        cache.put_row(b"cold", b"v" * 1000)  # refused: too large
+        cache.put_row(b"cold", b"v" * 1000, cache.epoch)  # refused: too large
         cache.get_row(b"cold")
         assert stores[0].stats().ghost_hit_bytes > 0
         stores[1].close()

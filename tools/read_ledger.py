@@ -8,8 +8,9 @@ after a quiesce and reopen. This tool replays the same operations
 against one ``LSMStore`` with the benchmark's settings and books each
 lookup (``stats().cache_hits + cache_misses``) to the operation that
 made it. A leg's share is its lookups over all reads, so the shares sum
-to ``read_amp``. A get answered by a cached row or a memtable looks up
-no block; the tool prints how many were.
+to ``read_amp``. A get answered by a cached span or a memtable, and a
+scan answered by a cached span, looks up no block; the tool prints how
+many were.
 
 The operations are each worker's stream from ``bench/workloads.py``
 (imported, never changed), taken in turn, and every answer is checked
@@ -48,9 +49,10 @@ READS = ("get", "scan", "read-back")
 class Leg:
     ops: int = 0
     lookups: int = 0
-    #: Gets only: answered by a cached row, or by a memtable (no row
-    #: hit and no block lookup; every key the workloads read exists).
-    row_hits: int = 0
+    #: Gets and scans answered by a cached span, with no block lookup.
+    cached: int = 0
+    #: Gets only: answered by a memtable (no span hit and no block
+    #: lookup; every key the workloads read exists).
     memtable: int = 0
 
 
@@ -63,8 +65,13 @@ def replay(workload, seed: int, seconds: float, directory: str):
         return LSMStore.open(directory, StoreOptions(**w.STORE_OPTIONS))
 
     def counts(store) -> tuple[int, int]:
+        """Block lookups so far, and reads a cached span answered (a
+        tree before spans has no ``scan_hits``)."""
         stats = store.stats()
-        return stats.cache_hits + stats.cache_misses, stats.row_hits
+        return (
+            stats.cache_hits + stats.cache_misses,
+            stats.row_hits + getattr(stats, "scan_hits", 0),
+        )
 
     legs: dict[str, Leg] = {}
     model = w.Model(workload)
@@ -72,7 +79,7 @@ def replay(workload, seed: int, seconds: float, directory: str):
 
     def run(store, op, leg_name: str) -> None:
         nonlocal wrong
-        lookups, rows = counts(store)
+        lookups, cached = counts(store)
         if op.kind == "put":
             store.put(w.key_for(op.index), w.value_for(op.index, op.version))
             model.acknowledge(op)
@@ -85,13 +92,13 @@ def replay(workload, seed: int, seconds: float, directory: str):
             )
             right = model.check_scan(op, rows_read)
         wrong += not right
-        after_lookups, after_rows = counts(store)
+        after_lookups, after_cached = counts(store)
         leg = legs.setdefault(leg_name, Leg())
         leg.ops += 1
         leg.lookups += after_lookups - lookups
+        leg.cached += after_cached - cached
         if op.kind == "get":
-            leg.row_hits += after_rows - rows
-            leg.memtable += after_lookups == lookups and after_rows == rows
+            leg.memtable += after_lookups == lookups and after_cached == cached
 
     store = open_store()
     try:
@@ -193,10 +200,16 @@ def main(argv: list[str] | None = None) -> int:
         leg = legs.get(name)
         if leg is not None:
             print(
-                f"{name}: row hits {leg.row_hits / leg.ops:.1%}, "
+                f"{name}: row hits {leg.cached / leg.ops:.1%}, "
                 f"memtable {leg.memtable / leg.ops:.1%}, "
                 f"block lookups per get {leg.lookups / leg.ops:.4f}"
             )
+    leg = legs.get("scan")
+    if leg is not None:
+        print(
+            f"scan: served from cache {leg.cached / leg.ops:.1%}, "
+            f"block lookups per scan {leg.lookups / leg.ops:.4f}"
+        )
     if wrong:
         print(f"WRONG: {wrong} reads disagreed with the model")
     return 1 if wrong else 0
