@@ -32,7 +32,9 @@ path::
 
     PYTHONPATH=src python benchmarks/bench_memory.py --quick
 
-Emits ``BENCH_7.json`` (override with ``--output``). Exits non-zero
+Writes its JSON report to ``--output``, by default a ``BENCH_7.json`` in
+a new temporary directory, so a run never overwrites the committed
+``BENCH_7.json``; the last line printed names the file. Exits non-zero
 unless, in every phase, the adaptive store's I/O bytes are strictly
 below the worst static split's and within 15% of the best one's.
 """
@@ -255,7 +257,11 @@ def main(argv: list[str] | None = None) -> int:
         "half the eviction churn at equilibrium)",
     )
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--output", default="BENCH_7.json")
+    parser.add_argument(
+        "--output",
+        help="where the JSON report goes (default: BENCH_7.json in a new "
+        "temporary directory)",
+    )
     parser.add_argument(
         "--quick", action="store_true",
         help="CI smoke sizing (fewer ops, same shape)",
@@ -355,6 +361,8 @@ def main(argv: list[str] | None = None) -> int:
         "results": results,
         "comparison": comparison,
     }
+    if args.output is None:
+        args.output = tempfile.mkdtemp(prefix="bench-memory-") + "/BENCH_7.json"
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

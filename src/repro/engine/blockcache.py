@@ -13,9 +13,9 @@ of a store, holding three kinds of entry in two LRU lists.
   cached, so a key inside it with no row is a proven absence. A scan
   over ``[lo, hi)`` that returned ``limit`` rows leaves ``[lo, last
   row]``, one that returned fewer ``[lo, hi)``; overlapping or touching
-  spans merge. A scan whose start a span covers and which it holds
-  ``limit`` rows of (or whose end it reaches) is answered from it with
-  no block lookup, and so is a get inside it.
+  spans merge. A scan takes the rows of the spans it crosses
+  (:meth:`span_rows`) as its whole answer inside them and reads blocks
+  only for the gaps; a get inside a span reads none.
 - **Rows**: the one-key span ``[k, k]`` a get that a run answered
   leaves, ``key -> value`` or "deleted", held by key: it needs no order.
 
@@ -30,17 +30,16 @@ Rows and spans share one LRU list and outrank blocks, for each saves
 every block lookup of a repeat (*Breaking Down Memory Walls*): a block
 fits only into the bytes they leave, and they evict the least recent
 block first, the least recent row or span only when no block is left.
-So that spans do not crowd out the rows of hot keys, a span is admitted
-only on the :data:`SPAN_ADMIT_SCANS`-th scan from its start, and none
-may hold more than :data:`SPAN_SHARE` of the budget.
+So that spans of one-off scans do not crowd out the rows of hot keys, a
+span is admitted only on the :data:`SPAN_ADMIT_SCANS`-th scan from its
+start, and none may hold more than :data:`SPAN_SHARE` of the budget.
 
 A **ghost list** remembers what the budget cost: the ids of the entries
-it evicted, and of the blocks and rows it refused, with their bytes, up
-to ``ghost_bytes`` of them; an entry larger than that bound is not
-remembered, so it cannot flush the list. A span's id is the 1-tuple of
-its start key, which only a scan from that key asks for. A lookup that
-misses an entry the ghost holds is one a cache that many bytes larger
-would have served; its bytes count once into
+it evicted or refused, with their bytes, up to ``ghost_bytes`` of them
+(a larger entry is not remembered, so it cannot flush the list); a
+span's id is ``(start key,)``, which only a scan from there asks for. A
+lookup that misses an entry the ghost holds is one a cache that many
+bytes larger would have served: its bytes count once into
 :attr:`BlockCache.ghost_hit_bytes`, the read side's marginal saving that
 :mod:`repro.memory` weighs against the memtable's.
 """
@@ -70,10 +69,10 @@ SPAN_ROW_OVERHEAD_BYTES = 88
 #: The largest share of the budget one span may hold: a wide scan's span
 #: is refused, as its rows alone would evict most of what is cached.
 SPAN_SHARE = 0.125
-#: A scan's span is admitted on the third scan from its start, counted
+#: A scan's span is admitted on the second scan from its start, counted
 #: over the last ``SCAN_STARTS`` starts: most starts are scanned once,
 #: and a span of 50 rows would take the budget of 50 rows of hot keys.
-SPAN_ADMIT_SCANS = 3
+SPAN_ADMIT_SCANS = 2
 SCAN_STARTS = 1024
 
 
@@ -124,7 +123,8 @@ _COUNTERS = (
         "Blocks, spans and rows evicted to stay within the cache budget.",
     ),
     ("engine_row_cache_hits_total", "Point lookups a cached row or span answered."),
-    ("engine_scan_cache_hits_total", "Range scans a cached span answered."),
+    ("engine_scan_cache_hits_total", "Range scans spans answered, reading no block."),
+    ("engine_scan_span_rows_total", "Rows range scans took from cached spans."),
     (
         "engine_block_cache_ghost_hit_bytes_total",
         "Bytes of misses on evicted entries the ghost list still held.",
@@ -139,9 +139,8 @@ class BlockCache:
         if capacity_bytes < 0 or ghost_bytes < 0:
             raise ConfigurationError("cache capacity cannot be negative")
         self._capacity = capacity_bytes
-        # Evicted or refused ids, ``(generation, offset)`` for a block,
-        # ``(start key,)`` for a span and the key for a row, oldest
-        # first, each with its bytes.
+        # Evicted or refused ids (a block's ``(generation, offset)``, a
+        # span's ``(start key,)``, a row's key), oldest first, and bytes.
         self._ghost: OrderedDict[object, int] = OrderedDict()
         self._ghost_capacity = ghost_bytes
         self._ghost_bytes = 0
@@ -157,8 +156,7 @@ class BlockCache:
         # Recent scan starts with no span yet, and how often each was
         # scanned, least recent first.
         self._scan_starts: OrderedDict[bytes, int] = OrderedDict()
-        # Per-reader block offsets, so evict_reader drops one reader's
-        # blocks without a full scan; a reader's set goes with it.
+        # Per-reader block offsets, for evict_reader.
         self._by_generation: dict[int, set[int]] = {}
         self._block_bytes = 0
         self._answer_bytes = 0
@@ -167,6 +165,7 @@ class BlockCache:
         self._misses = 0
         self._row_hits = 0
         self._scan_hits = 0
+        self._scan_span_rows = 0
         self._evictions = 0
         # The totals the last count_into() counted up to.
         self._counted = (0,) * len(_COUNTERS)
@@ -201,8 +200,13 @@ class BlockCache:
 
     @property
     def scan_hits(self) -> int:
-        """Range scans answered by a cached span, with no block lookup."""
+        """Range scans cached spans answered (memtables aside), no block read."""
         return self._scan_hits
+
+    @property
+    def scan_span_rows(self) -> int:
+        """Rows range scans took from cached spans."""
+        return self._scan_span_rows
 
     @property
     def evictions(self) -> int:
@@ -232,7 +236,7 @@ class BlockCache:
         with self._lock:
             counts = (
                 self._hits, self._misses, self._evictions, self._row_hits,
-                self._scan_hits, self._ghost_hit_bytes,
+                self._scan_hits, self._scan_span_rows, self._ghost_hit_bytes,
             )
             before, self._counted = self._counted, counts
         for (name, help_text), now, then in zip(_COUNTERS, counts, before):
@@ -244,21 +248,13 @@ class BlockCache:
         return self._hits / total if total else 0.0
 
     def register_reader(self) -> int:
-        """Allocate a generation id for a new reader.
-
-        Cache keys embed the generation, so blocks of a closed reader can
-        never be returned to a different reader that reuses its filename.
-        """
+        """A generation id for a new reader: blocks of a closed reader are
+        never returned to another that reuses its file name."""
         return next(self._generations)
 
     def get(self, generation: int, offset: int) -> bytes | None:
-        """Fetch a cached block, refreshing its recency.
-
-        A zero-capacity cache can never hit, but its lookups are still
-        real lookups the reader had to satisfy from disk — they count as
-        misses so ``hit_rate()`` honestly reports 0% instead of looking
-        like the cache was never consulted.
-        """
+        """Fetch a cached block, refreshing its recency. Every lookup is
+        counted, so a zero-capacity cache reports a 0% hit rate."""
         key = (generation, offset)
         with self._lock:
             block = self._blocks.get(key)
@@ -309,37 +305,53 @@ class BlockCache:
             return True, None
 
     def put_row(self, key: bytes, value: bytes | None, epoch: int) -> None:
-        """Admit a get's answer as the row of ``key`` (``value`` None: the
-        key is deleted), unless a write or a drop came after the get
-        read ``epoch``. A row evicts the least recent block first, the
-        least recent row or span only when no block is left; one larger
-        than the whole budget is not cached."""
+        """Admit a get's answer as the row of ``key`` (``value`` None:
+        deleted) unless a write or a drop came after the get read
+        ``epoch``; one larger than the whole budget is not cached."""
         with self._lock:
             if epoch == self._epoch:
                 self._put_row_locked(key, value)
 
-    def scan_rows(
-        self, lo: bytes | None, hi: bytes | None, limit: int | None
-    ) -> list[tuple[bytes, bytes]] | None:
-        """A scan's answer from the span covering ``lo``, or None when no
-        span holds ``limit`` rows from ``lo`` nor reaches ``hi``."""
-        lo = lo or b""
+    def span_rows(
+        self, lo: bytes, hi: bytes | None, limit: int | None
+    ) -> list[tuple[bytes, bytes | None, list]]:
+        """The spans a scan over ``[lo, hi)`` crosses, in key order, as
+        ``(start, end, rows)`` cut to the range, each turned most recent.
+        The copy stops at the row that brings them to ``limit``, the end
+        cut after it: the scan's answer ends there at the latest."""
+        taken: list = []
         with self._lock:
-            span = self._find_locked(lo)
-            if span is not None:
-                keys = span.keys
-                first = bisect_left(keys, lo)
-                last = len(keys) if hi is None else bisect_left(keys, hi, first)
+            spans, index = self._spans, bisect_right(self._starts, lo)
+            if self._find_locked(lo) is None:
+                self._ghost_hit_locked((lo,))
+            else:
+                index -= 1
+            for index in range(index, len(spans)):
+                span = spans[index]
+                keys, end = span.keys, span.end
+                if hi is not None and (end is None or end > hi):
+                    if span.lo >= hi:
+                        break
+                    end = hi
+                first = bisect_left(keys, lo) if span.lo < lo else 0
+                last = len(keys) if end is None else bisect_left(keys, end, first)
                 if limit is not None and last - first >= limit:
                     last = first + limit
-                elif span.end is not None and (hi is None or hi > span.end):
-                    span = None  # short of ``limit`` rows and of ``hi``
-            if span is None:
-                self._ghost_hit_locked((lo,))
-                return None
-            self._answers.move_to_end((span.lo,))
-            self._scan_hits += 1
-            return list(zip(keys[first:last], span.values[first:last]))
+                    end = keys[last - 1] + b"\x00"
+                rows = list(zip(keys[first:last], span.values[first:last]))
+                taken.append((max(span.lo, lo), end, rows))
+                self._answers.move_to_end((span.lo,))
+                if limit is not None:
+                    limit -= len(rows)
+                if limit == 0 or end is None or end == hi:
+                    break
+        return taken
+
+    def count_scan(self, span_rows: int, hit: bool) -> None:
+        """Count a scan's rows from spans, and whether it is a hit."""
+        with self._lock:
+            self._scan_span_rows += span_rows
+            self._scan_hits += hit
 
     def put_span(
         self,
@@ -537,16 +549,12 @@ class BlockCache:
     ) -> int:
         """Change the byte budget in place; returns bytes evicted.
 
-        Shrinking evicts blocks, then rows and spans, at once so
-        accounting stays honest — ``used_bytes`` never exceeds the new
-        capacity on return. Growing simply raises the budget: previously
-        rejected entries are admitted on their next ``put``. Resizing to
-        zero drops everything but keeps counting lookups as misses,
-        exactly like a cache constructed with capacity 0. Generations are
-        untouched — readers registered before a resize keep their ids,
-        so a block cached under one can never alias another reader's.
-        ``ghost_bytes`` moves the ghost's bound too (None keeps it); what
-        a shrink evicts enters the ghost under the new bound.
+        Shrinking evicts blocks, then rows and spans, at once:
+        ``used_bytes`` never exceeds the new capacity on return. Growing
+        raises the budget; refused entries are admitted on their next
+        put. At zero, lookups still count as misses. Generations are
+        untouched. ``ghost_bytes`` moves the ghost's bound too (None
+        keeps it); what a shrink evicts enters the ghost under it.
         """
         if capacity_bytes < 0 or (ghost_bytes or 0) < 0:
             raise ConfigurationError("cache capacity cannot be negative")
@@ -560,12 +568,8 @@ class BlockCache:
             return before - self.used_bytes
 
     def evict_reader(self, generation: int) -> int:
-        """Drop every block of one reader; returns bytes freed.
-
-        O(blocks of that reader) via the generation index, not O(every
-        cached block) — closing one run out of thousands must not stall
-        the store lock for a full cache scan.
-        """
+        """Drop every block of one reader; returns bytes freed. O(its
+        blocks), by the generation index: no walk of the whole cache."""
         with self._lock:
             freed = sum(
                 len(self._blocks.pop((generation, offset)))
@@ -587,13 +591,10 @@ class BlockCache:
 
     def clear(self) -> None:
         """Drop everything, the ghost list too (budget unchanged)."""
+        self.drop_all_rows()
         with self._lock:
-            self._epoch += 1
-            self._blocks.clear()
-            self._answers.clear()
-            self._starts.clear()
-            self._spans.clear()
-            self._scan_starts.clear()
-            self._ghost.clear()
-            self._by_generation.clear()
-            self._block_bytes = self._answer_bytes = self._ghost_bytes = 0
+            for held in (
+                self._blocks, self._scan_starts, self._ghost, self._by_generation
+            ):
+                held.clear()
+            self._block_bytes = self._ghost_bytes = 0

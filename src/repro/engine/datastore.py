@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from itertools import islice
 from typing import Iterator, NamedTuple
 
 from ..errors import ClosedError, ConfigurationError
@@ -445,13 +444,13 @@ class LSMStore:
     ) -> Iterator[tuple[bytes, bytes]]:
         """Ordered range scan over ``[lo, hi)``, at most ``limit`` rows.
 
-        Snapshot-consistent: under the store lock a cached span answers,
-        or the version is pinned and the active memtable's rows in range
-        copied (at most ``limit`` plus its tombstones; all if unbounded),
-        the rest merged off it (:meth:`Version.scan`) and left as a span
-        (:meth:`BlockCache.put_span`, which refuses it if a write came
-        since the pin). Scan huge ranges in pages; checksum failures are
-        :meth:`get`'s."""
+        Snapshot-consistent: under the store lock the version is pinned
+        and the cached spans the scan crosses and the active memtable's
+        rows copied (:meth:`Version.plan_scan`); the rest is merged off
+        it between the spans (:meth:`Version.scan`), and a scan that
+        had a gap leaves its answer as a span (:meth:`BlockCache.put_span`,
+        which refuses it if a write came since the pin). Scan huge ranges
+        in pages; checksum failures are :meth:`get`'s."""
         if limit is not None and limit < 0:
             raise ConfigurationError("scan limit cannot be negative")
         return iter(
@@ -466,14 +465,14 @@ class LSMStore:
             version.fence(lo, hi)
             if limit == 0:
                 return []
-            results, blocks = cache.scan_rows(lo, hi, limit), 0
-            if results is None:
-                epoch, active = cache.epoch, version.active
-                cap = None if limit is None else limit + active.tombstone_count
-                rows = list(islice(active.items(lo, hi), cap))
-        if results is None:
-            results, blocks = version.scan(rows, lo, hi, limit)
+            epoch = cache.epoch
+            plan = version.plan_scan(cache, lo or b"", hi, limit)
+        results, blocks, taken = version.scan(plan, hi, limit)
+        if plan.gap is not None:
             cache.put_span(lo, hi, limit, results, epoch)
+        if plan.spans:
+            hit = not blocks and (taken > 0 or plan.gap is None)
+            cache.count_scan(taken, hit)
         self._m_scans.inc()
         self._m_scan_rows.inc(len(results))
         self._m_scan_blocks.inc(blocks)

@@ -12,7 +12,10 @@ reset paths, the integrity checker and the tests' oracle use it.
 The store's :meth:`~repro.engine.LSMStore.scan` applies the same rule
 block-wise (:func:`merge_scan`): a k-way merge over cursors that know
 their head key before they read a block, so a scan looks up only the
-blocks that hold a row it returns. The head-selection rule itself
+blocks that hold a row it returns. Intervals whose rows a cached span
+holds are taken whole, and every cursor steps over them
+(:meth:`RunCursor.seek`: by the index, reading a block only where an
+interval ends inside it). The head-selection rule itself
 (:func:`pick_head`) is shared with the compaction merge.
 """
 
@@ -60,7 +63,11 @@ def reconciling_iterator(
         yield key, value
 
 
-def pick_head(cursors: list, step_over: Callable[[object], None]):
+def pick_head(
+    cursors: list,
+    step_over: Callable[[object], None],
+    stop: bytes | None = None,
+):
     """One round of a k-way merge over ``cursors``, newest first: the
     cursor to drain next, and the key to stop before.
 
@@ -70,12 +77,15 @@ def pick_head(cursors: list, step_over: Callable[[object], None]):
     stale copy by ``step_over``, which also takes a cursor it exhausts
     (``key`` None) out of ``cursors``. The second is the smallest head
     among the rest (None when nothing else is left): below it the
-    chosen cursor is alone.
+    chosen cursor is alone. When the smallest head is at or past
+    ``stop``, both are None and no cursor moves.
     """
     best = cursors[0]
     for cursor in cursors[1:]:
         if cursor.key < best.key:
             best = cursor
+    if stop is not None and best.key >= stop:
+        return None, None
     bound = None
     for cursor in list(cursors):
         if cursor is best:
@@ -134,6 +144,11 @@ class EntryCursor:
         """Move past the head."""
         self.key, self._value = next(self._items, (None, None))
 
+    def seek(self, key: bytes) -> None:
+        """Move past every entry below ``key``."""
+        while self.key is not None and self.key < key:
+            self.step()
+
     def drain(
         self, bound: bytes | None, rows: list, limit: int | None
     ) -> None:
@@ -159,7 +174,7 @@ class RunCursor:
     cache, once per scan) only when the merge drains the cursor or must
     move it past a stale copy of a key. Only a ``lo`` that falls inside
     a block forces a read up front: which key follows ``lo`` there is
-    not in the index.
+    not in the index. :meth:`seek` moves the cursor on the same way.
     """
 
     __slots__ = (
@@ -175,12 +190,33 @@ class RunCursor:
         self._stop = hi
         #: Block lookups made — the scan's read amplification.
         self.blocks = 0
-        self._next = reader.seek_block(lo)
+        self._next = 0
+        self._jump(lo)
+
+    def _jump(self, key: bytes | None) -> None:
+        """Stand at the first entry at or past ``key``, from the block the
+        index names for it (or ``_next``, if that is further on): its
+        first key is the head, unless ``key`` falls inside the block,
+        which is then read."""
+        self._next = max(self._reader.seek_block(key), self._next)
         self._index_head()
-        if lo is not None and self.key is not None and self.key < lo:
+        if key is not None and self.key is not None and self.key < key:
             self._load()
-            self._pos = bisect_left(self._keys, lo)
+            self._pos = bisect_left(self._keys, key)
             self._block_head()
+
+    def seek(self, key: bytes) -> None:
+        """Move past every entry below ``key``: within the loaded block
+        if ``key`` falls in it, else by the index, so the blocks in
+        between are never read."""
+        if self.key is None or self.key >= key:
+            return
+        keys = self._keys
+        if keys is not None and key <= keys[-1]:
+            self._pos = bisect_left(keys, key, self._pos)
+            self._block_head()
+        else:
+            self._jump(key)
 
     def _offer(self, key: bytes) -> None:
         """Make ``key`` the head, unless the scan ends before it."""
@@ -260,25 +296,50 @@ class RunCursor:
                 return
 
 
-def merge_scan(cursors: list, limit: int | None) -> list[tuple[bytes, bytes]]:
-    """Reconcile scan cursors, newest first, into at most ``limit`` rows.
+def merge_scan(
+    cursors: list, limit: int | None, spans: list = ()
+) -> tuple[list[tuple[bytes, bytes]], int]:
+    """Reconcile scan cursors, newest first, into at most ``limit`` rows,
+    and say how many of them came from ``spans``.
 
     :func:`reconciling_iterator`'s answer — newest version of each key,
     deleted keys elided — computed a round at a time: the cursor with
     the smallest head drains up to the smallest other head, so a source
-    is touched only while it holds the next row.
+    is touched only while it holds the next row. ``spans`` are ``(start,
+    end, rows)`` in key order (``end`` None: no bound), each ``rows``
+    the whole answer inside ``[start, end)``: the merge stops at
+    ``start``, takes ``rows`` and moves every cursor to ``end``, so no
+    older copy of a key inside, a deleted one included, comes back.
     """
     rows: list[tuple[bytes, bytes]] = []
     cursors = [cursor for cursor in cursors if cursor.key is not None]
+    taken = 0
 
     def step_over(cursor) -> None:
         cursor.step()
         if cursor.key is None:
             cursors.remove(cursor)
 
-    while cursors and len(rows) != limit:
-        best, bound = pick_head(cursors, step_over)
-        best.drain(bound, rows, limit)
-        if best.key is None:
-            cursors.remove(best)
-    return rows
+    for start, end, held in (*spans, (None, None, ())):  # the last: no span
+        while cursors and len(rows) != limit:
+            best, bound = pick_head(cursors, step_over, start)
+            if best is None:
+                break  # every head is at or past the span
+            if start is not None and (bound is None or start < bound):
+                bound = start
+            best.drain(bound, rows, limit)
+            if best.key is None:
+                cursors.remove(best)
+        if len(rows) == limit:
+            break
+        if limit is not None:
+            held = held[: limit - len(rows)]
+        rows += held
+        taken += len(held)
+        if end is None or len(rows) == limit:
+            break
+        for cursor in list(cursors):
+            cursor.seek(end)
+            if cursor.key is None:
+                cursors.remove(cursor)
+    return rows, taken

@@ -32,7 +32,9 @@ class StoreStats:
     ``ingested_bytes`` is cumulative over the store's lifetime, and the
     cache counters are the :class:`BlockCache`'s cumulative totals: block
     lookups, and ``row_hits`` and ``scan_hits``, the gets a cached row or
-    span and the scans a cached span answered with none.
+    span answered and the scans cached spans answered (with the
+    memtables' rows between them) with none;
+    ``scan_span_rows`` counts the rows scans took from spans.
     Their deltas between two snapshots measure write and read traffic.
     ``ghost_hit_bytes`` counts the bytes of lookups a larger cache would
     have served: with ``ingested_bytes``, the memory arbiter's signals.
@@ -57,6 +59,7 @@ class StoreStats:
     quarantined_runs: int = 0
     row_hits: int = 0
     scan_hits: int = 0
+    scan_span_rows: int = 0
     ingested_bytes: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -101,6 +104,7 @@ def snapshot(num_memtables, compaction, maintenance, log, rotation) -> StoreStat
         block_cache_used_bytes=cache.used_bytes,
         row_hits=cache.row_hits,
         scan_hits=cache.scan_hits,
+        scan_span_rows=cache.scan_span_rows,
         ingested_bytes=rotation.ingested_bytes,
         cache_hits=cache.hits,
         cache_misses=cache.misses,

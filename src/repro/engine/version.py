@@ -15,17 +15,19 @@ cannot change under it, and a run a merge retires stays readable while
 a pinned version names it: its reader's descriptor closes only when the
 last reference goes (:class:`~repro.engine.sstable.SSTableReader`).
 Only the active memtable still takes writes. A get looks the key up in
-its dict, one atomic step; a scan copies its rows under the lock and
-merges the rest off it. The read path — probe, scan, retry — is here;
-what the store adds is the lock, the cached row or span that may answer
-a read instead, and the row or span a read leaves behind
+its dict, one atomic step; a scan plans under the lock — the cached
+spans it crosses and the active memtable's rows, copied in one hold
+(:meth:`Version.plan_scan`) — and merges the rest off it. The read path
+— probe, scan, retry — is here; what the store adds is the lock and
+the row or span a read leaves behind
 (:meth:`~repro.engine.LSMStore.get`, :meth:`~repro.engine.LSMStore.scan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Callable, Iterable, NamedTuple
 
 from ..core.components import Component, TreeSnapshot
 from ..errors import CorruptionError
@@ -40,6 +42,22 @@ from .memtable import MemTable
 from .options import TOMBSTONE
 from .quarantine import QuarantineEntry, QuarantineSet
 from .runs import Run
+
+
+class ScanPlan(NamedTuple):
+    """What a scan copies under the store lock, as one snapshot: every
+    committed write has reached both the spans and the active memtable,
+    and no write can come between the two copies."""
+
+    #: ``(start, end, rows)`` of the cached spans the scan crosses
+    #: (:meth:`BlockCache.span_rows`), each the whole answer inside.
+    spans: list
+    #: Where the first key no span holds may lie: the cursors start
+    #: there. None: the first span is the whole answer.
+    gap: bytes | None
+    #: The active memtable's entries from ``gap`` on, at most ``limit``
+    #: plus its tombstones (all if unbounded): the answer ends by then.
+    active: list
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -111,35 +129,51 @@ class Version:
                     f"scan range intersects quarantined run {run_id}"
                 )
 
+    def plan_scan(
+        self, cache, lo: bytes, hi: bytes | None, limit: int | None
+    ) -> ScanPlan:
+        """The :class:`ScanPlan` of a scan over ``[lo, hi)`` (store lock
+        held): the spans first, then the active rows from the first gap.
+        A span covering ``lo`` whose rows reach ``limit`` or whose end
+        reaches ``hi`` leaves no gap, and nothing else is copied."""
+        spans = cache.span_rows(lo, hi, limit)
+        gap = lo
+        if spans and spans[0][0] == lo:
+            _start, gap, held = spans[0]
+            if gap is None or gap == hi or len(held) == limit:
+                return ScanPlan(spans, None, [])
+        cap = None if limit is None else limit + self.active.tombstone_count
+        return ScanPlan(spans, gap, list(islice(self.active.items(gap, hi), cap)))
+
     def scan(
-        self,
-        active_rows: list,
-        lo: bytes | None,
-        hi: bytes | None,
-        limit: int | None,
-    ) -> tuple[list[tuple[bytes, bytes]], int]:
-        """``(rows, block lookups)`` of a scan over ``[lo, hi)``: the
-        active memtable's rows as copied under the lock, then the sealed
-        memtables and the runs, merged by
+        self, plan: ScanPlan, hi: bytes | None, limit: int | None
+    ) -> tuple[list[tuple[bytes, bytes]], int, int]:
+        """``(rows, block lookups, rows from spans)`` of a scan over
+        ``[lo, hi)`` planned by :meth:`plan_scan`: the spans' rows, and
+        between them the active memtable's copied rows, the sealed
+        memtables and the runs from ``plan.gap``, merged by
         :func:`~repro.engine.iterators.merge_scan`, which looks up a
         block only when a row of the result, or a stale copy of one,
-        lies in it. A run whose bounds miss the range gets no cursor. A
-        checksum failure in a block the scan reads raises
+        lies in it and no span holds it. A run whose bounds miss the
+        range gets no cursor, and with no gap nothing does. A checksum
+        failure in a block the scan reads raises
         :class:`ReaderCorruption`; one in a block it never needs is the
         scrubber's to find."""
-        cursors = [EntryCursor(iter(active_rows))] + [
-            EntryCursor(memtable.items(lo, hi))
-            for memtable in self.memtables[1:]
-        ]
-        cursors += [
-            RunCursor(run_id, element, lo, hi)
-            for run_id, element in self.plan
-            if not isinstance(element, QuarantineEntry)
-            and (hi is None or element.min_key < hi)
-            and (lo is None or element.max_key >= lo)
-        ]
-        rows = merge_scan(cursors, limit)
-        return rows, sum(cursor.blocks for cursor in cursors)
+        lo, cursors = plan.gap, []
+        if lo is not None:
+            cursors = [EntryCursor(iter(plan.active))] + [
+                EntryCursor(memtable.items(lo, hi))
+                for memtable in self.memtables[1:]
+            ]
+            cursors += [
+                RunCursor(run_id, element, lo, hi)
+                for run_id, element in self.plan
+                if not isinstance(element, QuarantineEntry)
+                and (hi is None or element.min_key < hi)
+                and element.max_key >= lo
+            ]
+        rows, taken = merge_scan(cursors, limit, plan.spans)
+        return rows, sum(cursor.blocks for cursor in cursors), taken
 
     def repair_entries(
         self, entry: QuarantineEntry, items: list[tuple[bytes, bytes]]

@@ -1,10 +1,11 @@
-"""Exact key spans: a scan's answer is a span, and a repeated scan, or a
-get inside it, looks up no block.
+"""Exact key spans: a scan's answer is a span, a scan takes the rows of
+every span it crosses and reads blocks only for the gaps, and a
+repeated scan, or a get inside a span, looks up no block.
 
 The unit tests drive :class:`BlockCache` alone; the store tests check
-admission against the epoch (a write or a drop of the spans between a
-scan's pin and its admission leaves no span), and ROADMAP item 5's
-query-cost laws as block-lookup counts.
+the walk across spans, admission against the epoch (a write or a drop
+of the spans between a scan's plan and its admission leaves no span),
+and ROADMAP item 5's query-cost laws as block-lookup counts.
 """
 
 import random
@@ -54,7 +55,7 @@ def admit(cache, lo, hi, limit, answer) -> None:
 
 
 class TestSpanUnit:
-    def test_a_span_is_admitted_on_the_third_scan_from_its_start(self):
+    def test_a_span_is_admitted_on_the_second_scan_from_its_start(self):
         cache = BlockCache(1 << 20)
         for _ in range(SPAN_ADMIT_SCANS - 1):
             cache.put_span(key(10), None, 5, rows(10, 15), cache.epoch)
@@ -66,14 +67,24 @@ class TestSpanUnit:
     def test_a_scan_is_answered_by_the_span_it_left(self):
         cache = BlockCache(1 << 20)
         admit(cache, key(10), None, 5, rows(10, 15))
-        assert spans(cache) == [(key(10), key(14) + b"\x00", 5)]
-        assert cache.scan_rows(key(10), None, 5) == rows(10, 15)
-        assert cache.scan_rows(key(12), None, 3) == rows(12, 15)
-        assert cache.scan_rows(key(12), key(14), 9) == rows(12, 14)
-        # Fewer than ``limit`` rows inside and no end reached: no answer.
-        assert cache.scan_rows(key(12), None, 4) is None
-        assert cache.scan_rows(key(9), None, 1) is None
-        assert cache.scan_hits == 3
+        end = key(14) + b"\x00"
+        assert spans(cache) == [(key(10), end, 5)]
+        assert cache.span_rows(key(10), None, 5) == [(key(10), end, rows(10, 15))]
+        assert cache.span_rows(key(12), None, 3) == [(key(12), end, rows(12, 15))]
+        assert cache.span_rows(key(12), key(14), 9) == [
+            (key(12), key(14), rows(12, 14))
+        ]
+        # Fewer than ``limit`` rows inside: the span, and a gap after it.
+        assert cache.span_rows(key(12), None, 4) == [(key(12), end, rows(12, 15))]
+        # Starting before it: a gap, then the span cut after the last row
+        # the answer can need.
+        assert cache.span_rows(key(9), None, 1) == [
+            (key(10), key(10) + b"\x00", rows(10, 11))
+        ]
+        # The store counts what the merge took and whether it read a block.
+        cache.count_scan(5, True)
+        cache.count_scan(2, False)
+        assert (cache.scan_hits, cache.scan_span_rows) == (1, 7)
         # A get inside the span is a row or a proven absence.
         assert cache.get_row(key(11)) == (True, b"v")
         assert cache.get_row(key(11) + b"+") == (True, None)
@@ -84,12 +95,21 @@ class TestSpanUnit:
         cache = BlockCache(1 << 20)
         admit(cache, key(0), key(5), 10, rows(0, 3))
         assert spans(cache) == [(key(0), key(5), 3)]
-        assert cache.scan_rows(key(1), key(5), 10) == rows(1, 3)
-        assert cache.scan_rows(key(1), key(4), None) == rows(1, 3)
-        assert cache.scan_rows(key(1), key(6), 10) is None
+        assert cache.span_rows(key(1), key(5), 10) == [(key(1), key(5), rows(1, 3))]
+        assert cache.span_rows(key(1), key(4), None) == [
+            (key(1), key(4), rows(1, 3))
+        ]
+        assert cache.span_rows(key(1), key(6), 10) == [(key(1), key(5), rows(1, 3))]
         admit(cache, key(7), None, None, rows(7, 9))
         assert spans(cache)[-1] == (key(7), None, 2)
-        assert cache.scan_rows(key(8), None, 5) == rows(8, 9)
+        assert cache.span_rows(key(8), None, 5) == [(key(8), None, rows(8, 9))]
+        # A scan across both takes each, with the gap between.
+        assert cache.span_rows(key(1), None, 10) == [
+            (key(1), key(5), rows(1, 3)), (key(7), None, rows(7, 9))
+        ]
+        assert cache.span_rows(key(1), None, 3) == [
+            (key(1), key(5), rows(1, 3)), (key(7), key(7) + b"\x00", rows(7, 8))
+        ]
 
     def test_a_span_begun_before_a_write_or_a_drop_is_not_admitted(self):
         cache = BlockCache(1 << 20)
@@ -111,8 +131,10 @@ class TestSpanUnit:
         admit(cache, key(4), key(20), 50, rows(4, 8))
         admit(cache, key(20), key(40), 50, [])  # touches both
         assert spans(cache) == [(key(0), key(41), 8)]
-        assert cache.scan_rows(key(2), None, 100) is None  # not to the end
-        assert cache.scan_rows(key(2), key(40), 100) == rows(2, 8)
+        assert cache.span_rows(key(2), None, 100) == [(key(2), key(41), rows(2, 8))]
+        assert cache.span_rows(key(2), key(40), 100) == [
+            (key(2), key(40), rows(2, 8))
+        ]
         assert cache.used_bytes == charge(key(0), key(41), rows(0, 8))
 
     def test_a_write_keeps_the_span_exact(self):
@@ -122,7 +144,7 @@ class TestSpanUnit:
             [(key(2), b"new"), (key(3), b"born"), (key(4), None),
              (key(9), b"outside")]
         )
-        held = cache.scan_rows(key(0), key(9), None)
+        [(_, _, held)] = cache.span_rows(key(0), key(9), None)
         assert held == [
             (key(0), b"old"), (key(2), b"new"), (key(3), b"born"),
             (key(6), b"old"), (key(8), b"old"),
@@ -158,7 +180,9 @@ class TestSpanUnit:
         assert cache.get(gen, 0) is None
         cache.put(gen, 1, b"b" * (free + 1))  # not beside the span
         assert cache.get(gen, 1) is None
-        assert cache.scan_rows(key(0), None, 5) == rows(0, 5)
+        assert cache.span_rows(key(0), None, 5) == [
+            (key(0), key(4) + b"\x00", rows(0, 5))
+        ]
         # A row evicts a block first, then the least recent row or span.
         cache.put(gen, 2, b"b" * 10)
         room = cache.capacity_bytes - cache.used_bytes
@@ -181,7 +205,7 @@ class TestSpanGhosts:
         assert spans(cache) == [] and cache.evictions == 1
         assert cache.get_row(key(0)) == (False, None)  # a get: no credit
         assert cache.ghost_hit_bytes == 0
-        assert cache.scan_rows(key(0), None, 5) is None
+        assert cache.span_rows(key(0), None, 5) == []
         assert cache.ghost_hit_bytes == one
 
     def test_an_entry_over_the_ghost_bound_leaves_the_ghost_be(self):
@@ -263,6 +287,86 @@ class TestSpansInTheStore:
             again = list(store.scan(key(20), None, 3))
             assert again == [first[0], (key(21), b"new"), first[3]]
             assert _lookups(store) == lookups
+
+    def test_a_scan_takes_every_span_it_crosses(self, tmp_path):
+        """Spans over ``[20, 30)`` and ``[40, 50)``, one with a key
+        deleted inside it: a scan from 10 takes both spans' rows and
+        reads blocks for the gaps only, and the deleted key, whose older
+        copy a run still holds, stays deleted."""
+        with _store(tmp_path) as store:
+            store.write_batch(rows(0, 200, b"v" * 64))
+            store.flush()
+            _scan(store, key(20), key(30), None)
+            _scan(store, key(40), key(50), None)
+            store.delete(key(45))
+            cache = store._compaction.block_cache
+            assert spans(cache) == [(key(20), key(30), 10), (key(40), key(50), 9)]
+            expected = [row for row in rows(10, 61, b"v" * 64) if row[0] != key(45)]
+            before, taken = store.stats(), cache.scan_span_rows
+            assert list(store.scan(key(10), None, 50)) == expected
+            after = store.stats()
+            assert after.scan_span_rows - taken == 19
+            assert after.scan_hits == before.scan_hits  # it read blocks
+            # Inside a span and past its end; and from inside the first
+            # to the end of the second: no gap's block but the one between.
+            assert list(store.scan(key(25), key(35), None)) == expected[15:25]
+            assert list(store.scan(key(22), key(50), None)) == expected[12:39]
+            # Wholly inside: no block.
+            lookups = _lookups(store)
+            assert list(store.scan(key(41), key(48), None)) == expected[31:37]
+            assert _lookups(store) == lookups
+            assert store.stats().scan_hits == after.scan_hits + 1
+
+    def test_a_span_spares_every_block_it_covers(self, tmp_path):
+        """One run, a span over ``[50, 300)``: a scan of ``[0, 350)``
+        looks up exactly the blocks that hold a key of a gap."""
+        with _store(tmp_path) as store:
+            store.write_batch(rows(0, 400, b"v" * 64))
+            store.flush()
+            [(_, run)] = store._compaction.version.plan
+            firsts = [run.first_key(i) for i in range(run.block_count)] + [None]
+            gaps = [(key(0), key(50)), (key(300), key(350))]
+            needed = sum(  # block ``[start, end)`` meets a gap ``[lo, hi)``
+                any(start < hi and (end is None or lo < end) for lo, hi in gaps)
+                for start, end in zip(firsts, firsts[1:])
+            )
+            assert needed < run.block_count // 2
+            _scan(store, key(50), key(300), None)
+            lookups = _lookups(store)
+            assert list(store.scan(key(0), key(350), None)) == rows(0, 350, b"v" * 64)
+            assert _lookups(store) - lookups == needed
+
+    @pytest.mark.parametrize("write", ["put", "delete"])
+    def test_a_write_between_a_crossing_scans_plan_and_its_admission(
+        self, tmp_path, monkeypatch, write
+    ):
+        """A span over ``[0, 10)`` and a scan from 5 that crosses it,
+        admitted this time: a put, or a delete of a key a run holds,
+        commits in the gap after the plan's copy. The scan's answer is
+        stale by then, so it must not become a span."""
+        with _store(tmp_path) as store:
+            store.write_batch(rows(0, 40, b"old"))
+            store.flush()
+            _scan(store, key(0), key(10), None)
+            _scan(store, key(5), None, 20, SPAN_ADMIT_SCANS - 1)
+            scan = Version.scan
+
+            def scan_then_write(version, *args):
+                answer = scan(version, *args)
+                monkeypatch.undo()
+                if write == "put":
+                    store.put(key(15), b"new")
+                else:
+                    store.delete(key(15))
+                return answer
+
+            monkeypatch.setattr(Version, "scan", scan_then_write)
+            assert dict(store.scan(key(5), None, 20))[key(15)] == b"old"
+            store.flush()  # out of the memtable: a stale span would answer
+            expected = b"new" if write == "put" else None
+            for _ in range(SPAN_ADMIT_SCANS):
+                assert dict(store.scan(key(5), None, 20)).get(key(15)) == expected
+            assert store.get(key(15)) == expected
 
     @pytest.mark.parametrize("write", ["put", "delete"])
     def test_a_write_between_a_scans_pin_and_its_admission(
@@ -348,8 +452,9 @@ class TestConcurrentAdmission:
         self, tmp_path
     ):
         """Readers admit rows and spans with no store lock, on the key a
-        writer is writing once: a stale answer admitted after the write
-        would outlive it, so what is cached at the end is the model's."""
+        writer is writing once, and scan across the spans they left: a
+        stale answer admitted after the write would outlive it, so what
+        is cached at the end is the model's."""
         count = 300
         model = dict(rows(0, count, b"old"))
         with _store(tmp_path) as store:
@@ -363,6 +468,8 @@ class TestConcurrentAdmission:
                         start = key(at[0])
                         store.get(start)
                         _scan(store, start, None, 3)
+                        # Across the span just left, from before it.
+                        _scan(store, key(max(at[0] - 2, 0)), None, 6)
                 except Exception as error:  # reported below
                     errors.append(error)
 
@@ -448,6 +555,43 @@ class TestQueryCostLaws:
             per_scan = (_lookups(store) - before) / len(starts)
         assert per_get == pytest.approx(1, abs=0.05)
         assert per_scan == pytest.approx(1 + components, abs=0.5)
+
+    @pytest.mark.parametrize("components", [2, 8, 16])
+    def test_a_half_covered_scan_reads_the_uncovered_halfs_blocks(
+        self, tmp_path, components
+    ):
+        """A span over the first 25 rows of a 50-row scan: the scan looks
+        up what a scan of the other 25 rows alone does (within 0.1 block
+        per scan: a gap that starts just past a block's last key reads
+        that block). That keeps the seek, one block per component, and
+        halves the rest: c + (full - c) / 2 within 0.25, below the full
+        scan's 1 + c."""
+        with self._held_at(tmp_path, components, 8 << 20) as store:
+            starts = self._starts()
+            full = half = 0
+            for start in starts:
+                before = _lookups(store)
+                assert len(list(store.scan(key(start), None, 50))) == 50
+                full += _lookups(store) - before
+                before = _lookups(store)
+                list(store.scan(key(start + 25), None, 25))
+                half += _lookups(store) - before
+            store._compaction.block_cache.drop_all_rows()
+            partial = 0
+            for start in starts:
+                _scan(store, key(start), None, 25)
+                before = _lookups(store)
+                answer = list(store.scan(key(start), None, 50))
+                partial += _lookups(store) - before
+                assert answer == [
+                    (key(i), b"v" * 100) for i in range(start, start + 50)
+                ]
+        full, half, partial = (n / len(starts) for n in (full, half, partial))
+        assert partial == pytest.approx(half, abs=0.1)
+        assert partial == pytest.approx(
+            components + (full - components) / 2, abs=0.25
+        )
+        assert partial < full
 
     @pytest.mark.parametrize("components", [2, 8, 16])
     def test_a_repeated_scan_reads_no_block(self, tmp_path, components):

@@ -3,7 +3,9 @@
 Hypothesis drives random interleavings of puts, deletes, flushes,
 merge steps and full close/reopen cycles against a reference dict;
 after every step, point lookups and full scans must agree with the
-model. This is the strongest single correctness statement in the suite:
+model, and every cached row and span hold the model's rows (a
+``scan_across_a_span`` rule scans from before, inside and after a span
+it cached). This is the strongest single correctness statement in the suite:
 no sequence of maintenance operations may ever lose, resurrect, or
 reorder data.
 """
@@ -33,7 +35,11 @@ OPTIONS = StoreOptions(
     scheduler="greedy",
 )
 
-keys = st.integers(0, 30).map(lambda i: f"key{i:03d}".encode())
+def name(index: int) -> bytes:
+    return f"key{index:03d}".encode()
+
+
+keys = st.integers(0, 30).map(name)
 values = st.binary(min_size=1, max_size=40)
 
 
@@ -81,9 +87,49 @@ class EngineMatchesDict(RuleBasedStateMachine):
     def lookup_agrees(self, key):
         assert self.store.get(key) == self.model.get(key)
 
+    def scans_agree(self, lo, hi, limit, times=1):
+        expected = sorted(
+            (key, value)
+            for key, value in self.model.items()
+            if key >= lo and (hi is None or key < hi)
+        )[:limit]
+        for _ in range(times):
+            assert list(self.store.scan(lo, hi, limit)) == expected
+
+    @rule(
+        first=st.integers(0, 30),
+        width=st.integers(1, 8),
+        limit=st.integers(1, 12),
+    )
+    def scan_across_a_span(self, first, width, limit):
+        """Cache a span over ``[first, first + width)``, a bounded scan
+        repeated until admitted, then scan from before it, inside it and
+        from its end: each takes the span's rows as the answer inside it
+        and the memtables' and runs' outside."""
+        self.scans_agree(name(first), name(first + width), None, SPAN_ADMIT_SCANS)
+        for start in (max(first - 2, 0), first + width // 2, first + width):
+            self.scans_agree(name(start), None, limit)
+
     @invariant()
     def scan_agrees(self):
         assert dict(self.store.scan()) == self.model
+
+    @invariant()
+    def rows_and_spans_are_exact(self):
+        """A write refreshes a resident row and the span it lands in, so
+        every row is the answer a get would give and every span holds
+        exactly the model's rows in its bounds."""
+        cache = self.store._compaction.block_cache
+        for key, row in list(cache._answers.items()):
+            if type(key) is bytes:  # a row; a span is under (start,)
+                assert row == self.model.get(key)
+        for span in list(cache._spans):
+            inside = sorted(
+                (key, value)
+                for key, value in self.model.items()
+                if span.lo <= key and (span.end is None or key < span.end)
+            )
+            assert list(zip(span.keys, span.values)) == inside
 
     @invariant()
     def installed_version_is_current(self):
@@ -111,7 +157,7 @@ class EngineWithASmallCacheMatchesDict(EngineMatchesDict):
     def open_store(self):
         super().open_store()
         for i in range(31):  # every key, so most lookups find one
-            self.put(f"key{i:03d}".encode(), bytes([i]) * 200)
+            self.put(name(i), bytes([i]) * 200)
 
     @rule(key=keys, value=st.binary(min_size=100, max_size=400))
     def put(self, key, value):
@@ -143,30 +189,7 @@ class EngineWithASmallCacheMatchesDict(EngineMatchesDict):
         be admitted: the last leaves a span (or merges into one), which
         a later draw inside it is answered from while writes refresh
         it."""
-        expected = sorted(
-            (key, value)
-            for key, value in self.model.items()
-            if key >= lo and (hi is None or key < hi)
-        )[:limit]
-        for _ in range(SPAN_ADMIT_SCANS):
-            assert list(self.store.scan(lo, hi, limit)) == expected
-
-    @invariant()
-    def rows_and_spans_are_exact(self):
-        """A write refreshes a resident row and the span it lands in, so
-        every row is the answer a get would give and every span holds
-        exactly the model's rows in its bounds."""
-        cache = self.store._compaction.block_cache
-        for key, row in list(cache._answers.items()):
-            if type(key) is bytes:  # a row; a span is under (start,)
-                assert row == self.model.get(key)
-        for span in list(cache._spans):
-            inside = sorted(
-                (key, value)
-                for key, value in self.model.items()
-                if span.lo <= key and (span.end is None or key < span.end)
-            )
-            assert list(zip(span.keys, span.values)) == inside
+        self.scans_agree(lo, hi, limit, SPAN_ADMIT_SCANS)
 
 
 class EngineWithATinyCacheMatchesDict(EngineWithASmallCacheMatchesDict):

@@ -8,9 +8,11 @@ after a quiesce and reopen. This tool replays the same operations
 against one ``LSMStore`` with the benchmark's settings and books each
 lookup (``stats().cache_hits + cache_misses``) to the operation that
 made it. A leg's share is its lookups over all reads, so the shares sum
-to ``read_amp``. A get answered by a cached span or a memtable, and a
-scan answered by a cached span, looks up no block; the tool prints how
-many were.
+to ``read_amp``. A get answered by a cached row, span or a memtable
+looks up no block, and neither does a scan that cached spans and
+memtables answered; the tool prints how many were, and what share of
+the scans' rows came from spans (a scan that crosses a span takes its
+rows and reads blocks only for the gaps).
 
 The operations are each worker's stream from ``bench/workloads.py``
 (imported, never changed), taken in turn, and every answer is checked
@@ -49,8 +51,12 @@ READS = ("get", "scan", "read-back")
 class Leg:
     ops: int = 0
     lookups: int = 0
-    #: Gets and scans answered by a cached span, with no block lookup.
+    #: Gets a cached row or span answered, and scans a cached span took
+    #: part in that looked up no block.
     cached: int = 0
+    #: Scans only: rows returned, and how many of them came from spans.
+    rows: int = 0
+    span_rows: int = 0
     #: Gets only: answered by a memtable (no span hit and no block
     #: lookup; every key the workloads read exists).
     memtable: int = 0
@@ -64,13 +70,16 @@ def replay(workload, seed: int, seconds: float, directory: str):
     def open_store():
         return LSMStore.open(directory, StoreOptions(**w.STORE_OPTIONS))
 
-    def counts(store) -> tuple[int, int]:
-        """Block lookups so far, and reads a cached span answered (a
-        tree before spans has no ``scan_hits``)."""
+    def counts(store) -> tuple[int, int, int]:
+        """Block lookups so far, reads a cached row or span served, and
+        rows scans took from spans (a tree before spans has no
+        ``scan_hits``, one before the walk across them no
+        ``scan_span_rows``)."""
         stats = store.stats()
         return (
             stats.cache_hits + stats.cache_misses,
             stats.row_hits + getattr(stats, "scan_hits", 0),
+            getattr(stats, "scan_span_rows", 0),
         )
 
     legs: dict[str, Leg] = {}
@@ -79,7 +88,7 @@ def replay(workload, seed: int, seconds: float, directory: str):
 
     def run(store, op, leg_name: str) -> None:
         nonlocal wrong
-        lookups, cached = counts(store)
+        lookups, cached, span_rows = counts(store)
         if op.kind == "put":
             store.put(w.key_for(op.index), w.value_for(op.index, op.version))
             model.acknowledge(op)
@@ -92,8 +101,11 @@ def replay(workload, seed: int, seconds: float, directory: str):
             )
             right = model.check_scan(op, rows_read)
         wrong += not right
-        after_lookups, after_cached = counts(store)
+        after_lookups, after_cached, after_span_rows = counts(store)
         leg = legs.setdefault(leg_name, Leg())
+        if op.kind == "scan":
+            leg.rows += len(rows_read)
+            leg.span_rows += after_span_rows - span_rows
         leg.ops += 1
         leg.lookups += after_lookups - lookups
         leg.cached += after_cached - cached
@@ -207,7 +219,8 @@ def main(argv: list[str] | None = None) -> int:
     leg = legs.get("scan")
     if leg is not None:
         print(
-            f"scan: served from cache {leg.cached / leg.ops:.1%}, "
+            f"scan: served from cache {leg.cached / leg.ops:.1%} (no block "
+            f"read), rows from spans {leg.span_rows / max(leg.rows, 1):.1%}, "
             f"block lookups per scan {leg.lookups / leg.ops:.4f}"
         )
     if wrong:
