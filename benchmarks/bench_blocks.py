@@ -5,8 +5,8 @@
 The version-2 block format's claim is that per-block compression is a
 pure space win on compressible data — runs get smaller (physical bytes
 strictly below logical bytes), while scans and point gets stay correct
-and reasonably fast because the CRC still fences corruption and the
-block cache holds decompressed payloads. This benchmark runs the same
+and reasonably fast because the CRC still fences corruption and a
+block is decompressed only when a query reads it. This benchmark runs the same
 seeded compressible workload under each codec, ``none`` and ``zlib``
 (Bloom filters, the engine's one point filter), then reports per-cell
 physical and logical bytes (space amplification), full-scan throughput,

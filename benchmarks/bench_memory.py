@@ -2,7 +2,7 @@
 """Adaptive memory arbitration vs static splits under a shifting workload.
 
 The memory arbiter's claim (BENCH_7): one byte budget moved between the
-memtable and the block cache, a step at a time toward the side that
+memtable and the cache of rows and spans, a step at a time toward the side that
 saves more I/O per byte, tracks a shifting workload better than any
 fixed carving. A split tuned for writes starves
 the cache when the workload turns scan-heavy; a split tuned for reads

@@ -1,14 +1,14 @@
-"""A shared cache of data blocks and exact key spans, one byte budget.
+"""A shared cache of answers, rows and exact key spans, in one byte budget.
 
 The paper's testbed gives AsterixDB a 2 GB buffer cache (Section 3.1);
-this is the engine's equivalent: one byte budget shared by every reader
-of a store, holding three kinds of entry in two LRU lists.
+this is the engine's equivalent: one byte budget shared by every run of
+a store, holding the answers reads found. It holds no data block: a
+query reads each block it needs from the run's file, and
+:meth:`count_block_read` counts it. A row or span spares every block
+lookup of a repeat, where a cached block spared only the file read of
+one (*Breaking Down Memory Walls*: memory goes where it saves the most
+I/O per byte).
 
-- **Blocks**, keyed by ``(reader generation, offset)``. Scans put the
-  blocks they read; point lookups use a cached block but never add one.
-  Runs are immutable, so a block needs no invalidation: a deleted run's
-  entries are dropped with its reader, and the per-reader generation
-  means a reused file name can never alias stale blocks.
 - **Spans**: a key interval ``[lo, end)`` whose every live row is
   cached, so a key inside it with no row is a proven absence. A scan
   over ``[lo, hi)`` that returned ``limit`` rows leaves ``[lo, last
@@ -26,10 +26,7 @@ reached the memtable), and so does every drop of the spans. From there
 the commit path keeps each row and span exact (docs/engine.md, "Caching
 and backups").
 
-Rows and spans share one LRU list and outrank blocks, for each saves
-every block lookup of a repeat (*Breaking Down Memory Walls*): a block
-fits only into the bytes they leave, and they evict the least recent
-block first, the least recent row or span only when no block is left.
+Rows and spans share one LRU list, and the least recent goes first.
 So that spans of one-off scans do not crowd out the rows of hot keys, a
 span is admitted only on the :data:`SPAN_ADMIT_SCANS`-th scan from its
 start, and none may hold more than :data:`SPAN_SHARE` of the budget.
@@ -46,7 +43,6 @@ bytes larger would have served: its bytes count once into
 
 from __future__ import annotations
 
-import itertools
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -116,11 +112,13 @@ def ghost_bytes_for(memtable_bytes: int, cache_bytes: int) -> int:
 #: The cache's counters in the registry, in the order
 #: :meth:`BlockCache.count_into` reads them.
 _COUNTERS = (
-    ("engine_block_cache_hits_total", "Block lookups served from the cache."),
-    ("engine_block_cache_misses_total", "Block lookups that fell through to disk."),
+    (
+        "engine_block_cache_misses_total",
+        "Data blocks queries read from their files: every block lookup.",
+    ),
     (
         "engine_block_cache_evictions_total",
-        "Blocks, spans and rows evicted to stay within the cache budget.",
+        "Spans and rows evicted to stay within the cache budget.",
     ),
     ("engine_row_cache_hits_total", "Point lookups a cached row or span answered."),
     ("engine_scan_cache_hits_total", "Range scans spans answered, reading no block."),
@@ -133,19 +131,18 @@ _COUNTERS = (
 
 
 class BlockCache:
-    """Byte-budgeted cache of data blocks, key spans and rows, thread-safe."""
+    """Byte-budgeted cache of key spans and rows, thread-safe."""
 
     def __init__(self, capacity_bytes: int, ghost_bytes: int = 0) -> None:
         if capacity_bytes < 0 or ghost_bytes < 0:
             raise ConfigurationError("cache capacity cannot be negative")
         self._capacity = capacity_bytes
-        # Evicted or refused ids (a block's ``(generation, offset)``, a
-        # span's ``(start key,)``, a row's key), oldest first, and bytes.
+        # Evicted or refused ids (a span's ``(start key,)``, a row's
+        # key), oldest first, and their bytes.
         self._ghost: OrderedDict[object, int] = OrderedDict()
         self._ghost_capacity = ghost_bytes
         self._ghost_bytes = 0
         self._ghost_hit_bytes = 0
-        self._blocks: OrderedDict[tuple[int, int], bytes] = OrderedDict()
         # Rows by key and spans by ``(start key,)``, one list, least
         # recent first; and the spans in key order beside their start
         # keys: disjoint and never touching, so the span that may cover
@@ -156,12 +153,8 @@ class BlockCache:
         # Recent scan starts with no span yet, and how often each was
         # scanned, least recent first.
         self._scan_starts: OrderedDict[bytes, int] = OrderedDict()
-        # Per-reader block offsets, for evict_reader.
-        self._by_generation: dict[int, set[int]] = {}
-        self._block_bytes = 0
-        self._answer_bytes = 0
+        self._used_bytes = 0
         self._epoch = 0
-        self._hits = 0
         self._misses = 0
         self._row_hits = 0
         self._scan_hits = 0
@@ -170,7 +163,6 @@ class BlockCache:
         # The totals the last count_into() counted up to.
         self._counted = (0,) * len(_COUNTERS)
         self._lock = threading.Lock()
-        self._generations = itertools.count(1)
 
     @property
     def capacity_bytes(self) -> int:
@@ -179,17 +171,13 @@ class BlockCache:
 
     @property
     def used_bytes(self) -> int:
-        """Bytes currently cached: blocks, spans and rows."""
-        return self._block_bytes + self._answer_bytes
-
-    @property
-    def hits(self) -> int:
-        """Block lookups served from the cache."""
-        return self._hits
+        """Bytes currently cached: spans and rows."""
+        return self._used_bytes
 
     @property
     def misses(self) -> int:
-        """Block lookups that missed."""
+        """Data blocks queries read from their files: every block
+        lookup, as no block is cached."""
         return self._misses
 
     @property
@@ -235,52 +223,20 @@ class BlockCache:
         callers count a lookup once; stores sharing a registry sum."""
         with self._lock:
             counts = (
-                self._hits, self._misses, self._evictions, self._row_hits,
+                self._misses, self._evictions, self._row_hits,
                 self._scan_hits, self._scan_span_rows, self._ghost_hit_bytes,
             )
             before, self._counted = self._counted, counts
         for (name, help_text), now, then in zip(_COUNTERS, counts, before):
             registry.counter(name, help=help_text).inc(now - then)
 
-    def hit_rate(self) -> float:
-        """Fraction of block lookups served from cache (0 when unused)."""
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
-
-    def register_reader(self) -> int:
-        """A generation id for a new reader: blocks of a closed reader are
-        never returned to another that reuses its file name."""
-        return next(self._generations)
-
-    def get(self, generation: int, offset: int) -> bytes | None:
-        """Fetch a cached block, refreshing its recency. Every lookup is
-        counted, so a zero-capacity cache reports a 0% hit rate."""
-        key = (generation, offset)
+    def count_block_read(self) -> None:
+        """Count one data block a query read from its file (what a run's
+        reader calls): under the lock, so racing reads count exactly."""
         with self._lock:
-            block = self._blocks.get(key)
-            if block is None:
-                self._misses += 1
-                self._ghost_hit_locked(key)
-                return None
-            self._blocks.move_to_end(key)
-            self._hits += 1
-            return block
+            self._misses += 1
 
-    def put(self, generation: int, offset: int, block: bytes) -> None:
-        """Insert a block into the bytes rows and spans leave, evicting
-        least recent blocks; a block that does not fit beside them is
-        not cached."""
-        with self._lock:
-            key = (generation, offset)
-            if len(block) > self._capacity - self._answer_bytes:
-                self._remember_locked(key, len(block))
-                return
-            self._block_bytes += len(block) - len(self._blocks.pop(key, b""))
-            self._blocks[key] = block
-            self._by_generation.setdefault(generation, set()).add(offset)
-            self._evict_locked()
-
-    def get_row(self, key: bytes) -> tuple[bool, bytes | None]:
+    def get(self, key: bytes) -> tuple[bool, bytes | None]:
         """A get's answer from the key's row or the span covering it, as
         ``(found, value)``: ``(True, None)`` is a proven absence,
         ``(False, None)`` neither. A miss is not counted: the lookup goes
@@ -407,8 +363,7 @@ class BlockCache:
                     span = self._spans[index - 1]
                     if span.end is None or key < span.end:
                         self._refresh_span_locked(span, key, value)
-            if self._block_bytes + self._answer_bytes > self._capacity:
-                self._evict_locked()
+            self._evict_locked()
 
     def _refresh_span_locked(
         self, span: _Span, key: bytes, value: bytes | None
@@ -430,10 +385,10 @@ class BlockCache:
         else:
             return
         span.charge += delta
-        self._answer_bytes += delta
+        self._used_bytes += delta
         self._answers.move_to_end((span.lo,))
         if span.charge > self._capacity * SPAN_SHARE:
-            self._answer_bytes -= span.charge
+            self._used_bytes -= span.charge
             del self._answers[(span.lo,)]
             self._unindex_locked(span)
             self._remember_locked((span.lo,), span.charge)
@@ -442,15 +397,14 @@ class BlockCache:
         answers = self._answers
         old = answers.pop(key, _NO_ROW)
         if old is not _NO_ROW:
-            self._answer_bytes -= _row_charge(key, old)
+            self._used_bytes -= _row_charge(key, old)
         size = _row_charge(key, value)
         if size > self._capacity:
             self._remember_locked(key, size)
             return
         answers[key] = value
-        self._answer_bytes += size
-        if self._block_bytes + self._answer_bytes > self._capacity:
-            self._evict_locked()
+        self._used_bytes += size
+        self._evict_locked()
 
     def _find_locked(self, key: bytes) -> _Span | None:
         """The span covering ``key``, or None; caller holds the lock."""
@@ -490,12 +444,12 @@ class BlockCache:
         if span.charge > share:
             return
         for old in merged:
-            self._answer_bytes -= old.charge
+            self._used_bytes -= old.charge
             del self._answers[(old.lo,)]
         starts[first:last] = [lo]
         self._spans[first:last] = [span]
         self._answers[(lo,)] = span
-        self._answer_bytes += span.charge
+        self._used_bytes += span.charge
         self._evict_locked()
 
     def _unindex_locked(self, span: _Span) -> None:
@@ -525,22 +479,16 @@ class BlockCache:
         self._ghost_hit_bytes += size
 
     def _evict_locked(self) -> None:
-        """Evict the least recent block, or with none left the least
-        recent row or span, until within budget; caller holds the lock."""
-        while self._block_bytes + self._answer_bytes > self._capacity:
-            if self._blocks:
-                key, block = self._blocks.popitem(last=False)
-                size = len(block)
-                self._block_bytes -= size
-                self._by_generation[key[0]].discard(key[1])
+        """Evict the least recent row or span until within budget; caller
+        holds the lock."""
+        while self._used_bytes > self._capacity:
+            key, entry = self._answers.popitem(last=False)
+            if isinstance(entry, _Span):
+                self._unindex_locked(entry)
+                size = entry.charge
             else:
-                key, entry = self._answers.popitem(last=False)
-                if isinstance(entry, _Span):
-                    self._unindex_locked(entry)
-                    size = entry.charge
-                else:
-                    size = _row_charge(key, entry)
-                self._answer_bytes -= size
+                size = _row_charge(key, entry)
+            self._used_bytes -= size
             self._remember_locked(key, size)
             self._evictions += 1
 
@@ -549,12 +497,11 @@ class BlockCache:
     ) -> int:
         """Change the byte budget in place; returns bytes evicted.
 
-        Shrinking evicts blocks, then rows and spans, at once:
+        Shrinking evicts the least recent rows and spans at once:
         ``used_bytes`` never exceeds the new capacity on return. Growing
         raises the budget; refused entries are admitted on their next
-        put. At zero, lookups still count as misses. Generations are
-        untouched. ``ghost_bytes`` moves the ghost's bound too (None
-        keeps it); what a shrink evicts enters the ghost under it.
+        put. ``ghost_bytes`` moves the ghost's bound too (None keeps
+        it); what a shrink evicts enters the ghost under it.
         """
         if capacity_bytes < 0 or (ghost_bytes or 0) < 0:
             raise ConfigurationError("cache capacity cannot be negative")
@@ -567,23 +514,12 @@ class BlockCache:
             self._evict_locked()
             return before - self.used_bytes
 
-    def evict_reader(self, generation: int) -> int:
-        """Drop every block of one reader; returns bytes freed. O(its
-        blocks), by the generation index: no walk of the whole cache."""
-        with self._lock:
-            freed = sum(
-                len(self._blocks.pop((generation, offset)))
-                for offset in self._by_generation.pop(generation, ())
-            )
-            self._block_bytes -= freed
-            return freed
-
     def drop_all_rows(self) -> int:
         """Forget every row and span, and bump the epoch so that no read
         begun before admits one; returns bytes freed."""
         with self._lock:
             self._epoch += 1
-            freed, self._answer_bytes = self._answer_bytes, 0
+            freed, self._used_bytes = self._used_bytes, 0
             self._answers.clear()
             self._starts.clear()
             self._spans.clear()
@@ -593,8 +529,6 @@ class BlockCache:
         """Drop everything, the ghost list too (budget unchanged)."""
         self.drop_all_rows()
         with self._lock:
-            for held in (
-                self._blocks, self._scan_starts, self._ghost, self._by_generation
-            ):
-                held.clear()
-            self._block_bytes = self._ghost_bytes = 0
+            self._scan_starts.clear()
+            self._ghost.clear()
+            self._ghost_bytes = 0

@@ -142,12 +142,12 @@ class CompactionManager:
         edit, so a crash leaves either the inputs or the outputs live
         and never both; then readers for files no live run named yet (a
         failure raises with memory untouched) — a linked output's files
-        keep theirs, cached blocks included; then the in-memory swap,
-        lifting a retired run's quarantine; then the files that no live
-        run names any more, which the manifest no longer names either (a
-        crash leaves orphans for recovery to sweep; a read that pinned
-        an older version keeps the reader, whose descriptor closes when
-        the last reference goes); last the one install — with
+        keep theirs; then the in-memory swap, lifting a retired run's
+        quarantine; then the files that no live run names any more,
+        which the manifest no longer names either (a crash leaves
+        orphans for recovery to sweep; a read that pinned an older
+        version keeps the reader, whose descriptor closes when the last
+        reference goes); last the one install — with
         ``memtables``, ``(active, sealed)``, in the same version — and
         the policy sees the new tree.
 
@@ -241,7 +241,7 @@ class CompactionManager:
         reader = self._files.get(name) or fresh.get(name)
         if reader is None:
             reader = fresh[name] = SSTableReader(
-                self._path(name), block_cache=self._block_cache
+                self._path(name), self._block_cache.count_block_read
             )
         return reader
 

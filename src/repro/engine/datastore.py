@@ -90,8 +90,7 @@ class LSMStore:
         )
         self._m_scan_blocks = registry.counter(
             "engine_scan_blocks_total",
-            help="Data-block lookups (cache hits and misses) made by "
-            "range scans.",
+            help="Data-block lookups made by range scans.",
         )
         attach_tracer = getattr(self._options.fault_plan, "attach_tracer", None)
         if callable(attach_tracer):

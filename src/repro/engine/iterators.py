@@ -170,8 +170,8 @@ class RunCursor:
     the start of a block — a run that begins at or above ``lo``, a
     ``lo`` that is exactly a block's first key, any block reached by
     finishing the one before — has its head with nothing read. The
-    block is looked up (:meth:`SSTableReader.walk_block`: through the
-    cache, once per scan) only when the merge drains the cursor or must
+    block is looked up (:meth:`SSTableReader.walk_block`: read from the
+    file, once per scan) only when the merge drains the cursor or must
     move it past a stale copy of a key. Only a ``lo`` that falls inside
     a block forces a read up front: which key follows ``lo`` there is
     not in the index. :meth:`seek` moves the cursor on the same way.

@@ -161,14 +161,14 @@ class MergeJob:
     *links* them. ``links`` lists the files the output run names, in key
     order; its first advance finishes it, and publishing it is one
     manifest edit. No block is read and no byte written, and the files'
-    readers, with their cached blocks, pass to the output run.
+    readers pass to the output run.
 
     A k-way merge reads its inputs off its own sequential file handles,
     opened by :meth:`advance` one file per input at a time: buffered, so
-    one read serves many blocks, and uncached, so one pass does not
-    churn the block cache the queries use. :meth:`advance` is called
-    only by ``MaintenanceExecutor._run``, on the one job the compaction
-    manager has claimed (``CompactionManager.claim_merge``).
+    one read serves many blocks, and not counted as the queries' block
+    lookups. :meth:`advance` is called only by
+    ``MaintenanceExecutor._run``, on the one job the compaction manager
+    has claimed (``CompactionManager.claim_merge``).
     """
 
     def __init__(

@@ -72,8 +72,9 @@ class StoreOptions:
     rate_limit_bytes_per_s:
         Flush/merge write throttle (paper: 100 MB/s); 0 disables.
     block_cache_bytes:
-        Shared LRU block cache over all sorted runs (the engine's
-        buffer cache; paper's testbed used 2 GB). 0 disables.
+        The budget of the shared LRU cache of rows and key spans that
+        reads leave (the engine's buffer cache; paper's testbed used
+        2 GB); no data block is cached. 0 disables.
     background_maintenance:
         True runs flushes, merge chunks and scrub chunks on one
         background maintenance thread, which claims each under the

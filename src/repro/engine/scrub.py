@@ -24,7 +24,7 @@ mid-walk is finished through the readers it pinned. Each file is walked
 through :meth:`~repro.engine.sstable.SSTableReader.reopened`: its
 footer, index, filter and meta blocks read from disk again and checked,
 through the descriptor the store reads it by, and its data blocks read
-from disk, never from the block cache.
+from disk.
 
 Every byte a scrub reads — each data block, and each file's footer,
 index, filter and meta blocks — is debited against the maintenance rate

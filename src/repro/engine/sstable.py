@@ -492,42 +492,35 @@ def _decode_stored_block(record: bytes, context: str) -> bytes:
     return payload
 
 
-def _close_descriptor(fd: int, cache, generation: int) -> None:
-    """Close a reader's descriptor and drop its cached blocks."""
-    os.close(fd)
-    if cache is not None:
-        cache.evict_reader(generation)
+def _no_count() -> None:
+    """A reader's block count outside a store: none."""
 
 
 class SSTableReader:
     """Random and sequential access to one sorted-run file.
 
-    With a :class:`~repro.engine.blockcache.BlockCache` attached, data
-    blocks are served from and populated into the shared cache (the
-    engine's buffer-cache analogue of the paper's Section 3.1 setup);
-    index/filter/meta blocks are always held in memory per reader.
+    The index, filter and meta blocks are held in memory; every data
+    block is read from the file when it is needed, and checksum-verified
+    before it is decoded. Each block a query reads (:meth:`get`,
+    :meth:`walk_block`, :meth:`items`) calls ``count_block_read`` — in
+    a store, :meth:`BlockCache.count_block_read`: those block lookups
+    are what read amplification counts.
 
     Reads are ``os.pread`` calls on one descriptor, so concurrent
     readers share no file offset and need no lock. The descriptor is
-    closed, and the blocks dropped, by :meth:`close` or, failing that,
-    once nothing refers to the reader: the store never closes a live
-    run's reader, it lets go, so a read that still holds the run keeps
-    reading the file it opened.
+    closed by :meth:`close` or, failing that, once nothing refers to the
+    reader: the store never closes a live run's reader, it lets go, so a
+    read that still holds the run keeps reading the file it opened.
     """
 
-    def __init__(self, path: str, block_cache=None) -> None:
+    def __init__(self, path: str, count_block_read=_no_count) -> None:
         self.path = path
-        self._cache = block_cache
-        self._generation = (
-            block_cache.register_reader() if block_cache is not None else 0
-        )
+        self._count_block_read = count_block_read
         self._fd = os.open(path, os.O_RDONLY)
         #: A sequential handle's own buffered file (None: pread).
         self._file = None
         self._closed = False
-        self._release = weakref.finalize(
-            self, _close_descriptor, self._fd, block_cache, self._generation
-        )
+        self._release = weakref.finalize(self, os.close, self._fd)
         try:
             self._load()
         except BaseException:
@@ -597,12 +590,10 @@ class SSTableReader:
         """A reader of the same run for one front-to-back walk (a
         merge's): a buffered file over a dup of this reader's descriptor
         (whose offset no ``pread`` moves), read in
-        :data:`SEQUENTIAL_IO_BYTES` units, and no block cache, which one
-        pass would only churn. The index, filter and meta parsed and
-        verified at open are shared, not read again: they are immutable,
-        as the run is."""
+        :data:`SEQUENTIAL_IO_BYTES` units. The index, filter and meta
+        parsed and verified at open are shared, not read again: they are
+        immutable, as the run is."""
         handle = copy.copy(self)
-        handle._cache = None
         handle._file = os.fdopen(
             os.dup(self._fd), "rb", buffering=SEQUENTIAL_IO_BYTES
         )
@@ -613,10 +604,10 @@ class SSTableReader:
         """This file parsed afresh through the same descriptor: the
         footer, index, filter and meta blocks read from disk again and
         checked by the code an open runs (:class:`CorruptionError` if
-        one fails), no block cache — what a scrub pass walks. It holds
-        this reader, so the descriptor stays open while it lives."""
+        one fails) — what a scrub pass walks. It holds this reader, so
+        the descriptor stays open while it lives."""
         fresh = copy.copy(self)
-        fresh._cache, fresh._pinned = None, self
+        fresh._pinned = self
         fresh._release = lambda: None  # the descriptor is this reader's
         fresh._load()
         return fresh
@@ -643,30 +634,25 @@ class SSTableReader:
             raise CorruptionError(f"{self.path}: short read")
         return blob
 
-    def _read_block(self, offset: int, length: int, admit=True) -> bytes:
-        """Read, checksum-verify, and decode one data block, cache-aware.
-
-        Only verified payloads enter the cache, so a cached block can
-        never be corrupt — a :class:`CorruptionError` from here always
-        reflects what is on disk right now. The cache holds the
-        *decompressed* payload: repeat hits skip the codec entirely,
-        and the cache's byte budget charges what the block actually
-        occupies in memory, not its on-disk size. ``admit=False`` (a
-        point lookup, whose store caches the one row it wanted) uses a
-        cached block but does not add the one it read.
-        """
-        if self._cache is not None:
-            cached = self._cache.get(self._generation, offset)
-            if cached is not None:
-                return cached
+    def _read_block(self, block_idx: int) -> tuple[bytes, bytes]:
+        """One data block from the file, as ``(stored, payload)``: the
+        bytes as held, and the entries decoded once their checksum
+        holds, so a :class:`CorruptionError` — naming the file path,
+        offset and length — reflects what is on disk right now."""
+        if self._closed:
+            raise ConfigurationError("reader is closed")
+        offset, length = self._offsets[block_idx], self._lengths[block_idx]
         context = (
             f"{self.path}: data block at offset {offset} ({length} bytes)"
         )
-        record = _check_crc(self.read_at(offset, length), context)
-        payload = _decode_stored_block(record, context)
-        if self._cache is not None and admit:
-            self._cache.put(self._generation, offset, payload)
-        return payload
+        stored = self.read_at(offset, length)
+        record = _check_crc(stored, context)
+        return stored, _decode_stored_block(record, context)
+
+    def _query_block(self, block_idx: int) -> bytes:
+        """A data block's payload for a query: one counted block lookup."""
+        self._count_block_read()
+        return self._read_block(block_idx)[1]
 
     @property
     def block_count(self) -> int:
@@ -677,29 +663,12 @@ class SSTableReader:
         bills against the rate limiter before it reads the block."""
         return self._offsets[block_idx], self._lengths[block_idx]
 
-    def _open_block(self, stored: bytes, block_idx: int) -> DataBlock:
-        """Checksum-verify and walk one data block's stored bytes."""
-        context = (
-            f"{self.path}: data block at offset {self._offsets[block_idx]} "
-            f"({self._lengths[block_idx]} bytes)"
-        )
-        record = _check_crc(stored, context)
-        payload = _decode_stored_block(record, context)
-        return DataBlock(stored, record[0], payload, *_walk_block(payload))
-
     def read_data_block(self, block_idx: int) -> DataBlock:
-        """Read, checksum-verify and walk one data block, off the cache.
-
-        The one block read a merge and a scrub pass share: always from
-        disk, so it observes at-rest rot; a :class:`CorruptionError`
-        names the file path, offset and length. Values stay in the
-        payload until somebody moves them."""
-        if self._closed:
-            raise ConfigurationError("reader is closed")
-        stored = self.read_at(
-            self._offsets[block_idx], self._lengths[block_idx]
-        )
-        return self._open_block(stored, block_idx)
+        """Read, checksum-verify and walk one data block: the block read
+        a merge and a scrub pass share, not counted as a query's lookup.
+        Values stay in the payload until somebody moves them."""
+        stored, payload = self._read_block(block_idx)
+        return DataBlock(stored, stored[0], payload, *_walk_block(payload))
 
     def _block_for(self, key: bytes) -> int:
         return bisect_right(self._first_keys, key) - 1
@@ -721,15 +690,10 @@ class SSTableReader:
         """One data block as a query reads it: ``(payload, keys, ends,
         tombstones)``, laid out as in :class:`DataBlock`.
 
-        The query-side twin of :meth:`read_data_block`: through the
-        block cache (one lookup, hit or miss), checksum-verified when
-        it does come from disk, keys walked and no value sliced.
+        The query-side twin of :meth:`read_data_block`: one counted
+        block lookup, keys walked and no value sliced.
         """
-        if self._closed:
-            raise ConfigurationError("reader is closed")
-        payload = self._read_block(
-            self._offsets[block_idx], self._lengths[block_idx]
-        )
+        payload = self._query_block(block_idx)
         return (payload, *_walk_block(payload))
 
     def might_contain(self, key: bytes) -> bool:
@@ -752,9 +716,7 @@ class SSTableReader:
         block_idx = self._block_for(key)
         if block_idx < 0 or key > self.max_key:
             return False, None
-        payload = self._read_block(
-            self._offsets[block_idx], self._lengths[block_idx], admit=False
-        )
+        payload = self._query_block(block_idx)
         keys, ends, tombstones = _walk_block(payload, stop_at=key)
         if not keys or keys[-1] != key:
             return False, None
@@ -771,9 +733,7 @@ class SSTableReader:
         if self._closed:
             raise ConfigurationError("reader is closed")
         for block_idx in range(self.seek_block(lo), len(self._offsets)):
-            payload = self._read_block(
-                self._offsets[block_idx], self._lengths[block_idx]
-            )
+            payload = self._query_block(block_idx)
             for key, value in _decode_block(payload):
                 if lo is not None and key < lo:
                     continue
@@ -782,6 +742,6 @@ class SSTableReader:
                 yield key, value
 
     def close(self) -> None:
-        """Release the file handle and cached blocks now (idempotent)."""
+        """Release the file handle now (idempotent)."""
         self._closed = True
         self._release()

@@ -30,10 +30,11 @@ class StoreStats:
     component budget (0.0 = stalled right now). ``memtable_bytes``
     counts sealed memtables awaiting flush as well as the active one.
     ``ingested_bytes`` is cumulative over the store's lifetime, and the
-    cache counters are the :class:`BlockCache`'s cumulative totals: block
-    lookups, and ``row_hits`` and ``scan_hits``, the gets a cached row or
-    span answered and the scans cached spans answered (with the
-    memtables' rows between them) with none;
+    cache counters are the :class:`BlockCache`'s cumulative totals:
+    ``cache_misses``, the data blocks queries read (every block lookup),
+    and ``row_hits`` and ``scan_hits``, the gets a cached row or span
+    answered and the scans cached spans answered (with the memtables'
+    rows between them) with none;
     ``scan_span_rows`` counts the rows scans took from spans.
     Their deltas between two snapshots measure write and read traffic.
     ``ghost_hit_bytes`` counts the bytes of lookups a larger cache would
@@ -53,7 +54,6 @@ class StoreStats:
     write_stalled: bool
     write_headroom: float
     throttle_sleep_seconds: float
-    block_cache_hit_rate: float
     block_cache_used_bytes: int
     #: Fields a hand-built snapshot (a test fixture) may leave out.
     quarantined_runs: int = 0
@@ -61,6 +61,7 @@ class StoreStats:
     scan_hits: int = 0
     scan_span_rows: int = 0
     ingested_bytes: int = 0
+    #: Always 0, as no block is cached: ``bench/server_proc.py`` reads it.
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -100,13 +101,11 @@ def snapshot(num_memtables, compaction, maintenance, log, rotation) -> StoreStat
         write_stalled=version.write_stalled,
         write_headroom=version.write_headroom,
         throttle_sleep_seconds=compaction.rate_limiter.total_sleep_seconds,
-        block_cache_hit_rate=cache.hit_rate(),
         block_cache_used_bytes=cache.used_bytes,
         row_hits=cache.row_hits,
         scan_hits=cache.scan_hits,
         scan_span_rows=cache.scan_span_rows,
         ingested_bytes=rotation.ingested_bytes,
-        cache_hits=cache.hits,
         cache_misses=cache.misses,
         cache_evictions=cache.evictions,
         ghost_hit_bytes=cache.ghost_hit_bytes,
@@ -137,8 +136,8 @@ def set_gauges(registry, stats: StoreStats, compaction) -> None:
         ("engine_maintenance_queue_depth",
          "Sealed memtables plus in-flight merge jobs.", queue_depth),
         ("engine_block_cache_capacity_bytes",
-         "Current block-cache byte budget.", cache.capacity_bytes),
+         "Current cache byte budget.", cache.capacity_bytes),
         ("engine_block_cache_used_bytes",
-         "Bytes currently held by the block cache.", cache.used_bytes),
+         "Bytes of rows and spans the cache holds.", cache.used_bytes),
     ):
         registry.gauge(name, help=help_text).set(value)

@@ -97,7 +97,7 @@ class Version:
             found, value = memtable.get(key)
             if found:
                 return value, False
-        found, value = cache.get_row(key)
+        found, value = cache.get(key)
         if found:
             return value, False
         for run_id, element in self.plan:

@@ -626,21 +626,6 @@ class TestLink:
             assert dict(store.scan()) == model
         assert verify_store(directory).clean
 
-    def test_cached_blocks_survive_the_link(self, tmp_path):
-        with LSMStore.open(str(tmp_path / "store"), LINKING) as store:
-            for start in (0, 1000, 2000):
-                for index in range(start, start + 600):
-                    store.put(key(index), b"v")
-                store.flush()
-            assert len(list(store.scan())) == 1800
-            cached = store.stats()
-            store.maintenance()
-            assert store.stats().merges_completed == 1
-            assert len(list(store.scan())) == 1800
-            after = store.stats()
-        assert after.cache_misses == cached.cache_misses
-        assert after.cache_hits > cached.cache_hits
-
     def test_scans_cross_the_files_and_reads_survive_a_reopen(self, tmp_path):
         directory = str(tmp_path / "store")
         model = {key(i): b"%05d" % i for i in range(7200)}

@@ -1,9 +1,9 @@
-"""Tests for the shared LRU cache of blocks and rows."""
+"""Tests for the shared LRU cache of rows and spans."""
 
 import pytest
 
 from repro.engine import BlockCache, LSMStore, StoreOptions
-from repro.engine.blockcache import ROW_OVERHEAD_BYTES
+from repro.engine.blockcache import ROW_OVERHEAD_BYTES, SPAN_ADMIT_SCANS
 from repro.errors import ConfigurationError, DataCorruptError
 
 from .images import frozen, install
@@ -12,96 +12,52 @@ from .images import frozen, install
 class TestBlockCacheUnit:
     def test_put_get_roundtrip(self):
         cache = BlockCache(1024)
-        gen = cache.register_reader()
-        cache.put(gen, 0, b"block-a")
-        assert cache.get(gen, 0) == b"block-a"
-        assert cache.hits == 1
+        cache.put_row(b"k", b"row-a", cache.epoch)
+        assert cache.get(b"k") == (True, b"row-a")
+        assert cache.row_hits == 1
 
     def test_miss_recorded(self):
+        """A get the cache cannot answer is not counted: the lookup goes
+        on to blocks, and each block a query reads counts once."""
         cache = BlockCache(1024)
-        gen = cache.register_reader()
-        assert cache.get(gen, 42) is None
+        assert cache.get(b"k") == (False, None)
+        assert cache.row_hits == cache.misses == 0
+        cache.count_block_read()
         assert cache.misses == 1
-        assert cache.hit_rate() == 0.0
 
     def test_lru_eviction_order(self):
-        cache = BlockCache(30)
-        gen = cache.register_reader()
-        cache.put(gen, 0, b"a" * 10)
-        cache.put(gen, 1, b"b" * 10)
-        cache.put(gen, 2, b"c" * 10)
-        cache.get(gen, 0)  # refresh block 0
-        cache.put(gen, 3, b"d" * 10)  # evicts block 1 (LRU)
-        assert cache.get(gen, 0) is not None
-        assert cache.get(gen, 1) is None
-        assert cache.used_bytes <= 30
+        row = len(b"k0") + 10 + ROW_OVERHEAD_BYTES
+        cache = BlockCache(3 * row)
+        for index in range(3):
+            cache.put_row(b"k%d" % index, b"v" * 10, cache.epoch)
+        cache.get(b"k0")  # refresh row k0
+        cache.put_row(b"k3", b"v" * 10, cache.epoch)  # evicts k1 (LRU)
+        assert cache.get(b"k0") == (True, b"v" * 10)
+        assert cache.get(b"k1") == (False, None)
+        assert cache.used_bytes <= 3 * row
 
-    def test_oversized_block_not_cached(self):
-        cache = BlockCache(10)
-        gen = cache.register_reader()
-        cache.put(gen, 0, b"x" * 100)
+    def test_oversized_row_not_cached(self):
+        cache = BlockCache(100)
+        cache.put_row(b"k", b"x" * 100, cache.epoch)
         assert cache.used_bytes == 0
+        assert cache.get(b"k") == (False, None)
 
     def test_zero_capacity_disables(self):
+        """No span is admitted at zero, however often its scan repeats."""
         cache = BlockCache(0)
-        gen = cache.register_reader()
-        cache.put(gen, 0, b"data")
-        assert cache.get(gen, 0) is None
-
-    def test_zero_capacity_lookups_count_as_misses(self):
-        # A disabled cache still fields real lookups the reader had to
-        # satisfy from disk; hit_rate() must honestly report 0%, not
-        # pretend the cache was never consulted.
-        cache = BlockCache(0)
-        gen = cache.register_reader()
-        cache.get(gen, 0)
-        cache.get(gen, 1)
-        assert cache.misses == 2
-        assert cache.hits == 0
-        assert cache.hit_rate() == 0.0
-
-    def test_generations_do_not_alias(self):
-        cache = BlockCache(1024)
-        first = cache.register_reader()
-        second = cache.register_reader()
-        cache.put(first, 0, b"first")
-        assert cache.get(second, 0) is None
-
-    def test_evict_reader_frees_its_bytes(self):
-        cache = BlockCache(1024)
-        doomed = cache.register_reader()
-        kept = cache.register_reader()
-        cache.put(doomed, 0, b"x" * 100)
-        cache.put(kept, 0, b"y" * 50)
-        assert cache.evict_reader(doomed) == 100
-        assert cache.used_bytes == 50
-        assert cache.get(kept, 0) is not None
-
-    def test_evict_reader_unknown_generation_is_noop(self):
-        cache = BlockCache(1024)
-        gen = cache.register_reader()
-        cache.put(gen, 0, b"x" * 10)
-        assert cache.evict_reader(999) == 0
-        assert cache.used_bytes == 10
-
-    def test_eviction_maintains_generation_index(self):
-        # LRU eviction must also drop the key from the per-generation
-        # index, or a later evict_reader would KeyError on the block it
-        # believes is still cached.
-        cache = BlockCache(20)
-        doomed = cache.register_reader()
-        cache.put(doomed, 0, b"a" * 10)
-        cache.put(doomed, 1, b"b" * 10)
-        cache.put(doomed, 2, b"c" * 10)  # evicts offset 0
-        assert cache.evict_reader(doomed) == 20
+        for _ in range(3):
+            cache.put_span(b"a", b"z", None, [(b"k", b"v")], cache.epoch)
+        assert cache.span_rows(b"a", b"z", None) == []
         assert cache.used_bytes == 0
 
-    def test_clear_resets_generation_index(self):
-        cache = BlockCache(1024)
-        gen = cache.register_reader()
-        cache.put(gen, 0, b"x" * 10)
-        cache.clear()
-        assert cache.evict_reader(gen) == 0
+    def test_zero_capacity_lookups_count_as_misses(self):
+        # A disabled cache still counts the blocks queries read, so read
+        # amplification is measured with or without a budget.
+        cache = BlockCache(0)
+        cache.count_block_read()
+        cache.count_block_read()
+        assert cache.misses == 2
+        assert cache.row_hits == 0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -111,92 +67,52 @@ class TestBlockCacheUnit:
 class TestRowEntries:
     def test_a_row_and_a_deletion_round_trip(self):
         cache = BlockCache(4096)
-        assert cache.get_row(b"k") == (False, None)
+        assert cache.get(b"k") == (False, None)
         cache.put_row(b"k", b"value", cache.epoch)
         cache.put_row(b"gone", None, cache.epoch)
-        assert cache.get_row(b"k") == (True, b"value")
-        assert cache.get_row(b"gone") == (True, None)
+        assert cache.get(b"k") == (True, b"value")
+        assert cache.get(b"gone") == (True, None)
         assert cache.row_hits == 2
         # Row lookups are not block lookups.
-        assert cache.hits == cache.misses == 0
+        assert cache.misses == 0
         assert cache.used_bytes == (
             len(b"k") + len(b"value") + len(b"gone") + 2 * ROW_OVERHEAD_BYTES
         )
 
     def test_rows_are_refreshed_by_key_and_dropped_all_at_once(self):
         cache = BlockCache(4096)
-        gen = cache.register_reader()
-        cache.put(gen, 0, b"b" * 100)
         for key in (b"a", b"b", b"c"):
             cache.put_row(key, b"v", cache.epoch)
         cache.refresh_rows([(b"a", b"new"), (b"b", None), (b"missing", b"x")])
-        assert cache.get_row(b"a") == (True, b"new")
-        assert cache.get_row(b"b") == (True, None)
-        assert cache.get_row(b"missing") == (False, None)  # no row made
+        assert cache.get(b"a") == (True, b"new")
+        assert cache.get(b"b") == (True, None)
+        assert cache.get(b"missing") == (False, None)  # no row made
         assert cache.drop_all_rows() == (
             len(b"anew") + len(b"b") + len(b"cv") + 3 * ROW_OVERHEAD_BYTES
         )
-        assert cache.get_row(b"c") == (False, None)
-        # Blocks are untouched, and a reader's eviction leaves rows be.
-        assert cache.used_bytes == 100
-        cache.put_row(b"d", b"v", cache.epoch)
-        assert cache.evict_reader(gen) == 100
-        assert cache.get_row(b"d") == (True, b"v")
-
-    def test_rows_and_blocks_evict_each_other_in_one_budget(self):
-        """Rows outrank blocks: a block fits only beside the rows and
-        evicts blocks; a row evicts the least recent block first, and a
-        row only when no block is left."""
-        cache = BlockCache(1000)
-        gen = cache.register_reader()
-        row = 1 + 400 + ROW_OVERHEAD_BYTES
-        cache.put_row(b"k", b"v" * 400, cache.epoch)
-        cache.put(gen, 0, b"b" * 300)
-        cache.put(gen, 1, b"b" * (1000 - row - 300))  # exactly full
-        cache.put(gen, 2, b"b" * (1001 - row))  # not beside the row
-        assert cache.get(gen, 2) is None
-        assert cache.get_row(b"k") == (True, b"v" * 400)
-        assert cache.used_bytes == 1000 and cache.evictions == 0
-        cache.put(gen, 3, b"b" * 10)  # evicts block 0, never the row
-        assert cache.get(gen, 0) is None
-        assert cache.get_row(b"k") == (True, b"v" * 400)
-        cache.get(gen, 1)  # block 1 is now more recent than block 3
-        # The least recent block goes.
-        cache.put_row(b"k2", b"v" * 125, cache.epoch)
-        assert cache.get(gen, 3) is None and cache.get(gen, 1) is not None
-        # The last block, then row k.
-        cache.put_row(b"k3", b"v" * 400, cache.epoch)
-        assert cache.get(gen, 1) is None
-        assert cache.get_row(b"k") == (False, None)
-        assert cache.get_row(b"k2") == (True, b"v" * 125)
-        assert cache.get_row(b"k3") == (True, b"v" * 400)
-        assert cache.evictions == 4
-        assert cache.used_bytes <= cache.capacity_bytes
+        assert cache.get(b"c") == (False, None)
+        assert cache.used_bytes == 0
 
     def test_a_refresh_that_no_longer_fits_drops_the_row(self):
         """A refreshed row is admitted again by the row rule."""
         cache = BlockCache(1000)
-        gen = cache.register_reader()
         cache.put_row(b"a", b"v" * 300, cache.epoch)
         cache.put_row(b"b", b"v" * 10, cache.epoch)
-        cache.put(gen, 0, b"x" * 100)
-        # Growing evicts the least recent block first ...
         cache.refresh_rows([(b"b", b"w" * 350)])
-        assert cache.get(gen, 0) is None
-        assert cache.get_row(b"b") == (True, b"w" * 350)
-        # ... and another row only when no block is left.
+        assert cache.get(b"b") == (True, b"w" * 350)
+        # Growing past the budget evicts the least recent row ...
         cache.refresh_rows([(b"a", b"v" * 400)])
-        assert cache.get_row(b"b") == (False, None)
+        assert cache.get(b"b") == (False, None)
         assert cache.used_bytes == 1 + 400 + ROW_OVERHEAD_BYTES
-        # Larger than the whole budget: the row is dropped.
+        # ... and larger than the whole budget, the row itself.
         cache.refresh_rows([(b"a", b"w" * 1000)])
-        assert cache.get_row(b"a") == (False, None)
+        assert cache.get(b"a") == (False, None)
         assert cache.used_bytes == 0
 
     def test_zero_capacity_caches_no_row(self):
         cache = BlockCache(0)
         cache.put_row(b"k", b"v", cache.epoch)
-        assert cache.get_row(b"k") == (False, None)
+        assert cache.get(b"k") == (False, None)
         assert cache.used_bytes == 0
 
 
@@ -251,7 +167,8 @@ class TestBlockCacheInStore:
                 store.put(f"user{i % 300:06d}".encode(), b"v" * 64)
             store.maintenance()
             assert store.get(b"user000007") == b"v" * 64
-            assert store.stats().block_cache_hit_rate == 0.0
+            stats = store.stats()
+            assert stats.row_hits == stats.cache_hits == 0
 
     def test_merged_away_runs_leave_the_cache(self, tmp_path):
         options = StoreOptions(
@@ -283,16 +200,30 @@ class TestRowTier:
     """A cached row answers a get only while no write, and no change of
     the run set, could have changed the answer."""
 
-    def test_a_get_uses_a_scanned_block_but_adds_none(self, tmp_path):
+    def test_a_get_reads_the_block_a_scan_just_read_again(self, tmp_path):
+        """No block is cached: a get of a key in the block a scan read
+        reads it from its run again, and both reads are lookups."""
         with _loaded(tmp_path) as store:
             cache = store._compaction.block_cache
-            assert store.get(b"user000020") == b"v" * 64
-            assert cache._answers and not cache._blocks  # a row, no block
-            assert len(list(store.scan(b"user000100", None, limit=5))) == 5
-            assert cache._blocks
-            hits = cache.hits
+            counters = store.obs.registry.snapshot
+
+            def scan_blocks() -> float:
+                return sum(
+                    c["value"] for c in counters()["counters"]
+                    if c["name"] == "engine_scan_blocks_total"
+                )
+
+            before, scanned = store.stats(), scan_blocks()
+            assert len(list(store.scan(b"user000100", None, limit=1))) == 1
+            scan = store.stats().cache_misses - before.cache_misses
+            assert scan == scan_blocks() - scanned >= 1
             assert store.get(b"user000101") == b"v" * 64
-            assert cache.hits > hits  # the block the scan brought in
+            after = store.stats()
+            assert after.cache_hits == 0
+            assert after.cache_misses == before.cache_misses + scan + 1
+            assert cache.used_bytes == len(_rows(store)) * (
+                len(b"user000101") + 64 + ROW_OVERHEAD_BYTES
+            )
 
     @pytest.mark.parametrize("write", ["put", "delete", "write_batch"])
     def test_a_write_after_a_cached_get_is_seen(self, tmp_path, write):
@@ -407,6 +338,7 @@ class TestRowTier:
             assert stats.cache_hits == 0 and stats.cache_misses >= 2
 
     def test_rows_and_scanned_blocks_share_one_budget(self, tmp_path):
+        """Rows hold the budget, and a scan's blocks take none of it."""
         budget = 8 * 1024
         with _loaded(tmp_path, block_cache_bytes=budget) as store:
             cache = store._compaction.block_cache
@@ -417,10 +349,9 @@ class TestRowTier:
                     assert len(list(store.scan(key, None, limit=100))) > 0
                 assert cache.used_bytes <= budget
             assert cache.evictions > 0
-            # By here rows hold the budget: a scan's blocks fit only into
-            # the bytes the rows leave, and evict no row.
+            # By here rows hold the budget, and a scan evicts no row.
             rows = _rows(store)
-            assert budget - cache._answer_bytes < 4096
+            assert budget - cache.used_bytes < 4096
             list(store.scan(None, None, limit=100))
             assert _rows(store) == rows
             assert cache.used_bytes <= budget
@@ -432,7 +363,6 @@ class TestRowTier:
             assert store.get(hot) == b"v" * 64
             scanned = list(store.scan(None, None))
             assert sum(len(k) + len(v) for k, v in scanned) > 2 * budget
-            assert cache.evictions > 0  # the scan's blocks churned
             lookups, hits = _block_lookups(store), cache.row_hits
             assert store.get(hot) == b"v" * 64
             assert cache.row_hits == hits + 1
@@ -470,9 +400,9 @@ class TestRowTier:
         store = _loaded(tmp_path)
         cache = store._compaction.block_cache
         assert store.get(b"user000015") == b"v" * 64
-        assert len(list(store.scan(None, None, limit=50))) == 50
-        assert _rows(store) and cache._blocks
+        for _ in range(SPAN_ADMIT_SCANS):
+            assert len(list(store.scan(b"user000100", None, limit=50))) == 50
+        assert _rows(store) and cache._spans
         getattr(store, end)()
         assert cache.used_bytes == 0
-        assert not cache._answers and not cache._blocks
-        assert not cache._by_generation
+        assert not cache._answers and not cache._spans and not cache._starts

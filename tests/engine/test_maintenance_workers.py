@@ -543,8 +543,8 @@ class TestFailures:
         read_at = SSTableReader.read_at
 
         def flaky(self, offset, length):
-            # Only a merge's readers have no cache.
-            if self._cache is None and time.monotonic() < failing_until[0]:
+            # Only a merge's handles read through a buffered file.
+            if self._file is not None and time.monotonic() < failing_until[0]:
                 raise OSError("injected: I/O error")
             return read_at(self, offset, length)
 
@@ -615,8 +615,8 @@ class TestFailures:
             read_at = SSTableReader.read_at
 
             def flaky(self, offset, length):
-                # Only a merge's readers have no cache.
-                if self._cache is None and time.monotonic() < failing_until:
+                # Only a merge's handles read through a buffered file.
+                if self._file is not None and time.monotonic() < failing_until:
                     raise OSError("injected: I/O error")
                 return read_at(self, offset, length)
 

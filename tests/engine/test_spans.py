@@ -86,9 +86,9 @@ class TestSpanUnit:
         cache.count_scan(2, False)
         assert (cache.scan_hits, cache.scan_span_rows) == (1, 7)
         # A get inside the span is a row or a proven absence.
-        assert cache.get_row(key(11)) == (True, b"v")
-        assert cache.get_row(key(11) + b"+") == (True, None)
-        assert cache.get_row(key(15)) == (False, None)
+        assert cache.get(key(11)) == (True, b"v")
+        assert cache.get(key(11) + b"+") == (True, None)
+        assert cache.get(key(15)) == (False, None)
         assert cache.row_hits == 2
 
     def test_fewer_rows_than_the_limit_cover_up_to_the_bound(self):
@@ -149,8 +149,8 @@ class TestSpanUnit:
             (key(0), b"old"), (key(2), b"new"), (key(3), b"born"),
             (key(6), b"old"), (key(8), b"old"),
         ]
-        assert cache.get_row(key(4)) == (True, None)
-        assert cache.get_row(key(9)) == (False, None)
+        assert cache.get(key(4)) == (True, None)
+        assert cache.get(key(9)) == (False, None)
         assert cache.used_bytes == charge(key(0), key(9), held)
 
     def test_a_span_over_its_share_is_refused_and_leaves_the_others(self):
@@ -170,31 +170,6 @@ class TestSpanUnit:
         cache.refresh_rows([(key(1) + b"+", b"x" * one)])
         assert spans(cache) == [(key(10), key(14) + b"\x00", 5)]
 
-    def test_rows_and_spans_outrank_blocks(self):
-        span = charge(key(0), key(4) + b"\x00", rows(0, 5))
-        cache = BlockCache(int(span / SPAN_SHARE))
-        gen = cache.register_reader()
-        free = cache.capacity_bytes - span
-        cache.put(gen, 0, b"b" * (free + 1))
-        admit(cache, key(0), None, 5, rows(0, 5))  # evicts the block
-        assert cache.get(gen, 0) is None
-        cache.put(gen, 1, b"b" * (free + 1))  # not beside the span
-        assert cache.get(gen, 1) is None
-        assert cache.span_rows(key(0), None, 5) == [
-            (key(0), key(4) + b"\x00", rows(0, 5))
-        ]
-        # A row evicts a block first, then the least recent row or span.
-        cache.put(gen, 2, b"b" * 10)
-        room = cache.capacity_bytes - cache.used_bytes
-        over = b"v" * (room - len(b"row") - ROW_OVERHEAD_BYTES + 1)
-        cache.put_row(b"row", over, cache.epoch)
-        assert cache.get(gen, 2) is None
-        assert spans(cache) == [(key(0), key(4) + b"\x00", 5)]
-        cache.put_row(b"row2", b"v" * 10, cache.epoch)
-        assert spans(cache) == []
-        assert cache.get_row(b"row") == (True, over)
-        assert cache.get_row(b"row2") == (True, b"v" * 10)
-
 
 class TestSpanGhosts:
     def test_an_evicted_span_is_a_ghost_only_a_scan_from_its_start_hits(self):
@@ -203,7 +178,7 @@ class TestSpanGhosts:
         admit(cache, key(0), None, 5, rows(0, 5))
         cache.put_row(b"row", b"v" * (cache.capacity_bytes - one), cache.epoch)
         assert spans(cache) == [] and cache.evictions == 1
-        assert cache.get_row(key(0)) == (False, None)  # a get: no credit
+        assert cache.get(key(0)) == (False, None)  # a get: no credit
         assert cache.ghost_hit_bytes == 0
         assert cache.span_rows(key(0), None, 5) == []
         assert cache.ghost_hit_bytes == one
@@ -217,7 +192,7 @@ class TestSpanGhosts:
         # Refused, larger than the budget and than the ghost's bound.
         cache.put_row(b"big", b"v" * (4 * row), cache.epoch)
         assert cache.ghost_bytes == 2 * row
-        cache.get_row(b"k0")
+        cache.get(b"k0")
         assert cache.ghost_hit_bytes == row
 
 
@@ -226,19 +201,20 @@ class TestSpanGhosts:
         one = charge(key(0), key(4) + b"\x00", big)
         cache = BlockCache(int(one / SPAN_SHARE), ghost_bytes=one // 2)
         capacity = cache.capacity_bytes
-        gen = cache.register_reader()
-        cache.put(gen, 0, b"b" * 10)
-        cache.put(gen, 1, b"b" * (capacity - 5))  # block 0 to the ghost
-        assert cache.ghost_bytes == 10
-        admit(cache, key(0), None, 5, big)  # evicts block 1, too large
+        small = len(b"a") + 10 + ROW_OVERHEAD_BYTES
+        cache.put_row(b"a", b"v" * 10, cache.epoch)
+        filler = b"v" * (capacity - 5 - len(b"b") - ROW_OVERHEAD_BYTES)
+        cache.put_row(b"b", filler, cache.epoch)  # row a to the ghost
+        assert cache.ghost_bytes == small
+        admit(cache, key(0), None, 5, big)  # evicts row b, too large
         admit(cache, key(100), None, None, rows(100, 200))  # refused
         # A row that evicts the span, which is larger than the bound.
         value = b"v" * (capacity - one - ROW_OVERHEAD_BYTES)
         cache.put_row(b"r", value, cache.epoch)
         assert spans(cache) == [] and cache.evictions == 3
-        assert cache.ghost_bytes == 10
-        assert cache.get(gen, 0) is None
-        assert cache.ghost_hit_bytes == 10
+        assert cache.ghost_bytes == small
+        assert cache.get(b"a") == (False, None)
+        assert cache.ghost_hit_bytes == small
 
 
 def _store(tmp_path, **options):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import RateLimiter, SSTableReader, SSTableWriter, SyncPolicy, TOMBSTONE
-from repro.engine.blockcache import BlockCache
 from repro.engine.bloom import BloomFilter
 from repro.engine.sstable import _decode_block, _walk_block
 from repro.errors import ConfigurationError, CorruptionError
@@ -79,10 +78,10 @@ class TestWriteRead:
     def test_sequential_handle_shares_the_parsed_run(self, tmp_path):
         """A merge's handle reuses the index, filter and meta the query
         reader parsed, reads through its own file, and closing it leaves
-        the query reader (and its cached blocks) alone."""
+        the query reader alone."""
         entries = [(f"k{i:04d}".encode(), b"x" * 50) for i in range(300)]
         stats = write_run(tmp_path / "s.run", entries)
-        reader = SSTableReader(stats.path, block_cache=BlockCache(1 << 20))
+        reader = SSTableReader(stats.path)
         assert reader.get(b"k0100") == (True, b"x" * 50)
         handle = reader.sequential_handle()
         assert handle._first_keys is reader._first_keys

@@ -52,7 +52,6 @@ class FakeStore:
             write_stalled=False,
             write_headroom=1.0,
             throttle_sleep_seconds=0.0,
-            block_cache_hit_rate=0.0,
             block_cache_used_bytes=0,
             ingested_bytes=self.ingested_bytes,
             ghost_hit_bytes=self.ghost_hit_bytes,
@@ -156,7 +155,7 @@ class TestPerShardShares:
         keys = [b"k%03d" % index for index in range(20)]
         for _ in range(6):
             for key in keys:
-                if not cache.get_row(key)[0]:
+                if not cache.get(key)[0]:
                     cache.put_row(key, b"v" * 100, cache.epoch)
             stores[0].ghost_hit_bytes = cache.ghost_hit_bytes
             arbiter.tick()

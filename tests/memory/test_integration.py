@@ -192,7 +192,7 @@ class TestEngineBudgetProtocol:
         cache = stores[0]._compaction.block_cache
         cache.resize(64, ghost_bytes=2**20)
         cache.put_row(b"cold", b"v" * 1000, cache.epoch)  # refused: too large
-        cache.get_row(b"cold")
+        cache.get(b"cold")
         assert stores[0].stats().ghost_hit_bytes > 0
         stores[1].close()
         with pytest.raises(ClosedError):

@@ -35,7 +35,6 @@ def snap(
         write_stalled=stalled,
         write_headroom=headroom,
         throttle_sleep_seconds=0.0,
-        block_cache_hit_rate=1.0,
         block_cache_used_bytes=0,
     )
 

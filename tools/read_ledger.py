@@ -2,12 +2,14 @@
 """Where a workload's block lookups go, read by read, replayed in process.
 
 The read-side twin of ``tools/ingest_ledger.py``. ``bench/run.py``'s
-``read_amp`` is block lookups — every block read, hit or miss — over
+``read_amp`` is block lookups — every data block a query reads — over
 reads: the gets and scans of the measured window plus the read-back
 after a quiesce and reopen. This tool replays the same operations
 against one ``LSMStore`` with the benchmark's settings and books each
 lookup (``stats().cache_hits + cache_misses``) to the operation that
-made it. A leg's share is its lookups over all reads, so the shares sum
+made it. The cache holds no block, so every lookup is a
+``cache_misses`` and ``cache_hits`` reads 0; the sum stays, so a tree
+from before, whose cache held blocks, is booked the same way. A leg's share is its lookups over all reads, so the shares sum
 to ``read_amp``. A get answered by a cached row, span or a memtable
 looks up no block, and neither does a scan that cached spans and
 memtables answered; the tool prints how many were, and what share of
