@@ -1,5 +1,6 @@
 """Tests for the sorted-run file format."""
 
+import gc
 import os
 import struct
 import zlib
@@ -123,6 +124,108 @@ class TestKeyBoundsPruning:
         assert reader.might_contain(b"m0025")
         assert reader.get(b"a-below-range") == (False, None)
         assert reader.get(b"m0025") == (True, b"v")
+        reader.close()
+
+
+class TestBlockReads:
+    """A query's block reads are counted, one per block, every time (no
+    block is cached); a merge's and a scrub's are not; the descriptor
+    lives as long as the reader does."""
+
+    ENTRIES = [(f"k{i:04d}".encode(), b"x" * 40) for i in range(200)]
+
+    def counted_reader(self, tmp_path):
+        stats = write_run(tmp_path / "c.run", self.ENTRIES, block_bytes=512)
+        reads = []
+        reader = SSTableReader(stats.path, lambda: reads.append(1))
+        assert reader.block_count > 4
+        return reader, reads
+
+    def test_a_get_counts_the_one_block_it_reads(self, tmp_path):
+        reader, reads = self.counted_reader(tmp_path)
+        assert reader.get(b"k0100") == (True, b"x" * 40)
+        assert len(reads) == 1
+        assert reader.get(b"k0100a") == (False, None)  # in bounds, absent
+        assert len(reads) == 2
+        reader.close()
+
+    def test_a_key_outside_the_run_reads_no_block(self, tmp_path):
+        reader, reads = self.counted_reader(tmp_path)
+        assert reader.get(b"a") == (False, None)
+        assert reader.get(b"z") == (False, None)
+        assert reads == []
+        reader.close()
+
+    def test_a_block_read_twice_is_counted_twice(self, tmp_path):
+        reader, reads = self.counted_reader(tmp_path)
+        first = reader.walk_block(2)
+        assert reader.walk_block(2) == first
+        assert len(reads) == 2
+        reader.close()
+
+    def test_items_count_each_block_they_read(self, tmp_path):
+        reader, reads = self.counted_reader(tmp_path)
+        assert list(reader.items()) == self.ENTRIES
+        assert len(reads) == reader.block_count
+        del reads[:]
+        lo, hi = b"k0050", b"k0120"
+        assert list(reader.items(lo, hi)) == self.ENTRIES[50:120]
+        # from the block holding lo through the one holding hi
+        assert len(reads) == reader.seek_block(hi) - reader.seek_block(lo) + 1
+        reader.close()
+
+    def test_merge_and_scrub_reads_are_not_counted(self, tmp_path):
+        reader, reads = self.counted_reader(tmp_path)
+        handle, fresh = reader.sequential_handle(), reader.reopened()
+        for source in (reader, handle, fresh):
+            keys = [
+                key
+                for index in range(source.block_count)
+                for key in source.read_data_block(index).keys
+            ]
+            assert keys == [key for key, _ in self.ENTRIES]
+        assert reads == []
+        handle.close()
+        fresh.close()
+        reader.close()
+
+    def test_a_closed_reader_refuses_every_block_read(self, tmp_path):
+        reader, _ = self.counted_reader(tmp_path)
+        reader.close()
+        with pytest.raises(ConfigurationError):
+            reader.walk_block(0)
+        with pytest.raises(ConfigurationError):
+            reader.read_data_block(0)
+        with pytest.raises(ConfigurationError):
+            list(reader.items())
+
+    def test_close_releases_the_descriptor(self, tmp_path):
+        reader, _ = self.counted_reader(tmp_path)
+        fd = reader._fd
+        os.fstat(fd)
+        reader.close()
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+    def test_letting_go_of_the_reader_releases_the_descriptor(self, tmp_path):
+        reader, _ = self.counted_reader(tmp_path)
+        fd = reader._fd
+        del reader
+        gc.collect()
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+    def test_a_scrub_view_keeps_the_descriptor_open(self, tmp_path):
+        """Closing what :meth:`reopened` returned, or letting it go,
+        leaves the reader it came from reading."""
+        reader, reads = self.counted_reader(tmp_path)
+        fresh = reader.reopened()
+        fresh.close()
+        del fresh
+        gc.collect()
+        os.fstat(reader._fd)
+        assert reader.get(b"k0007") == (True, b"x" * 40)
+        assert len(reads) == 1
         reader.close()
 
 

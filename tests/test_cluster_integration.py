@@ -30,12 +30,22 @@ FUNCTIONAL_OPTIONS = StoreOptions(
 )
 
 #: Per-shard overload engine: the hot shard's ingest outruns its
-#: workers' throttled flush + merge bandwidth. Three memtables, so a
-#: cold shard's seal never fills memory before its worker flushes
-#: (every shedding mode stalls a write at ``memory_fill >= 1``).
+#: workers' throttled flush + merge bandwidth. A cold shard must keep
+#: its own write gate open, so both of its limits sit above what its
+#: unthrottled maintenance can leave behind:
+#:
+#: * four memtables: a burst of writes can seal a second memtable while
+#:   the worker still writes the first one's run, which at three filled
+#:   both sealed slots (every shedding mode stalls a write at
+#:   ``memory_fill >= 1``);
+#: * six components, one above the policy's own peak: tiering at ratio
+#:   3 over two levels holds three flushed runs beside two merged ones
+#:   (five) until the level-0 merge the third flush starts has finished,
+#:   which at a limit of five closed the gate for that merge's
+#:   millisecond.
 OVERLOAD_OPTIONS = FUNCTIONAL_OPTIONS.with_(
-    num_memtables=3,
-    constraint_limit=5,
+    num_memtables=4,
+    constraint_limit=6,
     merge_chunk_bytes=512,
     rate_limit_bytes_per_s=96 * 1024,
     background_maintenance=True,
