@@ -96,16 +96,17 @@ class CommitLog:
         *,
         sync: bool,
         fault_plan,
-        registry,
+        obs,
         lock: threading.RLock,
         position: LogPosition | None,
         memtables,
     ) -> None:
         """Open the log at ``path`` and replay it into ``memtables`` (a
         :class:`~repro.engine.rotation.Rotation`); ``position`` is what
-        the manifest read back, if anything."""
+        the manifest read back, if anything; ``obs`` is its time."""
         self._wal = WriteAheadLog(path, sync=sync, fault_plan=fault_plan)
         self._sync = sync
+        self._obs = obs
         self._lock = lock
         self._memtables = memtables
         #: The store's closed flag (set under the lock, by its close or
@@ -123,11 +124,11 @@ class CommitLog:
         # discard them.
         self._wal_syncs_in_flight = 0
         self._group_lsn: int | None = None  # where that group starts
-        self._m_gc_batches = registry.counter(
+        self._m_gc_batches = obs.registry.counter(
             "engine_group_commit_batches_total",
             help="Commit batches that rode a group-commit frame group.",
         )
-        self._m_gc_syncs = registry.counter(
+        self._m_gc_syncs = obs.registry.counter(
             "engine_group_commit_syncs_total",
             help="Group-commit fsyncs (one per group, not per batch).",
         )
@@ -216,13 +217,13 @@ class CommitLog:
 
     # -- the per-writer commit (lock held) -------------------------------
 
-    def commit(self, batch: Batch, clock) -> tuple[int, int, float]:
+    def commit(self, batch: Batch) -> tuple[int, int, float]:
         """Append one batch (fsyncing per ``sync``), insert it, tell the
         listener. Returns the frame's ``(lsn, length)`` and the seconds
-        the append took by ``clock``."""
-        started = clock()
+        the append took."""
+        started = self._obs.clock()
         offset, length = self._wal.append(batch)
-        io_seconds = clock() - started
+        io_seconds = self._obs.clock() - started
         lsn = self._base + offset
         self._memtables.insert(batch)
         listener = self._commit_listener
@@ -251,7 +252,7 @@ class CommitLog:
                     self._gc_leader_busy = True
                     group = self._take_group_locked()
                     break
-                self._gc_cond.wait()
+                self._obs.wait(self._gc_cond, None)
         if group is not None:
             try:
                 self._commit_group(group)
@@ -355,7 +356,7 @@ class CommitLog:
         with self._gc_cond:
             self._gc_cond.notify_all()
             while self._gc_leader_busy or self._gc_queue:
-                self._gc_cond.wait(timeout=0.05)
+                self._obs.wait(self._gc_cond, 0.05)
 
     # -- cutting and closing (lock held) ---------------------------------
 

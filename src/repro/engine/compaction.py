@@ -20,7 +20,6 @@ shared rate limiter throttling actual file writes underneath.
 from __future__ import annotations
 
 import os
-import time
 
 from ..core.components import Component, MergeDescriptor, UidAllocator
 from ..errors import ConfigurationError, CorruptionError
@@ -42,10 +41,10 @@ from .version import Version, build_version, newest_first
 _UNBOUNDED_MAX_KEY = b"\xff" * 256
 
 #: How long no merge is started after one failed for a reason other
-#: than a checksum — at its start or in a chunk: an idle maintenance
-#: worker's poll (``maintenance._POLL_SECONDS``), so a persistent I/O
-#: error costs one attempt per poll, not a busy loop, while flushes and
-#: merges already started go on being claimed.
+#: than a checksum (at its start or in a chunk), and the worker claims
+#: no flush after a failed one: an idle worker's poll, so a persistent
+#: I/O error costs one attempt per poll, not a busy loop. A failed merge
+#: holds back no flush, nor a merge already started.
 RETRY_SECONDS = 0.05
 
 
@@ -92,7 +91,7 @@ class CompactionManager:
             options.merge_decisions()
         )
         self._uids = UidAllocator()
-        self._rate_limiter = RateLimiter(options.rate_limit_bytes_per_s)
+        self._rate_limiter = RateLimiter(options.rate_limit_bytes_per_s, obs)
         self._block_cache = BlockCache(
             options.block_cache_bytes,
             ghost_bytes_for(options.memtable_bytes, options.block_cache_bytes),
@@ -104,7 +103,7 @@ class CompactionManager:
         self._jobs: dict[int, MergeJob] = {}
         #: The merge job whose chunk is in flight, if any: one at a time.
         self._claimed: MergeJob | None = None
-        #: No merge starts before this ``time.monotonic()``: one failed.
+        #: No merge starts before this ``obs.clock()``: one failed.
         self._retry_at = 0.0
         self._merge_count = 0
         self._quarantine = QuarantineSet(directory)
@@ -484,7 +483,7 @@ class CompactionManager:
             # claim or publish that scheduled the merge goes on, and the
             # merge is retried after a back-off.
             descriptor.release_inputs()
-            self._retry_at = time.monotonic() + RETRY_SECONDS
+            self._retry_at = self._obs.clock() + RETRY_SECONDS
             self._obs.registry.counter(
                 "engine_maintenance_failures_total"
             ).inc()
@@ -553,7 +552,7 @@ class CompactionManager:
 
     def retry_pending(self) -> bool:
         """True while merges wait out a failed one's back-off."""
-        return time.monotonic() < self._retry_at
+        return self._obs.clock() < self._retry_at
 
     @property
     def merge_jobs_in_flight(self) -> int:
@@ -605,7 +604,7 @@ class CompactionManager:
         self._jobs.pop(job.descriptor.uid, None)
         job.abandon()
         if retry:
-            self._retry_at = time.monotonic() + RETRY_SECONDS
+            self._retry_at = self._obs.clock() + RETRY_SECONDS
 
     # -- quarantine repair ---------------------------------------------
 

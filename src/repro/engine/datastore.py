@@ -111,7 +111,7 @@ class LSMStore:
             os.path.join(directory, "wal.log"),
             sync=self._options.sync_writes,
             fault_plan=self._options.fault_plan,
-            registry=registry,
+            obs=self._obs,
             lock=self._lock,
             position=self._manifest.take_position(),
             memtables=self._rotation,
@@ -293,7 +293,7 @@ class LSMStore:
             started = clock()
             stall_seconds = self._maintenance.await_headroom()
             if not options.group_commit:
-                lsn, length, io_seconds = self._log.commit(batch, clock)
+                lsn, length, io_seconds = self._log.commit(batch)
                 self._maintenance.rotate_if_full()
         if options.group_commit:
             io_started = clock()
@@ -562,7 +562,7 @@ class LSMStore:
 
     @property
     def obs(self):
-        """The store's observability bundle (registry + tracer + clock)."""
+        """The store's observability bundle: registry, tracer and time."""
         return self._obs
 
     @property

@@ -25,13 +25,12 @@ arrive through the constructor; nothing here calls back into the store
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable
 
 from ..errors import ClosedError, ConfigurationError
 from ..obs import events as obs_events
 from .commitlog import CommitLog
-from .compaction import CompactionManager
+from .compaction import RETRY_SECONDS, CompactionManager
 from .iterators import ReaderCorruption
 from .options import StoreOptions
 from .ratelimiter import RateLimiter
@@ -69,15 +68,13 @@ class MaintenanceExecutor:
         # sequence stamps, so publishing them out of order would corrupt
         # the newest-first reconciliation order.
         self._flush_claimed = False
+        #: No flush is claimed before this ``obs.clock()``: one failed.
+        self._flush_retry_at = 0.0
         self._scrubber = Scrubber(
             interval=options.scrub_interval,
             chunk_bytes=compaction.chunk_bytes,
             rate_limiter=compaction.rate_limiter,
-            scrub_limiter=(
-                RateLimiter(options.scrub_rate_bytes_per_s)
-                if options.scrub_rate_bytes_per_s
-                else None
-            ),
+            scrub_limiter=RateLimiter(options.scrub_rate_bytes_per_s, obs),
             obs=obs,
         )
         self._m_failures = obs.registry.counter(
@@ -149,10 +146,12 @@ class MaintenanceExecutor:
         when it was sealed. Merges are claimed through the compaction
         manager's scheduler. Scrub chunks rank last: verification is the
         only maintenance work with no deadline, so it soaks up idle
-        time without ever delaying a flush or merge claim.
+        time without ever delaying a flush or merge claim. A flush that
+        failed is claimed again after ``compaction.RETRY_SECONDS``.
         """
+        flush_due = self._obs.clock() >= self._flush_retry_at
         return (
-            self._claim_flush_locked()
+            (flush_due and self._claim_flush_locked())
             or self._claim_merge_locked()
             or self._claim_scrub_locked()
         )
@@ -244,16 +243,17 @@ class MaintenanceExecutor:
         """Clean up a failed task (lock held).
 
         A failed flush keeps its memtable sealed (the data is still in
-        the WAL and remains readable); a failed merge is abandoned so
-        the policy may reschedule the same inputs later (with ``retry``,
-        after a back-off); a failed repair
-        leaves the run quarantined for the next attempt; a failed scrub
-        chunk releases the scrubber's claim and skips the current run
-        (the next pass revisits it).
+        the WAL and remains readable), claimed again by the worker after
+        a back-off; a failed merge is abandoned so the policy may
+        reschedule the same inputs later (with ``retry``, after a
+        back-off); a failed repair leaves the run quarantined for the
+        next attempt; a failed scrub chunk releases the scrubber's claim
+        and skips the current run (the next pass revisits it).
         """
         try:
             if task[0] == "flush":
                 self._flush_claimed = False
+                self._flush_retry_at = self._obs.clock() + RETRY_SECONDS
             if task[0] in ("flush", "repair"):
                 task[3].abandon()
             elif task[0] == "merge":
@@ -296,7 +296,7 @@ class MaintenanceExecutor:
                         self._m_failures.inc()
                         task = None
                     if task is None:
-                        self._changed.wait(timeout=_POLL_SECONDS)
+                        self._obs.wait(self._changed, _POLL_SECONDS)
                         continue
                 busy.set(1.0)
                 try:
@@ -379,14 +379,14 @@ class MaintenanceExecutor:
                     continue
                 if not self._compaction.retry_pending():
                     raise self._too_tight()
-                time.sleep(_POLL_SECONDS)
+                self._obs.sleep(_POLL_SECONDS)
             return
         self._changed.notify_all()
         while not done():
             self._check_open(doing)
             if self._nothing_claimable():
                 raise self._too_tight()
-            self._changed.wait(timeout=_POLL_SECONDS)
+            self._obs.wait(self._changed, _POLL_SECONDS)
 
     def await_headroom(self) -> float:
         """The write-stall gate, the paper's stop interaction mode:
@@ -526,7 +526,7 @@ class MaintenanceExecutor:
             max_steps -= self._step_until_idle(max_steps)
             if not self._compaction.retry_pending():
                 return
-            time.sleep(_POLL_SECONDS)
+            self._obs.sleep(_POLL_SECONDS)
 
     # -- repair and scrubbing --------------------------------------------
 
@@ -569,4 +569,4 @@ class MaintenanceExecutor:
                 if self._scrubber.passes_completed != passes_before:
                     return self._scrubber.summary()
             if not self.scrub_tick():
-                time.sleep(0.005)
+                self._obs.sleep(0.005)

@@ -121,8 +121,8 @@ class StoreOptions:
         None (the default) adds no overhead to the I/O path.
     obs:
         Optional :class:`repro.obs.Observability` bundle (duck-typed on
-        ``registry``/``tracer``/``clock`` attributes) the store records
-        its metrics and lifecycle events into. None (the default) makes
+        ``registry``/``tracer``/``clock``/``sleep``/``wait``) the store
+        records into and takes its time from. None (the default) makes
         the store create a private bundle, reachable as ``store.obs`` —
         the serving tier passes its own so engine and server series land
         in one registry.
@@ -159,10 +159,10 @@ class StoreOptions:
             )
         if self.obs is not None and not all(
             hasattr(self.obs, attribute)
-            for attribute in ("registry", "tracer", "clock")
+            for attribute in ("registry", "tracer", "clock", "sleep", "wait")
         ):
             raise ConfigurationError(
-                "obs must expose registry, tracer, and clock attributes"
+                "obs must expose registry, tracer, clock, sleep and wait"
             )
         if self.memtable_bytes < 4096:
             raise ConfigurationError("memtable budget is implausibly small")

@@ -3,22 +3,21 @@
 The paper throttles all flush and merge SSD writes to 100 MB/s with a
 rate limiter that "injects artificial sleeps into SSD writes", and forces
 data to disk every 16 MB to keep the OS I/O queue short. Both are
-reproduced here: :class:`RateLimiter` is a token bucket whose sleep
-function is injectable (tests pass a virtual sleep), and
+reproduced here: :class:`RateLimiter` is a token bucket that reads
+the time and sleeps through the store's ``obs`` bundle, and
 :class:`SyncPolicy` tracks written bytes and tells writers when to fsync.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable
 
 from ..errors import ConfigurationError
+from ..obs import Observability
 
 
 class RateLimiter:
-    """Token-bucket write throttle with an injectable clock/sleep.
+    """Token-bucket write throttle on ``obs``'s ``clock`` and ``sleep``.
 
     ``acquire(n)`` blocks (sleeps) until ``n`` bytes of budget are
     available. A ``rate`` of 0 disables throttling. The bucket allows a
@@ -41,24 +40,17 @@ class RateLimiter:
     def __init__(
         self,
         rate_bytes_per_s: float,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
+        obs: Observability | None = None,
     ) -> None:
         if rate_bytes_per_s < 0:
             raise ConfigurationError("rate cannot be negative")
         self._rate = rate_bytes_per_s
-        self._clock = clock
-        self._sleep = sleep
+        self._obs = obs = obs or Observability()
         self._available = rate_bytes_per_s  # start with one second of burst
-        self._last = clock()
+        self._last = obs.clock()
         self._total_sleeps = 0.0
         self._total_admitted = 0.0
         self._lock = threading.Lock()
-
-    @property
-    def rate(self) -> float:
-        """Configured budget in bytes/second (0 = unlimited)."""
-        return self._rate
 
     @property
     def total_sleep_seconds(self) -> float:
@@ -78,7 +70,7 @@ class RateLimiter:
 
     def _refill(self) -> None:
         """Credit tokens for elapsed time; caller must hold the lock."""
-        now = self._clock()
+        now = self._obs.clock()
         elapsed = now - self._last
         if elapsed <= 0:
             return
@@ -103,7 +95,7 @@ class RateLimiter:
                 return
             delay = -self._available / self._rate
             self._total_sleeps += delay
-        self._sleep(delay)
+        self._obs.sleep(delay)
 
 
 class SyncPolicy:

@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import CorruptionError
-from ..obs import Observability
 from ..obs import events as obs_events
 from .iterators import read_twice
 from .runs import Run
@@ -149,16 +148,15 @@ class Scrubber:
         interval: float,
         chunk_bytes: int,
         rate_limiter,
-        scrub_limiter=None,
-        obs=None,
+        scrub_limiter,
+        obs,
     ) -> None:
         self._interval = interval
         self._chunk_bytes = max(chunk_bytes, 1)
         self._rate = rate_limiter
         self._scrub_rate = scrub_limiter
-        self._obs = obs = obs or Observability()
-        self._clock = obs.clock
-        self._next_due = self._clock() + interval
+        self._obs = obs
+        self._next_due = obs.clock() + interval
         self._forced = False
         self._in_pass = False
         self._claimed = False
@@ -213,7 +211,7 @@ class Scrubber:
         """
         if self._claimed:
             return None
-        now = self._clock()
+        now = self._obs.clock()
         if not self._in_pass:
             if not self._due(now):
                 return None
@@ -281,8 +279,7 @@ class Scrubber:
 
     def _debit(self, nbytes: int) -> None:
         self._rate.acquire(nbytes)
-        if self._scrub_rate is not None:
-            self._scrub_rate.acquire(nbytes)
+        self._scrub_rate.acquire(nbytes)
 
     def execute(self, cursor: _Cursor) -> ScrubResult:
         """Check up to one chunk of the claimed run's blocks. Every byte

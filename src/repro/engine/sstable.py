@@ -634,13 +634,14 @@ class SSTableReader:
             raise CorruptionError(f"{self.path}: short read")
         return blob
 
-    def _read_block(self, block_idx: int) -> tuple[bytes, bytes]:
-        """One data block from the file, as ``(stored, payload)``: the
-        bytes as held, and the entries decoded once their checksum
-        holds, so a :class:`CorruptionError` — naming the file path,
-        offset and length — reflects what is on disk right now."""
+    def _read_block(self, block_idx: int, count=_no_count):
+        """One data block, counted by ``count`` once the reader is known
+        open, as ``(stored, payload)``: the bytes as held, and the entries
+        decoded once their checksum holds, so a :class:`CorruptionError`
+        — naming the file path, offset and length — reflects the disk."""
         if self._closed:
             raise ConfigurationError("reader is closed")
+        count()
         offset, length = self._offsets[block_idx], self._lengths[block_idx]
         context = (
             f"{self.path}: data block at offset {offset} ({length} bytes)"
@@ -651,8 +652,7 @@ class SSTableReader:
 
     def _query_block(self, block_idx: int) -> bytes:
         """A data block's payload for a query: one counted block lookup."""
-        self._count_block_read()
-        return self._read_block(block_idx)[1]
+        return self._read_block(block_idx, self._count_block_read)[1]
 
     @property
     def block_count(self) -> int:

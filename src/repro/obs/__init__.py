@@ -3,9 +3,9 @@
 One :class:`Observability` bundle per process tier (engine store, KV
 server, cluster router) pairs a :class:`~repro.obs.registry.MetricsRegistry`
 with an :class:`~repro.obs.events.EventTracer` on a shared injectable
-clock. Tiers accept a bundle by duck type — anything with ``registry``,
-``tracer`` and ``clock`` attributes works — so tests can pass fakes and
-the engine package never imports the serving stack.
+clock. Tiers accept a bundle by duck type (``registry``, ``tracer``,
+``clock``; the engine also ``sleep`` and ``wait``), so tests can pass
+fakes and the engine package never imports the serving stack.
 
 See ``docs/observability.md`` for the metric catalogue and event schema.
 """
@@ -55,7 +55,9 @@ from .registry import (
 
 
 class Observability:
-    """Registry + tracer + clock: what a tier needs to be observable."""
+    """Registry + tracer + time: what a tier needs to be observable.
+    The engine takes all its time from ``clock``, :meth:`sleep` and
+    :meth:`wait`: a subclass overriding the three runs it on its own."""
 
     def __init__(
         self,
@@ -64,6 +66,15 @@ class Observability:
         self.clock = clock
         self.registry = MetricsRegistry()
         self.tracer = EventTracer(clock=clock)
+
+    def sleep(self, seconds: float) -> None:
+        """Block the calling thread for ``seconds``."""
+        time.sleep(seconds)
+
+    def wait(self, condition, timeout: float | None) -> bool:
+        """``condition.wait(timeout)``, ``condition``'s lock held: False
+        when the timeout ran out."""
+        return condition.wait(timeout)
 
     def snapshot(self) -> dict:
         """The registry snapshot (metrics only; events have a cursor API)."""

@@ -583,6 +583,35 @@ class TestFailures:
             ) == len(failed)
             assert len(list(store.scan())) == 900
 
+    def test_a_flush_whose_publish_fails_backs_off(self, tmp_path, monkeypatch):
+        # A publish writes its manifest edit before it opens the run's
+        # reader, so each failed one leaves a run file that the manifest
+        # names and that must stay: the retries must be bounded.
+        directory = str(tmp_path / "db")
+        failing_until = [0.0]
+        load = SSTableReader._load
+
+        def flaky(self):
+            if time.monotonic() < failing_until[0]:
+                raise OSError("injected: I/O error")
+            return load(self)
+
+        monkeypatch.setattr(SSTableReader, "_load", flaky)
+        keys = [f"user{i:06d}".encode() for i in range(150)]
+        with LSMStore.open(directory, WORKERS) as store:
+            failing_until[0] = time.monotonic() + 0.5
+            for key in keys:
+                store.put(key, b"v" * 64)
+            store.flush()
+            assert time.monotonic() >= failing_until[0]
+            assert counter(store, "engine_maintenance_failures_total") >= 2
+            left = run_files(directory)
+            assert len(left) <= 0.5 / compaction.RETRY_SECONDS + 2
+            assert all(store.get(key) == b"v" * 64 for key in keys)
+        with LSMStore.open(directory, WORKERS) as store:
+            assert all(store.get(key) == b"v" * 64 for key in keys)
+            assert len(list(store.scan())) == len(keys)
+
     def test_an_inline_drain_raises_a_failed_start_then_waits_it_out(
         self, tmp_path, monkeypatch
     ):

@@ -6,85 +6,71 @@ import pytest
 
 from repro.engine import RateLimiter, SyncPolicy
 from repro.errors import ConfigurationError
-
-
-class FakeClock:
-    """Virtual clock: sleeping advances time, thread-safely."""
-
-    def __init__(self):
-        self.now = 0.0
-        self._lock = threading.Lock()
-
-    def __call__(self):
-        with self._lock:
-            return self.now
-
-    def sleep(self, seconds):
-        with self._lock:
-            self.now += seconds
+from tests.faketime import FakeTime
 
 
 class TestRateLimiter:
     def test_unlimited_never_sleeps(self):
-        clock = FakeClock()
-        limiter = RateLimiter(0, clock=clock, sleep=clock.sleep)
+        fake = FakeTime()
+        limiter = RateLimiter(0, fake)
         limiter.acquire(10**9)
         assert limiter.total_sleep_seconds == 0
 
     def test_burst_budget_allows_first_second(self):
-        clock = FakeClock()
-        limiter = RateLimiter(100.0, clock=clock, sleep=clock.sleep)
+        fake = FakeTime()
+        limiter = RateLimiter(100.0, fake)
         limiter.acquire(100)  # exactly the burst
         assert limiter.total_sleep_seconds == 0
 
     def test_sustained_rate_enforced(self):
-        clock = FakeClock()
-        limiter = RateLimiter(100.0, clock=clock, sleep=clock.sleep)
+        fake = FakeTime()
+        limiter = RateLimiter(100.0, fake)
         for _ in range(10):
             limiter.acquire(100)
         # 1000 bytes at 100 B/s needs ~10s minus the 1s burst
-        assert clock.now == pytest.approx(9.0, abs=0.5)
+        assert fake.now == pytest.approx(9.0, abs=0.5)
 
     def test_refill_over_time(self):
-        clock = FakeClock()
-        limiter = RateLimiter(100.0, clock=clock, sleep=clock.sleep)
+        fake = FakeTime()
+        limiter = RateLimiter(100.0, fake)
         limiter.acquire(100)
-        clock.now += 5.0  # idle time refills the bucket (capped at 1s)
-        before = clock.now
+        fake.now += 5.0  # idle time refills the bucket (capped at 1s)
+        before = fake.now
         limiter.acquire(100)
-        assert clock.now == before  # burst available again, no sleep
+        assert fake.now == before  # burst available again, no sleep
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             RateLimiter(-1)
 
     def test_zero_bytes_noop(self):
-        clock = FakeClock()
-        limiter = RateLimiter(10.0, clock=clock, sleep=clock.sleep)
+        fake = FakeTime()
+        limiter = RateLimiter(10.0, fake)
         limiter.acquire(0)
-        assert clock.now == 0.0
+        assert fake.now == 0.0
 
     def test_request_larger_than_burst_terminates(self):
         # A request bigger than the bucket capacity (rate = 1s burst)
         # must go into debt and sleep it off, not wait for a balance
         # that can never accumulate.
-        clock = FakeClock()
-        limiter = RateLimiter(100.0, clock=clock, sleep=clock.sleep)
+        fake = FakeTime()
+        limiter = RateLimiter(100.0, fake)
         limiter.acquire(1000)
         # 1000 bytes minus the 100-byte burst = 9s of debt.
-        assert clock.now == pytest.approx(9.0)
+        assert fake.now == pytest.approx(9.0)
 
     def test_oversleep_surplus_not_forfeited(self):
         # Regression: the limiter used to zero the bucket after every
         # sleep, so tokens accrued during an oversleep (real sleeps
         # always overshoot) were forfeited and throughput fell below
         # the configured budget.
-        clock = FakeClock()
+        fake = FakeTime()
 
         def oversleep(seconds):
-            clock.sleep(seconds + 0.5)
+            fake.advance(seconds + 0.5)
 
-        limiter = RateLimiter(100.0, clock=clock, sleep=oversleep)
+        fake.sleep = oversleep
+        limiter = RateLimiter(100.0, fake)
         limiter.acquire(200)  # 100 burst + 1s debt, overslept to 1.5s
         before = limiter.total_sleep_seconds
         limiter.acquire(50)  # covered by the 50-byte oversleep surplus
@@ -95,9 +81,9 @@ class TestRateLimiter:
         # design guarantees admitted bytes never exceed the burst plus
         # rate x elapsed, no matter how acquires interleave. The old
         # unlocked read-modify-write could lose a debit and admit more.
-        clock = FakeClock()
+        fake = FakeTime()
         rate = 1000.0
-        limiter = RateLimiter(rate, clock=clock, sleep=clock.sleep)
+        limiter = RateLimiter(rate, fake)
 
         def hammer():
             for _ in range(50):
@@ -113,8 +99,8 @@ class TestRateLimiter:
         # Bandwidth bound: burst + rate x elapsed covers everything
         # admitted, i.e. the virtual clock had to advance at least
         # (admitted - burst) / rate seconds.
-        assert admitted <= rate + rate * clock.now + 1e-6
-        assert clock.now >= (admitted - rate) / rate - 1e-6
+        assert admitted <= rate + rate * fake.now + 1e-6
+        assert fake.now >= (admitted - rate) / rate - 1e-6
 
     def test_admitted_bytes_counted_when_unlimited(self):
         limiter = RateLimiter(0)

@@ -12,6 +12,7 @@ from repro.engine import RateLimiter, SSTableReader, SSTableWriter, SyncPolicy, 
 from repro.engine.bloom import BloomFilter
 from repro.engine.sstable import _decode_block, _walk_block
 from repro.errors import ConfigurationError, CorruptionError
+from tests.faketime import FakeTime
 
 
 _LEN = struct.Struct("<I")
@@ -190,7 +191,7 @@ class TestBlockReads:
         reader.close()
 
     def test_a_closed_reader_refuses_every_block_read(self, tmp_path):
-        reader, _ = self.counted_reader(tmp_path)
+        reader, reads = self.counted_reader(tmp_path)
         reader.close()
         with pytest.raises(ConfigurationError):
             reader.walk_block(0)
@@ -198,6 +199,8 @@ class TestBlockReads:
             reader.read_data_block(0)
         with pytest.raises(ConfigurationError):
             list(reader.items())
+        # A refused read is no block lookup.
+        assert reads == []
 
     def test_close_releases_the_descriptor(self, tmp_path):
         reader, _ = self.counted_reader(tmp_path)
@@ -345,10 +348,7 @@ class TestWriterDiscipline:
         """Regression: the footer used to be written via a raw
         file.write, slipping past the rate limiter's debit and the sync
         policy's byte count — admitted bytes must equal the file size."""
-        sleeps = []
-        limiter = RateLimiter(
-            10**9, clock=lambda: sum(sleeps), sleep=sleeps.append
-        )
+        limiter = RateLimiter(10**9, FakeTime())
         sync = SyncPolicy(interval_bytes=1 << 30)
         path = tmp_path / "k2.run"
         writer = SSTableWriter(
@@ -365,12 +365,7 @@ class TestWriterDiscipline:
         assert sync.bytes_noted == stats.file_bytes
 
     def test_rate_limiter_and_sync_policy_exercised(self, tmp_path):
-        sleeps = []
-        limiter = RateLimiter(
-            1024 * 1024,
-            clock=lambda: sum(sleeps),
-            sleep=sleeps.append,
-        )
+        limiter = RateLimiter(1024 * 1024, FakeTime())
         sync = SyncPolicy(interval_bytes=4096)
         writer = SSTableWriter(
             str(tmp_path / "k.run"),
